@@ -57,11 +57,12 @@ use obs::report::MetricsReport;
 use simnet::profile::Component;
 use simnet::time::SimTime;
 use sttcp::config::StTcpConfig;
+use sttcp::metrics::ServerMetrics;
 use sttcp_apps::apps::StreamApp;
 use sttcp_apps::chaos::ChaosOptions;
 use sttcp_apps::client::ClientWorkload;
 use sttcp_apps::pool::PoolScenarioBuilder;
-use sttcp_apps::scenario::ScenarioBuilder;
+use sttcp_apps::scenario::{Scenario, ScenarioBuilder};
 use sttcp_bench::hunt::{run_sweep, SweepConfig};
 use sttcp_bench::parallel::default_threads;
 
@@ -310,11 +311,14 @@ const SCALE_MAX_STALL_US: u64 = 5_000_000;
 /// resync burst never serializes one giant frame.
 const SCALE_HB_BATCH: usize = 1_024;
 /// Connection-establishment floor at the 10k ramp point, wall-clock
-/// conns/sec. Set at 5x the pre-wheel snapshot (541/s measured before
-/// O(active) tick scheduling landed) so the scale gate locks the win
-/// in: a change that quietly reintroduces an O(n)-per-tick walk fails
-/// here long before the budget gates notice.
-const SCALE_MIN_CONNS_PER_SEC_10K: f64 = 2_705.0;
+/// conns/sec. Set at about half the rate measured once the last
+/// every-connection walks left the 50 ms check tick (~19 000/s, 17-21k
+/// over six runs on a noisy one-core host; ~8 100/s with the walks) so
+/// the scale gate locks the win in: a change that quietly reintroduces
+/// an O(n)-per-tick walk fails here long before the budget gates
+/// notice. The host-independent form of this gate is the visit-counter
+/// test in `tests/extensions.rs`.
+const SCALE_MIN_CONNS_PER_SEC_10K: f64 = 10_000.0;
 
 struct ScalePoint {
     conns: u64,
@@ -324,6 +328,20 @@ struct ScalePoint {
     hb_bytes_per_round: f64,
     hb_bytes_per_conn: f64,
     failover_stall_us: u64,
+    /// Connection visits by both servers' periodic timers per check
+    /// tick of the steady window (`ServerMetrics::timer_conn_visits`):
+    /// follows the active connections, not `conns`.
+    visits_per_check: f64,
+    /// 32-bit `conn_key` collisions seen by either server.
+    conn_key_collisions: u64,
+}
+
+/// Sums one [`ServerMetrics`] counter over both servers of the pair.
+fn both_servers(s: &Scenario, counter: impl Fn(&ServerMetrics) -> u64) -> u64 {
+    [s.primary, s.backup]
+        .iter()
+        .map(|&n| counter(s.server(n).metrics()))
+        .sum()
 }
 
 /// One ramp point: `total_conns` clients (1 ms connect stagger, an
@@ -349,6 +367,7 @@ fn scale_point(total_conns: u64) -> ScalePoint {
         hb_batch: SCALE_HB_BATCH,
         ..Default::default()
     };
+    let check_period = cfg.check_period;
     let mut s = ScenarioBuilder::new(
         Rc::new(|| Box::new(StreamApp::new(4096, false)) as _),
         ClientWorkload::Download { total: 256 * 1024 },
@@ -369,9 +388,15 @@ fn scale_point(total_conns: u64) -> ScalePoint {
 
     // Steady window: 2 s of virtual time with all counters acked.
     let before = s.server(s.primary).metrics().hb_bandwidth();
+    let visits_before = both_servers(&s, ServerMetrics::timer_conn_visits);
     let steady_end = SimTime::from_micros(ramp_end.as_micros() + 2_000_000);
     s.world.run_until(steady_end);
     let after = s.server(s.primary).metrics().hb_bandwidth();
+    let check_ticks = 2_000_000 / check_period.as_micros();
+    let visits_per_check = (both_servers(&s, ServerMetrics::timer_conn_visits) - visits_before)
+        as f64
+        / check_ticks as f64;
+    let conn_key_collisions = both_servers(&s, ServerMetrics::conn_key_collisions);
     let rounds = (after.rounds - before.rounds).max(1);
     let bytes = after.total_bytes() - before.total_bytes();
     let per_round = bytes as f64 / rounds as f64;
@@ -398,6 +423,8 @@ fn scale_point(total_conns: u64) -> ScalePoint {
         hb_bytes_per_round: per_round,
         hb_bytes_per_conn: per_conn,
         failover_stall_us: stall.as_micros(),
+        visits_per_check,
+        conn_key_collisions,
     }
 }
 
@@ -408,17 +435,21 @@ fn run_scale(counts: &[u64]) -> (Json, bool) {
     let mut points = Vec::new();
     let mut ok = true;
     println!("bench_suite: scale ramp (batched delta heartbeats, 4 serial links)...");
-    println!("  conns     live  conns/s   HB B/round  HB B/conn  stall_ms");
+    println!(
+        "  conns     live  conns/s   HB B/round  HB B/conn  stall_ms  visits/check  key-collisions"
+    );
     for &n in counts {
         let p = scale_point(n);
         println!(
-            "  {:>7} {:>7}  {:>8.0}  {:>10.1}  {:>9.3}  {:>8.1}",
+            "  {:>7} {:>7}  {:>8.0}  {:>10.1}  {:>9.3}  {:>8.1}  {:>12.1}  {:>14}",
             p.conns,
             p.live_conns,
             p.conns_per_sec,
             p.hb_bytes_per_round,
             p.hb_bytes_per_conn,
             p.failover_stall_us as f64 / 1e3,
+            p.visits_per_check,
+            p.conn_key_collisions,
         );
         if p.hb_bytes_per_conn >= SCALE_BUDGET_BYTES_PER_CONN {
             eprintln!(
@@ -471,6 +502,8 @@ fn run_scale(counts: &[u64]) -> (Json, bool) {
                     o.set("hb_bytes_per_round", Json::F64(p.hb_bytes_per_round));
                     o.set("hb_bytes_per_conn", Json::F64(p.hb_bytes_per_conn));
                     o.set("failover_stall_us", Json::U64(p.failover_stall_us));
+                    o.set("visits_per_check", Json::F64(p.visits_per_check));
+                    o.set("conn_key_collisions", Json::U64(p.conn_key_collisions));
                     o
                 })
                 .collect(),

@@ -130,6 +130,15 @@ pub struct ServerMetrics {
     /// Pool strength: this member plus every live, non-fenced peer.
     /// Stays 0 in pair mode.
     pool_strength: Gauge,
+    /// Accepted or installed connections whose 32-bit `conn_key` was
+    /// already bound to a different four-tuple: the older socket drops
+    /// out of heartbeats, detectors and sampling.
+    conn_key_collisions: Counter,
+    /// Connection visits made by the periodic timers (check tick,
+    /// recovery, heartbeat record selection, hole check, app tick). A
+    /// sim-time-normalised, host-independent scale gate: per tick it
+    /// must track the *active* connection count, not the resident one.
+    timer_conn_visits: Counter,
 }
 
 impl Default for ServerMetrics {
@@ -154,7 +163,29 @@ impl ServerMetrics {
             recv_occupancy: Gauge::new(),
             byzantine_rejected: Counter::new(),
             pool_strength: Gauge::new(),
+            conn_key_collisions: Counter::new(),
+            timer_conn_visits: Counter::new(),
         }
+    }
+
+    /// Records a `conn_key` collision between two live four-tuples.
+    pub fn on_conn_key_collision(&mut self) {
+        self.conn_key_collisions.inc();
+    }
+
+    /// `conn_key` collisions so far.
+    pub fn conn_key_collisions(&self) -> u64 {
+        self.conn_key_collisions.get()
+    }
+
+    /// Records `n` connections visited by a periodic timer path.
+    pub fn on_timer_visits(&mut self, n: usize) {
+        self.timer_conn_visits.add(n as u64);
+    }
+
+    /// Connections visited by periodic timer paths so far.
+    pub fn timer_conn_visits(&self) -> u64 {
+        self.timer_conn_visits.get()
     }
 
     /// Records a heartbeat payload rejected as semantically corrupt.
@@ -316,6 +347,14 @@ impl ServerMetrics {
             Json::U64(self.byzantine_rejected.get()),
         );
         o.set("pool_strength", self.pool_strength.to_json());
+        // Like verdicts, reported only once it moves: a report from a
+        // collision-free run is unchanged.
+        if self.conn_key_collisions.get() > 0 {
+            o.set(
+                "conn_key_collisions",
+                Json::U64(self.conn_key_collisions.get()),
+            );
+        }
         o
     }
 }

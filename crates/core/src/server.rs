@@ -16,7 +16,7 @@
 //!   the client connections in place.
 
 use bytes::Bytes;
-use std::collections::{BTreeMap, BTreeSet};
+use std::collections::{BTreeMap, BTreeSet, VecDeque};
 use std::net::Ipv4Addr;
 
 use simnet::flight::{FlightKind, SpanId};
@@ -28,6 +28,8 @@ use simnet::profile::Component;
 use simnet::time::{SimDuration, SimTime};
 
 use simtcp::conn::{ConnStats, TcpConfig, TcpConn, TcpSnapshot, TcpState};
+#[cfg(debug_assertions)]
+use simtcp::endpoint::EndpointTotals;
 use simtcp::endpoint::{
     EgressMode, EndpointConfig, FinGate, IsnPolicy, ListenConfig, RstPolicy, TcpEndpoint,
 };
@@ -213,7 +215,7 @@ struct ConnCtl {
     app_alive: bool,
     applag: AppLagDetector,
     finarb: FinArbiter,
-    pending_out: Vec<Bytes>,
+    pending_out: VecDeque<Bytes>,
     last_fetch_at: Option<SimTime>,
     recovering: bool,
     closed: bool,
@@ -309,6 +311,16 @@ pub struct StTcpServer {
     hb_epoch: u32,
     /// Last record sent per connection with the seqno it changed at.
     hb_cache: BTreeMap<u32, HbCacheEntry>,
+    /// Keys of `hb_cache` records the peer may not have acknowledged yet
+    /// — what a delta round visits instead of the whole cache. Always a
+    /// superset of the uncovered records (a key joins when its record
+    /// changes and whenever the peer's acks are voided); each delta round
+    /// prunes it to exactly that set — dropping covered records and keys
+    /// no longer cached — before selecting what to send.
+    hb_unacked: BTreeSet<u32>,
+    /// Sockets the endpoint reported touched that no delta round has
+    /// looked at yet (see [`StTcpServer::absorb_touched`]).
+    hb_touched: Vec<SocketId>,
     /// Peer's cumulative acks of *my* frames, per link (0 = IP).
     peer_hb_acks: Vec<u32>,
     /// My epoch the peer's acks refer to; full-state frames are sent
@@ -333,6 +345,18 @@ pub struct StTcpServer {
     conns: BTreeMap<SocketId, ConnCtl>,
     by_key: BTreeMap<u32, SocketId>,
     peer_conns: BTreeMap<u32, PeerConn>,
+    /// Backup/joiner: keys whose peer record reports more received bytes
+    /// than this server has, or whose fetch cycle is still open — the
+    /// only connections `run_recovery` must visit. `bytes_received` only
+    /// grows, so a key can *become* lagging only where a peer record is
+    /// applied or a key is (re)bound; those points feed the set
+    /// ([`StTcpServer::note_lag`]) and the recovery walk prunes it.
+    lag_keys: BTreeSet<u32>,
+    /// Post-takeover: sockets that may hold a receive hole — touched
+    /// since the last hole check, or still aging one. Out-of-order bytes
+    /// only appear on packet receipt, so everything else is provably
+    /// hole-free.
+    hole_socks: BTreeSet<SocketId>,
     /// Connections with application output blocked on a full send buffer
     /// — the only ones the flush loops must revisit.
     out_blocked: BTreeSet<SocketId>,
@@ -451,6 +475,8 @@ impl StTcpServer {
             serial_link_mons: Vec::new(),
             hb_epoch: 1,
             hb_cache: BTreeMap::new(),
+            hb_unacked: BTreeSet::new(),
+            hb_touched: Vec::new(),
             peer_hb_acks: Vec::new(),
             peer_ack_epoch: 0,
             rx_link_seq: Vec::new(),
@@ -464,6 +490,8 @@ impl StTcpServer {
             conns: BTreeMap::new(),
             by_key: BTreeMap::new(),
             peer_conns: BTreeMap::new(),
+            lag_keys: BTreeSet::new(),
+            hole_socks: BTreeSet::new(),
             out_blocked: BTreeSet::new(),
             tick_socks: BTreeSet::new(),
             check_socks: BTreeSet::new(),
@@ -561,6 +589,83 @@ impl StTcpServer {
         }
     }
 
+    /// Binds `key` to `sock` in the key index, keeping the endpoint's
+    /// tracked set (what [`TcpEndpoint::totals`] sums) equal to the
+    /// sockets `by_key` resolves to. A socket displaced from the index
+    /// drops out of heartbeats, detectors and totals alike; when it
+    /// belongs to a *different* four-tuple that is a 32-bit `conn_key`
+    /// collision, which is counted rather than silently absorbed.
+    fn bind_key(&mut self, key: u32, sock: SocketId) {
+        if let Some(old) = self.by_key.insert(key, sock) {
+            if old != sock {
+                self.tcp.untrack(old);
+                let tuple_of = |s| self.tcp.conn(s).map(|c| c.tuple());
+                if tuple_of(old) != tuple_of(sock) {
+                    self.metrics.on_conn_key_collision();
+                }
+            }
+        }
+        self.tcp.track(sock);
+        self.note_lag(key);
+    }
+
+    /// Row-5 feed: `key` joins the lag set if the peer has received
+    /// bytes this backup has not, or a fetch cycle is still open on it.
+    /// Called wherever that can become true: a peer record applied, a
+    /// key (re)bound. Only a backup (or joiner) ever runs recovery.
+    fn note_lag(&mut self, key: u32) {
+        if self.role == Role::Backup && self.lag_pending(key) {
+            self.lag_keys.insert(key);
+        }
+    }
+
+    /// The replaced every-connection recovery walk, kept as the
+    /// differential oracle for the lag set: keys it would act on that
+    /// the set is missing. Always empty.
+    fn scan_lag_gaps(&self) -> impl Iterator<Item = u32> + '_ {
+        self.by_key
+            .keys()
+            .copied()
+            .filter(|k| !self.lag_keys.contains(k) && self.lag_pending(*k))
+    }
+
+    /// The full per-key condition `run_recovery` acts on.
+    fn lag_pending(&self, key: u32) -> bool {
+        let Some(&sock) = self.by_key.get(&key) else {
+            return false;
+        };
+        let (Some(conn), Some(peer)) = (self.tcp.conn(sock), self.peer_conns.get(&key)) else {
+            return false;
+        };
+        peer.last_byte_received > conn.bytes_received()
+            || self.conns.get(&sock).is_some_and(|c| c.recovering)
+    }
+
+    /// Voids the peer's acknowledgments of this server's heartbeat
+    /// frames (new peer incarnation, takeover, join, boot): full-state
+    /// frames flow until the peer acknowledges this epoch again, and
+    /// every cached record counts as unacknowledged.
+    fn reset_peer_acks(&mut self) {
+        self.peer_hb_acks = vec![0; self.hb_nlinks()];
+        self.peer_ack_epoch = 0;
+        self.hb_unacked = self.hb_cache.keys().copied().collect();
+    }
+
+    /// Drains the endpoint's touched feed into its two consumers: the
+    /// next delta heartbeat round (records that may have changed) and,
+    /// after a takeover, the receive-hole check. Both the heartbeat and
+    /// the check timer call this, so neither starves the other.
+    fn absorb_touched(&mut self) {
+        let touched = self.tcp.drain_touched();
+        self.metrics.on_timer_visits(touched.len());
+        if self.took_over {
+            self.hole_socks.extend(touched.iter().copied());
+        }
+        if self.setup.sttcp.hb_delta && self.pool.is_none() {
+            self.hb_touched.extend(touched);
+        }
+    }
+
     // ----- public introspection -------------------------------------------
 
     /// The server's current role (a backup becomes `Primary` at takeover).
@@ -635,6 +740,22 @@ impl StTcpServer {
     /// Connection keys currently known.
     pub fn conn_keys(&self) -> Vec<u32> {
         self.by_key.keys().copied().collect()
+    }
+
+    /// Differential check of the lag set and the unacked-record set
+    /// against the every-connection walks they replaced (the walks that
+    /// also back the debug assertions): `Err` names a connection a walk
+    /// would act on that its set has lost. For tests.
+    pub fn check_active_sets(&self) -> Result<(), String> {
+        if self.role == Role::Backup {
+            if let Some(key) = self.scan_lag_gaps().next() {
+                return Err(format!("conn {key:08x} lags outside the lag set"));
+            }
+        }
+        match self.scan_unacked().find(|k| !self.hb_unacked.contains(k)) {
+            Some(key) => Err(format!("conn {key:08x} unacked outside the unacked set")),
+            None => Ok(()),
+        }
     }
 
     /// True if the node observed a power-off (and, with re-integration
@@ -746,7 +867,7 @@ impl StTcpServer {
         let mut app = self.app_factory.create();
         let app_alive = !self.app_crashed;
         let open_actions = if app_alive { app.on_open() } else { Vec::new() };
-        self.by_key.insert(key, sock);
+        self.bind_key(key, sock);
         self.conns.insert(
             sock,
             ConnCtl {
@@ -759,7 +880,7 @@ impl StTcpServer {
                     self.setup.sttcp.effective_lag_confirm(),
                 ),
                 finarb: FinArbiter::new(self.role, self.setup.sttcp.max_delay_fin),
-                pending_out: Vec::new(),
+                pending_out: VecDeque::new(),
                 last_fetch_at: None,
                 recovering: false,
                 closed: false,
@@ -837,7 +958,7 @@ impl StTcpServer {
             match action {
                 AppAction::Write(bytes) => {
                     if let Some(ctl) = self.conns.get_mut(&sock) {
-                        ctl.pending_out.push(bytes);
+                        ctl.pending_out.push_back(bytes);
                     }
                 }
                 AppAction::Close => {
@@ -900,7 +1021,7 @@ impl StTcpServer {
         while let Some(front) = self
             .conns
             .get_mut(&sock)
-            .and_then(|c| c.pending_out.first().cloned())
+            .and_then(|c| c.pending_out.front().cloned())
         {
             let n = self.tcp.send(now, sock, &front);
             let Some(ctl) = self.conns.get_mut(&sock) else {
@@ -911,7 +1032,7 @@ impl StTcpServer {
             }
             wrote = true;
             if n == front.len() {
-                ctl.pending_out.remove(0);
+                ctl.pending_out.pop_front();
             } else {
                 ctl.pending_out[0] = front.slice(n..);
                 break;
@@ -963,6 +1084,7 @@ impl StTcpServer {
         let mut conns = std::mem::take(&mut self.hb_scratch);
         conns.clear();
         conns.reserve(self.by_key.len());
+        self.metrics.on_timer_visits(self.by_key.len());
         for (&key, &sock) in &self.by_key {
             let Some(conn) = self.tcp.conn(sock) else {
                 continue;
@@ -1193,6 +1315,7 @@ impl StTcpServer {
                     }
                 }
             }
+            self.note_lag(c.key);
         }
         for (sock, key, action) in arb_actions {
             self.apply_gate_action(now, sock, key, action);
@@ -1216,6 +1339,16 @@ impl StTcpServer {
         !seq_newer(changed_at, ip_ack) || !seq_newer(changed_at, shard_ack)
     }
 
+    /// The replaced whole-cache selection walk, kept as the differential
+    /// oracle for the unacked set: the keys of every cached record the
+    /// peer's acks do not cover, in key order.
+    fn scan_unacked(&self) -> impl Iterator<Item = u32> + '_ {
+        self.hb_cache
+            .iter()
+            .filter(|(&key, e)| !self.ack_covers(key, e.changed_at))
+            .map(|(&key, _)| key)
+    }
+
     /// Delta-mode (v2) heartbeat emission: dirty-until-acked connection
     /// records, sharded `key % n` across the serial links, full-state
     /// resync frames until the peer has acknowledged this boot
@@ -1234,12 +1367,13 @@ impl StTcpServer {
         // semantics — forces full-state frames.
         let full = self.peer_ack_epoch != self.hb_epoch || regress;
         // Refresh the record cache. The candidate set is the endpoint's
-        // touched list plus every record still awaiting an ack, so idle
-        // connections cost nothing per heartbeat period. The optional
-        // watchdog is the one signal that changes with *time* rather
-        // than socket activity, so enabling it falls back to the full
-        // scan.
-        let touched = self.tcp.drain_touched();
+        // touched feed plus every record that may still await an ack, so
+        // idle connections cost nothing per heartbeat period. The
+        // optional watchdog is the one signal that changes with *time*
+        // rather than socket activity, so enabling it falls back to the
+        // full scan.
+        self.absorb_touched();
+        let touched = std::mem::take(&mut self.hb_touched);
         let scan_all = full || self.setup.sttcp.watchdog_timeout.is_some();
         let mut candidates: BTreeSet<u32> = BTreeSet::new();
         if scan_all {
@@ -1252,12 +1386,9 @@ impl StTcpServer {
                     candidates.insert(ctl.key);
                 }
             }
-            for (&key, e) in &self.hb_cache {
-                if !self.ack_covers(key, e.changed_at) {
-                    candidates.insert(key);
-                }
-            }
+            candidates.extend(self.hb_unacked.iter().copied());
         }
+        self.metrics.on_timer_visits(candidates.len());
         for key in candidates {
             let Some(&sock) = self.by_key.get(&key) else {
                 self.hb_cache.remove(&key);
@@ -1282,6 +1413,7 @@ impl StTcpServer {
                 Some(e) => {
                     e.rec = rec;
                     e.changed_at = seq;
+                    self.hb_unacked.insert(key);
                 }
                 None => {
                     self.hb_cache.insert(
@@ -1291,16 +1423,17 @@ impl StTcpServer {
                             changed_at: seq,
                         },
                     );
+                    self.hb_unacked.insert(key);
                 }
             }
         }
-        // Select the records still in flight toward the peer.
+        // Select the records still in flight toward the peer: the whole
+        // cache on a full-resync round, otherwise the unacked set pruned
+        // to what the peer's acks do not cover (acks only advance between
+        // resets, so a covered record never needs another look).
         let mut ip_conns: Vec<ConnHb> = Vec::new();
         let mut serial_conns: Vec<Vec<ConnHb>> = vec![Vec::new(); nserial];
-        for (&key, e) in &self.hb_cache {
-            if !full && self.ack_covers(key, e.changed_at) {
-                continue;
-            }
+        let mut select = |key: u32, e: &HbCacheEntry| {
             let mut rec = e.rec;
             if regress {
                 rec.last_byte_received = rec.last_byte_received.saturating_sub(100_000);
@@ -1308,6 +1441,29 @@ impl StTcpServer {
             }
             ip_conns.push(rec);
             serial_conns[key as usize % nserial].push(rec);
+        };
+        if full {
+            self.metrics.on_timer_visits(self.hb_cache.len());
+            for (&key, e) in &self.hb_cache {
+                select(key, e);
+            }
+        } else {
+            self.metrics.on_timer_visits(self.hb_unacked.len());
+            let mut unacked = std::mem::take(&mut self.hb_unacked);
+            unacked.retain(|&key| {
+                self.hb_cache
+                    .get(&key)
+                    .is_some_and(|e| !self.ack_covers(key, e.changed_at))
+            });
+            self.hb_unacked = unacked;
+            #[cfg(debug_assertions)]
+            debug_assert!(
+                self.hb_unacked.iter().copied().eq(self.scan_unacked()),
+                "unacked set diverged from the whole-cache walk"
+            );
+            for &key in &self.hb_unacked {
+                select(key, &self.hb_cache[&key]);
+            }
         }
         let kind = match full {
             true => HbFrameKind::Full,
@@ -1428,8 +1584,7 @@ impl StTcpServer {
             for p in self.peer_conns.values_mut() {
                 p.last_update_seq = 0;
             }
-            self.peer_hb_acks = vec![0; self.hb_nlinks()];
-            self.peer_ack_epoch = 0;
+            self.reset_peer_acks();
         }
         let last = self.rx_link_seq.get(link).copied().unwrap_or(0);
         if last != 0 && !seq_newer(hb.seqno, last) {
@@ -1572,6 +1727,7 @@ impl StTcpServer {
                     }
                 }
             }
+            self.note_lag(c.key);
         }
         for (sock, key, action) in arb_actions {
             self.apply_gate_action(now, sock, key, action);
@@ -1695,7 +1851,17 @@ impl StTcpServer {
             }
         }
         if let Some(conns) = mirror {
+            // The whole map was replaced, so every key may have become
+            // lagging (pool heartbeats are full-state: O(n) by design).
             self.peer_conns = conns;
+            if self.role == Role::Backup {
+                self.lag_keys = self
+                    .peer_conns
+                    .keys()
+                    .copied()
+                    .filter(|&key| self.lag_pending(key))
+                    .collect();
+            }
         }
         // FIN arbitration and hold release against the pool-wide view:
         // a FIN counts once any non-fenced member saw it; the active
@@ -1910,10 +2076,14 @@ impl StTcpServer {
             self.peer_conns.clear();
             self.peer_app_suspected = false;
         }
+        // An active server never fetches.
+        self.lag_keys.clear();
+        // Connections may carry receive holes from their time as tapped
+        // shadows: the first hole check looks at every one.
+        self.hole_socks = self.conns.keys().copied().collect();
         // Delta mode: the dead peer's acks are void; a future joiner is
         // served full-state frames until it acknowledges this epoch.
-        self.peer_hb_acks = vec![0; self.hb_nlinks()];
-        self.peer_ack_epoch = 0;
+        self.reset_peer_acks();
         self.flush(ctx);
     }
 
@@ -1921,26 +2091,20 @@ impl StTcpServer {
         let now = ctx.now();
 
         // Metrics sampling: hold occupancy and aggregate TCP state, once
-        // per check period.
-        let mut hold = 0u64;
-        let mut cwnd_sum = 0u64;
-        let mut send_occ = 0u64;
-        let mut recv_occ = 0u64;
-        let mut live_conns = false;
-        let mut hold_overflow_any = false;
-        for &sock in self.by_key.values() {
-            if let Some(c) = self.tcp.conn(sock) {
-                live_conns = true;
-                hold += c.hold_used() as u64;
-                cwnd_sum += c.cwnd();
-                send_occ += c.send_occupancy() as u64;
-                recv_occ += c.recv_occupancy() as u64;
-                hold_overflow_any |= c.hold_overflow();
-            }
-        }
-        self.metrics.sample_hold(hold);
-        if live_conns {
-            self.metrics.sample_tcp(cwnd_sum, send_occ, recv_occ);
+        // per check period — from the endpoint's incremental totals, so
+        // only connections that moved since the last tick are re-read.
+        self.metrics.on_timer_visits(self.tcp.totals_stale());
+        let totals = self.tcp.totals();
+        #[cfg(debug_assertions)]
+        debug_assert_eq!(
+            totals,
+            self.scan_sampling_walk(),
+            "endpoint totals diverged from the by_key sampling walk"
+        );
+        self.metrics.sample_hold(totals.hold);
+        if totals.live > 0 {
+            self.metrics
+                .sample_tcp(totals.cwnd_sum, totals.send_occ, totals.recv_occ);
         }
 
         // Pool mode replaces the pairwise detector matrix with per-member
@@ -1968,6 +2132,7 @@ impl StTcpServer {
                 }
             });
             self.ip_was_alive = ip_alive;
+            self.metrics.on_timer_visits(self.conns.len());
             if ip_alive {
                 // Link restored: lag that formed (or persisted, frozen)
                 // while the IP heartbeat was down produced no activity to
@@ -2031,6 +2196,7 @@ impl StTcpServer {
                 self.ping.attempts = 0;
                 ctx.set_timer(SimDuration::ZERO, TOKEN_PING);
             }
+            self.metrics.on_timer_visits(self.by_key.len());
             let obs = self.net_observation();
             if let Some(reason) = self.net_detect.check(now, &obs) {
                 self.declare_peer_failed(ctx, reason);
@@ -2065,6 +2231,7 @@ impl StTcpServer {
         // provably inert (no deadline, no lag) and re-enters on any local
         // or peer-reported movement.
         let socks: Vec<SocketId> = self.check_socks.iter().copied().collect();
+        self.metrics.on_timer_visits(socks.len());
         for sock in socks {
             let Some(ctl) = self.conns.get_mut(&sock) else {
                 self.check_socks.remove(&sock);
@@ -2142,8 +2309,8 @@ impl StTcpServer {
         }
 
         // Row 5 escalation: the primary's hold buffer overflowed — the
-        // backup cannot catch up. (Computed in the sampling walk above.)
-        if self.role == Role::Primary && hold_overflow_any {
+        // backup cannot catch up. (Sampled with the totals above.)
+        if self.role == Role::Primary && totals.hold_overflows > 0 {
             self.declare_peer_failed(ctx, FailureReason::HoldOverflow);
             return;
         }
@@ -2165,18 +2332,28 @@ impl StTcpServer {
             return;
         }
         let now = ctx.now();
-        let socks: Vec<SocketId> = self.conns.keys().copied().collect();
+        // Only a socket touched since the last check can have grown a
+        // hole, and only one already aging a hole can hit the deadline.
+        self.absorb_touched();
+        #[cfg(debug_assertions)]
+        for (sock, ctl) in &self.conns {
+            debug_assert!(
+                self.hole_socks.contains(sock)
+                    || (ctl.hole_since.is_none() && (ctl.closed || !self.stranded(*sock))),
+                "socket {sock:?} holds a receive hole outside the hole set"
+            );
+        }
+        let socks: Vec<SocketId> = self.hole_socks.iter().copied().collect();
+        self.metrics.on_timer_visits(socks.len());
         for sock in socks {
-            let stranded = self
-                .tcp
-                .conn(sock)
-                .map(|c| c.ooo_bytes() > 0 && !matches!(c.state(), TcpState::Closed))
-                .unwrap_or(false);
+            let stranded = self.stranded(sock);
             let Some(ctl) = self.conns.get_mut(&sock) else {
+                self.hole_socks.remove(&sock);
                 continue;
             };
             if ctl.closed || !stranded {
                 ctl.hole_since = None;
+                self.hole_socks.remove(&sock);
                 continue;
             }
             let since = *ctl.hole_since.get_or_insert(now);
@@ -2200,6 +2377,33 @@ impl StTcpServer {
         }
     }
 
+    /// True when `sock` has client data parked behind a receive hole on
+    /// a connection that is still open.
+    fn stranded(&self, sock: SocketId) -> bool {
+        self.tcp
+            .conn(sock)
+            .is_some_and(|c| c.ooo_bytes() > 0 && !matches!(c.state(), TcpState::Closed))
+    }
+
+    /// The replaced every-connection sampling walk, kept as the
+    /// differential oracle for the endpoint totals *and* for the tracked
+    /// set being exactly the sockets `by_key` resolves to.
+    #[cfg(debug_assertions)]
+    fn scan_sampling_walk(&self) -> EndpointTotals {
+        let mut sum = EndpointTotals::default();
+        for &sock in self.by_key.values() {
+            if let Some(c) = self.tcp.conn(sock) {
+                sum.live += 1;
+                sum.hold += c.hold_used() as u64;
+                sum.cwnd_sum += c.cwnd();
+                sum.send_occ += c.send_occupancy() as u64;
+                sum.recv_occ += c.recv_occupancy() as u64;
+                sum.hold_overflows += c.hold_overflow() as u64;
+            }
+        }
+        sum
+    }
+
     // ----- internal: pool checks and quorum fencing ---------------------------
 
     /// The pool-mode check tick. The pairwise detector matrix (app-lag,
@@ -2221,6 +2425,7 @@ impl StTcpServer {
         // when it fires, and liveness verdicts arrive only via fencing.
         let mut arb_actions: Vec<(SocketId, u32, ArbAction)> = Vec::new();
         let socks: Vec<SocketId> = self.conns.keys().copied().collect();
+        self.metrics.on_timer_visits(socks.len());
         for sock in socks {
             let Some(ctl) = self.conns.get_mut(&sock) else {
                 continue;
@@ -2657,6 +2862,8 @@ impl StTcpServer {
             peer_ping: self.peer_ping,
             ..Default::default()
         };
+        // A fault-window walk: it runs only while the IP heartbeat is
+        // down with a serial link still up (Table 1 row 4).
         for (&key, &sock) in &self.by_key {
             let Some(conn) = self.tcp.conn(sock) else {
                 continue;
@@ -2674,12 +2881,24 @@ impl StTcpServer {
 
     fn run_recovery(&mut self, ctx: &mut NodeCtx<'_>) {
         let now = ctx.now();
+        // The walk over every connection this replaced is the oracle:
+        // nothing it would have acted on may be missing from the set.
+        debug_assert_eq!(
+            self.scan_lag_gaps().next(),
+            None,
+            "a connection lags or is recovering outside the lag set"
+        );
         let mut requests = Vec::new();
-        for (&key, &sock) in &self.by_key {
-            let Some(conn) = self.tcp.conn(sock) else {
+        // Key order, like the walk: events and fetches keep their order.
+        let keys: Vec<u32> = self.lag_keys.iter().copied().collect();
+        self.metrics.on_timer_visits(keys.len());
+        for key in keys {
+            let Some(&sock) = self.by_key.get(&key) else {
+                self.lag_keys.remove(&key);
                 continue;
             };
-            let Some(peer) = self.peer_conns.get(&key) else {
+            let (Some(conn), Some(peer)) = (self.tcp.conn(sock), self.peer_conns.get(&key)) else {
+                self.lag_keys.remove(&key);
                 continue;
             };
             let mine = conn.bytes_received();
@@ -2694,6 +2913,7 @@ impl StTcpServer {
                         });
                     }
                 }
+                self.lag_keys.remove(&key);
                 continue;
             }
             let Some(ctl) = self.conns.get_mut(&sock) else {
@@ -2773,6 +2993,7 @@ impl StTcpServer {
             // would otherwise poison verdicts against the new incarnation —
             // is stale.
             self.peer_conns.clear();
+            self.lag_keys.clear();
             self.peer_app_suspected = false;
             self.peer_last_seqno = None;
             self.peer_seqno_advanced_at = now;
@@ -2780,8 +3001,7 @@ impl StTcpServer {
             // Delta mode: the old incarnation's acks are void — send
             // full-state frames until the joiner acknowledges, and track
             // its new links/epoch from scratch.
-            self.peer_hb_acks = vec![0; self.hb_nlinks()];
-            self.peer_ack_epoch = 0;
+            self.reset_peer_acks();
             self.rx_link_seq = vec![0; self.hb_nlinks()];
             self.rx_link_batch = vec![RxBatch::default(); self.hb_nlinks()];
             self.rx_peer_epoch = 0;
@@ -2929,7 +3149,7 @@ impl StTcpServer {
         );
         match self.tcp.install_resumed(conn, EgressMode::Suppress) {
             Some(sock) => {
-                self.by_key.insert(s.conn, sock);
+                self.bind_key(s.conn, sock);
                 self.conns.insert(
                     sock,
                     ConnCtl {
@@ -2942,7 +3162,7 @@ impl StTcpServer {
                             self.setup.sttcp.effective_lag_confirm(),
                         ),
                         finarb: FinArbiter::new(self.role, self.setup.sttcp.max_delay_fin),
-                        pending_out: Vec::new(),
+                        pending_out: VecDeque::new(),
                         last_fetch_at: None,
                         recovering: false,
                         closed: false,
@@ -3006,7 +3226,9 @@ impl StTcpServer {
         }
         // Converged when every connection the peer reports exists locally
         // with receive and application-read positions caught up (a closed
-        // local connection has nothing left to converge).
+        // local connection has nothing left to converge). A join-window
+        // walk: it stops the tick the join completes.
+        self.metrics.on_timer_visits(self.peer_conns.len());
         for (&key, peer) in &self.peer_conns {
             let Some(&sock) = self.by_key.get(&key) else {
                 // Heartbeats announce every conn still in the peer's socket
@@ -3414,7 +3636,7 @@ impl Node for StTcpServer {
         self.hb_epoch = epoch_from(now);
         self.rx_link_seq = vec![0; self.hb_nlinks()];
         self.rx_link_batch = vec![RxBatch::default(); self.hb_nlinks()];
-        self.peer_hb_acks = vec![0; self.hb_nlinks()];
+        self.reset_peer_acks();
         // Pool members get the same startup grace, anchored at boot.
         if let Some(pool) = &mut self.pool {
             for m in pool.members.values_mut() {
@@ -3564,6 +3786,7 @@ impl Node for StTcpServer {
                 // full send buffer.
                 let now = ctx.now();
                 let socks: Vec<SocketId> = self.out_blocked.iter().copied().collect();
+                self.metrics.on_timer_visits(socks.len());
                 for sock in socks {
                     self.flush_pending(now, sock);
                 }
@@ -3586,6 +3809,7 @@ impl Node for StTcpServer {
                 } else {
                     self.tick_socks.iter().copied().collect()
                 };
+                self.metrics.on_timer_visits(socks.len());
                 for sock in socks {
                     let actions = match self.conns.get_mut(&sock) {
                         Some(ctl) if ctl.app_alive && !ctl.closed => ctl.app.on_tick(now),
@@ -3640,6 +3864,8 @@ impl Node for StTcpServer {
             self.conns.clear();
             self.by_key.clear();
             self.peer_conns.clear();
+            self.lag_keys.clear();
+            self.hole_socks.clear();
             self.peer_app_suspected = false;
             self.peer_ping = None;
             self.ping.active = false;
@@ -3673,6 +3899,8 @@ impl Node for StTcpServer {
         self.conns.clear();
         self.by_key.clear();
         self.peer_conns.clear();
+        self.lag_keys.clear();
+        self.hole_socks.clear();
         self.peer_app_suspected = false;
         self.peer_ping = None;
         self.ping = PingCampaign {
@@ -3691,8 +3919,8 @@ impl Node for StTcpServer {
         // the epoch change and reset their side; ours starts empty.
         self.hb_epoch = epoch_from(now);
         self.hb_cache.clear();
-        self.peer_hb_acks = vec![0; self.hb_nlinks()];
-        self.peer_ack_epoch = 0;
+        self.hb_touched.clear();
+        self.reset_peer_acks();
         self.rx_link_seq = vec![0; self.hb_nlinks()];
         self.rx_link_batch = vec![RxBatch::default(); self.hb_nlinks()];
         self.rx_peer_epoch = 0;
@@ -3856,6 +4084,65 @@ mod tests {
         let p = s.peer_conns.get(&0xabc).unwrap();
         assert_eq!(p.last_byte_received, 1_000);
         assert_eq!(p.last_app_byte_read, 950);
+    }
+
+    /// A SYN from `remote` to the service address, as the server's NIC
+    /// would deliver it.
+    fn syn_from(remote: (Ipv4Addr, u16), service: (Ipv4Addr, u16)) -> Ipv4Packet {
+        let mut client = TcpEndpoint::new(EndpointConfig::default());
+        let _ = client.connect(SimTime::ZERO, remote, service);
+        client.poll_packets(SimTime::ZERO).remove(0)
+    }
+
+    #[test]
+    fn conn_key_collision_is_counted_and_displaces_the_older_socket() {
+        let mut s = server(Role::Primary);
+        let service = (s.setup.service_ip, s.setup.service_port);
+        s.tcp.listen(service.1, ListenConfig::default());
+        // Forge two client tuples whose 32-bit FNV keys collide
+        // (birthday search: ~2^16 tuples suffice).
+        let mut seen: BTreeMap<u32, (Ipv4Addr, u16)> = BTreeMap::new();
+        let (a, b) = (0..u32::MAX)
+            .find_map(|i| {
+                let remote = (
+                    Ipv4Addr::from(0x0a01_0000 + (i >> 14)),
+                    1024 + (i & 0x3fff) as u16,
+                );
+                let key = conn_key(FourTuple {
+                    local: service,
+                    remote,
+                });
+                seen.insert(key, remote).map(|earlier| (earlier, remote))
+            })
+            .expect("a 32-bit hash collides long before 2^32 tuples");
+        let now = SimTime::ZERO;
+        for (i, remote) in [a, b].into_iter().enumerate() {
+            s.tcp.on_packet(now, &syn_from(remote, service));
+            assert!(s.drain_tcp_events(now));
+            assert_eq!(s.metrics.conn_key_collisions(), i as u64);
+        }
+        // Both sockets live on in the endpoint, but only the newer one is
+        // indexed, heartbeated and sampled.
+        assert_eq!(s.conns.len(), 2);
+        assert_eq!(s.conn_keys().len(), 1);
+        assert_eq!(s.tcp.totals().live, 1);
+        assert!(s
+            .metrics
+            .to_json()
+            .to_string()
+            .contains("\"conn_key_collisions\":1"));
+        // The same tuple re-accepted after a close rebinds its own key:
+        // a replacement, not a collision.
+        let sock = s.by_key[&conn_key(FourTuple {
+            local: service,
+            remote: b,
+        })];
+        s.tcp.abort(now, sock);
+        s.tcp.on_packet(now, &syn_from(b, service));
+        assert!(s.drain_tcp_events(now));
+        assert_eq!(s.conns.len(), 3);
+        assert_eq!(s.metrics.conn_key_collisions(), 1);
+        assert_eq!(s.tcp.totals().live, 1);
     }
 
     #[test]

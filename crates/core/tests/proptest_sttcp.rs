@@ -1,26 +1,414 @@
 //! Property-based tests for ST-TCP core components: heartbeat wire
 //! format, counter unwrapping, detector soundness (no false positives on
 //! healthy-but-stale observations; guaranteed detection of frozen peers),
-//! and FIN-arbitration safety.
+//! FIN-arbitration safety, and the server's O(active) sets against the
+//! every-connection walks they replaced.
+
+use std::collections::{BTreeMap, VecDeque};
+use std::net::Ipv4Addr;
 
 use bytes::Bytes;
 use proptest::collection::vec;
 use proptest::prelude::*;
 
+use simnet::frame::EthernetFrame;
+use simnet::ip::IpProto;
+use simnet::iplayer::IpInterface;
+use simnet::link::LinkParams;
+use simnet::mac::MacAddr;
+use simnet::node::{NicId, Node, NodeCtx, NodeId, SerialPortId, TimerToken};
+use simnet::serial::SerialParams;
 use simnet::time::{SimDuration, SimTime};
+use simnet::world::World;
 
+use simtcp::conn::TcpConfig;
+use simtcp::endpoint::{EndpointConfig, IsnPolicy, ListenConfig, TcpEndpoint};
+use simtcp::socket::{SocketEvent, SocketId};
+
+use sttcp::app::{Application, EchoApp};
 use sttcp::applag::AppLagDetector;
-use sttcp::config::Role;
+use sttcp::config::{Role, StTcpConfig};
 use sttcp::events::FailureReason;
 use sttcp::finarb::{ArbAction, FinArbiter};
 use sttcp::heartbeat::{
-    decode_any, unwrap_u32_near, AnyHb, ConnHb, HbFrame, HbFrameKind, HbPayload, PingReport,
+    conn_key, decode_any, unwrap_u32_near, AnyHb, ConnHb, HbFrame, HbFrameKind, HbPayload,
+    PingReport,
 };
 use sttcp::recover::{ConnSnapshotMsg, CtrlMsg};
+use sttcp::server::{ServerSetup, StTcpServer, CTRL_PROTO};
 use sttcp::wire;
 
 fn t(ms: u64) -> SimTime {
     SimTime::from_millis(ms)
+}
+
+// ----------------------------------------------------------------------
+// O(active) sets vs their full-walk definitions: the harness
+// ----------------------------------------------------------------------
+
+const SERVICE: (Ipv4Addr, u16) = (Ipv4Addr::new(10, 0, 0, 100), 80);
+const CLIENT_IP: Ipv4Addr = Ipv4Addr::new(10, 0, 0, 1);
+const PEER_IP: Ipv4Addr = Ipv4Addr::new(10, 0, 0, 2);
+const SERVER_IP: Ipv4Addr = Ipv4Addr::new(10, 0, 0, 3);
+const ISN_SALT: u64 = 42;
+const STEP: SimDuration = SimDuration::from_millis(5);
+
+/// One scripted move of the puppet peer.
+#[derive(Debug, Clone, Copy)]
+enum SetOp {
+    /// A new client connection (the backup taps its SYN).
+    Connect,
+    /// Client bytes on connection `which`; with `tap_loss` the backup's
+    /// tap misses them while the puppet's primary receives them — the
+    /// backup now lags.
+    Send { which: u8, len: u8, tap_loss: bool },
+    /// A heartbeat from the puppet primary. `v2` picks the wire format,
+    /// `serial` the link; `seq_step == 0` replays the last seqno;
+    /// `pick` selects which connections get a record; `skew` bends the
+    /// reported receive position around the truth (negative values are
+    /// byzantine regressions the server must reject); `ack_back` is how
+    /// far behind the server's latest frame the acks trail (`None` = no
+    /// valid ack: wrong epoch); `new_epoch` restarts the puppet's
+    /// incarnation.
+    Hb {
+        v2: bool,
+        serial: bool,
+        seq_step: u8,
+        pick: u8,
+        skew: i8,
+        ack_back: Option<u8>,
+        new_epoch: bool,
+    },
+    /// Let the server's own timers run.
+    Idle,
+}
+
+fn set_op_strategy() -> impl Strategy<Value = SetOp> {
+    prop_oneof![
+        Just(SetOp::Connect),
+        (any::<u8>(), 1u8..=200, any::<bool>()).prop_map(|(which, len, tap_loss)| SetOp::Send {
+            which,
+            len,
+            tap_loss
+        }),
+        (
+            (any::<bool>(), any::<bool>(), 0u8..3, any::<u8>()),
+            (-3i8..40, proptest::option::of(0u8..4), 0u8..16),
+        )
+            .prop_map(|((v2, serial, seq_step, pick), (skew, ack_back, epoch))| {
+                SetOp::Hb {
+                    v2,
+                    serial,
+                    seq_step,
+                    pick,
+                    skew,
+                    ack_back,
+                    new_epoch: epoch == 0,
+                }
+            }),
+        Just(SetOp::Idle),
+    ]
+}
+
+/// Plays everything around one real backup server: the client, the
+/// primary's TCP (same deterministic ISN, so the backup's tapped
+/// handshake completes), and the primary's heartbeat/recovery side —
+/// the latter scripted, so sequences no honest primary would emit
+/// (replays, reordered links, epoch restarts, stale or missing acks,
+/// regressing counters) reach the server's intake paths.
+struct Puppet {
+    iface: IpInterface,
+    serial: SerialPortId,
+    client: TcpEndpoint,
+    primary: TcpEndpoint,
+    script: VecDeque<SetOp>,
+    /// Client-side sockets, in connect order.
+    socks: Vec<SocketId>,
+    /// The primary-side socket of each connection key.
+    by_key: BTreeMap<u32, SocketId>,
+    next_port: u16,
+    seq: u32,
+    epoch: u32,
+    /// Learned from the server's own frames.
+    srv_epoch: u32,
+    srv_seq: u32,
+}
+
+impl Puppet {
+    fn new(script: Vec<SetOp>) -> Puppet {
+        let mut iface = IpInterface::new(NicId(0), MacAddr::unicast(1), PEER_IP);
+        iface.add_alias(CLIENT_IP);
+        iface.add_arp(SERVER_IP, MacAddr::unicast(2));
+        iface.add_arp(SERVICE.0, MacAddr::unicast(2));
+        let mut primary = TcpEndpoint::new(EndpointConfig {
+            isn: IsnPolicy::Deterministic { salt: ISN_SALT },
+            ..Default::default()
+        });
+        primary.listen(
+            SERVICE.1,
+            ListenConfig {
+                tcp: TcpConfig {
+                    hold_buf: Some(1 << 20),
+                    ..Default::default()
+                },
+                ..Default::default()
+            },
+        );
+        Puppet {
+            iface,
+            serial: SerialPortId(0),
+            client: TcpEndpoint::new(EndpointConfig::default()),
+            primary,
+            script: script.into(),
+            socks: Vec::new(),
+            by_key: BTreeMap::new(),
+            next_port: 40_000,
+            seq: 0,
+            epoch: 7,
+            srv_epoch: 0,
+            srv_seq: 0,
+        }
+    }
+
+    /// Shuttles client <-> primary until quiet; every client packet is
+    /// also tapped to the backup unless `tap_loss`.
+    fn pump(&mut self, ctx: &mut NodeCtx<'_>, tap_loss: bool) {
+        let now = ctx.now();
+        loop {
+            let up = self.client.poll_packets(now);
+            let down = self.primary.poll_packets(now);
+            if up.is_empty() && down.is_empty() {
+                break;
+            }
+            for pkt in up {
+                self.primary.on_packet(now, &pkt);
+                if !tap_loss {
+                    if let Some(frame) = self.iface.encap(&pkt) {
+                        ctx.send_frame(self.iface.nic, frame);
+                    }
+                }
+            }
+            for pkt in down {
+                self.client.on_packet(now, &pkt);
+            }
+            while let Some((sock, ev)) = self.primary.poll_event() {
+                match ev {
+                    SocketEvent::Accepted => {
+                        let tuple = self.primary.conn(sock).expect("just accepted").tuple();
+                        self.by_key.insert(conn_key(tuple), sock);
+                    }
+                    // The primary's application reads everything.
+                    SocketEvent::DataReadable => {
+                        let _ = self.primary.recv(sock, usize::MAX);
+                    }
+                    _ => {}
+                }
+            }
+            while self.client.poll_event().is_some() {}
+        }
+    }
+
+    fn heartbeat(&mut self, ctx: &mut NodeCtx<'_>, op: SetOp) {
+        let SetOp::Hb {
+            v2,
+            serial,
+            seq_step,
+            pick,
+            skew,
+            ack_back,
+            new_epoch,
+        } = op
+        else {
+            return;
+        };
+        if new_epoch {
+            self.epoch = self.epoch.wrapping_add(2);
+            self.seq = 0;
+        }
+        self.seq += seq_step as u32;
+        let conns: Vec<ConnHb> = self
+            .by_key
+            .iter()
+            .enumerate()
+            .filter(|(i, _)| (pick >> (i % 8)) & 1 == 1)
+            .filter_map(|(_, (&key, &sock))| {
+                let c = self.primary.conn(sock)?;
+                Some(ConnHb {
+                    key,
+                    last_byte_received: c.bytes_received().saturating_add_signed(skew as i64),
+                    last_ack_received: c.last_ack_received(),
+                    last_app_byte_written: c.app_bytes_written(),
+                    last_app_byte_read: c.app_bytes_read(),
+                    ..Default::default()
+                })
+            })
+            .collect();
+        let hb = HbPayload {
+            seqno: self.seq,
+            role: Role::Primary,
+            rank: 0,
+            conns,
+            ping: None,
+        };
+        let wire = if v2 {
+            // Acks never run ahead of what the server actually sent.
+            let ack = self.srv_seq.saturating_sub(ack_back.unwrap_or(0) as u32);
+            HbFrame {
+                kind: HbFrameKind::Delta,
+                epoch: self.epoch,
+                link: serial as u8,
+                ack_epoch: if ack_back.is_some() {
+                    self.srv_epoch
+                } else {
+                    0
+                },
+                acks: vec![ack, ack],
+                part: 0,
+                parts: 1,
+                hb,
+            }
+            .encode()
+        } else {
+            hb.encode()
+        };
+        if serial {
+            ctx.send_serial(self.serial, wire);
+        } else if let Some(frame) = self.iface.frame_to(SERVER_IP, IpProto::Heartbeat, wire) {
+            ctx.send_frame(self.iface.nic, frame);
+        }
+    }
+
+    fn learn(&mut self, wire: &[u8]) {
+        if let Ok(AnyHb::V2(f)) = decode_any(wire) {
+            self.srv_epoch = f.epoch;
+            self.srv_seq = f.hb.seqno;
+        }
+    }
+}
+
+impl Node for Puppet {
+    fn on_start(&mut self, ctx: &mut NodeCtx<'_>) {
+        ctx.set_timer(STEP, TimerToken(0));
+    }
+
+    fn on_frame(&mut self, ctx: &mut NodeCtx<'_>, _nic: NicId, frame: EthernetFrame) {
+        let Some(pkt) = IpInterface::decap(&frame) else {
+            return;
+        };
+        if pkt.proto == IpProto::Heartbeat {
+            self.learn(&pkt.payload);
+        } else if pkt.proto == CTRL_PROTO {
+            // Serve the backup's missed-byte fetches from the hold buffer.
+            if let Ok(CtrlMsg::FetchRequest { conn, from, max }) = CtrlMsg::decode(&pkt.payload) {
+                let data = self
+                    .by_key
+                    .get(&conn)
+                    .and_then(|&sock| self.primary.conn(sock))
+                    .and_then(|c| c.fetch_held(from, max as usize))
+                    .unwrap_or_default();
+                let reply = CtrlMsg::FetchReply { conn, from, data }.encode();
+                if let Some(frame) = self.iface.frame_to(SERVER_IP, CTRL_PROTO, reply) {
+                    ctx.send_frame(self.iface.nic, frame);
+                }
+            }
+        }
+    }
+
+    fn on_serial(&mut self, _ctx: &mut NodeCtx<'_>, _port: SerialPortId, data: Bytes) {
+        self.learn(&data);
+    }
+
+    fn on_timer(&mut self, ctx: &mut NodeCtx<'_>, _token: TimerToken) {
+        let now = ctx.now();
+        self.client.on_time(now);
+        self.primary.on_time(now);
+        let mut tap_loss = false;
+        match self.script.pop_front() {
+            Some(SetOp::Connect) => {
+                let sock = self
+                    .client
+                    .connect(now, (CLIENT_IP, self.next_port), SERVICE);
+                self.next_port += 1;
+                self.socks.push(sock);
+            }
+            Some(SetOp::Send {
+                which,
+                len,
+                tap_loss: lose,
+            }) => {
+                if !self.socks.is_empty() {
+                    let sock = self.socks[which as usize % self.socks.len()];
+                    let _ = self.client.send(now, sock, &vec![0xa5; len as usize]);
+                    tap_loss = lose;
+                }
+            }
+            Some(op @ SetOp::Hb { .. }) => self.heartbeat(ctx, op),
+            Some(SetOp::Idle) | None => {}
+        }
+        self.pump(ctx, tap_loss);
+        ctx.set_timer(STEP, TimerToken(0));
+    }
+}
+
+/// A world of one real backup server and the puppet that surrounds it.
+fn puppet_world(script: Vec<SetOp>) -> (World, NodeId) {
+    let mut world = World::new(1);
+    let puppet = world.add_node("puppet", Box::new(Puppet::new(script)));
+    let puppet_nic = world.add_nic(puppet, MacAddr::unicast(1));
+    let mut iface = IpInterface::new(NicId(0), MacAddr::unicast(2), SERVER_IP);
+    iface.add_alias(SERVICE.0);
+    iface.add_arp(PEER_IP, MacAddr::unicast(1));
+    iface.add_arp(CLIENT_IP, MacAddr::unicast(1));
+    let far = SimDuration::from_secs(1_000_000);
+    let setup = ServerSetup {
+        role: Role::Backup,
+        // Fast timers so a short script spans many rounds, and detector
+        // thresholds out of reach: no verdict may end the run (a verdict
+        // would STONITH the puppet).
+        sttcp: StTcpConfig {
+            hb_delta: true,
+            hb_period: SimDuration::from_millis(20),
+            hb_timeout_periods: 1_000_000,
+            check_period: SimDuration::from_millis(10),
+            recovery_interval: SimDuration::from_millis(10),
+            app_max_lag_bytes: u64::MAX,
+            app_max_lag_time: far,
+            net_lag_bytes: u64::MAX,
+            net_lag_time: far,
+            ..Default::default()
+        },
+        tcp: TcpConfig::default(),
+        service_ip: SERVICE.0,
+        service_port: SERVICE.1,
+        private_ip: SERVER_IP,
+        peer_private_ip: PEER_IP,
+        peer_node: puppet,
+        gateway_ip: CLIENT_IP,
+        isn_salt: ISN_SALT,
+        seed: 3,
+        rank: 1,
+        pool: Vec::new(),
+    };
+    let server = StTcpServer::new(
+        setup,
+        iface,
+        Box::new(|| Box::new(EchoApp::default()) as Box<dyn Application>),
+    );
+    let server = world.add_node("backup", Box::new(server));
+    let server_nic = world.add_nic(server, MacAddr::unicast(2));
+    world.connect_nodes(
+        (puppet, puppet_nic),
+        (server, server_nic),
+        LinkParams::ideal(),
+    );
+    let (_, _, server_port) =
+        world.connect_serial(puppet, server, SerialParams::crossover_ethernet());
+    world
+        .node_mut::<StTcpServer>(server)
+        .expect("server type")
+        .set_serial_port(server_port);
+    world.start();
+    (world, server)
 }
 
 fn arb_snapshot_msg() -> impl Strategy<Value = ConnSnapshotMsg> {
@@ -555,6 +943,37 @@ proptest! {
                 ));
             }
         }
+    }
+
+    // ------------------------------------------------------------------
+    // O(active) sets vs their full-walk definitions
+    // ------------------------------------------------------------------
+
+    /// Whatever heartbeats (v1 or v2, either link, replayed, restarted,
+    /// acking or not), client traffic, and tap losses a backup sees, the
+    /// lag set never misses a connection the every-connection recovery
+    /// walk would act on, and the unacked set never misses a record the
+    /// whole-cache heartbeat walk would send. (Debug builds additionally
+    /// assert both walks inside `run_recovery` and every delta round, and
+    /// that a pruned unacked set *equals* the walk.)
+    #[test]
+    fn active_sets_match_their_full_walk_definitions(
+        script in vec(set_op_strategy(), 1..120),
+    ) {
+        let steps = script.len() as u64 + 20;
+        let (mut world, server) = puppet_world(script);
+        for step in 1..=steps {
+            world.run_until(SimTime::ZERO + STEP * step);
+            let s = world.node::<StTcpServer>(server).expect("server type");
+            if let Err(e) = s.check_active_sets() {
+                prop_assert!(false, "step {}: {}", step, e);
+            }
+        }
+        // The harness is only meaningful while the server stays a
+        // fault-tolerant backup.
+        let s = world.node::<StTcpServer>(server).expect("server type");
+        prop_assert_eq!(s.role(), Role::Backup);
+        prop_assert!(s.ft_mode(), "verdict fired: {:?}", s.events());
     }
 
     // ------------------------------------------------------------------

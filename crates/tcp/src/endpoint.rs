@@ -130,18 +130,127 @@ pub struct ShimStats {
     pub fins_held: u64,
 }
 
+/// Sums, over the tracked sockets ([`TcpEndpoint::track`]), of the
+/// per-connection quantities the ST-TCP server samples every check
+/// period. Kept incrementally: a query costs O(sockets that moved since
+/// the last query), never O(connections).
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+pub struct EndpointTotals {
+    /// Bytes held in extended receive buffers ([`TcpConn::hold_used`]).
+    pub hold: u64,
+    /// Sum of congestion windows ([`TcpConn::cwnd`]).
+    pub cwnd_sum: u64,
+    /// Sum of send-buffer occupancy ([`TcpConn::send_occupancy`]).
+    pub send_occ: u64,
+    /// Sum of receive-side occupancy ([`TcpConn::recv_occupancy`]).
+    pub recv_occ: u64,
+    /// Tracked sockets whose hold buffer has overflowed.
+    pub hold_overflows: u64,
+    /// Tracked sockets (closed ones included: a socket stays tracked
+    /// until [`TcpEndpoint::untrack`]).
+    pub live: u64,
+}
+
+impl EndpointTotals {
+    /// One connection's contribution.
+    fn of(conn: &TcpConn) -> EndpointTotals {
+        EndpointTotals {
+            hold: conn.hold_used() as u64,
+            cwnd_sum: conn.cwnd(),
+            send_occ: conn.send_occupancy() as u64,
+            recv_occ: conn.recv_occupancy() as u64,
+            hold_overflows: conn.hold_overflow() as u64,
+            live: 1,
+        }
+    }
+
+    fn add(&mut self, o: &EndpointTotals) {
+        self.hold += o.hold;
+        self.cwnd_sum += o.cwnd_sum;
+        self.send_occ += o.send_occ;
+        self.recv_occ += o.recv_occ;
+        self.hold_overflows += o.hold_overflows;
+        self.live += o.live;
+    }
+
+    fn sub(&mut self, o: &EndpointTotals) {
+        self.hold -= o.hold;
+        self.cwnd_sum -= o.cwnd_sum;
+        self.send_occ -= o.send_occ;
+        self.recv_occ -= o.recv_occ;
+        self.hold_overflows -= o.hold_overflows;
+        self.live -= o.live;
+    }
+}
+
+/// [`ConnEntry::dirty`] bit: on [`DirtyLists::touched`].
+const TOUCHED: u8 = 1;
+/// [`ConnEntry::dirty`] bit: on [`DirtyLists::poll`].
+const POLL: u8 = 1 << 1;
+/// [`ConnEntry::dirty`] bit: on [`DirtyLists::deadline`].
+const DEADLINE: u8 = 1 << 2;
+/// [`ConnEntry::dirty`] bit: on [`DirtyLists::totals`].
+const TOTALS: u8 = 1 << 3;
+
+/// The endpoint's intrusive dirty lists. A socket is on a list iff the
+/// matching bit of its [`ConnEntry::dirty`] is set, so each socket
+/// appears at most once per list and idle sockets are on none.
+#[derive(Debug, Default)]
+struct DirtyLists {
+    /// Sockets with activity since the last [`TcpEndpoint::drain_touched`]
+    /// — the feed behind ST-TCP's delta heartbeats: idle connections are
+    /// never visited when building a heartbeat.
+    touched: Vec<SocketId>,
+    /// Sockets that may have outbound segments pending. Every path that
+    /// can make a connection emit a segment marks it, so
+    /// [`TcpEndpoint::poll_packets`] visits only active connections.
+    poll: Vec<SocketId>,
+    /// Sockets whose wheel registration may no longer match their
+    /// connection's `next_deadline` (touched, or polled — emitting a
+    /// segment can arm the retransmit/persist timers). Reconciled
+    /// lazily by [`TcpEndpoint::sync_deadlines`] before any timer query.
+    deadline: Vec<SocketId>,
+    /// Tracked sockets whose cached [`ConnEntry::counted`] contribution
+    /// may be stale. Reconciled by [`TcpEndpoint::totals`].
+    totals: Vec<SocketId>,
+}
+
+impl DirtyLists {
+    /// Puts `id` on every list named in `which` that it is not already
+    /// on. Untracked sockets contribute nothing to the totals and never
+    /// join that list.
+    fn mark(&mut self, e: &mut ConnEntry, id: SocketId, which: u8) {
+        let which = if e.tracked { which } else { which & !TOTALS };
+        let new = which & !e.dirty;
+        e.dirty |= which;
+        if new & TOUCHED != 0 {
+            self.touched.push(id);
+        }
+        if new & POLL != 0 {
+            self.poll.push(id);
+        }
+        if new & DEADLINE != 0 {
+            self.deadline.push(id);
+        }
+        if new & TOTALS != 0 {
+            self.totals.push(id);
+        }
+    }
+}
+
 #[derive(Debug)]
 struct ConnEntry {
     conn: TcpConn,
     egress: EgressMode,
     fin_gate: FinGate,
     shim: ShimStats,
-    /// In `touched_list` (activity since the last `drain_touched`).
-    touched: bool,
-    /// In `poll_list` (may have segments pending since the last poll).
-    pollable: bool,
-    /// In `deadline_dirty` (the timer registration may be stale).
-    dirty_deadline: bool,
+    /// Which [`DirtyLists`] this socket is currently on.
+    dirty: u8,
+    /// Counted in the endpoint's [`EndpointTotals`].
+    tracked: bool,
+    /// The contribution last added to the totals (zero while untracked
+    /// or not yet reconciled).
+    counted: EndpointTotals,
     /// The deadline this socket last registered in the timer wheel
     /// (`None` = no live registration). A wheel entry is valid only
     /// while it matches; rescheduling just strands the old entry as a
@@ -160,19 +269,12 @@ pub struct TcpEndpoint {
     next_id: u64,
     events: VecDeque<(SocketId, SocketEvent)>,
     raw_out: VecDeque<(FourTuple, TcpSegment)>,
-    /// Sockets with activity since the last [`TcpEndpoint::drain_touched`]
-    /// — the intrusive dirty list behind ST-TCP's delta heartbeats: idle
-    /// connections are never visited when building a heartbeat.
-    touched_list: Vec<SocketId>,
-    /// Sockets that may have outbound segments pending. Every path that
-    /// can make a connection emit a segment marks it, so
-    /// [`TcpEndpoint::poll_packets`] visits only active connections.
-    poll_list: Vec<SocketId>,
-    /// Sockets whose wheel registration may no longer match their
-    /// connection's `next_deadline` (touched, or polled — emitting a
-    /// segment can arm the retransmit/persist timers). Reconciled
-    /// lazily by [`TcpEndpoint::sync_deadlines`] before any timer query.
-    deadline_dirty: Vec<SocketId>,
+    dirty: DirtyLists,
+    /// Running sums over tracked sockets, exact for every socket not on
+    /// `dirty.totals`. The every-socket walk it replaced survives as the
+    /// differential oracle (`scan_totals`), asserted on every
+    /// debug-build query and by the proptest at the bottom of this file.
+    totals: EndpointTotals,
     /// Per-connection timer deadlines, ordered. Replaces the flat
     /// every-socket deadline scan: timer queries cost O(active), so
     /// idle connections cost zero CPU per tick. The scan it replaced
@@ -196,29 +298,18 @@ impl TcpEndpoint {
             next_id: 0,
             events: VecDeque::new(),
             raw_out: VecDeque::new(),
-            touched_list: Vec::new(),
-            poll_list: Vec::new(),
-            deadline_dirty: Vec::new(),
+            dirty: DirtyLists::default(),
+            totals: EndpointTotals::default(),
             wheel: DeadlineWheel::new(),
         }
     }
 
-    /// Marks a socket active: it joins the touched set (drained by the
-    /// ST-TCP server's delta-heartbeat builder) and the poll set.
+    /// Marks a socket active: it joins every dirty list — touched
+    /// (drained by the ST-TCP server's delta-heartbeat builder), poll,
+    /// deadline, and (if tracked) totals.
     fn touch(&mut self, id: SocketId) {
         if let Some(e) = self.socks.get_mut(&id) {
-            if !e.touched {
-                e.touched = true;
-                self.touched_list.push(id);
-            }
-            if !e.pollable {
-                e.pollable = true;
-                self.poll_list.push(id);
-            }
-            if !e.dirty_deadline {
-                e.dirty_deadline = true;
-                self.deadline_dirty.push(id);
-            }
+            self.dirty.mark(e, id, TOUCHED | POLL | DEADLINE | TOTALS);
         }
     }
 
@@ -227,11 +318,11 @@ impl TcpEndpoint {
     /// out `&mut`, so the registration must be refreshed after the
     /// mutation — at the next timer query — not at touch time.
     fn sync_deadlines(&mut self) {
-        for id in std::mem::take(&mut self.deadline_dirty) {
+        for id in std::mem::take(&mut self.dirty.deadline) {
             let Some(e) = self.socks.get_mut(&id) else {
                 continue;
             };
-            e.dirty_deadline = false;
+            e.dirty &= !DEADLINE;
             let d = e.conn.next_deadline();
             if e.wheel_at != d {
                 e.wheel_at = d;
@@ -246,12 +337,77 @@ impl TcpEndpoint {
     /// application I/O, control-plane mutation) since the last drain.
     /// Order is first-touch order; each socket appears at most once.
     pub fn drain_touched(&mut self) -> Vec<SocketId> {
-        for id in &self.touched_list {
+        for id in &self.dirty.touched {
             if let Some(e) = self.socks.get_mut(id) {
-                e.touched = false;
+                e.dirty &= !TOUCHED;
             }
         }
-        std::mem::take(&mut self.touched_list)
+        std::mem::take(&mut self.dirty.touched)
+    }
+
+    // ----- incremental totals ---------------------------------------------
+
+    /// Starts counting a socket in [`TcpEndpoint::totals`].
+    pub fn track(&mut self, id: SocketId) {
+        if let Some(e) = self.socks.get_mut(&id) {
+            e.tracked = true;
+            self.dirty.mark(e, id, TOTALS);
+        }
+    }
+
+    /// Stops counting a socket in [`TcpEndpoint::totals`].
+    pub fn untrack(&mut self, id: SocketId) {
+        if let Some(e) = self.socks.get_mut(&id) {
+            e.tracked = false;
+            self.totals.sub(&e.counted);
+            e.counted = EndpointTotals::default();
+        }
+    }
+
+    /// How many sockets the next [`TcpEndpoint::totals`] query will
+    /// re-read: the tracked sockets touched since the last query.
+    pub fn totals_stale(&self) -> usize {
+        self.dirty.totals.len()
+    }
+
+    /// The sums over every tracked socket, as of now.
+    ///
+    /// O(moved): only sockets touched since the last query are re-read
+    /// (subtract the cached contribution, add the current one).
+    pub fn totals(&mut self) -> EndpointTotals {
+        let mut stale = std::mem::take(&mut self.dirty.totals);
+        for id in stale.drain(..) {
+            let Some(e) = self.socks.get_mut(&id) else {
+                continue;
+            };
+            e.dirty &= !TOTALS;
+            if !e.tracked {
+                continue;
+            }
+            self.totals.sub(&e.counted);
+            e.counted = EndpointTotals::of(&e.conn);
+            self.totals.add(&e.counted);
+        }
+        // Hand the (empty) buffer back so its capacity is reused.
+        self.dirty.totals = stale;
+        #[cfg(debug_assertions)]
+        debug_assert_eq!(
+            self.totals,
+            self.scan_totals(),
+            "incremental totals diverged from the scan oracle"
+        );
+        self.totals
+    }
+
+    /// The replaced O(n) sampling walk, kept as the differential oracle
+    /// for [`TcpEndpoint::totals`].
+    #[cfg(any(test, debug_assertions))]
+    fn scan_totals(&self) -> EndpointTotals {
+        let mut sum = EndpointTotals::default();
+        for e in self.socks.values().filter(|e| e.tracked) {
+            sum.add(&EndpointTotals::of(&e.conn));
+        }
+        sum
     }
 
     // ----- listeners and opens ------------------------------------------
@@ -298,9 +454,9 @@ impl TcpEndpoint {
                 egress,
                 fin_gate: FinGate::Open,
                 shim: ShimStats::default(),
-                touched: false,
-                pollable: false,
-                dirty_deadline: false,
+                dirty: 0,
+                tracked: false,
+                counted: EndpointTotals::default(),
                 wheel_at: None,
             },
         );
@@ -447,12 +603,12 @@ impl TcpEndpoint {
         // Only sockets with activity since the last poll can have pending
         // segments; idle connections are not visited (O(active), not
         // O(connections) — the scale bench depends on this).
-        let pollable = std::mem::take(&mut self.poll_list);
+        let pollable = std::mem::take(&mut self.dirty.poll);
         for id in pollable {
             let Some(entry) = self.socks.get_mut(&id) else {
                 continue;
             };
-            entry.pollable = false;
+            entry.dirty &= !POLL;
             while let Some(seg) = entry.conn.poll_segment() {
                 match entry.egress {
                     EgressMode::Suppress => {
@@ -469,10 +625,7 @@ impl TcpEndpoint {
             }
             // Emitting segments can arm the retransmit/persist/TIME-WAIT
             // timers; refresh this socket's wheel registration lazily.
-            if !entry.dirty_deadline {
-                entry.dirty_deadline = true;
-                self.deadline_dirty.push(id);
-            }
+            self.dirty.mark(entry, id, DEADLINE);
         }
         out
     }
@@ -1089,35 +1242,51 @@ mod tests {
 
     #[derive(Debug, Clone, Copy)]
     enum EpOp {
-        /// Accept a fresh connection (arms SYN/handshake timers).
+        /// Open a fresh connection (arms SYN/handshake timers).
         Open,
-        /// Write bytes on a random socket (arms the retransmit timer).
+        /// Write bytes on a random client socket (arms the retransmit
+        /// timer; fills the server's receive and hold buffers).
         Send(u8, u8),
-        /// Close a random socket (FIN + TIME-WAIT timers).
+        /// Server application reads from a random accepted socket.
+        Recv(u8, u8),
+        /// Backup confirmation: release held bytes on a random accepted
+        /// socket up to a fraction of what it has received.
+        HoldRelease(u8, u8),
+        /// Close a random client socket (FIN + TIME-WAIT timers).
         Close(u8),
+        /// Abort a random accepted socket (RST; the socket stays tracked).
+        Abort(u8),
         /// Jump both endpoints to the earliest deadline and fire it.
         AdvanceNext,
         /// Jump forward an arbitrary amount (fires batches of timers).
         AdvanceBy(u32),
-        /// Shuttle packets (polling arms timers outside `touch` paths).
+        /// Shuttle packets (delivers data and acks; polling arms timers
+        /// outside `touch` paths).
         Pump,
+        /// Loss: whatever both sides have queued is polled and dropped.
+        Lose,
     }
 
     fn ep_op_strategy() -> impl Strategy<Value = EpOp> {
         prop_oneof![
             Just(EpOp::Open),
             (any::<u8>(), 1u8..=250).prop_map(|(s, len)| EpOp::Send(s, len)),
+            (any::<u8>(), 1u8..=250).prop_map(|(s, max)| EpOp::Recv(s, max)),
+            (any::<u8>(), any::<u8>()).prop_map(|(s, f)| EpOp::HoldRelease(s, f)),
             any::<u8>().prop_map(EpOp::Close),
+            any::<u8>().prop_map(EpOp::Abort),
             Just(EpOp::AdvanceNext),
             (1u32..2_000_000).prop_map(EpOp::AdvanceBy),
             Just(EpOp::Pump),
+            Just(EpOp::Lose),
         ]
     }
 
     proptest! {
         /// Differential test: the wheel-scheduled timer path produces
         /// exactly the due-sets and min-deadlines of the O(n) scan it
-        /// replaced, under arbitrary interleavings of connection
+        /// replaced, and the incremental totals equal the every-socket
+        /// sampling walk, under arbitrary interleavings of connection
         /// activity. `on_time` additionally asserts the due-set (in
         /// firing order) against the scan oracle internally, so every
         /// `advance` here also diffs the firing path.
@@ -1126,8 +1295,13 @@ mod tests {
             ops in proptest::collection::vec(ep_op_strategy(), 0..80),
         ) {
             let mut n = Net::new();
-            n.b.listen(80, ListenConfig::default());
+            // A small hold buffer, so overflow is reachable.
+            n.b.listen(80, ListenConfig {
+                tcp: TcpConfig { hold_buf: Some(300), ..Default::default() },
+                ..Default::default()
+            });
             let mut socks: Vec<SocketId> = Vec::new();
+            let mut accepted: Vec<SocketId> = Vec::new();
             let mut next_port = 40_000u16;
             for op in ops {
                 match op {
@@ -1142,10 +1316,31 @@ mod tests {
                             let _ = n.a.send(n.now, s, &data);
                         }
                     }
+                    EpOp::Recv(which, max) => {
+                        if !accepted.is_empty() {
+                            let s = accepted[which as usize % accepted.len()];
+                            let _ = n.b.recv(s, max as usize);
+                        }
+                    }
+                    EpOp::HoldRelease(which, frac) => {
+                        if !accepted.is_empty() {
+                            let s = accepted[which as usize % accepted.len()];
+                            if let Some(c) = n.b.conn_mut(s) {
+                                let upto = c.bytes_received() * frac as u64 / 255;
+                                c.release_hold_until(upto);
+                            }
+                        }
+                    }
                     EpOp::Close(which) => {
                         if !socks.is_empty() {
                             let s = socks[which as usize % socks.len()];
                             n.a.close(n.now, s);
+                        }
+                    }
+                    EpOp::Abort(which) => {
+                        if !accepted.is_empty() {
+                            let s = accepted[which as usize % accepted.len()];
+                            n.b.abort(n.now, s);
                         }
                     }
                     EpOp::AdvanceNext => {
@@ -1161,13 +1356,53 @@ mod tests {
                         n.advance(to);
                     }
                     EpOp::Pump => n.pump(),
+                    EpOp::Lose => {
+                        let _ = n.a.poll_packets(n.now);
+                        let _ = n.b.poll_packets(n.now);
+                    }
+                }
+                // The server side tracks what it accepts, like the
+                // ST-TCP server does; SYN_RCVD sockets are counted too
+                // (the accept event fires at SYN time).
+                while let Some((id, ev)) = n.b.poll_event() {
+                    if ev == SocketEvent::Accepted {
+                        n.b.track(id);
+                        accepted.push(id);
+                    }
                 }
                 // Explicit diff (the internal debug assertions cover
                 // debug builds; this also pins `--release` test runs).
                 prop_assert_eq!(n.a.next_deadline(), n.a.scan_next_deadline());
                 prop_assert_eq!(n.b.next_deadline(), n.b.scan_next_deadline());
+                prop_assert_eq!(n.b.totals(), n.b.scan_totals());
+                prop_assert_eq!(n.b.totals().live, accepted.len() as u64);
             }
         }
+    }
+
+    #[test]
+    fn totals_follow_track_untrack_and_activity() {
+        let (mut n, ca, sb) = connected_pair();
+        // Nothing tracked: clients and unaccounted sockets cost nothing.
+        assert_eq!(n.b.totals(), EndpointTotals::default());
+        assert_eq!(n.a.totals_stale(), 0);
+        n.b.track(sb);
+        assert_eq!(n.b.totals_stale(), 1);
+        let idle = n.b.totals();
+        assert_eq!(idle.live, 1);
+        assert_eq!(idle.cwnd_sum, n.b.conn(sb).unwrap().cwnd());
+        assert_eq!(idle.recv_occ, 0);
+        // A quiet socket is not re-read…
+        assert_eq!(n.b.totals_stale(), 0);
+        // …and one that moved is, once.
+        let _ = n.a.send(n.now, ca, b"hello");
+        n.pump();
+        assert_eq!(n.b.totals_stale(), 1);
+        assert_eq!(n.b.totals().recv_occ, 5);
+        assert_eq!(n.b.recv(sb, 100).len(), 5);
+        assert_eq!(n.b.totals().recv_occ, 0);
+        n.b.untrack(sb);
+        assert_eq!(n.b.totals(), EndpointTotals::default());
     }
 
     #[test]

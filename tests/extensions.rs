@@ -373,3 +373,106 @@ fn delta_serial_shards_survive_ip_heartbeat_loss() {
         assert_eq!(log.connects.len(), 1);
     }
 }
+
+// ---------------------------------------------------------------------
+// O(active) periodic paths: the host-independent scale gate
+// ---------------------------------------------------------------------
+
+#[test]
+fn periodic_timer_visits_track_active_conns_not_resident_ones() {
+    // 2 000 resident connections, 4 of them busy. Every periodic path
+    // (check tick, recovery, heartbeat record selection, hole check, app
+    // tick) counts the connections it visits; in steady state that count
+    // must follow the busy four, never the resident two thousand. Counted
+    // in sim time, so a noisy host cannot flake it.
+    const POPULATION: usize = 2_000;
+    const ACTIVE: u64 = 4;
+    // One member of the quiet population sends a single request as it
+    // connects; the backup's tap loses exactly that segment, so the
+    // backup learns of the bytes only from the primary's heartbeat
+    // record — the lag set's one feed — and must fetch them.
+    const VICTIM: usize = 1_000;
+    let mut workloads = vec![ClientWorkload::Idle; POPULATION];
+    for w in workloads.iter_mut().take(ACTIVE as usize - 1) {
+        *w = ClientWorkload::Download {
+            total: 24 * 1024 * 1024,
+        };
+    }
+    workloads[VICTIM] = ClientWorkload::Download { total: 2_048 };
+    let mut s = ScenarioBuilder::new(
+        stream_app(4096),
+        ClientWorkload::Download {
+            total: 24 * 1024 * 1024,
+        },
+    )
+    .extra_clients(workloads)
+    .seed(240)
+    .sttcp(delta_cfg())
+    .serial_links(4)
+    .build();
+    let victim_ip =
+        std::net::Ipv4Addr::new(10, 0, 1 + (VICTIM / 240) as u8, 10 + (VICTIM % 240) as u8);
+    let mut dropped = false;
+    s.world.set_link_filter(
+        s.link_backup,
+        simnet::link::LinkDir::BtoA,
+        Some(Box::new(move |frame| {
+            let lose = !dropped
+                && simnet::iplayer::IpInterface::decap(frame).is_some_and(|pkt| {
+                    pkt.src == victim_ip
+                        && simtcp::segment::peek_segment(&pkt.payload)
+                            .is_some_and(|h| h.data_len > 0)
+                });
+            dropped |= lose;
+            lose
+        })),
+    );
+
+    // Ramp (clients connect 1 ms apart from t = 100 ms), then settle.
+    s.world.run_until(t(3_000));
+    let visits = |s: &sttcp_apps::scenario::Scenario| {
+        [s.primary, s.backup].map(|n| s.server(n).metrics().timer_conn_visits())
+    };
+    let before = visits(&s);
+    s.world.run_until(t(5_000));
+    let after = visits(&s);
+    let check_ticks = 2_000 / 50;
+    for (node, (b, a)) in ["primary", "backup"].iter().zip(before.iter().zip(after)) {
+        let per_tick = (a - b) / check_ticks;
+        assert!(
+            per_tick <= 16 * ACTIVE,
+            "{node}: {per_tick} connection visits per check tick with {ACTIVE} active of {} resident",
+            POPULATION + 1
+        );
+    }
+    // The busy four really were busy across the whole window.
+    assert!(
+        !s.client_finished(),
+        "downloaders finished inside the window"
+    );
+
+    for node in [s.primary, s.backup] {
+        assert_eq!(s.server(node).conn_keys().len(), POPULATION + 1);
+        assert_eq!(s.server(node).metrics().conn_key_collisions(), 0);
+    }
+    // The lost request was recovered through the heartbeat-fed lag set.
+    let victim = s.clients[1 + VICTIM];
+    assert!(s.finished(victim), "victim: {:?}", s.log_of(victim));
+    assert_eq!(s.log_of(victim).integrity_violations, 0);
+    let backup = s.server(s.backup);
+    let fetched: Vec<u32> = backup
+        .events()
+        .iter()
+        .filter_map(|e| match e {
+            StTcpEvent::RecoveryCompleted { conn, .. } => Some(*conn),
+            _ => None,
+        })
+        .collect();
+    assert_eq!(fetched.len(), 1, "recoveries: {fetched:?}");
+    assert!(backup.metrics().replay_bytes() > 0);
+    assert_eq!(
+        s.server(s.primary).app_digest(fetched[0]),
+        backup.app_digest(fetched[0]),
+        "replica divergence on the recovered connection"
+    );
+}
