@@ -10,6 +10,25 @@ use sttcp::app::{AppAction, Application};
 
 use crate::pattern::pattern_chunk;
 
+/// Feeds request bytes to a `GET <n>\n` parser: bytes are accumulated in
+/// `line` until the newline arrives, then the line is consumed and the
+/// requested byte count returned (0 for a malformed request). Bytes past
+/// the newline are ignored.
+fn take_get_request(line: &mut Vec<u8>, data: &[u8]) -> Option<u64> {
+    let Some(newline) = data.iter().position(|&b| b == b'\n') else {
+        line.extend_from_slice(data);
+        return None;
+    };
+    line.extend_from_slice(&data[..newline]);
+    let line = std::mem::take(line);
+    let text = String::from_utf8_lossy(&line);
+    let n = text
+        .strip_prefix("GET ")
+        .and_then(|s| s.trim().parse::<u64>().ok())
+        .unwrap_or(0);
+    Some(n)
+}
+
 /// A server-push streamer — the paper's "pie chart" GUI feed (Demo 1) and
 /// large-file server (Demo 3).
 ///
@@ -84,21 +103,12 @@ impl Application for StreamApp {
         if self.requested.is_some() {
             return Vec::new(); // trailing client bytes are ignored
         }
-        for &b in data {
-            if b == b'\n' {
-                let line = std::mem::take(&mut self.line);
-                let text = String::from_utf8_lossy(&line);
-                let n = text
-                    .strip_prefix("GET ")
-                    .and_then(|s| s.trim().parse::<u64>().ok())
-                    .unwrap_or(0);
-                self.requested = Some(n);
-                // First chunk goes out with the request, the rest on ticks.
-                return self.emit();
-            }
-            self.line.push(b);
-        }
-        Vec::new()
+        let Some(n) = take_get_request(&mut self.line, data) else {
+            return Vec::new();
+        };
+        self.requested = Some(n);
+        // First chunk goes out with the request, the rest on ticks.
+        self.emit()
     }
 
     fn on_tick(&mut self, _now: SimTime) -> Vec<AppAction> {
@@ -204,15 +214,15 @@ impl Application for ReqRespApp {
     fn on_data(&mut self, data: &[u8]) -> Vec<AppAction> {
         self.consumed += data.len() as u64;
         let mut actions = Vec::new();
-        for &b in data {
-            if b == b'\n' {
-                let line = std::mem::take(&mut self.line);
-                self.requests += 1;
-                actions.push(AppAction::Write(Self::response_for(&line)));
-            } else {
-                self.line.push(b);
-            }
+        let mut rest = data;
+        while let Some(newline) = rest.iter().position(|&b| b == b'\n') {
+            self.line.extend_from_slice(&rest[..newline]);
+            let line = std::mem::take(&mut self.line);
+            self.requests += 1;
+            actions.push(AppAction::Write(Self::response_for(&line)));
+            rest = &rest[newline + 1..];
         }
+        self.line.extend_from_slice(rest);
         actions
     }
 
@@ -337,22 +347,13 @@ impl Application for CommitStreamApp {
         if self.requested.is_some() {
             return Vec::new();
         }
-        for &b in data {
-            if b == b'\n' {
-                let line = std::mem::take(&mut self.line);
-                let text = String::from_utf8_lossy(&line);
-                let n = text
-                    .strip_prefix("GET ")
-                    .and_then(|s| s.trim().parse::<u64>().ok())
-                    .unwrap_or(0);
-                self.requested = Some(n);
-                // The first commit goes out with the request; the rest on
-                // the periodic cadence.
-                return self.commit();
-            }
-            self.line.push(b);
-        }
-        Vec::new()
+        let Some(n) = take_get_request(&mut self.line, data) else {
+            return Vec::new();
+        };
+        self.requested = Some(n);
+        // The first commit goes out with the request; the rest on the
+        // periodic cadence.
+        self.commit()
     }
 
     fn on_tick(&mut self, _now: SimTime) -> Vec<AppAction> {

@@ -310,54 +310,55 @@ impl TcpClient {
             if data.is_empty() {
                 break;
             }
-            let mismatch = match self.cfg.workload {
-                // ReqResp verifies against the per-request expected
-                // stream; everything else against the fixed pattern.
-                ClientWorkload::ReqResp { .. } => {
-                    let start = self.log.response_pos as usize;
-                    self.rr_expected.get(start..start + data.len()) != Some(&data[..])
-                }
-                _ => verify_pattern(self.log.response_pos, &data).is_some(),
-            };
-            if mismatch {
-                self.log.integrity_violations += 1;
+            // Verification and bookkeeping are the client application's
+            // work, not the TCP scope's this runs under.
+            ctx.profile_enter(Component::App);
+            let complete = self.account_response(now, &data);
+            ctx.profile_exit();
+            if complete && !self.finished {
+                self.finished = true;
+                self.log.finished_at = Some(now);
+                self.tcp.close(now, sock);
             }
-            self.log.response_pos += data.len() as u64;
-            self.log.total_received += data.len() as u64;
-            self.last_progress_at = now;
-            self.log.progress.push((now, self.log.response_pos));
-            match self.cfg.workload {
-                ClientWorkload::Download { total } => {
-                    if self.log.response_pos >= total && !self.finished {
-                        self.finished = true;
-                        self.log.finished_at = Some(now);
-                        self.tcp.close(now, sock);
-                    }
-                }
-                ClientWorkload::EchoChat { chunk, count, .. } => {
-                    let done = self.log.response_pos / chunk as u64;
-                    self.log.echo_roundtrips = done as u32;
-                    if done >= count as u64 && !self.finished {
-                        self.finished = true;
-                        self.log.finished_at = Some(now);
-                        self.tcp.close(now, sock);
-                    }
-                }
-                ClientWorkload::ReqResp { count, .. } => {
-                    let done = self
-                        .rr_ends
-                        .iter()
-                        .take_while(|&&end| end <= self.log.response_pos)
-                        .count();
-                    self.log.echo_roundtrips = done as u32;
-                    if self.chat_sent >= count && done >= count as usize && !self.finished {
-                        self.finished = true;
-                        self.log.finished_at = Some(now);
-                        self.tcp.close(now, sock);
-                    }
-                }
-                ClientWorkload::Idle => {}
+        }
+    }
+
+    /// Verifies one read against the expected stream and logs it.
+    /// Returns whether the workload's response is now complete.
+    fn account_response(&mut self, now: SimTime, data: &[u8]) -> bool {
+        let mismatch = match self.cfg.workload {
+            // ReqResp verifies against the per-request expected
+            // stream; everything else against the fixed pattern.
+            ClientWorkload::ReqResp { .. } => {
+                let start = self.log.response_pos as usize;
+                self.rr_expected.get(start..start + data.len()) != Some(data)
             }
+            _ => verify_pattern(self.log.response_pos, data).is_some(),
+        };
+        if mismatch {
+            self.log.integrity_violations += 1;
+        }
+        self.log.response_pos += data.len() as u64;
+        self.log.total_received += data.len() as u64;
+        self.last_progress_at = now;
+        self.log.progress.push((now, self.log.response_pos));
+        match self.cfg.workload {
+            ClientWorkload::Download { total } => self.log.response_pos >= total,
+            ClientWorkload::EchoChat { chunk, count, .. } => {
+                let done = self.log.response_pos / chunk as u64;
+                self.log.echo_roundtrips = done as u32;
+                done >= count as u64
+            }
+            ClientWorkload::ReqResp { count, .. } => {
+                let done = self
+                    .rr_ends
+                    .iter()
+                    .take_while(|&&end| end <= self.log.response_pos)
+                    .count();
+                self.log.echo_roundtrips = done as u32;
+                self.chat_sent >= count && done >= count as usize
+            }
+            ClientWorkload::Idle => false,
         }
     }
 
@@ -404,7 +405,7 @@ impl TcpClient {
         if self.chat_sent < count {
             if let Some(sock) = self.sock {
                 let slab = pattern_chunk(self.chat_tx_pos, chunk);
-                let n = self.tcp.send(now, sock, &slab);
+                let n = self.tcp.send_bytes(now, sock, &slab);
                 self.chat_tx_pos += n as u64;
                 if n == chunk {
                     self.chat_sent += 1;

@@ -136,7 +136,7 @@ impl PlainServer {
             else {
                 return;
             };
-            let n = self.tcp.send(now, sock, &front);
+            let n = self.tcp.send_bytes(now, sock, &front);
             let Some(c) = self.conns.get_mut(&sock) else {
                 return;
             };

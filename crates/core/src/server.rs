@@ -24,7 +24,7 @@ use simnet::frame::EthernetFrame;
 use simnet::ip::{IpProto, Ipv4Packet};
 use simnet::iplayer::IpInterface;
 use simnet::node::{NicId, Node, NodeCtx, NodeId, SerialPortId, TimerId, TimerToken};
-use simnet::profile::Component;
+use simnet::profile::{Component, Profiler};
 use simnet::time::{SimDuration, SimTime};
 
 use simtcp::conn::{ConnStats, TcpConfig, TcpConn, TcpSnapshot, TcpState};
@@ -840,15 +840,18 @@ impl StTcpServer {
     // ----- internal: TCP event handling ------------------------------------
 
     /// Drains endpoint events, returning whether anything happened.
-    fn drain_tcp_events(&mut self, now: SimTime) -> bool {
+    /// Runs inside `flush`'s TCP scope; every callback into the
+    /// application opens an application sub-scope, so replica work is
+    /// charged to `app`, not to whichever layer delivered the event.
+    fn drain_tcp_events(&mut self, now: SimTime, prof: &mut Profiler) -> bool {
         let mut any = false;
         while let Some((sock, ev)) = self.tcp.poll_event() {
             any = true;
             match ev {
-                SocketEvent::Accepted => self.on_accepted(now, sock),
+                SocketEvent::Accepted => self.on_accepted(now, prof, sock),
                 SocketEvent::Connected => {}
-                SocketEvent::DataReadable => self.on_readable(now, sock),
-                SocketEvent::PeerFin => self.on_client_fin(now, sock),
+                SocketEvent::DataReadable => self.on_readable(now, prof, sock),
+                SocketEvent::PeerFin => self.on_client_fin(now, prof, sock),
                 SocketEvent::Reset | SocketEvent::Closed => {
                     if let Some(ctl) = self.conns.get_mut(&sock) {
                         ctl.closed = true;
@@ -859,14 +862,16 @@ impl StTcpServer {
         any
     }
 
-    fn on_accepted(&mut self, now: SimTime, sock: SocketId) {
+    fn on_accepted(&mut self, now: SimTime, prof: &mut Profiler, sock: SocketId) {
         let Some(conn) = self.tcp.conn(sock) else {
             return;
         };
         let key = conn_key(conn.tuple());
+        prof.enter(Component::App);
         let mut app = self.app_factory.create();
         let app_alive = !self.app_crashed;
         let open_actions = if app_alive { app.on_open() } else { Vec::new() };
+        prof.exit();
         self.bind_key(key, sock);
         self.conns.insert(
             sock,
@@ -903,7 +908,7 @@ impl StTcpServer {
         self.apply_app_actions(now, sock, open_actions);
     }
 
-    fn on_readable(&mut self, now: SimTime, sock: SocketId) {
+    fn on_readable(&mut self, now: SimTime, prof: &mut Profiler, sock: SocketId) {
         loop {
             let alive = self.conns.get(&sock).map(|c| c.app_alive).unwrap_or(false);
             if !alive {
@@ -924,7 +929,10 @@ impl StTcpServer {
                             at: now,
                         });
                     }
-                    ctl.app.on_data(&data)
+                    prof.enter(Component::App);
+                    let actions = ctl.app.on_data(&data);
+                    prof.exit();
+                    actions
                 }
                 None => return,
             };
@@ -933,7 +941,7 @@ impl StTcpServer {
         }
     }
 
-    fn on_client_fin(&mut self, now: SimTime, sock: SocketId) {
+    fn on_client_fin(&mut self, now: SimTime, prof: &mut Profiler, sock: SocketId) {
         self.check_socks.insert(sock);
         let Some(ctl) = self.conns.get_mut(&sock) else {
             return;
@@ -945,9 +953,11 @@ impl StTcpServer {
             self.apply_gate_action(now, sock, key, action);
         }
         if alive {
-            let actions = match self.conns.get_mut(&sock) {
-                Some(c) => c.app.on_peer_close(),
-                None => return,
+            prof.enter(Component::App);
+            let actions = self.conns.get_mut(&sock).map(|c| c.app.on_peer_close());
+            prof.exit();
+            let Some(actions) = actions else {
+                return;
             };
             self.apply_app_actions(now, sock, actions);
         }
@@ -1023,7 +1033,7 @@ impl StTcpServer {
             .get_mut(&sock)
             .and_then(|c| c.pending_out.front().cloned())
         {
-            let n = self.tcp.send(now, sock, &front);
+            let n = self.tcp.send_bytes(now, sock, &front);
             let Some(ctl) = self.conns.get_mut(&sock) else {
                 break;
             };
@@ -3470,12 +3480,14 @@ impl StTcpServer {
         let now = ctx.now();
         ctx.profile_enter(Component::Tcp);
         loop {
-            let had_events = self.drain_tcp_events(now);
+            let had_events = self.drain_tcp_events(now, ctx.profiler());
             // Acknowledgments may have freed send-buffer space: drain any
             // application output that was blocked on it.
-            let blocked: Vec<SocketId> = self.out_blocked.iter().copied().collect();
-            for sock in blocked {
-                self.flush_pending(now, sock);
+            if !self.out_blocked.is_empty() {
+                let blocked: Vec<SocketId> = self.out_blocked.iter().copied().collect();
+                for sock in blocked {
+                    self.flush_pending(now, sock);
+                }
             }
             ctx.profile_enter(Component::TcpPoll);
             let pkts = self.tcp.poll_packets(now);
@@ -3787,9 +3799,11 @@ impl Node for StTcpServer {
                 let now = ctx.now();
                 let socks: Vec<SocketId> = self.out_blocked.iter().copied().collect();
                 self.metrics.on_timer_visits(socks.len());
+                ctx.profile_enter(Component::Tcp);
                 for sock in socks {
                     self.flush_pending(now, sock);
                 }
+                ctx.profile_exit();
                 ctx.set_timer(self.setup.sttcp.check_period, TOKEN_CHECK);
             }
             TOKEN_TCP => {
@@ -3812,14 +3826,23 @@ impl Node for StTcpServer {
                 self.metrics.on_timer_visits(socks.len());
                 for sock in socks {
                     let actions = match self.conns.get_mut(&sock) {
-                        Some(ctl) if ctl.app_alive && !ctl.closed => ctl.app.on_tick(now),
+                        Some(ctl) if ctl.app_alive && !ctl.closed => {
+                            ctx.profile_enter(Component::App);
+                            let actions = ctl.app.on_tick(now);
+                            ctx.profile_exit();
+                            actions
+                        }
                         _ => {
                             self.tick_socks.remove(&sock);
                             continue;
                         }
                     };
                     self.touch_sign_of_life(now, sock);
+                    // Applying the actions is the endpoint's send / close /
+                    // abort: TCP work, like the same calls under `flush`.
+                    ctx.profile_enter(Component::Tcp);
                     self.apply_app_actions(now, sock, actions);
+                    ctx.profile_exit();
                 }
                 ctx.set_timer(self.setup.sttcp.app_tick, TOKEN_APP_TICK);
             }
@@ -4118,7 +4141,7 @@ mod tests {
         let now = SimTime::ZERO;
         for (i, remote) in [a, b].into_iter().enumerate() {
             s.tcp.on_packet(now, &syn_from(remote, service));
-            assert!(s.drain_tcp_events(now));
+            assert!(s.drain_tcp_events(now, &mut Profiler::new()));
             assert_eq!(s.metrics.conn_key_collisions(), i as u64);
         }
         // Both sockets live on in the endpoint, but only the newer one is
@@ -4139,7 +4162,7 @@ mod tests {
         })];
         s.tcp.abort(now, sock);
         s.tcp.on_packet(now, &syn_from(b, service));
-        assert!(s.drain_tcp_events(now));
+        assert!(s.drain_tcp_events(now, &mut Profiler::new()));
         assert_eq!(s.conns.len(), 3);
         assert_eq!(s.metrics.conn_key_collisions(), 1);
         assert_eq!(s.tcp.totals().live, 1);

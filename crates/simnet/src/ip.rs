@@ -6,7 +6,7 @@
 //! failure detector of paper §4.3), and the ST-TCP heartbeat, while still
 //! having a real wire encoding with a verified checksum.
 
-use bytes::{BufMut, Bytes, BytesMut};
+use bytes::Bytes;
 use core::fmt;
 use std::net::Ipv4Addr;
 
@@ -154,11 +154,12 @@ impl ChecksumAccumulator {
 
     /// Folds `data` into the running sum.
     ///
-    /// Word-at-a-time: eight bytes per iteration, decomposed into four
-    /// big-endian 16-bit words summed in a 64-bit accumulator. One's-
-    /// complement addition is commutative and associative over 16-bit
-    /// words, so this is byte-identical to the scalar two-byte walk
-    /// (pinned by a differential proptest).
+    /// Word-at-a-time: eight bytes per iteration, summed as two
+    /// big-endian 32-bit halves in a 64-bit accumulator and folded to 16
+    /// bits at the end (2^16 ≡ 1 mod 0xffff, so a 32-bit word and its two
+    /// 16-bit halves contribute the same to the one's-complement sum).
+    /// Byte-identical to the scalar two-byte walk, pinned by a
+    /// differential proptest.
     pub fn push(&mut self, data: &[u8]) {
         let mut data = data;
         if self.odd {
@@ -170,21 +171,24 @@ impl ChecksumAccumulator {
             self.odd = false;
             data = rest;
         }
-        // A u64 holds ~2^45 max-value words before the carry bits could
+        // A u64 holds 2^32 max-value halves before the carry bits could
         // reach the top, so no mid-loop fold is needed for any input a
         // packet could present.
         let mut sum64 = u64::from(self.sum);
         let mut eights = data.chunks_exact(8);
         for c in &mut eights {
             let w = u64::from_be_bytes(c.try_into().unwrap());
-            sum64 += (w >> 48) + ((w >> 32) & 0xffff) + ((w >> 16) & 0xffff) + (w & 0xffff);
+            sum64 += (w >> 32) + (w & 0xffff_ffff);
         }
         let mut chunks = eights.remainder().chunks_exact(2);
         for c in &mut chunks {
             sum64 += u64::from(u16::from_be_bytes([c[0], c[1]]));
         }
-        while sum64 >> 32 != 0 {
-            sum64 = (sum64 & 0xffff_ffff) + (sum64 >> 32);
+        // Fold all the way to 16 bits here: a sum of 32-bit halves can
+        // fill the low 32 bits, which would leave the odd-byte add below
+        // no headroom.
+        while sum64 >> 16 != 0 {
+            sum64 = (sum64 & 0xffff) + (sum64 >> 16);
         }
         self.sum = sum64 as u32;
         if let [last] = chunks.remainder() {
@@ -227,32 +231,75 @@ impl Ipv4Packet {
         IPV4_HEADER_LEN + self.payload.len()
     }
 
-    /// Serializes the packet, computing the header checksum.
-    pub fn encode(&self) -> Bytes {
-        let total_len = self.wire_len() as u16;
+    /// Builds a packet whose transport payload is written straight into
+    /// the buffer the wire form will use: `write` appends the payload to a
+    /// buffer that already has [`IPV4_HEADER_LEN`] bytes of headroom in
+    /// front, the IP header is filled into that headroom, and the packet's
+    /// `payload` is the view past it. [`Ipv4Packet::encode`] then finds
+    /// its own header in front of the payload and returns the whole
+    /// buffer — one allocation and one payload copy from transport
+    /// segment to frame (lwIP's `pbuf_header` idiom). `payload_len` sizes
+    /// the allocation; the packet is correct whatever `write` appends.
+    pub fn build(
+        src: Ipv4Addr,
+        dst: Ipv4Addr,
+        proto: IpProto,
+        payload_len: usize,
+        write: impl FnOnce(&mut Vec<u8>),
+    ) -> Ipv4Packet {
+        let mut buf = Vec::with_capacity(IPV4_HEADER_LEN + payload_len);
+        buf.resize(IPV4_HEADER_LEN, 0);
+        write(&mut buf);
+        let mut pkt = Ipv4Packet::new(src, dst, proto, Bytes::new());
+        let header = pkt.header(buf.len());
+        buf[..IPV4_HEADER_LEN].copy_from_slice(&header);
+        pkt.payload = Bytes::from(buf).slice(IPV4_HEADER_LEN..);
+        pkt
+    }
+
+    /// The 20-byte header, checksummed, for a packet of `total_len` bytes.
+    fn header(&self, total_len: usize) -> [u8; IPV4_HEADER_LEN] {
         let mut hdr = [0u8; IPV4_HEADER_LEN];
         hdr[0] = 0x45; // version 4, IHL 5
-        hdr[2..4].copy_from_slice(&total_len.to_be_bytes());
+        hdr[2..4].copy_from_slice(&(total_len as u16).to_be_bytes());
         hdr[8] = self.ttl;
         hdr[9] = self.proto.to_u8();
         hdr[12..16].copy_from_slice(&self.src.octets());
         hdr[16..20].copy_from_slice(&self.dst.octets());
         let csum = internet_checksum(&hdr);
         hdr[10..12].copy_from_slice(&csum.to_be_bytes());
+        hdr
+    }
 
-        let mut buf = BytesMut::with_capacity(self.wire_len());
-        buf.put_slice(&hdr);
-        buf.put_slice(&self.payload);
-        buf.freeze()
+    /// Serializes the packet, computing the header checksum.
+    ///
+    /// A payload that already sits behind this packet's header in its
+    /// allocation (see [`Ipv4Packet::build`]) is returned widened, without
+    /// copying; any other payload is copied behind a fresh header. Which
+    /// of the two happens depends only on the bytes in front of the
+    /// payload, so editing a field after `build` is safe: the header no
+    /// longer matches and a fresh buffer is built.
+    pub fn encode(&self) -> Bytes {
+        let hdr = self.header(self.wire_len());
+        if let Some(wire) = self.payload.with_headroom(IPV4_HEADER_LEN) {
+            if wire[..IPV4_HEADER_LEN] == hdr {
+                return wire;
+            }
+        }
+        let mut buf = Vec::with_capacity(self.wire_len());
+        buf.extend_from_slice(&hdr);
+        buf.extend_from_slice(&self.payload);
+        Bytes::from(buf)
     }
 
     /// Parses a packet from wire bytes, verifying the header checksum.
+    /// The payload is a shared view of `wire`, not a copy.
     ///
     /// # Errors
     ///
     /// Returns an [`IpDecodeError`] on truncation, unsupported header
     /// layout, or checksum mismatch.
-    pub fn decode(wire: &[u8]) -> Result<Ipv4Packet, IpDecodeError> {
+    pub fn decode(wire: &Bytes) -> Result<Ipv4Packet, IpDecodeError> {
         if wire.len() < IPV4_HEADER_LEN {
             return Err(IpDecodeError::Truncated);
         }
@@ -275,7 +322,7 @@ impl Ipv4Packet {
             dst: Ipv4Addr::from(dst),
             proto: IpProto::from_u8(wire[9]),
             ttl: wire[8],
-            payload: Bytes::copy_from_slice(&wire[IPV4_HEADER_LEN..total_len]),
+            payload: wire.slice(IPV4_HEADER_LEN..total_len),
         })
     }
 }
@@ -440,19 +487,22 @@ mod tests {
     fn ip_corrupted_checksum_rejected() {
         let mut wire = sample().encode().to_vec();
         wire[15] ^= 0xff; // flip a src-address byte
-        assert_eq!(Ipv4Packet::decode(&wire), Err(IpDecodeError::BadChecksum));
+        assert_eq!(
+            Ipv4Packet::decode(&Bytes::from(wire)),
+            Err(IpDecodeError::BadChecksum)
+        );
     }
 
     #[test]
     fn ip_truncated_rejected() {
         let wire = sample().encode();
         assert_eq!(
-            Ipv4Packet::decode(&wire[..10]),
+            Ipv4Packet::decode(&wire.slice(..10)),
             Err(IpDecodeError::Truncated)
         );
         // Truncated below declared total length.
         assert_eq!(
-            Ipv4Packet::decode(&wire[..wire.len() - 1]),
+            Ipv4Packet::decode(&wire.slice(..wire.len() - 1)),
             Err(IpDecodeError::Truncated)
         );
     }
@@ -461,7 +511,10 @@ mod tests {
     fn ip_bad_version_rejected() {
         let mut wire = sample().encode().to_vec();
         wire[0] = 0x65; // version 6
-        assert_eq!(Ipv4Packet::decode(&wire), Err(IpDecodeError::BadHeader));
+        assert_eq!(
+            Ipv4Packet::decode(&Bytes::from(wire)),
+            Err(IpDecodeError::BadHeader)
+        );
     }
 
     #[test]
@@ -470,7 +523,56 @@ mod tests {
         let p = sample();
         let mut wire = p.encode().to_vec();
         wire.extend_from_slice(&[0u8; 7]);
+        assert_eq!(Ipv4Packet::decode(&Bytes::from(wire)).unwrap(), p);
+    }
+
+    #[test]
+    fn decoded_payload_points_into_the_wire_buffer() {
+        let wire = sample().encode();
+        let p = Ipv4Packet::decode(&wire).unwrap();
+        assert_eq!(p.payload.as_ptr(), wire[IPV4_HEADER_LEN..].as_ptr());
+    }
+
+    #[test]
+    fn built_packet_encodes_in_place_and_matches_the_copying_path() {
+        let body = b"transport bytes";
+        let built = Ipv4Packet::build(addr(1), addr(9), IpProto::Tcp, body.len(), |buf| {
+            buf.extend_from_slice(body)
+        });
+        let plain = Ipv4Packet::new(addr(1), addr(9), IpProto::Tcp, Bytes::from_static(body));
+        assert_eq!(built, plain);
+        let wire = built.encode();
+        assert_eq!(wire, plain.encode(), "same bytes on the wire");
+        assert_eq!(
+            wire[IPV4_HEADER_LEN..].as_ptr(),
+            built.payload.as_ptr(),
+            "the headroom was filled in place: no second buffer"
+        );
+        assert_ne!(
+            plain.encode()[IPV4_HEADER_LEN..].as_ptr(),
+            plain.payload.as_ptr()
+        );
+        // The size hint only sizes the allocation.
+        let short = Ipv4Packet::build(addr(1), addr(9), IpProto::Tcp, 0, |buf| {
+            buf.extend_from_slice(body)
+        });
+        assert_eq!(short.encode(), wire);
+    }
+
+    #[test]
+    fn edited_built_packet_falls_back_to_a_fresh_correct_header() {
+        let mut p = Ipv4Packet::build(addr(1), addr(9), IpProto::Tcp, 3, |buf| {
+            buf.extend_from_slice(b"abc")
+        });
+        p.ttl = 3;
+        let wire = p.encode();
+        assert_ne!(wire[IPV4_HEADER_LEN..].as_ptr(), p.payload.as_ptr());
         assert_eq!(Ipv4Packet::decode(&wire).unwrap(), p);
+        // A payload that merely follows 20 unrelated bytes is not mistaken
+        // for a built packet.
+        let buf = Bytes::from(vec![0x45u8; 64]);
+        let q = Ipv4Packet::new(addr(2), addr(3), IpProto::Tcp, buf.slice(20..));
+        assert_eq!(Ipv4Packet::decode(&q.encode()).unwrap(), q);
     }
 
     #[test]

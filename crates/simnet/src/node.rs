@@ -173,6 +173,12 @@ impl NodeCtx<'_> {
     pub fn profile_exit(&mut self) {
         self.profiler.exit();
     }
+
+    /// The world's profiler, for handing to helpers that open sub-scopes
+    /// of their own but need nothing else from the context.
+    pub fn profiler(&mut self) -> &mut Profiler {
+        self.profiler
+    }
 }
 
 /// A participant in the simulation.

@@ -89,6 +89,10 @@ pub struct World {
     next_script_id: u64,
     started: bool,
     events_processed: u64,
+    /// The effect list handed to each node callback: kept (empty)
+    /// between dispatches so the kernel loop does not allocate one per
+    /// event.
+    effects_scratch: Vec<Effect>,
 }
 
 impl std::fmt::Debug for World {
@@ -125,6 +129,7 @@ impl World {
             next_script_id: 0,
             started: false,
             events_processed: 0,
+            effects_scratch: Vec::new(),
         }
     }
 
@@ -544,7 +549,7 @@ impl World {
         };
         let comp = self.nodes[node.0].component;
         self.profiler.enter(comp);
-        let mut effects = Vec::new();
+        let mut effects = std::mem::take(&mut self.effects_scratch);
         {
             let mut ctx = NodeCtx {
                 now: self.now,
@@ -559,11 +564,13 @@ impl World {
         }
         self.profiler.exit();
         self.nodes[node.0].logic = Some(logic);
-        self.apply_effects(node, effects);
+        self.apply_effects(node, &mut effects);
+        self.effects_scratch = effects;
     }
 
-    fn apply_effects(&mut self, node: NodeId, effects: Vec<Effect>) {
-        for effect in effects {
+    /// Applies (and drains) the effects a callback queued.
+    fn apply_effects(&mut self, node: NodeId, effects: &mut Vec<Effect>) {
+        for effect in effects.drain(..) {
             match effect {
                 Effect::SendFrame { nic, frame } => self.send_frame_from(node, nic, frame),
                 Effect::SendSerial { port, data } => {

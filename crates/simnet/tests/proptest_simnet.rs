@@ -54,23 +54,41 @@ proptest! {
         prop_assert_ne!(internet_checksum(&corrupted), original);
     }
 
-    // Differential pin: the word-at-a-time (8-byte chunked) accumulator
-    // must be byte-identical to the textbook scalar RFC 1071 walk for
-    // every input length, alignment, and slice split.
+    // Differential pin: the word-at-a-time (8-byte chunked, 32-bit
+    // halves) accumulator must be byte-identical to the textbook scalar
+    // RFC 1071 walk for every input length, alignment, and slice split.
     #[test]
     fn checksum_word_at_a_time_matches_scalar_reference(
-        data in vec(any::<u8>(), 0..1024),
-        split in 0usize..1024,
+        data in vec(any::<u8>(), 0..1600),
+        splits in vec(0usize..1600, 0..6),
     ) {
         let reference = scalar_checksum(&data);
         prop_assert_eq!(internet_checksum(&data), reference);
-        // Split the input at an arbitrary point (odd splits exercise the
-        // byte-parity carry) and accumulate in two pushes.
-        let mid = split % (data.len() + 1);
+        // Cut the input at arbitrary points — several, so pushes start
+        // and end on odd offsets in every combination (the byte-parity
+        // carry), with empty pushes where two cuts coincide — and
+        // accumulate piecewise, as pseudo-header + header + payload do.
+        let mut cuts: Vec<usize> = splits.iter().map(|s| s % (data.len() + 1)).collect();
+        cuts.push(data.len());
+        cuts.sort_unstable();
         let mut acc = simnet::ip::ChecksumAccumulator::new();
+        let mut from = 0;
+        for cut in cuts {
+            acc.push(&data[from..cut]);
+            from = cut;
+        }
+        prop_assert_eq!(acc.finish(), reference);
+    }
+
+    // The high-byte-heavy worst case: carries out of every 32-bit half.
+    #[test]
+    fn checksum_of_saturated_input_matches_scalar_reference(len in 0usize..70_000, odd in 0usize..9) {
+        let data = vec![0xffu8; len];
+        let mut acc = simnet::ip::ChecksumAccumulator::new();
+        let mid = odd.min(len);
         acc.push(&data[..mid]);
         acc.push(&data[mid..]);
-        prop_assert_eq!(acc.finish(), reference);
+        prop_assert_eq!(acc.finish(), scalar_checksum(&data));
     }
 
     // ------------------------------------------------------------------
@@ -126,7 +144,7 @@ proptest! {
         // Corrupt within the header (covered by the checksum).
         let i = bit % (20 * 8);
         wire[i / 8] ^= 1 << (i % 8);
-        prop_assert!(Ipv4Packet::decode(&wire).is_err());
+        prop_assert!(Ipv4Packet::decode(&Bytes::from(wire)).is_err());
     }
 
     #[test]

@@ -488,15 +488,26 @@ impl TcpConn {
     // ----- application API ---------------------------------------------------
 
     /// Writes application data; returns bytes accepted (bounded by buffer
-    /// space). Data is transmitted as windows allow.
+    /// space). Data is transmitted as windows allow. The accepted bytes
+    /// are copied once, into the send buffer.
     pub fn send(&mut self, now: SimTime, data: &[u8]) -> usize {
+        self.send_with(now, |buf| buf.write(data))
+    }
+
+    /// [`TcpConn::send`] for data the caller already holds as [`Bytes`]:
+    /// the send buffer shares the accepted prefix instead of copying it.
+    pub fn send_bytes(&mut self, now: SimTime, data: &Bytes) -> usize {
+        self.send_with(now, |buf| buf.write_bytes(data))
+    }
+
+    fn send_with(&mut self, now: SimTime, write: impl FnOnce(&mut SendBuffer) -> usize) -> usize {
         if !matches!(
             self.state,
             TcpState::SynSent | TcpState::SynRcvd | TcpState::Established | TcpState::CloseWait
         ) {
             return 0;
         }
-        let n = self.sendbuf.write(data);
+        let n = write(&mut self.sendbuf);
         self.fill_output(now);
         n
     }

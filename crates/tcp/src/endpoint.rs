@@ -666,8 +666,18 @@ impl TcpEndpoint {
 
     /// Writes data on a socket; returns bytes accepted.
     pub fn send(&mut self, now: SimTime, id: SocketId, data: &[u8]) -> usize {
+        self.send_with(id, |conn| conn.send(now, data))
+    }
+
+    /// [`TcpEndpoint::send`] for data the caller already holds as
+    /// [`Bytes`]: shared into the send buffer, not copied.
+    pub fn send_bytes(&mut self, now: SimTime, id: SocketId, data: &Bytes) -> usize {
+        self.send_with(id, |conn| conn.send_bytes(now, data))
+    }
+
+    fn send_with(&mut self, id: SocketId, send: impl FnOnce(&mut TcpConn) -> usize) -> usize {
         let n = match self.socks.get_mut(&id) {
-            Some(e) => e.conn.send(now, data),
+            Some(e) => send(&mut e.conn),
             None => 0,
         };
         self.collect_events(id);
@@ -816,13 +826,14 @@ impl TcpEndpoint {
     }
 }
 
+/// The IP packet carrying `seg`, with the segment written straight into
+/// the buffer the packet's wire form will use (one allocation, one
+/// payload copy from send buffer to frame).
 fn wrap(tuple: FourTuple, seg: &TcpSegment) -> Ipv4Packet {
-    Ipv4Packet::new(
-        tuple.local.0,
-        tuple.remote.0,
-        IpProto::Tcp,
-        seg.encode(tuple.local.0, tuple.remote.0),
-    )
+    let (src, dst) = (tuple.local.0, tuple.remote.0);
+    Ipv4Packet::build(src, dst, IpProto::Tcp, seg.wire_len(), |buf| {
+        seg.encode_into(buf, src, dst)
+    })
 }
 
 /// Builds the RST answering an unexpected segment (RFC 793 reset

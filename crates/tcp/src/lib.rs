@@ -46,6 +46,7 @@
 #![warn(missing_docs)]
 
 pub mod cc;
+mod chunks;
 pub mod conn;
 pub mod endpoint;
 pub mod recvbuf;

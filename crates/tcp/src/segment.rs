@@ -4,7 +4,7 @@
 //! configured out of band, window scaling is unnecessary at simulated LAN
 //! bandwidth-delay products) and the standard pseudo-header checksum.
 
-use bytes::{BufMut, Bytes, BytesMut};
+use bytes::Bytes;
 use core::fmt;
 use std::net::Ipv4Addr;
 
@@ -126,7 +126,7 @@ impl fmt::Display for TcpFlags {
 ///
 /// The flight recorder derives causal span ids from wire-observable
 /// header fields on the hottest datapath; a full [`TcpSegment::decode`]
-/// would copy the payload and verify the checksum, both wasted work for
+/// would verify the checksum over the whole payload, wasted work for
 /// observability. `peek_segment` reads only the fixed header offsets.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct SegmentPeek {
@@ -159,7 +159,7 @@ impl SegmentPeek {
     }
 }
 
-/// Peeks an encoded segment's header without copying the payload or
+/// Peeks an encoded segment's header without touching the payload or
 /// verifying the checksum. Returns `None` on truncation or a bad data
 /// offset; corrupt-but-well-formed input is the checksum's job at the
 /// real decode site, not the observer's.
@@ -248,6 +248,17 @@ impl TcpSegment {
     /// Serializes the segment, computing the pseudo-header checksum over
     /// the given IP endpoints.
     pub fn encode(&self, src_ip: Ipv4Addr, dst_ip: Ipv4Addr) -> Bytes {
+        let mut out = Vec::with_capacity(self.wire_len());
+        self.encode_into(&mut out, src_ip, dst_ip);
+        Bytes::from(out)
+    }
+
+    /// Appends the wire form (header, then payload) to `out` — the one
+    /// place a data segment's payload is copied on its way to a frame.
+    /// Lets a caller that owns the packet buffer (see
+    /// [`simnet::ip::Ipv4Packet::build`]) have the segment written
+    /// directly behind the IP header's headroom.
+    pub fn encode_into(&self, out: &mut Vec<u8>, src_ip: Ipv4Addr, dst_ip: Ipv4Addr) {
         let mut hdr = [0u8; TCP_HEADER_LEN];
         hdr[0..2].copy_from_slice(&self.src_port.to_be_bytes());
         hdr[2..4].copy_from_slice(&self.dst_port.to_be_bytes());
@@ -266,20 +277,19 @@ impl TcpSegment {
         let csum = acc.finish();
         hdr[16..18].copy_from_slice(&csum.to_be_bytes());
 
-        let mut out = BytesMut::with_capacity(self.wire_len());
-        out.put_slice(&hdr);
-        out.put_slice(&self.payload);
-        out.freeze()
+        out.extend_from_slice(&hdr);
+        out.extend_from_slice(&self.payload);
     }
 
-    /// Parses a segment, verifying the pseudo-header checksum.
+    /// Parses a segment, verifying the pseudo-header checksum. The
+    /// payload is a shared view of `wire`, not a copy.
     ///
     /// # Errors
     ///
     /// Returns a [`SegmentDecodeError`] on truncation, a bad data offset,
     /// or checksum mismatch.
     pub fn decode(
-        wire: &[u8],
+        wire: &Bytes,
         src_ip: Ipv4Addr,
         dst_ip: Ipv4Addr,
     ) -> Result<TcpSegment, SegmentDecodeError> {
@@ -306,7 +316,7 @@ impl TcpSegment {
             ack: SeqNum(u32::from_be_bytes([wire[8], wire[9], wire[10], wire[11]])),
             flags: TcpFlags::from_bits(wire[13]),
             window: u16::from_be_bytes([wire[14], wire[15]]),
-            payload: Bytes::copy_from_slice(&wire[doff..]),
+            payload: wire.slice(doff..),
         })
     }
 }
@@ -389,7 +399,7 @@ mod tests {
         let last = wire.len() - 1;
         wire[last] ^= 0x01;
         assert_eq!(
-            TcpSegment::decode(&wire, ip(1), ip(2)),
+            TcpSegment::decode(&Bytes::from(wire), ip(1), ip(2)),
             Err(SegmentDecodeError::BadChecksum)
         );
     }
@@ -398,7 +408,7 @@ mod tests {
     fn truncated_rejected() {
         let wire = sample().encode(ip(1), ip(2));
         assert_eq!(
-            TcpSegment::decode(&wire[..10], ip(1), ip(2)),
+            TcpSegment::decode(&wire.slice(..10), ip(1), ip(2)),
             Err(SegmentDecodeError::Truncated)
         );
     }
@@ -408,9 +418,25 @@ mod tests {
         let mut wire = sample().encode(ip(1), ip(2)).to_vec();
         wire[12] = 2 << 4;
         assert_eq!(
-            TcpSegment::decode(&wire, ip(1), ip(2)),
+            TcpSegment::decode(&Bytes::from(wire), ip(1), ip(2)),
             Err(SegmentDecodeError::BadDataOffset)
         );
+    }
+
+    #[test]
+    fn decoded_payload_points_into_the_wire_buffer() {
+        let wire = sample().encode(ip(1), ip(2));
+        let seg = TcpSegment::decode(&wire, ip(1), ip(2)).unwrap();
+        assert_eq!(seg.payload.as_ptr(), wire[TCP_HEADER_LEN..].as_ptr());
+    }
+
+    #[test]
+    fn encode_into_appends_exactly_the_wire_form() {
+        let s = sample();
+        let mut out = vec![0xEE; 20]; // a lower layer's headroom
+        s.encode_into(&mut out, ip(1), ip(2));
+        assert_eq!(&out[..20], &[0xEE; 20]);
+        assert_eq!(&out[20..], s.encode(ip(1), ip(2)).as_ref());
     }
 
     #[test]

@@ -5,9 +5,15 @@
 //! numbers. The buffer retains every byte from the lowest unacknowledged
 //! offset to the application's write position, serving both first
 //! transmissions and retransmissions.
+//!
+//! The bytes are kept as the queue of [`Bytes`] chunks the application
+//! wrote, not as a flat ring: a write shares (or copies once into) one
+//! chunk, a segment is a shared view of a chunk unless it straddles two,
+//! and an acknowledgment drops whole chunks and re-slices the front one.
 
 use bytes::Bytes;
-use std::collections::VecDeque;
+
+use crate::chunks::ChunkQueue;
 
 /// A byte-stream send buffer with retransmission support.
 ///
@@ -17,10 +23,8 @@ use std::collections::VecDeque;
 /// `LastAppByteWritten` heartbeat field.
 #[derive(Debug, Clone)]
 pub struct SendBuffer {
-    /// Bytes covering stream offsets `[una, written)`.
-    data: VecDeque<u8>,
-    una: u64,
-    written: u64,
+    /// The written chunks covering stream offsets `[una, written)`.
+    data: ChunkQueue,
     capacity: usize,
     fin_queued: bool,
 }
@@ -30,9 +34,7 @@ impl SendBuffer {
     /// bytes.
     pub fn new(capacity: usize) -> SendBuffer {
         SendBuffer {
-            data: VecDeque::new(),
-            una: 0,
-            written: 0,
+            data: ChunkQueue::starting_at(0),
             capacity,
             fin_queued: false,
         }
@@ -47,12 +49,10 @@ impl SendBuffer {
     /// alone would overflow it, so the resumed buffer is never born full
     /// beyond its own contents.
     pub fn resume(capacity: usize, una: u64, unacked: &[u8], fin_queued: bool) -> SendBuffer {
-        let mut data = VecDeque::with_capacity(unacked.len());
-        data.extend(unacked.iter().copied());
+        let mut data = ChunkQueue::starting_at(una);
+        data.push(Bytes::copy_from_slice(unacked));
         SendBuffer {
             data,
-            una,
-            written: una + unacked.len() as u64,
             capacity: capacity.max(unacked.len()),
             fin_queued,
         }
@@ -60,23 +60,23 @@ impl SendBuffer {
 
     /// The lowest unacknowledged stream offset.
     pub fn una(&self) -> u64 {
-        self.una
+        self.data.low()
     }
 
     /// The application's write position (total bytes ever written). This
     /// is the paper's `LastAppByteWritten`.
     pub fn written(&self) -> u64 {
-        self.written
+        self.data.end()
     }
 
     /// Bytes currently buffered (written but not yet acked).
     pub fn buffered(&self) -> usize {
-        self.data.len()
+        (self.written() - self.una()) as usize
     }
 
     /// Free space for application writes.
     pub fn free_space(&self) -> usize {
-        self.capacity - self.data.len()
+        self.capacity - self.buffered()
     }
 
     /// True once the application has closed its sending side.
@@ -87,19 +87,36 @@ impl SendBuffer {
     /// The stream offset the FIN occupies (one past the last data byte),
     /// if the sending side has been closed.
     pub fn fin_offset(&self) -> Option<u64> {
-        self.fin_queued.then_some(self.written)
+        self.fin_queued.then_some(self.written())
     }
 
-    /// Appends application data, limited by free space. Returns the number
+    /// Appends application data, limited by free space: the accepted
+    /// prefix is copied once into a chunk of its own. Returns the number
     /// of bytes accepted (0 after the sending side is closed).
     pub fn write(&mut self, buf: &[u8]) -> usize {
+        let n = self.accepts(buf.len());
+        if n > 0 {
+            self.data.push(Bytes::copy_from_slice(&buf[..n]));
+        }
+        n
+    }
+
+    /// Appends application data the caller already holds as [`Bytes`],
+    /// limited by free space: the accepted prefix is shared, not copied.
+    /// Returns the number of bytes accepted (0 after the sending side is
+    /// closed).
+    pub fn write_bytes(&mut self, buf: &Bytes) -> usize {
+        let n = self.accepts(buf.len());
+        self.data.push(buf.slice(..n));
+        n
+    }
+
+    /// How many of `len` offered bytes a write may take.
+    fn accepts(&self, len: usize) -> usize {
         if self.fin_queued {
             return 0;
         }
-        let n = buf.len().min(self.free_space());
-        self.data.extend(&buf[..n]);
-        self.written += n as u64;
-        n
+        len.min(self.free_space())
     }
 
     /// Closes the sending side: no further writes are accepted and a FIN
@@ -111,11 +128,14 @@ impl SendBuffer {
     /// Bytes available at or beyond `from` (i.e. not yet transmitted when
     /// `from` is the send cursor).
     pub fn available_from(&self, from: u64) -> usize {
-        debug_assert!(from >= self.una && from <= self.written);
-        (self.written - from) as usize
+        debug_assert!(from >= self.una() && from <= self.written());
+        (self.written() - from) as usize
     }
 
-    /// Copies up to `max` bytes starting at stream offset `off`.
+    /// Up to `max` bytes starting at stream offset `off`: a shared view of
+    /// the written chunk when the range lies inside one, a gathered copy
+    /// when it straddles chunks. The length is exactly
+    /// `min(max, written - off)` either way.
     ///
     /// Used for both first transmission and retransmission; returns an
     /// empty value when `off` is at or past the write position.
@@ -125,34 +145,27 @@ impl SendBuffer {
     /// Panics if `off` is below `una` (those bytes have been acked and
     /// discarded — asking for them is a connection-layer bug).
     pub fn slice(&self, off: u64, max: usize) -> Bytes {
-        assert!(off >= self.una, "offset {off} below una {}", self.una);
-        if off >= self.written {
+        assert!(off >= self.una(), "offset {off} below una {}", self.una());
+        if off >= self.written() {
             return Bytes::new();
         }
-        let start = (off - self.una) as usize;
-        let len = ((self.written - off) as usize).min(max);
-        let mut v = Vec::with_capacity(len);
-        for i in start..start + len {
-            v.push(self.data[i]);
-        }
-        Bytes::from(v)
+        let len = ((self.written() - off) as usize).min(max);
+        self.data.view(off, len)
     }
 
     /// Acknowledges everything below stream offset `upto`, discarding it.
     /// Returns the number of newly acknowledged bytes. Offsets at or below
     /// the current `una`, or beyond `written`, are clamped.
     pub fn ack_to(&mut self, upto: u64) -> u64 {
-        let upto = upto.clamp(self.una, self.written);
-        let n = upto - self.una;
-        self.data.drain(..n as usize);
-        self.una = upto;
-        n
+        let una = self.una();
+        self.data.discard_below(upto);
+        self.una() - una
     }
 
     /// True when every written byte has been acknowledged (FIN sequencing
     /// is tracked by the connection, not here).
     pub fn all_acked(&self) -> bool {
-        self.una == self.written
+        self.una() == self.written()
     }
 }
 
@@ -280,5 +293,230 @@ mod tests {
         }
         assert_eq!(b.una(), total);
         assert!(b.all_acked());
+    }
+
+    #[test]
+    fn slice_inside_one_written_chunk_points_into_that_chunk() {
+        // The copy budget's send-side hop: of the 45 segments a 64 KiB
+        // write becomes, only one that straddles two writes may copy.
+        let app = Bytes::from(vec![0x5Au8; 64 * 1024]);
+        let mut b = SendBuffer::new(256 * 1024);
+        assert_eq!(b.write_bytes(&app), app.len());
+        assert_eq!(b.write_bytes(&app), app.len());
+        let seg = b.slice(1460 * 3, 1460);
+        assert_eq!(seg.as_ptr(), app[1460 * 3..].as_ptr(), "shared, not copied");
+        let _ = b.ack_to(1460 * 2 + 7);
+        let seg = b.slice(1460 * 3, 1460);
+        assert_eq!(
+            seg.as_ptr(),
+            app[1460 * 3..].as_ptr(),
+            "ack re-slices in place"
+        );
+        // The one straddling segment is gathered.
+        let off = 64 * 1024 - 100;
+        let seg = b.slice(off, 1460);
+        assert_eq!(seg.len(), 1460);
+        assert_ne!(seg.as_ptr(), app[off as usize..].as_ptr());
+        // `write` copies once into a chunk and then shares the same way.
+        let mut b = SendBuffer::new(1 << 16);
+        let _ = b.write(&[1u8; 4000]);
+        assert_eq!(
+            b.slice(0, 4000).as_ptr().wrapping_add(1460),
+            b.slice(1460, 1460).as_ptr()
+        );
+    }
+
+    /// The `VecDeque<u8>` ring this buffer replaced, kept verbatim as the
+    /// differential oracle for the chunked implementation.
+    mod model {
+        use std::collections::VecDeque;
+
+        pub struct RingSendBuffer {
+            data: VecDeque<u8>,
+            pub una: u64,
+            pub written: u64,
+            capacity: usize,
+            pub fin_queued: bool,
+        }
+
+        impl RingSendBuffer {
+            pub fn new(capacity: usize) -> Self {
+                RingSendBuffer {
+                    data: VecDeque::new(),
+                    una: 0,
+                    written: 0,
+                    capacity,
+                    fin_queued: false,
+                }
+            }
+
+            pub fn resume(capacity: usize, una: u64, unacked: &[u8], fin_queued: bool) -> Self {
+                RingSendBuffer {
+                    data: unacked.iter().copied().collect(),
+                    una,
+                    written: una + unacked.len() as u64,
+                    capacity: capacity.max(unacked.len()),
+                    fin_queued,
+                }
+            }
+
+            pub fn buffered(&self) -> usize {
+                self.data.len()
+            }
+
+            pub fn free_space(&self) -> usize {
+                self.capacity - self.data.len()
+            }
+
+            pub fn write(&mut self, buf: &[u8]) -> usize {
+                if self.fin_queued {
+                    return 0;
+                }
+                let n = buf.len().min(self.free_space());
+                self.data.extend(&buf[..n]);
+                self.written += n as u64;
+                n
+            }
+
+            pub fn slice(&self, off: u64, max: usize) -> Vec<u8> {
+                assert!(off >= self.una);
+                if off >= self.written {
+                    return Vec::new();
+                }
+                let start = (off - self.una) as usize;
+                let len = ((self.written - off) as usize).min(max);
+                (start..start + len).map(|i| self.data[i]).collect()
+            }
+
+            pub fn ack_to(&mut self, upto: u64) -> u64 {
+                let upto = upto.clamp(self.una, self.written);
+                let n = upto - self.una;
+                self.data.drain(..n as usize);
+                self.una = upto;
+                n
+            }
+        }
+    }
+
+    use proptest::prelude::*;
+
+    #[derive(Debug, Clone)]
+    enum Op {
+        /// Write `len` bytes, as a slice or as shared `Bytes`.
+        Write {
+            len: usize,
+            shared: bool,
+        },
+        /// `slice(una + at·buffered/255, max)` (so `at` reaches past
+        /// `written` only at 255 with an extra `+1`).
+        Slice {
+            at: u8,
+            max: usize,
+        },
+        /// `ack_to` a point chosen relative to `[una, written]`:
+        /// below `una`, inside, exactly `written`, or beyond it.
+        Ack {
+            at: u8,
+        },
+        QueueFin,
+        /// Snapshot the unacked region and rebuild both buffers from it.
+        Resume {
+            capacity: usize,
+        },
+    }
+
+    fn op_strategy() -> impl Strategy<Value = Op> {
+        prop_oneof![
+            (
+                prop_oneof![0usize..=70_000, 0usize..=3_000, Just(0usize)],
+                any::<bool>()
+            )
+                .prop_map(|(len, shared)| Op::Write { len, shared }),
+            (
+                prop_oneof![0usize..=70_000, 0usize..=3_000, Just(0usize)],
+                any::<bool>()
+            )
+                .prop_map(|(len, shared)| Op::Write { len, shared }),
+            (any::<u8>(), prop_oneof![Just(1460usize), 0usize..=70_000])
+                .prop_map(|(at, max)| Op::Slice { at, max }),
+            (any::<u8>(), prop_oneof![Just(1460usize), 0usize..=70_000])
+                .prop_map(|(at, max)| Op::Slice { at, max }),
+            any::<u8>().prop_map(|at| Op::Ack { at }),
+            any::<u8>().prop_map(|at| Op::Ack { at }),
+            Just(Op::QueueFin),
+            prop_oneof![Just(2usize), Just(100_000usize)]
+                .prop_map(|capacity| Op::Resume { capacity }),
+        ]
+    }
+
+    /// A position-dependent byte, so a chunk served from the wrong offset
+    /// cannot compare equal by accident.
+    fn stream_byte(p: u64) -> u8 {
+        (p.wrapping_mul(31) ^ (p >> 8)) as u8
+    }
+
+    proptest! {
+        /// Differential test: the chunked buffer and the byte ring it
+        /// replaced, driven by the same op stream, agree on every return
+        /// value, every accessor and the buffered bytes after every step.
+        #[test]
+        fn chunked_buffer_matches_the_byte_ring(
+            capacity in prop_oneof![Just(8usize), Just(5_000usize), Just(256 * 1024usize)],
+            ops in proptest::collection::vec(op_strategy(), 0..40),
+        ) {
+            let mut new = SendBuffer::new(capacity);
+            let mut old = model::RingSendBuffer::new(capacity);
+            for op in ops {
+                match op {
+                    Op::Write { len, shared } => {
+                        let data: Vec<u8> =
+                            (0..len as u64).map(|i| stream_byte(old.written + i)).collect();
+                        let want = old.write(&data);
+                        let got = if shared {
+                            new.write_bytes(&Bytes::from(data))
+                        } else {
+                            new.write(&data)
+                        };
+                        prop_assert_eq!(got, want);
+                    }
+                    Op::Slice { at, max } => {
+                        let span = old.written - old.una;
+                        let off = old.una + span * at as u64 / 255 + (at == 255) as u64;
+                        let (got, want) = (new.slice(off, max), old.slice(off, max));
+                        prop_assert_eq!(got.as_ref(), &want[..]);
+                    }
+                    Op::Ack { at } => {
+                        let span = old.written - old.una;
+                        let upto = match at {
+                            0..=19 => old.una.saturating_sub(at as u64), // duplicate / old
+                            20..=219 => old.una + span * (at as u64 - 20) / 199,
+                            220..=239 => old.written,
+                            _ => old.written + at as u64, // beyond written
+                        };
+                        prop_assert_eq!(new.ack_to(upto), old.ack_to(upto));
+                    }
+                    Op::QueueFin => {
+                        new.queue_fin();
+                        old.fin_queued = true;
+                    }
+                    Op::Resume { capacity } => {
+                        let unacked = old.slice(old.una, old.buffered());
+                        let got = new.slice(new.una(), new.buffered());
+                        prop_assert_eq!(got.as_ref(), &unacked[..]);
+                        new = SendBuffer::resume(capacity, old.una, &unacked, old.fin_queued);
+                        old = model::RingSendBuffer::resume(capacity, old.una, &unacked, old.fin_queued);
+                    }
+                }
+                prop_assert_eq!(new.una(), old.una);
+                prop_assert_eq!(new.written(), old.written);
+                prop_assert_eq!(new.buffered(), old.buffered());
+                prop_assert_eq!(new.free_space(), old.free_space());
+                prop_assert_eq!(new.fin_queued(), old.fin_queued);
+                prop_assert_eq!(new.fin_offset(), old.fin_queued.then_some(old.written));
+                prop_assert_eq!(new.all_acked(), old.una == old.written);
+                let (got, want) = (new.slice(new.una(), usize::MAX), old.slice(old.una, usize::MAX));
+                prop_assert_eq!(got.as_ref(), &want[..]);
+            }
+        }
     }
 }

@@ -120,7 +120,7 @@ proptest! {
         // changes the declared header length and is rejected or re-framed
         // before the checksum. Either way, decoding must not return the
         // original segment unchanged.
-        if let Ok(decoded) = TcpSegment::decode(&wire, src, dst) {
+        if let Ok(decoded) = TcpSegment::decode(&Bytes::from(wire), src, dst) {
             prop_assert_ne!(decoded, seg);
         }
     }
@@ -133,7 +133,7 @@ proptest! {
         src in arb_ip(),
         dst in arb_ip(),
     ) {
-        let _ = TcpSegment::decode(&wire, src, dst);
+        let _ = TcpSegment::decode(&Bytes::from(wire), src, dst);
     }
 
     /// Any truncation of a valid segment is rejected (or at minimum
@@ -147,7 +147,7 @@ proptest! {
     ) {
         let wire = seg.encode(src, dst);
         let cut = cut.min(wire.len());
-        if let Ok(decoded) = TcpSegment::decode(&wire[..wire.len() - cut], src, dst) {
+        if let Ok(decoded) = TcpSegment::decode(&wire.slice(..wire.len() - cut), src, dst) {
             prop_assert_ne!(decoded, seg);
         }
     }

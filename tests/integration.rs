@@ -569,4 +569,24 @@ fn profiler_attributes_tick_scheduler_buckets() {
             c
         );
     }
+
+    // Server-only: with the client host's dispatches charged elsewhere,
+    // what is left in `app` beyond the client's own verify scopes (one
+    // per read it logged) are the replica applications' callbacks on the
+    // two servers — accept, request, and a tick per 4 KiB on each. Were
+    // they charged to the scope that happens to be open instead, `sttcp`
+    // and `tcp` would hide the workload generator's cost.
+    let mut s = ScenarioBuilder::new(stream_app(4096, false), download(256 * 1024))
+        .seed(5)
+        .build();
+    s.world.set_node_component(s.client, Component::Other);
+    s.world.set_profiling(true);
+    s.world.run_until(t(20_000));
+    assert!(s.client_finished(), "profiled download did not finish");
+    let client_reads = s.client_log().progress.len() as u64;
+    let server_app_scopes = s.world.profiler().stats(Component::App).scopes - client_reads;
+    assert!(
+        server_app_scopes >= 2 * 64,
+        "server application callbacks recorded only {server_app_scopes} app scopes"
+    );
 }
