@@ -21,7 +21,8 @@
 //! A fourth, opt-in measurement (`--scale`) ramps thousands of
 //! simulated clients against one delta-heartbeat pair with sharded
 //! serial links and records conns/sec, heartbeat bytes/conn and
-//! bytes/round, and the failover stall at each connection count into a
+//! bytes/round, the failover stall, and the process's resident memory
+//! (`VmHWM`, total and per connection) at each connection count into a
 //! `scale` report section.
 //!
 //! Options:
@@ -34,12 +35,12 @@
 //!   sweeps and writes nothing.
 //! * `--scale`                        also run the client-ramp scale bench and
 //!   record the `scale` section (budget-gated: exits 1 if HB bytes/conn
-//!   exceeds the budget or failover stalls unbounded)
+//!   exceeds the budget, failover stalls unbounded, or a point of 10 000+
+//!   connections is resident above 16 KiB per connection)
 //! * `--scale-conns LIST`             comma-separated connection counts for
 //!   `--scale` (default `100,1000,10000,100000`)
 //! * `--scale-smoke N`                CI smoke: run ONLY the `N`-connection
-//!   ramp point, assert the budget and bounded failover stall, write
-//!   nothing
+//!   ramp point, assert the same budgets, write nothing
 //! * `--download-bytes N`             steady-state download size (default 4 MiB)
 //! * `--chaos-seeds N`                seeds per chaos sweep (default 64)
 //! * `--threads N`                    worker threads for the parallel sweep
@@ -63,6 +64,9 @@ use sttcp_apps::chaos::ChaosOptions;
 use sttcp_apps::client::ClientWorkload;
 use sttcp_apps::pool::PoolScenarioBuilder;
 use sttcp_apps::scenario::{Scenario, ScenarioBuilder};
+use sttcp_bench::experiments::{
+    scale_ramp_end, scale_scenario, SCALE_HB_BATCH, SCALE_SERIAL_LINKS,
+};
 use sttcp_bench::hunt::{run_sweep, SweepConfig};
 use sttcp_bench::parallel::default_threads;
 
@@ -306,10 +310,6 @@ fn chaos_rate(seeds: u64, threads: usize) -> ChaosRate {
 const SCALE_BUDGET_BYTES_PER_CONN: f64 = 8.0;
 /// Upper bound on the post-crash takeover stall at any ramp size.
 const SCALE_MAX_STALL_US: u64 = 5_000_000;
-/// Records per batched heartbeat part at scale: rounds touching more
-/// connections than this split into multi-part v3 envelopes, so a
-/// resync burst never serializes one giant frame.
-const SCALE_HB_BATCH: usize = 1_024;
 /// Connection-establishment floor at the 10k ramp point, wall-clock
 /// conns/sec. Set at about half the rate measured once the last
 /// every-connection walks left the 50 ms check tick (~19 000/s, 17-21k
@@ -319,6 +319,21 @@ const SCALE_HB_BATCH: usize = 1_024;
 /// notice. The host-independent form of this gate is the visit-counter
 /// test in `tests/extensions.rs`.
 const SCALE_MIN_CONNS_PER_SEC_10K: f64 = 10_000.0;
+/// Resident memory per connection (each with its client host) allowed
+/// from 10 000 connections up; below that the process's fixed footprint
+/// dominates the quotient. Measured 10.5 KiB; it was 27 KiB while every
+/// host reserved a full flight ring and six timer-wheel levels. The
+/// host-independent form of this gate is the live-heap slope test in
+/// `tests/extensions.rs`.
+const SCALE_MAX_RSS_KIB_PER_CONN: f64 = 16.0;
+
+/// The process's resident-set high-water mark (`VmHWM`) in KiB, where
+/// the platform reports one.
+fn peak_rss_kib() -> Option<u64> {
+    let status = std::fs::read_to_string("/proc/self/status").ok()?;
+    let line = status.lines().find(|l| l.starts_with("VmHWM:"))?;
+    line.split_whitespace().nth(1)?.parse().ok()
+}
 
 struct ScalePoint {
     conns: u64,
@@ -334,6 +349,17 @@ struct ScalePoint {
     visits_per_check: f64,
     /// 32-bit `conn_key` collisions seen by either server.
     conn_key_collisions: u64,
+    /// The process's resident high-water mark after this point, if the
+    /// point set it: `None` when the mark did not move (an earlier,
+    /// larger point owns it) or the platform has no `VmHWM`.
+    peak_rss_kib: Option<u64>,
+}
+
+impl ScalePoint {
+    fn rss_kib_per_conn(&self) -> Option<f64> {
+        self.peak_rss_kib
+            .map(|kib| kib as f64 / self.live_conns.max(1) as f64)
+    }
 }
 
 /// Sums one [`ServerMetrics`] counter over both servers of the pair.
@@ -351,36 +377,12 @@ fn both_servers(s: &Scenario, counter: impl Fn(&ServerMetrics) -> u64) -> u64 {
 /// every counter is acknowledged, and the takeover stall after a
 /// primary crash.
 fn scale_point(total_conns: u64) -> ScalePoint {
-    assert!(total_conns >= 1);
-    let extra = total_conns - 1;
-    let workloads: Vec<ClientWorkload> = (0..extra)
-        .map(|i| {
-            if i % 500 == 0 {
-                ClientWorkload::Download { total: 64 * 1024 }
-            } else {
-                ClientWorkload::Idle
-            }
-        })
-        .collect();
-    let cfg = StTcpConfig {
-        hb_delta: true,
-        hb_batch: SCALE_HB_BATCH,
-        ..Default::default()
-    };
-    let check_period = cfg.check_period;
-    let mut s = ScenarioBuilder::new(
-        Rc::new(|| Box::new(StreamApp::new(4096, false)) as _),
-        ClientWorkload::Download { total: 256 * 1024 },
-    )
-    .extra_clients(workloads)
-    .seed(7)
-    .sttcp(cfg)
-    .serial_links(4)
-    .build();
+    let check_period = StTcpConfig::default().check_period;
+    let rss_before = peak_rss_kib();
+    let mut s = scale_scenario(total_conns, 7);
 
-    // Ramp: clients connect 1 ms apart starting at t = 100 ms; give the
-    // tail some settling room before calling the ramp done.
-    let ramp_end = SimTime::from_millis(100 + extra + 500);
+    // Ramp: every client connected, plus settling room for the tail.
+    let ramp_end = scale_ramp_end(total_conns);
     let started = Instant::now();
     s.world.run_until(ramp_end);
     let ramp_wall = started.elapsed();
@@ -425,6 +427,7 @@ fn scale_point(total_conns: u64) -> ScalePoint {
         failover_stall_us: stall.as_micros(),
         visits_per_check,
         conn_key_collisions,
+        peak_rss_kib: peak_rss_kib().filter(|&after| Some(after) > rss_before),
     }
 }
 
@@ -436,12 +439,14 @@ fn run_scale(counts: &[u64]) -> (Json, bool) {
     let mut ok = true;
     println!("bench_suite: scale ramp (batched delta heartbeats, 4 serial links)...");
     println!(
-        "  conns     live  conns/s   HB B/round  HB B/conn  stall_ms  visits/check  key-collisions"
+        "  conns     live  conns/s   HB B/round  HB B/conn  stall_ms  visits/check  key-collisions  \
+         RSS MB  KiB/conn"
     );
+    let or_dash = |x: Option<f64>| x.map_or("-".to_string(), |x| format!("{x:.1}"));
     for &n in counts {
         let p = scale_point(n);
         println!(
-            "  {:>7} {:>7}  {:>8.0}  {:>10.1}  {:>9.3}  {:>8.1}  {:>12.1}  {:>14}",
+            "  {:>7} {:>7}  {:>8.0}  {:>10.1}  {:>9.3}  {:>8.1}  {:>12.1}  {:>14}  {:>6}  {:>8}",
             p.conns,
             p.live_conns,
             p.conns_per_sec,
@@ -450,6 +455,8 @@ fn run_scale(counts: &[u64]) -> (Json, bool) {
             p.failover_stall_us as f64 / 1e3,
             p.visits_per_check,
             p.conn_key_collisions,
+            or_dash(p.peak_rss_kib.map(|kib| kib as f64 / 1024.0)),
+            or_dash(p.rss_kib_per_conn()),
         );
         if p.hb_bytes_per_conn >= SCALE_BUDGET_BYTES_PER_CONN {
             eprintln!(
@@ -474,6 +481,15 @@ fn run_scale(counts: &[u64]) -> (Json, bool) {
             );
             ok = false;
         }
+        let over = |per_conn: &f64| p.conns >= 10_000 && *per_conn > SCALE_MAX_RSS_KIB_PER_CONN;
+        if let Some(per_conn) = p.rss_kib_per_conn().filter(over) {
+            eprintln!(
+                "SCALE FOOTPRINT EXCEEDED: {per_conn:.1} KiB resident per conn at {} conns \
+                 (bound {SCALE_MAX_RSS_KIB_PER_CONN})",
+                p.conns
+            );
+            ok = false;
+        }
         points.push(p);
     }
     let mut section = Json::obj();
@@ -482,11 +498,15 @@ fn run_scale(counts: &[u64]) -> (Json, bool) {
         Json::F64(SCALE_BUDGET_BYTES_PER_CONN),
     );
     section.set("max_stall_us", Json::U64(SCALE_MAX_STALL_US));
-    section.set("serial_links", Json::U64(4));
+    section.set("serial_links", Json::U64(SCALE_SERIAL_LINKS as u64));
     section.set("hb_batch", Json::U64(SCALE_HB_BATCH as u64));
     section.set(
         "min_conns_per_sec_10k",
         Json::F64(SCALE_MIN_CONNS_PER_SEC_10K),
+    );
+    section.set(
+        "max_rss_kib_per_conn",
+        Json::F64(SCALE_MAX_RSS_KIB_PER_CONN),
     );
     section.set(
         "points",
@@ -504,6 +524,12 @@ fn run_scale(counts: &[u64]) -> (Json, bool) {
                     o.set("failover_stall_us", Json::U64(p.failover_stall_us));
                     o.set("visits_per_check", Json::F64(p.visits_per_check));
                     o.set("conn_key_collisions", Json::U64(p.conn_key_collisions));
+                    if let Some(kib) = p.peak_rss_kib {
+                        o.set("peak_rss_mb", Json::F64(kib as f64 / 1024.0));
+                    }
+                    if let Some(per_conn) = p.rss_kib_per_conn() {
+                        o.set("rss_kib_per_conn", Json::F64(per_conn));
+                    }
                     o
                 })
                 .collect(),

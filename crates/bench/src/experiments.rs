@@ -51,6 +51,47 @@ fn chat_workload() -> ClientWorkload {
     }
 }
 
+/// Records per batched heartbeat part in the scale mix: rounds touching
+/// more connections than this split into multi-part v3 envelopes, so a
+/// resync burst never serializes one giant frame.
+pub const SCALE_HB_BATCH: usize = 1_024;
+/// Serial heartbeat links in the scale mix (`conn_key % 4` sharding).
+pub const SCALE_SERIAL_LINKS: usize = 4;
+
+/// The published scale mix (`bench_suite --scale`, the repo benchmark's
+/// `conn_ramp`): `total_conns` clients, each on its own host, connecting
+/// 1 ms apart from t = 100 ms — one 256 KiB download, then one 64 KiB
+/// download per 500, everyone else idle — against a delta-heartbeat pair
+/// with batched envelopes and sharded serial links.
+pub fn scale_scenario(total_conns: u64, seed: u64) -> Scenario {
+    assert!(total_conns >= 1);
+    let rest = (0..total_conns - 1)
+        .map(|i| match i % 500 {
+            0 => ClientWorkload::Download { total: 64 * 1024 },
+            _ => ClientWorkload::Idle,
+        })
+        .collect();
+    ScenarioBuilder::new(
+        stream_app(4096),
+        ClientWorkload::Download { total: 256 * 1024 },
+    )
+    .extra_clients(rest)
+    .seed(seed)
+    .sttcp(StTcpConfig {
+        hb_delta: true,
+        hb_batch: SCALE_HB_BATCH,
+        ..Default::default()
+    })
+    .serial_links(SCALE_SERIAL_LINKS)
+    .build()
+}
+
+/// When the last client of a [`scale_scenario`] has connected and the
+/// tail has had 500 ms to settle.
+pub fn scale_ramp_end(total_conns: u64) -> SimTime {
+    t(100 + (total_conns - 1) + 500)
+}
+
 fn fast_cfg(hb_ms: u64) -> StTcpConfig {
     StTcpConfig {
         app_max_lag_time: SimDuration::from_secs(1),

@@ -1,9 +1,11 @@
 //! The always-on flight recorder: causally-linked spans over the
 //! datapath.
 //!
-//! Every host owns a fixed-capacity [`Ring`](crate::ring::Ring) of
-//! [`FlightEvent`]s, recorded from inside node dispatch with zero
-//! allocation (events are `Copy`, the rings are reserved up front).
+//! Every host owns a bounded [`Ring`](crate::ring::Ring) of
+//! [`FlightEvent`]s, recorded from inside node dispatch (events are
+//! `Copy`; a ring starts empty, grows by doubling to its bound and
+//! allocates nothing once it holds it — a host that records twenty
+//! events in its life pays for twenty, not for the bound).
 //! When a run ends in an invariant violation, the harness snapshots the
 //! rings — the last N ms of segment, heartbeat, fence, fault, and
 //! verdict activity, causally linked by span id — and the `obs` crate
@@ -383,8 +385,8 @@ impl FlightKind {
     }
 }
 
-/// One recorded event. `Copy`, so recording is a struct store into a
-/// pre-reserved ring — no allocation.
+/// One recorded event. `Copy`, so recording is a struct store into
+/// the host's ring — no allocation once the ring holds its bound.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct FlightEvent {
     /// Global record sequence number: the total order across all hosts.
@@ -400,6 +402,11 @@ pub struct FlightEvent {
     /// What happened.
     pub kind: FlightKind,
 }
+
+// A full ring is `capacity × size_of::<FlightEvent>()` per busy host
+// (64 KiB at the default 1024): a new `FlightKind` field that pushes the
+// event past 64 bytes would double that silently.
+const _: () = assert!(std::mem::size_of::<FlightEvent>() <= 64);
 
 /// A captured flight-recorder snapshot, ready for a renderer: the
 /// causally-linked events plus the host names their `node` ids index
@@ -422,7 +429,8 @@ pub struct FlightSnapshot {
 ///
 /// Ring 0 belongs to the world (fault injections); ring `i + 1` to
 /// node `i`. All rings share one capacity so the recorder's memory is
-/// `O(hosts × capacity)` regardless of run length.
+/// at most `O(hosts × capacity)` regardless of run length (and follows
+/// what each host actually recorded below that).
 #[derive(Debug, Clone)]
 pub struct FlightRecorder {
     rings: Vec<Ring<FlightEvent>>,
@@ -466,8 +474,9 @@ impl FlightRecorder {
         self.capacity
     }
 
-    /// Records one event. Zero-allocation: a sequence-number bump and a
-    /// `Copy` store into the owner's pre-reserved ring.
+    /// Records one event: a sequence-number bump and a `Copy` store
+    /// into the owner's ring (which allocates only while still growing
+    /// toward its bound).
     pub fn record(
         &mut self,
         node: Option<NodeId>,

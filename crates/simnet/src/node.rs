@@ -154,8 +154,8 @@ impl NodeCtx<'_> {
     }
 
     /// Records a causal event in this node's flight-recorder ring.
-    /// Zero-allocation: the event is `Copy` and the ring is
-    /// pre-reserved, so this is safe on the hottest datapath.
+    /// The event is `Copy` and a ring allocates only while growing to
+    /// its bound, so this is safe on the hottest datapath.
     pub fn flight(&mut self, span: SpanId, parent: SpanId, kind: FlightKind) {
         self.flight
             .record(Some(self.node), self.now, span, parent, kind);

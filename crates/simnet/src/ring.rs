@@ -3,11 +3,13 @@
 //! Both the human-readable trace ([`crate::trace::Trace`]) and the
 //! flight recorder ([`crate::flight::FlightRecorder`]) need the same
 //! thing: an append-only log that, once a capacity is set, keeps the
-//! *newest* records, counts what it evicted, and never reallocates on
-//! the hot path. [`Ring`] is that abstraction — storage is reserved up
-//! front when a capacity is set, and a push at capacity pops the oldest
-//! record before appending, so a bounded ring's backing buffer never
-//! grows after construction.
+//! *newest* records and counts what it evicted. [`Ring`] is that
+//! abstraction — a ring starts with no storage and grows (by doubling)
+//! with what it actually holds; a push at capacity pops the oldest
+//! record before appending, so a bounded ring's backing buffer stops
+//! growing once it holds its bound and a full ring's push never
+//! allocates. A world of mostly idle hosts therefore pays for the
+//! events recorded, not for `hosts × bound`.
 
 use std::collections::VecDeque;
 
@@ -38,19 +40,18 @@ impl<T> Ring<T> {
         }
     }
 
-    /// Creates an empty ring bounded to `capacity` items, with the
-    /// backing storage reserved up front so pushes never reallocate.
+    /// Creates an empty ring bounded to `capacity` items. Nothing is
+    /// reserved: storage grows with the contents, up to the bound.
     pub fn bounded(capacity: usize) -> Ring<T> {
         Ring {
-            items: VecDeque::with_capacity(capacity),
             capacity: Some(capacity),
-            dropped: 0,
+            ..Ring::new()
         }
     }
 
     /// Bounds (or unbounds, with `None`) the ring; excess oldest items
-    /// are evicted immediately and the backing storage is reserved so
-    /// subsequent pushes stay allocation-free.
+    /// are evicted immediately and storage beyond the new bound is
+    /// released.
     pub fn set_capacity(&mut self, capacity: Option<usize>) {
         self.capacity = capacity;
         if let Some(cap) = capacity {
@@ -58,7 +59,7 @@ impl<T> Ring<T> {
                 self.items.pop_front();
                 self.dropped += 1;
             }
-            self.items.reserve(cap - self.items.len());
+            self.items.shrink_to(cap);
         }
     }
 
@@ -73,7 +74,7 @@ impl<T> Ring<T> {
     }
 
     /// Appends an item, evicting the oldest first when at capacity.
-    /// A bounded ring performs no allocation here.
+    /// A ring holding its bound performs no allocation here.
     pub fn push(&mut self, item: T) {
         match self.capacity {
             Some(0) => self.dropped += 1,
@@ -136,14 +137,47 @@ mod tests {
     }
 
     #[test]
+    fn empty_bounded_ring_holds_no_storage() {
+        let r: Ring<u64> = Ring::bounded(1024);
+        assert_eq!(r.items.capacity(), 0);
+        let mut r: Ring<u64> = Ring::new();
+        r.set_capacity(Some(1024));
+        assert_eq!(r.items.capacity(), 0, "set_capacity reserved");
+    }
+
+    #[test]
     fn bounded_ring_never_grows_its_buffer() {
-        let mut r = Ring::bounded(8);
-        let before = r.items.capacity();
-        for i in 0..1000u32 {
+        // Past its bound, that is: storage follows the contents up to the
+        // bound (rounded up by the deque's doubling) and stops there.
+        for bound in [8usize, 100, 1024] {
+            let mut r = Ring::bounded(bound);
+            for i in 0..10 * bound {
+                r.push(i);
+                assert!(
+                    r.items.capacity() <= bound.next_power_of_two(),
+                    "bound {bound}: storage for {} items after {i} pushes",
+                    r.items.capacity()
+                );
+            }
+            let full = r.items.capacity();
+            r.push(0);
+            assert_eq!(r.items.capacity(), full, "push reallocated at capacity");
+            assert_eq!(r.len(), bound);
+            assert_eq!(r.dropped(), 9 * bound as u64 + 1);
+        }
+    }
+
+    #[test]
+    fn lowering_the_bound_releases_the_old_buffer() {
+        let mut r = Ring::bounded(1024);
+        for i in 0..1024u32 {
             r.push(i);
         }
-        assert_eq!(r.items.capacity(), before, "push reallocated at capacity");
-        assert_eq!(r.len(), 8);
+        r.set_capacity(Some(64));
+        assert!(r.items.capacity() <= 64, "kept {}", r.items.capacity());
+        assert_eq!(r.dropped(), 960);
+        assert_eq!(r.iter().copied().next(), Some(960));
+        assert_eq!(r.len(), 64);
     }
 
     #[test]

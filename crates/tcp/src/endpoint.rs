@@ -258,15 +258,48 @@ struct ConnEntry {
     wheel_at: Option<SimTime>,
 }
 
+/// The socket table. Ids are handed out densely from zero, never
+/// reused, and a socket is never removed (a closed connection only
+/// releases its four-tuple), so the id *is* the index: lookup is one
+/// bounds check, and iteration order is `SocketId` order. Each entry is
+/// its own allocation, so the table grows by moving pointers and an
+/// endpoint with one socket pays for one (a `Vec` of inline 688-byte
+/// entries starts at four).
+#[derive(Debug, Default)]
+#[allow(clippy::vec_box)]
+struct SockTable(Vec<Box<ConnEntry>>);
+
+impl SockTable {
+    fn get(&self, id: SocketId) -> Option<&ConnEntry> {
+        let i = usize::try_from(id.0).ok()?;
+        self.0.get(i).map(Box::as_ref)
+    }
+
+    fn get_mut(&mut self, id: SocketId) -> Option<&mut ConnEntry> {
+        let i = usize::try_from(id.0).ok()?;
+        self.0.get_mut(i).map(Box::as_mut)
+    }
+
+    /// Adds a socket under the next id.
+    fn push(&mut self, entry: ConnEntry) -> SocketId {
+        self.0.push(Box::new(entry));
+        SocketId(self.0.len() as u64 - 1)
+    }
+
+    /// Every socket, in `SocketId` order.
+    fn iter(&self) -> impl Iterator<Item = (SocketId, &ConnEntry)> {
+        (0u64..).map(SocketId).zip(self.0.iter().map(Box::as_ref))
+    }
+}
+
 /// A host's TCP stack. See the [module docs](self).
 #[derive(Debug)]
 pub struct TcpEndpoint {
     cfg: EndpointConfig,
     rng: SimRng,
     listeners: BTreeMap<u16, ListenConfig>,
-    socks: BTreeMap<SocketId, ConnEntry>,
+    socks: SockTable,
     by_tuple: BTreeMap<FourTuple, SocketId>,
-    next_id: u64,
     events: VecDeque<(SocketId, SocketEvent)>,
     raw_out: VecDeque<(FourTuple, TcpSegment)>,
     dirty: DirtyLists,
@@ -293,9 +326,8 @@ impl TcpEndpoint {
             cfg,
             rng,
             listeners: BTreeMap::new(),
-            socks: BTreeMap::new(),
+            socks: SockTable::default(),
             by_tuple: BTreeMap::new(),
-            next_id: 0,
             events: VecDeque::new(),
             raw_out: VecDeque::new(),
             dirty: DirtyLists::default(),
@@ -308,7 +340,7 @@ impl TcpEndpoint {
     /// (drained by the ST-TCP server's delta-heartbeat builder), poll,
     /// deadline, and (if tracked) totals.
     fn touch(&mut self, id: SocketId) {
-        if let Some(e) = self.socks.get_mut(&id) {
+        if let Some(e) = self.socks.get_mut(id) {
             self.dirty.mark(e, id, TOUCHED | POLL | DEADLINE | TOTALS);
         }
     }
@@ -319,7 +351,7 @@ impl TcpEndpoint {
     /// mutation — at the next timer query — not at touch time.
     fn sync_deadlines(&mut self) {
         for id in std::mem::take(&mut self.dirty.deadline) {
-            let Some(e) = self.socks.get_mut(&id) else {
+            let Some(e) = self.socks.get_mut(id) else {
                 continue;
             };
             e.dirty &= !DEADLINE;
@@ -338,7 +370,7 @@ impl TcpEndpoint {
     /// Order is first-touch order; each socket appears at most once.
     pub fn drain_touched(&mut self) -> Vec<SocketId> {
         for id in &self.dirty.touched {
-            if let Some(e) = self.socks.get_mut(id) {
+            if let Some(e) = self.socks.get_mut(*id) {
                 e.dirty &= !TOUCHED;
             }
         }
@@ -349,7 +381,7 @@ impl TcpEndpoint {
 
     /// Starts counting a socket in [`TcpEndpoint::totals`].
     pub fn track(&mut self, id: SocketId) {
-        if let Some(e) = self.socks.get_mut(&id) {
+        if let Some(e) = self.socks.get_mut(id) {
             e.tracked = true;
             self.dirty.mark(e, id, TOTALS);
         }
@@ -357,7 +389,7 @@ impl TcpEndpoint {
 
     /// Stops counting a socket in [`TcpEndpoint::totals`].
     pub fn untrack(&mut self, id: SocketId) {
-        if let Some(e) = self.socks.get_mut(&id) {
+        if let Some(e) = self.socks.get_mut(id) {
             e.tracked = false;
             self.totals.sub(&e.counted);
             e.counted = EndpointTotals::default();
@@ -377,7 +409,7 @@ impl TcpEndpoint {
     pub fn totals(&mut self) -> EndpointTotals {
         let mut stale = std::mem::take(&mut self.dirty.totals);
         for id in stale.drain(..) {
-            let Some(e) = self.socks.get_mut(&id) else {
+            let Some(e) = self.socks.get_mut(id) else {
                 continue;
             };
             e.dirty &= !TOTALS;
@@ -404,7 +436,7 @@ impl TcpEndpoint {
     #[cfg(any(test, debug_assertions))]
     fn scan_totals(&self) -> EndpointTotals {
         let mut sum = EndpointTotals::default();
-        for e in self.socks.values().filter(|e| e.tracked) {
+        for (_, e) in self.socks.iter().filter(|(_, e)| e.tracked) {
             sum.add(&EndpointTotals::of(&e.conn));
         }
         sum
@@ -444,22 +476,18 @@ impl TcpEndpoint {
     }
 
     fn install(&mut self, conn: TcpConn, egress: EgressMode) -> SocketId {
-        let id = SocketId(self.next_id);
-        self.next_id += 1;
-        self.by_tuple.insert(conn.tuple(), id);
-        self.socks.insert(
-            id,
-            ConnEntry {
-                conn,
-                egress,
-                fin_gate: FinGate::Open,
-                shim: ShimStats::default(),
-                dirty: 0,
-                tracked: false,
-                counted: EndpointTotals::default(),
-                wheel_at: None,
-            },
-        );
+        let tuple = conn.tuple();
+        let id = self.socks.push(ConnEntry {
+            conn,
+            egress,
+            fin_gate: FinGate::Open,
+            shim: ShimStats::default(),
+            dirty: 0,
+            tracked: false,
+            counted: EndpointTotals::default(),
+            wheel_at: None,
+        });
+        self.by_tuple.insert(tuple, id);
         self.touch(id);
         id
     }
@@ -480,7 +508,7 @@ impl TcpEndpoint {
             remote: (pkt.src, seg.src_port),
         };
         if let Some(&id) = self.by_tuple.get(&tuple) {
-            if let Some(entry) = self.socks.get_mut(&id) {
+            if let Some(entry) = self.socks.get_mut(id) {
                 entry.conn.on_segment(now, &seg);
                 self.collect_events(id);
                 self.touch(id);
@@ -508,7 +536,7 @@ impl TcpEndpoint {
     ///
     /// O(due), not O(connections): the wheel yields exactly the sockets
     /// whose registered deadline is `<= now`. Firing order is ascending
-    /// `SocketId` — the order the replaced `BTreeMap` scan produced —
+    /// `SocketId` — the order the replaced every-socket scan produced —
     /// so simulation runs are bit-identical to the scan implementation
     /// (the debug assertion and the differential proptest below pin
     /// this).
@@ -522,7 +550,7 @@ impl TcpEndpoint {
             let _ = self.wheel.pop();
             // Valid only if this entry is the socket's live registration;
             // rescheduled/cancelled deadlines left tombstones behind.
-            if let Some(e) = self.socks.get_mut(&id) {
+            if let Some(e) = self.socks.get_mut(id) {
                 if e.wheel_at == Some(t) {
                     e.wheel_at = None;
                     due.push(id);
@@ -537,7 +565,7 @@ impl TcpEndpoint {
             "wheel due-set diverged from the scan oracle"
         );
         for id in due {
-            if let Some(entry) = self.socks.get_mut(&id) {
+            if let Some(entry) = self.socks.get_mut(id) {
                 entry.conn.on_timer(now);
             }
             self.collect_events(id);
@@ -555,7 +583,7 @@ impl TcpEndpoint {
             match self.wheel.peek() {
                 None => break None,
                 Some((t, id)) => {
-                    if self.socks.get(&id).is_some_and(|e| e.wheel_at == Some(t)) {
+                    if self.socks.get(id).is_some_and(|e| e.wheel_at == Some(t)) {
                         break Some(t);
                     }
                     let _ = self.wheel.pop();
@@ -579,7 +607,7 @@ impl TcpEndpoint {
         self.socks
             .iter()
             .filter(|(_, e)| e.conn.next_deadline().is_some_and(|d| d <= now))
-            .map(|(&id, _)| id)
+            .map(|(id, _)| id)
             .collect()
     }
 
@@ -588,8 +616,8 @@ impl TcpEndpoint {
     #[cfg(any(test, debug_assertions))]
     fn scan_next_deadline(&self) -> Option<SimTime> {
         self.socks
-            .values()
-            .filter_map(|e| e.conn.next_deadline())
+            .iter()
+            .filter_map(|(_, e)| e.conn.next_deadline())
             .min()
     }
 
@@ -605,7 +633,7 @@ impl TcpEndpoint {
         // O(connections) — the scale bench depends on this).
         let pollable = std::mem::take(&mut self.dirty.poll);
         for id in pollable {
-            let Some(entry) = self.socks.get_mut(&id) else {
+            let Some(entry) = self.socks.get_mut(id) else {
                 continue;
             };
             entry.dirty &= !POLL;
@@ -636,7 +664,7 @@ impl TcpEndpoint {
     }
 
     fn collect_events(&mut self, id: SocketId) {
-        let Some(entry) = self.socks.get_mut(&id) else {
+        let Some(entry) = self.socks.get_mut(id) else {
             return;
         };
         while let Some(ev) = entry.conn.poll_event() {
@@ -676,7 +704,7 @@ impl TcpEndpoint {
     }
 
     fn send_with(&mut self, id: SocketId, send: impl FnOnce(&mut TcpConn) -> usize) -> usize {
-        let n = match self.socks.get_mut(&id) {
+        let n = match self.socks.get_mut(id) {
             Some(e) => send(&mut e.conn),
             None => 0,
         };
@@ -687,7 +715,7 @@ impl TcpEndpoint {
 
     /// Reads up to `max` in-order bytes from a socket.
     pub fn recv(&mut self, id: SocketId, max: usize) -> Bytes {
-        let data = match self.socks.get_mut(&id) {
+        let data = match self.socks.get_mut(id) {
             Some(e) => e.conn.recv(max),
             None => Bytes::new(),
         };
@@ -699,7 +727,7 @@ impl TcpEndpoint {
 
     /// Closes the sending side of a socket.
     pub fn close(&mut self, now: SimTime, id: SocketId) {
-        if let Some(e) = self.socks.get_mut(&id) {
+        if let Some(e) = self.socks.get_mut(id) {
             e.conn.close(now);
         }
         self.collect_events(id);
@@ -708,7 +736,7 @@ impl TcpEndpoint {
 
     /// Aborts a socket with an RST.
     pub fn abort(&mut self, now: SimTime, id: SocketId) {
-        if let Some(e) = self.socks.get_mut(&id) {
+        if let Some(e) = self.socks.get_mut(id) {
             e.conn.abort(now);
         }
         self.collect_events(id);
@@ -735,7 +763,7 @@ impl TcpEndpoint {
 
     /// Immutable access to a socket's connection state machine.
     pub fn conn(&self, id: SocketId) -> Option<&TcpConn> {
-        self.socks.get(&id).map(|e| &e.conn)
+        self.socks.get(id).map(|e| &e.conn)
     }
 
     /// Mutable access to a socket's connection (ST-TCP hold/injection
@@ -743,7 +771,7 @@ impl TcpEndpoint {
     /// that feeds heartbeats or produces segments.
     pub fn conn_mut(&mut self, id: SocketId) -> Option<&mut TcpConn> {
         self.touch(id);
-        self.socks.get_mut(&id).map(|e| &mut e.conn)
+        self.socks.get_mut(id).map(|e| &mut e.conn)
     }
 
     /// Looks up the socket for a four-tuple.
@@ -753,25 +781,25 @@ impl TcpEndpoint {
 
     /// All live socket ids, in creation order.
     pub fn sockets(&self) -> Vec<SocketId> {
-        self.socks.keys().copied().collect()
+        self.socks.iter().map(|(id, _)| id).collect()
     }
 
     /// Sets the egress mode of a socket (takeover flips the backup's
     /// client connections from `Suppress` to `Normal`).
     pub fn set_egress(&mut self, id: SocketId, mode: EgressMode) {
-        if let Some(e) = self.socks.get_mut(&id) {
+        if let Some(e) = self.socks.get_mut(id) {
             e.egress = mode;
         }
     }
 
     /// The egress mode of a socket.
     pub fn egress(&self, id: SocketId) -> Option<EgressMode> {
-        self.socks.get(&id).map(|e| e.egress)
+        self.socks.get(id).map(|e| e.egress)
     }
 
     /// Sets the FIN gate of a socket.
     pub fn set_fin_gate(&mut self, id: SocketId, gate: FinGate) {
-        if let Some(e) = self.socks.get_mut(&id) {
+        if let Some(e) = self.socks.get_mut(id) {
             e.fin_gate = gate;
         }
     }
@@ -781,7 +809,7 @@ impl TcpEndpoint {
     /// A held RST is re-issued explicitly: the original was a one-shot
     /// segment the gate swallowed, and nothing retransmits it.
     pub fn release_fin(&mut self, now: SimTime, id: SocketId) {
-        if let Some(e) = self.socks.get_mut(&id) {
+        if let Some(e) = self.socks.get_mut(id) {
             e.fin_gate = FinGate::Open;
             if e.conn.rst_generated() {
                 // Mutation seam: `inject_held_rst` re-introduces the PR-1
@@ -804,7 +832,7 @@ impl TcpEndpoint {
 
     /// Shim counters for a socket.
     pub fn shim_stats(&self, id: SocketId) -> Option<ShimStats> {
-        self.socks.get(&id).map(|e| e.shim)
+        self.socks.get(id).map(|e| e.shim)
     }
 
     /// Changes the policy toward segments addressed to no known
@@ -818,7 +846,7 @@ impl TcpEndpoint {
     /// Injects in-order bytes into a socket's receive path (ST-TCP
     /// missed-byte recovery), delivering any resulting events.
     pub fn inject_in_order(&mut self, id: SocketId, off: u64, data: &Bytes) {
-        if let Some(e) = self.socks.get_mut(&id) {
+        if let Some(e) = self.socks.get_mut(id) {
             e.conn.inject_in_order(off, data);
         }
         self.collect_events(id);
@@ -1387,8 +1415,31 @@ mod tests {
                 prop_assert_eq!(n.b.next_deadline(), n.b.scan_next_deadline());
                 prop_assert_eq!(n.b.totals(), n.b.scan_totals());
                 prop_assert_eq!(n.b.totals().live, accepted.len() as u64);
+                // The socket table is dense: ids come out in strictly
+                // increasing order and a socket exists exactly for the
+                // ids handed out — closed and aborted ones included.
+                prop_assert_eq!(&n.a.sockets(), &socks);
+                for e in [&n.a, &n.b] {
+                    let ids = e.sockets();
+                    prop_assert!(ids.windows(2).all(|w| w[0] < w[1]));
+                    let count = ids.len() as u64;
+                    prop_assert!((0..count).all(|i| e.conn(SocketId(i)).is_some()));
+                    prop_assert!(e.conn(SocketId(count)).is_none());
+                    prop_assert!(e.conn(SocketId(u64::MAX)).is_none());
+                }
             }
         }
+    }
+
+    #[test]
+    fn an_endpoint_that_never_armed_a_timer_holds_no_wheel_storage() {
+        let mut e = TcpEndpoint::new(EndpointConfig::default());
+        e.listen(80, ListenConfig::default());
+        assert_eq!(e.next_deadline(), None);
+        e.on_time(SimTime::from_secs(5));
+        assert!(e.poll_packets(SimTime::from_secs(5)).is_empty());
+        assert_eq!(e.wheel.heap_bytes(), 0);
+        assert_eq!(e.socks.0.capacity(), 0);
     }
 
     #[test]

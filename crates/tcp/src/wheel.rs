@@ -26,14 +26,28 @@
 //! match ([`crate::endpoint::TcpEndpoint::on_time`]), so a connection
 //! whose timer moved simply leaves a stale tombstone behind. Stale
 //! entries cost O(log n) heap work at most once each.
+//!
+//! # Storage: nothing until armed
+//!
+//! Every host owns an endpoint and every endpoint a wheel, so a world
+//! of 20 000 clients builds 20 002 wheels, most of which will hold one
+//! entry at a time. The layout is sized for that: [`DeadlineWheel::new`]
+//! allocates nothing; every wheel-resident entry is a [`Node`] in one
+//! slab (`Vec`, recycled through a free list); a slot is an 8-byte
+//! `(head, tail)` FIFO threaded through the slab's `next` links; and a
+//! level's 64 slots (512 bytes) appear the first time an entry is
+//! routed to that level. Cascading a slot relinks its nodes in place —
+//! no entry is copied — and a level-0 slot becomes the pending list by
+//! handing over its `(head, tail)` pair.
 
 use std::cmp::Ordering;
-use std::collections::{BinaryHeap, VecDeque};
+use std::collections::BinaryHeap;
 
 use crate::socket::SocketId;
 use simnet::time::SimTime;
 
-/// One registered deadline.
+/// One deadline parked in a heap (behind the cursor, or beyond the
+/// wheel's span), where `seq` carries the insertion order.
 #[derive(Debug, Clone, Copy)]
 struct Entry {
     at: SimTime,
@@ -70,6 +84,34 @@ const LEVELS: usize = 6;
 /// The wheel's span in µs: times at or beyond `elapsed ^ SPAN` overflow.
 const SPAN: u64 = 1 << (BITS * LEVELS);
 
+/// "No node": the end of a list, an empty list's head and tail.
+const NIL: u32 = u32::MAX;
+
+/// One deadline resident in the wheel (a slot or the pending list).
+/// Insertion order is the node's position in its list, so no sequence
+/// number is stored.
+#[derive(Debug, Clone, Copy)]
+struct Node {
+    at: SimTime,
+    sock: SocketId,
+    /// The next node of the same list (or of the free list), or [`NIL`].
+    next: u32,
+}
+
+/// A FIFO of slab nodes: append at `tail`, consume from `head`.
+#[derive(Debug, Clone, Copy)]
+struct List {
+    head: u32,
+    tail: u32,
+}
+
+impl List {
+    const EMPTY: List = List {
+        head: NIL,
+        tail: NIL,
+    };
+}
+
 /// A min-queue of `(deadline, socket)` pairs ordered by
 /// `(time, insertion order)`.
 #[derive(Debug)]
@@ -78,11 +120,18 @@ pub(crate) struct DeadlineWheel {
     /// `>= elapsed`, every overdue entry is at `< elapsed`. Never
     /// decreases.
     elapsed: u64,
-    slots: Vec<Vec<Vec<Entry>>>,
+    /// Backing store of every slot list, the pending list and the free
+    /// list.
+    slab: Vec<Node>,
+    /// Head of the free list through `slab` ([`NIL`] when none is free).
+    free: u32,
+    /// Per-level slot lists; a level is allocated by the first entry
+    /// routed to it and kept from then on.
+    levels: [Option<Box<[List; SLOTS]>>; LEVELS],
     /// Per-level bitmap of non-empty slots.
     occupied: [u64; LEVELS],
-    /// Entries at exactly `elapsed`, in seq order.
-    pending: VecDeque<Entry>,
+    /// Entries at exactly `elapsed`, in insertion order.
+    pending: List,
     /// Entries pushed behind the cursor.
     overdue: BinaryHeap<Entry>,
     /// Entries beyond the wheel's span.
@@ -92,12 +141,15 @@ pub(crate) struct DeadlineWheel {
 }
 
 impl DeadlineWheel {
+    /// An empty wheel. Allocates nothing.
     pub(crate) fn new() -> DeadlineWheel {
         DeadlineWheel {
             elapsed: 0,
-            slots: vec![vec![Vec::new(); SLOTS]; LEVELS],
+            slab: Vec::new(),
+            free: NIL,
+            levels: [const { None }; LEVELS],
             occupied: [0; LEVELS],
-            pending: VecDeque::new(),
+            pending: List::EMPTY,
             overdue: BinaryHeap::new(),
             overflow: BinaryHeap::new(),
             seq: 0,
@@ -109,28 +161,63 @@ impl DeadlineWheel {
         let seq = self.seq;
         self.seq += 1;
         self.len += 1;
-        self.route(Entry { at, seq, sock });
+        let us = at.as_micros();
+        if us < self.elapsed {
+            self.overdue.push(Entry { at, seq, sock });
+        } else if us ^ self.elapsed >= SPAN {
+            self.overflow.push(Entry { at, seq, sock });
+        } else {
+            self.insert(at, sock);
+        }
     }
 
-    /// Files one entry into the container the cursor says it belongs in.
-    fn route(&mut self, e: Entry) {
-        let at = e.at.as_micros();
-        if at < self.elapsed {
-            self.overdue.push(e);
-        } else if at == self.elapsed {
-            self.pending.push_back(e);
+    /// Takes a slab node for an entry inside the wheel's span at or
+    /// after the cursor, and files it.
+    fn insert(&mut self, at: SimTime, sock: SocketId) {
+        let node = Node {
+            at,
+            sock,
+            next: NIL,
+        };
+        let idx = if self.free != NIL {
+            let idx = self.free;
+            self.free = self.slab[idx as usize].next;
+            self.slab[idx as usize] = node;
+            idx
         } else {
-            let x = at ^ self.elapsed;
-            if x >= SPAN {
-                self.overflow.push(e);
-            } else {
-                // x > 0 and below SPAN: the highest set bit picks the level.
-                let level = (63 - x.leading_zeros() as usize) / BITS;
-                let slot = ((at >> (BITS * level)) & (SLOTS as u64 - 1)) as usize;
-                self.slots[level][slot].push(e);
-                self.occupied[level] |= 1 << slot;
-            }
+            // Indices stay below NIL, so a list link is never mistaken
+            // for the end of its list.
+            assert!(self.slab.len() < NIL as usize, "2^32 live deadlines");
+            self.slab.push(node);
+            (self.slab.len() - 1) as u32
+        };
+        self.link(idx);
+    }
+
+    /// Appends node `idx` to the list the cursor says it belongs on:
+    /// pending when it is due exactly at the cursor, else the slot
+    /// picked by the highest 6-bit group in which it differs from the
+    /// cursor. The node must be at or after the cursor and inside the
+    /// wheel's span.
+    fn link(&mut self, idx: u32) {
+        let at = self.slab[idx as usize].at.as_micros();
+        let x = at ^ self.elapsed;
+        debug_assert!(at >= self.elapsed && x < SPAN, "entry outside the wheel");
+        let list = if x == 0 {
+            &mut self.pending
+        } else {
+            let level = (63 - x.leading_zeros() as usize) / BITS;
+            let slot = ((at >> (BITS * level)) & (SLOTS as u64 - 1)) as usize;
+            self.occupied[level] |= 1 << slot;
+            &mut self.levels[level].get_or_insert_with(|| Box::new([List::EMPTY; SLOTS]))[slot]
+        };
+        self.slab[idx as usize].next = NIL;
+        if list.head == NIL {
+            list.head = idx;
+        } else {
+            self.slab[list.tail as usize].next = idx;
         }
+        list.tail = idx;
     }
 
     /// Advances the cursor until the earliest entry sits in `overdue`
@@ -139,7 +226,7 @@ impl DeadlineWheel {
     /// when it drains.
     fn settle(&mut self) {
         loop {
-            if !self.overdue.is_empty() || !self.pending.is_empty() {
+            if !self.overdue.is_empty() || self.pending.head != NIL {
                 return;
             }
             let Some(level) = (0..LEVELS).find(|&l| self.occupied[l] != 0) else {
@@ -157,7 +244,7 @@ impl DeadlineWheel {
                     // Heap pop order is (time, seq), so same-µs entries
                     // append to their slot in seq order.
                     let e = self.overflow.pop().expect("peeked");
-                    self.route(e);
+                    self.insert(e.at, e.sock);
                 }
                 continue;
             };
@@ -165,27 +252,29 @@ impl DeadlineWheel {
             // lowest set bit is the next slot in time.
             let slot = self.occupied[level].trailing_zeros() as usize;
             self.occupied[level] &= !(1 << slot);
-            let mut items = std::mem::take(&mut self.slots[level][slot]);
+            let slots = self.levels[level].as_mut().expect("occupied level");
+            let list = std::mem::replace(&mut slots[slot], List::EMPTY);
             if level == 0 {
-                // One exact µs tick, already in (time, seq) order.
-                self.elapsed = items[0].at.as_micros();
-                debug_assert!(items.iter().all(|e| e.at.as_micros() == self.elapsed));
-                self.pending.extend(items.drain(..));
+                // One exact µs tick, already in insertion order: the
+                // slot's list *is* the pending list.
+                self.elapsed = self.slab[list.head as usize].at.as_micros();
+                self.pending = list;
             } else {
-                // Advance to the slot's base and spread its entries over
-                // the lower levels (in stored order, which re-appends
+                // Advance to the slot's base and spread its nodes over
+                // the lower levels (in list order, which re-appends
                 // same-time entries without reordering them).
                 let width = BITS * level;
                 let block = 1u64 << (width + BITS);
                 let base = (self.elapsed & !(block - 1)) | ((slot as u64) << width);
                 debug_assert!(base > self.elapsed, "cascade must advance the cursor");
                 self.elapsed = base;
-                for e in items.drain(..) {
-                    self.route(e);
+                let mut idx = list.head;
+                while idx != NIL {
+                    let next = self.slab[idx as usize].next;
+                    self.link(idx);
+                    idx = next;
                 }
             }
-            // Hand the (now empty) slot vector its capacity back.
-            self.slots[level][slot] = items;
         }
     }
 
@@ -193,12 +282,23 @@ impl DeadlineWheel {
         self.settle();
         // Overdue entries are strictly behind the cursor, pending entries
         // exactly at it — overdue first, in heap (time, seq) order.
-        let e = match self.overdue.pop() {
-            Some(e) => e,
-            None => self.pending.pop_front()?,
+        let due = match self.overdue.pop() {
+            Some(e) => (e.at, e.sock),
+            None => {
+                let idx = self.pending.head;
+                if idx == NIL {
+                    return None;
+                }
+                let node = self.slab[idx as usize];
+                debug_assert_eq!(node.at.as_micros(), self.elapsed);
+                self.pending.head = node.next;
+                self.slab[idx as usize].next = self.free;
+                self.free = idx;
+                (node.at, node.sock)
+            }
         };
         self.len -= 1;
-        Some((e.at, e.sock))
+        Some(due)
     }
 
     /// The earliest registered deadline. Exact (not a lower bound);
@@ -207,13 +307,26 @@ impl DeadlineWheel {
         self.settle();
         match self.overdue.peek() {
             Some(e) => Some((e.at, e.sock)),
-            None => self.pending.front().map(|e| (e.at, e.sock)),
+            // An empty pending list's head is NIL, which indexes no node.
+            None => self
+                .slab
+                .get(self.pending.head as usize)
+                .map(|n| (n.at, n.sock)),
         }
     }
 
     #[cfg(test)]
     pub(crate) fn len(&self) -> usize {
         self.len
+    }
+
+    /// Heap bytes this wheel holds (capacity, not use).
+    #[cfg(test)]
+    pub(crate) fn heap_bytes(&self) -> usize {
+        use std::mem::size_of;
+        self.slab.capacity() * size_of::<Node>()
+            + self.levels.iter().flatten().count() * size_of::<[List; SLOTS]>()
+            + (self.overdue.capacity() + self.overflow.capacity()) * size_of::<Entry>()
     }
 }
 
@@ -346,11 +459,45 @@ mod tests {
         }
     }
 
+    /// An empty wheel owns no heap memory; levels appear one by one as
+    /// entries reach them. A lone far deadline — the idle client's
+    /// cancelled SYN timer — occupies level 3 and, if it has to be
+    /// cascaded out, touches 2, 1 and 0 on the way down.
+    #[test]
+    fn storage_appears_only_for_levels_entries_reach() {
+        const LEVEL: usize = std::mem::size_of::<[List; SLOTS]>();
+        let slab = |w: &DeadlineWheel| w.slab.capacity() * std::mem::size_of::<Node>();
+        let mut w = DeadlineWheel::new();
+        assert_eq!(w.heap_bytes(), 0);
+        assert_eq!(w.peek(), None);
+        assert_eq!(w.pop(), None);
+        assert_eq!(w.heap_bytes(), 0, "querying an empty wheel allocated");
+
+        let at = SimTime::from_micros((5 << 18) | (3 << 12) | (2 << 6) | 1);
+        w.push(at, SocketId(7));
+        assert_eq!(w.heap_bytes(), slab(&w) + LEVEL, "level 3 only");
+        assert_eq!(w.pop(), Some((at, SocketId(7))));
+        assert_eq!(w.heap_bytes(), slab(&w) + 4 * LEVEL, "levels 3 down to 0");
+
+        // The drained levels and the freed node are reused, not regrown.
+        let before = w.heap_bytes();
+        let at2 = SimTime::from_micros(at.as_micros() + (9 << 18) + (1 << 12) + (1 << 6) + 1);
+        w.push(at2, SocketId(8));
+        assert_eq!(w.pop(), Some((at2, SocketId(8))));
+        assert_eq!(w.heap_bytes(), before);
+        assert_eq!(w.slab.len(), 1, "one node, recycled");
+    }
+
     #[derive(Debug, Clone, Copy)]
     enum Op {
+        /// Push at an absolute time (behind the cursor once it has moved).
         Push(u64),
+        /// Push this far ahead of the last popped time.
+        PushAhead(u64),
         Pop,
         Peek,
+        /// Pop until empty.
+        Drain,
     }
 
     /// Half the draws are pushes (spread over same-tick, per-level, and
@@ -367,6 +514,73 @@ mod tests {
         })
     }
 
+    /// Sparse wheels, the shape most endpoints have: pushes land only on
+    /// the levels `mask` names (bit 6 = the overflow heap), so whole
+    /// levels stay empty; a push is either one digit at its level or a
+    /// *lone* deadline with a non-zero digit at every level below it too,
+    /// which must cascade all the way down; drains empty the wheel so the
+    /// next push re-occupies a level that has been used and drained.
+    fn sparse_ops() -> impl Strategy<Value = Vec<Op>> {
+        let op = (0u8..8, 0u64..u64::MAX);
+        (1u8..128, proptest::collection::vec(op, 0..200)).prop_map(|(mask, draws)| {
+            let allowed: Vec<usize> = (0..=LEVELS).filter(|l| mask & (1 << l) != 0).collect();
+            draws
+                .into_iter()
+                .map(|(kind, raw)| {
+                    let level = allowed[(raw % allowed.len() as u64) as usize];
+                    let digit = |l: usize| (1 + (raw >> (8 + BITS * l)) % 63) << (BITS * l);
+                    match kind {
+                        0..=2 => Op::PushAhead(digit(level)),
+                        3 => Op::PushAhead((0..=level).map(digit).sum()),
+                        4..=5 => Op::Pop,
+                        6 => Op::Peek,
+                        _ => Op::Drain,
+                    }
+                })
+                .collect()
+        })
+    }
+
+    /// Runs `ops` on the wheel and the heap oracle side by side, diffing
+    /// every peek and pop, then drains both.
+    fn diff_against_oracle(ops: Vec<Op>) -> Result<(), TestCaseError> {
+        let mut wheel = DeadlineWheel::new();
+        let mut oracle = HeapOracle::new();
+        let mut tag = 0u64;
+        let mut floor = 0u64;
+        // Pops both, raising `floor` to the popped time; false when empty.
+        fn pop(
+            wheel: &mut DeadlineWheel,
+            oracle: &mut HeapOracle,
+            floor: &mut u64,
+        ) -> Result<bool, TestCaseError> {
+            let got = wheel.pop();
+            prop_assert_eq!(got, oracle.pop());
+            if let Some((t, _)) = got {
+                *floor = (*floor).max(t.as_micros());
+            }
+            Ok(got.is_some())
+        }
+        for op in ops.into_iter().chain([Op::Drain]) {
+            match op {
+                Op::Push(at) | Op::PushAhead(at) => {
+                    let ahead = matches!(op, Op::PushAhead(_));
+                    let t = SimTime::from_micros(if ahead { floor + at } else { at });
+                    wheel.push(t, SocketId(tag));
+                    oracle.push(t, SocketId(tag));
+                    tag += 1;
+                }
+                Op::Pop => {
+                    pop(&mut wheel, &mut oracle, &mut floor)?;
+                }
+                Op::Peek => prop_assert_eq!(wheel.peek(), oracle.peek()),
+                Op::Drain => while pop(&mut wheel, &mut oracle, &mut floor)? {},
+            }
+        }
+        prop_assert_eq!(wheel.len(), 0);
+        Ok(())
+    }
+
     proptest! {
         /// Differential test: the wheel and the heap oracle agree on
         /// every peek and every pop — time *and* insertion order — for
@@ -374,33 +588,14 @@ mod tests {
         /// arbitrary (past) times that drive the overdue path hard.
         #[test]
         fn wheel_matches_heap_oracle(ops in proptest::collection::vec(op_strategy(), 0..400)) {
-            let mut wheel = DeadlineWheel::new();
-            let mut oracle = HeapOracle::new();
-            let mut tag = 0u64;
-            for op in ops {
-                match op {
-                    Op::Push(at) => {
-                        let t = SimTime::from_micros(at);
-                        wheel.push(t, SocketId(tag));
-                        oracle.push(t, SocketId(tag));
-                        tag += 1;
-                    }
-                    Op::Pop => {
-                        prop_assert_eq!(wheel.pop(), oracle.pop());
-                    }
-                    Op::Peek => {
-                        prop_assert_eq!(wheel.peek(), oracle.peek());
-                    }
-                }
-            }
-            loop {
-                let got = wheel.pop();
-                let want = oracle.pop();
-                prop_assert_eq!(&got, &want);
-                if got.is_none() {
-                    break;
-                }
-            }
+            diff_against_oracle(ops)?;
+        }
+
+        /// The same diff on sparse wheels (see [`sparse_ops`]): empty
+        /// levels, drained and re-occupied levels, lone cascades.
+        #[test]
+        fn sparse_wheel_matches_heap_oracle(ops in sparse_ops()) {
+            diff_against_oracle(ops)?;
         }
     }
 }

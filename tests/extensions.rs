@@ -478,45 +478,51 @@ fn periodic_timer_visits_track_active_conns_not_resident_ones() {
 }
 
 // ---------------------------------------------------------------------
-// The datapath copy budget: the host-independent gate on payload copies
+// The datapath copy budget and the per-connection footprint: the
+// host-independent gates on payload copies and on memory
 // ---------------------------------------------------------------------
 
 mod alloc_count {
-    //! Bytes allocated by the calling thread. Thread-local, so tests
-    //! running in parallel in this binary do not see each other; a world
-    //! runs on the thread that drives it.
+    //! Bytes allocated, and bytes still live, by the calling thread.
+    //! Thread-local, so tests running in parallel in this binary do not
+    //! see each other; a world runs on the thread that drives it.
     use std::alloc::{GlobalAlloc, Layout, System};
     use std::cell::Cell;
 
     thread_local! {
         static BYTES: Cell<u64> = const { Cell::new(0) };
+        // Signed: a thread may free what another allocated.
+        static LIVE: Cell<i64> = const { Cell::new(0) };
     }
 
     pub struct Counting;
 
-    fn add(n: usize) {
+    /// Counts a block growing from `old` to `new` bytes.
+    fn resized(old: usize, new: usize) {
         // `try_with`: the allocator also runs while a thread is torn down.
-        let _ = BYTES.try_with(|b| b.set(b.get() + n as u64));
+        let _ = BYTES.try_with(|b| b.set(b.get() + new.saturating_sub(old) as u64));
+        let _ = LIVE.try_with(|l| l.set(l.get() + new as i64 - old as i64));
     }
 
     // SAFETY: every method forwards its arguments unchanged to `System`,
-    // which upholds the `GlobalAlloc` contract; the counter is a
-    // const-initialised thread-local `Cell` with no destructor, so
-    // touching it never allocates or re-enters the allocator.
+    // which upholds the `GlobalAlloc` contract; the counters are
+    // const-initialised thread-local `Cell`s with no destructor, so
+    // touching them never allocates or re-enters the allocator.
     unsafe impl GlobalAlloc for Counting {
         unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
-            add(layout.size());
+            resized(0, layout.size());
             // SAFETY: the caller's obligations are passed through.
             unsafe { System.alloc(layout) }
         }
 
         unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
+            resized(layout.size(), 0);
             // SAFETY: `ptr` came from `System` with this `layout`.
             unsafe { System.dealloc(ptr, layout) }
         }
 
         unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
-            add(new_size.saturating_sub(layout.size()));
+            resized(layout.size(), new_size);
             // SAFETY: the caller's obligations are passed through.
             unsafe { System.realloc(ptr, layout, new_size) }
         }
@@ -525,6 +531,11 @@ mod alloc_count {
     /// Bytes this thread has allocated so far.
     pub fn bytes() -> u64 {
         BYTES.with(|b| b.get())
+    }
+
+    /// Bytes this thread has allocated and not freed.
+    pub fn live() -> i64 {
+        LIVE.with(|l| l.get())
     }
 }
 
@@ -643,4 +654,31 @@ fn payload_is_shared_not_copied_from_wire_build_to_application_read() {
         deliver(&mut client, &mut server, now, |_, _| {}); // ACKs open the window
     }
     assert!(data_segments >= 45, "{data_segments} data segments");
+}
+
+#[test]
+fn a_mostly_idle_connection_costs_at_most_14_kib_of_heap() {
+    // The published scale mix (`scale_scenario`: what `bench_suite
+    // --scale` and the benchmark's conn_ramp run), through its ramp.
+    // Each connection brings a client host with it, so the slope
+    // of live heap over connections is what one more (host, connection)
+    // costs across all three machines: 9.9 KiB (DESIGN, "What a host
+    // and a connection cost"). It was ~89 KiB while every host reserved a
+    // full flight ring and six wheel levels and every endpoint a B-tree
+    // leaf of eleven connections. A slope, so what the world costs
+    // before its first client cancels out.
+    use sttcp_bench::experiments::{scale_ramp_end, scale_scenario};
+    fn live_after_ramp(conns: u64) -> i64 {
+        let before = alloc_count::live();
+        let mut s = scale_scenario(conns, 1);
+        s.world.run_until(scale_ramp_end(conns));
+        assert_eq!(s.server(s.primary).conn_keys().len() as u64, conns);
+        assert_eq!(s.server(s.backup).conn_keys().len() as u64, conns);
+        alloc_count::live() - before
+    }
+    let per_conn = (live_after_ramp(3_000) - live_after_ramp(1_000)) / 2_000;
+    assert!(
+        per_conn <= 14 * 1024,
+        "{per_conn} live heap bytes per (client host, connection)"
+    );
 }
