@@ -527,22 +527,7 @@ impl TcpClient {
             }
         }
         ctx.profile_exit();
-        let want = self.tcp.next_deadline();
-        match (want, self.tcp_timer) {
-            (Some(d), Some((_, at))) if d == at => {}
-            (Some(d), prev) => {
-                if let Some((id, _)) = prev {
-                    ctx.cancel_timer(id);
-                }
-                let id = ctx.set_timer(d.saturating_since(now), TOKEN_TCP);
-                self.tcp_timer = Some((id, d));
-            }
-            (None, Some((id, _))) => {
-                ctx.cancel_timer(id);
-                self.tcp_timer = None;
-            }
-            (None, None) => {}
-        }
+        ctx.rearm_timer(&mut self.tcp_timer, self.tcp.next_deadline(), TOKEN_TCP);
     }
 }
 

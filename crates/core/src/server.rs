@@ -3529,28 +3529,13 @@ impl StTcpServer {
         }
         ctx.profile_exit();
         // Re-arm the TCP deadline timer if it moved. The deadline query
-        // is where the timer wheel does its per-flush work (syncing
-        // dirty socket deadlines, scanning occupied slots), so it is
+        // is where the deadline queue does its per-flush work (syncing
+        // dirty socket deadlines, discarding tombstones), so it is
         // attributed to the wheel bucket alongside due-timer dispatch.
         ctx.profile_enter(Component::TcpWheel);
         let want = self.tcp.next_deadline();
         ctx.profile_exit();
-        match (want, self.tcp_timer) {
-            (Some(d), Some((_, at))) if d == at => {}
-            (Some(d), prev) => {
-                if let Some((id, _)) = prev {
-                    ctx.cancel_timer(id);
-                }
-                let delay = d.saturating_since(now);
-                let id = ctx.set_timer(delay, TOKEN_TCP);
-                self.tcp_timer = Some((id, d));
-            }
-            (None, Some((id, _))) => {
-                ctx.cancel_timer(id);
-                self.tcp_timer = None;
-            }
-            (None, None) => {}
-        }
+        ctx.rearm_timer(&mut self.tcp_timer, want, TOKEN_TCP);
     }
 
     fn handle_ip_packet(&mut self, ctx: &mut NodeCtx<'_>, pkt: &Ipv4Packet) {

@@ -36,13 +36,26 @@
 //!   lowest occupied level holds the globally earliest event;
 //! * a level-0 slot holds events of exactly one µs tick, in insertion
 //!   order (cascading re-inserts preserve relative order, and a
-//!   cascaded batch always precedes later direct pushes), so draining a
-//!   level-0 slot into the `pending` FIFO yields exact `(time, seq)`
-//!   order without comparisons.
+//!   cascaded batch always precedes later direct pushes), so a drained
+//!   level-0 slot *is* the `pending` FIFO, in exact `(time, seq)` order
+//!   without comparisons.
+//!
+//! # Storage: live events, not high-water marks
+//!
+//! A bulk run parks millions of short-lived events (each server flush
+//! re-arms its TCP timer ~200 ms ahead), a few thousand at a time. The
+//! layout holds storage for the peak *live* count: [`EventQueue::new`]
+//! allocates nothing; every wheel-resident event is a [`Node`] in one
+//! slab (a `Vec`, recycled through a free list); a slot is an 8-byte
+//! `(head, tail)` FIFO threaded through the slab's `next` links; and a
+//! level's 64 slots (512 bytes) appear the first time an event is routed
+//! there. Cascading relinks a slot's nodes in place — no event is
+//! copied — and a level-0 slot becomes the pending list by handing over
+//! its `(head, tail)` pair.
 
 use bytes::Bytes;
 use std::cmp::Ordering;
-use std::collections::{BinaryHeap, VecDeque};
+use std::collections::BinaryHeap;
 
 use crate::frame::EthernetFrame;
 use crate::link::{LinkDir, LinkId};
@@ -82,6 +95,8 @@ pub(crate) enum Ev {
     Script { id: u64 },
 }
 
+/// One event parked in a heap (behind the cursor, or beyond the wheel's
+/// span), where `seq` carries the insertion order.
 struct Queued {
     at: SimTime,
     seq: u64,
@@ -117,17 +132,52 @@ const LEVELS: usize = 6;
 /// The wheel's span in µs: times at or beyond `elapsed ^ SPAN` overflow.
 const SPAN: u64 = 1 << (BITS * LEVELS);
 
+/// "No node": the end of a list, an empty list's head and tail.
+const NIL: u32 = u32::MAX;
+
+/// One event resident in the wheel (a slot or the pending list).
+/// Insertion order is the node's position in its list, so no sequence
+/// number is stored.
+struct Node {
+    at: SimTime,
+    /// `None` only while the node is on the free list.
+    ev: Option<Ev>,
+    /// The next node of the same list (or of the free list), or [`NIL`].
+    next: u32,
+}
+
+/// A FIFO of slab nodes: append at `tail`, consume from `head`.
+#[derive(Clone, Copy)]
+struct List {
+    head: u32,
+    tail: u32,
+}
+
+impl List {
+    const EMPTY: List = List {
+        head: NIL,
+        tail: NIL,
+    };
+}
+
 /// A min-queue of events ordered by `(time, insertion order)`.
 pub(crate) struct EventQueue {
     /// The wheel cursor (µs): every wheel/pending/overflow event is at
     /// `>= elapsed`, every overdue event is at `< elapsed`. Never
     /// decreases.
     elapsed: u64,
-    slots: [[Vec<Queued>; SLOTS]; LEVELS],
+    /// Backing store of every slot list, the pending list and the free
+    /// list.
+    slab: Vec<Node>,
+    /// Head of the free list through `slab` ([`NIL`] when none is free).
+    free: u32,
+    /// Per-level slot lists; a level is allocated by the first event
+    /// routed to it and kept from then on.
+    levels: [Option<Box<[List; SLOTS]>>; LEVELS],
     /// Per-level bitmap of non-empty slots.
     occupied: [u64; LEVELS],
-    /// Events at exactly `elapsed`, in seq order.
-    pending: VecDeque<Queued>,
+    /// Events at exactly `elapsed`, in insertion order.
+    pending: List,
     /// Events pushed behind the cursor (see module docs).
     overdue: BinaryHeap<Queued>,
     /// Events beyond the wheel's span.
@@ -137,12 +187,15 @@ pub(crate) struct EventQueue {
 }
 
 impl EventQueue {
+    /// An empty queue. Allocates nothing.
     pub(crate) fn new() -> EventQueue {
         EventQueue {
             elapsed: 0,
-            slots: std::array::from_fn(|_| std::array::from_fn(|_| Vec::new())),
+            slab: Vec::new(),
+            free: NIL,
+            levels: [const { None }; LEVELS],
             occupied: [0; LEVELS],
-            pending: VecDeque::new(),
+            pending: List::EMPTY,
             overdue: BinaryHeap::new(),
             overflow: BinaryHeap::new(),
             seq: 0,
@@ -154,28 +207,63 @@ impl EventQueue {
         let seq = self.seq;
         self.seq += 1;
         self.len += 1;
-        self.route(Queued { at, seq, ev });
+        let us = at.as_micros();
+        if us < self.elapsed {
+            self.overdue.push(Queued { at, seq, ev });
+        } else if us ^ self.elapsed >= SPAN {
+            self.overflow.push(Queued { at, seq, ev });
+        } else {
+            self.insert(at, ev);
+        }
     }
 
-    /// Files one event into the container the cursor says it belongs in.
-    fn route(&mut self, q: Queued) {
-        let at = q.at.as_micros();
-        if at < self.elapsed {
-            self.overdue.push(q);
-        } else if at == self.elapsed {
-            self.pending.push_back(q);
+    /// Takes a slab node for an event inside the wheel's span at or
+    /// after the cursor, and files it.
+    fn insert(&mut self, at: SimTime, ev: Ev) {
+        let node = Node {
+            at,
+            ev: Some(ev),
+            next: NIL,
+        };
+        let idx = if self.free != NIL {
+            let idx = self.free;
+            self.free = self.slab[idx as usize].next;
+            self.slab[idx as usize] = node;
+            idx
         } else {
-            let x = at ^ self.elapsed;
-            if x >= SPAN {
-                self.overflow.push(q);
-            } else {
-                // x > 0 and below SPAN: the highest set bit picks the level.
-                let level = (63 - x.leading_zeros() as usize) / BITS;
-                let slot = ((at >> (BITS * level)) & (SLOTS as u64 - 1)) as usize;
-                self.slots[level][slot].push(q);
-                self.occupied[level] |= 1 << slot;
-            }
+            // Indices stay below NIL, so a list link is never mistaken
+            // for the end of its list.
+            assert!(self.slab.len() < NIL as usize, "2^32 live events");
+            self.slab.push(node);
+            (self.slab.len() - 1) as u32
+        };
+        self.link(idx);
+    }
+
+    /// Appends node `idx` to the list the cursor says it belongs on:
+    /// pending when it is due exactly at the cursor, else the slot
+    /// picked by the highest 6-bit group in which it differs from the
+    /// cursor. The node must be at or after the cursor and inside the
+    /// wheel's span.
+    fn link(&mut self, idx: u32) {
+        let at = self.slab[idx as usize].at.as_micros();
+        let x = at ^ self.elapsed;
+        debug_assert!(at >= self.elapsed && x < SPAN, "event outside the wheel");
+        let list = if x == 0 {
+            &mut self.pending
+        } else {
+            let level = (63 - x.leading_zeros() as usize) / BITS;
+            let slot = ((at >> (BITS * level)) & (SLOTS as u64 - 1)) as usize;
+            self.occupied[level] |= 1 << slot;
+            &mut self.levels[level].get_or_insert_with(|| Box::new([List::EMPTY; SLOTS]))[slot]
+        };
+        self.slab[idx as usize].next = NIL;
+        if list.head == NIL {
+            list.head = idx;
+        } else {
+            self.slab[list.tail as usize].next = idx;
         }
+        list.tail = idx;
     }
 
     /// Advances the cursor until the earliest event sits in `overdue`
@@ -184,7 +272,7 @@ impl EventQueue {
     /// when it drains.
     fn settle(&mut self) {
         loop {
-            if !self.overdue.is_empty() || !self.pending.is_empty() {
+            if !self.overdue.is_empty() || self.pending.head != NIL {
                 return;
             }
             let Some(level) = (0..LEVELS).find(|&l| self.occupied[l] != 0) else {
@@ -202,7 +290,7 @@ impl EventQueue {
                     // Heap pop order is (time, seq), so same-µs events
                     // append to their slot in seq order.
                     let q = self.overflow.pop().expect("peeked");
-                    self.route(q);
+                    self.insert(q.at, q.ev);
                 }
                 continue;
             };
@@ -210,27 +298,29 @@ impl EventQueue {
             // lowest set bit is the next slot in time.
             let slot = self.occupied[level].trailing_zeros() as usize;
             self.occupied[level] &= !(1 << slot);
-            let mut items = std::mem::take(&mut self.slots[level][slot]);
+            let slots = self.levels[level].as_mut().expect("occupied level");
+            let list = std::mem::replace(&mut slots[slot], List::EMPTY);
             if level == 0 {
-                // One exact µs tick, already in (time, seq) order.
-                self.elapsed = items[0].at.as_micros();
-                debug_assert!(items.iter().all(|q| q.at.as_micros() == self.elapsed));
-                self.pending.extend(items.drain(..));
+                // One exact µs tick, already in insertion order: the
+                // slot's list *is* the pending list.
+                self.elapsed = self.slab[list.head as usize].at.as_micros();
+                self.pending = list;
             } else {
-                // Advance to the slot's base and spread its events over
-                // the lower levels (in stored order, which re-appends
+                // Advance to the slot's base and spread its nodes over
+                // the lower levels (in list order, which re-appends
                 // same-time events without reordering them).
                 let width = BITS * level;
                 let block = 1u64 << (width + BITS);
                 let base = (self.elapsed & !(block - 1)) | ((slot as u64) << width);
                 debug_assert!(base > self.elapsed, "cascade must advance the cursor");
                 self.elapsed = base;
-                for q in items.drain(..) {
-                    self.route(q);
+                let mut idx = list.head;
+                while idx != NIL {
+                    let next = self.slab[idx as usize].next;
+                    self.link(idx);
+                    idx = next;
                 }
             }
-            // Hand the (now empty) slot vector its capacity back.
-            self.slots[level][slot] = items;
         }
     }
 
@@ -238,12 +328,22 @@ impl EventQueue {
         self.settle();
         // Overdue events are strictly behind the cursor, pending events
         // exactly at it — overdue first, in heap (time, seq) order.
-        let q = match self.overdue.pop() {
-            Some(q) => q,
-            None => self.pending.pop_front()?,
+        let due = match self.overdue.pop() {
+            Some(q) => (q.at, q.ev),
+            None => {
+                let idx = self.pending.head;
+                // An empty pending list's head is NIL, which indexes no node.
+                let node = self.slab.get_mut(idx as usize)?;
+                debug_assert_eq!(node.at.as_micros(), self.elapsed);
+                let ev = node.ev.take().expect("listed node holds an event");
+                self.pending.head = node.next;
+                node.next = self.free;
+                self.free = idx;
+                (node.at, ev)
+            }
         };
         self.len -= 1;
-        Some((q.at, q.ev))
+        Some(due)
     }
 
     /// The earliest queued time. Exact (not a lower bound), which is
@@ -253,7 +353,7 @@ impl EventQueue {
         self.settle();
         match self.overdue.peek() {
             Some(q) => Some(q.at),
-            None => self.pending.front().map(|q| q.at),
+            None => self.slab.get(self.pending.head as usize).map(|n| n.at),
         }
     }
 
@@ -263,6 +363,15 @@ impl EventQueue {
 
     pub(crate) fn is_empty(&self) -> bool {
         self.len == 0
+    }
+
+    /// Heap bytes this queue holds (capacity, not use).
+    #[cfg(test)]
+    fn heap_bytes(&self) -> usize {
+        use std::mem::size_of;
+        self.slab.capacity() * size_of::<Node>()
+            + self.levels.iter().flatten().count() * size_of::<[List; SLOTS]>()
+            + (self.overdue.capacity() + self.overflow.capacity()) * size_of::<Queued>()
     }
 }
 
@@ -410,60 +519,102 @@ mod tests {
 
     /// Deterministic heavy churn: an LCG-driven push/pop storm across
     /// every wheel level plus the overflow heap, diffed against the
-    /// heap oracle pop for pop.
+    /// heap oracle pop for pop. Pushes never go below the last pop (the
+    /// world's contract).
     #[test]
     fn storm_matches_heap_oracle() {
-        let mut wheel = EventQueue::new();
-        let mut oracle = HeapQueue::new();
         let mut lcg: u64 = 0x2545_F491_4F6C_DD1D;
-        let mut rand = || {
+        let ops = (0..50_000).map(|_| {
             lcg = lcg
                 .wrapping_mul(6364136223846793005)
                 .wrapping_add(1442695040888963407);
-            lcg >> 11
-        };
-        let mut floor = 0u64; // pushes never go below the last pop (world contract)
-        let mut tag = 0usize;
-        for round in 0..50_000u64 {
-            let r = rand();
-            if r % 3 != 0 {
-                // Mix of near, mid, far and same-tick times.
-                let at = match r % 7 {
-                    0 => floor,
-                    1 => floor + r % 64,
-                    2 => floor + r % 4_096,
-                    3 => floor + r % 1_000_000,
-                    4 => floor + r % (SPAN / 2),
-                    _ => floor + r % (3 * SPAN),
-                };
-                let t = SimTime::from_micros(at);
-                wheel.push(t, timer(tag));
-                oracle.push(t, timer(tag));
-                tag += 1;
-            } else {
-                let got = wheel.pop().map(|(t, ev)| (t, tag_of(&ev)));
-                let want = oracle.pop().map(|(t, ev)| (t, tag_of(&ev)));
-                assert_eq!(got, want, "divergence at round {round}");
-                if let Some((t, _)) = got {
-                    floor = t.as_micros();
-                }
+            let r = lcg >> 11;
+            if r.is_multiple_of(3) {
+                return Op::Pop;
             }
-        }
-        loop {
-            let got = wheel.pop().map(|(t, ev)| (t, tag_of(&ev)));
-            let want = oracle.pop().map(|(t, ev)| (t, tag_of(&ev)));
-            assert_eq!(got, want, "divergence during drain");
-            if got.is_none() {
-                break;
+            // Mix of near, mid, far and same-tick times.
+            Op::PushAhead(match r % 7 {
+                0 => 0,
+                1 => r % 64,
+                2 => r % 4_096,
+                3 => r % 1_000_000,
+                4 => r % (SPAN / 2),
+                _ => r % (3 * SPAN),
+            })
+        });
+        diff_against_oracle(ops.collect()).expect("storm diverged");
+    }
+
+    /// An empty queue owns no heap memory; levels appear one by one as
+    /// events reach them. A lone far event occupies level 3 and, when it
+    /// is cascaded out, touches 2, 1 and 0 on the way down.
+    #[test]
+    fn storage_appears_only_for_levels_entries_reach() {
+        const LEVEL: usize = std::mem::size_of::<[List; SLOTS]>();
+        let slab = |q: &EventQueue| q.slab.capacity() * std::mem::size_of::<Node>();
+        let mut q = EventQueue::new();
+        assert_eq!(q.heap_bytes(), 0);
+        assert_eq!(q.peek_time(), None);
+        assert!(q.pop().is_none());
+        assert_eq!(q.heap_bytes(), 0, "querying an empty queue allocated");
+
+        let at = SimTime::from_micros((5 << 18) | (3 << 12) | (2 << 6) | 1);
+        q.push(at, timer(7));
+        assert_eq!(q.heap_bytes(), slab(&q) + LEVEL, "level 3 only");
+        assert_eq!(q.pop().map(|(t, ev)| (t, tag_of(&ev))), Some((at, 7)));
+        assert_eq!(q.heap_bytes(), slab(&q) + 4 * LEVEL, "levels 3 down to 0");
+
+        // The drained levels and the freed node are reused, not regrown.
+        let before = q.heap_bytes();
+        let at2 = SimTime::from_micros(at.as_micros() + (9 << 18) + (1 << 12) + (1 << 6) + 1);
+        q.push(at2, timer(8));
+        assert_eq!(q.pop().map(|(t, ev)| (t, tag_of(&ev))), Some((at2, 8)));
+        assert_eq!(q.heap_bytes(), before);
+        assert_eq!(q.slab.len(), 1, "one node, recycled");
+    }
+
+    /// The shape a bulk transfer gives the queue: every ~80 µs a timer is
+    /// armed 200–260 ms ahead (the server's cancelled-and-re-armed TCP
+    /// timer) and whatever has come due is popped, so a few thousand
+    /// events are live at any time out of a million pushed. Storage must
+    /// follow the live count: a layout that lets each level-3 slot keep
+    /// its high-water mark retains 20 MB on this stream.
+    #[test]
+    fn storage_follows_live_events_not_total_pushes() {
+        let mut q = EventQueue::new();
+        let mut peak_live = 0;
+        for i in 0..1_000_000u64 {
+            let now = i * 80;
+            q.push(
+                SimTime::from_micros(now + 200_000 + (i * 7_919) % 60_000),
+                timer(0),
+            );
+            while q.peek_time().is_some_and(|t| t.as_micros() <= now) {
+                let _ = q.pop();
             }
+            peak_live = peak_live.max(q.len());
         }
+        assert!((2_000..4_000).contains(&peak_live), "peak live {peak_live}");
+        let bound = 2 * peak_live * std::mem::size_of::<Node>()
+            + LEVELS * std::mem::size_of::<[List; SLOTS]>();
+        assert!(bound < 512 * 1024);
+        assert!(
+            q.heap_bytes() <= bound,
+            "{} bytes held for a peak of {peak_live} live events",
+            q.heap_bytes()
+        );
     }
 
     #[derive(Debug, Clone, Copy)]
     enum Op {
+        /// Push at an absolute time (behind the cursor once it has moved).
         Push(u64),
+        /// Push this far ahead of the last popped time.
+        PushAhead(u64),
         Pop,
         Peek,
+        /// Pop until empty.
+        Drain,
     }
 
     /// Half the draws are pushes (spread over same-tick, per-level, and
@@ -480,6 +631,74 @@ mod tests {
         })
     }
 
+    /// Sparse wheels: pushes land only on the levels `mask` names
+    /// (bit 6 = the overflow heap), so whole levels stay empty; a push is
+    /// either one digit at its level or a *lone* event with a non-zero
+    /// digit at every level below it too, which must cascade all the way
+    /// down; drains empty the wheel so the next push re-occupies a level
+    /// that has been used and drained.
+    fn sparse_ops() -> impl Strategy<Value = Vec<Op>> {
+        let op = (0u8..8, 0u64..u64::MAX);
+        (1u8..128, proptest::collection::vec(op, 0..200)).prop_map(|(mask, draws)| {
+            let allowed: Vec<usize> = (0..=LEVELS).filter(|l| mask & (1 << l) != 0).collect();
+            draws
+                .into_iter()
+                .map(|(kind, raw)| {
+                    let level = allowed[(raw % allowed.len() as u64) as usize];
+                    let digit = |l: usize| (1 + (raw >> (8 + BITS * l)) % 63) << (BITS * l);
+                    match kind {
+                        0..=2 => Op::PushAhead(digit(level)),
+                        3 => Op::PushAhead((0..=level).map(digit).sum()),
+                        4..=5 => Op::Pop,
+                        6 => Op::Peek,
+                        _ => Op::Drain,
+                    }
+                })
+                .collect()
+        })
+    }
+
+    /// Runs `ops` on the wheel and the heap oracle side by side, diffing
+    /// every peek and pop, then drains both.
+    fn diff_against_oracle(ops: Vec<Op>) -> Result<(), TestCaseError> {
+        let mut wheel = EventQueue::new();
+        let mut oracle = HeapQueue::new();
+        let mut tag = 0usize;
+        let mut floor = 0u64;
+        // Pops both, raising `floor` to the popped time; false when empty.
+        fn pop(
+            wheel: &mut EventQueue,
+            oracle: &mut HeapQueue,
+            floor: &mut u64,
+        ) -> Result<bool, TestCaseError> {
+            let got = wheel.pop().map(|(t, ev)| (t, tag_of(&ev)));
+            let want = oracle.pop().map(|(t, ev)| (t, tag_of(&ev)));
+            prop_assert_eq!(got, want);
+            if let Some((t, _)) = got {
+                *floor = (*floor).max(t.as_micros());
+            }
+            Ok(got.is_some())
+        }
+        for op in ops.into_iter().chain([Op::Drain]) {
+            match op {
+                Op::Push(at) | Op::PushAhead(at) => {
+                    let ahead = matches!(op, Op::PushAhead(_));
+                    let t = SimTime::from_micros(if ahead { floor + at } else { at });
+                    wheel.push(t, timer(tag));
+                    oracle.push(t, timer(tag));
+                    tag += 1;
+                }
+                Op::Pop => {
+                    pop(&mut wheel, &mut oracle, &mut floor)?;
+                }
+                Op::Peek => prop_assert_eq!(wheel.peek_time(), oracle.peek_time()),
+                Op::Drain => while pop(&mut wheel, &mut oracle, &mut floor)? {},
+            }
+        }
+        prop_assert!(wheel.is_empty());
+        Ok(())
+    }
+
     proptest! {
         /// Differential test: the wheel and the heap oracle agree on
         /// every peek and every pop — time *and* insertion order — for
@@ -488,35 +707,14 @@ mod tests {
         /// times, so it also drives the overdue path hard.
         #[test]
         fn wheel_matches_heap_oracle(ops in proptest::collection::vec(op_strategy(), 0..400)) {
-            let mut wheel = EventQueue::new();
-            let mut oracle = HeapQueue::new();
-            let mut tag = 0usize;
-            for op in ops {
-                match op {
-                    Op::Push(at) => {
-                        let t = SimTime::from_micros(at);
-                        wheel.push(t, timer(tag));
-                        oracle.push(t, timer(tag));
-                        tag += 1;
-                    }
-                    Op::Pop => {
-                        let got = wheel.pop().map(|(t, ev)| (t, tag_of(&ev)));
-                        let want = oracle.pop().map(|(t, ev)| (t, tag_of(&ev)));
-                        prop_assert_eq!(got, want);
-                    }
-                    Op::Peek => {
-                        prop_assert_eq!(wheel.peek_time(), oracle.peek_time());
-                    }
-                }
-            }
-            loop {
-                let got = wheel.pop().map(|(t, ev)| (t, tag_of(&ev)));
-                let want = oracle.pop().map(|(t, ev)| (t, tag_of(&ev)));
-                prop_assert_eq!(&got, &want);
-                if got.is_none() {
-                    break;
-                }
-            }
+            diff_against_oracle(ops)?;
+        }
+
+        /// The same diff on sparse wheels (see [`sparse_ops`]): empty
+        /// levels, drained and re-occupied levels, lone cascades.
+        #[test]
+        fn sparse_wheel_matches_heap_oracle(ops in sparse_ops()) {
+            diff_against_oracle(ops)?;
         }
     }
 }

@@ -141,6 +141,29 @@ impl NodeCtx<'_> {
         self.effects.push(Effect::CancelTimer(id));
     }
 
+    /// Moves a node's one deadline timer to `want`. `armed` is the
+    /// caller's record of the timer it has set and the instant it is set
+    /// for: nothing happens while that instant is `want`; otherwise the
+    /// old timer (if any) is cancelled and a new one (if wanted) armed,
+    /// in that order. A deadline already past fires at once.
+    pub fn rearm_timer(
+        &mut self,
+        armed: &mut Option<(TimerId, SimTime)>,
+        want: Option<SimTime>,
+        token: TimerToken,
+    ) {
+        if armed.map(|(_, at)| at) == want {
+            return;
+        }
+        if let Some((id, _)) = armed.take() {
+            self.cancel_timer(id);
+        }
+        if let Some(at) = want {
+            let id = self.set_timer(at.saturating_since(self.now), token);
+            *armed = Some((id, at));
+        }
+    }
+
     /// Commands the power controller to power off `target` after `after`
     /// (the STONITH action the backup performs before taking over a
     /// connection, and the primary performs before going non-fault-tolerant).

@@ -30,8 +30,8 @@ pub enum Component {
     Pool,
     /// Application logic (clients, echo/download apps).
     App,
-    /// TCP deadline scheduling: timer-wheel maintenance (deadline
-    /// sync + next-deadline scans) and due-socket timer dispatch.
+    /// TCP deadline scheduling: deadline-queue maintenance (deadline
+    /// sync + next-deadline queries) and due-socket timer dispatch.
     TcpWheel,
     /// TCP egress polling: draining pending segments from endpoints.
     TcpPoll,

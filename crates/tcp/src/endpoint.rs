@@ -20,7 +20,8 @@
 //!   left to die with the server.
 
 use bytes::Bytes;
-use std::collections::{BTreeMap, VecDeque};
+use std::cmp::Reverse;
+use std::collections::{BTreeMap, BinaryHeap, VecDeque};
 use std::net::Ipv4Addr;
 
 use simnet::ip::{IpProto, Ipv4Packet};
@@ -31,7 +32,6 @@ use crate::conn::{ConnEvent, TcpConfig, TcpConn, TcpState};
 use crate::segment::{TcpFlags, TcpSegment};
 use crate::seq::SeqNum;
 use crate::socket::{FourTuple, SocketEvent, SocketId};
-use crate::wheel::DeadlineWheel;
 
 /// How initial sequence numbers are chosen.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -205,7 +205,7 @@ struct DirtyLists {
     /// can make a connection emit a segment marks it, so
     /// [`TcpEndpoint::poll_packets`] visits only active connections.
     poll: Vec<SocketId>,
-    /// Sockets whose wheel registration may no longer match their
+    /// Sockets whose queued deadline may no longer match their
     /// connection's `next_deadline` (touched, or polled — emitting a
     /// segment can arm the retransmit/persist timers). Reconciled
     /// lazily by [`TcpEndpoint::sync_deadlines`] before any timer query.
@@ -251,11 +251,11 @@ struct ConnEntry {
     /// The contribution last added to the totals (zero while untracked
     /// or not yet reconciled).
     counted: EndpointTotals,
-    /// The deadline this socket last registered in the timer wheel
-    /// (`None` = no live registration). A wheel entry is valid only
+    /// The deadline this socket last pushed on the deadline queue
+    /// (`None` = no live registration). A queue entry is valid only
     /// while it matches; rescheduling just strands the old entry as a
     /// tombstone the pop path discards.
-    wheel_at: Option<SimTime>,
+    queued_at: Option<SimTime>,
 }
 
 /// The socket table. Ids are handed out densely from zero, never
@@ -308,14 +308,18 @@ pub struct TcpEndpoint {
     /// differential oracle (`scan_totals`), asserted on every
     /// debug-build query and by the proptest at the bottom of this file.
     totals: EndpointTotals,
-    /// Per-connection timer deadlines, ordered. Replaces the flat
+    /// Per-connection timer deadlines, earliest first, with lazy
+    /// tombstones (see [`ConnEntry::queued_at`]). Replaces the flat
     /// every-socket deadline scan: timer queries cost O(active), so
-    /// idle connections cost zero CPU per tick. The scan it replaced
-    /// survives as the differential oracle (`scan_due`,
-    /// `scan_next_deadline`) asserted against on every debug-build
-    /// query and driven hard by the proptest at the bottom of this
-    /// file.
-    wheel: DeadlineWheel,
+    /// idle connections cost zero CPU per tick. A plain min-heap is
+    /// enough: [`TcpEndpoint::on_time`] re-sorts what is due by
+    /// `SocketId` and [`TcpEndpoint::next_deadline`] wants only the
+    /// smallest live time, so the order of equal times never shows.
+    /// The scan it replaced survives as the differential oracle
+    /// (`scan_due`, `scan_next_deadline`) asserted against on every
+    /// debug-build query and driven hard by the proptest at the bottom
+    /// of this file.
+    deadlines: BinaryHeap<Reverse<(SimTime, SocketId)>>,
 }
 
 impl TcpEndpoint {
@@ -332,7 +336,7 @@ impl TcpEndpoint {
             raw_out: VecDeque::new(),
             dirty: DirtyLists::default(),
             totals: EndpointTotals::default(),
-            wheel: DeadlineWheel::new(),
+            deadlines: BinaryHeap::new(),
         }
     }
 
@@ -345,7 +349,7 @@ impl TcpEndpoint {
         }
     }
 
-    /// Reconciles the timer wheel with every dirty socket's current
+    /// Reconciles the deadline queue with every dirty socket's current
     /// deadline. Lazy on purpose: `conn_mut` touches *before* handing
     /// out `&mut`, so the registration must be refreshed after the
     /// mutation — at the next timer query — not at touch time.
@@ -356,10 +360,10 @@ impl TcpEndpoint {
             };
             e.dirty &= !DEADLINE;
             let d = e.conn.next_deadline();
-            if e.wheel_at != d {
-                e.wheel_at = d;
+            if e.queued_at != d {
+                e.queued_at = d;
                 if let Some(t) = d {
-                    self.wheel.push(t, id);
+                    self.deadlines.push(Reverse((t, id)));
                 }
             }
         }
@@ -485,7 +489,7 @@ impl TcpEndpoint {
             dirty: 0,
             tracked: false,
             counted: EndpointTotals::default(),
-            wheel_at: None,
+            queued_at: None,
         });
         self.by_tuple.insert(tuple, id);
         self.touch(id);
@@ -534,7 +538,7 @@ impl TcpEndpoint {
 
     /// Fires all timers due at `now`.
     ///
-    /// O(due), not O(connections): the wheel yields exactly the sockets
+    /// O(due), not O(connections): the queue yields exactly the sockets
     /// whose registered deadline is `<= now`. Firing order is ascending
     /// `SocketId` — the order the replaced every-socket scan produced —
     /// so simulation runs are bit-identical to the scan implementation
@@ -543,16 +547,16 @@ impl TcpEndpoint {
     pub fn on_time(&mut self, now: SimTime) {
         self.sync_deadlines();
         let mut due: Vec<SocketId> = Vec::new();
-        while let Some((t, id)) = self.wheel.peek() {
+        while let Some(&Reverse((t, id))) = self.deadlines.peek() {
             if t > now {
                 break;
             }
-            let _ = self.wheel.pop();
+            let _ = self.deadlines.pop();
             // Valid only if this entry is the socket's live registration;
             // rescheduled/cancelled deadlines left tombstones behind.
             if let Some(e) = self.socks.get_mut(id) {
-                if e.wheel_at == Some(t) {
-                    e.wheel_at = None;
+                if e.queued_at == Some(t) {
+                    e.queued_at = None;
                     due.push(id);
                 }
             }
@@ -562,7 +566,7 @@ impl TcpEndpoint {
         debug_assert_eq!(
             due,
             self.scan_due(now),
-            "wheel due-set diverged from the scan oracle"
+            "queued due-set diverged from the scan oracle"
         );
         for id in due {
             if let Some(entry) = self.socks.get_mut(id) {
@@ -575,18 +579,18 @@ impl TcpEndpoint {
 
     /// The earliest timer deadline across all connections.
     ///
-    /// O(active): answered from the wheel (which may cascade slots,
-    /// hence `&mut`), discarding stale tombstones on the way.
+    /// O(active): answered from the top of the queue, discarding stale
+    /// tombstones on the way (hence `&mut`).
     pub fn next_deadline(&mut self) -> Option<SimTime> {
         self.sync_deadlines();
         let next = loop {
-            match self.wheel.peek() {
+            match self.deadlines.peek() {
                 None => break None,
-                Some((t, id)) => {
-                    if self.socks.get(id).is_some_and(|e| e.wheel_at == Some(t)) {
+                Some(&Reverse((t, id))) => {
+                    if self.socks.get(id).is_some_and(|e| e.queued_at == Some(t)) {
                         break Some(t);
                     }
-                    let _ = self.wheel.pop();
+                    let _ = self.deadlines.pop();
                 }
             }
         };
@@ -594,14 +598,14 @@ impl TcpEndpoint {
         debug_assert_eq!(
             next,
             self.scan_next_deadline(),
-            "wheel next_deadline diverged from the scan oracle"
+            "queued next_deadline diverged from the scan oracle"
         );
         next
     }
 
     /// The replaced O(n) due-set scan, kept as the differential oracle:
     /// trivially correct by inspection, asserted bit-identical to the
-    /// wheel on every debug-build `on_time`.
+    /// queue on every debug-build `on_time`.
     #[cfg(any(test, debug_assertions))]
     fn scan_due(&self, now: SimTime) -> Vec<SocketId> {
         self.socks
@@ -652,7 +656,7 @@ impl TcpEndpoint {
                 out.push(wrap(entry.conn.tuple(), &seg));
             }
             // Emitting segments can arm the retransmit/persist/TIME-WAIT
-            // timers; refresh this socket's wheel registration lazily.
+            // timers; refresh this socket's queued deadline lazily.
             self.dirty.mark(entry, id, DEADLINE);
         }
         out
@@ -917,6 +921,8 @@ fn deterministic_isn(tuple: FourTuple, salt: u64) -> u32 {
 mod tests {
     use super::*;
     use crate::conn::TcpState;
+    use crate::rto::RtoConfig;
+    use simnet::time::SimDuration;
 
     fn ip(last: u8) -> Ipv4Addr {
         Ipv4Addr::new(10, 0, 0, last)
@@ -1322,7 +1328,7 @@ mod tests {
     }
 
     proptest! {
-        /// Differential test: the wheel-scheduled timer path produces
+        /// Differential test: the queue-scheduled timer path produces
         /// exactly the due-sets and min-deadlines of the O(n) scan it
         /// replaced, and the incremental totals equal the every-socket
         /// sampling walk, under arbitrary interleavings of connection
@@ -1330,7 +1336,7 @@ mod tests {
         /// firing order) against the scan oracle internally, so every
         /// `advance` here also diffs the firing path.
         #[test]
-        fn wheel_scheduling_matches_scan_oracle(
+        fn deadline_queue_matches_scan_oracle(
             ops in proptest::collection::vec(ep_op_strategy(), 0..80),
         ) {
             let mut n = Net::new();
@@ -1391,7 +1397,7 @@ mod tests {
                         }
                     }
                     EpOp::AdvanceBy(us) => {
-                        let to = n.now + simnet::time::SimDuration::from_micros(us as u64);
+                        let to = n.now + SimDuration::from_micros(us as u64);
                         n.advance(to);
                     }
                     EpOp::Pump => n.pump(),
@@ -1432,14 +1438,102 @@ mod tests {
     }
 
     #[test]
-    fn an_endpoint_that_never_armed_a_timer_holds_no_wheel_storage() {
+    fn an_endpoint_that_never_armed_a_timer_holds_no_deadline_storage() {
         let mut e = TcpEndpoint::new(EndpointConfig::default());
         e.listen(80, ListenConfig::default());
         assert_eq!(e.next_deadline(), None);
         e.on_time(SimTime::from_secs(5));
         assert!(e.poll_packets(SimTime::from_secs(5)).is_empty());
-        assert_eq!(e.wheel.heap_bytes(), 0);
+        assert_eq!(e.deadlines.capacity(), 0);
         assert_eq!(e.socks.0.capacity(), 0);
+    }
+
+    /// Why insertion order never mattered: what is due fires in
+    /// `SocketId` order — the scan's order — whichever socket registered
+    /// first and whichever is due sooner. Socket 0's SYN timer fires once
+    /// and backs off to the instant socket 1's first SYN timer is due (or
+    /// `gap` after it); either can be queued first.
+    #[test]
+    fn sockets_due_together_fire_in_socket_id_order() {
+        let rto = RtoConfig::default().initial_rto;
+        let at = |n: u64| SimTime::from_micros(n * rto.as_micros());
+        for (low_registers_first, gap) in [(true, 0), (false, 0), (true, 3), (false, 3)] {
+            let gap = SimDuration::from_millis(gap);
+            let mut e = TcpEndpoint::new(EndpointConfig::default());
+            let s0 = e.connect(at(0), (ip(1), 40_000), (ip(9), 80));
+            let fire_s0 = |e: &mut TcpEndpoint| {
+                e.on_time(at(1));
+                assert_eq!(e.conn(s0).unwrap().next_deadline(), Some(at(3)));
+                let _ = e.next_deadline(); // queues socket 0 for at(3)
+            };
+            if low_registers_first {
+                fire_s0(&mut e);
+            }
+            let s1 = e.connect(at(2) - gap, (ip(1), 40_001), (ip(9), 80));
+            assert_eq!(e.conn(s1).unwrap().next_deadline(), Some(at(3) - gap));
+            let _ = e.next_deadline(); // queues socket 1
+            if !low_registers_first {
+                fire_s0(&mut e);
+            }
+            let _ = e.drain_touched();
+            e.on_time(at(3));
+            // `on_time` touches each socket as it fires it.
+            assert_eq!(e.drain_touched(), vec![s0, s1]);
+        }
+    }
+
+    /// `bulk_download`'s shape: every ack pushes the one connection's
+    /// retransmit deadline later. The stranded entry is earlier than the
+    /// live one, so it is at the top of the heap and the next query
+    /// discards it: the queue stays a handful of entries deep however
+    /// long the transfer runs.
+    #[test]
+    fn a_deadline_pushed_later_ten_thousand_times_leaves_no_backlog() {
+        let (mut n, ca, sb) = connected_pair();
+        let mut acks = Vec::new();
+        let mut last = None;
+        let mut moves = 0;
+        for _ in 0..10_000 {
+            n.now += SimDuration::from_micros(100);
+            let _ = n.a.send(n.now, ca, b"x");
+            for p in std::mem::take(&mut acks) {
+                n.a.on_packet(n.now, &p);
+            }
+            for p in n.a.poll_packets(n.now) {
+                n.b.on_packet(n.now, &p);
+            }
+            let _ = n.b.recv(sb, 100);
+            acks = n.b.poll_packets(n.now);
+            let d = n.a.next_deadline();
+            assert!(d.is_some(), "a byte is always in flight");
+            moves += usize::from(d != last);
+            last = d;
+            assert!(n.a.deadlines.len() <= 2, "{} queued", n.a.deadlines.len());
+        }
+        assert!(moves >= 9_000, "the deadline moved only {moves} times");
+    }
+
+    /// No horizon: a deadline more than 2^36 µs past anything queued
+    /// before it (the deleted wheel's overflow path) is an ordinary entry.
+    #[test]
+    fn a_deadline_nineteen_hours_out_is_reported_and_fires() {
+        let mut e = TcpEndpoint::new(EndpointConfig::default());
+        let near = e.connect(SimTime::ZERO, (ip(1), 40_000), (ip(9), 80));
+        let first = e.next_deadline().expect("SYN timer");
+        let far_now = SimTime::from_micros((1 << 36) + 5);
+        let far = e.connect(far_now, (ip(1), 40_001), (ip(9), 80));
+        let far_due = e.conn(far).unwrap().next_deadline().expect("SYN timer");
+        assert!(far_due.as_micros() - first.as_micros() > 1 << 36);
+        assert_eq!(e.next_deadline(), Some(first));
+        e.abort(SimTime::ZERO, near);
+        assert_eq!(e.next_deadline(), Some(far_due));
+        assert_eq!(e.next_deadline(), e.scan_next_deadline());
+        assert_eq!(e.scan_due(far_due), vec![far]);
+        let _ = e.poll_packets(far_now);
+        e.on_time(far_due);
+        let syns = e.poll_packets(far_due);
+        assert_eq!(syns.len(), 1, "the SYN is retransmitted");
+        assert!(e.next_deadline().is_some_and(|d| d > far_due));
     }
 
     #[test]

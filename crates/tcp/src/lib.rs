@@ -55,7 +55,6 @@ pub mod segment;
 pub mod sendbuf;
 pub mod seq;
 pub mod socket;
-mod wheel;
 
 /// Commonly used items, re-exported for convenient glob import.
 pub mod prelude {

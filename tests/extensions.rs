@@ -657,16 +657,16 @@ fn payload_is_shared_not_copied_from_wire_build_to_application_read() {
 }
 
 #[test]
-fn a_mostly_idle_connection_costs_at_most_14_kib_of_heap() {
+fn a_mostly_idle_connection_costs_at_most_9_kib_of_heap() {
     // The published scale mix (`scale_scenario`: what `bench_suite
     // --scale` and the benchmark's conn_ramp run), through its ramp.
     // Each connection brings a client host with it, so the slope
     // of live heap over connections is what one more (host, connection)
-    // costs across all three machines: 9.9 KiB (DESIGN, "What a host
-    // and a connection cost"). It was ~89 KiB while every host reserved a
-    // full flight ring and six wheel levels and every endpoint a B-tree
-    // leaf of eleven connections. A slope, so what the world costs
-    // before its first client cancels out.
+    // costs across all three machines: 7.4 KiB (DESIGN, "What a host
+    // and a connection cost"). It was 9.9 KiB while each client's
+    // endpoint kept four 512-byte timer-wheel levels for its one SYN
+    // timer, where a 64-byte heap now stands. A slope, so what the world
+    // costs before its first client cancels out.
     use sttcp_bench::experiments::{scale_ramp_end, scale_scenario};
     fn live_after_ramp(conns: u64) -> i64 {
         let before = alloc_count::live();
@@ -678,7 +678,7 @@ fn a_mostly_idle_connection_costs_at_most_14_kib_of_heap() {
     }
     let per_conn = (live_after_ramp(3_000) - live_after_ramp(1_000)) / 2_000;
     assert!(
-        per_conn <= 14 * 1024,
+        per_conn <= 9 * 1024,
         "{per_conn} live heap bytes per (client host, connection)"
     );
 }

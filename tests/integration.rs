@@ -536,7 +536,7 @@ fn reqresp_workload_survives_primary_crash() {
 fn profiler_attributes_tick_scheduler_buckets() {
     // The profiled bench run reports per-component wall-clock
     // attribution; the tick-scheduler rework split the old monolithic
-    // `tcp` bucket into wheel-advance, egress-poll, and HB-encode
+    // `tcp` bucket into deadline-queue, egress-poll, and HB-encode
     // scopes. A download with heartbeats on must exercise every one of
     // them — a zero-scope bucket means an instrumentation site was
     // dropped and the `profile` section of BENCH_simperf.json would
