@@ -49,6 +49,7 @@
 pub mod app;
 pub mod applag;
 pub mod config;
+mod conntable;
 pub mod events;
 pub mod finarb;
 pub mod heartbeat;

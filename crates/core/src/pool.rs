@@ -28,6 +28,7 @@ use simnet::node::{NodeId, SerialPortId};
 use simnet::time::{SimDuration, SimTime};
 
 use crate::config::Role;
+use crate::heartbeat::{unwrap_u32_near, ConnHb};
 use crate::linkmon::LinkMonitor;
 
 /// Static description of one *other* pool member, as wired by the
@@ -44,7 +45,7 @@ pub struct PoolPeer {
 
 /// Peer-side per-connection view, unwrapped to 64 bits. One per
 /// connection per heartbeat sender; in pair mode the single peer's
-/// entries live directly in the server's `peer_conns`.
+/// entries live in the connection table's slots.
 #[derive(Debug, Clone, Copy, Default)]
 pub(crate) struct PeerConn {
     pub(crate) last_byte_received: u64,
@@ -59,6 +60,32 @@ pub(crate) struct PeerConn {
     /// frames can legitimately arrive out of order across links. 0 means
     /// never updated by a v2 frame; the v1 path ignores it.
     pub(crate) last_update_seq: u32,
+}
+
+impl PeerConn {
+    /// True when `c` puts a cumulative counter below what this mirror
+    /// already accepted — impossible for an honest sender.
+    pub(crate) fn regressed_by(&self, c: &ConnHb) -> bool {
+        unwrap_u32_near(c.last_byte_received as u32, self.last_byte_received)
+            < self.last_byte_received
+            || unwrap_u32_near(c.last_app_byte_read as u32, self.last_app_byte_read)
+                < self.last_app_byte_read
+    }
+
+    /// Folds one heartbeat record into the mirror: counters unwrap to
+    /// the 64-bit value nearest the last one, the flags are sticky.
+    pub(crate) fn apply(&mut self, c: &ConnHb) {
+        self.last_byte_received =
+            unwrap_u32_near(c.last_byte_received as u32, self.last_byte_received);
+        self.last_ack_received =
+            unwrap_u32_near(c.last_ack_received as u32, self.last_ack_received);
+        self.last_app_byte_written =
+            unwrap_u32_near(c.last_app_byte_written as u32, self.last_app_byte_written);
+        self.last_app_byte_read =
+            unwrap_u32_near(c.last_app_byte_read as u32, self.last_app_byte_read);
+        self.fin_or_rst |= c.fin_generated || c.rst_generated;
+        self.app_suspected |= c.app_suspected;
+    }
 }
 
 /// Everything this server tracks about one other pool member.

@@ -16,7 +16,7 @@
 //!   the client connections in place.
 
 use bytes::Bytes;
-use std::collections::{BTreeMap, BTreeSet, VecDeque};
+use std::collections::BTreeSet;
 use std::net::Ipv4Addr;
 
 use simnet::flight::{FlightKind, SpanId};
@@ -38,13 +38,12 @@ use simtcp::seq::SeqNum;
 use simtcp::socket::{FourTuple, SocketEvent, SocketId};
 
 use crate::app::{AppAction, AppFactory, Application};
-use crate::applag::AppLagDetector;
 use crate::config::{Role, StTcpConfig};
+use crate::conntable::{ConnCtl, ConnTable, HbCacheEntry, Set, SlotId};
 use crate::events::{FailureReason, HbLink, StTcpEvent};
 use crate::finarb::{ArbAction, FinArbiter};
 use crate::heartbeat::{
-    conn_key, decode_any, unwrap_u32_near, AnyHb, ConnHb, HbFrame, HbFrameKind, HbPayload,
-    PingReport, HB_CONN_LEN,
+    conn_key, decode_any, AnyHb, ConnHb, HbFrame, HbFrameKind, HbPayload, PingReport, HB_CONN_LEN,
 };
 use crate::linkmon::LinkMonitor;
 use crate::metrics::ServerMetrics;
@@ -96,18 +95,15 @@ fn build_link_frames(
     role: Role,
     rank: u8,
     ping: Option<PingReport>,
-    conns: Vec<ConnHb>,
+    conns: &[ConnHb],
     batch: usize,
 ) -> Vec<HbFrame> {
     let cap = u16::MAX as usize;
     let mut chunk = if batch == 0 { cap } else { batch.min(cap) };
     chunk = chunk.max(conns.len().div_ceil(cap)).max(1);
     let parts = conns.len().div_ceil(chunk).max(1);
-    let mut out = Vec::with_capacity(parts);
-    let mut iter = conns.into_iter();
-    for part in 0..parts {
-        let part_conns: Vec<ConnHb> = iter.by_ref().take(chunk).collect();
-        out.push(HbFrame {
+    (0..parts)
+        .map(|part| HbFrame {
             kind,
             epoch,
             link,
@@ -119,12 +115,11 @@ fn build_link_frames(
                 seqno: seq,
                 role,
                 rank,
-                conns: part_conns,
+                conns: conns.chunks(chunk).nth(part).unwrap_or_default().to_vec(),
                 ping: if part == 0 { ping } else { None },
             },
-        });
-    }
-    out
+        })
+        .collect()
 }
 
 /// The stable numeric code a verdict's [`FailureReason`] gets in flight
@@ -208,29 +203,6 @@ pub enum AppCrashMode {
     CleanupRst,
 }
 
-/// Per-connection control state.
-struct ConnCtl {
-    key: u32,
-    app: Box<dyn Application>,
-    app_alive: bool,
-    applag: AppLagDetector,
-    finarb: FinArbiter,
-    pending_out: VecDeque<Bytes>,
-    last_fetch_at: Option<SimTime>,
-    recovering: bool,
-    closed: bool,
-    /// Post-takeover: when a persistent receive hole was first seen.
-    hole_since: Option<SimTime>,
-    /// A local close/abort has already gone through arbitration.
-    close_issued: bool,
-    /// Last time the (live) application showed a sign of life — any
-    /// callback into it returning. Feeds the optional watchdog.
-    last_sign_of_life: SimTime,
-    /// The first client data byte has been delivered to the application
-    /// (milestone bookkeeping — emitted once per connection).
-    saw_data: bool,
-}
-
 /// Re-integration join progress on a rebooted server (the *joiner* side).
 ///
 /// The session nonce scopes every snapshot to one boot of the joiner, so
@@ -269,16 +241,6 @@ impl PingCampaign {
     }
 }
 
-/// Last-sent heartbeat record for one connection (delta mode): the value
-/// the peer will converge on, and the seqno of the frame that first
-/// carried it. The connection rides every frame until the peer's
-/// cumulative ack covers `changed_at`.
-#[derive(Debug, Clone, Copy)]
-struct HbCacheEntry {
-    rec: ConnHb,
-    changed_at: u32,
-}
-
 /// Per-link receive state for batched (v3) heartbeat rounds: which round
 /// is open and which part must arrive next. Parts of one round share a
 /// seqno and must arrive in order on their link (serial links and the
@@ -309,18 +271,13 @@ pub struct StTcpServer {
     // ----- delta heartbeat (v2 wire format) state; hb_delta only -----
     /// This boot incarnation; acks from a previous incarnation are void.
     hb_epoch: u32,
-    /// Last record sent per connection with the seqno it changed at.
-    hb_cache: BTreeMap<u32, HbCacheEntry>,
-    /// Keys of `hb_cache` records the peer may not have acknowledged yet
-    /// — what a delta round visits instead of the whole cache. Always a
-    /// superset of the uncovered records (a key joins when its record
-    /// changes and whenever the peer's acks are voided); each delta round
-    /// prunes it to exactly that set — dropping covered records and keys
-    /// no longer cached — before selecting what to send.
-    hb_unacked: BTreeSet<u32>,
     /// Sockets the endpoint reported touched that no delta round has
     /// looked at yet (see [`StTcpServer::absorb_touched`]).
     hb_touched: Vec<SocketId>,
+    /// Delta-round scratch, kept for its capacity like `hb_scratch`:
+    /// the candidate `(key, slot)`s, and the selected records per link.
+    hb_cands: Vec<(u32, SlotId)>,
+    hb_link_recs: Vec<Vec<ConnHb>>,
     /// Peer's cumulative acks of *my* frames, per link (0 = IP).
     peer_hb_acks: Vec<u32>,
     /// My epoch the peer's acks refer to; full-state frames are sent
@@ -342,35 +299,23 @@ pub struct StTcpServer {
     ft_mode: bool,
     peer_alive: bool,
 
-    conns: BTreeMap<SocketId, ConnCtl>,
-    by_key: BTreeMap<u32, SocketId>,
-    peer_conns: BTreeMap<u32, PeerConn>,
-    /// Backup/joiner: keys whose peer record reports more received bytes
-    /// than this server has, or whose fetch cycle is still open — the
-    /// only connections `run_recovery` must visit. `bytes_received` only
-    /// grows, so a key can *become* lagging only where a peer record is
-    /// applied or a key is (re)bound; those points feed the set
-    /// ([`StTcpServer::note_lag`]) and the recovery walk prunes it.
-    lag_keys: BTreeSet<u32>,
-    /// Post-takeover: sockets that may hold a receive hole — touched
-    /// since the last hole check, or still aging one. Out-of-order bytes
-    /// only appear on packet receipt, so everything else is provably
-    /// hole-free.
-    hole_socks: BTreeSet<SocketId>,
-    /// Connections with application output blocked on a full send buffer
-    /// — the only ones the flush loops must revisit.
-    out_blocked: BTreeSet<SocketId>,
-    /// Connections whose application currently wants `on_tick` callbacks
-    /// (see [`Application::wants_tick`]); the app-tick timer visits only
-    /// these unless the watchdog needs the full sign-of-life walk.
-    tick_socks: BTreeSet<SocketId>,
-    /// Connections the per-connection detector walk must visit: recent
-    /// local/peer activity, or an armed FIN-arbitration deadline or lag
-    /// tracker that must keep aging. Everything else is provably inert
-    /// for the detectors and is skipped.
-    check_socks: BTreeSet<SocketId>,
+    /// Every connection this server or its peer knows: local control
+    /// state, peer mirror, heartbeat cache and active-set membership,
+    /// one slot per connection key (see [`crate::conntable`]).
+    ///
+    /// What feeds each active set: `Lag` — [`StTcpServer::note_lag`]
+    /// wherever a peer record is applied or a key is (re)bound
+    /// (`bytes_received` only grows, so nothing else can open a gap);
+    /// `Unacked` — a cached record changing, and every cached record
+    /// whenever the peer's acks are voided; `Hole` — the endpoint's
+    /// touched feed after a takeover (out-of-order bytes only appear on
+    /// packet receipt); `OutBlocked`, `Tick` — re-evaluated after every
+    /// write attempt / application callback; `Check` — any local or
+    /// peer activity, kept while a FIN-arbitration deadline or lag
+    /// tracker must keep aging.
+    table: ConnTable,
     /// Latched when any peer heartbeat record reported `app_suspected`
-    /// — replaces an every-check scan of `peer_conns`.
+    /// — replaces an every-check scan of the peer mirror.
     peer_app_suspected: bool,
 
     ip_mon: LinkMonitor,
@@ -427,7 +372,7 @@ impl std::fmt::Debug for StTcpServer {
         f.debug_struct("StTcpServer")
             .field("role", &self.role)
             .field("ft_mode", &self.ft_mode)
-            .field("conns", &self.conns.len())
+            .field("conns", &self.table.socks().count())
             .finish_non_exhaustive()
     }
 }
@@ -474,9 +419,9 @@ impl StTcpServer {
             extra_serial_ports: Vec::new(),
             serial_link_mons: Vec::new(),
             hb_epoch: 1,
-            hb_cache: BTreeMap::new(),
-            hb_unacked: BTreeSet::new(),
             hb_touched: Vec::new(),
+            hb_cands: Vec::new(),
+            hb_link_recs: Vec::new(),
             peer_hb_acks: Vec::new(),
             peer_ack_epoch: 0,
             rx_link_seq: Vec::new(),
@@ -487,14 +432,7 @@ impl StTcpServer {
             role,
             ft_mode: true,
             peer_alive: true,
-            conns: BTreeMap::new(),
-            by_key: BTreeMap::new(),
-            peer_conns: BTreeMap::new(),
-            lag_keys: BTreeSet::new(),
-            hole_socks: BTreeSet::new(),
-            out_blocked: BTreeSet::new(),
-            tick_socks: BTreeSet::new(),
-            check_socks: BTreeSet::new(),
+            table: ConnTable::default(),
             peer_app_suspected: false,
             ip_mon: LinkMonitor::new(hb_timeout, SimTime::ZERO),
             serial_mon: LinkMonitor::new(hb_timeout, SimTime::ZERO),
@@ -571,51 +509,69 @@ impl StTcpServer {
     /// True when the optional watchdog suspects the local replica on this
     /// connection: no sign of life for `watchdog_timeout`, with the
     /// connection still nominally open.
-    fn watchdog_suspects(&self, now: SimTime, sock: SocketId) -> bool {
-        let Some(timeout) = self.setup.sttcp.watchdog_timeout else {
-            return false;
-        };
-        let Some(ctl) = self.conns.get(&sock) else {
+    fn watchdog_suspects(&self, now: SimTime, s: SlotId) -> bool {
+        let (Some(timeout), Some(ctl)) = (self.setup.sttcp.watchdog_timeout, &self.table[s].ctl)
+        else {
             return false;
         };
         !ctl.closed && !ctl.close_issued && now.saturating_since(ctl.last_sign_of_life) >= timeout
     }
 
-    fn touch_sign_of_life(&mut self, now: SimTime, sock: SocketId) {
-        if let Some(ctl) = self.conns.get_mut(&sock) {
-            if ctl.app_alive {
-                ctl.last_sign_of_life = now;
-            }
+    /// The heartbeat record describing the slot's socket right now.
+    fn conn_record(&self, now: SimTime, s: SlotId, conn: &TcpConn) -> ConnHb {
+        ConnHb {
+            key: self.table[s].key(),
+            last_byte_received: conn.bytes_received(),
+            last_ack_received: conn.last_ack_received(),
+            last_app_byte_written: conn.app_bytes_written(),
+            last_app_byte_read: conn.app_bytes_read(),
+            fin_generated: conn.fin_generated(),
+            rst_generated: conn.rst_generated(),
+            app_suspected: self.watchdog_suspects(now, s),
         }
     }
 
-    /// Binds `key` to `sock` in the key index, keeping the endpoint's
-    /// tracked set (what [`TcpEndpoint::totals`] sums) equal to the
-    /// sockets `by_key` resolves to. A socket displaced from the index
-    /// drops out of heartbeats, detectors and totals alike; when it
-    /// belongs to a *different* four-tuple that is a 32-bit `conn_key`
-    /// collision, which is counted rather than silently absorbed.
-    fn bind_key(&mut self, key: u32, sock: SocketId) {
-        if let Some(old) = self.by_key.insert(key, sock) {
-            if old != sock {
-                self.tcp.untrack(old);
-                let tuple_of = |s| self.tcp.conn(s).map(|c| c.tuple());
-                if tuple_of(old) != tuple_of(sock) {
-                    self.metrics.on_conn_key_collision();
-                }
+    /// Binds `key` to `sock` with fresh control state, keeping the
+    /// endpoint's tracked set (what [`TcpEndpoint::totals`] sums) equal
+    /// to the sockets the key index resolves to. A displaced socket
+    /// drops out of heartbeats, recovery and totals; when it belongs to
+    /// a *different* four-tuple that is a 32-bit `conn_key` collision,
+    /// which is counted rather than silently absorbed.
+    fn bind_key(
+        &mut self,
+        now: SimTime,
+        key: u32,
+        sock: SocketId,
+        app: Box<dyn Application>,
+    ) -> SlotId {
+        let ctl = ConnCtl::new(
+            key,
+            app,
+            !self.app_crashed,
+            &self.setup.sttcp,
+            self.role,
+            now,
+        );
+        let (s, displaced) = self.table.bind(key, sock, ctl);
+        if let Some(old) = displaced {
+            self.tcp.untrack(old);
+            let tuple_of = |s| self.tcp.conn(s).map(|c| c.tuple());
+            if tuple_of(old) != tuple_of(sock) {
+                self.metrics.on_conn_key_collision();
             }
         }
         self.tcp.track(sock);
-        self.note_lag(key);
+        self.note_lag(s);
+        s
     }
 
-    /// Row-5 feed: `key` joins the lag set if the peer has received
+    /// Row-5 feed: the slot joins the lag set if the peer has received
     /// bytes this backup has not, or a fetch cycle is still open on it.
     /// Called wherever that can become true: a peer record applied, a
     /// key (re)bound. Only a backup (or joiner) ever runs recovery.
-    fn note_lag(&mut self, key: u32) {
-        if self.role == Role::Backup && self.lag_pending(key) {
-            self.lag_keys.insert(key);
+    fn note_lag(&mut self, s: SlotId) {
+        if self.role == Role::Backup && self.lag_pending(s) {
+            self.table.insert(Set::Lag, s);
         }
     }
 
@@ -623,22 +579,23 @@ impl StTcpServer {
     /// differential oracle for the lag set: keys it would act on that
     /// the set is missing. Always empty.
     fn scan_lag_gaps(&self) -> impl Iterator<Item = u32> + '_ {
-        self.by_key
-            .keys()
-            .copied()
-            .filter(|k| !self.lag_keys.contains(k) && self.lag_pending(*k))
+        self.table
+            .bound()
+            .filter(|&(_, s, _)| !self.table.contains(Set::Lag, s) && self.lag_pending(s))
+            .map(|(key, _, _)| key)
     }
 
     /// The full per-key condition `run_recovery` acts on.
-    fn lag_pending(&self, key: u32) -> bool {
-        let Some(&sock) = self.by_key.get(&key) else {
-            return false;
-        };
-        let (Some(conn), Some(peer)) = (self.tcp.conn(sock), self.peer_conns.get(&key)) else {
+    fn lag_pending(&self, s: SlotId) -> bool {
+        let slot = &self.table[s];
+        let (Some(conn), Some(peer)) = (
+            slot.sock().and_then(|sock| self.tcp.conn(sock)),
+            self.table.peer(s),
+        ) else {
             return false;
         };
         peer.last_byte_received > conn.bytes_received()
-            || self.conns.get(&sock).is_some_and(|c| c.recovering)
+            || slot.ctl.as_ref().is_some_and(|c| c.recovering)
     }
 
     /// Voids the peer's acknowledgments of this server's heartbeat
@@ -648,7 +605,10 @@ impl StTcpServer {
     fn reset_peer_acks(&mut self) {
         self.peer_hb_acks = vec![0; self.hb_nlinks()];
         self.peer_ack_epoch = 0;
-        self.hb_unacked = self.hb_cache.keys().copied().collect();
+        let cached: Vec<SlotId> = self.table.cached().map(|(s, _)| s).collect();
+        for s in cached {
+            self.table.insert(Set::Unacked, s);
+        }
     }
 
     /// Drains the endpoint's touched feed into its two consumers: the
@@ -659,10 +619,51 @@ impl StTcpServer {
         let touched = self.tcp.drain_touched();
         self.metrics.on_timer_visits(touched.len());
         if self.took_over {
-            self.hole_socks.extend(touched.iter().copied());
+            for &sock in &touched {
+                if let Some(s) = self.table.by_sock(sock) {
+                    self.table.insert(Set::Hole, s);
+                }
+            }
         }
         if self.setup.sttcp.hb_delta && self.pool.is_none() {
             self.hb_touched.extend(touched);
+        }
+    }
+
+    /// A snapshot of every socket with control state, in `SocketId`
+    /// order, for walks that mutate as they go.
+    fn all_socks(&self) -> Vec<(SocketId, SlotId)> {
+        self.table.socks().collect()
+    }
+
+    /// The socket `key` resolves to.
+    fn sock_of(&self, key: u32) -> Option<SocketId> {
+        self.table[self.table.by_key(key)?].sock()
+    }
+
+    /// Gives every connection one detector evaluation.
+    fn check_every_conn(&mut self) {
+        for (_, s) in self.all_socks() {
+            self.table.insert(Set::Check, s);
+        }
+    }
+
+    /// Re-evaluates whether the slot's application needs periodic
+    /// `on_tick` callbacks. Called after every callback into the app,
+    /// since tick appetite changes with application state.
+    fn refresh_tick(&mut self, s: SlotId) {
+        let ctl = self.table[s].ctl.as_ref();
+        let wants = ctl.is_some_and(|c| c.app_alive && !c.closed && c.app.wants_tick());
+        self.table.set(Set::Tick, s, wants);
+    }
+
+    /// Retries every connection whose application output is blocked on
+    /// a full send buffer, in `SocketId` order.
+    fn flush_blocked(&mut self, now: SimTime) {
+        for s in self.table.members(Set::OutBlocked) {
+            if let Some(sock) = self.table[s].sock() {
+                self.flush_pending(now, sock);
+            }
         }
     }
 
@@ -694,7 +695,7 @@ impl StTcpServer {
     /// (retransmits, RTO firings, segment counts).
     pub fn tcp_stats(&self) -> ConnStats {
         let mut sum = ConnStats::default();
-        for &sock in self.by_key.values() {
+        for (_, _, sock) in self.table.bound() {
             if let Some(c) = self.tcp.conn(sock) {
                 let s = c.stats();
                 sum.segs_out += s.segs_out;
@@ -733,29 +734,50 @@ impl StTcpServer {
     /// Application state digest for a connection key (replica-lockstep
     /// assertions).
     pub fn app_digest(&self, key: u32) -> Option<u64> {
-        let sock = self.by_key.get(&key)?;
-        self.conns.get(sock).map(|c| c.app.state_digest())
+        let ctl = self.table[self.table.by_key(key)?].ctl.as_ref()?;
+        Some(ctl.app.state_digest())
     }
 
     /// Connection keys currently known.
     pub fn conn_keys(&self) -> Vec<u32> {
-        self.by_key.keys().copied().collect()
+        self.table.bound().map(|(key, _, _)| key).collect()
     }
 
-    /// Differential check of the lag set and the unacked-record set
-    /// against the every-connection walks they replaced (the walks that
-    /// also back the debug assertions): `Err` names a connection a walk
-    /// would act on that its set has lost. For tests.
+    /// Differential check of every active set against the
+    /// every-connection walk that defines it (the walks the sets
+    /// replaced, which also back the debug assertions): `Err` names a
+    /// connection a walk would act on that its set has lost. For tests.
     pub fn check_active_sets(&self) -> Result<(), String> {
         if self.role == Role::Backup {
             if let Some(key) = self.scan_lag_gaps().next() {
                 return Err(format!("conn {key:08x} lags outside the lag set"));
             }
         }
-        match self.scan_unacked().find(|k| !self.hb_unacked.contains(k)) {
-            Some(key) => Err(format!("conn {key:08x} unacked outside the unacked set")),
-            None => Ok(()),
+        if let Some((_, key)) = self
+            .scan_unacked()
+            .find(|&(s, _)| !self.table.contains(Set::Unacked, s))
+        {
+            return Err(format!("conn {key:08x} unacked outside the unacked set"));
         }
+        for (sock, s) in self.table.socks() {
+            let Some(ctl) = &self.table[s].ctl else {
+                return Err(format!("{sock:?} is indexed without control state"));
+            };
+            let open = !ctl.closed;
+            let armed = ctl.finarb.needs_check() || ctl.applag.needs_check();
+            let wanted = [
+                (Set::Tick, open && ctl.app_alive && ctl.app.wants_tick()),
+                (Set::OutBlocked, !ctl.pending_out.is_empty()),
+                // Pool mode walks every connection on its check tick and
+                // never consults the set.
+                (Set::Check, open && armed && self.pool.is_none()),
+            ];
+            let lost = |&(set, wanted): &(Set, bool)| wanted && !self.table.contains(set, s);
+            if let Some((set, _)) = wanted.iter().find(|w| lost(w)) {
+                return Err(format!("{sock:?} belongs in {set:?} but is not a member"));
+            }
+        }
+        Ok(())
     }
 
     /// True if the node observed a power-off (and, with re-integration
@@ -801,31 +823,22 @@ impl StTcpServer {
     /// next timer-driven flush (bounded by `app_tick`).
     pub fn inject_app_crash(&mut self, now: SimTime, mode: AppCrashMode) {
         self.app_crashed = true;
-        let socks: Vec<SocketId> = self.conns.keys().copied().collect();
-        for sock in socks {
-            let Some(ctl) = self.conns.get_mut(&sock) else {
+        for (sock, s) in self.all_socks() {
+            let Some(ctl) = self.table[s].ctl.as_mut().filter(|c| !c.closed) else {
                 continue;
             };
-            if ctl.closed {
+            ctl.app_alive = false;
+            if mode == AppCrashMode::SilentNoCleanup {
                 continue;
             }
-            ctl.app_alive = false;
+            ctl.close_issued = true;
+            let (key, action) = (ctl.key, ctl.finarb.on_local_close(now));
+            self.apply_gate_action(now, sock, key, action);
+            // A held FIN's release deadline is polled by the check tick.
+            self.table.insert(Set::Check, s);
             match mode {
-                AppCrashMode::SilentNoCleanup => {}
-                AppCrashMode::CleanupFin => {
-                    ctl.close_issued = true;
-                    let action = ctl.finarb.on_local_close(now);
-                    let key = ctl.key;
-                    self.apply_gate_action(now, sock, key, action);
-                    self.tcp.close(now, sock);
-                }
-                AppCrashMode::CleanupRst => {
-                    ctl.close_issued = true;
-                    let action = ctl.finarb.on_local_close(now);
-                    let key = ctl.key;
-                    self.apply_gate_action(now, sock, key, action);
-                    self.tcp.abort(now, sock);
-                }
+                AppCrashMode::CleanupRst => self.tcp.abort(now, sock),
+                _ => self.tcp.close(now, sock),
             }
         }
     }
@@ -853,7 +866,7 @@ impl StTcpServer {
                 SocketEvent::DataReadable => self.on_readable(now, prof, sock),
                 SocketEvent::PeerFin => self.on_client_fin(now, prof, sock),
                 SocketEvent::Reset | SocketEvent::Closed => {
-                    if let Some(ctl) = self.conns.get_mut(&sock) {
+                    if let Some(ctl) = self.table.ctl_mut(sock) {
                         ctl.closed = true;
                     }
                 }
@@ -869,32 +882,12 @@ impl StTcpServer {
         let key = conn_key(conn.tuple());
         prof.enter(Component::App);
         let mut app = self.app_factory.create();
-        let app_alive = !self.app_crashed;
-        let open_actions = if app_alive { app.on_open() } else { Vec::new() };
+        let open_actions = match self.app_crashed {
+            true => Vec::new(),
+            false => app.on_open(),
+        };
         prof.exit();
-        self.bind_key(key, sock);
-        self.conns.insert(
-            sock,
-            ConnCtl {
-                key,
-                app,
-                app_alive,
-                applag: AppLagDetector::new(
-                    self.setup.sttcp.app_max_lag_bytes,
-                    self.setup.sttcp.app_max_lag_time,
-                    self.setup.sttcp.effective_lag_confirm(),
-                ),
-                finarb: FinArbiter::new(self.role, self.setup.sttcp.max_delay_fin),
-                pending_out: VecDeque::new(),
-                last_fetch_at: None,
-                recovering: false,
-                closed: false,
-                close_issued: false,
-                hole_since: None,
-                last_sign_of_life: now,
-                saw_data: false,
-            },
-        );
+        self.bind_key(now, key, sock, app);
         self.events
             .push(StTcpEvent::ConnEstablished { conn: key, at: now });
         // The accept endpoint arms the extended receive buffer on every
@@ -909,134 +902,94 @@ impl StTcpServer {
     }
 
     fn on_readable(&mut self, now: SimTime, prof: &mut Profiler, sock: SocketId) {
-        loop {
-            let alive = self.conns.get(&sock).map(|c| c.app_alive).unwrap_or(false);
-            if !alive {
-                // A crashed application never reads: bytes pile up in the
-                // TCP receive buffer exactly as in §4.2.1.
-                return;
-            }
+        // A crashed application never reads: bytes pile up in the TCP
+        // receive buffer exactly as in §4.2.1.
+        while let Some(ctl) = self.table.ctl_mut(sock).filter(|c| c.app_alive) {
             let data = self.tcp.recv(sock, 64 * 1024);
             if data.is_empty() {
                 return;
             }
-            let actions = match self.conns.get_mut(&sock) {
-                Some(ctl) => {
-                    if !ctl.saw_data {
-                        ctl.saw_data = true;
-                        self.events.push(StTcpEvent::FirstDataDelivered {
-                            conn: ctl.key,
-                            at: now,
-                        });
-                    }
-                    prof.enter(Component::App);
-                    let actions = ctl.app.on_data(&data);
-                    prof.exit();
-                    actions
-                }
-                None => return,
-            };
-            self.touch_sign_of_life(now, sock);
+            if !ctl.saw_data {
+                ctl.saw_data = true;
+                self.events.push(StTcpEvent::FirstDataDelivered {
+                    conn: ctl.key,
+                    at: now,
+                });
+            }
+            prof.enter(Component::App);
+            let actions = ctl.app.on_data(&data);
+            prof.exit();
+            ctl.last_sign_of_life = now;
             self.apply_app_actions(now, sock, actions);
         }
     }
 
     fn on_client_fin(&mut self, now: SimTime, prof: &mut Profiler, sock: SocketId) {
-        self.check_socks.insert(sock);
-        let Some(ctl) = self.conns.get_mut(&sock) else {
+        let Some(s) = self.table.by_sock(sock) else {
+            return;
+        };
+        self.table.insert(Set::Check, s);
+        let Some(ctl) = self.table[s].ctl.as_mut() else {
             return;
         };
         let key = ctl.key;
         let arb = ctl.finarb.note_client_fin(now);
-        let alive = ctl.app_alive;
+        let actions = ctl.app_alive.then(|| {
+            prof.enter(Component::App);
+            let actions = ctl.app.on_peer_close();
+            prof.exit();
+            actions
+        });
         if let Some(action) = arb {
             self.apply_gate_action(now, sock, key, action);
         }
-        if alive {
-            prof.enter(Component::App);
-            let actions = self.conns.get_mut(&sock).map(|c| c.app.on_peer_close());
-            prof.exit();
-            let Some(actions) = actions else {
-                return;
-            };
+        if let Some(actions) = actions {
             self.apply_app_actions(now, sock, actions);
         }
     }
 
     fn apply_app_actions(&mut self, now: SimTime, sock: SocketId, actions: Vec<AppAction>) {
+        let Some(s) = self.table.by_sock(sock) else {
+            return;
+        };
         for action in actions {
-            match action {
-                AppAction::Write(bytes) => {
-                    if let Some(ctl) = self.conns.get_mut(&sock) {
-                        ctl.pending_out.push_back(bytes);
-                    }
-                }
-                AppAction::Close => {
-                    let arb = match self.conns.get_mut(&sock) {
-                        Some(ctl) if !ctl.close_issued => {
-                            ctl.close_issued = true;
-                            Some(ctl.finarb.on_local_close(now))
-                        }
-                        Some(_) => None,
-                        None => continue,
-                    };
-                    if let Some(arb) = arb {
-                        let key = self.conns.get(&sock).map(|c| c.key).unwrap_or(0);
-                        self.apply_gate_action(now, sock, key, arb);
-                    }
-                    self.flush_pending(now, sock);
-                    self.tcp.close(now, sock);
-                }
-                AppAction::Abort => {
-                    let arb = match self.conns.get_mut(&sock) {
-                        Some(ctl) if !ctl.close_issued => {
-                            ctl.close_issued = true;
-                            Some(ctl.finarb.on_local_close(now))
-                        }
-                        Some(_) => None,
-                        None => continue,
-                    };
-                    if let Some(arb) = arb {
-                        let key = self.conns.get(&sock).map(|c| c.key).unwrap_or(0);
-                        self.apply_gate_action(now, sock, key, arb);
-                    }
-                    self.tcp.abort(now, sock);
-                }
+            let Some(ctl) = self.table[s].ctl.as_mut() else {
+                return;
+            };
+            if let AppAction::Write(bytes) = action {
+                ctl.pending_out.push_back(bytes);
+                continue;
+            }
+            // Close or abort: arbitrate the first one, then let it go.
+            if !ctl.close_issued {
+                ctl.close_issued = true;
+                let (key, arb) = (ctl.key, ctl.finarb.on_local_close(now));
+                self.apply_gate_action(now, sock, key, arb);
+            }
+            if action == AppAction::Close {
+                self.flush_pending(now, sock);
+                self.tcp.close(now, sock);
+            } else {
+                self.tcp.abort(now, sock);
             }
         }
         self.flush_pending(now, sock);
         // Any callback into the application may change its detector-visible
         // state or its appetite for ticks.
-        self.check_socks.insert(sock);
-        self.refresh_tick(sock);
-    }
-
-    /// Re-evaluates whether `sock`'s application needs periodic `on_tick`
-    /// callbacks. Called after every callback into the app, since tick
-    /// appetite changes with application state.
-    fn refresh_tick(&mut self, sock: SocketId) {
-        let wants = self
-            .conns
-            .get(&sock)
-            .is_some_and(|c| c.app_alive && !c.closed && c.app.wants_tick());
-        if wants {
-            self.tick_socks.insert(sock);
-        } else {
-            self.tick_socks.remove(&sock);
-        }
+        self.table.insert(Set::Check, s);
+        self.refresh_tick(s);
     }
 
     fn flush_pending(&mut self, now: SimTime, sock: SocketId) {
+        let Some(s) = self.table.by_sock(sock) else {
+            return;
+        };
+        let Some(ctl) = self.table[s].ctl.as_mut() else {
+            return;
+        };
         let mut wrote = false;
-        while let Some(front) = self
-            .conns
-            .get_mut(&sock)
-            .and_then(|c| c.pending_out.front().cloned())
-        {
-            let n = self.tcp.send_bytes(now, sock, &front);
-            let Some(ctl) = self.conns.get_mut(&sock) else {
-                break;
-            };
+        while let Some(front) = ctl.pending_out.front_mut() {
+            let n = self.tcp.send_bytes(now, sock, front);
             if n == 0 {
                 break; // send buffer full; retry on a later tick
             }
@@ -1044,23 +997,16 @@ impl StTcpServer {
             if n == front.len() {
                 ctl.pending_out.pop_front();
             } else {
-                ctl.pending_out[0] = front.slice(n..);
+                *front = front.slice(n..);
                 break;
             }
         }
+        // Track blocked output so flush loops revisit only these.
+        let blocked = !ctl.pending_out.is_empty();
+        self.table.set(Set::OutBlocked, s, blocked);
         // Writing advances the app position the lag detector compares.
         if wrote {
-            self.check_socks.insert(sock);
-        }
-        // Track blocked output so flush loops revisit only these.
-        if self
-            .conns
-            .get(&sock)
-            .is_some_and(|c| !c.pending_out.is_empty())
-        {
-            self.out_blocked.insert(sock);
-        } else {
-            self.out_blocked.remove(&sock);
+            self.table.insert(Set::Check, s);
         }
     }
 
@@ -1093,23 +1039,12 @@ impl StTcpServer {
     fn build_heartbeat(&mut self, now: SimTime) -> HbPayload {
         let mut conns = std::mem::take(&mut self.hb_scratch);
         conns.clear();
-        conns.reserve(self.by_key.len());
-        self.metrics.on_timer_visits(self.by_key.len());
-        for (&key, &sock) in &self.by_key {
-            let Some(conn) = self.tcp.conn(sock) else {
-                continue;
-            };
-            conns.push(ConnHb {
-                key,
-                last_byte_received: conn.bytes_received(),
-                last_ack_received: conn.last_ack_received(),
-                last_app_byte_written: conn.app_bytes_written(),
-                last_app_byte_read: conn.app_bytes_read(),
-                fin_generated: conn.fin_generated(),
-                rst_generated: conn.rst_generated(),
-                app_suspected: self.watchdog_suspects(now, sock),
-            });
+        for (_, s, sock) in self.table.bound() {
+            if let Some(conn) = self.tcp.conn(sock) {
+                conns.push(self.conn_record(now, s, conn));
+            }
         }
+        self.metrics.on_timer_visits(conns.len());
         HbPayload {
             seqno: self.hb_seq,
             role: self.role,
@@ -1231,18 +1166,78 @@ impl StTcpServer {
         );
     }
 
-    /// True when `hb`'s per-connection counters regress against what this
-    /// receiver already accepted — semantically impossible for honest
-    /// cumulative counters, so the whole payload is a lie.
-    fn hb_regresses(hb: &HbPayload, known: &BTreeMap<u32, PeerConn>) -> bool {
-        hb.conns.iter().any(|c| {
-            known.get(&c.key).is_some_and(|e| {
-                unwrap_u32_near(c.last_byte_received as u32, e.last_byte_received)
-                    < e.last_byte_received
-                    || unwrap_u32_near(c.last_app_byte_read as u32, e.last_app_byte_read)
-                        < e.last_app_byte_read
-            })
-        })
+    /// True when a frame numbered `seq` may update mirror `e`: always
+    /// for v1 (`None`); for v2 unless a newer frame already did —
+    /// cross-link reorder legitimately delivers older frames late.
+    fn takes(e: &PeerConn, seq: Option<u32>) -> bool {
+        seq.is_none_or(|seq| e.last_update_seq == 0 || !seq_newer(e.last_update_seq, seq))
+    }
+
+    /// Resolves each record's slot — the one keyed lookup a record pays
+    /// — and runs the byzantine sanity check: a record that would
+    /// regress a cumulative counter this receiver already accepted is
+    /// semantically impossible, so the whole payload is a lie. `None`
+    /// (logged and counted) tells the caller to drop the frame,
+    /// including its liveness value, so the stream starves the link
+    /// monitors and row 1 condemns the liar instead of its lies driving
+    /// hold-release or lag verdicts.
+    fn vet_records(
+        &mut self,
+        now: SimTime,
+        hb: &HbPayload,
+        seq: Option<u32>,
+    ) -> Option<Vec<SlotId>> {
+        let slots: Vec<SlotId> = hb.conns.iter().map(|c| self.table.entry(c.key)).collect();
+        let lie = hb.conns.iter().zip(&slots).any(|(c, &s)| {
+            let peer = self.table[s].peer.as_ref();
+            peer.is_some_and(|e| Self::takes(e, seq) && e.regressed_by(c))
+        });
+        if !lie {
+            return Some(slots);
+        }
+        if !self.byzantine_reported {
+            self.byzantine_reported = true;
+            self.events
+                .push(StTcpEvent::ByzantineHbRejected { at: now });
+        }
+        self.metrics.on_byzantine_rejected();
+        None
+    }
+
+    /// Applies a vetted frame's records to the peer mirror and lets each
+    /// connection's detectors, hold buffer and lag feed see the fresh
+    /// positions.
+    fn apply_records(&mut self, now: SimTime, hb: &HbPayload, slots: &[SlotId], seq: Option<u32>) {
+        let mut arb_actions: Vec<(SocketId, u32, ArbAction)> = Vec::new();
+        for (c, &s) in hb.conns.iter().zip(slots) {
+            let slot = &mut self.table[s];
+            let peer = slot.peer.get_or_insert_with(PeerConn::default);
+            if !Self::takes(peer, seq) {
+                continue;
+            }
+            peer.last_update_seq = seq.unwrap_or(peer.last_update_seq);
+            peer.apply(c);
+            self.peer_app_suspected |= peer.app_suspected;
+            let (fin_or_rst, lbr) = (peer.fin_or_rst, peer.last_byte_received);
+            let (Some(sock), Some(ctl)) = (slot.sock(), slot.ctl.as_mut()) else {
+                continue; // the peer knows the key first; `bind_key` catches up
+            };
+            if let Some(a) = ctl.finarb.on_peer_hb(now, fin_or_rst) {
+                arb_actions.push((sock, c.key, a));
+            }
+            // Fresh peer positions: the lag detector must look again.
+            self.table.insert(Set::Check, s);
+            // The primary releases held bytes the backup has confirmed.
+            if self.role == Role::Primary {
+                if let Some(conn) = self.tcp.conn_mut(sock) {
+                    conn.release_hold_until(lbr);
+                }
+            }
+            self.note_lag(s);
+        }
+        for (sock, key, action) in arb_actions {
+            self.apply_gate_action(now, sock, key, action);
+        }
     }
 
     fn handle_heartbeat(&mut self, now: SimTime, hb: &HbPayload, link: HbLink) {
@@ -1270,19 +1265,9 @@ impl StTcpServer {
                 return;
             }
         }
-        // Byzantine sanity check: reject the whole payload — including
-        // its liveness value — so a semantically corrupt stream starves
-        // the link monitors and the liar is condemned by row 1, instead
-        // of its lies driving hold-release or lag verdicts.
-        if Self::hb_regresses(hb, &self.peer_conns) {
-            if !self.byzantine_reported {
-                self.byzantine_reported = true;
-                self.events
-                    .push(StTcpEvent::ByzantineHbRejected { at: now });
-            }
-            self.metrics.on_byzantine_rejected();
+        let Some(slots) = self.vet_records(now, hb, None) else {
             return;
-        }
+        };
         self.peer_last_seqno = Some(hb.seqno);
         self.peer_seqno_advanced_at = now;
         match link {
@@ -1291,45 +1276,7 @@ impl StTcpServer {
         }
         self.metrics.on_heartbeat(link, now);
         self.peer_ping = hb.ping;
-        let mut arb_actions: Vec<(SocketId, u32, ArbAction)> = Vec::new();
-        for c in &hb.conns {
-            let entry = self.peer_conns.entry(c.key).or_default();
-            entry.last_byte_received =
-                unwrap_u32_near(c.last_byte_received as u32, entry.last_byte_received);
-            entry.last_ack_received =
-                unwrap_u32_near(c.last_ack_received as u32, entry.last_ack_received);
-            entry.last_app_byte_written =
-                unwrap_u32_near(c.last_app_byte_written as u32, entry.last_app_byte_written);
-            entry.last_app_byte_read =
-                unwrap_u32_near(c.last_app_byte_read as u32, entry.last_app_byte_read);
-            entry.fin_or_rst |= c.fin_generated || c.rst_generated;
-            entry.app_suspected |= c.app_suspected;
-            if entry.app_suspected {
-                self.peer_app_suspected = true;
-            }
-            let fin_or_rst = entry.fin_or_rst;
-            let lbr = entry.last_byte_received;
-
-            if let Some(&sock) = self.by_key.get(&c.key) {
-                // Fresh peer positions: the lag detector must look again.
-                self.check_socks.insert(sock);
-                if let Some(ctl) = self.conns.get_mut(&sock) {
-                    if let Some(a) = ctl.finarb.on_peer_hb(now, fin_or_rst) {
-                        arb_actions.push((sock, c.key, a));
-                    }
-                }
-                // The primary releases held bytes the backup has confirmed.
-                if self.role == Role::Primary {
-                    if let Some(conn) = self.tcp.conn_mut(sock) {
-                        conn.release_hold_until(lbr);
-                    }
-                }
-            }
-            self.note_lag(c.key);
-        }
-        for (sock, key, action) in arb_actions {
-            self.apply_gate_action(now, sock, key, action);
-        }
+        self.apply_records(now, hb, &slots, None);
     }
 
     /// True when the peer's acknowledged state already covers a record
@@ -1350,13 +1297,14 @@ impl StTcpServer {
     }
 
     /// The replaced whole-cache selection walk, kept as the differential
-    /// oracle for the unacked set: the keys of every cached record the
-    /// peer's acks do not cover, in key order.
-    fn scan_unacked(&self) -> impl Iterator<Item = u32> + '_ {
-        self.hb_cache
-            .iter()
-            .filter(|(&key, e)| !self.ack_covers(key, e.changed_at))
-            .map(|(&key, _)| key)
+    /// oracle for the unacked set: every cached record the peer's acks
+    /// do not cover, in key order.
+    fn scan_unacked(&self) -> impl Iterator<Item = (SlotId, u32)> + '_ {
+        let cached = self.table.cached();
+        cached
+            .map(|(s, e)| (s, e.rec.key, e.changed_at))
+            .filter(|&(_, key, changed_at)| !self.ack_covers(key, changed_at))
+            .map(|(s, key, _)| (s, key))
     }
 
     /// Delta-mode (v2) heartbeat emission: dirty-until-acked connection
@@ -1376,104 +1324,78 @@ impl StTcpServer {
         // which must lie about every connection to match v1 detection
         // semantics — forces full-state frames.
         let full = self.peer_ack_epoch != self.hb_epoch || regress;
-        // Refresh the record cache. The candidate set is the endpoint's
+        // Refresh the record cache. The candidates are the endpoint's
         // touched feed plus every record that may still await an ack, so
         // idle connections cost nothing per heartbeat period. The
         // optional watchdog is the one signal that changes with *time*
         // rather than socket activity, so enabling it falls back to the
-        // full scan.
+        // full scan. Key order, each key once: a touched socket stands
+        // for whatever its key resolves to now.
         self.absorb_touched();
-        let touched = std::mem::take(&mut self.hb_touched);
-        let scan_all = full || self.setup.sttcp.watchdog_timeout.is_some();
-        let mut candidates: BTreeSet<u32> = BTreeSet::new();
-        if scan_all {
-            candidates.extend(self.by_key.keys().copied());
-            let by_key = &self.by_key;
-            self.hb_cache.retain(|k, _| by_key.contains_key(k));
+        let mut cands = std::mem::take(&mut self.hb_cands);
+        cands.clear();
+        if full || self.setup.sttcp.watchdog_timeout.is_some() {
+            cands.extend(self.table.bound().map(|(key, s, _)| (key, s)));
         } else {
-            for sock in touched {
-                if let Some(ctl) = self.conns.get(&sock) {
-                    candidates.insert(ctl.key);
-                }
-            }
-            candidates.extend(self.hb_unacked.iter().copied());
+            let unacked = self.table.members(Set::Unacked);
+            let touched = self.hb_touched.iter();
+            let touched = touched.filter_map(|&sock| self.table.by_sock(sock));
+            let slots = touched.map(|s| self.table.home(s)).chain(unacked);
+            cands.extend(slots.map(|s| (self.table[s].key(), s)));
+            cands.sort_unstable();
+            cands.dedup();
         }
-        self.metrics.on_timer_visits(candidates.len());
-        for key in candidates {
-            let Some(&sock) = self.by_key.get(&key) else {
-                self.hb_cache.remove(&key);
+        self.hb_touched.clear();
+        self.metrics.on_timer_visits(cands.len());
+        for &(_, s) in &cands {
+            let conn = self.table[s].sock().and_then(|sock| self.tcp.conn(sock));
+            let Some(rec) = conn.map(|conn| self.conn_record(now, s, conn)) else {
+                self.table[s].cache = None;
                 continue;
             };
-            let Some(conn) = self.tcp.conn(sock) else {
-                self.hb_cache.remove(&key);
+            if self.table[s].cache.is_some_and(|e| e.rec == rec) {
                 continue;
-            };
-            let rec = ConnHb {
-                key,
-                last_byte_received: conn.bytes_received(),
-                last_ack_received: conn.last_ack_received(),
-                last_app_byte_written: conn.app_bytes_written(),
-                last_app_byte_read: conn.app_bytes_read(),
-                fin_generated: conn.fin_generated(),
-                rst_generated: conn.rst_generated(),
-                app_suspected: self.watchdog_suspects(now, sock),
-            };
-            match self.hb_cache.get_mut(&key) {
-                Some(e) if e.rec == rec => {}
-                Some(e) => {
-                    e.rec = rec;
-                    e.changed_at = seq;
-                    self.hb_unacked.insert(key);
-                }
-                None => {
-                    self.hb_cache.insert(
-                        key,
-                        HbCacheEntry {
-                            rec,
-                            changed_at: seq,
-                        },
-                    );
-                    self.hb_unacked.insert(key);
-                }
             }
+            self.table[s].cache = Some(HbCacheEntry {
+                rec,
+                changed_at: seq,
+            });
+            self.table.insert(Set::Unacked, s);
         }
+        self.hb_cands = cands;
         // Select the records still in flight toward the peer: the whole
         // cache on a full-resync round, otherwise the unacked set pruned
         // to what the peer's acks do not cover (acks only advance between
-        // resets, so a covered record never needs another look).
-        let mut ip_conns: Vec<ConnHb> = Vec::new();
-        let mut serial_conns: Vec<Vec<ConnHb>> = vec![Vec::new(); nserial];
-        let mut select = |key: u32, e: &HbCacheEntry| {
+        // resets, so a covered record never needs another look). Link 0
+        // (IP) carries every one, serial link `1 + s` only shard `s`.
+        let mut links = std::mem::take(&mut self.hb_link_recs);
+        links.resize_with(1 + nserial, Vec::new);
+        links.iter_mut().for_each(Vec::clear);
+        let mut select = |e: &HbCacheEntry| {
             let mut rec = e.rec;
             if regress {
                 rec.last_byte_received = rec.last_byte_received.saturating_sub(100_000);
                 rec.last_app_byte_read = rec.last_app_byte_read.saturating_sub(100_000);
             }
-            ip_conns.push(rec);
-            serial_conns[key as usize % nserial].push(rec);
+            links[0].push(rec);
+            links[1 + rec.key as usize % nserial].push(rec);
         };
         if full {
-            self.metrics.on_timer_visits(self.hb_cache.len());
-            for (&key, e) in &self.hb_cache {
-                select(key, e);
-            }
+            self.table.cached().for_each(|(_, e)| select(&e));
+            self.metrics.on_timer_visits(links[0].len());
         } else {
-            self.metrics.on_timer_visits(self.hb_unacked.len());
-            let mut unacked = std::mem::take(&mut self.hb_unacked);
-            unacked.retain(|&key| {
-                self.hb_cache
-                    .get(&key)
-                    .is_some_and(|e| !self.ack_covers(key, e.changed_at))
-            });
-            self.hb_unacked = unacked;
-            #[cfg(debug_assertions)]
+            self.metrics
+                .on_timer_visits(self.table.set_len(Set::Unacked));
+            for s in self.table.members(Set::Unacked) {
+                match self.table[s].cache {
+                    Some(e) if !self.ack_covers(e.rec.key, e.changed_at) => select(&e),
+                    _ => self.table.remove(Set::Unacked, s),
+                }
+            }
             debug_assert!(
-                self.hb_unacked.iter().copied().eq(self.scan_unacked()),
+                (links[0].iter().map(|r| r.key)).eq(self.scan_unacked().map(|(_, key)| key)),
                 "unacked set diverged from the whole-cache walk"
             );
-            for &key in &self.hb_unacked {
-                select(key, &self.hb_cache[&key]);
-            }
         }
         let kind = match full {
             true => HbFrameKind::Full,
@@ -1482,91 +1404,55 @@ impl StTcpServer {
         let role = self.role;
         let rank = self.setup.rank;
         let ping = self.ping.active.then(|| self.ping.report());
-        let acks = self.rx_link_seq.clone();
-        let ack_epoch = self.rx_peer_epoch;
         let span = SpanId::heartbeat(role_byte(role), rank, seq);
-        let mut frames = 0u64;
-        let mut conn_entries = 0u64;
-        let mut payload_bytes = 0u64;
-        let mut framing_bytes = 0u64;
-        let mut account = |wire_len: usize, nconns: usize| {
-            frames += 1;
-            conn_entries += nconns as u64;
-            let payload = nconns as u64 * HB_CONN_LEN as u64;
-            payload_bytes += payload;
-            framing_bytes += (wire_len as u64).saturating_sub(payload);
-        };
-        let batch = self.setup.sttcp.hb_batch;
-        // IP frames: every in-flight record (full cross-link redundancy),
-        // split into batch parts when the round exceeds the batch knob.
-        for f in build_link_frames(
-            kind,
-            self.hb_epoch,
-            0,
-            ack_epoch,
-            &acks,
-            seq,
-            role,
-            rank,
-            ping,
-            ip_conns,
-            batch,
-        ) {
-            let nconns = f.hb.conns.len();
-            let wire = f.encode();
-            if let Some(frame) =
-                self.iface
-                    .frame_to(self.setup.peer_private_ip, IpProto::Heartbeat, wire.clone())
-            {
-                ctx.send_frame(self.iface.nic, frame);
-                ctx.flight(
-                    span,
-                    SpanId::NONE,
-                    FlightKind::HbEmit {
-                        seqno: seq,
-                        link: 0,
-                        bytes: wire.len() as u32,
-                        conns: nconns as u32,
-                    },
-                );
-                account(wire.len(), nconns);
-            }
-        }
-        // Serial frames: each link carries only its shard.
-        for (s, conns) in serial_conns.into_iter().enumerate() {
-            let port = match s {
-                0 => self.serial_port,
-                _ => self.extra_serial_ports[s - 1],
-            };
+        let (mut frames, mut conn_entries, mut payload_bytes, mut framing_bytes) = (0, 0, 0, 0);
+        // Every link's share, split into batch parts when it exceeds the
+        // batch knob.
+        for (link, recs) in links.iter().enumerate() {
             for f in build_link_frames(
                 kind,
                 self.hb_epoch,
-                (1 + s) as u8,
-                ack_epoch,
-                &acks,
+                link as u8,
+                self.rx_peer_epoch,
+                &self.rx_link_seq,
                 seq,
                 role,
                 rank,
                 ping,
-                conns,
-                batch,
+                recs,
+                self.setup.sttcp.hb_batch,
             ) {
-                let nconns = f.hb.conns.len();
+                let nconns = f.hb.conns.len() as u64;
                 let wire = f.encode();
-                ctx.send_serial(port, wire.clone());
+                let bytes = wire.len() as u64;
+                match link {
+                    0 => {
+                        let to = self.setup.peer_private_ip;
+                        let Some(frame) = self.iface.frame_to(to, IpProto::Heartbeat, wire) else {
+                            continue;
+                        };
+                        ctx.send_frame(self.iface.nic, frame);
+                    }
+                    1 => ctx.send_serial(self.serial_port, wire),
+                    _ => ctx.send_serial(self.extra_serial_ports[link - 2], wire),
+                }
                 ctx.flight(
                     span,
                     SpanId::NONE,
                     FlightKind::HbEmit {
                         seqno: seq,
-                        link: (1 + s) as u8,
-                        bytes: wire.len() as u32,
+                        link: link as u8,
+                        bytes: bytes as u32,
                         conns: nconns as u32,
                     },
                 );
-                account(wire.len(), nconns);
+                frames += 1;
+                conn_entries += nconns;
+                payload_bytes += nconns * HB_CONN_LEN as u64;
+                framing_bytes += bytes.saturating_sub(nconns * HB_CONN_LEN as u64);
             }
         }
+        self.hb_link_recs = links;
         self.metrics
             .on_hb_round(frames, conn_entries, payload_bytes, framing_bytes);
     }
@@ -1591,7 +1477,7 @@ impl StTcpServer {
             self.rx_peer_epoch = f.epoch;
             self.rx_link_seq = vec![0; self.hb_nlinks()];
             self.rx_link_batch = vec![RxBatch::default(); self.hb_nlinks()];
-            for p in self.peer_conns.values_mut() {
+            for p in self.table.slots_mut().filter_map(|slot| slot.peer.as_mut()) {
                 p.last_update_seq = 0;
             }
             self.reset_peer_acks();
@@ -1632,24 +1518,9 @@ impl StTcpServer {
         // Byzantine sanity check, against per-connection ordering: only
         // records this frame would actually update can regress; records
         // an older cross-link frame legitimately repeats are skipped.
-        let regressing = hb.conns.iter().any(|c| {
-            self.peer_conns.get(&c.key).is_some_and(|e| {
-                (e.last_update_seq == 0 || !seq_newer(e.last_update_seq, hb.seqno))
-                    && (unwrap_u32_near(c.last_byte_received as u32, e.last_byte_received)
-                        < e.last_byte_received
-                        || unwrap_u32_near(c.last_app_byte_read as u32, e.last_app_byte_read)
-                            < e.last_app_byte_read)
-            })
-        });
-        if regressing {
-            if !self.byzantine_reported {
-                self.byzantine_reported = true;
-                self.events
-                    .push(StTcpEvent::ByzantineHbRejected { at: now });
-            }
-            self.metrics.on_byzantine_rejected();
+        let Some(slots) = self.vet_records(now, hb, Some(hb.seqno)) else {
             return;
-        }
+        };
         // The link's cumulative ack advances only once the whole round is
         // in hand: single-frame rounds immediately, batched rounds on
         // their final part. A poisoned or lost part never completes the
@@ -1699,56 +1570,14 @@ impl StTcpServer {
         // Apply records under per-connection ordering: equal seqno is the
         // same tick's frame on the other link and reapplies identical
         // values; strictly older frames are skipped per record.
-        let mut arb_actions: Vec<(SocketId, u32, ArbAction)> = Vec::new();
-        for c in &hb.conns {
-            let entry = self.peer_conns.entry(c.key).or_default();
-            if entry.last_update_seq != 0 && seq_newer(entry.last_update_seq, hb.seqno) {
-                continue;
-            }
-            entry.last_update_seq = hb.seqno;
-            entry.last_byte_received =
-                unwrap_u32_near(c.last_byte_received as u32, entry.last_byte_received);
-            entry.last_ack_received =
-                unwrap_u32_near(c.last_ack_received as u32, entry.last_ack_received);
-            entry.last_app_byte_written =
-                unwrap_u32_near(c.last_app_byte_written as u32, entry.last_app_byte_written);
-            entry.last_app_byte_read =
-                unwrap_u32_near(c.last_app_byte_read as u32, entry.last_app_byte_read);
-            entry.fin_or_rst |= c.fin_generated || c.rst_generated;
-            entry.app_suspected |= c.app_suspected;
-            if entry.app_suspected {
-                self.peer_app_suspected = true;
-            }
-            let fin_or_rst = entry.fin_or_rst;
-            let lbr = entry.last_byte_received;
-
-            if let Some(&sock) = self.by_key.get(&c.key) {
-                // Fresh peer positions: the lag detector must look again.
-                self.check_socks.insert(sock);
-                if let Some(ctl) = self.conns.get_mut(&sock) {
-                    if let Some(a) = ctl.finarb.on_peer_hb(now, fin_or_rst) {
-                        arb_actions.push((sock, c.key, a));
-                    }
-                }
-                // The primary releases held bytes the backup has confirmed.
-                if self.role == Role::Primary {
-                    if let Some(conn) = self.tcp.conn_mut(sock) {
-                        conn.release_hold_until(lbr);
-                    }
-                }
-            }
-            self.note_lag(c.key);
-        }
-        for (sock, key, action) in arb_actions {
-            self.apply_gate_action(now, sock, key, action);
-        }
+        self.apply_records(now, hb, &slots, Some(hb.seqno));
     }
 
     /// Pool-mode heartbeat intake: per-member staleness and byzantine
     /// filtering, rank tracking, and the pool-wide FIN/hold view.
     fn pool_handle_heartbeat(&mut self, now: SimTime, hb: &HbPayload, link: HbLink, src: Ipv4Addr) {
         let hb_timeout = self.setup.sttcp.hb_timeout();
-        let mirror: Option<BTreeMap<u32, PeerConn>>;
+        let mut mirrored: Vec<SlotId> = Vec::new();
         {
             let Some(pool) = &mut self.pool else {
                 return;
@@ -1808,7 +1637,11 @@ impl StTcpServer {
             // Byzantine sanity check, per member: reject the whole
             // payload — including its liveness value — so the liar's
             // monitors starve and quorum fencing condemns it.
-            if Self::hb_regresses(hb, &m.conns) {
+            let mut known = hb
+                .conns
+                .iter()
+                .filter_map(|c| Some((c, m.conns.get(&c.key)?)));
+            if known.any(|(c, e)| e.regressed_by(c)) {
                 if !m.byzantine_reported {
                     m.byzantine_reported = true;
                     self.events
@@ -1831,26 +1664,25 @@ impl StTcpServer {
             }
             m.role = hb.role;
             for c in &hb.conns {
-                let entry = m.conns.entry(c.key).or_default();
-                entry.last_byte_received =
-                    unwrap_u32_near(c.last_byte_received as u32, entry.last_byte_received);
-                entry.last_ack_received =
-                    unwrap_u32_near(c.last_ack_received as u32, entry.last_ack_received);
-                entry.last_app_byte_written =
-                    unwrap_u32_near(c.last_app_byte_written as u32, entry.last_app_byte_written);
-                entry.last_app_byte_read =
-                    unwrap_u32_near(c.last_app_byte_read as u32, entry.last_app_byte_read);
-                entry.fin_or_rst |= c.fin_generated || c.rst_generated;
-                entry.app_suspected |= c.app_suspected;
+                m.conns.entry(c.key).or_default().apply(c);
             }
             let m_rank = m.rank;
             let m_defunct = m.defunct;
-            // Mirror the active member's positions into the pair-mode
-            // slot: recovery fetching, join convergence, and the takeover
-            // gap check all read `peer_conns` and work unchanged.
-            mirror = (hb.role == Role::Primary).then(|| m.conns.clone());
+            // Mirror the active member's positions into the table's peer
+            // column, where the pair-mode readers look: recovery fetching,
+            // join convergence and the takeover gap check work unchanged.
+            // The member's own map stays as it is; the column is cleared
+            // and refilled (pool heartbeats are full-state: O(n) by
+            // design), so every key may have become lagging.
             if hb.role == Role::Primary {
                 pool.active_rank = m_rank;
+                self.table.clear_peers();
+                self.table.clear_set(Set::Lag);
+                for (&key, &peer) in &m.conns {
+                    let s = self.table.entry(key);
+                    self.table[s].peer = Some(peer);
+                    mirrored.push(s);
+                }
             }
             // A fence target that speaks a fresh heartbeat is not dead —
             // unless the speaker is a restarted incarnation standing in
@@ -1860,18 +1692,8 @@ impl StTcpServer {
                 pool.fence = None;
             }
         }
-        if let Some(conns) = mirror {
-            // The whole map was replaced, so every key may have become
-            // lagging (pool heartbeats are full-state: O(n) by design).
-            self.peer_conns = conns;
-            if self.role == Role::Backup {
-                self.lag_keys = self
-                    .peer_conns
-                    .keys()
-                    .copied()
-                    .filter(|&key| self.lag_pending(key))
-                    .collect();
-            }
+        for s in mirrored {
+            self.note_lag(s);
         }
         // FIN arbitration and hold release against the pool-wide view:
         // a FIN counts once any non-fenced member saw it; the active
@@ -1882,7 +1704,8 @@ impl StTcpServer {
         };
         let mut arb_actions: Vec<(SocketId, u32, ArbAction)> = Vec::new();
         let i_am_active = self.role == Role::Primary;
-        for (&key, &sock) in &self.by_key {
+        let bound: Vec<_> = self.table.bound().collect();
+        for (key, s, sock) in bound {
             let mut fin_or_rst = false;
             let mut min_lbr = u64::MAX;
             let mut any_member = false;
@@ -1896,7 +1719,7 @@ impl StTcpServer {
                     None => min_lbr = 0,
                 }
             }
-            if let Some(ctl) = self.conns.get_mut(&sock) {
+            if let Some(ctl) = &mut self.table[s].ctl {
                 if let Some(a) = ctl.finarb.on_peer_hb(now, fin_or_rst) {
                     arb_actions.push((sock, key, a));
                 }
@@ -1958,20 +1781,24 @@ impl StTcpServer {
             Role::Primary => {
                 self.events.push(StTcpEvent::WentNonFt { reason, at: now });
                 ctx.trace("primary: running non-fault-tolerant".to_string());
-                let socks: Vec<SocketId> = self.conns.keys().copied().collect();
-                for sock in socks {
-                    let (key, action) = match self.conns.get_mut(&sock) {
-                        Some(ctl) => (ctl.key, ctl.finarb.on_peer_failed()),
-                        None => continue,
-                    };
-                    if let Some(a) = action {
-                        self.apply_gate_action(now, sock, key, a);
-                    }
-                    // The extended receive buffer has no consumer anymore.
-                    if let Some(conn) = self.tcp.conn_mut(sock) {
-                        conn.release_hold_until(u64::MAX);
-                    }
-                }
+                self.run_open(now);
+            }
+        }
+    }
+
+    /// Nobody is left to replicate to: every FIN arbiter resolves as
+    /// peer-failed and the extended receive buffer, having no consumer
+    /// anymore, lets everything go.
+    fn run_open(&mut self, now: SimTime) {
+        for (sock, s) in self.all_socks() {
+            let Some(ctl) = &mut self.table[s].ctl else {
+                continue;
+            };
+            if let (key, Some(a)) = (ctl.key, ctl.finarb.on_peer_failed()) {
+                self.apply_gate_action(now, sock, key, a);
+            }
+            if let Some(conn) = self.tcp.conn_mut(sock) {
+                conn.release_hold_until(u64::MAX);
             }
         }
     }
@@ -1992,7 +1819,7 @@ impl StTcpServer {
             tspan,
             self.last_hb_rx_span,
             FlightKind::Takeover {
-                conns: self.conns.len() as u32,
+                conns: self.table.socks().count() as u32,
             },
         );
         ctx.trace("backup: taking over client connections".to_string());
@@ -2018,31 +1845,26 @@ impl StTcpServer {
                 egress: EgressMode::Normal,
             },
         );
-        let socks: Vec<SocketId> = self.conns.keys().copied().collect();
-        for sock in socks {
+        for (sock, s) in self.all_socks() {
             self.tcp.set_egress(sock, EgressMode::Normal);
+            let Some(ctl) = &mut self.table[s].ctl else {
+                continue;
+            };
+            let (key, action) = (ctl.key, ctl.finarb.on_takeover());
             if keep_ft {
                 if let Some(conn) = self.tcp.conn_mut(sock) {
                     conn.enable_hold(self.setup.sttcp.hold_buf);
                 }
-                if let Some(ctl) = self.conns.get(&sock) {
-                    self.events.push(StTcpEvent::HoldArmed {
-                        conn: ctl.key,
-                        at: now,
-                    });
-                }
+                self.events
+                    .push(StTcpEvent::HoldArmed { conn: key, at: now });
             }
-            let (key, action) = match self.conns.get_mut(&sock) {
-                Some(ctl) => (ctl.key, ctl.finarb.on_takeover()),
-                None => continue,
-            };
             // The paper's output-commit caveat: if the dead primary had
             // received-and-acked client bytes this backup never got, those
             // bytes exist nowhere anymore. Without a logger the connection
             // cannot be continued correctly; reset it rather than hang the
             // client forever ("ST-TCP treats this failure as
             // unrecoverable", §4.3).
-            let gap = self.peer_conns.get(&key).and_then(|peer| {
+            let gap = self.table.peer(s).and_then(|peer| {
                 let mine = self.tcp.conn(sock)?.bytes_received();
                 (peer.last_byte_received > mine).then_some(mine)
             });
@@ -2057,7 +1879,7 @@ impl StTcpServer {
                 ));
                 self.tcp.set_fin_gate(sock, FinGate::Open);
                 self.tcp.abort(now, sock);
-                if let Some(ctl) = self.conns.get_mut(&sock) {
+                if let Some(ctl) = &mut self.table[s].ctl {
                     ctl.closed = true;
                 }
                 continue;
@@ -2083,14 +1905,16 @@ impl StTcpServer {
             self.peer_alive = keep_ft;
             // The dead active's mirror served the gap check above; from
             // here the new active's own positions are authoritative.
-            self.peer_conns.clear();
+            self.table.clear_peers();
             self.peer_app_suspected = false;
         }
         // An active server never fetches.
-        self.lag_keys.clear();
+        self.table.clear_set(Set::Lag);
         // Connections may carry receive holes from their time as tapped
         // shadows: the first hole check looks at every one.
-        self.hole_socks = self.conns.keys().copied().collect();
+        for (_, s) in self.all_socks() {
+            self.table.insert(Set::Hole, s);
+        }
         // Delta mode: the dead peer's acks are void; a future joiner is
         // served full-state frames until it acknowledges this epoch.
         self.reset_peer_acks();
@@ -2099,6 +1923,7 @@ impl StTcpServer {
 
     fn run_checks(&mut self, ctx: &mut NodeCtx<'_>) {
         let now = ctx.now();
+        debug_assert_eq!(self.check_active_sets(), Ok(()));
 
         // Metrics sampling: hold occupancy and aggregate TCP state, once
         // per check period — from the endpoint's incremental totals, so
@@ -2109,7 +1934,7 @@ impl StTcpServer {
         debug_assert_eq!(
             totals,
             self.scan_sampling_walk(),
-            "endpoint totals diverged from the by_key sampling walk"
+            "endpoint totals diverged from the key-index sampling walk"
         );
         self.metrics.sample_hold(totals.hold);
         if totals.live > 0 {
@@ -2142,20 +1967,23 @@ impl StTcpServer {
                 }
             });
             self.ip_was_alive = ip_alive;
-            self.metrics.on_timer_visits(self.conns.len());
-            if ip_alive {
-                // Link restored: lag that formed (or persisted, frozen)
-                // while the IP heartbeat was down produced no activity to
-                // mark connections with, so give every connection one
-                // evaluation to re-establish detector baselines.
-                self.check_socks.extend(self.conns.keys().copied());
-            } else {
-                // With the IP heartbeat down, app lag is a symptom of the
-                // network fault, not an app crash. The detector loop below
-                // only visits active connections, so quiesce every lag
-                // tracker once at the edge — stale watermarks must not
-                // produce a verdict when the link returns.
-                for ctl in self.conns.values_mut() {
+            let socks = self.all_socks();
+            self.metrics.on_timer_visits(socks.len());
+            for (_, s) in socks {
+                if ip_alive {
+                    // Link restored: lag that formed (or persisted,
+                    // frozen) while the IP heartbeat was down produced no
+                    // activity to mark connections with, so give every
+                    // connection one evaluation to re-establish detector
+                    // baselines.
+                    self.table.insert(Set::Check, s);
+                } else if let Some(ctl) = &mut self.table[s].ctl {
+                    // With the IP heartbeat down, app lag is a symptom of
+                    // the network fault, not an app crash. The detector
+                    // loop below only visits active connections, so
+                    // quiesce every lag tracker once at the edge — stale
+                    // watermarks must not produce a verdict when the link
+                    // returns.
                     ctl.applag.reset();
                 }
             }
@@ -2206,7 +2034,6 @@ impl StTcpServer {
                 self.ping.attempts = 0;
                 ctx.set_timer(SimDuration::ZERO, TOKEN_PING);
             }
-            self.metrics.on_timer_visits(self.by_key.len());
             let obs = self.net_observation();
             if let Some(reason) = self.net_detect.check(now, &obs) {
                 self.declare_peer_failed(ctx, reason);
@@ -2240,66 +2067,41 @@ impl StTcpServer {
         // the walk; a connection leaves the set once both its arbiters are
         // provably inert (no deadline, no lag) and re-enters on any local
         // or peer-reported movement.
-        let socks: Vec<SocketId> = self.check_socks.iter().copied().collect();
-        self.metrics.on_timer_visits(socks.len());
-        for sock in socks {
-            let Some(ctl) = self.conns.get_mut(&sock) else {
-                self.check_socks.remove(&sock);
+        let slots = self.table.members(Set::Check);
+        self.metrics.on_timer_visits(slots.len());
+        for s in slots {
+            let peer = self.table.peer(s).copied();
+            let slot = &mut self.table[s];
+            let (Some(sock), Some(ctl)) = (slot.sock(), slot.ctl.as_mut()) else {
                 continue;
             };
-            if ctl.closed {
-                self.check_socks.remove(&sock);
-                continue;
-            }
-            let key = ctl.key;
-            // FIN arbitration deadlines.
-            if let Some(a) = ctl.finarb.on_check(now) {
-                if a == ArbAction::DeclarePeerFailed {
-                    verdict = verdict.or(Some(FailureReason::FinMismatchTimeout));
-                } else {
-                    arb_actions.push((sock, key, a));
+            if !ctl.closed {
+                // FIN arbitration deadlines.
+                match ctl.finarb.on_check(now) {
+                    Some(ArbAction::DeclarePeerFailed) => {
+                        verdict = verdict.or(Some(FailureReason::FinMismatchTimeout));
+                    }
+                    Some(a) => arb_actions.push((sock, ctl.key, a)),
+                    None => {}
                 }
-            }
-            // Application-lag detection (rows 2/3) presumes the network is
-            // healthy — with the IP heartbeat down, any app lag is a
-            // symptom of the network failure and blame is assigned by the
-            // row-4 detectors above instead. Also needs this connection in
-            // the peer's heartbeat.
-            if !ip_alive {
-                if let Some(ctl) = self.conns.get_mut(&sock) {
+                // Application-lag detection (rows 2/3) presumes the
+                // network is healthy — with the IP heartbeat down, any app
+                // lag is a symptom of the network failure and blame is
+                // assigned by the row-4 detectors above instead. It also
+                // needs fresh evidence (stale: the liveness detector
+                // rules) and this connection in the peer's heartbeat.
+                if !ip_alive {
                     ctl.applag.reset();
-                    if !ctl.finarb.needs_check() {
-                        self.check_socks.remove(&sock);
-                    }
-                }
-                continue;
-            }
-            if !hb_fresh {
-                continue; // stale evidence: let the liveness detector rule
-            }
-            if let Some(peer) = self.peer_conns.get(&key).copied() {
-                let (my_read, my_written) = match self.tcp.conn(sock) {
-                    Some(c) => (c.app_bytes_read(), c.app_bytes_written()),
-                    None => continue,
-                };
-                if let Some(ctl) = self.conns.get_mut(&sock) {
-                    if let Some(reason) = ctl.applag.check(
-                        now,
-                        my_read,
-                        my_written,
-                        peer.last_app_byte_read,
-                        peer.last_app_byte_written,
-                    ) {
-                        verdict = verdict.or(Some(reason));
-                    }
+                } else if !hb_fresh {
+                    continue;
+                } else if let (Some(peer), Some(c)) = (peer, self.tcp.conn(sock)) {
+                    let (read, written) = (c.app_bytes_read(), c.app_bytes_written());
+                    let (p_read, p_written) = (peer.last_app_byte_read, peer.last_app_byte_written);
+                    verdict = verdict.or(ctl.applag.check(now, read, written, p_read, p_written));
                 }
             }
-            let inert = self
-                .conns
-                .get(&sock)
-                .is_some_and(|c| !c.finarb.needs_check() && !c.applag.needs_check());
-            if inert {
-                self.check_socks.remove(&sock);
+            if ctl.closed || !(ctl.finarb.needs_check() || ctl.applag.needs_check()) {
+                self.table.remove(Set::Check, s);
             }
         }
         for (sock, key, action) in arb_actions {
@@ -2346,29 +2148,36 @@ impl StTcpServer {
         // hole, and only one already aging a hole can hit the deadline.
         self.absorb_touched();
         #[cfg(debug_assertions)]
-        for (sock, ctl) in &self.conns {
+        for (sock, s) in self.table.socks() {
+            let ctl = self.table[s]
+                .ctl
+                .as_ref()
+                .expect("indexed sockets have control state");
             debug_assert!(
-                self.hole_socks.contains(sock)
-                    || (ctl.hole_since.is_none() && (ctl.closed || !self.stranded(*sock))),
+                self.table.contains(Set::Hole, s)
+                    || (ctl.hole_since.is_none() && (ctl.closed || !self.stranded(sock))),
                 "socket {sock:?} holds a receive hole outside the hole set"
             );
         }
-        let socks: Vec<SocketId> = self.hole_socks.iter().copied().collect();
-        self.metrics.on_timer_visits(socks.len());
-        for sock in socks {
+        let slots = self.table.members(Set::Hole);
+        self.metrics.on_timer_visits(slots.len());
+        for s in slots {
+            let Some(sock) = self.table[s].sock() else {
+                continue;
+            };
             let stranded = self.stranded(sock);
-            let Some(ctl) = self.conns.get_mut(&sock) else {
-                self.hole_socks.remove(&sock);
+            let Some(ctl) = &mut self.table[s].ctl else {
                 continue;
             };
             if ctl.closed || !stranded {
                 ctl.hole_since = None;
-                self.hole_socks.remove(&sock);
+                self.table.remove(Set::Hole, s);
                 continue;
             }
             let since = *ctl.hole_since.get_or_insert(now);
             if now.saturating_since(since) >= self.setup.sttcp.gap_giveup {
                 let key = ctl.key;
+                ctl.closed = true;
                 let missing_from = self.tcp.conn(sock).map(|c| c.bytes_received()).unwrap_or(0);
                 self.events.push(StTcpEvent::UnrecoverableGap {
                     conn: key,
@@ -2380,9 +2189,6 @@ impl StTcpServer {
                 ));
                 self.tcp.set_fin_gate(sock, FinGate::Open);
                 self.tcp.abort(now, sock);
-                if let Some(ctl) = self.conns.get_mut(&sock) {
-                    ctl.closed = true;
-                }
             }
         }
     }
@@ -2397,11 +2203,11 @@ impl StTcpServer {
 
     /// The replaced every-connection sampling walk, kept as the
     /// differential oracle for the endpoint totals *and* for the tracked
-    /// set being exactly the sockets `by_key` resolves to.
+    /// set being exactly the sockets the key index resolves to.
     #[cfg(debug_assertions)]
     fn scan_sampling_walk(&self) -> EndpointTotals {
         let mut sum = EndpointTotals::default();
-        for &sock in self.by_key.values() {
+        for (_, _, sock) in self.table.bound() {
             if let Some(c) = self.tcp.conn(sock) {
                 sum.live += 1;
                 sum.hold += c.hold_used() as u64;
@@ -2434,20 +2240,15 @@ impl StTcpServer {
         // FIN-mismatch verdict) is dropped: the arbiter resolves itself
         // when it fires, and liveness verdicts arrive only via fencing.
         let mut arb_actions: Vec<(SocketId, u32, ArbAction)> = Vec::new();
-        let socks: Vec<SocketId> = self.conns.keys().copied().collect();
+        let socks = self.all_socks();
         self.metrics.on_timer_visits(socks.len());
-        for sock in socks {
-            let Some(ctl) = self.conns.get_mut(&sock) else {
+        for (sock, s) in socks {
+            let Some(ctl) = self.table[s].ctl.as_mut().filter(|c| !c.closed) else {
                 continue;
             };
-            if ctl.closed {
-                continue;
-            }
-            let key = ctl.key;
-            if let Some(a) = ctl.finarb.on_check(now) {
-                if a != ArbAction::DeclarePeerFailed {
-                    arb_actions.push((sock, key, a));
-                }
+            let action = ctl.finarb.on_check(now);
+            if let Some(a) = action.filter(|&a| a != ArbAction::DeclarePeerFailed) {
+                arb_actions.push((sock, ctl.key, a));
             }
         }
         for (sock, key, action) in arb_actions {
@@ -2809,19 +2610,7 @@ impl StTcpServer {
                     egress: EgressMode::Normal,
                 },
             );
-            let socks: Vec<SocketId> = self.conns.keys().copied().collect();
-            for sock in socks {
-                let (key, action) = match self.conns.get_mut(&sock) {
-                    Some(ctl) => (ctl.key, ctl.finarb.on_peer_failed()),
-                    None => continue,
-                };
-                if let Some(a) = action {
-                    self.apply_gate_action(now, sock, key, a);
-                }
-                if let Some(conn) = self.tcp.conn_mut(sock) {
-                    conn.release_hold_until(u64::MAX);
-                }
-            }
+            self.run_open(now);
         }
     }
 
@@ -2866,7 +2655,7 @@ impl StTcpServer {
         }
     }
 
-    fn net_observation(&self) -> NetObservation {
+    fn net_observation(&mut self) -> NetObservation {
         let mut obs = NetObservation {
             my_ping: self.ping.active.then(|| self.ping.report()),
             peer_ping: self.peer_ping,
@@ -2874,11 +2663,10 @@ impl StTcpServer {
         };
         // A fault-window walk: it runs only while the IP heartbeat is
         // down with a serial link still up (Table 1 row 4).
-        for (&key, &sock) in &self.by_key {
-            let Some(conn) = self.tcp.conn(sock) else {
-                continue;
-            };
-            let Some(peer) = self.peer_conns.get(&key) else {
+        let mut visits = 0;
+        for (_, s, sock) in self.table.bound() {
+            visits += 1;
+            let (Some(conn), Some(peer)) = (self.tcp.conn(sock), self.table[s].peer) else {
                 continue;
             };
             obs.my_bytes += conn.bytes_received();
@@ -2886,6 +2674,7 @@ impl StTcpServer {
             obs.my_acks += conn.last_ack_received();
             obs.peer_acks += peer.last_ack_received;
         }
+        self.metrics.on_timer_visits(visits);
         obs
     }
 
@@ -2900,35 +2689,29 @@ impl StTcpServer {
         );
         let mut requests = Vec::new();
         // Key order, like the walk: events and fetches keep their order.
-        let keys: Vec<u32> = self.lag_keys.iter().copied().collect();
-        self.metrics.on_timer_visits(keys.len());
-        for key in keys {
-            let Some(&sock) = self.by_key.get(&key) else {
-                self.lag_keys.remove(&key);
+        let slots = self.table.members(Set::Lag);
+        self.metrics.on_timer_visits(slots.len());
+        for s in slots {
+            let peer = self.table.peer(s).copied();
+            let slot = &mut self.table[s];
+            let conn = slot.sock().and_then(|sock| self.tcp.conn(sock));
+            let (Some(conn), Some(peer), Some(ctl)) = (conn, peer, slot.ctl.as_mut()) else {
+                self.table.remove(Set::Lag, s);
                 continue;
             };
-            let (Some(conn), Some(peer)) = (self.tcp.conn(sock), self.peer_conns.get(&key)) else {
-                self.lag_keys.remove(&key);
-                continue;
-            };
-            let mine = conn.bytes_received();
+            let (key, mine) = (ctl.key, conn.bytes_received());
             if peer.last_byte_received <= mine {
-                if let Some(ctl) = self.conns.get_mut(&sock) {
-                    if ctl.recovering {
-                        ctl.recovering = false;
-                        self.events.push(StTcpEvent::RecoveryCompleted {
-                            conn: key,
-                            through: mine,
-                            at: now,
-                        });
-                    }
+                if ctl.recovering {
+                    ctl.recovering = false;
+                    self.events.push(StTcpEvent::RecoveryCompleted {
+                        conn: key,
+                        through: mine,
+                        at: now,
+                    });
                 }
-                self.lag_keys.remove(&key);
+                self.table.remove(Set::Lag, s);
                 continue;
             }
-            let Some(ctl) = self.conns.get_mut(&sock) else {
-                continue;
-            };
             let due = ctl
                 .last_fetch_at
                 .map(|t| now.saturating_since(t) >= self.setup.sttcp.recovery_interval)
@@ -3002,8 +2785,8 @@ impl StTcpServer {
             // about the old peer — including sticky FIN/watchdog flags that
             // would otherwise poison verdicts against the new incarnation —
             // is stale.
-            self.peer_conns.clear();
-            self.lag_keys.clear();
+            self.table.clear_peers();
+            self.table.clear_set(Set::Lag);
             self.peer_app_suspected = false;
             self.peer_last_seqno = None;
             self.peer_seqno_advanced_at = now;
@@ -3033,9 +2816,8 @@ impl StTcpServer {
                 },
             );
         }
-        let socks: Vec<SocketId> = self.conns.keys().copied().collect();
         let mut announced = 0u32;
-        for sock in socks {
+        for (sock, s) in self.all_socks() {
             // Arm the hold buffer *before* capturing the snapshot: every
             // client byte at or beyond the snapshot's receive edge stays
             // fetchable, so the joiner sees the stream with no hole —
@@ -3044,12 +2826,8 @@ impl StTcpServer {
             if let Some(conn) = self.tcp.conn_mut(sock) {
                 conn.enable_hold(self.setup.sttcp.hold_buf);
             }
-            if let Some(ctl) = self.conns.get(&sock) {
-                self.events.push(StTcpEvent::HoldArmed {
-                    conn: ctl.key,
-                    at: now,
-                });
-            }
+            let conn = self.table[s].key();
+            self.events.push(StTcpEvent::HoldArmed { conn, at: now });
             let Some(msg) = self.snapshot_conn(session, sock) else {
                 continue;
             };
@@ -3070,11 +2848,8 @@ impl StTcpServer {
     /// Captures one connection as a [`ConnSnapshotMsg`], or `None` when it
     /// cannot be joined (closed, not snapshottable, or a buffer exceeds the
     /// control-channel cap — such a connection simply stays unreplicated).
-    fn snapshot_conn(&mut self, session: u32, sock: SocketId) -> Option<ConnSnapshotMsg> {
-        let ctl = self.conns.get(&sock)?;
-        if ctl.closed {
-            return None;
-        }
+    fn snapshot_conn(&self, session: u32, sock: SocketId) -> Option<ConnSnapshotMsg> {
+        let ctl = self.table.ctl(sock).filter(|c| !c.closed)?;
         let key = ctl.key;
         let snap = self.tcp.conn(sock)?.snapshot()?;
         if snap.unacked.len() > MAX_FETCH_DATA || snap.pending.len() > MAX_FETCH_DATA {
@@ -3159,33 +2934,15 @@ impl StTcpServer {
         );
         match self.tcp.install_resumed(conn, EgressMode::Suppress) {
             Some(sock) => {
-                self.bind_key(s.conn, sock);
-                self.conns.insert(
-                    sock,
-                    ConnCtl {
-                        key: s.conn,
-                        app,
-                        app_alive: !self.app_crashed,
-                        applag: AppLagDetector::new(
-                            self.setup.sttcp.app_max_lag_bytes,
-                            self.setup.sttcp.app_max_lag_time,
-                            self.setup.sttcp.effective_lag_confirm(),
-                        ),
-                        finarb: FinArbiter::new(self.role, self.setup.sttcp.max_delay_fin),
-                        pending_out: VecDeque::new(),
-                        last_fetch_at: None,
-                        recovering: false,
-                        closed: false,
-                        close_issued: s.local_fin,
-                        hole_since: None,
-                        last_sign_of_life: now,
-                        // The connection resumed mid-stream: its first
-                        // byte was delivered on the active side long ago.
-                        saw_data: true,
-                    },
-                );
-                self.refresh_tick(sock);
-                self.check_socks.insert(sock);
+                let slot = self.bind_key(now, s.conn, sock, app);
+                if let Some(ctl) = &mut self.table[slot].ctl {
+                    ctl.close_issued = s.local_fin;
+                    // The connection resumed mid-stream: its first byte
+                    // was delivered on the active side long ago.
+                    ctl.saw_data = true;
+                }
+                self.refresh_tick(slot);
+                self.table.insert(Set::Check, slot);
                 self.events.push(StTcpEvent::SnapshotInstalled {
                     conn: s.conn,
                     at: now,
@@ -3238,21 +2995,22 @@ impl StTcpServer {
         // with receive and application-read positions caught up (a closed
         // local connection has nothing left to converge). A join-window
         // walk: it stops the tick the join completes.
-        self.metrics.on_timer_visits(self.peer_conns.len());
-        for (&key, peer) in &self.peer_conns {
-            let Some(&sock) = self.by_key.get(&key) else {
+        self.metrics.on_timer_visits(self.table.peers().count());
+        for (key, s, peer) in self.table.peers() {
+            let slot = &self.table[s];
+            let Some(sock) = slot.sock() else {
                 // Heartbeats announce every conn still in the peer's socket
                 // table, including closed ones the snapshot pass skipped —
                 // those have nothing to converge. Only a key we actually
-                // installed may gate convergence (it can lag `by_key` by one
-                // poll when the tuple arrived via tap); a brand-new conn is
-                // tapped from its SYN and needs no catch-up.
+                // installed may gate convergence (it can lag the key index
+                // by one poll when the tuple arrived via tap); a brand-new
+                // conn is tapped from its SYN and needs no catch-up.
                 if join.installed.contains(&key) {
                     return;
                 }
                 continue;
             };
-            if self.conns.get(&sock).map(|c| c.closed).unwrap_or(true) {
+            if slot.ctl.as_ref().is_none_or(|c| c.closed) {
                 continue;
             }
             let Some(conn) = self.tcp.conn(sock) else {
@@ -3271,7 +3029,7 @@ impl StTcpServer {
         self.peer_alive = true;
         // Detectors resume against a fresh peer: give every connection one
         // evaluation so first-observation baselines are established.
-        self.check_socks.extend(self.conns.keys().copied());
+        self.check_every_conn();
         self.events
             .push(StTcpEvent::ReintegrationCompleted { at: now });
         ctx.trace(format!(
@@ -3367,7 +3125,7 @@ impl StTcpServer {
         let now = ctx.now();
         match msg {
             CtrlMsg::FetchRequest { conn, from, max } => {
-                let Some(&sock) = self.by_key.get(conn) else {
+                let Some(sock) = self.sock_of(*conn) else {
                     return;
                 };
                 let data = self
@@ -3387,7 +3145,7 @@ impl StTcpServer {
                 if data.is_empty() {
                     return;
                 }
-                let Some(&sock) = self.by_key.get(conn) else {
+                let Some(sock) = self.sock_of(*conn) else {
                     return;
                 };
                 self.tcp.inject_in_order(sock, *from, data);
@@ -3454,7 +3212,7 @@ impl StTcpServer {
                     self.serving_join = None;
                     self.ft_mode = true;
                     self.peer_alive = true;
-                    self.check_socks.extend(self.conns.keys().copied());
+                    self.check_every_conn();
                     self.events
                         .push(StTcpEvent::ReintegrationCompleted { at: now });
                     ctx.trace(format!(
@@ -3464,7 +3222,7 @@ impl StTcpServer {
                     // Fresh FIN arbitration against the new backup: the old
                     // arbiters are in their peer-failed (open-gate) state
                     // from the takeover.
-                    for ctl in self.conns.values_mut() {
+                    for ctl in self.table.slots_mut().filter_map(|slot| slot.ctl.as_mut()) {
                         if !ctl.close_issued && !ctl.closed {
                             ctl.finarb = FinArbiter::new(self.role, self.setup.sttcp.max_delay_fin);
                         }
@@ -3483,11 +3241,8 @@ impl StTcpServer {
             let had_events = self.drain_tcp_events(now, ctx.profiler());
             // Acknowledgments may have freed send-buffer space: drain any
             // application output that was blocked on it.
-            if !self.out_blocked.is_empty() {
-                let blocked: Vec<SocketId> = self.out_blocked.iter().copied().collect();
-                for sock in blocked {
-                    self.flush_pending(now, sock);
-                }
+            if self.table.set_len(Set::OutBlocked) > 0 {
+                self.flush_blocked(now);
             }
             ctx.profile_enter(Component::TcpPoll);
             let pkts = self.tcp.poll_packets(now);
@@ -3782,12 +3537,10 @@ impl Node for StTcpServer {
                 // Opportunistically drain app output that was blocked on a
                 // full send buffer.
                 let now = ctx.now();
-                let socks: Vec<SocketId> = self.out_blocked.iter().copied().collect();
-                self.metrics.on_timer_visits(socks.len());
+                self.metrics
+                    .on_timer_visits(self.table.set_len(Set::OutBlocked));
                 ctx.profile_enter(Component::Tcp);
-                for sock in socks {
-                    self.flush_pending(now, sock);
-                }
+                self.flush_blocked(now);
                 ctx.profile_exit();
                 ctx.set_timer(self.setup.sttcp.check_period, TOKEN_CHECK);
             }
@@ -3803,26 +3556,23 @@ impl Node for StTcpServer {
                 // application's sign of life refreshed each tick; with it
                 // off, only applications that asked for ticks are visited,
                 // so idle connections cost nothing per round.
-                let socks: Vec<SocketId> = if self.setup.sttcp.watchdog_timeout.is_some() {
-                    self.conns.keys().copied().collect()
-                } else {
-                    self.tick_socks.iter().copied().collect()
+                let slots: Vec<SlotId> = match self.setup.sttcp.watchdog_timeout {
+                    Some(_) => self.table.socks().map(|(_, s)| s).collect(),
+                    None => self.table.members(Set::Tick),
                 };
-                self.metrics.on_timer_visits(socks.len());
-                for sock in socks {
-                    let actions = match self.conns.get_mut(&sock) {
-                        Some(ctl) if ctl.app_alive && !ctl.closed => {
-                            ctx.profile_enter(Component::App);
-                            let actions = ctl.app.on_tick(now);
-                            ctx.profile_exit();
-                            actions
-                        }
-                        _ => {
-                            self.tick_socks.remove(&sock);
-                            continue;
-                        }
+                self.metrics.on_timer_visits(slots.len());
+                for s in slots {
+                    let slot = &mut self.table[s];
+                    let (sock, ctl) = (slot.sock(), slot.ctl.as_mut());
+                    let (Some(sock), Some(ctl)) = (sock, ctl.filter(|c| c.app_alive && !c.closed))
+                    else {
+                        self.table.remove(Set::Tick, s);
+                        continue;
                     };
-                    self.touch_sign_of_life(now, sock);
+                    ctx.profile_enter(Component::App);
+                    let actions = ctl.app.on_tick(now);
+                    ctx.profile_exit();
+                    ctl.last_sign_of_life = now;
                     // Applying the actions is the endpoint's send / close /
                     // abort: TCP work, like the same calls under `flush`.
                     ctx.profile_enter(Component::Tcp);
@@ -3869,11 +3619,7 @@ impl Node for StTcpServer {
             self.ft_mode = false;
             self.peer_alive = false;
             self.took_over = false;
-            self.conns.clear();
-            self.by_key.clear();
-            self.peer_conns.clear();
-            self.lag_keys.clear();
-            self.hole_socks.clear();
+            self.table.clear();
             self.peer_app_suspected = false;
             self.peer_ping = None;
             self.ping.active = false;
@@ -3904,11 +3650,10 @@ impl Node for StTcpServer {
         self.peer_alive = true;
         self.took_over = false;
         self.app_crashed = false;
-        self.conns.clear();
-        self.by_key.clear();
-        self.peer_conns.clear();
-        self.lag_keys.clear();
-        self.hole_socks.clear();
+        // Every column, index and active set: the TCP stack rebuilt below
+        // hands out socket ids from zero again, and nothing from before
+        // the crash may alias them.
+        self.table.clear();
         self.peer_app_suspected = false;
         self.peer_ping = None;
         self.ping = PingCampaign {
@@ -3926,7 +3671,6 @@ impl Node for StTcpServer {
         // Delta mode: a fresh boot incarnation — the peer's receivers see
         // the epoch change and reset their side; ours starts empty.
         self.hb_epoch = epoch_from(now);
-        self.hb_cache.clear();
         self.hb_touched.clear();
         self.reset_peer_acks();
         self.rx_link_seq = vec![0; self.hb_nlinks()];
@@ -4089,7 +3833,7 @@ mod tests {
         s.handle_heartbeat(t, &hb, HbLink::Serial);
         assert_eq!(s.serial_mon.last_rx(), Some(t));
         assert_eq!(s.ip_mon.last_rx(), None);
-        let p = s.peer_conns.get(&0xabc).unwrap();
+        let p = s.table.peer(s.table.by_key(0xabc).unwrap()).unwrap();
         assert_eq!(p.last_byte_received, 1_000);
         assert_eq!(p.last_app_byte_read, 950);
     }
@@ -4109,7 +3853,7 @@ mod tests {
         s.tcp.listen(service.1, ListenConfig::default());
         // Forge two client tuples whose 32-bit FNV keys collide
         // (birthday search: ~2^16 tuples suffice).
-        let mut seen: BTreeMap<u32, (Ipv4Addr, u16)> = BTreeMap::new();
+        let mut seen = std::collections::BTreeMap::<u32, (Ipv4Addr, u16)>::new();
         let (a, b) = (0..u32::MAX)
             .find_map(|i| {
                 let remote = (
@@ -4131,7 +3875,7 @@ mod tests {
         }
         // Both sockets live on in the endpoint, but only the newer one is
         // indexed, heartbeated and sampled.
-        assert_eq!(s.conns.len(), 2);
+        assert_eq!(s.table.socks().count(), 2);
         assert_eq!(s.conn_keys().len(), 1);
         assert_eq!(s.tcp.totals().live, 1);
         assert!(s
@@ -4141,16 +3885,70 @@ mod tests {
             .contains("\"conn_key_collisions\":1"));
         // The same tuple re-accepted after a close rebinds its own key:
         // a replacement, not a collision.
-        let sock = s.by_key[&conn_key(FourTuple {
+        let sock = s.sock_of(conn_key(FourTuple {
             local: service,
             remote: b,
-        })];
+        }));
+        let sock = sock.expect("the newer socket holds the key");
         s.tcp.abort(now, sock);
         s.tcp.on_packet(now, &syn_from(b, service));
         assert!(s.drain_tcp_events(now, &mut Profiler::new()));
-        assert_eq!(s.conns.len(), 3);
+        assert_eq!(s.table.socks().count(), 3);
         assert_eq!(s.metrics.conn_key_collisions(), 1);
         assert_eq!(s.tcp.totals().live, 1);
+    }
+
+    /// A replica that asks for every tick (the trait default) and opens
+    /// with more output than a send buffer holds.
+    struct Chatty;
+
+    impl Application for Chatty {
+        fn on_open(&mut self) -> Vec<AppAction> {
+            vec![AppAction::Write(Bytes::from(vec![0; 1 << 20]))]
+        }
+
+        fn on_data(&mut self, _: &[u8]) -> Vec<AppAction> {
+            Vec::new()
+        }
+    }
+
+    /// The rebuilt TCP stack reissues socket ids from zero, so a warm
+    /// reboot must forget every set that names sockets — before the
+    /// first snapshot installs, no tick, flush or detector visit may be
+    /// owed to a pre-crash id.
+    #[test]
+    fn warm_reboot_forgets_every_active_set() {
+        let mut setup = setup(Role::Primary);
+        setup.sttcp.reintegrate = true;
+        let service = (setup.service_ip, setup.service_port);
+        let mut iface = IpInterface::new(NicId(0), MacAddr::unicast(2), setup.private_ip);
+        iface.add_alias(setup.service_ip);
+        iface.add_arp(setup.peer_private_ip, MacAddr::unicast(3));
+        let server = StTcpServer::new(setup, iface, Box::new(|| Box::new(Chatty) as _));
+        let mut world = simnet::world::World::new(1);
+        let node = world.add_node("primary", Box::new(server));
+        world.add_nic(node, MacAddr::unicast(2));
+        world.start();
+        let s = world.node_mut::<StTcpServer>(node).expect("server type");
+        for port in 4000..4003 {
+            let syn = syn_from((Ipv4Addr::new(10, 0, 0, 1), port), service);
+            s.tcp.on_packet(SimTime::ZERO, &syn);
+        }
+        assert!(s.drain_tcp_events(SimTime::ZERO, &mut Profiler::new()));
+        for set in [Set::Tick, Set::OutBlocked, Set::Check] {
+            assert_eq!(s.table.set_len(set), 3, "{set:?} before the crash");
+        }
+        world.crash_node(node);
+        world.restore_node(node);
+        let s = world.node::<StTcpServer>(node).expect("server type");
+        assert!(
+            s.join.is_some(),
+            "rebooted into a join, nothing installed yet"
+        );
+        assert_eq!(s.table.socks().count(), 0);
+        for set in Set::ALL {
+            assert_eq!(s.table.set_len(set), 0, "{set:?} survived the reboot");
+        }
     }
 
     #[test]
@@ -4179,6 +3977,6 @@ mod tests {
         };
         s.handle_heartbeat(SimTime::from_millis(1), &hb_fin, HbLink::Ip);
         s.handle_heartbeat(SimTime::from_millis(2), &hb_nofin, HbLink::Ip);
-        assert!(s.peer_conns.get(&1).unwrap().fin_or_rst);
+        assert!(s.table.peer(s.table.by_key(1).unwrap()).unwrap().fin_or_rst);
     }
 }
