@@ -98,7 +98,7 @@ impl StreamApp {
 }
 
 impl Application for StreamApp {
-    fn on_data(&mut self, data: &[u8]) -> Vec<AppAction> {
+    fn on_data(&mut self, data: &Bytes) -> Vec<AppAction> {
         self.consumed += data.len() as u64;
         if self.requested.is_some() {
             return Vec::new(); // trailing client bytes are ignored
@@ -211,10 +211,10 @@ impl ReqRespApp {
 }
 
 impl Application for ReqRespApp {
-    fn on_data(&mut self, data: &[u8]) -> Vec<AppAction> {
+    fn on_data(&mut self, data: &Bytes) -> Vec<AppAction> {
         self.consumed += data.len() as u64;
         let mut actions = Vec::new();
-        let mut rest = data;
+        let mut rest: &[u8] = data;
         while let Some(newline) = rest.iter().position(|&b| b == b'\n') {
             self.line.extend_from_slice(&rest[..newline]);
             let line = std::mem::take(&mut self.line);
@@ -342,7 +342,7 @@ impl CommitStreamApp {
 }
 
 impl Application for CommitStreamApp {
-    fn on_data(&mut self, data: &[u8]) -> Vec<AppAction> {
+    fn on_data(&mut self, data: &Bytes) -> Vec<AppAction> {
         self.consumed += data.len() as u64;
         if self.requested.is_some() {
             return Vec::new();
@@ -452,7 +452,7 @@ impl SinkApp {
 }
 
 impl Application for SinkApp {
-    fn on_data(&mut self, data: &[u8]) -> Vec<AppAction> {
+    fn on_data(&mut self, data: &Bytes) -> Vec<AppAction> {
         self.consumed += data.len() as u64;
         Vec::new()
     }
@@ -499,7 +499,7 @@ mod tests {
     #[test]
     fn stream_app_serves_request() {
         let mut app = StreamApp::new(1_000, true);
-        let first = app.on_data(b"GET 2500\n");
+        let first = app.on_data(&Bytes::from_static(b"GET 2500\n"));
         let mut got = drain_writes(&first);
         for _ in 0..5 {
             got.extend(drain_writes(&app.on_tick(SimTime::ZERO)));
@@ -515,9 +515,9 @@ mod tests {
     #[test]
     fn stream_app_request_split_across_segments() {
         let mut app = StreamApp::new(100, false);
-        assert!(app.on_data(b"GE").is_empty());
-        assert!(app.on_data(b"T 30").is_empty());
-        let out = drain_writes(&app.on_data(b"0\n"));
+        assert!(app.on_data(&Bytes::from_static(b"GE")).is_empty());
+        assert!(app.on_data(&Bytes::from_static(b"T 30")).is_empty());
+        let out = drain_writes(&app.on_data(&Bytes::from_static(b"0\n")));
         assert_eq!(out.len(), 100);
         assert_eq!(app.requested, Some(300));
     }
@@ -525,7 +525,7 @@ mod tests {
     #[test]
     fn stream_app_without_close_keeps_connection() {
         let mut app = StreamApp::new(1_000, false);
-        let _ = app.on_data(b"GET 100\n");
+        let _ = app.on_data(&Bytes::from_static(b"GET 100\n"));
         let after = app.on_tick(SimTime::ZERO);
         assert!(after.is_empty());
     }
@@ -534,7 +534,10 @@ mod tests {
     fn stream_replicas_lockstep() {
         let mut p = StreamApp::new(500, true);
         let mut b = StreamApp::new(500, true);
-        assert_eq!(p.on_data(b"GET 1200\n"), b.on_data(b"GET 1200\n"));
+        assert_eq!(
+            p.on_data(&Bytes::from_static(b"GET 1200\n")),
+            b.on_data(&Bytes::from_static(b"GET 1200\n"))
+        );
         for _ in 0..4 {
             assert_eq!(p.on_tick(SimTime::ZERO), b.on_tick(SimTime::from_secs(5)));
         }
@@ -544,7 +547,7 @@ mod tests {
     #[test]
     fn bad_request_streams_nothing() {
         let mut app = StreamApp::new(100, true);
-        let actions = app.on_data(b"BOGUS\n");
+        let actions = app.on_data(&Bytes::from_static(b"BOGUS\n"));
         // Requested parses to 0 ⇒ immediate close, no data.
         assert_eq!(drain_writes(&actions).len(), 0);
         assert!(actions.contains(&AppAction::Close));
@@ -553,7 +556,7 @@ mod tests {
     #[test]
     fn commit_stream_flushes_on_the_period() {
         let mut app = CommitStreamApp::new(400, 4, true);
-        let mut got = drain_writes(&app.on_data(b"GET 1000\n"));
+        let mut got = drain_writes(&app.on_data(&Bytes::from_static(b"GET 1000\n")));
         assert_eq!(got.len(), 400, "first commit rides with the request");
         let mut quiet_ticks = 0;
         for _ in 0..12 {
@@ -573,7 +576,10 @@ mod tests {
     fn commit_stream_replicas_lockstep_and_restore() {
         let mut p = CommitStreamApp::new(300, 3, true);
         let mut b = CommitStreamApp::new(300, 3, true);
-        assert_eq!(p.on_data(b"GET 900\n"), b.on_data(b"GET 900\n"));
+        assert_eq!(
+            p.on_data(&Bytes::from_static(b"GET 900\n")),
+            b.on_data(&Bytes::from_static(b"GET 900\n"))
+        );
         for _ in 0..9 {
             assert_eq!(p.on_tick(SimTime::ZERO), b.on_tick(SimTime::from_secs(2)));
         }
@@ -581,7 +587,7 @@ mod tests {
 
         // Snapshot mid-stream (including pacing phase) restores exactly.
         let mut p = CommitStreamApp::new(300, 3, true);
-        let _ = p.on_data(b"GET 900\n");
+        let _ = p.on_data(&Bytes::from_static(b"GET 900\n"));
         let _ = p.on_tick(SimTime::ZERO);
         let mut r = CommitStreamApp::new(300, 3, true);
         r.restore(&p.snapshot().unwrap());
@@ -602,7 +608,7 @@ mod tests {
     #[test]
     fn reqresp_transforms_lines() {
         let mut app = ReqRespApp::new();
-        let out = drain_writes(&app.on_data(b"abc\nxyz\n"));
+        let out = drain_writes(&app.on_data(&Bytes::from_static(b"abc\nxyz\n")));
         let expected: Vec<u8> = [
             ReqRespApp::response_for(b"abc").to_vec(),
             ReqRespApp::response_for(b"xyz").to_vec(),
@@ -615,8 +621,8 @@ mod tests {
     #[test]
     fn reqresp_partial_lines_buffer() {
         let mut app = ReqRespApp::new();
-        assert!(app.on_data(b"hel").is_empty());
-        let out = drain_writes(&app.on_data(b"lo\n"));
+        assert!(app.on_data(&Bytes::from_static(b"hel")).is_empty());
+        let out = drain_writes(&app.on_data(&Bytes::from_static(b"lo\n")));
         assert_eq!(out, ReqRespApp::response_for(b"hello").to_vec());
     }
 
@@ -624,8 +630,8 @@ mod tests {
     fn reqresp_replicas_lockstep() {
         let mut p = ReqRespApp::new();
         let mut b = ReqRespApp::new();
-        for chunk in [b"on".as_ref(), b"e\ntwo\n", b"three\n"] {
-            assert_eq!(p.on_data(chunk), b.on_data(chunk));
+        for chunk in [b"on".as_ref(), b"e\ntwo\n", b"three\n"].map(Bytes::from_static) {
+            assert_eq!(p.on_data(&chunk), b.on_data(&chunk));
         }
         assert_eq!(p.state_digest(), b.state_digest());
     }
@@ -634,9 +640,9 @@ mod tests {
     fn snapshots_restore_to_identical_digests() {
         // Mid-transfer streamer, including a partially buffered line.
         let mut p = StreamApp::new(500, true);
-        let _ = p.on_data(b"GET 1200\n");
+        let _ = p.on_data(&Bytes::from_static(b"GET 1200\n"));
         let _ = p.on_tick(SimTime::ZERO);
-        let _ = p.on_data(b"trail");
+        let _ = p.on_data(&Bytes::from_static(b"trail"));
         let mut b = StreamApp::new(500, true);
         b.restore(&p.snapshot().unwrap());
         assert_eq!(p.state_digest(), b.state_digest());
@@ -644,14 +650,17 @@ mod tests {
         assert_eq!(p.on_tick(SimTime::ZERO), b.on_tick(SimTime::from_secs(9)));
 
         let mut p = ReqRespApp::new();
-        let _ = p.on_data(b"one\ntw");
+        let _ = p.on_data(&Bytes::from_static(b"one\ntw"));
         let mut b = ReqRespApp::new();
         b.restore(&p.snapshot().unwrap());
         assert_eq!(p.state_digest(), b.state_digest());
-        assert_eq!(p.on_data(b"o\n"), b.on_data(b"o\n"));
+        assert_eq!(
+            p.on_data(&Bytes::from_static(b"o\n")),
+            b.on_data(&Bytes::from_static(b"o\n"))
+        );
 
         let mut p = SinkApp::new();
-        let _ = p.on_data(b"abcdef");
+        let _ = p.on_data(&Bytes::from_static(b"abcdef"));
         let mut b = SinkApp::new();
         b.restore(&p.snapshot().unwrap());
         assert_eq!(p.state_digest(), b.state_digest());
@@ -673,7 +682,7 @@ mod tests {
     #[test]
     fn sink_counts() {
         let mut s = SinkApp::new();
-        assert!(s.on_data(b"12345").is_empty());
+        assert!(s.on_data(&Bytes::from_static(b"12345")).is_empty());
         assert_eq!(s.consumed(), 5);
         assert_eq!(s.state_digest(), 5);
         assert_eq!(s.on_peer_close(), vec![AppAction::Close]);

@@ -16,17 +16,16 @@
 use bytes::Bytes;
 use std::net::Ipv4Addr;
 
-use simnet::flight::{FlightKind, SpanId};
 use simnet::frame::EthernetFrame;
 use simnet::ip::IpProto;
 use simnet::iplayer::IpInterface;
-use simnet::node::{NicId, Node, NodeCtx, SerialPortId, TimerId, TimerToken};
+use simnet::node::{NicId, Node, NodeCtx, SerialPortId, TimerToken};
 use simnet::profile::Component;
 use simnet::time::{SimDuration, SimTime};
 
 use simtcp::conn::TcpConfig;
 use simtcp::endpoint::{EndpointConfig, IsnPolicy, RstPolicy, TcpEndpoint};
-use simtcp::segment::{peek_segment, SegmentPeek};
+use simtcp::segment::peek_segment;
 use simtcp::socket::{SocketEvent, SocketId};
 
 use crate::apps::ReqRespApp;
@@ -203,7 +202,7 @@ pub struct TcpClient {
     /// ReqResp: unsent tail of the current request line (carry-over when
     /// the send buffer was full).
     rr_pending: Vec<u8>,
-    tcp_timer: Option<(TimerId, SimTime)>,
+    tcp_timer: Option<SimTime>,
     last_progress_at: SimTime,
     log: ClientLog,
     finished: bool,
@@ -467,63 +466,24 @@ impl TcpClient {
         any
     }
 
-    /// Records a datapath segment in the flight recorder. Both ends of
-    /// the wire derive the same span from the header fields, so client
-    /// sends pair with server delivers in the dump (and vice versa).
-    fn flight_segment(ctx: &mut NodeCtx<'_>, h: &SegmentPeek, outbound: bool) {
-        let span = SpanId::segment(h.src_port, h.dst_port, h.seq, h.flags);
-        if h.is_pure_ack() {
-            ctx.flight(
-                span,
-                SpanId::NONE,
-                FlightKind::SegAck {
-                    conn: h.conn_tag(),
-                    ack: h.ack,
-                },
-            );
-        } else if outbound {
-            ctx.flight(
-                span,
-                SpanId::NONE,
-                FlightKind::SegSend {
-                    conn: h.conn_tag(),
-                    seq: h.seq,
-                    len: h.data_len,
-                    flags: h.flags,
-                },
-            );
-        } else {
-            ctx.flight(
-                span,
-                SpanId::NONE,
-                FlightKind::SegDeliver {
-                    conn: h.conn_tag(),
-                    seq: h.seq,
-                    len: h.data_len,
-                    flags: h.flags,
-                },
-            );
-        }
-    }
-
     fn flush(&mut self, ctx: &mut NodeCtx<'_>) {
         let now = ctx.now();
         ctx.profile_enter(Component::Tcp);
         loop {
             let had = self.drain_events(ctx);
-            let pkts = self.tcp.poll_packets(now);
-            if !had && pkts.is_empty() {
-                break;
-            }
-            for pkt in pkts {
+            let iface = &self.iface;
+            let sent = self.tcp.poll_packets_with(now, |pkt| {
                 if pkt.proto == IpProto::Tcp {
                     if let Some(h) = peek_segment(&pkt.payload) {
-                        Self::flight_segment(ctx, &h, true);
+                        h.record(ctx, true);
                     }
                 }
-                if let Some(frame) = self.iface.encap(&pkt) {
-                    ctx.send_frame(self.iface.nic, frame);
+                if let Some(frame) = iface.encap(&pkt) {
+                    ctx.send_frame(iface.nic, frame);
                 }
+            });
+            if !had && sent == 0 {
+                break;
             }
         }
         ctx.profile_exit();
@@ -549,7 +509,7 @@ impl Node for TcpClient {
                 }
                 IpProto::Tcp if self.iface.accepts(pkt.dst) => {
                     if let Some(h) = peek_segment(&pkt.payload) {
-                        Self::flight_segment(ctx, &h, false);
+                        h.record(ctx, false);
                     }
                     ctx.profile_enter(Component::Tcp);
                     self.tcp.on_packet(ctx.now(), &pkt);
@@ -569,7 +529,10 @@ impl Node for TcpClient {
                 self.connect(ctx);
             }
             TOKEN_TCP => {
-                self.tcp_timer = None;
+                let want = self.tcp.next_deadline();
+                if !ctx.timer_due(&mut self.tcp_timer, want, TOKEN_TCP) {
+                    return;
+                }
                 self.tcp.on_time(ctx.now());
             }
             TOKEN_CHAT => self.on_chat_tick(ctx),

@@ -15,7 +15,7 @@ use std::collections::BTreeMap;
 use simnet::frame::EthernetFrame;
 use simnet::ip::IpProto;
 use simnet::iplayer::IpInterface;
-use simnet::node::{NicId, Node, NodeCtx, TimerId, TimerToken};
+use simnet::node::{NicId, Node, NodeCtx, TimerToken};
 use simnet::time::{SimDuration, SimTime};
 
 use simtcp::conn::TcpConfig;
@@ -64,7 +64,7 @@ pub struct PlainServer {
     tcp: TcpEndpoint,
     factory: Box<dyn AppFactory>,
     conns: BTreeMap<SocketId, PlainConn>,
-    tcp_timer: Option<(TimerId, SimTime)>,
+    tcp_timer: Option<SimTime>,
 }
 
 impl std::fmt::Debug for PlainServer {
@@ -212,14 +212,14 @@ impl PlainServer {
             for s in blocked {
                 self.flush_pending(now, s);
             }
-            let pkts = self.tcp.poll_packets(now);
-            if !had && pkts.is_empty() {
-                break;
-            }
-            for pkt in pkts {
-                if let Some(frame) = self.iface.encap(&pkt) {
-                    ctx.send_frame(self.iface.nic, frame);
+            let iface = &self.iface;
+            let sent = self.tcp.poll_packets_with(now, |pkt| {
+                if let Some(frame) = iface.encap(&pkt) {
+                    ctx.send_frame(iface.nic, frame);
                 }
+            });
+            if !had && sent == 0 {
+                break;
             }
         }
         ctx.rearm_timer(&mut self.tcp_timer, self.tcp.next_deadline(), TOKEN_TCP);
@@ -256,7 +256,10 @@ impl Node for PlainServer {
     fn on_timer(&mut self, ctx: &mut NodeCtx<'_>, token: TimerToken) {
         match token {
             TOKEN_TCP => {
-                self.tcp_timer = None;
+                let want = self.tcp.next_deadline();
+                if !ctx.timer_due(&mut self.tcp_timer, want, TOKEN_TCP) {
+                    return;
+                }
                 self.tcp.on_time(ctx.now());
             }
             TOKEN_APP_TICK => {

@@ -12,16 +12,18 @@
 //! * `mixed_horizon` — deltas spanning microseconds to days, forcing
 //!   cascades through the upper levels and the far-future overflow
 //!   heap.
-//! * `cancelled_far` — the shape a bulk transfer gives the queue: on a
-//!   fast tick a node cancels and re-arms one timer 200–260 ms out (the
-//!   servers' TCP deadline timer), so nearly every event parks in level
-//!   3, is cascaded down and pops cancelled, with only a few thousand
-//!   live at once.
+//! * `superseded_far` — the shape an eagerly moved deadline timer gave
+//!   the queue under a bulk transfer (the nodes' TCP timer is lazy now,
+//!   `NodeCtx::rearm_timer`, and no longer does this): on a fast tick a
+//!   node arms a fresh timer 200–260 ms out and lets the previous one
+//!   fire unheeded, so nearly every event parks in level 3, is
+//!   cascaded down and pops as a no-op, with only a few thousand live
+//!   at once.
 
 use criterion::{criterion_group, criterion_main, Criterion, Throughput};
 
 use simnet::frame::EthernetFrame;
-use simnet::node::{NicId, Node, NodeCtx, TimerId, TimerToken};
+use simnet::node::{NicId, Node, NodeCtx, TimerToken};
 use simnet::time::{SimDuration, SimTime};
 use simnet::world::World;
 
@@ -71,10 +73,10 @@ fn churn(timers: u64, horizon: SimTime, shape: fn(u64) -> u64) -> u64 {
 const TOKEN_TICK: TimerToken = TimerToken(0);
 const TOKEN_FAR: TimerToken = TimerToken(1);
 
-/// A node that, every 50–500 µs, moves its far timer to 200–260 ms out.
+/// A node that, every 50–500 µs, arms a far timer 200–260 ms out and
+/// heeds none of them.
 struct FarRearmer {
     state: u64,
-    far: Option<(TimerId, SimTime)>,
 }
 
 impl Node for FarRearmer {
@@ -86,25 +88,25 @@ impl Node for FarRearmer {
 
     fn on_timer(&mut self, ctx: &mut NodeCtx<'_>, token: TimerToken) {
         if token == TOKEN_FAR {
-            self.far = None;
             return;
         }
         let raw = lcg(&mut self.state);
-        let want = ctx.now() + SimDuration::from_micros(200_000 + (raw >> 40) % 60_000);
-        ctx.rearm_timer(&mut self.far, Some(want), TOKEN_FAR);
+        ctx.set_timer(
+            SimDuration::from_micros(200_000 + (raw >> 40) % 60_000),
+            TOKEN_FAR,
+        );
         ctx.set_timer(SimDuration::from_micros(50 + (raw >> 20) % 451), TOKEN_TICK);
     }
 }
 
 /// Runs one [`FarRearmer`] until `horizon`, returning the number of
 /// events processed.
-fn churn_cancelled_far(horizon: SimTime) -> u64 {
+fn churn_superseded_far(horizon: SimTime) -> u64 {
     let mut w = World::new(0x5eed);
     w.add_node(
         "rearmer",
         Box::new(FarRearmer {
             state: 0x9E37_79B9_7F4A_7C15,
-            far: None,
         }),
     );
     w.start();
@@ -132,9 +134,9 @@ fn bench_event_queue(c: &mut Criterion) {
 
     // Long enough for the far timers to come round and be popped.
     let far_horizon = SimTime::from_secs(2);
-    g.throughput(Throughput::Elements(churn_cancelled_far(far_horizon)));
-    g.bench_function("timer_churn_cancelled_far", |b| {
-        b.iter(|| churn_cancelled_far(far_horizon))
+    g.throughput(Throughput::Elements(churn_superseded_far(far_horizon)));
+    g.bench_function("timer_churn_superseded_far", |b| {
+        b.iter(|| churn_superseded_far(far_horizon))
     });
 
     g.finish();

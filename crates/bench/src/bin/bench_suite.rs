@@ -29,8 +29,9 @@
 //! * `--out PATH`                     report path (default `BENCH_simperf.json`)
 //! * `--check PATH`                   regression-gate mode: read the
 //!   checked-in report at PATH, re-measure steady state (best of 3 to
-//!   tolerate machine noise), and exit 1 if the best fresh events/sec
-//!   falls more than 10% below the snapshot's, or if heartbeat
+//!   tolerate machine noise), and exit 1 if the best fresh bytes/sec
+//!   falls more than 10% below the snapshot's (events/sec is printed,
+//!   not gated: removing events is a win), or if heartbeat
 //!   bytes/conn regresses more than 10% above the snapshot's. Skips the
 //!   sweeps and writes nothing.
 //! * `--scale`                        also run the client-ramp scale bench and
@@ -556,9 +557,12 @@ fn scan_number(text: &str, key: &str) -> Option<f64> {
 
 /// Regression-gate mode: compare a fresh steady-state measurement
 /// against the checked-in snapshot. Best of 3 runs, 10% tolerance on
-/// events/sec — the floor rides the snapshot, so regenerating it after
-/// a perf win locks the win in instead of defending 80% of the old
-/// number. Also gates heartbeat `bytes_per_conn` (virtual-time
+/// payload bytes/sec — the floor rides the snapshot, so regenerating it
+/// after a perf win locks the win in instead of defending 80% of the old
+/// number. Bytes, not events: the download is fixed work, the events it
+/// takes are not, and a change that removes cheap events moves
+/// events/sec the wrong way while the run gets faster (events/sec is
+/// still printed). Also gates heartbeat `bytes_per_conn` (virtual-time
 /// deterministic, so the tolerance only covers snapshot rounding):
 /// fresh must stay within 10% of the snapshot.
 fn check_against(path: &PathBuf, fallback_download_bytes: u64) -> ! {
@@ -566,9 +570,9 @@ fn check_against(path: &PathBuf, fallback_download_bytes: u64) -> ! {
         eprintln!("--check: cannot read {}: {e}", path.display());
         std::process::exit(2);
     });
-    let baseline = scan_number(&text, "events_per_sec").unwrap_or_else(|| {
+    let baseline = scan_number(&text, "bytes_per_sec").unwrap_or_else(|| {
         eprintln!(
-            "--check: no \"events_per_sec\" in {} — regenerate it with --out",
+            "--check: no \"bytes_per_sec\" in {} — regenerate it with --out",
             path.display()
         );
         std::process::exit(2);
@@ -578,7 +582,7 @@ fn check_against(path: &PathBuf, fallback_download_bytes: u64) -> ! {
         .map(|b| b as u64)
         .unwrap_or(fallback_download_bytes);
     println!(
-        "bench_suite --check: snapshot {:.0} events/s ({} byte download), best of 3 runs...",
+        "bench_suite --check: snapshot {:.0} bytes/s ({} byte download), best of 3 runs...",
         baseline, download_bytes
     );
     let mut best = 0f64;
@@ -586,18 +590,19 @@ fn check_against(path: &PathBuf, fallback_download_bytes: u64) -> ! {
     for run in 1..=3 {
         let s = steady_state(download_bytes);
         println!(
-            "  run {run}: {:.0} events/s ({:.3} s)",
+            "  run {run}: {:.0} bytes/s, {:.0} events/s ({:.3} s)",
+            s.bytes_per_sec,
             s.events_per_sec,
             s.wall_us as f64 / 1e6
         );
-        best = best.max(s.events_per_sec);
+        best = best.max(s.bytes_per_sec);
         bytes_per_conn = s.hb_bytes_per_conn;
     }
     let mut failed = false;
     let ratio = best / baseline.max(1e-9);
     if ratio < 0.9 {
         eprintln!(
-            "REGRESSION: best {:.0} events/s is {:.1}% of the {:.0} events/s snapshot \
+            "REGRESSION: best {:.0} bytes/s is {:.1}% of the {:.0} bytes/s snapshot \
              (gate: >= 90%)",
             best,
             ratio * 100.0,
@@ -606,7 +611,7 @@ fn check_against(path: &PathBuf, fallback_download_bytes: u64) -> ! {
         failed = true;
     } else {
         println!(
-            "ok: best {:.0} events/s is {:.1}% of the snapshot (gate: >= 90%)",
+            "ok: best {:.0} bytes/s is {:.1}% of the snapshot (gate: >= 90%)",
             best,
             ratio * 100.0
         );

@@ -34,8 +34,10 @@ pub trait Application: 'static {
         Vec::new()
     }
 
-    /// Called with newly received in-order client bytes.
-    fn on_data(&mut self, data: &[u8]) -> Vec<AppAction>;
+    /// Called with newly received in-order client bytes: a shared view
+    /// of the received segments, so an application that passes them on
+    /// ([`EchoApp`]) clones the handle, not the bytes.
+    fn on_data(&mut self, data: &Bytes) -> Vec<AppAction>;
 
     /// Called periodically (the server's `app_tick`); used by paced
     /// streaming applications. Output *content* must remain a
@@ -113,8 +115,8 @@ where
 /// use sttcp::app::{Application, AppAction, EchoApp};
 ///
 /// let mut app = EchoApp::default();
-/// let actions = app.on_data(b"hi");
-/// assert_eq!(actions, vec![AppAction::Write(bytes::Bytes::from_static(b"hi"))]);
+/// let hi = bytes::Bytes::from_static(b"hi");
+/// assert_eq!(app.on_data(&hi), vec![AppAction::Write(hi.clone())]);
 /// ```
 #[derive(Debug, Default, Clone)]
 pub struct EchoApp {
@@ -122,9 +124,9 @@ pub struct EchoApp {
 }
 
 impl Application for EchoApp {
-    fn on_data(&mut self, data: &[u8]) -> Vec<AppAction> {
+    fn on_data(&mut self, data: &Bytes) -> Vec<AppAction> {
         self.bytes_seen += data.len() as u64;
-        vec![AppAction::Write(Bytes::copy_from_slice(data))]
+        vec![AppAction::Write(data.clone())]
     }
 
     /// Echoing is purely reactive; ticks are never needed.
@@ -159,11 +161,21 @@ mod tests {
     fn echo_echoes() {
         let mut app = EchoApp::default();
         assert_eq!(
-            app.on_data(b"abc"),
+            app.on_data(&Bytes::from_static(b"abc")),
             vec![AppAction::Write(Bytes::from_static(b"abc"))]
         );
         assert_eq!(app.state_digest(), 3);
         assert_eq!(app.on_peer_close(), vec![AppAction::Close]);
+    }
+
+    #[test]
+    fn echo_shares_the_received_allocation() {
+        let received = Bytes::from(vec![7u8; 1460]).slice(20..);
+        let actions = EchoApp::default().on_data(&received);
+        let [AppAction::Write(echoed)] = actions.as_slice() else {
+            panic!("one write, got {actions:?}");
+        };
+        assert_eq!(echoed.as_ptr(), received.as_ptr(), "echoed by handle");
     }
 
     #[test]
@@ -173,7 +185,7 @@ mod tests {
         let mut a = factory.create();
         let mut b = factory.create();
         // Independent instances.
-        let _ = a.on_data(b"xx");
+        let _ = a.on_data(&Bytes::from_static(b"xx"));
         assert_eq!(a.state_digest(), 2);
         assert_eq!(b.state_digest(), 0);
         let _ = b.on_open();
@@ -183,7 +195,7 @@ mod tests {
     #[test]
     fn snapshot_restore_roundtrips_digest() {
         let mut a = EchoApp::default();
-        let _ = a.on_data(b"some traffic");
+        let _ = a.on_data(&Bytes::from_static(b"some traffic"));
         let blob = a.snapshot().expect("echo app snapshots");
         let mut b = EchoApp::default();
         b.restore(&blob);
@@ -198,9 +210,9 @@ mod tests {
     fn replicas_in_lockstep_given_same_input() {
         let mut p = EchoApp::default();
         let mut b = EchoApp::default();
-        for chunk in [b"one".as_ref(), b"two", b"three"] {
-            let ap = p.on_data(chunk);
-            let ab = b.on_data(chunk);
+        for chunk in [b"one".as_ref(), b"two", b"three"].map(Bytes::from_static) {
+            let ap = p.on_data(&chunk);
+            let ab = b.on_data(&chunk);
             assert_eq!(ap, ab);
         }
         assert_eq!(p.state_digest(), b.state_digest());

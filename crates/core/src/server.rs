@@ -23,7 +23,7 @@ use simnet::flight::{FlightKind, SpanId};
 use simnet::frame::EthernetFrame;
 use simnet::ip::{IpProto, Ipv4Packet};
 use simnet::iplayer::IpInterface;
-use simnet::node::{NicId, Node, NodeCtx, NodeId, SerialPortId, TimerId, TimerToken};
+use simnet::node::{NicId, Node, NodeCtx, NodeId, SerialPortId, TimerToken};
 use simnet::profile::{Component, Profiler};
 use simnet::time::{SimDuration, SimTime};
 
@@ -359,7 +359,10 @@ pub struct StTcpServer {
     /// Re-integration: `Some(session)` while this (active) server is
     /// feeding snapshots to a joining peer.
     serving_join: Option<u32>,
-    tcp_timer: Option<(TimerId, SimTime)>,
+    tcp_timer: Option<SimTime>,
+    /// The packet list `flush` polls into (the poll is profiled apart
+    /// from the sends), kept for its capacity.
+    pkts: Vec<Ipv4Packet>,
     events: Vec<StTcpEvent>,
     metrics: ServerMetrics,
     powered_off: bool,
@@ -454,6 +457,7 @@ impl StTcpServer {
             join: None,
             serving_join: None,
             tcp_timer: None,
+            pkts: Vec::new(),
             events: Vec::new(),
             metrics: ServerMetrics::new(),
             powered_off: false,
@@ -3237,6 +3241,7 @@ impl StTcpServer {
     fn flush(&mut self, ctx: &mut NodeCtx<'_>) {
         let now = ctx.now();
         ctx.profile_enter(Component::Tcp);
+        let mut pkts = std::mem::take(&mut self.pkts);
         loop {
             let had_events = self.drain_tcp_events(now, ctx.profiler());
             // Acknowledgments may have freed send-buffer space: drain any
@@ -3245,36 +3250,15 @@ impl StTcpServer {
                 self.flush_blocked(now);
             }
             ctx.profile_enter(Component::TcpPoll);
-            let pkts = self.tcp.poll_packets(now);
+            self.tcp.poll_packets_with(now, |pkt| pkts.push(pkt));
             ctx.profile_exit();
             if !had_events && pkts.is_empty() {
                 break;
             }
-            for pkt in pkts {
+            for pkt in pkts.drain(..) {
                 if pkt.proto == IpProto::Tcp {
                     if let Some(h) = peek_segment(&pkt.payload) {
-                        let span = SpanId::segment(h.src_port, h.dst_port, h.seq, h.flags);
-                        if h.is_pure_ack() {
-                            ctx.flight(
-                                span,
-                                SpanId::NONE,
-                                FlightKind::SegAck {
-                                    conn: h.conn_tag(),
-                                    ack: h.ack,
-                                },
-                            );
-                        } else {
-                            ctx.flight(
-                                span,
-                                SpanId::NONE,
-                                FlightKind::SegSend {
-                                    conn: h.conn_tag(),
-                                    seq: h.seq,
-                                    len: h.data_len,
-                                    flags: h.flags,
-                                },
-                            );
-                        }
+                        h.record(ctx, true);
                     }
                 }
                 if let Some(frame) = self.iface.encap(&pkt) {
@@ -3282,8 +3266,9 @@ impl StTcpServer {
                 }
             }
         }
+        self.pkts = pkts;
         ctx.profile_exit();
-        // Re-arm the TCP deadline timer if it moved. The deadline query
+        // Keep the TCP deadline timer no later than the deadline. The query
         // is where the deadline queue does its per-flush work (syncing
         // dirty socket deadlines, discarding tombstones), so it is
         // attributed to the wheel bucket alongside due-timer dispatch.
@@ -3343,28 +3328,7 @@ impl StTcpServer {
                 if pkt.dst == self.setup.service_ip || pkt.dst == self.setup.private_ip =>
             {
                 if let Some(h) = peek_segment(&pkt.payload) {
-                    let span = SpanId::segment(h.src_port, h.dst_port, h.seq, h.flags);
-                    if h.is_pure_ack() {
-                        ctx.flight(
-                            span,
-                            SpanId::NONE,
-                            FlightKind::SegAck {
-                                conn: h.conn_tag(),
-                                ack: h.ack,
-                            },
-                        );
-                    } else {
-                        ctx.flight(
-                            span,
-                            SpanId::NONE,
-                            FlightKind::SegDeliver {
-                                conn: h.conn_tag(),
-                                seq: h.seq,
-                                len: h.data_len,
-                                flags: h.flags,
-                            },
-                        );
-                    }
+                    h.record(ctx, false);
                 }
                 ctx.profile_enter(Component::Tcp);
                 self.tcp.on_packet(now, pkt);
@@ -3545,10 +3509,16 @@ impl Node for StTcpServer {
                 ctx.set_timer(self.setup.sttcp.check_period, TOKEN_CHECK);
             }
             TOKEN_TCP => {
-                self.tcp_timer = None;
                 ctx.profile_enter(Component::TcpWheel);
-                self.tcp.on_time(ctx.now());
+                let want = self.tcp.next_deadline();
+                let due = ctx.timer_due(&mut self.tcp_timer, want, TOKEN_TCP);
+                if due {
+                    self.tcp.on_time(ctx.now());
+                }
                 ctx.profile_exit();
+                if !due {
+                    return;
+                }
             }
             TOKEN_APP_TICK => {
                 let now = ctx.now();
@@ -3907,7 +3877,7 @@ mod tests {
             vec![AppAction::Write(Bytes::from(vec![0; 1 << 20]))]
         }
 
-        fn on_data(&mut self, _: &[u8]) -> Vec<AppAction> {
+        fn on_data(&mut self, _: &Bytes) -> Vec<AppAction> {
             Vec::new()
         }
     }

@@ -59,7 +59,7 @@ use std::collections::BinaryHeap;
 
 use crate::frame::EthernetFrame;
 use crate::link::{LinkDir, LinkId};
-use crate::node::{NodeId, TimerId, TimerToken};
+use crate::node::{NodeId, TimerToken};
 use crate::serial::{SerialDir, SerialId};
 use crate::time::SimTime;
 
@@ -82,7 +82,6 @@ pub(crate) enum Ev {
     /// epoch; timers armed before a power cycle are discarded.
     Timer {
         node: NodeId,
-        id: TimerId,
         token: TimerToken,
         epoch: u64,
     },
@@ -416,7 +415,6 @@ mod tests {
     fn timer(n: usize) -> Ev {
         Ev::Timer {
             node: NodeId(n),
-            id: TimerId(n as u64),
             token: TimerToken(0),
             epoch: 0,
         }

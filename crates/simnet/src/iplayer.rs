@@ -8,10 +8,10 @@
 //! IP as an alias (the paper's "virtual NIC" via IP aliasing).
 
 use bytes::Bytes;
-use std::collections::HashMap;
 use std::net::Ipv4Addr;
 
 use crate::frame::{EtherType, EthernetFrame};
+use crate::hash::AddrMap;
 use crate::ip::{IcmpMessage, IpProto, Ipv4Packet};
 use crate::mac::MacAddr;
 use crate::node::{NicId, NodeCtx};
@@ -40,7 +40,7 @@ pub struct IpInterface {
     /// Addresses this interface owns (first is the primary address).
     addrs: Vec<Ipv4Addr>,
     /// Static ARP table.
-    arp: HashMap<Ipv4Addr, MacAddr>,
+    arp: AddrMap<Ipv4Addr, MacAddr>,
 }
 
 impl IpInterface {
@@ -50,7 +50,7 @@ impl IpInterface {
             nic,
             mac,
             addrs: vec![addr],
-            arp: HashMap::new(),
+            arp: AddrMap::default(),
         }
     }
 
@@ -252,7 +252,6 @@ mod tests {
     fn with_ctx<R>(f: impl FnOnce(&mut NodeCtx<'_>) -> R) -> (R, Vec<crate::node::Effect>) {
         let mut rng = SimRng::seed_from(1);
         let mut effects = Vec::new();
-        let mut next = 0u64;
         let mut flight = crate::flight::FlightRecorder::new();
         let mut profiler = crate::profile::Profiler::new();
         let r = {
@@ -261,7 +260,6 @@ mod tests {
                 node: NodeId(0),
                 rng: &mut rng,
                 effects: &mut effects,
-                next_timer_id: &mut next,
                 flight: &mut flight,
                 profiler: &mut profiler,
             };

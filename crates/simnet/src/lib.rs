@@ -15,7 +15,7 @@
 //!
 //! ## Layers
 //!
-//! * [`time`] / [`event`] / [`rng`] — the simulation kernel.
+//! * [`time`] / [`event`] / [`rng`] / [`hash`] — the simulation kernel.
 //! * [`mac`] / [`frame`] / [`link`] / [`switch`] / [`serial`] — layer 2.
 //! * [`ip`] / [`iplayer`] — layer 3 (IPv4-lite, static ARP, ICMP echo).
 //! * [`node`] / [`host`] / [`world`] — hosts and the event loop.
@@ -63,6 +63,7 @@ pub mod event;
 pub mod fault;
 pub mod flight;
 pub mod frame;
+pub mod hash;
 pub mod host;
 pub mod ip;
 pub mod iplayer;
@@ -86,7 +87,7 @@ pub mod prelude {
     pub use crate::iplayer::IpInterface;
     pub use crate::link::{LinkDir, LinkId, LinkParams, SwitchId};
     pub use crate::mac::MacAddr;
-    pub use crate::node::{NicId, Node, NodeCtx, NodeId, SerialPortId, TimerId, TimerToken};
+    pub use crate::node::{NicId, Node, NodeCtx, NodeId, SerialPortId, TimerToken};
     pub use crate::profile::Component;
     pub use crate::rng::SimRng;
     pub use crate::serial::{SerialId, SerialParams};

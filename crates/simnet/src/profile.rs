@@ -133,6 +133,7 @@ impl Profiler {
     }
 
     /// Opens a scope attributed to `comp`. No-op when disabled.
+    #[inline]
     pub fn enter(&mut self, comp: Component) {
         if self.enabled {
             self.stack.push(Frame {
@@ -146,6 +147,7 @@ impl Profiler {
     /// Closes the innermost open scope, charging its exclusive time to
     /// its bucket and its inclusive time to the parent's child total.
     /// No-op when disabled or when no scope is open.
+    #[inline]
     pub fn exit(&mut self) {
         if !self.enabled {
             return;

@@ -8,9 +8,8 @@
 //! single port, which is exactly why the backup does **not** see
 //! primary→client traffic in the enhanced design (§3).
 
-use std::collections::HashMap;
-
 use crate::frame::EthernetFrame;
+use crate::hash::AddrMap;
 use crate::link::LinkId;
 use crate::mac::MacAddr;
 
@@ -20,20 +19,20 @@ pub struct SwitchState {
     /// `ports[i]` is the link attached to port `i`, if any.
     ports: Vec<Option<LinkId>>,
     /// MAC learning table: source address → port last seen on.
-    table: HashMap<MacAddr, usize>,
+    table: AddrMap<MacAddr, usize>,
     /// Static multicast membership (IGMP-snooping style): when a
     /// multicast destination has a registered group, the frame is
     /// delivered only to its member ports instead of flooding. Keeps a
     /// many-client tap O(servers) per frame instead of O(ports).
-    groups: HashMap<MacAddr, Vec<usize>>,
+    groups: AddrMap<MacAddr, Vec<usize>>,
 }
 
 impl SwitchState {
     pub(crate) fn new(port_count: usize) -> SwitchState {
         SwitchState {
             ports: vec![None; port_count],
-            table: HashMap::new(),
-            groups: HashMap::new(),
+            table: AddrMap::default(),
+            groups: AddrMap::default(),
         }
     }
 
@@ -82,41 +81,40 @@ impl SwitchState {
         }
     }
 
-    /// Processes a frame arriving on `in_port`, returning the output links
-    /// the frame must be transmitted on.
+    /// Processes a frame arriving on `in_port`, appending to `out` the
+    /// links the frame must be transmitted on (the caller owns the
+    /// buffer, so forwarding allocates nothing per frame).
     ///
     /// Learning: the source MAC (if unicast) is bound to `in_port`.
     /// Forwarding: multicast/broadcast destinations flood to every attached
     /// port except the ingress; known unicast goes to its learned port;
     /// unknown unicast floods.
-    pub fn forward(&mut self, in_port: usize, frame: &EthernetFrame) -> Vec<LinkId> {
-        if frame.src.is_unicast() {
+    pub fn forward(&mut self, in_port: usize, frame: &EthernetFrame, out: &mut Vec<LinkId>) {
+        if frame.src.is_unicast() && self.table.get(&frame.src) != Some(&in_port) {
             self.table.insert(frame.src, in_port);
         }
         if frame.dst.is_multicast() {
-            if let Some(members) = self.groups.get(&frame.dst) {
-                return members
-                    .iter()
-                    .filter(|&&p| p != in_port)
-                    .filter_map(|&p| self.link_at(p))
-                    .collect();
+            match self.groups.get(&frame.dst) {
+                Some(members) => out.extend(
+                    members
+                        .iter()
+                        .filter(|&&p| p != in_port)
+                        .filter_map(|&p| self.link_at(p)),
+                ),
+                None => self.flood(in_port, out),
             }
-            return self.flood(in_port);
+            return;
         }
         match self.table.get(&frame.dst) {
-            Some(&port) if port == in_port => Vec::new(), // hairpin: drop
-            Some(&port) => self.link_at(port).into_iter().collect(),
-            None => self.flood(in_port),
+            Some(&port) if port == in_port => {} // hairpin: drop
+            Some(&port) => out.extend(self.link_at(port)),
+            None => self.flood(in_port, out),
         }
     }
 
-    fn flood(&self, in_port: usize) -> Vec<LinkId> {
-        self.ports
-            .iter()
-            .enumerate()
-            .filter(|&(i, p)| i != in_port && p.is_some())
-            .map(|(_, p)| p.unwrap())
-            .collect()
+    fn flood(&self, in_port: usize, out: &mut Vec<LinkId>) {
+        let others = self.ports.iter().enumerate().filter(|&(i, _)| i != in_port);
+        out.extend(others.filter_map(|(_, &link)| link));
     }
 
     /// Clears the learning table (used by tests to force flooding).
@@ -135,6 +133,13 @@ mod tests {
         EthernetFrame::new(src, dst, EtherType::Ipv4, Bytes::from_static(b"x"))
     }
 
+    /// [`SwitchState::forward`] into a fresh buffer.
+    fn forward(s: &mut SwitchState, in_port: usize, frame: &EthernetFrame) -> Vec<LinkId> {
+        let mut out = Vec::new();
+        s.forward(in_port, frame, &mut out);
+        out
+    }
+
     fn switch3() -> SwitchState {
         let mut s = SwitchState::new(4);
         s.attach(0, LinkId(10));
@@ -147,7 +152,7 @@ mod tests {
     #[test]
     fn unknown_unicast_floods_except_ingress() {
         let mut s = switch3();
-        let out = s.forward(0, &frame(MacAddr::unicast(1), MacAddr::unicast(2)));
+        let out = forward(&mut s, 0, &frame(MacAddr::unicast(1), MacAddr::unicast(2)));
         assert_eq!(out, vec![LinkId(11), LinkId(12)]);
     }
 
@@ -155,10 +160,10 @@ mod tests {
     fn learning_directs_unicast() {
         let mut s = switch3();
         // Host with mac 2 talks from port 1 → learned.
-        let _ = s.forward(1, &frame(MacAddr::unicast(2), MacAddr::unicast(1)));
+        let _ = forward(&mut s, 1, &frame(MacAddr::unicast(2), MacAddr::unicast(1)));
         assert_eq!(s.learned_port(MacAddr::unicast(2)), Some(1));
         // Now traffic to mac 2 goes only out port 1.
-        let out = s.forward(0, &frame(MacAddr::unicast(1), MacAddr::unicast(2)));
+        let out = forward(&mut s, 0, &frame(MacAddr::unicast(1), MacAddr::unicast(2)));
         assert_eq!(out, vec![LinkId(11)]);
     }
 
@@ -169,8 +174,8 @@ mod tests {
         // Even if somebody claims to source from a multicast address, the
         // destination being multicast floods, and multicast sources are not
         // learned.
-        let _ = s.forward(1, &frame(MacAddr::unicast(2), multi));
-        let out = s.forward(0, &frame(MacAddr::unicast(1), multi));
+        let _ = forward(&mut s, 1, &frame(MacAddr::unicast(2), multi));
+        let out = forward(&mut s, 0, &frame(MacAddr::unicast(1), multi));
         assert_eq!(out, vec![LinkId(11), LinkId(12)]);
         assert_eq!(s.learned_port(multi), None);
     }
@@ -178,34 +183,34 @@ mod tests {
     #[test]
     fn broadcast_floods() {
         let mut s = switch3();
-        let out = s.forward(2, &frame(MacAddr::unicast(9), MacAddr::BROADCAST));
+        let out = forward(&mut s, 2, &frame(MacAddr::unicast(9), MacAddr::BROADCAST));
         assert_eq!(out, vec![LinkId(10), LinkId(11)]);
     }
 
     #[test]
     fn hairpin_to_ingress_port_is_dropped() {
         let mut s = switch3();
-        let _ = s.forward(1, &frame(MacAddr::unicast(2), MacAddr::unicast(9)));
+        let _ = forward(&mut s, 1, &frame(MacAddr::unicast(2), MacAddr::unicast(9)));
         // Destination learned on the same port the frame came in on.
-        let out = s.forward(1, &frame(MacAddr::unicast(3), MacAddr::unicast(2)));
+        let out = forward(&mut s, 1, &frame(MacAddr::unicast(3), MacAddr::unicast(2)));
         assert!(out.is_empty());
     }
 
     #[test]
     fn relearning_follows_station_moves() {
         let mut s = switch3();
-        let _ = s.forward(0, &frame(MacAddr::unicast(7), MacAddr::BROADCAST));
+        let _ = forward(&mut s, 0, &frame(MacAddr::unicast(7), MacAddr::BROADCAST));
         assert_eq!(s.learned_port(MacAddr::unicast(7)), Some(0));
-        let _ = s.forward(2, &frame(MacAddr::unicast(7), MacAddr::BROADCAST));
+        let _ = forward(&mut s, 2, &frame(MacAddr::unicast(7), MacAddr::BROADCAST));
         assert_eq!(s.learned_port(MacAddr::unicast(7)), Some(2));
     }
 
     #[test]
     fn flush_table_forces_flooding_again() {
         let mut s = switch3();
-        let _ = s.forward(1, &frame(MacAddr::unicast(2), MacAddr::unicast(1)));
+        let _ = forward(&mut s, 1, &frame(MacAddr::unicast(2), MacAddr::unicast(1)));
         s.flush_table();
-        let out = s.forward(0, &frame(MacAddr::unicast(1), MacAddr::unicast(2)));
+        let out = forward(&mut s, 0, &frame(MacAddr::unicast(1), MacAddr::unicast(2)));
         assert_eq!(out, vec![LinkId(11), LinkId(12)]);
     }
 
@@ -216,13 +221,17 @@ mod tests {
         s.join_group(multi, 1);
         // Duplicate joins are idempotent.
         s.join_group(multi, 1);
-        let out = s.forward(0, &frame(MacAddr::unicast(1), multi));
+        let out = forward(&mut s, 0, &frame(MacAddr::unicast(1), multi));
         assert_eq!(out, vec![LinkId(11)]);
         // Ingress membership is excluded, like flooding.
-        let out = s.forward(1, &frame(MacAddr::unicast(2), multi));
+        let out = forward(&mut s, 1, &frame(MacAddr::unicast(2), multi));
         assert!(out.is_empty());
         // Other multicast groups still flood.
-        let out = s.forward(0, &frame(MacAddr::unicast(1), MacAddr::multicast(6)));
+        let out = forward(
+            &mut s,
+            0,
+            &frame(MacAddr::unicast(1), MacAddr::multicast(6)),
+        );
         assert_eq!(out, vec![LinkId(11), LinkId(12)]);
     }
 

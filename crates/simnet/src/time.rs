@@ -178,8 +178,12 @@ impl SimDuration {
         if bits_per_sec == 0 {
             return SimDuration::ZERO;
         }
-        let bits = bytes as u128 * 8;
-        let micros = (bits * 1_000_000).div_ceil(bits_per_sec as u128);
+        // Every frame pays this once per hop: stay in 64 bits whenever the
+        // product fits (any length under two terabytes).
+        if let Some(bit_micros) = (bytes as u64).checked_mul(8_000_000) {
+            return SimDuration(bit_micros.div_ceil(bits_per_sec));
+        }
+        let micros = (bytes as u128 * 8_000_000).div_ceil(bits_per_sec as u128);
         SimDuration(micros.min(u64::MAX as u128) as u64)
     }
 }
@@ -344,6 +348,17 @@ mod tests {
         );
         // Zero bandwidth means "infinite capacity" (no serialization delay).
         assert_eq!(SimDuration::transmission(1500, 0), SimDuration::ZERO);
+        // Either side of where the 64-bit product stops fitting, and the
+        // saturating far end.
+        let edge = (u64::MAX / 8_000_000) as usize;
+        for bytes in [edge - 1, edge, edge + 1, edge + 2] {
+            let exact = (bytes as u128 * 8_000_000).div_ceil(7) as u64;
+            assert_eq!(SimDuration::transmission(bytes, 7).as_micros(), exact);
+        }
+        assert_eq!(
+            SimDuration::transmission(usize::MAX, 1).as_micros(),
+            u64::MAX
+        );
     }
 
     #[test]

@@ -31,7 +31,7 @@
 //! ```
 
 use std::any::Any;
-use std::collections::{HashMap, HashSet};
+use std::collections::HashMap;
 
 use crate::event::{Ev, EventQueue};
 use crate::flight::{FlightKind, FlightRecorder, SpanId};
@@ -39,7 +39,7 @@ use crate::frame::EthernetFrame;
 use crate::host::{NicState, NodeSlot};
 use crate::link::{Endpoint, LinkId, LinkParams, LinkState, SwitchId, TxOutcome};
 use crate::mac::MacAddr;
-use crate::node::{Effect, NicId, Node, NodeCtx, NodeId, SerialPortId, TimerId};
+use crate::node::{Effect, NicId, Node, NodeCtx, NodeId, SerialPortId};
 use crate::profile::{Component, Profiler};
 use crate::rng::SimRng;
 use crate::serial::{SerialId, SerialParams, SerialState, SerialTxOutcome};
@@ -83,8 +83,6 @@ pub struct World {
     flight: FlightRecorder,
     profiler: Profiler,
     faults: Vec<(SimTime, String)>,
-    next_timer_id: u64,
-    cancelled_timers: HashSet<TimerId>,
     scripts: HashMap<u64, Script>,
     next_script_id: u64,
     started: bool,
@@ -93,6 +91,8 @@ pub struct World {
     /// between dispatches so the kernel loop does not allocate one per
     /// event.
     effects_scratch: Vec<Effect>,
+    /// Likewise the out-link list a switch fills for each frame.
+    out_links_scratch: Vec<LinkId>,
 }
 
 impl std::fmt::Debug for World {
@@ -123,13 +123,12 @@ impl World {
             flight: FlightRecorder::new(),
             profiler: Profiler::new(),
             faults: Vec::new(),
-            next_timer_id: 0,
-            cancelled_timers: HashSet::new(),
             scripts: HashMap::new(),
             next_script_id: 0,
             started: false,
             events_processed: 0,
             effects_scratch: Vec::new(),
+            out_links_scratch: Vec::new(),
         }
     }
 
@@ -510,15 +509,7 @@ impl World {
                     self.dispatch(node, |logic, ctx| logic.on_serial(ctx, port, data));
                 }
             }
-            Ev::Timer {
-                node,
-                id,
-                token,
-                epoch,
-            } => {
-                if self.cancelled_timers.remove(&id) {
-                    return;
-                }
+            Ev::Timer { node, token, epoch } => {
                 let slot = &self.nodes[node.0];
                 if !slot.powered || slot.epoch != epoch {
                     return;
@@ -556,7 +547,6 @@ impl World {
                 node,
                 rng: &mut self.rng,
                 effects: &mut effects,
-                next_timer_id: &mut self.next_timer_id,
                 flight: &mut self.flight,
                 profiler: &mut self.profiler,
             };
@@ -590,20 +580,9 @@ impl World {
                         SerialTxOutcome::Dropped => {}
                     }
                 }
-                Effect::SetTimer { id, at, token } => {
+                Effect::SetTimer { at, token } => {
                     let epoch = self.nodes[node.0].epoch;
-                    self.queue.push(
-                        at,
-                        Ev::Timer {
-                            node,
-                            id,
-                            token,
-                            epoch,
-                        },
-                    );
-                }
-                Effect::CancelTimer(id) => {
-                    self.cancelled_timers.insert(id);
+                    self.queue.push(at, Ev::Timer { node, token, epoch });
                 }
                 Effect::PowerOff { target, after } => {
                     let at = self.now + after;
@@ -703,8 +682,9 @@ impl World {
 
     /// Runs switch forwarding for a frame that arrived on `port`.
     fn switch_forward(&mut self, switch: SwitchId, port: usize, frame: EthernetFrame) {
-        let out_links = self.switches[switch.0].forward(port, &frame);
-        for link in out_links {
+        let mut out_links = std::mem::take(&mut self.out_links_scratch);
+        self.switches[switch.0].forward(port, &frame, &mut out_links);
+        for link in out_links.drain(..) {
             // The frame leaves through the switch's endpoint on that link.
             let from = if matches!(self.links[link.0].a, Endpoint::Switch { switch: s, .. } if s == switch)
             {
@@ -714,6 +694,7 @@ impl World {
             };
             self.transmit_on_link(link, from, frame.clone());
         }
+        self.out_links_scratch = out_links;
     }
 
     pub(crate) fn do_power_off(&mut self, node: NodeId) {
@@ -980,27 +961,48 @@ mod tests {
     }
 
     #[test]
-    fn cancelled_timer_does_not_fire() {
-        struct CancelNode {
-            fires: u32,
+    fn superseded_timer_fire_goes_unheeded() {
+        const DEADLINE: TimerToken = TimerToken(1);
+        /// Wants a deadline 9 ms out, then (a millisecond in) 5 ms out.
+        struct Hasty {
+            armed: Option<SimTime>,
+            want: Option<SimTime>,
+            due_at: Vec<SimTime>,
         }
-        impl Node for CancelNode {
+        impl Node for Hasty {
             fn on_start(&mut self, ctx: &mut NodeCtx<'_>) {
-                let id = ctx.set_timer(SimDuration::from_millis(5), TimerToken(1));
-                ctx.cancel_timer(id);
-                ctx.set_timer(SimDuration::from_millis(6), TimerToken(2));
+                self.want = Some(SimTime::from_millis(9));
+                ctx.rearm_timer(&mut self.armed, self.want, DEADLINE);
+                ctx.set_timer(SimDuration::from_millis(1), TimerToken(0));
             }
             fn on_frame(&mut self, _: &mut NodeCtx<'_>, _: NicId, _: EthernetFrame) {}
-            fn on_timer(&mut self, _: &mut NodeCtx<'_>, token: TimerToken) {
-                assert_eq!(token, TimerToken(2));
-                self.fires += 1;
+            fn on_timer(&mut self, ctx: &mut NodeCtx<'_>, token: TimerToken) {
+                if token != DEADLINE {
+                    self.want = Some(SimTime::from_millis(5));
+                    ctx.rearm_timer(&mut self.armed, self.want, DEADLINE);
+                } else if ctx.timer_due(&mut self.armed, self.want, DEADLINE) {
+                    self.due_at.push(ctx.now());
+                    self.want = None;
+                }
             }
         }
         let mut w = World::new(1);
-        let n = w.add_node("c", Box::new(CancelNode { fires: 0 }));
+        let n = w.add_node(
+            "h",
+            Box::new(Hasty {
+                armed: None,
+                want: None,
+                due_at: Vec::new(),
+            }),
+        );
         w.start();
-        w.run_until(SimTime::from_millis(10));
-        assert_eq!(w.node::<CancelNode>(n).unwrap().fires, 1);
+        w.run_until(SimTime::from_millis(20));
+        // The 1 ms tick, the 5 ms fire and the superseded 9 ms one.
+        assert_eq!(w.events_processed(), 3);
+        assert_eq!(
+            w.node::<Hasty>(n).unwrap().due_at,
+            vec![SimTime::from_millis(5)]
+        );
     }
 
     #[test]

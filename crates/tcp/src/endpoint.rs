@@ -354,7 +354,11 @@ impl TcpEndpoint {
     /// out `&mut`, so the registration must be refreshed after the
     /// mutation — at the next timer query — not at touch time.
     fn sync_deadlines(&mut self) {
-        for id in std::mem::take(&mut self.dirty.deadline) {
+        if self.dirty.deadline.is_empty() {
+            return; // every timer query of an idle endpoint
+        }
+        let mut dirty = std::mem::take(&mut self.dirty.deadline);
+        for id in dirty.drain(..) {
             let Some(e) = self.socks.get_mut(id) else {
                 continue;
             };
@@ -367,6 +371,8 @@ impl TcpEndpoint {
                 }
             }
         }
+        // Hand the (empty) buffer back so its capacity is reused.
+        self.dirty.deadline = dirty;
     }
 
     /// Drains the set of sockets with any activity (segments, timers,
@@ -627,16 +633,29 @@ impl TcpEndpoint {
 
     /// Drains all pending outbound segments as IP packets, applying the
     /// egress shim (suppression, FIN gating).
-    pub fn poll_packets(&mut self, _now: SimTime) -> Vec<Ipv4Packet> {
+    pub fn poll_packets(&mut self, now: SimTime) -> Vec<Ipv4Packet> {
         let mut out = Vec::new();
+        self.poll_packets_with(now, |pkt| out.push(pkt));
+        out
+    }
+
+    /// [`TcpEndpoint::poll_packets`] handing each packet to `sink` as it
+    /// is built, so a node's flush loop needs no list per poll. Returns
+    /// how many packets there were.
+    pub fn poll_packets_with(&mut self, _now: SimTime, mut sink: impl FnMut(Ipv4Packet)) -> usize {
+        let mut polled = 0;
+        let mut out = |pkt| {
+            polled += 1;
+            sink(pkt);
+        };
         while let Some((tuple, seg)) = self.raw_out.pop_front() {
-            out.push(wrap(tuple, &seg));
+            out(wrap(tuple, &seg));
         }
         // Only sockets with activity since the last poll can have pending
         // segments; idle connections are not visited (O(active), not
         // O(connections) — the scale bench depends on this).
-        let pollable = std::mem::take(&mut self.dirty.poll);
-        for id in pollable {
+        let mut pollable = std::mem::take(&mut self.dirty.poll);
+        for id in pollable.drain(..) {
             let Some(entry) = self.socks.get_mut(id) else {
                 continue;
             };
@@ -653,13 +672,16 @@ impl TcpEndpoint {
                     entry.shim.fins_held += 1;
                     continue;
                 }
-                out.push(wrap(entry.conn.tuple(), &seg));
+                out(wrap(entry.conn.tuple(), &seg));
             }
             // Emitting segments can arm the retransmit/persist/TIME-WAIT
             // timers; refresh this socket's queued deadline lazily.
             self.dirty.mark(entry, id, DEADLINE);
         }
-        out
+        // Nothing above marks a socket pollable: the buffer comes back
+        // empty, capacity kept.
+        self.dirty.poll = pollable;
+        polled
     }
 
     /// Drains the next application event.

@@ -8,7 +8,9 @@ use bytes::Bytes;
 use core::fmt;
 use std::net::Ipv4Addr;
 
+use simnet::flight::{FlightKind, SpanId};
 use simnet::ip::ChecksumAccumulator;
+use simnet::node::NodeCtx;
 
 use crate::seq::SeqNum;
 
@@ -156,6 +158,36 @@ impl SegmentPeek {
     /// True for a bare acknowledgment: no payload and no SYN/FIN/RST.
     pub fn is_pure_ack(&self) -> bool {
         self.data_len == 0 && self.flags & 0x07 == 0 && self.flags & 0x10 != 0
+    }
+
+    /// Records the segment in the node's flight ring as sent
+    /// (`outbound`) or delivered. Both ends of the wire derive the same
+    /// span from the header fields, so one host's sends pair with the
+    /// other's delivers in a dump.
+    pub fn record(&self, ctx: &mut NodeCtx<'_>, outbound: bool) {
+        let (conn, seq, len, flags) = (self.conn_tag(), self.seq, self.data_len, self.flags);
+        let kind = if self.is_pure_ack() {
+            FlightKind::SegAck {
+                conn,
+                ack: self.ack,
+            }
+        } else if outbound {
+            FlightKind::SegSend {
+                conn,
+                seq,
+                len,
+                flags,
+            }
+        } else {
+            FlightKind::SegDeliver {
+                conn,
+                seq,
+                len,
+                flags,
+            }
+        };
+        let span = SpanId::segment(self.src_port, self.dst_port, seq, flags);
+        ctx.flight(span, SpanId::NONE, kind);
     }
 }
 
