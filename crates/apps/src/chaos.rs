@@ -1010,12 +1010,9 @@ pub struct ChaosOptions {
     pub total_bytes: u64,
     /// Virtual-time horizon for the run.
     pub horizon: SimDuration,
-    /// Dump the world trace to stderr after the run (debugging).
+    /// Print the run's typed record — the fault log and every server's
+    /// event log, merged by time — to stderr after the run (debugging).
     pub trace: bool,
-    /// Trace ring-buffer bound. Sweeps run thousands of worlds, so the
-    /// default caps each trace; the cap is ignored (trace unbounded) when
-    /// `trace` asks for a full dump.
-    pub trace_capacity: Option<usize>,
     /// Run the servers with [`StTcpConfig::reintegrate`] set: a rebooted
     /// node warm-boots and rejoins the live connections instead of staying
     /// a cold standby. The invariant checker then allows a second failure
@@ -1046,7 +1043,6 @@ impl Default for ChaosOptions {
             total_bytes: 192 * 1024,
             horizon: SimDuration::from_secs(40),
             trace: false,
-            trace_capacity: Some(4096),
             reintegrate: false,
             workload: ChaosWorkload::Download,
             flight_always: false,
@@ -1183,6 +1179,26 @@ fn workload_pair(
     }
 }
 
+/// `ChaosOptions::trace`: prints the fault log and each named server's
+/// event log to stderr as one record ordered by time (ties: faults
+/// first, then servers in the order given).
+pub(crate) fn eprint_record<L: std::fmt::Display>(
+    faults: &[(SimTime, String)],
+    servers: &[(L, &[StTcpEvent])],
+) {
+    let mut lines: Vec<(SimTime, String)> = faults
+        .iter()
+        .map(|(at, what)| (*at, format!("world: [{at}] inject: {what}")))
+        .collect();
+    for (name, events) in servers {
+        lines.extend(events.iter().map(|e| (e.at(), format!("{name}: {e}"))));
+    }
+    lines.sort_by_key(|(at, _)| *at);
+    for (_, line) in lines {
+        eprintln!("{line}");
+    }
+}
+
 /// Runs one chaos case: standard topology, the selected verifying
 /// workload, the given schedule, then the invariant checker. Fully
 /// deterministic in `(seed, schedule, opts)`.
@@ -1198,23 +1214,20 @@ pub fn run_chaos_case(seed: u64, schedule: &FaultSchedule, opts: &ChaosOptions) 
         })
         .build();
 
-    if !opts.trace {
-        s.world.set_trace_capacity(opts.trace_capacity);
-    }
     schedule.apply(&mut s);
     let end = SimTime::ZERO + opts.horizon;
     s.world.run_until(end);
-
-    if opts.trace {
-        for r in s.world.trace().records() {
-            eprintln!("{r}");
-        }
-    }
 
     let primary = s.server(s.primary);
     let backup = s.server(s.backup);
     let p_events = primary.events().to_vec();
     let b_events = backup.events().to_vec();
+    if opts.trace {
+        eprint_record(
+            s.world.faults(),
+            &[("primary", &p_events[..]), ("backup", &b_events[..])],
+        );
+    }
 
     let view = |srv: &StTcpServer, side: Side, peer_events: &[StTcpEvent], role: Role| ServerView {
         configured_role: role,

@@ -429,7 +429,6 @@ impl TcpClient {
                 self.tcp.abort(now, sock);
             }
             self.log.reconnects += 1;
-            ctx.trace("client: stalled; reconnecting".to_string());
             ctx.set_timer(policy.reconnect_delay, TOKEN_CONNECT);
         }
         ctx.set_timer(policy.stall_timeout / 2, TOKEN_STALL);

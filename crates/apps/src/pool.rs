@@ -41,7 +41,9 @@ use sttcp::pool::PoolPeer;
 use sttcp::server::{ServerSetup, StTcpServer};
 
 use crate::apps::StreamApp;
-use crate::chaos::{chaos_config, ChaosAction, ChaosOptions, FaultSchedule, LinkSel, Side};
+use crate::chaos::{
+    chaos_config, eprint_record, ChaosAction, ChaosOptions, FaultSchedule, LinkSel, Side,
+};
 use crate::client::{ClientConfig, ClientLog, ClientWorkload, TcpClient};
 use crate::scenario::{Addressing, AppMaker, Scenario};
 
@@ -559,18 +561,9 @@ pub fn run_pool_case(seed: u64, schedule: &FaultSchedule, opts: &ChaosOptions) -
     })
     .build();
 
-    if !opts.trace {
-        s.world.set_trace_capacity(opts.trace_capacity);
-    }
     schedule.apply_pool(&mut s);
     let end = SimTime::ZERO + opts.horizon;
     s.world.run_until(end);
-
-    if opts.trace {
-        for r in s.world.trace().records() {
-            eprintln!("{r}");
-        }
-    }
 
     let scheduled_crash = |i: usize| -> Option<SimTime> {
         let side = match i {
@@ -622,6 +615,13 @@ pub fn run_pool_case(seed: u64, schedule: &FaultSchedule, opts: &ChaosOptions) -
         finished: s.client_finished(),
         longest_stall: log.longest_stall(from, to),
     };
+
+    if opts.trace {
+        let servers: Vec<_> = (member_events.iter().enumerate())
+            .map(|(i, events)| (format!("rank{i}"), events.as_slice()))
+            .collect();
+        eprint_record(s.world.faults(), &servers);
+    }
 
     let report = invariant::check_pool(&views, &client, &pool_expectation(schedule));
     let flight = (report.outcome == Outcome::Violation || opts.flight_always).then(|| {

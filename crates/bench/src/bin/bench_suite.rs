@@ -1,307 +1,88 @@
-//! Simulator throughput suite: measures wall-clock events/sec,
-//! bytes/sec, and chaos seeds/sec, and writes a schema-versioned
-//! `BENCH_simperf.json` so the performance trajectory is recorded
-//! alongside the correctness results.
+//! Scale ramp: thousands of simulated clients against one
+//! delta-heartbeat pair with sharded serial links. Records conns/sec,
+//! heartbeat bytes/conn and bytes/round, the failover stall, check-tick
+//! visits and the process's resident memory (`VmHWM`, total and per
+//! connection) at each connection count, and enforces the sim-time
+//! budgets that only these tiers exercise: exits 1 if HB bytes/conn
+//! exceeds the budget, failover stalls unbounded, the 10 000-connection
+//! ramp falls below its conns/s floor, or a point of 10 000+ connections
+//! is resident above the per-connection bound.
 //!
-//! Three measurements:
+//! Everything else about simulator speed — steady-state throughput, the
+//! per-component profile, heartbeat bandwidth, chaos seeds/s — is read
+//! from `benchmark/run.sh` (see EXPERIMENTS, "Where the numbers come
+//! from").
 //!
-//! 1. **Steady state** — one fault-free download through the full
-//!    ST-TCP stack (`events_per_sec`, `bytes_per_sec`). This is the
-//!    single-run number the acceptance gate compares against the
-//!    pre-change baseline.
-//! 2. **Chaos sweep, 1 thread** — quick-profile `chaos_hunt` seeds per
-//!    second on one core (`seeds_per_sec_1t`).
-//! 3. **Chaos sweep, N threads** — the same seed range on the worker
-//!    pool (`seeds_per_sec_mt`), demonstrating the fan-out speedup.
-//!
-//! Baseline numbers (measured on the pre-change tree with this same
-//! binary) are passed back in via `--baseline-*` flags and embedded in
-//! the report, so one file tells the whole before/after story.
-//!
-//! A fourth, opt-in measurement (`--scale`) ramps thousands of
-//! simulated clients against one delta-heartbeat pair with sharded
-//! serial links and records conns/sec, heartbeat bytes/conn and
-//! bytes/round, the failover stall, and the process's resident memory
-//! (`VmHWM`, total and per connection) at each connection count into a
-//! `scale` report section.
-//!
-//! Options:
-//! * `--out PATH`                     report path (default `BENCH_simperf.json`)
-//! * `--check PATH`                   regression-gate mode: read the
-//!   checked-in report at PATH, re-measure steady state (best of 3 to
-//!   tolerate machine noise), and exit 1 if the best fresh bytes/sec
-//!   falls more than 10% below the snapshot's (events/sec is printed,
-//!   not gated: removing events is a win), or if heartbeat
-//!   bytes/conn regresses more than 10% above the snapshot's. Skips the
-//!   sweeps and writes nothing.
-//! * `--scale`                        also run the client-ramp scale bench and
-//!   record the `scale` section (budget-gated: exits 1 if HB bytes/conn
-//!   exceeds the budget, failover stalls unbounded, or a point of 10 000+
-//!   connections is resident above 16 KiB per connection)
-//! * `--scale-conns LIST`             comma-separated connection counts for
+//! Options (one of `--scale` / `--scale-smoke` is required):
+//! * `--scale`             run the ramp and write the report
+//! * `--scale-conns LIST`  comma-separated connection counts for
 //!   `--scale` (default `100,1000,10000,100000`)
-//! * `--scale-smoke N`                CI smoke: run ONLY the `N`-connection
-//!   ramp point, assert the same budgets, write nothing
-//! * `--download-bytes N`             steady-state download size (default 4 MiB)
-//! * `--chaos-seeds N`                seeds per chaos sweep (default 64)
-//! * `--threads N`                    worker threads for the parallel sweep
-//!   (default: all cores)
-//! * `--baseline-events-per-sec X`    pre-change steady-state events/sec
-//! * `--baseline-bytes-per-sec X`     pre-change steady-state bytes/sec
-//! * `--baseline-seeds-per-sec X`     pre-change 1-thread seeds/sec
+//! * `--out PATH`          report path for `--scale` (default
+//!   `BENCH_simperf.json`)
+//! * `--scale-smoke N`     CI smoke: run ONLY the `N`-connection ramp
+//!   point, assert the same budgets, write nothing
 
 use std::path::PathBuf;
-use std::rc::Rc;
 use std::time::Instant;
 
 use obs::json::Json;
 use obs::report::MetricsReport;
-use simnet::profile::Component;
 use simnet::time::SimTime;
 use sttcp::config::StTcpConfig;
 use sttcp::metrics::ServerMetrics;
-use sttcp_apps::apps::StreamApp;
-use sttcp_apps::chaos::ChaosOptions;
-use sttcp_apps::client::ClientWorkload;
-use sttcp_apps::pool::PoolScenarioBuilder;
-use sttcp_apps::scenario::{Scenario, ScenarioBuilder};
+use sttcp_apps::scenario::Scenario;
 use sttcp_bench::experiments::{
     scale_ramp_end, scale_scenario, SCALE_HB_BATCH, SCALE_SERIAL_LINKS,
 };
-use sttcp_bench::hunt::{run_sweep, SweepConfig};
-use sttcp_bench::parallel::default_threads;
 
 struct Args {
     out: PathBuf,
-    check: Option<PathBuf>,
     scale: bool,
     scale_conns: Vec<u64>,
     scale_smoke: Option<u64>,
-    download_bytes: u64,
-    chaos_seeds: u64,
-    threads: usize,
-    baseline_events_per_sec: Option<f64>,
-    baseline_bytes_per_sec: Option<f64>,
-    baseline_seeds_per_sec: Option<f64>,
+}
+
+fn die(msg: &str) -> ! {
+    eprintln!("{msg}");
+    eprintln!("usage: bench_suite (--scale [--scale-conns LIST] [--out PATH] | --scale-smoke N)");
+    std::process::exit(2);
 }
 
 fn parse_args() -> Args {
     let mut args = Args {
         out: PathBuf::from("BENCH_simperf.json"),
-        check: None,
         scale: false,
         scale_conns: vec![100, 1000, 10_000, 100_000],
         scale_smoke: None,
-        download_bytes: 4 * 1024 * 1024,
-        chaos_seeds: 64,
-        threads: default_threads(),
-        baseline_events_per_sec: None,
-        baseline_bytes_per_sec: None,
-        baseline_seeds_per_sec: None,
     };
-    fn die(msg: &str) -> ! {
-        eprintln!("{msg}");
-        eprintln!(
-            "usage: bench_suite [--out PATH] [--check PATH] [--scale] \
-             [--scale-conns LIST] [--scale-smoke N] [--download-bytes N] \
-             [--chaos-seeds N] [--threads N] [--baseline-events-per-sec X] \
-             [--baseline-bytes-per-sec X] [--baseline-seeds-per-sec X]"
-        );
-        std::process::exit(2);
-    }
     let mut it = std::env::args().skip(1);
     while let Some(a) = it.next() {
         let mut val = |name: &str| {
             it.next()
                 .unwrap_or_else(|| die(&format!("{name} needs a value")))
         };
-        fn num<T: std::str::FromStr>(name: &str, v: String) -> T {
-            v.parse().unwrap_or_else(|_| {
-                eprintln!("{name}: {v:?} is not a number");
-                std::process::exit(2);
-            })
-        }
+        let num = |name: &str, v: &str| -> u64 {
+            v.trim()
+                .parse()
+                .unwrap_or_else(|_| die(&format!("{name}: {v:?} is not a number")))
+        };
         match a.as_str() {
             "--out" => args.out = PathBuf::from(val("--out")),
-            "--check" => args.check = Some(PathBuf::from(val("--check"))),
             "--scale" => args.scale = true,
             "--scale-conns" => {
-                args.scale_conns = val("--scale-conns")
-                    .split(',')
-                    .map(|s| num("--scale-conns", s.trim().to_string()))
-                    .collect();
-                if args.scale_conns.is_empty() {
-                    die("--scale-conns needs at least one count");
-                }
+                let list = val("--scale-conns");
+                args.scale_conns = list.split(',').map(|s| num("--scale-conns", s)).collect();
             }
             "--scale-smoke" => {
-                args.scale_smoke = Some(num("--scale-smoke", val("--scale-smoke")));
-            }
-            "--download-bytes" => {
-                args.download_bytes = num("--download-bytes", val("--download-bytes"));
-            }
-            "--chaos-seeds" => args.chaos_seeds = num("--chaos-seeds", val("--chaos-seeds")),
-            "--threads" => args.threads = num("--threads", val("--threads")),
-            "--baseline-events-per-sec" => {
-                args.baseline_events_per_sec = Some(num(
-                    "--baseline-events-per-sec",
-                    val("--baseline-events-per-sec"),
-                ));
-            }
-            "--baseline-bytes-per-sec" => {
-                args.baseline_bytes_per_sec = Some(num(
-                    "--baseline-bytes-per-sec",
-                    val("--baseline-bytes-per-sec"),
-                ));
-            }
-            "--baseline-seeds-per-sec" => {
-                args.baseline_seeds_per_sec = Some(num(
-                    "--baseline-seeds-per-sec",
-                    val("--baseline-seeds-per-sec"),
-                ));
+                args.scale_smoke = Some(num("--scale-smoke", &val("--scale-smoke")));
             }
             other => die(&format!("unknown option {other:?}")),
         }
     }
+    if !args.scale && args.scale_smoke.is_none() {
+        die("nothing to do: pass --scale or --scale-smoke N");
+    }
     args
-}
-
-struct SteadyState {
-    events: u64,
-    bytes: u64,
-    wall_us: u64,
-    events_per_sec: f64,
-    bytes_per_sec: f64,
-    /// Virtual-time-deterministic heartbeat payload bytes per announced
-    /// connection entry — the `--check` bandwidth gate.
-    hb_bytes_per_conn: u64,
-}
-
-/// One fault-free download through the full ST-TCP stack: primary +
-/// backup + verifying client, heartbeats on, no injected faults.
-fn steady_state(total: u64) -> SteadyState {
-    let mut s = ScenarioBuilder::new(
-        Rc::new(|| Box::new(StreamApp::new(4096, false)) as _),
-        ClientWorkload::Download { total },
-    )
-    .seed(1)
-    .build();
-    let started = Instant::now();
-    // Generous virtual horizon; the loop exits when the client finishes.
-    let horizon = SimTime::from_millis(10_000 + total / 100);
-    let step = SimTime::from_millis(500);
-    let mut until = step;
-    while !s.client_finished() && until <= horizon {
-        s.world.run_until(until);
-        until = SimTime::from_micros(until.as_micros() + step.as_micros());
-    }
-    let wall = started.elapsed();
-    assert!(s.client_finished(), "steady-state download did not finish");
-    let events = s.world.events_processed();
-    let bytes = s.client_log().total_received;
-    let secs = wall.as_secs_f64().max(1e-9);
-    SteadyState {
-        events,
-        bytes,
-        wall_us: wall.as_micros() as u64,
-        events_per_sec: events as f64 / secs,
-        bytes_per_sec: bytes as f64 / secs,
-        hb_bytes_per_conn: s
-            .server(s.primary)
-            .metrics()
-            .hb_bandwidth()
-            .bytes_per_conn(),
-    }
-}
-
-/// A second, *profiled* steady-state run: per-component wall-clock
-/// attribution (simnet/tcp/sttcp/pool/app buckets) plus heartbeat
-/// bandwidth accounting. Kept separate from [`steady_state`] so
-/// profiler overhead never touches the numbers the `--check` gate
-/// compares. Returns the `profile` and `hb_bandwidth` report sections.
-fn profiled_sections(total: u64) -> (Json, Json) {
-    let mut s = ScenarioBuilder::new(
-        Rc::new(|| Box::new(StreamApp::new(4096, false)) as _),
-        ClientWorkload::Download { total },
-    )
-    .seed(1)
-    .build();
-    s.world.set_profiling(true);
-    let horizon = SimTime::from_millis(10_000 + total / 100);
-    let step = SimTime::from_millis(500);
-    let mut until = step;
-    while !s.client_finished() && until <= horizon {
-        s.world.run_until(until);
-        until = SimTime::from_micros(until.as_micros() + step.as_micros());
-    }
-    assert!(s.client_finished(), "profiled download did not finish");
-
-    let p = s.world.profiler();
-    let hb = s.server(s.primary).metrics().hb_bandwidth().to_json();
-
-    // A short profiled pool-mode run (3 replicas, small download) so the
-    // `pool` bucket reflects real fencing/membership work instead of
-    // sitting empty: pair-mode scenarios never execute pool code.
-    let mut p3 = PoolScenarioBuilder::new(
-        Rc::new(|| Box::new(StreamApp::new(4096, false)) as _),
-        ClientWorkload::Download { total: 256 * 1024 },
-    )
-    .seed(1)
-    .replicas(3)
-    .build();
-    p3.world.set_profiling(true);
-    p3.world.run_until(SimTime::from_millis(5_000));
-    assert!(
-        p3.client_finished(),
-        "profiled pool download did not finish"
-    );
-    let pp = p3.world.profiler();
-
-    let mut profile = Json::obj();
-    for c in Component::ALL {
-        let a = p.stats(c);
-        let b = pp.stats(c);
-        let mut o = Json::obj();
-        o.set("scopes", Json::U64(a.scopes + b.scopes));
-        o.set("self_us", Json::U64((a.self_ns + b.self_ns) / 1_000));
-        o.set("total_us", Json::U64((a.total_ns + b.total_ns) / 1_000));
-        profile.set(c.key(), o);
-    }
-    profile.set(
-        "total_self_us",
-        Json::U64((p.total_self_ns() + pp.total_self_ns()) / 1_000),
-    );
-    (profile, hb)
-}
-
-struct ChaosRate {
-    wall_us: u64,
-    seeds_per_sec: f64,
-}
-
-/// Times a quick-profile chaos sweep at the given thread count.
-fn chaos_rate(seeds: u64, threads: usize) -> ChaosRate {
-    let cfg = SweepConfig {
-        seeds,
-        start: 0,
-        quick: true,
-        double: false,
-        reintegrate: false,
-        threads,
-    };
-    let opts = ChaosOptions::quick();
-    let started = Instant::now();
-    let summary = run_sweep(&cfg, &opts, |_| {});
-    let wall = started.elapsed();
-    assert!(
-        summary.violated.is_empty(),
-        "chaos sweep hit invariant violations: {:?}",
-        summary.violated
-    );
-    ChaosRate {
-        wall_us: wall.as_micros() as u64,
-        seeds_per_sec: seeds as f64 / wall.as_secs_f64().max(1e-9),
-    }
 }
 
 /// Steady-state heartbeat budget asserted by `--scale`/`--scale-smoke`:
@@ -541,101 +322,6 @@ fn run_scale(counts: &[u64]) -> (Json, bool) {
     (section, ok)
 }
 
-/// Pulls the first numeric value following `"<key>":` out of a report.
-/// The reports are written by our own `Json` printer (no whitespace
-/// after the colon), so a string scan is exact — and it keeps the gate
-/// independent of any JSON-parsing code the change under test may have
-/// touched.
-fn scan_number(text: &str, key: &str) -> Option<f64> {
-    let needle = format!("\"{key}\":");
-    let rest = &text[text.find(&needle)? + needle.len()..];
-    let end = rest
-        .find(|c: char| !matches!(c, '0'..='9' | '.' | '-' | '+' | 'e' | 'E'))
-        .unwrap_or(rest.len());
-    rest[..end].parse().ok()
-}
-
-/// Regression-gate mode: compare a fresh steady-state measurement
-/// against the checked-in snapshot. Best of 3 runs, 10% tolerance on
-/// payload bytes/sec — the floor rides the snapshot, so regenerating it
-/// after a perf win locks the win in instead of defending 80% of the old
-/// number. Bytes, not events: the download is fixed work, the events it
-/// takes are not, and a change that removes cheap events moves
-/// events/sec the wrong way while the run gets faster (events/sec is
-/// still printed). Also gates heartbeat `bytes_per_conn` (virtual-time
-/// deterministic, so the tolerance only covers snapshot rounding):
-/// fresh must stay within 10% of the snapshot.
-fn check_against(path: &PathBuf, fallback_download_bytes: u64) -> ! {
-    let text = std::fs::read_to_string(path).unwrap_or_else(|e| {
-        eprintln!("--check: cannot read {}: {e}", path.display());
-        std::process::exit(2);
-    });
-    let baseline = scan_number(&text, "bytes_per_sec").unwrap_or_else(|| {
-        eprintln!(
-            "--check: no \"bytes_per_sec\" in {} — regenerate it with --out",
-            path.display()
-        );
-        std::process::exit(2);
-    });
-    let baseline_bpc = scan_number(&text, "bytes_per_conn");
-    let download_bytes = scan_number(&text, "download_bytes")
-        .map(|b| b as u64)
-        .unwrap_or(fallback_download_bytes);
-    println!(
-        "bench_suite --check: snapshot {:.0} bytes/s ({} byte download), best of 3 runs...",
-        baseline, download_bytes
-    );
-    let mut best = 0f64;
-    let mut bytes_per_conn = 0u64;
-    for run in 1..=3 {
-        let s = steady_state(download_bytes);
-        println!(
-            "  run {run}: {:.0} bytes/s, {:.0} events/s ({:.3} s)",
-            s.bytes_per_sec,
-            s.events_per_sec,
-            s.wall_us as f64 / 1e6
-        );
-        best = best.max(s.bytes_per_sec);
-        bytes_per_conn = s.hb_bytes_per_conn;
-    }
-    let mut failed = false;
-    let ratio = best / baseline.max(1e-9);
-    if ratio < 0.9 {
-        eprintln!(
-            "REGRESSION: best {:.0} bytes/s is {:.1}% of the {:.0} bytes/s snapshot \
-             (gate: >= 90%)",
-            best,
-            ratio * 100.0,
-            baseline
-        );
-        failed = true;
-    } else {
-        println!(
-            "ok: best {:.0} bytes/s is {:.1}% of the snapshot (gate: >= 90%)",
-            best,
-            ratio * 100.0
-        );
-    }
-    match baseline_bpc {
-        Some(b) if bytes_per_conn as f64 > b * 1.1 => {
-            eprintln!(
-                "REGRESSION: heartbeat {bytes_per_conn} bytes/conn vs snapshot {b:.0} \
-                 (gate: <= 110%)"
-            );
-            failed = true;
-        }
-        Some(b) => {
-            println!(
-                "ok: heartbeat {bytes_per_conn} bytes/conn vs snapshot {b:.0} (gate: <= 110%)"
-            );
-        }
-        None => {
-            println!("note: snapshot has no \"bytes_per_conn\"; bandwidth gate skipped");
-        }
-    }
-    std::process::exit(if failed { 1 } else { 0 });
-}
-
 fn main() {
     let args = parse_args();
 
@@ -644,120 +330,18 @@ fn main() {
         std::process::exit(if ok { 0 } else { 1 });
     }
 
-    if let Some(path) = &args.check {
-        check_against(path, args.download_bytes);
+    let (scale, ok) = run_scale(&args.scale_conns);
+    if !ok {
+        std::process::exit(1);
     }
-
-    println!(
-        "bench_suite: steady-state download ({} bytes, best of 3)...",
-        args.download_bytes
-    );
-    // Best of 3, mirroring --check: the snapshot this writes is the
-    // gate's baseline, so both sides must tolerate machine noise the
-    // same way — a cold single-run baseline would weaken the gate.
-    let mut steady = steady_state(args.download_bytes);
-    for _ in 0..2 {
-        let s = steady_state(args.download_bytes);
-        if s.events_per_sec > steady.events_per_sec {
-            steady = s;
-        }
-    }
-    println!(
-        "  {} events in {:.3} s — {:.0} events/s, {:.0} bytes/s",
-        steady.events,
-        steady.wall_us as f64 / 1e6,
-        steady.events_per_sec,
-        steady.bytes_per_sec,
-    );
-
-    println!(
-        "bench_suite: chaos sweep ({} seeds, 1 thread)...",
-        args.chaos_seeds
-    );
-    let chaos_1t = chaos_rate(args.chaos_seeds, 1);
-    println!(
-        "  {:.3} s — {:.2} seeds/s",
-        chaos_1t.wall_us as f64 / 1e6,
-        chaos_1t.seeds_per_sec,
-    );
-
-    println!(
-        "bench_suite: chaos sweep ({} seeds, {} threads)...",
-        args.chaos_seeds, args.threads
-    );
-    let chaos_mt = chaos_rate(args.chaos_seeds, args.threads);
-    println!(
-        "  {:.3} s — {:.2} seeds/s ({:.2}x)",
-        chaos_mt.wall_us as f64 / 1e6,
-        chaos_mt.seeds_per_sec,
-        chaos_mt.seeds_per_sec / chaos_1t.seeds_per_sec.max(1e-9),
-    );
-
-    println!("bench_suite: profiled steady-state run (attribution only)...");
-    let (profile, hb_bandwidth) = profiled_sections(args.download_bytes);
-
-    let scale = args.scale.then(|| {
-        let (section, ok) = run_scale(&args.scale_conns);
-        if !ok {
-            std::process::exit(1);
-        }
-        section
-    });
-
     let mut report = MetricsReport::new("bench_suite");
     let mut config = Json::obj();
-    config.set("download_bytes", Json::U64(args.download_bytes));
-    config.set("chaos_seeds", Json::U64(args.chaos_seeds));
-    config.set("threads", Json::U64(args.threads as u64));
+    let conns = args.scale_conns.iter().map(|&n| Json::U64(n));
+    config.set("scale_conns", Json::Arr(conns.collect()));
     report.set("config", config);
-
     let mut current = Json::obj();
-    let mut ss = Json::obj();
-    ss.set("events", Json::U64(steady.events));
-    ss.set("bytes", Json::U64(steady.bytes));
-    ss.set("wall_us", Json::U64(steady.wall_us));
-    ss.set("events_per_sec", Json::F64(steady.events_per_sec));
-    ss.set("bytes_per_sec", Json::F64(steady.bytes_per_sec));
-    current.set("steady_state", ss);
-    let mut ch = Json::obj();
-    ch.set("seeds", Json::U64(args.chaos_seeds));
-    ch.set("wall_us_1t", Json::U64(chaos_1t.wall_us));
-    ch.set("seeds_per_sec_1t", Json::F64(chaos_1t.seeds_per_sec));
-    ch.set("threads", Json::U64(args.threads as u64));
-    ch.set("wall_us_mt", Json::U64(chaos_mt.wall_us));
-    ch.set("seeds_per_sec_mt", Json::F64(chaos_mt.seeds_per_sec));
-    ch.set(
-        "speedup",
-        Json::F64(chaos_mt.seeds_per_sec / chaos_1t.seeds_per_sec.max(1e-9)),
-    );
-    current.set("chaos", ch);
-    current.set("profile", profile);
-    current.set("hb_bandwidth", hb_bandwidth);
-    if let Some(scale) = scale {
-        current.set("scale", scale);
-    }
+    current.set("scale", scale);
     report.set("current", current);
-
-    if args.baseline_events_per_sec.is_some()
-        || args.baseline_bytes_per_sec.is_some()
-        || args.baseline_seeds_per_sec.is_some()
-    {
-        let mut baseline = Json::obj();
-        if let Some(x) = args.baseline_events_per_sec {
-            baseline.set("events_per_sec", Json::F64(x));
-            baseline.set(
-                "events_per_sec_ratio",
-                Json::F64(steady.events_per_sec / x.max(1e-9)),
-            );
-        }
-        if let Some(x) = args.baseline_bytes_per_sec {
-            baseline.set("bytes_per_sec", Json::F64(x));
-        }
-        if let Some(x) = args.baseline_seeds_per_sec {
-            baseline.set("seeds_per_sec_1t", Json::F64(x));
-        }
-        report.set("baseline", baseline);
-    }
 
     match report.write_to(&args.out) {
         Ok(()) => println!("report written to {}", args.out.display()),

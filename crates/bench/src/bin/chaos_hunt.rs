@@ -27,7 +27,8 @@
 //!   coverage table: injections per action kind and 2-fault kind
 //!   combos exercised vs possible
 //! * `--verbose`          print every case, not just violations
-//! * `--trace`            dump the world trace to stderr (single-case mode)
+//! * `--trace`            print the fault log and every server's event
+//!   log, merged by time, to stderr (single-case mode)
 //! * `--json PATH`        write a `MetricsReport` (outcomes + phase
 //!   histograms) to PATH after the sweep
 //! * `--enforce-bounds`   fail (exit 1) if any failover's fault → verdict

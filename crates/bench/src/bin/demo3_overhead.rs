@@ -43,7 +43,7 @@ fn main() {
     println!("relative time overhead: {}", pct(r.overhead));
     println!(
         "\nthe protocol-level overhead is {}; per-segment CPU overhead is\n\
-         measured separately by `cargo bench` (datapath benchmarks).",
+         measured separately by `benchmark/run.sh` (`bulk_download` vs `plain.*`).",
         if r.overhead.abs() < 0.02 {
             "negligible, matching the paper"
         } else {

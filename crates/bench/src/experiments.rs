@@ -3,7 +3,7 @@
 //! Each runner builds the standard topology, injects the prescribed
 //! failure, runs to completion, and extracts the metrics the paper
 //! reports. The binaries in `src/bin/` are thin printers over these
-//! functions, and the Criterion benches reuse the cheap ones.
+//! functions.
 
 use std::rc::Rc;
 

@@ -18,8 +18,8 @@
 //! | `state_explore` | beyond the paper — bounded-exhaustive fault-timing lattice |
 //!
 //! Run any of them with `cargo run -p sttcp-bench --bin <name>`; the
-//! Criterion micro-benchmarks (`cargo bench`) cover the per-segment CPU
-//! costs the virtual clock cannot see.
+//! CPU costs the virtual clock cannot see are measured by the repo
+//! benchmark (`benchmark/run.sh`, declared in `BENCHMARK.json`).
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]

@@ -196,8 +196,6 @@ pub(crate) struct PoolState {
     /// always rank behind every original member, so a rebooted ex-active
     /// can never be the preferred takeover candidate.
     pub(crate) next_rank: u8,
-    /// Local serial ports wired to pool members.
-    pub(crate) serial_by_port: BTreeMap<SerialPortId, Ipv4Addr>,
     /// The most recent join session this (active) server served:
     /// `(joiner ip, session nonce, rank assigned)`. Makes the rank
     /// assignment idempotent across re-sent `JoinRequest`s.
@@ -206,14 +204,17 @@ pub(crate) struct PoolState {
 
 impl PoolState {
     /// Builds the pool view at boot: all members presumed alive (grace
-    /// period from fresh monitors anchored at `now`), rank 0 active.
+    /// period from fresh monitors anchored at `now`), rank 0 active,
+    /// each member reached through the local serial port `wiring` gives
+    /// it, if any.
     pub(crate) fn new(
         my_rank: u8,
         peers: &[PoolPeer],
+        wiring: &BTreeMap<SerialPortId, Ipv4Addr>,
         hb_timeout: SimDuration,
         now: SimTime,
     ) -> PoolState {
-        let members: BTreeMap<Ipv4Addr, MemberState> = peers
+        let mut members: BTreeMap<Ipv4Addr, MemberState> = peers
             .iter()
             .map(|p| {
                 (
@@ -239,6 +240,11 @@ impl PoolState {
                 )
             })
             .collect();
+        for (&port, ip) in wiring {
+            if let Some(m) = members.get_mut(ip) {
+                m.serial_port = Some(port);
+            }
+        }
         let next_rank = peers
             .iter()
             .map(|p| p.rank)
@@ -253,7 +259,6 @@ impl PoolState {
             fence: None,
             epoch: 0,
             next_rank,
-            serial_by_port: BTreeMap::new(),
             last_session_served: None,
         }
     }
@@ -313,9 +318,15 @@ mod tests {
         ]
     }
 
+    /// Rank 1's view of the unwired three-member pool, booted at `now`.
+    fn pool3(now: SimTime) -> PoolState {
+        let hb_timeout = SimDuration::from_millis(600);
+        PoolState::new(1, &peers3(), &BTreeMap::new(), hb_timeout, now)
+    }
+
     #[test]
     fn next_rank_is_one_past_the_pool_maximum() {
-        let p = PoolState::new(1, &peers3(), SimDuration::from_millis(600), SimTime::ZERO);
+        let p = pool3(SimTime::ZERO);
         assert_eq!(p.next_rank, 3);
         assert_eq!(p.active_rank, 0);
         assert_eq!(p.my_rank, 1);
@@ -323,7 +334,7 @@ mod tests {
 
     #[test]
     fn quorum_is_majority_of_non_fenced_membership() {
-        let mut p = PoolState::new(1, &peers3(), SimDuration::from_millis(600), SimTime::ZERO);
+        let mut p = pool3(SimTime::ZERO);
         // 3-member pool, target is the active: electorate = me + rank2.
         assert_eq!(p.quorum_needed(0), 2);
         // Fence rank 2 out of the membership: degenerate pair left, and
@@ -338,7 +349,7 @@ mod tests {
     #[test]
     fn members_start_alive_via_grace_anchor() {
         let t0 = SimTime::from_millis(1_000);
-        let p = PoolState::new(1, &peers3(), SimDuration::from_millis(600), t0);
+        let p = pool3(t0);
         assert_eq!(p.live_non_fenced(t0 + SimDuration::from_millis(599)), 2);
         assert_eq!(p.live_non_fenced(t0 + SimDuration::from_millis(600)), 0);
         assert_eq!(p.strength(t0), 3);
@@ -346,7 +357,7 @@ mod tests {
 
     #[test]
     fn active_ip_follows_active_rank_and_fencing() {
-        let mut p = PoolState::new(1, &peers3(), SimDuration::from_millis(600), SimTime::ZERO);
+        let mut p = pool3(SimTime::ZERO);
         assert_eq!(p.active_ip(), Some(Ipv4Addr::new(10, 0, 0, 2)));
         p.members
             .get_mut(&Ipv4Addr::new(10, 0, 0, 2))
@@ -359,7 +370,7 @@ mod tests {
 
     #[test]
     fn rejoin_reset_clears_everything_but_identity() {
-        let mut p = PoolState::new(1, &peers3(), SimDuration::from_millis(600), SimTime::ZERO);
+        let mut p = pool3(SimTime::ZERO);
         let ip = Ipv4Addr::new(10, 0, 0, 2);
         {
             let m = p.members.get_mut(&ip).unwrap();

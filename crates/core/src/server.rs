@@ -16,7 +16,7 @@
 //!   the client connections in place.
 
 use bytes::Bytes;
-use std::collections::BTreeSet;
+use std::collections::{BTreeMap, BTreeSet};
 use std::net::Ipv4Addr;
 
 use simnet::flight::{FlightKind, SpanId};
@@ -241,6 +241,13 @@ impl PingCampaign {
     }
 }
 
+/// Where one heartbeat frame leaves this host.
+#[derive(Debug, Clone, Copy)]
+enum HbDest {
+    Ip(Ipv4Addr),
+    Serial(SerialPortId),
+}
+
 /// Per-link receive state for batched (v3) heartbeat rounds: which round
 /// is open and which part must arrive next. Parts of one round share a
 /// seqno and must arrive in order on their link (serial links and the
@@ -255,14 +262,41 @@ struct RxBatch {
 }
 
 /// The ST-TCP server node. See the [module docs](self).
+///
+/// Its own fields are what survives a power cycle — the host's wiring
+/// and the observer's record of the run; everything a reboot erases
+/// lives in [`Ram`].
 pub struct StTcpServer {
     setup: ServerSetup,
+    /// Carries the ARP entries topology builders patched in.
     iface: IpInterface,
     serial_port: SerialPortId,
     /// Additional pair-mode serial heartbeat links. The shard map assigns
     /// connection `key` to serial link `key % n` where link 0 is
     /// `serial_port` and link `1+i` is `extra_serial_ports[i]`.
     extra_serial_ports: Vec<SerialPortId>,
+    /// Pool mode: local serial ports wired to pool members.
+    pool_serial: BTreeMap<SerialPortId, Ipv4Addr>,
+    app_factory: Box<dyn AppFactory>,
+    events: Vec<StTcpEvent>,
+    metrics: ServerMetrics,
+    /// Span of the last heartbeat this server received — the evidence a
+    /// later failure verdict is causally parented to. Kept across a
+    /// reboot on purpose: flight dumps chain a rebooted node's first
+    /// events to what it last heard.
+    last_hb_rx_span: SpanId,
+    /// Span of this server's failure verdict; the STONITH and takeover
+    /// flight events join it so the whole failover reads as one chain.
+    /// Kept across a reboot, likewise.
+    verdict_span: SpanId,
+    ram: Ram,
+}
+
+/// Everything a power cycle erases: the protocol state of one boot
+/// incarnation. [`Ram::boot`] is the only place it is made — `new`, a
+/// wiring change before the world starts and the warm `on_power_on` all
+/// go through it — so a field added here is rebuilt at every boot.
+struct Ram {
     /// Per-serial-link monitors (index 0 = `serial_port`). `serial_mon`
     /// stays the aggregate any-serial-link view the detector matrix
     /// consumes, so N=1 behavior is bit-for-bit unchanged.
@@ -292,7 +326,6 @@ pub struct StTcpServer {
     rx_peer_epoch: u32,
 
     tcp: TcpEndpoint,
-    app_factory: Box<dyn AppFactory>,
     app_crashed: bool,
 
     role: Role,
@@ -338,12 +371,6 @@ pub struct StTcpServer {
     peer_seqno_advanced_at: SimTime,
     /// Pair mode: a byzantine heartbeat was already logged (sticky).
     byzantine_reported: bool,
-    /// Span of the last heartbeat this server received — the evidence a
-    /// later failure verdict is causally parented to.
-    last_hb_rx_span: SpanId,
-    /// Span of this server's failure verdict; the STONITH and takeover
-    /// flight events join it so the whole failover reads as one chain.
-    verdict_span: SpanId,
     /// Byzantine heartbeat fault injection, if armed (testing).
     byz_mode: Option<ByzantineHbMode>,
     /// N-replica pool state (`None` in pair mode).
@@ -363,19 +390,104 @@ pub struct StTcpServer {
     /// The packet list `flush` polls into (the poll is profiled apart
     /// from the sends), kept for its capacity.
     pkts: Vec<Ipv4Packet>,
-    events: Vec<StTcpEvent>,
-    metrics: ServerMetrics,
     powered_off: bool,
     cold: bool,
-    started_at: SimTime,
+}
+
+impl Ram {
+    /// The state of a server that powers up at `now` in `role` with
+    /// `nserial` serial links to its pair peer: peer presumed alive
+    /// (grace period from fresh monitors anchored at `now`), no
+    /// connections, a fresh TCP stack listening on the service port —
+    /// the primary's accepted connections carry the extended receive
+    /// buffer, the backup accepts in suppressed mode and never answers
+    /// stray segments.
+    fn boot(
+        setup: &ServerSetup,
+        pool_serial: &BTreeMap<SerialPortId, Ipv4Addr>,
+        role: Role,
+        now: SimTime,
+        nserial: usize,
+    ) -> Ram {
+        let hb_timeout = setup.sttcp.hb_timeout();
+        let monitor = || LinkMonitor::new(hb_timeout, now);
+        let mut tcp = setup.tcp.clone();
+        let (rst_policy, egress) = match role {
+            Role::Primary => {
+                tcp.hold_buf = Some(setup.sttcp.hold_buf);
+                (RstPolicy::Send, EgressMode::Normal)
+            }
+            Role::Backup => (RstPolicy::Silent, EgressMode::Suppress),
+        };
+        let mut endpoint = TcpEndpoint::new(EndpointConfig {
+            tcp: setup.tcp.clone(),
+            isn: IsnPolicy::Deterministic {
+                salt: setup.isn_salt,
+            },
+            rst_policy,
+            seed: setup.seed,
+        });
+        endpoint.listen(setup.service_port, ListenConfig { tcp, egress });
+        Ram {
+            serial_link_mons: (0..nserial).map(|_| monitor()).collect(),
+            hb_epoch: epoch_from(now),
+            hb_touched: Vec::new(),
+            hb_cands: Vec::new(),
+            hb_link_recs: Vec::new(),
+            peer_hb_acks: vec![0; 1 + nserial],
+            peer_ack_epoch: 0,
+            rx_link_seq: vec![0; 1 + nserial],
+            rx_link_batch: vec![RxBatch::default(); 1 + nserial],
+            rx_peer_epoch: 0,
+            tcp: endpoint,
+            app_crashed: false,
+            role,
+            ft_mode: true,
+            peer_alive: true,
+            table: ConnTable::default(),
+            peer_app_suspected: false,
+            ip_mon: monitor(),
+            serial_mon: monitor(),
+            ip_was_alive: true,
+            serial_was_alive: true,
+            net_detect: NetFailureDetector::new(
+                setup.sttcp.net_lag_bytes,
+                setup.sttcp.net_lag_time,
+                setup.sttcp.effective_lag_confirm(),
+                setup.sttcp.ping_fail_threshold,
+            ),
+            ping: PingCampaign {
+                id: (setup.seed & 0xffff) as u16,
+                ..Default::default()
+            },
+            peer_ping: None,
+            hb_seq: 0,
+            peer_last_seqno: None,
+            peer_seqno_advanced_at: now,
+            byzantine_reported: false,
+            byz_mode: None,
+            // Boots with the static rank; a rejoin's `JoinDone` hands
+            // over the fresh one.
+            pool: (!setup.pool.is_empty())
+                .then(|| PoolState::new(setup.rank, &setup.pool, pool_serial, hb_timeout, now)),
+            hb_scratch: Vec::new(),
+            took_over: false,
+            join: None,
+            serving_join: None,
+            tcp_timer: None,
+            pkts: Vec::new(),
+            powered_off: false,
+            cold: false,
+        }
+    }
 }
 
 impl std::fmt::Debug for StTcpServer {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("StTcpServer")
-            .field("role", &self.role)
-            .field("ft_mode", &self.ft_mode)
-            .field("conns", &self.table.socks().count())
+            .field("role", &self.ram.role)
+            .field("ft_mode", &self.ram.ft_mode)
+            .field("conns", &self.ram.table.socks().count())
             .finish_non_exhaustive()
     }
 }
@@ -390,81 +502,36 @@ impl StTcpServer {
         iface: IpInterface,
         app_factory: Box<dyn AppFactory>,
     ) -> StTcpServer {
-        let hb_timeout = setup.sttcp.hb_timeout();
-        let tcp_cfg = EndpointConfig {
-            tcp: setup.tcp.clone(),
-            isn: IsnPolicy::Deterministic {
-                salt: setup.isn_salt,
-            },
-            // The backup must never answer stray segments; the primary
-            // behaves like a normal host.
-            rst_policy: match setup.role {
-                Role::Primary => RstPolicy::Send,
-                Role::Backup => RstPolicy::Silent,
-            },
-            seed: setup.seed,
-        };
-        let role = setup.role;
-        let net_detect = NetFailureDetector::new(
-            setup.sttcp.net_lag_bytes,
-            setup.sttcp.net_lag_time,
-            setup.sttcp.effective_lag_confirm(),
-            setup.sttcp.ping_fail_threshold,
-        );
+        let pool_serial = BTreeMap::new();
         StTcpServer {
-            ping: PingCampaign {
-                id: (setup.seed & 0xffff) as u16,
-                ..Default::default()
-            },
-            tcp: TcpEndpoint::new(tcp_cfg),
+            ram: Ram::boot(&setup, &pool_serial, setup.role, SimTime::ZERO, 1),
+            setup,
             iface,
             serial_port: SerialPortId(0),
             extra_serial_ports: Vec::new(),
-            serial_link_mons: Vec::new(),
-            hb_epoch: 1,
-            hb_touched: Vec::new(),
-            hb_cands: Vec::new(),
-            hb_link_recs: Vec::new(),
-            peer_hb_acks: Vec::new(),
-            peer_ack_epoch: 0,
-            rx_link_seq: Vec::new(),
-            rx_link_batch: Vec::new(),
-            rx_peer_epoch: 0,
+            pool_serial,
             app_factory,
-            app_crashed: false,
-            role,
-            ft_mode: true,
-            peer_alive: true,
-            table: ConnTable::default(),
-            peer_app_suspected: false,
-            ip_mon: LinkMonitor::new(hb_timeout, SimTime::ZERO),
-            serial_mon: LinkMonitor::new(hb_timeout, SimTime::ZERO),
-            ip_was_alive: true,
-            serial_was_alive: true,
-            net_detect,
-            peer_ping: None,
-            hb_seq: 0,
-            peer_last_seqno: None,
-            peer_seqno_advanced_at: SimTime::ZERO,
-            byzantine_reported: false,
-            last_hb_rx_span: SpanId::NONE,
-            verdict_span: SpanId::NONE,
-            byz_mode: None,
-            pool: (!setup.pool.is_empty())
-                .then(|| PoolState::new(setup.rank, &setup.pool, hb_timeout, SimTime::ZERO)),
-            hb_scratch: Vec::new(),
-            took_over: false,
-            join: None,
-            serving_join: None,
-            tcp_timer: None,
-            pkts: Vec::new(),
             events: Vec::new(),
             metrics: ServerMetrics::new(),
-            powered_off: false,
-            cold: false,
-            started_at: SimTime::ZERO,
-            setup,
+            last_hb_rx_span: SpanId::NONE,
+            verdict_span: SpanId::NONE,
         }
+    }
+
+    /// Rebuilds everything a power cycle erases, for a boot at `now` in
+    /// `role` on the present wiring.
+    fn boot(&mut self, role: Role, now: SimTime) {
+        let nserial = 1 + self.extra_serial_ports.len();
+        self.ram = Ram::boot(&self.setup, &self.pool_serial, role, now, nserial);
+    }
+
+    /// Opens the periodic work of a boot: the first heartbeat round and
+    /// the heartbeat, check and application-tick timers.
+    fn start_rounds(&mut self, ctx: &mut NodeCtx<'_>) {
+        self.send_heartbeats(ctx);
+        ctx.set_timer(self.setup.sttcp.hb_period, TOKEN_HB);
+        ctx.set_timer(self.setup.sttcp.check_period, TOKEN_CHECK);
+        ctx.set_timer(self.setup.sttcp.app_tick, TOKEN_APP_TICK);
     }
 
     /// Sets the serial port wired to the peer (assigned by the topology
@@ -476,9 +543,11 @@ impl StTcpServer {
     /// Adds an extra pair-mode serial heartbeat link (conn→link sharding
     /// for beyond-one-link connection counts). Shard `key % n` maps to
     /// link `serial_port` for shard 0 and `extra_serial_ports[s-1]`
-    /// otherwise.
+    /// otherwise. For topology builders, before the world starts: the
+    /// link count is an input of [`Ram::boot`], so this boots again.
     pub fn add_serial_link(&mut self, port: SerialPortId) {
         self.extra_serial_ports.push(port);
+        self.boot(self.setup.role, SimTime::ZERO);
     }
 
     /// Number of heartbeat links to the pair peer: IP plus every serial
@@ -500,13 +569,12 @@ impl StTcpServer {
     }
 
     /// Wires local serial port `port` to pool member `ip` (topology
-    /// builders, after connecting the null-modem pair). Pool mode only.
+    /// builders, after connecting the null-modem pair and before the
+    /// world starts: like a serial link, it boots again). Pool mode only.
     pub fn add_pool_serial(&mut self, port: SerialPortId, ip: Ipv4Addr) {
-        if let Some(pool) = &mut self.pool {
-            pool.serial_by_port.insert(port, ip);
-            if let Some(m) = pool.members.get_mut(&ip) {
-                m.serial_port = Some(port);
-            }
+        if self.ram.pool.is_some() {
+            self.pool_serial.insert(port, ip);
+            self.boot(self.setup.role, SimTime::ZERO);
         }
     }
 
@@ -514,7 +582,8 @@ impl StTcpServer {
     /// connection: no sign of life for `watchdog_timeout`, with the
     /// connection still nominally open.
     fn watchdog_suspects(&self, now: SimTime, s: SlotId) -> bool {
-        let (Some(timeout), Some(ctl)) = (self.setup.sttcp.watchdog_timeout, &self.table[s].ctl)
+        let (Some(timeout), Some(ctl)) =
+            (self.setup.sttcp.watchdog_timeout, &self.ram.table[s].ctl)
         else {
             return false;
         };
@@ -524,7 +593,7 @@ impl StTcpServer {
     /// The heartbeat record describing the slot's socket right now.
     fn conn_record(&self, now: SimTime, s: SlotId, conn: &TcpConn) -> ConnHb {
         ConnHb {
-            key: self.table[s].key(),
+            key: self.ram.table[s].key(),
             last_byte_received: conn.bytes_received(),
             last_ack_received: conn.last_ack_received(),
             last_app_byte_written: conn.app_bytes_written(),
@@ -551,20 +620,20 @@ impl StTcpServer {
         let ctl = ConnCtl::new(
             key,
             app,
-            !self.app_crashed,
+            !self.ram.app_crashed,
             &self.setup.sttcp,
-            self.role,
+            self.ram.role,
             now,
         );
-        let (s, displaced) = self.table.bind(key, sock, ctl);
+        let (s, displaced) = self.ram.table.bind(key, sock, ctl);
         if let Some(old) = displaced {
-            self.tcp.untrack(old);
-            let tuple_of = |s| self.tcp.conn(s).map(|c| c.tuple());
+            self.ram.tcp.untrack(old);
+            let tuple_of = |s| self.ram.tcp.conn(s).map(|c| c.tuple());
             if tuple_of(old) != tuple_of(sock) {
                 self.metrics.on_conn_key_collision();
             }
         }
-        self.tcp.track(sock);
+        self.ram.tcp.track(sock);
         self.note_lag(s);
         s
     }
@@ -574,8 +643,8 @@ impl StTcpServer {
     /// Called wherever that can become true: a peer record applied, a
     /// key (re)bound. Only a backup (or joiner) ever runs recovery.
     fn note_lag(&mut self, s: SlotId) {
-        if self.role == Role::Backup && self.lag_pending(s) {
-            self.table.insert(Set::Lag, s);
+        if self.ram.role == Role::Backup && self.lag_pending(s) {
+            self.ram.table.insert(Set::Lag, s);
         }
     }
 
@@ -583,18 +652,19 @@ impl StTcpServer {
     /// differential oracle for the lag set: keys it would act on that
     /// the set is missing. Always empty.
     fn scan_lag_gaps(&self) -> impl Iterator<Item = u32> + '_ {
-        self.table
+        self.ram
+            .table
             .bound()
-            .filter(|&(_, s, _)| !self.table.contains(Set::Lag, s) && self.lag_pending(s))
+            .filter(|&(_, s, _)| !self.ram.table.contains(Set::Lag, s) && self.lag_pending(s))
             .map(|(key, _, _)| key)
     }
 
     /// The full per-key condition `run_recovery` acts on.
     fn lag_pending(&self, s: SlotId) -> bool {
-        let slot = &self.table[s];
+        let slot = &self.ram.table[s];
         let (Some(conn), Some(peer)) = (
-            slot.sock().and_then(|sock| self.tcp.conn(sock)),
-            self.table.peer(s),
+            slot.sock().and_then(|sock| self.ram.tcp.conn(sock)),
+            self.ram.table.peer(s),
         ) else {
             return false;
         };
@@ -607,11 +677,11 @@ impl StTcpServer {
     /// frames flow until the peer acknowledges this epoch again, and
     /// every cached record counts as unacknowledged.
     fn reset_peer_acks(&mut self) {
-        self.peer_hb_acks = vec![0; self.hb_nlinks()];
-        self.peer_ack_epoch = 0;
-        let cached: Vec<SlotId> = self.table.cached().map(|(s, _)| s).collect();
+        self.ram.peer_hb_acks = vec![0; self.hb_nlinks()];
+        self.ram.peer_ack_epoch = 0;
+        let cached: Vec<SlotId> = self.ram.table.cached().map(|(s, _)| s).collect();
         for s in cached {
-            self.table.insert(Set::Unacked, s);
+            self.ram.table.insert(Set::Unacked, s);
         }
     }
 
@@ -620,35 +690,35 @@ impl StTcpServer {
     /// after a takeover, the receive-hole check. Both the heartbeat and
     /// the check timer call this, so neither starves the other.
     fn absorb_touched(&mut self) {
-        let touched = self.tcp.drain_touched();
+        let touched = self.ram.tcp.drain_touched();
         self.metrics.on_timer_visits(touched.len());
-        if self.took_over {
+        if self.ram.took_over {
             for &sock in &touched {
-                if let Some(s) = self.table.by_sock(sock) {
-                    self.table.insert(Set::Hole, s);
+                if let Some(s) = self.ram.table.by_sock(sock) {
+                    self.ram.table.insert(Set::Hole, s);
                 }
             }
         }
-        if self.setup.sttcp.hb_delta && self.pool.is_none() {
-            self.hb_touched.extend(touched);
+        if self.setup.sttcp.hb_delta && self.ram.pool.is_none() {
+            self.ram.hb_touched.extend(touched);
         }
     }
 
     /// A snapshot of every socket with control state, in `SocketId`
     /// order, for walks that mutate as they go.
     fn all_socks(&self) -> Vec<(SocketId, SlotId)> {
-        self.table.socks().collect()
+        self.ram.table.socks().collect()
     }
 
     /// The socket `key` resolves to.
     fn sock_of(&self, key: u32) -> Option<SocketId> {
-        self.table[self.table.by_key(key)?].sock()
+        self.ram.table[self.ram.table.by_key(key)?].sock()
     }
 
     /// Gives every connection one detector evaluation.
     fn check_every_conn(&mut self) {
         for (_, s) in self.all_socks() {
-            self.table.insert(Set::Check, s);
+            self.ram.table.insert(Set::Check, s);
         }
     }
 
@@ -656,16 +726,16 @@ impl StTcpServer {
     /// `on_tick` callbacks. Called after every callback into the app,
     /// since tick appetite changes with application state.
     fn refresh_tick(&mut self, s: SlotId) {
-        let ctl = self.table[s].ctl.as_ref();
+        let ctl = self.ram.table[s].ctl.as_ref();
         let wants = ctl.is_some_and(|c| c.app_alive && !c.closed && c.app.wants_tick());
-        self.table.set(Set::Tick, s, wants);
+        self.ram.table.set(Set::Tick, s, wants);
     }
 
     /// Retries every connection whose application output is blocked on
     /// a full send buffer, in `SocketId` order.
     fn flush_blocked(&mut self, now: SimTime) {
-        for s in self.table.members(Set::OutBlocked) {
-            if let Some(sock) = self.table[s].sock() {
+        for s in self.ram.table.members(Set::OutBlocked) {
+            if let Some(sock) = self.ram.table[s].sock() {
                 self.flush_pending(now, sock);
             }
         }
@@ -675,13 +745,13 @@ impl StTcpServer {
 
     /// The server's current role (a backup becomes `Primary` at takeover).
     pub fn role(&self) -> Role {
-        self.role
+        self.ram.role
     }
 
     /// True while the server still believes its peer is alive and is
     /// operating fault-tolerant.
     pub fn ft_mode(&self) -> bool {
-        self.ft_mode
+        self.ram.ft_mode
     }
 
     /// The protocol event log.
@@ -699,8 +769,8 @@ impl StTcpServer {
     /// (retransmits, RTO firings, segment counts).
     pub fn tcp_stats(&self) -> ConnStats {
         let mut sum = ConnStats::default();
-        for (_, _, sock) in self.table.bound() {
-            if let Some(c) = self.tcp.conn(sock) {
+        for (_, _, sock) in self.ram.table.bound() {
+            if let Some(c) = self.ram.tcp.conn(sock) {
                 let s = c.stats();
                 sum.segs_out += s.segs_out;
                 sum.segs_in += s.segs_in;
@@ -732,19 +802,19 @@ impl StTcpServer {
 
     /// The underlying TCP endpoint (tests and harnesses).
     pub fn endpoint(&self) -> &TcpEndpoint {
-        &self.tcp
+        &self.ram.tcp
     }
 
     /// Application state digest for a connection key (replica-lockstep
     /// assertions).
     pub fn app_digest(&self, key: u32) -> Option<u64> {
-        let ctl = self.table[self.table.by_key(key)?].ctl.as_ref()?;
+        let ctl = self.ram.table[self.ram.table.by_key(key)?].ctl.as_ref()?;
         Some(ctl.app.state_digest())
     }
 
     /// Connection keys currently known.
     pub fn conn_keys(&self) -> Vec<u32> {
-        self.table.bound().map(|(key, _, _)| key).collect()
+        self.ram.table.bound().map(|(key, _, _)| key).collect()
     }
 
     /// Differential check of every active set against the
@@ -752,19 +822,19 @@ impl StTcpServer {
     /// replaced, which also back the debug assertions): `Err` names a
     /// connection a walk would act on that its set has lost. For tests.
     pub fn check_active_sets(&self) -> Result<(), String> {
-        if self.role == Role::Backup {
+        if self.ram.role == Role::Backup {
             if let Some(key) = self.scan_lag_gaps().next() {
                 return Err(format!("conn {key:08x} lags outside the lag set"));
             }
         }
         if let Some((_, key)) = self
             .scan_unacked()
-            .find(|&(s, _)| !self.table.contains(Set::Unacked, s))
+            .find(|&(s, _)| !self.ram.table.contains(Set::Unacked, s))
         {
             return Err(format!("conn {key:08x} unacked outside the unacked set"));
         }
-        for (sock, s) in self.table.socks() {
-            let Some(ctl) = &self.table[s].ctl else {
+        for (sock, s) in self.ram.table.socks() {
+            let Some(ctl) = &self.ram.table[s].ctl else {
                 return Err(format!("{sock:?} is indexed without control state"));
             };
             let open = !ctl.closed;
@@ -774,9 +844,9 @@ impl StTcpServer {
                 (Set::OutBlocked, !ctl.pending_out.is_empty()),
                 // Pool mode walks every connection on its check tick and
                 // never consults the set.
-                (Set::Check, open && armed && self.pool.is_none()),
+                (Set::Check, open && armed && self.ram.pool.is_none()),
             ];
-            let lost = |&(set, wanted): &(Set, bool)| wanted && !self.table.contains(set, s);
+            let lost = |&(set, wanted): &(Set, bool)| wanted && !self.ram.table.contains(set, s);
             if let Some((set, _)) = wanted.iter().find(|w| lost(w)) {
                 return Err(format!("{sock:?} belongs in {set:?} but is not a member"));
             }
@@ -787,14 +857,14 @@ impl StTcpServer {
     /// True if the node observed a power-off (and, with re-integration
     /// enabled, has not since warm-rebooted back into the pair).
     pub fn was_powered_off(&self) -> bool {
-        self.powered_off
+        self.ram.powered_off
     }
 
     /// True after a reboot: all in-memory protocol state was lost and the
     /// server is a passive cold standby (never transmits, ignores all
     /// input) until an operator re-pairs it.
     pub fn cold_standby(&self) -> bool {
-        self.cold
+        self.ram.cold
     }
 
     /// True when this server could currently emit client-visible traffic:
@@ -803,19 +873,22 @@ impl StTcpServer {
     /// may ever be active at once — the chaos invariant checker enforces
     /// this.
     pub fn is_active(&self) -> bool {
-        !self.powered_off && !self.cold && self.role == Role::Primary
+        !self.ram.powered_off && !self.ram.cold && self.ram.role == Role::Primary
     }
 
     /// This server's current pool rank (reassigned on rejoin), or its
     /// static configured rank in pair mode.
     pub fn pool_rank(&self) -> u8 {
-        self.pool.as_ref().map_or(self.setup.rank, |p| p.my_rank)
+        self.ram
+            .pool
+            .as_ref()
+            .map_or(self.setup.rank, |p| p.my_rank)
     }
 
     /// Most recent pool-strength sample: this server plus every live
     /// non-fenced member. `None` in pair mode.
     pub fn pool_strength(&self) -> Option<u64> {
-        self.pool.as_ref().map(|_| self.metrics.pool_strength())
+        self.ram.pool.as_ref().map(|_| self.metrics.pool_strength())
     }
 
     // ----- failure injection ------------------------------------------------
@@ -826,9 +899,9 @@ impl StTcpServer {
     /// State changes are immediate; any resulting FIN/RST leaves with the
     /// next timer-driven flush (bounded by `app_tick`).
     pub fn inject_app_crash(&mut self, now: SimTime, mode: AppCrashMode) {
-        self.app_crashed = true;
+        self.ram.app_crashed = true;
         for (sock, s) in self.all_socks() {
-            let Some(ctl) = self.table[s].ctl.as_mut().filter(|c| !c.closed) else {
+            let Some(ctl) = self.ram.table[s].ctl.as_mut().filter(|c| !c.closed) else {
                 continue;
             };
             ctl.app_alive = false;
@@ -839,10 +912,10 @@ impl StTcpServer {
             let (key, action) = (ctl.key, ctl.finarb.on_local_close(now));
             self.apply_gate_action(now, sock, key, action);
             // A held FIN's release deadline is polled by the check tick.
-            self.table.insert(Set::Check, s);
+            self.ram.table.insert(Set::Check, s);
             match mode {
-                AppCrashMode::CleanupRst => self.tcp.abort(now, sock),
-                _ => self.tcp.close(now, sock),
+                AppCrashMode::CleanupRst => self.ram.tcp.abort(now, sock),
+                _ => self.ram.tcp.close(now, sock),
             }
         }
     }
@@ -851,7 +924,7 @@ impl StTcpServer {
     /// heartbeat it sends lies per `mode` while remaining CRC-valid.
     /// Receivers must quarantine the stream, not mis-verdict.
     pub fn inject_byzantine_hb(&mut self, mode: ByzantineHbMode) {
-        self.byz_mode = Some(mode);
+        self.ram.byz_mode = Some(mode);
     }
 
     // ----- internal: TCP event handling ------------------------------------
@@ -862,7 +935,7 @@ impl StTcpServer {
     /// charged to `app`, not to whichever layer delivered the event.
     fn drain_tcp_events(&mut self, now: SimTime, prof: &mut Profiler) -> bool {
         let mut any = false;
-        while let Some((sock, ev)) = self.tcp.poll_event() {
+        while let Some((sock, ev)) = self.ram.tcp.poll_event() {
             any = true;
             match ev {
                 SocketEvent::Accepted => self.on_accepted(now, prof, sock),
@@ -870,7 +943,7 @@ impl StTcpServer {
                 SocketEvent::DataReadable => self.on_readable(now, prof, sock),
                 SocketEvent::PeerFin => self.on_client_fin(now, prof, sock),
                 SocketEvent::Reset | SocketEvent::Closed => {
-                    if let Some(ctl) = self.table.ctl_mut(sock) {
+                    if let Some(ctl) = self.ram.table.ctl_mut(sock) {
                         ctl.closed = true;
                     }
                 }
@@ -880,13 +953,13 @@ impl StTcpServer {
     }
 
     fn on_accepted(&mut self, now: SimTime, prof: &mut Profiler, sock: SocketId) {
-        let Some(conn) = self.tcp.conn(sock) else {
+        let Some(conn) = self.ram.tcp.conn(sock) else {
             return;
         };
         let key = conn_key(conn.tuple());
         prof.enter(Component::App);
         let mut app = self.app_factory.create();
-        let open_actions = match self.app_crashed {
+        let open_actions = match self.ram.app_crashed {
             true => Vec::new(),
             false => app.on_open(),
         };
@@ -898,7 +971,7 @@ impl StTcpServer {
         // connection it accepts while this server is the active member
         // (`hold_buf` is set at start-up for a primary and again at
         // takeover); mirror that condition into the event log.
-        if self.role == Role::Primary {
+        if self.ram.role == Role::Primary {
             self.events
                 .push(StTcpEvent::HoldArmed { conn: key, at: now });
         }
@@ -908,8 +981,8 @@ impl StTcpServer {
     fn on_readable(&mut self, now: SimTime, prof: &mut Profiler, sock: SocketId) {
         // A crashed application never reads: bytes pile up in the TCP
         // receive buffer exactly as in §4.2.1.
-        while let Some(ctl) = self.table.ctl_mut(sock).filter(|c| c.app_alive) {
-            let data = self.tcp.recv(sock, 64 * 1024);
+        while let Some(ctl) = self.ram.table.ctl_mut(sock).filter(|c| c.app_alive) {
+            let data = self.ram.tcp.recv(sock, 64 * 1024);
             if data.is_empty() {
                 return;
             }
@@ -929,11 +1002,11 @@ impl StTcpServer {
     }
 
     fn on_client_fin(&mut self, now: SimTime, prof: &mut Profiler, sock: SocketId) {
-        let Some(s) = self.table.by_sock(sock) else {
+        let Some(s) = self.ram.table.by_sock(sock) else {
             return;
         };
-        self.table.insert(Set::Check, s);
-        let Some(ctl) = self.table[s].ctl.as_mut() else {
+        self.ram.table.insert(Set::Check, s);
+        let Some(ctl) = self.ram.table[s].ctl.as_mut() else {
             return;
         };
         let key = ctl.key;
@@ -953,11 +1026,11 @@ impl StTcpServer {
     }
 
     fn apply_app_actions(&mut self, now: SimTime, sock: SocketId, actions: Vec<AppAction>) {
-        let Some(s) = self.table.by_sock(sock) else {
+        let Some(s) = self.ram.table.by_sock(sock) else {
             return;
         };
         for action in actions {
-            let Some(ctl) = self.table[s].ctl.as_mut() else {
+            let Some(ctl) = self.ram.table[s].ctl.as_mut() else {
                 return;
             };
             if let AppAction::Write(bytes) = action {
@@ -972,28 +1045,28 @@ impl StTcpServer {
             }
             if action == AppAction::Close {
                 self.flush_pending(now, sock);
-                self.tcp.close(now, sock);
+                self.ram.tcp.close(now, sock);
             } else {
-                self.tcp.abort(now, sock);
+                self.ram.tcp.abort(now, sock);
             }
         }
         self.flush_pending(now, sock);
         // Any callback into the application may change its detector-visible
         // state or its appetite for ticks.
-        self.table.insert(Set::Check, s);
+        self.ram.table.insert(Set::Check, s);
         self.refresh_tick(s);
     }
 
     fn flush_pending(&mut self, now: SimTime, sock: SocketId) {
-        let Some(s) = self.table.by_sock(sock) else {
+        let Some(s) = self.ram.table.by_sock(sock) else {
             return;
         };
-        let Some(ctl) = self.table[s].ctl.as_mut() else {
+        let Some(ctl) = self.ram.table[s].ctl.as_mut() else {
             return;
         };
         let mut wrote = false;
         while let Some(front) = ctl.pending_out.front_mut() {
-            let n = self.tcp.send_bytes(now, sock, front);
+            let n = self.ram.tcp.send_bytes(now, sock, front);
             if n == 0 {
                 break; // send buffer full; retry on a later tick
             }
@@ -1007,10 +1080,10 @@ impl StTcpServer {
         }
         // Track blocked output so flush loops revisit only these.
         let blocked = !ctl.pending_out.is_empty();
-        self.table.set(Set::OutBlocked, s, blocked);
+        self.ram.table.set(Set::OutBlocked, s, blocked);
         // Writing advances the app position the lag detector compares.
         if wrote {
-            self.table.insert(Set::Check, s);
+            self.ram.table.insert(Set::Check, s);
         }
     }
 
@@ -1019,11 +1092,11 @@ impl StTcpServer {
     fn apply_gate_action(&mut self, now: SimTime, sock: SocketId, key: u32, action: ArbAction) {
         match action {
             ArbAction::HoldFin => {
-                self.tcp.set_fin_gate(sock, FinGate::Hold);
+                self.ram.tcp.set_fin_gate(sock, FinGate::Hold);
                 self.events.push(StTcpEvent::FinHeld { conn: key, at: now });
             }
             ArbAction::ReleaseFin(reason) => {
-                self.tcp.release_fin(now, sock);
+                self.ram.tcp.release_fin(now, sock);
                 self.events.push(StTcpEvent::FinReleased {
                     conn: key,
                     reason,
@@ -1041,37 +1114,83 @@ impl StTcpServer {
     // ----- internal: heartbeats ---------------------------------------------
 
     fn build_heartbeat(&mut self, now: SimTime) -> HbPayload {
-        let mut conns = std::mem::take(&mut self.hb_scratch);
+        let mut conns = std::mem::take(&mut self.ram.hb_scratch);
         conns.clear();
-        for (_, s, sock) in self.table.bound() {
-            if let Some(conn) = self.tcp.conn(sock) {
+        for (_, s, sock) in self.ram.table.bound() {
+            if let Some(conn) = self.ram.tcp.conn(sock) {
                 conns.push(self.conn_record(now, s, conn));
             }
         }
         self.metrics.on_timer_visits(conns.len());
         HbPayload {
-            seqno: self.hb_seq,
-            role: self.role,
-            rank: self.pool.as_ref().map_or(self.setup.rank, |p| p.my_rank),
+            seqno: self.ram.hb_seq,
+            role: self.ram.role,
+            rank: self
+                .ram
+                .pool
+                .as_ref()
+                .map_or(self.setup.rank, |p| p.my_rank),
             conns,
-            ping: self.ping.active.then(|| self.ping.report()),
+            ping: self.ram.ping.active.then(|| self.ram.ping.report()),
         }
+    }
+
+    /// Sends one heartbeat frame and records its `HbEmit`. False — with
+    /// nothing sent or recorded — when an IP destination does not resolve.
+    #[allow(clippy::too_many_arguments)]
+    fn emit_hb(
+        &mut self,
+        ctx: &mut NodeCtx<'_>,
+        span: SpanId,
+        seqno: u32,
+        link: u8,
+        dest: HbDest,
+        wire: &Bytes,
+        conns: u32,
+    ) -> bool {
+        let bytes = wire.len() as u32;
+        match dest {
+            HbDest::Ip(to) => {
+                let Some(frame) = self.iface.frame_to(to, IpProto::Heartbeat, wire.clone()) else {
+                    return false;
+                };
+                ctx.send_frame(self.iface.nic, frame);
+            }
+            HbDest::Serial(port) => ctx.send_serial(port, wire.clone()),
+        }
+        let kind = FlightKind::HbEmit {
+            seqno,
+            link,
+            bytes,
+            conns,
+        };
+        ctx.flight(span, SpanId::NONE, kind);
+        true
+    }
+
+    /// Records a heartbeat's arrival on flight link `link` and makes it
+    /// the evidence a later verdict is parented to.
+    fn note_hb_rx(&mut self, ctx: &mut NodeCtx<'_>, hb: &HbPayload, link: u8) {
+        let span = SpanId::heartbeat(role_byte(hb.role), hb.rank, hb.seqno);
+        let seqno = hb.seqno;
+        ctx.flight(span, SpanId::NONE, FlightKind::HbRecv { seqno, link });
+        self.last_hb_rx_span = span;
     }
 
     fn send_heartbeats(&mut self, ctx: &mut NodeCtx<'_>) {
         // Delta mode (pair only): the v2 wire format with dirty-set
         // records. Pool members always speak v1 full-state.
-        if self.setup.sttcp.hb_delta && self.pool.is_none() {
+        if self.setup.sttcp.hb_delta && self.ram.pool.is_none() {
             self.send_heartbeats_v2(ctx);
             return;
         }
         // A frozen byzantine sender re-uses the last seqno forever;
         // receivers treat the payload as stale and never re-apply it.
-        if self.byz_mode != Some(ByzantineHbMode::Freeze) {
-            self.hb_seq = self.hb_seq.wrapping_add(1);
+        if self.ram.byz_mode != Some(ByzantineHbMode::Freeze) {
+            self.ram.hb_seq = self.ram.hb_seq.wrapping_add(1);
         }
         let mut hb = self.build_heartbeat(ctx.now());
-        if self.byz_mode == Some(ByzantineHbMode::Regress) {
+        if self.ram.byz_mode == Some(ByzantineHbMode::Regress) {
             // Cumulative counters can never shrink; a regression is the
             // canonical semantically-impossible lie.
             for c in &mut hb.conns {
@@ -1087,9 +1206,9 @@ impl StTcpServer {
         let conns = hb.conns.len() as u32;
         let wire_bytes = wire.len() as u32;
         // Reclaim the conn buffer (and its capacity) for the next period.
-        self.hb_scratch = hb.conns;
+        self.ram.hb_scratch = hb.conns;
         let mut frames = 0u64;
-        if let Some(pool) = &self.pool {
+        if let Some(pool) = &self.ram.pool {
             ctx.profile_enter(Component::Pool);
             let dests: Vec<(Ipv4Addr, Option<SerialPortId>)> = pool
                 .members
@@ -1097,66 +1216,19 @@ impl StTcpServer {
                 .map(|(&ip, m)| (ip, m.serial_port))
                 .collect();
             for (ip, port) in dests {
-                if let Some(frame) = self.iface.frame_to(ip, IpProto::Heartbeat, wire.clone()) {
-                    ctx.send_frame(self.iface.nic, frame);
-                    ctx.flight(
-                        span,
-                        SpanId::NONE,
-                        FlightKind::HbEmit {
-                            seqno,
-                            link: 0,
-                            bytes: wire_bytes,
-                            conns,
-                        },
-                    );
-                    frames += 1;
-                }
+                let dest = HbDest::Ip(ip);
+                frames += u64::from(self.emit_hb(ctx, span, seqno, 0, dest, &wire, conns));
                 if let Some(port) = port {
-                    ctx.send_serial(port, wire.clone());
-                    ctx.flight(
-                        span,
-                        SpanId::NONE,
-                        FlightKind::HbEmit {
-                            seqno,
-                            link: 1,
-                            bytes: wire_bytes,
-                            conns,
-                        },
-                    );
-                    frames += 1;
+                    let dest = HbDest::Serial(port);
+                    frames += u64::from(self.emit_hb(ctx, span, seqno, 1, dest, &wire, conns));
                 }
             }
             ctx.profile_exit();
         } else {
-            if let Some(frame) =
-                self.iface
-                    .frame_to(self.setup.peer_private_ip, IpProto::Heartbeat, wire.clone())
-            {
-                ctx.send_frame(self.iface.nic, frame);
-                ctx.flight(
-                    span,
-                    SpanId::NONE,
-                    FlightKind::HbEmit {
-                        seqno,
-                        link: 0,
-                        bytes: wire_bytes,
-                        conns,
-                    },
-                );
-                frames += 1;
-            }
-            ctx.send_serial(self.serial_port, wire);
-            ctx.flight(
-                span,
-                SpanId::NONE,
-                FlightKind::HbEmit {
-                    seqno,
-                    link: 1,
-                    bytes: wire_bytes,
-                    conns,
-                },
-            );
-            frames += 1;
+            let dest = HbDest::Ip(self.setup.peer_private_ip);
+            frames += u64::from(self.emit_hb(ctx, span, seqno, 0, dest, &wire, conns));
+            let dest = HbDest::Serial(self.serial_port);
+            frames += u64::from(self.emit_hb(ctx, span, seqno, 1, dest, &wire, conns));
         }
         // Bandwidth accounting: connection entries are the payload; the
         // header and optional ping trailer are framing overhead.
@@ -1191,16 +1263,20 @@ impl StTcpServer {
         hb: &HbPayload,
         seq: Option<u32>,
     ) -> Option<Vec<SlotId>> {
-        let slots: Vec<SlotId> = hb.conns.iter().map(|c| self.table.entry(c.key)).collect();
+        let slots: Vec<SlotId> = hb
+            .conns
+            .iter()
+            .map(|c| self.ram.table.entry(c.key))
+            .collect();
         let lie = hb.conns.iter().zip(&slots).any(|(c, &s)| {
-            let peer = self.table[s].peer.as_ref();
+            let peer = self.ram.table[s].peer.as_ref();
             peer.is_some_and(|e| Self::takes(e, seq) && e.regressed_by(c))
         });
         if !lie {
             return Some(slots);
         }
-        if !self.byzantine_reported {
-            self.byzantine_reported = true;
+        if !self.ram.byzantine_reported {
+            self.ram.byzantine_reported = true;
             self.events
                 .push(StTcpEvent::ByzantineHbRejected { at: now });
         }
@@ -1214,14 +1290,14 @@ impl StTcpServer {
     fn apply_records(&mut self, now: SimTime, hb: &HbPayload, slots: &[SlotId], seq: Option<u32>) {
         let mut arb_actions: Vec<(SocketId, u32, ArbAction)> = Vec::new();
         for (c, &s) in hb.conns.iter().zip(slots) {
-            let slot = &mut self.table[s];
+            let slot = &mut self.ram.table[s];
             let peer = slot.peer.get_or_insert_with(PeerConn::default);
             if !Self::takes(peer, seq) {
                 continue;
             }
             peer.last_update_seq = seq.unwrap_or(peer.last_update_seq);
             peer.apply(c);
-            self.peer_app_suspected |= peer.app_suspected;
+            self.ram.peer_app_suspected |= peer.app_suspected;
             let (fin_or_rst, lbr) = (peer.fin_or_rst, peer.last_byte_received);
             let (Some(sock), Some(ctl)) = (slot.sock(), slot.ctl.as_mut()) else {
                 continue; // the peer knows the key first; `bind_key` catches up
@@ -1230,10 +1306,10 @@ impl StTcpServer {
                 arb_actions.push((sock, c.key, a));
             }
             // Fresh peer positions: the lag detector must look again.
-            self.table.insert(Set::Check, s);
+            self.ram.table.insert(Set::Check, s);
             // The primary releases held bytes the backup has confirmed.
-            if self.role == Role::Primary {
-                if let Some(conn) = self.tcp.conn_mut(sock) {
+            if self.ram.role == Role::Primary {
+                if let Some(conn) = self.ram.tcp.conn_mut(sock) {
                     conn.release_hold_until(lbr);
                 }
             }
@@ -1255,14 +1331,14 @@ impl StTcpServer {
         // indistinguishable from a replay loop or a frozen byzantine
         // sender — it must starve the monitors so row 1 condemns the
         // peer instead of trusting it forever.
-        if let Some(last) = self.peer_last_seqno {
+        if let Some(last) = self.ram.peer_last_seqno {
             if hb.seqno.wrapping_sub(last) as i32 <= 0 {
-                if now.saturating_since(self.peer_seqno_advanced_at)
+                if now.saturating_since(self.ram.peer_seqno_advanced_at)
                     <= self.setup.sttcp.hb_timeout()
                 {
                     match link {
-                        HbLink::Ip => self.ip_mon.on_heartbeat(now),
-                        HbLink::Serial => self.serial_mon.on_heartbeat(now),
+                        HbLink::Ip => self.ram.ip_mon.on_heartbeat(now),
+                        HbLink::Serial => self.ram.serial_mon.on_heartbeat(now),
                     }
                     self.metrics.on_heartbeat(link, now);
                 }
@@ -1272,14 +1348,14 @@ impl StTcpServer {
         let Some(slots) = self.vet_records(now, hb, None) else {
             return;
         };
-        self.peer_last_seqno = Some(hb.seqno);
-        self.peer_seqno_advanced_at = now;
+        self.ram.peer_last_seqno = Some(hb.seqno);
+        self.ram.peer_seqno_advanced_at = now;
         match link {
-            HbLink::Ip => self.ip_mon.on_heartbeat(now),
-            HbLink::Serial => self.serial_mon.on_heartbeat(now),
+            HbLink::Ip => self.ram.ip_mon.on_heartbeat(now),
+            HbLink::Serial => self.ram.serial_mon.on_heartbeat(now),
         }
         self.metrics.on_heartbeat(link, now);
-        self.peer_ping = hb.ping;
+        self.ram.peer_ping = hb.ping;
         self.apply_records(now, hb, &slots, None);
     }
 
@@ -1288,11 +1364,12 @@ impl StTcpServer {
     /// carry every in-flight record) or the record's serial-shard link's
     /// ack has reached it, in the peer's view of this boot incarnation.
     fn ack_covers(&self, key: u32, changed_at: u32) -> bool {
-        if self.peer_ack_epoch != self.hb_epoch {
+        if self.ram.peer_ack_epoch != self.ram.hb_epoch {
             return false;
         }
-        let ip_ack = self.peer_hb_acks.first().copied().unwrap_or(0);
+        let ip_ack = self.ram.peer_hb_acks.first().copied().unwrap_or(0);
         let shard_ack = self
+            .ram
             .peer_hb_acks
             .get(1 + self.shard_of(key))
             .copied()
@@ -1304,7 +1381,7 @@ impl StTcpServer {
     /// oracle for the unacked set: every cached record the peer's acks
     /// do not cover, in key order.
     fn scan_unacked(&self) -> impl Iterator<Item = (SlotId, u32)> + '_ {
-        let cached = self.table.cached();
+        let cached = self.ram.table.cached();
         cached
             .map(|(s, e)| (s, e.rec.key, e.changed_at))
             .filter(|&(_, key, changed_at)| !self.ack_covers(key, changed_at))
@@ -1318,16 +1395,16 @@ impl StTcpServer {
     /// any extra signalling).
     fn send_heartbeats_v2(&mut self, ctx: &mut NodeCtx<'_>) {
         let now = ctx.now();
-        if self.byz_mode != Some(ByzantineHbMode::Freeze) {
-            self.hb_seq = self.hb_seq.wrapping_add(1);
+        if self.ram.byz_mode != Some(ByzantineHbMode::Freeze) {
+            self.ram.hb_seq = self.ram.hb_seq.wrapping_add(1);
         }
-        let seq = self.hb_seq;
+        let seq = self.ram.hb_seq;
         let nserial = 1 + self.extra_serial_ports.len();
-        let regress = self.byz_mode == Some(ByzantineHbMode::Regress);
+        let regress = self.ram.byz_mode == Some(ByzantineHbMode::Regress);
         // No valid acks for this incarnation yet — or a byzantine sender,
         // which must lie about every connection to match v1 detection
         // semantics — forces full-state frames.
-        let full = self.peer_ack_epoch != self.hb_epoch || regress;
+        let full = self.ram.peer_ack_epoch != self.ram.hb_epoch || regress;
         // Refresh the record cache. The candidates are the endpoint's
         // touched feed plus every record that may still await an ack, so
         // idle connections cost nothing per heartbeat period. The
@@ -1336,43 +1413,45 @@ impl StTcpServer {
         // full scan. Key order, each key once: a touched socket stands
         // for whatever its key resolves to now.
         self.absorb_touched();
-        let mut cands = std::mem::take(&mut self.hb_cands);
+        let mut cands = std::mem::take(&mut self.ram.hb_cands);
         cands.clear();
         if full || self.setup.sttcp.watchdog_timeout.is_some() {
-            cands.extend(self.table.bound().map(|(key, s, _)| (key, s)));
+            cands.extend(self.ram.table.bound().map(|(key, s, _)| (key, s)));
         } else {
-            let unacked = self.table.members(Set::Unacked);
-            let touched = self.hb_touched.iter();
-            let touched = touched.filter_map(|&sock| self.table.by_sock(sock));
-            let slots = touched.map(|s| self.table.home(s)).chain(unacked);
-            cands.extend(slots.map(|s| (self.table[s].key(), s)));
+            let unacked = self.ram.table.members(Set::Unacked);
+            let touched = self.ram.hb_touched.iter();
+            let touched = touched.filter_map(|&sock| self.ram.table.by_sock(sock));
+            let slots = touched.map(|s| self.ram.table.home(s)).chain(unacked);
+            cands.extend(slots.map(|s| (self.ram.table[s].key(), s)));
             cands.sort_unstable();
             cands.dedup();
         }
-        self.hb_touched.clear();
+        self.ram.hb_touched.clear();
         self.metrics.on_timer_visits(cands.len());
         for &(_, s) in &cands {
-            let conn = self.table[s].sock().and_then(|sock| self.tcp.conn(sock));
+            let conn = self.ram.table[s]
+                .sock()
+                .and_then(|sock| self.ram.tcp.conn(sock));
             let Some(rec) = conn.map(|conn| self.conn_record(now, s, conn)) else {
-                self.table[s].cache = None;
+                self.ram.table[s].cache = None;
                 continue;
             };
-            if self.table[s].cache.is_some_and(|e| e.rec == rec) {
+            if self.ram.table[s].cache.is_some_and(|e| e.rec == rec) {
                 continue;
             }
-            self.table[s].cache = Some(HbCacheEntry {
+            self.ram.table[s].cache = Some(HbCacheEntry {
                 rec,
                 changed_at: seq,
             });
-            self.table.insert(Set::Unacked, s);
+            self.ram.table.insert(Set::Unacked, s);
         }
-        self.hb_cands = cands;
+        self.ram.hb_cands = cands;
         // Select the records still in flight toward the peer: the whole
         // cache on a full-resync round, otherwise the unacked set pruned
         // to what the peer's acks do not cover (acks only advance between
         // resets, so a covered record never needs another look). Link 0
         // (IP) carries every one, serial link `1 + s` only shard `s`.
-        let mut links = std::mem::take(&mut self.hb_link_recs);
+        let mut links = std::mem::take(&mut self.ram.hb_link_recs);
         links.resize_with(1 + nserial, Vec::new);
         links.iter_mut().for_each(Vec::clear);
         let mut select = |e: &HbCacheEntry| {
@@ -1385,15 +1464,15 @@ impl StTcpServer {
             links[1 + rec.key as usize % nserial].push(rec);
         };
         if full {
-            self.table.cached().for_each(|(_, e)| select(&e));
+            self.ram.table.cached().for_each(|(_, e)| select(&e));
             self.metrics.on_timer_visits(links[0].len());
         } else {
             self.metrics
-                .on_timer_visits(self.table.set_len(Set::Unacked));
-            for s in self.table.members(Set::Unacked) {
-                match self.table[s].cache {
+                .on_timer_visits(self.ram.table.set_len(Set::Unacked));
+            for s in self.ram.table.members(Set::Unacked) {
+                match self.ram.table[s].cache {
                     Some(e) if !self.ack_covers(e.rec.key, e.changed_at) => select(&e),
-                    _ => self.table.remove(Set::Unacked, s),
+                    _ => self.ram.table.remove(Set::Unacked, s),
                 }
             }
             debug_assert!(
@@ -1405,9 +1484,9 @@ impl StTcpServer {
             true => HbFrameKind::Full,
             false => HbFrameKind::Delta,
         };
-        let role = self.role;
+        let role = self.ram.role;
         let rank = self.setup.rank;
-        let ping = self.ping.active.then(|| self.ping.report());
+        let ping = self.ram.ping.active.then(|| self.ram.ping.report());
         let span = SpanId::heartbeat(role_byte(role), rank, seq);
         let (mut frames, mut conn_entries, mut payload_bytes, mut framing_bytes) = (0, 0, 0, 0);
         // Every link's share, split into batch parts when it exceeds the
@@ -1415,10 +1494,10 @@ impl StTcpServer {
         for (link, recs) in links.iter().enumerate() {
             for f in build_link_frames(
                 kind,
-                self.hb_epoch,
+                self.ram.hb_epoch,
                 link as u8,
-                self.rx_peer_epoch,
-                &self.rx_link_seq,
+                self.ram.rx_peer_epoch,
+                &self.ram.rx_link_seq,
                 seq,
                 role,
                 rank,
@@ -1429,34 +1508,21 @@ impl StTcpServer {
                 let nconns = f.hb.conns.len() as u64;
                 let wire = f.encode();
                 let bytes = wire.len() as u64;
-                match link {
-                    0 => {
-                        let to = self.setup.peer_private_ip;
-                        let Some(frame) = self.iface.frame_to(to, IpProto::Heartbeat, wire) else {
-                            continue;
-                        };
-                        ctx.send_frame(self.iface.nic, frame);
-                    }
-                    1 => ctx.send_serial(self.serial_port, wire),
-                    _ => ctx.send_serial(self.extra_serial_ports[link - 2], wire),
+                let dest = match link {
+                    0 => HbDest::Ip(self.setup.peer_private_ip),
+                    1 => HbDest::Serial(self.serial_port),
+                    _ => HbDest::Serial(self.extra_serial_ports[link - 2]),
+                };
+                if !self.emit_hb(ctx, span, seq, link as u8, dest, &wire, nconns as u32) {
+                    continue;
                 }
-                ctx.flight(
-                    span,
-                    SpanId::NONE,
-                    FlightKind::HbEmit {
-                        seqno: seq,
-                        link: link as u8,
-                        bytes: bytes as u32,
-                        conns: nconns as u32,
-                    },
-                );
                 frames += 1;
                 conn_entries += nconns;
                 payload_bytes += nconns * HB_CONN_LEN as u64;
                 framing_bytes += bytes.saturating_sub(nconns * HB_CONN_LEN as u64);
             }
         }
-        self.hb_link_recs = links;
+        self.ram.hb_link_recs = links;
         self.metrics
             .on_hb_round(frames, conn_entries, payload_bytes, framing_bytes);
     }
@@ -1477,25 +1543,32 @@ impl StTcpServer {
         // A new peer incarnation voids all per-link and per-connection
         // ordering state; its acks of our frames restart from nothing, so
         // full frames flow both ways until re-acknowledged.
-        if f.epoch != self.rx_peer_epoch {
-            self.rx_peer_epoch = f.epoch;
-            self.rx_link_seq = vec![0; self.hb_nlinks()];
-            self.rx_link_batch = vec![RxBatch::default(); self.hb_nlinks()];
-            for p in self.table.slots_mut().filter_map(|slot| slot.peer.as_mut()) {
+        if f.epoch != self.ram.rx_peer_epoch {
+            self.ram.rx_peer_epoch = f.epoch;
+            self.ram.rx_link_seq = vec![0; self.hb_nlinks()];
+            self.ram.rx_link_batch = vec![RxBatch::default(); self.hb_nlinks()];
+            for p in self
+                .ram
+                .table
+                .slots_mut()
+                .filter_map(|slot| slot.peer.as_mut())
+            {
                 p.last_update_seq = 0;
             }
             self.reset_peer_acks();
         }
-        let last = self.rx_link_seq.get(link).copied().unwrap_or(0);
+        let last = self.ram.rx_link_seq.get(link).copied().unwrap_or(0);
         if last != 0 && !seq_newer(hb.seqno, last) {
             // Replayed or frozen on this link: bounded liveness credit,
             // exactly like the v1 staleness path.
-            if now.saturating_since(self.peer_seqno_advanced_at) <= self.setup.sttcp.hb_timeout() {
+            if now.saturating_since(self.ram.peer_seqno_advanced_at)
+                <= self.setup.sttcp.hb_timeout()
+            {
                 match hblink {
-                    HbLink::Ip => self.ip_mon.on_heartbeat(now),
+                    HbLink::Ip => self.ram.ip_mon.on_heartbeat(now),
                     HbLink::Serial => {
-                        self.serial_mon.on_heartbeat(now);
-                        if let Some(m) = self.serial_link_mons.get_mut(link.saturating_sub(1)) {
+                        self.ram.serial_mon.on_heartbeat(now);
+                        if let Some(m) = self.ram.serial_link_mons.get_mut(link.saturating_sub(1)) {
                             m.on_heartbeat(now);
                         }
                     }
@@ -1512,7 +1585,7 @@ impl StTcpServer {
         // complete, so drop it and let the unacked records ride again.
         if f.parts > 1 {
             let ok = f.part == 0
-                || self.rx_link_batch.get(link).is_some_and(|st| {
+                || self.ram.rx_link_batch.get(link).is_some_and(|st| {
                     st.seqno == hb.seqno && st.parts == f.parts && st.next == f.part
                 });
             if !ok {
@@ -1530,7 +1603,7 @@ impl StTcpServer {
         // their final part. A poisoned or lost part never completes the
         // round, so the sender keeps resending the records.
         if f.parts > 1 {
-            if let Some(st) = self.rx_link_batch.get_mut(link) {
+            if let Some(st) = self.ram.rx_link_batch.get_mut(link) {
                 *st = RxBatch {
                     seqno: hb.seqno,
                     parts: f.parts,
@@ -1539,21 +1612,24 @@ impl StTcpServer {
             }
         }
         if f.parts <= 1 || f.part + 1 == f.parts {
-            if let Some(s) = self.rx_link_seq.get_mut(link) {
+            if let Some(s) = self.ram.rx_link_seq.get_mut(link) {
                 *s = hb.seqno;
             }
         }
-        let glob_fresh = self.peer_last_seqno.is_none_or(|l| seq_newer(hb.seqno, l));
+        let glob_fresh = self
+            .ram
+            .peer_last_seqno
+            .is_none_or(|l| seq_newer(hb.seqno, l));
         if glob_fresh {
-            self.peer_last_seqno = Some(hb.seqno);
-            self.peer_seqno_advanced_at = now;
-            self.peer_ping = hb.ping;
+            self.ram.peer_last_seqno = Some(hb.seqno);
+            self.ram.peer_seqno_advanced_at = now;
+            self.ram.peer_ping = hb.ping;
         }
         match hblink {
-            HbLink::Ip => self.ip_mon.on_heartbeat(now),
+            HbLink::Ip => self.ram.ip_mon.on_heartbeat(now),
             HbLink::Serial => {
-                self.serial_mon.on_heartbeat(now);
-                if let Some(m) = self.serial_link_mons.get_mut(link.saturating_sub(1)) {
+                self.ram.serial_mon.on_heartbeat(now);
+                if let Some(m) = self.ram.serial_link_mons.get_mut(link.saturating_sub(1)) {
                     m.on_heartbeat(now);
                 }
             }
@@ -1561,10 +1637,10 @@ impl StTcpServer {
         self.metrics.on_heartbeat(hblink, now);
         // The peer's cumulative acks of our frames, valid only while they
         // refer to this boot incarnation.
-        if f.ack_epoch == self.hb_epoch {
-            self.peer_ack_epoch = f.ack_epoch;
+        if f.ack_epoch == self.ram.hb_epoch {
+            self.ram.peer_ack_epoch = f.ack_epoch;
             for (i, &a) in f.acks.iter().enumerate() {
-                if let Some(slot) = self.peer_hb_acks.get_mut(i) {
+                if let Some(slot) = self.ram.peer_hb_acks.get_mut(i) {
                     if a != 0 && (*slot == 0 || seq_newer(a, *slot)) {
                         *slot = a;
                     }
@@ -1583,7 +1659,7 @@ impl StTcpServer {
         let hb_timeout = self.setup.sttcp.hb_timeout();
         let mut mirrored: Vec<SlotId> = Vec::new();
         {
-            let Some(pool) = &mut self.pool else {
+            let Some(pool) = &mut self.ram.pool else {
                 return;
             };
             let Some(m) = pool.members.get_mut(&src) else {
@@ -1680,11 +1756,11 @@ impl StTcpServer {
             // design), so every key may have become lagging.
             if hb.role == Role::Primary {
                 pool.active_rank = m_rank;
-                self.table.clear_peers();
-                self.table.clear_set(Set::Lag);
+                self.ram.table.clear_peers();
+                self.ram.table.clear_set(Set::Lag);
                 for (&key, &peer) in &m.conns {
-                    let s = self.table.entry(key);
-                    self.table[s].peer = Some(peer);
+                    let s = self.ram.table.entry(key);
+                    self.ram.table[s].peer = Some(peer);
                     mirrored.push(s);
                 }
             }
@@ -1703,12 +1779,12 @@ impl StTcpServer {
         // a FIN counts once any non-fenced member saw it; the active
         // releases held bytes only up to the *slowest* non-fenced member
         // (a member with no entry yet holds everything back).
-        let Some(pool) = &self.pool else {
+        let Some(pool) = &self.ram.pool else {
             return;
         };
         let mut arb_actions: Vec<(SocketId, u32, ArbAction)> = Vec::new();
-        let i_am_active = self.role == Role::Primary;
-        let bound: Vec<_> = self.table.bound().collect();
+        let i_am_active = self.ram.role == Role::Primary;
+        let bound: Vec<_> = self.ram.table.bound().collect();
         for (key, s, sock) in bound {
             let mut fin_or_rst = false;
             let mut min_lbr = u64::MAX;
@@ -1723,14 +1799,14 @@ impl StTcpServer {
                     None => min_lbr = 0,
                 }
             }
-            if let Some(ctl) = &mut self.table[s].ctl {
+            if let Some(ctl) = &mut self.ram.table[s].ctl {
                 if let Some(a) = ctl.finarb.on_peer_hb(now, fin_or_rst) {
                     arb_actions.push((sock, key, a));
                 }
             }
             if i_am_active {
                 let release = if any_member { min_lbr } else { u64::MAX };
-                if let Some(conn) = self.tcp.conn_mut(sock) {
+                if let Some(conn) = self.ram.tcp.conn_mut(sock) {
                     conn.release_hold_until(release);
                 }
             }
@@ -1743,12 +1819,12 @@ impl StTcpServer {
     // ----- internal: verdicts and recovery actions ---------------------------
 
     fn declare_peer_failed(&mut self, ctx: &mut NodeCtx<'_>, reason: FailureReason) {
-        if !self.ft_mode {
+        if !self.ram.ft_mode {
             return;
         }
         let now = ctx.now();
-        self.ft_mode = false;
-        self.peer_alive = false;
+        self.ram.ft_mode = false;
+        self.ram.peer_alive = false;
         self.events
             .push(StTcpEvent::PeerDeclaredFailed { reason, at: now });
         self.metrics.on_verdict(reason);
@@ -1764,7 +1840,6 @@ impl StTcpServer {
                 reason: reason_code(reason),
             },
         );
-        ctx.trace(format!("{}: peer declared failed: {reason}", self.role));
         // STONITH before touching the connection (no dual-active).
         ctx.power_off(self.setup.peer_node, self.setup.sttcp.stonith_delay);
         self.events.push(StTcpEvent::StonithIssued { at: now });
@@ -1776,7 +1851,7 @@ impl StTcpServer {
             },
         );
 
-        match self.role {
+        match self.ram.role {
             Role::Backup => {
                 // Complete the takeover only after the peer is provably
                 // silent (power controller latency).
@@ -1784,7 +1859,6 @@ impl StTcpServer {
             }
             Role::Primary => {
                 self.events.push(StTcpEvent::WentNonFt { reason, at: now });
-                ctx.trace("primary: running non-fault-tolerant".to_string());
                 self.run_open(now);
             }
         }
@@ -1795,13 +1869,13 @@ impl StTcpServer {
     /// anymore, lets everything go.
     fn run_open(&mut self, now: SimTime) {
         for (sock, s) in self.all_socks() {
-            let Some(ctl) = &mut self.table[s].ctl else {
+            let Some(ctl) = &mut self.ram.table[s].ctl else {
                 continue;
             };
             if let (key, Some(a)) = (ctl.key, ctl.finarb.on_peer_failed()) {
                 self.apply_gate_action(now, sock, key, a);
             }
-            if let Some(conn) = self.tcp.conn_mut(sock) {
+            if let Some(conn) = self.ram.tcp.conn_mut(sock) {
                 conn.release_hold_until(u64::MAX);
             }
         }
@@ -1809,8 +1883,8 @@ impl StTcpServer {
 
     fn complete_takeover(&mut self, ctx: &mut NodeCtx<'_>) {
         let now = ctx.now();
-        self.role = Role::Primary;
-        self.took_over = true;
+        self.ram.role = Role::Primary;
+        self.ram.took_over = true;
         self.events.push(StTcpEvent::TookOver { at: now });
         // The takeover joins the verdict's span: the dump reads as one
         // chain, heartbeat evidence → verdict → STONITH → takeover.
@@ -1823,26 +1897,26 @@ impl StTcpServer {
             tspan,
             self.last_hb_rx_span,
             FlightKind::Takeover {
-                conns: self.table.socks().count() as u32,
+                conns: self.ram.table.socks().count() as u32,
             },
         );
-        ctx.trace("backup: taking over client connections".to_string());
         // Pool mode: other backups may survive the takeover — keep serving
         // them fault-tolerant (extended receive buffer stays armed). Pair
         // mode has nobody left to feed.
         let keep_ft = self
+            .ram
             .pool
             .as_ref()
             .is_some_and(|p| p.members.values().any(|m| !m.fenced));
         // From now on this host speaks for the service: orphan segments
         // (e.g. for a connection reset as unrecoverable) get ordinary
         // RSTs instead of shadow silence.
-        self.tcp.set_rst_policy(RstPolicy::Send);
+        self.ram.tcp.set_rst_policy(RstPolicy::Send);
         let mut accept_tcp = self.setup.tcp.clone();
         if keep_ft {
             accept_tcp.hold_buf = Some(self.setup.sttcp.hold_buf);
         }
-        self.tcp.listen(
+        self.ram.tcp.listen(
             self.setup.service_port,
             ListenConfig {
                 tcp: accept_tcp,
@@ -1850,13 +1924,13 @@ impl StTcpServer {
             },
         );
         for (sock, s) in self.all_socks() {
-            self.tcp.set_egress(sock, EgressMode::Normal);
-            let Some(ctl) = &mut self.table[s].ctl else {
+            self.ram.tcp.set_egress(sock, EgressMode::Normal);
+            let Some(ctl) = &mut self.ram.table[s].ctl else {
                 continue;
             };
             let (key, action) = (ctl.key, ctl.finarb.on_takeover());
             if keep_ft {
-                if let Some(conn) = self.tcp.conn_mut(sock) {
+                if let Some(conn) = self.ram.tcp.conn_mut(sock) {
                     conn.enable_hold(self.setup.sttcp.hold_buf);
                 }
                 self.events
@@ -1868,8 +1942,8 @@ impl StTcpServer {
             // cannot be continued correctly; reset it rather than hang the
             // client forever ("ST-TCP treats this failure as
             // unrecoverable", §4.3).
-            let gap = self.table.peer(s).and_then(|peer| {
-                let mine = self.tcp.conn(sock)?.bytes_received();
+            let gap = self.ram.table.peer(s).and_then(|peer| {
+                let mine = self.ram.tcp.conn(sock)?.bytes_received();
                 (peer.last_byte_received > mine).then_some(mine)
             });
             if let Some(missing_from) = gap {
@@ -1878,12 +1952,9 @@ impl StTcpServer {
                     missing_from,
                     at: now,
                 });
-                ctx.trace(format!(
-                    "takeover: conn {key:08x} unrecoverable (gap from {missing_from}); resetting"
-                ));
-                self.tcp.set_fin_gate(sock, FinGate::Open);
-                self.tcp.abort(now, sock);
-                if let Some(ctl) = &mut self.table[s].ctl {
+                self.ram.tcp.set_fin_gate(sock, FinGate::Open);
+                self.ram.tcp.abort(now, sock);
+                if let Some(ctl) = &mut self.ram.table[s].ctl {
                     ctl.closed = true;
                 }
                 continue;
@@ -1891,33 +1962,33 @@ impl StTcpServer {
             if let Some(a) = action {
                 self.apply_gate_action(now, sock, key, a);
             } else {
-                self.tcp.set_fin_gate(sock, FinGate::Open);
+                self.ram.tcp.set_fin_gate(sock, FinGate::Open);
             }
             // Everything between snd.una and the cursor was generated but
             // suppressed — never on the wire. Rewind and stream it afresh
             // (ack-clocked), rather than dribbling it out one
             // retransmission per RTO.
-            if let Some(conn) = self.tcp.conn_mut(sock) {
+            if let Some(conn) = self.ram.tcp.conn_mut(sock) {
                 if !matches!(conn.state(), TcpState::Closed) {
                     conn.rewind_unacked(now);
                 }
             }
         }
-        if let Some(pool) = &mut self.pool {
+        if let Some(pool) = &mut self.ram.pool {
             pool.active_rank = pool.my_rank;
-            self.ft_mode = keep_ft;
-            self.peer_alive = keep_ft;
+            self.ram.ft_mode = keep_ft;
+            self.ram.peer_alive = keep_ft;
             // The dead active's mirror served the gap check above; from
             // here the new active's own positions are authoritative.
-            self.table.clear_peers();
-            self.peer_app_suspected = false;
+            self.ram.table.clear_peers();
+            self.ram.peer_app_suspected = false;
         }
         // An active server never fetches.
-        self.table.clear_set(Set::Lag);
+        self.ram.table.clear_set(Set::Lag);
         // Connections may carry receive holes from their time as tapped
         // shadows: the first hole check looks at every one.
         for (_, s) in self.all_socks() {
-            self.table.insert(Set::Hole, s);
+            self.ram.table.insert(Set::Hole, s);
         }
         // Delta mode: the dead peer's acks are void; a future joiner is
         // served full-state frames until it acknowledges this epoch.
@@ -1932,8 +2003,8 @@ impl StTcpServer {
         // Metrics sampling: hold occupancy and aggregate TCP state, once
         // per check period — from the endpoint's incremental totals, so
         // only connections that moved since the last tick are re-read.
-        self.metrics.on_timer_visits(self.tcp.totals_stale());
-        let totals = self.tcp.totals();
+        self.metrics.on_timer_visits(self.ram.tcp.totals_stale());
+        let totals = self.ram.tcp.totals();
         #[cfg(debug_assertions)]
         debug_assert_eq!(
             totals,
@@ -1948,7 +2019,7 @@ impl StTcpServer {
 
         // Pool mode replaces the pairwise detector matrix with per-member
         // liveness plus quorum fencing.
-        if self.pool.is_some() {
+        if self.ram.pool.is_some() {
             ctx.profile_enter(Component::Pool);
             self.run_pool_checks(ctx);
             ctx.profile_exit();
@@ -1956,9 +2027,9 @@ impl StTcpServer {
         }
 
         // Link liveness edges.
-        let ip_alive = self.ip_mon.is_alive(now);
-        let serial_alive = self.serial_mon.is_alive(now);
-        if ip_alive != self.ip_was_alive {
+        let ip_alive = self.ram.ip_mon.is_alive(now);
+        let serial_alive = self.ram.serial_mon.is_alive(now);
+        if ip_alive != self.ram.ip_was_alive {
             self.events.push(if ip_alive {
                 StTcpEvent::HbLinkUp {
                     link: HbLink::Ip,
@@ -1970,7 +2041,7 @@ impl StTcpServer {
                     at: now,
                 }
             });
-            self.ip_was_alive = ip_alive;
+            self.ram.ip_was_alive = ip_alive;
             let socks = self.all_socks();
             self.metrics.on_timer_visits(socks.len());
             for (_, s) in socks {
@@ -1980,8 +2051,8 @@ impl StTcpServer {
                     // activity to mark connections with, so give every
                     // connection one evaluation to re-establish detector
                     // baselines.
-                    self.table.insert(Set::Check, s);
-                } else if let Some(ctl) = &mut self.table[s].ctl {
+                    self.ram.table.insert(Set::Check, s);
+                } else if let Some(ctl) = &mut self.ram.table[s].ctl {
                     // With the IP heartbeat down, app lag is a symptom of
                     // the network fault, not an app crash. The detector
                     // loop below only visits active connections, so
@@ -1992,7 +2063,7 @@ impl StTcpServer {
                 }
             }
         }
-        if serial_alive != self.serial_was_alive {
+        if serial_alive != self.ram.serial_was_alive {
             self.events.push(if serial_alive {
                 StTcpEvent::HbLinkUp {
                     link: HbLink::Serial,
@@ -2004,7 +2075,7 @@ impl StTcpServer {
                     at: now,
                 }
             });
-            self.serial_was_alive = serial_alive;
+            self.ram.serial_was_alive = serial_alive;
         }
 
         self.check_post_takeover_holes(ctx);
@@ -2013,12 +2084,12 @@ impl StTcpServer {
         // missed while it was down) and completes once converged. This runs
         // *before* the ft_mode gate below — a joiner is deliberately not
         // fault-tolerant yet, but must still make progress.
-        if self.join.is_some() {
+        if self.ram.join.is_some() {
             self.run_recovery(ctx);
             self.try_finish_join(ctx);
         }
 
-        if !self.ft_mode {
+        if !self.ram.ft_mode {
             return;
         }
 
@@ -2031,23 +2102,23 @@ impl StTcpServer {
         // Row 4: IP heartbeat dead, serial alive ⇒ local network failure
         // somewhere; figure out whose.
         if !ip_alive && serial_alive {
-            if !self.ping.active {
-                self.ping.active = true;
-                self.ping.awaiting = None;
-                self.ping.consecutive_failures = 0;
-                self.ping.attempts = 0;
+            if !self.ram.ping.active {
+                self.ram.ping.active = true;
+                self.ram.ping.awaiting = None;
+                self.ram.ping.consecutive_failures = 0;
+                self.ram.ping.attempts = 0;
                 ctx.set_timer(SimDuration::ZERO, TOKEN_PING);
             }
             let obs = self.net_observation();
-            if let Some(reason) = self.net_detect.check(now, &obs) {
+            if let Some(reason) = self.ram.net_detect.check(now, &obs) {
                 self.declare_peer_failed(ctx, reason);
                 return;
             }
         } else {
-            if self.ping.active {
-                self.ping.active = false;
+            if self.ram.ping.active {
+                self.ram.ping.active = false;
             }
-            self.net_detect.reset();
+            self.ram.net_detect.reset();
         }
 
         // Rows 2/3 compare application positions against the peer's
@@ -2056,7 +2127,7 @@ impl StTcpServer {
         // handled by the liveness detector (row 1), not misread as an
         // application crash.
         let hb_staleness = {
-            let last = match (self.ip_mon.last_rx(), self.serial_mon.last_rx()) {
+            let last = match (self.ram.ip_mon.last_rx(), self.ram.serial_mon.last_rx()) {
                 (Some(a), Some(b)) => Some(a.max(b)),
                 (a, b) => a.or(b),
             };
@@ -2071,11 +2142,11 @@ impl StTcpServer {
         // the walk; a connection leaves the set once both its arbiters are
         // provably inert (no deadline, no lag) and re-enters on any local
         // or peer-reported movement.
-        let slots = self.table.members(Set::Check);
+        let slots = self.ram.table.members(Set::Check);
         self.metrics.on_timer_visits(slots.len());
         for s in slots {
-            let peer = self.table.peer(s).copied();
-            let slot = &mut self.table[s];
+            let peer = self.ram.table.peer(s).copied();
+            let slot = &mut self.ram.table[s];
             let (Some(sock), Some(ctl)) = (slot.sock(), slot.ctl.as_mut()) else {
                 continue;
             };
@@ -2098,14 +2169,14 @@ impl StTcpServer {
                     ctl.applag.reset();
                 } else if !hb_fresh {
                     continue;
-                } else if let (Some(peer), Some(c)) = (peer, self.tcp.conn(sock)) {
+                } else if let (Some(peer), Some(c)) = (peer, self.ram.tcp.conn(sock)) {
                     let (read, written) = (c.app_bytes_read(), c.app_bytes_written());
                     let (p_read, p_written) = (peer.last_app_byte_read, peer.last_app_byte_written);
                     verdict = verdict.or(ctl.applag.check(now, read, written, p_read, p_written));
                 }
             }
             if ctl.closed || !(ctl.finarb.needs_check() || ctl.applag.needs_check()) {
-                self.table.remove(Set::Check, s);
+                self.ram.table.remove(Set::Check, s);
             }
         }
         for (sock, key, action) in arb_actions {
@@ -2119,20 +2190,20 @@ impl StTcpServer {
         // §4.2.2 extension: the peer's own watchdog reported its replica
         // dead. A self-report is actionable even on an idle connection —
         // exactly the case the transport-layer detectors cannot see.
-        if self.peer_app_suspected {
+        if self.ram.peer_app_suspected {
             self.declare_peer_failed(ctx, FailureReason::WatchdogReport);
             return;
         }
 
         // Row 5 escalation: the primary's hold buffer overflowed — the
         // backup cannot catch up. (Sampled with the totals above.)
-        if self.role == Role::Primary && totals.hold_overflows > 0 {
+        if self.ram.role == Role::Primary && totals.hold_overflows > 0 {
             self.declare_peer_failed(ctx, FailureReason::HoldOverflow);
             return;
         }
 
         // Row 5: the backup fetches bytes it missed.
-        if self.role == Role::Backup {
+        if self.ram.role == Role::Backup {
             self.run_recovery(ctx);
         }
     }
@@ -2144,7 +2215,7 @@ impl StTcpServer {
     /// repairable hole is refilled by a client retransmission well
     /// within `gap_giveup`.
     fn check_post_takeover_holes(&mut self, ctx: &mut NodeCtx<'_>) {
-        if !self.took_over {
+        if !self.ram.took_over {
             return;
         }
         let now = ctx.now();
@@ -2152,47 +2223,49 @@ impl StTcpServer {
         // hole, and only one already aging a hole can hit the deadline.
         self.absorb_touched();
         #[cfg(debug_assertions)]
-        for (sock, s) in self.table.socks() {
-            let ctl = self.table[s]
+        for (sock, s) in self.ram.table.socks() {
+            let ctl = self.ram.table[s]
                 .ctl
                 .as_ref()
                 .expect("indexed sockets have control state");
             debug_assert!(
-                self.table.contains(Set::Hole, s)
+                self.ram.table.contains(Set::Hole, s)
                     || (ctl.hole_since.is_none() && (ctl.closed || !self.stranded(sock))),
                 "socket {sock:?} holds a receive hole outside the hole set"
             );
         }
-        let slots = self.table.members(Set::Hole);
+        let slots = self.ram.table.members(Set::Hole);
         self.metrics.on_timer_visits(slots.len());
         for s in slots {
-            let Some(sock) = self.table[s].sock() else {
+            let Some(sock) = self.ram.table[s].sock() else {
                 continue;
             };
             let stranded = self.stranded(sock);
-            let Some(ctl) = &mut self.table[s].ctl else {
+            let Some(ctl) = &mut self.ram.table[s].ctl else {
                 continue;
             };
             if ctl.closed || !stranded {
                 ctl.hole_since = None;
-                self.table.remove(Set::Hole, s);
+                self.ram.table.remove(Set::Hole, s);
                 continue;
             }
             let since = *ctl.hole_since.get_or_insert(now);
             if now.saturating_since(since) >= self.setup.sttcp.gap_giveup {
                 let key = ctl.key;
                 ctl.closed = true;
-                let missing_from = self.tcp.conn(sock).map(|c| c.bytes_received()).unwrap_or(0);
+                let missing_from = self
+                    .ram
+                    .tcp
+                    .conn(sock)
+                    .map(|c| c.bytes_received())
+                    .unwrap_or(0);
                 self.events.push(StTcpEvent::UnrecoverableGap {
                     conn: key,
                     missing_from,
                     at: now,
                 });
-                ctx.trace(format!(
-                    "post-takeover: conn {key:08x} hole at {missing_from} never refilled; resetting"
-                ));
-                self.tcp.set_fin_gate(sock, FinGate::Open);
-                self.tcp.abort(now, sock);
+                self.ram.tcp.set_fin_gate(sock, FinGate::Open);
+                self.ram.tcp.abort(now, sock);
             }
         }
     }
@@ -2200,7 +2273,8 @@ impl StTcpServer {
     /// True when `sock` has client data parked behind a receive hole on
     /// a connection that is still open.
     fn stranded(&self, sock: SocketId) -> bool {
-        self.tcp
+        self.ram
+            .tcp
             .conn(sock)
             .is_some_and(|c| c.ooo_bytes() > 0 && !matches!(c.state(), TcpState::Closed))
     }
@@ -2211,8 +2285,8 @@ impl StTcpServer {
     #[cfg(debug_assertions)]
     fn scan_sampling_walk(&self) -> EndpointTotals {
         let mut sum = EndpointTotals::default();
-        for (_, _, sock) in self.table.bound() {
-            if let Some(c) = self.tcp.conn(sock) {
+        for (_, _, sock) in self.ram.table.bound() {
+            if let Some(c) = self.ram.tcp.conn(sock) {
                 sum.live += 1;
                 sum.hold += c.hold_used() as u64;
                 sum.cwnd_sum += c.cwnd();
@@ -2234,7 +2308,7 @@ impl StTcpServer {
     /// FIN arbiter self-resolves its deadlines.
     fn run_pool_checks(&mut self, ctx: &mut NodeCtx<'_>) {
         let now = ctx.now();
-        if let Some(pool) = &self.pool {
+        if let Some(pool) = &self.ram.pool {
             let strength = pool.strength(now);
             self.metrics.sample_pool_strength(strength);
         }
@@ -2247,7 +2321,7 @@ impl StTcpServer {
         let socks = self.all_socks();
         self.metrics.on_timer_visits(socks.len());
         for (sock, s) in socks {
-            let Some(ctl) = self.table[s].ctl.as_mut().filter(|c| !c.closed) else {
+            let Some(ctl) = self.ram.table[s].ctl.as_mut().filter(|c| !c.closed) else {
                 continue;
             };
             let action = ctl.finarb.on_check(now);
@@ -2259,14 +2333,14 @@ impl StTcpServer {
             self.apply_gate_action(now, sock, key, action);
         }
 
-        if self.join.is_some() {
+        if self.ram.join.is_some() {
             // A joiner fetches and converges but never fences: until the
             // join completes it has no say over anyone's life.
             self.run_recovery(ctx);
             self.try_finish_join(ctx);
             return;
         }
-        if self.role == Role::Backup {
+        if self.ram.role == Role::Backup {
             self.run_recovery(ctx);
         }
         self.fence_tick(ctx);
@@ -2281,7 +2355,7 @@ impl StTcpServer {
         let mut round_msg: Option<CtrlMsg> = None;
         let mut voters: Vec<(Ipv4Addr, Option<SerialPortId>)> = Vec::new();
         {
-            let Some(pool) = &mut self.pool else {
+            let Some(pool) = &mut self.ram.pool else {
                 return;
             };
             if let Some(f) = &pool.fence {
@@ -2315,7 +2389,7 @@ impl StTcpServer {
                     let eligible = if trank == pool.active_rank {
                         // Rank order: only the lowest-ranked live backup
                         // campaigns to fence the active (and take over).
-                        self.role == Role::Backup
+                        self.ram.role == Role::Backup
                             && !pool.members.values().any(|m| {
                                 !m.fenced
                                     && !m.defunct
@@ -2325,7 +2399,7 @@ impl StTcpServer {
                             })
                     } else {
                         // The active fences dead backups.
-                        self.role == Role::Primary
+                        self.ram.role == Role::Primary
                     };
                     if eligible {
                         pool.epoch = pool.epoch.wrapping_add(1);
@@ -2372,10 +2446,6 @@ impl StTcpServer {
                     target_rank,
                 },
             );
-            ctx.trace(format!(
-                "{}: fence round {epoch} opened against rank {target_rank}",
-                self.role
-            ));
         }
         if let Some(msg) = round_msg {
             for (ip, port) in voters {
@@ -2398,7 +2468,7 @@ impl StTcpServer {
         target_rank: u8,
         candidate_rank: u8,
     ) {
-        if self.join.is_some() {
+        if self.ram.join.is_some() {
             return; // a joiner has no vote yet
         }
         let now = ctx.now();
@@ -2413,7 +2483,7 @@ impl StTcpServer {
         let reply;
         let port;
         {
-            let Some(pool) = &self.pool else {
+            let Some(pool) = &self.ram.pool else {
                 return;
             };
             let my_rank = pool.my_rank;
@@ -2482,7 +2552,7 @@ impl StTcpServer {
             },
         );
         {
-            let Some(pool) = &mut self.pool else {
+            let Some(pool) = &mut self.ram.pool else {
                 return;
             };
             let Some(f) = &mut pool.fence else {
@@ -2504,7 +2574,7 @@ impl StTcpServer {
         let now = ctx.now();
         let fenced;
         {
-            let Some(pool) = &mut self.pool else {
+            let Some(pool) = &mut self.ram.pool else {
                 return;
             };
             let Some(f) = &pool.fence else {
@@ -2559,10 +2629,6 @@ impl StTcpServer {
                 reason: reason_code(FailureReason::HbBothLinksDown),
             },
         );
-        ctx.trace(format!(
-            "{}: quorum ({votes}) fenced rank {target_rank}; STONITH",
-            self.role
-        ));
         // STONITH before touching any connection (no dual-active).
         ctx.power_off(target_node, self.setup.sttcp.stonith_delay);
         self.events.push(StTcpEvent::StonithIssued { at: now });
@@ -2574,7 +2640,7 @@ impl StTcpServer {
             },
         );
         let (live_others, was_active, survivors) = {
-            let pool = self.pool.as_ref().expect("pool checked above");
+            let pool = self.ram.pool.as_ref().expect("pool checked above");
             let survivors: Vec<(Ipv4Addr, Option<SerialPortId>)> = pool
                 .members
                 .iter()
@@ -2587,8 +2653,8 @@ impl StTcpServer {
                 survivors,
             )
         };
-        self.ft_mode = live_others > 0;
-        self.peer_alive = live_others > 0;
+        self.ram.ft_mode = live_others > 0;
+        self.ram.peer_alive = live_others > 0;
         // Tell the survivors: they mark the member fenced without needing
         // their own quorum, and a losing simultaneous candidate abandons
         // its round.
@@ -2600,14 +2666,13 @@ impl StTcpServer {
             // Complete the takeover only after the target is provably
             // silent (power controller latency).
             ctx.set_timer(self.setup.sttcp.stonith_delay, TOKEN_TAKEOVER);
-        } else if self.role == Role::Primary && live_others == 0 {
+        } else if self.ram.role == Role::Primary && live_others == 0 {
             // Last member standing: run open, non-fault-tolerant.
             self.events.push(StTcpEvent::WentNonFt {
                 reason: FailureReason::HbBothLinksDown,
                 at: now,
             });
-            ctx.trace("active: pool exhausted; running non-fault-tolerant".to_string());
-            self.tcp.listen(
+            self.ram.tcp.listen(
                 self.setup.service_port,
                 ListenConfig {
                     tcp: self.setup.tcp.clone(),
@@ -2623,7 +2688,7 @@ impl StTcpServer {
         let now = ctx.now();
         let fenced_any;
         {
-            let Some(pool) = &mut self.pool else {
+            let Some(pool) = &mut self.ram.pool else {
                 return;
             };
             if target_rank == pool.my_rank {
@@ -2652,25 +2717,21 @@ impl StTcpServer {
                 rank: target_rank,
                 at: now,
             });
-            ctx.trace(format!(
-                "{}: adopted fence commit against rank {target_rank}",
-                self.role
-            ));
         }
     }
 
     fn net_observation(&mut self) -> NetObservation {
         let mut obs = NetObservation {
-            my_ping: self.ping.active.then(|| self.ping.report()),
-            peer_ping: self.peer_ping,
+            my_ping: self.ram.ping.active.then(|| self.ram.ping.report()),
+            peer_ping: self.ram.peer_ping,
             ..Default::default()
         };
         // A fault-window walk: it runs only while the IP heartbeat is
         // down with a serial link still up (Table 1 row 4).
         let mut visits = 0;
-        for (_, s, sock) in self.table.bound() {
+        for (_, s, sock) in self.ram.table.bound() {
             visits += 1;
-            let (Some(conn), Some(peer)) = (self.tcp.conn(sock), self.table[s].peer) else {
+            let (Some(conn), Some(peer)) = (self.ram.tcp.conn(sock), self.ram.table[s].peer) else {
                 continue;
             };
             obs.my_bytes += conn.bytes_received();
@@ -2693,14 +2754,14 @@ impl StTcpServer {
         );
         let mut requests = Vec::new();
         // Key order, like the walk: events and fetches keep their order.
-        let slots = self.table.members(Set::Lag);
+        let slots = self.ram.table.members(Set::Lag);
         self.metrics.on_timer_visits(slots.len());
         for s in slots {
-            let peer = self.table.peer(s).copied();
-            let slot = &mut self.table[s];
-            let conn = slot.sock().and_then(|sock| self.tcp.conn(sock));
+            let peer = self.ram.table.peer(s).copied();
+            let slot = &mut self.ram.table[s];
+            let conn = slot.sock().and_then(|sock| self.ram.tcp.conn(sock));
             let (Some(conn), Some(peer), Some(ctl)) = (conn, peer, slot.ctl.as_mut()) else {
-                self.table.remove(Set::Lag, s);
+                self.ram.table.remove(Set::Lag, s);
                 continue;
             };
             let (key, mine) = (ctl.key, conn.bytes_received());
@@ -2713,7 +2774,7 @@ impl StTcpServer {
                         at: now,
                     });
                 }
-                self.table.remove(Set::Lag, s);
+                self.ram.table.remove(Set::Lag, s);
                 continue;
             }
             let due = ctl
@@ -2764,7 +2825,7 @@ impl StTcpServer {
         // the new incarnation, and abandon any fence round against it.
         let mut new_rank = 0u8;
         let hb_timeout = self.setup.sttcp.hb_timeout();
-        if let Some(pool) = &mut self.pool {
+        if let Some(pool) = &mut self.ram.pool {
             if !pool.members.contains_key(&src) {
                 return; // not a pool member; nothing to rejoin
             }
@@ -2783,36 +2844,32 @@ impl StTcpServer {
                 }
             }
         }
-        if self.serving_join != Some(session) {
-            self.serving_join = Some(session);
+        if self.ram.serving_join != Some(session) {
+            self.ram.serving_join = Some(session);
             // A new join session means the peer rebooted: everything known
             // about the old peer — including sticky FIN/watchdog flags that
             // would otherwise poison verdicts against the new incarnation —
             // is stale.
-            self.table.clear_peers();
-            self.table.clear_set(Set::Lag);
-            self.peer_app_suspected = false;
-            self.peer_last_seqno = None;
-            self.peer_seqno_advanced_at = now;
-            self.byzantine_reported = false;
+            self.ram.table.clear_peers();
+            self.ram.table.clear_set(Set::Lag);
+            self.ram.peer_app_suspected = false;
+            self.ram.peer_last_seqno = None;
+            self.ram.peer_seqno_advanced_at = now;
+            self.ram.byzantine_reported = false;
             // Delta mode: the old incarnation's acks are void — send
             // full-state frames until the joiner acknowledges, and track
             // its new links/epoch from scratch.
             self.reset_peer_acks();
-            self.rx_link_seq = vec![0; self.hb_nlinks()];
-            self.rx_link_batch = vec![RxBatch::default(); self.hb_nlinks()];
-            self.rx_peer_epoch = 0;
+            self.ram.rx_link_seq = vec![0; self.hb_nlinks()];
+            self.ram.rx_link_batch = vec![RxBatch::default(); self.hb_nlinks()];
+            self.ram.rx_peer_epoch = 0;
             self.events
                 .push(StTcpEvent::ReintegrationStarted { at: now });
-            ctx.trace(format!(
-                "{}: serving re-integration join {session:08x}",
-                self.role
-            ));
             // Future connections get the extended receive buffer again:
             // once the join completes there is a backup to feed.
             let mut accept_tcp = self.setup.tcp.clone();
             accept_tcp.hold_buf = Some(self.setup.sttcp.hold_buf);
-            self.tcp.listen(
+            self.ram.tcp.listen(
                 self.setup.service_port,
                 ListenConfig {
                     tcp: accept_tcp,
@@ -2827,10 +2884,10 @@ impl StTcpServer {
             // fetchable, so the joiner sees the stream with no hole —
             // `[read cursor, edge)` rides in the snapshot, `[edge, ∞)`
             // arrives by tap or fetch.
-            if let Some(conn) = self.tcp.conn_mut(sock) {
+            if let Some(conn) = self.ram.tcp.conn_mut(sock) {
                 conn.enable_hold(self.setup.sttcp.hold_buf);
             }
-            let conn = self.table[s].key();
+            let conn = self.ram.table[s].key();
             self.events.push(StTcpEvent::HoldArmed { conn, at: now });
             let Some(msg) = self.snapshot_conn(session, sock) else {
                 continue;
@@ -2853,9 +2910,9 @@ impl StTcpServer {
     /// cannot be joined (closed, not snapshottable, or a buffer exceeds the
     /// control-channel cap — such a connection simply stays unreplicated).
     fn snapshot_conn(&self, session: u32, sock: SocketId) -> Option<ConnSnapshotMsg> {
-        let ctl = self.table.ctl(sock).filter(|c| !c.closed)?;
+        let ctl = self.ram.table.ctl(sock).filter(|c| !c.closed)?;
         let key = ctl.key;
-        let snap = self.tcp.conn(sock)?.snapshot()?;
+        let snap = self.ram.tcp.conn(sock)?.snapshot()?;
         if snap.unacked.len() > MAX_FETCH_DATA || snap.pending.len() > MAX_FETCH_DATA {
             return None;
         }
@@ -2890,7 +2947,7 @@ impl StTcpServer {
     /// TCP state machine and spin up its replica application.
     fn install_snapshot(&mut self, ctx: &mut NodeCtx<'_>, s: &ConnSnapshotMsg) {
         let now = ctx.now();
-        let Some(join) = &self.join else {
+        let Some(join) = &self.ram.join else {
             return;
         };
         if s.session != join.session || join.installed.contains(&s.conn) {
@@ -2915,10 +2972,6 @@ impl StTcpServer {
             app.restore(&s.app_state);
         }
         if app.state_digest() != s.app_digest {
-            ctx.trace(format!(
-                "join: conn {:08x} replica digest mismatch after restore; skipping",
-                s.conn
-            ));
             return;
         }
         let conn = TcpConn::resume(
@@ -2936,25 +2989,21 @@ impl StTcpServer {
                 peer_fin_consumed: s.peer_fin_consumed,
             },
         );
-        match self.tcp.install_resumed(conn, EgressMode::Suppress) {
+        match self.ram.tcp.install_resumed(conn, EgressMode::Suppress) {
             Some(sock) => {
                 let slot = self.bind_key(now, s.conn, sock, app);
-                if let Some(ctl) = &mut self.table[slot].ctl {
+                if let Some(ctl) = &mut self.ram.table[slot].ctl {
                     ctl.close_issued = s.local_fin;
                     // The connection resumed mid-stream: its first byte
                     // was delivered on the active side long ago.
                     ctl.saw_data = true;
                 }
                 self.refresh_tick(slot);
-                self.table.insert(Set::Check, slot);
+                self.ram.table.insert(Set::Check, slot);
                 self.events.push(StTcpEvent::SnapshotInstalled {
                     conn: s.conn,
                     at: now,
                 });
-                ctx.trace(format!(
-                    "join: conn {:08x} snapshot installed (rcv {}, snd_una {})",
-                    s.conn, s.rcv_start, s.snd_una
-                ));
             }
             None => {
                 // The tuple is already live locally: the tapped SYN beat the
@@ -2962,7 +3011,7 @@ impl StTcpServer {
                 // very beginning and the snapshot is redundant.
             }
         }
-        if let Some(join) = &mut self.join {
+        if let Some(join) = &mut self.ram.join {
             join.installed.insert(s.conn);
         }
     }
@@ -2973,7 +3022,7 @@ impl StTcpServer {
     /// fire verdicts nor take over, so a half-joined backup can never
     /// become a second active server.
     fn try_finish_join(&mut self, ctx: &mut NodeCtx<'_>) {
-        let Some(join) = &self.join else {
+        let Some(join) = &self.ram.join else {
             return;
         };
         let Some(expected) = join.expected else {
@@ -2985,12 +3034,12 @@ impl StTcpServer {
         // Require at least one post-reboot heartbeat: convergence is judged
         // against the peer's positions, which are meaningless before any
         // have been heard. Pool mode hears peers through member monitors.
-        let heard = match &self.pool {
+        let heard = match &self.ram.pool {
             Some(pool) => pool
                 .members
                 .values()
                 .any(|m| m.ip_mon.last_rx().is_some() || m.serial_mon.last_rx().is_some()),
-            None => self.ip_mon.last_rx().is_some() || self.serial_mon.last_rx().is_some(),
+            None => self.ram.ip_mon.last_rx().is_some() || self.ram.serial_mon.last_rx().is_some(),
         };
         if !heard {
             return;
@@ -2999,9 +3048,9 @@ impl StTcpServer {
         // with receive and application-read positions caught up (a closed
         // local connection has nothing left to converge). A join-window
         // walk: it stops the tick the join completes.
-        self.metrics.on_timer_visits(self.table.peers().count());
-        for (key, s, peer) in self.table.peers() {
-            let slot = &self.table[s];
+        self.metrics.on_timer_visits(self.ram.table.peers().count());
+        for (key, s, peer) in self.ram.table.peers() {
+            let slot = &self.ram.table[s];
             let Some(sock) = slot.sock() else {
                 // Heartbeats announce every conn still in the peer's socket
                 // table, including closed ones the snapshot pass skipped —
@@ -3017,7 +3066,7 @@ impl StTcpServer {
             if slot.ctl.as_ref().is_none_or(|c| c.closed) {
                 continue;
             }
-            let Some(conn) = self.tcp.conn(sock) else {
+            let Some(conn) = self.ram.tcp.conn(sock) else {
                 continue;
             };
             if conn.bytes_received() < peer.last_byte_received
@@ -3028,18 +3077,14 @@ impl StTcpServer {
         }
         let now = ctx.now();
         let session = join.session;
-        self.join = None;
-        self.ft_mode = true;
-        self.peer_alive = true;
+        self.ram.join = None;
+        self.ram.ft_mode = true;
+        self.ram.peer_alive = true;
         // Detectors resume against a fresh peer: give every connection one
         // evaluation so first-observation baselines are established.
         self.check_every_conn();
         self.events
             .push(StTcpEvent::ReintegrationCompleted { at: now });
-        ctx.trace(format!(
-            "{}: re-integration complete; pair fault-tolerant again",
-            self.role
-        ));
         self.send_ctrl(ctx, &CtrlMsg::JoinComplete { session });
     }
 
@@ -3064,7 +3109,7 @@ impl StTcpServer {
 
     /// Replies to the sender of a control message.
     fn send_ctrl_reply(&self, ctx: &mut NodeCtx<'_>, src: Ipv4Addr, msg: &CtrlMsg) {
-        match &self.pool {
+        match &self.ram.pool {
             Some(pool) => {
                 let port = pool.members.get(&src).and_then(|m| m.serial_port);
                 self.send_ctrl_to(ctx, src, port, msg);
@@ -3078,12 +3123,12 @@ impl StTcpServer {
     /// to every member while no active is known — e.g. a joiner probing
     /// mid-takeover).
     fn send_ctrl(&self, ctx: &mut NodeCtx<'_>, msg: &CtrlMsg) {
-        if let Some(pool) = &self.pool {
+        if let Some(pool) = &self.ram.pool {
             // A joiner's rebuilt pool view may still believe a dead member
             // active, so it broadcasts until the join completes; only the
             // active side answers a JoinRequest anyway.
             match pool.active_ip() {
-                Some(ip) if self.join.is_none() => {
+                Some(ip) if self.ram.join.is_none() => {
                     let port = pool.members.get(&ip).and_then(|m| m.serial_port);
                     self.send_ctrl_to(ctx, ip, port, msg);
                 }
@@ -3112,10 +3157,10 @@ impl StTcpServer {
     /// partition without flooding every serial line.
     fn send_ctrl_conn(&self, ctx: &mut NodeCtx<'_>, key: u32, msg: &CtrlMsg) {
         self.send_ctrl(ctx, msg);
-        if self.pool.is_some() || self.extra_serial_ports.is_empty() {
+        if self.ram.pool.is_some() || self.extra_serial_ports.is_empty() {
             return;
         }
-        if self.ip_mon.is_alive(ctx.now()) {
+        if self.ram.ip_mon.is_alive(ctx.now()) {
             return;
         }
         let port = match self.shard_of(key) {
@@ -3133,6 +3178,7 @@ impl StTcpServer {
                     return;
                 };
                 let data = self
+                    .ram
                     .tcp
                     .conn(sock)
                     .and_then(|c| c.fetch_held(*from, *max as usize))
@@ -3152,7 +3198,7 @@ impl StTcpServer {
                 let Some(sock) = self.sock_of(*conn) else {
                     return;
                 };
-                self.tcp.inject_in_order(sock, *from, data);
+                self.ram.tcp.inject_in_order(sock, *from, data);
                 self.metrics.on_replay(data.len() as u64);
             }
             CtrlMsg::JoinRequest { session } => {
@@ -3166,13 +3212,13 @@ impl StTcpServer {
                 conns,
                 new_rank,
             } => {
-                if let Some(join) = &mut self.join {
+                if let Some(join) = &mut self.ram.join {
                     if join.session == *session {
                         join.expected = Some(*conns);
                         // Pool: the active assigned this joiner a fresh
                         // rank behind every original member. Announcing it
                         // in our heartbeats is what un-fences us everywhere.
-                        if let Some(pool) = &mut self.pool {
+                        if let Some(pool) = &mut self.ram.pool {
                             pool.my_rank = *new_rank;
                         }
                     }
@@ -3212,23 +3258,25 @@ impl StTcpServer {
                 ctx.profile_exit();
             }
             CtrlMsg::JoinComplete { session } => {
-                if self.serving_join == Some(*session) {
-                    self.serving_join = None;
-                    self.ft_mode = true;
-                    self.peer_alive = true;
+                if self.ram.serving_join == Some(*session) {
+                    self.ram.serving_join = None;
+                    self.ram.ft_mode = true;
+                    self.ram.peer_alive = true;
                     self.check_every_conn();
                     self.events
                         .push(StTcpEvent::ReintegrationCompleted { at: now });
-                    ctx.trace(format!(
-                        "{}: re-integration complete; pair fault-tolerant again",
-                        self.role
-                    ));
                     // Fresh FIN arbitration against the new backup: the old
                     // arbiters are in their peer-failed (open-gate) state
                     // from the takeover.
-                    for ctl in self.table.slots_mut().filter_map(|slot| slot.ctl.as_mut()) {
+                    for ctl in self
+                        .ram
+                        .table
+                        .slots_mut()
+                        .filter_map(|slot| slot.ctl.as_mut())
+                    {
                         if !ctl.close_issued && !ctl.closed {
-                            ctl.finarb = FinArbiter::new(self.role, self.setup.sttcp.max_delay_fin);
+                            ctl.finarb =
+                                FinArbiter::new(self.ram.role, self.setup.sttcp.max_delay_fin);
                         }
                     }
                 }
@@ -3241,16 +3289,16 @@ impl StTcpServer {
     fn flush(&mut self, ctx: &mut NodeCtx<'_>) {
         let now = ctx.now();
         ctx.profile_enter(Component::Tcp);
-        let mut pkts = std::mem::take(&mut self.pkts);
+        let mut pkts = std::mem::take(&mut self.ram.pkts);
         loop {
             let had_events = self.drain_tcp_events(now, ctx.profiler());
             // Acknowledgments may have freed send-buffer space: drain any
             // application output that was blocked on it.
-            if self.table.set_len(Set::OutBlocked) > 0 {
+            if self.ram.table.set_len(Set::OutBlocked) > 0 {
                 self.flush_blocked(now);
             }
             ctx.profile_enter(Component::TcpPoll);
-            self.tcp.poll_packets_with(now, |pkt| pkts.push(pkt));
+            self.ram.tcp.poll_packets_with(now, |pkt| pkts.push(pkt));
             ctx.profile_exit();
             if !had_events && pkts.is_empty() {
                 break;
@@ -3266,47 +3314,46 @@ impl StTcpServer {
                 }
             }
         }
-        self.pkts = pkts;
+        self.ram.pkts = pkts;
         ctx.profile_exit();
         // Keep the TCP deadline timer no later than the deadline. The query
         // is where the deadline queue does its per-flush work (syncing
         // dirty socket deadlines, discarding tombstones), so it is
         // attributed to the wheel bucket alongside due-timer dispatch.
         ctx.profile_enter(Component::TcpWheel);
-        let want = self.tcp.next_deadline();
+        let want = self.ram.tcp.next_deadline();
         ctx.profile_exit();
-        ctx.rearm_timer(&mut self.tcp_timer, want, TOKEN_TCP);
+        ctx.rearm_timer(&mut self.ram.tcp_timer, want, TOKEN_TCP);
     }
 
     fn handle_ip_packet(&mut self, ctx: &mut NodeCtx<'_>, pkt: &Ipv4Packet) {
         let now = ctx.now();
+        // Heartbeats and control messages count only from the peer: any
+        // host on the switch can address a CRC-valid frame to this server.
+        // (Pool intake checks the source against its member table itself.)
+        let from_peer = pkt.dst == self.setup.private_ip
+            && (self.ram.pool.is_some() || pkt.src == self.setup.peer_private_ip);
         match pkt.proto {
             IpProto::Icmp => {
                 if let Some((id, seq)) = self.iface.handle_icmp(ctx, pkt) {
-                    if self.ping.active && id == self.ping.id && Some(seq) == self.ping.awaiting {
-                        self.ping.awaiting = None;
-                        self.ping.consecutive_failures = 0;
+                    if self.ram.ping.active
+                        && id == self.ram.ping.id
+                        && Some(seq) == self.ram.ping.awaiting
+                    {
+                        self.ram.ping.awaiting = None;
+                        self.ram.ping.consecutive_failures = 0;
                     }
                 }
             }
-            IpProto::Heartbeat if pkt.dst == self.setup.private_ip => {
+            IpProto::Heartbeat if from_peer => {
                 if let Ok(any) = decode_any(&pkt.payload) {
                     let hb = match &any {
                         AnyHb::V1(hb) => hb,
                         AnyHb::V2(f) => &f.hb,
                     };
-                    let span = SpanId::heartbeat(role_byte(hb.role), hb.rank, hb.seqno);
-                    ctx.flight(
-                        span,
-                        SpanId::NONE,
-                        FlightKind::HbRecv {
-                            seqno: hb.seqno,
-                            link: 0,
-                        },
-                    );
-                    self.last_hb_rx_span = span;
+                    self.note_hb_rx(ctx, hb, 0);
                     match &any {
-                        AnyHb::V1(hb) if self.pool.is_some() => {
+                        AnyHb::V1(hb) if self.ram.pool.is_some() => {
                             ctx.profile_enter(Component::Pool);
                             self.pool_handle_heartbeat(now, hb, HbLink::Ip, pkt.src);
                             ctx.profile_exit();
@@ -3314,12 +3361,12 @@ impl StTcpServer {
                         AnyHb::V1(hb) => self.handle_heartbeat(now, hb, HbLink::Ip),
                         // Pool members never speak v2; a v2 frame in pool
                         // mode is dropped rather than misapplied.
-                        AnyHb::V2(_) if self.pool.is_some() => {}
+                        AnyHb::V2(_) if self.ram.pool.is_some() => {}
                         AnyHb::V2(f) => self.handle_heartbeat_v2(now, f, 0),
                     }
                 }
             }
-            p if p == CTRL_PROTO && pkt.dst == self.setup.private_ip => {
+            p if p == CTRL_PROTO && from_peer => {
                 if let Ok(msg) = CtrlMsg::decode(&pkt.payload) {
                     self.handle_ctrl(ctx, pkt.src, &msg);
                 }
@@ -3331,7 +3378,7 @@ impl StTcpServer {
                     h.record(ctx, false);
                 }
                 ctx.profile_enter(Component::Tcp);
-                self.tcp.on_packet(now, pkt);
+                self.ram.tcp.on_packet(now, pkt);
                 ctx.profile_exit();
             }
             _ => {}
@@ -3341,52 +3388,14 @@ impl StTcpServer {
 
 impl Node for StTcpServer {
     fn on_start(&mut self, ctx: &mut NodeCtx<'_>) {
-        let now = ctx.now();
-        self.started_at = now;
-        let hb_timeout = self.setup.sttcp.hb_timeout();
-        self.ip_mon = LinkMonitor::new(hb_timeout, now);
-        self.serial_mon = LinkMonitor::new(hb_timeout, now);
-        self.serial_link_mons = (0..1 + self.extra_serial_ports.len())
-            .map(|_| LinkMonitor::new(hb_timeout, now))
-            .collect();
-        self.hb_epoch = epoch_from(now);
-        self.rx_link_seq = vec![0; self.hb_nlinks()];
-        self.rx_link_batch = vec![RxBatch::default(); self.hb_nlinks()];
-        self.reset_peer_acks();
-        // Pool members get the same startup grace, anchored at boot.
-        if let Some(pool) = &mut self.pool {
-            for m in pool.members.values_mut() {
-                m.ip_mon = LinkMonitor::new(hb_timeout, now);
-                m.serial_mon = LinkMonitor::new(hb_timeout, now);
-            }
-        }
-
-        // The primary's accepted connections carry the extended receive
-        // buffer; the backup accepts in suppressed mode.
-        let mut accept_tcp = self.setup.tcp.clone();
-        let egress = match self.role {
-            Role::Primary => {
-                accept_tcp.hold_buf = Some(self.setup.sttcp.hold_buf);
-                EgressMode::Normal
-            }
-            Role::Backup => EgressMode::Suppress,
-        };
-        self.tcp.listen(
-            self.setup.service_port,
-            ListenConfig {
-                tcp: accept_tcp,
-                egress,
-            },
-        );
-
-        self.send_heartbeats(ctx);
-        ctx.set_timer(self.setup.sttcp.hb_period, TOKEN_HB);
-        ctx.set_timer(self.setup.sttcp.check_period, TOKEN_CHECK);
-        ctx.set_timer(self.setup.sttcp.app_tick, TOKEN_APP_TICK);
+        // `ram` is this boot's already: made for time zero, when a world
+        // starts its nodes, by `new` and again by each wiring change.
+        debug_assert_eq!(ctx.now(), SimTime::ZERO);
+        self.start_rounds(ctx);
     }
 
     fn on_frame(&mut self, ctx: &mut NodeCtx<'_>, _nic: NicId, frame: EthernetFrame) {
-        if self.cold {
+        if self.ram.cold {
             return;
         }
         if let Some(pkt) = IpInterface::decap(&frame) {
@@ -3396,29 +3405,16 @@ impl Node for StTcpServer {
     }
 
     fn on_serial(&mut self, ctx: &mut NodeCtx<'_>, port: SerialPortId, data: Bytes) {
-        if self.cold {
+        if self.ram.cold {
             return;
         }
         let now = ctx.now();
         // Pool mode maps the port to the member on the other end and also
         // carries control traffic (fence votes) over serial; the CRC in
         // each format keeps the two decodes from colliding.
-        if let Some(ip) = self
-            .pool
-            .as_ref()
-            .and_then(|p| p.serial_by_port.get(&port).copied())
-        {
+        if let Some(&ip) = self.pool_serial.get(&port) {
             if let Ok(hb) = HbPayload::decode(&data) {
-                let span = SpanId::heartbeat(role_byte(hb.role), hb.rank, hb.seqno);
-                ctx.flight(
-                    span,
-                    SpanId::NONE,
-                    FlightKind::HbRecv {
-                        seqno: hb.seqno,
-                        link: 1,
-                    },
-                );
-                self.last_hb_rx_span = span;
+                self.note_hb_rx(ctx, &hb, 1);
                 ctx.profile_enter(Component::Pool);
                 self.pool_handle_heartbeat(now, &hb, HbLink::Serial, ip);
                 ctx.profile_exit();
@@ -3439,16 +3435,7 @@ impl Node for StTcpServer {
                 AnyHb::V1(hb) => hb,
                 AnyHb::V2(f) => &f.hb,
             };
-            let span = SpanId::heartbeat(role_byte(hb.role), hb.rank, hb.seqno);
-            ctx.flight(
-                span,
-                SpanId::NONE,
-                FlightKind::HbRecv {
-                    seqno: hb.seqno,
-                    link: (1 + link_ix) as u8,
-                },
-            );
-            self.last_hb_rx_span = span;
+            self.note_hb_rx(ctx, hb, (1 + link_ix) as u8);
             match &any {
                 AnyHb::V1(hb) => self.handle_heartbeat(now, hb, HbLink::Serial),
                 AnyHb::V2(f) => self.handle_heartbeat_v2(now, f, 1 + link_ix),
@@ -3463,7 +3450,7 @@ impl Node for StTcpServer {
     }
 
     fn on_timer(&mut self, ctx: &mut NodeCtx<'_>, token: TimerToken) {
-        if self.cold {
+        if self.ram.cold {
             return;
         }
         match token {
@@ -3474,10 +3461,10 @@ impl Node for StTcpServer {
                 // joiner's convergence target. Pool members heartbeat for
                 // as long as they are powered on — per-member liveness is
                 // the fencing evidence.
-                if self.pool.is_some()
-                    || self.ft_mode
-                    || self.join.is_some()
-                    || self.serving_join.is_some()
+                if self.ram.pool.is_some()
+                    || self.ram.ft_mode
+                    || self.ram.join.is_some()
+                    || self.ram.serving_join.is_some()
                 {
                     ctx.profile_enter(Component::HbEncode);
                     self.send_heartbeats(ctx);
@@ -3485,7 +3472,7 @@ impl Node for StTcpServer {
                 }
                 // A joiner re-requests until the full snapshot set arrives
                 // (any of the join messages may have been lost).
-                if let Some(join) = &self.join {
+                if let Some(join) = &self.ram.join {
                     let complete = join
                         .expected
                         .is_some_and(|e| join.installed.len() as u32 >= e);
@@ -3502,7 +3489,7 @@ impl Node for StTcpServer {
                 // full send buffer.
                 let now = ctx.now();
                 self.metrics
-                    .on_timer_visits(self.table.set_len(Set::OutBlocked));
+                    .on_timer_visits(self.ram.table.set_len(Set::OutBlocked));
                 ctx.profile_enter(Component::Tcp);
                 self.flush_blocked(now);
                 ctx.profile_exit();
@@ -3510,10 +3497,10 @@ impl Node for StTcpServer {
             }
             TOKEN_TCP => {
                 ctx.profile_enter(Component::TcpWheel);
-                let want = self.tcp.next_deadline();
-                let due = ctx.timer_due(&mut self.tcp_timer, want, TOKEN_TCP);
+                let want = self.ram.tcp.next_deadline();
+                let due = ctx.timer_due(&mut self.ram.tcp_timer, want, TOKEN_TCP);
                 if due {
-                    self.tcp.on_time(ctx.now());
+                    self.ram.tcp.on_time(ctx.now());
                 }
                 ctx.profile_exit();
                 if !due {
@@ -3527,16 +3514,16 @@ impl Node for StTcpServer {
                 // off, only applications that asked for ticks are visited,
                 // so idle connections cost nothing per round.
                 let slots: Vec<SlotId> = match self.setup.sttcp.watchdog_timeout {
-                    Some(_) => self.table.socks().map(|(_, s)| s).collect(),
-                    None => self.table.members(Set::Tick),
+                    Some(_) => self.ram.table.socks().map(|(_, s)| s).collect(),
+                    None => self.ram.table.members(Set::Tick),
                 };
                 self.metrics.on_timer_visits(slots.len());
                 for s in slots {
-                    let slot = &mut self.table[s];
+                    let slot = &mut self.ram.table[s];
                     let (sock, ctl) = (slot.sock(), slot.ctl.as_mut());
                     let (Some(sock), Some(ctl)) = (sock, ctl.filter(|c| c.app_alive && !c.closed))
                     else {
-                        self.table.remove(Set::Tick, s);
+                        self.ram.table.remove(Set::Tick, s);
                         continue;
                     };
                     ctx.profile_enter(Component::App);
@@ -3551,16 +3538,19 @@ impl Node for StTcpServer {
                 }
                 ctx.set_timer(self.setup.sttcp.app_tick, TOKEN_APP_TICK);
             }
-            TOKEN_PING if self.ping.active => {
-                if self.ping.awaiting.is_some() {
-                    self.ping.consecutive_failures += 1;
+            TOKEN_PING if self.ram.ping.active => {
+                if self.ram.ping.awaiting.is_some() {
+                    self.ram.ping.consecutive_failures += 1;
                 }
-                self.ping.seq = self.ping.seq.wrapping_add(1);
-                self.ping.attempts += 1;
-                self.ping.awaiting = Some(self.ping.seq);
-                let _ =
-                    self.iface
-                        .send_ping(ctx, self.setup.gateway_ip, self.ping.id, self.ping.seq);
+                self.ram.ping.seq = self.ram.ping.seq.wrapping_add(1);
+                self.ram.ping.attempts += 1;
+                self.ram.ping.awaiting = Some(self.ram.ping.seq);
+                let _ = self.iface.send_ping(
+                    ctx,
+                    self.setup.gateway_ip,
+                    self.ram.ping.id,
+                    self.ram.ping.seq,
+                );
                 ctx.set_timer(self.setup.sttcp.ping_interval, TOKEN_PING);
             }
             TOKEN_TAKEOVER => {
@@ -3572,7 +3562,7 @@ impl Node for StTcpServer {
     }
 
     fn on_power_off(&mut self) {
-        self.powered_off = true;
+        self.ram.powered_off = true;
     }
 
     fn on_power_on(&mut self, ctx: &mut NodeCtx<'_>) {
@@ -3585,23 +3575,11 @@ impl Node for StTcpServer {
             // ignores every frame, serial byte, and timer. In particular a
             // STONITHed ex-primary can never come back as a second active
             // server, so the dual-active invariant holds across reboots.
-            self.cold = true;
-            self.ft_mode = false;
-            self.peer_alive = false;
-            self.took_over = false;
-            self.table.clear();
-            self.peer_app_suspected = false;
-            self.peer_ping = None;
-            self.ping.active = false;
-            self.tcp_timer = None;
-            self.peer_last_seqno = None;
-            self.peer_seqno_advanced_at = ctx.now();
-            self.byzantine_reported = false;
-            self.byz_mode = None;
-            ctx.trace(format!(
-                "{}: cold reboot; staying passive standby",
-                self.setup.role
-            ));
+            // Nothing else in `ram` is read again: every callback returns
+            // at its `cold` check.
+            self.ram.cold = true;
+            self.ram.ft_mode = false;
+            self.ram.table.clear();
             return;
         }
         // Warm reboot into re-integration. All pre-crash state is gone;
@@ -3613,108 +3591,25 @@ impl Node for StTcpServer {
         // STONITHs us mid-join after a fast reboot — that race resolves
         // exactly like the crash it followed).
         let now = ctx.now();
-        self.cold = false;
-        self.powered_off = false;
-        self.role = Role::Backup;
-        self.ft_mode = false;
-        self.peer_alive = true;
-        self.took_over = false;
-        self.app_crashed = false;
-        // Every column, index and active set: the TCP stack rebuilt below
-        // hands out socket ids from zero again, and nothing from before
-        // the crash may alias them.
-        self.table.clear();
-        self.peer_app_suspected = false;
-        self.peer_ping = None;
-        self.ping = PingCampaign {
-            id: (self.setup.seed & 0xffff) as u16,
-            ..Default::default()
-        };
-        self.net_detect.reset();
-        self.hb_seq = 0;
-        self.hb_scratch = Vec::new();
-        self.tcp_timer = None;
-        self.peer_last_seqno = None;
-        self.peer_seqno_advanced_at = now;
-        self.byzantine_reported = false;
-        self.byz_mode = None;
-        // Delta mode: a fresh boot incarnation — the peer's receivers see
-        // the epoch change and reset their side; ours starts empty.
-        self.hb_epoch = epoch_from(now);
-        self.hb_touched.clear();
-        self.reset_peer_acks();
-        self.rx_link_seq = vec![0; self.hb_nlinks()];
-        self.rx_link_batch = vec![RxBatch::default(); self.hb_nlinks()];
-        self.rx_peer_epoch = 0;
-        let hb_timeout = self.setup.sttcp.hb_timeout();
-        self.ip_mon = LinkMonitor::new(hb_timeout, now);
-        self.serial_mon = LinkMonitor::new(hb_timeout, now);
-        self.serial_link_mons = (0..1 + self.extra_serial_ports.len())
-            .map(|_| LinkMonitor::new(hb_timeout, now))
-            .collect();
-        // Pool: rebuild the member view from scratch (everything pre-crash
-        // is stale), keeping only the physical serial wiring. This boots
-        // with the static rank; `JoinDone` hands over the fresh one.
-        if self.pool.is_some() {
-            let mut fresh = PoolState::new(self.setup.rank, &self.setup.pool, hb_timeout, now);
-            if let Some(old) = &self.pool {
-                fresh.serial_by_port = old.serial_by_port.clone();
-            }
-            let wiring: Vec<(SerialPortId, Ipv4Addr)> = fresh
-                .serial_by_port
-                .iter()
-                .map(|(&port, &ip)| (port, ip))
-                .collect();
-            for (port, ip) in wiring {
-                if let Some(m) = fresh.members.get_mut(&ip) {
-                    m.serial_port = Some(port);
-                }
-            }
-            self.pool = Some(fresh);
-        }
-        self.ip_was_alive = true;
-        self.serial_was_alive = true;
-        self.started_at = now;
         // A fresh TCP stack tapping in suppressed mode with the shared
         // deterministic ISN, exactly like an original backup: connections
         // opened after the reboot replicate from their SYN; pre-existing
         // ones arrive as snapshots.
-        self.tcp = TcpEndpoint::new(EndpointConfig {
-            tcp: self.setup.tcp.clone(),
-            isn: IsnPolicy::Deterministic {
-                salt: self.setup.isn_salt,
-            },
-            rst_policy: RstPolicy::Silent,
-            seed: self.setup.seed,
-        });
-        self.tcp.listen(
-            self.setup.service_port,
-            ListenConfig {
-                tcp: self.setup.tcp.clone(),
-                egress: EgressMode::Suppress,
-            },
-        );
+        self.boot(Role::Backup, now);
+        self.ram.ft_mode = false;
         // Session nonce: unique per boot (virtual boot time), never zero.
         let session = (now.as_micros() as u32) | 1;
-        self.join = Some(JoinState {
+        self.ram.join = Some(JoinState {
             session,
             expected: None,
             installed: BTreeSet::new(),
         });
-        self.serving_join = None;
         self.events
             .push(StTcpEvent::ReintegrationStarted { at: now });
-        ctx.trace(format!(
-            "{}: reboot; joining active peer (session {session:08x})",
-            self.setup.role
-        ));
         self.send_ctrl(ctx, &CtrlMsg::JoinRequest { session });
-        self.send_heartbeats(ctx);
         // The power-off invalidated every pending timer (epoch bump); arm
         // a fresh set.
-        ctx.set_timer(self.setup.sttcp.hb_period, TOKEN_HB);
-        ctx.set_timer(self.setup.sttcp.check_period, TOKEN_CHECK);
-        ctx.set_timer(self.setup.sttcp.app_tick, TOKEN_APP_TICK);
+        self.start_rounds(ctx);
     }
 }
 
@@ -3774,8 +3669,8 @@ mod tests {
         assert_eq!(hb.role, Role::Primary);
         assert!(hb.conns.is_empty());
         assert_eq!(hb.ping, None);
-        s.ping.active = true;
-        s.ping.consecutive_failures = 2;
+        s.ram.ping.active = true;
+        s.ram.ping.consecutive_failures = 2;
         let hb2 = s.build_heartbeat(SimTime::ZERO);
         assert_eq!(hb2.ping.unwrap().consecutive_failures, 2);
     }
@@ -3801,9 +3696,13 @@ mod tests {
             ping: None,
         };
         s.handle_heartbeat(t, &hb, HbLink::Serial);
-        assert_eq!(s.serial_mon.last_rx(), Some(t));
-        assert_eq!(s.ip_mon.last_rx(), None);
-        let p = s.table.peer(s.table.by_key(0xabc).unwrap()).unwrap();
+        assert_eq!(s.ram.serial_mon.last_rx(), Some(t));
+        assert_eq!(s.ram.ip_mon.last_rx(), None);
+        let p = s
+            .ram
+            .table
+            .peer(s.ram.table.by_key(0xabc).unwrap())
+            .unwrap();
         assert_eq!(p.last_byte_received, 1_000);
         assert_eq!(p.last_app_byte_read, 950);
     }
@@ -3820,7 +3719,7 @@ mod tests {
     fn conn_key_collision_is_counted_and_displaces_the_older_socket() {
         let mut s = server(Role::Primary);
         let service = (s.setup.service_ip, s.setup.service_port);
-        s.tcp.listen(service.1, ListenConfig::default());
+        s.ram.tcp.listen(service.1, ListenConfig::default());
         // Forge two client tuples whose 32-bit FNV keys collide
         // (birthday search: ~2^16 tuples suffice).
         let mut seen = std::collections::BTreeMap::<u32, (Ipv4Addr, u16)>::new();
@@ -3839,15 +3738,15 @@ mod tests {
             .expect("a 32-bit hash collides long before 2^32 tuples");
         let now = SimTime::ZERO;
         for (i, remote) in [a, b].into_iter().enumerate() {
-            s.tcp.on_packet(now, &syn_from(remote, service));
+            s.ram.tcp.on_packet(now, &syn_from(remote, service));
             assert!(s.drain_tcp_events(now, &mut Profiler::new()));
             assert_eq!(s.metrics.conn_key_collisions(), i as u64);
         }
         // Both sockets live on in the endpoint, but only the newer one is
         // indexed, heartbeated and sampled.
-        assert_eq!(s.table.socks().count(), 2);
+        assert_eq!(s.ram.table.socks().count(), 2);
         assert_eq!(s.conn_keys().len(), 1);
-        assert_eq!(s.tcp.totals().live, 1);
+        assert_eq!(s.ram.tcp.totals().live, 1);
         assert!(s
             .metrics
             .to_json()
@@ -3860,12 +3759,12 @@ mod tests {
             remote: b,
         }));
         let sock = sock.expect("the newer socket holds the key");
-        s.tcp.abort(now, sock);
-        s.tcp.on_packet(now, &syn_from(b, service));
+        s.ram.tcp.abort(now, sock);
+        s.ram.tcp.on_packet(now, &syn_from(b, service));
         assert!(s.drain_tcp_events(now, &mut Profiler::new()));
-        assert_eq!(s.table.socks().count(), 3);
+        assert_eq!(s.ram.table.socks().count(), 3);
         assert_eq!(s.metrics.conn_key_collisions(), 1);
-        assert_eq!(s.tcp.totals().live, 1);
+        assert_eq!(s.ram.tcp.totals().live, 1);
     }
 
     /// A replica that asks for every tick (the trait default) and opens
@@ -3902,22 +3801,22 @@ mod tests {
         let s = world.node_mut::<StTcpServer>(node).expect("server type");
         for port in 4000..4003 {
             let syn = syn_from((Ipv4Addr::new(10, 0, 0, 1), port), service);
-            s.tcp.on_packet(SimTime::ZERO, &syn);
+            s.ram.tcp.on_packet(SimTime::ZERO, &syn);
         }
         assert!(s.drain_tcp_events(SimTime::ZERO, &mut Profiler::new()));
         for set in [Set::Tick, Set::OutBlocked, Set::Check] {
-            assert_eq!(s.table.set_len(set), 3, "{set:?} before the crash");
+            assert_eq!(s.ram.table.set_len(set), 3, "{set:?} before the crash");
         }
         world.crash_node(node);
         world.restore_node(node);
         let s = world.node::<StTcpServer>(node).expect("server type");
         assert!(
-            s.join.is_some(),
+            s.ram.join.is_some(),
             "rebooted into a join, nothing installed yet"
         );
-        assert_eq!(s.table.socks().count(), 0);
+        assert_eq!(s.ram.table.socks().count(), 0);
         for set in Set::ALL {
-            assert_eq!(s.table.set_len(set), 0, "{set:?} survived the reboot");
+            assert_eq!(s.ram.table.set_len(set), 0, "{set:?} survived the reboot");
         }
     }
 
@@ -3947,6 +3846,12 @@ mod tests {
         };
         s.handle_heartbeat(SimTime::from_millis(1), &hb_fin, HbLink::Ip);
         s.handle_heartbeat(SimTime::from_millis(2), &hb_nofin, HbLink::Ip);
-        assert!(s.table.peer(s.table.by_key(1).unwrap()).unwrap().fin_or_rst);
+        assert!(
+            s.ram
+                .table
+                .peer(s.ram.table.by_key(1).unwrap())
+                .unwrap()
+                .fin_or_rst
+        );
     }
 }

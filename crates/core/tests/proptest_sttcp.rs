@@ -28,7 +28,7 @@ use simtcp::socket::{SocketEvent, SocketId};
 use sttcp::app::{Application, EchoApp};
 use sttcp::applag::AppLagDetector;
 use sttcp::config::{Role, StTcpConfig};
-use sttcp::events::FailureReason;
+use sttcp::events::{FailureReason, HbLink, StTcpEvent};
 use sttcp::finarb::{ArbAction, FinArbiter};
 use sttcp::heartbeat::{
     conn_key, decode_any, unwrap_u32_near, AnyHb, ConnHb, HbFrame, HbFrameKind, HbPayload,
@@ -350,6 +350,29 @@ impl Node for Puppet {
     }
 }
 
+/// The wiring of the one real server these worlds hold, at `SERVER_IP`
+/// with its pair peer on node `peer_node`.
+fn server_setup(role: Role, sttcp: StTcpConfig, peer_node: NodeId) -> ServerSetup {
+    ServerSetup {
+        role,
+        sttcp,
+        tcp: TcpConfig::default(),
+        service_ip: SERVICE.0,
+        service_port: SERVICE.1,
+        private_ip: SERVER_IP,
+        peer_private_ip: PEER_IP,
+        peer_node,
+        gateway_ip: CLIENT_IP,
+        isn_salt: ISN_SALT,
+        seed: 3,
+        rank: match role {
+            Role::Primary => 0,
+            Role::Backup => 1,
+        },
+        pool: Vec::new(),
+    }
+}
+
 /// A world of one real backup server and the puppet that surrounds it.
 fn puppet_world(script: Vec<SetOp>) -> (World, NodeId) {
     let mut world = World::new(1);
@@ -360,35 +383,22 @@ fn puppet_world(script: Vec<SetOp>) -> (World, NodeId) {
     iface.add_arp(PEER_IP, MacAddr::unicast(1));
     iface.add_arp(CLIENT_IP, MacAddr::unicast(1));
     let far = SimDuration::from_secs(1_000_000);
-    let setup = ServerSetup {
-        role: Role::Backup,
-        // Fast timers so a short script spans many rounds, and detector
-        // thresholds out of reach: no verdict may end the run (a verdict
-        // would STONITH the puppet).
-        sttcp: StTcpConfig {
-            hb_delta: true,
-            hb_period: SimDuration::from_millis(20),
-            hb_timeout_periods: 1_000_000,
-            check_period: SimDuration::from_millis(10),
-            recovery_interval: SimDuration::from_millis(10),
-            app_max_lag_bytes: u64::MAX,
-            app_max_lag_time: far,
-            net_lag_bytes: u64::MAX,
-            net_lag_time: far,
-            ..Default::default()
-        },
-        tcp: TcpConfig::default(),
-        service_ip: SERVICE.0,
-        service_port: SERVICE.1,
-        private_ip: SERVER_IP,
-        peer_private_ip: PEER_IP,
-        peer_node: puppet,
-        gateway_ip: CLIENT_IP,
-        isn_salt: ISN_SALT,
-        seed: 3,
-        rank: 1,
-        pool: Vec::new(),
+    // Fast timers so a short script spans many rounds, and detector
+    // thresholds out of reach: no verdict may end the run (a verdict
+    // would STONITH the puppet).
+    let sttcp = StTcpConfig {
+        hb_delta: true,
+        hb_period: SimDuration::from_millis(20),
+        hb_timeout_periods: 1_000_000,
+        check_period: SimDuration::from_millis(10),
+        recovery_interval: SimDuration::from_millis(10),
+        app_max_lag_bytes: u64::MAX,
+        app_max_lag_time: far,
+        net_lag_bytes: u64::MAX,
+        net_lag_time: far,
+        ..Default::default()
     };
+    let setup = server_setup(Role::Backup, sttcp, puppet);
     let server = StTcpServer::new(
         setup,
         iface,
@@ -409,6 +419,96 @@ fn puppet_world(script: Vec<SetOp>) -> (World, NodeId) {
         .set_serial_port(server_port);
     world.start();
     (world, server)
+}
+
+// ----------------------------------------------------------------------
+// Pair mode: heartbeats and control count only from the peer's address
+// ----------------------------------------------------------------------
+
+/// A host on the servers' switch that speaks the peer's protocols from
+/// IP source `out.addr()`: a join request at start, then a heartbeat with
+/// a fresh seqno every 100 ms, every frame CRC-valid.
+struct Forger {
+    out: IpInterface,
+    seq: u32,
+}
+
+impl Node for Forger {
+    fn on_start(&mut self, ctx: &mut NodeCtx<'_>) {
+        let join = CtrlMsg::JoinRequest { session: 77 }.encode();
+        let frame = self.out.frame_to(SERVER_IP, CTRL_PROTO, join);
+        ctx.send_frame(NicId(0), frame.expect("server resolves"));
+        self.on_timer(ctx, TimerToken(0));
+    }
+
+    fn on_frame(&mut self, _: &mut NodeCtx<'_>, _: NicId, _: EthernetFrame) {}
+
+    fn on_timer(&mut self, ctx: &mut NodeCtx<'_>, token: TimerToken) {
+        self.seq += 1;
+        let hb = HbPayload {
+            seqno: self.seq,
+            role: Role::Backup,
+            rank: 1,
+            conns: Vec::new(),
+            ping: None,
+        };
+        let frame = self
+            .out
+            .frame_to(SERVER_IP, IpProto::Heartbeat, hb.encode());
+        ctx.send_frame(NicId(0), frame.expect("server resolves"));
+        ctx.set_timer(SimDuration::from_millis(100), token);
+    }
+}
+
+/// One second in the life of an active primary (re-integration on) whose
+/// real peer is silent while a [`Forger`] at `src` talks to it: IP
+/// heartbeats it counted, whether it began serving a join, and whether
+/// it declared its peer failed.
+fn primary_hearing(src: Ipv4Addr) -> (u64, bool, bool) {
+    let mut world = World::new(1);
+    let mut out = IpInterface::new(NicId(0), MacAddr::unicast(9), src);
+    out.add_arp(SERVER_IP, MacAddr::unicast(2));
+    let forger = world.add_node("forger", Box::new(Forger { out, seq: 0 }));
+    let forger_nic = world.add_nic(forger, MacAddr::unicast(9));
+    let mut iface = IpInterface::new(NicId(0), MacAddr::unicast(2), SERVER_IP);
+    iface.add_arp(PEER_IP, MacAddr::unicast(1));
+    let sttcp = StTcpConfig {
+        reintegrate: true,
+        ..Default::default()
+    };
+    let setup = server_setup(Role::Primary, sttcp, forger);
+    let app = || Box::new(EchoApp::default()) as Box<dyn Application>;
+    let server = StTcpServer::new(setup, iface, Box::new(app));
+    let server = world.add_node("primary", Box::new(server));
+    let server_nic = world.add_nic(server, MacAddr::unicast(2));
+    world.connect_nodes(
+        (forger, forger_nic),
+        (server, server_nic),
+        LinkParams::lan(),
+    );
+    world.start();
+    world.run_until(t(1_000));
+    let s = world.node::<StTcpServer>(server).expect("server type");
+    let logged = |want: fn(&StTcpEvent) -> bool| s.events().iter().any(want);
+    (
+        s.metrics().hb_received(HbLink::Ip),
+        logged(|e| matches!(e, StTcpEvent::ReintegrationStarted { .. })),
+        logged(|e| matches!(e, StTcpEvent::PeerDeclaredFailed { .. })),
+    )
+}
+
+/// Every client shares the switch with the servers' private addresses,
+/// so a CRC-valid heartbeat or control message proves nothing about who
+/// sent it. From a third address the stream must leave the heartbeat
+/// counters, the link monitors (the silent peer is condemned on
+/// schedule) and the event log alone; from the peer's address the same
+/// frames are liveness and a join.
+#[test]
+fn pair_mode_takes_heartbeats_and_control_only_from_its_peer() {
+    let third_host = Ipv4Addr::new(10, 0, 0, 9);
+    assert_eq!(primary_hearing(third_host), (0, false, true));
+    let (heartbeats, joining, condemned) = primary_hearing(PEER_IP);
+    assert!(heartbeats >= 9 && joining && !condemned);
 }
 
 fn arb_snapshot_msg() -> impl Strategy<Value = ConnSnapshotMsg> {

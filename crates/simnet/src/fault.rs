@@ -14,9 +14,9 @@
 //!
 //! All of these can be invoked immediately or scheduled at a virtual time
 //! via [`World::schedule`]. Each goes through [`World::note_fault`], which
-//! records an `inject:` trace line (so tests can assert on injection
-//! order) and an uncapped fault-episode log (so metrics can attribute
-//! symptoms to faults even with a bounded trace).
+//! appends to the uncapped fault-episode log ([`World::faults`]: tests
+//! assert on injection order, metrics attribute symptoms to faults) and
+//! records a flight event.
 
 use crate::link::{DropFilter, LinkDir, LinkId};
 use crate::node::{NicId, NodeId};
@@ -182,6 +182,13 @@ mod tests {
     use crate::time::{SimDuration, SimTime};
     use bytes::Bytes;
 
+    /// When the first logged fault whose description contains `needle`
+    /// was injected.
+    fn fault_at(w: &World, needle: &str) -> Option<SimTime> {
+        let (at, _) = w.faults().iter().find(|(_, what)| what.contains(needle))?;
+        Some(*at)
+    }
+
     /// Sends one frame per millisecond; counts what it receives.
     struct Pulser {
         me: MacAddr,
@@ -247,7 +254,7 @@ mod tests {
         let after = w.node::<Pulser>(b).unwrap().received;
         assert_eq!(after, before, "crashed node kept transmitting");
         assert!(w.node::<Pulser>(a).unwrap().powered_off_seen);
-        assert!(w.trace().first_containing("inject: crash a").is_some());
+        assert!(fault_at(&w, "crash a").is_some());
     }
 
     #[test]
@@ -319,8 +326,7 @@ mod tests {
         w.run_until(SimTime::from_millis(40));
         let rx = w.node::<Pulser>(b).unwrap().received;
         assert!((13..=16).contains(&rx), "rx {rx}");
-        let rec = w.trace().first_containing("inject: crash").unwrap();
-        assert_eq!(rec.time, SimTime::from_millis(15));
+        assert_eq!(fault_at(&w, "crash"), Some(SimTime::from_millis(15)));
     }
 
     /// Sends one 8-byte payload per millisecond; records every payload it
@@ -394,10 +400,7 @@ mod tests {
             assert_eq!(diff_bits(p), 0, "frame {i} corrupted past budget");
         }
         assert_eq!(w.link(l).stats(LinkDir::AtoB).corrupted, 2);
-        assert!(w
-            .trace()
-            .first_containing("inject: corrupt next 2")
-            .is_some());
+        assert!(fault_at(&w, "corrupt next 2").is_some());
     }
 
     /// Sends one frame per millisecond carrying a sequence number;
@@ -471,7 +474,7 @@ mod tests {
         // The first two frames each arrive twice, back to back.
         assert_eq!(&got[..4], &[0, 0, 1, 1]);
         assert_eq!(w.link(l).stats(LinkDir::AtoB).duplicated, 2);
-        assert!(w.trace().first_containing("inject: dup next 2").is_some());
+        assert!(fault_at(&w, "dup next 2").is_some());
     }
 
     #[test]
@@ -486,10 +489,7 @@ mod tests {
         assert!(got.len() >= 4, "got {got:?}");
         assert_eq!(&got[..2], &[1, 0], "got {got:?}");
         assert!(got[2..].windows(2).all(|w| w[1] == w[0] + 1));
-        assert!(w
-            .trace()
-            .first_containing("inject: reorder next 1")
-            .is_some());
+        assert!(fault_at(&w, "reorder next 1").is_some());
     }
 
     #[test]
@@ -508,26 +508,7 @@ mod tests {
         // Clearing the fault restores deterministic zero-latency delivery.
         w.set_link_jitter(l, LinkDir::AtoB, SimDuration::ZERO);
         w.run_until(SimTime::from_millis(30));
-        assert!(w.trace().first_containing("inject: jitter 200us").is_some());
-    }
-
-    #[test]
-    fn fault_log_survives_a_capped_trace() {
-        let (mut w, a, _b, l) = pulsing_pair();
-        w.set_trace_capacity(Some(4));
-        w.start();
-        w.run_until(SimTime::from_millis(5));
-        w.cut_link(l);
-        w.run_until(SimTime::from_millis(10));
-        w.crash_node(a);
-        w.run_until(SimTime::from_millis(20));
-        let faults = w.faults();
-        assert_eq!(faults.len(), 2);
-        assert_eq!(faults[0].0, SimTime::from_millis(5));
-        assert!(faults[0].1.contains("cut link"));
-        assert_eq!(faults[1].0, SimTime::from_millis(10));
-        assert!(faults[1].1.contains("crash a"));
-        assert!(w.trace().capacity() == Some(4) && w.trace().len() <= 4);
+        assert!(fault_at(&w, "jitter 200us").is_some());
     }
 
     #[test]

@@ -465,7 +465,7 @@ impl FlightRecorder {
     pub fn set_capacity(&mut self, capacity: usize) {
         self.capacity = capacity;
         for r in &mut self.rings {
-            r.set_capacity(Some(capacity));
+            r.set_capacity(capacity);
         }
     }
 

@@ -19,10 +19,9 @@
 //! * [`mac`] / [`frame`] / [`link`] / [`switch`] / [`serial`] — layer 2.
 //! * [`ip`] / [`iplayer`] — layer 3 (IPv4-lite, static ARP, ICMP echo).
 //! * [`node`] / [`host`] / [`world`] — hosts and the event loop.
-//! * [`fault`] / [`trace`] / [`flight`] / [`profile`] — fault injection
-//!   and observability: the human-readable trace, the causal flight
-//!   recorder (both on the shared [`ring`] abstraction), and the
-//!   per-component wall-clock profiler.
+//! * [`fault`] / [`flight`] / [`profile`] — fault injection and
+//!   observability: the fault log, the causal flight recorder (on the
+//!   bounded [`ring`]), and the per-component wall-clock profiler.
 //!
 //! ## Example
 //!
@@ -76,7 +75,6 @@ pub mod rng;
 pub mod serial;
 pub mod switch;
 pub mod time;
-pub mod trace;
 pub mod world;
 
 /// Commonly used items, re-exported for convenient glob import.

@@ -47,7 +47,6 @@ pub(crate) enum Effect {
     SendSerial { port: SerialPortId, data: Bytes },
     SetTimer { at: SimTime, token: TimerToken },
     PowerOff { target: NodeId, after: SimDuration },
-    Trace(String),
 }
 
 /// The context passed to every [`Node`] callback.
@@ -172,11 +171,6 @@ impl NodeCtx<'_> {
         self.effects.push(Effect::PowerOff { target, after });
     }
 
-    /// Records a line in the world trace (visible to tests and harnesses).
-    pub fn trace(&mut self, msg: impl Into<String>) {
-        self.effects.push(Effect::Trace(msg.into()));
-    }
-
     /// Records a causal event in this node's flight-recorder ring.
     /// The event is `Copy` and a ring allocates only while growing to
     /// its bound, so this is safe on the hottest datapath.
@@ -293,14 +287,16 @@ mod tests {
     #[test]
     fn effects_preserve_order() {
         let (_, effects, _) = with_ctx(SimTime::ZERO, NodeId(0), |ctx| {
-            ctx.trace("first");
+            ctx.set_timer(SimDuration::from_millis(1), TimerToken(1));
             ctx.power_off(NodeId(1), SimDuration::ZERO);
-            ctx.trace("second");
+            ctx.set_timer(SimDuration::from_millis(2), TimerToken(2));
         });
-        assert_eq!(effects.len(), 3);
-        assert!(matches!(effects[0], Effect::Trace(_)));
+        let timers = effects.iter().map(|e| match e {
+            Effect::SetTimer { token, .. } => Some(token.0),
+            _ => None,
+        });
+        assert_eq!(timers.collect::<Vec<_>>(), [Some(1), None, Some(2)]);
         assert!(matches!(effects[1], Effect::PowerOff { .. }));
-        assert!(matches!(effects[2], Effect::Trace(_)));
     }
 
     #[test]

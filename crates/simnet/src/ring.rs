@@ -1,71 +1,45 @@
-//! The one bounded-ring abstraction shared by every in-sim log.
-//!
-//! Both the human-readable trace ([`crate::trace::Trace`]) and the
-//! flight recorder ([`crate::flight::FlightRecorder`]) need the same
-//! thing: an append-only log that, once a capacity is set, keeps the
-//! *newest* records and counts what it evicted. [`Ring`] is that
-//! abstraction — a ring starts with no storage and grows (by doubling)
-//! with what it actually holds; a push at capacity pops the oldest
-//! record before appending, so a bounded ring's backing buffer stops
-//! growing once it holds its bound and a full ring's push never
-//! allocates. A world of mostly idle hosts therefore pays for the
-//! events recorded, not for `hosts × bound`.
+//! The bounded ring behind the flight recorder
+//! ([`crate::flight::FlightRecorder`]): an append-only log that keeps
+//! the *newest* records and counts what it evicted. A ring starts with
+//! no storage and grows (by doubling) with what it actually holds; a
+//! push at capacity pops the oldest record before appending, so the
+//! backing buffer stops growing once it holds its bound and a full
+//! ring's push never allocates. A world of mostly idle hosts therefore
+//! pays for the events recorded, not for `hosts × bound`.
 
 use std::collections::VecDeque;
 
-/// A bounded (or unbounded) append-only ring that keeps the newest
-/// items and counts evictions.
+/// A bounded append-only ring that keeps the newest items and counts
+/// evictions.
 #[derive(Debug, Clone)]
 pub struct Ring<T> {
     items: VecDeque<T>,
-    /// Maximum items kept; `None` means unbounded.
-    capacity: Option<usize>,
+    /// Maximum items kept.
+    capacity: usize,
     /// Items evicted to honour the capacity.
     dropped: u64,
 }
 
-impl<T> Default for Ring<T> {
-    fn default() -> Ring<T> {
-        Ring::new()
-    }
-}
-
 impl<T> Ring<T> {
-    /// Creates an empty, unbounded ring.
-    pub fn new() -> Ring<T> {
-        Ring {
-            items: VecDeque::new(),
-            capacity: None,
-            dropped: 0,
-        }
-    }
-
     /// Creates an empty ring bounded to `capacity` items. Nothing is
     /// reserved: storage grows with the contents, up to the bound.
     pub fn bounded(capacity: usize) -> Ring<T> {
         Ring {
-            capacity: Some(capacity),
-            ..Ring::new()
+            items: VecDeque::new(),
+            capacity,
+            dropped: 0,
         }
     }
 
-    /// Bounds (or unbounds, with `None`) the ring; excess oldest items
-    /// are evicted immediately and storage beyond the new bound is
-    /// released.
-    pub fn set_capacity(&mut self, capacity: Option<usize>) {
+    /// Changes the bound; excess oldest items are evicted immediately
+    /// and storage beyond the new bound is released.
+    pub fn set_capacity(&mut self, capacity: usize) {
         self.capacity = capacity;
-        if let Some(cap) = capacity {
-            while self.items.len() > cap {
-                self.items.pop_front();
-                self.dropped += 1;
-            }
-            self.items.shrink_to(cap);
+        while self.items.len() > capacity {
+            self.items.pop_front();
+            self.dropped += 1;
         }
-    }
-
-    /// The configured bound, if any.
-    pub fn capacity(&self) -> Option<usize> {
-        self.capacity
+        self.items.shrink_to(capacity);
     }
 
     /// Items evicted so far to honour the bound.
@@ -76,17 +50,15 @@ impl<T> Ring<T> {
     /// Appends an item, evicting the oldest first when at capacity.
     /// A ring holding its bound performs no allocation here.
     pub fn push(&mut self, item: T) {
-        match self.capacity {
-            Some(0) => self.dropped += 1,
-            Some(cap) => {
-                if self.items.len() == cap {
-                    self.items.pop_front();
-                    self.dropped += 1;
-                }
-                self.items.push_back(item);
-            }
-            None => self.items.push_back(item),
+        if self.capacity == 0 {
+            self.dropped += 1;
+            return;
         }
+        if self.items.len() == self.capacity {
+            self.items.pop_front();
+            self.dropped += 1;
+        }
+        self.items.push_back(item);
     }
 
     /// The retained items, oldest first.
@@ -115,17 +87,6 @@ mod tests {
     use super::*;
 
     #[test]
-    fn unbounded_keeps_everything() {
-        let mut r = Ring::new();
-        for i in 0..100u32 {
-            r.push(i);
-        }
-        assert_eq!(r.len(), 100);
-        assert_eq!(r.dropped(), 0);
-        assert_eq!(r.capacity(), None);
-    }
-
-    #[test]
     fn wraparound_at_capacity_keeps_newest_and_counts() {
         let mut r = Ring::bounded(3);
         for i in 0..10u32 {
@@ -140,8 +101,8 @@ mod tests {
     fn empty_bounded_ring_holds_no_storage() {
         let r: Ring<u64> = Ring::bounded(1024);
         assert_eq!(r.items.capacity(), 0);
-        let mut r: Ring<u64> = Ring::new();
-        r.set_capacity(Some(1024));
+        let mut r: Ring<u64> = Ring::bounded(4);
+        r.set_capacity(1024);
         assert_eq!(r.items.capacity(), 0, "set_capacity reserved");
     }
 
@@ -173,29 +134,11 @@ mod tests {
         for i in 0..1024u32 {
             r.push(i);
         }
-        r.set_capacity(Some(64));
+        r.set_capacity(64);
         assert!(r.items.capacity() <= 64, "kept {}", r.items.capacity());
         assert_eq!(r.dropped(), 960);
         assert_eq!(r.iter().copied().next(), Some(960));
         assert_eq!(r.len(), 64);
-    }
-
-    #[test]
-    fn capacity_can_be_tightened_and_removed_live() {
-        let mut r = Ring::new();
-        for i in 0..5u32 {
-            r.push(i);
-        }
-        r.set_capacity(Some(2));
-        assert_eq!(r.len(), 2);
-        assert_eq!(r.dropped(), 3);
-        assert_eq!(r.iter().copied().collect::<Vec<_>>(), vec![3, 4]);
-        r.set_capacity(None);
-        for i in 5..20u32 {
-            r.push(i);
-        }
-        assert_eq!(r.len(), 17);
-        assert_eq!(r.dropped(), 3);
     }
 
     #[test]

@@ -45,7 +45,6 @@ use crate::rng::SimRng;
 use crate::serial::{SerialId, SerialParams, SerialState, SerialTxOutcome};
 use crate::switch::SwitchState;
 use crate::time::{SimDuration, SimTime};
-use crate::trace::Trace;
 
 /// Error returned by [`World::run_until_idle`] when the event cap is hit,
 /// which almost always indicates a livelock (two nodes ping-ponging
@@ -79,7 +78,6 @@ pub struct World {
     pub(crate) switches: Vec<SwitchState>,
     pub(crate) serials: Vec<SerialState>,
     rng: SimRng,
-    trace: Trace,
     flight: FlightRecorder,
     profiler: Profiler,
     faults: Vec<(SimTime, String)>,
@@ -119,7 +117,6 @@ impl World {
             switches: Vec::new(),
             serials: Vec::new(),
             rng: SimRng::seed_from(seed),
-            trace: Trace::new(),
             flight: FlightRecorder::new(),
             profiler: Profiler::new(),
             faults: Vec::new(),
@@ -134,7 +131,7 @@ impl World {
 
     // ----- topology construction ---------------------------------------
 
-    /// Adds a node with the given trace name. Returns its id.
+    /// Adds a node with the given name (flight dumps print it). Returns its id.
     pub fn add_node(&mut self, name: &str, logic: Box<dyn Node>) -> NodeId {
         let id = NodeId(self.nodes.len());
         self.nodes.push(NodeSlot::new(name.to_string(), logic));
@@ -238,23 +235,6 @@ impl World {
         self.now
     }
 
-    /// The trace log.
-    pub fn trace(&self) -> &Trace {
-        &self.trace
-    }
-
-    /// Records a line in the trace attributed to the world (not a node).
-    pub fn trace_world(&mut self, message: impl Into<String>) {
-        self.trace.record(self.now, None, message);
-    }
-
-    /// Bounds the trace log to a ring buffer of `capacity` records
-    /// (`None` restores the unbounded default). Long chaos and soak
-    /// sweeps use this so trace memory stays constant.
-    pub fn set_trace_capacity(&mut self, capacity: Option<usize>) {
-        self.trace.set_capacity(capacity);
-    }
-
     /// The flight recorder (per-host causal event rings).
     pub fn flight(&self) -> &FlightRecorder {
         &self.flight
@@ -299,14 +279,11 @@ impl World {
         self.nodes.len()
     }
 
-    /// Records a fault injection: a `inject: {msg}` trace line plus an
-    /// entry in the fault-episode log, which is never capped, so metrics
-    /// can attribute symptoms to faults even when the trace ring buffer
-    /// has evicted the line.
+    /// Records a fault injection: an entry in the fault-episode log,
+    /// which is never capped, so metrics can attribute symptoms to
+    /// faults, plus a flight event the causal spans hang from.
     pub fn note_fault(&mut self, message: impl Into<String>) {
         let message = message.into();
-        self.trace
-            .record(self.now, None, format!("inject: {message}"));
         let index = self.faults.len() as u64;
         self.flight.record(
             None,
@@ -588,9 +565,6 @@ impl World {
                     let at = self.now + after;
                     self.queue.push(at, Ev::PowerOff { node: target });
                 }
-                Effect::Trace(msg) => {
-                    self.trace.record(self.now, Some(node), msg);
-                }
             }
         }
     }
@@ -620,20 +594,12 @@ impl World {
             .dir_from(from)
             .expect("endpoint is not on this link");
         let copies = if self.links[link.0].consume_dup(dir) {
-            self.trace
-                .record(self.now, None, format!("dup: l{} {dir} frame", link.0));
             2
         } else {
             1
         };
         let frame = if self.links[link.0].consume_corrupt(dir) {
-            let frame = corrupt_payload(frame, &mut self.rng);
-            self.trace.record(
-                self.now,
-                None,
-                format!("corrupt: l{} {dir} one bit", link.0),
-            );
-            frame
+            corrupt_payload(frame, &mut self.rng)
         } else {
             frame
         };
@@ -643,11 +609,7 @@ impl World {
                     let frame = frame.clone();
                     self.queue.push(at, Ev::LinkArrival { link, dir, frame });
                 }
-                TxOutcome::Dropped => {}
-                TxOutcome::Held => {
-                    self.trace
-                        .record(self.now, None, format!("reorder: l{} {dir} hold", link.0));
-                }
+                TxOutcome::Dropped | TxOutcome::Held => {}
                 TxOutcome::DeliverAndRelease { at, released } => {
                     let frame = frame.clone();
                     self.queue.push(at, Ev::LinkArrival { link, dir, frame });
@@ -707,9 +669,6 @@ impl World {
         if let Some(logic) = slot.logic.as_deref_mut() {
             logic.on_power_off();
         }
-        let name = slot.name.clone();
-        self.trace
-            .record(self.now, Some(node), format!("{name}: power off"));
     }
 
     pub(crate) fn do_power_on(&mut self, node: NodeId) {
@@ -718,9 +677,6 @@ impl World {
             return;
         }
         slot.powered = true;
-        let name = slot.name.clone();
-        self.trace
-            .record(self.now, Some(node), format!("{name}: power on"));
         self.dispatch(node, |logic, ctx| logic.on_power_on(ctx));
     }
 }
@@ -1069,11 +1025,16 @@ mod tests {
             )),
         );
         w.start();
-        w.schedule(SimTime::from_millis(5), |w| w.trace_world("second"));
-        w.schedule(SimTime::from_millis(1), |w| w.trace_world("first"));
+        w.schedule(SimTime::from_millis(5), |w| w.note_fault("second"));
+        w.schedule(SimTime::from_millis(1), |w| w.note_fault("first"));
         w.run_until(SimTime::from_millis(10));
-        let msgs: Vec<&str> = w.trace().records().map(|r| r.message.as_str()).collect();
-        assert_eq!(msgs, vec!["first", "second"]);
+        assert_eq!(
+            w.faults(),
+            [
+                (SimTime::from_millis(1), "first".to_string()),
+                (SimTime::from_millis(5), "second".to_string()),
+            ]
+        );
     }
 
     #[test]

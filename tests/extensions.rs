@@ -625,6 +625,33 @@ fn a_steady_state_data_segment_and_its_ack_cost_a_bounded_number_of_allocations(
 }
 
 #[test]
+fn a_4_mib_download_finishes_within_the_event_budget() {
+    // The host-independent form of "steady-state throughput did not
+    // regress": the fault-free 4 MiB download `bench_suite` used to time
+    // (7–15 ms of wall clock, too short to gate) is fixed work, so the
+    // events it takes are exact: 18 432 with the lazy TCP deadline timer
+    // (24 453 before it). A change that lowers the count lowers the
+    // constant; `bulk_download`'s `simnet.events` is the same reading at
+    // 384 MiB.
+    let mut s = ScenarioBuilder::new(
+        stream_app(4096),
+        ClientWorkload::Download {
+            total: 4 * 1024 * 1024,
+        },
+    )
+    .seed(1)
+    .build();
+    let mut until = 500;
+    while !s.client_finished() && until <= 60_000 {
+        s.world.run_until(t(until));
+        until += 500;
+    }
+    assert!(s.client_finished(), "download did not finish");
+    let events = s.world.events_processed();
+    assert!(events <= 18_432, "{events} events for a 4 MiB download");
+}
+
+#[test]
 fn payload_is_shared_not_copied_from_wire_build_to_application_read() {
     // Pointer identity at both ends of the wire, through the public
     // endpoint API the nodes use: the sender's packet encodes in place

@@ -20,6 +20,7 @@ use sttcp::server::AppCrashMode;
 
 use sttcp_apps::apps::{ReqRespApp, StreamApp};
 use sttcp_apps::client::{ClientWorkload, ReconnectPolicy};
+use sttcp_apps::pool::PoolScenarioBuilder;
 use sttcp_apps::scenario::{build_baseline, AppMaker, Scenario, ScenarioBuilder};
 
 fn t(ms: u64) -> SimTime {
@@ -534,13 +535,13 @@ fn reqresp_workload_survives_primary_crash() {
 
 #[test]
 fn profiler_attributes_tick_scheduler_buckets() {
-    // The profiled bench run reports per-component wall-clock
-    // attribution; the tick-scheduler rework split the old monolithic
-    // `tcp` bucket into deadline-queue, egress-poll, and HB-encode
-    // scopes. A download with heartbeats on must exercise every one of
-    // them — a zero-scope bucket means an instrumentation site was
-    // dropped and the `profile` section of BENCH_simperf.json would
-    // silently report the work under `other`.
+    // The benchmark's traced run reports per-component wall-clock
+    // attribution (`prof.*`); the tick-scheduler rework split the old
+    // monolithic `tcp` bucket into deadline-queue, egress-poll, and
+    // HB-encode scopes. A download with heartbeats on must exercise
+    // every one of them — a zero-scope bucket means an instrumentation
+    // site was dropped and `prof.*` would silently report the work
+    // under `other`.
     use simnet::profile::Component;
     let mut s = ScenarioBuilder::new(stream_app(4096, false), download(256 * 1024))
         .seed(5)
@@ -569,6 +570,19 @@ fn profiler_attributes_tick_scheduler_buckets() {
             c
         );
     }
+
+    // No benchmark workload is a pool, so this is the one place the
+    // `pool` bucket is seen non-zero: a 3-replica download runs pool
+    // heartbeat intake and fan-out on every member.
+    let mut s = PoolScenarioBuilder::new(stream_app(4096, false), download(256 * 1024))
+        .seed(1)
+        .replicas(3)
+        .build();
+    s.world.set_profiling(true);
+    s.world.run_until(t(5_000));
+    assert!(s.client_finished(), "profiled pool download did not finish");
+    let pool = s.world.profiler().stats(Component::Pool);
+    assert!(pool.scopes > 0, "a 3-replica pool recorded no pool scopes");
 
     // Server-only: with the client host's dispatches charged elsewhere,
     // what is left in `app` beyond the client's own verify scopes (one
