@@ -7,7 +7,10 @@
 //! scoped `std::thread` pool and returns the results **in input
 //! order**, which makes any order-dependent fold over them (counters,
 //! histograms, violation lists) bit-identical to a sequential run — the
-//! property the `--threads` determinism regression test pins.
+//! property the `--threads` determinism regression test pins. A world
+//! is built inside the worker that runs it and never crosses threads:
+//! `World` is not `Send`, and neither is `bytes::Bytes`, whose count is
+//! non-atomic for exactly that reason (a `compile_fail` doctest on each).
 //!
 //! No work-stealing, no channels: workers claim indices from a shared
 //! atomic cursor, accumulate `(index, result)` pairs locally, and the

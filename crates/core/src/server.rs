@@ -1135,8 +1135,8 @@ impl StTcpServer {
         }
     }
 
-    /// Sends one heartbeat frame and records its `HbEmit`. False — with
-    /// nothing sent or recorded — when an IP destination does not resolve.
+    /// Sends one heartbeat frame and records its `HbEmit`. False — nothing sent
+    /// or recorded — for an unresolved IP destination or a packet over 65 535 B.
     #[allow(clippy::too_many_arguments)]
     fn emit_hb(
         &mut self,

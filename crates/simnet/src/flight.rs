@@ -45,6 +45,7 @@ impl SpanId {
     /// FNV-1a over little-endian words, with a domain tag as the first
     /// word so different span families never collide structurally. The
     /// null value is remapped so a real span is never [`SpanId::NONE`].
+    #[inline]
     fn fnv(parts: &[u64]) -> SpanId {
         let mut h: u64 = 0xcbf2_9ce4_8422_2325;
         for &p in parts {
@@ -62,6 +63,7 @@ impl SpanId {
     /// Span of one TCP segment, derived from its header: both the
     /// sender and the receiver compute the same id from the bytes on
     /// the wire.
+    #[inline]
     pub fn segment(src_port: u16, dst_port: u16, seq: u32, flags: u8) -> SpanId {
         SpanId::fnv(&[
             1,
@@ -477,6 +479,7 @@ impl FlightRecorder {
     /// Records one event: a sequence-number bump and a `Copy` store
     /// into the owner's ring (which allocates only while still growing
     /// toward its bound).
+    #[inline]
     pub fn record(
         &mut self,
         node: Option<NodeId>,

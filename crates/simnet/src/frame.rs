@@ -108,6 +108,7 @@ pub const ETHERNET_HEADER_LEN: usize = 14;
 
 impl EthernetFrame {
     /// Creates a frame.
+    #[inline]
     pub fn new(src: MacAddr, dst: MacAddr, ethertype: EtherType, payload: Bytes) -> Self {
         EthernetFrame {
             src,

@@ -123,6 +123,7 @@ impl std::error::Error for IpDecodeError {}
 /// Computes the RFC 1071 internet checksum over `data`.
 ///
 /// Used by the IPv4 header, ICMP, and the TCP layer in `simtcp`.
+#[inline]
 pub fn internet_checksum(data: &[u8]) -> u16 {
     let mut acc = ChecksumAccumulator::new();
     acc.push(data);
@@ -168,6 +169,7 @@ fn word(chunk: &[u8]) -> u64 {
 
 impl ChecksumAccumulator {
     /// An empty accumulator.
+    #[inline]
     pub fn new() -> ChecksumAccumulator {
         ChecksumAccumulator::default()
     }
@@ -180,6 +182,7 @@ impl ChecksumAccumulator {
     /// altogether, go a word, then a pair, then a byte at a time.
     /// Byte-identical to the scalar two-byte walk, pinned by a
     /// differential proptest.
+    #[inline]
     pub fn push(&mut self, data: &[u8]) {
         let mut data = data;
         let mut sum = self.sum;
@@ -219,6 +222,7 @@ impl ChecksumAccumulator {
     }
 
     /// The final checksum (one's complement of the folded sum).
+    #[inline]
     pub fn finish(self) -> u16 {
         let mut sum = self.sum;
         while sum >> 16 != 0 {
@@ -233,6 +237,7 @@ impl Ipv4Packet {
     pub const DEFAULT_TTL: u8 = 64;
 
     /// Creates a packet with the default TTL.
+    #[inline]
     pub fn new(src: Ipv4Addr, dst: Ipv4Addr, proto: IpProto, payload: Bytes) -> Self {
         Ipv4Packet {
             src,
@@ -244,6 +249,7 @@ impl Ipv4Packet {
     }
 
     /// Total on-wire length: header plus payload.
+    #[inline]
     pub fn wire_len(&self) -> usize {
         IPV4_HEADER_LEN + self.payload.len()
     }
@@ -275,6 +281,7 @@ impl Ipv4Packet {
     }
 
     /// The 20-byte header, checksummed, for a packet of `total_len` bytes.
+    #[inline]
     fn header(&self, total_len: usize) -> [u8; IPV4_HEADER_LEN] {
         let mut hdr = [0u8; IPV4_HEADER_LEN];
         hdr[0] = 0x45; // version 4, IHL 5
@@ -295,8 +302,11 @@ impl Ipv4Packet {
     /// copying; any other payload is copied behind a fresh header. Which
     /// of the two happens depends only on the bytes in front of the
     /// payload, so editing a field after `build` is safe: the header no
-    /// longer matches and a fresh buffer is built.
+    /// longer matches and a fresh buffer is built. The total length is 16
+    /// bits: [`crate::iplayer::IpInterface::encap`] refuses a longer packet.
+    #[inline]
     pub fn encode(&self) -> Bytes {
+        debug_assert!(self.wire_len() <= usize::from(u16::MAX));
         let hdr = self.header(self.wire_len());
         if let Some(wire) = self.payload.with_headroom(IPV4_HEADER_LEN) {
             if wire[..IPV4_HEADER_LEN] == hdr {
@@ -316,6 +326,7 @@ impl Ipv4Packet {
     ///
     /// Returns an [`IpDecodeError`] on truncation, unsupported header
     /// layout, or checksum mismatch.
+    #[inline]
     pub fn decode(wire: &Bytes) -> Result<Ipv4Packet, IpDecodeError> {
         if wire.len() < IPV4_HEADER_LEN {
             return Err(IpDecodeError::Truncated);

@@ -55,6 +55,7 @@ impl IpInterface {
     }
 
     /// The interface's primary address.
+    #[inline]
     pub fn addr(&self) -> Ipv4Addr {
         self.addrs[0]
     }
@@ -83,11 +84,13 @@ impl IpInterface {
     }
 
     /// Looks up the MAC for a destination IP.
+    #[inline]
     pub fn arp_lookup(&self, addr: Ipv4Addr) -> Option<MacAddr> {
         self.arp.get(&addr).copied()
     }
 
     /// True if this interface owns `dst` (primary or alias).
+    #[inline]
     pub fn accepts(&self, dst: Ipv4Addr) -> bool {
         self.addrs.contains(&dst)
     }
@@ -96,8 +99,14 @@ impl IpInterface {
     /// table.
     ///
     /// Returns `None` when there is no ARP entry for the destination —
-    /// with static ARP that is a configuration bug, and callers surface it.
+    /// with static ARP that is a configuration bug, and callers surface it
+    /// — or when the packet is longer than its 16-bit total length can say
+    /// (no fragmentation; a wrapped length decodes as a valid, shorter packet).
+    #[inline]
     pub fn encap(&self, packet: &Ipv4Packet) -> Option<EthernetFrame> {
+        if packet.wire_len() > usize::from(u16::MAX) {
+            return None;
+        }
         let dst_mac = self.arp_lookup(packet.dst)?;
         Some(EthernetFrame::new(
             self.mac,
@@ -113,6 +122,7 @@ impl IpInterface {
     /// acceptance is a separate concern ([`IpInterface::accepts`]) because
     /// the ST-TCP backup deliberately processes packets addressed to the
     /// service IP it shares with the primary.
+    #[inline]
     pub fn decap(frame: &EthernetFrame) -> Option<Ipv4Packet> {
         if frame.ethertype != EtherType::Ipv4 {
             return None;
@@ -235,6 +245,22 @@ mod tests {
         assert!(i.encap(&pkt).is_none());
         assert!(i
             .frame_to(Ipv4Addr::new(10, 0, 0, 77), IpProto::Tcp, Bytes::new())
+            .is_none());
+    }
+
+    #[test]
+    fn encap_refuses_a_packet_too_long_for_its_length_field() {
+        let i = iface();
+        let to = Ipv4Addr::new(10, 0, 0, 9);
+        let max = usize::from(u16::MAX) - crate::ip::IPV4_HEADER_LEN;
+        let fits = i
+            .frame_to(to, IpProto::Heartbeat, Bytes::from(vec![7u8; max]))
+            .expect("65 535 bytes on the wire is the largest packet");
+        assert_eq!(IpInterface::decap(&fits).unwrap().payload.len(), max);
+        // One byte more and the 16-bit total length would wrap: refused
+        // here, not delivered as a valid packet with a shorter payload.
+        assert!(i
+            .frame_to(to, IpProto::Heartbeat, Bytes::from(vec![7u8; max + 1]))
             .is_none());
     }
 

@@ -74,6 +74,7 @@ impl fmt::Debug for NodeCtx<'_> {
 
 impl NodeCtx<'_> {
     /// The current virtual time.
+    #[inline]
     pub fn now(&self) -> SimTime {
         self.now
     }
@@ -92,6 +93,7 @@ impl NodeCtx<'_> {
     ///
     /// Silently dropped by the world if the NIC is down, unattached, or the
     /// node is powered off — exactly like a real NIC with no carrier.
+    #[inline]
     pub fn send_frame(&mut self, nic: NicId, frame: EthernetFrame) {
         self.effects.push(Effect::SendFrame { nic, frame });
     }
@@ -104,6 +106,7 @@ impl NodeCtx<'_> {
     /// Arms a timer to fire `after` from now, delivering `token` to
     /// [`Node::on_timer`]. A timer cannot be cancelled: a node that
     /// changes its mind ignores the fire (see [`NodeCtx::rearm_timer`]).
+    #[inline]
     pub fn set_timer(&mut self, after: SimDuration, token: TimerToken) {
         self.effects.push(Effect::SetTimer {
             at: self.now + after,
@@ -123,6 +126,7 @@ impl NodeCtx<'_> {
     ///
     /// A node whose timers were voided (power cycle) must reset `armed`
     /// to `None`: the rule trusts the record.
+    #[inline]
     pub fn rearm_timer(
         &mut self,
         armed: &mut Option<SimTime>,
@@ -147,6 +151,7 @@ impl NodeCtx<'_> {
     /// deadline moved later and is re-armed for `want`: an early fire has
     /// no effect but that re-arm, and deadlines are observed at exactly
     /// the instants an eagerly moved timer would fire.
+    #[inline]
     pub fn timer_due(
         &mut self,
         armed: &mut Option<SimTime>,
@@ -174,6 +179,7 @@ impl NodeCtx<'_> {
     /// Records a causal event in this node's flight-recorder ring.
     /// The event is `Copy` and a ring allocates only while growing to
     /// its bound, so this is safe on the hottest datapath.
+    #[inline]
     pub fn flight(&mut self, span: SpanId, parent: SpanId, kind: FlightKind) {
         self.flight
             .record(Some(self.node), self.now, span, parent, kind);

@@ -70,6 +70,14 @@ impl std::error::Error for RunawayError {}
 type Script = Box<dyn FnOnce(&mut World)>;
 
 /// The simulation world. See the [module docs](self) for an overview.
+///
+/// Not `Send` — its nodes are `Box<dyn Node>`, and the frame buffers in
+/// flight (`bytes::Bytes`) count references non-atomically: a parallel
+/// sweep builds each world inside the worker that runs it.
+/// ```compile_fail
+/// fn is_send<T: Send>() {}
+/// is_send::<simnet::world::World>();
+/// ```
 pub struct World {
     now: SimTime,
     queue: EventQueue,

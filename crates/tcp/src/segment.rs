@@ -164,6 +164,7 @@ impl SegmentPeek {
     /// (`outbound`) or delivered. Both ends of the wire derive the same
     /// span from the header fields, so one host's sends pair with the
     /// other's delivers in a dump.
+    #[inline]
     pub fn record(&self, ctx: &mut NodeCtx<'_>, outbound: bool) {
         let (conn, seq, len, flags) = (self.conn_tag(), self.seq, self.data_len, self.flags);
         let kind = if self.is_pure_ack() {
@@ -195,6 +196,7 @@ impl SegmentPeek {
 /// verifying the checksum. Returns `None` on truncation or a bad data
 /// offset; corrupt-but-well-formed input is the checksum's job at the
 /// real decode site, not the observer's.
+#[inline]
 pub fn peek_segment(wire: &[u8]) -> Option<SegmentPeek> {
     if wire.len() < TCP_HEADER_LEN {
         return None;
@@ -290,6 +292,7 @@ impl TcpSegment {
     /// Lets a caller that owns the packet buffer (see
     /// [`simnet::ip::Ipv4Packet::build`]) have the segment written
     /// directly behind the IP header's headroom.
+    #[inline]
     pub fn encode_into(&self, out: &mut Vec<u8>, src_ip: Ipv4Addr, dst_ip: Ipv4Addr) {
         let mut hdr = [0u8; TCP_HEADER_LEN];
         hdr[0..2].copy_from_slice(&self.src_port.to_be_bytes());
@@ -320,6 +323,7 @@ impl TcpSegment {
     ///
     /// Returns a [`SegmentDecodeError`] on truncation, a bad data offset,
     /// or checksum mismatch.
+    #[inline]
     pub fn decode(
         wire: &Bytes,
         src_ip: Ipv4Addr,
