@@ -93,15 +93,16 @@ const SCALE_BUDGET_BYTES_PER_CONN: f64 = 8.0;
 /// Upper bound on the post-crash takeover stall at any ramp size.
 const SCALE_MAX_STALL_US: u64 = 5_000_000;
 /// Connection-establishment floor at the 10k ramp point, wall-clock
-/// conns/sec. Set at about half the rate measured with one connection
-/// table behind the servers (~64 000/s, 58.9-71.3k over six ramps on a
-/// two-core container; ~33 600/s with four B-tree maps and nine
-/// descents per heartbeat record, ~8 100/s with every-connection walks
-/// on the 50 ms check tick) so the scale gate locks the win in: a
-/// change that quietly reintroduces either fails here long before the
+/// conns/sec. Set at about half the rate measured with a hashed key
+/// index behind the servers (~68 000/s, 56.3-84.1k over eleven ramps on
+/// a two-core container; ~57 000/s while the index was a B-tree,
+/// ~33 600/s with four B-tree maps and nine descents per heartbeat
+/// record, ~8 100/s with every-connection walks on the 50 ms check
+/// tick) so the scale gate locks the win in: a change that quietly
+/// reintroduces the maps or the walks fails here long before the
 /// budget gates notice. The host-independent form of this gate is the
 /// visit-counter test in `tests/extensions.rs`.
-const SCALE_MIN_CONNS_PER_SEC_10K: f64 = 30_000.0;
+const SCALE_MIN_CONNS_PER_SEC_10K: f64 = 35_000.0;
 /// Resident memory per connection (each with its client host) allowed
 /// from 10 000 connections up; below that the process's fixed footprint
 /// dominates the quotient. Measured 7.4 KiB at 10k and 7.0 at 100k; it

@@ -10,10 +10,22 @@
 //!
 //! * `SocketId → slot` is a vector index: socket ids are dense from zero
 //!   and never reused (stated on `simtcp`'s socket table).
-//! * `conn_key → slot` is one ordered map — the only keyed lookup in the
-//!   server, the order every key-ascending walk follows, and the one
+//! * `conn_key → slot` is one hash map ([`simnet::hash::AddrMap`]: the
+//!   key is already an FNV fold of a tuple the scenario assigned, so one
+//!   multiply spreads it) — the only keyed lookup in the server, at a
+//!   cost that does not grow with the connection count, and the one
 //!   place a key collision shows: [`ConnTable::bind`] finds the key's
 //!   slot already holding another socket.
+//! * **Key order is a list, sorted when it has to be.** The
+//!   key-ascending walks ([`ConnTable::bound`], [`ConnTable::peers`],
+//!   [`ConnTable::cached`]) read a vector of `(key, slot)` pairs that
+//!   [`ConnTable::entry`] appends to; a walk sorts it first if keys
+//!   added since the last one left it out of order (one pass over 8-byte
+//!   pairs to find out). Keys never leave before `clear`, so a
+//!   steady stream of full heartbeat rounds sorts nothing, and a delta
+//!   round — which visits sets, not the key list — never asks. The
+//!   sequence is exactly the ordered map's this replaced (the
+//!   differential test below keeps that map as its model).
 //!
 //! **A displaced socket** (the same tuple re-accepted, or a true 32-bit
 //! collision) keeps its `ConnCtl`, its TCP events and its socket-ordered
@@ -45,9 +57,11 @@
 //! call `clear`, which takes every set with it.
 
 use bytes::Bytes;
-use std::collections::{BTreeMap, VecDeque};
+use std::cell::RefCell;
+use std::collections::VecDeque;
 use std::ops::{Index, IndexMut};
 
+use simnet::hash::AddrMap;
 use simnet::time::SimTime;
 use simtcp::socket::SocketId;
 
@@ -207,7 +221,11 @@ pub(crate) struct ConnTable {
     chunks: Vec<Vec<Slot>>,
     len: u32,
     by_sock: Vec<u32>,
-    by_key: BTreeMap<u32, SlotId>,
+    by_key: AddrMap<u32, SlotId>,
+    /// Every `by_key` pair once more, for the key-ascending walks:
+    /// [`ConnTable::entry`] appends, and a walk sorts first if that left
+    /// the list out of order (keys never leave before `clear`).
+    keys: RefCell<Vec<(u32, SlotId)>>,
     /// Per set: `order << 32 | slot`, a superset of the members.
     lists: [Vec<u64>; 6],
     /// Per set: how many slots carry its bit.
@@ -274,6 +292,7 @@ impl ConnTable {
         }
         let s = self.push(key, None);
         self.by_key.insert(key, s);
+        self.keys.get_mut().push((key, s));
         s
     }
 
@@ -357,9 +376,15 @@ impl ConnTable {
             .map(|(i, &s)| (SocketId(i), SlotId(s)))
     }
 
-    /// Every key ever seen, in key order.
+    /// Every key ever seen, in key order (sorting the list if it grew).
     fn keyed(&self) -> impl Iterator<Item = (u32, SlotId)> + '_ {
-        self.by_key.iter().map(|(&key, &s)| (key, s))
+        // Sorted already unless `entry` ran since the last walk, and
+        // then no walk is alive to hold the borrow.
+        if !self.keys.borrow().is_sorted() {
+            self.keys.borrow_mut().sort_unstable();
+        }
+        let keys = self.keys.borrow();
+        (0..keys.len()).map(move |i| keys[i])
     }
 
     /// Every key that resolves to a socket, in key order.
@@ -476,7 +501,7 @@ mod tests {
     use super::*;
     use crate::app::EchoApp;
     use proptest::prelude::*;
-    use std::collections::BTreeSet;
+    use std::collections::{BTreeMap, BTreeSet};
 
     #[derive(Debug, Clone)]
     enum Op {
@@ -502,8 +527,10 @@ mod tests {
         (sets, any::<u8>(), 0u8..3).prop_map(|(set, x, off)| Op::SetMember(set, x, off > 0))
     }
 
+    const NKEYS: u8 = 16;
+
     fn op() -> impl Strategy<Value = Op> {
-        let key = || 0u8..6;
+        let key = || 0..NKEYS;
         prop_oneof![
             key().prop_map(Op::Bind),
             key().prop_map(Op::Bind),
@@ -523,9 +550,10 @@ mod tests {
         ]
     }
 
-    /// Keys far apart and out of slot order, so key order ≠ slot order.
+    /// Keys far apart and out of slot order, so key order ≠ slot order,
+    /// and enough of them that runs keep adding keys between ordered walks.
     fn key_of(k: u8) -> u32 {
-        [0x9000_0001, 7, 0xffff_fff0, 0x0400_0000, 0x8000_0000, 42][k as usize]
+        u32::from(k).wrapping_mul(0x9e37_79b9)
     }
 
     /// The maps being deleted. `conns` holds each socket's key and the
@@ -597,7 +625,7 @@ mod tests {
                 // Key sets take any bound key, socket sets any socket
                 // with control state — displaced ones included.
                 let (s, order) = if set.by_key() {
-                    let key = key_of(x % 6);
+                    let key = key_of(x % NKEYS);
                     let Some(s) = t.by_key(key).filter(|_| m.by_key.contains_key(&key)) else {
                         return;
                     };
@@ -662,8 +690,7 @@ mod tests {
             "cached()",
             cached.eq(m.hb_cache.iter().map(|(&k, &v)| (k, v))),
         )?;
-        for k in 0..6 {
-            let key = key_of(k);
+        for key in (0..NKEYS).map(key_of) {
             let sock = t.by_key(key).and_then(|s| t[s].sock());
             check("by_key", sock == m.by_key.get(&key).copied())?;
         }
@@ -734,6 +761,25 @@ mod tests {
         t.insert(Set::Check, s);
         let visited: Vec<_> = t.members(Set::Check).iter().map(|&m| t[m].sock).collect();
         assert_eq!(visited, [0, 1, 2]);
+    }
+
+    /// The key list sorts again after it grew: keys added since the last
+    /// ordered walk — out of order, below and between the ones it already
+    /// sorted — are in place at the next.
+    #[test]
+    fn keys_added_between_ordered_walks_are_walked_in_order() {
+        let mut t = ConnTable::default();
+        let walk = |t: &ConnTable| t.peers().map(|(key, _, _)| key).collect::<Vec<_>>();
+        for (round, sorted) in [
+            (&[50, 10, 90], &[10, 50, 90][..]),
+            (&[70, 5, 95], &[5, 10, 50, 70, 90, 95]),
+        ] {
+            for &key in round {
+                let s = t.entry(key);
+                t[s].peer = Some(peer(0));
+            }
+            assert_eq!(walk(&t), sorted);
+        }
     }
 
     /// Stale list entries never outgrow the members by more than a

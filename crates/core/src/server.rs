@@ -1249,31 +1249,21 @@ impl StTcpServer {
         seq.is_none_or(|seq| e.last_update_seq == 0 || !seq_newer(e.last_update_seq, seq))
     }
 
-    /// Resolves each record's slot — the one keyed lookup a record pays
-    /// — and runs the byzantine sanity check: a record that would
-    /// regress a cumulative counter this receiver already accepted is
-    /// semantically impossible, so the whole payload is a lie. `None`
-    /// (logged and counted) tells the caller to drop the frame,
-    /// including its liveness value, so the stream starves the link
-    /// monitors and row 1 condemns the liar instead of its lies driving
-    /// hold-release or lag verdicts.
-    fn vet_records(
-        &mut self,
-        now: SimTime,
-        hb: &HbPayload,
-        seq: Option<u32>,
-    ) -> Option<Vec<SlotId>> {
-        let slots: Vec<SlotId> = hb
-            .conns
-            .iter()
-            .map(|c| self.ram.table.entry(c.key))
-            .collect();
-        let lie = hb.conns.iter().zip(&slots).any(|(c, &s)| {
-            let peer = self.ram.table[s].peer.as_ref();
+    /// The byzantine sanity check: a record that would regress a
+    /// cumulative counter this receiver already accepted is semantically
+    /// impossible, so the whole payload is a lie. `false` (logged and
+    /// counted) tells the caller to drop the frame, including its
+    /// liveness value, so the stream starves the link monitors and row 1
+    /// condemns the liar instead of its lies driving hold-release or lag
+    /// verdicts. Creates no slot: a dropped frame leaves nothing behind.
+    fn vet_records(&mut self, now: SimTime, hb: &HbPayload, seq: Option<u32>) -> bool {
+        let table = &self.ram.table;
+        let lie = hb.conns.iter().any(|c| {
+            let peer = table.by_key(c.key).and_then(|s| table.peer(s));
             peer.is_some_and(|e| Self::takes(e, seq) && e.regressed_by(c))
         });
         if !lie {
-            return Some(slots);
+            return true;
         }
         if !self.ram.byzantine_reported {
             self.ram.byzantine_reported = true;
@@ -1281,15 +1271,16 @@ impl StTcpServer {
                 .push(StTcpEvent::ByzantineHbRejected { at: now });
         }
         self.metrics.on_byzantine_rejected();
-        None
+        false
     }
 
-    /// Applies a vetted frame's records to the peer mirror and lets each
-    /// connection's detectors, hold buffer and lag feed see the fresh
-    /// positions.
-    fn apply_records(&mut self, now: SimTime, hb: &HbPayload, slots: &[SlotId], seq: Option<u32>) {
+    /// Applies a vetted frame's records to the peer mirror (a key the
+    /// peer names first gets its slot here) and lets each connection's
+    /// detectors, hold buffer and lag feed see the fresh positions.
+    fn apply_records(&mut self, now: SimTime, hb: &HbPayload, seq: Option<u32>) {
         let mut arb_actions: Vec<(SocketId, u32, ArbAction)> = Vec::new();
-        for (c, &s) in hb.conns.iter().zip(slots) {
+        for c in &hb.conns {
+            let s = self.ram.table.entry(c.key);
             let slot = &mut self.ram.table[s];
             let peer = slot.peer.get_or_insert_with(PeerConn::default);
             if !Self::takes(peer, seq) {
@@ -1345,9 +1336,9 @@ impl StTcpServer {
                 return;
             }
         }
-        let Some(slots) = self.vet_records(now, hb, None) else {
+        if !self.vet_records(now, hb, None) {
             return;
-        };
+        }
         self.ram.peer_last_seqno = Some(hb.seqno);
         self.ram.peer_seqno_advanced_at = now;
         match link {
@@ -1356,7 +1347,7 @@ impl StTcpServer {
         }
         self.metrics.on_heartbeat(link, now);
         self.ram.peer_ping = hb.ping;
-        self.apply_records(now, hb, &slots, None);
+        self.apply_records(now, hb, None);
     }
 
     /// True when the peer's acknowledged state already covers a record
@@ -1595,9 +1586,9 @@ impl StTcpServer {
         // Byzantine sanity check, against per-connection ordering: only
         // records this frame would actually update can regress; records
         // an older cross-link frame legitimately repeats are skipped.
-        let Some(slots) = self.vet_records(now, hb, Some(hb.seqno)) else {
+        if !self.vet_records(now, hb, Some(hb.seqno)) {
             return;
-        };
+        }
         // The link's cumulative ack advances only once the whole round is
         // in hand: single-frame rounds immediately, batched rounds on
         // their final part. A poisoned or lost part never completes the
@@ -1650,7 +1641,7 @@ impl StTcpServer {
         // Apply records under per-connection ordering: equal seqno is the
         // same tick's frame on the other link and reapplies identical
         // values; strictly older frames are skipped per record.
-        self.apply_records(now, hb, &slots, Some(hb.seqno));
+        self.apply_records(now, hb, Some(hb.seqno));
     }
 
     /// Pool-mode heartbeat intake: per-member staleness and byzantine
@@ -3705,6 +3696,15 @@ mod tests {
             .unwrap();
         assert_eq!(p.last_byte_received, 1_000);
         assert_eq!(p.last_app_byte_read, 950);
+        // One regressing counter condemns the whole frame, and a dropped
+        // frame leaves no slot behind for a key it was the first to name.
+        let mut lie = hb;
+        lie.seqno = 2;
+        lie.conns[0].last_byte_received = 999;
+        lie.conns.push(ConnHb::default());
+        s.handle_heartbeat(t, &lie, HbLink::Serial);
+        assert_eq!(s.metrics.byzantine_rejected(), 1);
+        assert_eq!(s.ram.table.by_key(0), None);
     }
 
     /// A SYN from `remote` to the service address, as the server's NIC

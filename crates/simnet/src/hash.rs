@@ -1,10 +1,15 @@
-//! A multiplicative hasher for the address-keyed maps every frame goes
-//! through (the switch's MAC table and groups, a host's ARP table).
+//! A multiplicative hasher for the maps a frame or a heartbeat record is
+//! looked up in. Four users: the switch's MAC table, its multicast
+//! groups, a host's ARP table, and `sttcp`'s `conn_key` index.
 //!
-//! std's SipHash is keyed against adversarial collisions; these keys are
-//! MAC and IPv4 addresses the scenario itself assigns, and hashing them
-//! twice per hop was ~3 % of a bulk transfer. Do not use it for keys
-//! that come from outside the program.
+//! std's SipHash is keyed against adversarial collisions; hashing
+//! addresses twice per hop was ~3 % of a bulk transfer, and the ordered
+//! map the key index was before cost the scale ramp a tenth. **The
+//! rule:** every key here is assigned by the scenario (MAC and IPv4
+//! addresses) or folded from what it assigns (`conn_key` is an FNV fold
+//! of the four-tuple). Do not use it for keys that come from outside the
+//! program — a chaos mode that forges addresses or keys is the day these
+//! maps take a keyed hasher.
 
 use std::collections::HashMap;
 use std::hash::{BuildHasherDefault, Hasher};
@@ -48,9 +53,23 @@ mod tests {
     #[test]
     fn sequential_addresses_spread_over_both_ends_of_the_hash() {
         let build = BuildHasherDefault::<AddrHasher>::default();
-        let macs = (0..20_000).map(|n| build.hash_one(MacAddr::unicast(n)));
-        let ips = (0..20_000u32).map(|n| build.hash_one(Ipv4Addr::from(0x0a01_0000 + n)));
-        for hashes in [macs.collect::<Vec<u64>>(), ips.collect()] {
+        // The scale ramp's `conn_key`s — `sttcp` folds each four-tuple
+        // (one service address, one client port, 20 000 client hosts)
+        // with FNV-1a to 32 bits; restated, since it sits above this crate.
+        let key = |n: u32| {
+            let [a, b, c, d] = [10, 0, 1 + (n / 240) as u8, 10 + (n % 240) as u8];
+            let fnv = |h: u64, &x: &u8| (h ^ u64::from(x)).wrapping_mul(0x0000_0100_0000_01b3);
+            let h = [10, 0, 0, 100, 0, 80, a, b, c, d, 0x9c, 0x40]
+                .iter()
+                .fold(0xcbf2_9ce4_8422_2325, fnv);
+            (h ^ (h >> 32)) as u32
+        };
+        let hashed = |h: &dyn Fn(u32) -> u64| (0..20_000).map(h).collect::<Vec<u64>>();
+        for hashes in [
+            hashed(&|n| build.hash_one(MacAddr::unicast(n))),
+            hashed(&|n| build.hash_one(Ipv4Addr::from(0x0a01_0000 + n))),
+            hashed(&|n| build.hash_one(key(n))),
+        ] {
             // hashbrown picks the bucket from the low bits and the
             // in-group tag from the top seven.
             let low: HashSet<u64> = hashes.iter().map(|h| h & 0x7fff).collect();

@@ -9,7 +9,9 @@ loaded from (the dump carries /proc/self/maps) and named by one
 is still named (build with line tables, README.md). `--under NAME` keeps
 the samples with a frame whose name contains NAME, `--outside NAME` those
 without one: `conn_ramp`'s ramp read apart from its failover (README.md).
-Several dumps (one per run) are summed.
+A sample with no frames to test — a PC alone, taken inside libc — is under
+nothing: a filtered report says how many there were. Several dumps (one
+per run) are summed.
 """
 import argparse
 import collections
@@ -66,7 +68,7 @@ def main():
     ap.add_argument("--outside", action="append", default=[], help="drop samples with such a frame")
     ap.add_argument("--top", type=int, default=25)
     args = ap.parse_args()
-    self_t, incl_t = collections.Counter(), collections.Counter()
+    self_t, incl_t, alone = collections.Counter(), collections.Counter(), collections.Counter()
     total = kept = dropped = 0
     for path in args.dumps:
         maps, samples, d = load(path)
@@ -77,6 +79,8 @@ def main():
         total += len(stacks)
         for s in stacks:
             frames = [n for a in s for n in names[a]]
+            if len(s) == 1:
+                alone[frames[0]] += 1
             if args.under and not any(args.under in n for n in frames):
                 continue
             if any(o in n for o in args.outside for n in frames):
@@ -85,6 +89,10 @@ def main():
             self_t[frames[0]] += 1
             incl_t.update(set(frames))
     print(f"{total} samples, {kept} kept, {dropped} dropped (buffer full)")
+    if args.under or args.outside:
+        top = ", ".join(f"{name} {n}" for name, n in alone.most_common(3))
+        print(f"{sum(alone.values())} samples are a PC alone (no stack: libc) — not counted under any frame"
+              + (f": {top}" if top else ""))
     for title, table in (("self", self_t), ("inclusive", incl_t)):
         print(f"\n{title:>9}      %  function")
         for name, n in table.most_common(args.top):
