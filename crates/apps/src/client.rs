@@ -15,6 +15,7 @@
 
 use bytes::Bytes;
 use std::net::Ipv4Addr;
+use std::rc::Rc;
 
 use simnet::frame::EthernetFrame;
 use simnet::ip::IpProto;
@@ -98,8 +99,8 @@ pub struct ClientConfig {
     /// Baseline reconnect policy; `None` for a patient client (ST-TCP
     /// runs — the whole point is that the client never needs one).
     pub reconnect: Option<ReconnectPolicy>,
-    /// TCP tuning.
-    pub tcp: TcpConfig,
+    /// TCP tuning, shared with the endpoint and its connections.
+    pub tcp: Rc<TcpConfig>,
     /// Seed for the client's TCP stack (ISNs).
     pub seed: u64,
 }

@@ -11,6 +11,7 @@
 
 use bytes::Bytes;
 use std::collections::BTreeMap;
+use std::rc::Rc;
 
 use simnet::frame::EthernetFrame;
 use simnet::ip::IpProto;
@@ -32,8 +33,8 @@ const TOKEN_APP_TICK: TimerToken = TimerToken(2);
 pub struct PlainServerConfig {
     /// Listening port.
     pub port: u16,
-    /// TCP tuning.
-    pub tcp: TcpConfig,
+    /// TCP tuning, shared with the endpoint and its connections.
+    pub tcp: Rc<TcpConfig>,
     /// Application tick period.
     pub app_tick: SimDuration,
     /// RNG seed (ISNs).
@@ -44,7 +45,7 @@ impl Default for PlainServerConfig {
     fn default() -> Self {
         PlainServerConfig {
             port: 80,
-            tcp: TcpConfig::default(),
+            tcp: Rc::default(),
             app_tick: SimDuration::from_millis(10),
             seed: 0,
         }

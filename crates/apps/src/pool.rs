@@ -54,7 +54,7 @@ pub struct PoolScenarioBuilder {
     seed: u64,
     replicas: usize,
     sttcp: StTcpConfig,
-    tcp: TcpConfig,
+    tcp: Rc<TcpConfig>,
     app: AppMaker,
     workload: ClientWorkload,
     connect_at: SimDuration,
@@ -69,7 +69,7 @@ impl PoolScenarioBuilder {
             seed: 1,
             replicas: 3,
             sttcp: StTcpConfig::default(),
-            tcp: TcpConfig::default(),
+            tcp: Rc::default(),
             app,
             workload,
             connect_at: SimDuration::from_millis(100),
@@ -100,7 +100,7 @@ impl PoolScenarioBuilder {
 
     /// Sets the TCP configuration used by servers and client.
     pub fn tcp(mut self, cfg: TcpConfig) -> Self {
-        self.tcp = cfg;
+        self.tcp = Rc::new(cfg);
         self
     }
 
@@ -159,7 +159,7 @@ impl PoolScenarioBuilder {
             let setup = ServerSetup {
                 role: if i == 0 { Role::Primary } else { Role::Backup },
                 sttcp: self.sttcp.clone(),
-                tcp: self.tcp.clone(),
+                tcp: TcpConfig::clone(&self.tcp),
                 service_ip: a.service_ip,
                 service_port: a.service_port,
                 private_ip: ips[i],

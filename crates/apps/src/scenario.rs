@@ -82,7 +82,9 @@ pub type AppMaker = Rc<dyn Fn() -> Box<dyn Application>>;
 pub struct ScenarioBuilder {
     seed: u64,
     sttcp: StTcpConfig,
-    tcp: TcpConfig,
+    /// Made once per world: every client host, endpoint and connection
+    /// shares it.
+    tcp: Rc<TcpConfig>,
     app: AppMaker,
     workload: ClientWorkload,
     extra_clients: Vec<ClientWorkload>,
@@ -99,7 +101,7 @@ impl ScenarioBuilder {
         ScenarioBuilder {
             seed: 1,
             sttcp: StTcpConfig::default(),
-            tcp: TcpConfig::default(),
+            tcp: Rc::default(),
             app,
             workload,
             extra_clients: Vec::new(),
@@ -135,7 +137,7 @@ impl ScenarioBuilder {
 
     /// Sets the TCP configuration used by servers and client.
     pub fn tcp(mut self, cfg: TcpConfig) -> Self {
-        self.tcp = cfg;
+        self.tcp = Rc::new(cfg);
         self
     }
 
@@ -204,7 +206,7 @@ impl ScenarioBuilder {
             let setup = ServerSetup {
                 role,
                 sttcp: self.sttcp.clone(),
-                tcp: self.tcp.clone(),
+                tcp: TcpConfig::clone(&self.tcp),
                 service_ip: a.service_ip,
                 service_port: a.service_port,
                 private_ip: my_ip,
@@ -594,9 +596,10 @@ pub fn build_baseline(
     seed: u64,
     app: AppMaker,
     workload: ClientWorkload,
-    tcp: TcpConfig,
+    tcp: impl Into<Rc<TcpConfig>>,
     with_standby: Option<ReconnectPolicy>,
 ) -> BaselineScenario {
+    let tcp = tcp.into();
     let a = Addressing::default();
     let standby_ip = Ipv4Addr::new(10, 0, 0, 4);
     let standby_mac = MacAddr::unicast(4);

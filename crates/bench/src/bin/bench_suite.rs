@@ -105,12 +105,12 @@ const SCALE_MAX_STALL_US: u64 = 5_000_000;
 const SCALE_MIN_CONNS_PER_SEC_10K: f64 = 35_000.0;
 /// Resident memory per connection (each with its client host) allowed
 /// from 10 000 connections up; below that the process's fixed footprint
-/// dominates the quotient. Measured 7.4 KiB at 10k and 7.0 at 100k; it
-/// was 10.5 KiB while every client endpoint kept wheel levels for its
-/// one SYN timer and the event queue's slots kept their high-water
-/// marks. The host-independent form of this gate is the live-heap slope
-/// test in `tests/extensions.rs`.
-const SCALE_MAX_RSS_KIB_PER_CONN: f64 = 10.0;
+/// dominates the quotient. Measured 6.5 KiB at 10k and 6.2 at 100k; it
+/// was 7.4 and 7.1 while every connection carried its own TCP config
+/// and a four-slot output queue, 10.5 while every client endpoint kept
+/// wheel levels for its one SYN timer. The host-independent form of
+/// this gate is the live-heap slope test in `tests/extensions.rs`.
+const SCALE_MAX_RSS_KIB_PER_CONN: f64 = 8.0;
 
 /// The process's resident-set high-water mark (`VmHWM`) in KiB, where
 /// the platform reports one.

@@ -411,16 +411,16 @@ impl Ram {
     ) -> Ram {
         let hb_timeout = setup.sttcp.hb_timeout();
         let monitor = || LinkMonitor::new(hb_timeout, now);
-        let mut tcp = setup.tcp.clone();
+        let mut tcp = std::rc::Rc::new(setup.tcp.clone());
         let (rst_policy, egress) = match role {
             Role::Primary => {
-                tcp.hold_buf = Some(setup.sttcp.hold_buf);
+                std::rc::Rc::make_mut(&mut tcp).hold_buf = Some(setup.sttcp.hold_buf);
                 (RstPolicy::Send, EgressMode::Normal)
             }
             Role::Backup => (RstPolicy::Silent, EgressMode::Suppress),
         };
         let mut endpoint = TcpEndpoint::new(EndpointConfig {
-            tcp: setup.tcp.clone(),
+            tcp: setup.tcp.clone().into(),
             isn: IsnPolicy::Deterministic {
                 salt: setup.isn_salt,
             },
@@ -1910,7 +1910,7 @@ impl StTcpServer {
         self.ram.tcp.listen(
             self.setup.service_port,
             ListenConfig {
-                tcp: accept_tcp,
+                tcp: accept_tcp.into(),
                 egress: EgressMode::Normal,
             },
         );
@@ -2666,7 +2666,7 @@ impl StTcpServer {
             self.ram.tcp.listen(
                 self.setup.service_port,
                 ListenConfig {
-                    tcp: self.setup.tcp.clone(),
+                    tcp: self.setup.tcp.clone().into(),
                     egress: EgressMode::Normal,
                 },
             );
@@ -2863,7 +2863,7 @@ impl StTcpServer {
             self.ram.tcp.listen(
                 self.setup.service_port,
                 ListenConfig {
-                    tcp: accept_tcp,
+                    tcp: accept_tcp.into(),
                     egress: EgressMode::Normal,
                 },
             );

@@ -150,7 +150,8 @@ impl Puppet {
                 tcp: TcpConfig {
                     hold_buf: Some(1 << 20),
                     ..Default::default()
-                },
+                }
+                .into(),
                 ..Default::default()
             },
         );

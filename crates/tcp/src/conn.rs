@@ -17,6 +17,7 @@
 
 use bytes::Bytes;
 use std::collections::VecDeque;
+use std::rc::Rc;
 
 use simnet::time::{SimDuration, SimTime};
 
@@ -28,7 +29,11 @@ use crate::sendbuf::SendBuffer;
 use crate::seq::{SeqNum, SeqTracker};
 use crate::socket::FourTuple;
 
-/// Connection-level configuration.
+/// Connection-level configuration. Read-only once a connection exists:
+/// every holder ([`TcpConn`], the endpoint and listener configs) shares
+/// one allocation through an `Rc`, and a limit a connection can change
+/// for itself (the hold capacity, a resumed send buffer's widened
+/// capacity) is copied out into that connection's own state.
 #[derive(Debug, Clone)]
 pub struct TcpConfig {
     /// Maximum segment size (payload bytes per segment).
@@ -122,6 +127,46 @@ pub enum ConnEvent {
     Closed,
 }
 
+/// The events awaiting [`TcpConn::poll_event`], oldest first, held inline:
+/// four bits each (the discriminant plus one, so zero ends the queue),
+/// oldest in the low nibble. An event equal to the newest one queued is
+/// not queued again. Only `DataReadable` ever repeats, it stays true,
+/// and an endpoint drains after every call, so no simulated run can
+/// tell; what it buys is a bound — the four one-shot events with a
+/// `DataReadable` between each stay well short of sixteen — and with it
+/// no heap block per connection.
+#[derive(Debug, Default)]
+struct EventQueue(u64);
+
+impl EventQueue {
+    const BY_CODE: [ConnEvent; 5] = [
+        ConnEvent::Connected,
+        ConnEvent::DataReadable,
+        ConnEvent::PeerFin,
+        ConnEvent::Reset,
+        ConnEvent::Closed,
+    ];
+
+    fn push(&mut self, ev: ConnEvent) {
+        let code = ev as u64 + 1;
+        let used = (u64::BITS - self.0.leading_zeros()).next_multiple_of(4);
+        if used > 0 && self.0 >> (used - 4) == code {
+            return;
+        }
+        assert!(
+            used < u64::BITS,
+            "sixteen undrained events: no connection has nine"
+        );
+        self.0 |= code << used;
+    }
+
+    fn pop(&mut self) -> Option<ConnEvent> {
+        let code = (self.0 & 0xf) as usize;
+        self.0 >>= 4;
+        Self::BY_CODE.get(code.wrapping_sub(1)).copied()
+    }
+}
+
 /// Per-connection transfer counters (for overhead measurements and tests).
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct ConnStats {
@@ -176,7 +221,7 @@ pub struct TcpSnapshot {
 /// One endpoint of a TCP connection. See the [module docs](self).
 #[derive(Debug)]
 pub struct TcpConn {
-    cfg: TcpConfig,
+    cfg: Rc<TcpConfig>,
     tuple: FourTuple,
     state: TcpState,
 
@@ -216,14 +261,23 @@ pub struct TcpConn {
     rst_generated: bool,
 
     out: VecDeque<TcpSegment>,
-    events: VecDeque<ConnEvent>,
+    events: EventQueue,
     stats: ConnStats,
 }
 
+// The scale tiers hold three of these per connection (client, primary,
+// backup): the next field added is a decision, not an accident.
+const _: () = assert!(std::mem::size_of::<TcpConn>() <= 488);
+
 impl TcpConn {
     /// Creates an actively opening connection and queues the SYN.
-    pub fn client(cfg: TcpConfig, tuple: FourTuple, iss: SeqNum, now: SimTime) -> TcpConn {
-        let mut c = TcpConn::raw(cfg, tuple, iss);
+    pub fn client(
+        cfg: impl Into<Rc<TcpConfig>>,
+        tuple: FourTuple,
+        iss: SeqNum,
+        now: SimTime,
+    ) -> TcpConn {
+        let mut c = TcpConn::raw(cfg.into(), tuple, iss);
         c.state = TcpState::SynSent;
         let seg = c.make_segment(TcpFlags::SYN, iss, Bytes::new());
         c.push_out(seg, 0);
@@ -234,14 +288,14 @@ impl TcpConn {
     /// Creates a passively opened connection from a received SYN and
     /// queues the SYN-ACK.
     pub fn server_from_syn(
-        cfg: TcpConfig,
+        cfg: impl Into<Rc<TcpConfig>>,
         tuple: FourTuple,
         iss: SeqNum,
         syn: &TcpSegment,
         now: SimTime,
     ) -> TcpConn {
         debug_assert!(syn.flags.syn && !syn.flags.ack);
-        let mut c = TcpConn::raw(cfg, tuple, iss);
+        let mut c = TcpConn::raw(cfg.into(), tuple, iss);
         c.state = TcpState::SynRcvd;
         c.rcv_tracker = Some(SeqTracker::new(syn.seq));
         c.snd_wnd = syn.window as u32;
@@ -252,11 +306,11 @@ impl TcpConn {
         c
     }
 
-    fn raw(cfg: TcpConfig, tuple: FourTuple, iss: SeqNum) -> TcpConn {
+    fn raw(cfg: Rc<TcpConfig>, tuple: FourTuple, iss: SeqNum) -> TcpConn {
         let sendbuf = SendBuffer::new(cfg.send_buf);
         let recvbuf = RecvBuffer::new(cfg.recv_buf, cfg.hold_buf);
         let cc = CongestionControl::new(cfg.mss);
-        let rto = RtoEstimator::new(cfg.rto);
+        let rto = RtoEstimator::new(&cfg.rto);
         TcpConn {
             cfg,
             tuple,
@@ -282,8 +336,11 @@ impl TcpConn {
             retries: 0,
             ack_pending: false,
             rst_generated: false,
-            out: VecDeque::new(),
-            events: VecDeque::new(),
+            // One slot, not `VecDeque`'s first-push four (192 B): an idle
+            // connection only ever queues its SYN or SYN-ACK here, and a
+            // busy one doubles its way to its burst size once.
+            out: VecDeque::with_capacity(1),
+            events: EventQueue::default(),
             stats: ConnStats::default(),
         }
     }
@@ -333,8 +390,8 @@ impl TcpConn {
     /// (the egress shim suppresses it), the receive side continues from
     /// the snapshot's read cursor with the unread bytes pre-injected, and
     /// an already-consumed client FIN is *not* re-announced.
-    pub fn resume(cfg: TcpConfig, snap: &TcpSnapshot) -> TcpConn {
-        let mut c = TcpConn::raw(cfg, snap.tuple, snap.iss);
+    pub fn resume(cfg: impl Into<Rc<TcpConfig>>, snap: &TcpSnapshot) -> TcpConn {
+        let mut c = TcpConn::raw(cfg.into(), snap.tuple, snap.iss);
         c.sendbuf = SendBuffer::resume(c.cfg.send_buf, snap.snd_una, &snap.unacked, snap.local_fin);
         c.snd_cursor = snap.snd_una;
         c.snd_wnd = u16::MAX as u32;
@@ -359,7 +416,7 @@ impl TcpConn {
                 .receive(snap.rcv_start as i64, &snap.pending, false);
             debug_assert_eq!(outcome.newly_in_order, snap.pending.len() as u64);
             // The replica application has not read these bytes yet.
-            c.events.push_back(ConnEvent::DataReadable);
+            c.events.push(ConnEvent::DataReadable);
         }
         c.maybe_consume_peer_fin();
         c
@@ -451,7 +508,7 @@ impl TcpConn {
 
     /// The current retransmission timeout (after backoff).
     pub fn current_rto(&self) -> SimDuration {
-        self.rto.current_rto()
+        self.rto.current_rto(&self.cfg.rto)
     }
 
     /// Bytes held for the backup (ST-TCP extended receive buffer usage).
@@ -593,7 +650,7 @@ impl TcpConn {
     pub fn inject_in_order(&mut self, off: u64, data: &Bytes) {
         let outcome = self.recvbuf.receive(off as i64, data, false);
         if outcome.newly_in_order > 0 {
-            self.events.push_back(ConnEvent::DataReadable);
+            self.events.push(ConnEvent::DataReadable);
             self.maybe_consume_peer_fin();
         }
     }
@@ -689,7 +746,7 @@ impl TcpConn {
         self.retries += 1;
         self.stats.rto_fires += 1;
         if self.retries > self.cfg.max_retries {
-            self.events.push_back(ConnEvent::Reset);
+            self.events.push(ConnEvent::Reset);
             self.enter_closed(false);
             return;
         }
@@ -717,7 +774,6 @@ impl TcpConn {
         }
         self.persist_backoff = (self.persist_backoff + 1).min(10);
         let interval = self
-            .rto
             .current_rto()
             .saturating_mul(1u64 << self.persist_backoff.min(10))
             .min(SimDuration::from_secs(60));
@@ -764,7 +820,7 @@ impl TcpConn {
             }
         };
         if acceptable {
-            self.events.push_back(ConnEvent::Reset);
+            self.events.push(ConnEvent::Reset);
             self.enter_closed(false);
         }
     }
@@ -784,7 +840,7 @@ impl TcpConn {
         self.rto.reset_backoff();
         self.disarm_rtx_if_idle();
         self.state = TcpState::Established;
-        self.events.push_back(ConnEvent::Connected);
+        self.events.push(ConnEvent::Connected);
         self.ack_pending = true;
         // Handshake payload (rare) plus our ACK.
         if !seg.payload.is_empty() || seg.flags.fin {
@@ -835,7 +891,7 @@ impl TcpConn {
             self.syn_acked = true;
             self.retries = 0;
             self.state = TcpState::Established;
-            self.events.push_back(ConnEvent::Connected);
+            self.events.push(ConnEvent::Connected);
         }
 
         let fin_newly_acked = self.fin_sent
@@ -907,7 +963,7 @@ impl TcpConn {
         let before_nxt = self.recvbuf.nxt();
         let outcome = self.recvbuf.receive(off, &seg.payload, seg.flags.fin);
         if outcome.newly_in_order > 0 {
-            self.events.push_back(ConnEvent::DataReadable);
+            self.events.push(ConnEvent::DataReadable);
         }
         // Any data-bearing or FIN segment deserves an ACK — including
         // duplicates (the peer is clearly missing our previous ACK).
@@ -924,7 +980,7 @@ impl TcpConn {
         }
         self.peer_fin_consumed = true;
         self.ack_pending = true;
-        self.events.push_back(ConnEvent::PeerFin);
+        self.events.push(ConnEvent::PeerFin);
         match self.state {
             TcpState::SynRcvd | TcpState::Established => self.state = TcpState::CloseWait,
             TcpState::FinWait1 => {
@@ -961,7 +1017,7 @@ impl TcpConn {
         self.persist_deadline = None;
         self.timewait_deadline = None;
         if graceful {
-            self.events.push_back(ConnEvent::Closed);
+            self.events.push(ConnEvent::Closed);
         }
     }
 
@@ -972,9 +1028,11 @@ impl TcpConn {
         self.out.pop_front()
     }
 
-    /// Drains the next application-visible event, if any.
+    /// Drains the next application-visible event, if any. Consecutive
+    /// identical events (in practice: `DataReadable` while nobody
+    /// polled) are reported once.
     pub fn poll_event(&mut self) -> Option<ConnEvent> {
-        self.events.pop_front()
+        self.events.pop()
     }
 
     /// Generates whatever output current state and windows permit: new
@@ -1008,7 +1066,7 @@ impl TcpConn {
                 if n == 0 {
                     // Zero window with data pending: arm persist probing.
                     if avail > 0 && wnd_room == 0 && self.persist_deadline.is_none() {
-                        self.persist_deadline = Some(now + self.rto.current_rto());
+                        self.persist_deadline = Some(now + self.current_rto());
                     }
                     break;
                 }
@@ -1129,7 +1187,7 @@ impl TcpConn {
     }
 
     fn arm_rtx(&mut self, now: SimTime) {
-        self.rtx_deadline = Some(now + self.rto.current_rto());
+        self.rtx_deadline = Some(now + self.current_rto());
     }
 
     fn disarm_rtx_if_idle(&mut self) {
@@ -1952,6 +2010,90 @@ mod tests {
             evs.push(e);
         }
         assert!(!evs.contains(&ConnEvent::PeerFin), "FIN re-announced");
+    }
+
+    #[test]
+    fn resume_on_a_shared_config_restores_every_limit() {
+        let cfg = Rc::new(TcpConfig {
+            send_buf: 5_000,
+            recv_buf: 3_000,
+            hold_buf: Some(700),
+            ..Default::default()
+        });
+        let mut p = Pair::established();
+        let _ = p.server().send(t(0), b"unacked");
+        while p.server().poll_segment().is_some() {} // all lost
+        let snap = p.server().snapshot().unwrap();
+        let mut replica = TcpConn::resume(Rc::clone(&cfg), &snap);
+        assert_eq!(Rc::strong_count(&cfg), 2, "shared, not copied");
+        assert_eq!(replica.send_capacity(), 5_000 - b"unacked".len());
+        assert_eq!(replica.recvbuf.window(), 3_000);
+        // The hold limit is the config's too: 701 held bytes overflow it.
+        let _ = p.client.send(p.now, &[7u8; 701]);
+        replica.on_segment(t(1), &p.client.poll_segment().unwrap());
+        assert_eq!(replica.recv(1_000).len(), 701);
+        assert_eq!(replica.hold_used(), 701);
+        assert!(replica.hold_overflow());
+        replica.release_hold_until(1);
+        assert!(!replica.hold_overflow());
+    }
+
+    #[test]
+    fn an_idle_connection_keeps_one_output_slot() {
+        // `VecDeque`'s own first push would take four (192 B) and keep
+        // them for the connection's life.
+        let mut p = Pair::established();
+        let slot = std::mem::size_of::<TcpSegment>();
+        assert!(p.client.out.capacity() * slot <= 64);
+        assert!(p.server().out.capacity() * slot <= 64);
+        // A burst grows the queue; nothing is lost on the way.
+        let _ = p.client.send(p.now, &vec![1u8; 10 * 1460]);
+        assert!(
+            p.client.out.len() >= 2,
+            "initial window is several segments"
+        );
+        p.pump();
+        assert_eq!(p.server().bytes_received(), 10 * 1460);
+    }
+
+    #[test]
+    fn event_queue_keeps_order_and_reports_a_repeat_once() {
+        for (code, ev) in EventQueue::BY_CODE.into_iter().enumerate() {
+            assert_eq!(ev as usize, code, "BY_CODE is indexed by discriminant");
+        }
+        let mut q = EventQueue::default();
+        assert_eq!(q.pop(), None);
+        use ConnEvent::*;
+        // The longest undrained history a connection can have.
+        for ev in [
+            Connected,
+            DataReadable,
+            DataReadable,
+            PeerFin,
+            DataReadable,
+            Reset,
+            Closed,
+        ] {
+            q.push(ev);
+        }
+        let drained: Vec<_> = std::iter::from_fn(|| q.pop()).collect();
+        assert_eq!(
+            drained,
+            [
+                Connected,
+                DataReadable,
+                PeerFin,
+                DataReadable,
+                Reset,
+                Closed
+            ]
+        );
+        assert_eq!(q.pop(), None);
+        // Sixteen fit; nothing a connection does comes close.
+        for i in 0..16 {
+            q.push(if i % 2 == 0 { DataReadable } else { PeerFin });
+        }
+        assert_eq!(std::iter::from_fn(|| q.pop()).count(), 16);
     }
 
     #[test]

@@ -23,6 +23,7 @@ use bytes::Bytes;
 use std::cmp::Reverse;
 use std::collections::{BTreeMap, BinaryHeap, VecDeque};
 use std::net::Ipv4Addr;
+use std::rc::Rc;
 
 use simnet::ip::{IpProto, Ipv4Packet};
 use simnet::rng::SimRng;
@@ -81,8 +82,9 @@ pub enum FinGate {
 /// Endpoint-level configuration.
 #[derive(Debug, Clone)]
 pub struct EndpointConfig {
-    /// Per-connection TCP tuning for actively opened sockets.
-    pub tcp: TcpConfig,
+    /// Per-connection TCP tuning for actively opened sockets, shared
+    /// with every connection opened under it.
+    pub tcp: Rc<TcpConfig>,
     /// ISN selection policy.
     pub isn: IsnPolicy,
     /// Behaviour toward unknown segments.
@@ -94,7 +96,7 @@ pub struct EndpointConfig {
 impl Default for EndpointConfig {
     fn default() -> Self {
         EndpointConfig {
-            tcp: TcpConfig::default(),
+            tcp: Rc::default(),
             isn: IsnPolicy::Random,
             rst_policy: RstPolicy::Send,
             seed: 0,
@@ -106,8 +108,10 @@ impl Default for EndpointConfig {
 #[derive(Debug, Clone)]
 pub struct ListenConfig {
     /// TCP tuning for accepted connections (e.g. the primary enables the
-    /// hold buffer here).
-    pub tcp: TcpConfig,
+    /// hold buffer here), shared with every connection accepted under
+    /// it. Listening again replaces the `Rc`; connections already
+    /// accepted keep the config they were born with.
+    pub tcp: Rc<TcpConfig>,
     /// Egress mode for accepted connections.
     pub egress: EgressMode,
 }
@@ -115,7 +119,7 @@ pub struct ListenConfig {
 impl Default for ListenConfig {
     fn default() -> Self {
         ListenConfig {
-            tcp: TcpConfig::default(),
+            tcp: Rc::default(),
             egress: EgressMode::Normal,
         }
     }
@@ -263,7 +267,7 @@ struct ConnEntry {
 /// releases its four-tuple), so the id *is* the index: lookup is one
 /// bounds check, and iteration order is `SocketId` order. Each entry is
 /// its own allocation, so the table grows by moving pointers and an
-/// endpoint with one socket pays for one (a `Vec` of inline 688-byte
+/// endpoint with one socket pays for one (a `Vec` of inline 576-byte
 /// entries starts at four).
 #[derive(Debug, Default)]
 #[allow(clippy::vec_box)]
@@ -320,6 +324,9 @@ pub struct TcpEndpoint {
     /// debug-build query and driven hard by the proptest at the bottom
     /// of this file.
     deadlines: BinaryHeap<Reverse<(SimTime, SocketId)>>,
+    /// [`TcpEndpoint::on_time`]'s due-set, kept between calls for its
+    /// capacity like the dirty lists (empty outside that call).
+    due: Vec<SocketId>,
 }
 
 impl TcpEndpoint {
@@ -337,6 +344,7 @@ impl TcpEndpoint {
             dirty: DirtyLists::default(),
             totals: EndpointTotals::default(),
             deadlines: BinaryHeap::new(),
+            due: Vec::new(),
         }
     }
 
@@ -473,7 +481,7 @@ impl TcpEndpoint {
     ) -> SocketId {
         let tuple = FourTuple { local, remote };
         let iss = self.pick_isn(tuple);
-        let conn = TcpConn::client(self.cfg.tcp.clone(), tuple, iss, now);
+        let conn = TcpConn::client(Rc::clone(&self.cfg.tcp), tuple, iss, now);
         self.install(conn, EgressMode::Normal)
     }
 
@@ -527,10 +535,11 @@ impl TcpEndpoint {
         }
         // No connection: maybe a listener?
         if seg.flags.syn && !seg.flags.ack {
-            if let Some(lc) = self.listeners.get(&seg.dst_port).cloned() {
+            if let Some(lc) = self.listeners.get(&seg.dst_port) {
+                let (tcp, egress) = (Rc::clone(&lc.tcp), lc.egress);
                 let iss = self.pick_isn(tuple);
-                let conn = TcpConn::server_from_syn(lc.tcp.clone(), tuple, iss, &seg, now);
-                let id = self.install(conn, lc.egress);
+                let conn = TcpConn::server_from_syn(tcp, tuple, iss, &seg, now);
+                let id = self.install(conn, egress);
                 self.events.push_back((id, SocketEvent::Accepted));
                 return;
             }
@@ -552,7 +561,7 @@ impl TcpEndpoint {
     /// this).
     pub fn on_time(&mut self, now: SimTime) {
         self.sync_deadlines();
-        let mut due: Vec<SocketId> = Vec::new();
+        let mut due = std::mem::take(&mut self.due);
         while let Some(&Reverse((t, id))) = self.deadlines.peek() {
             if t > now {
                 break;
@@ -574,13 +583,15 @@ impl TcpEndpoint {
             self.scan_due(now),
             "queued due-set diverged from the scan oracle"
         );
-        for id in due {
+        for id in due.drain(..) {
             if let Some(entry) = self.socks.get_mut(id) {
                 entry.conn.on_timer(now);
             }
             self.collect_events(id);
             self.touch(id);
         }
+        // Hand the (empty) buffer back so its capacity is reused.
+        self.due = due;
     }
 
     /// The earliest timer deadline across all connections.
@@ -805,7 +816,8 @@ impl TcpEndpoint {
         self.by_tuple.get(&tuple).copied()
     }
 
-    /// All live socket ids, in creation order.
+    /// The id of every socket ever created (closed ones included: a
+    /// socket is never removed), in creation order.
     pub fn sockets(&self) -> Vec<SocketId> {
         self.socks.iter().map(|(id, _)| id).collect()
     }
@@ -1239,6 +1251,32 @@ mod tests {
     }
 
     #[test]
+    fn listening_again_reconfigures_new_connections_only() {
+        let accept_with = |send_buf| ListenConfig {
+            tcp: Rc::new(TcpConfig {
+                send_buf,
+                ..Default::default()
+            }),
+            ..Default::default()
+        };
+        let mut n = Net::new();
+        let first = accept_with(1_000);
+        n.b.listen(80, first.clone());
+        let _ = n.a.connect(n.now, (ip(1), 40_000), (ip(2), 80));
+        n.pump();
+        n.b.listen(80, accept_with(2_000));
+        let _ = n.a.connect(n.now, (ip(1), 40_001), (ip(2), 80));
+        n.pump();
+        let accepted = n.b.sockets();
+        let capacity = |i: usize| n.b.conn(accepted[i]).unwrap().send_capacity();
+        assert_eq!((capacity(0), capacity(1)), (1_000, 2_000));
+        // Replaced, not mutated: the first config is still what it was,
+        // held by the caller and the one connection born under it.
+        assert_eq!(first.tcp.send_buf, 1_000);
+        assert_eq!(Rc::strong_count(&first.tcp), 2);
+    }
+
+    #[test]
     fn deadline_aggregation_takes_minimum() {
         let (mut n, ca, _sb) = connected_pair();
         // One connection with an armed retransmission timer.
@@ -1364,7 +1402,7 @@ mod tests {
             let mut n = Net::new();
             // A small hold buffer, so overflow is reachable.
             n.b.listen(80, ListenConfig {
-                tcp: TcpConfig { hold_buf: Some(300), ..Default::default() },
+                tcp: TcpConfig { hold_buf: Some(300), ..Default::default() }.into(),
                 ..Default::default()
             });
             let mut socks: Vec<SocketId> = Vec::new();

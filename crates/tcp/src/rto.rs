@@ -14,10 +14,11 @@ use simnet::time::SimDuration;
 /// Implements the RFC 6298 estimator: `SRTT`/`RTTVAR` with the standard
 /// gains, Karn's rule enforced by the caller (no samples from
 /// retransmitted data), and binary exponential backoff bounded by
-/// [`RtoConfig::max_rto`].
+/// [`RtoConfig::max_rto`]. The tunables are not kept here: they live in
+/// the connection's shared config and are passed to the two calls that
+/// read them.
 #[derive(Debug, Clone)]
 pub struct RtoEstimator {
-    cfg: RtoConfig,
     /// Smoothed RTT in microseconds; `None` until the first sample.
     srtt: Option<f64>,
     rttvar: f64,
@@ -52,10 +53,9 @@ impl Default for RtoConfig {
 }
 
 impl RtoEstimator {
-    /// Creates an estimator with the given configuration.
-    pub fn new(cfg: RtoConfig) -> RtoEstimator {
+    /// Creates an estimator starting from `cfg`'s initial RTO.
+    pub fn new(cfg: &RtoConfig) -> RtoEstimator {
         RtoEstimator {
-            cfg,
             srtt: None,
             rttvar: 0.0,
             rto: cfg.initial_rto.as_micros() as f64,
@@ -94,16 +94,16 @@ impl RtoEstimator {
         self.backoff = 0;
     }
 
-    /// The current retransmission timeout, with backoff and clamps
-    /// applied.
-    pub fn current_rto(&self) -> SimDuration {
+    /// The current retransmission timeout, with backoff and `cfg`'s
+    /// clamps applied.
+    pub fn current_rto(&self, cfg: &RtoConfig) -> SimDuration {
         let base = self
             .rto
-            .max(self.cfg.min_rto.as_micros() as f64)
-            .min(self.cfg.max_rto.as_micros() as f64);
+            .max(cfg.min_rto.as_micros() as f64)
+            .min(cfg.max_rto.as_micros() as f64);
         let factor = 1u64 << self.backoff.min(32);
         let backed = SimDuration::from_micros(base as u64).saturating_mul(factor);
-        backed.min(self.cfg.max_rto)
+        backed.min(cfg.max_rto)
     }
 
     /// The smoothed RTT, if at least one sample has been taken.
@@ -119,7 +119,7 @@ impl RtoEstimator {
 
 impl Default for RtoEstimator {
     fn default() -> Self {
-        RtoEstimator::new(RtoConfig::default())
+        RtoEstimator::new(&RtoConfig::default())
     }
 }
 
@@ -127,10 +127,15 @@ impl Default for RtoEstimator {
 mod tests {
     use super::*;
 
+    /// The timeout under the default tunables.
+    fn rto(e: &RtoEstimator) -> SimDuration {
+        e.current_rto(&RtoConfig::default())
+    }
+
     #[test]
     fn initial_rto_before_samples() {
         let e = RtoEstimator::default();
-        assert_eq!(e.current_rto(), SimDuration::from_millis(1_000));
+        assert_eq!(rto(&e), SimDuration::from_millis(1_000));
         assert_eq!(e.srtt(), None);
     }
 
@@ -140,7 +145,7 @@ mod tests {
         e.on_sample(SimDuration::from_millis(10));
         assert_eq!(e.srtt(), Some(SimDuration::from_millis(10)));
         // RTO = srtt + 4*rttvar = 10 + 20 = 30ms, clamped up to min 200ms.
-        assert_eq!(e.current_rto(), SimDuration::from_millis(200));
+        assert_eq!(rto(&e), SimDuration::from_millis(200));
     }
 
     #[test]
@@ -160,15 +165,15 @@ mod tests {
     fn backoff_doubles_and_clamps() {
         let mut e = RtoEstimator::default();
         e.on_sample(SimDuration::from_millis(10)); // rto floor 200ms
-        let base = e.current_rto();
+        let base = rto(&e);
         e.on_timeout();
-        assert_eq!(e.current_rto(), base * 2);
+        assert_eq!(rto(&e), base * 2);
         e.on_timeout();
-        assert_eq!(e.current_rto(), base * 4);
+        assert_eq!(rto(&e), base * 4);
         for _ in 0..20 {
             e.on_timeout();
         }
-        assert_eq!(e.current_rto(), SimDuration::from_secs(60), "max clamp");
+        assert_eq!(rto(&e), SimDuration::from_secs(60), "max clamp");
     }
 
     #[test]
@@ -182,7 +187,7 @@ mod tests {
         assert_eq!(e.backoff(), 0);
         let mut e2 = RtoEstimator::default();
         e2.on_sample(SimDuration::from_millis(10));
-        assert_eq!(e.current_rto(), e2.current_rto());
+        assert_eq!(rto(&e), rto(&e2));
     }
 
     #[test]
@@ -199,7 +204,7 @@ mod tests {
         let mut e = RtoEstimator::default();
         e.on_sample(SimDuration::from_millis(500));
         // srtt 500ms + 4*250ms = 1.5s > floor.
-        assert!(e.current_rto() >= SimDuration::from_millis(1_400));
+        assert!(rto(&e) >= SimDuration::from_millis(1_400));
     }
 
     #[test]
@@ -209,13 +214,13 @@ mod tests {
             min_rto: SimDuration::from_millis(50),
             max_rto: SimDuration::from_secs(2),
         };
-        let mut e = RtoEstimator::new(cfg);
-        assert_eq!(e.current_rto(), SimDuration::from_millis(100));
+        let mut e = RtoEstimator::new(&cfg);
+        assert_eq!(e.current_rto(&cfg), SimDuration::from_millis(100));
         e.on_sample(SimDuration::from_micros(100));
-        assert_eq!(e.current_rto(), SimDuration::from_millis(50));
+        assert_eq!(e.current_rto(&cfg), SimDuration::from_millis(50));
         for _ in 0..10 {
             e.on_timeout();
         }
-        assert_eq!(e.current_rto(), SimDuration::from_secs(2));
+        assert_eq!(e.current_rto(&cfg), SimDuration::from_secs(2));
     }
 }

@@ -74,7 +74,7 @@ fn main() {
         1,
         app(),
         ClientWorkload::Download { total: TOTAL },
-        Default::default(),
+        simtcp::conn::TcpConfig::default(),
         Some(policy),
     );
     b.crash_primary_at(SimTime::from_millis(CRASH_AT_MS));

@@ -483,8 +483,8 @@ fn periodic_timer_visits_track_active_conns_not_resident_ones() {
 // ---------------------------------------------------------------------
 
 mod alloc_count {
-    //! Bytes allocated, allocator calls made, and bytes still live, by
-    //! the calling thread.
+    //! Bytes allocated, allocator calls made, and bytes and blocks still
+    //! live, by the calling thread.
     //! Thread-local, so tests running in parallel in this binary do not
     //! see each other; a world runs on the thread that drives it.
     use std::alloc::{GlobalAlloc, Layout, System};
@@ -495,6 +495,7 @@ mod alloc_count {
         static CALLS: Cell<u64> = const { Cell::new(0) };
         // Signed: a thread may free what another allocated.
         static LIVE: Cell<i64> = const { Cell::new(0) };
+        static LIVE_BLOCKS: Cell<i64> = const { Cell::new(0) };
     }
 
     pub struct Counting;
@@ -506,6 +507,8 @@ mod alloc_count {
         let _ = BYTES.try_with(|b| b.set(b.get() + new.saturating_sub(old) as u64));
         let _ = CALLS.try_with(|c| c.set(c.get() + u64::from(new > 0)));
         let _ = LIVE.try_with(|l| l.set(l.get() + new as i64 - old as i64));
+        // +1 for `alloc`, -1 for `dealloc`, 0 for `realloc`.
+        let _ = LIVE_BLOCKS.try_with(|l| l.set(l.get() + (old == 0) as i64 - (new == 0) as i64));
     }
 
     // SAFETY: every method forwards its arguments unchanged to `System`,
@@ -545,6 +548,11 @@ mod alloc_count {
     /// Bytes this thread has allocated and not freed.
     pub fn live() -> i64 {
         LIVE.with(|l| l.get())
+    }
+
+    /// Blocks this thread has allocated and not freed.
+    pub fn live_blocks() -> i64 {
+        LIVE_BLOCKS.with(|l| l.get())
     }
 }
 
@@ -727,16 +735,65 @@ fn payload_is_shared_not_copied_from_wire_build_to_application_read() {
 }
 
 #[test]
-fn a_mostly_idle_connection_costs_at_most_9_kib_of_heap() {
+fn an_accepted_idle_connection_owns_its_entry_and_one_output_slot() {
+    // Two hand-wired endpoints (the benchmark probe's pattern), 1 000
+    // handshakes, no data, then everything but the server dropped: what
+    // is live is what the accepting side keeps. Per connection that is
+    // the boxed entry and the output queue's one slot, plus its share
+    // of the demux tree's leaves, the socket table and the timer heap. The
+    // queue used to be `VecDeque`'s first-push four slots (192 B) and the
+    // event queue a third block.
+    use simtcp::endpoint::{EndpointConfig, ListenConfig, TcpEndpoint};
+    const CONNS: i64 = 1_000;
+    let now = t(1);
+    let before = (alloc_count::live_blocks(), alloc_count::live());
+    let mut server = TcpEndpoint::new(EndpointConfig::default());
+    server.listen(80, ListenConfig::default());
+    {
+        let mut client = TcpEndpoint::new(EndpointConfig {
+            seed: 9,
+            ..EndpointConfig::default()
+        });
+        for i in 0..CONNS as u32 {
+            let local = std::net::Ipv4Addr::new(10, 1, (i / 250) as u8, (i % 250) as u8);
+            client.connect(
+                now,
+                (local, 40_000),
+                (std::net::Ipv4Addr::new(10, 0, 0, 100), 80),
+            );
+        }
+        loop {
+            let (up, down) = (client.poll_packets(now), server.poll_packets(now));
+            if up.is_empty() && down.is_empty() {
+                break;
+            }
+            up.iter().for_each(|p| server.on_packet(now, p));
+            down.iter().for_each(|p| client.on_packet(now, p));
+        }
+        while server.poll_event().is_some() {}
+    }
+    assert_eq!(server.sockets().len() as i64, CONNS);
+    let blocks = (alloc_count::live_blocks() - before.0) as f64 / CONNS as f64;
+    let bytes = (alloc_count::live() - before.1) / CONNS;
+    assert!(
+        blocks <= 3.0,
+        "{blocks} live blocks per accepted connection"
+    );
+    assert!(bytes <= 768, "{bytes} live bytes per accepted connection");
+}
+
+#[test]
+fn a_mostly_idle_connection_costs_at_most_6400_bytes_of_heap() {
     // The published scale mix (`scale_scenario`: what `bench_suite
     // --scale` and the benchmark's conn_ramp run), through its ramp.
     // Each connection brings a client host with it, so the slope
     // of live heap over connections is what one more (host, connection)
-    // costs across all three machines: 7.4 KiB (DESIGN, "What a host
-    // and a connection cost"). It was 9.9 KiB while each client's
-    // endpoint kept four 512-byte timer-wheel levels for its one SYN
-    // timer, where a 64-byte heap now stands. A slope, so what the world
-    // costs before its first client cancels out.
+    // costs across all three machines: 6 205 B (DESIGN, "What a host
+    // and a connection cost"; `heap_census` names the call sites), the
+    // bound is that rounded up to the next 256. It was 7 181 B while
+    // every connection carried its own copy of the TCP config, a
+    // four-slot output queue and a heap-allocated event queue. A slope,
+    // so what the world costs before its first client cancels out.
     use sttcp_bench::experiments::{scale_ramp_end, scale_scenario};
     fn live_after_ramp(conns: u64) -> i64 {
         let before = alloc_count::live();
@@ -748,7 +805,7 @@ fn a_mostly_idle_connection_costs_at_most_9_kib_of_heap() {
     }
     let per_conn = (live_after_ramp(3_000) - live_after_ramp(1_000)) / 2_000;
     assert!(
-        per_conn <= 9 * 1024,
+        per_conn <= 6_400,
         "{per_conn} live heap bytes per (client host, connection)"
     );
 }

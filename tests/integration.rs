@@ -447,7 +447,7 @@ fn baseline_plain_tcp_requires_reconnect_and_restart() {
         71,
         stream_app(4096, false),
         download(512 * 1024),
-        Default::default(),
+        simtcp::conn::TcpConfig::default(),
         Some(policy),
     );
     b.crash_primary_at(t(400));
@@ -483,7 +483,7 @@ fn sttcp_stall_is_much_smaller_than_baseline_disruption() {
         72,
         stream_app(4096, false),
         download(512 * 1024),
-        Default::default(),
+        simtcp::conn::TcpConfig::default(),
         Some(policy),
     );
     b.crash_primary_at(t(400));
