@@ -4,11 +4,12 @@
 //! module *enumerates* a bounded slice of it. A fault-free probe run is
 //! harvested for protocol milestones ([`sttcp::milestone`]): connection
 //! establishment, first data byte, hold-buffer arming, each heartbeat
-//! round, FIN hold/release. Fault injection times are then quantized to
-//! a lattice anchored on those milestones — at each one, just before,
-//! just after, and midway between each adjacent pair — so a bug that
-//! only fires in the narrow window between two protocol events occupies
-//! a lattice point by construction instead of waiting for a lucky seed.
+//! round and its liveness deadline, FIN hold/release. Fault injection
+//! times are then quantized to a lattice anchored on those milestones —
+//! at each one, just before, just after, and midway between each
+//! adjacent pair — so a bug that only fires in the narrow window between
+//! two protocol events occupies a lattice point by construction instead
+//! of waiting for a lucky seed.
 //!
 //! The action grammar is pruned to the faults whose *timing* matters:
 //! crash, NIC failure, cable cut, serial failure, application crash,
@@ -428,7 +429,7 @@ pub fn probe_milestones(seed: u64, opts: &ChaosOptions) -> (Vec<Milestone>, Chao
     let ms = harvest(
         &report.primary_events,
         &report.backup_events,
-        chaos_config().hb_period,
+        &chaos_config(),
     );
     (ms, report)
 }

@@ -15,7 +15,7 @@ use obs::json::Json;
 use obs::report::MetricsReport;
 use simnet::time::SimDuration;
 use simnet::time::SimTime;
-use sttcp::events::StTcpEvent;
+use sttcp::events::{FailureReason, StTcpEvent};
 use sttcp::invariant::Outcome;
 use sttcp_apps::chaos::{
     chaos_config, run_chaos_case, ChaosAction, ChaosOptions, ChaosReport, FaultSchedule,
@@ -121,25 +121,37 @@ pub fn latest_fault_before(report: &ChaosReport, cutoff: SimTime) -> Option<SimT
         .max()
 }
 
-/// The moment the survivor's detection clock last (re)started before
-/// `cutoff`: the latest fault, or the latest heartbeat-link recovery if
-/// that came later. A heartbeat outage stalls lag/ping evidence (peer
-/// positions stop refreshing), so a detector's configured bound can only
-/// be charged from when heartbeat coverage was last restored.
+/// The moment the survivor's detection clock for `reason` last
+/// (re)started before `cutoff`: the latest fault, or whichever of these
+/// came later. The latest heartbeat-link recovery — a heartbeat outage
+/// stalls lag/ping evidence (peer positions stop refreshing), so a
+/// detector's configured bound can only be charged from when heartbeat
+/// coverage was last restored. And, for the application-lag detectors,
+/// the first client byte the survivor's application read: one replica
+/// cannot lag the other on a stream nobody has read yet, so a fault that
+/// precedes the client's first data (say its GET sits out a reordering
+/// until the retransmit) has no symptom to time until that byte lands.
 pub fn detection_clock_start(
     report: &ChaosReport,
     events: &[StTcpEvent],
+    reason: FailureReason,
     cutoff: SimTime,
 ) -> Option<SimTime> {
     let fault = latest_fault_before(report, cutoff)?;
-    let link_up = events
+    let app_lag = matches!(
+        reason,
+        FailureReason::AppLagBytes | FailureReason::AppLagTime
+    );
+    let restart = events
         .iter()
         .filter_map(|e| match e {
-            StTcpEvent::HbLinkUp { at, .. } if *at <= cutoff => Some(*at),
+            StTcpEvent::HbLinkUp { at, .. } => Some(*at),
+            StTcpEvent::FirstDataDelivered { at, .. } if app_lag => Some(*at),
             _ => None,
         })
+        .filter(|at| *at <= cutoff)
         .max();
-    Some(link_up.map_or(fault, |up| fault.max(up)))
+    Some(restart.map_or(fault, |at| fault.max(at)))
 }
 
 /// Fault-grammar coverage over a set of generated schedules: which
@@ -276,7 +288,7 @@ pub fn run_sweep(
             }
             if let Some((reason, at)) = first_verdict(events) {
                 if let (Some(clock_start), Some(bound)) = (
-                    detection_clock_start(report, events, at),
+                    detection_clock_start(report, events, reason, at),
                     detection_bound(&detection_cfg, reason),
                 ) {
                     s.bound_checked += 1;

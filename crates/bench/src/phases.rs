@@ -117,11 +117,14 @@ pub fn first_verdict(events: &[StTcpEvent]) -> Option<(FailureReason, SimTime)> 
 /// is rate-dependent; a disabled watchdog never fires).
 ///
 /// Each bound is the detector's own timeout plus scheduling slack: the
-/// symptom must survive one heartbeat period of staleness and verdicts
-/// are only taken on the check timer (two periods: one to arm, one to
-/// confirm).
+/// symptom must survive one heartbeat period of staleness, and a
+/// content-based verdict is only taken on the check timer (two periods:
+/// one to arm, one to confirm). Heartbeat silence is timed, not polled
+/// (`sttcp::linkmon`): row 1 fires on its deadline plus a jitter guard
+/// of at most one check period.
 pub fn detection_bound(cfg: &StTcpConfig, reason: FailureReason) -> Option<SimDuration> {
-    let slack = cfg.check_period * 2 + cfg.hb_period;
+    let polled = cfg.check_period * 2 + cfg.hb_period;
+    let timed = cfg.check_period + cfg.hb_period;
     let net_evidence = {
         // Row 4 verdicts need the IP heartbeat declared dead first, then
         // whichever network-failure evidence accumulates slowest.
@@ -129,19 +132,19 @@ pub fn detection_bound(cfg: &StTcpConfig, reason: FailureReason) -> Option<SimDu
         let pings = cfg.ping_interval * u64::from(cfg.ping_fail_threshold);
         cfg.hb_timeout() + lag.max(pings)
     };
-    let base = match reason {
-        FailureReason::HbBothLinksDown => cfg.hb_timeout(),
+    let (base, slack) = match reason {
+        FailureReason::HbBothLinksDown => (cfg.hb_timeout(), timed),
         FailureReason::AppLagBytes | FailureReason::AppLagTime => {
             // Byte lag implies time lag: if the byte detector fired, the
             // time detector was at most this far behind.
-            cfg.app_max_lag_time + cfg.effective_lag_confirm()
+            (cfg.app_max_lag_time + cfg.effective_lag_confirm(), polled)
         }
         FailureReason::NetByteLag | FailureReason::NetAckLag | FailureReason::NetPingFail => {
-            net_evidence
+            (net_evidence, polled)
         }
-        FailureReason::FinMismatchTimeout => cfg.max_delay_fin,
+        FailureReason::FinMismatchTimeout => (cfg.max_delay_fin, polled),
         FailureReason::HoldOverflow => return None,
-        FailureReason::WatchdogReport => cfg.watchdog_timeout? + cfg.hb_period,
+        FailureReason::WatchdogReport => (cfg.watchdog_timeout? + cfg.hb_period, polled),
     };
     Some(base + slack)
 }
@@ -280,7 +283,7 @@ mod tests {
     fn hb_both_links_bound_covers_the_default_config() {
         let cfg = StTcpConfig::default();
         let b = detection_bound(&cfg, FailureReason::HbBothLinksDown).unwrap();
-        assert!(b >= cfg.hb_timeout());
+        assert_eq!(b, cfg.hb_timeout() + cfg.hb_period + cfg.check_period);
         // HoldOverflow is rate-dependent: no bound.
         assert_eq!(detection_bound(&cfg, FailureReason::HoldOverflow), None);
         // Watchdog disabled by default: no bound.

@@ -13,12 +13,16 @@
 //! Heartbeat rounds are synthesized arithmetically from the configured
 //! period rather than read from the log — the log records link
 //! transitions, not every healthy round, and the lattice wants anchors
-//! *on* the healthy cadence.
+//! *on* the healthy cadence. So is each round's liveness deadline, one
+//! `hb_timeout` later: the instant its silence would become a verdict
+//! (`crate::linkmon`), which a crash, a link repair or a late heartbeat
+//! must be tried on both sides of.
 
 use core::fmt;
 
-use simnet::time::{SimDuration, SimTime};
+use simnet::time::SimTime;
 
+use crate::config::StTcpConfig;
 use crate::events::StTcpEvent;
 
 /// What kind of protocol phase boundary a milestone marks.
@@ -34,6 +38,10 @@ pub enum MilestoneKind {
     HoldArmed,
     /// The n-th heartbeat round (1-based), synthesized at `n × hb_period`.
     HbRound(u32),
+    /// The liveness deadline of the n-th heartbeat round: the last
+    /// instant a successor may arrive, synthesized at `HbRound(n)` +
+    /// `hb_timeout`.
+    LivenessDeadline(u32),
     /// A locally generated FIN/RST entered arbitration hold.
     FinHeld,
     /// A held FIN/RST was released.
@@ -62,6 +70,7 @@ impl MilestoneKind {
             MilestoneKind::FirstData => "first_data",
             MilestoneKind::HoldArmed => "hold_armed",
             MilestoneKind::HbRound(_) => "hb_round",
+            MilestoneKind::LivenessDeadline(_) => "liveness_deadline",
             MilestoneKind::FinHeld => "fin_held",
             MilestoneKind::FinReleased => "fin_released",
             MilestoneKind::PeerDeclaredFailed => "peer_declared_failed",
@@ -79,6 +88,7 @@ impl fmt::Display for MilestoneKind {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         match self {
             MilestoneKind::HbRound(n) => write!(f, "hb_round_{n}"),
+            MilestoneKind::LivenessDeadline(n) => write!(f, "liveness_deadline_{n}"),
             other => write!(f, "{}", other.key()),
         }
     }
@@ -110,11 +120,7 @@ const MAX_HB_ROUNDS: u32 = 16;
 /// `(kind, at)`, and returned sorted by time with a stable kind order
 /// breaking ties — the result is a pure function of the logs, so the
 /// explorer's lattice is deterministic.
-pub fn harvest(
-    primary: &[StTcpEvent],
-    backup: &[StTcpEvent],
-    hb_period: SimDuration,
-) -> Vec<Milestone> {
+pub fn harvest(primary: &[StTcpEvent], backup: &[StTcpEvent], cfg: &StTcpConfig) -> Vec<Milestone> {
     let mut out: Vec<Milestone> = Vec::new();
     let mut last_event = SimTime::ZERO;
     let any_event = !primary.is_empty() || !backup.is_empty();
@@ -143,18 +149,24 @@ pub fn harvest(
     }
 
     // Healthy heartbeat cadence, spanning a little past the last protocol
-    // event so "just after the end" windows exist in the lattice. An empty
-    // trace (no run at all) yields no anchors.
+    // event so "just after the end" windows exist in the lattice, and each
+    // round's liveness deadline. An empty trace (no run at all) yields no
+    // anchors.
     if !any_event {
         return out;
     }
-    let period = hb_period.as_millis().max(1);
+    let period = cfg.hb_period.as_millis().max(1);
     let until = last_event.as_millis() + HB_ROUNDS_PAST_LAST_EVENT * period;
     let mut round = 1u32;
     while u64::from(round) * period <= until && round <= MAX_HB_ROUNDS {
+        let at = SimTime::from_millis(u64::from(round) * period);
         out.push(Milestone {
             kind: MilestoneKind::HbRound(round),
-            at: SimTime::from_millis(u64::from(round) * period),
+            at,
+        });
+        out.push(Milestone {
+            kind: MilestoneKind::LivenessDeadline(round),
+            at: at + cfg.hb_timeout(),
         });
         round += 1;
     }
@@ -167,6 +179,7 @@ pub fn harvest(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use simnet::time::SimDuration;
 
     fn t(ms: u64) -> SimTime {
         SimTime::from_millis(ms)
@@ -187,7 +200,7 @@ mod tests {
             StTcpEvent::ConnEstablished { conn: 1, at: t(30) },
             StTcpEvent::FirstDataDelivered { conn: 1, at: t(45) },
         ];
-        let ms = harvest(&primary, &backup, SimDuration::from_millis(200));
+        let ms = harvest(&primary, &backup, &StTcpConfig::default());
         // Sorted by time, duplicates collapsed.
         for w in ms.windows(2) {
             assert!(w[0].at <= w[1].at);
@@ -210,11 +223,21 @@ mod tests {
             .max()
             .unwrap();
         assert!(last_hb >= t(1000), "last hb round at {last_hb}");
+        // Every round has its liveness deadline one timeout later.
+        for m in &ms {
+            if let MilestoneKind::HbRound(n) = m.kind {
+                let deadline = Milestone {
+                    kind: MilestoneKind::LivenessDeadline(n),
+                    at: m.at + SimDuration::from_millis(600),
+                };
+                assert!(ms.contains(&deadline), "round {n} has no deadline");
+            }
+        }
     }
 
     #[test]
     fn harvest_of_empty_logs_still_yields_nothing() {
-        let ms = harvest(&[], &[], SimDuration::from_millis(200));
+        let ms = harvest(&[], &[], &StTcpConfig::default());
         assert!(ms.is_empty());
     }
 }

@@ -25,9 +25,9 @@ use std::collections::{BTreeMap, BTreeSet};
 use std::net::Ipv4Addr;
 
 use simnet::node::{NodeId, SerialPortId};
-use simnet::time::{SimDuration, SimTime};
+use simnet::time::SimTime;
 
-use crate::config::Role;
+use crate::config::{Role, StTcpConfig};
 use crate::heartbeat::{unwrap_u32_near, ConnHb};
 use crate::linkmon::LinkMonitor;
 
@@ -144,16 +144,23 @@ impl MemberState {
 
     /// True when this member may be the target of a fence round: both
     /// links silent, or the serving incarnation provably gone behind a
-    /// still-heartbeating reboot (`defunct`).
+    /// still-heartbeating reboot (`defunct`). A *vote* goes by this.
     pub(crate) fn condemnable(&self, now: SimTime) -> bool {
         self.dead(now) || self.defunct
     }
 
+    /// [`MemberState::condemnable`] with each link's jitter guard
+    /// served on top of its timeout — what *opens* a fence round, at the
+    /// instant the liveness timer fires for it.
+    pub(crate) fn overdue(&self, now: SimTime) -> bool {
+        (self.ip_mon.is_silent(now) && self.serial_mon.is_silent(now)) || self.defunct
+    }
+
     /// Resets the entry for a fresh incarnation of the member (fenced
     /// node rejoining, or a new join session).
-    pub(crate) fn reset_for_rejoin(&mut self, hb_timeout: SimDuration, now: SimTime) {
-        self.ip_mon = LinkMonitor::new(hb_timeout, now);
-        self.serial_mon = LinkMonitor::new(hb_timeout, now);
+    pub(crate) fn reset_for_rejoin(&mut self, now: SimTime) {
+        self.ip_mon = self.ip_mon.restarted(now);
+        self.serial_mon = self.serial_mon.restarted(now);
         self.role = Role::Backup;
         self.last_seqno = None;
         self.seqno_advanced_at = now;
@@ -211,7 +218,7 @@ impl PoolState {
         my_rank: u8,
         peers: &[PoolPeer],
         wiring: &BTreeMap<SerialPortId, Ipv4Addr>,
-        hb_timeout: SimDuration,
+        cfg: &StTcpConfig,
         now: SimTime,
     ) -> PoolState {
         let mut members: BTreeMap<Ipv4Addr, MemberState> = peers
@@ -222,8 +229,8 @@ impl PoolState {
                     MemberState {
                         rank: p.rank,
                         node: p.node,
-                        ip_mon: LinkMonitor::new(hb_timeout, now),
-                        serial_mon: LinkMonitor::new(hb_timeout, now),
+                        ip_mon: LinkMonitor::new(cfg, now),
+                        serial_mon: LinkMonitor::new(cfg, now),
                         serial_port: None,
                         role: if p.rank == 0 {
                             Role::Primary
@@ -261,6 +268,49 @@ impl PoolState {
             next_rank,
             last_session_served: None,
         }
+    }
+
+    /// Both link monitors of every member not yet fenced: whose silence
+    /// the server's liveness timer is kept on.
+    pub(crate) fn monitors(&self) -> impl Iterator<Item = &LinkMonitor> {
+        self.members
+            .values()
+            .filter(|m| !m.fenced)
+            .flat_map(|m| [&m.ip_mon, &m.serial_mon])
+    }
+
+    /// The member a server in `role` should open a fence round against
+    /// at `now`, if any: an unfenced member whose silence is overdue —
+    /// and this server the one entitled to condemn it.
+    pub(crate) fn fence_target(&self, now: SimTime, role: Role) -> Option<(Ipv4Addr, u8)> {
+        let overdue = self
+            .members
+            .iter()
+            .filter(|(_, m)| !m.fenced && m.overdue(now))
+            .map(|(&ip, m)| (ip, m.rank));
+        // The dead active is served first: while it is unfenced nobody
+        // is eligible to condemn a dead backup, and the takeover it
+        // unblocks restores service.
+        let (ip, rank) = overdue
+            .clone()
+            .find(|&(_, r)| r == self.active_rank)
+            .or_else(|| overdue.min_by_key(|&(_, r)| r))?;
+        let eligible = if rank == self.active_rank {
+            // Rank order: only the lowest-ranked live backup campaigns
+            // to fence the active (and take over).
+            role == Role::Backup
+                && !self.members.values().any(|m| {
+                    !m.fenced
+                        && !m.defunct
+                        && m.rank != rank
+                        && m.alive(now)
+                        && m.rank < self.my_rank
+                })
+        } else {
+            // The active fences dead backups.
+            role == Role::Primary
+        };
+        eligible.then_some((ip, rank))
     }
 
     /// Members not yet fenced with at least one fresh heartbeat link.
@@ -302,6 +352,7 @@ impl PoolState {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use simnet::time::SimDuration;
 
     fn peers3() -> Vec<PoolPeer> {
         vec![
@@ -320,8 +371,7 @@ mod tests {
 
     /// Rank 1's view of the unwired three-member pool, booted at `now`.
     fn pool3(now: SimTime) -> PoolState {
-        let hb_timeout = SimDuration::from_millis(600);
-        PoolState::new(1, &peers3(), &BTreeMap::new(), hb_timeout, now)
+        PoolState::new(1, &peers3(), &BTreeMap::new(), &StTcpConfig::default(), now)
     }
 
     #[test]
@@ -382,7 +432,7 @@ mod tests {
         }
         let t = SimTime::from_millis(5_000);
         let m = p.members.get_mut(&ip).unwrap();
-        m.reset_for_rejoin(SimDuration::from_millis(600), t);
+        m.reset_for_rejoin(t);
         assert!(!m.fenced);
         assert!(!m.defunct);
         assert_eq!(m.last_seqno, None);

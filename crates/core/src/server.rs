@@ -45,7 +45,7 @@ use crate::finarb::{ArbAction, FinArbiter};
 use crate::heartbeat::{
     conn_key, decode_any, AnyHb, ConnHb, HbFrame, HbFrameKind, HbPayload, PingReport, HB_CONN_LEN,
 };
-use crate::linkmon::LinkMonitor;
+use crate::linkmon::{next_silence, LinkMonitor};
 use crate::metrics::ServerMetrics;
 use crate::netdetect::{NetFailureDetector, NetObservation};
 use crate::pool::{FenceRound, PeerConn, PoolPeer, PoolState};
@@ -137,6 +137,7 @@ const TOKEN_TCP: TimerToken = TimerToken(3);
 const TOKEN_APP_TICK: TimerToken = TimerToken(4);
 const TOKEN_PING: TimerToken = TimerToken(5);
 const TOKEN_TAKEOVER: TimerToken = TimerToken(6);
+const TOKEN_LIVENESS: TimerToken = TimerToken(7);
 
 /// Static wiring for one ST-TCP server instance.
 #[derive(Debug, Clone)]
@@ -297,11 +298,6 @@ pub struct StTcpServer {
 /// wiring change before the world starts and the warm `on_power_on` all
 /// go through it — so a field added here is rebuilt at every boot.
 struct Ram {
-    /// Per-serial-link monitors (index 0 = `serial_port`). `serial_mon`
-    /// stays the aggregate any-serial-link view the detector matrix
-    /// consumes, so N=1 behavior is bit-for-bit unchanged.
-    serial_link_mons: Vec<LinkMonitor>,
-
     // ----- delta heartbeat (v2 wire format) state; hb_delta only -----
     /// This boot incarnation; acks from a previous incarnation are void.
     hb_epoch: u32,
@@ -387,6 +383,8 @@ struct Ram {
     /// feeding snapshots to a joining peer.
     serving_join: Option<u32>,
     tcp_timer: Option<SimTime>,
+    /// When the liveness timer fires (see [`StTcpServer::check_liveness`]).
+    liveness_timer: Option<SimTime>,
     /// The packet list `flush` polls into (the poll is profiled apart
     /// from the sends), kept for its capacity.
     pkts: Vec<Ipv4Packet>,
@@ -409,8 +407,7 @@ impl Ram {
         now: SimTime,
         nserial: usize,
     ) -> Ram {
-        let hb_timeout = setup.sttcp.hb_timeout();
-        let monitor = || LinkMonitor::new(hb_timeout, now);
+        let monitor = || LinkMonitor::new(&setup.sttcp, now);
         let mut tcp = std::rc::Rc::new(setup.tcp.clone());
         let (rst_policy, egress) = match role {
             Role::Primary => {
@@ -429,7 +426,6 @@ impl Ram {
         });
         endpoint.listen(setup.service_port, ListenConfig { tcp, egress });
         Ram {
-            serial_link_mons: (0..nserial).map(|_| monitor()).collect(),
             hb_epoch: epoch_from(now),
             hb_touched: Vec::new(),
             hb_cands: Vec::new(),
@@ -469,12 +465,13 @@ impl Ram {
             // Boots with the static rank; a rejoin's `JoinDone` hands
             // over the fresh one.
             pool: (!setup.pool.is_empty())
-                .then(|| PoolState::new(setup.rank, &setup.pool, pool_serial, hb_timeout, now)),
+                .then(|| PoolState::new(setup.rank, &setup.pool, pool_serial, &setup.sttcp, now)),
             hb_scratch: Vec::new(),
             took_over: false,
             join: None,
             serving_join: None,
             tcp_timer: None,
+            liveness_timer: None,
             pkts: Vec::new(),
             powered_off: false,
             cold: false,
@@ -1557,12 +1554,7 @@ impl StTcpServer {
             {
                 match hblink {
                     HbLink::Ip => self.ram.ip_mon.on_heartbeat(now),
-                    HbLink::Serial => {
-                        self.ram.serial_mon.on_heartbeat(now);
-                        if let Some(m) = self.ram.serial_link_mons.get_mut(link.saturating_sub(1)) {
-                            m.on_heartbeat(now);
-                        }
-                    }
+                    HbLink::Serial => self.ram.serial_mon.on_heartbeat(now),
                 }
                 self.metrics.on_heartbeat(hblink, now);
             }
@@ -1618,12 +1610,7 @@ impl StTcpServer {
         }
         match hblink {
             HbLink::Ip => self.ram.ip_mon.on_heartbeat(now),
-            HbLink::Serial => {
-                self.ram.serial_mon.on_heartbeat(now);
-                if let Some(m) = self.ram.serial_link_mons.get_mut(link.saturating_sub(1)) {
-                    m.on_heartbeat(now);
-                }
-            }
+            HbLink::Serial => self.ram.serial_mon.on_heartbeat(now),
         }
         self.metrics.on_heartbeat(hblink, now);
         // The peer's cumulative acks of our frames, valid only while they
@@ -1664,12 +1651,12 @@ impl StTcpServer {
                 }
                 // Rank changed ⇒ the member rebooted and re-integrated:
                 // welcome the fresh incarnation back as a backup.
-                m.reset_for_rejoin(hb_timeout, now);
+                m.reset_for_rejoin(now);
             } else if hb.rank != m.rank {
                 // Rank reassignment only happens at rejoin, so a changed
                 // rank means a new incarnation even without a fence (the
                 // member rebooted faster than we could condemn it).
-                m.reset_for_rejoin(hb_timeout, now);
+                m.reset_for_rejoin(now);
             }
             m.rank = hb.rank;
             // A member this server saw serving as Primary now speaks as
@@ -1987,6 +1974,93 @@ impl StTcpServer {
         self.flush(ctx);
     }
 
+    /// What heartbeat *silence* decides, as opposed to heartbeat contents:
+    /// link up/down edges, Table 1 row 1 (both links silent), the start
+    /// and end of row 4's ping campaign, and in pool mode a fence round.
+    /// Runs when the liveness timer fires — the instant a link's timeout
+    /// and jitter guard are both spent ([`crate::linkmon`]) — and on every
+    /// check tick, which is what notices a link coming back; either way it
+    /// leaves the one timer on the next instant a monitor can fall silent.
+    fn check_liveness(&mut self, ctx: &mut NodeCtx<'_>) {
+        let now = ctx.now();
+        if self.ram.pool.is_none() {
+            self.check_pair_liveness(ctx);
+        } else if self.ram.join.is_none() {
+            // (A joiner has no say over anyone's life.)
+            ctx.profile_enter(Component::Pool);
+            self.fence_tick(ctx);
+            ctx.profile_exit();
+        }
+        // A silence further out than the next tick is the next tick's to
+        // see coming: a pair whose heartbeats flow never arms the timer.
+        let next = match &self.ram.pool {
+            Some(pool) => next_silence(pool.monitors(), now),
+            None => next_silence([&self.ram.ip_mon, &self.ram.serial_mon], now),
+        };
+        let want = next.filter(|&at| at <= now + self.setup.sttcp.check_period);
+        ctx.rearm_timer(&mut self.ram.liveness_timer, want, TOKEN_LIVENESS);
+    }
+
+    /// The pair's share of [`StTcpServer::check_liveness`]: `ip_was_alive`
+    /// and `serial_was_alive` hold its reading for the tick's detectors.
+    fn check_pair_liveness(&mut self, ctx: &mut NodeCtx<'_>) {
+        let now = ctx.now();
+        let edge = |link, up| match up {
+            true => StTcpEvent::HbLinkUp { link, at: now },
+            false => StTcpEvent::HbLinkDown { link, at: now },
+        };
+        let ip_alive = !self.ram.ip_mon.is_silent(now);
+        let serial_alive = !self.ram.serial_mon.is_silent(now);
+        if ip_alive != self.ram.ip_was_alive {
+            self.events.push(edge(HbLink::Ip, ip_alive));
+            self.ram.ip_was_alive = ip_alive;
+            let socks = self.all_socks();
+            self.metrics.on_timer_visits(socks.len());
+            for (_, s) in socks {
+                if ip_alive {
+                    // Link restored: lag that formed (or persisted,
+                    // frozen) while the IP heartbeat was down produced no
+                    // activity to mark connections with, so give every
+                    // connection one evaluation to re-establish detector
+                    // baselines.
+                    self.ram.table.insert(Set::Check, s);
+                } else if let Some(ctl) = &mut self.ram.table[s].ctl {
+                    // With the IP heartbeat down, app lag is a symptom of
+                    // the network fault, not an app crash. The detector
+                    // loop only visits active connections, so quiesce
+                    // every lag tracker once at the edge — stale
+                    // watermarks must not produce a verdict when the link
+                    // returns.
+                    ctl.applag.reset();
+                }
+            }
+        }
+        if serial_alive != self.ram.serial_was_alive {
+            self.events.push(edge(HbLink::Serial, serial_alive));
+            self.ram.serial_was_alive = serial_alive;
+        }
+        if !self.ram.ft_mode {
+            return;
+        }
+        if !ip_alive && !serial_alive {
+            // Row 1: both heartbeat links dead ⇒ the peer host is gone.
+            self.declare_peer_failed(ctx, FailureReason::HbBothLinksDown);
+        } else if !ip_alive {
+            // Row 4 opens: the gateway pings that will say whose network
+            // failed. The verdict waits for evidence, on the check tick.
+            if !self.ram.ping.active {
+                self.ram.ping.active = true;
+                self.ram.ping.awaiting = None;
+                self.ram.ping.consecutive_failures = 0;
+                self.ram.ping.attempts = 0;
+                ctx.set_timer(SimDuration::ZERO, TOKEN_PING);
+            }
+        } else {
+            self.ram.ping.active = false;
+            self.ram.net_detect.reset();
+        }
+    }
+
     fn run_checks(&mut self, ctx: &mut NodeCtx<'_>) {
         let now = ctx.now();
         debug_assert_eq!(self.check_active_sets(), Ok(()));
@@ -2017,57 +2091,10 @@ impl StTcpServer {
             return;
         }
 
-        // Link liveness edges.
-        let ip_alive = self.ram.ip_mon.is_alive(now);
-        let serial_alive = self.ram.serial_mon.is_alive(now);
-        if ip_alive != self.ram.ip_was_alive {
-            self.events.push(if ip_alive {
-                StTcpEvent::HbLinkUp {
-                    link: HbLink::Ip,
-                    at: now,
-                }
-            } else {
-                StTcpEvent::HbLinkDown {
-                    link: HbLink::Ip,
-                    at: now,
-                }
-            });
-            self.ram.ip_was_alive = ip_alive;
-            let socks = self.all_socks();
-            self.metrics.on_timer_visits(socks.len());
-            for (_, s) in socks {
-                if ip_alive {
-                    // Link restored: lag that formed (or persisted,
-                    // frozen) while the IP heartbeat was down produced no
-                    // activity to mark connections with, so give every
-                    // connection one evaluation to re-establish detector
-                    // baselines.
-                    self.ram.table.insert(Set::Check, s);
-                } else if let Some(ctl) = &mut self.ram.table[s].ctl {
-                    // With the IP heartbeat down, app lag is a symptom of
-                    // the network fault, not an app crash. The detector
-                    // loop below only visits active connections, so
-                    // quiesce every lag tracker once at the edge — stale
-                    // watermarks must not produce a verdict when the link
-                    // returns.
-                    ctl.applag.reset();
-                }
-            }
-        }
-        if serial_alive != self.ram.serial_was_alive {
-            self.events.push(if serial_alive {
-                StTcpEvent::HbLinkUp {
-                    link: HbLink::Serial,
-                    at: now,
-                }
-            } else {
-                StTcpEvent::HbLinkDown {
-                    link: HbLink::Serial,
-                    at: now,
-                }
-            });
-            self.ram.serial_was_alive = serial_alive;
-        }
+        // What silence alone decides was decided on its deadline, and is
+        // looked at again here.
+        self.check_liveness(ctx);
+        let (ip_alive, serial_alive) = (self.ram.ip_was_alive, self.ram.serial_was_alive);
 
         self.check_post_takeover_holes(ctx);
 
@@ -2080,36 +2107,21 @@ impl StTcpServer {
             self.try_finish_join(ctx);
         }
 
+        // Not fault-tolerant — a lone server, a joiner, or row 1 a
+        // moment ago in `check_liveness` — means nothing left to judge.
         if !self.ram.ft_mode {
             return;
         }
 
-        // Row 1: both heartbeat links dead ⇒ the peer host is gone.
-        if !ip_alive && !serial_alive {
-            self.declare_peer_failed(ctx, FailureReason::HbBothLinksDown);
-            return;
-        }
-
         // Row 4: IP heartbeat dead, serial alive ⇒ local network failure
-        // somewhere; figure out whose.
+        // somewhere; figure out whose from what the pings and the serial
+        // heartbeat's contents say.
         if !ip_alive && serial_alive {
-            if !self.ram.ping.active {
-                self.ram.ping.active = true;
-                self.ram.ping.awaiting = None;
-                self.ram.ping.consecutive_failures = 0;
-                self.ram.ping.attempts = 0;
-                ctx.set_timer(SimDuration::ZERO, TOKEN_PING);
-            }
             let obs = self.net_observation();
             if let Some(reason) = self.ram.net_detect.check(now, &obs) {
                 self.declare_peer_failed(ctx, reason);
                 return;
             }
-        } else {
-            if self.ram.ping.active {
-                self.ram.ping.active = false;
-            }
-            self.ram.net_detect.reset();
         }
 
         // Rows 2/3 compare application positions against the peer's
@@ -2334,7 +2346,7 @@ impl StTcpServer {
         if self.ram.role == Role::Backup {
             self.run_recovery(ctx);
         }
-        self.fence_tick(ctx);
+        self.check_liveness(ctx);
     }
 
     /// Drives this server's fence round: abandon a round whose target
@@ -2362,48 +2374,15 @@ impl StTcpServer {
                 }
             }
             if pool.fence.is_none() {
-                let dead: Vec<(Ipv4Addr, u8)> = pool
-                    .members
-                    .iter()
-                    .filter(|(_, m)| !m.fenced && m.condemnable(now))
-                    .map(|(&ip, m)| (ip, m.rank))
-                    .collect();
-                // The dead active is served first: while it is unfenced
-                // nobody is eligible to condemn a dead backup, and the
-                // takeover it unblocks restores service.
-                let target = dead
-                    .iter()
-                    .find(|&&(_, r)| r == pool.active_rank)
-                    .or_else(|| dead.iter().min_by_key(|&&(_, r)| r))
-                    .copied();
-                if let Some((tip, trank)) = target {
-                    let eligible = if trank == pool.active_rank {
-                        // Rank order: only the lowest-ranked live backup
-                        // campaigns to fence the active (and take over).
-                        self.ram.role == Role::Backup
-                            && !pool.members.values().any(|m| {
-                                !m.fenced
-                                    && !m.defunct
-                                    && m.rank != trank
-                                    && m.alive(now)
-                                    && m.rank < pool.my_rank
-                            })
-                    } else {
-                        // The active fences dead backups.
-                        self.ram.role == Role::Primary
-                    };
-                    if eligible {
-                        pool.epoch = pool.epoch.wrapping_add(1);
-                        let mut votes = BTreeSet::new();
-                        votes.insert(pool.my_rank);
-                        pool.fence = Some(FenceRound {
-                            epoch: pool.epoch,
-                            target: tip,
-                            target_rank: trank,
-                            votes,
-                        });
-                        open_event = Some((trank, pool.epoch));
-                    }
+                if let Some((target, target_rank)) = pool.fence_target(now, self.ram.role) {
+                    pool.epoch = pool.epoch.wrapping_add(1);
+                    pool.fence = Some(FenceRound {
+                        epoch: pool.epoch,
+                        target,
+                        target_rank,
+                        votes: BTreeSet::from([pool.my_rank]),
+                    });
+                    open_event = Some((target_rank, pool.epoch));
                 }
             }
             if let Some(f) = &pool.fence {
@@ -2815,7 +2794,6 @@ impl StTcpServer {
         // member (idempotent per join session), reset its member entry for
         // the new incarnation, and abandon any fence round against it.
         let mut new_rank = 0u8;
-        let hb_timeout = self.setup.sttcp.hb_timeout();
         if let Some(pool) = &mut self.ram.pool {
             if !pool.members.contains_key(&src) {
                 return; // not a pool member; nothing to rejoin
@@ -2827,7 +2805,7 @@ impl StTcpServer {
                     pool.next_rank = pool.next_rank.wrapping_add(1);
                     pool.last_session_served = Some((src, session, new_rank));
                     if let Some(m) = pool.members.get_mut(&src) {
-                        m.reset_for_rejoin(hb_timeout, now);
+                        m.reset_for_rejoin(now);
                     }
                     if pool.fence.as_ref().is_some_and(|f| f.target == src) {
                         pool.fence = None;
@@ -3546,6 +3524,11 @@ impl Node for StTcpServer {
             }
             TOKEN_TAKEOVER => {
                 self.complete_takeover(ctx);
+            }
+            // (A fire other than the recorded one was superseded.)
+            TOKEN_LIVENESS if self.ram.liveness_timer == Some(ctx.now()) => {
+                self.ram.liveness_timer = None;
+                self.check_liveness(ctx);
             }
             _ => {}
         }

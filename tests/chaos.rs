@@ -304,14 +304,12 @@ fn reintegrate_sweep_is_deterministic_and_clean() {
 ///    legitimately diverge across modes (delta frames are smaller, so
 ///    every microsecond timestamp downstream of a heartbeat shifts);
 ///    what must not change is any protocol *decision*.
+#[cfg(not(mutate_no_hb_guard))]
 #[test]
 fn delta_heartbeat_sweep_matches_full_state_semantics() {
     use sttcp_bench::hunt::{run_sweep, SweepConfig};
 
-    let delta_opts = ChaosOptions {
-        hb_delta: true,
-        ..ChaosOptions::quick()
-    };
+    let delta_opts = delta_opts();
 
     // Contract 1: delta mode is deterministic and thread-invariant.
     let reports: Vec<String> = [1usize, 4]
@@ -336,6 +334,23 @@ fn delta_heartbeat_sweep_matches_full_state_semantics() {
     );
 
     // Contract 2: per-seed verdict equivalence against full-state mode.
+    assert_eq!(
+        seeds_where_delta_mode_changes_the_verdict(),
+        [] as [u64; 0],
+        "delta mode changed a protocol decision"
+    );
+}
+
+fn delta_opts() -> ChaosOptions {
+    ChaosOptions {
+        hb_delta: true,
+        ..ChaosOptions::quick()
+    }
+}
+
+/// Contract 2 of the delta sweep: the seeds in 0..64 whose semantic
+/// verdict differs between delta and full-state mode.
+fn seeds_where_delta_mode_changes_the_verdict() -> Vec<u64> {
     let project = |r: &sttcp_apps::chaos::ChaosReport| {
         let took_over =
             |evs: &[StTcpEvent]| evs.iter().any(|e| matches!(e, StTcpEvent::TookOver { .. }));
@@ -354,16 +369,67 @@ fn delta_heartbeat_sweep_matches_full_state_semantics() {
             stonith(&r.backup_events),
         )
     };
-    for seed in 0..64 {
-        let schedule = FaultSchedule::generate(seed);
-        let full = run_chaos_case(seed, &schedule, &quick());
-        let delta = run_chaos_case(seed, &schedule, &delta_opts);
-        assert_eq!(
-            project(&full),
-            project(&delta),
-            "seed {seed} ({schedule}): delta mode changed the verdict"
-        );
-    }
+    (0..64)
+        .filter(|&seed| {
+            let schedule = FaultSchedule::generate(seed);
+            let full = run_chaos_case(seed, &schedule, &quick());
+            let delta = run_chaos_case(seed, &schedule, &delta_opts());
+            project(&full) != project(&delta)
+        })
+        .collect()
+}
+
+/// The mutation gate for the liveness jitter guard
+/// (`RUSTFLAGS="--cfg mutate_no_hb_guard"`, `linkmon.rs`): with the guard
+/// dropped to zero the liveness timer ties with a heartbeat arriving on
+/// the very instant of its deadline and, queued first, wins. Delta frames
+/// are a few bytes shorter than full-state ones, so the two modes land
+/// that heartbeat a few microseconds apart — on either side of the tie —
+/// and the equivalence sweep above is the oracle that sees one mode fence
+/// where the other does not.
+#[cfg(mutate_no_hb_guard)]
+#[test]
+fn delta_sweep_catches_a_dropped_jitter_guard() {
+    let caught = seeds_where_delta_mode_changes_the_verdict();
+    assert!(
+        !caught.is_empty(),
+        "the delta-equivalence sweep did not notice the missing guard"
+    );
+}
+
+/// CI's `chaos_hunt --quick --seeds 50 --double --enforce-bounds` went
+/// red on seed 24 (`@80 reorder client 8; @129 app-crash primary
+/// silent`): the reordering parks the client's GET until its 1.1 s
+/// retransmit, so the replicas have nothing to lag each other on before
+/// 1.100 s, and the app-lag verdict at 2.150 s — 1 050 ms after the lag
+/// began — was charged 2 021 ms against the 1 800 ms bound because the
+/// clock started at the fault. The bound is charged from symptom onset.
+#[test]
+fn app_lag_bound_is_charged_from_the_first_delivered_byte() {
+    use sttcp_bench::hunt::{run_sweep, SweepConfig};
+    let cfg = SweepConfig {
+        seeds: 1,
+        start: 24,
+        quick: true,
+        double: true,
+        reintegrate: false,
+        threads: 1,
+    };
+    let mut lag_verdict = false;
+    let summary = run_sweep(&cfg, &quick(), |case| {
+        lag_verdict = case.report.backup_events.iter().any(|e| {
+            matches!(
+                e,
+                StTcpEvent::PeerDeclaredFailed {
+                    reason: sttcp::events::FailureReason::AppLagTime,
+                    ..
+                }
+            )
+        });
+    });
+    assert!(lag_verdict, "seed 24 no longer ends in an app-lag verdict");
+    assert_eq!(summary.bound_checked, 1);
+    assert!(summary.bound_violations.is_empty());
 }
 
 /// Batched heartbeat envelopes (v3 multi-part frames) are a framing
