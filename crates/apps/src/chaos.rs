@@ -8,14 +8,14 @@
 //! (`@500 crash primary; @700 serial-fail`) and parse back exactly, so a
 //! failing case is a paste-able reproducer.
 //!
-//! [`run_chaos_case`] executes a schedule against the standard topology
-//! with a verifying download workload and judges the run with
-//! [`sttcp::invariant::check`]: the [`Expectation`] is derived from the
-//! schedule alone, conservatively, so a violation is always a real
-//! protocol bug. [`shrink_schedule`] then minimizes a violating schedule
-//! by greedy action removal followed by timestamp snapping — replay is
-//! bit-for-bit deterministic, so the shrunk schedule still fails for the
-//! same reason.
+//! [`run_chaos_case`] executes a schedule against the pair or an
+//! N-replica pool with a verifying workload and judges the run with
+//! [`sttcp::invariant::check`] (pool: `check_pool`): the [`Expectation`]
+//! is derived from the schedule alone, conservatively, so a violation is
+//! always a real protocol bug. [`shrink_schedule`] then minimizes a
+//! violating schedule by greedy action removal followed by timestamp
+//! snapping — replay is bit-for-bit deterministic, so the shrunk
+//! schedule still fails for the same reason.
 
 use std::fmt;
 use std::rc::Rc;
@@ -33,7 +33,8 @@ use sttcp::server::{AppCrashMode, ByzantineHbMode, StTcpServer};
 
 use crate::apps::{CommitStreamApp, ReqRespApp, StreamApp};
 use crate::client::ClientWorkload;
-use crate::scenario::{Scenario, ScenarioBuilder};
+use crate::pool::pool_expectation;
+use crate::scenario::{Scenario, ScenarioBuilder, Topology};
 
 /// Which server a fault targets.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
@@ -395,8 +396,17 @@ impl FaultSchedule {
         self.actions.is_empty()
     }
 
-    /// Schedules every action into a built scenario's world.
+    /// Schedules every action into a built scenario's world — the one
+    /// applier for both topologies. `Side::Primary` / `Side::Backup`
+    /// address ranks 0 and 1 (nodes and switch links alike) and
+    /// `serial-fail` the rank-0 ↔ rank-1 cable; in a pool the deeper
+    /// members are never addressed directly and act as its depth, and
+    /// the rest of the serial mesh stays up.
     pub fn apply(&self, s: &mut Scenario) {
+        use ChaosAction::*;
+        // Frame-budget faults hit the direction toward the selected node:
+        // `connect_to_switch` makes the node endpoint `a`, the switch `b`.
+        const IN: LinkDir = LinkDir::BtoA;
         for ta in &self.actions {
             let at = SimTime::from_millis(ta.at_ms);
             let node = |side: Side| -> NodeId {
@@ -413,96 +423,66 @@ impl FaultSchedule {
                 }
             };
             match ta.action {
-                ChaosAction::Crash(side) => {
-                    let n = node(side);
-                    s.world.schedule(at, move |w| w.crash_node(n));
-                }
-                ChaosAction::Reboot(side) => {
-                    let n = node(side);
-                    s.world.schedule(at, move |w| {
-                        if !w.is_powered(n) {
-                            w.restore_node(n);
-                        }
-                    });
-                }
-                ChaosAction::NicDown(side) => {
-                    let n = node(side);
-                    s.world.schedule(at, move |w| w.fail_nic(n, NicId(0)));
-                }
-                ChaosAction::NicUp(side) => {
+                Crash(side) => s.crash_at(node(side), at),
+                Reboot(side) => s.reboot_at(node(side), at),
+                NicDown(side) => s.fail_nic_at(node(side), at),
+                NicUp(side) => {
                     let n = node(side);
                     s.world.schedule(at, move |w| w.restore_nic(n, NicId(0)));
                 }
-                ChaosAction::LinkCut(sel) => {
+                LinkCut(sel) => {
                     let l = link(sel);
                     s.world.schedule(at, move |w| w.cut_link(l));
                 }
-                ChaosAction::LinkRestore(sel) => {
+                LinkRestore(sel) => {
                     let l = link(sel);
                     s.world.schedule(at, move |w| w.restore_link(l));
                 }
-                ChaosAction::LinkLoss(sel, pct) => {
+                LinkLoss(sel, _) | LinkLossEnd(sel) => {
                     let l = link(sel);
-                    let p = f64::from(pct.min(100)) / 100.0;
+                    let p = match ta.action {
+                        LinkLoss(_, pct) => f64::from(pct.min(100)) / 100.0,
+                        _ => 0.0,
+                    };
                     s.world.schedule(at, move |w| {
                         w.set_link_loss(l, LinkDir::AtoB, p);
                         w.set_link_loss(l, LinkDir::BtoA, p);
                     });
                 }
-                ChaosAction::LinkLossEnd(sel) => {
+                DropTap(n) => s.drop_backup_tap_at(at, u64::from(n)),
+                CorruptFrames(sel, n) => {
                     let l = link(sel);
-                    s.world.schedule(at, move |w| {
-                        w.set_link_loss(l, LinkDir::AtoB, 0.0);
-                        w.set_link_loss(l, LinkDir::BtoA, 0.0);
-                    });
+                    s.world
+                        .schedule(at, move |w| w.corrupt_frames(l, IN, u64::from(n)));
                 }
-                ChaosAction::DropTap(n) => {
-                    s.drop_backup_tap_at(at, u64::from(n));
-                }
-                ChaosAction::CorruptFrames(sel, n) => {
-                    let l = link(sel);
-                    s.world.schedule(at, move |w| {
-                        w.corrupt_frames(l, LinkDir::BtoA, u64::from(n))
-                    });
-                }
-                ChaosAction::SerialFail => {
-                    let ser = s.serial;
-                    s.world.schedule(at, move |w| w.fail_serial(ser));
-                }
-                ChaosAction::SerialRestore => {
+                SerialFail => s.fail_serial_at(at),
+                SerialRestore => {
                     let ser = s.serial;
                     s.world.schedule(at, move |w| w.restore_serial(ser));
                 }
-                ChaosAction::AppCrash(side, mode) => {
-                    s.crash_app_at(node(side), at, mode);
-                }
-                ChaosAction::Dup(sel, n) => {
+                AppCrash(side, mode) => s.crash_app_at(node(side), at, mode),
+                Dup(sel, n) => {
                     let l = link(sel);
                     s.world
-                        .schedule(at, move |w| w.dup_frames(l, LinkDir::BtoA, u64::from(n)));
+                        .schedule(at, move |w| w.dup_frames(l, IN, u64::from(n)));
                 }
-                ChaosAction::Reorder(sel, n) => {
+                Reorder(sel, n) => {
                     let l = link(sel);
-                    s.world.schedule(at, move |w| {
-                        w.reorder_frames(l, LinkDir::BtoA, u64::from(n))
-                    });
+                    s.world
+                        .schedule(at, move |w| w.reorder_frames(l, IN, u64::from(n)));
                 }
-                ChaosAction::Jitter(sel, ms) => {
+                Jitter(sel, _) | JitterEnd(sel) => {
                     let l = link(sel);
-                    let max = SimDuration::from_millis(u64::from(ms));
+                    let max = match ta.action {
+                        Jitter(_, ms) => SimDuration::from_millis(u64::from(ms)),
+                        _ => SimDuration::ZERO,
+                    };
                     s.world.schedule(at, move |w| {
                         w.set_link_jitter(l, LinkDir::AtoB, max);
                         w.set_link_jitter(l, LinkDir::BtoA, max);
                     });
                 }
-                ChaosAction::JitterEnd(sel) => {
-                    let l = link(sel);
-                    s.world.schedule(at, move |w| {
-                        w.set_link_jitter(l, LinkDir::AtoB, SimDuration::ZERO);
-                        w.set_link_jitter(l, LinkDir::BtoA, SimDuration::ZERO);
-                    });
-                }
-                ChaosAction::ByzantineHb(side, mode) => {
+                ByzantineHb(side, mode) => {
                     let n = node(side);
                     s.world.schedule(at, move |w| {
                         w.note_fault(format!("byzantine hb ({mode:?}) on n{}", n.0));
@@ -753,7 +733,7 @@ impl FaultSchedule {
     /// new rank), then — once the pool has settled — kill the next active
     /// too. In a pool scenario `Side::Primary` addresses the rank-0
     /// member and `Side::Backup` the rank-1 member (see
-    /// [`crate::pool::PoolScenario`]); deeper members are never targeted
+    /// [`FaultSchedule::apply`]); deeper members are never targeted
     /// directly, so every takeover in the chain must be quorum-fenced by
     /// the survivors.
     pub fn generate_pool(seed: u64) -> FaultSchedule {
@@ -1073,10 +1053,14 @@ pub struct ChaosReport {
     pub violations: Vec<Violation>,
     /// The client as the checker saw it.
     pub client: ClientView,
-    /// The primary's event log.
-    pub primary_events: Vec<StTcpEvent>,
-    /// The backup's event log.
-    pub backup_events: Vec<StTcpEvent>,
+    /// Every server's event log, indexed by initial rank (the pair:
+    /// primary, then backup).
+    pub member_events: Vec<Vec<StTcpEvent>>,
+    /// Every server's rank at end of run (pool rejoiners get fresh
+    /// ranks; the pair never moves off 0).
+    pub final_ranks: Vec<u8>,
+    /// Which server (by initial rank) ended the run active, if any.
+    pub active_at_end: Option<usize>,
     /// `(start, end)` of the longest client stall, when measurable — the
     /// window a failover-phase timeline anchors to.
     pub stall_window: Option<(SimTime, SimTime)>,
@@ -1093,8 +1077,10 @@ pub struct ChaosReport {
 
 impl ChaosReport {
     /// A stable digest of everything observable — two runs of the same
-    /// `(seed, schedule)` must produce equal fingerprints (deterministic
-    /// replay is what makes shrinking sound).
+    /// `(topology, seed, schedule, opts)` must produce equal fingerprints
+    /// at any thread count (deterministic replay is what makes shrinking
+    /// sound). The per-member logs are digested as one nested list, so
+    /// the same events under a different member order digest differently.
     pub fn fingerprint(&self) -> u64 {
         let mut h: u64 = 0xcbf2_9ce4_8422_2325;
         let mut eat = |bytes: &[u8]| {
@@ -1106,9 +1092,18 @@ impl ChaosReport {
         eat(format!("{:?}", self.outcome).as_bytes());
         eat(format!("{:?}", self.violations).as_bytes());
         eat(format!("{:?}", self.client).as_bytes());
-        eat(format!("{:?}", self.primary_events).as_bytes());
-        eat(format!("{:?}", self.backup_events).as_bytes());
+        eat(format!("{:?}", self.member_events).as_bytes());
+        eat(format!("{:?}", self.final_ranks).as_bytes());
         h
+    }
+
+    /// Total takeovers observed across every server.
+    pub fn takeovers(&self) -> u64 {
+        self.member_events
+            .iter()
+            .flatten()
+            .filter(|e| matches!(e, StTcpEvent::TookOver { .. }))
+            .count() as u64
     }
 }
 
@@ -1122,24 +1117,33 @@ pub fn chaos_config() -> StTcpConfig {
     }
 }
 
-/// When the world powered this node off, reconstructed from the schedule
-/// (explicit crashes) and the peer's STONITH log.
+/// When the world powered member `i` off. Both topologies start from the
+/// schedule's first explicit crash of the side that addresses the member
+/// (ranks past 1 have none). The pair then folds in its peer's STONITH,
+/// which lands without any scheduled crash; a pool member is fenced by
+/// quorum, which `check_pool` reads from the members' own logs, so its
+/// view carries the scheduled crash alone.
 fn powered_off_at(
+    topology: Topology,
     schedule: &FaultSchedule,
-    side: Side,
+    i: usize,
     me: &StTcpServer,
-    peer_events: &[StTcpEvent],
+    member_events: &[Vec<StTcpEvent>],
 ) -> Option<SimTime> {
     if !me.was_powered_off() {
         return None;
     }
+    let side = [Side::Primary, Side::Backup].get(i);
     let scheduled = schedule
         .actions
         .iter()
-        .filter(|a| matches!(a.action, ChaosAction::Crash(s) if s == side))
+        .filter(|a| matches!(a.action, ChaosAction::Crash(s) if Some(&s) == side))
         .map(|a| SimTime::from_millis(a.at_ms))
         .min();
-    let stonithed = peer_events.iter().find_map(|e| match e {
+    if topology != Topology::Pair {
+        return scheduled;
+    }
+    let stonithed = member_events[1 - i].iter().find_map(|e| match e {
         StTcpEvent::StonithIssued { at } => Some(*at),
         _ => None,
     });
@@ -1182,10 +1186,7 @@ fn workload_pair(
 /// `ChaosOptions::trace`: prints the fault log and each named server's
 /// event log to stderr as one record ordered by time (ties: faults
 /// first, then servers in the order given).
-pub(crate) fn eprint_record<L: std::fmt::Display>(
-    faults: &[(SimTime, String)],
-    servers: &[(L, &[StTcpEvent])],
-) {
+fn eprint_record(faults: &[(SimTime, String)], servers: &[(String, &[StTcpEvent])]) {
     let mut lines: Vec<(SimTime, String)> = faults
         .iter()
         .map(|(at, what)| (*at, format!("world: [{at}] inject: {what}")))
@@ -1199,45 +1200,66 @@ pub(crate) fn eprint_record<L: std::fmt::Display>(
     }
 }
 
-/// Runs one chaos case: standard topology, the selected verifying
+/// Runs one chaos case: the given topology, the selected verifying
 /// workload, the given schedule, then the invariant checker. Fully
-/// deterministic in `(seed, schedule, opts)`.
-pub fn run_chaos_case(seed: u64, schedule: &FaultSchedule, opts: &ChaosOptions) -> ChaosReport {
+/// deterministic in `(topology, seed, schedule, opts)`.
+///
+/// Topology decides what is protocol and nothing else: how the servers
+/// are wired (a pool always re-integrates: a member rejoining under a
+/// fresh rank is what keeps its takeover chain alive), and which checker,
+/// expectation and `powered_off_at` rule judge the run.
+pub fn run_chaos_case(
+    topology: Topology,
+    seed: u64,
+    schedule: &FaultSchedule,
+    opts: &ChaosOptions,
+) -> ChaosReport {
     let (factory, client_workload) = workload_pair(opts.workload, opts.total_bytes);
-    let mut s = ScenarioBuilder::new(factory, client_workload)
+    let builder = ScenarioBuilder::new(factory, client_workload)
         .seed(seed)
         .sttcp(StTcpConfig {
-            reintegrate: opts.reintegrate,
+            reintegrate: opts.reintegrate || topology != Topology::Pair,
             hb_delta: opts.hb_delta,
             hb_batch: opts.hb_batch,
             ..chaos_config()
-        })
-        .build();
+        });
+    let mut s = match topology {
+        Topology::Pair => builder,
+        Topology::Pool(n) => builder.pool(n),
+    }
+    .build();
 
     schedule.apply(&mut s);
     let end = SimTime::ZERO + opts.horizon;
     s.world.run_until(end);
 
-    let primary = s.server(s.primary);
-    let backup = s.server(s.backup);
-    let p_events = primary.events().to_vec();
-    let b_events = backup.events().to_vec();
+    let member_events: Vec<Vec<StTcpEvent>> = (s.servers.iter())
+        .map(|&n| s.server(n).events().to_vec())
+        .collect();
     if opts.trace {
-        eprint_record(
-            s.world.faults(),
-            &[("primary", &p_events[..]), ("backup", &b_events[..])],
-        );
+        let servers: Vec<_> = (member_events.iter().enumerate())
+            .map(|(i, events)| (topology.member_label(i), events.as_slice()))
+            .collect();
+        eprint_record(s.world.faults(), &servers);
     }
 
-    let view = |srv: &StTcpServer, side: Side, peer_events: &[StTcpEvent], role: Role| ServerView {
-        configured_role: role,
-        events: srv.events().to_vec(),
-        powered_off_at: powered_off_at(schedule, side, srv, peer_events),
-        cold_standby: srv.cold_standby(),
-        active_at_end: srv.is_active(),
-    };
-    let p_view = view(primary, Side::Primary, &b_events, Role::Primary);
-    let b_view = view(backup, Side::Backup, &p_events, Role::Backup);
+    let mut views = Vec::with_capacity(s.servers.len());
+    let mut final_ranks = Vec::with_capacity(s.servers.len());
+    let mut active_at_end = None;
+    for (i, &node) in s.servers.iter().enumerate() {
+        let srv = s.server(node);
+        views.push(ServerView {
+            configured_role: if i == 0 { Role::Primary } else { Role::Backup },
+            events: member_events[i].clone(),
+            powered_off_at: powered_off_at(topology, schedule, i, srv, &member_events),
+            cold_standby: srv.cold_standby(),
+            active_at_end: srv.is_active(),
+        });
+        if srv.is_active() {
+            active_at_end = Some(i);
+        }
+        final_ranks.push(srv.pool_rank());
+    }
 
     let log = s.client_log();
     let from = log
@@ -1254,9 +1276,14 @@ pub fn run_chaos_case(seed: u64, schedule: &FaultSchedule, opts: &ChaosOptions) 
         longest_stall: log.longest_stall(from, to),
     };
 
-    let mut expectation = schedule.expectation();
-    expectation.reintegrate = opts.reintegrate;
-    let report = invariant::check(&p_view, &b_view, &client, &expectation);
+    let report = match topology {
+        Topology::Pair => {
+            let mut expectation = schedule.expectation();
+            expectation.reintegrate = opts.reintegrate;
+            invariant::check(&views[0], &views[1], &client, &expectation)
+        }
+        Topology::Pool(_) => invariant::check_pool(&views, &client, &pool_expectation(schedule)),
+    };
     // The recorder is always on; the *snapshot* is taken only when a
     // violation makes the tail worth shipping (or when asked to).
     let flight = (report.outcome == Outcome::Violation || opts.flight_always).then(|| {
@@ -1267,8 +1294,9 @@ pub fn run_chaos_case(seed: u64, schedule: &FaultSchedule, opts: &ChaosOptions) 
         outcome: report.outcome,
         violations: report.violations,
         client,
-        primary_events: p_events,
-        backup_events: b_events,
+        member_events,
+        final_ranks,
+        active_at_end,
         stall_window: log.longest_stall_window(from, to),
         faults: s.world.faults().to_vec(),
         flight,
@@ -1342,15 +1370,21 @@ pub fn shrink_with(
     (cur, runs)
 }
 
-/// Shrinks a schedule that violates an invariant under `(seed, opts)` to
-/// a minimal reproducer. Deterministic replay makes every probe reliable.
-pub fn shrink_schedule(seed: u64, schedule: &FaultSchedule, opts: &ChaosOptions) -> ShrinkResult {
+/// Shrinks a schedule that violates an invariant under `(topology, seed,
+/// opts)` to a minimal reproducer. Deterministic replay makes every
+/// probe reliable.
+pub fn shrink_schedule(
+    topology: Topology,
+    seed: u64,
+    schedule: &FaultSchedule,
+    opts: &ChaosOptions,
+) -> ShrinkResult {
     let (schedule, runs) = shrink_with(schedule, |cand| {
-        run_chaos_case(seed, cand, opts).outcome == Outcome::Violation
+        run_chaos_case(topology, seed, cand, opts).outcome == Outcome::Violation
     });
     // One replay of the minimized schedule captures the trace that
     // ships with the repro.
-    let flight = run_chaos_case(seed, &schedule, opts).flight;
+    let flight = run_chaos_case(topology, seed, &schedule, opts).flight;
     ShrinkResult {
         schedule,
         runs: runs + 1,
@@ -1594,6 +1628,65 @@ mod tests {
         assert!(!e.service_may_be_lost);
         assert!(!e.unrecoverable_gap_possible);
         assert!(e.max_stall.is_some());
+    }
+
+    /// The one applier, every verb, both topologies: a one-action
+    /// schedule (reboot needs its crash first) must leave exactly the
+    /// fault-log entry that names the rank-0 / rank-1 node, its switch
+    /// link, or the rank-0 ↔ rank-1 cable. `{n*}` are node names, `{i*}`
+    /// node ids, `{l*}` link ids (`c` the client's), `{ser}` the cable.
+    #[test]
+    fn every_verb_lands_on_the_addressed_rank_in_pair_and_pool() {
+        const TABLE: [(&str, &str); 18] = [
+            ("@5 crash primary", "crash {n0}"),
+            ("@4 crash backup; @5 reboot backup", "power on {n1}"),
+            ("@5 nic-down primary", "fail nic0 on {n0}"),
+            ("@5 nic-up backup", "restore nic0 on {n1}"),
+            ("@5 cut backup", "cut link {l1}"),
+            ("@5 restore primary", "restore link {l0}"),
+            ("@5 loss client 30", "loss 0.3 on link {lc} b->a"),
+            ("@5 loss-end backup", "loss 0 on link {l1} b->a"),
+            ("@5 drop-tap 5", "filter on link {l1} b->a"),
+            ("@5 corrupt primary 3", "corrupt next 3 on link {l0} b->a"),
+            ("@5 serial-fail", "fail serial {ser}"),
+            ("@5 serial-restore", "restore serial {ser}"),
+            (
+                "@5 app-crash backup silent",
+                "app crash (SilentNoCleanup) on n{i1}",
+            ),
+            ("@5 dup backup 2", "dup next 2 on link {l1} b->a"),
+            ("@5 reorder primary 2", "reorder next 2 on link {l0} b->a"),
+            ("@5 jitter backup 5", "jitter 5000us on link {l1} b->a"),
+            ("@5 jitter-end primary", "jitter 0us on link {l0} b->a"),
+            ("@5 byz-hb primary freeze", "byzantine hb (Freeze) on n{i0}"),
+        ];
+        for topology in [Topology::Pair, Topology::Pool(3)] {
+            for ((text, want), kind) in TABLE.iter().zip(ChaosAction::KINDS) {
+                let schedule: FaultSchedule = text.parse().unwrap();
+                assert_eq!(schedule.actions.last().unwrap().action.kind(), kind);
+                let (app, load) = workload_pair(ChaosWorkload::Download, 4096);
+                let builder = ScenarioBuilder::new(app, load);
+                let mut s = match topology {
+                    Topology::Pair => builder,
+                    Topology::Pool(n) => builder.pool(n),
+                }
+                .build();
+                schedule.apply(&mut s);
+                s.world.run_until(SimTime::from_millis(6));
+                let mut want = want.to_string();
+                for (i, &node) in s.servers.iter().enumerate().take(2) {
+                    want = want
+                        .replace(&format!("{{n{i}}}"), s.world.node_name(node))
+                        .replace(&format!("{{i{i}}}"), &node.0.to_string())
+                        .replace(&format!("{{l{i}}}"), &s.server_links[i].0.to_string());
+                }
+                want = want
+                    .replace("{lc}", &s.link_client.0.to_string())
+                    .replace("{ser}", &s.serials[0].0.to_string());
+                let got = s.world.faults().last().map(|(_, what)| what.as_str());
+                assert_eq!(got, Some(&want[..]), "{topology:?}: {text}");
+            }
+        }
     }
 
     #[test]

@@ -77,6 +77,7 @@ use crate::chaos::{
     chaos_config, run_chaos_case, shrink_schedule, ChaosAction, ChaosOptions, ChaosReport,
     FaultSchedule, LinkSel, ShrinkResult, Side,
 };
+use crate::scenario::Topology;
 
 /// Schema identifier stamped into every coverage report this explorer
 /// emits; bump when the report layout changes.
@@ -425,10 +426,10 @@ pub fn build_lattice(milestones: &[Milestone]) -> Lattice {
 /// milestones are exactly the phase boundaries the faulted runs will
 /// perturb.
 pub fn probe_milestones(seed: u64, opts: &ChaosOptions) -> (Vec<Milestone>, ChaosReport) {
-    let report = run_chaos_case(seed, &FaultSchedule::default(), opts);
+    let report = run_chaos_case(Topology::Pair, seed, &FaultSchedule::default(), opts);
     let ms = harvest(
-        &report.primary_events,
-        &report.backup_events,
+        &report.member_events[0],
+        &report.member_events[1],
         &chaos_config(),
     );
     (ms, report)
@@ -451,11 +452,11 @@ pub struct CaseResult {
 
 /// Executes one lattice point and reduces it to a [`CaseResult`].
 pub fn explore_case(seed: u64, schedule: &FaultSchedule, opts: &ChaosOptions) -> CaseResult {
-    let report = run_chaos_case(seed, schedule, opts);
+    let report = run_chaos_case(Topology::Pair, seed, schedule, opts);
     let verdicts = report
-        .primary_events
+        .member_events
         .iter()
-        .chain(report.backup_events.iter())
+        .flatten()
         .filter_map(|e| match e {
             StTcpEvent::PeerDeclaredFailed { reason, .. } => Some(reason.key()),
             _ => None,
@@ -565,7 +566,7 @@ impl ExploreSummary {
 /// The real shrinker for [`ExploreSummary::add`]: delta-debug the
 /// schedule under the same `(seed, opts)` that exposed it.
 pub fn shrink_point(seed: u64, opts: &ChaosOptions, schedule: &FaultSchedule) -> ShrinkResult {
-    shrink_schedule(seed, schedule, opts)
+    shrink_schedule(Topology::Pair, seed, schedule, opts)
 }
 
 /// A deterministic stride subset of `total` lattice indices with at
@@ -582,12 +583,6 @@ pub fn budget_indices(total: usize, budget: usize) -> Vec<usize> {
     // Evenly spaced without floats: index i*total/budget is strictly
     // increasing because budget < total.
     (0..budget).map(|i| i * total / budget).collect()
-}
-
-/// Default explore horizon/size knobs: the quick chaos profile. One
-/// lattice has tens of thousands of points; each must stay cheap.
-pub fn explore_opts() -> ChaosOptions {
-    ChaosOptions::quick()
 }
 
 #[cfg(test)]

@@ -8,9 +8,13 @@
 //!   against the deterministic [`pattern`] and records a progress series
 //!   (the headless pie chart of the paper's Demo 1).
 //! * [`scenario`] — topology builders: the paper's Figure 2 setup
-//!   (client + primary + backup + switch + serial cable + multicast tap)
-//!   and the plain-TCP baselines, plus schedulable fault injections for
-//!   every Table 1 row.
+//!   (client + primary + backup + switch + serial cable + multicast tap),
+//!   the same figure widened to an N-replica pool
+//!   ([`scenario::ScenarioBuilder::pool`]) and the plain-TCP baselines,
+//!   plus schedulable fault injections for every Table 1 row.
+//! * [`chaos`] — fault schedules, the one applier and the one case
+//!   runner ([`chaos::run_chaos_case`]) for pair and pool alike;
+//!   [`pool`] holds only what the pool judges a run by.
 //! * [`plain`] — the non-fault-tolerant baseline server.
 //!
 //! ## Quickstart
@@ -61,10 +65,8 @@ pub mod prelude {
     };
     pub use crate::pattern::{fill_pattern, pattern_byte, pattern_chunk, verify_pattern};
     pub use crate::plain::{PlainServer, PlainServerConfig};
-    pub use crate::pool::{
-        pool_expectation, run_pool_case, PoolReport, PoolScenario, PoolScenarioBuilder,
-    };
+    pub use crate::pool::pool_expectation;
     pub use crate::scenario::{
-        build_baseline, Addressing, AppMaker, BaselineScenario, Scenario, ScenarioBuilder,
+        build_baseline, Addressing, AppMaker, BaselineScenario, Scenario, ScenarioBuilder, Topology,
     };
 }

@@ -7,6 +7,14 @@
 //! to a **multicast** Ethernet address so the switch floods every client
 //! frame to both servers — the tap.
 //!
+//! [`ScenarioBuilder::pool`] widens the same figure to an N-replica
+//! standby pool: every member aliases the service IP and taps the
+//! client's multicast frames, and a null-modem cable joins every pair of
+//! members. The pair is that pool's two-member case with the paper's
+//! own wiring (peer fields, one cable, single-shot STONITH); either way
+//! [`Scenario`] lists the replicas in rank order, so fault injection and
+//! observation address a pair and a pool through the same fields.
+//!
 //! Builders also exist for the two baselines the paper compares against:
 //! a plain single server ("ST-TCP disabled", Demo 3) and a plain primary
 //! plus a plain hot standby that requires a client reconnect (Demo 1's
@@ -30,6 +38,7 @@ use simtcp::socket::FourTuple;
 use sttcp::app::Application;
 use sttcp::config::{Role, StTcpConfig};
 use sttcp::heartbeat::conn_key;
+use sttcp::pool::PoolPeer;
 use sttcp::server::{AppCrashMode, ServerSetup, StTcpServer};
 
 use crate::client::{ClientConfig, ClientLog, ClientWorkload, ReconnectPolicy, TcpClient};
@@ -78,6 +87,29 @@ impl Default for Addressing {
 /// A factory closure producing identical deterministic app replicas.
 pub type AppMaker = Rc<dyn Fn() -> Box<dyn Application>>;
 
+/// Which replica topology a world wires: the paper's pair, or an
+/// N-replica standby pool (2..=8 members; `Pool(2)` runs the pool
+/// protocol on two members and is not the pair).
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum Topology {
+    /// Primary + backup, peer-to-peer heartbeats, single-shot STONITH.
+    Pair,
+    /// One active plus `n - 1` ranked standbys, quorum-checked fencing.
+    Pool(usize),
+}
+
+impl Topology {
+    /// What member `i` (by initial rank) is called in traces and
+    /// reports: the pair's roles, or the pool's ranks.
+    pub fn member_label(self, i: usize) -> String {
+        match (self, i) {
+            (Topology::Pair, 0) => "primary".into(),
+            (Topology::Pair, _) => "backup".into(),
+            (Topology::Pool(_), i) => format!("rank{i}"),
+        }
+    }
+}
+
 /// Builder for the standard ST-TCP scenario.
 pub struct ScenarioBuilder {
     seed: u64,
@@ -93,6 +125,7 @@ pub struct ScenarioBuilder {
     serial: SerialParams,
     serial_links: usize,
     addressing: Addressing,
+    topology: Topology,
 }
 
 impl ScenarioBuilder {
@@ -110,6 +143,7 @@ impl ScenarioBuilder {
             serial: SerialParams::rs232(),
             serial_links: 1,
             addressing: Addressing::default(),
+            topology: Topology::Pair,
         }
     }
 
@@ -163,14 +197,50 @@ impl ScenarioBuilder {
         self
     }
 
+    /// Builds an `n`-replica standby pool (2..=8) instead of the pair:
+    /// rank `i` at `10.0.0.(2+i)`, a serial cable between every two
+    /// members, rank-ordered takeover behind quorum-checked fencing.
+    /// `pool(2)` is the degenerate pool whose every fence is a
+    /// self-quorum STONITH — still the pool protocol, not the pair's.
+    pub fn pool(mut self, n: usize) -> Self {
+        assert!((2..=8).contains(&n), "pool size {n} out of range 2..=8");
+        self.topology = Topology::Pool(n);
+        self
+    }
+
     /// Sets when (after start) the client connects.
     pub fn connect_at(mut self, at: SimDuration) -> Self {
         self.connect_at = at;
         self
     }
 
+    /// The client (gateway) host: the service IP resolves to the
+    /// multicast EA — the tap — and every server's private address to
+    /// its own MAC, in rank order.
+    fn gateway_client(&self, servers: impl IntoIterator<Item = (Ipv4Addr, MacAddr)>) -> TcpClient {
+        let a = self.addressing;
+        let mut iface = IpInterface::new(NicId(0), a.client_mac, a.client_ip);
+        iface.add_arp(a.service_ip, a.multi_ea);
+        for (ip, mac) in servers {
+            iface.add_arp(ip, mac);
+        }
+        let cfg = ClientConfig {
+            server: (a.service_ip, a.service_port),
+            local_port: 40_000,
+            workload: self.workload.clone(),
+            connect_at: self.connect_at,
+            reconnect: None,
+            tcp: self.tcp.clone(),
+            seed: self.seed ^ 0xc11e,
+        };
+        TcpClient::new(cfg, iface)
+    }
+
     /// Wires the world and starts it.
     pub fn build(self) -> Scenario {
+        if let Topology::Pool(n) = self.topology {
+            return self.build_pool(n);
+        }
         let a = self.addressing;
         let mut world = World::new(self.seed);
 
@@ -180,22 +250,8 @@ impl ScenarioBuilder {
         let primary_id = NodeId(1);
         let backup_id = NodeId(2);
 
-        // --- client (gateway) ---
-        let mut client_iface = IpInterface::new(NicId(0), a.client_mac, a.client_ip);
-        // The tap: service IP resolves to the multicast EA.
-        client_iface.add_arp(a.service_ip, a.multi_ea);
-        client_iface.add_arp(a.primary_ip, a.primary_mac);
-        client_iface.add_arp(a.backup_ip, a.backup_mac);
-        let client_cfg = ClientConfig {
-            server: (a.service_ip, a.service_port),
-            local_port: 40_000,
-            workload: self.workload.clone(),
-            connect_at: self.connect_at,
-            reconnect: None,
-            tcp: self.tcp.clone(),
-            seed: self.seed ^ 0xc11e,
-        };
-        let client = TcpClient::new(client_cfg, client_iface);
+        let client =
+            self.gateway_client([(a.primary_ip, a.primary_mac), (a.backup_ip, a.backup_mac)]);
 
         // --- servers ---
         let mk_server = |role: Role, my_ip, my_mac, peer_ip, peer_mac, peer_node, seed| {
@@ -322,8 +378,10 @@ impl ScenarioBuilder {
             .node_mut::<StTcpServer>(backup_id)
             .expect("backup type")
             .set_serial_port(sp_backup);
+        let mut serials = vec![serial];
         for _ in 1..self.serial_links {
-            let (_, spp, spb) = world.connect_serial(primary_id, backup_id, self.serial);
+            let (extra, spp, spb) = world.connect_serial(primary_id, backup_id, self.serial);
+            serials.push(extra);
             world
                 .node_mut::<StTcpServer>(primary_id)
                 .expect("primary type")
@@ -354,12 +412,132 @@ impl ScenarioBuilder {
             link_primary,
             link_backup,
             serial,
+            servers: vec![primary_id, backup_id],
+            server_links: vec![link_primary, link_backup],
+            serials,
+            addressing: a,
+        }
+    }
+
+    /// The pool world: one client, `n` members in rank order, a serial
+    /// cable per pair of members in `(i, j), i < j` order.
+    fn build_pool(self, n: usize) -> Scenario {
+        assert!(
+            self.extra_clients.is_empty() && self.serial_links == 1,
+            "a pool world has one client and one cable per member pair"
+        );
+        let a = self.addressing;
+        let mut world = World::new(self.seed);
+
+        let ips: Vec<Ipv4Addr> = (0..n)
+            .map(|i| Ipv4Addr::new(10, 0, 0, 2 + i as u8))
+            .collect();
+        let macs: Vec<MacAddr> = (0..n).map(|i| MacAddr::unicast(2 + i as u32)).collect();
+        let client_id = NodeId(0);
+        let servers: Vec<NodeId> = (0..n).map(|i| NodeId(1 + i)).collect();
+
+        let client = self.gateway_client(ips.iter().copied().zip(macs.iter().copied()));
+        assert_eq!(world.add_node("client", Box::new(client)), client_id);
+
+        // --- pool members, rank i at 10.0.0.(2+i) ---
+        for i in 0..n {
+            let mut iface = IpInterface::new(NicId(0), macs[i], ips[i]);
+            iface.add_alias(a.service_ip);
+            iface.add_arp(a.client_ip, a.client_mac);
+            for j in (0..n).filter(|&j| j != i) {
+                iface.add_arp(ips[j], macs[j]);
+            }
+            let pool: Vec<PoolPeer> = (0..n)
+                .filter(|&j| j != i)
+                .map(|j| PoolPeer {
+                    rank: j as u8,
+                    ip: ips[j],
+                    node: servers[j],
+                })
+                .collect();
+            // Pair-mode peer fields are unused in pool mode but must
+            // point at a real member; use the neighbour.
+            let peer = if i == 0 { 1 } else { 0 };
+            let setup = ServerSetup {
+                role: if i == 0 { Role::Primary } else { Role::Backup },
+                sttcp: self.sttcp.clone(),
+                tcp: TcpConfig::clone(&self.tcp),
+                service_ip: a.service_ip,
+                service_port: a.service_port,
+                private_ip: ips[i],
+                peer_private_ip: ips[peer],
+                peer_node: servers[peer],
+                gateway_ip: a.client_ip,
+                isn_salt: 0x5757_5757 ^ self.seed,
+                seed: self.seed ^ (0x9f1a + i as u64),
+                rank: i as u8,
+                pool,
+            };
+            let app = self.app.clone();
+            let server = StTcpServer::new(setup, iface, Box::new(move || app()));
+            let name = format!("pool{i}");
+            assert_eq!(world.add_node(&name, Box::new(server)), servers[i]);
+        }
+
+        // --- switch fabric ---
+        let cn = world.add_nic(client_id, a.client_mac);
+        let nics: Vec<_> = (0..n).map(|i| world.add_nic(servers[i], macs[i])).collect();
+        let switch = world.add_switch(1 + n);
+        let link_client = world.connect_to_switch(client_id, cn, switch, 0, self.link);
+        let server_links: Vec<LinkId> = (0..n)
+            .map(|i| world.connect_to_switch(servers[i], nics[i], switch, 1 + i, self.link))
+            .collect();
+
+        // --- pairwise null-modem mesh ---
+        let mut serials = Vec::new();
+        for i in 0..n {
+            for j in (i + 1)..n {
+                let (sid, port_i, port_j) =
+                    world.connect_serial(servers[i], servers[j], self.serial);
+                world
+                    .node_mut::<StTcpServer>(servers[i])
+                    .expect("server type")
+                    .add_pool_serial(port_i, ips[j]);
+                world
+                    .node_mut::<StTcpServer>(servers[j])
+                    .expect("server type")
+                    .add_pool_serial(port_j, ips[i]);
+                serials.push(sid);
+            }
+        }
+
+        // Profiler attribution: client is application load, members are
+        // the pool protocol machinery.
+        world.set_node_component(client_id, Component::App);
+        for &sid in &servers {
+            world.set_node_component(sid, Component::Pool);
+        }
+
+        world.start();
+        Scenario {
+            world,
+            client: client_id,
+            clients: vec![client_id],
+            primary: servers[0],
+            backup: servers[1],
+            switch,
+            link_client,
+            link_primary: server_links[0],
+            link_backup: server_links[1],
+            serial: serials[0],
+            servers,
+            server_links,
+            serials,
             addressing: a,
         }
     }
 }
 
-/// A fully wired, started ST-TCP world.
+/// A fully wired, started ST-TCP world: the pair, or (built with
+/// [`ScenarioBuilder::pool`]) an N-replica pool. The rank-order vectors
+/// describe either; `primary` / `backup` and their links name ranks 0
+/// and 1, which is what [`crate::chaos::Side`] and
+/// [`crate::chaos::LinkSel`] address.
 pub struct Scenario {
     /// The simulation world.
     pub world: World,
@@ -367,9 +545,9 @@ pub struct Scenario {
     pub client: NodeId,
     /// All client nodes (the first is the gateway client).
     pub clients: Vec<NodeId>,
-    /// The (initial) primary node.
+    /// The (initial) primary node — rank 0.
     pub primary: NodeId,
-    /// The (initial) backup node.
+    /// The (initial) backup node — rank 1.
     pub backup: NodeId,
     /// The Ethernet switch.
     pub switch: SwitchId,
@@ -379,8 +557,15 @@ pub struct Scenario {
     pub link_primary: LinkId,
     /// Backup ↔ switch link.
     pub link_backup: LinkId,
-    /// The serial null-modem channel.
+    /// The serial null-modem channel between ranks 0 and 1.
     pub serial: SerialId,
+    /// Every server node, indexed by initial rank.
+    pub servers: Vec<NodeId>,
+    /// Server ↔ switch links, indexed by initial rank.
+    pub server_links: Vec<LinkId>,
+    /// Every serial channel: the pair's parallel heartbeat links, or the
+    /// pool's mesh in `(i, j), i < j` order. `serials[0] == serial`.
+    pub serials: Vec<SerialId>,
     /// The addressing plan.
     pub addressing: Addressing,
 }
@@ -426,16 +611,28 @@ impl Scenario {
         })
     }
 
+    /// Schedules a HW/OS crash of a server (Table 1 row 1).
+    pub fn crash_at(&mut self, node: NodeId, at: SimTime) {
+        self.world.schedule(at, move |w| w.crash_node(node));
+    }
+
+    /// Schedules a warm reboot of a server (no-op if still powered).
+    pub fn reboot_at(&mut self, node: NodeId, at: SimTime) {
+        self.world.schedule(at, move |w| {
+            if !w.is_powered(node) {
+                w.restore_node(node);
+            }
+        });
+    }
+
     /// Schedules a HW/OS crash of the primary (Table 1 row 1).
     pub fn crash_primary_at(&mut self, at: SimTime) {
-        let n = self.primary;
-        self.world.schedule(at, move |w| w.crash_node(n));
+        self.crash_at(self.primary, at);
     }
 
     /// Schedules a HW/OS crash of the backup.
     pub fn crash_backup_at(&mut self, at: SimTime) {
-        let n = self.backup;
-        self.world.schedule(at, move |w| w.crash_node(n));
+        self.crash_at(self.backup, at);
     }
 
     /// Schedules a NIC failure on one of the servers (Table 1 row 4).
@@ -461,32 +658,35 @@ impl Scenario {
         self.world.schedule(at, move |w| w.fail_serial(s));
     }
 
-    /// Schedules a loss burst toward the *primary*: the next `n` TCP
-    /// frames addressed to the service IP are dropped on the
-    /// switch→primary direction (Table 1 row 5's primary-side case —
-    /// handled by ordinary TCP retransmission, no ST-TCP action).
-    pub fn drop_primary_tap_at(&mut self, at: SimTime, n: u64) {
-        Self::drop_tap(
-            &mut self.world,
-            self.link_primary,
-            self.addressing.service_ip,
-            at,
-            n,
-        );
-    }
-
     /// Schedules a loss burst on the backup's tap: the next `n` TCP
     /// frames addressed to the service IP are dropped on the
     /// switch→backup direction, while heartbeats keep flowing (Table 1
     /// row 5).
     pub fn drop_backup_tap_at(&mut self, at: SimTime, n: u64) {
-        Self::drop_tap(
-            &mut self.world,
-            self.link_backup,
-            self.addressing.service_ip,
-            at,
-            n,
-        );
+        let link = self.link_backup;
+        let service_ip = self.addressing.service_ip;
+        self.world.schedule(at, move |w| {
+            let mut budget = n;
+            // `connect_to_switch` makes the node endpoint `a` and the
+            // switch endpoint `b`, so switch→server traffic travels B→A.
+            w.set_link_filter(
+                link,
+                LinkDir::BtoA,
+                Some(Box::new(move |frame| {
+                    if budget == 0 {
+                        return false;
+                    }
+                    let Some(pkt) = IpInterface::decap(frame) else {
+                        return false;
+                    };
+                    if pkt.proto == simnet::ip::IpProto::Tcp && pkt.dst == service_ip {
+                        budget -= 1;
+                        return true;
+                    }
+                    false
+                })),
+            );
+        });
     }
 
     /// Schedules a *time-boxed* outage toward the primary: every TCP frame
@@ -510,37 +710,6 @@ impl Scenario {
             w.schedule_in(duration, move |w| {
                 w.set_link_filter(link, LinkDir::BtoA, None);
             });
-        });
-    }
-
-    pub(crate) fn drop_tap(
-        world: &mut World,
-        link: LinkId,
-        service_ip: Ipv4Addr,
-        at: SimTime,
-        n: u64,
-    ) {
-        world.schedule(at, move |w| {
-            let mut budget = n;
-            // `connect_to_switch` makes the node endpoint `a` and the
-            // switch endpoint `b`, so switch→server traffic travels B→A.
-            w.set_link_filter(
-                link,
-                LinkDir::BtoA,
-                Some(Box::new(move |frame| {
-                    if budget == 0 {
-                        return false;
-                    }
-                    let Some(pkt) = IpInterface::decap(frame) else {
-                        return false;
-                    };
-                    if pkt.proto == simnet::ip::IpProto::Tcp && pkt.dst == service_ip {
-                        budget -= 1;
-                        return true;
-                    }
-                    false
-                })),
-            );
         });
     }
 }

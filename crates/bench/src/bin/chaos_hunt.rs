@@ -19,6 +19,8 @@
 //! * `--pool`             N-replica pool schedules: kill the active,
 //!   usually reboot + rejoin it, then kill the next active — quorum
 //!   fencing and rank-ordered takeover under the pool invariants
+//!   (`--double`, `--reintegrate` and `--pool` pick one schedule
+//!   flavour; giving two is a usage error)
 //! * `--seed N`           run exactly one seed, verbosely
 //! * `--schedule S`       replay a schedule string (with `--seed`'s seed)
 //! * `--workload W`       verifying workload: `download` (default),
@@ -44,12 +46,13 @@ use sttcp::invariant::Outcome;
 use sttcp_apps::chaos::{
     run_chaos_case, shrink_schedule, ChaosOptions, ChaosWorkload, FaultSchedule,
 };
-use sttcp_apps::pool::run_pool_case;
+use sttcp_apps::scenario::Topology;
 use sttcp_bench::flight::{dumps_to_json, flight_dir_for, write_flight_dump, FlightDumpPaths};
 use sttcp_bench::hunt::{
-    latest_fault_before, run_pool_sweep, run_sweep, survivor_events, GrammarCoverage, SweepConfig,
+    latest_fault_before, pool_takeover_timelines, run_sweep, survivor_events, Flavour,
+    GrammarCoverage, SweepConfig,
 };
-use sttcp_bench::phases::{failover_timeline, takeover_timelines};
+use sttcp_bench::phases::failover_timeline;
 
 /// Writes the violation's flight-recorder dump pair and prints where it
 /// went; returns the paths for the `--json` report's `flight_dumps`
@@ -81,9 +84,7 @@ struct Args {
     start: u64,
     threads: usize,
     quick: bool,
-    double: bool,
-    reintegrate: bool,
-    pool: bool,
+    flavour: Flavour,
     one_seed: Option<u64>,
     schedule: Option<String>,
     workload: Option<ChaosWorkload>,
@@ -101,9 +102,7 @@ fn parse_args() -> Args {
         start: 0,
         threads: 1,
         quick: false,
-        double: false,
-        reintegrate: false,
-        pool: false,
+        flavour: Flavour::Single,
         one_seed: None,
         schedule: None,
         workload: None,
@@ -117,8 +116,8 @@ fn parse_args() -> Args {
     fn die(msg: &str) -> ! {
         eprintln!("{msg}");
         eprintln!(
-            "usage: chaos_hunt [--seeds N] [--start N] [--threads N] [--quick] [--double] \
-             [--reintegrate] [--pool] [--seed N [--schedule \"...\"]] \
+            "usage: chaos_hunt [--seeds N] [--start N] [--threads N] [--quick] \
+             [--double | --reintegrate | --pool] [--seed N [--schedule \"...\"]] \
              [--workload download|reqresp|commit-stream] [--grammar] [--verbose] [--trace] \
              [--flight-always] [--json PATH] [--enforce-bounds]"
         );
@@ -134,14 +133,24 @@ fn parse_args() -> Args {
             v.parse()
                 .unwrap_or_else(|_| die(&format!("{name}: {v:?} is not a number")))
         };
+        let mut pick = |f: Flavour| {
+            if args.flavour != Flavour::Single && args.flavour != f {
+                die(&format!(
+                    "{}and {}are different schedule flavours: pick one",
+                    args.flavour.flag(),
+                    f.flag()
+                ));
+            }
+            args.flavour = f;
+        };
         match a.as_str() {
             "--seeds" => args.seeds = num("--seeds", val("--seeds")),
             "--start" => args.start = num("--start", val("--start")),
             "--threads" => args.threads = num("--threads", val("--threads")) as usize,
             "--quick" => args.quick = true,
-            "--double" => args.double = true,
-            "--reintegrate" => args.reintegrate = true,
-            "--pool" => args.pool = true,
+            "--double" => pick(Flavour::Double),
+            "--reintegrate" => pick(Flavour::Reintegrate),
+            "--pool" => pick(Flavour::Pool),
             "--seed" => args.one_seed = Some(num("--seed", val("--seed"))),
             "--schedule" => args.schedule = Some(val("--schedule")),
             "--workload" => {
@@ -172,10 +181,12 @@ fn main() -> ExitCode {
     };
     opts.trace = args.trace;
     opts.flight_always = args.flight_always;
-    opts.reintegrate = args.reintegrate;
+    opts.reintegrate = args.flavour == Flavour::Reintegrate;
     if let Some(w) = args.workload {
         opts.workload = w;
     }
+    let topology = args.flavour.topology();
+    let pool = topology != Topology::Pair;
     let mut coverage = GrammarCoverage::default();
 
     // Single-case mode: replay one seed (and optionally a pasted
@@ -187,75 +198,48 @@ fn main() -> ExitCode {
                 eprintln!("--schedule: {e}");
                 std::process::exit(2);
             }),
-            None if args.pool => FaultSchedule::generate_pool(seed),
-            None if args.reintegrate => FaultSchedule::generate_reintegrate(seed),
-            None if args.double => FaultSchedule::generate_double(seed),
-            None => FaultSchedule::generate(seed),
+            None => args.flavour.schedule(seed),
         };
         println!("seed {seed}: {schedule}");
-        if args.pool {
-            let report = run_pool_case(seed, &schedule, &opts);
-            println!("outcome: {}", report.outcome);
-            println!("client: {:?}", report.client);
+        let report = run_chaos_case(topology, seed, &schedule, &opts);
+        println!("outcome: {}", report.outcome);
+        println!("client: {:?}", report.client);
+        if pool {
             println!(
                 "active at end: {:?}, final ranks: {:?}",
                 report.active_at_end, report.final_ranks
             );
-            for (at, what) in &report.faults {
-                println!("  fault @ {at}: {what}");
-            }
-            for (i, events) in report.member_events.iter().enumerate() {
-                for e in events {
-                    println!("  rank{i}: {e}");
-                }
-            }
-            for (i, tl) in takeover_timelines(&report.member_events, &report.faults, |at| {
-                report.stall_window.filter(|&(ws, we)| {
-                    at >= ws && at <= we + simnet::time::SimDuration::from_secs(1)
-                })
-            }) {
-                if let Some(b) = tl.breakdown() {
-                    println!("takeover by rank{i} (stall {}):", b.total);
-                    for (p, d) in obs::timeline::Phase::ALL.iter().zip(b.durations.iter()) {
-                        println!("  {:<10} {d}", p.name());
-                    }
-                }
-            }
-            for v in &report.violations {
-                println!("VIOLATION [{}]: {}", v.invariant, v.detail);
-            }
-            if let Some(snap) = &report.flight {
-                dump_flight(
-                    &flight_dir_for(args.json.as_deref()),
-                    &format!("seed{seed}"),
-                    snap,
-                );
-            }
-            return if report.outcome == Outcome::Violation {
-                ExitCode::from(1)
-            } else {
-                ExitCode::SUCCESS
-            };
         }
-        let report = run_chaos_case(seed, &schedule, &opts);
-        println!("outcome: {}", report.outcome);
-        println!("client: {:?}", report.client);
         for (at, what) in &report.faults {
             println!("  fault @ {at}: {what}");
         }
-        for e in &report.primary_events {
-            println!("  primary: {e}");
+        let labels: Vec<String> = (0..report.member_events.len())
+            .map(|i| format!("{}:", topology.member_label(i)))
+            .collect();
+        let width = labels.iter().map(String::len).max().unwrap_or(0);
+        for (label, events) in labels.iter().zip(&report.member_events) {
+            for e in events {
+                println!("  {label:<width$} {e}");
+            }
         }
-        for e in &report.backup_events {
-            println!("  backup:  {e}");
-        }
-        if let (Some((ws, we)), Some(events)) = (report.stall_window, survivor_events(&report)) {
+        // Where the stall went: a pool attributes it per takeover, the
+        // pair to its one survivor.
+        let mut breakdowns = Vec::new();
+        if pool {
+            for (i, tl) in pool_takeover_timelines(&report) {
+                breakdowns.extend(tl.breakdown().map(|b| (format!("takeover by rank{i}"), b)));
+            }
+        } else if let (Some((ws, we)), Some(events)) =
+            (report.stall_window, survivor_events(&report))
+        {
             let fault_at = latest_fault_before(&report, we);
-            if let Some(b) = failover_timeline(ws, we, fault_at, events).breakdown() {
-                println!("phase breakdown (stall {}):", b.total);
-                for (p, d) in obs::timeline::Phase::ALL.iter().zip(b.durations.iter()) {
-                    println!("  {:<10} {d}", p.name());
-                }
+            let b = failover_timeline(ws, we, fault_at, events).breakdown();
+            breakdowns.extend(b.map(|b| ("phase breakdown".to_string(), b)));
+        }
+        for (title, b) in breakdowns {
+            println!("{title} (stall {}):", b.total);
+            for (p, d) in obs::timeline::Phase::ALL.iter().zip(b.durations.iter()) {
+                println!("  {:<10} {d}", p.name());
             }
         }
         for v in &report.violations {
@@ -275,97 +259,12 @@ fn main() -> ExitCode {
         };
     }
 
-    // Pool sweep mode: no shrinking (pool schedules are already small),
-    // print violating seeds with a paste-able replay line instead.
-    if args.pool {
-        println!(
-            "chaos hunt: {} seeds {}..{} (pool{}{})",
-            args.seeds,
-            args.start,
-            args.start + args.seeds,
-            if args.quick { ", quick" } else { "" },
-            if args.threads > 1 {
-                format!(", {} threads", args.threads)
-            } else {
-                String::new()
-            },
-        );
-        let flight_dir = flight_dir_for(args.json.as_deref());
-        let mut flight_dumps: Vec<FlightDumpPaths> = Vec::new();
-        let summary = run_pool_sweep(args.seeds, args.start, args.threads, &opts, |case| {
-            if args.grammar {
-                coverage.add(&case.schedule);
-            }
-            if args.verbose || case.report.outcome == Outcome::Violation {
-                println!(
-                    "seed {}: {} — {}",
-                    case.seed, case.report.outcome, case.schedule
-                );
-            }
-            if case.report.outcome == Outcome::Violation {
-                for v in &case.report.violations {
-                    println!("  [{}] {}", v.invariant, v.detail);
-                }
-                println!(
-                    "  replay: cargo run -p sttcp-bench --bin chaos_hunt -- \\\n    \
-                     --pool --seed {} --schedule \"{}\"",
-                    case.seed, case.schedule
-                );
-                if let Some(snap) = &case.report.flight {
-                    flight_dumps.extend(dump_flight(
-                        &flight_dir,
-                        &format!("seed{}", case.seed),
-                        snap,
-                    ));
-                }
-            }
-        });
-        println!();
-        println!("clean                    {:>6}", summary.clean);
-        println!("recovered                {:>6}", summary.recovered);
-        println!("detected-unrecoverable   {:>6}", summary.detected);
-        println!("service-lost             {:>6}", summary.lost);
-        println!("VIOLATIONS               {:>6}", summary.violated.len());
-        println!("takeovers                {:>6}", summary.takeovers);
-        if args.grammar {
-            println!(
-                "\naction-grammar coverage across {} schedules:\n",
-                args.seeds
-            );
-            print!("{}", coverage.render_table());
-        }
-        if !summary.agg.is_empty() {
-            println!(
-                "\ntakeover phase latencies across {} failovers:\n",
-                summary.agg.failovers()
-            );
-            print!("{}", summary.agg.render_table());
-        }
-        if let Some(path) = &args.json {
-            let mut report = summary.to_report(args.seeds, args.start, args.quick);
-            report.set("flight_dumps", dumps_to_json(&flight_dumps));
-            if let Err(e) = report.write_to(path) {
-                eprintln!("failed to write {}: {e}", path.display());
-                return ExitCode::from(1);
-            }
-            println!("metrics report written to {}", path.display());
-        }
-        return if summary.violated.is_empty() {
-            println!("\nno invariant violations — every takeover quorum-fenced");
-            ExitCode::SUCCESS
-        } else {
-            println!("\nviolating seeds: {:?}", summary.violated);
-            ExitCode::from(1)
-        };
-    }
-
     // Sweep mode.
-    let kind = if args.reintegrate {
-        "reintegrate-then-fail"
-    } else if args.double {
-        "double-fault"
-    } else {
-        "multi-fault"
+    let kind = match args.flavour {
+        Flavour::Single => "multi-fault",
+        Flavour::Double => "double-fault",
+        Flavour::Reintegrate => "reintegrate-then-fail",
+        Flavour::Pool => "pool",
     };
     println!(
         "chaos hunt: {} seeds {}..{} ({kind}{}{})",
@@ -384,8 +283,7 @@ fn main() -> ExitCode {
         seeds: args.seeds,
         start: args.start,
         quick: args.quick,
-        double: args.double,
-        reintegrate: args.reintegrate,
+        flavour: args.flavour,
         threads: args.threads,
     };
     let flight_dir = flight_dir_for(args.json.as_deref());
@@ -405,7 +303,7 @@ fn main() -> ExitCode {
                 println!("  [{}] {}", v.invariant, v.detail);
             }
             println!("  shrinking...");
-            let shrunk = shrink_schedule(case.seed, &case.schedule, &opts);
+            let shrunk = shrink_schedule(topology, case.seed, &case.schedule, &opts);
             println!(
                 "  minimal reproducer ({} actions, {} probe runs):",
                 shrunk.schedule.len(),
@@ -413,8 +311,10 @@ fn main() -> ExitCode {
             );
             println!(
                 "    cargo run -p sttcp-bench --bin chaos_hunt -- \\\n      \
-                 --seed {} --schedule \"{}\"",
-                case.seed, shrunk.schedule
+                 {}--seed {} --schedule \"{}\"",
+                args.flavour.flag(),
+                case.seed,
+                shrunk.schedule
             );
             // The shrunk reproducer's trace is the one worth keeping;
             // fall back to the original run's tail if shrinking lost
@@ -435,6 +335,9 @@ fn main() -> ExitCode {
     println!("detected-unrecoverable   {:>6}", summary.detected);
     println!("service-lost             {:>6}", summary.lost);
     println!("VIOLATIONS               {:>6}", summary.violated.len());
+    if pool {
+        println!("takeovers                {:>6}", summary.takeovers);
+    }
 
     if args.grammar {
         println!(
@@ -446,17 +349,22 @@ fn main() -> ExitCode {
 
     if !summary.agg.is_empty() {
         println!(
-            "\nfailover phase latencies across {} failovers:\n",
+            "\n{} phase latencies across {} failovers:\n",
+            if pool { "takeover" } else { "failover" },
             summary.agg.failovers()
         );
         print!("{}", summary.agg.render_table());
     }
 
-    println!(
-        "\ndetection bounds: {} failovers checked, {} exceeded",
-        summary.bound_checked,
-        summary.bound_violations.len()
-    );
+    // Detection bounds are a pair measure: a pool verdict is a quorum
+    // round, not one detector's timeout.
+    if !pool {
+        println!(
+            "\ndetection bounds: {} failovers checked, {} exceeded",
+            summary.bound_checked,
+            summary.bound_violations.len()
+        );
+    }
     for v in &summary.bound_violations {
         println!(
             "BOUND EXCEEDED: seed {} ({}) detected in {:.1} ms > bound {:.1} ms",
@@ -479,7 +387,14 @@ fn main() -> ExitCode {
 
     let bounds_failed = args.enforce_bounds && !summary.bound_violations.is_empty();
     if summary.violated.is_empty() && !bounds_failed {
-        println!("\nno invariant violations — every run within its fault envelope");
+        println!(
+            "\nno invariant violations — every {}",
+            if pool {
+                "takeover quorum-fenced"
+            } else {
+                "run within its fault envelope"
+            }
+        );
         ExitCode::SUCCESS
     } else {
         if !summary.violated.is_empty() {

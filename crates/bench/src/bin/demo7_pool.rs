@@ -28,7 +28,7 @@ use sttcp::config::StTcpConfig;
 use sttcp::events::StTcpEvent;
 use sttcp_apps::apps::StreamApp;
 use sttcp_apps::client::ClientWorkload;
-use sttcp_apps::pool::PoolScenarioBuilder;
+use sttcp_apps::scenario::ScenarioBuilder;
 use sttcp_bench::flight::{dumps_to_json, flight_dir_for, write_flight_dump};
 use sttcp_bench::phases::failover_timeline;
 use sttcp_bench::report::{render_series, Table};
@@ -80,20 +80,21 @@ fn main() {
          crash rank-1 (new active) @{CRASH2_MS}ms"
     );
 
-    let mut s = PoolScenarioBuilder::new(
+    let mut s = ScenarioBuilder::new(
         Rc::new(|| Box::new(StreamApp::new(4096, false)) as _),
         ClientWorkload::Download { total: TOTAL },
     )
     .seed(7)
-    .replicas(REPLICAS)
+    .pool(REPLICAS)
     .sttcp(StTcpConfig {
         reintegrate: true,
         ..StTcpConfig::default()
     })
     .build();
-    s.crash_at(0, t(CRASH1_MS));
-    s.reboot_at(0, t(REBOOT_MS));
-    s.crash_at(1, t(CRASH2_MS));
+    let rank = s.servers.clone();
+    s.crash_at(rank[0], t(CRASH1_MS));
+    s.reboot_at(rank[0], t(REBOOT_MS));
+    s.crash_at(rank[1], t(CRASH2_MS));
 
     // Sample the pool-strength gauge (live, unfenced members as the
     // current active counts them) alongside the run.
@@ -102,8 +103,8 @@ fn main() {
     let mut strength: Vec<(SimTime, u64)> = Vec::new();
     loop {
         let now = s.world.now();
-        if let Some(active) = (0..REPLICAS).find(|&i| s.server(i).is_active()) {
-            if let Some(v) = s.server(active).pool_strength() {
+        if let Some(active) = rank.iter().find(|&&n| s.server(n).is_active()) {
+            if let Some(v) = s.server(*active).pool_strength() {
                 match strength.last() {
                     Some(&(_, last)) if last == v => {}
                     _ => strength.push((now, v)),
@@ -129,8 +130,8 @@ fn main() {
 
     // First takeover is rank-1's story, the second rank-2's; the
     // re-integration milestones live on the rebooted rank-0's log.
-    let member_events: Vec<Vec<StTcpEvent>> = (0..REPLICAS)
-        .map(|i| s.server(i).events().to_vec())
+    let member_events: Vec<Vec<StTcpEvent>> = (rank.iter())
+        .map(|&n| s.server(n).events().to_vec())
         .collect();
     let quorum1 = event_at(&member_events[1], |e| match e {
         StTcpEvent::FenceQuorumReached { at, .. } => Some(*at),
@@ -141,10 +142,10 @@ fn main() {
         _ => None,
     });
     let rejoined_at = s
-        .server(0)
+        .server(rank[0])
         .reintegrated_at()
         .expect("rebooted ex-active never completed re-integration");
-    let new_rank = s.server(0).pool_rank();
+    let new_rank = s.server(rank[0]).pool_rank();
     assert!(
         new_rank >= REPLICAS as u8,
         "rejoiner kept rank {new_rank} instead of moving to the back"
@@ -158,7 +159,7 @@ fn main() {
         _ => None,
     });
     assert!(
-        s.server(2).is_active(),
+        s.server(rank[2]).is_active(),
         "rank-2 must hold the service at end of run"
     );
     for (i, tk, q) in [(1usize, takeover1, quorum1), (2, takeover2, quorum2)] {

@@ -23,6 +23,7 @@ use obs::flightdump::{from_json, snapshot_to_json, validate};
 use obs::json::Json;
 use simnet::flight::FlightKind;
 use sttcp_apps::chaos::{run_chaos_case, ChaosOptions, FaultSchedule};
+use sttcp_apps::scenario::Topology;
 use sttcp_bench::flight::write_flight_dump;
 
 fn validate_file(path: &Path) -> Result<String, String> {
@@ -64,7 +65,7 @@ fn selftest() -> Result<(), String> {
         flight_always: true,
         ..ChaosOptions::quick()
     };
-    let report = run_chaos_case(7, &schedule, &opts);
+    let report = run_chaos_case(Topology::Pair, 7, &schedule, &opts);
     let snap = report
         .flight
         .as_ref()
@@ -112,7 +113,7 @@ fn selftest() -> Result<(), String> {
     }
 
     // Determinism: an identical replay dumps identical bytes.
-    let replay = run_chaos_case(7, &schedule, &opts);
+    let replay = run_chaos_case(Topology::Pair, 7, &schedule, &opts);
     let again = replay.flight.ok_or("replay produced no snapshot")?;
     if snapshot_to_json(&again).to_string() != dump.to_string() {
         return Err("replay dump is not byte-identical".into());

@@ -13,6 +13,7 @@ use std::collections::BTreeMap;
 
 use obs::json::Json;
 use obs::report::MetricsReport;
+use obs::timeline::Timeline;
 use simnet::time::SimDuration;
 use simnet::time::SimTime;
 use sttcp::events::{FailureReason, StTcpEvent};
@@ -20,12 +21,62 @@ use sttcp::invariant::Outcome;
 use sttcp_apps::chaos::{
     chaos_config, run_chaos_case, ChaosAction, ChaosOptions, ChaosReport, FaultSchedule,
 };
-use sttcp_apps::pool::{run_pool_case, PoolReport};
+use sttcp_apps::scenario::Topology;
 
 use crate::parallel::parallel_seeds;
 use crate::phases::{
     detection_bound, failover_timeline, first_verdict, takeover_timelines, PhaseAgg,
 };
+
+/// Which schedule generator a sweep draws from — and, with it, which
+/// topology the cases run on. One value: the four are mutually
+/// exclusive.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum Flavour {
+    /// 1–4 faults per schedule ([`FaultSchedule::generate`]).
+    Single,
+    /// Double-fault schedules (failure during repair).
+    Double,
+    /// Reintegrate-then-fail schedules (crash, warm reboot + rejoin,
+    /// then crash the other side); the caller must also set
+    /// [`ChaosOptions::reintegrate`].
+    Reintegrate,
+    /// Takeover chains down a three-member pool (kill the active,
+    /// usually reboot + rejoin it, kill the next active).
+    Pool,
+}
+
+impl Flavour {
+    /// The CLI flag that selects this flavour, with its trailing space
+    /// (`Single` is the default and has none) — spliced into printed
+    /// reproducer command lines.
+    pub fn flag(self) -> &'static str {
+        match self {
+            Flavour::Single => "",
+            Flavour::Double => "--double ",
+            Flavour::Reintegrate => "--reintegrate ",
+            Flavour::Pool => "--pool ",
+        }
+    }
+
+    /// The topology this flavour's cases run on.
+    pub fn topology(self) -> Topology {
+        match self {
+            Flavour::Pool => Topology::Pool(3),
+            _ => Topology::Pair,
+        }
+    }
+
+    /// Generates the schedule for `seed`.
+    pub fn schedule(self, seed: u64) -> FaultSchedule {
+        match self {
+            Flavour::Single => FaultSchedule::generate(seed),
+            Flavour::Double => FaultSchedule::generate_double(seed),
+            Flavour::Reintegrate => FaultSchedule::generate_reintegrate(seed),
+            Flavour::Pool => FaultSchedule::generate_pool(seed),
+        }
+    }
+}
 
 /// What to sweep: a contiguous seed range, the schedule generator
 /// flavour, and how many worker threads to run cases on.
@@ -38,12 +89,8 @@ pub struct SweepConfig {
     /// Quick profile (smaller download, shorter horizon) — recorded in
     /// the report; the caller picks the matching [`ChaosOptions`].
     pub quick: bool,
-    /// Double-fault schedules (failure during repair).
-    pub double: bool,
-    /// Reintegrate-then-fail schedules (crash, warm reboot + rejoin,
-    /// then crash the other side). Takes precedence over `double`; the
-    /// caller must also set [`ChaosOptions::reintegrate`].
-    pub reintegrate: bool,
+    /// Schedule generator and topology.
+    pub flavour: Flavour,
     /// Worker threads for case execution (`<= 1` runs inline).
     pub threads: usize,
 }
@@ -83,30 +130,39 @@ pub struct SweepSummary {
     pub lost: u64,
     /// Seeds whose run violated an invariant.
     pub violated: Vec<u64>,
-    /// Cross-seed failover phase-latency aggregation.
+    /// Total takeovers observed across all runs.
+    pub takeovers: u64,
+    /// Cross-seed failover phase-latency aggregation (a pool run folds
+    /// once per takeover whose client stall was measurable).
     pub agg: PhaseAgg,
-    /// Failovers whose detection latency was checked against a bound.
+    /// Failovers whose detection latency was checked against a bound
+    /// (pair flavours only: a pool verdict is a quorum round, not one
+    /// detector's timeout).
     pub bound_checked: u64,
     /// Detection-bound violations, in seed order.
     pub bound_violations: Vec<BoundViolation>,
 }
 
-/// The survivor's event log: whichever side completed a takeover, or
-/// failing that, whichever declared a verdict.
+/// The pair's survivor's event log: whichever side completed a takeover
+/// (the backup first), or failing that, whichever declared a verdict.
 pub fn survivor_events(report: &ChaosReport) -> Option<&[StTcpEvent]> {
     let took_over =
         |evs: &[StTcpEvent]| evs.iter().any(|e| matches!(e, StTcpEvent::TookOver { .. }));
-    if took_over(&report.backup_events) {
-        Some(&report.backup_events)
-    } else if took_over(&report.primary_events) {
-        Some(&report.primary_events)
-    } else if first_verdict(&report.backup_events).is_some() {
-        Some(&report.backup_events)
-    } else if first_verdict(&report.primary_events).is_some() {
-        Some(&report.primary_events)
-    } else {
-        None
-    }
+    let sides = || report.member_events.iter().rev().map(Vec::as_slice);
+    sides()
+        .find(|evs| took_over(evs))
+        .or_else(|| sides().find(|evs| first_verdict(evs).is_some()))
+}
+
+/// One failover timeline per takeover in a pool run, each anchored to
+/// the client's longest stall when the takeover fell inside it (or
+/// within a second after it) and skipped otherwise.
+pub fn pool_takeover_timelines(report: &ChaosReport) -> Vec<(usize, Timeline)> {
+    takeover_timelines(&report.member_events, &report.faults, |at| {
+        report
+            .stall_window
+            .filter(|&(ws, we)| at >= ws && at <= we + SimDuration::from_secs(1))
+    })
 }
 
 /// The latest injected fault at or before `cutoff` — the lenient
@@ -230,18 +286,6 @@ impl GrammarCoverage {
     }
 }
 
-/// Generates the schedule for `seed` under the sweep's generator
-/// flavour.
-pub fn schedule_for(cfg: &SweepConfig, seed: u64) -> FaultSchedule {
-    if cfg.reintegrate {
-        FaultSchedule::generate_reintegrate(seed)
-    } else if cfg.double {
-        FaultSchedule::generate_double(seed)
-    } else {
-        FaultSchedule::generate(seed)
-    }
-}
-
 /// Runs the sweep: cases execute on up to `cfg.threads` workers, then
 /// fold sequentially in seed order. `on_case` fires once per case (in
 /// seed order) before the case is folded — the CLI hooks printing and
@@ -252,9 +296,10 @@ pub fn run_sweep(
     mut on_case: impl FnMut(&SweepCase),
 ) -> SweepSummary {
     let detection_cfg = chaos_config();
+    let topology = cfg.flavour.topology();
     let cases = parallel_seeds(cfg.threads, cfg.start, cfg.seeds, |seed| {
-        let schedule = schedule_for(cfg, seed);
-        let report = run_chaos_case(seed, &schedule, opts);
+        let schedule = cfg.flavour.schedule(seed);
+        let report = run_chaos_case(topology, seed, &schedule, opts);
         SweepCase {
             seed,
             schedule,
@@ -268,6 +313,7 @@ pub fn run_sweep(
         detected: 0,
         lost: 0,
         violated: Vec::new(),
+        takeovers: 0,
         agg: PhaseAgg::new(),
         bound_checked: 0,
         bound_violations: Vec::new(),
@@ -275,11 +321,20 @@ pub fn run_sweep(
     for case in &cases {
         on_case(case);
         let report = &case.report;
+        s.takeovers += report.takeovers();
 
-        // Fold any observed failover into the phase aggregation, and
-        // check the fault → verdict latency against the configured bound
-        // for whichever detector fired.
-        if let Some(events) = survivor_events(report) {
+        // Fold any observed failover into the phase aggregation: a pool
+        // attributes the stall per takeover, from each taker's own log;
+        // the pair has one survivor, whose fault → verdict latency is
+        // also checked against the configured bound for whichever
+        // detector fired.
+        if topology != Topology::Pair {
+            for (_, tl) in pool_takeover_timelines(report) {
+                if let Some(b) = tl.breakdown() {
+                    s.agg.add(&b);
+                }
+            }
+        } else if let Some(events) = survivor_events(report) {
             if let Some((ws, we)) = report.stall_window {
                 let fault_at = latest_fault_before(report, we);
                 if let Some(b) = failover_timeline(ws, we, fault_at, events).breakdown() {
@@ -316,126 +371,25 @@ pub fn run_sweep(
     s
 }
 
-/// One executed pool sweep case, handed to the fold callback in seed
-/// order.
-pub struct PoolSweepCase {
-    /// The seed the schedule was generated from.
-    pub seed: u64,
-    /// The generated pool fault schedule.
-    pub schedule: FaultSchedule,
-    /// The pool run's report.
-    pub report: PoolReport,
-}
-
-/// Seed-order fold of a pool sweep.
-pub struct PoolSweepSummary {
-    /// Runs with no fault impact observed.
-    pub clean: u64,
-    /// Runs that failed over (possibly several times) and finished.
-    pub recovered: u64,
-    /// Runs that detected an unrecoverable fault pattern.
-    pub detected: u64,
-    /// Runs where service was (legitimately) lost.
-    pub lost: u64,
-    /// Seeds whose run violated an invariant.
-    pub violated: Vec<u64>,
-    /// Total takeovers observed across all runs.
-    pub takeovers: u64,
-    /// Cross-seed failover phase-latency aggregation (one fold per
-    /// takeover whose client stall was measurable).
-    pub agg: PhaseAgg,
-}
-
-/// Runs the N-replica pool sweep: [`FaultSchedule::generate_pool`]
-/// schedules (kill the active, usually reboot + rejoin it, kill the
-/// next active) against [`run_pool_case`], folded in seed order — the
-/// summary is bit-identical at any `threads` setting.
-pub fn run_pool_sweep(
-    seeds: u64,
-    start: u64,
-    threads: usize,
-    opts: &ChaosOptions,
-    mut on_case: impl FnMut(&PoolSweepCase),
-) -> PoolSweepSummary {
-    let cases = parallel_seeds(threads, start, seeds, |seed| {
-        let schedule = FaultSchedule::generate_pool(seed);
-        let report = run_pool_case(seed, &schedule, opts);
-        PoolSweepCase {
-            seed,
-            schedule,
-            report,
-        }
-    });
-
-    let mut s = PoolSweepSummary {
-        clean: 0,
-        recovered: 0,
-        detected: 0,
-        lost: 0,
-        violated: Vec::new(),
-        takeovers: 0,
-        agg: PhaseAgg::new(),
-    };
-    for case in &cases {
-        on_case(case);
-        let report = &case.report;
-        s.takeovers += report.takeovers();
-        for (_, tl) in takeover_timelines(&report.member_events, &report.faults, |at| {
-            report
-                .stall_window
-                .filter(|&(ws, we)| at >= ws && at <= we + SimDuration::from_secs(1))
-        }) {
-            if let Some(b) = tl.breakdown() {
-                s.agg.add(&b);
-            }
-        }
-        match report.outcome {
-            Outcome::Clean => s.clean += 1,
-            Outcome::Recovered => s.recovered += 1,
-            Outcome::DetectedUnrecoverable => s.detected += 1,
-            Outcome::ServiceLost => s.lost += 1,
-            Outcome::Violation => s.violated.push(case.seed),
-        }
-    }
-    s
-}
-
-impl PoolSweepSummary {
-    /// Builds the `--pool` [`MetricsReport`], bit-identical across
-    /// thread counts.
-    pub fn to_report(&self, seeds: u64, start: u64, quick: bool) -> MetricsReport {
-        let mut report = MetricsReport::new("chaos_hunt");
-        let mut cfg_j = Json::obj();
-        cfg_j.set("seeds", Json::U64(seeds));
-        cfg_j.set("start", Json::U64(start));
-        cfg_j.set("quick", Json::Bool(quick));
-        cfg_j.set("pool", Json::Bool(true));
-        report.set("config", cfg_j);
-        let mut outcomes = Json::obj();
-        outcomes.set("clean", Json::U64(self.clean));
-        outcomes.set("recovered", Json::U64(self.recovered));
-        outcomes.set("detected_unrecoverable", Json::U64(self.detected));
-        outcomes.set("service_lost", Json::U64(self.lost));
-        outcomes.set("violations", Json::U64(self.violated.len() as u64));
-        report.set("outcomes", outcomes);
-        report.set("takeovers", Json::U64(self.takeovers));
-        report.set("phases", self.agg.to_json());
-        report
-    }
-}
-
 impl SweepSummary {
     /// Builds the `chaos_hunt` [`MetricsReport`] — key order and
     /// content match what the CLI has always written, independent of
-    /// `cfg.threads`.
+    /// `cfg.threads`: a pool report carries `takeovers` and no
+    /// `detection_bounds`, the pair flavours the reverse.
     pub fn to_report(&self, cfg: &SweepConfig, enforce_bounds: bool) -> MetricsReport {
+        let pool = cfg.flavour == Flavour::Pool;
         let mut report = MetricsReport::new("chaos_hunt");
         let mut cfg_j = Json::obj();
         cfg_j.set("seeds", Json::U64(cfg.seeds));
         cfg_j.set("start", Json::U64(cfg.start));
         cfg_j.set("quick", Json::Bool(cfg.quick));
-        cfg_j.set("double", Json::Bool(cfg.double));
-        cfg_j.set("reintegrate", Json::Bool(cfg.reintegrate));
+        if pool {
+            cfg_j.set("pool", Json::Bool(true));
+        } else {
+            cfg_j.set("double", Json::Bool(cfg.flavour == Flavour::Double));
+            let reintegrate = cfg.flavour == Flavour::Reintegrate;
+            cfg_j.set("reintegrate", Json::Bool(reintegrate));
+        }
         report.set("config", cfg_j);
         let mut outcomes = Json::obj();
         outcomes.set("clean", Json::U64(self.clean));
@@ -444,7 +398,13 @@ impl SweepSummary {
         outcomes.set("service_lost", Json::U64(self.lost));
         outcomes.set("violations", Json::U64(self.violated.len() as u64));
         report.set("outcomes", outcomes);
+        if pool {
+            report.set("takeovers", Json::U64(self.takeovers));
+        }
         report.set("phases", self.agg.to_json());
+        if pool {
+            return report;
+        }
         let mut bounds = Json::obj();
         bounds.set("checked", Json::U64(self.bound_checked));
         bounds.set("enforced", Json::Bool(enforce_bounds));

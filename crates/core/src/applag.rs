@@ -59,9 +59,13 @@ impl LagTrack {
         max_time: SimDuration,
         confirm: SimDuration,
     ) -> Option<FailureReason> {
-        // Track peer progress.
-        if peers > self.peer_last || self.peer_progress_at.is_none() {
-            self.peer_last = peers;
+        // Track peer progress. A peer that is not behind has nothing to
+        // catch up with, so the stall clock runs only while it lags: an
+        // idle stretch (both sides parked on the same position) must not
+        // count as a confirmation window already served when this side
+        // then bursts ahead of the peer's last heartbeat.
+        if peers > self.peer_last || peers >= mine || self.peer_progress_at.is_none() {
+            self.peer_last = self.peer_last.max(peers);
             self.peer_progress_at = Some(now);
         }
         // Record a watermark whenever this side has advanced.
@@ -278,6 +282,28 @@ mod tests {
         for ms in (0..10_000).step_by(100) {
             assert_eq!(d.check(t(ms), 42, 42, 42, 42), None);
         }
+    }
+
+    #[test]
+    fn idle_time_is_not_a_confirmation_window_already_served() {
+        // Both sides parked on the same position for seconds, then this
+        // side bursts past the byte threshold before the peer's next
+        // heartbeat can say it did the same: the peer's position "has
+        // not advanced" for a long time, but it only started lagging now.
+        let mut d = det();
+        for ms in (0..3_000).step_by(50) {
+            assert_eq!(d.check(t(ms), 0, 0, 0, 0), None);
+        }
+        assert_eq!(d.check(t(3_000), 0, 5_000, 0, 0), None);
+        assert_eq!(d.check(t(3_100), 0, 9_000, 0, 0), None);
+        // The heartbeat arrives: healthy after all.
+        assert_eq!(d.check(t(3_150), 0, 9_500, 0, 9_000), None);
+        // A peer that really froze is still condemned one window later.
+        assert_eq!(d.check(t(3_349), 0, 20_000, 0, 9_000), None);
+        assert_eq!(
+            d.check(t(3_350), 0, 20_000, 0, 9_000),
+            Some(FailureReason::AppLagBytes)
+        );
     }
 
     #[test]

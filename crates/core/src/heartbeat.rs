@@ -126,6 +126,68 @@ pub const HB_CONN_LEN: usize = 21;
 /// Wire length of the optional ping report.
 pub const HB_PING_LEN: usize = 8;
 
+/// A total big-endian `u32` read: out of range is a decode error.
+#[inline]
+fn rd32(wire: &[u8], at: usize) -> Result<u32, HbDecodeError> {
+    crate::wire::read_u32_at(wire, at).ok_or(HbDecodeError)
+}
+
+/// Appends what every heartbeat format ends with: the 21-byte
+/// per-connection records (`key:4 lbr:4 lar:4 labw:4 labr:4 flags:1`)
+/// and the optional ping trailer (`fails:4 attempts:4`).
+#[inline(always)]
+fn put_records(b: &mut BytesMut, conns: &[ConnHb], ping: Option<PingReport>) {
+    for c in conns {
+        b.put_u32(c.key);
+        b.put_u32(c.last_byte_received as u32);
+        b.put_u32(c.last_ack_received as u32);
+        b.put_u32(c.last_app_byte_written as u32);
+        b.put_u32(c.last_app_byte_read as u32);
+        b.put_u8(
+            (c.fin_generated as u8) | (c.rst_generated as u8) << 1 | (c.app_suspected as u8) << 2,
+        );
+    }
+    if let Some(p) = ping {
+        b.put_u32(p.consecutive_failures);
+        b.put_u32(p.attempts);
+    }
+}
+
+/// Reads `n` records and, when `has_ping`, the ping trailer from `at` —
+/// [`put_records`]' inverse. The caller has checked the exact length;
+/// every read is total anyway.
+#[inline(always)]
+fn read_records(
+    wire: &[u8],
+    mut at: usize,
+    n: usize,
+    has_ping: bool,
+) -> Result<(Vec<ConnHb>, Option<PingReport>), HbDecodeError> {
+    let mut conns = Vec::with_capacity(n);
+    for _ in 0..n {
+        let flags = wire.get(at + 20).copied().ok_or(HbDecodeError)?;
+        conns.push(ConnHb {
+            key: rd32(wire, at)?,
+            last_byte_received: rd32(wire, at + 4)? as u64,
+            last_ack_received: rd32(wire, at + 8)? as u64,
+            last_app_byte_written: rd32(wire, at + 12)? as u64,
+            last_app_byte_read: rd32(wire, at + 16)? as u64,
+            fin_generated: flags & 1 != 0,
+            rst_generated: flags & 2 != 0,
+            app_suspected: flags & 4 != 0,
+        });
+        at += HB_CONN_LEN;
+    }
+    let ping = match has_ping {
+        true => Some(PingReport {
+            consecutive_failures: rd32(wire, at)?,
+            attempts: rd32(wire, at + 4)?,
+        }),
+        false => None,
+    };
+    Ok((conns, ping))
+}
+
 impl HbPayload {
     /// Serializes the heartbeat.
     ///
@@ -146,22 +208,7 @@ impl HbPayload {
         b.put_u8(self.ping.is_some() as u8);
         b.put_u16(self.conns.len() as u16);
         b.put_u32(0); // CRC placeholder, patched below.
-        for c in &self.conns {
-            b.put_u32(c.key);
-            b.put_u32(c.last_byte_received as u32);
-            b.put_u32(c.last_ack_received as u32);
-            b.put_u32(c.last_app_byte_written as u32);
-            b.put_u32(c.last_app_byte_read as u32);
-            b.put_u8(
-                (c.fin_generated as u8)
-                    | (c.rst_generated as u8) << 1
-                    | (c.app_suspected as u8) << 2,
-            );
-        }
-        if let Some(p) = self.ping {
-            b.put_u32(p.consecutive_failures);
-            b.put_u32(p.attempts);
-        }
+        put_records(&mut b, &self.conns, self.ping);
         let crc = crate::wire::crc32(&b);
         b[9..13].copy_from_slice(&crc.to_be_bytes());
         b.freeze()
@@ -206,9 +253,8 @@ impl HbPayload {
             return Err(HbDecodeError);
         }
         // All remaining reads go through the total helpers in
-        // `crate::wire`, so a wrong length precondition degrades into a
-        // decode error instead of a panic.
-        let rd32 = |w: &[u8], p: usize| crate::wire::read_u32_at(w, p).ok_or(HbDecodeError);
+        // `crate::wire` (`rd32`), so a wrong length precondition degrades
+        // into a decode error instead of a panic.
         let stored_crc = rd32(wire, 9)?;
         // Stream the CRC with the on-wire CRC field treated as zero —
         // no zeroed copy of the frame.
@@ -219,29 +265,7 @@ impl HbPayload {
         if crc.finish() != stored_crc {
             return Err(HbDecodeError);
         }
-        let mut conns = Vec::with_capacity(n);
-        let mut at = HB_HEADER_LEN;
-        for _ in 0..n {
-            let flags = wire.get(at + 20).copied().ok_or(HbDecodeError)?;
-            conns.push(ConnHb {
-                key: rd32(wire, at)?,
-                last_byte_received: rd32(wire, at + 4)? as u64,
-                last_ack_received: rd32(wire, at + 8)? as u64,
-                last_app_byte_written: rd32(wire, at + 12)? as u64,
-                last_app_byte_read: rd32(wire, at + 16)? as u64,
-                fin_generated: flags & 1 != 0,
-                rst_generated: flags & 2 != 0,
-                app_suspected: flags & 4 != 0,
-            });
-            at += HB_CONN_LEN;
-        }
-        let ping = match has_ping {
-            true => Some(PingReport {
-                consecutive_failures: rd32(wire, at)?,
-                attempts: rd32(wire, at + 4)?,
-            }),
-            false => None,
-        };
+        let (conns, ping) = read_records(wire, HB_HEADER_LEN, n, has_ping)?;
         Ok(HbPayload {
             seqno,
             role,
@@ -383,22 +407,7 @@ impl HbFrame {
         for &a in &self.acks {
             b.put_u32(a);
         }
-        for c in &self.hb.conns {
-            b.put_u32(c.key);
-            b.put_u32(c.last_byte_received as u32);
-            b.put_u32(c.last_ack_received as u32);
-            b.put_u32(c.last_app_byte_written as u32);
-            b.put_u32(c.last_app_byte_read as u32);
-            b.put_u8(
-                (c.fin_generated as u8)
-                    | (c.rst_generated as u8) << 1
-                    | (c.app_suspected as u8) << 2,
-            );
-        }
-        if let Some(p) = self.hb.ping {
-            b.put_u32(p.consecutive_failures);
-            b.put_u32(p.attempts);
-        }
+        put_records(&mut b, &self.hb.conns, self.hb.ping);
         let crc = crate::wire::crc32(&b);
         b[crc_at..crc_at + 4].copy_from_slice(&crc.to_be_bytes());
         b.freeze()
@@ -454,7 +463,6 @@ impl HbFrame {
             1 => true,
             _ => return Err(HbDecodeError),
         };
-        let rd32 = |w: &[u8], p: usize| crate::wire::read_u32_at(w, p).ok_or(HbDecodeError);
         let seqno = rd32(wire, 5)?;
         let epoch = rd32(wire, 9)?;
         let link = wire[13];
@@ -494,28 +502,7 @@ impl HbFrame {
             acks.push(rd32(wire, at)?);
             at += 4;
         }
-        let mut conns = Vec::with_capacity(n);
-        for _ in 0..n {
-            let flags = wire.get(at + 20).copied().ok_or(HbDecodeError)?;
-            conns.push(ConnHb {
-                key: rd32(wire, at)?,
-                last_byte_received: rd32(wire, at + 4)? as u64,
-                last_ack_received: rd32(wire, at + 8)? as u64,
-                last_app_byte_written: rd32(wire, at + 12)? as u64,
-                last_app_byte_read: rd32(wire, at + 16)? as u64,
-                fin_generated: flags & 1 != 0,
-                rst_generated: flags & 2 != 0,
-                app_suspected: flags & 4 != 0,
-            });
-            at += HB_CONN_LEN;
-        }
-        let ping = match has_ping {
-            true => Some(PingReport {
-                consecutive_failures: rd32(wire, at)?,
-                attempts: rd32(wire, at + 4)?,
-            }),
-            false => None,
-        };
+        let (conns, ping) = read_records(wire, at, n, has_ping)?;
         Ok(HbFrame {
             kind,
             epoch,

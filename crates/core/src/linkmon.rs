@@ -27,6 +27,8 @@
 use simnet::time::{SimDuration, SimTime};
 
 use crate::config::StTcpConfig;
+use crate::events::HbLink;
+use crate::metrics::ServerMetrics;
 
 /// The guard's floor: one tick of virtual time.
 const MIN_GUARD: SimDuration = SimDuration::from_micros(1);
@@ -128,6 +130,99 @@ impl LinkMonitor {
 
     fn silent_at(&self) -> SimTime {
         self.deadline() + self.guard()
+    }
+}
+
+/// Everything a receiver tracks about one heartbeat *source* — the pair's
+/// single peer, or one pool member: a monitor per link, and the stream's
+/// sequence state that decides whether a frame may refresh them.
+#[derive(Debug)]
+pub(crate) struct HbSource {
+    /// IP heartbeat liveness.
+    pub(crate) ip_mon: LinkMonitor,
+    /// Serial heartbeat liveness.
+    pub(crate) serial_mon: LinkMonitor,
+    /// Highest heartbeat seqno accepted from the source (staleness filter
+    /// against duplicated / reordered frames).
+    pub(crate) last_seqno: Option<u32>,
+    /// When `last_seqno` last advanced. Stale frames prove liveness only
+    /// within one heartbeat timeout of this point — a seqno frozen for
+    /// longer is a replayed or insane stream and must starve the link
+    /// monitors instead of refreshing them.
+    pub(crate) seqno_advanced_at: SimTime,
+    /// A byzantine heartbeat from this source was already logged (sticky,
+    /// to keep the event log bounded).
+    pub(crate) byzantine_reported: bool,
+}
+
+impl HbSource {
+    /// A source first expected at `now`: nothing heard, grace running.
+    pub(crate) fn new(cfg: &StTcpConfig, now: SimTime) -> HbSource {
+        HbSource {
+            ip_mon: LinkMonitor::new(cfg, now),
+            serial_mon: LinkMonitor::new(cfg, now),
+            last_seqno: None,
+            seqno_advanced_at: now,
+            byzantine_reported: false,
+        }
+    }
+
+    /// A frame heard on `link` counts as liveness: credit that link's
+    /// monitor and the link's arrival metrics.
+    pub(crate) fn credit(&mut self, link: HbLink, now: SimTime, metrics: &mut ServerMetrics) {
+        match link {
+            HbLink::Ip => self.ip_mon.on_heartbeat(now),
+            HbLink::Serial => self.serial_mon.on_heartbeat(now),
+        }
+        metrics.on_heartbeat(link, now);
+    }
+
+    /// True when `seqno` does not advance the full-state stream: the
+    /// second copy of a payload (it rides both links), a duplicate, or a
+    /// reordered straggler.
+    pub(crate) fn is_stale(&self, seqno: u32) -> bool {
+        self.last_seqno
+            .is_some_and(|last| seqno.wrapping_sub(last) as i32 <= 0)
+    }
+
+    /// [`HbSource::credit`] for a frame that does not advance the stream
+    /// (the second copy of a payload, a duplicate, a reordered straggler):
+    /// liveness only while the seqno last advanced within `hb_timeout`.
+    pub(crate) fn credit_stale(
+        &mut self,
+        link: HbLink,
+        now: SimTime,
+        hb_timeout: SimDuration,
+        metrics: &mut ServerMetrics,
+    ) {
+        if now.saturating_since(self.seqno_advanced_at) <= hb_timeout {
+            self.credit(link, now, metrics);
+        }
+    }
+
+    /// The latest arrival on either link, if anything was heard yet.
+    pub(crate) fn last_rx(&self) -> Option<SimTime> {
+        self.ip_mon.last_rx().max(self.serial_mon.last_rx())
+    }
+
+    /// The stream advanced to `seqno` at `now`.
+    pub(crate) fn advance(&mut self, seqno: u32, now: SimTime) {
+        self.last_seqno = Some(seqno);
+        self.seqno_advanced_at = now;
+    }
+
+    /// Latches the byzantine report; true the first time only.
+    pub(crate) fn first_byzantine_report(&mut self) -> bool {
+        !std::mem::replace(&mut self.byzantine_reported, true)
+    }
+
+    /// A fresh incarnation of the source speaks from `now`: its stream
+    /// restarts, and nothing its predecessor was caught at carries over.
+    /// The link monitors are the caller's call.
+    pub(crate) fn forget_stream(&mut self, now: SimTime) {
+        self.last_seqno = None;
+        self.seqno_advanced_at = now;
+        self.byzantine_reported = false;
     }
 }
 

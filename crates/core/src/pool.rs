@@ -29,7 +29,7 @@ use simnet::time::SimTime;
 
 use crate::config::{Role, StTcpConfig};
 use crate::heartbeat::{unwrap_u32_near, ConnHb};
-use crate::linkmon::LinkMonitor;
+use crate::linkmon::{HbSource, LinkMonitor};
 
 /// Static description of one *other* pool member, as wired by the
 /// topology builder into [`crate::server::ServerSetup::pool`].
@@ -97,22 +97,12 @@ pub(crate) struct MemberState {
     pub(crate) rank: u8,
     /// The member's node id, for STONITH.
     pub(crate) node: NodeId,
-    /// IP heartbeat liveness for this member.
-    pub(crate) ip_mon: LinkMonitor,
-    /// Serial heartbeat liveness for this member.
-    pub(crate) serial_mon: LinkMonitor,
+    /// Link liveness and heartbeat-stream state for this member.
+    pub(crate) hb: HbSource,
     /// The local serial port wired to this member, if any.
     pub(crate) serial_port: Option<SerialPortId>,
     /// The role the member last announced.
     pub(crate) role: Role,
-    /// Highest heartbeat seqno accepted from this member (staleness
-    /// filter against duplicated / reordered frames).
-    pub(crate) last_seqno: Option<u32>,
-    /// When `last_seqno` last advanced. Stale frames prove liveness
-    /// only within one heartbeat timeout of this point — a seqno frozen
-    /// for longer is a replayed or insane stream and must starve the
-    /// link monitors instead of refreshing them.
-    pub(crate) seqno_advanced_at: SimTime,
     /// The member has been fenced (quorum-confirmed dead + STONITHed).
     /// Everything it says under its old rank is ignored until it rejoins
     /// under a fresh one.
@@ -124,9 +114,6 @@ pub(crate) struct MemberState {
     /// reboot keeps the links fresh; fencing treats a defunct member as
     /// condemnable so the takeover is not deadlocked by the resurrection.
     pub(crate) defunct: bool,
-    /// A byzantine heartbeat from this member was already logged
-    /// (sticky, to keep the event log bounded).
-    pub(crate) byzantine_reported: bool,
     /// The member's per-connection positions from its heartbeats.
     pub(crate) conns: BTreeMap<u32, PeerConn>,
 }
@@ -134,7 +121,7 @@ pub(crate) struct MemberState {
 impl MemberState {
     /// True while at least one heartbeat link from this member is fresh.
     pub(crate) fn alive(&self, now: SimTime) -> bool {
-        self.ip_mon.is_alive(now) || self.serial_mon.is_alive(now)
+        self.hb.ip_mon.is_alive(now) || self.hb.serial_mon.is_alive(now)
     }
 
     /// True when both heartbeat links from this member have gone silent.
@@ -153,20 +140,18 @@ impl MemberState {
     /// served on top of its timeout — what *opens* a fence round, at the
     /// instant the liveness timer fires for it.
     pub(crate) fn overdue(&self, now: SimTime) -> bool {
-        (self.ip_mon.is_silent(now) && self.serial_mon.is_silent(now)) || self.defunct
+        (self.hb.ip_mon.is_silent(now) && self.hb.serial_mon.is_silent(now)) || self.defunct
     }
 
     /// Resets the entry for a fresh incarnation of the member (fenced
     /// node rejoining, or a new join session).
     pub(crate) fn reset_for_rejoin(&mut self, now: SimTime) {
-        self.ip_mon = self.ip_mon.restarted(now);
-        self.serial_mon = self.serial_mon.restarted(now);
+        self.hb.ip_mon = self.hb.ip_mon.restarted(now);
+        self.hb.serial_mon = self.hb.serial_mon.restarted(now);
+        self.hb.forget_stream(now);
         self.role = Role::Backup;
-        self.last_seqno = None;
-        self.seqno_advanced_at = now;
         self.fenced = false;
         self.defunct = false;
-        self.byzantine_reported = false;
         self.conns.clear();
     }
 }
@@ -229,19 +214,15 @@ impl PoolState {
                     MemberState {
                         rank: p.rank,
                         node: p.node,
-                        ip_mon: LinkMonitor::new(cfg, now),
-                        serial_mon: LinkMonitor::new(cfg, now),
+                        hb: HbSource::new(cfg, now),
                         serial_port: None,
                         role: if p.rank == 0 {
                             Role::Primary
                         } else {
                             Role::Backup
                         },
-                        last_seqno: None,
-                        seqno_advanced_at: now,
                         fenced: false,
                         defunct: false,
-                        byzantine_reported: false,
                         conns: BTreeMap::new(),
                     },
                 )
@@ -276,7 +257,7 @@ impl PoolState {
         self.members
             .values()
             .filter(|m| !m.fenced)
-            .flat_map(|m| [&m.ip_mon, &m.serial_mon])
+            .flat_map(|m| [&m.hb.ip_mon, &m.hb.serial_mon])
     }
 
     /// The member a server in `role` should open a fence round against
@@ -426,8 +407,8 @@ mod tests {
             let m = p.members.get_mut(&ip).unwrap();
             m.fenced = true;
             m.defunct = true;
-            m.last_seqno = Some(17);
-            m.byzantine_reported = true;
+            m.hb.last_seqno = Some(17);
+            m.hb.byzantine_reported = true;
             m.conns.insert(1, PeerConn::default());
         }
         let t = SimTime::from_millis(5_000);
@@ -435,8 +416,8 @@ mod tests {
         m.reset_for_rejoin(t);
         assert!(!m.fenced);
         assert!(!m.defunct);
-        assert_eq!(m.last_seqno, None);
-        assert!(!m.byzantine_reported);
+        assert_eq!(m.hb.last_seqno, None);
+        assert!(!m.hb.byzantine_reported);
         assert!(m.conns.is_empty());
         assert_eq!(m.node, NodeId(1));
         assert!(m.alive(t));

@@ -45,7 +45,7 @@ use crate::finarb::{ArbAction, FinArbiter};
 use crate::heartbeat::{
     conn_key, decode_any, AnyHb, ConnHb, HbFrame, HbFrameKind, HbPayload, PingReport, HB_CONN_LEN,
 };
-use crate::linkmon::{next_silence, LinkMonitor};
+use crate::linkmon::{next_silence, HbSource};
 use crate::metrics::ServerMetrics;
 use crate::netdetect::{NetFailureDetector, NetObservation};
 use crate::pool::{FenceRound, PeerConn, PoolPeer, PoolState};
@@ -347,8 +347,9 @@ struct Ram {
     /// — replaces an every-check scan of the peer mirror.
     peer_app_suspected: bool,
 
-    ip_mon: LinkMonitor,
-    serial_mon: LinkMonitor,
+    /// Pair mode: the peer's link liveness and heartbeat-stream state
+    /// (pool mode keeps one per member).
+    peer_hb: HbSource,
     ip_was_alive: bool,
     serial_was_alive: bool,
 
@@ -357,16 +358,6 @@ struct Ram {
     peer_ping: Option<PingReport>,
 
     hb_seq: u32,
-    /// Pair mode: highest heartbeat seqno accepted from the peer
-    /// (staleness filter; pool mode tracks this per member).
-    peer_last_seqno: Option<u32>,
-    /// Pair mode: when `peer_last_seqno` last advanced. Stale frames
-    /// prove liveness only within one heartbeat timeout of this point —
-    /// a seqno frozen for longer is a replayed or insane stream and
-    /// must starve the link monitors instead of refreshing them.
-    peer_seqno_advanced_at: SimTime,
-    /// Pair mode: a byzantine heartbeat was already logged (sticky).
-    byzantine_reported: bool,
     /// Byzantine heartbeat fault injection, if armed (testing).
     byz_mode: Option<ByzantineHbMode>,
     /// N-replica pool state (`None` in pair mode).
@@ -407,7 +398,6 @@ impl Ram {
         now: SimTime,
         nserial: usize,
     ) -> Ram {
-        let monitor = || LinkMonitor::new(&setup.sttcp, now);
         let mut tcp = std::rc::Rc::new(setup.tcp.clone());
         let (rst_policy, egress) = match role {
             Role::Primary => {
@@ -442,8 +432,7 @@ impl Ram {
             peer_alive: true,
             table: ConnTable::default(),
             peer_app_suspected: false,
-            ip_mon: monitor(),
-            serial_mon: monitor(),
+            peer_hb: HbSource::new(&setup.sttcp, now),
             ip_was_alive: true,
             serial_was_alive: true,
             net_detect: NetFailureDetector::new(
@@ -458,9 +447,6 @@ impl Ram {
             },
             peer_ping: None,
             hb_seq: 0,
-            peer_last_seqno: None,
-            peer_seqno_advanced_at: now,
-            byzantine_reported: false,
             byz_mode: None,
             // Boots with the static rank; a rejoin's `JoinDone` hands
             // over the fresh one.
@@ -1262,8 +1248,7 @@ impl StTcpServer {
         if !lie {
             return true;
         }
-        if !self.ram.byzantine_reported {
-            self.ram.byzantine_reported = true;
+        if self.ram.peer_hb.first_byzantine_report() {
             self.events
                 .push(StTcpEvent::ByzantineHbRejected { at: now });
         }
@@ -1319,30 +1304,17 @@ impl StTcpServer {
         // indistinguishable from a replay loop or a frozen byzantine
         // sender — it must starve the monitors so row 1 condemns the
         // peer instead of trusting it forever.
-        if let Some(last) = self.ram.peer_last_seqno {
-            if hb.seqno.wrapping_sub(last) as i32 <= 0 {
-                if now.saturating_since(self.ram.peer_seqno_advanced_at)
-                    <= self.setup.sttcp.hb_timeout()
-                {
-                    match link {
-                        HbLink::Ip => self.ram.ip_mon.on_heartbeat(now),
-                        HbLink::Serial => self.ram.serial_mon.on_heartbeat(now),
-                    }
-                    self.metrics.on_heartbeat(link, now);
-                }
-                return;
-            }
+        let hb_timeout = self.setup.sttcp.hb_timeout();
+        let src = &mut self.ram.peer_hb;
+        if src.is_stale(hb.seqno) {
+            src.credit_stale(link, now, hb_timeout, &mut self.metrics);
+            return;
         }
         if !self.vet_records(now, hb, None) {
             return;
         }
-        self.ram.peer_last_seqno = Some(hb.seqno);
-        self.ram.peer_seqno_advanced_at = now;
-        match link {
-            HbLink::Ip => self.ram.ip_mon.on_heartbeat(now),
-            HbLink::Serial => self.ram.serial_mon.on_heartbeat(now),
-        }
-        self.metrics.on_heartbeat(link, now);
+        self.ram.peer_hb.advance(hb.seqno, now);
+        self.ram.peer_hb.credit(link, now, &mut self.metrics);
         self.ram.peer_ping = hb.ping;
         self.apply_records(now, hb, None);
     }
@@ -1549,15 +1521,10 @@ impl StTcpServer {
         if last != 0 && !seq_newer(hb.seqno, last) {
             // Replayed or frozen on this link: bounded liveness credit,
             // exactly like the v1 staleness path.
-            if now.saturating_since(self.ram.peer_seqno_advanced_at)
-                <= self.setup.sttcp.hb_timeout()
-            {
-                match hblink {
-                    HbLink::Ip => self.ram.ip_mon.on_heartbeat(now),
-                    HbLink::Serial => self.ram.serial_mon.on_heartbeat(now),
-                }
-                self.metrics.on_heartbeat(hblink, now);
-            }
+            let hb_timeout = self.setup.sttcp.hb_timeout();
+            self.ram
+                .peer_hb
+                .credit_stale(hblink, now, hb_timeout, &mut self.metrics);
             return;
         }
         // Batched (v3) rounds: parts share a seqno and must arrive in
@@ -1599,20 +1566,12 @@ impl StTcpServer {
                 *s = hb.seqno;
             }
         }
-        let glob_fresh = self
-            .ram
-            .peer_last_seqno
-            .is_none_or(|l| seq_newer(hb.seqno, l));
-        if glob_fresh {
-            self.ram.peer_last_seqno = Some(hb.seqno);
-            self.ram.peer_seqno_advanced_at = now;
+        let src = &mut self.ram.peer_hb;
+        if src.last_seqno.is_none_or(|l| seq_newer(hb.seqno, l)) {
+            src.advance(hb.seqno, now);
             self.ram.peer_ping = hb.ping;
         }
-        match hblink {
-            HbLink::Ip => self.ram.ip_mon.on_heartbeat(now),
-            HbLink::Serial => self.ram.serial_mon.on_heartbeat(now),
-        }
-        self.metrics.on_heartbeat(hblink, now);
+        src.credit(hblink, now, &mut self.metrics);
         // The peer's cumulative acks of our frames, valid only while they
         // refer to this boot incarnation.
         if f.ack_epoch == self.ram.hb_epoch {
@@ -1680,17 +1639,9 @@ impl StTcpServer {
             // counters no — and only within one heartbeat timeout of the
             // seqno last advancing, so a frozen stream starves the
             // monitors and quorum fencing condemns the sender.
-            if let Some(last) = m.last_seqno {
-                if hb.seqno.wrapping_sub(last) as i32 <= 0 {
-                    if now.saturating_since(m.seqno_advanced_at) <= hb_timeout {
-                        match link {
-                            HbLink::Ip => m.ip_mon.on_heartbeat(now),
-                            HbLink::Serial => m.serial_mon.on_heartbeat(now),
-                        }
-                        self.metrics.on_heartbeat(link, now);
-                    }
-                    return;
-                }
+            if m.hb.is_stale(hb.seqno) {
+                m.hb.credit_stale(link, now, hb_timeout, &mut self.metrics);
+                return;
             }
             // Byzantine sanity check, per member: reject the whole
             // payload — including its liveness value — so the liar's
@@ -1700,21 +1651,15 @@ impl StTcpServer {
                 .iter()
                 .filter_map(|c| Some((c, m.conns.get(&c.key)?)));
             if known.any(|(c, e)| e.regressed_by(c)) {
-                if !m.byzantine_reported {
-                    m.byzantine_reported = true;
+                if m.hb.first_byzantine_report() {
                     self.events
                         .push(StTcpEvent::ByzantineHbRejected { at: now });
                 }
                 self.metrics.on_byzantine_rejected();
                 return;
             }
-            m.last_seqno = Some(hb.seqno);
-            m.seqno_advanced_at = now;
-            match link {
-                HbLink::Ip => m.ip_mon.on_heartbeat(now),
-                HbLink::Serial => m.serial_mon.on_heartbeat(now),
-            }
-            self.metrics.on_heartbeat(link, now);
+            m.hb.advance(hb.seqno, now);
+            m.hb.credit(link, now, &mut self.metrics);
             if hb.role == Role::Primary {
                 // Serving again (or a reordered frame from its serving
                 // days): either way the defunct evidence is withdrawn.
@@ -1796,6 +1741,31 @@ impl StTcpServer {
 
     // ----- internal: verdicts and recovery actions ---------------------------
 
+    /// The verdict on `node`, in pair and pool mode alike: logged and
+    /// counted, its span causally parented to `parent` — the evidence
+    /// that produced it — and then STONITH, which joins the verdict's
+    /// span and comes before any connection is touched (no dual-active).
+    fn condemn(
+        &mut self,
+        ctx: &mut NodeCtx<'_>,
+        node: NodeId,
+        reason: FailureReason,
+        parent: SpanId,
+    ) {
+        let now = ctx.now();
+        self.events
+            .push(StTcpEvent::PeerDeclaredFailed { reason, at: now });
+        self.metrics.on_verdict(reason);
+        let vspan = SpanId::verdict(ctx.node_id().0 as u64, now.as_micros());
+        self.verdict_span = vspan;
+        let reason = reason_code(reason);
+        ctx.flight(vspan, parent, FlightKind::Verdict { reason });
+        ctx.power_off(node, self.setup.sttcp.stonith_delay);
+        self.events.push(StTcpEvent::StonithIssued { at: now });
+        let target = node.0 as u32;
+        ctx.flight(vspan, parent, FlightKind::Stonith { target });
+    }
+
     fn declare_peer_failed(&mut self, ctx: &mut NodeCtx<'_>, reason: FailureReason) {
         if !self.ram.ft_mode {
             return;
@@ -1803,31 +1773,9 @@ impl StTcpServer {
         let now = ctx.now();
         self.ram.ft_mode = false;
         self.ram.peer_alive = false;
-        self.events
-            .push(StTcpEvent::PeerDeclaredFailed { reason, at: now });
-        self.metrics.on_verdict(reason);
-        // The verdict is causally parented to the last heartbeat this
-        // server accepted — the final evidence before it condemned the
-        // peer; the STONITH joins the verdict's span.
-        let vspan = SpanId::verdict(ctx.node_id().0 as u64, now.as_micros());
-        self.verdict_span = vspan;
-        ctx.flight(
-            vspan,
-            self.last_hb_rx_span,
-            FlightKind::Verdict {
-                reason: reason_code(reason),
-            },
-        );
-        // STONITH before touching the connection (no dual-active).
-        ctx.power_off(self.setup.peer_node, self.setup.sttcp.stonith_delay);
-        self.events.push(StTcpEvent::StonithIssued { at: now });
-        ctx.flight(
-            vspan,
-            self.last_hb_rx_span,
-            FlightKind::Stonith {
-                target: self.setup.peer_node.0 as u32,
-            },
-        );
+        // Parented to the last heartbeat this server accepted — the
+        // final evidence before it condemned the peer.
+        self.condemn(ctx, self.setup.peer_node, reason, self.last_hb_rx_span);
 
         match self.ram.role {
             Role::Backup => {
@@ -1995,7 +1943,10 @@ impl StTcpServer {
         // see coming: a pair whose heartbeats flow never arms the timer.
         let next = match &self.ram.pool {
             Some(pool) => next_silence(pool.monitors(), now),
-            None => next_silence([&self.ram.ip_mon, &self.ram.serial_mon], now),
+            None => next_silence(
+                [&self.ram.peer_hb.ip_mon, &self.ram.peer_hb.serial_mon],
+                now,
+            ),
         };
         let want = next.filter(|&at| at <= now + self.setup.sttcp.check_period);
         ctx.rearm_timer(&mut self.ram.liveness_timer, want, TOKEN_LIVENESS);
@@ -2009,8 +1960,8 @@ impl StTcpServer {
             true => StTcpEvent::HbLinkUp { link, at: now },
             false => StTcpEvent::HbLinkDown { link, at: now },
         };
-        let ip_alive = !self.ram.ip_mon.is_silent(now);
-        let serial_alive = !self.ram.serial_mon.is_silent(now);
+        let ip_alive = !self.ram.peer_hb.ip_mon.is_silent(now);
+        let serial_alive = !self.ram.peer_hb.serial_mon.is_silent(now);
         if ip_alive != self.ram.ip_was_alive {
             self.events.push(edge(HbLink::Ip, ip_alive));
             self.ram.ip_was_alive = ip_alive;
@@ -2129,13 +2080,7 @@ impl StTcpServer {
         // *fresh*: a dead host's last heartbeat frozen in time must be
         // handled by the liveness detector (row 1), not misread as an
         // application crash.
-        let hb_staleness = {
-            let last = match (self.ram.ip_mon.last_rx(), self.ram.serial_mon.last_rx()) {
-                (Some(a), Some(b)) => Some(a.max(b)),
-                (a, b) => a.or(b),
-            };
-            last.map(|t| now.saturating_since(t))
-        };
+        let hb_staleness = self.ram.peer_hb.last_rx().map(|t| now.saturating_since(t));
         let hb_fresh = hb_staleness
             .is_some_and(|s| s <= self.setup.sttcp.hb_period + self.setup.sttcp.check_period * 2);
 
@@ -2574,11 +2519,6 @@ impl StTcpServer {
             rank: target_rank,
             at: now,
         });
-        self.events.push(StTcpEvent::PeerDeclaredFailed {
-            reason: FailureReason::HbBothLinksDown,
-            at: now,
-        });
-        self.metrics.on_verdict(FailureReason::HbBothLinksDown);
         // Quorum: the commit closes the fence span, and the pool-mode
         // verdict is parented to the round that produced it.
         let fspan = SpanId::fence(u64::from(epoch), target_rank);
@@ -2590,25 +2530,7 @@ impl StTcpServer {
                 target_rank,
             },
         );
-        let vspan = SpanId::verdict(ctx.node_id().0 as u64, now.as_micros());
-        self.verdict_span = vspan;
-        ctx.flight(
-            vspan,
-            fspan,
-            FlightKind::Verdict {
-                reason: reason_code(FailureReason::HbBothLinksDown),
-            },
-        );
-        // STONITH before touching any connection (no dual-active).
-        ctx.power_off(target_node, self.setup.sttcp.stonith_delay);
-        self.events.push(StTcpEvent::StonithIssued { at: now });
-        ctx.flight(
-            vspan,
-            fspan,
-            FlightKind::Stonith {
-                target: target_node.0 as u32,
-            },
-        );
+        self.condemn(ctx, target_node, FailureReason::HbBothLinksDown, fspan);
         let (live_others, was_active, survivors) = {
             let pool = self.ram.pool.as_ref().expect("pool checked above");
             let survivors: Vec<(Ipv4Addr, Option<SerialPortId>)> = pool
@@ -2822,9 +2744,7 @@ impl StTcpServer {
             self.ram.table.clear_peers();
             self.ram.table.clear_set(Set::Lag);
             self.ram.peer_app_suspected = false;
-            self.ram.peer_last_seqno = None;
-            self.ram.peer_seqno_advanced_at = now;
-            self.ram.byzantine_reported = false;
+            self.ram.peer_hb.forget_stream(now);
             // Delta mode: the old incarnation's acks are void — send
             // full-state frames until the joiner acknowledges, and track
             // its new links/epoch from scratch.
@@ -3004,11 +2924,8 @@ impl StTcpServer {
         // against the peer's positions, which are meaningless before any
         // have been heard. Pool mode hears peers through member monitors.
         let heard = match &self.ram.pool {
-            Some(pool) => pool
-                .members
-                .values()
-                .any(|m| m.ip_mon.last_rx().is_some() || m.serial_mon.last_rx().is_some()),
-            None => self.ram.ip_mon.last_rx().is_some() || self.ram.serial_mon.last_rx().is_some(),
+            Some(pool) => pool.members.values().any(|m| m.hb.last_rx().is_some()),
+            None => self.ram.peer_hb.last_rx().is_some(),
         };
         if !heard {
             return;
@@ -3129,7 +3046,7 @@ impl StTcpServer {
         if self.ram.pool.is_some() || self.extra_serial_ports.is_empty() {
             return;
         }
-        if self.ram.ip_mon.is_alive(ctx.now()) {
+        if self.ram.peer_hb.ip_mon.is_alive(ctx.now()) {
             return;
         }
         let port = match self.shard_of(key) {
@@ -3670,8 +3587,8 @@ mod tests {
             ping: None,
         };
         s.handle_heartbeat(t, &hb, HbLink::Serial);
-        assert_eq!(s.ram.serial_mon.last_rx(), Some(t));
-        assert_eq!(s.ram.ip_mon.last_rx(), None);
+        assert_eq!(s.ram.peer_hb.serial_mon.last_rx(), Some(t));
+        assert_eq!(s.ram.peer_hb.ip_mon.last_rx(), None);
         let p = s
             .ram
             .table

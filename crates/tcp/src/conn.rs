@@ -819,10 +819,20 @@ impl TcpConn {
                 off >= nxt - 1 && off <= nxt + win
             }
         };
-        if acceptable {
-            self.events.push(ConnEvent::Reset);
-            self.enter_closed(false);
+        if !acceptable {
+            return;
         }
+        // RFC 793 p. 70: in TIME-WAIT an RST only deletes the TCB; the
+        // user is told "connection reset" in the states before it. Both
+        // FINs are acknowledged by then, so the stream ended cleanly and
+        // nothing can be lost to a reset — it is what a peer already in
+        // CLOSED answers a straggler with (say this side's re-ACK of a
+        // retransmitted FIN whose first ACK arrived late).
+        let clean = self.state == TcpState::TimeWait;
+        if !clean {
+            self.events.push(ConnEvent::Reset);
+        }
+        self.enter_closed(clean);
     }
 
     fn on_segment_syn_sent(&mut self, now: SimTime, seg: &TcpSegment) {
@@ -1800,6 +1810,32 @@ mod tests {
         p.client.on_segment(t(1), &server_fin);
         let ack = p.client.poll_segment().expect("re-ack from TIME-WAIT");
         assert!(ack.flags.ack && !ack.flags.fin);
+    }
+
+    #[test]
+    fn rst_in_time_wait_closes_without_a_reset_signal() {
+        // The peer reached CLOSED and answers a straggler with an RST
+        // (RFC 793 p. 36); both FINs are acked, so TIME-WAIT just ends.
+        let mut p = Pair::established();
+        p.client.close(p.now);
+        p.pump();
+        p.server().close(t(0));
+        p.pump();
+        assert_eq!(p.client.state(), TcpState::TimeWait);
+        while p.client.poll_event().is_some() {}
+        let rst = TcpSegment {
+            src_port: 80,
+            dst_port: 40_000,
+            seq: p.server().isn() + 2, // past the SYN and the FIN
+            ack: SeqNum(0),
+            flags: TcpFlags::RST,
+            window: 0,
+            payload: Bytes::new(),
+        };
+        p.client.on_segment(t(1), &rst);
+        assert_eq!(p.client.state(), TcpState::Closed);
+        let evs: Vec<ConnEvent> = std::iter::from_fn(|| p.client.poll_event()).collect();
+        assert_eq!(evs, vec![ConnEvent::Closed]);
     }
 
     #[test]

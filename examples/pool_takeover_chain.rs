@@ -16,7 +16,7 @@ use simnet::time::SimTime;
 use sttcp::config::StTcpConfig;
 use sttcp_apps::apps::StreamApp;
 use sttcp_apps::client::ClientWorkload;
-use sttcp_apps::pool::PoolScenarioBuilder;
+use sttcp_apps::scenario::ScenarioBuilder;
 
 fn t(ms: u64) -> SimTime {
     SimTime::from_millis(ms)
@@ -26,30 +26,30 @@ fn main() {
     const REPLICAS: usize = 3;
     println!("ST-TCP standby pool: rank-ordered takeover chain\n");
 
-    let mut s = PoolScenarioBuilder::new(
+    let mut s = ScenarioBuilder::new(
         Rc::new(|| Box::new(StreamApp::new(4096, false)) as _),
         ClientWorkload::Download {
             total: 2 * 1024 * 1024,
         },
     )
     .seed(7)
-    .replicas(REPLICAS)
+    .pool(REPLICAS)
     .sttcp(StTcpConfig {
         reintegrate: true,
         ..StTcpConfig::default()
     })
     .build();
 
-    s.crash_at(0, t(1_000)); // kill the active
-    s.reboot_at(0, t(2_500)); // warm-reboot it: rejoins as a fresh backup
-    s.crash_at(1, t(5_000)); // kill the new active too
+    let rank = s.servers.clone();
+    s.crash_at(rank[0], t(1_000)); // kill the active
+    s.reboot_at(rank[0], t(2_500)); // warm-reboot it: rejoins as a fresh backup
+    s.crash_at(rank[1], t(5_000)); // kill the new active too
 
     s.world.run_until(SimTime::from_secs(40));
 
-    for i in 0..REPLICAS {
-        let server = s.server(i);
-        let name = s.world.node_name(s.servers[i]).to_string();
-        for ev in server.events() {
+    for &node in &rank {
+        let name = s.world.node_name(node).to_string();
+        for ev in s.server(node).events() {
             println!("  [{name}] {ev}");
         }
     }
@@ -65,8 +65,11 @@ fn main() {
     assert!(s.client_finished());
     assert_eq!(log.integrity_violations, 0);
     assert_eq!(log.resets, 0);
-    assert!(s.server(2).is_active(), "rank 2 must hold the service");
-    let new_rank = s.server(0).pool_rank();
+    assert!(
+        s.server(rank[2]).is_active(),
+        "rank 2 must hold the service"
+    );
+    let new_rank = s.server(rank[0]).pool_rank();
     assert!(new_rank >= REPLICAS as u8, "rejoiner must move to the back");
 
     println!(

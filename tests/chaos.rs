@@ -9,10 +9,63 @@
 
 use sttcp::events::StTcpEvent;
 use sttcp::invariant::Outcome;
-use sttcp_apps::chaos::{run_chaos_case, shrink_schedule, ChaosOptions, FaultSchedule};
+use sttcp_apps::chaos::{
+    run_chaos_case, shrink_schedule, ChaosOptions, ChaosReport, FaultSchedule,
+};
+use sttcp_apps::scenario::Topology::Pair;
+use sttcp_bench::hunt::{run_sweep, Flavour, SweepConfig};
 
 fn quick() -> ChaosOptions {
     ChaosOptions::quick()
+}
+
+/// The 64-seed quick sweep of one flavour on `threads` workers: the
+/// violating seeds and the metrics report `chaos_hunt --json` writes.
+fn sweep_report(flavour: Flavour, opts: &ChaosOptions, threads: usize) -> (Vec<u64>, String) {
+    let cfg = SweepConfig {
+        seeds: 64,
+        start: 0,
+        quick: true,
+        flavour,
+        threads,
+    };
+    let summary = run_sweep(&cfg, opts, |_| {});
+    let report = summary.to_report(&cfg, true).to_json();
+    (summary.violated, report)
+}
+
+/// `--threads` must be invisible in the results: a sweep run on a
+/// 4-worker pool folds to a byte-identical metrics report (outcome
+/// counters, phase percentiles, bound checks — everything) as the same
+/// sweep run sequentially. This is the determinism contract the parallel
+/// seed fan-out is built on.
+fn assert_thread_invariant(flavour: Flavour, opts: &ChaosOptions) {
+    assert_eq!(
+        sweep_report(flavour, opts, 1),
+        sweep_report(flavour, opts, 4),
+        "{flavour:?} sweep report differs between 1 and 4 threads"
+    );
+}
+
+/// What a heartbeat wire format must not change about a run: outcome
+/// class, violated invariants, client integrity, and which servers took
+/// over / fenced. Raw fingerprints legitimately diverge across formats
+/// (frame sizes shift every microsecond timestamp downstream of a
+/// heartbeat); a protocol *decision* must not.
+fn semantic_verdict(r: &ChaosReport) -> impl PartialEq + std::fmt::Debug {
+    let any = |evs: &[StTcpEvent], f: fn(&StTcpEvent) -> bool| evs.iter().any(f);
+    let took_over = |e: &StTcpEvent| matches!(e, StTcpEvent::TookOver { .. });
+    let stonith = |e: &StTcpEvent| matches!(e, StTcpEvent::StonithIssued { .. });
+    (
+        r.outcome,
+        r.violations.iter().map(|v| v.invariant).collect::<Vec<_>>(),
+        r.client.finished,
+        r.client.integrity_violations,
+        r.member_events
+            .iter()
+            .map(|evs| (any(evs, took_over), any(evs, stonith)))
+            .collect::<Vec<_>>(),
+    )
 }
 
 /// Replaying the same `(seed, schedule)` twice must produce identical
@@ -22,8 +75,8 @@ fn quick() -> ChaosOptions {
 fn replay_is_bit_for_bit_deterministic() {
     for seed in [0, 3, 17, 40, 99] {
         let schedule = FaultSchedule::generate(seed);
-        let a = run_chaos_case(seed, &schedule, &quick());
-        let b = run_chaos_case(seed, &schedule, &quick());
+        let a = run_chaos_case(Pair, seed, &schedule, &quick());
+        let b = run_chaos_case(Pair, seed, &schedule, &quick());
         assert_eq!(
             a.fingerprint(),
             b.fingerprint(),
@@ -40,8 +93,8 @@ fn printed_reproducer_replays_identically() {
         let schedule = FaultSchedule::generate(seed);
         let reparsed: FaultSchedule = schedule.to_string().parse().unwrap();
         assert_eq!(reparsed, schedule);
-        let a = run_chaos_case(seed, &schedule, &quick());
-        let b = run_chaos_case(seed, &reparsed, &quick());
+        let a = run_chaos_case(Pair, seed, &schedule, &quick());
+        let b = run_chaos_case(Pair, seed, &reparsed, &quick());
         assert_eq!(a.fingerprint(), b.fingerprint(), "seed {seed}");
     }
 }
@@ -54,8 +107,8 @@ fn printed_reproducer_replays_identically() {
 #[test]
 fn shrinking_a_passing_schedule_is_identity() {
     let schedule: FaultSchedule = "@500 crash primary".parse().unwrap();
-    let r1 = shrink_schedule(11, &schedule, &quick());
-    let r2 = shrink_schedule(11, &schedule, &quick());
+    let r1 = shrink_schedule(Pair, 11, &schedule, &quick());
+    let r2 = shrink_schedule(Pair, 11, &schedule, &quick());
     assert_eq!(r1.schedule, schedule);
     assert_eq!(r1.schedule, r2.schedule);
     assert_eq!(r1.runs, r2.runs);
@@ -65,7 +118,7 @@ fn shrinking_a_passing_schedule_is_identity() {
 /// verdicts, no resets.
 #[test]
 fn empty_schedule_is_clean() {
-    let report = run_chaos_case(5, &FaultSchedule::default(), &quick());
+    let report = run_chaos_case(Pair, 5, &FaultSchedule::default(), &quick());
     assert_eq!(report.outcome, Outcome::Clean, "{:?}", report.violations);
     assert!(report.client.finished);
     assert_eq!(report.client.resets, 0);
@@ -76,7 +129,7 @@ fn empty_schedule_is_clean() {
 #[test]
 fn primary_crash_recovers() {
     let schedule: FaultSchedule = "@900 crash primary".parse().unwrap();
-    let report = run_chaos_case(2, &schedule, &quick());
+    let report = run_chaos_case(Pair, 2, &schedule, &quick());
     assert_eq!(
         report.outcome,
         Outcome::Recovered,
@@ -84,8 +137,7 @@ fn primary_crash_recovers() {
         report.violations
     );
     assert!(report.client.finished);
-    assert!(report
-        .backup_events
+    assert!(report.member_events[1]
         .iter()
         .any(|e| matches!(e, StTcpEvent::TookOver { .. })));
 }
@@ -103,17 +155,16 @@ fn corrupted_frames_are_dropped_not_acted_on() {
         (13, "@250 corrupt client 4"),
     ] {
         let schedule: FaultSchedule = schedule.parse().unwrap();
-        let report = run_chaos_case(seed, &schedule, &quick());
+        let report = run_chaos_case(Pair, seed, &schedule, &quick());
         assert_ne!(
             report.outcome,
             Outcome::Violation,
             "seed {seed} ({schedule}): {:?}",
             report.violations
         );
-        let verdicts = report
-            .primary_events
+        let verdicts = report.member_events[0]
             .iter()
-            .chain(report.backup_events.iter())
+            .chain(report.member_events[1].iter())
             .filter(|e| {
                 matches!(
                     e,
@@ -135,7 +186,7 @@ fn corrupted_frames_are_dropped_not_acted_on() {
 #[test]
 fn rebooted_primary_stays_cold() {
     let schedule: FaultSchedule = "@800 crash primary; @1400 reboot primary".parse().unwrap();
-    let report = run_chaos_case(6, &schedule, &quick());
+    let report = run_chaos_case(Pair, 6, &schedule, &quick());
     assert_ne!(
         report.outcome,
         Outcome::Violation,
@@ -143,8 +194,7 @@ fn rebooted_primary_stays_cold() {
         report.violations
     );
     // The rebooted primary must not have taken over again.
-    let primary_takeovers = report
-        .primary_events
+    let primary_takeovers = report.member_events[0]
         .iter()
         .filter(|e| matches!(e, StTcpEvent::TookOver { .. }))
         .count();
@@ -164,7 +214,7 @@ fn held_rst_is_reissued_when_gate_opens() {
                                    @7000 app-crash primary rst"
         .parse()
         .unwrap();
-    let report = run_chaos_case(1877, &schedule, &ChaosOptions::default());
+    let report = run_chaos_case(Pair, 1877, &schedule, &ChaosOptions::default());
     assert_ne!(
         report.outcome,
         Outcome::Violation,
@@ -179,6 +229,60 @@ fn held_rst_is_reissued_when_gate_opens() {
     );
 }
 
+/// Asserts a verdict-free schedule ran `Clean`: download complete, no
+/// reset, and no server condemned its peer.
+fn assert_clean_and_verdict_free(seed: u64, schedule: &str, opts: &ChaosOptions) {
+    let schedule: FaultSchedule = schedule.parse().unwrap();
+    let report = run_chaos_case(Pair, seed, &schedule, opts);
+    assert_eq!(report.outcome, Outcome::Clean, "{:?}", report.violations);
+    assert!(report.client.finished, "client: {:?}", report.client);
+    assert_eq!(report.client.resets, 0, "client: {:?}", report.client);
+    let verdicts = (report.member_events.iter().flatten())
+        .filter(|e| matches!(e, StTcpEvent::PeerDeclaredFailed { .. }))
+        .count();
+    assert_eq!(verdicts, 0, "a healthy peer was condemned");
+}
+
+/// Regression (nightly soak, quick seed 1586, shrunk to one action): the
+/// seventh reordered frame toward the primary is the client's FIN, held
+/// on the wire until the next heartbeat 190 ms later; the final ACK is
+/// held the same way, past the primary's FIN retransmission. The primary
+/// reaches CLOSED on the late ACK and — correctly, RFC 793 p. 36 —
+/// answers the TIME-WAIT client's re-ACK of the duplicate FIN with an
+/// RST. The client had every byte and both FINs acknowledged; simtcp
+/// reported "connection reset" to it anyway (RFC 793 p. 70: in
+/// TIME-WAIT an RST only deletes the TCB).
+#[test]
+fn late_rst_into_time_wait_is_not_a_client_reset() {
+    assert_clean_and_verdict_free(1586, "@185 reorder primary 7", &quick());
+}
+
+/// Regression (nightly soak, full-profile seed 100): the same reset by
+/// another road — jitter on the primary's link delivers an old client
+/// ACK after the one that closed the connection, and the RST it earns
+/// finds the client in TIME-WAIT.
+#[test]
+fn jitter_delayed_ack_after_close_is_not_a_client_reset() {
+    let schedule = "@224 jitter primary 23; @416 dup backup 3; \
+                    @1110 jitter-end primary; @1536 serial-fail";
+    assert_clean_and_verdict_free(100, schedule, &ChaosOptions::default());
+}
+
+/// Regression (nightly soak, full-profile seed 126): reordering toward
+/// the client delays its GET by an RTO, so both applications sit at
+/// position 0 for a second; the tap loss then costs the backup the GET
+/// itself, which it recovers 150 ms after the primary's application
+/// started streaming. The primary condemned it 50 ms later: 80 KiB ahead
+/// of a heartbeat older than the request, with the idle second counted
+/// as a confirmation window already served. A detector bug, not an
+/// under-modelled schedule — the backup was healthy and a heartbeat away
+/// from saying so.
+#[test]
+fn idle_second_before_a_late_get_is_not_app_lag() {
+    let schedule = "@66 reorder client 6; @169 drop-tap 13";
+    assert_clean_and_verdict_free(126, schedule, &ChaosOptions::default());
+}
+
 /// Double crash (both servers) destroys the service; the checker must
 /// classify it as `ServiceLost` or an explicitly announced failure —
 /// never a violation, and never a silently "successful" run.
@@ -188,7 +292,7 @@ fn double_crash_loses_service_without_violation() {
     // dies mid-handshake and the backup dies before its takeover can
     // finish serving.
     let schedule: FaultSchedule = "@150 crash primary; @400 crash backup".parse().unwrap();
-    let report = run_chaos_case(8, &schedule, &quick());
+    let report = run_chaos_case(Pair, 8, &schedule, &quick());
     assert!(
         matches!(
             report.outcome,
@@ -220,7 +324,7 @@ fn reintegrated_pair_survives_second_crash() {
     let schedule: FaultSchedule = "@300 crash primary; @1200 reboot primary; @2000 crash backup"
         .parse()
         .unwrap();
-    let report = run_chaos_case(12, &schedule, &opts);
+    let report = run_chaos_case(Pair, 12, &schedule, &opts);
 
     assert_eq!(
         report.outcome,
@@ -234,8 +338,7 @@ fn reintegrated_pair_survives_second_crash() {
     assert_eq!(report.client.integrity_violations, 0);
 
     // Redundancy was restored before the second fault...
-    let rejoined_at = report
-        .primary_events
+    let rejoined_at = report.member_events[0]
         .iter()
         .find_map(|e| match e {
             StTcpEvent::ReintegrationCompleted { at } => Some(*at),
@@ -245,8 +348,7 @@ fn reintegrated_pair_survives_second_crash() {
     assert!(rejoined_at < SimTime::from_millis(2_000));
 
     // ...and the rejoined primary performed the second takeover.
-    let second_takeover = report
-        .primary_events
+    let second_takeover = report.member_events[0]
         .iter()
         .find_map(|e| match e {
             StTcpEvent::TookOver { at } => Some(*at),
@@ -261,35 +363,13 @@ fn reintegrated_pair_survives_second_crash() {
 /// snapshot transfer must never break output commit or digest lockstep.
 #[test]
 fn reintegrate_sweep_is_deterministic_and_clean() {
-    use sttcp_bench::hunt::{run_sweep, SweepConfig};
     let opts = ChaosOptions {
         reintegrate: true,
         ..ChaosOptions::quick()
     };
-    let reports: Vec<String> = [1usize, 4]
-        .into_iter()
-        .map(|threads| {
-            let cfg = SweepConfig {
-                seeds: 64,
-                start: 0,
-                quick: true,
-                double: false,
-                reintegrate: true,
-                threads,
-            };
-            let summary = run_sweep(&cfg, &opts, |_| {});
-            assert!(
-                summary.violated.is_empty(),
-                "reintegrate sweep hit violations at {threads} threads: {:?}",
-                summary.violated
-            );
-            summary.to_report(&cfg, true).to_json()
-        })
-        .collect();
-    assert_eq!(
-        reports[0], reports[1],
-        "reintegrate sweep report differs between 1 and 4 threads"
-    );
+    let (violated, _) = sweep_report(Flavour::Reintegrate, &opts, 1);
+    assert!(violated.is_empty(), "reintegrate sweep hit {violated:?}");
+    assert_thread_invariant(Flavour::Reintegrate, &opts);
 }
 
 /// Delta heartbeats are a wire optimisation, not a behaviour change.
@@ -298,41 +378,13 @@ fn reintegrate_sweep_is_deterministic_and_clean() {
 /// 1. A delta-mode sweep folds to a byte-identical metrics report at 1
 ///    and 4 threads — the same determinism contract full-state mode
 ///    already pins.
-/// 2. Every seed's semantic verdict matches between delta and
-///    full-state mode: outcome class, violated invariants, client
-///    integrity, and which servers took over / fenced. Raw fingerprints
-///    legitimately diverge across modes (delta frames are smaller, so
-///    every microsecond timestamp downstream of a heartbeat shifts);
-///    what must not change is any protocol *decision*.
+/// 2. Every seed's [`semantic_verdict`] matches between delta and
+///    full-state mode.
 #[cfg(not(mutate_no_hb_guard))]
 #[test]
 fn delta_heartbeat_sweep_matches_full_state_semantics() {
-    use sttcp_bench::hunt::{run_sweep, SweepConfig};
-
-    let delta_opts = delta_opts();
-
     // Contract 1: delta mode is deterministic and thread-invariant.
-    let reports: Vec<String> = [1usize, 4]
-        .into_iter()
-        .map(|threads| {
-            let cfg = SweepConfig {
-                seeds: 64,
-                start: 0,
-                quick: true,
-                double: false,
-                reintegrate: false,
-                threads,
-            };
-            run_sweep(&cfg, &delta_opts, |_| {})
-                .to_report(&cfg, true)
-                .to_json()
-        })
-        .collect();
-    assert_eq!(
-        reports[0], reports[1],
-        "delta sweep report differs between 1 and 4 threads"
-    );
-
+    assert_thread_invariant(Flavour::Single, &delta_opts());
     // Contract 2: per-seed verdict equivalence against full-state mode.
     assert_eq!(
         seeds_where_delta_mode_changes_the_verdict(),
@@ -351,30 +403,12 @@ fn delta_opts() -> ChaosOptions {
 /// Contract 2 of the delta sweep: the seeds in 0..64 whose semantic
 /// verdict differs between delta and full-state mode.
 fn seeds_where_delta_mode_changes_the_verdict() -> Vec<u64> {
-    let project = |r: &sttcp_apps::chaos::ChaosReport| {
-        let took_over =
-            |evs: &[StTcpEvent]| evs.iter().any(|e| matches!(e, StTcpEvent::TookOver { .. }));
-        let stonith = |evs: &[StTcpEvent]| {
-            evs.iter()
-                .any(|e| matches!(e, StTcpEvent::StonithIssued { .. }))
-        };
-        (
-            r.outcome,
-            r.violations.iter().map(|v| v.invariant).collect::<Vec<_>>(),
-            r.client.finished,
-            r.client.integrity_violations,
-            took_over(&r.primary_events),
-            took_over(&r.backup_events),
-            stonith(&r.primary_events),
-            stonith(&r.backup_events),
-        )
-    };
     (0..64)
         .filter(|&seed| {
             let schedule = FaultSchedule::generate(seed);
-            let full = run_chaos_case(seed, &schedule, &quick());
-            let delta = run_chaos_case(seed, &schedule, &delta_opts());
-            project(&full) != project(&delta)
+            let full = run_chaos_case(Pair, seed, &schedule, &quick());
+            let delta = run_chaos_case(Pair, seed, &schedule, &delta_opts());
+            semantic_verdict(&full) != semantic_verdict(&delta)
         })
         .collect()
 }
@@ -406,18 +440,16 @@ fn delta_sweep_catches_a_dropped_jitter_guard() {
 /// clock started at the fault. The bound is charged from symptom onset.
 #[test]
 fn app_lag_bound_is_charged_from_the_first_delivered_byte() {
-    use sttcp_bench::hunt::{run_sweep, SweepConfig};
     let cfg = SweepConfig {
         seeds: 1,
         start: 24,
         quick: true,
-        double: true,
-        reintegrate: false,
+        flavour: Flavour::Double,
         threads: 1,
     };
     let mut lag_verdict = false;
     let summary = run_sweep(&cfg, &quick(), |case| {
-        lag_verdict = case.report.backup_events.iter().any(|e| {
+        lag_verdict = case.report.member_events[1].iter().any(|e| {
             matches!(
                 e,
                 StTcpEvent::PeerDeclaredFailed {
@@ -438,107 +470,33 @@ fn app_lag_bound_is_charged_from_the_first_delivered_byte() {
 ///
 /// 1. A batch-mode sweep folds to a byte-identical metrics report at 1
 ///    and 4 threads.
-/// 2. Every seed's semantic verdict matches between batch-on (tiny
+/// 2. Every seed's [`semantic_verdict`] matches between batch-on (tiny
 ///    2-record parts, so multi-part rounds actually occur under chaos
-///    load) and batch-off runs of the same schedule. Raw fingerprints
-///    legitimately diverge (different frame sizes shift downstream
-///    timestamps); protocol *decisions* must not.
+///    load) and batch-off runs of the same schedule.
 #[test]
 fn batch_heartbeat_sweep_matches_single_frame_semantics() {
-    use sttcp_bench::hunt::{run_sweep, SweepConfig};
-
     let batch_opts = ChaosOptions {
-        hb_delta: true,
         hb_batch: 2,
-        ..ChaosOptions::quick()
+        ..delta_opts()
     };
-
     // Contract 1: batch mode is deterministic and thread-invariant.
-    let reports: Vec<String> = [1usize, 4]
-        .into_iter()
-        .map(|threads| {
-            let cfg = SweepConfig {
-                seeds: 64,
-                start: 0,
-                quick: true,
-                double: false,
-                reintegrate: false,
-                threads,
-            };
-            run_sweep(&cfg, &batch_opts, |_| {})
-                .to_report(&cfg, true)
-                .to_json()
-        })
-        .collect();
-    assert_eq!(
-        reports[0], reports[1],
-        "batch sweep report differs between 1 and 4 threads"
-    );
-
+    assert_thread_invariant(Flavour::Single, &batch_opts);
     // Contract 2: per-seed verdict equivalence against single-frame mode.
-    let single_opts = ChaosOptions {
-        hb_delta: true,
-        hb_batch: 0,
-        ..ChaosOptions::quick()
-    };
-    let project = |r: &sttcp_apps::chaos::ChaosReport| {
-        let took_over =
-            |evs: &[StTcpEvent]| evs.iter().any(|e| matches!(e, StTcpEvent::TookOver { .. }));
-        let stonith = |evs: &[StTcpEvent]| {
-            evs.iter()
-                .any(|e| matches!(e, StTcpEvent::StonithIssued { .. }))
-        };
-        (
-            r.outcome,
-            r.violations.iter().map(|v| v.invariant).collect::<Vec<_>>(),
-            r.client.finished,
-            r.client.integrity_violations,
-            took_over(&r.primary_events),
-            took_over(&r.backup_events),
-            stonith(&r.primary_events),
-            stonith(&r.backup_events),
-        )
-    };
     for seed in 0..64 {
         let schedule = FaultSchedule::generate(seed);
-        let single = run_chaos_case(seed, &schedule, &single_opts);
-        let batch = run_chaos_case(seed, &schedule, &batch_opts);
+        let single = run_chaos_case(Pair, seed, &schedule, &delta_opts());
+        let batch = run_chaos_case(Pair, seed, &schedule, &batch_opts);
         assert_eq!(
-            project(&single),
-            project(&batch),
+            semantic_verdict(&single),
+            semantic_verdict(&batch),
             "seed {seed} ({schedule}): batch framing changed the verdict"
         );
     }
 }
 
-/// `--threads` must be invisible in the results: a 64-seed sweep run on
-/// a 4-worker pool folds to a byte-identical metrics report (outcome
-/// counters, phase percentiles, bound checks — everything) as the same
-/// sweep run sequentially. This is the determinism contract the
-/// parallel seed fan-out is built on.
+/// The plain and double-fault sweeps obey [`assert_thread_invariant`].
 #[test]
 fn sweep_report_is_identical_across_thread_counts() {
-    use sttcp_bench::hunt::{run_sweep, SweepConfig};
-    for double in [false, true] {
-        let reports: Vec<String> = [1usize, 4]
-            .into_iter()
-            .map(|threads| {
-                let cfg = SweepConfig {
-                    seeds: 64,
-                    start: 0,
-                    quick: true,
-                    double,
-                    reintegrate: false,
-                    threads,
-                };
-                run_sweep(&cfg, &quick(), |_| {})
-                    .to_report(&cfg, true)
-                    .to_json()
-            })
-            .collect();
-        assert_eq!(
-            reports[0], reports[1],
-            "sweep report differs between 1 and 4 threads (double={double})"
-        );
-    }
+    assert_thread_invariant(Flavour::Single, &quick());
+    assert_thread_invariant(Flavour::Double, &quick());
 }

@@ -14,7 +14,7 @@ use simnet::time::{SimDuration, SimTime};
 use sttcp_apps::apps::StreamApp;
 use sttcp_apps::chaos::{run_chaos_case, ChaosOptions, FaultSchedule};
 use sttcp_apps::client::ClientWorkload;
-use sttcp_apps::scenario::{AppMaker, Scenario, ScenarioBuilder};
+use sttcp_apps::scenario::{AppMaker, Scenario, ScenarioBuilder, Topology::Pair};
 
 use sttcp_bench::parallel::parallel_map_indexed;
 
@@ -186,12 +186,13 @@ fn window_limits_snapshot_to_recent_tail() {
 #[test]
 fn chaos_capture_is_off_on_clean_runs_and_forced_by_flight_always() {
     let schedule: FaultSchedule = "@1000 crash primary".parse().expect("schedule");
-    let quiet = run_chaos_case(7, &schedule, &ChaosOptions::quick());
+    let quiet = run_chaos_case(Pair, 7, &schedule, &ChaosOptions::quick());
     assert!(
         quiet.flight.is_none(),
         "clean run captured a flight snapshot without flight_always"
     );
     let forced = run_chaos_case(
+        Pair,
         7,
         &schedule,
         &ChaosOptions {

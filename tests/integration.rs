@@ -20,7 +20,6 @@ use sttcp::server::AppCrashMode;
 
 use sttcp_apps::apps::{ReqRespApp, StreamApp};
 use sttcp_apps::client::{ClientWorkload, ReconnectPolicy};
-use sttcp_apps::pool::PoolScenarioBuilder;
 use sttcp_apps::scenario::{build_baseline, AppMaker, Scenario, ScenarioBuilder};
 
 fn t(ms: u64) -> SimTime {
@@ -574,9 +573,9 @@ fn profiler_attributes_tick_scheduler_buckets() {
     // No benchmark workload is a pool, so this is the one place the
     // `pool` bucket is seen non-zero: a 3-replica download runs pool
     // heartbeat intake and fan-out on every member.
-    let mut s = PoolScenarioBuilder::new(stream_app(4096, false), download(256 * 1024))
+    let mut s = ScenarioBuilder::new(stream_app(4096, false), download(256 * 1024))
         .seed(1)
-        .replicas(3)
+        .pool(3)
         .build();
     s.world.set_profiling(true);
     s.world.run_until(t(5_000));

@@ -17,7 +17,7 @@ use sttcp::config::StTcpConfig;
 use sttcp::events::{FailureReason, StTcpEvent};
 use sttcp_apps::chaos::{run_chaos_case, ChaosOptions, FaultSchedule};
 use sttcp_apps::client::ClientWorkload;
-use sttcp_apps::scenario::{Scenario, ScenarioBuilder};
+use sttcp_apps::scenario::{Scenario, ScenarioBuilder, Topology::Pair};
 
 fn t(ms: u64) -> SimTime {
     SimTime::from_millis(ms)
@@ -192,14 +192,13 @@ fn a_warm_rebooted_joiner_re_arms_from_a_void_record() {
         "@138 serial-fail; @601 crash primary; @1231 reboot primary; @2510 crash backup"
             .parse()
             .unwrap();
-    let report = run_chaos_case(12, &schedule, &opts);
+    let report = run_chaos_case(Pair, 12, &schedule, &opts);
     assert!(report.client.finished, "{:?}", report.client);
-    let rejoined = report
-        .primary_events
+    let rejoined = report.member_events[0]
         .iter()
         .any(|e| matches!(e, StTcpEvent::ReintegrationCompleted { at } if *at < t(2_510)));
-    assert!(rejoined, "{:?}", report.primary_events);
-    let (reason, at) = verdict(&report.primary_events).expect("the rejoined primary's verdict");
+    assert!(rejoined, "{:?}", report.member_events[0]);
+    let (reason, at) = verdict(&report.member_events[0]).expect("the rejoined primary's verdict");
     assert_eq!(reason, FailureReason::HbBothLinksDown);
     assert!(at > t(3_000) && at < t(3_010), "verdict at {at}");
 }

@@ -19,24 +19,38 @@ use sttcp::invariant::Outcome;
 use sttcp_apps::apps::StreamApp;
 use sttcp_apps::chaos::{chaos_config, run_chaos_case, ChaosOptions, FaultSchedule};
 use sttcp_apps::client::ClientWorkload;
-use sttcp_apps::pool::{run_pool_case, PoolScenario, PoolScenarioBuilder};
-use sttcp_bench::hunt::run_pool_sweep;
+use sttcp_apps::scenario::{Scenario, ScenarioBuilder, Topology};
+use sttcp_bench::hunt::{run_sweep, Flavour, SweepConfig};
 use sttcp_bench::parallel::default_threads;
+
+/// The pool every seeded case below runs on: what `chaos_hunt --pool`
+/// sweeps.
+const POOL: Topology = Topology::Pool(3);
 
 fn quick() -> ChaosOptions {
     ChaosOptions::quick()
 }
 
+fn pool_sweep(seeds: u64, threads: usize) -> SweepConfig {
+    SweepConfig {
+        seeds,
+        start: 0,
+        quick: true,
+        flavour: Flavour::Pool,
+        threads,
+    }
+}
+
 /// Builds an `n`-member pool serving a small verified download, with
-/// re-integration on — the same profile `run_pool_case` uses, minus the
-/// fixed replica count.
-fn pool_of(n: usize, seed: u64) -> PoolScenario {
-    PoolScenarioBuilder::new(
+/// re-integration on — the same profile `run_chaos_case` gives a pool,
+/// minus the fixed replica count.
+fn pool_of(n: usize, seed: u64) -> Scenario {
+    ScenarioBuilder::new(
         Rc::new(|| Box::new(StreamApp::new(4096, false)) as _),
         ClientWorkload::Download { total: 48 * 1024 },
     )
     .seed(seed)
-    .replicas(n)
+    .pool(n)
     .sttcp(StTcpConfig {
         reintegrate: true,
         ..chaos_config()
@@ -63,7 +77,7 @@ fn quorum_votes(events: &[StTcpEvent]) -> Option<u32> {
 /// with a paste-able `chaos_hunt --pool` reproducer.
 #[test]
 fn pool_soak_tier_is_violation_free() {
-    let summary = run_pool_sweep(48, 0, default_threads(), &quick(), |case| {
+    let summary = run_sweep(&pool_sweep(48, default_threads()), &quick(), |case| {
         assert_ne!(
             case.report.outcome,
             Outcome::Violation,
@@ -94,9 +108,10 @@ fn pool_sweep_report_is_identical_across_thread_counts() {
     let reports: Vec<String> = [1usize, 4]
         .into_iter()
         .map(|threads| {
-            let summary = run_pool_sweep(32, 0, threads, &quick(), |_| {});
+            let cfg = pool_sweep(32, threads);
+            let summary = run_sweep(&cfg, &quick(), |_| {});
             assert!(summary.violated.is_empty(), "{:?}", summary.violated);
-            summary.to_report(32, 0, true).to_json()
+            summary.to_report(&cfg, false).to_json()
         })
         .collect();
     assert_eq!(
@@ -113,8 +128,8 @@ fn pool_replay_is_deterministic() {
     for seed in [0, 9, 31] {
         let schedule = FaultSchedule::generate_pool(seed);
         let reparsed: FaultSchedule = schedule.to_string().parse().unwrap();
-        let a = run_pool_case(seed, &schedule, &quick());
-        let b = run_pool_case(seed, &reparsed, &quick());
+        let a = run_chaos_case(POOL, seed, &schedule, &quick());
+        let b = run_chaos_case(POOL, seed, &reparsed, &quick());
         assert_eq!(
             a.fingerprint(),
             b.fingerprint(),
@@ -129,12 +144,12 @@ fn pool_replay_is_deterministic() {
 #[test]
 fn two_node_pool_fence_degenerates_to_stonith() {
     let mut s = pool_of(2, 41);
-    s.crash_at(0, SimTime::from_millis(800));
+    s.crash_primary_at(SimTime::from_millis(800));
     s.world.run_until(SimTime::from_secs(25));
 
     assert!(s.client_finished(), "client: {:?}", s.client_log());
     assert_eq!(s.client_log().integrity_violations, 0);
-    let events = s.server(1).events();
+    let events = s.server(s.backup).events();
     assert_eq!(
         quorum_votes(events),
         Some(1),
@@ -158,7 +173,7 @@ fn two_node_pool_fence_degenerates_to_stonith() {
         fenced <= took,
         "takeover at {took} before fence at {fenced}"
     );
-    assert!(s.server(1).is_active());
+    assert!(s.server(s.backup).is_active());
 }
 
 /// When the active dies in a deep pool, every standby sees the same
@@ -168,24 +183,24 @@ fn two_node_pool_fence_degenerates_to_stonith() {
 #[test]
 fn simultaneous_candidates_resolve_by_rank() {
     let mut s = pool_of(4, 43);
-    s.crash_at(0, SimTime::from_millis(800));
+    s.crash_primary_at(SimTime::from_millis(800));
     s.world.run_until(SimTime::from_secs(25));
 
     assert!(s.client_finished(), "client: {:?}", s.client_log());
     assert_eq!(s.client_log().resets, 0);
-    assert!(took_over_at(s.server(1).events()).is_some());
+    assert!(took_over_at(s.server(s.backup).events()).is_some());
     for i in [2, 3] {
         assert_eq!(
-            took_over_at(s.server(i).events()),
+            took_over_at(s.server(s.servers[i]).events()),
             None,
             "rank-{i} took over past a live better-ranked candidate"
         );
-        assert!(!s.server(i).is_active());
+        assert!(!s.server(s.servers[i]).is_active());
     }
     // The witnesses contributed votes rather than competing: quorum is
     // a majority of the three survivors, so at least one deeper standby
     // confirmed the death alongside the candidate's own vote.
-    assert!(quorum_votes(s.server(1).events()).unwrap() >= 2);
+    assert!(quorum_votes(s.server(s.backup).events()).unwrap() >= 2);
 }
 
 /// A fenced ex-active that warm-reboots must never emit a client-visible
@@ -195,7 +210,7 @@ fn simultaneous_candidates_resolve_by_rank() {
 #[test]
 fn fenced_ex_active_is_silent_until_rejoined() {
     let schedule: FaultSchedule = "@800 crash primary; @1500 reboot primary".parse().unwrap();
-    let report = run_pool_case(29, &schedule, &ChaosOptions::default());
+    let report = run_chaos_case(POOL, 29, &schedule, &ChaosOptions::default());
     assert_eq!(
         report.outcome,
         Outcome::Recovered,
@@ -241,7 +256,7 @@ fn fast_rebooted_active_is_fenced_as_defunct() {
     let schedule: FaultSchedule = "@363 crash primary; @759 reboot primary; @5550 crash backup"
         .parse()
         .unwrap();
-    let report = run_pool_case(922, &schedule, &ChaosOptions::default());
+    let report = run_chaos_case(POOL, 922, &schedule, &ChaosOptions::default());
     assert_eq!(
         report.outcome,
         Outcome::Recovered,
@@ -287,7 +302,7 @@ fn fast_rebooted_active_is_fenced_as_defunct() {
 fn byzantine_heartbeat_sweep_is_violation_free() {
     for seed in 0..60 {
         let schedule = FaultSchedule::generate_byzantine(seed);
-        let report = run_chaos_case(seed, &schedule, &quick());
+        let report = run_chaos_case(Topology::Pair, seed, &schedule, &quick());
         assert_ne!(
             report.outcome,
             Outcome::Violation,
@@ -304,7 +319,7 @@ fn byzantine_heartbeat_sweep_is_violation_free() {
 fn pool_absorbs_byzantine_heartbeats() {
     for seed in 0..24 {
         let schedule = FaultSchedule::generate_byzantine(seed);
-        let report = run_pool_case(seed, &schedule, &quick());
+        let report = run_chaos_case(POOL, seed, &schedule, &quick());
         assert_ne!(
             report.outcome,
             Outcome::Violation,

@@ -23,6 +23,7 @@
 
 use sttcp::invariant::Outcome;
 use sttcp_apps::chaos::{run_chaos_case, shrink_schedule, ChaosOptions, FaultSchedule};
+use sttcp_apps::scenario::Topology::Pair;
 use sttcp_bench::parallel::{default_threads, parallel_seeds};
 
 /// Runs `seeds` schedules in parallel and panics — with a shrunk,
@@ -32,7 +33,7 @@ use sttcp_bench::parallel::{default_threads, parallel_seeds};
 fn soak_tier(seeds: u64, make: fn(u64) -> FaultSchedule, opts: &ChaosOptions) {
     let reports = parallel_seeds(default_threads(), 0, seeds, |seed| {
         let schedule = make(seed);
-        let report = run_chaos_case(seed, &schedule, opts);
+        let report = run_chaos_case(Pair, seed, &schedule, opts);
         (schedule, report)
     });
     for (seed, (schedule, report)) in reports.into_iter().enumerate() {
@@ -40,7 +41,7 @@ fn soak_tier(seeds: u64, make: fn(u64) -> FaultSchedule, opts: &ChaosOptions) {
         if report.outcome != Outcome::Violation {
             continue;
         }
-        let shrunk = shrink_schedule(seed, &schedule, opts);
+        let shrunk = shrink_schedule(Pair, seed, &schedule, opts);
         panic!(
             "seed {seed}: {schedule}\n  violations: {:?}\n  client: {:?}\n  \
              minimal reproducer:\n    cargo run -p sttcp-bench --bin chaos_hunt -- \
