@@ -1,32 +1,30 @@
 //! First-class invariant checking over chaos runs.
 //!
 //! A chaos run (see the `sttcp-apps` crate's `chaos` module) executes a
-//! client workload against the server pair while a fault schedule fires.
-//! Afterwards this module judges the run: it takes the two servers'
-//! [`StTcpEvent`] logs plus the client's transcript, and an
+//! client workload against the pair or an N-replica pool while a fault
+//! schedule fires. Afterwards [`check`] judges the run: it takes every
+//! member's [`StTcpEvent`] log plus the client's transcript, and an
 //! [`Expectation`] derived from the schedule (what *could* legitimately
 //! have happened given the injected faults), and checks the properties
-//! ST-TCP promises regardless of fault timing:
+//! ST-TCP promises regardless of fault timing. One checker, stated once
+//! for any number of members; what applies where:
 //!
-//! 1. **Byte-stream integrity** — the client never observes wrong bytes.
-//!    TCP checksums plus missed-byte recovery make this unconditional.
-//! 2. **No dual-active** — at most one server ever speaks for the
-//!    service. Checked both directly (end-of-run activity) and causally:
-//!    a takeover must be preceded by a STONITH from the taker or by the
-//!    peer's own death.
-//! 3. **At most one failure verdict** — a server declares its peer
-//!    failed at most once, takes over at most once, fires STONITH at
-//!    most once.
-//! 4. **Bounded post-detection stall** — when the service is expected to
-//!    survive, the client's longest outage is bounded (detection +
-//!    takeover + retransmission, with allowance from the caller).
-//! 5. **Unrecoverable ⇒ explicitly detected** — if the service is
-//!    expected up but the client did not finish, the failure must be
-//!    announced (a reset or a logged [`StTcpEvent::UnrecoverableGap`]),
-//!    never a silent hang.
-//! 6. **No false positives** — a schedule that injects nothing the
-//!    detectors should react to (empty, or finite tap-side drops that
-//!    recovery absorbs) must produce no verdict at all.
+//! | invariant | pair | pool |
+//! |---|---|---|
+//! | `byte-stream-integrity` — the client never sees wrong bytes | ✓ | ✓ |
+//! | `no-dual-active` — at most one member ends active | ✓ | ✓ |
+//! | `stonith-precedes-takeover` — on the taker's own log | ✓ | ✓ |
+//! | `quorum-fence-precedes-takeover` — ditto, a fence quorum | — | ✓ |
+//! | `at-most-one-verdict` — verdicts, takeovers, STONITHs per server (two under re-integration) | ✓ | — |
+//! | `at-most-one-verdict` — one takeover per member, the pool within its budget | — | ✓ |
+//! | `byzantine-liar-verdict` — the lying side never condemns | ✓ | — |
+//! | `no-false-positive` — no verdict, no reset where none is justified | ✓ | ✓ |
+//! | `no-silent-failure` / `unrecoverable-only-when-possible` | ✓ | ✓ |
+//! | `bounded-stall` — the client's longest outage, when it finished | ✓ | ✓ |
+//!
+//! The protocol decides the one branch: an expectation that carries a
+//! takeover budget ([`Expectation::max_takeovers`]) judges a rank-ordered
+//! takeover chain, one without judges the pair's single failure epoch.
 //!
 //! The checker is deliberately *conservative*: the [`Expectation`] says
 //! what is possible, not what must happen, so a legitimate-but-unlucky
@@ -44,16 +42,11 @@ use crate::events::StTcpEvent;
 /// What the invariant checker knows about one server after a run.
 #[derive(Debug, Clone)]
 pub struct ServerView {
-    /// The role the server was configured with at start.
-    pub configured_role: Role,
+    /// What the member is called in violation details (the pair's
+    /// `primary` / `backup`, a pool's `rank<i>`).
+    pub label: String,
     /// The server's protocol event log.
     pub events: Vec<StTcpEvent>,
-    /// When the *world* powered this node off (crash or STONITH), if it
-    /// ever did. Taken from the simulation, not the node's own belief.
-    pub powered_off_at: Option<SimTime>,
-    /// True if the server ended the run as a cold standby (rebooted,
-    /// state lost, passive).
-    pub cold_standby: bool,
     /// True if the server ended the run able to emit client-visible
     /// traffic (powered, not cold, acting primary).
     pub active_at_end: bool,
@@ -76,16 +69,16 @@ pub struct ClientView {
 }
 
 /// What the fault schedule makes legitimately possible. Derived from the
-/// schedule alone (see `sttcp-apps::chaos::Expectation` computation) —
-/// conservative toward "possible".
+/// schedule alone (`sttcp-apps`: `FaultSchedule::expectation` for the
+/// pair, `pool_expectation` for a pool) — conservative toward "possible".
 #[derive(Debug, Clone)]
 pub struct Expectation {
-    /// Some fault could have made the pair lose all service (for
-    /// example, both servers crashed, or the surviving server's client
-    /// path was cut). When false, the client finishing is mandatory.
+    /// Some fault could have made the service disappear (for example,
+    /// every member crashed, or the survivor's client path was cut).
+    /// When false, the client finishing is mandatory.
     pub service_may_be_lost: bool,
-    /// Client bytes acked by the primary may have been lost to the
-    /// backup forever (tap loss or corruption combined with a primary
+    /// Client bytes acked by the active may have been lost to every
+    /// survivor forever (tap loss or corruption combined with an active
     /// crash): an [`StTcpEvent::UnrecoverableGap`] reset is legitimate.
     pub unrecoverable_gap_possible: bool,
     /// An application crash with RST cleanup was injected: the client
@@ -99,236 +92,22 @@ pub struct Expectation {
     /// succeeds; `None` disables the check (schedules whose loss bursts
     /// can stall the client arbitrarily via RTO backoff).
     pub max_stall: Option<SimDuration>,
-    /// The schedule reboots a crashed server into a re-integration join
-    /// (`StTcpConfig::reintegrate`). A server may then legitimately see
-    /// *two* failure epochs — one before its crash or its peer's, one
+    /// Pair: the schedule reboots a crashed server into a re-integration
+    /// join (`StTcpConfig::reintegrate`). A server may then legitimately
+    /// see *two* failure epochs — one before its crash or its peer's, one
     /// after redundancy is restored — so the at-most-one-verdict
     /// invariant widens to at most one per epoch.
     pub reintegrate: bool,
-    /// The schedule armed byzantine heartbeat corruption on this
+    /// Pair: the schedule armed byzantine heartbeat corruption on this
     /// (configured) side. The *honest* side may legitimately condemn the
     /// liar; the liar itself — whose inbound evidence is untouched — must
     /// never fire a verdict against its healthy peer.
     pub byzantine: Option<Role>,
-}
-
-impl Expectation {
-    /// Expectation for a run with no faults at all: everything strict.
-    pub fn fault_free(max_stall: SimDuration) -> Expectation {
-        Expectation {
-            service_may_be_lost: false,
-            unrecoverable_gap_possible: false,
-            abortive_close_possible: false,
-            verdicts_possible: false,
-            max_stall: Some(max_stall),
-            reintegrate: false,
-            byzantine: None,
-        }
-    }
-}
-
-/// What a pool-mode fault schedule makes legitimately possible —
-/// [`Expectation`]'s N-replica counterpart, consumed by [`check_pool`].
-#[derive(Debug, Clone)]
-pub struct PoolExpectation {
-    /// Some fault could have killed every pool member (or cut the client
-    /// path); when false the client finishing is mandatory.
-    pub service_may_be_lost: bool,
-    /// Acked client bytes may be gone from every survivor: an
-    /// [`StTcpEvent::UnrecoverableGap`] reset is legitimate.
-    pub unrecoverable_gap_possible: bool,
-    /// Failure verdicts (fence rounds, takeovers) are legitimate.
-    pub verdicts_possible: bool,
-    /// Upper bound on takeovers across the whole pool (one per active
-    /// kill the schedule performs).
-    pub max_takeovers: u32,
-    /// Bound on [`ClientView::longest_stall`] when the run finishes;
-    /// `None` disables the check.
-    pub max_stall: Option<SimDuration>,
-}
-
-/// Checks the pool-mode invariants over one finished run.
-///
-/// `views` holds every pool member in any order. On top of the pairwise
-/// properties (integrity, no dual-active, bounded stall, no silent
-/// failure, no false positives) the pool adds **quorum-fence-precedes-
-/// takeover**: a member may only take over after logging a
-/// [`StTcpEvent::FenceQuorumReached`] against the old active — rank
-/// order and fencing are worthless if a taker can skip the vote.
-pub fn check_pool(views: &[ServerView], client: &ClientView, exp: &PoolExpectation) -> Report {
-    let mut violations = Vec::new();
-
-    // 1. Byte-stream integrity: unconditional.
-    if client.integrity_violations > 0 {
-        violations.push(Violation {
-            invariant: "byte-stream-integrity",
-            detail: format!(
-                "client verified {} bytes but saw {} contradicting its expected stream",
-                client.bytes_ok, client.integrity_violations
-            ),
-        });
-    }
-
-    // 2. No dual-active, direct form: at most one member ends active.
-    let actives = views.iter().filter(|v| v.active_at_end).count();
-    if actives > 1 {
-        violations.push(Violation {
-            invariant: "no-dual-active",
-            detail: format!("{actives} pool members ended the run active for the service IP"),
-        });
-    }
-
-    // 3. Quorum fence and STONITH precede every takeover, and takeovers
-    // stay within the schedule's budget.
-    let mut total_takeovers = 0u32;
-    for (i, v) in views.iter().enumerate() {
-        let takeovers = count_events(&v.events, |e| matches!(e, StTcpEvent::TookOver { .. }));
-        total_takeovers += takeovers as u32;
-        let Some(took_at) = first_time(&v.events, |e| matches!(e, StTcpEvent::TookOver { .. }))
-        else {
-            continue;
-        };
-        let quorum_at = first_time(&v.events, |e| {
-            matches!(e, StTcpEvent::FenceQuorumReached { .. })
-        });
-        if quorum_at.is_none_or(|t| t > took_at) {
-            violations.push(Violation {
-                invariant: "quorum-fence-precedes-takeover",
-                detail: format!(
-                    "member #{i} took over at {took_at} without first reaching a fence \
-                     quorum (quorum: {quorum_at:?})"
-                ),
-            });
-        }
-        let stonith_at = first_time(&v.events, |e| matches!(e, StTcpEvent::StonithIssued { .. }));
-        if stonith_at.is_none_or(|t| t > took_at) {
-            violations.push(Violation {
-                invariant: "stonith-precedes-takeover",
-                detail: format!(
-                    "member #{i} took over at {took_at} without first issuing STONITH \
-                     (stonith: {stonith_at:?})"
-                ),
-            });
-        }
-        if takeovers > 1 {
-            violations.push(Violation {
-                invariant: "at-most-one-verdict",
-                detail: format!("member #{i} took over {takeovers} times in one incarnation"),
-            });
-        }
-    }
-    if total_takeovers > exp.max_takeovers {
-        violations.push(Violation {
-            invariant: "at-most-one-verdict",
-            detail: format!(
-                "{total_takeovers} takeovers across the pool (schedule budget {})",
-                exp.max_takeovers
-            ),
-        });
-    }
-
-    // 4. False positives: a fault-free pool schedule must stay silent.
-    if !exp.verdicts_possible {
-        for (i, v) in views.iter().enumerate() {
-            let verdicts = count_events(&v.events, |e| {
-                matches!(
-                    e,
-                    StTcpEvent::PeerDeclaredFailed { .. }
-                        | StTcpEvent::TookOver { .. }
-                        | StTcpEvent::StonithIssued { .. }
-                        | StTcpEvent::FenceQuorumReached { .. }
-                        | StTcpEvent::WentNonFt { .. }
-                )
-            });
-            if verdicts > 0 {
-                violations.push(Violation {
-                    invariant: "no-false-positive",
-                    detail: format!(
-                        "member #{i} fired {verdicts} verdict event(s) though the schedule \
-                         injected nothing a correct detector reacts to"
-                    ),
-                });
-            }
-        }
-        if client.resets > 0 {
-            violations.push(Violation {
-                invariant: "no-false-positive",
-                detail: format!(
-                    "client saw {} reset(s) under a verdict-free schedule",
-                    client.resets
-                ),
-            });
-        }
-    }
-
-    // 5. Unrecoverable ⇒ explicitly detected, never silent.
-    if !exp.service_may_be_lost && !client.finished {
-        let announced = client.resets > 0
-            || views
-                .iter()
-                .flat_map(|v| v.events.iter())
-                .any(|e| matches!(e, StTcpEvent::UnrecoverableGap { .. }));
-        if !announced {
-            violations.push(Violation {
-                invariant: "no-silent-failure",
-                detail: "service was expected to survive, yet the client neither finished \
-                         nor was reset — it was left hanging silently"
-                    .to_string(),
-            });
-        } else if !exp.unrecoverable_gap_possible {
-            violations.push(Violation {
-                invariant: "unrecoverable-only-when-possible",
-                detail: "client was reset although the schedule permits no data-loss path"
-                    .to_string(),
-            });
-        }
-    }
-
-    // 6. Bounded post-detection stall, only for runs that completed.
-    if let Some(bound) = exp.max_stall {
-        if client.finished && client.longest_stall > bound {
-            violations.push(Violation {
-                invariant: "bounded-stall",
-                detail: format!("client stalled {} (bound {})", client.longest_stall, bound),
-            });
-        }
-    }
-
-    let any_verdict = views.iter().any(|v| {
-        v.events.iter().any(|e| {
-            matches!(
-                e,
-                StTcpEvent::PeerDeclaredFailed { .. }
-                    | StTcpEvent::WentNonFt { .. }
-                    | StTcpEvent::TookOver { .. }
-            )
-        })
-    });
-    let any_unrecoverable = views
-        .iter()
-        .flat_map(|v| v.events.iter())
-        .any(|e| matches!(e, StTcpEvent::UnrecoverableGap { .. }));
-
-    let outcome = if !violations.is_empty() {
-        Outcome::Violation
-    } else if !client.finished {
-        if any_unrecoverable || client.resets > 0 {
-            Outcome::DetectedUnrecoverable
-        } else {
-            Outcome::ServiceLost
-        }
-    } else if any_unrecoverable {
-        Outcome::DetectedUnrecoverable
-    } else if any_verdict {
-        Outcome::Recovered
-    } else {
-        Outcome::Clean
-    };
-
-    Report {
-        outcome,
-        violations,
-    }
+    /// Pool: the most takeovers the whole pool may perform (one per
+    /// active the schedule kills). `Some` makes the run a takeover chain:
+    /// every takeover needs a fence quorum, and the pool's budget
+    /// replaces the pair's per-server caps and liar rule.
+    pub max_takeovers: Option<u32>,
 }
 
 /// Classification of a finished chaos run.
@@ -402,218 +181,231 @@ fn first_time(events: &[StTcpEvent], mut pred: impl FnMut(&StTcpEvent) -> bool) 
     events.iter().find(|e| pred(e)).map(|e| e.at())
 }
 
+fn is_declared(e: &StTcpEvent) -> bool {
+    matches!(e, StTcpEvent::PeerDeclaredFailed { .. })
+}
+
+fn is_stonith(e: &StTcpEvent) -> bool {
+    matches!(e, StTcpEvent::StonithIssued { .. })
+}
+
+fn is_took_over(e: &StTcpEvent) -> bool {
+    matches!(e, StTcpEvent::TookOver { .. })
+}
+
+fn is_quorum(e: &StTcpEvent) -> bool {
+    matches!(e, StTcpEvent::FenceQuorumReached { .. })
+}
+
+/// A verdict acted on: a condemned peer, a takeover, or a primary gone
+/// non-fault-tolerant.
+fn is_verdict(e: &StTcpEvent) -> bool {
+    is_declared(e) || is_took_over(e) || matches!(e, StTcpEvent::WentNonFt { .. })
+}
+
 /// Checks every invariant over one finished run.
 ///
-/// `primary` and `backup` are the servers as *configured* at start (the
-/// backup may well have become primary during the run).
-pub fn check(
-    primary: &ServerView,
-    backup: &ServerView,
-    client: &ClientView,
-    exp: &Expectation,
-) -> Report {
+/// `views` holds every member in configured order — the pair's primary
+/// then backup, or a pool's ranks — whatever roles they ended the run in.
+pub fn check(views: &[ServerView], client: &ClientView, exp: &Expectation) -> Report {
     let mut violations = Vec::new();
+    let mut violate = |invariant, detail| violations.push(Violation { invariant, detail });
 
     // 1. Byte-stream integrity: unconditional. Corruption, loss, and
     // takeover may slow or reset the client but may never hand it wrong
     // bytes.
     if client.integrity_violations > 0 {
-        violations.push(Violation {
-            invariant: "byte-stream-integrity",
-            detail: format!(
+        violate(
+            "byte-stream-integrity",
+            format!(
                 "client verified {} bytes but saw {} contradicting its expected stream",
                 client.bytes_ok, client.integrity_violations
             ),
-        });
+        );
     }
 
     // 2a. No dual-active, direct form.
-    if primary.active_at_end && backup.active_at_end {
-        violations.push(Violation {
-            invariant: "no-dual-active",
-            detail: "both servers ended the run active for the service IP".to_string(),
-        });
+    let actives = views.iter().filter(|v| v.active_at_end).count();
+    if actives > 1 {
+        let who = if actives == 2 {
+            "both".into()
+        } else {
+            actives.to_string()
+        };
+        violate(
+            "no-dual-active",
+            format!("{who} servers ended the run active for the service IP"),
+        );
     }
 
-    // 2b. No dual-active, causal form: STONITH (or the peer's prior
-    // death) precedes every takeover.
-    for (me, peer, label) in [(backup, primary, "backup"), (primary, backup, "primary")] {
-        let Some(took_at) = first_time(&me.events, |e| matches!(e, StTcpEvent::TookOver { .. }))
-        else {
+    // 2b. No dual-active, causal form: the taker's own STONITH precedes
+    // every takeover. A peer that was already down is no excuse: a
+    // verdict logs STONITH before it arms the takeover timer, the only
+    // path to `TookOver`, so a correct server never needs one.
+    for v in views {
+        let Some(took_at) = first_time(&v.events, is_took_over) else {
             continue;
         };
-        let stonith_at = first_time(&me.events, |e| {
-            matches!(e, StTcpEvent::StonithIssued { .. })
-        });
-        let stonith_ok = stonith_at.is_some_and(|t| t <= took_at);
-        let peer_dead_first = peer.powered_off_at.is_some_and(|t| t <= took_at);
-        if !stonith_ok && !peer_dead_first {
-            violations.push(Violation {
-                invariant: "stonith-precedes-takeover",
-                detail: format!(
-                    "{label} took over at {took_at} without first issuing STONITH \
-                     (stonith: {stonith_at:?}) or its peer being down \
-                     (peer off: {:?})",
-                    peer.powered_off_at
+        let stonith_at = first_time(&v.events, is_stonith);
+        if stonith_at.is_none_or(|t| t > took_at) {
+            violate(
+                "stonith-precedes-takeover",
+                format!(
+                    "{} took over at {took_at} without first issuing STONITH \
+                     (stonith: {stonith_at:?})",
+                    v.label
                 ),
-            });
+            );
         }
     }
 
-    // 3. At most one failure verdict / takeover / STONITH per server —
-    // per failure epoch. A re-integration schedule legitimately runs two
-    // epochs (fail over, restore redundancy, fail over again), so each
-    // counter may reach two; anything beyond is flapping.
-    let verdict_cap = if exp.reintegrate { 2 } else { 1 };
-    for (sv, label) in [(primary, "primary"), (backup, "backup")] {
-        for (what, n) in [
-            (
-                "peer-declared-failed",
-                count_events(&sv.events, |e| {
-                    matches!(e, StTcpEvent::PeerDeclaredFailed { .. })
-                }),
-            ),
-            (
-                "took-over",
-                count_events(&sv.events, |e| matches!(e, StTcpEvent::TookOver { .. })),
-            ),
-            (
-                "stonith-issued",
-                count_events(&sv.events, |e| {
-                    matches!(e, StTcpEvent::StonithIssued { .. })
-                }),
-            ),
-        ] {
-            if n > verdict_cap {
-                violations.push(Violation {
-                    invariant: "at-most-one-verdict",
-                    detail: format!("{label} logged {what} {n} times (cap {verdict_cap})"),
-                });
+    // 3. Bounded verdicts — where the protocols differ.
+    if let Some(budget) = exp.max_takeovers {
+        // A takeover chain: rank order and fencing are worthless if a
+        // taker can skip the vote, each member takes over at most once,
+        // and the pool at most once per active the schedule kills.
+        let mut total = 0;
+        for v in views {
+            let takeovers = count_events(&v.events, is_took_over);
+            total += takeovers;
+            if let Some(took_at) = first_time(&v.events, is_took_over) {
+                let quorum_at = first_time(&v.events, is_quorum);
+                if quorum_at.is_none_or(|t| t > took_at) {
+                    violate(
+                        "quorum-fence-precedes-takeover",
+                        format!(
+                            "{} took over at {took_at} without first reaching a fence \
+                             quorum (quorum: {quorum_at:?})",
+                            v.label
+                        ),
+                    );
+                }
+            }
+            if takeovers > 1 {
+                violate(
+                    "at-most-one-verdict",
+                    format!("{} took over {takeovers} times in one incarnation", v.label),
+                );
             }
         }
-    }
+        if total > budget as usize {
+            violate(
+                "at-most-one-verdict",
+                format!("{total} takeovers across the pool (schedule budget {budget})"),
+            );
+        }
+    } else {
+        // At most one failure verdict / takeover / STONITH per server —
+        // per failure epoch. A re-integration schedule legitimately runs
+        // two epochs (fail over, restore redundancy, fail over again), so
+        // each counter may reach two; anything beyond is flapping.
+        let cap = if exp.reintegrate { 2 } else { 1 };
+        for v in views {
+            for (what, n) in [
+                ("peer-declared-failed", count_events(&v.events, is_declared)),
+                ("took-over", count_events(&v.events, is_took_over)),
+                ("stonith-issued", count_events(&v.events, is_stonith)),
+            ] {
+                if n > cap {
+                    violate(
+                        "at-most-one-verdict",
+                        format!("{} logged {what} {n} times (cap {cap})", v.label),
+                    );
+                }
+            }
+        }
 
-    // 3b. Byzantine containment: the server armed with corrupt outgoing
-    // heartbeats keeps receiving the honest peer's truthful ones, so it
-    // has no legitimate grounds to condemn anyone. Only the honest side
-    // may fire the verdict that quarantines the liar.
-    if let Some(liar_role) = exp.byzantine {
-        let (liar, label) = match liar_role {
-            Role::Primary => (primary, "primary"),
-            Role::Backup => (backup, "backup"),
-        };
-        let n = count_events(&liar.events, |e| {
-            matches!(e, StTcpEvent::PeerDeclaredFailed { .. })
-        });
-        if n > 0 {
-            violations.push(Violation {
-                invariant: "byzantine-liar-verdict",
-                detail: format!(
-                    "the lying {label} declared its honest peer failed {n} time(s); \
-                     its own inbound evidence never justified a verdict"
-                ),
-            });
+        // Byzantine containment: the server armed with corrupt outgoing
+        // heartbeats keeps receiving the honest peer's truthful ones, so
+        // it has no legitimate grounds to condemn anyone. Only the honest
+        // side may fire the verdict that quarantines the liar.
+        if let Some(liar_role) = exp.byzantine {
+            let liar = &views[usize::from(liar_role == Role::Backup)];
+            let n = count_events(&liar.events, is_declared);
+            if n > 0 {
+                violate(
+                    "byzantine-liar-verdict",
+                    format!(
+                        "the lying {} declared its honest peer failed {n} time(s); \
+                         its own inbound evidence never justified a verdict",
+                        liar.label
+                    ),
+                );
+            }
         }
     }
 
     // 4. False positives: with no verdict-provoking fault injected, no
-    // verdict may fire and the client must finish untouched.
+    // verdict may fire and the client must finish untouched. A fence
+    // quorum is a verdict too (only a pool ever logs one).
     if !exp.verdicts_possible {
-        for (sv, label) in [(primary, "primary"), (backup, "backup")] {
-            let verdicts = count_events(&sv.events, |e| {
-                matches!(
-                    e,
-                    StTcpEvent::PeerDeclaredFailed { .. }
-                        | StTcpEvent::WentNonFt { .. }
-                        | StTcpEvent::TookOver { .. }
-                        | StTcpEvent::StonithIssued { .. }
-                )
+        for v in views {
+            let verdicts = count_events(&v.events, |e| {
+                is_verdict(e) || is_stonith(e) || is_quorum(e)
             });
             if verdicts > 0 {
-                violations.push(Violation {
-                    invariant: "no-false-positive",
-                    detail: format!(
-                        "{label} fired {verdicts} verdict event(s) though the schedule \
-                         injected nothing a correct detector reacts to"
+                violate(
+                    "no-false-positive",
+                    format!(
+                        "{} fired {verdicts} verdict event(s) though the schedule \
+                         injected nothing a correct detector reacts to",
+                        v.label
                     ),
-                });
+                );
             }
         }
         if client.resets > 0 {
-            violations.push(Violation {
-                invariant: "no-false-positive",
-                detail: format!(
+            violate(
+                "no-false-positive",
+                format!(
                     "client saw {} reset(s) under a verdict-free schedule",
                     client.resets
                 ),
-            });
+            );
         }
     }
 
     // 5. Unrecoverable ⇒ explicitly detected, never silent. If service
     // was expected to survive and the client did not finish, someone
     // must have said so out loud.
+    let events = || views.iter().flat_map(|v| v.events.iter());
+    let any_unrecoverable = events().any(|e| matches!(e, StTcpEvent::UnrecoverableGap { .. }));
     if !exp.service_may_be_lost && !client.finished {
-        let announced = client.resets > 0
-            || primary
-                .events
-                .iter()
-                .chain(backup.events.iter())
-                .any(|e| matches!(e, StTcpEvent::UnrecoverableGap { .. }));
-        if !announced {
-            violations.push(Violation {
-                invariant: "no-silent-failure",
-                detail: "service was expected to survive, yet the client neither finished \
-                         nor was reset — it was left hanging silently"
+        if client.resets == 0 && !any_unrecoverable {
+            violate(
+                "no-silent-failure",
+                "service was expected to survive, yet the client neither finished \
+                 nor was reset — it was left hanging silently"
                     .to_string(),
-            });
+            );
         } else if !exp.unrecoverable_gap_possible && !exp.abortive_close_possible {
-            violations.push(Violation {
-                invariant: "unrecoverable-only-when-possible",
-                detail: "client was reset although the schedule permits no data-loss or \
-                         abortive-close path"
+            violate(
+                "unrecoverable-only-when-possible",
+                "client was reset although the schedule permits no data-loss or \
+                 abortive-close path"
                     .to_string(),
-            });
+            );
         }
     }
 
     // 6. Bounded post-detection stall, only for runs that completed.
     if let Some(bound) = exp.max_stall {
         if client.finished && client.longest_stall > bound {
-            violations.push(Violation {
-                invariant: "bounded-stall",
-                detail: format!("client stalled {} (bound {})", client.longest_stall, bound),
-            });
+            violate(
+                "bounded-stall",
+                format!("client stalled {} (bound {})", client.longest_stall, bound),
+            );
         }
     }
 
-    let any_verdict = |sv: &ServerView| {
-        sv.events.iter().any(|e| {
-            matches!(
-                e,
-                StTcpEvent::PeerDeclaredFailed { .. }
-                    | StTcpEvent::WentNonFt { .. }
-                    | StTcpEvent::TookOver { .. }
-            )
-        })
-    };
-    let any_unrecoverable = primary
-        .events
-        .iter()
-        .chain(backup.events.iter())
-        .any(|e| matches!(e, StTcpEvent::UnrecoverableGap { .. }));
-
+    let any_verdict = events().any(is_verdict);
     let outcome = if !violations.is_empty() {
         Outcome::Violation
-    } else if !client.finished {
-        if any_unrecoverable || client.resets > 0 {
-            Outcome::DetectedUnrecoverable
-        } else {
-            Outcome::ServiceLost
-        }
-    } else if any_unrecoverable {
+    } else if any_unrecoverable || (!client.finished && client.resets > 0) {
         Outcome::DetectedUnrecoverable
-    } else if any_verdict(primary) || any_verdict(backup) {
+    } else if !client.finished {
+        Outcome::ServiceLost
+    } else if any_verdict {
         Outcome::Recovered
     } else {
         Outcome::Clean
@@ -630,478 +422,517 @@ mod tests {
     use super::*;
     use crate::events::{FailureReason, HbLink};
 
-    fn server(role: Role) -> ServerView {
-        ServerView {
-            configured_role: role,
-            events: Vec::new(),
-            powered_off_at: None,
-            cold_standby: false,
-            active_at_end: role == Role::Primary,
+    const PAIR: bool = false;
+    const POOL: bool = true;
+
+    fn at(ms: u64) -> SimTime {
+        SimTime::from_millis(ms)
+    }
+    fn declared(ms: u64) -> StTcpEvent {
+        let reason = FailureReason::HbBothLinksDown;
+        StTcpEvent::PeerDeclaredFailed { reason, at: at(ms) }
+    }
+    fn stonith(ms: u64) -> StTcpEvent {
+        StTcpEvent::StonithIssued { at: at(ms) }
+    }
+    fn took(ms: u64) -> StTcpEvent {
+        StTcpEvent::TookOver { at: at(ms) }
+    }
+    fn went_non_ft(ms: u64) -> StTcpEvent {
+        let reason = FailureReason::HbBothLinksDown;
+        StTcpEvent::WentNonFt { reason, at: at(ms) }
+    }
+    fn quorum(ms: u64) -> StTcpEvent {
+        let (target_rank, votes) = (0, 2);
+        StTcpEvent::FenceQuorumReached {
+            target_rank,
+            votes,
+            at: at(ms),
         }
     }
 
-    fn ok_client() -> ClientView {
-        ClientView {
-            bytes_ok: 1_000_000,
-            integrity_violations: 0,
-            resets: 0,
-            finished: true,
-            longest_stall: SimDuration::from_millis(120),
+    /// The synthetic run every test starts from: the pair or a
+    /// three-member pool, member 0 active and silent, the client finished
+    /// after a 120 ms stall, under an expectation that permits verdicts
+    /// (and, in a pool, two takeovers).
+    struct Run {
+        views: Vec<ServerView>,
+        client: ClientView,
+        exp: Expectation,
+    }
+
+    fn run(pool: bool) -> Run {
+        let label = |i| match (pool, i) {
+            (PAIR, 0) => "primary".to_string(),
+            (PAIR, _) => "backup".to_string(),
+            (POOL, i) => format!("rank{i}"),
+        };
+        Run {
+            views: (0..if pool { 3 } else { 2 })
+                .map(|i| ServerView {
+                    label: label(i),
+                    events: Vec::new(),
+                    active_at_end: i == 0,
+                })
+                .collect(),
+            client: ClientView {
+                finished: true,
+                longest_stall: SimDuration::from_millis(120),
+                ..ClientView::default()
+            },
+            exp: Expectation {
+                service_may_be_lost: false,
+                unrecoverable_gap_possible: false,
+                abortive_close_possible: false,
+                verdicts_possible: true,
+                max_stall: Some(SimDuration::from_secs(5)),
+                reintegrate: false,
+                byzantine: None,
+                max_takeovers: pool.then_some(2),
+            },
         }
     }
 
-    fn strict() -> Expectation {
-        Expectation::fault_free(SimDuration::from_secs(2))
-    }
+    impl Run {
+        /// Member `i` condemns the active and takes over the way its
+        /// protocol does: after STONITH, and in a pool after a quorum.
+        fn take_over(&mut self, i: usize, ms: u64) -> &mut Run {
+            if self.exp.max_takeovers.is_some() {
+                self.views[i].events.push(quorum(ms));
+            }
+            (self.views[i].events).extend([declared(ms), stonith(ms), took(ms + 20)]);
+            for (j, v) in self.views.iter_mut().enumerate() {
+                v.active_at_end = j == i;
+            }
+            self
+        }
 
-    fn crashy() -> Expectation {
-        Expectation {
-            service_may_be_lost: false,
-            unrecoverable_gap_possible: false,
-            abortive_close_possible: false,
-            verdicts_possible: true,
-            max_stall: Some(SimDuration::from_secs(5)),
-            reintegrate: false,
-            byzantine: None,
+        fn judge(&self) -> Report {
+            check(&self.views, &self.client, &self.exp)
+        }
+
+        /// The distinct invariants the run violates, in report order.
+        fn violated(&self) -> Vec<&'static str> {
+            let report = self.judge();
+            let mut names: Vec<_> = report.violations.iter().map(|v| v.invariant).collect();
+            names.dedup();
+            names
         }
     }
 
-    fn pool_exp() -> PoolExpectation {
-        PoolExpectation {
-            service_may_be_lost: false,
-            unrecoverable_gap_possible: false,
-            verdicts_possible: true,
-            max_takeovers: 2,
-            max_stall: Some(SimDuration::from_secs(5)),
+    // ----- the table: every invariant × {pair, pool of 3} -----
+
+    /// One invariant: `build(run, true)` breaks it on the fixture,
+    /// `build(run, false)` builds its legitimate near miss, which must be
+    /// judged `near_miss` without a violation. `pair` / `pool` say where
+    /// the invariant applies; the other column is not applicable.
+    struct Row {
+        invariant: &'static str,
+        pair: bool,
+        pool: bool,
+        near_miss: Outcome,
+        build: fn(&mut Run, bool),
+    }
+
+    const TABLE: &[Row] = &[
+        Row {
+            invariant: "byte-stream-integrity",
+            pair: true,
+            pool: true,
+            near_miss: Outcome::Clean,
+            build: |r, bad| r.client.integrity_violations = if bad { 3 } else { 0 },
+        },
+        Row {
+            invariant: "no-dual-active",
+            pair: true,
+            pool: true,
+            near_miss: Outcome::Recovered,
+            build: |r, bad| r.take_over(1, 1_000).views[0].active_at_end = bad,
+        },
+        Row {
+            invariant: "stonith-precedes-takeover",
+            pair: true,
+            pool: true,
+            near_miss: Outcome::Recovered,
+            build: |r, bad| {
+                let events = &mut r.take_over(1, 1_000).views[1].events;
+                events.retain(|e| !bad || !matches!(e, StTcpEvent::StonithIssued { .. }));
+            },
+        },
+        Row {
+            // A second takeover by the same member.
+            invariant: "at-most-one-verdict",
+            pair: true,
+            pool: true,
+            near_miss: Outcome::Recovered,
+            build: |r, bad| {
+                let events = &mut r.take_over(1, 1_000).views[1].events;
+                events.extend(bad.then(|| took(2_000)));
+            },
+        },
+        Row {
+            // Re-integration runs two failure epochs; a third verdict is
+            // flapping.
+            invariant: "at-most-one-verdict",
+            pair: true,
+            pool: false,
+            near_miss: Outcome::Recovered,
+            build: |r, bad| {
+                r.exp.reintegrate = true;
+                let events = &mut r.take_over(1, 1_000).views[1].events;
+                events.extend([declared(6_000), stonith(6_000)]);
+                events.extend(bad.then(|| declared(9_000)));
+            },
+        },
+        Row {
+            // A takeover chain longer than the schedule's budget.
+            invariant: "at-most-one-verdict",
+            pair: false,
+            pool: true,
+            near_miss: Outcome::Recovered,
+            build: |r, bad| {
+                r.take_over(1, 1_000).take_over(2, 4_000);
+                r.exp.max_takeovers = Some(if bad { 1 } else { 2 });
+            },
+        },
+        Row {
+            invariant: "byzantine-liar-verdict",
+            pair: true,
+            pool: false,
+            near_miss: Outcome::Recovered,
+            build: |r, bad| {
+                r.exp.byzantine = Some(Role::Primary);
+                if bad {
+                    r.views[0].events.push(declared(700));
+                } else {
+                    r.take_over(1, 1_000);
+                }
+            },
+        },
+        Row {
+            invariant: "quorum-fence-precedes-takeover",
+            pair: false,
+            pool: true,
+            near_miss: Outcome::Recovered,
+            build: |r, bad| {
+                let events = &mut r.take_over(1, 1_000).views[1].events;
+                events.retain(|e| !bad || !matches!(e, StTcpEvent::FenceQuorumReached { .. }));
+            },
+        },
+        Row {
+            invariant: "no-false-positive",
+            pair: true,
+            pool: true,
+            near_miss: Outcome::Clean,
+            build: |r, bad| {
+                r.exp.verdicts_possible = false;
+                let link = HbLink::Ip;
+                r.views[0].events = vec![StTcpEvent::HbLinkDown { link, at: at(400) }];
+                r.views[1].events.extend(bad.then(|| went_non_ft(650)));
+            },
+        },
+        Row {
+            invariant: "no-silent-failure",
+            pair: true,
+            pool: true,
+            near_miss: Outcome::ServiceLost,
+            build: |r, bad| {
+                r.client.finished = false;
+                r.exp.service_may_be_lost = !bad;
+            },
+        },
+        Row {
+            invariant: "unrecoverable-only-when-possible",
+            pair: true,
+            pool: true,
+            near_miss: Outcome::DetectedUnrecoverable,
+            build: |r, bad| {
+                (r.client.finished, r.client.resets) = (false, 1);
+                r.exp.unrecoverable_gap_possible = !bad;
+            },
+        },
+        Row {
+            invariant: "bounded-stall",
+            pair: true,
+            pool: true,
+            near_miss: Outcome::Clean,
+            build: |r, bad| {
+                r.client.longest_stall = SimDuration::from_secs(30);
+                r.exp.max_stall = r.exp.max_stall.filter(|_| bad);
+            },
+        },
+    ];
+
+    #[test]
+    fn every_invariant_breaks_and_holds_in_pair_and_pool() {
+        for (i, row) in TABLE.iter().enumerate() {
+            for pool in [PAIR, POOL]
+                .into_iter()
+                .filter(|&p| [row.pair, row.pool][p as usize])
+            {
+                for bad in [true, false] {
+                    let mut r = run(pool);
+                    (row.build)(&mut r, bad);
+                    let want = match bad {
+                        true => (vec![row.invariant], Outcome::Violation),
+                        false => (vec![], row.near_miss),
+                    };
+                    assert_eq!(
+                        (r.violated(), r.judge().outcome),
+                        want,
+                        "row {i} ({}), pool: {pool}, bad: {bad}",
+                        row.invariant
+                    );
+                }
+            }
         }
     }
+
+    // ----- single scenarios, and the detail strings -----
 
     #[test]
     fn clean_run_is_clean() {
-        let r = check(
-            &server(Role::Primary),
-            &server(Role::Backup),
-            &ok_client(),
-            &strict(),
-        );
-        assert!(r.ok());
-        assert_eq!(r.outcome, Outcome::Clean);
+        for pool in [PAIR, POOL] {
+            let mut r = run(pool);
+            r.exp.verdicts_possible = false;
+            let report = r.judge();
+            assert!(report.ok(), "violations: {:?}", report.violations);
+            assert_eq!(report.outcome, Outcome::Clean);
+        }
     }
 
     #[test]
     fn integrity_violation_always_fires() {
-        let mut c = ok_client();
-        c.integrity_violations = 3;
-        let r = check(&server(Role::Primary), &server(Role::Backup), &c, &crashy());
-        assert_eq!(r.outcome, Outcome::Violation);
-        assert_eq!(r.violations[0].invariant, "byte-stream-integrity");
+        // Even where the schedule may legitimately lose the service.
+        let mut r = run(PAIR);
+        r.client.integrity_violations = 3;
+        r.exp.service_may_be_lost = true;
+        assert_eq!(r.violated(), ["byte-stream-integrity"]);
     }
 
     #[test]
     fn dual_active_detected() {
-        let p = server(Role::Primary);
-        let mut b = server(Role::Backup);
-        b.active_at_end = true;
-        let r = check(&p, &b, &ok_client(), &crashy());
-        assert_eq!(r.outcome, Outcome::Violation);
-        assert!(r.violations.iter().any(|v| v.invariant == "no-dual-active"));
+        let mut r = run(PAIR);
+        r.views[1].active_at_end = true;
+        assert_eq!(
+            r.judge().violations[0].detail,
+            "both servers ended the run active for the service IP"
+        );
+        let mut r = run(POOL);
+        r.views.iter_mut().for_each(|v| v.active_at_end = true);
+        assert_eq!(
+            r.judge().violations[0].detail,
+            "3 servers ended the run active for the service IP"
+        );
     }
 
     #[test]
     fn takeover_without_stonith_or_dead_peer_is_violation() {
-        let p = server(Role::Primary);
-        let mut b = server(Role::Backup);
-        b.events = vec![
-            StTcpEvent::PeerDeclaredFailed {
-                reason: FailureReason::HbBothLinksDown,
-                at: SimTime::from_millis(700),
-            },
-            StTcpEvent::TookOver {
-                at: SimTime::from_millis(720),
-            },
-        ];
-        let r = check(&p, &b, &ok_client(), &crashy());
-        assert!(r
-            .violations
-            .iter()
-            .any(|v| v.invariant == "stonith-precedes-takeover"));
+        let mut r = run(PAIR);
+        r.views[1].events = vec![declared(700), took(720)];
+        assert_eq!(r.violated(), ["stonith-precedes-takeover"]);
+        assert_eq!(
+            r.judge().violations[0].detail,
+            "backup took over at 0.720000s without first issuing STONITH (stonith: None)"
+        );
     }
 
     #[test]
     fn proper_takeover_with_stonith_is_recovered() {
-        let mut p = server(Role::Primary);
-        p.powered_off_at = Some(SimTime::from_millis(500));
-        p.active_at_end = false;
-        let mut b = server(Role::Backup);
-        b.events = vec![
-            StTcpEvent::PeerDeclaredFailed {
-                reason: FailureReason::HbBothLinksDown,
-                at: SimTime::from_millis(1100),
-            },
-            StTcpEvent::StonithIssued {
-                at: SimTime::from_millis(1120),
-            },
-            StTcpEvent::TookOver {
-                at: SimTime::from_millis(1125),
-            },
-        ];
-        b.active_at_end = true;
-        let r = check(&p, &b, &ok_client(), &crashy());
-        assert!(r.ok(), "violations: {:?}", r.violations);
-        assert_eq!(r.outcome, Outcome::Recovered);
-    }
-
-    #[test]
-    fn takeover_after_peer_crash_without_stonith_is_fine() {
-        // The peer was already down (world crashed it); STONITH of a dead
-        // node is optional.
-        let mut p = server(Role::Primary);
-        p.powered_off_at = Some(SimTime::from_millis(300));
-        p.active_at_end = false;
-        let mut b = server(Role::Backup);
-        b.events = vec![StTcpEvent::TookOver {
-            at: SimTime::from_millis(900),
-        }];
-        b.active_at_end = true;
-        let r = check(&p, &b, &ok_client(), &crashy());
-        assert!(r.ok(), "violations: {:?}", r.violations);
+        let mut r = run(PAIR);
+        r.take_over(1, 1_100);
+        let report = r.judge();
+        assert!(report.ok(), "violations: {:?}", report.violations);
+        assert_eq!(report.outcome, Outcome::Recovered);
     }
 
     #[test]
     fn double_verdict_is_violation() {
-        let mut p = server(Role::Primary);
-        p.events = vec![
-            StTcpEvent::PeerDeclaredFailed {
-                reason: FailureReason::AppLagTime,
-                at: SimTime::from_millis(100),
-            },
-            StTcpEvent::PeerDeclaredFailed {
-                reason: FailureReason::HbBothLinksDown,
-                at: SimTime::from_millis(200),
-            },
-        ];
-        let r = check(&p, &server(Role::Backup), &ok_client(), &crashy());
-        assert!(r
-            .violations
-            .iter()
-            .any(|v| v.invariant == "at-most-one-verdict"));
+        let mut r = run(PAIR);
+        r.views[0].events = vec![declared(100), declared(200)];
+        assert_eq!(
+            r.judge().violations[0].detail,
+            "primary logged peer-declared-failed 2 times (cap 1)"
+        );
     }
 
     #[test]
     fn reintegration_widens_verdict_cap_to_two_epochs() {
-        let mut p = server(Role::Primary);
-        p.powered_off_at = Some(SimTime::from_millis(500));
-        p.active_at_end = false;
-        let mut b = server(Role::Backup);
-        b.events = vec![
-            StTcpEvent::PeerDeclaredFailed {
-                reason: FailureReason::HbBothLinksDown,
-                at: SimTime::from_millis(1100),
-            },
-            StTcpEvent::StonithIssued {
-                at: SimTime::from_millis(1120),
-            },
-            StTcpEvent::TookOver {
-                at: SimTime::from_millis(1125),
-            },
-            StTcpEvent::ReintegrationCompleted {
-                at: SimTime::from_millis(3000),
-            },
-            StTcpEvent::PeerDeclaredFailed {
-                reason: FailureReason::HbBothLinksDown,
-                at: SimTime::from_millis(6100),
-            },
-            StTcpEvent::StonithIssued {
-                at: SimTime::from_millis(6120),
-            },
-        ];
-        b.active_at_end = true;
+        let mut r = run(PAIR);
+        let rejoined = StTcpEvent::ReintegrationCompleted { at: at(3_000) };
+        let events = &mut r.take_over(1, 1_100).views[1].events;
+        events.extend([rejoined, declared(6_100), stonith(6_120)]);
 
         // Two epochs of verdicts under a plain crash expectation: flapping.
-        let r = check(&p, &b, &ok_client(), &crashy());
-        assert!(r
-            .violations
-            .iter()
-            .any(|v| v.invariant == "at-most-one-verdict"));
+        assert_eq!(r.violated(), ["at-most-one-verdict"]);
 
         // The same log under a re-integration schedule is legitimate.
-        let mut exp = crashy();
-        exp.reintegrate = true;
-        let r2 = check(&p, &b, &ok_client(), &exp);
-        assert!(r2.ok(), "violations: {:?}", r2.violations);
-        assert_eq!(r2.outcome, Outcome::Recovered);
+        r.exp.reintegrate = true;
+        let report = r.judge();
+        assert!(report.ok(), "violations: {:?}", report.violations);
+        assert_eq!(report.outcome, Outcome::Recovered);
 
         // A third verdict is flapping even with re-integration.
-        b.events.push(StTcpEvent::PeerDeclaredFailed {
-            reason: FailureReason::AppLagTime,
-            at: SimTime::from_millis(9000),
-        });
-        let r3 = check(&p, &b, &ok_client(), &exp);
-        assert!(r3
-            .violations
-            .iter()
-            .any(|v| v.invariant == "at-most-one-verdict"));
+        r.views[1].events.push(declared(9_000));
+        assert_eq!(r.violated(), ["at-most-one-verdict"]);
     }
 
     #[test]
     fn false_positive_detected_on_benign_schedule() {
-        let mut p = server(Role::Primary);
-        p.events = vec![StTcpEvent::WentNonFt {
-            reason: FailureReason::HbBothLinksDown,
-            at: SimTime::from_millis(650),
-        }];
-        let r = check(&p, &server(Role::Backup), &ok_client(), &strict());
-        assert!(r
-            .violations
-            .iter()
-            .any(|v| v.invariant == "no-false-positive"));
-        // The same events under a crashy schedule are fine.
-        let r2 = check(&p, &server(Role::Backup), &ok_client(), &crashy());
-        assert!(r2.ok());
-        assert_eq!(r2.outcome, Outcome::Recovered);
+        let mut r = run(PAIR);
+        r.views[0].events = vec![went_non_ft(650)];
+        // Under a crashy schedule the same events are fine.
+        assert_eq!(r.judge().outcome, Outcome::Recovered);
+        r.exp.verdicts_possible = false;
+        assert_eq!(
+            r.judge().violations[0].detail,
+            "primary fired 1 verdict event(s) though the schedule injected nothing a \
+             correct detector reacts to"
+        );
     }
 
     #[test]
     fn silent_hang_is_violation_but_announced_reset_is_not() {
-        let mut c = ok_client();
-        c.finished = false;
-        let r = check(&server(Role::Primary), &server(Role::Backup), &c, &crashy());
-        assert!(r
-            .violations
-            .iter()
-            .any(|v| v.invariant == "no-silent-failure"));
+        let mut r = run(PAIR);
+        r.client.finished = false;
+        assert_eq!(r.violated(), ["no-silent-failure"]);
 
         // Announced via UnrecoverableGap on the backup: legitimate if the
         // schedule makes a gap possible.
-        let mut exp = crashy();
-        exp.unrecoverable_gap_possible = true;
-        let mut b = server(Role::Backup);
-        b.events = vec![StTcpEvent::UnrecoverableGap {
-            conn: 1,
-            missing_from: 4_096,
-            at: SimTime::from_millis(800),
-        }];
-        let mut c2 = ok_client();
-        c2.finished = false;
-        c2.resets = 1;
-        let r2 = check(&server(Role::Primary), &b, &c2, &exp);
-        assert!(r2.ok(), "violations: {:?}", r2.violations);
-        assert_eq!(r2.outcome, Outcome::DetectedUnrecoverable);
+        r.exp.unrecoverable_gap_possible = true;
+        r.client.resets = 1;
+        let (conn, missing_from) = (1, 4_096);
+        let gap = StTcpEvent::UnrecoverableGap {
+            conn,
+            missing_from,
+            at: at(800),
+        };
+        r.views[1].events.push(gap);
+        let report = r.judge();
+        assert!(report.ok(), "violations: {:?}", report.violations);
+        assert_eq!(report.outcome, Outcome::DetectedUnrecoverable);
     }
 
     #[test]
     fn reset_without_any_loss_path_is_violation() {
-        let mut c = ok_client();
-        c.finished = false;
-        c.resets = 1;
-        let r = check(&server(Role::Primary), &server(Role::Backup), &c, &crashy());
-        assert!(r
-            .violations
-            .iter()
-            .any(|v| v.invariant == "unrecoverable-only-when-possible"));
+        let mut r = run(PAIR);
+        (r.client.finished, r.client.resets) = (false, 1);
+        assert_eq!(r.violated(), ["unrecoverable-only-when-possible"]);
+        // An injected RST cleanup is the other legitimate path.
+        r.exp.abortive_close_possible = true;
+        assert_eq!(r.judge().outcome, Outcome::DetectedUnrecoverable);
     }
 
     #[test]
     fn service_lost_when_expected() {
-        let mut exp = crashy();
-        exp.service_may_be_lost = true;
-        let mut c = ok_client();
-        c.finished = false;
-        let mut p = server(Role::Primary);
-        p.powered_off_at = Some(SimTime::from_millis(100));
-        p.active_at_end = false;
-        let mut b = server(Role::Backup);
-        b.powered_off_at = Some(SimTime::from_millis(200));
-        b.active_at_end = false;
-        let r = check(&p, &b, &c, &exp);
-        assert!(r.ok(), "violations: {:?}", r.violations);
-        assert_eq!(r.outcome, Outcome::ServiceLost);
+        let mut r = run(PAIR);
+        (r.client.finished, r.exp.service_may_be_lost) = (false, true);
+        r.views[0].active_at_end = false;
+        let report = r.judge();
+        assert!(report.ok(), "violations: {:?}", report.violations);
+        assert_eq!(report.outcome, Outcome::ServiceLost);
     }
 
     #[test]
     fn stall_bound_enforced_only_when_finished() {
-        let mut c = ok_client();
-        c.longest_stall = SimDuration::from_secs(30);
-        let r = check(&server(Role::Primary), &server(Role::Backup), &c, &crashy());
-        assert!(r.violations.iter().any(|v| v.invariant == "bounded-stall"));
-
-        let mut exp = crashy();
-        exp.max_stall = None;
-        let r2 = check(&server(Role::Primary), &server(Role::Backup), &c, &exp);
-        assert!(r2.ok());
+        let mut r = run(PAIR);
+        r.client.longest_stall = SimDuration::from_secs(30);
+        assert_eq!(r.violated(), ["bounded-stall"]);
+        (r.client.finished, r.exp.service_may_be_lost) = (false, true);
+        assert!(r.judge().ok());
     }
 
     #[test]
     fn hb_link_events_alone_are_not_verdicts() {
-        let mut p = server(Role::Primary);
-        p.events = vec![
-            StTcpEvent::HbLinkDown {
-                link: HbLink::Ip,
-                at: SimTime::from_millis(400),
-            },
-            StTcpEvent::HbLinkUp {
-                link: HbLink::Ip,
-                at: SimTime::from_millis(900),
-            },
+        let mut r = run(PAIR);
+        r.exp.verdicts_possible = false;
+        let link = HbLink::Ip;
+        r.views[0].events = vec![
+            StTcpEvent::HbLinkDown { link, at: at(400) },
+            StTcpEvent::HbLinkUp { link, at: at(900) },
         ];
-        let r = check(&p, &server(Role::Backup), &ok_client(), &strict());
-        assert!(r.ok(), "violations: {:?}", r.violations);
-        assert_eq!(r.outcome, Outcome::Clean);
+        let report = r.judge();
+        assert!(report.ok(), "violations: {:?}", report.violations);
+        assert_eq!(report.outcome, Outcome::Clean);
     }
 
     #[test]
     fn byzantine_liar_must_not_fire_verdicts() {
         // The honest backup condemns the lying primary: legitimate.
-        let mut exp = crashy();
-        exp.byzantine = Some(Role::Primary);
-        let mut p = server(Role::Primary);
-        p.powered_off_at = Some(SimTime::from_millis(900));
-        p.active_at_end = false;
-        let mut b = server(Role::Backup);
-        b.events = vec![
-            StTcpEvent::ByzantineHbRejected {
-                at: SimTime::from_millis(400),
-            },
-            StTcpEvent::PeerDeclaredFailed {
-                reason: FailureReason::HbBothLinksDown,
-                at: SimTime::from_millis(1000),
-            },
-            StTcpEvent::StonithIssued {
-                at: SimTime::from_millis(1000),
-            },
-            StTcpEvent::TookOver {
-                at: SimTime::from_millis(1050),
-            },
-        ];
-        b.active_at_end = true;
-        let r = check(&p, &b, &ok_client(), &exp);
-        assert!(r.ok(), "violations: {:?}", r.violations);
+        let mut r = run(PAIR);
+        r.exp.byzantine = Some(Role::Primary);
+        let rejected = StTcpEvent::ByzantineHbRejected { at: at(400) };
+        r.views[1].events.push(rejected);
+        r.take_over(1, 1_000);
+        let report = r.judge();
+        assert!(report.ok(), "violations: {:?}", report.violations);
 
         // The liar condemning its honest peer is the bug this invariant
         // exists for.
-        let mut p2 = server(Role::Primary);
-        p2.events = vec![StTcpEvent::PeerDeclaredFailed {
-            reason: FailureReason::AppLagBytes,
-            at: SimTime::from_millis(700),
-        }];
-        let r2 = check(&p2, &server(Role::Backup), &ok_client(), &exp);
-        assert!(r2
-            .violations
-            .iter()
-            .any(|v| v.invariant == "byzantine-liar-verdict"));
+        let mut r = run(PAIR);
+        r.exp.byzantine = Some(Role::Primary);
+        r.views[0].events = vec![declared(700)];
+        assert_eq!(
+            r.judge().violations[0].detail,
+            "the lying primary declared its honest peer failed 1 time(s); its own inbound \
+             evidence never justified a verdict"
+        );
     }
 
     #[test]
     fn pool_takeover_without_quorum_is_violation() {
-        let mut v0 = server(Role::Primary);
-        v0.powered_off_at = Some(SimTime::from_millis(500));
-        v0.active_at_end = false;
-        let mut v1 = server(Role::Backup);
-        v1.events = vec![
-            StTcpEvent::StonithIssued {
-                at: SimTime::from_millis(1100),
-            },
-            StTcpEvent::TookOver {
-                at: SimTime::from_millis(1200),
-            },
-        ];
-        v1.active_at_end = true;
-        let v2 = server(Role::Backup);
-        let r = check_pool(&[v0, v1, v2], &ok_client(), &pool_exp());
-        assert!(r
-            .violations
-            .iter()
-            .any(|v| v.invariant == "quorum-fence-precedes-takeover"));
+        let mut r = run(POOL);
+        r.views[1].events = vec![stonith(1_100), took(1_200)];
+        (r.views[0].active_at_end, r.views[1].active_at_end) = (false, true);
+        assert_eq!(r.violated(), ["quorum-fence-precedes-takeover"]);
+        assert_eq!(
+            r.judge().violations[0].detail,
+            "rank1 took over at 1.200000s without first reaching a fence quorum (quorum: None)"
+        );
     }
 
     #[test]
     fn pool_quorum_checked_takeover_is_recovered() {
-        let mut v0 = server(Role::Primary);
-        v0.powered_off_at = Some(SimTime::from_millis(500));
-        v0.active_at_end = false;
-        let mut v1 = server(Role::Backup);
-        v1.events = vec![
-            StTcpEvent::FenceRequested {
-                target_rank: 0,
-                epoch: 1,
-                at: SimTime::from_millis(1000),
-            },
-            StTcpEvent::FenceQuorumReached {
-                target_rank: 0,
-                votes: 2,
-                at: SimTime::from_millis(1100),
-            },
-            StTcpEvent::PoolMemberFenced {
-                rank: 0,
-                at: SimTime::from_millis(1100),
-            },
-            StTcpEvent::PeerDeclaredFailed {
-                reason: FailureReason::HbBothLinksDown,
-                at: SimTime::from_millis(1100),
-            },
-            StTcpEvent::StonithIssued {
-                at: SimTime::from_millis(1100),
-            },
-            StTcpEvent::TookOver {
-                at: SimTime::from_millis(1200),
-            },
-        ];
-        v1.active_at_end = true;
-        let mut v2 = server(Role::Backup);
-        v2.events = vec![StTcpEvent::PoolMemberFenced {
-            rank: 0,
-            at: SimTime::from_millis(1101),
+        let mut r = run(POOL);
+        let (target_rank, epoch, rank) = (0, 1, 0);
+        let requested = StTcpEvent::FenceRequested {
+            target_rank,
+            epoch,
+            at: at(900),
+        };
+        r.views[1].events.push(requested);
+        r.take_over(1, 1_000);
+        r.views[2].events = vec![StTcpEvent::PoolMemberFenced {
+            rank,
+            at: at(1_001),
         }];
-        let r = check_pool(&[v0, v1, v2], &ok_client(), &pool_exp());
-        assert!(r.ok(), "violations: {:?}", r.violations);
-        assert_eq!(r.outcome, Outcome::Recovered);
+        let report = r.judge();
+        assert!(report.ok(), "violations: {:?}", report.violations);
+        assert_eq!(report.outcome, Outcome::Recovered);
     }
 
     #[test]
     fn pool_dual_active_and_takeover_budget_enforced() {
-        let mk_taker = |t: u64| {
-            let mut v = server(Role::Backup);
-            v.events = vec![
-                StTcpEvent::FenceQuorumReached {
-                    target_rank: 0,
-                    votes: 2,
-                    at: SimTime::from_millis(t),
-                },
-                StTcpEvent::StonithIssued {
-                    at: SimTime::from_millis(t),
-                },
-                StTcpEvent::TookOver {
-                    at: SimTime::from_millis(t + 50),
-                },
-            ];
-            v.active_at_end = true;
-            v
-        };
-        let v1 = mk_taker(1000);
-        let v2 = mk_taker(2000);
-        let v3 = mk_taker(3000);
-        let r = check_pool(&[v1, v2, v3], &ok_client(), &pool_exp());
-        assert!(r.violations.iter().any(|v| v.invariant == "no-dual-active"));
-        assert!(r
-            .violations
-            .iter()
-            .any(|v| v.invariant == "at-most-one-verdict"));
+        let mut r = run(POOL);
+        r.take_over(0, 1_000)
+            .take_over(1, 2_000)
+            .take_over(2, 3_000);
+        r.views.iter_mut().for_each(|v| v.active_at_end = true);
+        assert_eq!(r.violated(), ["no-dual-active", "at-most-one-verdict"]);
+        assert_eq!(
+            r.judge().violations[1].detail,
+            "3 takeovers across the pool (schedule budget 2)"
+        );
     }
 
     #[test]
     fn pool_false_positive_on_quiet_schedule() {
-        let mut exp = pool_exp();
-        exp.verdicts_possible = false;
-        let mut v1 = server(Role::Backup);
-        v1.events = vec![StTcpEvent::FenceQuorumReached {
-            target_rank: 0,
-            votes: 2,
-            at: SimTime::from_millis(800),
-        }];
-        let r = check_pool(&[server(Role::Primary), v1], &ok_client(), &exp);
-        assert!(r
-            .violations
-            .iter()
-            .any(|v| v.invariant == "no-false-positive"));
+        // A fence quorum is a verdict in either protocol's log.
+        for pool in [PAIR, POOL] {
+            let mut r = run(pool);
+            r.exp.verdicts_possible = false;
+            r.views[1].events.push(quorum(800));
+            assert_eq!(r.violated(), ["no-false-positive"]);
+        }
     }
 }

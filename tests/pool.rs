@@ -3,7 +3,8 @@
 //! the determinism contract of the `--pool` sweep.
 //!
 //! The seeded pool tier mirrors `tests/soak.rs`: generated schedules,
-//! judged only by `sttcp::invariant::check_pool` — never a hand-written
+//! judged only by the pair's own checker, `sttcp::invariant::check`,
+//! against `pool_expectation`'s takeover budget — never a hand-written
 //! per-case oracle. The edge-case tests below pin the fencing corners
 //! the quorum rule must get right: the 2-node degenerate pool (where a
 //! fence collapses to classic single-shot STONITH), simultaneous
