@@ -29,7 +29,7 @@ use std::time::Instant;
 use obs::json::Json;
 use obs::report::MetricsReport;
 use simnet::time::{SimDuration, SimTime};
-use sttcp::config::StTcpConfig;
+use sttcp::config::{StTcpConfig, STONITH_DELAY};
 use sttcp::metrics::ServerMetrics;
 use sttcp_apps::scenario::Scenario;
 use sttcp_bench::experiments::{
@@ -96,11 +96,11 @@ const SCALE_BUDGET_BYTES_PER_CONN: f64 = 8.0;
 /// last heartbeat may still be in flight at the crash (10 ms covers a
 /// full serial round), silence takes `hb_timeout` plus at most
 /// `check_period` of jitter guard to become a verdict, the takeover
-/// follows `stonith_delay` later. 680 ms by default; sim-time, so exact.
+/// follows [`STONITH_DELAY`] later. 680 ms by default; sim-time, so exact.
 fn scale_max_stall_us() -> u64 {
     let cfg = StTcpConfig::default();
     let in_flight = SimDuration::from_millis(10);
-    (cfg.hb_timeout() + cfg.check_period + cfg.stonith_delay + in_flight).as_micros()
+    (cfg.hb_timeout() + cfg.check_period + STONITH_DELAY + in_flight).as_micros()
 }
 /// Connection-establishment floor at the 10k ramp point, wall-clock
 /// conns/sec. Set at about half the rate measured with a hashed key
