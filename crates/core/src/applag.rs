@@ -16,8 +16,9 @@ use simnet::time::{SimDuration, SimTime};
 
 use crate::events::FailureReason;
 
-/// Lag state for one direction of comparison (read positions or write
-/// positions) on one connection.
+/// Lag state for one direction of comparison: read or write positions
+/// on one connection here, or (in [`crate::netdetect`], Table 1 row 4)
+/// summed `LastByteReceived` / `LastAckReceived` across connections.
 ///
 /// Two subtleties make this more than a subtraction:
 ///
@@ -38,7 +39,7 @@ use crate::events::FailureReason;
 ///   (which would also trip on staleness). We sample `(position, when I
 ///   reached it)` watermarks and age the oldest un-matched one.
 #[derive(Debug, Clone, Default)]
-struct LagTrack {
+pub(crate) struct LagTrack {
     /// Last position the peer reported.
     peer_last: u64,
     /// When the peer's reported position last advanced (or was first
@@ -50,7 +51,11 @@ struct LagTrack {
 }
 
 impl LagTrack {
-    fn update(
+    /// Feeds one observation of this side's position and the peer's last
+    /// reported one; returns [`FailureReason::AppLagBytes`] or
+    /// [`FailureReason::AppLagTime`] for whichever criterion condemned
+    /// the peer.
+    pub(crate) fn update(
         &mut self,
         now: SimTime,
         mine: u64,
