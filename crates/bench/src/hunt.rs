@@ -16,10 +16,11 @@ use obs::report::MetricsReport;
 use obs::timeline::Timeline;
 use simnet::time::SimDuration;
 use simnet::time::SimTime;
+use sttcp::config::PING_INTERVAL;
 use sttcp::events::{FailureReason, StTcpEvent};
 use sttcp::invariant::Outcome;
 use sttcp_apps::chaos::{
-    chaos_config, run_chaos_case, ChaosAction, ChaosOptions, ChaosReport, FaultSchedule,
+    chaos_config, run_chaos_case, ChaosAction, ChaosOptions, ChaosReport, FaultSchedule, LinkSel,
 };
 use sttcp_apps::scenario::Topology;
 
@@ -187,13 +188,31 @@ pub fn latest_fault_before(report: &ChaosReport, cutoff: SimTime) -> Option<SimT
 /// cannot lag the other on a stream nobody has read yet, so a fault that
 /// precedes the client's first data (say its GET sits out a reordering
 /// until the retransmit) has no symptom to time until that byte lands.
+///
+/// A gateway-ping verdict also needs the survivor's *own* pings to
+/// succeed, and they cross the client link toward the gateway: a
+/// `corrupt client N` budget laid there by `cutoff` eats up to N of them
+/// — a frame budget drains at traffic pace, and on an idle link that is
+/// one ping per [`PING_INTERVAL`] — so the clock starts that much after
+/// the fault.
 pub fn detection_clock_start(
     report: &ChaosReport,
+    schedule: &FaultSchedule,
     events: &[StTcpEvent],
     reason: FailureReason,
     cutoff: SimTime,
 ) -> Option<SimTime> {
-    let fault = latest_fault_before(report, cutoff)?;
+    let mut fault = latest_fault_before(report, cutoff)?;
+    if reason == FailureReason::NetPingFail {
+        let eaten: u32 = (schedule.actions.iter())
+            .filter(|a| SimTime::from_millis(a.at_ms) <= cutoff)
+            .map(|a| match a.action {
+                ChaosAction::CorruptFrames(LinkSel::Client, n) => n,
+                _ => 0,
+            })
+            .sum();
+        fault += PING_INTERVAL * u64::from(eaten);
+    }
     let app_lag = matches!(
         reason,
         FailureReason::AppLagBytes | FailureReason::AppLagTime
@@ -343,7 +362,7 @@ pub fn run_sweep(
             }
             if let Some((reason, at)) = first_verdict(events) {
                 if let (Some(clock_start), Some(bound)) = (
-                    detection_clock_start(report, events, reason, at),
+                    detection_clock_start(report, &case.schedule, events, reason, at),
                     detection_bound(&detection_cfg, reason),
                 ) {
                     s.bound_checked += 1;

@@ -464,6 +464,54 @@ fn app_lag_bound_is_charged_from_the_first_delivered_byte() {
     assert!(summary.bound_violations.is_empty());
 }
 
+/// The nightly `--seeds 2000 --double --enforce-bounds` soak was red on
+/// seeds 1481 (`@7052 corrupt client 12; @7669 cut primary`) and 1563
+/// (`@4163 corrupt client 11; @4985 cut backup`): the download is long
+/// over, so the budget sits unspent on the idle client link until the
+/// IP heartbeat dies and the gateway pings start, then eats the
+/// survivor's own pings one per 200 ms. `net_ping_fail` rightly waits for
+/// a ping of its own to succeed — 2 981 / 2 665 ms against a 2 400 ms
+/// bound. The detector's clock now starts one ping interval per budgeted
+/// frame after the fault.
+fn assert_ping_verdict_within_bound(seed: u64) {
+    let cfg = SweepConfig {
+        seeds: 1,
+        start: seed,
+        quick: false,
+        flavour: Flavour::Double,
+        threads: 1,
+    };
+    let mut ping_verdict = false;
+    let summary = run_sweep(&cfg, &ChaosOptions::default(), |case| {
+        use sttcp::events::FailureReason::NetPingFail;
+        ping_verdict = (case.report.member_events.iter().flatten()).any(|e| {
+            matches!(
+                e,
+                StTcpEvent::PeerDeclaredFailed {
+                    reason: NetPingFail,
+                    ..
+                }
+            )
+        });
+    });
+    assert!(ping_verdict, "seed {seed} no longer ends in a ping verdict");
+    assert_eq!(summary.bound_checked, 1);
+    assert!(
+        summary.bound_violations.is_empty(),
+        "seed {seed} exceeds its bound"
+    );
+}
+
+#[test]
+fn ping_bound_waits_out_a_client_corruption_budget_1481() {
+    assert_ping_verdict_within_bound(1481);
+}
+
+#[test]
+fn ping_bound_waits_out_a_client_corruption_budget_1563() {
+    assert_ping_verdict_within_bound(1563);
+}
+
 /// Batched heartbeat envelopes (v3 multi-part frames) are a framing
 /// optimisation, not a behaviour change. Same two contracts as the
 /// delta sweep, both over 64 seeds:
