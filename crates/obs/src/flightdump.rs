@@ -5,9 +5,10 @@
 //! the last window of causally-linked datapath events across every
 //! host. This module renders that snapshot two ways —
 //!
-//! * [`to_json`]: the canonical schema-versioned dump, parsed back by
-//!   [`from_json`] and checked by [`validate`] (CI runs the validator
-//!   over every dump an experiment writes);
+//! * [`to_json`]: the canonical schema-versioned dump, read back — and
+//!   checked against the schema in the same pass — by [`from_json`]
+//!   ([`validate`] keeps only the verdict; CI runs it over every dump an
+//!   experiment writes);
 //! * [`to_chrome_trace`]: a Chrome trace-event file loadable in
 //!   `ui.perfetto.dev` or `chrome://tracing`, with one track per host
 //!   and flow arrows joining the events of each causal span (and each
@@ -97,61 +98,15 @@ pub fn snapshot_to_chrome_trace(snap: &FlightSnapshot) -> Json {
     to_chrome_trace(&snap.events, &snap.hosts)
 }
 
-/// Parses a dump produced by [`to_json`] back into events and host
-/// names.
-///
-/// # Errors
-///
-/// Returns a message naming the first structural problem found.
-pub fn from_json(dump: &Json) -> Result<(Vec<FlightEvent>, Vec<String>), String> {
-    validate(dump)?;
-    let hosts = dump
-        .get("hosts")
-        .and_then(Json::as_arr)
-        .expect("validated")
-        .iter()
-        .map(|h| h.as_str().expect("validated").to_string())
-        .collect();
-    let mut events = Vec::new();
-    for ev in dump
-        .get("events")
-        .and_then(Json::as_arr)
-        .expect("validated")
-    {
-        let args = ev.get("args").expect("validated");
-        let get = |name: &str| args.get(name).and_then(Json::as_u64);
-        let kind_name = ev.get("kind").and_then(Json::as_str).expect("validated");
-        let kind = FlightKind::from_fields(kind_name, &get)
-            .ok_or_else(|| format!("unreconstructible kind {kind_name:?}"))?;
-        let span = ev.get("span").and_then(Json::as_str).expect("validated");
-        let parent = match ev.get("parent") {
-            Some(Json::Null) | None => SpanId::NONE,
-            Some(p) => SpanId::from_hex(p.as_str().expect("validated")).expect("validated"),
-        };
-        events.push(FlightEvent {
-            seq: ev.get("seq").and_then(Json::as_u64).expect("validated"),
-            time: SimTime::from_micros(ev.get("t_us").and_then(Json::as_u64).expect("validated")),
-            node: match ev.get("node") {
-                Some(Json::Null) => None,
-                Some(n) => Some(NodeId(n.as_u64().expect("validated") as usize)),
-                None => None,
-            },
-            span: SpanId::from_hex(span).expect("validated"),
-            parent,
-            kind,
-        });
-    }
-    Ok((events, hosts))
-}
-
-/// Checks a dump against the flight-recorder schema: version, required
-/// keys and types, known event kinds with exactly the spec'd argument
-/// set, parseable span ids, and record-order `seq`.
+/// Reads a dump produced by [`to_json`] back into events and host
+/// names, checking it against the flight-recorder schema as it goes:
+/// version, required keys and types, known event kinds with exactly the
+/// spec'd argument set, parseable span ids, and record-order `seq`.
 ///
 /// # Errors
 ///
 /// Returns a message naming the first violation.
-pub fn validate(dump: &Json) -> Result<(), String> {
+pub fn from_json(dump: &Json) -> Result<(Vec<FlightEvent>, Vec<String>), String> {
     let version = dump
         .get("schema_version")
         .and_then(Json::as_u64)
@@ -162,13 +117,11 @@ pub fn validate(dump: &Json) -> Result<(), String> {
     if dump.get("kind").and_then(Json::as_str) != Some("flight_recorder") {
         return Err("kind is not \"flight_recorder\"".to_string());
     }
-    let hosts = dump
-        .get("hosts")
-        .and_then(Json::as_arr)
-        .ok_or("missing hosts array")?;
-    for h in hosts {
-        h.as_str().ok_or("non-string host name")?;
-    }
+    let hosts = (dump.get("hosts").and_then(Json::as_arr))
+        .ok_or("missing hosts array")?
+        .iter()
+        .map(|h| h.as_str().map(str::to_string).ok_or("non-string host name"))
+        .collect::<Result<Vec<_>, _>>()?;
     match dump.get("window_ms") {
         Some(Json::Null) => {}
         Some(w) => {
@@ -176,56 +129,40 @@ pub fn validate(dump: &Json) -> Result<(), String> {
         }
         None => return Err("missing window_ms".to_string()),
     }
-    let events = dump
-        .get("events")
-        .and_then(Json::as_arr)
-        .ok_or("missing events array")?;
-    let mut prev_seq: Option<u64> = None;
-    for (i, ev) in events.iter().enumerate() {
+    let raw = (dump.get("events").and_then(Json::as_arr)).ok_or("missing events array")?;
+    let mut events: Vec<FlightEvent> = Vec::with_capacity(raw.len());
+    for (i, ev) in raw.iter().enumerate() {
         let at = |msg: &str| format!("event {i}: {msg}");
-        let seq = ev
-            .get("seq")
-            .and_then(Json::as_u64)
-            .ok_or_else(|| at("missing seq"))?;
-        if let Some(p) = prev_seq {
-            if seq <= p {
-                return Err(at("seq not strictly increasing"));
-            }
+        let seq = (ev.get("seq").and_then(Json::as_u64)).ok_or_else(|| at("missing seq"))?;
+        if events.last().is_some_and(|prev| seq <= prev.seq) {
+            return Err(at("seq not strictly increasing"));
         }
-        prev_seq = Some(seq);
-        ev.get("t_us")
-            .and_then(Json::as_u64)
-            .ok_or_else(|| at("missing t_us"))?;
-        match ev.get("node") {
-            Some(Json::Null) => {}
+        let t_us = (ev.get("t_us").and_then(Json::as_u64)).ok_or_else(|| at("missing t_us"))?;
+        let node = match ev.get("node") {
+            Some(Json::Null) => None,
             Some(n) => {
-                let n = n.as_u64().ok_or_else(|| at("node is not an integer"))?;
-                if n as usize >= hosts.len() {
+                let n = n.as_u64().ok_or_else(|| at("node is not an integer"))? as usize;
+                if n >= hosts.len() {
                     return Err(at("node out of range of hosts"));
                 }
+                Some(NodeId(n))
             }
             None => return Err(at("missing node")),
-        }
-        let span = ev
-            .get("span")
-            .and_then(Json::as_str)
-            .ok_or_else(|| at("missing span"))?;
+        };
+        let span = (ev.get("span").and_then(Json::as_str)).ok_or_else(|| at("missing span"))?;
         let span = SpanId::from_hex(span).ok_or_else(|| at("unparseable span"))?;
         if span.is_none() {
             return Err(at("span is the null span"));
         }
-        match ev.get("parent") {
-            Some(Json::Null) => {}
+        let parent = match ev.get("parent") {
+            Some(Json::Null) => SpanId::NONE,
             Some(p) => {
                 let p = p.as_str().ok_or_else(|| at("parent is not a string"))?;
-                SpanId::from_hex(p).ok_or_else(|| at("unparseable parent"))?;
+                SpanId::from_hex(p).ok_or_else(|| at("unparseable parent"))?
             }
             None => return Err(at("missing parent")),
-        }
-        let kind = ev
-            .get("kind")
-            .and_then(Json::as_str)
-            .ok_or_else(|| at("missing kind"))?;
+        };
+        let kind = (ev.get("kind").and_then(Json::as_str)).ok_or_else(|| at("missing kind"))?;
         let (_, spec_fields) = FLIGHT_KIND_SPECS
             .iter()
             .find(|(n, _)| *n == kind)
@@ -237,13 +174,32 @@ pub fn validate(dump: &Json) -> Result<(), String> {
         if arg_fields.len() != spec_fields.len() {
             return Err(at("args do not match the kind's field set"));
         }
+        let get = |name: &str| args.get(name).and_then(Json::as_u64);
         for field in *spec_fields {
-            args.get(field)
-                .and_then(Json::as_u64)
-                .ok_or_else(|| at(&format!("missing or non-integer arg {field:?}")))?;
+            get(field).ok_or_else(|| at(&format!("missing or non-integer arg {field:?}")))?;
         }
+        let kind = FlightKind::from_fields(kind, &get)
+            .ok_or_else(|| format!("unreconstructible kind {kind:?}"))?;
+        events.push(FlightEvent {
+            seq,
+            time: SimTime::from_micros(t_us),
+            node,
+            span,
+            parent,
+            kind,
+        });
     }
-    Ok(())
+    Ok((events, hosts))
+}
+
+/// Checks a dump against the flight-recorder schema: [`from_json`],
+/// keeping only its verdict.
+///
+/// # Errors
+///
+/// Returns a message naming the first violation.
+pub fn validate(dump: &Json) -> Result<(), String> {
+    from_json(dump).map(|_| ())
 }
 
 /// Renders a Chrome trace-event file (the `{"traceEvents": [...]}` JSON
