@@ -90,8 +90,10 @@ impl fmt::Display for LinkSel {
 pub enum ChaosAction {
     /// HW/OS crash: immediate power loss (Table 1 row 1).
     Crash(Side),
-    /// Power a crashed node back on. It reboots as a passive cold
-    /// standby (state lost), never as a second active server.
+    /// Power a crashed node back on. It reboots as a fresh suppressed
+    /// backup (state lost) and asks the active to rejoin; a reboot
+    /// before its peer noticed the crash is condemned and stays off. It
+    /// never comes back as a second active server.
     Reboot(Side),
     /// NIC failure on a server (Table 1 row 4).
     NicDown(Side),
@@ -676,11 +678,7 @@ impl FaultSchedule {
             verdicts_possible,
             max_stall,
             byzantine,
-            // Whether a reboot re-integrates (second failure epoch
-            // possible) is a *configuration* property, not a schedule
-            // property: the run harness overrides this from
-            // [`ChaosOptions::reintegrate`].
-            reintegrate: false,
+            reboots: self.actions.iter().any(|a| matches!(a.action, Reboot(_))),
             max_takeovers: None,
         }
     }
@@ -704,8 +702,8 @@ impl FaultSchedule {
     }
 
     /// Generates a `reintegrate-then-fail` schedule: crash one side, warm
-    /// reboot it (with [`ChaosOptions::reintegrate`] set, it rejoins the
-    /// live connections), then — after the join has had time to converge —
+    /// reboot it (it rejoins the live connections), then — after the join
+    /// has had time to converge —
     /// crash the *other* side, so only a successfully re-integrated backup
     /// can keep the service alive through the second failure.
     pub fn generate_reintegrate(seed: u64) -> FaultSchedule {
@@ -730,8 +728,7 @@ impl FaultSchedule {
     }
 
     /// Generates a pool chaos schedule: kill the active, usually warm-boot
-    /// it back (with re-integration it rejoins as a fresh backup under a
-    /// new rank), then — once the pool has settled — kill the next active
+    /// it back (it rejoins as a fresh backup under a new rank), then — once the pool has settled — kill the next active
     /// too. In a pool scenario `Side::Primary` addresses the rank-0
     /// member and `Side::Backup` the rank-1 member (see
     /// [`FaultSchedule::apply`]); deeper members are never targeted
@@ -813,7 +810,7 @@ impl FaultSchedule {
             match rng.index(11) {
                 0 => {
                     // HW/OS crash; sometimes with a later reboot (which
-                    // must stay a passive cold standby).
+                    // rejoins, or is condemned if it beat detection).
                     let i = rng.index(2);
                     let i = if crashed[i] { 1 - i } else { i };
                     if crashed[i] {
@@ -994,11 +991,6 @@ pub struct ChaosOptions {
     /// Print the run's typed record — the fault log and every server's
     /// event log, merged by time — to stderr after the run (debugging).
     pub trace: bool,
-    /// Run the servers with [`StTcpConfig::reintegrate`] set: a rebooted
-    /// node warm-boots and rejoins the live connections instead of staying
-    /// a cold standby. The invariant checker then allows a second failure
-    /// epoch.
-    pub reintegrate: bool,
     /// Which application/traffic pair to run.
     pub workload: ChaosWorkload,
     /// Capture a flight-recorder snapshot into the report even when no
@@ -1024,7 +1016,6 @@ impl Default for ChaosOptions {
             total_bytes: 192 * 1024,
             horizon: SimDuration::from_secs(40),
             trace: false,
-            reintegrate: false,
             workload: ChaosWorkload::Download,
             flight_always: false,
             flight_window_ms: Some(2_000),
@@ -1170,9 +1161,8 @@ fn eprint_record(faults: &[(SimTime, String)], servers: &[(String, &[StTcpEvent]
 /// deterministic in `(topology, seed, schedule, opts)`.
 ///
 /// Topology decides what is protocol and nothing else: how the servers
-/// are wired (a pool always re-integrates: a member rejoining under a
-/// fresh rank is what keeps its takeover chain alive), and which
-/// expectation model the one checker judges the run against.
+/// are wired, and which expectation model the one checker judges the
+/// run against.
 pub fn run_chaos_case(
     topology: Topology,
     seed: u64,
@@ -1183,7 +1173,6 @@ pub fn run_chaos_case(
     let builder = ScenarioBuilder::new(factory, client_workload)
         .seed(seed)
         .sttcp(StTcpConfig {
-            reintegrate: opts.reintegrate || topology != Topology::Pair,
             hb_delta: opts.hb_delta,
             hb_batch: opts.hb_batch,
             ..chaos_config()
@@ -1240,10 +1229,7 @@ pub fn run_chaos_case(
     };
 
     let expectation = match topology {
-        Topology::Pair => Expectation {
-            reintegrate: opts.reintegrate,
-            ..schedule.expectation()
-        },
+        Topology::Pair => schedule.expectation(),
         Topology::Pool(_) => pool_expectation(schedule),
     };
     let report = invariant::check(&views, &client, &expectation);

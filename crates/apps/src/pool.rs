@@ -74,7 +74,7 @@ pub fn pool_expectation(schedule: &FaultSchedule) -> Expectation {
         },
         // The takeover budget stands in for the pair's per-epoch caps and
         // liar rule.
-        reintegrate: false,
+        reboots: false,
         byzantine: None,
         // One takeover per crash, plus one for a byzantine active that
         // gets condemned and fenced by the honest majority.

@@ -14,8 +14,8 @@
 //! * `--quick`            smaller download + shorter horizon (CI smoke)
 //! * `--double`           double-fault schedules (failure during repair)
 //! * `--reintegrate`      reintegrate-then-fail schedules: crash, warm
-//!   reboot + rejoin, then crash the other side (servers run with
-//!   re-integration enabled)
+//!   reboot + rejoin, then crash the other side (a schedule shape: every
+//!   reboot rejoins, whatever the flavour)
 //! * `--pool`             N-replica pool schedules: kill the active,
 //!   usually reboot + rejoin it, then kill the next active — quorum
 //!   fencing and rank-ordered takeover under the pool invariants
@@ -181,7 +181,6 @@ fn main() -> ExitCode {
     };
     opts.trace = args.trace;
     opts.flight_always = args.flight_always;
-    opts.reintegrate = args.flavour == Flavour::Reintegrate;
     if let Some(w) = args.workload {
         opts.workload = w;
     }

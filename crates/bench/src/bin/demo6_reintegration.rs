@@ -1,8 +1,8 @@
 //! Regenerates **Demo 6**: backup re-integration after failover.
 //!
 //! Streams a 4 MiB download, crashes the primary mid-transfer, lets the
-//! backup take over, then warm-reboots the crashed machine with
-//! re-integration enabled: the replacement requests per-connection state
+//! backup take over, then warm-reboots the crashed machine, which
+//! rejoins as every rebooted server does: it requests per-connection state
 //! snapshots over the heartbeat links, replays them into a suppressed
 //! replica, and rejoins lockstep on the *live* connection. With
 //! redundancy restored, the demo crashes the surviving server too — the
@@ -21,7 +21,6 @@ use std::rc::Rc;
 
 use obs::json::Json;
 use simnet::time::{SimDuration, SimTime};
-use sttcp::config::StTcpConfig;
 use sttcp::events::StTcpEvent;
 use sttcp_apps::apps::StreamApp;
 use sttcp_apps::client::ClientWorkload;
@@ -81,10 +80,6 @@ fn main() {
         ClientWorkload::Download { total: TOTAL },
     )
     .seed(6)
-    .sttcp(StTcpConfig {
-        reintegrate: true,
-        ..StTcpConfig::default()
-    })
     .build();
     s.crash_primary_at(t(CRASH1_MS));
     let rebooted = s.primary;

@@ -24,7 +24,6 @@ use std::rc::Rc;
 use obs::json::Json;
 use obs::report::MetricsReport;
 use simnet::time::{SimDuration, SimTime};
-use sttcp::config::StTcpConfig;
 use sttcp::events::StTcpEvent;
 use sttcp_apps::apps::StreamApp;
 use sttcp_apps::client::ClientWorkload;
@@ -86,10 +85,6 @@ fn main() {
     )
     .seed(7)
     .pool(REPLICAS)
-    .sttcp(StTcpConfig {
-        reintegrate: true,
-        ..StTcpConfig::default()
-    })
     .build();
     let rank = s.servers.clone();
     s.crash_at(rank[0], t(CRASH1_MS));

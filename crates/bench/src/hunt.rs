@@ -39,8 +39,7 @@ pub enum Flavour {
     /// Double-fault schedules (failure during repair).
     Double,
     /// Reintegrate-then-fail schedules (crash, warm reboot + rejoin,
-    /// then crash the other side); the caller must also set
-    /// [`ChaosOptions::reintegrate`].
+    /// then crash the other side).
     Reintegrate,
     /// Takeover chains down a three-member pool (kill the active,
     /// usually reboot + rejoin it, kill the next active).
@@ -406,6 +405,8 @@ impl SweepSummary {
             cfg_j.set("pool", Json::Bool(true));
         } else {
             cfg_j.set("double", Json::Bool(cfg.flavour == Flavour::Double));
+            // The schedule flavour, not a server mode: every reboot
+            // rejoins.
             let reintegrate = cfg.flavour == Flavour::Reintegrate;
             cfg_j.set("reintegrate", Json::Bool(reintegrate));
         }

@@ -21,7 +21,7 @@
 //!   [`ConnTable::cached`]) read a vector of `(key, slot)` pairs that
 //!   [`ConnTable::entry`] appends to; a walk sorts it first if keys
 //!   added since the last one left it out of order (one pass over 8-byte
-//!   pairs to find out). Keys never leave before `clear`, so a
+//!   pairs to find out). Keys never leave within a boot, so a
 //!   steady stream of full heartbeat rounds sorts nothing, and a delta
 //!   round — which visits sets, not the key list — never asks. The
 //!   sequence is exactly the ordered map's this replaced (the
@@ -42,7 +42,7 @@
 //! is in ascending `SocketId` (or key) order, exactly the order of the
 //! `BTreeSet`s this replaced.
 //!
-//! Slots are never freed before [`ConnTable::clear`] (a reboot): like
+//! Slots are never freed within a boot (a reboot builds a fresh table): like
 //! sockets, connections are not reaped, and a peer-only slot whose
 //! mirror was dropped stays as an empty keyed slot.
 //!
@@ -53,8 +53,8 @@
 //! socket, so a full round has nothing to prune. Pool mode replaces the
 //! whole mirror column (`clear_peers`, then fill from the active
 //! member's own map, which the table never touches); a new peer epoch
-//! walks `slots_mut` to zero every `last_update_seq`. Both reboot paths
-//! call `clear`, which takes every set with it.
+//! walks `slots_mut` to zero every `last_update_seq`. A reboot builds a
+//! fresh table, which takes every set with it.
 
 use bytes::Bytes;
 use std::cell::RefCell;
@@ -137,7 +137,7 @@ pub(crate) struct HbCacheEntry {
     pub(crate) changed_at: u32,
 }
 
-/// Index of a [`Slot`]; valid until the next [`ConnTable::clear`].
+/// Index of a [`Slot`]; valid for the table's lifetime (one boot).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]
 pub(crate) struct SlotId(u32);
 
@@ -224,7 +224,7 @@ pub(crate) struct ConnTable {
     by_key: AddrMap<u32, SlotId>,
     /// Every `by_key` pair once more, for the key-ascending walks:
     /// [`ConnTable::entry`] appends, and a walk sorts first if that left
-    /// the list out of order (keys never leave before `clear`).
+    /// the list out of order (keys never leave within a boot).
     keys: RefCell<Vec<(u32, SlotId)>>,
     /// Per set: `order << 32 | slot`, a superset of the members.
     lists: [Vec<u64>; 6],
@@ -246,13 +246,6 @@ impl IndexMut<SlotId> for ConnTable {
 }
 
 impl ConnTable {
-    /// Forgets everything — every column, index and set — so nothing
-    /// from before a reboot can alias the socket ids the new TCP stack
-    /// hands out from zero again.
-    pub(crate) fn clear(&mut self) {
-        *self = ConnTable::default();
-    }
-
     fn push(&mut self, key: u32, home: Option<SlotId>) -> SlotId {
         let id = SlotId(self.len);
         if self.chunks.last().is_none_or(|c| c.len() == CHUNK) {
@@ -518,7 +511,6 @@ mod tests {
         ClearSet(u8),
         /// Pool mode: the active member's map replaces the mirror.
         Mirror(Vec<(u8, u64)>),
-        Clear,
     }
 
     /// Twice as often on as off, so sets hold several members when a
@@ -546,7 +538,6 @@ mod tests {
             member(2..6),
             (0u8..6).prop_map(Op::ClearSet),
             proptest::collection::vec((key(), 0u64..1000), 0..4).prop_map(Op::Mirror),
-            Just(Op::Clear),
         ]
     }
 
@@ -656,10 +647,6 @@ mod tests {
                     t[s].peer = Some(peer(v));
                     m.peer_conns.insert(key_of(k), v);
                 }
-            }
-            Op::Clear => {
-                t.clear();
-                *m = Model::default();
             }
         }
     }

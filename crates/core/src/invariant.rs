@@ -13,9 +13,10 @@
 //! |---|---|---|
 //! | `byte-stream-integrity` — the client never sees wrong bytes | ✓ | ✓ |
 //! | `no-dual-active` — at most one member ends active | ✓ | ✓ |
+//! | `no-headless-service` — at least one member ends active, unless the service may be lost | ✓ | ✓ |
 //! | `stonith-precedes-takeover` — on the taker's own log | ✓ | ✓ |
 //! | `quorum-fence-precedes-takeover` — ditto, a fence quorum | — | ✓ |
-//! | `at-most-one-verdict` — verdicts, takeovers, STONITHs per server (two under re-integration) | ✓ | — |
+//! | `at-most-one-verdict` — verdicts, takeovers, STONITHs per server (two if the schedule reboots) | ✓ | — |
 //! | `at-most-one-verdict` — one takeover per member, the pool within its budget | — | ✓ |
 //! | `byzantine-liar-verdict` — the lying side never condemns | ✓ | — |
 //! | `no-false-positive` — no verdict, no reset where none is justified | ✓ | ✓ |
@@ -48,7 +49,7 @@ pub struct ServerView {
     /// The server's protocol event log.
     pub events: Vec<StTcpEvent>,
     /// True if the server ended the run able to emit client-visible
-    /// traffic (powered, not cold, acting primary).
+    /// traffic (powered, acting primary: `StTcpServer::is_active`).
     pub active_at_end: bool,
 }
 
@@ -92,12 +93,11 @@ pub struct Expectation {
     /// succeeds; `None` disables the check (schedules whose loss bursts
     /// can stall the client arbitrarily via RTO backoff).
     pub max_stall: Option<SimDuration>,
-    /// Pair: the schedule reboots a crashed server into a re-integration
-    /// join (`StTcpConfig::reintegrate`). A server may then legitimately
-    /// see *two* failure epochs — one before its crash or its peer's, one
-    /// after redundancy is restored — so the at-most-one-verdict
-    /// invariant widens to at most one per epoch.
-    pub reintegrate: bool,
+    /// Pair: the schedule reboots a crashed server, which rejoins. A
+    /// server may then legitimately see *two* failure epochs — one before
+    /// its crash or its peer's, one after redundancy is restored — so the
+    /// at-most-one-verdict invariant widens to at most one per epoch.
+    pub reboots: bool,
     /// Pair: the schedule armed byzantine heartbeat corruption on this
     /// (configured) side. The *honest* side may legitimately condemn the
     /// liar; the liar itself — whose inbound evidence is untouched — must
@@ -238,7 +238,14 @@ pub fn check(views: &[ServerView], client: &ClientView, exp: &Expectation) -> Re
         );
     }
 
-    // 2b. No dual-active, causal form: the taker's own STONITH precedes
+    // 2b. No headless service: where the schedule leaves the service
+    // survivable, a client that finished early is not enough.
+    if actives == 0 && !exp.service_may_be_lost {
+        let detail = "no server ended the run active for the service IP".to_string();
+        violate("no-headless-service", detail);
+    }
+
+    // 2c. No dual-active, causal form: the taker's own STONITH precedes
     // every takeover. A peer that was already down is no excuse: a
     // verdict logs STONITH before it arms the takeover timer, the only
     // path to `TookOver`, so a correct server never needs one.
@@ -296,10 +303,10 @@ pub fn check(views: &[ServerView], client: &ClientView, exp: &Expectation) -> Re
         }
     } else {
         // At most one failure verdict / takeover / STONITH per server —
-        // per failure epoch. A re-integration schedule legitimately runs
-        // two epochs (fail over, restore redundancy, fail over again), so
-        // each counter may reach two; anything beyond is flapping.
-        let cap = if exp.reintegrate { 2 } else { 1 };
+        // per failure epoch. A schedule that reboots legitimately runs
+        // two epochs (fail over, rejoin, fail over again), so each
+        // counter may reach two; anything beyond is flapping.
+        let cap = if exp.reboots { 2 } else { 1 };
         for v in views {
             for (what, n) in [
                 ("peer-declared-failed", count_events(&v.events, is_declared)),
@@ -486,7 +493,7 @@ mod tests {
                 abortive_close_possible: false,
                 verdicts_possible: true,
                 max_stall: Some(SimDuration::from_secs(5)),
-                reintegrate: false,
+                reboots: false,
                 byzantine: None,
                 max_takeovers: pool.then_some(2),
             },
@@ -550,6 +557,14 @@ mod tests {
             build: |r, bad| r.take_over(1, 1_000).views[0].active_at_end = bad,
         },
         Row {
+            // The client finished, but nobody is left serving.
+            invariant: "no-headless-service",
+            pair: true,
+            pool: true,
+            near_miss: Outcome::Recovered,
+            build: |r, bad| r.take_over(1, 1_000).views[1].active_at_end = !bad,
+        },
+        Row {
             invariant: "stonith-precedes-takeover",
             pair: true,
             pool: true,
@@ -578,7 +593,7 @@ mod tests {
             pool: false,
             near_miss: Outcome::Recovered,
             build: |r, bad| {
-                r.exp.reintegrate = true;
+                r.exp.reboots = true;
                 let events = &mut r.take_over(1, 1_000).views[1].events;
                 events.extend([declared(6_000), stonith(6_000)]);
                 events.extend(bad.then(|| declared(9_000)));
@@ -766,13 +781,13 @@ mod tests {
         // Two epochs of verdicts under a plain crash expectation: flapping.
         assert_eq!(r.violated(), ["at-most-one-verdict"]);
 
-        // The same log under a re-integration schedule is legitimate.
-        r.exp.reintegrate = true;
+        // The same log under a schedule that reboots is legitimate.
+        r.exp.reboots = true;
         let report = r.judge();
         assert!(report.ok(), "violations: {:?}", report.violations);
         assert_eq!(report.outcome, Outcome::Recovered);
 
-        // A third verdict is flapping even with re-integration.
+        // A third verdict is flapping even with a reboot.
         r.views[1].events.push(declared(9_000));
         assert_eq!(r.violated(), ["at-most-one-verdict"]);
     }

@@ -26,8 +26,9 @@
 
 use simnet::time::{SimDuration, SimTime};
 
-use crate::config::StTcpConfig;
-use crate::events::HbLink;
+use crate::config::{Role, StTcpConfig};
+use crate::events::{HbLink, StTcpEvent};
+use crate::heartbeat::HbPayload;
 use crate::metrics::ServerMetrics;
 
 /// The guard's floor: one tick of virtual time.
@@ -134,8 +135,12 @@ impl LinkMonitor {
 }
 
 /// Everything a receiver tracks about one heartbeat *source* — the pair's
-/// single peer, or one pool member: a monitor per link, and the stream's
-/// sequence state that decides whether a frame may refresh them.
+/// single peer, or one pool member: a monitor per link, the stream's
+/// sequence state that decides whether a frame may refresh them, and the
+/// resurrection rule. No live incarnation ever demotes itself, so a
+/// source seen serving that heartbeats as a `Backup` restarted faster
+/// than the liveness timeout: it is `defunct`, condemnable although
+/// heard — by the pair's row 1 and the pool's fence alike.
 #[derive(Debug)]
 pub(crate) struct HbSource {
     /// IP heartbeat liveness.
@@ -153,6 +158,12 @@ pub(crate) struct HbSource {
     /// A byzantine heartbeat from this source was already logged (sticky,
     /// to keep the event log bounded).
     pub(crate) byzantine_reported: bool,
+    /// The role the source last announced on an advancing frame;
+    /// `Backup` until it is heard serving.
+    pub(crate) role: Role,
+    /// Seen serving, now speaking as a backup. Sticky until the stream
+    /// advances on a `Primary` frame or the incarnation is forgotten.
+    pub(crate) defunct: bool,
 }
 
 impl HbSource {
@@ -164,7 +175,19 @@ impl HbSource {
             last_seqno: None,
             seqno_advanced_at: now,
             byzantine_reported: false,
+            role: Role::Backup,
+            defunct: false,
         }
+    }
+
+    /// The rule's first step, on every frame before the staleness filter
+    /// (a fresh boot restarts its seqnos): a `Primary` → `Backup`
+    /// demotion marks the source defunct. The event to log, once.
+    pub(crate) fn note_demotion(&mut self, hb: &HbPayload, now: SimTime) -> Option<StTcpEvent> {
+        let demoted = self.role == Role::Primary && hb.role == Role::Backup && !self.defunct;
+        self.defunct |= demoted;
+        let (rank, at) = (hb.rank, now);
+        demoted.then_some(StTcpEvent::DefunctActiveDetected { rank, at })
     }
 
     /// A frame heard on `link` counts as liveness: credit that link's
@@ -205,10 +228,16 @@ impl HbSource {
         self.ip_mon.last_rx().max(self.serial_mon.last_rx())
     }
 
-    /// The stream advanced to `seqno` at `now`.
-    pub(crate) fn advance(&mut self, seqno: u32, now: SimTime) {
-        self.last_seqno = Some(seqno);
+    /// The stream advanced to `hb` at `now`: the rule's second step
+    /// records its role, and a `Primary` (serving again, or a reordered
+    /// frame from its serving days) withdraws the defunct mark.
+    pub(crate) fn advance(&mut self, hb: &HbPayload, now: SimTime) {
+        self.last_seqno = Some(hb.seqno);
         self.seqno_advanced_at = now;
+        if hb.role == Role::Primary {
+            self.defunct = false;
+        }
+        self.role = hb.role;
     }
 
     /// Latches the byzantine report; true the first time only.
@@ -216,13 +245,15 @@ impl HbSource {
         !std::mem::replace(&mut self.byzantine_reported, true)
     }
 
-    /// A fresh incarnation of the source speaks from `now`: its stream
-    /// restarts, and nothing its predecessor was caught at carries over.
-    /// The link monitors are the caller's call.
-    pub(crate) fn forget_stream(&mut self, now: SimTime) {
+    /// A fresh incarnation of the source speaks from `now`, as a backup:
+    /// its stream restarts, and nothing its predecessor was caught at
+    /// carries over. The link monitors are the caller's call.
+    pub(crate) fn forget_incarnation(&mut self, now: SimTime) {
         self.last_seqno = None;
         self.seqno_advanced_at = now;
         self.byzantine_reported = false;
+        self.role = Role::Backup;
+        self.defunct = false;
     }
 }
 

@@ -97,23 +97,16 @@ pub(crate) struct MemberState {
     pub(crate) rank: u8,
     /// The member's node id, for STONITH.
     pub(crate) node: NodeId,
-    /// Link liveness and heartbeat-stream state for this member.
+    /// Link liveness, heartbeat-stream state and the resurrection rule
+    /// for this member: a `defunct` member is condemnable although heard,
+    /// so the takeover is not deadlocked by the resurrection.
     pub(crate) hb: HbSource,
     /// The local serial port wired to this member, if any.
     pub(crate) serial_port: Option<SerialPortId>,
-    /// The role the member last announced.
-    pub(crate) role: Role,
     /// The member has been fenced (quorum-confirmed dead + STONITHed).
     /// Everything it says under its old rank is ignored until it rejoins
     /// under a fresh one.
     pub(crate) fenced: bool,
-    /// The member was seen serving as `Primary` and then heartbeated as
-    /// a `Backup` under the same rank — a transition no live incarnation
-    /// ever makes, so the host must have restarted faster than the
-    /// liveness timeout. The serving incarnation is gone even though the
-    /// reboot keeps the links fresh; fencing treats a defunct member as
-    /// condemnable so the takeover is not deadlocked by the resurrection.
-    pub(crate) defunct: bool,
     /// The member's per-connection positions from its heartbeats.
     pub(crate) conns: BTreeMap<u32, PeerConn>,
 }
@@ -133,14 +126,14 @@ impl MemberState {
     /// links silent, or the serving incarnation provably gone behind a
     /// still-heartbeating reboot (`defunct`). A *vote* goes by this.
     pub(crate) fn condemnable(&self, now: SimTime) -> bool {
-        self.dead(now) || self.defunct
+        self.dead(now) || self.hb.defunct
     }
 
     /// [`MemberState::condemnable`] with each link's jitter guard
     /// served on top of its timeout — what *opens* a fence round, at the
     /// instant the liveness timer fires for it.
     pub(crate) fn overdue(&self, now: SimTime) -> bool {
-        (self.hb.ip_mon.is_silent(now) && self.hb.serial_mon.is_silent(now)) || self.defunct
+        (self.hb.ip_mon.is_silent(now) && self.hb.serial_mon.is_silent(now)) || self.hb.defunct
     }
 
     /// Resets the entry for a fresh incarnation of the member (fenced
@@ -148,10 +141,8 @@ impl MemberState {
     pub(crate) fn reset_for_rejoin(&mut self, now: SimTime) {
         self.hb.ip_mon = self.hb.ip_mon.restarted(now);
         self.hb.serial_mon = self.hb.serial_mon.restarted(now);
-        self.hb.forget_stream(now);
-        self.role = Role::Backup;
+        self.hb.forget_incarnation(now);
         self.fenced = false;
-        self.defunct = false;
         self.conns.clear();
     }
 }
@@ -216,13 +207,7 @@ impl PoolState {
                         node: p.node,
                         hb: HbSource::new(cfg, now),
                         serial_port: None,
-                        role: if p.rank == 0 {
-                            Role::Primary
-                        } else {
-                            Role::Backup
-                        },
                         fenced: false,
-                        defunct: false,
                         conns: BTreeMap::new(),
                     },
                 )
@@ -282,7 +267,7 @@ impl PoolState {
             role == Role::Backup
                 && !self.members.values().any(|m| {
                     !m.fenced
-                        && !m.defunct
+                        && !m.hb.defunct
                         && m.rank != rank
                         && m.alive(now)
                         && m.rank < self.my_rank
@@ -406,7 +391,7 @@ mod tests {
         {
             let m = p.members.get_mut(&ip).unwrap();
             m.fenced = true;
-            m.defunct = true;
+            (m.hb.role, m.hb.defunct) = (Role::Primary, true);
             m.hb.last_seqno = Some(17);
             m.hb.byzantine_reported = true;
             m.conns.insert(1, PeerConn::default());
@@ -415,7 +400,8 @@ mod tests {
         let m = p.members.get_mut(&ip).unwrap();
         m.reset_for_rejoin(t);
         assert!(!m.fenced);
-        assert!(!m.defunct);
+        assert!(!m.hb.defunct);
+        assert_eq!(m.hb.role, Role::Backup);
         assert_eq!(m.hb.last_seqno, None);
         assert!(!m.hb.byzantine_reported);
         assert!(m.conns.is_empty());

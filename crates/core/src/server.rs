@@ -379,7 +379,6 @@ struct Ram {
     /// from the sends), kept for its capacity.
     pkts: Vec<Ipv4Packet>,
     powered_off: bool,
-    cold: bool,
 }
 
 impl Ram {
@@ -458,7 +457,6 @@ impl Ram {
             liveness_timer: None,
             pkts: Vec::new(),
             powered_off: false,
-            cold: false,
         }
     }
 }
@@ -836,12 +834,11 @@ impl StTcpServer {
     }
 
     /// True when this server could currently emit client-visible traffic:
-    /// powered on, not a cold standby, and acting as primary (the original
-    /// primary, or a backup after takeover). At most one server in a pair
-    /// may ever be active at once — the chaos invariant checker enforces
-    /// this.
+    /// powered on and acting as primary (the original primary, or a
+    /// backup after takeover). At most one server in a pair may ever be
+    /// active at once — the chaos invariant checker enforces this.
     pub fn is_active(&self) -> bool {
-        !self.ram.powered_off && !self.ram.cold && self.ram.role == Role::Primary
+        !self.ram.powered_off && self.ram.role == Role::Primary
     }
 
     /// This server's current pool rank (reassigned on rejoin), or its
@@ -1291,6 +1288,7 @@ impl StTcpServer {
         // peer instead of trusting it forever.
         let hb_timeout = self.setup.sttcp.hb_timeout();
         let src = &mut self.ram.peer_hb;
+        self.events.extend(src.note_demotion(hb, now));
         if src.is_stale(hb.seqno) {
             src.credit_stale(link, now, hb_timeout, &mut self.metrics);
             return;
@@ -1298,7 +1296,7 @@ impl StTcpServer {
         if !self.vet_records(now, hb, None) {
             return;
         }
-        self.ram.peer_hb.advance(hb.seqno, now);
+        self.ram.peer_hb.advance(hb, now);
         self.ram.peer_hb.credit(link, now, &mut self.metrics);
         self.ram.peer_ping = hb.ping;
         self.apply_records(now, hb, None);
@@ -1485,6 +1483,7 @@ impl StTcpServer {
             0 => HbLink::Ip,
             _ => HbLink::Serial,
         };
+        self.events.extend(self.ram.peer_hb.note_demotion(hb, now));
         // A new peer incarnation voids all per-link and per-connection
         // ordering state; its acks of our frames restart from nothing, so
         // full frames flow both ways until re-acknowledged.
@@ -1553,7 +1552,7 @@ impl StTcpServer {
         }
         let src = &mut self.ram.peer_hb;
         if src.last_seqno.is_none_or(|l| seq_newer(hb.seqno, l)) {
-            src.advance(hb.seqno, now);
+            src.advance(hb, now);
             self.ram.peer_ping = hb.ping;
         }
         src.credit(hblink, now, &mut self.metrics);
@@ -1603,22 +1602,7 @@ impl StTcpServer {
                 m.reset_for_rejoin(now);
             }
             m.rank = hb.rank;
-            // A member this server saw serving as Primary now speaks as
-            // a Backup under the same rank: no live incarnation ever
-            // demotes itself, so the host restarted faster than the
-            // liveness timeout. The serving incarnation is gone — mark
-            // the member defunct so fencing can condemn it even though
-            // the reboot keeps its heartbeat links fresh. Checked before
-            // the staleness filter: a fresh boot restarts seqnos, so its
-            // first frames all look stale. Sticky until the member is
-            // fenced and rejoins (or proves itself Primary again).
-            if m.role == Role::Primary && hb.role == Role::Backup && !m.defunct {
-                m.defunct = true;
-                self.events.push(StTcpEvent::DefunctActiveDetected {
-                    rank: m.rank,
-                    at: now,
-                });
-            }
+            self.events.extend(m.hb.note_demotion(hb, now));
             // Staleness: duplicated / reordered frames, and the second
             // copy of every payload (it rides both links). Liveness yes,
             // counters no — and only within one heartbeat timeout of the
@@ -1643,19 +1627,13 @@ impl StTcpServer {
                 self.metrics.on_byzantine_rejected();
                 return;
             }
-            m.hb.advance(hb.seqno, now);
+            m.hb.advance(hb, now);
             m.hb.credit(link, now, &mut self.metrics);
-            if hb.role == Role::Primary {
-                // Serving again (or a reordered frame from its serving
-                // days): either way the defunct evidence is withdrawn.
-                m.defunct = false;
-            }
-            m.role = hb.role;
             for c in &hb.conns {
                 m.conns.entry(c.key).or_default().apply(c);
             }
             let m_rank = m.rank;
-            let m_defunct = m.defunct;
+            let m_defunct = m.hb.defunct;
             // Mirror the active member's positions into the table's peer
             // column, where the pair-mode readers look: recovery fetching,
             // join convergence and the takeover gap check work unchanged.
@@ -1976,8 +1954,10 @@ impl StTcpServer {
         if !self.ram.ft_mode {
             return;
         }
-        if !ip_alive && !serial_alive {
-            // Row 1: both heartbeat links dead ⇒ the peer host is gone.
+        if (!ip_alive && !serial_alive) || self.ram.peer_hb.defunct {
+            // Row 1: both heartbeat links dead ⇒ the peer host is gone —
+            // or it is heard, but as a restarted incarnation behind the
+            // one that served (`HbSource`), which is gone all the same.
             self.declare_peer_failed(ctx, FailureReason::HbBothLinksDown);
         } else if !ip_alive {
             // Row 4 opens: the gateway pings that will say whose network
@@ -2296,7 +2276,7 @@ impl StTcpServer {
                 if pool
                     .members
                     .get(&f.target)
-                    .is_some_and(|m| m.alive(now) && !m.defunct)
+                    .is_some_and(|m| m.alive(now) && !m.hb.defunct)
                 {
                     pool.fence = None;
                 }
@@ -2388,7 +2368,7 @@ impl StTcpServer {
             let candidate_ok = pool
                 .members
                 .get(&src)
-                .is_some_and(|m| !m.fenced && !m.defunct && m.rank == candidate_rank);
+                .is_some_and(|m| !m.fenced && !m.hb.defunct && m.rank == candidate_rank);
             let target_dead = pool
                 .members
                 .values()
@@ -2400,7 +2380,7 @@ impl StTcpServer {
                 let better_live = my_rank < candidate_rank
                     || pool.members.values().any(|m| {
                         !m.fenced
-                            && !m.defunct
+                            && !m.hb.defunct
                             && m.rank != target_rank
                             && m.alive(now)
                             && m.rank < candidate_rank
@@ -2688,9 +2668,8 @@ impl StTcpServer {
     /// request (lost snapshot or lost `JoinDone`) re-sends everything; the
     /// joiner skips keys it already installed.
     fn serve_join(&mut self, ctx: &mut NodeCtx<'_>, src: Ipv4Addr, session: u32) {
-        // Only an active primary owns live connections a joiner can copy,
-        // and only when re-integration is enabled on this pair.
-        if !self.is_active() || !self.setup.sttcp.reintegrate {
+        // Only an active primary owns live connections a joiner can copy.
+        if !self.is_active() {
             return;
         }
         let now = ctx.now();
@@ -2726,7 +2705,7 @@ impl StTcpServer {
             self.ram.table.clear_peers();
             self.ram.table.clear_set(Set::Lag);
             self.ram.peer_app_suspected = false;
-            self.ram.peer_hb.forget_stream(now);
+            self.ram.peer_hb.forget_incarnation(now);
             // Delta mode: the old incarnation's acks are void — send
             // full-state frames until the joiner acknowledges, and track
             // its new links/epoch from scratch.
@@ -3261,9 +3240,6 @@ impl Node for StTcpServer {
     }
 
     fn on_frame(&mut self, ctx: &mut NodeCtx<'_>, _nic: NicId, frame: EthernetFrame) {
-        if self.ram.cold {
-            return;
-        }
         if let Some(pkt) = IpInterface::decap(&frame) {
             self.handle_ip_packet(ctx, &pkt);
         }
@@ -3271,9 +3247,6 @@ impl Node for StTcpServer {
     }
 
     fn on_serial(&mut self, ctx: &mut NodeCtx<'_>, port: SerialPortId, data: Bytes) {
-        if self.ram.cold {
-            return;
-        }
         let now = ctx.now();
         // Pool mode maps the port to the member on the other end and also
         // carries control traffic (fence votes) over serial; the CRC in
@@ -3316,9 +3289,6 @@ impl Node for StTcpServer {
     }
 
     fn on_timer(&mut self, ctx: &mut NodeCtx<'_>, token: TimerToken) {
-        if self.ram.cold {
-            return;
-        }
         match token {
             TOKEN_HB => {
                 // Heartbeats also flow during a re-integration join: the
@@ -3437,30 +3407,16 @@ impl Node for StTcpServer {
     }
 
     fn on_power_on(&mut self, ctx: &mut NodeCtx<'_>) {
-        if !self.setup.sttcp.reintegrate {
-            // Cold reboot after a crash or STONITH. All in-memory protocol
-            // state — connection table, sequence numbers, peer bookkeeping —
-            // is gone, and rejoining the pair safely would need the state
-            // transfer the paper assigns to an administrator. Until then the
-            // machine is a passive cold standby: it never transmits and
-            // ignores every frame, serial byte, and timer. In particular a
-            // STONITHed ex-primary can never come back as a second active
-            // server, so the dual-active invariant holds across reboots.
-            // Nothing else in `ram` is read again: every callback returns
-            // at its `cold` check.
-            self.ram.cold = true;
-            self.ram.ft_mode = false;
-            self.ram.table.clear();
-            return;
-        }
-        // Warm reboot into re-integration. All pre-crash state is gone;
-        // boot as a fresh backup — whatever role this host held before —
-        // and ask the active peer for per-connection snapshots. Until the
-        // join converges, `ft_mode` stays false: this node fires no
-        // verdicts and can never take over, so the dual-active invariant
-        // holds even if the join never completes (or the active peer
-        // STONITHs us mid-join after a fast reboot — that race resolves
-        // exactly like the crash it followed).
+        // Every reboot rejoins. All pre-crash state is gone; boot as a
+        // fresh backup — whatever role this host held before — and ask
+        // the active peer for per-connection snapshots. Until the join
+        // converges, `ft_mode` stays false: this node fires no verdicts
+        // and can never take over, so the dual-active invariant holds
+        // even if the join never completes. An active that reboots faster
+        // than its peer's liveness timeout finds no active to join: its
+        // backup announcement marks it defunct at the peer (`HbSource`),
+        // which condemns and STONITHs it — it stays off, exactly like
+        // the crash it followed.
         let now = ctx.now();
         // A fresh TCP stack tapping in suppressed mode with the shared
         // deterministic ISN, exactly like an original backup: connections
@@ -3666,8 +3622,7 @@ mod tests {
     /// owed to a pre-crash id.
     #[test]
     fn warm_reboot_forgets_every_active_set() {
-        let mut setup = setup(Role::Primary);
-        setup.sttcp.reintegrate = true;
+        let setup = setup(Role::Primary);
         let service = (setup.service_ip, setup.service_port);
         let mut iface = IpInterface::new(NicId(0), MacAddr::unicast(2), setup.private_ip);
         iface.add_alias(setup.service_ip);

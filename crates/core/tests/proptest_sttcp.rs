@@ -461,7 +461,7 @@ impl Node for Forger {
     }
 }
 
-/// One second in the life of an active primary (re-integration on) whose
+/// One second in the life of an active primary whose
 /// real peer is silent while a [`Forger`] at `src` talks to it: IP
 /// heartbeats it counted, whether it began serving a join, and whether
 /// it declared its peer failed.
@@ -473,11 +473,7 @@ fn primary_hearing(src: Ipv4Addr) -> (u64, bool, bool) {
     let forger_nic = world.add_nic(forger, MacAddr::unicast(9));
     let mut iface = IpInterface::new(NicId(0), MacAddr::unicast(2), SERVER_IP);
     iface.add_arp(PEER_IP, MacAddr::unicast(1));
-    let sttcp = StTcpConfig {
-        reintegrate: true,
-        ..Default::default()
-    };
-    let setup = server_setup(Role::Primary, sttcp, forger);
+    let setup = server_setup(Role::Primary, StTcpConfig::default(), forger);
     let app = || Box::new(EchoApp::default()) as Box<dyn Application>;
     let server = StTcpServer::new(setup, iface, Box::new(app));
     let server = world.add_node("primary", Box::new(server));

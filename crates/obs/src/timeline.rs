@@ -69,8 +69,8 @@ pub enum Phase {
     /// STONITH → takeover complete.
     Takeover,
     /// Takeover → re-integration complete (zero-length in runs where no
-    /// rebooted peer rejoined, or when the join finished outside the
-    /// stall window).
+    /// rebooted peer rejoined; a join finished after the stall window
+    /// is clamped to its end, and this phase takes `Restart`'s share).
     Reintegration,
     /// Re-integration (or takeover) → first client-visible byte after
     /// the stall.

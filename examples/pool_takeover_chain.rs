@@ -13,7 +13,6 @@
 use std::rc::Rc;
 
 use simnet::time::SimTime;
-use sttcp::config::StTcpConfig;
 use sttcp_apps::apps::StreamApp;
 use sttcp_apps::client::ClientWorkload;
 use sttcp_apps::scenario::ScenarioBuilder;
@@ -34,10 +33,6 @@ fn main() {
     )
     .seed(7)
     .pool(REPLICAS)
-    .sttcp(StTcpConfig {
-        reintegrate: true,
-        ..StTcpConfig::default()
-    })
     .build();
 
     let rank = s.servers.clone();

@@ -7,7 +7,7 @@
 //! shrinker converges to the same minimum every time, and that specific
 //! small schedules land in the outcome class they are supposed to.
 
-use sttcp::events::StTcpEvent;
+use sttcp::events::{FailureReason, StTcpEvent};
 use sttcp::invariant::Outcome;
 use sttcp_apps::chaos::{
     run_chaos_case, shrink_schedule, ChaosOptions, ChaosReport, FaultSchedule,
@@ -181,10 +181,11 @@ fn corrupted_frames_are_dropped_not_acted_on() {
     }
 }
 
-/// A crashed-then-rebooted primary stays a passive cold standby: the
-/// backup runs the service alone and no second active server appears.
+/// A crashed-then-rebooted primary never takes the service back: it
+/// rejoins behind the backup that took over, or is condemned as defunct
+/// (rebooted before the backup noticed) and stays off.
 #[test]
-fn rebooted_primary_stays_cold() {
+fn rebooted_primary_never_takes_the_service_back() {
     let schedule: FaultSchedule = "@800 crash primary; @1400 reboot primary".parse().unwrap();
     let report = run_chaos_case(Pair, 6, &schedule, &quick());
     assert_ne!(
@@ -199,6 +200,41 @@ fn rebooted_primary_stays_cold() {
         .filter(|e| matches!(e, StTcpEvent::TookOver { .. }))
         .count();
     assert_eq!(primary_takeovers, 0);
+    // At most one server ends active (no-dual-active held): the backup.
+    assert_eq!(report.active_at_end, Some(1));
+}
+
+/// The pair's resurrection race (the pool's is in `tests/pool.rs`): the
+/// primary reboots inside the backup's liveness timeout and heartbeats
+/// as a backup, so nobody serves — seed 1222's client hung, and seed 47
+/// (`--reintegrate` without its second crash) was judged `clean` after
+/// its download with no server left active. The reboot's v1 seqnos soon
+/// overtake the dead stream's, and its v2 epoch makes its frames fresh
+/// at once, so no link starves: the demotion condemns it.
+#[test]
+fn primary_rebooted_before_detection_is_condemned_as_defunct() {
+    let delta = ChaosOptions {
+        hb_delta: true,
+        ..quick()
+    };
+    for (seed, schedule) in [
+        (1222, "@82 crash primary; @200 reboot primary"),
+        (47, "@436 crash primary; @966 reboot primary"),
+    ] {
+        for opts in [quick(), delta.clone()] {
+            let schedule: FaultSchedule = schedule.parse().unwrap();
+            let report = run_chaos_case(Pair, seed, &schedule, &opts);
+            let case = format!("seed {seed}, hb_delta {}", opts.hb_delta);
+            let v = &report.violations;
+            assert_eq!(report.outcome, Outcome::Recovered, "{case}: {v:?}");
+            assert_eq!(report.active_at_end, Some(1), "{case}");
+            assert!(
+                (report.member_events[1].iter())
+                    .any(|e| matches!(e, StTcpEvent::DefunctActiveDetected { .. })),
+                "{case}: the backup never marked the rebooted primary defunct"
+            );
+        }
+    }
 }
 
 /// Regression (found by the 2000-seed hunt, seed 1877): a transient
@@ -318,7 +354,6 @@ fn reintegrated_pair_survives_second_crash() {
 
     let opts = ChaosOptions {
         total_bytes: 2 * 1024 * 1024,
-        reintegrate: true,
         ..ChaosOptions::default()
     };
     let schedule: FaultSchedule = "@300 crash primary; @1200 reboot primary; @2000 crash backup"
@@ -363,13 +398,9 @@ fn reintegrated_pair_survives_second_crash() {
 /// snapshot transfer must never break output commit or digest lockstep.
 #[test]
 fn reintegrate_sweep_is_deterministic_and_clean() {
-    let opts = ChaosOptions {
-        reintegrate: true,
-        ..ChaosOptions::quick()
-    };
-    let (violated, _) = sweep_report(Flavour::Reintegrate, &opts, 1);
+    let (violated, _) = sweep_report(Flavour::Reintegrate, &quick(), 1);
     assert!(violated.is_empty(), "reintegrate sweep hit {violated:?}");
-    assert_thread_invariant(Flavour::Reintegrate, &opts);
+    assert_thread_invariant(Flavour::Reintegrate, &quick());
 }
 
 /// Delta heartbeats are a wire optimisation, not a behaviour change.
@@ -453,7 +484,7 @@ fn app_lag_bound_is_charged_from_the_first_delivered_byte() {
             matches!(
                 e,
                 StTcpEvent::PeerDeclaredFailed {
-                    reason: sttcp::events::FailureReason::AppLagTime,
+                    reason: FailureReason::AppLagTime,
                     ..
                 }
             )
@@ -462,6 +493,36 @@ fn app_lag_bound_is_charged_from_the_first_delivered_byte() {
     assert!(lag_verdict, "seed 24 no longer ends in an app-lag verdict");
     assert_eq!(summary.bound_checked, 1);
     assert!(summary.bound_violations.is_empty());
+}
+
+/// One sweep seed of `flavour` ends in a `reason` verdict whose
+/// detection stays within the bound `--enforce-bounds` checks.
+fn assert_verdict_within_bound(flavour: Flavour, quick: bool, seed: u64, reason: FailureReason) {
+    let cfg = SweepConfig {
+        seeds: 1,
+        start: seed,
+        quick,
+        flavour,
+        threads: 1,
+    };
+    let opts = match quick {
+        true => ChaosOptions::quick(),
+        false => ChaosOptions::default(),
+    };
+    let mut verdict = false;
+    let summary = run_sweep(&cfg, &opts, |case| {
+        verdict = (case.report.member_events.iter().flatten())
+            .any(|e| matches!(e, StTcpEvent::PeerDeclaredFailed { reason: r, .. } if *r == reason));
+    });
+    assert!(
+        verdict,
+        "seed {seed} no longer ends in a {reason:?} verdict"
+    );
+    assert_eq!(summary.bound_checked, 1);
+    assert!(
+        summary.bound_violations.is_empty(),
+        "seed {seed} exceeds its bound"
+    );
 }
 
 /// The nightly `--seeds 2000 --double --enforce-bounds` soak was red on
@@ -473,43 +534,23 @@ fn app_lag_bound_is_charged_from_the_first_delivered_byte() {
 /// a ping of its own to succeed — 2 981 / 2 665 ms against a 2 400 ms
 /// bound. The detector's clock now starts one ping interval per budgeted
 /// frame after the fault.
-fn assert_ping_verdict_within_bound(seed: u64) {
-    let cfg = SweepConfig {
-        seeds: 1,
-        start: seed,
-        quick: false,
-        flavour: Flavour::Double,
-        threads: 1,
-    };
-    let mut ping_verdict = false;
-    let summary = run_sweep(&cfg, &ChaosOptions::default(), |case| {
-        use sttcp::events::FailureReason::NetPingFail;
-        ping_verdict = (case.report.member_events.iter().flatten()).any(|e| {
-            matches!(
-                e,
-                StTcpEvent::PeerDeclaredFailed {
-                    reason: NetPingFail,
-                    ..
-                }
-            )
-        });
-    });
-    assert!(ping_verdict, "seed {seed} no longer ends in a ping verdict");
-    assert_eq!(summary.bound_checked, 1);
-    assert!(
-        summary.bound_violations.is_empty(),
-        "seed {seed} exceeds its bound"
-    );
-}
-
 #[test]
 fn ping_bound_waits_out_a_client_corruption_budget_1481() {
-    assert_ping_verdict_within_bound(1481);
+    assert_verdict_within_bound(Flavour::Double, false, 1481, FailureReason::NetPingFail);
 }
 
 #[test]
 fn ping_bound_waits_out_a_client_corruption_budget_1563() {
-    assert_ping_verdict_within_bound(1563);
+    assert_verdict_within_bound(Flavour::Double, false, 1563, FailureReason::NetPingFail);
+}
+
+/// Quick `--reintegrate` seed 1582 reboots the primary 315 ms after its
+/// crash. Starved of stale-frame credit, row 1 fired 851.1 ms after the
+/// reboot against an 850 ms bound; the demotion fires it on the next tick.
+#[test]
+fn a_reboot_before_detection_is_condemned_within_the_bound_1582() {
+    let reason = FailureReason::HbBothLinksDown;
+    assert_verdict_within_bound(Flavour::Reintegrate, true, 1582, reason);
 }
 
 /// Batched heartbeat envelopes (v3 multi-part frames) are a framing

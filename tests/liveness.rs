@@ -184,10 +184,7 @@ fn a_serial_repair_3_ms_either_side_of_the_deadline_decides_the_fence() {
 /// would have left it to.
 #[test]
 fn a_warm_rebooted_joiner_re_arms_from_a_void_record() {
-    let opts = ChaosOptions {
-        reintegrate: true,
-        ..ChaosOptions::default()
-    };
+    let opts = ChaosOptions::default();
     let schedule: FaultSchedule =
         "@138 serial-fail; @601 crash primary; @1231 reboot primary; @2510 crash backup"
             .parse()

@@ -14,7 +14,6 @@
 use std::rc::Rc;
 
 use simnet::time::SimTime;
-use sttcp::config::StTcpConfig;
 use sttcp::events::StTcpEvent;
 use sttcp::invariant::Outcome;
 use sttcp_apps::apps::StreamApp;
@@ -42,9 +41,9 @@ fn pool_sweep(seeds: u64, threads: usize) -> SweepConfig {
     }
 }
 
-/// Builds an `n`-member pool serving a small verified download, with
-/// re-integration on — the same profile `run_chaos_case` gives a pool,
-/// minus the fixed replica count.
+/// Builds an `n`-member pool serving a small verified download — the
+/// same profile `run_chaos_case` gives a pool, minus the fixed replica
+/// count.
 fn pool_of(n: usize, seed: u64) -> Scenario {
     ScenarioBuilder::new(
         Rc::new(|| Box::new(StreamApp::new(4096, false)) as _),
@@ -52,10 +51,7 @@ fn pool_of(n: usize, seed: u64) -> Scenario {
     )
     .seed(seed)
     .pool(n)
-    .sttcp(StTcpConfig {
-        reintegrate: true,
-        ..chaos_config()
-    })
+    .sttcp(chaos_config())
     .build()
 }
 
@@ -205,7 +201,7 @@ fn simultaneous_candidates_resolve_by_rank() {
 }
 
 /// A fenced ex-active that warm-reboots must never emit a client-visible
-/// segment before it has rejoined: it comes back cold, stays suppressed
+/// segment before it has rejoined: it comes back suppressed, stays so
 /// through re-integration, and serves again only as a ranked-back
 /// standby. The client's single unbroken connection is the proof.
 #[test]
