@@ -17,13 +17,14 @@ use simnet::frame::EthernetFrame;
 use simnet::ip::IpProto;
 use simnet::iplayer::IpInterface;
 use simnet::node::{NicId, Node, NodeCtx, TimerToken};
-use simnet::time::{SimDuration, SimTime};
+use simnet::time::SimTime;
 
 use simtcp::conn::TcpConfig;
 use simtcp::endpoint::{EndpointConfig, IsnPolicy, ListenConfig, RstPolicy, TcpEndpoint};
 use simtcp::socket::{SocketEvent, SocketId};
 
 use sttcp::app::{AppAction, AppFactory, Application};
+use sttcp::config::APP_TICK;
 
 const TOKEN_TCP: TimerToken = TimerToken(1);
 const TOKEN_APP_TICK: TimerToken = TimerToken(2);
@@ -35,8 +36,6 @@ pub struct PlainServerConfig {
     pub port: u16,
     /// TCP tuning, shared with the endpoint and its connections.
     pub tcp: Rc<TcpConfig>,
-    /// Application tick period.
-    pub app_tick: SimDuration,
     /// RNG seed (ISNs).
     pub seed: u64,
 }
@@ -46,7 +45,6 @@ impl Default for PlainServerConfig {
         PlainServerConfig {
             port: 80,
             tcp: Rc::default(),
-            app_tick: SimDuration::from_millis(10),
             seed: 0,
         }
     }
@@ -236,7 +234,7 @@ impl Node for PlainServer {
                 ..Default::default()
             },
         );
-        ctx.set_timer(self.cfg.app_tick, TOKEN_APP_TICK);
+        ctx.set_timer(APP_TICK, TOKEN_APP_TICK);
     }
 
     fn on_frame(&mut self, ctx: &mut NodeCtx<'_>, _nic: NicId, frame: EthernetFrame) {
@@ -273,7 +271,7 @@ impl Node for PlainServer {
                     };
                     self.apply_actions(now, sock, actions);
                 }
-                ctx.set_timer(self.cfg.app_tick, TOKEN_APP_TICK);
+                ctx.set_timer(APP_TICK, TOKEN_APP_TICK);
             }
             _ => {}
         }

@@ -10,16 +10,19 @@
 //! [`ScenarioBuilder::pool`] widens the same figure to an N-replica
 //! standby pool: every member aliases the service IP and taps the
 //! client's multicast frames, and a null-modem cable joins every pair of
-//! members. The pair is that pool's two-member case with the paper's
-//! own wiring (peer fields, one cable, single-shot STONITH); either way
-//! [`Scenario`] lists the replicas in rank order, so fault injection and
-//! observation address a pair and a pool through the same fields.
+//! members. One builder wires both: the pair is the two-member case,
+//! with the paper's own protocol (its parallel heartbeat cables,
+//! single-shot STONITH); either way every server lists the others as
+//! peers and [`Scenario`] lists the replicas in rank order, so fault
+//! injection and observation address a pair and a pool through the same
+//! fields.
 //!
 //! Builders also exist for the two baselines the paper compares against:
 //! a plain single server ("ST-TCP disabled", Demo 3) and a plain primary
 //! plus a plain hot standby that requires a client reconnect (Demo 1's
 //! contrast).
 
+use std::borrow::Cow;
 use std::net::Ipv4Addr;
 use std::rc::Rc;
 
@@ -214,14 +217,70 @@ impl ScenarioBuilder {
         self
     }
 
-    /// The client (gateway) host: the service IP resolves to the
-    /// multicast EA — the tap — and every server's private address to
-    /// its own MAC, in rank order.
-    fn gateway_client(&self, servers: impl IntoIterator<Item = (Ipv4Addr, MacAddr)>) -> TcpClient {
+    /// Member `i` of `n`, knowing every other member as a peer: a pool
+    /// ranks its members, the pair's both carry rank 0.
+    fn member(&self, i: usize, n: usize, pool: bool) -> StTcpServer {
         let a = self.addressing;
+        let rank = |j: usize| if pool { j as u8 } else { 0 };
+        let (ip, mac) = member_addr(i);
+        let mut iface = IpInterface::new(NicId(0), mac, ip);
+        iface.add_alias(a.service_ip);
+        iface.add_arp(a.client_ip, a.client_mac);
+        let others = (0..n).filter(|&j| j != i);
+        for j in others.clone() {
+            let (ip, mac) = member_addr(j);
+            iface.add_arp(ip, mac);
+        }
+        let peers = others.map(|j| PoolPeer {
+            rank: rank(j),
+            ip: member_addr(j).0,
+            node: member_node(j),
+        });
+        let salt = match pool {
+            true => 0x9f1a + i as u64,
+            false => [0x9f1a, 0xbac0][i],
+        };
+        let setup = ServerSetup {
+            role: if i == 0 { Role::Primary } else { Role::Backup },
+            sttcp: self.sttcp.clone(),
+            tcp: TcpConfig::clone(&self.tcp),
+            service_ip: a.service_ip,
+            service_port: a.service_port,
+            private_ip: ip,
+            gateway_ip: a.client_ip,
+            isn_salt: 0x5757_5757 ^ self.seed,
+            seed: self.seed ^ salt,
+            rank: rank(i),
+            peers: peers.collect(),
+            pool,
+        };
+        let app = self.app.clone();
+        StTcpServer::new(setup, iface, Box::new(move || app()))
+    }
+
+    /// Wires the world and starts it: the client (the gateway), the `n`
+    /// members in rank order (`member_addr`), then any extra clients,
+    /// one switch, and the cables between every two members in
+    /// `(i, j), i < j` order.
+    pub fn build(self) -> Scenario {
+        let a = self.addressing;
+        let (n, pool) = match self.topology {
+            Topology::Pair => (2, false),
+            Topology::Pool(n) => (n, true),
+        };
+        assert!(
+            !pool || self.serial_links == 1,
+            "a pool world has one cable per member pair"
+        );
+        let mut world = World::new(self.seed);
+        let client_id = NodeId(0);
+
+        // --- the client: the service IP resolves to the multicast EA —
+        // the tap — and every server's private address to its own MAC ---
         let mut iface = IpInterface::new(NicId(0), a.client_mac, a.client_ip);
         iface.add_arp(a.service_ip, a.multi_ea);
-        for (ip, mac) in servers {
+        for i in 0..n {
+            let (ip, mac) = member_addr(i);
             iface.add_arp(ip, mac);
         }
         let cfg = ClientConfig {
@@ -233,72 +292,17 @@ impl ScenarioBuilder {
             tcp: self.tcp.clone(),
             seed: self.seed ^ 0xc11e,
         };
-        TcpClient::new(cfg, iface)
-    }
-
-    /// Wires the world and starts it.
-    pub fn build(self) -> Scenario {
-        if let Topology::Pool(n) = self.topology {
-            return self.build_pool(n);
-        }
-        let a = self.addressing;
-        let mut world = World::new(self.seed);
-
-        // Node ids are assigned densely in add order; the ServerSetups
-        // need them for STONITH, so fix the order up front.
-        let client_id = NodeId(0);
-        let primary_id = NodeId(1);
-        let backup_id = NodeId(2);
-
-        let client =
-            self.gateway_client([(a.primary_ip, a.primary_mac), (a.backup_ip, a.backup_mac)]);
-
-        // --- servers ---
-        let mk_server = |role: Role, my_ip, my_mac, peer_ip, peer_mac, peer_node, seed| {
-            let mut iface = IpInterface::new(NicId(0), my_mac, my_ip);
-            iface.add_alias(a.service_ip);
-            iface.add_arp(a.client_ip, a.client_mac);
-            iface.add_arp(peer_ip, peer_mac);
-            let setup = ServerSetup {
-                role,
-                sttcp: self.sttcp.clone(),
-                tcp: TcpConfig::clone(&self.tcp),
-                service_ip: a.service_ip,
-                service_port: a.service_port,
-                private_ip: my_ip,
-                peer_private_ip: peer_ip,
-                peer_node,
-                gateway_ip: a.client_ip,
-                isn_salt: 0x5757_5757 ^ self.seed,
-                seed,
-                rank: 0,
-                pool: Vec::new(),
-            };
-            let app = self.app.clone();
-            StTcpServer::new(setup, iface, Box::new(move || app()))
-        };
-        let primary = mk_server(
-            Role::Primary,
-            a.primary_ip,
-            a.primary_mac,
-            a.backup_ip,
-            a.backup_mac,
-            backup_id,
-            self.seed ^ 0x9f1a,
-        );
-        let backup = mk_server(
-            Role::Backup,
-            a.backup_ip,
-            a.backup_mac,
-            a.primary_ip,
-            a.primary_mac,
-            primary_id,
-            self.seed ^ 0xbac0,
-        );
-
+        let client = TcpClient::new(cfg, iface);
         assert_eq!(world.add_node("client", Box::new(client)), client_id);
-        assert_eq!(world.add_node("primary", Box::new(primary)), primary_id);
-        assert_eq!(world.add_node("backup", Box::new(backup)), backup_id);
+
+        for i in 0..n {
+            let name: Cow<str> = match pool {
+                true => format!("pool{i}").into(),
+                false => ["primary", "backup"][i].into(),
+            };
+            let node = Box::new(self.member(i, n, pool));
+            assert_eq!(world.add_node(&name, node), member_node(i));
+        }
 
         // Extra client hosts at 10.(i/60000).(1+(i%60000)/240).(10+i%240):
         // a fresh third octet every 240 hosts keeps clients clear of the
@@ -340,197 +344,105 @@ impl ScenarioBuilder {
             extra_macs.push((id, mac, ip));
         }
         // Servers must be able to answer every client (static ARP).
-        for (_, mac, ip) in &extra_macs {
-            for sid in [primary_id, backup_id] {
+        for &(_, client_mac, client_ip) in &extra_macs {
+            for i in 0..n {
                 // The interface lives inside the server; patching ARP after
                 // construction needs a setter.
                 world
-                    .node_mut::<StTcpServer>(sid)
+                    .node_mut::<StTcpServer>(member_node(i))
                     .expect("server type")
-                    .add_arp(*ip, *mac);
+                    .add_arp(client_ip, client_mac);
             }
         }
 
+        // --- switch fabric: the client, the members, the extra clients ---
         let cn = world.add_nic(client_id, a.client_mac);
-        let pn = world.add_nic(primary_id, a.primary_mac);
-        let bn = world.add_nic(backup_id, a.backup_mac);
-        let switch = world.add_switch(3 + extra_macs.len());
+        let nics: Vec<_> = (0..n)
+            .map(|i| world.add_nic(member_node(i), member_addr(i).1))
+            .collect();
+        let switch = world.add_switch(1 + n + extra_macs.len());
         let link_client = world.connect_to_switch(client_id, cn, switch, 0, self.link);
-        let link_primary = world.connect_to_switch(primary_id, pn, switch, 1, self.link);
-        let link_backup = world.connect_to_switch(backup_id, bn, switch, 2, self.link);
+        let server_links: Vec<LinkId> = (0..n)
+            .map(|i| world.connect_to_switch(member_node(i), nics[i], switch, 1 + i, self.link))
+            .collect();
         for (port_off, (id, mac, _)) in extra_macs.iter().enumerate() {
             let nic = world.add_nic(*id, *mac);
-            world.connect_to_switch(*id, nic, switch, 3 + port_off, self.link);
+            world.connect_to_switch(*id, nic, switch, 1 + n + port_off, self.link);
         }
         // The tap group: client frames to the service multicast EA reach
-        // exactly the two server ports (IGMP-snooping membership) instead
-        // of flooding to every client port — same tap semantics, O(1)
-        // per frame regardless of client count.
-        world.join_multicast(switch, a.multi_ea, 1);
-        world.join_multicast(switch, a.multi_ea, 2);
-        let (serial, sp_primary, sp_backup) =
-            world.connect_serial(primary_id, backup_id, self.serial);
-        world
-            .node_mut::<StTcpServer>(primary_id)
-            .expect("primary type")
-            .set_serial_port(sp_primary);
-        world
-            .node_mut::<StTcpServer>(backup_id)
-            .expect("backup type")
-            .set_serial_port(sp_backup);
-        let mut serials = vec![serial];
-        for _ in 1..self.serial_links {
-            let (extra, spp, spb) = world.connect_serial(primary_id, backup_id, self.serial);
-            serials.push(extra);
-            world
-                .node_mut::<StTcpServer>(primary_id)
-                .expect("primary type")
-                .add_serial_link(spp);
-            world
-                .node_mut::<StTcpServer>(backup_id)
-                .expect("backup type")
-                .add_serial_link(spb);
+        // exactly the server ports (IGMP-snooping membership), in rank
+        // order, instead of flooding to every client port — same tap
+        // semantics, O(1) per frame regardless of client count.
+        for i in 0..n {
+            world.join_multicast(switch, a.multi_ea, 1 + i);
+        }
+
+        // --- cables: the pair's parallel heartbeat links, or a pool's
+        // one per member pair ---
+        let mut serials = Vec::new();
+        for i in 0..n {
+            for j in (i + 1)..n {
+                for _ in 0..self.serial_links {
+                    let (sid, port_i, port_j) =
+                        world.connect_serial(member_node(i), member_node(j), self.serial);
+                    let (ip_i, ip_j) = (member_addr(i).0, member_addr(j).0);
+                    for (me, port, to) in [(i, port_i, ip_j), (j, port_j, ip_i)] {
+                        world
+                            .node_mut::<StTcpServer>(member_node(me))
+                            .expect("server type")
+                            .add_serial_link(port, to);
+                    }
+                    serials.push(sid);
+                }
+            }
         }
 
         // Profiler attribution: client hosts are application load, the
-        // servers are the ST-TCP protocol machinery.
+        // servers are the protocol machinery (the pair's, or the pool's).
         for &id in &clients {
             world.set_node_component(id, Component::App);
         }
-        world.set_node_component(primary_id, Component::Sttcp);
-        world.set_node_component(backup_id, Component::Sttcp);
+        let machinery = match pool {
+            true => Component::Pool,
+            false => Component::Sttcp,
+        };
+        for i in 0..n {
+            world.set_node_component(member_node(i), machinery);
+        }
 
         world.start();
         Scenario {
             world,
             client: client_id,
             clients,
-            primary: primary_id,
-            backup: backup_id,
-            switch,
-            link_client,
-            link_primary,
-            link_backup,
-            serial,
-            servers: vec![primary_id, backup_id],
-            server_links: vec![link_primary, link_backup],
-            serials,
-            addressing: a,
-        }
-    }
-
-    /// The pool world: one client, `n` members in rank order, a serial
-    /// cable per pair of members in `(i, j), i < j` order.
-    fn build_pool(self, n: usize) -> Scenario {
-        assert!(
-            self.extra_clients.is_empty() && self.serial_links == 1,
-            "a pool world has one client and one cable per member pair"
-        );
-        let a = self.addressing;
-        let mut world = World::new(self.seed);
-
-        let ips: Vec<Ipv4Addr> = (0..n)
-            .map(|i| Ipv4Addr::new(10, 0, 0, 2 + i as u8))
-            .collect();
-        let macs: Vec<MacAddr> = (0..n).map(|i| MacAddr::unicast(2 + i as u32)).collect();
-        let client_id = NodeId(0);
-        let servers: Vec<NodeId> = (0..n).map(|i| NodeId(1 + i)).collect();
-
-        let client = self.gateway_client(ips.iter().copied().zip(macs.iter().copied()));
-        assert_eq!(world.add_node("client", Box::new(client)), client_id);
-
-        // --- pool members, rank i at 10.0.0.(2+i) ---
-        for i in 0..n {
-            let mut iface = IpInterface::new(NicId(0), macs[i], ips[i]);
-            iface.add_alias(a.service_ip);
-            iface.add_arp(a.client_ip, a.client_mac);
-            for j in (0..n).filter(|&j| j != i) {
-                iface.add_arp(ips[j], macs[j]);
-            }
-            let pool: Vec<PoolPeer> = (0..n)
-                .filter(|&j| j != i)
-                .map(|j| PoolPeer {
-                    rank: j as u8,
-                    ip: ips[j],
-                    node: servers[j],
-                })
-                .collect();
-            // Pair-mode peer fields are unused in pool mode but must
-            // point at a real member; use the neighbour.
-            let peer = if i == 0 { 1 } else { 0 };
-            let setup = ServerSetup {
-                role: if i == 0 { Role::Primary } else { Role::Backup },
-                sttcp: self.sttcp.clone(),
-                tcp: TcpConfig::clone(&self.tcp),
-                service_ip: a.service_ip,
-                service_port: a.service_port,
-                private_ip: ips[i],
-                peer_private_ip: ips[peer],
-                peer_node: servers[peer],
-                gateway_ip: a.client_ip,
-                isn_salt: 0x5757_5757 ^ self.seed,
-                seed: self.seed ^ (0x9f1a + i as u64),
-                rank: i as u8,
-                pool,
-            };
-            let app = self.app.clone();
-            let server = StTcpServer::new(setup, iface, Box::new(move || app()));
-            let name = format!("pool{i}");
-            assert_eq!(world.add_node(&name, Box::new(server)), servers[i]);
-        }
-
-        // --- switch fabric ---
-        let cn = world.add_nic(client_id, a.client_mac);
-        let nics: Vec<_> = (0..n).map(|i| world.add_nic(servers[i], macs[i])).collect();
-        let switch = world.add_switch(1 + n);
-        let link_client = world.connect_to_switch(client_id, cn, switch, 0, self.link);
-        let server_links: Vec<LinkId> = (0..n)
-            .map(|i| world.connect_to_switch(servers[i], nics[i], switch, 1 + i, self.link))
-            .collect();
-
-        // --- pairwise null-modem mesh ---
-        let mut serials = Vec::new();
-        for i in 0..n {
-            for j in (i + 1)..n {
-                let (sid, port_i, port_j) =
-                    world.connect_serial(servers[i], servers[j], self.serial);
-                world
-                    .node_mut::<StTcpServer>(servers[i])
-                    .expect("server type")
-                    .add_pool_serial(port_i, ips[j]);
-                world
-                    .node_mut::<StTcpServer>(servers[j])
-                    .expect("server type")
-                    .add_pool_serial(port_j, ips[i]);
-                serials.push(sid);
-            }
-        }
-
-        // Profiler attribution: client is application load, members are
-        // the pool protocol machinery.
-        world.set_node_component(client_id, Component::App);
-        for &sid in &servers {
-            world.set_node_component(sid, Component::Pool);
-        }
-
-        world.start();
-        Scenario {
-            world,
-            client: client_id,
-            clients: vec![client_id],
-            primary: servers[0],
-            backup: servers[1],
+            primary: member_node(0),
+            backup: member_node(1),
             switch,
             link_client,
             link_primary: server_links[0],
             link_backup: server_links[1],
             serial: serials[0],
-            servers,
+            servers: (0..n).map(member_node).collect(),
             server_links,
             serials,
             addressing: a,
         }
     }
+}
+
+/// Member `i`'s private address and MAC: rank `i` at `10.0.0.(2+i)`, so
+/// the pair's primary and backup are ranks 0 and 1 of the one plan.
+fn member_addr(i: usize) -> (Ipv4Addr, MacAddr) {
+    (
+        Ipv4Addr::new(10, 0, 0, 2 + i as u8),
+        MacAddr::unicast(2 + i as u32),
+    )
+}
+
+/// Member `i`'s node: ids are dense in add order, the client first, and
+/// a `ServerSetup` names its peers' for STONITH before any is added.
+fn member_node(i: usize) -> NodeId {
+    NodeId(1 + i)
 }
 
 /// A fully wired, started ST-TCP world: the pair, or (built with
@@ -796,7 +708,6 @@ pub fn build_baseline(
         port: a.service_port,
         tcp: tcp.clone(),
         seed: seed ^ 0x9147,
-        ..Default::default()
     };
     let app2 = app.clone();
     let primary_id = world.add_node(
@@ -815,7 +726,6 @@ pub fn build_baseline(
             port: a.service_port,
             tcp: tcp.clone(),
             seed: seed ^ 0x57b1,
-            ..Default::default()
         };
         let app3 = app.clone();
         world.add_node(

@@ -14,7 +14,7 @@ use obs::timeline::{Phase, PhaseBreakdown, PhaseMark, Timeline};
 
 use simnet::time::{SimDuration, SimTime};
 
-use sttcp::config::{StTcpConfig, PING_INTERVAL};
+use sttcp::config::{StTcpConfig, PING_FAIL_THRESHOLD, PING_INTERVAL};
 use sttcp::events::{FailureReason, StTcpEvent};
 
 use crate::report::Table;
@@ -129,7 +129,7 @@ pub fn detection_bound(cfg: &StTcpConfig, reason: FailureReason) -> Option<SimDu
         // Row 4 verdicts need the IP heartbeat declared dead first, then
         // whichever network-failure evidence accumulates slowest.
         let lag = cfg.net_lag_time + cfg.effective_lag_confirm();
-        let pings = PING_INTERVAL * u64::from(cfg.ping_fail_threshold);
+        let pings = PING_INTERVAL * u64::from(PING_FAIL_THRESHOLD);
         cfg.hb_timeout() + lag.max(pings)
     };
     let (base, slack) = match reason {

@@ -39,7 +39,7 @@ pub trait Application: 'static {
     /// ([`EchoApp`]) clones the handle, not the bytes.
     fn on_data(&mut self, data: &Bytes) -> Vec<AppAction>;
 
-    /// Called periodically (the server's `app_tick`); used by paced
+    /// Called every [`crate::config::APP_TICK`]; used by paced
     /// streaming applications. Output *content* must remain a
     /// deterministic function of the input stream.
     fn on_tick(&mut self, now: SimTime) -> Vec<AppAction> {

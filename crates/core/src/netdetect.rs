@@ -26,6 +26,7 @@
 use simnet::time::{SimDuration, SimTime};
 
 use crate::applag::LagTrack;
+use crate::config::PING_FAIL_THRESHOLD;
 use crate::events::FailureReason;
 use crate::heartbeat::PingReport;
 
@@ -53,26 +54,18 @@ pub struct NetFailureDetector {
     lag_bytes: u64,
     lag_time: SimDuration,
     confirm: SimDuration,
-    ping_fail_threshold: u32,
     byte_lag: LagTrack,
     ack_lag: LagTrack,
 }
 
 impl NetFailureDetector {
-    /// Creates a detector with the byte/time lag thresholds, the
-    /// staleness-confirmation window (must exceed the heartbeat period),
-    /// and the consecutive-ping-failure threshold.
-    pub fn new(
-        lag_bytes: u64,
-        lag_time: SimDuration,
-        confirm: SimDuration,
-        ping_fail_threshold: u32,
-    ) -> Self {
+    /// Creates a detector with the byte/time lag thresholds and the
+    /// staleness-confirmation window (must exceed the heartbeat period).
+    pub fn new(lag_bytes: u64, lag_time: SimDuration, confirm: SimDuration) -> Self {
         NetFailureDetector {
             lag_bytes,
             lag_time,
             confirm,
-            ping_fail_threshold,
             byte_lag: LagTrack::default(),
             ack_lag: LagTrack::default(),
         }
@@ -98,7 +91,7 @@ impl NetFailureDetector {
             return Some(FailureReason::NetAckLag);
         }
         if let (Some(mine), Some(peers)) = (obs.my_ping, obs.peer_ping) {
-            if peers.consecutive_failures >= self.ping_fail_threshold
+            if peers.consecutive_failures >= PING_FAIL_THRESHOLD
                 && mine.consecutive_failures == 0
                 && mine.attempts > 0
             {
@@ -129,7 +122,6 @@ mod tests {
             1_000,
             SimDuration::from_millis(500),
             SimDuration::from_millis(200),
-            3,
         )
     }
 

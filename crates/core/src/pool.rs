@@ -19,20 +19,23 @@
 //! The state here is bookkeeping only — the protocol driving it (fence
 //! rounds, votes, commits, takeover, re-integration with rank
 //! reassignment) lives in [`crate::server`], wired into the heartbeat
-//! and control channels.
+//! and control channels. The member table is both topologies' model of
+//! the other servers — the pair keeps its one peer in it too — while
+//! [`PoolState`] is only the pool's round state.
 
 use std::collections::{BTreeMap, BTreeSet};
 use std::net::Ipv4Addr;
 
-use simnet::node::{NodeId, SerialPortId};
+use simnet::node::NodeId;
 use simnet::time::SimTime;
 
 use crate::config::{Role, StTcpConfig};
 use crate::heartbeat::{unwrap_u32_near, ConnHb};
-use crate::linkmon::{HbSource, LinkMonitor};
+use crate::linkmon::HbSource;
 
-/// Static description of one *other* pool member, as wired by the
-/// topology builder into [`crate::server::ServerSetup::pool`].
+/// Static description of one *other* member — the pair's one peer or
+/// a pool member — as wired by the topology builder into
+/// [`crate::server::ServerSetup::peers`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct PoolPeer {
     /// The member's static rank (0 = initially active). Unique per pool.
@@ -88,12 +91,13 @@ impl PeerConn {
     }
 }
 
-/// Everything this server tracks about one other pool member.
+/// Everything this server tracks about one other member: the pair's
+/// one peer, or one pool member.
 #[derive(Debug)]
 pub(crate) struct MemberState {
     /// The member's current rank. Static until the member is fenced and
     /// rejoins, at which point its heartbeats announce the fresh rank the
-    /// active assigned it.
+    /// active assigned it. (Pool only: the pair never reads it.)
     pub(crate) rank: u8,
     /// The member's node id, for STONITH.
     pub(crate) node: NodeId,
@@ -101,13 +105,12 @@ pub(crate) struct MemberState {
     /// for this member: a `defunct` member is condemnable although heard,
     /// so the takeover is not deadlocked by the resurrection.
     pub(crate) hb: HbSource,
-    /// The local serial port wired to this member, if any.
-    pub(crate) serial_port: Option<SerialPortId>,
     /// The member has been fenced (quorum-confirmed dead + STONITHed).
     /// Everything it says under its old rank is ignored until it rejoins
-    /// under a fresh one.
+    /// under a fresh one. (The pair never fences.)
     pub(crate) fenced: bool,
-    /// The member's per-connection positions from its heartbeats.
+    /// The member's per-connection positions from its heartbeats. Pool
+    /// only: the pair's one peer reports into the connection table.
     pub(crate) conns: BTreeMap<u32, PeerConn>,
 }
 
@@ -145,6 +148,66 @@ impl MemberState {
         self.fenced = false;
         self.conns.clear();
     }
+
+    /// The pool's rank-incarnation rule, on a heartbeat announcing
+    /// `rank`: false for the fenced incarnation, nothing of which counts
+    /// until it rejoins under a fresh rank. Ranks change only at rejoin,
+    /// so any other change is a new incarnation — welcomed back as a
+    /// backup even without a fence (it rebooted faster than anyone could
+    /// condemn it).
+    pub(crate) fn admit(&mut self, rank: u8, now: SimTime) -> bool {
+        if self.fenced && rank == self.rank {
+            return false;
+        }
+        if self.fenced || rank != self.rank {
+            self.reset_for_rejoin(now);
+        }
+        self.rank = rank;
+        true
+    }
+}
+
+/// Every other member by private address — the pair's one peer, or the
+/// rest of the pool — iterated in address order. Boxed: a B-tree node
+/// holds eleven entries, and eleven inline members make a 2 KB node
+/// whose allocation cost each server's construction ~90 ns (a third).
+pub(crate) type Members = BTreeMap<Ipv4Addr, Box<MemberState>>;
+
+/// The member table at boot: every member presumed alive (grace period
+/// from fresh monitors anchored at `now`).
+pub(crate) fn member_table(peers: &[PoolPeer], cfg: &StTcpConfig, now: SimTime) -> Members {
+    let mut members = Members::new();
+    for p in peers {
+        let member = MemberState {
+            rank: p.rank,
+            node: p.node,
+            hb: HbSource::new(cfg, now),
+            fenced: false,
+            conns: BTreeMap::new(),
+        };
+        members.insert(p.ip, Box::new(member));
+    }
+    members
+}
+
+/// Members not yet fenced with at least one fresh heartbeat link.
+pub(crate) fn live_non_fenced(members: &Members, now: SimTime) -> usize {
+    members
+        .values()
+        .filter(|m| !m.fenced && m.alive(now))
+        .count()
+}
+
+/// Votes needed to fence `target_rank`: a majority of the current
+/// membership (me plus every non-fenced member other than the target).
+/// In the degenerate two-member pool this is 1 — the initiator's own
+/// vote, i.e. classic single-shot STONITH.
+pub(crate) fn quorum_needed(members: &Members, target_rank: u8) -> usize {
+    let electorate = 1 + members
+        .values()
+        .filter(|m| !m.fenced && m.rank != target_rank)
+        .count();
+    electorate / 2 + 1
 }
 
 /// One in-flight fence round this server is initiating.
@@ -160,14 +223,13 @@ pub(crate) struct FenceRound {
     pub(crate) votes: BTreeSet<u8>,
 }
 
-/// Pool-mode state carried by [`crate::server::StTcpServer`]; `None` in
-/// pair mode.
+/// The pool's round state carried by [`crate::server::StTcpServer`]
+/// (`None` in pair mode); the members themselves are the one table
+/// both topologies keep.
 #[derive(Debug)]
 pub(crate) struct PoolState {
     /// This server's current rank (reassigned on rejoin via `JoinDone`).
     pub(crate) my_rank: u8,
-    /// Every other pool member, keyed by private address.
-    pub(crate) members: BTreeMap<Ipv4Addr, MemberState>,
     /// The rank of the member currently believed active (0 at start;
     /// updated from `Primary`-role heartbeats and at own takeover).
     pub(crate) active_rank: u8,
@@ -186,71 +248,29 @@ pub(crate) struct PoolState {
 }
 
 impl PoolState {
-    /// Builds the pool view at boot: all members presumed alive (grace
-    /// period from fresh monitors anchored at `now`), rank 0 active,
-    /// each member reached through the local serial port `wiring` gives
-    /// it, if any.
-    pub(crate) fn new(
-        my_rank: u8,
-        peers: &[PoolPeer],
-        wiring: &BTreeMap<SerialPortId, Ipv4Addr>,
-        cfg: &StTcpConfig,
-        now: SimTime,
-    ) -> PoolState {
-        let mut members: BTreeMap<Ipv4Addr, MemberState> = peers
-            .iter()
-            .map(|p| {
-                (
-                    p.ip,
-                    MemberState {
-                        rank: p.rank,
-                        node: p.node,
-                        hb: HbSource::new(cfg, now),
-                        serial_port: None,
-                        fenced: false,
-                        conns: BTreeMap::new(),
-                    },
-                )
-            })
-            .collect();
-        for (&port, ip) in wiring {
-            if let Some(m) = members.get_mut(ip) {
-                m.serial_port = Some(port);
-            }
-        }
-        let next_rank = peers
-            .iter()
-            .map(|p| p.rank)
-            .chain(std::iter::once(my_rank))
-            .max()
-            .unwrap_or(0)
-            .wrapping_add(1);
+    /// The round state at boot: rank 0 active, no round open.
+    pub(crate) fn new(my_rank: u8, peers: &[PoolPeer]) -> PoolState {
+        let top = peers.iter().map(|p| p.rank).fold(my_rank, u8::max);
         PoolState {
             my_rank,
-            members,
             active_rank: 0,
             fence: None,
             epoch: 0,
-            next_rank,
+            next_rank: top.wrapping_add(1),
             last_session_served: None,
         }
-    }
-
-    /// Both link monitors of every member not yet fenced: whose silence
-    /// the server's liveness timer is kept on.
-    pub(crate) fn monitors(&self) -> impl Iterator<Item = &LinkMonitor> {
-        self.members
-            .values()
-            .filter(|m| !m.fenced)
-            .flat_map(|m| [&m.hb.ip_mon, &m.hb.serial_mon])
     }
 
     /// The member a server in `role` should open a fence round against
     /// at `now`, if any: an unfenced member whose silence is overdue —
     /// and this server the one entitled to condemn it.
-    pub(crate) fn fence_target(&self, now: SimTime, role: Role) -> Option<(Ipv4Addr, u8)> {
-        let overdue = self
-            .members
+    pub(crate) fn fence_target(
+        &self,
+        members: &Members,
+        now: SimTime,
+        role: Role,
+    ) -> Option<(Ipv4Addr, u8)> {
+        let overdue = members
             .iter()
             .filter(|(_, m)| !m.fenced && m.overdue(now))
             .map(|(&ip, m)| (ip, m.rank));
@@ -265,7 +285,7 @@ impl PoolState {
             // Rank order: only the lowest-ranked live backup campaigns
             // to fence the active (and take over).
             role == Role::Backup
-                && !self.members.values().any(|m| {
+                && !members.values().any(|m| {
                     !m.fenced
                         && !m.hb.defunct
                         && m.rank != rank
@@ -279,36 +299,10 @@ impl PoolState {
         eligible.then_some((ip, rank))
     }
 
-    /// Members not yet fenced with at least one fresh heartbeat link.
-    pub(crate) fn live_non_fenced(&self, now: SimTime) -> usize {
-        self.members
-            .values()
-            .filter(|m| !m.fenced && m.alive(now))
-            .count()
-    }
-
-    /// Pool strength: this server plus every live non-fenced member.
-    pub(crate) fn strength(&self, now: SimTime) -> u64 {
-        1 + self.live_non_fenced(now) as u64
-    }
-
-    /// Votes needed to fence `target_rank`: a majority of the current
-    /// membership (me plus every non-fenced member other than the
-    /// target). In the degenerate two-member pool this is 1 — the
-    /// initiator's own vote, i.e. classic single-shot STONITH.
-    pub(crate) fn quorum_needed(&self, target_rank: u8) -> usize {
-        let electorate = 1 + self
-            .members
-            .values()
-            .filter(|m| !m.fenced && m.rank != target_rank)
-            .count();
-        electorate / 2 + 1
-    }
-
     /// The private address of the member currently believed active, if
     /// it is a known non-fenced member.
-    pub(crate) fn active_ip(&self) -> Option<Ipv4Addr> {
-        self.members
+    pub(crate) fn active_ip(&self, members: &Members) -> Option<Ipv4Addr> {
+        members
             .iter()
             .find(|(_, m)| !m.fenced && m.rank == self.active_rank)
             .map(|(&ip, _)| ip)
@@ -335,14 +329,17 @@ mod tests {
         ]
     }
 
-    /// Rank 1's view of the unwired three-member pool, booted at `now`.
-    fn pool3(now: SimTime) -> PoolState {
-        PoolState::new(1, &peers3(), &BTreeMap::new(), &StTcpConfig::default(), now)
+    /// Rank 1's view of the three-member pool, booted at `now`: its
+    /// round state and its member table.
+    fn pool3(now: SimTime) -> (PoolState, Members) {
+        let peers = peers3();
+        let members = member_table(&peers, &StTcpConfig::default(), now);
+        (PoolState::new(1, &peers), members)
     }
 
     #[test]
     fn next_rank_is_one_past_the_pool_maximum() {
-        let p = pool3(SimTime::ZERO);
+        let (p, _) = pool3(SimTime::ZERO);
         assert_eq!(p.next_rank, 3);
         assert_eq!(p.active_rank, 0);
         assert_eq!(p.my_rank, 1);
@@ -350,54 +347,45 @@ mod tests {
 
     #[test]
     fn quorum_is_majority_of_non_fenced_membership() {
-        let mut p = pool3(SimTime::ZERO);
+        let (_, mut members) = pool3(SimTime::ZERO);
         // 3-member pool, target is the active: electorate = me + rank2.
-        assert_eq!(p.quorum_needed(0), 2);
+        assert_eq!(quorum_needed(&members, 0), 2);
         // Fence rank 2 out of the membership: degenerate pair left, and
         // fencing the active needs only my own vote (STONITH semantics).
-        p.members
-            .get_mut(&Ipv4Addr::new(10, 0, 0, 4))
-            .unwrap()
-            .fenced = true;
-        assert_eq!(p.quorum_needed(0), 1);
+        let rank2 = members.get_mut(&Ipv4Addr::new(10, 0, 0, 4)).unwrap();
+        rank2.fenced = true;
+        assert_eq!(quorum_needed(&members, 0), 1);
     }
 
     #[test]
     fn members_start_alive_via_grace_anchor() {
         let t0 = SimTime::from_millis(1_000);
-        let p = pool3(t0);
-        assert_eq!(p.live_non_fenced(t0 + SimDuration::from_millis(599)), 2);
-        assert_eq!(p.live_non_fenced(t0 + SimDuration::from_millis(600)), 0);
-        assert_eq!(p.strength(t0), 3);
+        let (_, members) = pool3(t0);
+        let live = |ms| live_non_fenced(&members, t0 + SimDuration::from_millis(ms));
+        assert_eq!((live(0), live(599), live(600)), (2, 2, 0));
     }
 
     #[test]
     fn active_ip_follows_active_rank_and_fencing() {
-        let mut p = pool3(SimTime::ZERO);
-        assert_eq!(p.active_ip(), Some(Ipv4Addr::new(10, 0, 0, 2)));
-        p.members
-            .get_mut(&Ipv4Addr::new(10, 0, 0, 2))
-            .unwrap()
-            .fenced = true;
-        assert_eq!(p.active_ip(), None);
+        let (mut p, mut members) = pool3(SimTime::ZERO);
+        assert_eq!(p.active_ip(&members), Some(Ipv4Addr::new(10, 0, 0, 2)));
+        let rank0 = members.get_mut(&Ipv4Addr::new(10, 0, 0, 2)).unwrap();
+        rank0.fenced = true;
+        assert_eq!(p.active_ip(&members), None);
         p.active_rank = 2;
-        assert_eq!(p.active_ip(), Some(Ipv4Addr::new(10, 0, 0, 4)));
+        assert_eq!(p.active_ip(&members), Some(Ipv4Addr::new(10, 0, 0, 4)));
     }
 
     #[test]
     fn rejoin_reset_clears_everything_but_identity() {
-        let mut p = pool3(SimTime::ZERO);
-        let ip = Ipv4Addr::new(10, 0, 0, 2);
-        {
-            let m = p.members.get_mut(&ip).unwrap();
-            m.fenced = true;
-            (m.hb.role, m.hb.defunct) = (Role::Primary, true);
-            m.hb.last_seqno = Some(17);
-            m.hb.byzantine_reported = true;
-            m.conns.insert(1, PeerConn::default());
-        }
+        let (_, mut members) = pool3(SimTime::ZERO);
+        let m = members.get_mut(&Ipv4Addr::new(10, 0, 0, 2)).unwrap();
+        m.fenced = true;
+        (m.hb.role, m.hb.defunct) = (Role::Primary, true);
+        m.hb.last_seqno = Some(17);
+        m.hb.byzantine_reported = true;
+        m.conns.insert(1, PeerConn::default());
         let t = SimTime::from_millis(5_000);
-        let m = p.members.get_mut(&ip).unwrap();
         m.reset_for_rejoin(t);
         assert!(!m.fenced);
         assert!(!m.hb.defunct);

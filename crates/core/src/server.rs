@@ -16,7 +16,7 @@
 //!   the client connections in place.
 
 use bytes::Bytes;
-use std::collections::{BTreeMap, BTreeSet};
+use std::collections::BTreeSet;
 use std::net::Ipv4Addr;
 
 use simnet::flight::{FlightKind, SpanId};
@@ -38,17 +38,20 @@ use simtcp::seq::SeqNum;
 use simtcp::socket::{FourTuple, SocketEvent, SocketId};
 
 use crate::app::{AppAction, AppFactory, Application};
-use crate::config::{Role, StTcpConfig, PING_INTERVAL, STONITH_DELAY};
+use crate::config::{Role, StTcpConfig, APP_TICK, PING_INTERVAL, STONITH_DELAY};
 use crate::conntable::{ConnCtl, ConnTable, HbCacheEntry, Set, SlotId};
 use crate::events::{FailureReason, HbLink, StTcpEvent};
 use crate::finarb::{ArbAction, FinArbiter};
 use crate::heartbeat::{
     conn_key, decode_any, AnyHb, ConnHb, HbFrame, HbFrameKind, HbPayload, PingReport, HB_CONN_LEN,
 };
-use crate::linkmon::{next_silence, HbSource};
+use crate::linkmon::next_silence;
 use crate::metrics::ServerMetrics;
 use crate::netdetect::{NetFailureDetector, NetObservation};
-use crate::pool::{FenceRound, PeerConn, PoolPeer, PoolState};
+use crate::pool::{
+    live_non_fenced, member_table, quorum_needed, FenceRound, MemberState, Members, PeerConn,
+    PoolPeer, PoolState,
+};
 use crate::recover::{ConnSnapshotMsg, CtrlMsg, MAX_FETCH_DATA};
 
 /// The IP protocol number carrying the server-to-server recovery channel.
@@ -90,7 +93,7 @@ fn build_link_frames(
     epoch: u32,
     link: u8,
     ack_epoch: u32,
-    acks: &[u32],
+    links: &[LinkState],
     seq: u32,
     role: Role,
     rank: u8,
@@ -108,7 +111,7 @@ fn build_link_frames(
             epoch,
             link,
             ack_epoch,
-            acks: acks.to_vec(),
+            acks: links.iter().map(|l| l.applied).collect(),
             part: part as u16,
             parts: parts as u16,
             hb: HbPayload {
@@ -120,6 +123,18 @@ fn build_link_frames(
             },
         })
         .collect()
+}
+
+/// Delta-protocol (v2) heartbeat links to the pair's peer with `cables`
+/// wired: IP plus every cable (all of a pair's cables reach its peer),
+/// counting the usual one cable per member from the start so that wiring
+/// it grows nothing. None under v1 or in a pool, which keep no per-link
+/// state.
+fn hb_nlinks(setup: &ServerSetup, cables: usize) -> usize {
+    match setup.sttcp.hb_delta && !setup.pool {
+        true => 1 + cables.max(setup.peers.len()),
+        false => 0,
+    }
 }
 
 /// The stable numeric code a verdict's [`FailureReason`] gets in flight
@@ -156,10 +171,6 @@ pub struct ServerSetup {
     pub service_port: u16,
     /// This server's own address (heartbeat + recovery channel).
     pub private_ip: Ipv4Addr,
-    /// The peer server's own address.
-    pub peer_private_ip: Ipv4Addr,
-    /// The peer's node id, for STONITH.
-    pub peer_node: NodeId,
     /// The gateway pinged during IP-heartbeat outages (the client host in
     /// the paper's setup).
     pub gateway_ip: Ipv4Addr,
@@ -170,9 +181,13 @@ pub struct ServerSetup {
     /// This server's static pool rank (0 = initially active). Unused in
     /// pair mode.
     pub rank: u8,
-    /// The other pool members. Empty means classic two-server pair mode;
-    /// non-empty switches the server into N-replica pool mode.
-    pub pool: Vec<PoolPeer>,
+    /// The other servers: the pair's one peer, or every other pool
+    /// member. Heartbeats and control messages count only from these.
+    pub peers: Vec<PoolPeer>,
+    /// Runs the N-replica pool protocol (quorum fencing, rank-ordered
+    /// takeover) instead of the pair's. Stated, not inferred: a
+    /// two-member pool and the pair have the same member count.
+    pub pool: bool,
 }
 
 /// How an injected byzantine heartbeat lies (testing): the sender's
@@ -242,14 +257,15 @@ impl PingCampaign {
     }
 }
 
-/// Where one heartbeat frame leaves this host.
-#[derive(Debug, Clone, Copy)]
-enum HbDest {
+/// One of a member's links, as seen from this host: its address over
+/// the switch, or a local serial port cabled to it.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+enum Via {
     Ip(Ipv4Addr),
     Serial(SerialPortId),
 }
 
-/// Per-link receive state for batched (v3) heartbeat rounds: which round
+/// Receive state for one link's batched (v3) heartbeat rounds: which round
 /// is open and which part must arrive next. Parts of one round share a
 /// seqno and must arrive in order on their link (serial links and the
 /// simulated LAN both preserve per-link order); the link's cumulative ack
@@ -262,6 +278,19 @@ struct RxBatch {
     next: u16,
 }
 
+/// One heartbeat link's delta-protocol (v2) state, both directions: link
+/// 0 is the pair peer's address, link `1 + k` its `k`-th cable.
+#[derive(Debug, Clone, Copy, Default)]
+struct LinkState {
+    /// The peer's cumulative ack of *my* frames on this link.
+    acked: u32,
+    /// Highest seqno applied from the peer on this link — echoed back as
+    /// its ack, and the link's staleness filter.
+    applied: u32,
+    /// The batched (v3) round open on this link.
+    batch: RxBatch,
+}
+
 /// The ST-TCP server node. See the [module docs](self).
 ///
 /// Its own fields are what survives a power cycle — the host's wiring
@@ -271,13 +300,9 @@ pub struct StTcpServer {
     setup: ServerSetup,
     /// Carries the ARP entries topology builders patched in.
     iface: IpInterface,
-    serial_port: SerialPortId,
-    /// Additional pair-mode serial heartbeat links. The shard map assigns
-    /// connection `key` to serial link `key % n` where link 0 is
-    /// `serial_port` and link `1+i` is `extra_serial_ports[i]`.
-    extra_serial_ports: Vec<SerialPortId>,
-    /// Pool mode: local serial ports wired to pool members.
-    pool_serial: BTreeMap<SerialPortId, Ipv4Addr>,
+    /// The serial cables, in wiring order: each local port and the
+    /// member at its far end (see [`StTcpServer::links_to`]).
+    serial: Vec<(SerialPortId, Ipv4Addr)>,
     app_factory: Box<dyn AppFactory>,
     events: Vec<StTcpEvent>,
     metrics: ServerMetrics,
@@ -294,9 +319,10 @@ pub struct StTcpServer {
 }
 
 /// Everything a power cycle erases: the protocol state of one boot
-/// incarnation. [`Ram::boot`] is the only place it is made — `new`, a
-/// wiring change before the world starts and the warm `on_power_on` all
-/// go through it — so a field added here is rebuilt at every boot.
+/// incarnation. [`Ram::boot`] is the only place it is made — `new` and
+/// the warm `on_power_on` go through it — so a field added here is
+/// rebuilt at every boot. (A wiring call before the world starts only
+/// widens the per-link state in place.)
 struct Ram {
     // ----- delta heartbeat (v2 wire format) state; hb_delta only -----
     /// This boot incarnation; acks from a previous incarnation are void.
@@ -308,17 +334,13 @@ struct Ram {
     /// the candidate `(key, slot)`s, and the selected records per link.
     hb_cands: Vec<(u32, SlotId)>,
     hb_link_recs: Vec<Vec<ConnHb>>,
-    /// Peer's cumulative acks of *my* frames, per link (0 = IP).
-    peer_hb_acks: Vec<u32>,
+    /// Per-link state, one entry per heartbeat link ([`hb_nlinks`]).
+    hb_links: Vec<LinkState>,
     /// My epoch the peer's acks refer to; full-state frames are sent
     /// until this matches `hb_epoch`.
     peer_ack_epoch: u32,
-    /// Highest seqno applied from the peer, per link (0 = IP) — echoed
-    /// back as acks, and the per-link staleness filter.
-    rx_link_seq: Vec<u32>,
-    /// In-progress batched (v3) round per link: part-ordering state.
-    rx_link_batch: Vec<RxBatch>,
-    /// The peer epoch `rx_link_seq` refers to (0 = none seen yet).
+    /// The peer epoch the links' `applied` seqnos refer to (0 = none
+    /// seen yet).
     rx_peer_epoch: u32,
 
     tcp: TcpEndpoint,
@@ -346,9 +368,9 @@ struct Ram {
     /// — replaces an every-check scan of the peer mirror.
     peer_app_suspected: bool,
 
-    /// Pair mode: the peer's link liveness and heartbeat-stream state
-    /// (pool mode keeps one per member).
-    peer_hb: HbSource,
+    /// The other servers — the pair's one peer, or the pool — with each
+    /// one's link liveness and heartbeat-stream state.
+    members: Members,
     ip_was_alive: bool,
     serial_was_alive: bool,
 
@@ -359,7 +381,7 @@ struct Ram {
     hb_seq: u32,
     /// Byzantine heartbeat fault injection, if armed (testing).
     byz_mode: Option<ByzantineHbMode>,
-    /// N-replica pool state (`None` in pair mode).
+    /// The pool's round state (`None` in pair mode).
     pool: Option<PoolState>,
     /// Reusable `ConnHb` buffer for heartbeat assembly: taken by
     /// `build_heartbeat`, reclaimed (with its capacity) after encoding,
@@ -383,19 +405,13 @@ struct Ram {
 
 impl Ram {
     /// The state of a server that powers up at `now` in `role` with
-    /// `nserial` serial links to its pair peer: peer presumed alive
-    /// (grace period from fresh monitors anchored at `now`), no
+    /// `cables` serial cables wired: every member presumed
+    /// alive (grace period from fresh monitors anchored at `now`), no
     /// connections, a fresh TCP stack listening on the service port —
     /// the primary's accepted connections carry the extended receive
     /// buffer, the backup accepts in suppressed mode and never answers
     /// stray segments.
-    fn boot(
-        setup: &ServerSetup,
-        pool_serial: &BTreeMap<SerialPortId, Ipv4Addr>,
-        role: Role,
-        now: SimTime,
-        nserial: usize,
-    ) -> Ram {
+    fn boot(setup: &ServerSetup, role: Role, now: SimTime, cables: usize) -> Ram {
         let mut tcp = std::rc::Rc::new(setup.tcp.clone());
         let (rst_policy, egress) = match role {
             Role::Primary => {
@@ -418,10 +434,8 @@ impl Ram {
             hb_touched: Vec::new(),
             hb_cands: Vec::new(),
             hb_link_recs: Vec::new(),
-            peer_hb_acks: vec![0; 1 + nserial],
+            hb_links: vec![LinkState::default(); hb_nlinks(setup, cables)],
             peer_ack_epoch: 0,
-            rx_link_seq: vec![0; 1 + nserial],
-            rx_link_batch: vec![RxBatch::default(); 1 + nserial],
             rx_peer_epoch: 0,
             tcp: endpoint,
             app_crashed: false,
@@ -429,14 +443,13 @@ impl Ram {
             ft_mode: true,
             table: ConnTable::default(),
             peer_app_suspected: false,
-            peer_hb: HbSource::new(&setup.sttcp, now),
+            members: member_table(&setup.peers, &setup.sttcp, now),
             ip_was_alive: true,
             serial_was_alive: true,
             net_detect: NetFailureDetector::new(
                 setup.sttcp.net_lag_bytes,
                 setup.sttcp.net_lag_time,
                 setup.sttcp.effective_lag_confirm(),
-                setup.sttcp.ping_fail_threshold,
             ),
             ping: PingCampaign {
                 id: (setup.seed & 0xffff) as u16,
@@ -447,8 +460,7 @@ impl Ram {
             byz_mode: None,
             // Boots with the static rank; a rejoin's `JoinDone` hands
             // over the fresh one.
-            pool: (!setup.pool.is_empty())
-                .then(|| PoolState::new(setup.rank, &setup.pool, pool_serial, &setup.sttcp, now)),
+            pool: setup.pool.then(|| PoolState::new(setup.rank, &setup.peers)),
             hb_scratch: Vec::new(),
             took_over: false,
             join: None,
@@ -473,22 +485,19 @@ impl std::fmt::Debug for StTcpServer {
 
 impl StTcpServer {
     /// Creates a server. `iface` must already carry the service-IP alias
-    /// and the static ARP entries for the client, the peer, and the
-    /// gateway; `serial_port` is the null-modem port to the peer (settable
-    /// later via [`StTcpServer::set_serial_port`]).
+    /// and the static ARP entries for the client, every peer, and the
+    /// gateway; serial cables are wired afterwards
+    /// ([`StTcpServer::add_serial_link`]).
     pub fn new(
         setup: ServerSetup,
         iface: IpInterface,
         app_factory: Box<dyn AppFactory>,
     ) -> StTcpServer {
-        let pool_serial = BTreeMap::new();
         StTcpServer {
-            ram: Ram::boot(&setup, &pool_serial, setup.role, SimTime::ZERO, 1),
+            ram: Ram::boot(&setup, setup.role, SimTime::ZERO, 0),
             setup,
             iface,
-            serial_port: SerialPortId(0),
-            extra_serial_ports: Vec::new(),
-            pool_serial,
+            serial: Vec::new(),
             app_factory,
             events: Vec::new(),
             metrics: ServerMetrics::new(),
@@ -500,8 +509,7 @@ impl StTcpServer {
     /// Rebuilds everything a power cycle erases, for a boot at `now` in
     /// `role` on the present wiring.
     fn boot(&mut self, role: Role, now: SimTime) {
-        let nserial = 1 + self.extra_serial_ports.len();
-        self.ram = Ram::boot(&self.setup, &self.pool_serial, role, now, nserial);
+        self.ram = Ram::boot(&self.setup, role, now, self.serial.len());
     }
 
     /// Opens the periodic work of a boot: the first heartbeat round and
@@ -510,51 +518,59 @@ impl StTcpServer {
         self.send_heartbeats(ctx);
         ctx.set_timer(self.setup.sttcp.hb_period, TOKEN_HB);
         ctx.set_timer(self.setup.sttcp.check_period, TOKEN_CHECK);
-        ctx.set_timer(self.setup.sttcp.app_tick, TOKEN_APP_TICK);
+        ctx.set_timer(APP_TICK, TOKEN_APP_TICK);
     }
 
-    /// Sets the serial port wired to the peer (assigned by the topology
-    /// builder after node construction).
-    pub fn set_serial_port(&mut self, port: SerialPortId) {
-        self.serial_port = port;
+    /// Wires local serial port `port` to member `to`, after the topology
+    /// builder connected the null-modem pair and before the world
+    /// starts. Every cable carries heartbeats, and a pool's control
+    /// messages too; the pair shards connection `key` onto its
+    /// `key % n`-th cable in wiring order. This widens the per-link
+    /// heartbeat state in place — no reboot.
+    pub fn add_serial_link(&mut self, port: SerialPortId, to: Ipv4Addr) {
+        self.serial.push((port, to));
+        let n = hb_nlinks(&self.setup, self.serial.len());
+        self.ram.hb_links.resize(n, LinkState::default());
     }
 
-    /// Adds an extra pair-mode serial heartbeat link (conn→link sharding
-    /// for beyond-one-link connection counts). Shard `key % n` maps to
-    /// link `serial_port` for shard 0 and `extra_serial_ports[s-1]`
-    /// otherwise. For topology builders, before the world starts: the
-    /// link count is an input of [`Ram::boot`], so this boots again.
-    pub fn add_serial_link(&mut self, port: SerialPortId) {
-        self.extra_serial_ports.push(port);
-        self.boot(self.setup.role, SimTime::ZERO);
-    }
-
-    /// Number of heartbeat links to the pair peer: IP plus every serial
-    /// link.
-    fn hb_nlinks(&self) -> usize {
-        2 + self.extra_serial_ports.len()
-    }
-
-    /// The serial shard (0-based serial-link index) a connection key maps
+    /// The cable (0-based) a pair connection key's records are sharded
     /// to.
     fn shard_of(&self, key: u32) -> usize {
-        key as usize % (1 + self.extra_serial_ports.len())
+        key as usize % self.serial.len().max(1)
+    }
+
+    /// Where frames to member `ip` leave this host, link by link: its
+    /// address (link 0), then each cable wired to it (link `1 + k`).
+    fn links_to(&self, ip: Ipv4Addr) -> impl Iterator<Item = Via> + '_ {
+        let cables = self.serial.iter().filter(move |&&(_, to)| to == ip);
+        std::iter::once(Via::Ip(ip)).chain(cables.map(|&(port, _)| Via::Serial(port)))
+    }
+
+    /// The source rule, stated once for heartbeats and control messages
+    /// in both topologies: a frame arriving `via` a link counts only as
+    /// a member's — from its address on IP, from its cable on serial —
+    /// and is that member's link number ([`StTcpServer::links_to`]).
+    /// Every client shares the switch with the servers' private
+    /// addresses, so a CRC-valid frame proves nothing about its sender.
+    fn member_link(&self, via: Via) -> Option<(Ipv4Addr, usize)> {
+        let src = match via {
+            Via::Ip(src) => src,
+            Via::Serial(port) => self.serial.iter().find(|&&(p, _)| p == port)?.1,
+        };
+        let link = self.links_to(src).position(|v| v == via)?;
+        self.ram.members.contains_key(&src).then_some((src, link))
+    }
+
+    /// The pair's peer: its one member.
+    fn pair_peer(&self) -> &MemberState {
+        let peer = self.ram.members.values().next();
+        peer.expect("a pair is wired with its peer")
     }
 
     /// Adds a static ARP entry (topology builders registering additional
     /// clients after construction).
     pub fn add_arp(&mut self, addr: Ipv4Addr, mac: simnet::mac::MacAddr) {
         self.iface.add_arp(addr, mac);
-    }
-
-    /// Wires local serial port `port` to pool member `ip` (topology
-    /// builders, after connecting the null-modem pair and before the
-    /// world starts: like a serial link, it boots again). Pool mode only.
-    pub fn add_pool_serial(&mut self, port: SerialPortId, ip: Ipv4Addr) {
-        if self.ram.pool.is_some() {
-            self.pool_serial.insert(port, ip);
-            self.boot(self.setup.role, SimTime::ZERO);
-        }
     }
 
     /// True when the optional watchdog suspects the local replica on this
@@ -656,7 +672,7 @@ impl StTcpServer {
     /// frames flow until the peer acknowledges this epoch again, and
     /// every cached record counts as unacknowledged.
     fn reset_peer_acks(&mut self) {
-        self.ram.peer_hb_acks = vec![0; self.hb_nlinks()];
+        self.ram.hb_links.iter_mut().for_each(|l| l.acked = 0);
         self.ram.peer_ack_epoch = 0;
         let cached: Vec<SlotId> = self.ram.table.cached().map(|(s, _)| s).collect();
         for s in cached {
@@ -862,7 +878,7 @@ impl StTcpServer {
     /// every current connection and to all future ones.
     ///
     /// State changes are immediate; any resulting FIN/RST leaves with the
-    /// next timer-driven flush (bounded by `app_tick`).
+    /// next timer-driven flush (bounded by [`APP_TICK`]).
     pub fn inject_app_crash(&mut self, now: SimTime, mode: AppCrashMode) {
         self.ram.app_crashed = true;
         for (sock, s) in self.all_socks() {
@@ -1104,24 +1120,24 @@ impl StTcpServer {
     /// or recorded — for an unresolved IP destination or a packet over 65 535 B.
     #[allow(clippy::too_many_arguments)]
     fn emit_hb(
-        &mut self,
+        &self,
         ctx: &mut NodeCtx<'_>,
         span: SpanId,
         seqno: u32,
         link: u8,
-        dest: HbDest,
+        via: Via,
         wire: &Bytes,
         conns: u32,
     ) -> bool {
         let bytes = wire.len() as u32;
-        match dest {
-            HbDest::Ip(to) => {
+        match via {
+            Via::Ip(to) => {
                 let Some(frame) = self.iface.frame_to(to, IpProto::Heartbeat, wire.clone()) else {
                     return false;
                 };
                 ctx.send_frame(self.iface.nic, frame);
             }
-            HbDest::Serial(port) => ctx.send_serial(port, wire.clone()),
+            Via::Serial(port) => ctx.send_serial(port, wire.clone()),
         }
         let kind = FlightKind::HbEmit {
             seqno,
@@ -1173,27 +1189,11 @@ impl StTcpServer {
         // Reclaim the conn buffer (and its capacity) for the next period.
         self.ram.hb_scratch = hb.conns;
         let mut frames = 0u64;
-        if let Some(pool) = &self.ram.pool {
-            ctx.profile_enter(Component::Pool);
-            let dests: Vec<(Ipv4Addr, Option<SerialPortId>)> = pool
-                .members
-                .iter()
-                .map(|(&ip, m)| (ip, m.serial_port))
-                .collect();
-            for (ip, port) in dests {
-                let dest = HbDest::Ip(ip);
-                frames += u64::from(self.emit_hb(ctx, span, seqno, 0, dest, &wire, conns));
-                if let Some(port) = port {
-                    let dest = HbDest::Serial(port);
-                    frames += u64::from(self.emit_hb(ctx, span, seqno, 1, dest, &wire, conns));
-                }
+        for &ip in self.ram.members.keys() {
+            for (link, via) in self.links_to(ip).enumerate() {
+                let sent = self.emit_hb(ctx, span, seqno, link as u8, via, &wire, conns);
+                frames += u64::from(sent);
             }
-            ctx.profile_exit();
-        } else {
-            let dest = HbDest::Ip(self.setup.peer_private_ip);
-            frames += u64::from(self.emit_hb(ctx, span, seqno, 0, dest, &wire, conns));
-            let dest = HbDest::Serial(self.serial_port);
-            frames += u64::from(self.emit_hb(ctx, span, seqno, 1, dest, &wire, conns));
         }
         // Bandwidth accounting: connection entries are the payload; the
         // header and optional ping trailer are framing overhead.
@@ -1221,16 +1221,30 @@ impl StTcpServer {
     /// liveness value, so the stream starves the link monitors and row 1
     /// condemns the liar instead of its lies driving hold-release or lag
     /// verdicts. Creates no slot: a dropped frame leaves nothing behind.
-    fn vet_records(&mut self, now: SimTime, hb: &HbPayload, seq: Option<u32>) -> bool {
-        let table = &self.ram.table;
+    /// Checked against the mirror the records land in: the table for the
+    /// pair, the sending member's own map for a pool member.
+    fn vet_records(
+        &mut self,
+        now: SimTime,
+        src: Ipv4Addr,
+        hb: &HbPayload,
+        seq: Option<u32>,
+    ) -> bool {
+        let (table, pool) = (&self.ram.table, self.ram.pool.is_some());
+        let Some(m) = self.ram.members.get_mut(&src) else {
+            return false;
+        };
         let lie = hb.conns.iter().any(|c| {
-            let peer = table.by_key(c.key).and_then(|s| table.peer(s));
+            let peer = match pool {
+                true => m.conns.get(&c.key),
+                false => table.by_key(c.key).and_then(|s| table.peer(s)),
+            };
             peer.is_some_and(|e| Self::takes(e, seq) && e.regressed_by(c))
         });
         if !lie {
             return true;
         }
-        if self.ram.peer_hb.first_byzantine_report() {
+        if m.hb.first_byzantine_report() {
             self.events
                 .push(StTcpEvent::ByzantineHbRejected { at: now });
         }
@@ -1275,31 +1289,47 @@ impl StTcpServer {
         }
     }
 
-    fn handle_heartbeat(&mut self, now: SimTime, hb: &HbPayload, link: HbLink) {
-        // Staleness filter: the same payload arrives on both links, and
-        // the duplication/reorder faults can replay older frames. A
-        // non-advancing seqno still proves the peer alive (refresh the
-        // link monitor) but its counters must not be re-applied. The
-        // liveness credit is bounded: replay tolerance only justifies
-        // stale frames interleaved with fresh ones, so once the seqno
-        // has been frozen past the heartbeat timeout the stream is
-        // indistinguishable from a replay loop or a frozen byzantine
-        // sender — it must starve the monitors so row 1 condemns the
-        // peer instead of trusting it forever.
+    /// The v1 (full-state) heartbeat intake, in both topologies, over
+    /// the sending member `src`: demotion, staleness, byzantine vet,
+    /// advance, credit. Staleness: the same payload arrives on every
+    /// link, and the duplication/reorder faults can replay older
+    /// frames. A non-advancing seqno still proves the member alive
+    /// (refresh the link monitor) but its counters must not be
+    /// re-applied. The liveness credit is bounded: replay tolerance only
+    /// justifies stale frames interleaved with fresh ones, so once the
+    /// seqno has been frozen past the heartbeat timeout the stream is
+    /// indistinguishable from a replay loop or a frozen byzantine sender
+    /// — it must starve the monitors so row 1 (or the pool's fence)
+    /// condemns the member instead of trusting it forever.
+    fn handle_heartbeat(&mut self, now: SimTime, hb: &HbPayload, link: HbLink, src: Ipv4Addr) {
         let hb_timeout = self.setup.sttcp.hb_timeout();
-        let src = &mut self.ram.peer_hb;
-        self.events.extend(src.note_demotion(hb, now));
-        if src.is_stale(hb.seqno) {
-            src.credit_stale(link, now, hb_timeout, &mut self.metrics);
+        let pool = self.ram.pool.is_some();
+        let Some(m) = self.ram.members.get_mut(&src) else {
+            return;
+        };
+        if pool && !m.admit(hb.rank, now) {
             return;
         }
-        if !self.vet_records(now, hb, None) {
+        self.events.extend(m.hb.note_demotion(hb, now));
+        if m.hb.is_stale(hb.seqno) {
+            m.hb.credit_stale(link, now, hb_timeout, &mut self.metrics);
             return;
         }
-        self.ram.peer_hb.advance(hb, now);
-        self.ram.peer_hb.credit(link, now, &mut self.metrics);
+        if !self.vet_records(now, src, hb, None) {
+            return;
+        }
+        let m = self
+            .ram
+            .members
+            .get_mut(&src)
+            .expect("vet_records found the member");
+        m.hb.advance(hb, now);
+        m.hb.credit(link, now, &mut self.metrics);
         self.ram.peer_ping = hb.ping;
-        self.apply_records(now, hb, None);
+        match pool {
+            true => self.apply_member_records(now, hb, src),
+            false => self.apply_records(now, hb, None),
+        }
     }
 
     /// True when the peer's acknowledged state already covers a record
@@ -1310,13 +1340,8 @@ impl StTcpServer {
         if self.ram.peer_ack_epoch != self.ram.hb_epoch {
             return false;
         }
-        let ip_ack = self.ram.peer_hb_acks.first().copied().unwrap_or(0);
-        let shard_ack = self
-            .ram
-            .peer_hb_acks
-            .get(1 + self.shard_of(key))
-            .copied()
-            .unwrap_or(0);
+        let acked = |link: usize| self.ram.hb_links.get(link).map_or(0, |l| l.acked);
+        let (ip_ack, shard_ack) = (acked(0), acked(1 + self.shard_of(key)));
         !seq_newer(changed_at, ip_ack) || !seq_newer(changed_at, shard_ack)
     }
 
@@ -1342,7 +1367,7 @@ impl StTcpServer {
             self.ram.hb_seq = self.ram.hb_seq.wrapping_add(1);
         }
         let seq = self.ram.hb_seq;
-        let nserial = 1 + self.extra_serial_ports.len();
+        let nserial = self.serial.len();
         let regress = self.ram.byz_mode == Some(ByzantineHbMode::Regress);
         // No valid acks for this incarnation yet — or a byzantine sender,
         // which must lie about every connection to match v1 detection
@@ -1404,7 +1429,9 @@ impl StTcpServer {
                 rec.last_app_byte_read = rec.last_app_byte_read.saturating_sub(100_000);
             }
             links[0].push(rec);
-            links[1 + rec.key as usize % nserial].push(rec);
+            if let Some(shard) = links.get_mut(1 + rec.key as usize % nserial.max(1)) {
+                shard.push(rec);
+            }
         };
         if full {
             self.ram.table.cached().for_each(|(_, e)| select(&e));
@@ -1432,15 +1459,17 @@ impl StTcpServer {
         let ping = self.ram.ping.active.then(|| self.ram.ping.report());
         let span = SpanId::heartbeat(role_byte(role), rank, seq);
         let (mut frames, mut conn_entries, mut payload_bytes, mut framing_bytes) = (0, 0, 0, 0);
-        // Every link's share, split into batch parts when it exceeds the
-        // batch knob.
-        for (link, recs) in links.iter().enumerate() {
+        // Every link's share — the peer's address, then its cables — split
+        // into batch parts when it exceeds the batch knob.
+        let peers = self.ram.members.keys();
+        let dests = peers.flat_map(|&ip| links.iter().enumerate().zip(self.links_to(ip)));
+        for ((link, recs), via) in dests {
             for f in build_link_frames(
                 kind,
                 self.ram.hb_epoch,
                 link as u8,
                 self.ram.rx_peer_epoch,
-                &self.ram.rx_link_seq,
+                &self.ram.hb_links,
                 seq,
                 role,
                 rank,
@@ -1451,12 +1480,7 @@ impl StTcpServer {
                 let nconns = f.hb.conns.len() as u64;
                 let wire = f.encode();
                 let bytes = wire.len() as u64;
-                let dest = match link {
-                    0 => HbDest::Ip(self.setup.peer_private_ip),
-                    1 => HbDest::Serial(self.serial_port),
-                    _ => HbDest::Serial(self.extra_serial_ports[link - 2]),
-                };
-                if !self.emit_hb(ctx, span, seq, link as u8, dest, &wire, nconns as u32) {
+                if !self.emit_hb(ctx, span, seq, link as u8, via, &wire, nconns as u32) {
                     continue;
                 }
                 frames += 1;
@@ -1477,20 +1501,22 @@ impl StTcpServer {
     /// bookkeeping for the return direction. Detection semantics match
     /// `handle_heartbeat` exactly: stale frames earn only bounded
     /// liveness credit, and regressing counters poison the whole frame.
-    fn handle_heartbeat_v2(&mut self, now: SimTime, f: &HbFrame, link: usize) {
+    fn handle_heartbeat_v2(&mut self, now: SimTime, f: &HbFrame, src: Ipv4Addr, link: usize) {
         let hb = &f.hb;
         let hblink = match link {
             0 => HbLink::Ip,
             _ => HbLink::Serial,
         };
-        self.events.extend(self.ram.peer_hb.note_demotion(hb, now));
+        let Some(m) = self.ram.members.get_mut(&src) else {
+            return;
+        };
+        self.events.extend(m.hb.note_demotion(hb, now));
         // A new peer incarnation voids all per-link and per-connection
         // ordering state; its acks of our frames restart from nothing, so
         // full frames flow both ways until re-acknowledged.
         if f.epoch != self.ram.rx_peer_epoch {
             self.ram.rx_peer_epoch = f.epoch;
-            self.ram.rx_link_seq = vec![0; self.hb_nlinks()];
-            self.ram.rx_link_batch = vec![RxBatch::default(); self.hb_nlinks()];
+            self.ram.hb_links.fill(LinkState::default());
             for p in self
                 .ram
                 .table
@@ -1501,14 +1527,14 @@ impl StTcpServer {
             }
             self.reset_peer_acks();
         }
-        let last = self.ram.rx_link_seq.get(link).copied().unwrap_or(0);
+        let last = self.ram.hb_links.get(link).map_or(0, |l| l.applied);
         if last != 0 && !seq_newer(hb.seqno, last) {
             // Replayed or frozen on this link: bounded liveness credit,
             // exactly like the v1 staleness path.
             let hb_timeout = self.setup.sttcp.hb_timeout();
-            self.ram
-                .peer_hb
-                .credit_stale(hblink, now, hb_timeout, &mut self.metrics);
+            if let Some(m) = self.ram.members.get_mut(&src) {
+                m.hb.credit_stale(hblink, now, hb_timeout, &mut self.metrics);
+            }
             return;
         }
         // Batched (v3) rounds: parts share a seqno and must arrive in
@@ -1519,7 +1545,8 @@ impl StTcpServer {
         // complete, so drop it and let the unacked records ride again.
         if f.parts > 1 {
             let ok = f.part == 0
-                || self.ram.rx_link_batch.get(link).is_some_and(|st| {
+                || self.ram.hb_links.get(link).is_some_and(|l| {
+                    let st = l.batch;
                     st.seqno == hb.seqno && st.parts == f.parts && st.next == f.part
                 });
             if !ok {
@@ -1529,42 +1556,42 @@ impl StTcpServer {
         // Byzantine sanity check, against per-connection ordering: only
         // records this frame would actually update can regress; records
         // an older cross-link frame legitimately repeats are skipped.
-        if !self.vet_records(now, hb, Some(hb.seqno)) {
+        if !self.vet_records(now, src, hb, Some(hb.seqno)) {
             return;
         }
         // The link's cumulative ack advances only once the whole round is
         // in hand: single-frame rounds immediately, batched rounds on
         // their final part. A poisoned or lost part never completes the
         // round, so the sender keeps resending the records.
-        if f.parts > 1 {
-            if let Some(st) = self.ram.rx_link_batch.get_mut(link) {
-                *st = RxBatch {
+        if let Some(l) = self.ram.hb_links.get_mut(link) {
+            if f.parts > 1 {
+                l.batch = RxBatch {
                     seqno: hb.seqno,
                     parts: f.parts,
                     next: f.part + 1,
                 };
             }
-        }
-        if f.parts <= 1 || f.part + 1 == f.parts {
-            if let Some(s) = self.ram.rx_link_seq.get_mut(link) {
-                *s = hb.seqno;
+            if f.parts <= 1 || f.part + 1 == f.parts {
+                l.applied = hb.seqno;
             }
         }
-        let src = &mut self.ram.peer_hb;
-        if src.last_seqno.is_none_or(|l| seq_newer(hb.seqno, l)) {
-            src.advance(hb, now);
+        let m = self
+            .ram
+            .members
+            .get_mut(&src)
+            .expect("vet_records found the member");
+        if m.hb.last_seqno.is_none_or(|l| seq_newer(hb.seqno, l)) {
+            m.hb.advance(hb, now);
             self.ram.peer_ping = hb.ping;
         }
-        src.credit(hblink, now, &mut self.metrics);
+        m.hb.credit(hblink, now, &mut self.metrics);
         // The peer's cumulative acks of our frames, valid only while they
         // refer to this boot incarnation.
         if f.ack_epoch == self.ram.hb_epoch {
             self.ram.peer_ack_epoch = f.ack_epoch;
-            for (i, &a) in f.acks.iter().enumerate() {
-                if let Some(slot) = self.ram.peer_hb_acks.get_mut(i) {
-                    if a != 0 && (*slot == 0 || seq_newer(a, *slot)) {
-                        *slot = a;
-                    }
+            for (l, &a) in self.ram.hb_links.iter_mut().zip(&f.acks) {
+                if a != 0 && (l.acked == 0 || seq_newer(a, l.acked)) {
+                    l.acked = a;
                 }
             }
         }
@@ -1574,66 +1601,17 @@ impl StTcpServer {
         self.apply_records(now, hb, Some(hb.seqno));
     }
 
-    /// Pool-mode heartbeat intake: per-member staleness and byzantine
-    /// filtering, rank tracking, and the pool-wide FIN/hold view.
-    fn pool_handle_heartbeat(&mut self, now: SimTime, hb: &HbPayload, link: HbLink, src: Ipv4Addr) {
-        let hb_timeout = self.setup.sttcp.hb_timeout();
+    /// A pool member's vetted full-state records: its own map, the
+    /// active's mirror, and the pool-wide FIN/hold view.
+    fn apply_member_records(&mut self, now: SimTime, hb: &HbPayload, src: Ipv4Addr) {
         let mut mirrored: Vec<SlotId> = Vec::new();
         {
-            let Some(pool) = &mut self.ram.pool else {
+            let (Some(pool), Some(m)) = (&mut self.ram.pool, self.ram.members.get_mut(&src)) else {
                 return;
             };
-            let Some(m) = pool.members.get_mut(&src) else {
-                return; // not a pool member; drop silently
-            };
-            if m.fenced {
-                if hb.rank == m.rank {
-                    // The fenced incarnation. Nothing it says counts until
-                    // it rejoins under a fresh rank.
-                    return;
-                }
-                // Rank changed ⇒ the member rebooted and re-integrated:
-                // welcome the fresh incarnation back as a backup.
-                m.reset_for_rejoin(now);
-            } else if hb.rank != m.rank {
-                // Rank reassignment only happens at rejoin, so a changed
-                // rank means a new incarnation even without a fence (the
-                // member rebooted faster than we could condemn it).
-                m.reset_for_rejoin(now);
-            }
-            m.rank = hb.rank;
-            self.events.extend(m.hb.note_demotion(hb, now));
-            // Staleness: duplicated / reordered frames, and the second
-            // copy of every payload (it rides both links). Liveness yes,
-            // counters no — and only within one heartbeat timeout of the
-            // seqno last advancing, so a frozen stream starves the
-            // monitors and quorum fencing condemns the sender.
-            if m.hb.is_stale(hb.seqno) {
-                m.hb.credit_stale(link, now, hb_timeout, &mut self.metrics);
-                return;
-            }
-            // Byzantine sanity check, per member: reject the whole
-            // payload — including its liveness value — so the liar's
-            // monitors starve and quorum fencing condemns it.
-            let mut known = hb
-                .conns
-                .iter()
-                .filter_map(|c| Some((c, m.conns.get(&c.key)?)));
-            if known.any(|(c, e)| e.regressed_by(c)) {
-                if m.hb.first_byzantine_report() {
-                    self.events
-                        .push(StTcpEvent::ByzantineHbRejected { at: now });
-                }
-                self.metrics.on_byzantine_rejected();
-                return;
-            }
-            m.hb.advance(hb, now);
-            m.hb.credit(link, now, &mut self.metrics);
             for c in &hb.conns {
                 m.conns.entry(c.key).or_default().apply(c);
             }
-            let m_rank = m.rank;
-            let m_defunct = m.hb.defunct;
             // Mirror the active member's positions into the table's peer
             // column, where the pair-mode readers look: recovery fetching,
             // join convergence and the takeover gap check work unchanged.
@@ -1641,7 +1619,7 @@ impl StTcpServer {
             // and refilled (pool heartbeats are full-state: O(n) by
             // design), so every key may have become lagging.
             if hb.role == Role::Primary {
-                pool.active_rank = m_rank;
+                pool.active_rank = m.rank;
                 self.ram.table.clear_peers();
                 self.ram.table.clear_set(Set::Lag);
                 for (&key, &peer) in &m.conns {
@@ -1654,7 +1632,7 @@ impl StTcpServer {
             // unless the speaker is a restarted incarnation standing in
             // for the dead one (defunct): its liveness must not save the
             // incarnation the round is condemning.
-            if pool.fence.as_ref().is_some_and(|f| f.target == src) && !m_defunct {
+            if pool.fence.as_ref().is_some_and(|f| f.target == src) && !m.hb.defunct {
                 pool.fence = None;
             }
         }
@@ -1665,9 +1643,6 @@ impl StTcpServer {
         // a FIN counts once any non-fenced member saw it; the active
         // releases held bytes only up to the *slowest* non-fenced member
         // (a member with no entry yet holds everything back).
-        let Some(pool) = &self.ram.pool else {
-            return;
-        };
         let mut arb_actions: Vec<(SocketId, u32, ArbAction)> = Vec::new();
         let i_am_active = self.ram.role == Role::Primary;
         let bound: Vec<_> = self.ram.table.bound().collect();
@@ -1675,7 +1650,7 @@ impl StTcpServer {
             let mut fin_or_rst = false;
             let mut min_lbr = u64::MAX;
             let mut any_member = false;
-            for m in pool.members.values().filter(|m| !m.fenced) {
+            for m in self.ram.members.values().filter(|m| !m.fenced) {
                 any_member = true;
                 match m.conns.get(&key) {
                     Some(e) => {
@@ -1737,7 +1712,7 @@ impl StTcpServer {
         self.ram.ft_mode = false;
         // Parented to the last heartbeat this server accepted — the
         // final evidence before it condemned the peer.
-        self.condemn(ctx, self.setup.peer_node, reason, self.last_hb_rx_span);
+        self.condemn(ctx, self.pair_peer().node, reason, self.last_hb_rx_span);
 
         match self.ram.role {
             Role::Backup => {
@@ -1791,11 +1766,7 @@ impl StTcpServer {
         // Pool mode: other backups may survive the takeover — keep serving
         // them fault-tolerant (extended receive buffer stays armed). Pair
         // mode has nobody left to feed.
-        let keep_ft = self
-            .ram
-            .pool
-            .as_ref()
-            .is_some_and(|p| p.members.values().any(|m| !m.fenced));
+        let keep_ft = self.ram.pool.is_some() && self.ram.members.values().any(|m| !m.fenced);
         // From now on this host speaks for the service: orphan segments
         // (e.g. for a connection reset as unrecoverable) get ordinary
         // RSTs instead of shadow silence.
@@ -1902,13 +1873,9 @@ impl StTcpServer {
         }
         // A silence further out than the next tick is the next tick's to
         // see coming: a pair whose heartbeats flow never arms the timer.
-        let next = match &self.ram.pool {
-            Some(pool) => next_silence(pool.monitors(), now),
-            None => next_silence(
-                [&self.ram.peer_hb.ip_mon, &self.ram.peer_hb.serial_mon],
-                now,
-            ),
-        };
+        // Whose silence counts: every member not yet fenced.
+        let unfenced = self.ram.members.values().filter(|m| !m.fenced);
+        let next = next_silence(unfenced.flat_map(|m| [&m.hb.ip_mon, &m.hb.serial_mon]), now);
         let want = next.filter(|&at| at <= now + self.setup.sttcp.check_period);
         ctx.rearm_timer(&mut self.ram.liveness_timer, want, TOKEN_LIVENESS);
     }
@@ -1921,8 +1888,12 @@ impl StTcpServer {
             true => StTcpEvent::HbLinkUp { link, at: now },
             false => StTcpEvent::HbLinkDown { link, at: now },
         };
-        let ip_alive = !self.ram.peer_hb.ip_mon.is_silent(now);
-        let serial_alive = !self.ram.peer_hb.serial_mon.is_silent(now);
+        let peer = &self.pair_peer().hb;
+        let (ip_alive, serial_alive, defunct) = (
+            !peer.ip_mon.is_silent(now),
+            !peer.serial_mon.is_silent(now),
+            peer.defunct,
+        );
         if ip_alive != self.ram.ip_was_alive {
             self.events.push(edge(HbLink::Ip, ip_alive));
             self.ram.ip_was_alive = ip_alive;
@@ -1954,7 +1925,7 @@ impl StTcpServer {
         if !self.ram.ft_mode {
             return;
         }
-        if (!ip_alive && !serial_alive) || self.ram.peer_hb.defunct {
+        if (!ip_alive && !serial_alive) || defunct {
             // Row 1: both heartbeat links dead ⇒ the peer host is gone —
             // or it is heard, but as a restarted incarnation behind the
             // one that served (`HbSource`), which is gone all the same.
@@ -2043,7 +2014,11 @@ impl StTcpServer {
         // *fresh*: a dead host's last heartbeat frozen in time must be
         // handled by the liveness detector (row 1), not misread as an
         // application crash.
-        let hb_staleness = self.ram.peer_hb.last_rx().map(|t| now.saturating_since(t));
+        let hb_staleness = self
+            .pair_peer()
+            .hb
+            .last_rx()
+            .map(|t| now.saturating_since(t));
         let hb_fresh = hb_staleness
             .is_some_and(|s| s <= self.setup.sttcp.hb_period + self.setup.sttcp.check_period * 2);
 
@@ -2219,10 +2194,8 @@ impl StTcpServer {
     /// FIN arbiter self-resolves its deadlines.
     fn run_pool_checks(&mut self, ctx: &mut NodeCtx<'_>) {
         let now = ctx.now();
-        if let Some(pool) = &self.ram.pool {
-            let strength = pool.strength(now);
-            self.metrics.sample_pool_strength(strength);
-        }
+        let strength = 1 + live_non_fenced(&self.ram.members, now);
+        self.metrics.sample_pool_strength(strength as u64);
         self.check_post_takeover_holes(ctx);
 
         // FIN arbitration deadlines. `DeclarePeerFailed` (the pairwise
@@ -2263,26 +2236,23 @@ impl StTcpServer {
     fn fence_tick(&mut self, ctx: &mut NodeCtx<'_>) {
         let now = ctx.now();
         let mut open_event: Option<(u8, u32)> = None;
-        let mut round_msg: Option<CtrlMsg> = None;
-        let mut voters: Vec<(Ipv4Addr, Option<SerialPortId>)> = Vec::new();
+        let mut round: Option<(CtrlMsg, Ipv4Addr)> = None;
         {
-            let Some(pool) = &mut self.ram.pool else {
+            let (Some(pool), members) = (&mut self.ram.pool, &self.ram.members) else {
                 return;
             };
             if let Some(f) = &pool.fence {
                 // A revived target abandons the round — unless it is a
                 // defunct restart, whose freshness is the new incarnation
                 // speaking, not the condemned one surviving.
-                if pool
-                    .members
-                    .get(&f.target)
-                    .is_some_and(|m| m.alive(now) && !m.hb.defunct)
-                {
+                let target = members.get(&f.target);
+                if target.is_some_and(|m| m.alive(now) && !m.hb.defunct) {
                     pool.fence = None;
                 }
             }
             if pool.fence.is_none() {
-                if let Some((target, target_rank)) = pool.fence_target(now, self.ram.role) {
+                if let Some((target, target_rank)) = pool.fence_target(members, now, self.ram.role)
+                {
                     pool.epoch = pool.epoch.wrapping_add(1);
                     pool.fence = Some(FenceRound {
                         epoch: pool.epoch,
@@ -2294,18 +2264,12 @@ impl StTcpServer {
                 }
             }
             if let Some(f) = &pool.fence {
-                round_msg = Some(CtrlMsg::FenceRequest {
+                let msg = CtrlMsg::FenceRequest {
                     epoch: f.epoch,
                     target_rank: f.target_rank,
                     candidate_rank: pool.my_rank,
-                });
-                let target = f.target;
-                voters = pool
-                    .members
-                    .iter()
-                    .filter(|(&ip, m)| !m.fenced && ip != target)
-                    .map(|(&ip, m)| (ip, m.serial_port))
-                    .collect();
+                };
+                round = Some((msg, f.target));
             }
         }
         if let Some((target_rank, epoch)) = open_event {
@@ -2325,9 +2289,11 @@ impl StTcpServer {
                 },
             );
         }
-        if let Some(msg) = round_msg {
-            for (ip, port) in voters {
-                self.send_ctrl_to(ctx, ip, port, &msg);
+        if let Some((msg, target)) = round {
+            for (&ip, m) in &self.ram.members {
+                if !m.fenced && ip != target {
+                    self.send_ctrl_to(ctx, ip, &msg);
+                }
             }
         }
         // In a degenerate pool the initiator's own vote is the quorum.
@@ -2358,59 +2324,53 @@ impl StTcpServer {
                 target_rank,
             },
         );
-        let reply;
-        let port;
-        {
-            let Some(pool) = &self.ram.pool else {
-                return;
-            };
-            let my_rank = pool.my_rank;
-            let candidate_ok = pool
-                .members
-                .get(&src)
-                .is_some_and(|m| !m.fenced && !m.hb.defunct && m.rank == candidate_rank);
-            let target_dead = pool
-                .members
-                .values()
-                .any(|m| !m.fenced && m.rank == target_rank && m.condemnable(now));
-            let mut granted = candidate_ok && target_dead && target_rank != my_rank;
-            if granted && target_rank == pool.active_rank {
-                // Never endorse a worse-ranked candidate while a better
-                // live one exists — including this voter itself.
-                let better_live = my_rank < candidate_rank
-                    || pool.members.values().any(|m| {
-                        !m.fenced
-                            && !m.hb.defunct
-                            && m.rank != target_rank
-                            && m.alive(now)
-                            && m.rank < candidate_rank
-                    });
-                if better_live {
-                    granted = false;
-                }
+        let (Some(pool), members) = (&self.ram.pool, &self.ram.members) else {
+            return;
+        };
+        let my_rank = pool.my_rank;
+        let candidate_ok = members
+            .get(&src)
+            .is_some_and(|m| !m.fenced && !m.hb.defunct && m.rank == candidate_rank);
+        let target_dead = members
+            .values()
+            .any(|m| !m.fenced && m.rank == target_rank && m.condemnable(now));
+        let mut granted = candidate_ok && target_dead && target_rank != my_rank;
+        if granted && target_rank == pool.active_rank {
+            // Never endorse a worse-ranked candidate while a better
+            // live one exists — including this voter itself.
+            let better_live = my_rank < candidate_rank
+                || members.values().any(|m| {
+                    !m.fenced
+                        && !m.hb.defunct
+                        && m.rank != target_rank
+                        && m.alive(now)
+                        && m.rank < candidate_rank
+                });
+            if better_live {
+                granted = false;
             }
-            port = pool.members.get(&src).and_then(|m| m.serial_port);
-            reply = CtrlMsg::FenceAck {
-                epoch,
+        }
+        let reply = CtrlMsg::FenceAck {
+            epoch,
+            target_rank,
+            voter_rank: my_rank,
+            granted,
+        };
+        ctx.flight(
+            SpanId::fence(u64::from(epoch), target_rank),
+            SpanId::NONE,
+            FlightKind::FenceAck {
+                epoch: u64::from(epoch),
                 target_rank,
                 voter_rank: my_rank,
                 granted,
-            };
-            ctx.flight(
-                SpanId::fence(u64::from(epoch), target_rank),
-                SpanId::NONE,
-                FlightKind::FenceAck {
-                    epoch: u64::from(epoch),
-                    target_rank,
-                    voter_rank: my_rank,
-                    granted,
-                },
-            );
-        }
-        self.send_ctrl_to(ctx, src, port, &reply);
+            },
+        );
+        self.send_ctrl_to(ctx, src, &reply);
     }
 
-    /// A vote arrived for this server's fence round.
+    /// A vote arrived for this server's fence round (from a member: the
+    /// source rule ran at intake).
     fn handle_fence_ack(
         &mut self,
         ctx: &mut NodeCtx<'_>,
@@ -2452,13 +2412,13 @@ impl StTcpServer {
         let now = ctx.now();
         let fenced;
         {
-            let Some(pool) = &mut self.ram.pool else {
+            let (Some(pool), members) = (&mut self.ram.pool, &mut self.ram.members) else {
                 return;
             };
             let Some(f) = &pool.fence else {
                 return;
             };
-            if f.votes.len() < pool.quorum_needed(f.target_rank) {
+            if f.votes.len() < quorum_needed(members, f.target_rank) {
                 return;
             }
             let target = f.target;
@@ -2466,7 +2426,7 @@ impl StTcpServer {
             let votes = f.votes.len() as u32;
             let epoch = f.epoch;
             pool.fence = None;
-            let Some(m) = pool.members.get_mut(&target) else {
+            let Some(m) = members.get_mut(&target) else {
                 return;
             };
             m.fenced = true;
@@ -2494,27 +2454,21 @@ impl StTcpServer {
             },
         );
         self.condemn(ctx, target_node, FailureReason::HbBothLinksDown, fspan);
-        let (live_others, was_active, survivors) = {
-            let pool = self.ram.pool.as_ref().expect("pool checked above");
-            let survivors: Vec<(Ipv4Addr, Option<SerialPortId>)> = pool
-                .members
-                .iter()
-                .filter(|(_, m)| !m.fenced)
-                .map(|(&ip, m)| (ip, m.serial_port))
-                .collect();
-            (
-                pool.live_non_fenced(now),
-                target_rank == pool.active_rank,
-                survivors,
-            )
-        };
+        let live_others = live_non_fenced(&self.ram.members, now);
+        let was_active = self
+            .ram
+            .pool
+            .as_ref()
+            .is_some_and(|p| p.active_rank == target_rank);
         self.ram.ft_mode = live_others > 0;
         // Tell the survivors: they mark the member fenced without needing
         // their own quorum, and a losing simultaneous candidate abandons
         // its round.
         let commit = CtrlMsg::FenceCommit { epoch, target_rank };
-        for (ip, port) in survivors {
-            self.send_ctrl_to(ctx, ip, port, &commit);
+        for (&ip, m) in &self.ram.members {
+            if !m.fenced {
+                self.send_ctrl_to(ctx, ip, &commit);
+            }
         }
         if was_active {
             // Complete the takeover only after the target is provably
@@ -2540,31 +2494,27 @@ impl StTcpServer {
     /// Another member completed a fence round: adopt its verdict.
     fn handle_fence_commit(&mut self, ctx: &mut NodeCtx<'_>, target_rank: u8) {
         let now = ctx.now();
-        let fenced_any;
+        let (Some(pool), members) = (&mut self.ram.pool, &mut self.ram.members) else {
+            return;
+        };
+        if target_rank == pool.my_rank {
+            // Someone fenced *me*; the STONITH is already in flight
+            // and resolves this incarnation. Nothing to do.
+            return;
+        }
+        let mut fenced_any = false;
+        for m in members.values_mut() {
+            if m.rank == target_rank && !m.fenced {
+                m.fenced = true;
+                fenced_any = true;
+            }
+        }
+        if pool
+            .fence
+            .as_ref()
+            .is_some_and(|f| f.target_rank == target_rank)
         {
-            let Some(pool) = &mut self.ram.pool else {
-                return;
-            };
-            if target_rank == pool.my_rank {
-                // Someone fenced *me*; the STONITH is already in flight
-                // and resolves this incarnation. Nothing to do.
-                return;
-            }
-            let mut any = false;
-            for m in pool.members.values_mut() {
-                if m.rank == target_rank && !m.fenced {
-                    m.fenced = true;
-                    any = true;
-                }
-            }
-            if pool
-                .fence
-                .as_ref()
-                .is_some_and(|f| f.target_rank == target_rank)
-            {
-                pool.fence = None;
-            }
-            fenced_any = any;
+            pool.fence = None;
         }
         if fenced_any {
             self.events.push(StTcpEvent::PoolMemberFenced {
@@ -2678,16 +2628,13 @@ impl StTcpServer {
         // the new incarnation, and abandon any fence round against it.
         let mut new_rank = 0u8;
         if let Some(pool) = &mut self.ram.pool {
-            if !pool.members.contains_key(&src) {
-                return; // not a pool member; nothing to rejoin
-            }
             match pool.last_session_served {
                 Some((ip, s, r)) if ip == src && s == session => new_rank = r,
                 _ => {
                     new_rank = pool.next_rank;
                     pool.next_rank = pool.next_rank.wrapping_add(1);
                     pool.last_session_served = Some((src, session, new_rank));
-                    if let Some(m) = pool.members.get_mut(&src) {
+                    if let Some(m) = self.ram.members.get_mut(&src) {
                         m.reset_for_rejoin(now);
                     }
                     if pool.fence.as_ref().is_some_and(|f| f.target == src) {
@@ -2705,13 +2652,17 @@ impl StTcpServer {
             self.ram.table.clear_peers();
             self.ram.table.clear_set(Set::Lag);
             self.ram.peer_app_suspected = false;
-            self.ram.peer_hb.forget_incarnation(now);
+            // (A pool member's entry was reset with its rank above.)
+            if self.ram.pool.is_none() {
+                if let Some(m) = self.ram.members.get_mut(&src) {
+                    m.hb.forget_incarnation(now);
+                }
+            }
             // Delta mode: the old incarnation's acks are void — send
             // full-state frames until the joiner acknowledges, and track
             // its new links/epoch from scratch.
             self.reset_peer_acks();
-            self.ram.rx_link_seq = vec![0; self.hb_nlinks()];
-            self.ram.rx_link_batch = vec![RxBatch::default(); self.hb_nlinks()];
+            self.ram.hb_links.fill(LinkState::default());
             self.ram.rx_peer_epoch = 0;
             self.events
                 .push(StTcpEvent::ReintegrationStarted { at: now });
@@ -2743,9 +2694,9 @@ impl StTcpServer {
                 continue;
             };
             announced += 1;
-            self.send_ctrl_reply(ctx, src, &CtrlMsg::ConnSnapshot(msg));
+            self.send_ctrl_to(ctx, src, &CtrlMsg::ConnSnapshot(msg));
         }
-        self.send_ctrl_reply(
+        self.send_ctrl_to(
             ctx,
             src,
             &CtrlMsg::JoinDone {
@@ -2883,11 +2834,8 @@ impl StTcpServer {
         }
         // Require at least one post-reboot heartbeat: convergence is judged
         // against the peer's positions, which are meaningless before any
-        // have been heard. Pool mode hears peers through member monitors.
-        let heard = match &self.ram.pool {
-            Some(pool) => pool.members.values().any(|m| m.hb.last_rx().is_some()),
-            None => self.ram.peer_hb.last_rx().is_some(),
-        };
+        // have been heard.
+        let heard = self.ram.members.values().any(|m| m.hb.last_rx().is_some());
         if !heard {
             return;
         }
@@ -2934,65 +2882,38 @@ impl StTcpServer {
         self.send_ctrl(ctx, &CtrlMsg::JoinComplete { session });
     }
 
-    /// Sends a control message to one address, over IP and — pool mode,
-    /// when wired — the matching serial link, so fence votes survive an
-    /// IP partition exactly like heartbeats do.
-    fn send_ctrl_to(
-        &self,
-        ctx: &mut NodeCtx<'_>,
-        ip: Ipv4Addr,
-        port: Option<SerialPortId>,
-        msg: &CtrlMsg,
-    ) {
+    /// Sends a control message to member `ip`: over IP, and in a pool
+    /// over its cables too, so fence votes survive an IP partition
+    /// exactly like heartbeats do. (The pair's control rides IP only,
+    /// save [`StTcpServer::send_ctrl_conn`]'s shard copy.)
+    fn send_ctrl_to(&self, ctx: &mut NodeCtx<'_>, ip: Ipv4Addr, msg: &CtrlMsg) {
         let wire = msg.encode();
-        if let Some(frame) = self.iface.frame_to(ip, CTRL_PROTO, wire.clone()) {
-            ctx.send_frame(self.iface.nic, frame);
-        }
-        if let Some(port) = port {
-            ctx.send_serial(port, wire);
-        }
-    }
-
-    /// Replies to the sender of a control message.
-    fn send_ctrl_reply(&self, ctx: &mut NodeCtx<'_>, src: Ipv4Addr, msg: &CtrlMsg) {
-        match &self.ram.pool {
-            Some(pool) => {
-                let port = pool.members.get(&src).and_then(|m| m.serial_port);
-                self.send_ctrl_to(ctx, src, port, msg);
-            }
-            None => self.send_ctrl(ctx, msg),
-        }
-    }
-
-    /// Sends a control message toward the active server: the single peer
-    /// in pair mode, the believed-active member in pool mode (broadcast
-    /// to every member while no active is known — e.g. a joiner probing
-    /// mid-takeover).
-    fn send_ctrl(&self, ctx: &mut NodeCtx<'_>, msg: &CtrlMsg) {
-        if let Some(pool) = &self.ram.pool {
-            // A joiner's rebuilt pool view may still believe a dead member
-            // active, so it broadcasts until the join completes; only the
-            // active side answers a JoinRequest anyway.
-            match pool.active_ip() {
-                Some(ip) if self.ram.join.is_none() => {
-                    let port = pool.members.get(&ip).and_then(|m| m.serial_port);
-                    self.send_ctrl_to(ctx, ip, port, msg);
-                }
-                _ => {
-                    for (&ip, m) in &pool.members {
-                        if !m.fenced {
-                            self.send_ctrl_to(ctx, ip, m.serial_port, msg);
-                        }
+        for via in self.links_to(ip) {
+            match via {
+                Via::Ip(to) => {
+                    if let Some(frame) = self.iface.frame_to(to, CTRL_PROTO, wire.clone()) {
+                        ctx.send_frame(self.iface.nic, frame);
                     }
                 }
+                Via::Serial(port) if self.ram.pool.is_some() => ctx.send_serial(port, wire.clone()),
+                Via::Serial(_) => {}
             }
-            return;
         }
-        if let Some(frame) =
-            self.iface
-                .frame_to(self.setup.peer_private_ip, CTRL_PROTO, msg.encode())
-        {
-            ctx.send_frame(self.iface.nic, frame);
+    }
+
+    /// Sends a control message toward the active server: the pair's one
+    /// peer, the believed-active pool member — or, while no active is
+    /// known (a joiner probing mid-takeover), every unfenced member.
+    fn send_ctrl(&self, ctx: &mut NodeCtx<'_>, msg: &CtrlMsg) {
+        // A joiner's rebuilt pool view may still believe a dead member
+        // active, so it broadcasts until the join completes; only the
+        // active side answers a JoinRequest anyway.
+        let pool = self.ram.pool.as_ref().filter(|_| self.ram.join.is_none());
+        let active = pool.and_then(|p| p.active_ip(&self.ram.members));
+        for (&ip, m) in &self.ram.members {
+            if active.map_or(!m.fenced, |a| a == ip) {
+                self.send_ctrl_to(ctx, ip, msg);
+            }
         }
     }
 
@@ -3003,16 +2924,13 @@ impl StTcpServer {
     /// partition without flooding every serial line.
     fn send_ctrl_conn(&self, ctx: &mut NodeCtx<'_>, key: u32, msg: &CtrlMsg) {
         self.send_ctrl(ctx, msg);
-        if self.ram.pool.is_some() || self.extra_serial_ports.is_empty() {
+        if self.ram.pool.is_some() || self.serial.len() < 2 {
             return;
         }
-        if self.ram.peer_hb.ip_mon.is_alive(ctx.now()) {
+        if self.pair_peer().hb.ip_mon.is_alive(ctx.now()) {
             return;
         }
-        let port = match self.shard_of(key) {
-            0 => self.serial_port,
-            s => self.extra_serial_ports[s - 1],
-        };
+        let (port, _) = self.serial[self.shard_of(key)];
         ctx.send_serial(port, msg.encode());
     }
 
@@ -3035,7 +2953,7 @@ impl StTcpServer {
                     from: *from,
                     data,
                 };
-                self.send_ctrl_reply(ctx, src, &reply);
+                self.send_ctrl_to(ctx, src, &reply);
             }
             CtrlMsg::FetchReply { conn, from, data } => {
                 if data.is_empty() {
@@ -3171,13 +3089,40 @@ impl StTcpServer {
         ctx.rearm_timer(&mut self.ram.tcp_timer, want, TOKEN_TCP);
     }
 
+    /// The one heartbeat dispatch, for IP and serial alike: member `src`
+    /// sent `data` on its link `link` (the source rule already held).
+    /// False when `data` is no heartbeat.
+    fn on_member_hb(
+        &mut self,
+        ctx: &mut NodeCtx<'_>,
+        src: Ipv4Addr,
+        link: usize,
+        data: &[u8],
+    ) -> bool {
+        let Ok(any) = decode_any(data) else {
+            return false;
+        };
+        let hb = match &any {
+            AnyHb::V1(hb) => hb,
+            AnyHb::V2(f) => &f.hb,
+        };
+        self.note_hb_rx(ctx, hb, link as u8);
+        let hblink = match link {
+            0 => HbLink::Ip,
+            _ => HbLink::Serial,
+        };
+        match &any {
+            AnyHb::V1(hb) => self.handle_heartbeat(ctx.now(), hb, hblink, src),
+            // Pool members never speak v2; a v2 frame in pool mode is
+            // dropped rather than misapplied.
+            AnyHb::V2(_) if self.ram.pool.is_some() => {}
+            AnyHb::V2(f) => self.handle_heartbeat_v2(ctx.now(), f, src, link),
+        }
+        true
+    }
+
     fn handle_ip_packet(&mut self, ctx: &mut NodeCtx<'_>, pkt: &Ipv4Packet) {
         let now = ctx.now();
-        // Heartbeats and control messages count only from the peer: any
-        // host on the switch can address a CRC-valid frame to this server.
-        // (Pool intake checks the source against its member table itself.)
-        let from_peer = pkt.dst == self.setup.private_ip
-            && (self.ram.pool.is_some() || pkt.src == self.setup.peer_private_ip);
         match pkt.proto {
             IpProto::Icmp => {
                 if let Some((id, seq)) = self.iface.handle_icmp(ctx, pkt) {
@@ -3190,30 +3135,16 @@ impl StTcpServer {
                     }
                 }
             }
-            IpProto::Heartbeat if from_peer => {
-                if let Ok(any) = decode_any(&pkt.payload) {
-                    let hb = match &any {
-                        AnyHb::V1(hb) => hb,
-                        AnyHb::V2(f) => &f.hb,
-                    };
-                    self.note_hb_rx(ctx, hb, 0);
-                    match &any {
-                        AnyHb::V1(hb) if self.ram.pool.is_some() => {
-                            ctx.profile_enter(Component::Pool);
-                            self.pool_handle_heartbeat(now, hb, HbLink::Ip, pkt.src);
-                            ctx.profile_exit();
-                        }
-                        AnyHb::V1(hb) => self.handle_heartbeat(now, hb, HbLink::Ip),
-                        // Pool members never speak v2; a v2 frame in pool
-                        // mode is dropped rather than misapplied.
-                        AnyHb::V2(_) if self.ram.pool.is_some() => {}
-                        AnyHb::V2(f) => self.handle_heartbeat_v2(now, f, 0),
-                    }
+            IpProto::Heartbeat if pkt.dst == self.setup.private_ip => {
+                if let Some((src, link)) = self.member_link(Via::Ip(pkt.src)) {
+                    self.on_member_hb(ctx, src, link, &pkt.payload);
                 }
             }
-            p if p == CTRL_PROTO && from_peer => {
-                if let Ok(msg) = CtrlMsg::decode(&pkt.payload) {
-                    self.handle_ctrl(ctx, pkt.src, &msg);
+            CTRL_PROTO if pkt.dst == self.setup.private_ip => {
+                if let Some((src, _)) = self.member_link(Via::Ip(pkt.src)) {
+                    if let Ok(msg) = CtrlMsg::decode(&pkt.payload) {
+                        self.handle_ctrl(ctx, src, &msg);
+                    }
                 }
             }
             IpProto::Tcp
@@ -3247,43 +3178,15 @@ impl Node for StTcpServer {
     }
 
     fn on_serial(&mut self, ctx: &mut NodeCtx<'_>, port: SerialPortId, data: Bytes) {
-        let now = ctx.now();
-        // Pool mode maps the port to the member on the other end and also
-        // carries control traffic (fence votes) over serial; the CRC in
-        // each format keeps the two decodes from colliding.
-        if let Some(&ip) = self.pool_serial.get(&port) {
-            if let Ok(hb) = HbPayload::decode(&data) {
-                self.note_hb_rx(ctx, &hb, 1);
-                ctx.profile_enter(Component::Pool);
-                self.pool_handle_heartbeat(now, &hb, HbLink::Serial, ip);
-                ctx.profile_exit();
-            } else if let Ok(msg) = CtrlMsg::decode(&data) {
-                self.handle_ctrl(ctx, ip, &msg);
+        // A cable carries heartbeats and control messages (a pool's fence
+        // votes, the pair's shard-routed fetches while IP is down); the
+        // CRC in each format keeps the two decodes from colliding.
+        if let Some((src, link)) = self.member_link(Via::Serial(port)) {
+            if !self.on_member_hb(ctx, src, link, &data) {
+                if let Ok(msg) = CtrlMsg::decode(&data) {
+                    self.handle_ctrl(ctx, src, &msg);
+                }
             }
-        } else if let Ok(any) = decode_any(&data) {
-            // Pair mode: serial link index 0 is `serial_port`, further
-            // links follow `extra_serial_ports` order.
-            let link_ix = match port == self.serial_port {
-                true => 0,
-                false => match self.extra_serial_ports.iter().position(|&p| p == port) {
-                    Some(i) => 1 + i,
-                    None => 0,
-                },
-            };
-            let hb = match &any {
-                AnyHb::V1(hb) => hb,
-                AnyHb::V2(f) => &f.hb,
-            };
-            self.note_hb_rx(ctx, hb, (1 + link_ix) as u8);
-            match &any {
-                AnyHb::V1(hb) => self.handle_heartbeat(now, hb, HbLink::Serial),
-                AnyHb::V2(f) => self.handle_heartbeat_v2(now, f, 1 + link_ix),
-            }
-        } else if let Ok(msg) = CtrlMsg::decode(&data) {
-            // Pair mode carries shard-routed fetch requests over serial
-            // when the IP link is down; the CRC in each format keeps the
-            // decodes from colliding.
-            self.handle_ctrl(ctx, self.setup.peer_private_ip, &msg);
         }
         self.flush(ctx);
     }
@@ -3372,7 +3275,7 @@ impl Node for StTcpServer {
                     self.apply_app_actions(now, sock, actions);
                     ctx.profile_exit();
                 }
-                ctx.set_timer(self.setup.sttcp.app_tick, TOKEN_APP_TICK);
+                ctx.set_timer(APP_TICK, TOKEN_APP_TICK);
             }
             TOKEN_PING if self.ram.ping.active => {
                 if self.ram.ping.awaiting.is_some() {
@@ -3446,6 +3349,8 @@ mod tests {
     use crate::app::EchoApp;
     use simnet::mac::MacAddr;
 
+    const PEER: Ipv4Addr = Ipv4Addr::new(10, 0, 0, 3);
+
     fn setup(role: Role) -> ServerSetup {
         ServerSetup {
             role,
@@ -3454,13 +3359,16 @@ mod tests {
             service_ip: Ipv4Addr::new(10, 0, 0, 100),
             service_port: 80,
             private_ip: Ipv4Addr::new(10, 0, 0, 2),
-            peer_private_ip: Ipv4Addr::new(10, 0, 0, 3),
-            peer_node: NodeId(9),
             gateway_ip: Ipv4Addr::new(10, 0, 0, 1),
             isn_salt: 42,
             seed: 7,
             rank: 0,
-            pool: Vec::new(),
+            peers: vec![PoolPeer {
+                rank: 0,
+                ip: PEER,
+                node: NodeId(9),
+            }],
+            pool: false,
         }
     }
 
@@ -3468,7 +3376,7 @@ mod tests {
         let s = setup(role);
         let mut iface = IpInterface::new(NicId(0), MacAddr::unicast(2), s.private_ip);
         iface.add_alias(s.service_ip);
-        iface.add_arp(s.peer_private_ip, MacAddr::unicast(3));
+        iface.add_arp(PEER, MacAddr::unicast(3));
         iface.add_arp(s.gateway_ip, MacAddr::unicast(1));
         StTcpServer::new(
             s,
@@ -3521,9 +3429,9 @@ mod tests {
             }],
             ping: None,
         };
-        s.handle_heartbeat(t, &hb, HbLink::Serial);
-        assert_eq!(s.ram.peer_hb.serial_mon.last_rx(), Some(t));
-        assert_eq!(s.ram.peer_hb.ip_mon.last_rx(), None);
+        s.handle_heartbeat(t, &hb, HbLink::Serial, PEER);
+        assert_eq!(s.pair_peer().hb.serial_mon.last_rx(), Some(t));
+        assert_eq!(s.pair_peer().hb.ip_mon.last_rx(), None);
         let p = s
             .ram
             .table
@@ -3537,7 +3445,7 @@ mod tests {
         lie.seqno = 2;
         lie.conns[0].last_byte_received = 999;
         lie.conns.push(ConnHb::default());
-        s.handle_heartbeat(t, &lie, HbLink::Serial);
+        s.handle_heartbeat(t, &lie, HbLink::Serial, PEER);
         assert_eq!(s.metrics.byzantine_rejected(), 1);
         assert_eq!(s.ram.table.by_key(0), None);
     }
@@ -3626,7 +3534,7 @@ mod tests {
         let service = (setup.service_ip, setup.service_port);
         let mut iface = IpInterface::new(NicId(0), MacAddr::unicast(2), setup.private_ip);
         iface.add_alias(setup.service_ip);
-        iface.add_arp(setup.peer_private_ip, MacAddr::unicast(3));
+        iface.add_arp(PEER, MacAddr::unicast(3));
         let server = StTcpServer::new(setup, iface, Box::new(|| Box::new(Chatty) as _));
         let mut world = simnet::world::World::new(1);
         let node = world.add_node("primary", Box::new(server));
@@ -3678,8 +3586,8 @@ mod tests {
             }],
             ping: None,
         };
-        s.handle_heartbeat(SimTime::from_millis(1), &hb_fin, HbLink::Ip);
-        s.handle_heartbeat(SimTime::from_millis(2), &hb_nofin, HbLink::Ip);
+        s.handle_heartbeat(SimTime::from_millis(1), &hb_fin, HbLink::Ip, PEER);
+        s.handle_heartbeat(SimTime::from_millis(2), &hb_nofin, HbLink::Ip, PEER);
         assert!(
             s.ram
                 .table

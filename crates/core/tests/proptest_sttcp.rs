@@ -34,6 +34,7 @@ use sttcp::heartbeat::{
     conn_key, decode_any, unwrap_u32_near, AnyHb, ConnHb, HbFrame, HbFrameKind, HbPayload,
     PingReport,
 };
+use sttcp::pool::PoolPeer;
 use sttcp::recover::{ConnSnapshotMsg, CtrlMsg};
 use sttcp::server::{ServerSetup, StTcpServer, CTRL_PROTO};
 use sttcp::wire;
@@ -352,8 +353,12 @@ impl Node for Puppet {
 }
 
 /// The wiring of the one real server these worlds hold, at `SERVER_IP`
-/// with its pair peer on node `peer_node`.
-fn server_setup(role: Role, sttcp: StTcpConfig, peer_node: NodeId) -> ServerSetup {
+/// with its pair peer at `PEER_IP` on node `peer`.
+fn server_setup(role: Role, sttcp: StTcpConfig, peer: NodeId) -> ServerSetup {
+    let rank = match role {
+        Role::Primary => 0,
+        Role::Backup => 1,
+    };
     ServerSetup {
         role,
         sttcp,
@@ -361,16 +366,16 @@ fn server_setup(role: Role, sttcp: StTcpConfig, peer_node: NodeId) -> ServerSetu
         service_ip: SERVICE.0,
         service_port: SERVICE.1,
         private_ip: SERVER_IP,
-        peer_private_ip: PEER_IP,
-        peer_node,
         gateway_ip: CLIENT_IP,
         isn_salt: ISN_SALT,
         seed: 3,
-        rank: match role {
-            Role::Primary => 0,
-            Role::Backup => 1,
-        },
-        pool: Vec::new(),
+        rank,
+        peers: vec![PoolPeer {
+            rank: 1 - rank,
+            ip: PEER_IP,
+            node: peer,
+        }],
+        pool: false,
     }
 }
 
@@ -417,27 +422,27 @@ fn puppet_world(script: Vec<SetOp>) -> (World, NodeId) {
     world
         .node_mut::<StTcpServer>(server)
         .expect("server type")
-        .set_serial_port(server_port);
+        .add_serial_link(server_port, PEER_IP);
     world.start();
     (world, server)
 }
 
 // ----------------------------------------------------------------------
-// Pair mode: heartbeats and control count only from the peer's address
+// Heartbeats and control count only from members, pair and pool alike
 // ----------------------------------------------------------------------
 
-/// A host on the servers' switch that speaks the peer's protocols from
-/// IP source `out.addr()`: a join request at start, then a heartbeat with
-/// a fresh seqno every 100 ms, every frame CRC-valid.
+/// A host on the servers' switch that speaks their protocols from IP
+/// source `out.addr()`: one control message at start, then a heartbeat
+/// with a fresh seqno every 100 ms, every frame CRC-valid.
 struct Forger {
     out: IpInterface,
+    ctrl: CtrlMsg,
     seq: u32,
 }
 
 impl Node for Forger {
     fn on_start(&mut self, ctx: &mut NodeCtx<'_>) {
-        let join = CtrlMsg::JoinRequest { session: 77 }.encode();
-        let frame = self.out.frame_to(SERVER_IP, CTRL_PROTO, join);
+        let frame = self.out.frame_to(SERVER_IP, CTRL_PROTO, self.ctrl.encode());
         ctx.send_frame(NicId(0), frame.expect("server resolves"));
         self.on_timer(ctx, TimerToken(0));
     }
@@ -461,22 +466,25 @@ impl Node for Forger {
     }
 }
 
-/// One second in the life of an active primary whose
-/// real peer is silent while a [`Forger`] at `src` talks to it: IP
-/// heartbeats it counted, whether it began serving a join, and whether
-/// it declared its peer failed.
-fn primary_hearing(src: Ipv4Addr) -> (u64, bool, bool) {
+/// `until` in the life of a server wired by `setup` (given the forger's
+/// node) whose real peers are silent while a [`Forger`] at `src` sends
+/// it `ctrl` and heartbeats: the server's node and its world.
+fn forged_world(
+    src: Ipv4Addr,
+    ctrl: CtrlMsg,
+    setup: impl FnOnce(NodeId) -> ServerSetup,
+    until: SimTime,
+) -> (World, NodeId) {
     let mut world = World::new(1);
     let mut out = IpInterface::new(NicId(0), MacAddr::unicast(9), src);
     out.add_arp(SERVER_IP, MacAddr::unicast(2));
-    let forger = world.add_node("forger", Box::new(Forger { out, seq: 0 }));
+    let forger = world.add_node("forger", Box::new(Forger { out, ctrl, seq: 0 }));
     let forger_nic = world.add_nic(forger, MacAddr::unicast(9));
     let mut iface = IpInterface::new(NicId(0), MacAddr::unicast(2), SERVER_IP);
     iface.add_arp(PEER_IP, MacAddr::unicast(1));
-    let setup = server_setup(Role::Primary, StTcpConfig::default(), forger);
     let app = || Box::new(EchoApp::default()) as Box<dyn Application>;
-    let server = StTcpServer::new(setup, iface, Box::new(app));
-    let server = world.add_node("primary", Box::new(server));
+    let server = StTcpServer::new(setup(forger), iface, Box::new(app));
+    let server = world.add_node("server", Box::new(server));
     let server_nic = world.add_nic(server, MacAddr::unicast(2));
     world.connect_nodes(
         (forger, forger_nic),
@@ -484,7 +492,17 @@ fn primary_hearing(src: Ipv4Addr) -> (u64, bool, bool) {
         LinkParams::lan(),
     );
     world.start();
-    world.run_until(t(1_000));
+    world.run_until(until);
+    (world, server)
+}
+
+/// One second in the life of an active pair primary asked to serve a
+/// join from `src`: IP heartbeats it counted, whether it began serving
+/// the join, and whether it declared its (silent) peer failed.
+fn primary_hearing(src: Ipv4Addr) -> (u64, bool, bool) {
+    let join = CtrlMsg::JoinRequest { session: 77 };
+    let setup = |node| server_setup(Role::Primary, StTcpConfig::default(), node);
+    let (world, server) = forged_world(src, join, setup, t(1_000));
     let s = world.node::<StTcpServer>(server).expect("server type");
     let logged = |want: fn(&StTcpEvent) -> bool| s.events().iter().any(want);
     (
@@ -494,18 +512,49 @@ fn primary_hearing(src: Ipv4Addr) -> (u64, bool, bool) {
     )
 }
 
+/// Rank 2 of the three-member pool whose rank-1 member the server is.
+const RANK2_IP: Ipv4Addr = Ipv4Addr::new(10, 0, 0, 4);
+
+/// The ranks rank 1 of a three-member pool logs fenced within 300 ms —
+/// before any silence could open a round of its own — when `src` sends
+/// it a commit fencing the active, rank 0.
+fn pool_member_fenced(src: Ipv4Addr) -> Vec<u8> {
+    let commit = CtrlMsg::FenceCommit {
+        epoch: 1,
+        target_rank: 0,
+    };
+    let setup = |node| {
+        let member = |rank, ip| PoolPeer { rank, ip, node };
+        ServerSetup {
+            peers: vec![member(0, PEER_IP), member(2, RANK2_IP)],
+            pool: true,
+            ..server_setup(Role::Backup, StTcpConfig::default(), node)
+        }
+    };
+    let (world, server) = forged_world(src, commit, setup, t(300));
+    let s = world.node::<StTcpServer>(server).expect("server type");
+    let fenced = s.events().iter().filter_map(|e| match e {
+        StTcpEvent::PoolMemberFenced { rank, .. } => Some(*rank),
+        _ => None,
+    });
+    fenced.collect()
+}
+
 /// Every client shares the switch with the servers' private addresses,
 /// so a CRC-valid heartbeat or control message proves nothing about who
 /// sent it. From a third address the stream must leave the heartbeat
 /// counters, the link monitors (the silent peer is condemned on
-/// schedule) and the event log alone; from the peer's address the same
-/// frames are liveness and a join.
+/// schedule), the event log and the pool's fence state alone; from a
+/// member's address the same frames are liveness, a join, and an adopted
+/// fence commit.
 #[test]
-fn pair_mode_takes_heartbeats_and_control_only_from_its_peer() {
+fn heartbeats_and_control_count_only_from_members() {
     let third_host = Ipv4Addr::new(10, 0, 0, 9);
     assert_eq!(primary_hearing(third_host), (0, false, true));
     let (heartbeats, joining, condemned) = primary_hearing(PEER_IP);
     assert!(heartbeats >= 9 && joining && !condemned);
+    assert_eq!(pool_member_fenced(third_host), Vec::<u8>::new());
+    assert_eq!(pool_member_fenced(RANK2_IP), vec![0]);
 }
 
 fn arb_snapshot_msg() -> impl Strategy<Value = ConnSnapshotMsg> {
