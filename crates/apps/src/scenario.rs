@@ -125,7 +125,6 @@ pub struct ScenarioBuilder {
     extra_clients: Vec<ClientWorkload>,
     connect_at: SimDuration,
     link: LinkParams,
-    serial: SerialParams,
     serial_links: usize,
     addressing: Addressing,
     topology: Topology,
@@ -143,7 +142,6 @@ impl ScenarioBuilder {
             extra_clients: Vec::new(),
             connect_at: SimDuration::from_millis(100),
             link: LinkParams::lan(),
-            serial: SerialParams::rs232(),
             serial_links: 1,
             addressing: Addressing::default(),
             topology: Topology::Pair,
@@ -172,21 +170,9 @@ impl ScenarioBuilder {
         self
     }
 
-    /// Sets the TCP configuration used by servers and client.
-    pub fn tcp(mut self, cfg: TcpConfig) -> Self {
-        self.tcp = Rc::new(cfg);
-        self
-    }
-
     /// Sets the Ethernet link parameters.
     pub fn link(mut self, params: LinkParams) -> Self {
         self.link = params;
-        self
-    }
-
-    /// Sets the serial channel parameters.
-    pub fn serial(mut self, params: SerialParams) -> Self {
-        self.serial = params;
         self
     }
 
@@ -384,7 +370,7 @@ impl ScenarioBuilder {
             for j in (i + 1)..n {
                 for _ in 0..self.serial_links {
                     let (sid, port_i, port_j) =
-                        world.connect_serial(member_node(i), member_node(j), self.serial);
+                        world.connect_serial(member_node(i), member_node(j), SerialParams::rs232());
                     let (ip_i, ip_j) = (member_addr(i).0, member_addr(j).0);
                     for (me, port, to) in [(i, port_i, ip_j), (j, port_j, ip_i)] {
                         world

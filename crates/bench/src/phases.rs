@@ -14,7 +14,7 @@ use obs::timeline::{Phase, PhaseBreakdown, PhaseMark, Timeline};
 
 use simnet::time::{SimDuration, SimTime};
 
-use sttcp::config::{StTcpConfig, PING_FAIL_THRESHOLD, PING_INTERVAL};
+use sttcp::config::{StTcpConfig, NET_LAG_TIME, PING_FAIL_THRESHOLD, PING_INTERVAL};
 use sttcp::events::{FailureReason, StTcpEvent};
 
 use crate::report::Table;
@@ -128,7 +128,7 @@ pub fn detection_bound(cfg: &StTcpConfig, reason: FailureReason) -> Option<SimDu
     let net_evidence = {
         // Row 4 verdicts need the IP heartbeat declared dead first, then
         // whichever network-failure evidence accumulates slowest.
-        let lag = cfg.net_lag_time + cfg.effective_lag_confirm();
+        let lag = NET_LAG_TIME + cfg.effective_lag_confirm();
         let pings = PING_INTERVAL * u64::from(PING_FAIL_THRESHOLD);
         cfg.hb_timeout() + lag.max(pings)
     };

@@ -210,6 +210,16 @@ pub(crate) fn quorum_needed(members: &Members, target_rank: u8) -> usize {
     electorate / 2 + 1
 }
 
+/// The takeover candidate rule, for a candidate and for its voters
+/// alike: true when a better-ranked live member than `rank` — unfenced,
+/// not defunct, not the dead active `active_rank` itself — could take
+/// over instead.
+pub(crate) fn outranked(members: &Members, now: SimTime, active_rank: u8, rank: u8) -> bool {
+    members.values().any(|m| {
+        !m.fenced && !m.hb.defunct && m.rank != active_rank && m.alive(now) && m.rank < rank
+    })
+}
+
 /// One in-flight fence round this server is initiating.
 #[derive(Debug)]
 pub(crate) struct FenceRound {
@@ -282,16 +292,9 @@ impl PoolState {
             .find(|&(_, r)| r == self.active_rank)
             .or_else(|| overdue.min_by_key(|&(_, r)| r))?;
         let eligible = if rank == self.active_rank {
-            // Rank order: only the lowest-ranked live backup campaigns
-            // to fence the active (and take over).
-            role == Role::Backup
-                && !members.values().any(|m| {
-                    !m.fenced
-                        && !m.hb.defunct
-                        && m.rank != rank
-                        && m.alive(now)
-                        && m.rank < self.my_rank
-                })
+            // Rank order: only the best-ranked live backup campaigns to
+            // fence the active (and take over).
+            role == Role::Backup && !outranked(members, now, rank, self.my_rank)
         } else {
             // The active fences dead backups.
             role == Role::Primary

@@ -38,7 +38,10 @@ use simtcp::seq::SeqNum;
 use simtcp::socket::{FourTuple, SocketEvent, SocketId};
 
 use crate::app::{AppAction, AppFactory, Application};
-use crate::config::{Role, StTcpConfig, APP_TICK, PING_INTERVAL, STONITH_DELAY};
+use crate::config::{
+    Role, StTcpConfig, APP_TICK, GAP_GIVEUP, NET_LAG_BYTES, NET_LAG_TIME, PING_INTERVAL,
+    STONITH_DELAY,
+};
 use crate::conntable::{ConnCtl, ConnTable, HbCacheEntry, Set, SlotId};
 use crate::events::{FailureReason, HbLink, StTcpEvent};
 use crate::finarb::{ArbAction, FinArbiter};
@@ -49,8 +52,8 @@ use crate::linkmon::next_silence;
 use crate::metrics::ServerMetrics;
 use crate::netdetect::{NetFailureDetector, NetObservation};
 use crate::pool::{
-    live_non_fenced, member_table, quorum_needed, FenceRound, MemberState, Members, PeerConn,
-    PoolPeer, PoolState,
+    live_non_fenced, member_table, outranked, quorum_needed, FenceRound, MemberState, Members,
+    PeerConn, PoolPeer, PoolState,
 };
 use crate::recover::{ConnSnapshotMsg, CtrlMsg, MAX_FETCH_DATA};
 
@@ -447,8 +450,8 @@ impl Ram {
             ip_was_alive: true,
             serial_was_alive: true,
             net_detect: NetFailureDetector::new(
-                setup.sttcp.net_lag_bytes,
-                setup.sttcp.net_lag_time,
+                NET_LAG_BYTES,
+                NET_LAG_TIME,
                 setup.sttcp.effective_lag_confirm(),
             ),
             ping: PingCampaign {
@@ -937,7 +940,7 @@ impl StTcpServer {
         let Some(conn) = self.ram.tcp.conn(sock) else {
             return;
         };
-        let key = conn_key(conn.tuple());
+        let (key, holds) = (conn_key(conn.tuple()), conn.holds());
         prof.enter(Component::App);
         let mut app = self.app_factory.create();
         let open_actions = match self.ram.app_crashed {
@@ -948,11 +951,11 @@ impl StTcpServer {
         self.bind_key(now, key, sock, app);
         self.events
             .push(StTcpEvent::ConnEstablished { conn: key, at: now });
-        // The accept endpoint arms the extended receive buffer on every
-        // connection it accepts while this server is the active member
-        // (`hold_buf` is set at start-up for a primary and again at
-        // takeover); mirror that condition into the event log.
-        if self.ram.role == Role::Primary {
+        // The listener gives a connection the extended receive buffer
+        // while this server has a backup to feed
+        // ([`StTcpServer::hold_client_bytes`]); the log says what this
+        // one does.
+        if holds {
             self.events
                 .push(StTcpEvent::HoldArmed { conn: key, at: now });
         }
@@ -1642,16 +1645,15 @@ impl StTcpServer {
         // FIN arbitration and hold release against the pool-wide view:
         // a FIN counts once any non-fenced member saw it; the active
         // releases held bytes only up to the *slowest* non-fenced member
-        // (a member with no entry yet holds everything back).
+        // (a member with no entry yet holds everything back). The sender
+        // was just admitted, so there is one.
         let mut arb_actions: Vec<(SocketId, u32, ArbAction)> = Vec::new();
         let i_am_active = self.ram.role == Role::Primary;
         let bound: Vec<_> = self.ram.table.bound().collect();
         for (key, s, sock) in bound {
             let mut fin_or_rst = false;
             let mut min_lbr = u64::MAX;
-            let mut any_member = false;
             for m in self.ram.members.values().filter(|m| !m.fenced) {
-                any_member = true;
                 match m.conns.get(&key) {
                     Some(e) => {
                         fin_or_rst |= e.fin_or_rst;
@@ -1666,9 +1668,8 @@ impl StTcpServer {
                 }
             }
             if i_am_active {
-                let release = if any_member { min_lbr } else { u64::MAX };
                 if let Some(conn) = self.ram.tcp.conn_mut(sock) {
-                    conn.release_hold_until(release);
+                    conn.release_hold_until(min_lbr);
                 }
             }
         }
@@ -1708,29 +1709,31 @@ impl StTcpServer {
         if !self.ram.ft_mode {
             return;
         }
-        let now = ctx.now();
         self.ram.ft_mode = false;
         // Parented to the last heartbeat this server accepted — the
         // final evidence before it condemned the peer.
         self.condemn(ctx, self.pair_peer().node, reason, self.last_hb_rx_span);
-
-        match self.ram.role {
-            Role::Backup => {
-                // Complete the takeover only after the peer is provably
-                // silent (power controller latency).
-                ctx.set_timer(STONITH_DELAY, TOKEN_TAKEOVER);
-            }
-            Role::Primary => {
-                self.events.push(StTcpEvent::WentNonFt { reason, at: now });
-                self.run_open(now);
-            }
-        }
+        // The pair's peer is the active exactly when this server is not.
+        self.after_verdict(ctx, reason, self.ram.role == Role::Backup);
     }
 
-    /// Nobody is left to replicate to: every FIN arbiter resolves as
-    /// peer-failed and the extended receive buffer, having no consumer
-    /// anymore, lets everything go.
-    fn run_open(&mut self, now: SimTime) {
+    /// What follows a verdict in pair and pool alike, once `condemn` has
+    /// STONITHed the member: a condemned active is taken over only after
+    /// it is provably silent (power controller latency); an active left
+    /// without a backup (`ft_mode` false) continues non-fault-tolerant —
+    /// every FIN arbiter resolves as peer-failed, and with nobody to
+    /// feed it stops holding client bytes.
+    fn after_verdict(&mut self, ctx: &mut NodeCtx<'_>, reason: FailureReason, was_active: bool) {
+        let now = ctx.now();
+        if was_active {
+            ctx.set_timer(STONITH_DELAY, TOKEN_TAKEOVER);
+            return;
+        }
+        if self.ram.role == Role::Backup || self.ram.ft_mode {
+            return;
+        }
+        self.events.push(StTcpEvent::WentNonFt { reason, at: now });
+        self.hold_client_bytes(now, false);
         for (sock, s) in self.all_socks() {
             let Some(ctl) = &mut self.ram.table[s].ctl else {
                 continue;
@@ -1738,8 +1741,31 @@ impl StTcpServer {
             if let (key, Some(a)) = (ctl.key, ctl.finarb.on_peer_failed()) {
                 self.apply_gate_action(now, sock, key, a);
             }
+        }
+    }
+
+    /// The extended receive buffer's one rule after boot: an active
+    /// server holds client bytes exactly while it has a backup to feed.
+    /// On, every connection holds from its receive edge on (logged
+    /// `HoldArmed`) and so does every connection accepted from now on;
+    /// off, every connection releases what it held and the listener
+    /// accepts plain ones. Only an active server calls this.
+    fn hold_client_bytes(&mut self, now: SimTime, on: bool) {
+        let mut tcp = self.setup.tcp.clone();
+        tcp.hold_buf = on.then_some(self.setup.sttcp.hold_buf);
+        let (tcp, egress) = (tcp.into(), EgressMode::Normal);
+        let port = self.setup.service_port;
+        self.ram.tcp.listen(port, ListenConfig { tcp, egress });
+        for (sock, s) in self.all_socks() {
             if let Some(conn) = self.ram.tcp.conn_mut(sock) {
-                conn.release_hold_until(u64::MAX);
+                match on {
+                    true => conn.enable_hold(self.setup.sttcp.hold_buf),
+                    false => conn.disable_hold(),
+                }
+            }
+            if on {
+                let conn = self.ram.table[s].key();
+                self.events.push(StTcpEvent::HoldArmed { conn, at: now });
             }
         }
     }
@@ -1764,37 +1790,20 @@ impl StTcpServer {
             },
         );
         // Pool mode: other backups may survive the takeover — keep serving
-        // them fault-tolerant (extended receive buffer stays armed). Pair
-        // mode has nobody left to feed.
+        // them fault-tolerant. Pair mode has nobody left to feed.
         let keep_ft = self.ram.pool.is_some() && self.ram.members.values().any(|m| !m.fenced);
+        self.ram.ft_mode = keep_ft;
         // From now on this host speaks for the service: orphan segments
         // (e.g. for a connection reset as unrecoverable) get ordinary
         // RSTs instead of shadow silence.
         self.ram.tcp.set_rst_policy(RstPolicy::Send);
-        let mut accept_tcp = self.setup.tcp.clone();
-        if keep_ft {
-            accept_tcp.hold_buf = Some(self.setup.sttcp.hold_buf);
-        }
-        self.ram.tcp.listen(
-            self.setup.service_port,
-            ListenConfig {
-                tcp: accept_tcp.into(),
-                egress: EgressMode::Normal,
-            },
-        );
+        self.hold_client_bytes(now, keep_ft);
         for (sock, s) in self.all_socks() {
             self.ram.tcp.set_egress(sock, EgressMode::Normal);
             let Some(ctl) = &mut self.ram.table[s].ctl else {
                 continue;
             };
             let (key, action) = (ctl.key, ctl.finarb.on_takeover());
-            if keep_ft {
-                if let Some(conn) = self.ram.tcp.conn_mut(sock) {
-                    conn.enable_hold(self.setup.sttcp.hold_buf);
-                }
-                self.events
-                    .push(StTcpEvent::HoldArmed { conn: key, at: now });
-            }
             // The paper's output-commit caveat: if the dead primary had
             // received-and-acked client bytes this backup never got, those
             // bytes exist nowhere anymore. Without a logger the connection
@@ -1835,7 +1844,6 @@ impl StTcpServer {
         }
         if let Some(pool) = &mut self.ram.pool {
             pool.active_rank = pool.my_rank;
-            self.ram.ft_mode = keep_ft;
             // The dead active's mirror served the gap check above; from
             // here the new active's own positions are authoritative.
             self.ram.table.clear_peers();
@@ -2099,7 +2107,7 @@ impl StTcpServer {
     /// because the dead primary already acked those bytes — makes the
     /// connection unrecoverable. Detect it by hole persistence; a
     /// repairable hole is refilled by a client retransmission well
-    /// within `gap_giveup`.
+    /// within [`GAP_GIVEUP`].
     fn check_post_takeover_holes(&mut self, ctx: &mut NodeCtx<'_>) {
         if !self.ram.took_over {
             return;
@@ -2136,7 +2144,7 @@ impl StTcpServer {
                 continue;
             }
             let since = *ctl.hole_since.get_or_insert(now);
-            if now.saturating_since(since) >= self.setup.sttcp.gap_giveup {
+            if now.saturating_since(since) >= GAP_GIVEUP {
                 let key = ctl.key;
                 ctl.closed = true;
                 let missing_from = self
@@ -2334,22 +2342,11 @@ impl StTcpServer {
         let target_dead = members
             .values()
             .any(|m| !m.fenced && m.rank == target_rank && m.condemnable(now));
-        let mut granted = candidate_ok && target_dead && target_rank != my_rank;
-        if granted && target_rank == pool.active_rank {
-            // Never endorse a worse-ranked candidate while a better
-            // live one exists — including this voter itself.
-            let better_live = my_rank < candidate_rank
-                || members.values().any(|m| {
-                    !m.fenced
-                        && !m.hb.defunct
-                        && m.rank != target_rank
-                        && m.alive(now)
-                        && m.rank < candidate_rank
-                });
-            if better_live {
-                granted = false;
-            }
-        }
+        // A takeover fence never endorses a worse-ranked candidate while
+        // a better live one exists — including this voter itself.
+        let passed_over = target_rank == pool.active_rank
+            && (my_rank < candidate_rank || outranked(members, now, target_rank, candidate_rank));
+        let granted = candidate_ok && target_dead && target_rank != my_rank && !passed_over;
         let reply = CtrlMsg::FenceAck {
             epoch,
             target_rank,
@@ -2454,13 +2451,13 @@ impl StTcpServer {
             },
         );
         self.condemn(ctx, target_node, FailureReason::HbBothLinksDown, fspan);
-        let live_others = live_non_fenced(&self.ram.members, now);
         let was_active = self
             .ram
             .pool
             .as_ref()
             .is_some_and(|p| p.active_rank == target_rank);
-        self.ram.ft_mode = live_others > 0;
+        // Fault-tolerant while some live member is left to feed.
+        self.ram.ft_mode = live_non_fenced(&self.ram.members, now) > 0;
         // Tell the survivors: they mark the member fenced without needing
         // their own quorum, and a losing simultaneous candidate abandons
         // its round.
@@ -2470,25 +2467,7 @@ impl StTcpServer {
                 self.send_ctrl_to(ctx, ip, &commit);
             }
         }
-        if was_active {
-            // Complete the takeover only after the target is provably
-            // silent (power controller latency).
-            ctx.set_timer(STONITH_DELAY, TOKEN_TAKEOVER);
-        } else if self.ram.role == Role::Primary && live_others == 0 {
-            // Last member standing: run open, non-fault-tolerant.
-            self.events.push(StTcpEvent::WentNonFt {
-                reason: FailureReason::HbBothLinksDown,
-                at: now,
-            });
-            self.ram.tcp.listen(
-                self.setup.service_port,
-                ListenConfig {
-                    tcp: self.setup.tcp.clone().into(),
-                    egress: EgressMode::Normal,
-                },
-            );
-            self.run_open(now);
-        }
+        self.after_verdict(ctx, FailureReason::HbBothLinksDown, was_active);
     }
 
     /// Another member completed a fence round: adopt its verdict.
@@ -2666,30 +2645,15 @@ impl StTcpServer {
             self.ram.rx_peer_epoch = 0;
             self.events
                 .push(StTcpEvent::ReintegrationStarted { at: now });
-            // Future connections get the extended receive buffer again:
-            // once the join completes there is a backup to feed.
-            let mut accept_tcp = self.setup.tcp.clone();
-            accept_tcp.hold_buf = Some(self.setup.sttcp.hold_buf);
-            self.ram.tcp.listen(
-                self.setup.service_port,
-                ListenConfig {
-                    tcp: accept_tcp.into(),
-                    egress: EgressMode::Normal,
-                },
-            );
         }
+        // Once the join completes there is a backup to feed. Arm the hold
+        // buffer *before* capturing the snapshots: every client byte at
+        // or beyond a snapshot's receive edge stays fetchable, so the
+        // joiner sees the stream with no hole — `[read cursor, edge)`
+        // rides in the snapshot, `[edge, ∞)` arrives by tap or fetch.
+        self.hold_client_bytes(now, true);
         let mut announced = 0u32;
-        for (sock, s) in self.all_socks() {
-            // Arm the hold buffer *before* capturing the snapshot: every
-            // client byte at or beyond the snapshot's receive edge stays
-            // fetchable, so the joiner sees the stream with no hole —
-            // `[read cursor, edge)` rides in the snapshot, `[edge, ∞)`
-            // arrives by tap or fetch.
-            if let Some(conn) = self.ram.tcp.conn_mut(sock) {
-                conn.enable_hold(self.setup.sttcp.hold_buf);
-            }
-            let conn = self.ram.table[s].key();
-            self.events.push(StTcpEvent::HoldArmed { conn, at: now });
+        for (sock, _) in self.all_socks() {
             let Some(msg) = self.snapshot_conn(session, sock) else {
                 continue;
             };

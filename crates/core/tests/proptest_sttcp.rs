@@ -400,8 +400,6 @@ fn puppet_world(script: Vec<SetOp>) -> (World, NodeId) {
         recovery_interval: SimDuration::from_millis(10),
         app_max_lag_bytes: u64::MAX,
         app_max_lag_time: far,
-        net_lag_bytes: u64::MAX,
-        net_lag_time: far,
         ..Default::default()
     };
     let setup = server_setup(Role::Backup, sttcp, puppet);

@@ -108,12 +108,6 @@ impl LinkParams {
         self.latency = latency;
         self
     }
-
-    /// Sets the bandwidth cap (builder style).
-    pub fn with_bandwidth(mut self, bps: u64) -> LinkParams {
-        self.bandwidth_bps = Some(bps);
-        self
-    }
 }
 
 impl Default for LinkParams {

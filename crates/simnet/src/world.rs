@@ -431,12 +431,6 @@ impl World {
         }
     }
 
-    /// Runs for `d` of virtual time from the current clock.
-    pub fn run_for(&mut self, d: SimDuration) {
-        let t = self.now + d;
-        self.run_until(t);
-    }
-
     /// Processes events until the queue is empty, with a safety cap.
     ///
     /// # Errors

@@ -430,6 +430,17 @@ impl TcpConn {
         self.recvbuf.enable_hold(capacity);
     }
 
+    /// Turns the extended receive buffer off, releasing everything it
+    /// held — the active server once it has no backup left to feed.
+    pub fn disable_hold(&mut self) {
+        self.recvbuf.disable_hold();
+    }
+
+    /// True while the extended receive buffer is on.
+    pub fn holds(&self) -> bool {
+        self.recvbuf.holds()
+    }
+
     // ----- introspection ---------------------------------------------------
 
     /// The connection's four-tuple.

@@ -93,6 +93,21 @@ impl RecvBuffer {
         self.compact();
     }
 
+    /// Turns the hold region off: everything held is released at once,
+    /// and from here on bytes are kept only until the application reads
+    /// them (plain TCP). The ST-TCP active server calls this once it has
+    /// no backup left to feed.
+    pub fn disable_hold(&mut self) {
+        self.hold_capacity = None;
+        self.release_pos = self.nxt();
+        self.compact();
+    }
+
+    /// True while the hold region is on.
+    pub fn holds(&self) -> bool {
+        self.hold_capacity.is_some()
+    }
+
     /// Next expected in-order stream offset. This is the paper's
     /// `LastByteReceived` heartbeat field (as a count of contiguous bytes).
     pub fn nxt(&self) -> u64 {
@@ -511,6 +526,22 @@ mod tests {
     }
 
     #[test]
+    fn disable_hold_releases_everything_and_holds_nothing_after() {
+        let mut b = holding(4);
+        let _ = b.receive(0, &bs(b"abcdefgh"), false);
+        let _ = b.read(6);
+        assert!(b.holds() && b.hold_overflow());
+        b.disable_hold();
+        assert!(!b.holds());
+        assert_eq!((b.hold_used(), b.hold_overflow()), (0, false));
+        assert!(b.fetch(0, 8).is_none(), "released bytes are gone");
+        // Unread bytes stay for the application; later bytes are not held.
+        let _ = b.receive(8, &bs(b"ijkl"), false);
+        assert_eq!(b.hold_used(), 0);
+        assert_eq!(b.read(100).as_ref(), b"ghijkl");
+    }
+
+    #[test]
     fn interleaved_read_release_discard() {
         let mut b = holding(100);
         let _ = b.receive(0, &bs(b"0123456789"), false);
@@ -588,6 +619,12 @@ mod tests {
 
             pub fn enable_hold(&mut self, capacity: usize) {
                 self.hold_capacity = Some(capacity);
+                self.release_pos = self.nxt;
+                self.compact();
+            }
+
+            pub fn disable_hold(&mut self) {
+                self.hold_capacity = None;
                 self.release_pos = self.nxt;
                 self.compact();
             }
@@ -734,6 +771,7 @@ mod tests {
         EnableHold {
             capacity: usize,
         },
+        DisableHold,
         /// Snapshot (read cursor, unread bytes, FIN) and rebuild both
         /// buffers the way `TcpConn::resume` does.
         Resume,
@@ -759,6 +797,7 @@ mod tests {
             (any::<u8>(), max()).prop_map(|(at, max)| Op::Fetch { at, max }),
             prop_oneof![Just(0usize), Just(2_000usize), Just(1usize << 20)]
                 .prop_map(|capacity| Op::EnableHold { capacity }),
+            Just(Op::DisableHold),
             Just(Op::Resume),
         ]
     }
@@ -814,6 +853,11 @@ mod tests {
                         new.enable_hold(capacity);
                         old.enable_hold(capacity);
                     }
+                    Op::DisableHold => {
+                        hold = None;
+                        new.disable_hold();
+                        old.disable_hold();
+                    }
                     Op::Resume => {
                         let start = old.read_pos;
                         let pending = Bytes::from(
@@ -835,6 +879,7 @@ mod tests {
                 prop_assert_eq!(new.window(), old.window());
                 prop_assert_eq!(new.hold_used(), old.hold_used());
                 prop_assert_eq!(new.hold_overflow(), old.hold_overflow());
+                prop_assert_eq!(new.holds(), hold.is_some());
                 prop_assert_eq!(new.ooo_bytes(), old.ooo_bytes());
                 prop_assert_eq!(new.fin_offset(), old.fin_offset);
                 prop_assert_eq!(new.fin_reached(), old.fin_offset == Some(old.nxt));

@@ -206,10 +206,8 @@ fn watchdog_accelerates_detection_under_traffic_too() {
 #[test]
 fn primary_crash_during_recovery_resets_connection_not_hangs() {
     let cfg = StTcpConfig {
-        // Keep the backup from (re-)fetching before the crash lands, and
-        // shorten the post-takeover hole deadline for test speed.
+        // Keep the backup from (re-)fetching before the crash lands.
         recovery_interval: SimDuration::from_secs(600),
-        gap_giveup: SimDuration::from_secs(2),
         ..Default::default()
     };
     let mut s = ScenarioBuilder::new(

@@ -71,6 +71,21 @@ fn assert_clean_client(s: &Scenario) {
     assert_eq!(log.connects.len(), 1, "client reconnected");
 }
 
+/// Client bytes `node` holds in extended receive buffers, over every
+/// connection it accepted.
+fn held_bytes(s: &Scenario, node: NodeId) -> usize {
+    let tcp = s.server(node).endpoint();
+    let conns = tcp.sockets().into_iter().filter_map(|id| tcp.conn(id));
+    conns.map(|c| c.hold_used()).sum()
+}
+
+/// An active server with no backup left feeds nobody, so it holds no
+/// client byte for one (paper §2: it "continues non-fault-tolerant").
+fn assert_holds_nothing(s: &Scenario, node: NodeId) {
+    assert!(!s.server(node).ft_mode());
+    assert_eq!(held_bytes(s, node), 0, "an active with no backup holds");
+}
+
 // ---------------------------------------------------------------------
 // Failure-free operation
 // ---------------------------------------------------------------------
@@ -268,6 +283,7 @@ fn row2_backup_app_crash_silent_primary_goes_non_ft() {
     ));
     assert!(!s.world.is_powered(s.backup));
     assert_eq!(s.server(s.primary).role(), Role::Primary);
+    assert_holds_nothing(&s, s.primary);
 }
 
 // ---------------------------------------------------------------------
@@ -317,6 +333,7 @@ fn row3_backup_app_crash_with_fin_primary_goes_non_ft() {
         "reason {reason}"
     );
     assert!(!s.world.is_powered(s.backup));
+    assert_holds_nothing(&s, s.primary);
 }
 
 #[test]
@@ -375,6 +392,7 @@ fn row4_backup_nic_failure_primary_goes_non_ft() {
     assert!(!s.world.is_powered(s.backup));
     // The client must be completely unaffected (primary kept serving).
     assert_eq!(s.client_log().connects.len(), 1);
+    assert_holds_nothing(&s, s.primary);
 }
 
 #[test]
@@ -517,6 +535,55 @@ fn no_dual_active_after_any_takeover() {
             );
         }
     }
+}
+
+/// The hold rule: an active server holds client bytes exactly while it
+/// has a backup to feed, and logs `HoldArmed` only for a connection that
+/// holds. Three ways to be an active with no backup left, each serving a
+/// 1 KiB echo every 20 ms: a pair primary that condemned its backup
+/// before the client connected, a pair backup that took over before the
+/// client connected, and a three-member pool's last member standing,
+/// whose connection predates both verdicts.
+#[test]
+fn an_active_with_no_backup_holds_no_client_bytes() {
+    // (seed, pool size (0: the pair), crashes as (rank, ms), connect ms,
+    // the `HoldArmed` events the server left active logs)
+    type Crashes = &'static [(usize, u64)];
+    let cases: [(u64, usize, Crashes, u64, usize); 3] = [
+        (4, 0, &[(1, 500)], 3_000, 0),
+        (9, 0, &[(0, 500)], 3_000, 0),
+        (8, 3, &[(1, 500), (2, 3_000)], 100, 1),
+    ];
+    // Every case's (seed, held bytes, `HoldArmed` events), compared at once.
+    let (mut got, mut want) = (Vec::new(), Vec::new());
+    for (seed, pool, crashes, connect_ms, armed) in cases {
+        let chat = ClientWorkload::EchoChat {
+            chunk: 1024,
+            period: SimDuration::from_millis(20),
+            count: 1_000,
+        };
+        let mut b = ScenarioBuilder::new(echo_app(), chat)
+            .seed(seed)
+            .connect_at(SimDuration::from_millis(connect_ms));
+        if pool > 0 {
+            b = b.pool(pool);
+        }
+        let mut s = b.build();
+        for &(rank, ms) in crashes {
+            s.crash_at(s.servers[rank], t(ms));
+        }
+        s.world.run_until(t(30_000));
+        assert_clean_client(&s);
+        let mut active = s.servers.iter().filter(|&&n| s.server(n).is_active());
+        let (Some(&node), None) = (active.next(), active.next()) else {
+            panic!("seed {seed}: not exactly one active server");
+        };
+        let logged = s.server(node).events().iter();
+        let logged = logged.filter(|e| matches!(e, StTcpEvent::HoldArmed { .. }));
+        got.push((seed, held_bytes(&s, node), logged.count()));
+        want.push((seed, 0, armed));
+    }
+    assert_eq!(got, want, "(seed, held bytes, HoldArmed events)");
 }
 
 #[test]

@@ -13,7 +13,8 @@
 
 use std::rc::Rc;
 
-use simnet::time::SimTime;
+use simnet::time::{SimDuration, SimTime};
+use sttcp::config::StTcpConfig;
 use sttcp::events::StTcpEvent;
 use sttcp::invariant::Outcome;
 use sttcp_apps::apps::StreamApp;
@@ -289,6 +290,35 @@ fn fast_rebooted_active_is_fenced_as_defunct() {
     assert!(fence.1 <= takeover);
     // The chain continues: rank 2 inherits the service when rank 1 dies.
     assert_eq!(report.active_at_end, Some(2));
+}
+
+/// Both backups of a three-member pool die 200 ms apart under a 1 KiB
+/// echo every 20 ms. The active opens a fence round against rank 1 that
+/// needs rank 2's vote, and rank 2 is dead too, so the round never
+/// completes: the active stays in `ft_mode`, holding every client byte
+/// for backups that are gone (1 495 040 B at 30 s, over its 1 MiB
+/// `hold_buf`). The pair escalates a hold overflow (Table 1 row 5); the
+/// pool has no such escalation yet (ROADMAP item 7).
+#[test]
+#[ignore = "the pool has no Table 1 row-5 escalation (ROADMAP item 7)"]
+fn an_active_whose_backups_all_died_holds_within_hold_buf() {
+    let chat = ClientWorkload::EchoChat {
+        chunk: 1024,
+        period: SimDuration::from_millis(20),
+        count: 2_000,
+    };
+    let app = || Box::new(sttcp::app::EchoApp::default()) as _;
+    let mut s = ScenarioBuilder::new(Rc::new(app), chat)
+        .seed(5)
+        .pool(3)
+        .build();
+    s.crash_at(s.servers[1], SimTime::from_millis(1_000));
+    s.crash_at(s.servers[2], SimTime::from_millis(1_200));
+    s.world.run_until(SimTime::from_secs(30));
+    let tcp = s.server(s.primary).endpoint();
+    let conns = tcp.sockets().into_iter().filter_map(|id| tcp.conn(id));
+    let held: usize = conns.map(|c| c.hold_used()).sum();
+    assert!(held <= StTcpConfig::default().hold_buf, "holds {held} B");
 }
 
 /// Byzantine heartbeats (CRC-valid, semantically impossible) across a
