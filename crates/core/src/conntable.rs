@@ -50,11 +50,12 @@
 //! record for a key with no socket yet makes a slot without `ctl`; a
 //! later `bind` (an accept, or a joiner installing a snapshot) attaches
 //! to it. A record cache entry exists only on a slot that resolves to a
-//! socket, so a full round has nothing to prune. Pool mode replaces the
-//! whole mirror column (`clear_peers`, then fill from the active
-//! member's own map, which the table never touches); a new peer epoch
-//! walks `slots_mut` to zero every `last_update_seq`. A reboot builds a
-//! fresh table, which takes every set with it.
+//! socket, so a full round has nothing to prune. Pool mode copies the
+//! active member's records into the column, and replaces the whole
+//! column when the active changes (`clear_peers`, then fill from its own
+//! map, which the table never touches); a new pair-peer epoch walks
+//! `slots_mut` to zero every `last_update_seq`. A reboot builds a fresh
+//! table, which takes every set with it.
 
 use bytes::Bytes;
 use std::cell::RefCell;

@@ -13,6 +13,7 @@ use obs::metrics::{Counter, Gauge, Histogram};
 use simnet::time::SimTime;
 
 use crate::events::{FailureReason, HbLink};
+use crate::heartbeat::HB_CONN_LEN;
 
 /// Metrics for one heartbeat link.
 #[derive(Debug, Clone)]
@@ -68,6 +69,16 @@ pub struct HbBandwidth {
 }
 
 impl HbBandwidth {
+    /// Counts one frame of `conns` connection records, `bytes` long on
+    /// the wire: the records are payload, the rest is framing.
+    pub fn add_frame(&mut self, conns: u64, bytes: u64) {
+        let payload = conns * HB_CONN_LEN as u64;
+        self.frames += 1;
+        self.conn_entries += conns;
+        self.payload_bytes += payload;
+        self.framing_bytes += bytes.saturating_sub(payload);
+    }
+
     /// Total bytes on the wire (payload + framing).
     pub fn total_bytes(&self) -> u64 {
         self.payload_bytes + self.framing_bytes
@@ -208,22 +219,15 @@ impl ServerMetrics {
         self.pool_strength.get()
     }
 
-    /// Records one emit round of outbound heartbeat state: `frames`
-    /// frames carrying `conn_entries` connection entries in total,
-    /// split into `payload_bytes` of entry data and `framing_bytes` of
-    /// header/trailer overhead.
-    pub fn on_hb_round(
-        &mut self,
-        frames: u64,
-        conn_entries: u64,
-        payload_bytes: u64,
-        framing_bytes: u64,
-    ) {
-        self.hb_bandwidth.rounds += 1;
-        self.hb_bandwidth.frames += frames;
-        self.hb_bandwidth.conn_entries += conn_entries;
-        self.hb_bandwidth.payload_bytes += payload_bytes;
-        self.hb_bandwidth.framing_bytes += framing_bytes;
+    /// Records one emit round of outbound heartbeat state: the frames
+    /// counted into `round`.
+    pub fn on_hb_round(&mut self, round: HbBandwidth) {
+        let bw = &mut self.hb_bandwidth;
+        bw.rounds += 1;
+        bw.frames += round.frames;
+        bw.conn_entries += round.conn_entries;
+        bw.payload_bytes += round.payload_bytes;
+        bw.framing_bytes += round.framing_bytes;
     }
 
     /// The outbound heartbeat bandwidth accounting so far.
@@ -417,8 +421,11 @@ mod tests {
         assert_eq!(m.hb_bandwidth(), HbBandwidth::default());
         // Two rounds, two frames each (IP + serial), one conn of 21B
         // payload behind 13B of header per frame.
-        m.on_hb_round(2, 2, 42, 26);
-        m.on_hb_round(2, 2, 42, 26);
+        let mut round = HbBandwidth::default();
+        round.add_frame(1, 34);
+        round.add_frame(1, 34);
+        m.on_hb_round(round);
+        m.on_hb_round(round);
         let bw = m.hb_bandwidth();
         assert_eq!(bw.rounds, 2);
         assert_eq!(bw.frames, 4);

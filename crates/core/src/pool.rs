@@ -22,6 +22,9 @@
 //! and control channels. The member table is both topologies' model of
 //! the other servers — the pair keeps its one peer in it too — while
 //! [`PoolState`] is only the pool's round state.
+//! Each member also carries its own delta-heartbeat stream, so `hb_delta`
+//! and `hb_batch` mean the same in both topologies: the pair's stream is
+//! the one-member case.
 
 use std::collections::{BTreeMap, BTreeSet};
 use std::net::Ipv4Addr;
@@ -91,6 +94,49 @@ impl PeerConn {
     }
 }
 
+/// Wrapping seqno comparison: true when `a` is strictly newer than `b`.
+pub(crate) fn seq_newer(a: u32, b: u32) -> bool {
+    a.wrapping_sub(b) as i32 > 0
+}
+
+/// Receive state for one link's batched (v3) heartbeat rounds: which round
+/// is open and which part must arrive next. Parts of one round share a
+/// seqno and must arrive in order on their link (serial links and the
+/// simulated LAN both preserve per-link order); the link's cumulative ack
+/// advances only when the final part lands, so a lost part means no ack
+/// and the records ride again next round.
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+pub(crate) struct RxBatch {
+    pub(crate) seqno: u32,
+    pub(crate) parts: u16,
+    pub(crate) next: u16,
+}
+
+/// One heartbeat link's delta-protocol (v2) state with one member, both
+/// directions: link 0 is the member's address, link `1 + k` its `k`-th
+/// cable.
+#[derive(Debug, Clone, Copy, Default)]
+pub(crate) struct LinkState {
+    /// The member's cumulative ack of *my* frames on this link.
+    pub(crate) acked: u32,
+    /// Highest seqno applied from the member on this link — echoed back
+    /// as its ack, and the link's staleness filter.
+    pub(crate) applied: u32,
+    /// The batched (v3) round open on this link.
+    pub(crate) batch: RxBatch,
+}
+
+/// How many [`LinkState`]s a member with `cables` cables to it keeps:
+/// none under v1 (`delta` off), else its address plus every cable —
+/// counting the usual one cable from the start, so that wiring it grows
+/// nothing.
+pub(crate) fn stream_links(delta: bool, cables: usize) -> usize {
+    match delta {
+        true => 1 + cables.max(1),
+        false => 0,
+    }
+}
+
 /// Everything this server tracks about one other member: the pair's
 /// one peer, or one pool member.
 #[derive(Debug)]
@@ -112,24 +158,56 @@ pub(crate) struct MemberState {
     /// The member's per-connection positions from its heartbeats. Pool
     /// only: the pair's one peer reports into the connection table.
     pub(crate) conns: BTreeMap<u32, PeerConn>,
+    /// The delta stream with this member, one entry per link to it
+    /// ([`stream_links`]; empty under v1).
+    pub(crate) links: Vec<LinkState>,
+    /// My epoch the member's acks refer to; it is owed full-state frames
+    /// until this matches my boot epoch.
+    pub(crate) ack_epoch: u32,
+    /// The member's epoch its links' `applied` seqnos refer to (0 = none
+    /// seen yet).
+    pub(crate) rx_epoch: u32,
 }
 
 impl MemberState {
+    /// The link (`1 + k`: its `k`-th cable) connection `key`'s records
+    /// are sharded to toward this member: `key` modulo the cables to it.
+    pub(crate) fn shard_link(&self, key: u32) -> usize {
+        1 + key as usize % self.links.len().saturating_sub(1).max(1)
+    }
+
+    /// True when the member's acknowledged state covers a record for
+    /// `key` changed at `changed_at`, in its view of my incarnation
+    /// `epoch`: its IP link's cumulative ack (IP frames carry every
+    /// in-flight record) or its shard cable's has reached it.
+    pub(crate) fn covers(&self, epoch: u32, key: u32, changed_at: u32) -> bool {
+        if self.ack_epoch != epoch {
+            return false;
+        }
+        let acked = |link: usize| self.links.get(link).map_or(0, |l| l.acked);
+        let (ip_ack, shard_ack) = (acked(0), acked(self.shard_link(key)));
+        !seq_newer(changed_at, ip_ack) || !seq_newer(changed_at, shard_ack)
+    }
+
+    /// Forgets the delta stream both ways (a new incarnation of the
+    /// member, or a new join session): its acks are void, and its next
+    /// frame opens the receive side afresh.
+    pub(crate) fn forget_stream(&mut self) {
+        self.links.fill(LinkState::default());
+        self.ack_epoch = 0;
+        self.rx_epoch = 0;
+    }
+
     /// True while at least one heartbeat link from this member is fresh.
     pub(crate) fn alive(&self, now: SimTime) -> bool {
         self.hb.ip_mon.is_alive(now) || self.hb.serial_mon.is_alive(now)
-    }
-
-    /// True when both heartbeat links from this member have gone silent.
-    pub(crate) fn dead(&self, now: SimTime) -> bool {
-        !self.alive(now)
     }
 
     /// True when this member may be the target of a fence round: both
     /// links silent, or the serving incarnation provably gone behind a
     /// still-heartbeating reboot (`defunct`). A *vote* goes by this.
     pub(crate) fn condemnable(&self, now: SimTime) -> bool {
-        self.dead(now) || self.hb.defunct
+        !self.alive(now) || self.hb.defunct
     }
 
     /// [`MemberState::condemnable`] with each link's jitter guard
@@ -147,6 +225,7 @@ impl MemberState {
         self.hb.forget_incarnation(now);
         self.fenced = false;
         self.conns.clear();
+        self.forget_stream();
     }
 
     /// The pool's rank-incarnation rule, on a heartbeat announcing
@@ -174,8 +253,14 @@ impl MemberState {
 pub(crate) type Members = BTreeMap<Ipv4Addr, Box<MemberState>>;
 
 /// The member table at boot: every member presumed alive (grace period
-/// from fresh monitors anchored at `now`).
-pub(crate) fn member_table(peers: &[PoolPeer], cfg: &StTcpConfig, now: SimTime) -> Members {
+/// from fresh monitors anchored at `now`), each with the delta-stream
+/// links its `cables(ip)` cables call for.
+pub(crate) fn member_table(
+    peers: &[PoolPeer],
+    cfg: &StTcpConfig,
+    now: SimTime,
+    cables: impl Fn(Ipv4Addr) -> usize,
+) -> Members {
     let mut members = Members::new();
     for p in peers {
         let member = MemberState {
@@ -184,6 +269,9 @@ pub(crate) fn member_table(peers: &[PoolPeer], cfg: &StTcpConfig, now: SimTime) 
             hb: HbSource::new(cfg, now),
             fenced: false,
             conns: BTreeMap::new(),
+            links: vec![LinkState::default(); stream_links(cfg.hb_delta, cables(p.ip))],
+            ack_epoch: 0,
+            rx_epoch: 0,
         };
         members.insert(p.ip, Box::new(member));
     }
@@ -336,7 +424,7 @@ mod tests {
     /// round state and its member table.
     fn pool3(now: SimTime) -> (PoolState, Members) {
         let peers = peers3();
-        let members = member_table(&peers, &StTcpConfig::default(), now);
+        let members = member_table(&peers, &StTcpConfig::default(), now, |_| 1);
         (PoolState::new(1, &peers), members)
     }
 

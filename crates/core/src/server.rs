@@ -46,14 +46,14 @@ use crate::conntable::{ConnCtl, ConnTable, HbCacheEntry, Set, SlotId};
 use crate::events::{FailureReason, HbLink, StTcpEvent};
 use crate::finarb::{ArbAction, FinArbiter};
 use crate::heartbeat::{
-    conn_key, decode_any, AnyHb, ConnHb, HbFrame, HbFrameKind, HbPayload, PingReport, HB_CONN_LEN,
+    conn_key, decode_any, AnyHb, ConnHb, HbFrame, HbFrameKind, HbPayload, PingReport,
 };
 use crate::linkmon::next_silence;
-use crate::metrics::ServerMetrics;
+use crate::metrics::{HbBandwidth, ServerMetrics};
 use crate::netdetect::{NetFailureDetector, NetObservation};
 use crate::pool::{
-    live_non_fenced, member_table, outranked, quorum_needed, FenceRound, MemberState, Members,
-    PeerConn, PoolPeer, PoolState,
+    live_non_fenced, member_table, outranked, quorum_needed, seq_newer, stream_links, FenceRound,
+    LinkState, MemberState, Members, PeerConn, PoolPeer, PoolState, RxBatch,
 };
 use crate::recover::{ConnSnapshotMsg, CtrlMsg, MAX_FETCH_DATA};
 
@@ -77,11 +77,6 @@ fn epoch_from(now: SimTime) -> u32 {
     ((n ^ (n >> 32)) as u32) | 1
 }
 
-/// Wrapping seqno comparison: true when `a` is strictly newer than `b`.
-fn seq_newer(a: u32, b: u32) -> bool {
-    a.wrapping_sub(b) as i32 > 0
-}
-
 /// Splits one link's heartbeat round into wire frames. With `batch == 0`
 /// (or a round that fits), the whole record list rides a single frame —
 /// bit-for-bit the single-frame v2 encoding. Otherwise the records are
@@ -95,8 +90,7 @@ fn build_link_frames(
     kind: HbFrameKind,
     epoch: u32,
     link: u8,
-    ack_epoch: u32,
-    links: &[LinkState],
+    to: &MemberState,
     seq: u32,
     role: Role,
     rank: u8,
@@ -113,8 +107,8 @@ fn build_link_frames(
             kind,
             epoch,
             link,
-            ack_epoch,
-            acks: links.iter().map(|l| l.applied).collect(),
+            ack_epoch: to.rx_epoch,
+            acks: to.links.iter().map(|l| l.applied).collect(),
             part: part as u16,
             parts: parts as u16,
             hb: HbPayload {
@@ -126,18 +120,6 @@ fn build_link_frames(
             },
         })
         .collect()
-}
-
-/// Delta-protocol (v2) heartbeat links to the pair's peer with `cables`
-/// wired: IP plus every cable (all of a pair's cables reach its peer),
-/// counting the usual one cable per member from the start so that wiring
-/// it grows nothing. None under v1 or in a pool, which keep no per-link
-/// state.
-fn hb_nlinks(setup: &ServerSetup, cables: usize) -> usize {
-    match setup.sttcp.hb_delta && !setup.pool {
-        true => 1 + cables.max(setup.peers.len()),
-        false => 0,
-    }
 }
 
 /// The stable numeric code a verdict's [`FailureReason`] gets in flight
@@ -268,32 +250,6 @@ enum Via {
     Serial(SerialPortId),
 }
 
-/// Receive state for one link's batched (v3) heartbeat rounds: which round
-/// is open and which part must arrive next. Parts of one round share a
-/// seqno and must arrive in order on their link (serial links and the
-/// simulated LAN both preserve per-link order); the link's cumulative ack
-/// advances only when the final part lands, so a lost part means no ack
-/// and the records ride again next round.
-#[derive(Debug, Clone, Copy, Default)]
-struct RxBatch {
-    seqno: u32,
-    parts: u16,
-    next: u16,
-}
-
-/// One heartbeat link's delta-protocol (v2) state, both directions: link
-/// 0 is the pair peer's address, link `1 + k` its `k`-th cable.
-#[derive(Debug, Clone, Copy, Default)]
-struct LinkState {
-    /// The peer's cumulative ack of *my* frames on this link.
-    acked: u32,
-    /// Highest seqno applied from the peer on this link — echoed back as
-    /// its ack, and the link's staleness filter.
-    applied: u32,
-    /// The batched (v3) round open on this link.
-    batch: RxBatch,
-}
-
 /// The ST-TCP server node. See the [module docs](self).
 ///
 /// Its own fields are what survives a power cycle — the host's wiring
@@ -334,17 +290,12 @@ struct Ram {
     /// looked at yet (see [`StTcpServer::absorb_touched`]).
     hb_touched: Vec<SocketId>,
     /// Delta-round scratch, kept for its capacity like `hb_scratch`:
-    /// the candidate `(key, slot)`s, and the selected records per link.
+    /// the candidate `(key, slot)`s, the records owed to each member, and
+    /// one member's records per link. (Each member's own stream state is
+    /// on its [`MemberState`].)
     hb_cands: Vec<(u32, SlotId)>,
+    hb_owed: Vec<Vec<ConnHb>>,
     hb_link_recs: Vec<Vec<ConnHb>>,
-    /// Per-link state, one entry per heartbeat link ([`hb_nlinks`]).
-    hb_links: Vec<LinkState>,
-    /// My epoch the peer's acks refer to; full-state frames are sent
-    /// until this matches `hb_epoch`.
-    peer_ack_epoch: u32,
-    /// The peer epoch the links' `applied` seqnos refer to (0 = none
-    /// seen yet).
-    rx_peer_epoch: u32,
 
     tcp: TcpEndpoint,
     app_crashed: bool,
@@ -407,14 +358,19 @@ struct Ram {
 }
 
 impl Ram {
-    /// The state of a server that powers up at `now` in `role` with
-    /// `cables` serial cables wired: every member presumed
+    /// The state of a server that powers up at `now` in `role` with the
+    /// `serial` cables wired: every member presumed
     /// alive (grace period from fresh monitors anchored at `now`), no
     /// connections, a fresh TCP stack listening on the service port —
     /// the primary's accepted connections carry the extended receive
     /// buffer, the backup accepts in suppressed mode and never answers
     /// stray segments.
-    fn boot(setup: &ServerSetup, role: Role, now: SimTime, cables: usize) -> Ram {
+    fn boot(
+        setup: &ServerSetup,
+        role: Role,
+        now: SimTime,
+        serial: &[(SerialPortId, Ipv4Addr)],
+    ) -> Ram {
         let mut tcp = std::rc::Rc::new(setup.tcp.clone());
         let (rst_policy, egress) = match role {
             Role::Primary => {
@@ -432,21 +388,20 @@ impl Ram {
             seed: setup.seed,
         });
         endpoint.listen(setup.service_port, ListenConfig { tcp, egress });
+        let cables = |ip| serial.iter().filter(|&&(_, to)| to == ip).count();
         Ram {
             hb_epoch: epoch_from(now),
             hb_touched: Vec::new(),
             hb_cands: Vec::new(),
+            hb_owed: Vec::new(),
             hb_link_recs: Vec::new(),
-            hb_links: vec![LinkState::default(); hb_nlinks(setup, cables)],
-            peer_ack_epoch: 0,
-            rx_peer_epoch: 0,
             tcp: endpoint,
             app_crashed: false,
             role,
             ft_mode: true,
             table: ConnTable::default(),
             peer_app_suspected: false,
-            members: member_table(&setup.peers, &setup.sttcp, now),
+            members: member_table(&setup.peers, &setup.sttcp, now, cables),
             ip_was_alive: true,
             serial_was_alive: true,
             net_detect: NetFailureDetector::new(
@@ -497,7 +452,7 @@ impl StTcpServer {
         app_factory: Box<dyn AppFactory>,
     ) -> StTcpServer {
         StTcpServer {
-            ram: Ram::boot(&setup, setup.role, SimTime::ZERO, 0),
+            ram: Ram::boot(&setup, setup.role, SimTime::ZERO, &[]),
             setup,
             iface,
             serial: Vec::new(),
@@ -512,7 +467,7 @@ impl StTcpServer {
     /// Rebuilds everything a power cycle erases, for a boot at `now` in
     /// `role` on the present wiring.
     fn boot(&mut self, role: Role, now: SimTime) {
-        self.ram = Ram::boot(&self.setup, role, now, self.serial.len());
+        self.ram = Ram::boot(&self.setup, role, now, &self.serial);
     }
 
     /// Opens the periodic work of a boot: the first heartbeat round and
@@ -527,19 +482,16 @@ impl StTcpServer {
     /// Wires local serial port `port` to member `to`, after the topology
     /// builder connected the null-modem pair and before the world
     /// starts. Every cable carries heartbeats, and a pool's control
-    /// messages too; the pair shards connection `key` onto its
-    /// `key % n`-th cable in wiring order. This widens the per-link
-    /// heartbeat state in place — no reboot.
+    /// messages too; delta heartbeats shard connection `key` onto the
+    /// `key % n`-th of the `n` cables to a member, in wiring order. This
+    /// widens that member's delta-stream links in place — no reboot.
     pub fn add_serial_link(&mut self, port: SerialPortId, to: Ipv4Addr) {
         self.serial.push((port, to));
-        let n = hb_nlinks(&self.setup, self.serial.len());
-        self.ram.hb_links.resize(n, LinkState::default());
-    }
-
-    /// The cable (0-based) a pair connection key's records are sharded
-    /// to.
-    fn shard_of(&self, key: u32) -> usize {
-        key as usize % self.serial.len().max(1)
+        let cables = self.serial.iter().filter(|&&(_, ip)| ip == to).count();
+        if let Some(m) = self.ram.members.get_mut(&to) {
+            let n = stream_links(self.setup.sttcp.hb_delta, cables);
+            m.links.resize(n, LinkState::default());
+        }
     }
 
     /// Where frames to member `ip` leave this host, link by link: its
@@ -670,13 +622,10 @@ impl StTcpServer {
             || slot.ctl.as_ref().is_some_and(|c| c.recovering)
     }
 
-    /// Voids the peer's acknowledgments of this server's heartbeat
-    /// frames (new peer incarnation, takeover, join, boot): full-state
-    /// frames flow until the peer acknowledges this epoch again, and
-    /// every cached record counts as unacknowledged.
-    fn reset_peer_acks(&mut self) {
-        self.ram.hb_links.iter_mut().for_each(|l| l.acked = 0);
-        self.ram.peer_ack_epoch = 0;
+    /// The table's share of voiding a member's acks of this server's
+    /// heartbeat frames (its new incarnation, a takeover, a join): every
+    /// cached record counts as unacknowledged again.
+    fn unack_cached(&mut self) {
         let cached: Vec<SlotId> = self.ram.table.cached().map(|(s, _)| s).collect();
         for s in cached {
             self.ram.table.insert(Set::Unacked, s);
@@ -697,7 +646,7 @@ impl StTcpServer {
                 }
             }
         }
-        if self.setup.sttcp.hb_delta && self.ram.pool.is_none() {
+        if self.setup.sttcp.hb_delta {
             self.ram.hb_touched.extend(touched);
         }
     }
@@ -840,9 +789,7 @@ impl StTcpServer {
             let wanted = [
                 (Set::Tick, open && ctl.app_alive && ctl.app.wants_tick()),
                 (Set::OutBlocked, !ctl.pending_out.is_empty()),
-                // Pool mode walks every connection on its check tick and
-                // never consults the set.
-                (Set::Check, open && armed && self.ram.pool.is_none()),
+                (Set::Check, open && armed),
             ];
             let lost = |&(set, wanted): &(Set, bool)| wanted && !self.ram.table.contains(set, s);
             if let Some((set, _)) = wanted.iter().find(|w| lost(w)) {
@@ -1109,39 +1056,38 @@ impl StTcpServer {
         HbPayload {
             seqno: self.ram.hb_seq,
             role: self.ram.role,
-            rank: self
-                .ram
-                .pool
-                .as_ref()
-                .map_or(self.setup.rank, |p| p.my_rank),
+            rank: self.pool_rank(),
             conns,
             ping: self.ram.ping.active.then(|| self.ram.ping.report()),
         }
     }
 
-    /// Sends one heartbeat frame and records its `HbEmit`. False — nothing sent
-    /// or recorded — for an unresolved IP destination or a packet over 65 535 B.
+    /// Sends one heartbeat frame of `conns` records, counts it into
+    /// `round` and records its `HbEmit` — none of the three for an
+    /// unresolved IP destination or a packet over 65 535 B.
     #[allow(clippy::too_many_arguments)]
     fn emit_hb(
         &self,
         ctx: &mut NodeCtx<'_>,
+        round: &mut HbBandwidth,
         span: SpanId,
         seqno: u32,
         link: u8,
         via: Via,
         wire: &Bytes,
         conns: u32,
-    ) -> bool {
+    ) {
         let bytes = wire.len() as u32;
         match via {
             Via::Ip(to) => {
                 let Some(frame) = self.iface.frame_to(to, IpProto::Heartbeat, wire.clone()) else {
-                    return false;
+                    return;
                 };
                 ctx.send_frame(self.iface.nic, frame);
             }
             Via::Serial(port) => ctx.send_serial(port, wire.clone()),
         }
+        round.add_frame(u64::from(conns), u64::from(bytes));
         let kind = FlightKind::HbEmit {
             seqno,
             link,
@@ -1149,7 +1095,6 @@ impl StTcpServer {
             conns,
         };
         ctx.flight(span, SpanId::NONE, kind);
-        true
     }
 
     /// Records a heartbeat's arrival on flight link `link` and makes it
@@ -1162,16 +1107,15 @@ impl StTcpServer {
     }
 
     fn send_heartbeats(&mut self, ctx: &mut NodeCtx<'_>) {
-        // Delta mode (pair only): the v2 wire format with dirty-set
-        // records. Pool members always speak v1 full-state.
-        if self.setup.sttcp.hb_delta && self.ram.pool.is_none() {
-            self.send_heartbeats_v2(ctx);
-            return;
-        }
         // A frozen byzantine sender re-uses the last seqno forever;
         // receivers treat the payload as stale and never re-apply it.
         if self.ram.byz_mode != Some(ByzantineHbMode::Freeze) {
             self.ram.hb_seq = self.ram.hb_seq.wrapping_add(1);
+        }
+        // Delta mode: the v2 wire format with dirty-set records.
+        if self.setup.sttcp.hb_delta {
+            self.send_heartbeats_v2(ctx);
+            return;
         }
         let mut hb = self.build_heartbeat(ctx.now());
         if self.ram.byz_mode == Some(ByzantineHbMode::Regress) {
@@ -1186,28 +1130,16 @@ impl StTcpServer {
         // Both endpoints derive the same span from wire-observable
         // fields, so emit and receive link up without any wire change.
         let span = SpanId::heartbeat(role_byte(hb.role), hb.rank, hb.seqno);
-        let seqno = hb.seqno;
-        let conns = hb.conns.len() as u32;
-        let wire_bytes = wire.len() as u32;
+        let (seqno, conns) = (hb.seqno, hb.conns.len() as u32);
         // Reclaim the conn buffer (and its capacity) for the next period.
         self.ram.hb_scratch = hb.conns;
-        let mut frames = 0u64;
+        let mut round = HbBandwidth::default();
         for &ip in self.ram.members.keys() {
             for (link, via) in self.links_to(ip).enumerate() {
-                let sent = self.emit_hb(ctx, span, seqno, link as u8, via, &wire, conns);
-                frames += u64::from(sent);
+                self.emit_hb(ctx, &mut round, span, seqno, link as u8, via, &wire, conns);
             }
         }
-        // Bandwidth accounting: connection entries are the payload; the
-        // header and optional ping trailer are framing overhead.
-        let payload_per_frame = conns as u64 * HB_CONN_LEN as u64;
-        let framing_per_frame = (wire_bytes as u64).saturating_sub(payload_per_frame);
-        self.metrics.on_hb_round(
-            frames,
-            conns as u64 * frames,
-            payload_per_frame * frames,
-            framing_per_frame * frames,
-        );
+        self.metrics.on_hb_round(round);
     }
 
     /// True when a frame numbered `seq` may update mirror `e`: always
@@ -1217,6 +1149,16 @@ impl StTcpServer {
         seq.is_none_or(|seq| e.last_update_seq == 0 || !seq_newer(e.last_update_seq, seq))
     }
 
+    /// What member `m` last reported for `key`: the table's peer column
+    /// for the pair's one peer, the member's own map in a pool (whose
+    /// column mirrors the active only).
+    fn mirror<'a>(&'a self, m: &'a MemberState, key: u32) -> Option<&'a PeerConn> {
+        match self.ram.pool {
+            Some(_) => m.conns.get(&key),
+            None => self.ram.table.peer(self.ram.table.by_key(key)?),
+        }
+    }
+
     /// The byzantine sanity check: a record that would regress a
     /// cumulative counter this receiver already accepted is semantically
     /// impossible, so the whole payload is a lie. `false` (logged and
@@ -1224,8 +1166,7 @@ impl StTcpServer {
     /// liveness value, so the stream starves the link monitors and row 1
     /// condemns the liar instead of its lies driving hold-release or lag
     /// verdicts. Creates no slot: a dropped frame leaves nothing behind.
-    /// Checked against the mirror the records land in: the table for the
-    /// pair, the sending member's own map for a pool member.
+    /// Checked against the sender's mirror, where the records would land.
     fn vet_records(
         &mut self,
         now: SimTime,
@@ -1233,20 +1174,17 @@ impl StTcpServer {
         hb: &HbPayload,
         seq: Option<u32>,
     ) -> bool {
-        let (table, pool) = (&self.ram.table, self.ram.pool.is_some());
-        let Some(m) = self.ram.members.get_mut(&src) else {
+        let Some(m) = self.ram.members.get(&src) else {
             return false;
         };
         let lie = hb.conns.iter().any(|c| {
-            let peer = match pool {
-                true => m.conns.get(&c.key),
-                false => table.by_key(c.key).and_then(|s| table.peer(s)),
-            };
+            let peer = self.mirror(m, c.key);
             peer.is_some_and(|e| Self::takes(e, seq) && e.regressed_by(c))
         });
         if !lie {
             return true;
         }
+        let m = self.ram.members.get_mut(&src).expect("found above");
         if m.hb.first_byzantine_report() {
             self.events
                 .push(StTcpEvent::ByzantineHbRejected { at: now });
@@ -1255,127 +1193,279 @@ impl StTcpServer {
         false
     }
 
-    /// Applies a vetted frame's records to the peer mirror (a key the
-    /// peer names first gets its slot here) and lets each connection's
-    /// detectors, hold buffer and lag feed see the fresh positions.
-    fn apply_records(&mut self, now: SimTime, hb: &HbPayload, seq: Option<u32>) {
-        let mut arb_actions: Vec<(SocketId, u32, ArbAction)> = Vec::new();
+    /// The pool-wide view of `key` its FIN arbiter and hold release go
+    /// by, over every unfenced member (the pair's peer is all of it): a
+    /// FIN counts once any member saw one, and held bytes are released
+    /// only up to the slowest member's `LastByteReceived` — a member with
+    /// no record yet holds everything back.
+    fn member_view(&self, key: u32) -> (bool, u64) {
+        let (mut fin_or_rst, mut lbr) = (false, u64::MAX);
+        for m in self.ram.members.values().filter(|m| !m.fenced) {
+            match self.mirror(m, key) {
+                Some(e) => {
+                    fin_or_rst |= e.fin_or_rst;
+                    lbr = lbr.min(e.last_byte_received);
+                }
+                None => lbr = 0,
+            }
+        }
+        (fin_or_rst, lbr)
+    }
+
+    /// Slot `s`'s connection sees its key's [`StTcpServer::member_view`]:
+    /// the FIN arbiter, the lag detector and lag feed, and — at the
+    /// active — the hold release. Nothing before a socket is bound (the
+    /// members may know a key first; `bind_key` catches up).
+    fn settle(&mut self, now: SimTime, s: SlotId) {
+        let (key, Some(sock)) = (self.ram.table[s].key(), self.ram.table[s].sock()) else {
+            return;
+        };
+        let (fin_or_rst, lbr) = self.member_view(key);
+        let ctl = self.ram.table[s].ctl.as_mut();
+        if let Some(a) = ctl.and_then(|c| c.finarb.on_peer_hb(now, fin_or_rst)) {
+            self.apply_gate_action(now, sock, key, a);
+        }
+        // Fresh member positions: the lag detector must look again.
+        self.ram.table.insert(Set::Check, s);
+        if self.ram.role == Role::Primary {
+            if let Some(conn) = self.ram.tcp.conn_mut(sock) {
+                conn.release_hold_until(lbr);
+            }
+        }
+        self.note_lag(s);
+    }
+
+    /// Settles every connection again — the edge at which a member is
+    /// fenced, leaving every key's view, while idle keys ride no delta
+    /// frame. (A rejoin needs no walk: the member comes back with no
+    /// records, which only lowers the release point, and FINs latch.)
+    fn settle_all(&mut self, now: SimTime) {
+        let bound: Vec<SlotId> = self.ram.table.bound().map(|(_, s, _)| s).collect();
+        for s in bound {
+            self.settle(now, s);
+        }
+    }
+
+    /// Applies member `src`'s vetted records, in pair and pool alike:
+    /// each lands in its mirror, and in the table's peer column from what
+    /// the column mirrors — the pair's peer, the pool's active — where
+    /// recovery, join convergence and the takeover gap check read; then
+    /// its connection settles. Only this frame's keys are visited: a new
+    /// active refills the column once, and a fence settles every key.
+    fn apply_records(&mut self, now: SimTime, hb: &HbPayload, src: Ipv4Addr, seq: Option<u32>) {
+        let m = &self.ram.members[&src];
+        let mut refill = false;
+        if let Some(pool) = &mut self.ram.pool {
+            if hb.role == Role::Primary && pool.active_rank != m.rank {
+                pool.active_rank = m.rank;
+                refill = true;
+            }
+            // A fence target that speaks a fresh heartbeat is not dead —
+            // unless the speaker is a restarted incarnation standing in
+            // for the dead one (defunct): its liveness must not save the
+            // incarnation the round is condemning.
+            if pool.fence.as_ref().is_some_and(|f| f.target == src) && !m.hb.defunct {
+                pool.fence = None;
+            }
+        }
+        let pool = self.ram.pool.is_some();
         for c in &hb.conns {
-            let s = self.ram.table.entry(c.key);
-            let slot = &mut self.ram.table[s];
-            let peer = slot.peer.get_or_insert_with(PeerConn::default);
+            // The sender's mirror (see `mirror`), made if missing: in the
+            // pair, a key the peer names first gets its slot here.
+            let peer = match pool {
+                true => (self.ram.members.get_mut(&src).expect("vetted"))
+                    .conns
+                    .entry(c.key)
+                    .or_default(),
+                false => {
+                    let s = self.ram.table.entry(c.key);
+                    self.ram.table[s].peer.get_or_insert_with(PeerConn::default)
+                }
+            };
             if !Self::takes(peer, seq) {
                 continue;
             }
             peer.last_update_seq = seq.unwrap_or(peer.last_update_seq);
             peer.apply(c);
+            let peer = *peer;
             self.ram.peer_app_suspected |= peer.app_suspected;
-            let (fin_or_rst, lbr) = (peer.fin_or_rst, peer.last_byte_received);
-            let (Some(sock), Some(ctl)) = (slot.sock(), slot.ctl.as_mut()) else {
-                continue; // the peer knows the key first; `bind_key` catches up
-            };
-            if let Some(a) = ctl.finarb.on_peer_hb(now, fin_or_rst) {
-                arb_actions.push((sock, c.key, a));
+            // The pair's mirror is the column; the pool's active fills it.
+            if pool && hb.role == Role::Primary {
+                let s = self.ram.table.entry(c.key);
+                self.ram.table[s].peer = Some(peer);
             }
-            // Fresh peer positions: the lag detector must look again.
-            self.ram.table.insert(Set::Check, s);
-            // The primary releases held bytes the backup has confirmed.
-            if self.ram.role == Role::Primary {
-                if let Some(conn) = self.ram.tcp.conn_mut(sock) {
-                    conn.release_hold_until(lbr);
-                }
+            if let Some(s) = self.ram.table.by_key(c.key) {
+                self.settle(now, s);
             }
-            self.note_lag(s);
         }
-        for (sock, key, action) in arb_actions {
-            self.apply_gate_action(now, sock, key, action);
+        if refill {
+            // The active's whole map becomes the column, once: every key
+            // may have become lagging.
+            self.ram.table.clear_peers();
+            self.ram.table.clear_set(Set::Lag);
+            let conns = &self.ram.members[&src].conns;
+            let mut mirrored = Vec::with_capacity(conns.len());
+            for (&key, &peer) in conns {
+                let s = self.ram.table.entry(key);
+                self.ram.table[s].peer = Some(peer);
+                mirrored.push(s);
+            }
+            for s in mirrored {
+                self.note_lag(s);
+            }
         }
     }
 
-    /// The v1 (full-state) heartbeat intake, in both topologies, over
-    /// the sending member `src`: demotion, staleness, byzantine vet,
-    /// advance, credit. Staleness: the same payload arrives on every
-    /// link, and the duplication/reorder faults can replay older
-    /// frames. A non-advancing seqno still proves the member alive
-    /// (refresh the link monitor) but its counters must not be
-    /// re-applied. The liveness credit is bounded: replay tolerance only
-    /// justifies stale frames interleaved with fresh ones, so once the
-    /// seqno has been frozen past the heartbeat timeout the stream is
-    /// indistinguishable from a replay loop or a frozen byzantine sender
-    /// — it must starve the monitors so row 1 (or the pool's fence)
-    /// condemns the member instead of trusting it forever.
-    fn handle_heartbeat(&mut self, now: SimTime, hb: &HbPayload, link: HbLink, src: Ipv4Addr) {
+    /// The one heartbeat intake — v1 full-state frames, and v2 ones whose
+    /// envelope is `f` — in both topologies, from member `src` on its
+    /// link `link`: rank rule, demotion, v2 epoch, staleness, v3 part
+    /// order, byzantine vet, advance, credit, v2 acks, records. A stale
+    /// frame (the same payload rides every link, and faults replay older
+    /// ones; v2 judges it per link, and orders records per connection)
+    /// still proves the member alive but is not re-applied — and only
+    /// while the seqno advanced within the heartbeat timeout: a stream
+    /// frozen longer is a replay loop or a frozen byzantine sender, and
+    /// must starve the monitors so row 1 (or the pool's fence) condemns
+    /// the member instead of trusting it forever.
+    fn handle_heartbeat(
+        &mut self,
+        now: SimTime,
+        hb: &HbPayload,
+        f: Option<&HbFrame>,
+        src: Ipv4Addr,
+        link: usize,
+    ) {
+        let hblink = match link {
+            0 => HbLink::Ip,
+            _ => HbLink::Serial,
+        };
         let hb_timeout = self.setup.sttcp.hb_timeout();
-        let pool = self.ram.pool.is_some();
         let Some(m) = self.ram.members.get_mut(&src) else {
             return;
         };
-        if pool && !m.admit(hb.rank, now) {
+        // (The pair's ranks never change: it admits every frame.)
+        if !m.admit(hb.rank, now) {
             return;
         }
         self.events.extend(m.hb.note_demotion(hb, now));
-        if m.hb.is_stale(hb.seqno) {
-            m.hb.credit_stale(link, now, hb_timeout, &mut self.metrics);
+        // A new incarnation of the member voids all per-link and
+        // per-connection ordering state; its acks of our frames restart
+        // from nothing, so full frames flow both ways until
+        // re-acknowledged.
+        if let Some(f) = f.filter(|f| f.epoch != m.rx_epoch) {
+            m.forget_stream();
+            m.rx_epoch = f.epoch;
+            let zero = |p: &mut PeerConn| p.last_update_seq = 0;
+            match self.ram.pool {
+                Some(_) => m.conns.values_mut().for_each(zero),
+                None => (self.ram.table.slots_mut())
+                    .filter_map(|slot| slot.peer.as_mut())
+                    .for_each(zero),
+            }
+            self.unack_cached();
+        }
+        let m = self.ram.members.get_mut(&src).expect("admitted above");
+        let stale = match f {
+            None => m.hb.is_stale(hb.seqno),
+            Some(_) => (m.links.get(link))
+                .is_some_and(|l| l.applied != 0 && !seq_newer(hb.seqno, l.applied)),
+        };
+        if stale {
+            m.hb.credit_stale(hblink, now, hb_timeout, &mut self.metrics);
             return;
         }
-        if !self.vet_records(now, src, hb, None) {
+        // Batched (v3) rounds: parts share a seqno and must arrive in
+        // order on their link. Part 0 opens a round (discarding any
+        // half-finished predecessor); any other part is accepted only if
+        // it is exactly the next part of the open round. An out-of-order
+        // part means an earlier part was lost — the round can never
+        // complete, so drop it and let the unacked records ride again.
+        if let Some(f) = f.filter(|f| f.parts > 1 && f.part > 0) {
+            let next = RxBatch {
+                seqno: hb.seqno,
+                parts: f.parts,
+                next: f.part,
+            };
+            if m.links.get(link).is_none_or(|l| l.batch != next) {
+                return;
+            }
+        }
+        // Byzantine sanity check, under v2 against per-connection
+        // ordering: only records this frame would actually update can
+        // regress; records an older cross-link frame repeats are skipped.
+        let seq = f.map(|_| hb.seqno);
+        if !self.vet_records(now, src, hb, seq) {
             return;
         }
-        let m = self
-            .ram
-            .members
-            .get_mut(&src)
-            .expect("vet_records found the member");
-        m.hb.advance(hb, now);
-        m.hb.credit(link, now, &mut self.metrics);
-        self.ram.peer_ping = hb.ping;
-        match pool {
-            true => self.apply_member_records(now, hb, src),
-            false => self.apply_records(now, hb, None),
+        let m = self.ram.members.get_mut(&src).expect("vetted above");
+        // The link's cumulative ack advances only once the whole round is
+        // in hand: single-frame rounds immediately, batched rounds on
+        // their final part. A poisoned or lost part never completes the
+        // round, so the sender keeps resending the records.
+        if let Some((f, l)) = f.zip(m.links.get_mut(link)) {
+            if f.parts > 1 {
+                l.batch = RxBatch {
+                    seqno: hb.seqno,
+                    parts: f.parts,
+                    next: f.part + 1,
+                };
+            }
+            if f.parts <= 1 || f.part + 1 == f.parts {
+                l.applied = hb.seqno;
+            }
         }
-    }
-
-    /// True when the peer's acknowledged state already covers a record
-    /// changed at `changed_at`: the IP link's cumulative ack (IP frames
-    /// carry every in-flight record) or the record's serial-shard link's
-    /// ack has reached it, in the peer's view of this boot incarnation.
-    fn ack_covers(&self, key: u32, changed_at: u32) -> bool {
-        if self.ram.peer_ack_epoch != self.ram.hb_epoch {
-            return false;
+        if m.hb.last_seqno.is_none_or(|l| seq_newer(hb.seqno, l)) {
+            m.hb.advance(hb, now);
+            self.ram.peer_ping = hb.ping;
         }
-        let acked = |link: usize| self.ram.hb_links.get(link).map_or(0, |l| l.acked);
-        let (ip_ack, shard_ack) = (acked(0), acked(1 + self.shard_of(key)));
-        !seq_newer(changed_at, ip_ack) || !seq_newer(changed_at, shard_ack)
+        m.hb.credit(hblink, now, &mut self.metrics);
+        // The member's cumulative acks of our frames, valid only while
+        // they refer to this boot incarnation.
+        if let Some(f) = f.filter(|f| f.ack_epoch == self.ram.hb_epoch) {
+            m.ack_epoch = f.ack_epoch;
+            for (l, &a) in m.links.iter_mut().zip(&f.acks) {
+                if a != 0 && (l.acked == 0 || seq_newer(a, l.acked)) {
+                    l.acked = a;
+                }
+            }
+        }
+        // Equal seqno is the same round's frame on another link and
+        // reapplies identical values; strictly older ones are skipped
+        // per record.
+        self.apply_records(now, hb, src, seq);
     }
 
     /// The replaced whole-cache selection walk, kept as the differential
-    /// oracle for the unacked set: every cached record the peer's acks
-    /// do not cover, in key order.
+    /// oracle for the unacked set: every cached record some unfenced
+    /// member's acks do not cover, in key order.
     fn scan_unacked(&self) -> impl Iterator<Item = (SlotId, u32)> + '_ {
+        let (epoch, members) = (self.ram.hb_epoch, &self.ram.members);
+        let owed = move |key, changed_at| {
+            (members.values()).any(|m| !m.fenced && !m.covers(epoch, key, changed_at))
+        };
         let cached = self.ram.table.cached();
         cached
-            .map(|(s, e)| (s, e.rec.key, e.changed_at))
-            .filter(|&(_, key, changed_at)| !self.ack_covers(key, changed_at))
-            .map(|(s, key, _)| (s, key))
+            .filter(move |(_, e)| owed(e.rec.key, e.changed_at))
+            .map(|(s, e)| (s, e.rec.key))
     }
 
-    /// Delta-mode (v2) heartbeat emission: dirty-until-acked connection
-    /// records, sharded `key % n` across the serial links, full-state
-    /// resync frames until the peer has acknowledged this boot
-    /// incarnation (covering loss, takeover, reboot, and join without
-    /// any extra signalling).
+    /// Delta-mode (v2) heartbeat emission, member by member: each gets
+    /// full-state frames until it has acknowledged this boot incarnation
+    /// (covering loss, takeover, reboot, and join without any extra
+    /// signalling), then the dirty-until-acked records its own acks do
+    /// not cover — every one on its address, and shard `key % n` on the
+    /// `n` cables to it.
     fn send_heartbeats_v2(&mut self, ctx: &mut NodeCtx<'_>) {
         let now = ctx.now();
-        if self.ram.byz_mode != Some(ByzantineHbMode::Freeze) {
-            self.ram.hb_seq = self.ram.hb_seq.wrapping_add(1);
-        }
-        let seq = self.ram.hb_seq;
-        let nserial = self.serial.len();
+        let (seq, epoch) = (self.ram.hb_seq, self.ram.hb_epoch);
         let regress = self.ram.byz_mode == Some(ByzantineHbMode::Regress);
-        // No valid acks for this incarnation yet — or a byzantine sender,
-        // which must lie about every connection to match v1 detection
-        // semantics — forces full-state frames.
-        let full = self.ram.peer_ack_epoch != self.ram.hb_epoch || regress;
+        // Owed full state: an unfenced member with no valid acks for this
+        // incarnation yet (a fenced one is owed nothing until it rejoins,
+        // which voids its acks anyway) — or every member, from a
+        // byzantine sender, which must lie about every connection to
+        // match v1 detection semantics.
+        let full = |m: &MemberState| regress || (!m.fenced && m.ack_epoch != epoch);
+        let any_full = self.ram.members.values().any(|m| full(m));
         // Refresh the record cache. The candidates are the endpoint's
         // touched feed plus every record that may still await an ack, so
         // idle connections cost nothing per heartbeat period. The
@@ -1386,7 +1476,7 @@ impl StTcpServer {
         self.absorb_touched();
         let mut cands = std::mem::take(&mut self.ram.hb_cands);
         cands.clear();
-        if full || self.setup.sttcp.watchdog_timeout.is_some() {
+        if any_full || self.setup.sttcp.watchdog_timeout.is_some() {
             cands.extend(self.ram.table.bound().map(|(key, s, _)| (key, s)));
         } else {
             let unacked = self.ram.table.members(Set::Unacked);
@@ -1417,265 +1507,81 @@ impl StTcpServer {
             self.ram.table.insert(Set::Unacked, s);
         }
         self.ram.hb_cands = cands;
-        // Select the records still in flight toward the peer: the whole
-        // cache on a full-resync round, otherwise the unacked set pruned
-        // to what the peer's acks do not cover (acks only advance between
-        // resets, so a covered record never needs another look). Link 0
-        // (IP) carries every one, serial link `1 + s` only shard `s`.
-        let mut links = std::mem::take(&mut self.ram.hb_link_recs);
-        links.resize_with(1 + nserial, Vec::new);
-        links.iter_mut().for_each(Vec::clear);
-        let mut select = |e: &HbCacheEntry| {
+        // What each member is owed, in key order: the whole cache, or the
+        // records its acks do not cover — all in the unacked set, which
+        // sheds a record once every unfenced member's acks cover it (acks
+        // only advance between resets: it never needs another look).
+        let mut owed = std::mem::take(&mut self.ram.hb_owed);
+        owed.resize_with(self.ram.members.len(), Vec::new);
+        owed.iter_mut().for_each(Vec::clear);
+        let slots: Vec<SlotId> = match any_full {
+            true => self.ram.table.cached().map(|(s, _)| s).collect(),
+            false => self.ram.table.members(Set::Unacked),
+        };
+        self.metrics.on_timer_visits(slots.len());
+        let (members, table) = (&self.ram.members, &mut self.ram.table);
+        for s in slots {
+            let Some(e) = table[s].cache else {
+                table.remove(Set::Unacked, s);
+                continue;
+            };
             let mut rec = e.rec;
             if regress {
                 rec.last_byte_received = rec.last_byte_received.saturating_sub(100_000);
                 rec.last_app_byte_read = rec.last_app_byte_read.saturating_sub(100_000);
             }
-            links[0].push(rec);
-            if let Some(shard) = links.get_mut(1 + rec.key as usize % nserial.max(1)) {
-                shard.push(rec);
-            }
-        };
-        if full {
-            self.ram.table.cached().for_each(|(_, e)| select(&e));
-            self.metrics.on_timer_visits(links[0].len());
-        } else {
-            self.metrics
-                .on_timer_visits(self.ram.table.set_len(Set::Unacked));
-            for s in self.ram.table.members(Set::Unacked) {
-                match self.ram.table[s].cache {
-                    Some(e) if !self.ack_covers(e.rec.key, e.changed_at) => select(&e),
-                    _ => self.ram.table.remove(Set::Unacked, s),
+            let mut owed_any = false;
+            for (recs, m) in owed.iter_mut().zip(members.values()) {
+                let owes = full(m) || !m.covers(epoch, rec.key, e.changed_at);
+                if owes {
+                    recs.push(rec);
                 }
+                owed_any |= owes && !m.fenced;
             }
+            if !any_full && !owed_any {
+                table.remove(Set::Unacked, s);
+            }
+        }
+        #[cfg(debug_assertions)]
+        if !any_full {
+            let kept = self.ram.table.members(Set::Unacked);
+            let kept = kept.iter().map(|&s| self.ram.table[s].key());
             debug_assert!(
-                (links[0].iter().map(|r| r.key)).eq(self.scan_unacked().map(|(_, key)| key)),
+                kept.eq(self.scan_unacked().map(|(_, key)| key)),
                 "unacked set diverged from the whole-cache walk"
             );
         }
-        let kind = match full {
-            true => HbFrameKind::Full,
-            false => HbFrameKind::Delta,
-        };
-        let role = self.ram.role;
-        let rank = self.setup.rank;
+        let (role, rank) = (self.ram.role, self.pool_rank());
         let ping = self.ram.ping.active.then(|| self.ram.ping.report());
         let span = SpanId::heartbeat(role_byte(role), rank, seq);
-        let (mut frames, mut conn_entries, mut payload_bytes, mut framing_bytes) = (0, 0, 0, 0);
-        // Every link's share — the peer's address, then its cables — split
-        // into batch parts when it exceeds the batch knob.
-        let peers = self.ram.members.keys();
-        let dests = peers.flat_map(|&ip| links.iter().enumerate().zip(self.links_to(ip)));
-        for ((link, recs), via) in dests {
-            for f in build_link_frames(
-                kind,
-                self.ram.hb_epoch,
-                link as u8,
-                self.ram.rx_peer_epoch,
-                &self.ram.hb_links,
-                seq,
-                role,
-                rank,
-                ping,
-                recs,
-                self.setup.sttcp.hb_batch,
-            ) {
-                let nconns = f.hb.conns.len() as u64;
-                let wire = f.encode();
-                let bytes = wire.len() as u64;
-                if !self.emit_hb(ctx, span, seq, link as u8, via, &wire, nconns as u32) {
-                    continue;
-                }
-                frames += 1;
-                conn_entries += nconns;
-                payload_bytes += nconns * HB_CONN_LEN as u64;
-                framing_bytes += bytes.saturating_sub(nconns * HB_CONN_LEN as u64);
-            }
-        }
-        self.ram.hb_link_recs = links;
-        self.metrics
-            .on_hb_round(frames, conn_entries, payload_bytes, framing_bytes);
-    }
-
-    /// v2 (delta) heartbeat intake: per-link staleness (each link sees
-    /// each seqno once, and serial frames carry only their shard),
-    /// per-connection ordering for counter application (cross-link
-    /// reorder legitimately delivers older frames late), and ack/epoch
-    /// bookkeeping for the return direction. Detection semantics match
-    /// `handle_heartbeat` exactly: stale frames earn only bounded
-    /// liveness credit, and regressing counters poison the whole frame.
-    fn handle_heartbeat_v2(&mut self, now: SimTime, f: &HbFrame, src: Ipv4Addr, link: usize) {
-        let hb = &f.hb;
-        let hblink = match link {
-            0 => HbLink::Ip,
-            _ => HbLink::Serial,
-        };
-        let Some(m) = self.ram.members.get_mut(&src) else {
-            return;
-        };
-        self.events.extend(m.hb.note_demotion(hb, now));
-        // A new peer incarnation voids all per-link and per-connection
-        // ordering state; its acks of our frames restart from nothing, so
-        // full frames flow both ways until re-acknowledged.
-        if f.epoch != self.ram.rx_peer_epoch {
-            self.ram.rx_peer_epoch = f.epoch;
-            self.ram.hb_links.fill(LinkState::default());
-            for p in self
-                .ram
-                .table
-                .slots_mut()
-                .filter_map(|slot| slot.peer.as_mut())
-            {
-                p.last_update_seq = 0;
-            }
-            self.reset_peer_acks();
-        }
-        let last = self.ram.hb_links.get(link).map_or(0, |l| l.applied);
-        if last != 0 && !seq_newer(hb.seqno, last) {
-            // Replayed or frozen on this link: bounded liveness credit,
-            // exactly like the v1 staleness path.
-            let hb_timeout = self.setup.sttcp.hb_timeout();
-            if let Some(m) = self.ram.members.get_mut(&src) {
-                m.hb.credit_stale(hblink, now, hb_timeout, &mut self.metrics);
-            }
-            return;
-        }
-        // Batched (v3) rounds: parts share a seqno and must arrive in
-        // order on their link. Part 0 opens a round (discarding any
-        // half-finished predecessor); any other part is accepted only if
-        // it is exactly the next part of the open round. An out-of-order
-        // part means an earlier part was lost — the round can never
-        // complete, so drop it and let the unacked records ride again.
-        if f.parts > 1 {
-            let ok = f.part == 0
-                || self.ram.hb_links.get(link).is_some_and(|l| {
-                    let st = l.batch;
-                    st.seqno == hb.seqno && st.parts == f.parts && st.next == f.part
-                });
-            if !ok {
-                return;
-            }
-        }
-        // Byzantine sanity check, against per-connection ordering: only
-        // records this frame would actually update can regress; records
-        // an older cross-link frame legitimately repeats are skipped.
-        if !self.vet_records(now, src, hb, Some(hb.seqno)) {
-            return;
-        }
-        // The link's cumulative ack advances only once the whole round is
-        // in hand: single-frame rounds immediately, batched rounds on
-        // their final part. A poisoned or lost part never completes the
-        // round, so the sender keeps resending the records.
-        if let Some(l) = self.ram.hb_links.get_mut(link) {
-            if f.parts > 1 {
-                l.batch = RxBatch {
-                    seqno: hb.seqno,
-                    parts: f.parts,
-                    next: f.part + 1,
-                };
-            }
-            if f.parts <= 1 || f.part + 1 == f.parts {
-                l.applied = hb.seqno;
-            }
-        }
-        let m = self
-            .ram
-            .members
-            .get_mut(&src)
-            .expect("vet_records found the member");
-        if m.hb.last_seqno.is_none_or(|l| seq_newer(hb.seqno, l)) {
-            m.hb.advance(hb, now);
-            self.ram.peer_ping = hb.ping;
-        }
-        m.hb.credit(hblink, now, &mut self.metrics);
-        // The peer's cumulative acks of our frames, valid only while they
-        // refer to this boot incarnation.
-        if f.ack_epoch == self.ram.hb_epoch {
-            self.ram.peer_ack_epoch = f.ack_epoch;
-            for (l, &a) in self.ram.hb_links.iter_mut().zip(&f.acks) {
-                if a != 0 && (l.acked == 0 || seq_newer(a, l.acked)) {
-                    l.acked = a;
-                }
-            }
-        }
-        // Apply records under per-connection ordering: equal seqno is the
-        // same tick's frame on the other link and reapplies identical
-        // values; strictly older frames are skipped per record.
-        self.apply_records(now, hb, Some(hb.seqno));
-    }
-
-    /// A pool member's vetted full-state records: its own map, the
-    /// active's mirror, and the pool-wide FIN/hold view.
-    fn apply_member_records(&mut self, now: SimTime, hb: &HbPayload, src: Ipv4Addr) {
-        let mut mirrored: Vec<SlotId> = Vec::new();
-        {
-            let (Some(pool), Some(m)) = (&mut self.ram.pool, self.ram.members.get_mut(&src)) else {
-                return;
+        let mut round = HbBandwidth::default();
+        // Every member's share, link by link — its address, then its
+        // cables — split into batch parts when it exceeds the batch knob.
+        let mut shards = std::mem::take(&mut self.ram.hb_link_recs);
+        for ((&ip, m), recs) in self.ram.members.iter().zip(&owed) {
+            let kind = match full(m) {
+                true => HbFrameKind::Full,
+                false => HbFrameKind::Delta,
             };
-            for c in &hb.conns {
-                m.conns.entry(c.key).or_default().apply(c);
+            shards.resize_with(m.links.len(), Vec::new);
+            shards.iter_mut().for_each(Vec::clear);
+            for &rec in recs {
+                shards[m.shard_link(rec.key)].push(rec);
             }
-            // Mirror the active member's positions into the table's peer
-            // column, where the pair-mode readers look: recovery fetching,
-            // join convergence and the takeover gap check work unchanged.
-            // The member's own map stays as it is; the column is cleared
-            // and refilled (pool heartbeats are full-state: O(n) by
-            // design), so every key may have become lagging.
-            if hb.role == Role::Primary {
-                pool.active_rank = m.rank;
-                self.ram.table.clear_peers();
-                self.ram.table.clear_set(Set::Lag);
-                for (&key, &peer) in &m.conns {
-                    let s = self.ram.table.entry(key);
-                    self.ram.table[s].peer = Some(peer);
-                    mirrored.push(s);
-                }
-            }
-            // A fence target that speaks a fresh heartbeat is not dead —
-            // unless the speaker is a restarted incarnation standing in
-            // for the dead one (defunct): its liveness must not save the
-            // incarnation the round is condemning.
-            if pool.fence.as_ref().is_some_and(|f| f.target == src) && !m.hb.defunct {
-                pool.fence = None;
-            }
-        }
-        for s in mirrored {
-            self.note_lag(s);
-        }
-        // FIN arbitration and hold release against the pool-wide view:
-        // a FIN counts once any non-fenced member saw it; the active
-        // releases held bytes only up to the *slowest* non-fenced member
-        // (a member with no entry yet holds everything back). The sender
-        // was just admitted, so there is one.
-        let mut arb_actions: Vec<(SocketId, u32, ArbAction)> = Vec::new();
-        let i_am_active = self.ram.role == Role::Primary;
-        let bound: Vec<_> = self.ram.table.bound().collect();
-        for (key, s, sock) in bound {
-            let mut fin_or_rst = false;
-            let mut min_lbr = u64::MAX;
-            for m in self.ram.members.values().filter(|m| !m.fenced) {
-                match m.conns.get(&key) {
-                    Some(e) => {
-                        fin_or_rst |= e.fin_or_rst;
-                        min_lbr = min_lbr.min(e.last_byte_received);
-                    }
-                    None => min_lbr = 0,
-                }
-            }
-            if let Some(ctl) = &mut self.ram.table[s].ctl {
-                if let Some(a) = ctl.finarb.on_peer_hb(now, fin_or_rst) {
-                    arb_actions.push((sock, key, a));
-                }
-            }
-            if i_am_active {
-                if let Some(conn) = self.ram.tcp.conn_mut(sock) {
-                    conn.release_hold_until(min_lbr);
+            for (link, via) in self.links_to(ip).enumerate() {
+                let recs = if link == 0 { recs } else { &shards[link] };
+                let (link, batch) = (link as u8, self.setup.sttcp.hb_batch);
+                let frames =
+                    build_link_frames(kind, epoch, link, m, seq, role, rank, ping, recs, batch);
+                for f in frames {
+                    let n = f.hb.conns.len() as u32;
+                    self.emit_hb(ctx, &mut round, span, seq, link, via, &f.encode(), n);
                 }
             }
         }
-        for (sock, key, action) in arb_actions {
-            self.apply_gate_action(now, sock, key, action);
-        }
+        self.ram.hb_owed = owed;
+        self.ram.hb_link_recs = shards;
+        self.metrics.on_hb_round(round);
     }
 
     // ----- internal: verdicts and recovery actions ---------------------------
@@ -1856,9 +1762,14 @@ impl StTcpServer {
         for (_, s) in self.all_socks() {
             self.ram.table.insert(Set::Hole, s);
         }
-        // Delta mode: the dead peer's acks are void; a future joiner is
-        // served full-state frames until it acknowledges this epoch.
-        self.reset_peer_acks();
+        // Delta mode: every member's acks are void; a surviving backup or
+        // a future joiner is served full-state frames until it
+        // acknowledges this epoch.
+        for m in self.ram.members.values_mut() {
+            m.links.iter_mut().for_each(|l| l.acked = 0);
+            m.ack_epoch = 0;
+        }
+        self.unack_cached();
         self.flush(ctx);
     }
 
@@ -2030,53 +1941,7 @@ impl StTcpServer {
         let hb_fresh = hb_staleness
             .is_some_and(|s| s <= self.setup.sttcp.hb_period + self.setup.sttcp.check_period * 2);
 
-        let mut verdict: Option<FailureReason> = None;
-        let mut arb_actions: Vec<(SocketId, u32, ArbAction)> = Vec::new();
-        // Only connections with recent activity or an armed detector need
-        // the walk; a connection leaves the set once both its arbiters are
-        // provably inert (no deadline, no lag) and re-enters on any local
-        // or peer-reported movement.
-        let slots = self.ram.table.members(Set::Check);
-        self.metrics.on_timer_visits(slots.len());
-        for s in slots {
-            let peer = self.ram.table.peer(s).copied();
-            let slot = &mut self.ram.table[s];
-            let (Some(sock), Some(ctl)) = (slot.sock(), slot.ctl.as_mut()) else {
-                continue;
-            };
-            if !ctl.closed {
-                // FIN arbitration deadlines.
-                match ctl.finarb.on_check(now) {
-                    Some(ArbAction::DeclarePeerFailed) => {
-                        verdict = verdict.or(Some(FailureReason::FinMismatchTimeout));
-                    }
-                    Some(a) => arb_actions.push((sock, ctl.key, a)),
-                    None => {}
-                }
-                // Application-lag detection (rows 2/3) presumes the
-                // network is healthy — with the IP heartbeat down, any app
-                // lag is a symptom of the network failure and blame is
-                // assigned by the row-4 detectors above instead. It also
-                // needs fresh evidence (stale: the liveness detector
-                // rules) and this connection in the peer's heartbeat.
-                if !ip_alive {
-                    ctl.applag.reset();
-                } else if !hb_fresh {
-                    continue;
-                } else if let (Some(peer), Some(c)) = (peer, self.ram.tcp.conn(sock)) {
-                    let (read, written) = (c.app_bytes_read(), c.app_bytes_written());
-                    let (p_read, p_written) = (peer.last_app_byte_read, peer.last_app_byte_written);
-                    verdict = verdict.or(ctl.applag.check(now, read, written, p_read, p_written));
-                }
-            }
-            if ctl.closed || !(ctl.finarb.needs_check() || ctl.applag.needs_check()) {
-                self.ram.table.remove(Set::Check, s);
-            }
-        }
-        for (sock, key, action) in arb_actions {
-            self.apply_gate_action(now, sock, key, action);
-        }
-        if let Some(reason) = verdict {
+        if let Some(reason) = self.check_conns(now, Some((ip_alive, hb_fresh))) {
             self.declare_peer_failed(ctx, reason);
             return;
         }
@@ -2100,6 +1965,63 @@ impl StTcpServer {
         if self.ram.role == Role::Backup {
             self.run_recovery(ctx);
         }
+    }
+
+    /// The check tick's connection walk, in pair and pool alike: FIN
+    /// deadlines and, given `rows` (IP heartbeat up, peer evidence fresh),
+    /// the pair's Table 1 rows 2/3 — a pool runs none yet (ROADMAP item
+    /// 7). Only connections with recent activity or an armed detector are
+    /// visited: one leaves the set once both its arbiters are provably
+    /// inert and re-enters on any movement. The walk's verdict, if any.
+    fn check_conns(&mut self, now: SimTime, rows: Option<(bool, bool)>) -> Option<FailureReason> {
+        let mut verdict: Option<FailureReason> = None;
+        let mut arb_actions: Vec<(SocketId, u32, ArbAction)> = Vec::new();
+        let slots = self.ram.table.members(Set::Check);
+        self.metrics.on_timer_visits(slots.len());
+        for s in slots {
+            let peer = self.ram.table.peer(s).copied();
+            let slot = &mut self.ram.table[s];
+            let (Some(sock), Some(ctl)) = (slot.sock(), slot.ctl.as_mut()) else {
+                continue;
+            };
+            if !ctl.closed {
+                // FIN arbitration deadlines.
+                match ctl.finarb.on_check(now) {
+                    Some(ArbAction::DeclarePeerFailed) => {
+                        verdict = verdict.or(Some(FailureReason::FinMismatchTimeout));
+                    }
+                    Some(a) => arb_actions.push((sock, ctl.key, a)),
+                    None => {}
+                }
+                // Application-lag detection (rows 2/3) presumes the
+                // network is healthy — with the IP heartbeat down, any app
+                // lag is a symptom of the network failure and blame is
+                // assigned by the row-4 detectors instead. It also needs
+                // fresh evidence (stale: the liveness detector rules) and
+                // this connection in the peer's heartbeat.
+                match rows {
+                    None => {}
+                    Some((false, _)) => ctl.applag.reset(),
+                    Some((true, false)) => continue,
+                    Some((true, true)) => {
+                        if let (Some(peer), Some(c)) = (peer, self.ram.tcp.conn(sock)) {
+                            let (read, written) = (c.app_bytes_read(), c.app_bytes_written());
+                            let (p_read, p_written) =
+                                (peer.last_app_byte_read, peer.last_app_byte_written);
+                            let lag = ctl.applag.check(now, read, written, p_read, p_written);
+                            verdict = verdict.or(lag);
+                        }
+                    }
+                }
+            }
+            if ctl.closed || !(ctl.finarb.needs_check() || ctl.applag.needs_check()) {
+                self.ram.table.remove(Set::Check, s);
+            }
+        }
+        for (sock, key, action) in arb_actions {
+            self.apply_gate_action(now, sock, key, action);
+        }
+        verdict
     }
 
     /// Post-takeover output-commit check (§4.3): a receive hole with
@@ -2209,21 +2131,7 @@ impl StTcpServer {
         // FIN arbitration deadlines. `DeclarePeerFailed` (the pairwise
         // FIN-mismatch verdict) is dropped: the arbiter resolves itself
         // when it fires, and liveness verdicts arrive only via fencing.
-        let mut arb_actions: Vec<(SocketId, u32, ArbAction)> = Vec::new();
-        let socks = self.all_socks();
-        self.metrics.on_timer_visits(socks.len());
-        for (sock, s) in socks {
-            let Some(ctl) = self.ram.table[s].ctl.as_mut().filter(|c| !c.closed) else {
-                continue;
-            };
-            let action = ctl.finarb.on_check(now);
-            if let Some(a) = action.filter(|&a| a != ArbAction::DeclarePeerFailed) {
-                arb_actions.push((sock, ctl.key, a));
-            }
-        }
-        for (sock, key, action) in arb_actions {
-            self.apply_gate_action(now, sock, key, action);
-        }
+        let _ = self.check_conns(now, None);
 
         if self.ram.join.is_some() {
             // A joiner fetches and converges but never fences: until the
@@ -2458,6 +2366,7 @@ impl StTcpServer {
             .is_some_and(|p| p.active_rank == target_rank);
         // Fault-tolerant while some live member is left to feed.
         self.ram.ft_mode = live_non_fenced(&self.ram.members, now) > 0;
+        self.settle_all(now);
         // Tell the survivors: they mark the member fenced without needing
         // their own quorum, and a losing simultaneous candidate abandons
         // its round.
@@ -2500,6 +2409,7 @@ impl StTcpServer {
                 rank: target_rank,
                 at: now,
             });
+            self.settle_all(now);
         }
     }
 
@@ -2632,17 +2542,16 @@ impl StTcpServer {
             self.ram.table.clear_set(Set::Lag);
             self.ram.peer_app_suspected = false;
             // (A pool member's entry was reset with its rank above.)
-            if self.ram.pool.is_none() {
-                if let Some(m) = self.ram.members.get_mut(&src) {
+            // Delta mode: the old incarnation's acks are void — send the
+            // joiner full-state frames until it acknowledges, and track
+            // its new links/epoch from scratch.
+            if let Some(m) = self.ram.members.get_mut(&src) {
+                if self.ram.pool.is_none() {
                     m.hb.forget_incarnation(now);
                 }
+                m.forget_stream();
             }
-            // Delta mode: the old incarnation's acks are void — send
-            // full-state frames until the joiner acknowledges, and track
-            // its new links/epoch from scratch.
-            self.reset_peer_acks();
-            self.ram.hb_links.fill(LinkState::default());
-            self.ram.rx_peer_epoch = 0;
+            self.unack_cached();
             self.events
                 .push(StTcpEvent::ReintegrationStarted { at: now });
         }
@@ -2894,7 +2803,7 @@ impl StTcpServer {
         if self.pair_peer().hb.ip_mon.is_alive(ctx.now()) {
             return;
         }
-        let (port, _) = self.serial[self.shard_of(key)];
+        let (port, _) = self.serial[key as usize % self.serial.len()];
         ctx.send_serial(port, msg.encode());
     }
 
@@ -3066,22 +2975,12 @@ impl StTcpServer {
         let Ok(any) = decode_any(data) else {
             return false;
         };
-        let hb = match &any {
-            AnyHb::V1(hb) => hb,
-            AnyHb::V2(f) => &f.hb,
+        let (hb, f) = match &any {
+            AnyHb::V1(hb) => (hb, None),
+            AnyHb::V2(f) => (&f.hb, Some(f)),
         };
         self.note_hb_rx(ctx, hb, link as u8);
-        let hblink = match link {
-            0 => HbLink::Ip,
-            _ => HbLink::Serial,
-        };
-        match &any {
-            AnyHb::V1(hb) => self.handle_heartbeat(ctx.now(), hb, hblink, src),
-            // Pool members never speak v2; a v2 frame in pool mode is
-            // dropped rather than misapplied.
-            AnyHb::V2(_) if self.ram.pool.is_some() => {}
-            AnyHb::V2(f) => self.handle_heartbeat_v2(ctx.now(), f, src, link),
-        }
+        self.handle_heartbeat(ctx.now(), hb, f, src, link);
         true
     }
 
@@ -3393,7 +3292,7 @@ mod tests {
             }],
             ping: None,
         };
-        s.handle_heartbeat(t, &hb, HbLink::Serial, PEER);
+        s.handle_heartbeat(t, &hb, None, PEER, 1);
         assert_eq!(s.pair_peer().hb.serial_mon.last_rx(), Some(t));
         assert_eq!(s.pair_peer().hb.ip_mon.last_rx(), None);
         let p = s
@@ -3409,7 +3308,7 @@ mod tests {
         lie.seqno = 2;
         lie.conns[0].last_byte_received = 999;
         lie.conns.push(ConnHb::default());
-        s.handle_heartbeat(t, &lie, HbLink::Serial, PEER);
+        s.handle_heartbeat(t, &lie, None, PEER, 1);
         assert_eq!(s.metrics.byzantine_rejected(), 1);
         assert_eq!(s.ram.table.by_key(0), None);
     }
@@ -3550,8 +3449,8 @@ mod tests {
             }],
             ping: None,
         };
-        s.handle_heartbeat(SimTime::from_millis(1), &hb_fin, HbLink::Ip, PEER);
-        s.handle_heartbeat(SimTime::from_millis(2), &hb_nofin, HbLink::Ip, PEER);
+        s.handle_heartbeat(SimTime::from_millis(1), &hb_fin, None, PEER, 0);
+        s.handle_heartbeat(SimTime::from_millis(2), &hb_nofin, None, PEER, 0);
         assert!(
             s.ram
                 .table

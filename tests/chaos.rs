@@ -403,8 +403,9 @@ fn reintegrate_sweep_is_deterministic_and_clean() {
     assert_thread_invariant(Flavour::Reintegrate, &quick());
 }
 
-/// Delta heartbeats are a wire optimisation, not a behaviour change.
-/// Two contracts, both over 64 seeds:
+/// Delta heartbeats are a wire optimisation, not a behaviour change, in
+/// the pair and in `pool(3)` alike. Two contracts, both over 64 seeds of
+/// each topology's generator:
 ///
 /// 1. A delta-mode sweep folds to a byte-identical metrics report at 1
 ///    and 4 threads — the same determinism contract full-state mode
@@ -415,14 +416,20 @@ fn reintegrate_sweep_is_deterministic_and_clean() {
 #[test]
 fn delta_heartbeat_sweep_matches_full_state_semantics() {
     // Contract 1: delta mode is deterministic and thread-invariant.
-    assert_thread_invariant(Flavour::Single, &delta_opts());
+    for flavour in TOPOLOGIES {
+        assert_thread_invariant(flavour, &delta_opts());
+    }
     // Contract 2: per-seed verdict equivalence against full-state mode.
-    assert_eq!(
-        seeds_where_delta_mode_changes_the_verdict(),
-        [] as [u64; 0],
-        "delta mode changed a protocol decision"
+    let changed = seeds_where_delta_mode_changes_the_verdict();
+    assert!(
+        changed.is_empty(),
+        "delta mode changed a protocol decision: {changed:?}"
     );
 }
+
+/// The sweep flavours that stand for the two topologies: the pair's
+/// `generate` schedules and the pool's `generate_pool` ones.
+const TOPOLOGIES: [Flavour; 2] = [Flavour::Single, Flavour::Pool];
 
 fn delta_opts() -> ChaosOptions {
     ChaosOptions {
@@ -431,17 +438,24 @@ fn delta_opts() -> ChaosOptions {
     }
 }
 
-/// Contract 2 of the delta sweep: the seeds in 0..64 whose semantic
-/// verdict differs between delta and full-state mode.
-fn seeds_where_delta_mode_changes_the_verdict() -> Vec<u64> {
-    (0..64)
-        .filter(|&seed| {
-            let schedule = FaultSchedule::generate(seed);
-            let full = run_chaos_case(Pair, seed, &schedule, &quick());
-            let delta = run_chaos_case(Pair, seed, &schedule, &delta_opts());
-            semantic_verdict(&full) != semantic_verdict(&delta)
-        })
-        .collect()
+/// The seeds in 0..64 of either topology whose [`semantic_verdict`]
+/// differs between `a` and `b`.
+fn seeds_where_modes_differ(a: &ChaosOptions, b: &ChaosOptions) -> Vec<(Flavour, u64)> {
+    let differs = |flavour: Flavour, seed| {
+        let schedule = flavour.schedule(seed);
+        let run = |opts| run_chaos_case(flavour.topology(), seed, &schedule, opts);
+        semantic_verdict(&run(a)) != semantic_verdict(&run(b))
+    };
+    let seeds = TOPOLOGIES
+        .into_iter()
+        .flat_map(|f| (0..64).map(move |seed| (f, seed)));
+    seeds.filter(|&(f, seed)| differs(f, seed)).collect()
+}
+
+/// Contract 2 of the delta sweep: the seeds whose semantic verdict
+/// differs between delta and full-state mode.
+fn seeds_where_delta_mode_changes_the_verdict() -> Vec<(Flavour, u64)> {
+    seeds_where_modes_differ(&quick(), &delta_opts())
 }
 
 /// The mutation gate for the liveness jitter guard
@@ -555,7 +569,7 @@ fn a_reboot_before_detection_is_condemned_within_the_bound_1582() {
 
 /// Batched heartbeat envelopes (v3 multi-part frames) are a framing
 /// optimisation, not a behaviour change. Same two contracts as the
-/// delta sweep, both over 64 seeds:
+/// delta sweep, over the same seeds of both topologies:
 ///
 /// 1. A batch-mode sweep folds to a byte-identical metrics report at 1
 ///    and 4 threads.
@@ -569,18 +583,15 @@ fn batch_heartbeat_sweep_matches_single_frame_semantics() {
         ..delta_opts()
     };
     // Contract 1: batch mode is deterministic and thread-invariant.
-    assert_thread_invariant(Flavour::Single, &batch_opts);
-    // Contract 2: per-seed verdict equivalence against single-frame mode.
-    for seed in 0..64 {
-        let schedule = FaultSchedule::generate(seed);
-        let single = run_chaos_case(Pair, seed, &schedule, &delta_opts());
-        let batch = run_chaos_case(Pair, seed, &schedule, &batch_opts);
-        assert_eq!(
-            semantic_verdict(&single),
-            semantic_verdict(&batch),
-            "seed {seed} ({schedule}): batch framing changed the verdict"
-        );
+    for flavour in TOPOLOGIES {
+        assert_thread_invariant(flavour, &batch_opts);
     }
+    // Contract 2: per-seed verdict equivalence against single-frame mode.
+    let changed = seeds_where_modes_differ(&delta_opts(), &batch_opts);
+    assert!(
+        changed.is_empty(),
+        "batch framing changed the verdict: {changed:?}"
+    );
 }
 
 /// The plain and double-fault sweeps obey [`assert_thread_invariant`].

@@ -9,11 +9,12 @@ use simnet::time::{SimDuration, SimTime};
 use sttcp::app::EchoApp;
 use sttcp::config::{Role, StTcpConfig};
 use sttcp::events::{FailureReason, StTcpEvent};
+use sttcp::metrics::ServerMetrics;
 use sttcp::server::AppCrashMode;
 
 use sttcp_apps::apps::StreamApp;
 use sttcp_apps::client::ClientWorkload;
-use sttcp_apps::scenario::{AppMaker, ScenarioBuilder};
+use sttcp_apps::scenario::{AppMaker, Scenario, ScenarioBuilder, Topology};
 
 fn t(ms: u64) -> SimTime {
     SimTime::from_millis(ms)
@@ -376,13 +377,23 @@ fn delta_serial_shards_survive_ip_heartbeat_loss() {
 // O(active) periodic paths: the host-independent scale gate
 // ---------------------------------------------------------------------
 
+/// 2 000 resident connections, 4 of them busy, on the pair (four cables)
+/// and on `pool(3)` (its one cable per member pair). Every periodic path
+/// (check tick, recovery, heartbeat record selection, hole check, app
+/// tick) counts the connections it visits, and every member counts the
+/// heartbeat bytes it sends; in steady state both must follow the busy
+/// four, never the resident two thousand. Counted in sim time, so a
+/// noisy host cannot flake it. (Under v1 full-state rounds a `pool(3)`
+/// member sent 84 B per connection per round and visited 2 527–3 025
+/// connections per check tick.)
 #[test]
 fn periodic_timer_visits_track_active_conns_not_resident_ones() {
-    // 2 000 resident connections, 4 of them busy. Every periodic path
-    // (check tick, recovery, heartbeat record selection, hole check, app
-    // tick) counts the connections it visits; in steady state that count
-    // must follow the busy four, never the resident two thousand. Counted
-    // in sim time, so a noisy host cannot flake it.
+    for topology in [Topology::Pair, Topology::Pool(3)] {
+        periodic_work_tracks_active_conns(topology);
+    }
+}
+
+fn periodic_work_tracks_active_conns(topology: Topology) {
     const POPULATION: usize = 2_000;
     const ACTIVE: u64 = 4;
     // One member of the quiet population sends a single request as it
@@ -397,7 +408,7 @@ fn periodic_timer_visits_track_active_conns_not_resident_ones() {
         };
     }
     workloads[VICTIM] = ClientWorkload::Download { total: 2_048 };
-    let mut s = ScenarioBuilder::new(
+    let builder = ScenarioBuilder::new(
         stream_app(4096),
         ClientWorkload::Download {
             total: 24 * 1024 * 1024,
@@ -405,8 +416,11 @@ fn periodic_timer_visits_track_active_conns_not_resident_ones() {
     )
     .extra_clients(workloads)
     .seed(240)
-    .sttcp(delta_cfg())
-    .serial_links(4)
+    .sttcp(delta_cfg());
+    let mut s = match topology {
+        Topology::Pair => builder.serial_links(4),
+        Topology::Pool(n) => builder.pool(n),
+    }
     .build();
     let victim_ip =
         std::net::Ipv4Addr::new(10, 0, 1 + (VICTIM / 240) as u8, 10 + (VICTIM % 240) as u8);
@@ -428,19 +442,42 @@ fn periodic_timer_visits_track_active_conns_not_resident_ones() {
 
     // Ramp (clients connect 1 ms apart from t = 100 ms), then settle.
     s.world.run_until(t(3_000));
-    let visits = |s: &sttcp_apps::scenario::Scenario| {
-        [s.primary, s.backup].map(|n| s.server(n).metrics().timer_conn_visits())
+    // Per member: timer visits, heartbeat rounds, heartbeat bytes sent.
+    let counters = |s: &Scenario| -> Vec<[u64; 3]> {
+        let of = |m: &ServerMetrics| {
+            let hb = m.hb_bandwidth();
+            [m.timer_conn_visits(), hb.rounds, hb.total_bytes()]
+        };
+        s.servers
+            .iter()
+            .map(|&n| of(s.server(n).metrics()))
+            .collect()
     };
-    let before = visits(&s);
+    let before = counters(&s);
     s.world.run_until(t(5_000));
-    let after = visits(&s);
+    let after = counters(&s);
     let check_ticks = 2_000 / 50;
-    for (node, (b, a)) in ["primary", "backup"].iter().zip(before.iter().zip(after)) {
-        let per_tick = (a - b) / check_ticks;
+    // The pool's one 115.2 kbps cable per member pair is still draining
+    // the ramp in the window: every record rides it twice (sent again
+    // before the first copy's ack is back), and each late copy settles
+    // its connection again. (Measured: the pair 38, the pool's members
+    // 53–98 — the pair's own reading on one cable.)
+    let bound = match topology {
+        Topology::Pair => 16 * ACTIVE,
+        Topology::Pool(_) => 32 * ACTIVE,
+    };
+    for (i, (b, a)) in before.iter().zip(&after).enumerate() {
+        let node = topology.member_label(i);
+        let per_tick = (a[0] - b[0]) / check_ticks;
         assert!(
-            per_tick <= 16 * ACTIVE,
+            per_tick <= bound,
             "{node}: {per_tick} connection visits per check tick with {ACTIVE} active of {} resident",
             POPULATION + 1
+        );
+        let per_conn = (a[2] - b[2]) as f64 / (a[1] - b[1]) as f64 / (POPULATION + 1) as f64;
+        assert!(
+            per_conn < 0.5,
+            "{node}: {per_conn:.3} heartbeat bytes per connection per round"
         );
     }
     // The busy four really were busy across the whole window.
@@ -449,7 +486,7 @@ fn periodic_timer_visits_track_active_conns_not_resident_ones() {
         "downloaders finished inside the window"
     );
 
-    for node in [s.primary, s.backup] {
+    for &node in &s.servers {
         assert_eq!(s.server(node).conn_keys().len(), POPULATION + 1);
         assert_eq!(s.server(node).metrics().conn_key_collisions(), 0);
     }

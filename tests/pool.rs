@@ -21,6 +21,7 @@ use sttcp_apps::apps::StreamApp;
 use sttcp_apps::chaos::{chaos_config, run_chaos_case, ChaosOptions, FaultSchedule};
 use sttcp_apps::client::ClientWorkload;
 use sttcp_apps::scenario::{Scenario, ScenarioBuilder, Topology};
+use sttcp_bench::experiments::SCALE_HB_BATCH;
 use sttcp_bench::hunt::{run_sweep, Flavour, SweepConfig};
 use sttcp_bench::parallel::default_threads;
 
@@ -292,6 +293,40 @@ fn fast_rebooted_active_is_fenced_as_defunct() {
     assert_eq!(report.active_at_end, Some(2));
 }
 
+/// Regression: a fault-free `pool(3)` serving 3 201 idle connections
+/// under `hb_delta` + `hb_batch` fenced its healthy active. The pool ran
+/// v1 full-state rounds whatever the flags said: 13 + 21 × 3 201 =
+/// 67 234 B, over the IP limit, so nothing went out on IP, and the one
+/// 115.2 kbps cable could not carry a round within the timeout — rank 1
+/// opened a round against rank 0 at 3.813 s and took over at 3.840 s.
+#[test]
+fn a_fault_free_delta_pool_of_3201_idle_connections_fences_nobody() {
+    let cfg = StTcpConfig {
+        hb_delta: true,
+        hb_batch: SCALE_HB_BATCH,
+        ..StTcpConfig::default()
+    };
+    let app = || Box::new(sttcp::app::EchoApp::default()) as _;
+    let mut s = ScenarioBuilder::new(Rc::new(app), ClientWorkload::Idle)
+        .extra_clients(vec![ClientWorkload::Idle; 3_200])
+        .seed(241)
+        .pool(3)
+        .sttcp(cfg)
+        .build();
+    s.world.run_until(SimTime::from_secs(6));
+    for (i, &node) in s.servers.iter().enumerate() {
+        let verdict = s.server(node).events().iter().find(|e| {
+            matches!(
+                e,
+                StTcpEvent::FenceRequested { .. } | StTcpEvent::PeerDeclaredFailed { .. }
+            )
+        });
+        assert_eq!(verdict, None, "rank {i}");
+        assert_eq!(s.server(node).conn_keys().len(), 3_201, "rank {i}");
+    }
+    assert!(s.server(s.primary).is_active());
+}
+
 /// Both backups of a three-member pool die 200 ms apart under a 1 KiB
 /// echo every 20 ms. The active opens a fence round against rank 1 that
 /// needs rank 2's vote, and rank 2 is dead too, so the round never
@@ -322,36 +357,49 @@ fn an_active_whose_backups_all_died_holds_within_hold_buf() {
 }
 
 /// Byzantine heartbeats (CRC-valid, semantically impossible) across a
-/// seeded sweep of both sides and both modes: the detector must reject
-/// and quarantine — any mis-verdict trips the `byzantine-liar-verdict`
-/// or `no-false-positive` invariant and fails the run.
+/// seeded sweep of both sides, both lies and both heartbeat formats
+/// (v1 full-state and delta): the detector must reject and quarantine —
+/// any mis-verdict trips the `byzantine-liar-verdict` or
+/// `no-false-positive` invariant and fails the run.
 #[test]
 fn byzantine_heartbeat_sweep_is_violation_free() {
-    for seed in 0..60 {
-        let schedule = FaultSchedule::generate_byzantine(seed);
-        let report = run_chaos_case(Topology::Pair, seed, &schedule, &quick());
-        assert_ne!(
-            report.outcome,
-            Outcome::Violation,
-            "seed {seed}: {schedule}\n  violations: {:?}",
-            report.violations
-        );
+    for hb_delta in [false, true] {
+        let opts = ChaosOptions {
+            hb_delta,
+            ..quick()
+        };
+        for seed in 0..60 {
+            let schedule = FaultSchedule::generate_byzantine(seed);
+            let report = run_chaos_case(Topology::Pair, seed, &schedule, &opts);
+            assert_ne!(
+                report.outcome,
+                Outcome::Violation,
+                "seed {seed}, hb_delta {hb_delta}: {schedule}\n  violations: {:?}",
+                report.violations
+            );
+        }
     }
 }
 
 /// The same byzantine schedules against the pool: a lying member must
 /// end up quarantined by the honest majority, never trusted into a
-/// takeover chain.
+/// takeover chain — in either heartbeat format.
 #[test]
 fn pool_absorbs_byzantine_heartbeats() {
-    for seed in 0..24 {
-        let schedule = FaultSchedule::generate_byzantine(seed);
-        let report = run_chaos_case(POOL, seed, &schedule, &quick());
-        assert_ne!(
-            report.outcome,
-            Outcome::Violation,
-            "seed {seed}: {schedule}\n  violations: {:?}",
-            report.violations
-        );
+    for hb_delta in [false, true] {
+        let opts = ChaosOptions {
+            hb_delta,
+            ..quick()
+        };
+        for seed in 0..24 {
+            let schedule = FaultSchedule::generate_byzantine(seed);
+            let report = run_chaos_case(POOL, seed, &schedule, &opts);
+            assert_ne!(
+                report.outcome,
+                Outcome::Violation,
+                "seed {seed}, hb_delta {hb_delta}: {schedule}\n  violations: {:?}",
+                report.violations
+            );
+        }
     }
 }

@@ -11,7 +11,13 @@
 # Per run it keeps stdout (with the exit status appended), stderr, the
 # `--json` report and any flight dumps. Everything is deterministic, so
 # any differing line names an artifact that moved. ~5 s.
+#
+# `tools/artifacts.sha256` is the list for the committed tree; CI
+# regenerates it and diffs. A change that moves an artifact updates that
+# file in the same commit and says why in CHANGES.md.
 set -uo pipefail
+# The list is sorted by file name: pin the collation.
+export LC_ALL=C
 bin="$(cd "$1" && pwd)"; out="$2"
 rm -rf "$out"; mkdir -p "$out"; cd "$out"
 run() { # name, cmd...
