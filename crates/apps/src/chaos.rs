@@ -451,7 +451,7 @@ impl FaultSchedule {
                         w.set_link_loss(l, LinkDir::BtoA, p);
                     });
                 }
-                DropTap(n) => s.drop_backup_tap_at(at, u64::from(n)),
+                DropTap(n) => s.drop_tap_at(s.link_backup, at, u64::from(n)),
                 CorruptFrames(sel, n) => {
                     let l = link(sel);
                     s.world

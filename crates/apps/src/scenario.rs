@@ -556,12 +556,12 @@ impl Scenario {
         self.world.schedule(at, move |w| w.fail_serial(s));
     }
 
-    /// Schedules a loss burst on the backup's tap: the next `n` TCP
+    /// Schedules a loss burst on the tap of the server on switch link
+    /// `link` (`link_backup`, or any of `server_links`): the next `n` TCP
     /// frames addressed to the service IP are dropped on the
-    /// switch→backup direction, while heartbeats keep flowing (Table 1
+    /// switch→server direction, while heartbeats keep flowing (Table 1
     /// row 5).
-    pub fn drop_backup_tap_at(&mut self, at: SimTime, n: u64) {
-        let link = self.link_backup;
+    pub fn drop_tap_at(&mut self, link: LinkId, at: SimTime, n: u64) {
         let service_ip = self.addressing.service_ip;
         self.world.schedule(at, move |w| {
             let mut budget = n;
@@ -571,17 +571,12 @@ impl Scenario {
                 link,
                 LinkDir::BtoA,
                 Some(Box::new(move |frame| {
-                    if budget == 0 {
-                        return false;
-                    }
-                    let Some(pkt) = IpInterface::decap(frame) else {
-                        return false;
-                    };
-                    if pkt.proto == simnet::ip::IpProto::Tcp && pkt.dst == service_ip {
-                        budget -= 1;
-                        return true;
-                    }
-                    false
+                    let pkt = IpInterface::decap(frame);
+                    let tcp = simnet::ip::IpProto::Tcp;
+                    let drop =
+                        budget > 0 && pkt.is_some_and(|p| p.proto == tcp && p.dst == service_ip);
+                    budget -= u64::from(drop);
+                    drop
                 })),
             );
         });

@@ -228,7 +228,7 @@ fn hold_buffer_ablation(threads: usize) {
                 ..cfg()
             })
             .build();
-        s.drop_backup_tap_at(t(2_000), burst);
+        s.drop_tap_at(s.link_backup, t(2_000), burst);
         s.world.run_until(t(60_000));
         let backup_condemned = s
             .server(s.primary)

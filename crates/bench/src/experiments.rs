@@ -665,7 +665,7 @@ fn table1_case(seed: u64, case: u32) -> Table1Row {
                 .seed(s_seed)
                 .sttcp(fast_cfg(200))
                 .build();
-            s.drop_backup_tap_at(t(inject_at), 20);
+            s.drop_tap_at(s.link_backup, t(inject_at), 20);
             let s = finish(s);
             let recovered = s
                 .server(s.backup)
@@ -829,7 +829,7 @@ pub fn run_temp_netfail(seed: u64, burst: u64, tiny_hold: bool) -> TempNetFailRu
         .seed(seed)
         .sttcp(cfg)
         .build();
-    s.drop_backup_tap_at(t(inject), burst);
+    s.drop_tap_at(s.link_backup, t(inject), burst);
     s.world.run_until(t(90_000));
 
     let backup_events = s.server(s.backup).events().to_vec();

@@ -3,9 +3,10 @@
 //!
 //! A slot belongs to a 32-bit [`crate::heartbeat::conn_key`]. It holds
 //! the local control state ([`ConnCtl`], once a socket is bound), the
-//! peer's heartbeat mirror ([`PeerConn`], once a record arrived — which
-//! may be before the local socket exists), the last record sent
-//! ([`HbCacheEntry`]) and a membership byte for the six active sets.
+//! last record sent ([`HbCacheEntry`]) and a membership byte for the six
+//! active sets. What another server reported is not here: each member
+//! keeps its own heartbeat mirror in a [`Column`] indexed by the same
+//! slots ([`crate::pool::MemberState`]).
 //! Lookups:
 //!
 //! * `SocketId → slot` is a vector index: socket ids are dense from zero
@@ -17,7 +18,7 @@
 //!   place a key collision shows: [`ConnTable::bind`] finds the key's
 //!   slot already holding another socket.
 //! * **Key order is a list, sorted when it has to be.** The
-//!   key-ascending walks ([`ConnTable::bound`], [`ConnTable::peers`],
+//!   key-ascending walks ([`ConnTable::keyed`], [`ConnTable::bound`],
 //!   [`ConnTable::cached`]) read a vector of `(key, slot)` pairs that
 //!   [`ConnTable::entry`] appends to; a walk sorts it first if keys
 //!   added since the last one left it out of order (one pass over 8-byte
@@ -30,9 +31,9 @@
 //! **A displaced socket** (the same tuple re-accepted, or a true 32-bit
 //! collision) keeps its `ConnCtl`, its TCP events and its socket-ordered
 //! set memberships in a fresh *unkeyed* slot whose `home` names the
-//! key's slot; it reads the key's peer mirror through `home`
-//! ([`ConnTable::peer`]) but is no longer what the key resolves to, so it
-//! leaves heartbeats, recovery and the endpoint's tracked totals.
+//! key's slot; it reads a member's mirror of its key through `home`, but
+//! is no longer what the key resolves to, so it leaves heartbeats,
+//! recovery and the endpoint's tracked totals.
 //!
 //! **Active sets.** Membership is a bit in the slot; each set also keeps
 //! a list of `(order, slot)` entries, `order` being the socket id or the
@@ -43,18 +44,14 @@
 //! `BTreeSet`s this replaced.
 //!
 //! Slots are never freed within a boot (a reboot builds a fresh table): like
-//! sockets, connections are not reaped, and a peer-only slot whose
-//! mirror was dropped stays as an empty keyed slot.
+//! sockets, connections are not reaped, and a slot a member's record
+//! made stays as a keyed slot without a socket.
 //!
-//! **What the four maps this replaced did implicitly, stated.** A peer
+//! **What the four maps this replaced did implicitly, stated.** A member
 //! record for a key with no socket yet makes a slot without `ctl`; a
 //! later `bind` (an accept, or a joiner installing a snapshot) attaches
 //! to it. A record cache entry exists only on a slot that resolves to a
-//! socket, so a full round has nothing to prune. Pool mode copies the
-//! active member's records into the column, and replaces the whole
-//! column when the active changes (`clear_peers`, then fill from its own
-//! map, which the table never touches); a new pair-peer epoch walks
-//! `slots_mut` to zero every `last_update_seq`. A reboot builds a fresh
+//! socket, so a full round has nothing to prune. A reboot builds a fresh
 //! table, which takes every set with it.
 
 use bytes::Bytes;
@@ -71,7 +68,6 @@ use crate::applag::AppLagDetector;
 use crate::config::{Role, StTcpConfig};
 use crate::finarb::FinArbiter;
 use crate::heartbeat::ConnHb;
-use crate::pool::PeerConn;
 
 /// Per-connection control state of the local socket.
 pub(crate) struct ConnCtl {
@@ -129,9 +125,9 @@ impl ConnCtl {
 }
 
 /// Last-sent heartbeat record for one connection (delta mode): the value
-/// the peer will converge on, and the seqno of the frame that first
-/// carried it. The connection rides every frame until the peer's
-/// cumulative ack covers `changed_at`.
+/// the members will converge on, and the seqno of the frame that first
+/// carried it. The connection rides every frame until each unfenced
+/// member's cumulative ack covers `changed_at`.
 #[derive(Debug, Clone, Copy)]
 pub(crate) struct HbCacheEntry {
     pub(crate) rec: ConnHb,
@@ -148,8 +144,8 @@ pub(crate) struct SlotId(u32);
 /// `SocketId` order.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub(crate) enum Set {
-    /// Backup: the peer has received bytes this server has not, or a
-    /// fetch cycle is still open.
+    /// Backup: the followed member has received bytes this server has
+    /// not, or a fetch cycle is still open.
     Lag,
     /// The cached heartbeat record may not be acknowledged yet.
     Unacked,
@@ -193,14 +189,11 @@ pub(crate) struct Slot {
     key: u32,
     /// The slot the key resolves to: itself, unless displaced.
     home: SlotId,
-    /// The bound socket ([`NONE`] while only the peer knows the key).
+    /// The bound socket ([`NONE`] while only a member knows the key).
     sock: u32,
     /// Active-set membership, one [`Set::bit`] each.
     sets: u8,
-    /// What the peer last reported (only ever set on a keyed slot; a
-    /// displaced socket reads its key's through [`ConnTable::peer`]).
-    pub(crate) peer: Option<PeerConn>,
-    /// The record last sent to the peer (keyed, socket-bearing slots).
+    /// The record last sent to the members (keyed, socket-bearing slots).
     pub(crate) cache: Option<HbCacheEntry>,
     /// Local control state; `Some` exactly while a socket is bound.
     pub(crate) ctl: Option<ConnCtl>,
@@ -259,7 +252,6 @@ impl ConnTable {
             home: home.unwrap_or(id),
             sock: NONE,
             sets: 0,
-            peer: None,
             cache: None,
             ctl: None,
         });
@@ -304,11 +296,6 @@ impl ConnTable {
         self[s].ctl.as_mut()
     }
 
-    /// What the peer last reported for the key of `s`.
-    pub(crate) fn peer(&self, s: SlotId) -> Option<&PeerConn> {
-        self[self[s].home].peer.as_ref()
-    }
-
     // ----- binding ----------------------------------------------------------
 
     /// Makes `key` resolve to `sock`, whose control state is `ctl`.
@@ -351,16 +338,6 @@ impl ConnTable {
 
     // ----- walks --------------------------------------------------------------
 
-    /// Every slot, in no meaningful order.
-    pub(crate) fn slots_mut(&mut self) -> impl Iterator<Item = &mut Slot> {
-        self.chunks.iter_mut().flatten()
-    }
-
-    /// Drops every mirror (the peer they described is gone). O(slots).
-    pub(crate) fn clear_peers(&mut self) {
-        self.slots_mut().for_each(|slot| slot.peer = None);
-    }
-
     /// Every socket that has control state — displaced ones included —
     /// in `SocketId` order.
     pub(crate) fn socks(&self) -> impl Iterator<Item = (SocketId, SlotId)> + '_ {
@@ -371,7 +348,7 @@ impl ConnTable {
     }
 
     /// Every key ever seen, in key order (sorting the list if it grew).
-    fn keyed(&self) -> impl Iterator<Item = (u32, SlotId)> + '_ {
+    pub(crate) fn keyed(&self) -> impl Iterator<Item = (u32, SlotId)> + '_ {
         // Sorted already unless `entry` ran since the last walk, and
         // then no walk is alive to hold the borrow.
         if !self.keys.borrow().is_sorted() {
@@ -385,12 +362,6 @@ impl ConnTable {
     pub(crate) fn bound(&self) -> impl Iterator<Item = (u32, SlotId, SocketId)> + '_ {
         self.keyed()
             .filter_map(|(key, s)| Some((key, s, self[s].sock()?)))
-    }
-
-    /// Every mirrored key, in key order.
-    pub(crate) fn peers(&self) -> impl Iterator<Item = (u32, SlotId, PeerConn)> + '_ {
-        self.keyed()
-            .filter_map(|(key, s)| Some((key, s, self[s].peer?)))
     }
 
     /// Every cached heartbeat record, in key order.
@@ -487,6 +458,36 @@ impl ConnTable {
     }
 }
 
+/// One optional value per slot, kept beside the table by whoever owns it
+/// (a member's heartbeat mirror). It grows a chunk at a time, like the
+/// slots; a slot never written reads `None`.
+#[derive(Debug, Default)]
+pub(crate) struct Column<T>(Vec<Vec<Option<T>>>);
+
+impl<T: Copy + Default> Column<T> {
+    pub(crate) fn get(&self, s: SlotId) -> Option<&T> {
+        self.0.get(s.0 as usize / CHUNK)?[s.0 as usize % CHUNK].as_ref()
+    }
+
+    /// The value of `s`, made (default) if missing.
+    pub(crate) fn entry(&mut self, s: SlotId) -> &mut T {
+        while self.0.len() <= s.0 as usize / CHUNK {
+            self.0.push(vec![None; CHUNK]);
+        }
+        self.0[s.0 as usize / CHUNK][s.0 as usize % CHUNK].get_or_insert_with(T::default)
+    }
+
+    /// Every value, in slot order.
+    pub(crate) fn iter_mut(&mut self) -> impl Iterator<Item = (SlotId, &mut T)> {
+        let cells = self.0.iter_mut().flatten().enumerate();
+        cells.filter_map(|(i, v)| Some((SlotId(i as u32), v.as_mut()?)))
+    }
+
+    pub(crate) fn clear(&mut self) {
+        self.0.clear();
+    }
+}
+
 /// Differential test against the four ordered maps and six ordered sets
 /// the table replaced: after every operation, every lookup, every
 /// ordered walk and every set agree.
@@ -503,15 +504,14 @@ mod tests {
         Bind(u8),
         /// The endpoint made a socket that never got control state.
         SkipSock,
-        PeerRecord(u8, u64),
+        /// A member names key `k` first: its slot exists before a socket.
+        Entry(u8),
         /// A delta round caches key `k`'s record as changed at `seq`.
         Cache(u8, u32),
         /// Every record changed at or before `seq` is acknowledged.
         AckPrune(u32),
         SetMember(u8, u8, bool),
         ClearSet(u8),
-        /// Pool mode: the active member's map replaces the mirror.
-        Mirror(Vec<(u8, u64)>),
     }
 
     /// Twice as often on as off, so sets hold several members when a
@@ -528,7 +528,7 @@ mod tests {
             key().prop_map(Op::Bind),
             key().prop_map(Op::Bind),
             Just(Op::SkipSock),
-            (key(), 0u64..1000).prop_map(|(k, v)| Op::PeerRecord(k, v)),
+            key().prop_map(Op::Entry),
             (key(), 1u32..50).prop_map(|(k, seq)| Op::Cache(k, seq)),
             (1u32..50).prop_map(Op::AckPrune),
             // A third of all operations, mostly on the socket-ordered sets.
@@ -538,7 +538,6 @@ mod tests {
             member(2..6),
             member(2..6),
             (0u8..6).prop_map(Op::ClearSet),
-            proptest::collection::vec((key(), 0u64..1000), 0..4).prop_map(Op::Mirror),
         ]
     }
 
@@ -555,7 +554,7 @@ mod tests {
         next_sock: u64,
         conns: BTreeMap<SocketId, (u32, SimTime)>,
         by_key: BTreeMap<u32, SocketId>,
-        peer_conns: BTreeMap<u32, u64>,
+        keys: BTreeSet<u32>,
         hb_cache: BTreeMap<u32, u32>,
         sets: [BTreeSet<u64>; 6],
     }
@@ -563,13 +562,6 @@ mod tests {
     fn ctl(key: u32, tag: SimTime) -> ConnCtl {
         let app = Box::new(EchoApp::default());
         ConnCtl::new(key, app, true, &StTcpConfig::default(), Role::Primary, tag)
-    }
-
-    fn peer(v: u64) -> PeerConn {
-        PeerConn {
-            last_byte_received: v,
-            ..PeerConn::default()
-        }
     }
 
     fn apply(t: &mut ConnTable, m: &mut Model, op: Op, step: u64) {
@@ -581,13 +573,13 @@ mod tests {
                 let (s, displaced) = t.bind(key, sock, ctl(key, tag));
                 assert_eq!(t.by_key(key), Some(s));
                 assert_eq!(displaced, m.by_key.insert(key, sock));
+                m.keys.insert(key);
                 m.conns.insert(sock, (key, tag));
             }
             Op::SkipSock => m.next_sock += 1,
-            Op::PeerRecord(k, v) => {
-                let s = t.entry(key_of(k));
-                t[s].peer = Some(peer(v));
-                m.peer_conns.insert(key_of(k), v);
+            Op::Entry(k) => {
+                t.entry(key_of(k));
+                m.keys.insert(key_of(k));
             }
             Op::Cache(k, changed_at) => {
                 let key = key_of(k);
@@ -640,15 +632,6 @@ mod tests {
                 t.clear_set(Set::ALL[set as usize]);
                 m.sets[set as usize].clear();
             }
-            Op::Mirror(conns) => {
-                t.clear_peers();
-                m.peer_conns.clear();
-                for (k, v) in conns {
-                    let s = t.entry(key_of(k));
-                    t[s].peer = Some(peer(v));
-                    m.peer_conns.insert(key_of(k), v);
-                }
-            }
         }
     }
 
@@ -668,11 +651,8 @@ mod tests {
                 .copied()
                 .eq(m.by_key.iter().map(|(&k, &s)| (k, s))),
         )?;
-        let peers = t.peers().map(|(key, _, p)| (key, p.last_byte_received));
-        check(
-            "peers()",
-            peers.eq(m.peer_conns.iter().map(|(&k, &v)| (k, v))),
-        )?;
+        let keyed = t.keyed().map(|(key, _)| key);
+        check("keyed()", keyed.eq(m.keys.iter().copied()))?;
         let cached = t.cached().map(|(_, e)| (e.rec.key, e.changed_at));
         check(
             "cached()",
@@ -683,7 +663,7 @@ mod tests {
             check("by_key", sock == m.by_key.get(&key).copied())?;
         }
         // Socket lookups and the socket-ordered walk; every socket —
-        // displaced or not — reads its key's mirror.
+        // displaced or not — finds its key's slot through `home`.
         check(
             "socks()",
             t.socks().map(|(sock, _)| sock).eq(m.conns.keys().copied()),
@@ -694,8 +674,6 @@ mod tests {
             if let (Some(s), Some((key, _))) = (t.by_sock(sock), m.conns.get(&sock)) {
                 check("slot key", t[s].key() == *key && t[t.home(s)].key() == *key)?;
                 check("home", (t.home(s) == s) == (m.by_key[key] == sock))?;
-                let mirrored = t.peer(s).map(|p| p.last_byte_received);
-                check("peer", mirrored == m.peer_conns.get(key).copied())?;
             }
         }
         // Every set: size, membership bits and visiting order.
@@ -757,14 +735,13 @@ mod tests {
     #[test]
     fn keys_added_between_ordered_walks_are_walked_in_order() {
         let mut t = ConnTable::default();
-        let walk = |t: &ConnTable| t.peers().map(|(key, _, _)| key).collect::<Vec<_>>();
+        let walk = |t: &ConnTable| t.keyed().map(|(key, _)| key).collect::<Vec<_>>();
         for (round, sorted) in [
             (&[50, 10, 90], &[10, 50, 90][..]),
             (&[70, 5, 95], &[5, 10, 50, 70, 90, 95]),
         ] {
             for &key in round {
-                let s = t.entry(key);
-                t[s].peer = Some(peer(0));
+                t.entry(key);
             }
             assert_eq!(walk(&t), sorted);
         }

@@ -24,7 +24,8 @@
 //! [`PoolState`] is only the pool's round state.
 //! Each member also carries its own delta-heartbeat stream, so `hb_delta`
 //! and `hb_batch` mean the same in both topologies: the pair's stream is
-//! the one-member case.
+//! the one-member case; and each keeps its own mirror, [`followed`]
+//! naming the one this server reads: the pair's peer, the pool's active.
 
 use std::collections::{BTreeMap, BTreeSet};
 use std::net::Ipv4Addr;
@@ -33,6 +34,7 @@ use simnet::node::NodeId;
 use simnet::time::SimTime;
 
 use crate::config::{Role, StTcpConfig};
+use crate::conntable::Column;
 use crate::heartbeat::{unwrap_u32_near, ConnHb};
 use crate::linkmon::HbSource;
 
@@ -49,9 +51,8 @@ pub struct PoolPeer {
     pub node: NodeId,
 }
 
-/// Peer-side per-connection view, unwrapped to 64 bits. One per
-/// connection per heartbeat sender; in pair mode the single peer's
-/// entries live in the connection table's slots.
+/// What one member reported for one connection, unwrapped to 64 bits:
+/// a cell of that member's mirror ([`MemberState::mirror`]).
 #[derive(Debug, Clone, Copy, Default)]
 pub(crate) struct PeerConn {
     pub(crate) last_byte_received: u64,
@@ -143,7 +144,8 @@ pub(crate) fn stream_links(delta: bool, cables: usize) -> usize {
 pub(crate) struct MemberState {
     /// The member's current rank. Static until the member is fenced and
     /// rejoins, at which point its heartbeats announce the fresh rank the
-    /// active assigned it. (Pool only: the pair never reads it.)
+    /// active assigned it. (The pair's never changes, so
+    /// [`MemberState::admit`] takes every frame.)
     pub(crate) rank: u8,
     /// The member's node id, for STONITH.
     pub(crate) node: NodeId,
@@ -155,9 +157,9 @@ pub(crate) struct MemberState {
     /// Everything it says under its old rank is ignored until it rejoins
     /// under a fresh one. (The pair never fences.)
     pub(crate) fenced: bool,
-    /// The member's per-connection positions from its heartbeats. Pool
-    /// only: the pair's one peer reports into the connection table.
-    pub(crate) conns: BTreeMap<u32, PeerConn>,
+    /// The member's per-connection positions from its heartbeats, by
+    /// the key's slot in the connection table.
+    pub(crate) mirror: Column<PeerConn>,
     /// The delta stream with this member, one entry per link to it
     /// ([`stream_links`]; empty under v1).
     pub(crate) links: Vec<LinkState>,
@@ -224,7 +226,7 @@ impl MemberState {
         self.hb.serial_mon = self.hb.serial_mon.restarted(now);
         self.hb.forget_incarnation(now);
         self.fenced = false;
-        self.conns.clear();
+        self.mirror.clear();
         self.forget_stream();
     }
 
@@ -268,7 +270,7 @@ pub(crate) fn member_table(
             node: p.node,
             hb: HbSource::new(cfg, now),
             fenced: false,
-            conns: BTreeMap::new(),
+            mirror: Column::default(),
             links: vec![LinkState::default(); stream_links(cfg.hb_delta, cables(p.ip))],
             ack_epoch: 0,
             rx_epoch: 0,
@@ -276,6 +278,23 @@ pub(crate) fn member_table(
         members.insert(p.ip, Box::new(member));
     }
     members
+}
+
+/// The member whose positions this server follows — where recovery,
+/// join convergence, the takeover gap check and Table 1's rows read: the
+/// pair's one peer, or the pool member at `active_rank`, fenced or not
+/// (the gap check reads a dead active's last word). None once this
+/// server is the active.
+pub(crate) fn followed<'a>(
+    pool: Option<&PoolState>,
+    members: &'a Members,
+) -> Option<(Ipv4Addr, &'a MemberState)> {
+    let mut members = members.iter().map(|(&ip, m)| (ip, &**m));
+    match pool {
+        None => members.next(),
+        Some(p) if p.active_rank == p.my_rank => None,
+        Some(p) => members.find(|(_, m)| m.rank == p.active_rank),
+    }
 }
 
 /// Members not yet fenced with at least one fresh heartbeat link.
@@ -389,15 +408,6 @@ impl PoolState {
         };
         eligible.then_some((ip, rank))
     }
-
-    /// The private address of the member currently believed active, if
-    /// it is a known non-fenced member.
-    pub(crate) fn active_ip(&self, members: &Members) -> Option<Ipv4Addr> {
-        members
-            .iter()
-            .find(|(_, m)| !m.fenced && m.rank == self.active_rank)
-            .map(|(&ip, _)| ip)
-    }
 }
 
 #[cfg(test)]
@@ -457,14 +467,29 @@ mod tests {
     }
 
     #[test]
-    fn active_ip_follows_active_rank_and_fencing() {
+    fn followed_is_the_pools_active_even_fenced_or_the_pairs_peer() {
         let (mut p, mut members) = pool3(SimTime::ZERO);
-        assert_eq!(p.active_ip(&members), Some(Ipv4Addr::new(10, 0, 0, 2)));
-        let rank0 = members.get_mut(&Ipv4Addr::new(10, 0, 0, 2)).unwrap();
-        rank0.fenced = true;
-        assert_eq!(p.active_ip(&members), None);
+        let ip = |p: &PoolState, members: &Members| followed(Some(p), members).map(|(ip, _)| ip);
+        assert_eq!(ip(&p, &members), Some(Ipv4Addr::new(10, 0, 0, 2)));
+        // A fenced active is still followed: the gap check reads it.
+        members.get_mut(&Ipv4Addr::new(10, 0, 0, 2)).unwrap().fenced = true;
+        assert_eq!(ip(&p, &members), Some(Ipv4Addr::new(10, 0, 0, 2)));
         p.active_rank = 2;
-        assert_eq!(p.active_ip(&members), Some(Ipv4Addr::new(10, 0, 0, 4)));
+        assert_eq!(ip(&p, &members), Some(Ipv4Addr::new(10, 0, 0, 4)));
+        // This server took over: nobody is followed.
+        p.active_rank = p.my_rank;
+        assert_eq!(ip(&p, &members), None);
+        // The pair follows its one peer, whatever its role or rank.
+        let pair = member_table(
+            &peers3()[1..],
+            &StTcpConfig::default(),
+            SimTime::ZERO,
+            |_| 1,
+        );
+        assert_eq!(
+            followed(None, &pair).map(|(ip, _)| ip),
+            Some(Ipv4Addr::new(10, 0, 0, 4))
+        );
     }
 
     #[test]
@@ -475,7 +500,8 @@ mod tests {
         (m.hb.role, m.hb.defunct) = (Role::Primary, true);
         m.hb.last_seqno = Some(17);
         m.hb.byzantine_reported = true;
-        m.conns.insert(1, PeerConn::default());
+        let s = crate::conntable::ConnTable::default().entry(1);
+        m.mirror.entry(s).last_byte_received = 1;
         let t = SimTime::from_millis(5_000);
         m.reset_for_rejoin(t);
         assert!(!m.fenced);
@@ -483,7 +509,7 @@ mod tests {
         assert_eq!(m.hb.role, Role::Backup);
         assert_eq!(m.hb.last_seqno, None);
         assert!(!m.hb.byzantine_reported);
-        assert!(m.conns.is_empty());
+        assert!(m.mirror.iter_mut().next().is_none());
         assert_eq!(m.node, NodeId(1));
         assert!(m.alive(t));
     }

@@ -52,8 +52,8 @@ use crate::linkmon::next_silence;
 use crate::metrics::{HbBandwidth, ServerMetrics};
 use crate::netdetect::{NetFailureDetector, NetObservation};
 use crate::pool::{
-    live_non_fenced, member_table, outranked, quorum_needed, seq_newer, stream_links, FenceRound,
-    LinkState, MemberState, Members, PeerConn, PoolPeer, PoolState, RxBatch,
+    followed, live_non_fenced, member_table, outranked, quorum_needed, seq_newer, stream_links,
+    FenceRound, LinkState, MemberState, Members, PeerConn, PoolPeer, PoolState, RxBatch,
 };
 use crate::recover::{ConnSnapshotMsg, CtrlMsg, MAX_FETCH_DATA};
 
@@ -163,8 +163,8 @@ pub struct ServerSetup {
     pub isn_salt: u64,
     /// Seed for this server's private randomness.
     pub seed: u64,
-    /// This server's static pool rank (0 = initially active). Unused in
-    /// pair mode.
+    /// This server's static rank (0 = initially active). The pair's
+    /// heartbeats carry it too ([`StTcpServer::pool_rank`]).
     pub rank: u8,
     /// The other servers: the pair's one peer, or every other pool
     /// member. Heartbeats and control messages count only from these.
@@ -303,12 +303,13 @@ struct Ram {
     role: Role,
     ft_mode: bool,
 
-    /// Every connection this server or its peer knows: local control
-    /// state, peer mirror, heartbeat cache and active-set membership,
-    /// one slot per connection key (see [`crate::conntable`]).
+    /// Every connection this server or a member knows: local control
+    /// state, heartbeat cache and active-set membership, one slot per
+    /// connection key (see [`crate::conntable`]); each member mirrors
+    /// its records by the same slots.
     ///
     /// What feeds each active set: `Lag` — [`StTcpServer::note_lag`]
-    /// wherever a peer record is applied or a key is (re)bound
+    /// wherever a member record is applied or a key is (re)bound
     /// (`bytes_received` only grows, so nothing else can open a gap);
     /// `Unacked` — a cached record changing, and every cached record
     /// whenever the peer's acks are voided; `Hole` — the endpoint's
@@ -588,10 +589,11 @@ impl StTcpServer {
         s
     }
 
-    /// Row-5 feed: the slot joins the lag set if the peer has received
-    /// bytes this backup has not, or a fetch cycle is still open on it.
-    /// Called wherever that can become true: a peer record applied, a
-    /// key (re)bound. Only a backup (or joiner) ever runs recovery.
+    /// Row-5 feed: the slot joins the lag set if the followed member has
+    /// received bytes this backup has not, or a fetch cycle is still open
+    /// on it. Called wherever that can become true: a member record
+    /// applied, a key (re)bound, a new member followed. Only a backup (or
+    /// joiner) ever runs recovery.
     fn note_lag(&mut self, s: SlotId) {
         if self.ram.role == Role::Backup && self.lag_pending(s) {
             self.ram.table.insert(Set::Lag, s);
@@ -614,7 +616,7 @@ impl StTcpServer {
         let slot = &self.ram.table[s];
         let (Some(conn), Some(peer)) = (
             slot.sock().and_then(|sock| self.ram.tcp.conn(sock)),
-            self.ram.table.peer(s),
+            self.followed_pos(s),
         ) else {
             return false;
         };
@@ -1149,14 +1151,11 @@ impl StTcpServer {
         seq.is_none_or(|seq| e.last_update_seq == 0 || !seq_newer(e.last_update_seq, seq))
     }
 
-    /// What member `m` last reported for `key`: the table's peer column
-    /// for the pair's one peer, the member's own map in a pool (whose
-    /// column mirrors the active only).
-    fn mirror<'a>(&'a self, m: &'a MemberState, key: u32) -> Option<&'a PeerConn> {
-        match self.ram.pool {
-            Some(_) => m.conns.get(&key),
-            None => self.ram.table.peer(self.ram.table.by_key(key)?),
-        }
+    /// What the [`followed`] member last reported for the key of `s` (a
+    /// displaced socket reads its key's).
+    fn followed_pos(&self, s: SlotId) -> Option<PeerConn> {
+        let (_, m) = followed(self.ram.pool.as_ref(), &self.ram.members)?;
+        m.mirror.get(self.ram.table.home(s)).copied()
     }
 
     /// The byzantine sanity check: a record that would regress a
@@ -1178,7 +1177,7 @@ impl StTcpServer {
             return false;
         };
         let lie = hb.conns.iter().any(|c| {
-            let peer = self.mirror(m, c.key);
+            let peer = self.ram.table.by_key(c.key).and_then(|s| m.mirror.get(s));
             peer.is_some_and(|e| Self::takes(e, seq) && e.regressed_by(c))
         });
         if !lie {
@@ -1193,15 +1192,15 @@ impl StTcpServer {
         false
     }
 
-    /// The pool-wide view of `key` its FIN arbiter and hold release go
-    /// by, over every unfenced member (the pair's peer is all of it): a
-    /// FIN counts once any member saw one, and held bytes are released
-    /// only up to the slowest member's `LastByteReceived` — a member with
-    /// no record yet holds everything back.
-    fn member_view(&self, key: u32) -> (bool, u64) {
+    /// The pool-wide view of keyed slot `s` its FIN arbiter and hold
+    /// release go by, over every unfenced member (the pair's peer is all
+    /// of it): a FIN counts once any member saw one, and held bytes are
+    /// released only up to the slowest member's `LastByteReceived` — a
+    /// member with no record yet holds everything back.
+    fn member_view(&self, s: SlotId) -> (bool, u64) {
         let (mut fin_or_rst, mut lbr) = (false, u64::MAX);
         for m in self.ram.members.values().filter(|m| !m.fenced) {
-            match self.mirror(m, key) {
+            match m.mirror.get(s) {
                 Some(e) => {
                     fin_or_rst |= e.fin_or_rst;
                     lbr = lbr.min(e.last_byte_received);
@@ -1220,7 +1219,7 @@ impl StTcpServer {
         let (key, Some(sock)) = (self.ram.table[s].key(), self.ram.table[s].sock()) else {
             return;
         };
-        let (fin_or_rst, lbr) = self.member_view(key);
+        let (fin_or_rst, lbr) = self.member_view(s);
         let ctl = self.ram.table[s].ctl.as_mut();
         if let Some(a) = ctl.and_then(|c| c.finarb.on_peer_hb(now, fin_or_rst)) {
             self.apply_gate_action(now, sock, key, a);
@@ -1247,18 +1246,17 @@ impl StTcpServer {
     }
 
     /// Applies member `src`'s vetted records, in pair and pool alike:
-    /// each lands in its mirror, and in the table's peer column from what
-    /// the column mirrors — the pair's peer, the pool's active — where
-    /// recovery, join convergence and the takeover gap check read; then
-    /// its connection settles. Only this frame's keys are visited: a new
-    /// active refills the column once, and a fence settles every key.
+    /// each lands in its mirror at the key's slot (made if missing: a key
+    /// a member names first gets its slot here), then its connection
+    /// settles. Only this frame's keys are visited: a newly followed
+    /// active seeds the lag set once, and a fence settles every key.
     fn apply_records(&mut self, now: SimTime, hb: &HbPayload, src: Ipv4Addr, seq: Option<u32>) {
         let m = &self.ram.members[&src];
-        let mut refill = false;
+        let mut refollow = false;
         if let Some(pool) = &mut self.ram.pool {
             if hb.role == Role::Primary && pool.active_rank != m.rank {
                 pool.active_rank = m.rank;
-                refill = true;
+                refollow = true;
             }
             // A fence target that speaks a fresh heartbeat is not dead —
             // unless the speaker is a restarted incarnation standing in
@@ -1268,49 +1266,23 @@ impl StTcpServer {
                 pool.fence = None;
             }
         }
-        let pool = self.ram.pool.is_some();
         for c in &hb.conns {
-            // The sender's mirror (see `mirror`), made if missing: in the
-            // pair, a key the peer names first gets its slot here.
-            let peer = match pool {
-                true => (self.ram.members.get_mut(&src).expect("vetted"))
-                    .conns
-                    .entry(c.key)
-                    .or_default(),
-                false => {
-                    let s = self.ram.table.entry(c.key);
-                    self.ram.table[s].peer.get_or_insert_with(PeerConn::default)
-                }
-            };
+            let s = self.ram.table.entry(c.key);
+            let m = self.ram.members.get_mut(&src).expect("vetted");
+            let peer = m.mirror.entry(s);
             if !Self::takes(peer, seq) {
                 continue;
             }
             peer.last_update_seq = seq.unwrap_or(peer.last_update_seq);
             peer.apply(c);
-            let peer = *peer;
             self.ram.peer_app_suspected |= peer.app_suspected;
-            // The pair's mirror is the column; the pool's active fills it.
-            if pool && hb.role == Role::Primary {
-                let s = self.ram.table.entry(c.key);
-                self.ram.table[s].peer = Some(peer);
-            }
-            if let Some(s) = self.ram.table.by_key(c.key) {
-                self.settle(now, s);
-            }
+            self.settle(now, s);
         }
-        if refill {
-            // The active's whole map becomes the column, once: every key
-            // may have become lagging.
-            self.ram.table.clear_peers();
+        if refollow {
+            // Every key the new active mirrors may have become lagging.
             self.ram.table.clear_set(Set::Lag);
-            let conns = &self.ram.members[&src].conns;
-            let mut mirrored = Vec::with_capacity(conns.len());
-            for (&key, &peer) in conns {
-                let s = self.ram.table.entry(key);
-                self.ram.table[s].peer = Some(peer);
-                mirrored.push(s);
-            }
-            for s in mirrored {
+            let m = self.ram.members.get_mut(&src).expect("vetted");
+            for s in m.mirror.iter_mut().map(|(s, _)| s).collect::<Vec<_>>() {
                 self.note_lag(s);
             }
         }
@@ -1355,13 +1327,7 @@ impl StTcpServer {
         if let Some(f) = f.filter(|f| f.epoch != m.rx_epoch) {
             m.forget_stream();
             m.rx_epoch = f.epoch;
-            let zero = |p: &mut PeerConn| p.last_update_seq = 0;
-            match self.ram.pool {
-                Some(_) => m.conns.values_mut().for_each(zero),
-                None => (self.ram.table.slots_mut())
-                    .filter_map(|slot| slot.peer.as_mut())
-                    .for_each(zero),
-            }
+            m.mirror.iter_mut().for_each(|(_, p)| p.last_update_seq = 0);
             self.unack_cached();
         }
         let m = self.ram.members.get_mut(&src).expect("admitted above");
@@ -1716,7 +1682,7 @@ impl StTcpServer {
             // cannot be continued correctly; reset it rather than hang the
             // client forever ("ST-TCP treats this failure as
             // unrecoverable", §4.3).
-            let gap = self.ram.table.peer(s).and_then(|peer| {
+            let gap = self.followed_pos(s).and_then(|peer| {
                 let mine = self.ram.tcp.conn(sock)?.bytes_received();
                 (peer.last_byte_received > mine).then_some(mine)
             });
@@ -1749,10 +1715,9 @@ impl StTcpServer {
             }
         }
         if let Some(pool) = &mut self.ram.pool {
-            pool.active_rank = pool.my_rank;
             // The dead active's mirror served the gap check above; from
             // here the new active's own positions are authoritative.
-            self.ram.table.clear_peers();
+            pool.active_rank = pool.my_rank;
             self.ram.peer_app_suspected = false;
         }
         // An active server never fetches.
@@ -1979,7 +1944,7 @@ impl StTcpServer {
         let slots = self.ram.table.members(Set::Check);
         self.metrics.on_timer_visits(slots.len());
         for s in slots {
-            let peer = self.ram.table.peer(s).copied();
+            let peer = rows.and_then(|_| self.followed_pos(s));
             let slot = &mut self.ram.table[s];
             let (Some(sock), Some(ctl)) = (slot.sock(), slot.ctl.as_mut()) else {
                 continue;
@@ -2424,7 +2389,7 @@ impl StTcpServer {
         let mut visits = 0;
         for (_, s, sock) in self.ram.table.bound() {
             visits += 1;
-            let (Some(conn), Some(peer)) = (self.ram.tcp.conn(sock), self.ram.table[s].peer) else {
+            let (Some(conn), Some(peer)) = (self.ram.tcp.conn(sock), self.followed_pos(s)) else {
                 continue;
             };
             obs.my_bytes += conn.bytes_received();
@@ -2450,7 +2415,7 @@ impl StTcpServer {
         let slots = self.ram.table.members(Set::Lag);
         self.metrics.on_timer_visits(slots.len());
         for s in slots {
-            let peer = self.ram.table.peer(s).copied();
+            let peer = self.followed_pos(s);
             let slot = &mut self.ram.table[s];
             let conn = slot.sock().and_then(|sock| self.ram.tcp.conn(sock));
             let (Some(conn), Some(peer), Some(ctl)) = (conn, peer, slot.ctl.as_mut()) else {
@@ -2534,22 +2499,20 @@ impl StTcpServer {
         }
         if self.ram.serving_join != Some(session) {
             self.ram.serving_join = Some(session);
-            // A new join session means the peer rebooted: everything known
-            // about the old peer — including sticky FIN/watchdog flags that
-            // would otherwise poison verdicts against the new incarnation —
-            // is stale.
-            self.ram.table.clear_peers();
+            // A new join session means the joiner rebooted: everything
+            // known about its old incarnation — its mirror, with sticky
+            // FIN/watchdog flags that would otherwise poison verdicts
+            // against the new one, and its delta stream, whose acks are
+            // void (it gets full-state frames until it acknowledges) — is
+            // stale. (A pool member's entry was reset with its rank above.)
             self.ram.table.clear_set(Set::Lag);
             self.ram.peer_app_suspected = false;
-            // (A pool member's entry was reset with its rank above.)
-            // Delta mode: the old incarnation's acks are void — send the
-            // joiner full-state frames until it acknowledges, and track
-            // its new links/epoch from scratch.
             if let Some(m) = self.ram.members.get_mut(&src) {
                 if self.ram.pool.is_none() {
                     m.hb.forget_incarnation(now);
                 }
                 m.forget_stream();
+                m.mirror.clear();
             }
             self.unack_cached();
             self.events
@@ -2712,12 +2675,20 @@ impl StTcpServer {
         if !heard {
             return;
         }
-        // Converged when every connection the peer reports exists locally
-        // with receive and application-read positions caught up (a closed
-        // local connection has nothing left to converge). A join-window
-        // walk: it stops the tick the join completes.
-        self.metrics.on_timer_visits(self.ram.table.peers().count());
-        for (key, s, peer) in self.ram.table.peers() {
+        // Converged when every connection the followed member reports
+        // exists locally with receive and application-read positions
+        // caught up (a closed local connection has nothing left to
+        // converge). A join-window walk, in key order: it stops the tick
+        // the join completes.
+        let keyed = self.ram.table.keyed();
+        let visits = keyed
+            .filter(|&(_, s)| self.followed_pos(s).is_some())
+            .count();
+        self.metrics.on_timer_visits(visits);
+        for (key, s) in self.ram.table.keyed() {
+            let Some(peer) = self.followed_pos(s) else {
+                continue;
+            };
             let slot = &self.ram.table[s];
             let Some(sock) = slot.sock() else {
                 // Heartbeats announce every conn still in the peer's socket
@@ -2774,15 +2745,16 @@ impl StTcpServer {
         }
     }
 
-    /// Sends a control message toward the active server: the pair's one
-    /// peer, the believed-active pool member — or, while no active is
-    /// known (a joiner probing mid-takeover), every unfenced member.
+    /// Sends a control message toward the active server: the [`followed`]
+    /// member — or every unfenced member while that one is fenced or
+    /// unknown, or this server is joining.
     fn send_ctrl(&self, ctx: &mut NodeCtx<'_>, msg: &CtrlMsg) {
         // A joiner's rebuilt pool view may still believe a dead member
         // active, so it broadcasts until the join completes; only the
         // active side answers a JoinRequest anyway.
-        let pool = self.ram.pool.as_ref().filter(|_| self.ram.join.is_none());
-        let active = pool.and_then(|p| p.active_ip(&self.ram.members));
+        let active = followed(self.ram.pool.as_ref(), &self.ram.members)
+            .filter(|(_, m)| !m.fenced && self.ram.join.is_none())
+            .map(|(ip, _)| ip);
         for (&ip, m) in &self.ram.members {
             if active.map_or(!m.fenced, |a| a == ip) {
                 self.send_ctrl_to(ctx, ip, msg);
@@ -2904,13 +2876,9 @@ impl StTcpServer {
                     // Fresh FIN arbitration against the new backup: the old
                     // arbiters are in their peer-failed (open-gate) state
                     // from the takeover.
-                    for ctl in self
-                        .ram
-                        .table
-                        .slots_mut()
-                        .filter_map(|slot| slot.ctl.as_mut())
-                    {
-                        if !ctl.close_issued && !ctl.closed {
+                    for (_, s) in self.all_socks() {
+                        let ctl = self.ram.table[s].ctl.as_mut();
+                        if let Some(ctl) = ctl.filter(|c| !c.close_issued && !c.closed) {
                             ctl.finarb =
                                 FinArbiter::new(self.ram.role, self.setup.sttcp.max_delay_fin);
                         }
@@ -3295,11 +3263,7 @@ mod tests {
         s.handle_heartbeat(t, &hb, None, PEER, 1);
         assert_eq!(s.pair_peer().hb.serial_mon.last_rx(), Some(t));
         assert_eq!(s.pair_peer().hb.ip_mon.last_rx(), None);
-        let p = s
-            .ram
-            .table
-            .peer(s.ram.table.by_key(0xabc).unwrap())
-            .unwrap();
+        let p = s.followed_pos(s.ram.table.by_key(0xabc).unwrap()).unwrap();
         assert_eq!(p.last_byte_received, 1_000);
         assert_eq!(p.last_app_byte_read, 950);
         // One regressing counter condemns the whole frame, and a dropped
@@ -3451,12 +3415,7 @@ mod tests {
         };
         s.handle_heartbeat(SimTime::from_millis(1), &hb_fin, None, PEER, 0);
         s.handle_heartbeat(SimTime::from_millis(2), &hb_nofin, None, PEER, 0);
-        assert!(
-            s.ram
-                .table
-                .peer(s.ram.table.by_key(1).unwrap())
-                .unwrap()
-                .fin_or_rst
-        );
+        let p = s.followed_pos(s.ram.table.by_key(1).unwrap()).unwrap();
+        assert!(p.fin_or_rst);
     }
 }

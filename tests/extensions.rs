@@ -223,7 +223,7 @@ fn primary_crash_during_recovery_resets_connection_not_hangs() {
     .sttcp(cfg)
     .build();
     // The backup misses bytes the primary acks…
-    s.drop_backup_tap_at(t(2_000), 10);
+    s.drop_tap_at(s.link_backup, t(2_000), 10);
     // …and the primary dies moments later — before any recovery round.
     s.crash_primary_at(t(2_150));
     s.world.run_until(t(30_000));

@@ -422,7 +422,7 @@ fn row5_backup_recovers_missed_bytes_from_primary() {
         .sttcp(fast_cfg())
         .build();
     // Drop 20 client data frames on the tap toward the backup.
-    s.drop_backup_tap_at(t(2_000), 20);
+    s.drop_tap_at(s.link_backup, t(2_000), 20);
     s.world.run_until(t(40_000));
     assert_clean_client(&s);
     // The backup noticed the gap and recovered it from the primary.

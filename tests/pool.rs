@@ -327,6 +327,46 @@ fn a_fault_free_delta_pool_of_3201_idle_connections_fences_nobody() {
     assert!(s.server(s.primary).is_active());
 }
 
+/// A backup that misses client bytes after a takeover fetches them from
+/// the new active: rank 2 follows rank 1 from its first active heartbeat
+/// on, reseeds its lag set from rank 1's mirror and fetches from rank 1,
+/// which serves the bytes from its hold buffer (as a backup it served none).
+#[test]
+fn a_backup_lagging_across_a_takeover_recovers_from_the_new_active() {
+    let chat = ClientWorkload::EchoChat {
+        chunk: 1024,
+        period: SimDuration::from_millis(50),
+        count: 200,
+    };
+    let app = || Box::new(sttcp::app::EchoApp::default()) as _;
+    let mut s = ScenarioBuilder::new(Rc::new(app), chat)
+        .seed(61)
+        .pool(3)
+        .build();
+    let (rank1, rank2) = (s.servers[1], s.servers[2]);
+    s.crash_primary_at(SimTime::from_millis(800));
+    s.drop_tap_at(s.server_links[2], SimTime::from_millis(3_000), 20);
+    s.world.run_until(SimTime::from_secs(40));
+
+    assert!(s.client_finished(), "client: {:?}", s.client_log());
+    assert_eq!(s.client_log().integrity_violations, 0);
+    assert_eq!(s.client_log().resets, 0);
+    let took = took_over_at(s.server(rank1).events()).expect("rank 1 took over");
+    let events = s.server(rank2).events();
+    let requested = events.iter().find_map(|e| match e {
+        StTcpEvent::RecoveryRequested { at, .. } => Some(*at),
+        _ => None,
+    });
+    let requested = requested.expect("rank 2 never asked for the bytes it missed");
+    let completed = events
+        .iter()
+        .any(|e| matches!(e, StTcpEvent::RecoveryCompleted { at, .. } if *at >= requested));
+    assert!(took < requested && completed, "rank 2: {events:?}");
+    assert!(s.server(rank1).metrics().fetch_bytes_served() > 0);
+    let digest = |node| s.server(node).app_digest(s.first_conn_key());
+    assert_eq!(digest(rank1), digest(rank2));
+}
+
 /// Both backups of a three-member pool die 200 ms apart under a 1 KiB
 /// echo every 20 ms. The active opens a fence round against rank 1 that
 /// needs rank 2's vote, and rank 2 is dead too, so the round never
