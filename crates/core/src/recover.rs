@@ -200,6 +200,18 @@ impl fmt::Display for CtrlDecodeError {
 impl std::error::Error for CtrlDecodeError {}
 
 impl CtrlMsg {
+    /// True for the pool's fence votes, the only control messages that
+    /// also ride the serial cables: a quorum must survive an IP partition
+    /// as heartbeats do, and each vote is a few bytes. Everything else
+    /// rides IP only — an 8 KiB fetch reply would hold a 115.2 kbps cable
+    /// longer than the heartbeat timeout.
+    pub fn rides_cables(&self) -> bool {
+        matches!(
+            self,
+            CtrlMsg::FenceRequest { .. } | CtrlMsg::FenceAck { .. } | CtrlMsg::FenceCommit { .. }
+        )
+    }
+
     /// Serializes the message. Every message carries a trailing CRC-32
     /// over the preceding bytes; the reply carries an explicit data
     /// length so corruption cannot silently re-frame the payload.

@@ -482,8 +482,8 @@ impl StTcpServer {
 
     /// Wires local serial port `port` to member `to`, after the topology
     /// builder connected the null-modem pair and before the world
-    /// starts. Every cable carries heartbeats, and a pool's control
-    /// messages too; delta heartbeats shard connection `key` onto the
+    /// starts. Every cable carries heartbeats, and a pool's fence votes
+    /// too; delta heartbeats shard connection `key` onto the
     /// `key % n`-th of the `n` cables to a member, in wiring order. This
     /// widens that member's delta-stream links in place — no reboot.
     pub fn add_serial_link(&mut self, port: SerialPortId, to: Ipv4Addr) {
@@ -568,7 +568,7 @@ impl StTcpServer {
         sock: SocketId,
         app: Box<dyn Application>,
     ) -> SlotId {
-        let ctl = ConnCtl::new(
+        let mut ctl = ConnCtl::new(
             key,
             app,
             !self.ram.app_crashed,
@@ -576,6 +576,11 @@ impl StTcpServer {
             self.ram.role,
             now,
         );
+        // An active without a backup has nobody to arbitrate a FIN with;
+        // a completed join hands out fresh arbiters.
+        if self.ram.role == Role::Primary && !self.ram.ft_mode {
+            let _ = ctl.finarb.on_peer_failed();
+        }
         let (s, displaced) = self.ram.table.bind(key, sock, ctl);
         if let Some(old) = displaced {
             self.ram.tcp.untrack(old);
@@ -1851,19 +1856,16 @@ impl StTcpServer {
                 .sample_tcp(totals.cwnd_sum, totals.send_occ, totals.recv_occ);
         }
 
-        // Pool mode replaces the pairwise detector matrix with per-member
-        // liveness plus quorum fencing.
+        // Pool-only: a sample would print the gauge in every pair's
+        // metrics JSON.
         if self.ram.pool.is_some() {
-            ctx.profile_enter(Component::Pool);
-            self.run_pool_checks(ctx);
-            ctx.profile_exit();
-            return;
+            let strength = 1 + live_non_fenced(&self.ram.members, now);
+            self.metrics.sample_pool_strength(strength as u64);
         }
 
         // What silence alone decides was decided on its deadline, and is
         // looked at again here.
         self.check_liveness(ctx);
-        let (ip_alive, serial_alive) = (self.ram.ip_was_alive, self.ram.serial_was_alive);
 
         self.check_post_takeover_holes(ctx);
 
@@ -1882,48 +1884,54 @@ impl StTcpServer {
             return;
         }
 
-        // Row 4: IP heartbeat dead, serial alive ⇒ local network failure
-        // somewhere; figure out whose from what the pings and the serial
-        // heartbeat's contents say.
-        if !ip_alive && serial_alive {
-            let obs = self.net_observation();
-            if let Some(reason) = self.ram.net_detect.check(now, &obs) {
+        // Table 1's rows 2–5 judge the pair's one peer. A pool's one
+        // verdict is the quorum fence (ROADMAP item 7(b)): its walk only
+        // ages FIN deadlines, and an arbiter that runs out resolves itself.
+        if self.ram.pool.is_none() {
+            // Row 4: IP heartbeat dead, serial alive ⇒ local network
+            // failure somewhere; figure out whose from what the pings and
+            // the serial heartbeat's contents say.
+            let (ip_alive, serial_alive) = (self.ram.ip_was_alive, self.ram.serial_was_alive);
+            if !ip_alive && serial_alive {
+                let obs = self.net_observation();
+                if let Some(reason) = self.ram.net_detect.check(now, &obs) {
+                    self.declare_peer_failed(ctx, reason);
+                    return;
+                }
+            }
+            // Rows 2/3 compare application positions against the peer's
+            // heartbeat, which is only meaningful while heartbeats are
+            // *fresh*: a dead host's last heartbeat frozen in time must be
+            // handled by the liveness detector (row 1), not misread as an
+            // application crash.
+            let hb_staleness = self
+                .pair_peer()
+                .hb
+                .last_rx()
+                .map(|t| now.saturating_since(t));
+            let hb_fresh = hb_staleness.is_some_and(|s| {
+                s <= self.setup.sttcp.hb_period + self.setup.sttcp.check_period * 2
+            });
+            if let Some(reason) = self.check_conns(now, Some((ip_alive, hb_fresh))) {
                 self.declare_peer_failed(ctx, reason);
                 return;
             }
-        }
-
-        // Rows 2/3 compare application positions against the peer's
-        // heartbeat, which is only meaningful while heartbeats are
-        // *fresh*: a dead host's last heartbeat frozen in time must be
-        // handled by the liveness detector (row 1), not misread as an
-        // application crash.
-        let hb_staleness = self
-            .pair_peer()
-            .hb
-            .last_rx()
-            .map(|t| now.saturating_since(t));
-        let hb_fresh = hb_staleness
-            .is_some_and(|s| s <= self.setup.sttcp.hb_period + self.setup.sttcp.check_period * 2);
-
-        if let Some(reason) = self.check_conns(now, Some((ip_alive, hb_fresh))) {
-            self.declare_peer_failed(ctx, reason);
-            return;
-        }
-
-        // §4.2.2 extension: the peer's own watchdog reported its replica
-        // dead. A self-report is actionable even on an idle connection —
-        // exactly the case the transport-layer detectors cannot see.
-        if self.ram.peer_app_suspected {
-            self.declare_peer_failed(ctx, FailureReason::WatchdogReport);
-            return;
-        }
-
-        // Row 5 escalation: the primary's hold buffer overflowed — the
-        // backup cannot catch up. (Sampled with the totals above.)
-        if self.ram.role == Role::Primary && totals.hold_overflows > 0 {
-            self.declare_peer_failed(ctx, FailureReason::HoldOverflow);
-            return;
+            // §4.2.2 extension: the peer's own watchdog reported its
+            // replica dead. A self-report is actionable even on an idle
+            // connection — exactly the case the transport-layer detectors
+            // cannot see.
+            if self.ram.peer_app_suspected {
+                self.declare_peer_failed(ctx, FailureReason::WatchdogReport);
+                return;
+            }
+            // Row 5 escalation: the primary's hold buffer overflowed — the
+            // backup cannot catch up. (Sampled with the totals above.)
+            if self.ram.role == Role::Primary && totals.hold_overflows > 0 {
+                self.declare_peer_failed(ctx, FailureReason::HoldOverflow);
+                return;
+            }
+        } else {
+            let _ = self.check_conns(now, None);
         }
 
         // Row 5: the backup fetches bytes it missed.
@@ -1934,10 +1942,10 @@ impl StTcpServer {
 
     /// The check tick's connection walk, in pair and pool alike: FIN
     /// deadlines and, given `rows` (IP heartbeat up, peer evidence fresh),
-    /// the pair's Table 1 rows 2/3 — a pool runs none yet (ROADMAP item
-    /// 7). Only connections with recent activity or an armed detector are
-    /// visited: one leaves the set once both its arbiters are provably
-    /// inert and re-enters on any movement. The walk's verdict, if any.
+    /// the pair's Table 1 rows 2/3. Only connections with recent activity
+    /// or an armed detector are visited: one leaves the set once both its
+    /// arbiters are provably inert and re-enters on any movement. The
+    /// walk's verdict, if any.
     fn check_conns(&mut self, now: SimTime, rows: Option<(bool, bool)>) -> Option<FailureReason> {
         let mut verdict: Option<FailureReason> = None;
         let mut arb_actions: Vec<(SocketId, u32, ArbAction)> = Vec::new();
@@ -2079,37 +2087,7 @@ impl StTcpServer {
         sum
     }
 
-    // ----- internal: pool checks and quorum fencing ---------------------------
-
-    /// The pool-mode check tick. The pairwise detector matrix (app-lag,
-    /// net-detect, watchdog relay, hold-overflow escalation, FIN-mismatch
-    /// verdicts) presumes exactly one peer whose word is final; in a pool
-    /// the only failure verdict is the quorum fence, so none of those run
-    /// here — per-member liveness plus fencing covers host loss, and the
-    /// FIN arbiter self-resolves its deadlines.
-    fn run_pool_checks(&mut self, ctx: &mut NodeCtx<'_>) {
-        let now = ctx.now();
-        let strength = 1 + live_non_fenced(&self.ram.members, now);
-        self.metrics.sample_pool_strength(strength as u64);
-        self.check_post_takeover_holes(ctx);
-
-        // FIN arbitration deadlines. `DeclarePeerFailed` (the pairwise
-        // FIN-mismatch verdict) is dropped: the arbiter resolves itself
-        // when it fires, and liveness verdicts arrive only via fencing.
-        let _ = self.check_conns(now, None);
-
-        if self.ram.join.is_some() {
-            // A joiner fetches and converges but never fences: until the
-            // join completes it has no say over anyone's life.
-            self.run_recovery(ctx);
-            self.try_finish_join(ctx);
-            return;
-        }
-        if self.ram.role == Role::Backup {
-            self.run_recovery(ctx);
-        }
-        self.check_liveness(ctx);
-    }
+    // ----- internal: quorum fencing -------------------------------------------
 
     /// Drives this server's fence round: abandon a round whose target
     /// revived, open a round against a dead member when eligible, and
@@ -2458,10 +2436,7 @@ impl StTcpServer {
             });
         }
         for req in requests {
-            let CtrlMsg::FetchRequest { conn, .. } = req else {
-                unreachable!()
-            };
-            self.send_ctrl_conn(ctx, conn, &req);
+            self.send_ctrl(ctx, &req);
         }
     }
 
@@ -2504,13 +2479,11 @@ impl StTcpServer {
             // FIN/watchdog flags that would otherwise poison verdicts
             // against the new one, and its delta stream, whose acks are
             // void (it gets full-state frames until it acknowledges) — is
-            // stale. (A pool member's entry was reset with its rank above.)
+            // stale.
             self.ram.table.clear_set(Set::Lag);
             self.ram.peer_app_suspected = false;
             if let Some(m) = self.ram.members.get_mut(&src) {
-                if self.ram.pool.is_none() {
-                    m.hb.forget_incarnation(now);
-                }
+                m.hb.forget_incarnation(now);
                 m.forget_stream();
                 m.mirror.clear();
             }
@@ -2726,10 +2699,9 @@ impl StTcpServer {
         self.send_ctrl(ctx, &CtrlMsg::JoinComplete { session });
     }
 
-    /// Sends a control message to member `ip`: over IP, and in a pool
-    /// over its cables too, so fence votes survive an IP partition
-    /// exactly like heartbeats do. (The pair's control rides IP only,
-    /// save [`StTcpServer::send_ctrl_conn`]'s shard copy.)
+    /// Sends a control message to member `ip`: over IP, and a fence vote
+    /// over its cables too ([`CtrlMsg::rides_cables`]), so a quorum
+    /// survives an IP partition exactly like heartbeats do.
     fn send_ctrl_to(&self, ctx: &mut NodeCtx<'_>, ip: Ipv4Addr, msg: &CtrlMsg) {
         let wire = msg.encode();
         for via in self.links_to(ip) {
@@ -2739,7 +2711,7 @@ impl StTcpServer {
                         ctx.send_frame(self.iface.nic, frame);
                     }
                 }
-                Via::Serial(port) if self.ram.pool.is_some() => ctx.send_serial(port, wire.clone()),
+                Via::Serial(port) if msg.rides_cables() => ctx.send_serial(port, wire.clone()),
                 Via::Serial(_) => {}
             }
         }
@@ -2760,23 +2732,6 @@ impl StTcpServer {
                 self.send_ctrl_to(ctx, ip, msg);
             }
         }
-    }
-
-    /// Sends a per-connection control message (fetch traffic) toward the
-    /// peer, shard-aware: the IP path always carries it, and when the IP
-    /// heartbeat link is down in a multi-link pair, the connection's shard
-    /// serial link carries a redundant copy so recovery survives an IP
-    /// partition without flooding every serial line.
-    fn send_ctrl_conn(&self, ctx: &mut NodeCtx<'_>, key: u32, msg: &CtrlMsg) {
-        self.send_ctrl(ctx, msg);
-        if self.ram.pool.is_some() || self.serial.len() < 2 {
-            return;
-        }
-        if self.pair_peer().hb.ip_mon.is_alive(ctx.now()) {
-            return;
-        }
-        let (port, _) = self.serial[key as usize % self.serial.len()];
-        ctx.send_serial(port, msg.encode());
     }
 
     fn handle_ctrl(&mut self, ctx: &mut NodeCtx<'_>, src: Ipv4Addr, msg: &CtrlMsg) {
@@ -3009,9 +2964,8 @@ impl Node for StTcpServer {
     }
 
     fn on_serial(&mut self, ctx: &mut NodeCtx<'_>, port: SerialPortId, data: Bytes) {
-        // A cable carries heartbeats and control messages (a pool's fence
-        // votes, the pair's shard-routed fetches while IP is down); the
-        // CRC in each format keeps the two decodes from colliding.
+        // A cable carries heartbeats and a pool's fence votes; the CRC in
+        // each format keeps the two decodes from colliding.
         if let Some((src, link)) = self.member_link(Via::Serial(port)) {
             if !self.on_member_hb(ctx, src, link, &data) {
                 if let Ok(msg) = CtrlMsg::decode(&data) {
@@ -3025,17 +2979,12 @@ impl Node for StTcpServer {
     fn on_timer(&mut self, ctx: &mut NodeCtx<'_>, token: TimerToken) {
         match token {
             TOKEN_HB => {
-                // Heartbeats also flow during a re-integration join: the
+                // A member heartbeats while it has a member to keep in
+                // step: fault-tolerant, or in a re-integration join — the
                 // joiner's positions drive the active side's hold-buffer
                 // release, and the active side's positions define the
-                // joiner's convergence target. Pool members heartbeat for
-                // as long as they are powered on — per-member liveness is
-                // the fencing evidence.
-                if self.ram.pool.is_some()
-                    || self.ram.ft_mode
-                    || self.ram.join.is_some()
-                    || self.ram.serving_join.is_some()
-                {
+                // joiner's convergence target.
+                if self.ram.ft_mode || self.ram.join.is_some() || self.ram.serving_join.is_some() {
                     ctx.profile_enter(Component::HbEncode);
                     self.send_heartbeats(ctx);
                     ctx.profile_exit();

@@ -586,6 +586,35 @@ fn an_active_with_no_backup_holds_no_client_bytes() {
     assert_eq!(got, want, "(seed, held bytes, HoldArmed events)");
 }
 
+/// An active left without a backup has nobody to arbitrate a FIN with,
+/// so a connection it accepts afterwards closes at once: the pair and a
+/// two-member pool lose their backup at 300 ms, the client connects at
+/// 2 s, and the server closes after a 64 KiB download. A live arbiter
+/// held that FIN until the client's own (in the pair for good, in the
+/// pool for `max_delay_fin`).
+#[test]
+fn a_connection_accepted_without_a_backup_closes_unheld() {
+    for pool in [0, 2] {
+        let mut b = ScenarioBuilder::new(stream_app(4096, true), download(64 * 1024))
+            .seed(31)
+            .connect_at(SimDuration::from_secs(2));
+        if pool > 0 {
+            b = b.pool(pool);
+        }
+        let mut s = b.build();
+        s.crash_backup_at(t(300));
+        s.world.run_until(t(10_000));
+        assert_clean_client(&s);
+        let fin = s.server(s.primary).events().iter().filter_map(|e| match e {
+            StTcpEvent::FinHeld { .. } => Some(None),
+            StTcpEvent::FinReleased { reason, .. } => Some(Some(*reason)),
+            _ => None,
+        });
+        let fin: Vec<_> = fin.collect();
+        assert_eq!(fin, [Some(FinReleaseReason::PeerFailed)], "pool {pool}");
+    }
+}
+
 #[test]
 fn reqresp_workload_survives_primary_crash() {
     // A second application type through the same machinery.

@@ -13,6 +13,8 @@
 
 use std::rc::Rc;
 
+use simnet::flight::{FlightKind, SpanId};
+use simnet::serial::SerialDir;
 use simnet::time::{SimDuration, SimTime};
 use sttcp::config::StTcpConfig;
 use sttcp::events::StTcpEvent;
@@ -55,6 +57,20 @@ fn pool_of(n: usize, seed: u64) -> Scenario {
     .pool(n)
     .sttcp(chaos_config())
     .build()
+}
+
+/// A `pool(3)` serving a 1 KiB echo every 50 ms, 200 times.
+fn chatting_pool3() -> Scenario {
+    let chat = ClientWorkload::EchoChat {
+        chunk: 1024,
+        period: SimDuration::from_millis(50),
+        count: 200,
+    };
+    let app = || Box::new(sttcp::app::EchoApp::default()) as _;
+    ScenarioBuilder::new(Rc::new(app), chat)
+        .seed(61)
+        .pool(3)
+        .build()
 }
 
 fn took_over_at(events: &[StTcpEvent]) -> Option<SimTime> {
@@ -238,6 +254,32 @@ fn fenced_ex_active_is_silent_until_rejoined() {
     );
 }
 
+/// The active serves a join session once: rank 1 took over and arms the
+/// hold for the rejoining rank 0 once per connection. While control
+/// messages rode the cables, the joiner's `JoinRequest` arrived there
+/// 0.67 ms after its IP copy, and rank 1 re-armed every hold and re-sent
+/// every snapshot and `JoinDone`.
+#[test]
+fn a_join_session_is_served_once() {
+    let schedule: FaultSchedule = "@800 crash primary; @1500 reboot primary".parse().unwrap();
+    let report = run_chaos_case(POOL, 29, &schedule, &ChaosOptions::default());
+    let events = &report.member_events[1];
+    let started = events
+        .iter()
+        .position(|e| matches!(e, StTcpEvent::ReintegrationStarted { .. }));
+    let join = &events[started.expect("rank 1 never served the join")..];
+    let armed = join.iter().filter_map(|e| match e {
+        StTcpEvent::HoldArmed { conn, .. } => Some(*conn),
+        _ => None,
+    });
+    let mut armed: Vec<u32> = armed.collect();
+    let logged = armed.len();
+    armed.sort_unstable();
+    armed.dedup();
+    assert!(!armed.is_empty(), "the join armed no hold");
+    assert_eq!(logged, armed.len(), "`HoldArmed` per connection: {join:?}");
+}
+
 /// The resurrection race: the active crashes and warm-reboots *faster
 /// than the heartbeat timeout*, so by liveness alone it never looks
 /// dead — yet it comes back as a suppressed joiner at its old rank, so
@@ -333,16 +375,7 @@ fn a_fault_free_delta_pool_of_3201_idle_connections_fences_nobody() {
 /// which serves the bytes from its hold buffer (as a backup it served none).
 #[test]
 fn a_backup_lagging_across_a_takeover_recovers_from_the_new_active() {
-    let chat = ClientWorkload::EchoChat {
-        chunk: 1024,
-        period: SimDuration::from_millis(50),
-        count: 200,
-    };
-    let app = || Box::new(sttcp::app::EchoApp::default()) as _;
-    let mut s = ScenarioBuilder::new(Rc::new(app), chat)
-        .seed(61)
-        .pool(3)
-        .build();
+    let mut s = chatting_pool3();
     let (rank1, rank2) = (s.servers[1], s.servers[2]);
     s.crash_primary_at(SimTime::from_millis(800));
     s.drop_tap_at(s.server_links[2], SimTime::from_millis(3_000), 20);
@@ -365,6 +398,49 @@ fn a_backup_lagging_across_a_takeover_recovers_from_the_new_active() {
     assert!(s.server(rank1).metrics().fetch_bytes_served() > 0);
     let digest = |node| s.server(node).app_digest(s.first_conn_key());
     assert_eq!(digest(rank1), digest(rank2));
+}
+
+/// A pool's serial cables are heartbeat links: only fence votes share
+/// them. Rank 2 misses 20 tap frames at 3 s and fetches the bytes from
+/// rank 0. While every control message also rode every cable, rank 0's
+/// 8 KiB fetch replies held its cable to rank 2 for 1.03 s (the
+/// heartbeat timeout is 0.6 s), 21 929 B crossed it against 3 413 B of
+/// heartbeats, and each `FetchRequest`'s cable copy was answered a
+/// second time: 18 432 B served, each reply replayed twice (36 864 B).
+#[test]
+fn bulk_control_stays_off_the_cables() {
+    let run = |tap_loss: bool| {
+        let mut s = chatting_pool3();
+        s.world.set_flight_capacity(1 << 16);
+        if tap_loss {
+            s.drop_tap_at(s.server_links[2], SimTime::from_millis(3_000), 20);
+        }
+        s.world.run_until(SimTime::from_secs(20));
+        // `serials[1]` is the rank 0 – rank 2 cable, rank 0 at its `a` end.
+        let cable = s.world.serial(s.serials[1]).stats(SerialDir::AtoB);
+        let heard = s
+            .world
+            .flight_snapshot(None)
+            .events
+            .into_iter()
+            .filter(|e| {
+                matches!(e.kind, FlightKind::HbRecv { seqno, link: 1 }
+                if e.node == Some(s.servers[2]) && e.span == SpanId::heartbeat(0, 0, seqno))
+            });
+        let heard: Vec<SimTime> = heard.map(|e| e.time).collect();
+        let gap = heard.windows(2).map(|w| w[1].saturating_since(w[0])).max();
+        let served = s.server(s.servers[0]).metrics().fetch_bytes_served();
+        let replayed = s.server(s.servers[2]).metrics().replay_bytes();
+        (cable.bytes_delivered, gap.unwrap(), served, replayed)
+    };
+    let ((quiet, ..), (bytes, gap, served, replayed)) = (run(false), run(true));
+    assert_eq!(bytes, quiet, "cable bytes with and without the tap loss");
+    let timeout = StTcpConfig::default().hb_timeout();
+    assert!(gap <= timeout, "rank 0 silent on its cable for {gap}");
+    assert!(
+        served > 0 && served == replayed,
+        "served {served}, replayed {replayed}"
+    );
 }
 
 /// Both backups of a three-member pool die 200 ms apart under a 1 KiB
