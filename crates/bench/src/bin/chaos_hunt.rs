@@ -1,8 +1,9 @@
 //! Chaos hunt: sweep seeded multi-fault schedules against the invariant
 //! checker, shrink any violation to a minimal reproducer, and print it
-//! in paste-able form. Failovers observed along the way are folded into
-//! a phase-latency table (fault → symptom → verdict → STONITH →
-//! takeover → restart, p50/p99/max across seeds).
+//! in paste-able form. Every takeover that ended a run's longest client
+//! stall is folded into a phase-latency table (fault → symptom → verdict
+//! → STONITH → takeover → restart, p50/p99/max across seeds), the same
+//! way in every flavour.
 //!
 //! Run with: `cargo run -p sttcp-bench --bin chaos_hunt --release`
 //!
@@ -33,8 +34,9 @@
 //!   log, merged by time, to stderr (single-case mode)
 //! * `--json PATH`        write a `MetricsReport` (outcomes + phase
 //!   histograms) to PATH after the sweep
-//! * `--enforce-bounds`   fail (exit 1) if any failover's fault → verdict
-//!   latency exceeds the configured bound for the detector that fired
+//! * `--enforce-bounds`   fail (exit 1) if any verdict's fault → verdict
+//!   latency — every verdict any member logged, in every flavour —
+//!   exceeds the configured bound for the detector that fired
 //!
 //! Exit status is 1 if any invariant violation was found (or, with
 //! `--enforce-bounds`, any detection bound was exceeded).
@@ -46,13 +48,8 @@ use sttcp::invariant::Outcome;
 use sttcp_apps::chaos::{
     run_chaos_case, shrink_schedule, ChaosOptions, ChaosWorkload, FaultSchedule,
 };
-use sttcp_apps::scenario::Topology;
 use sttcp_bench::flight::{dumps_to_json, flight_dir_for, write_flight_dump, FlightDumpPaths};
-use sttcp_bench::hunt::{
-    latest_fault_before, pool_takeover_timelines, run_sweep, survivor_events, Flavour,
-    GrammarCoverage, SweepConfig,
-};
-use sttcp_bench::phases::failover_timeline;
+use sttcp_bench::hunt::{run_sweep, takeover_phases, Flavour, GrammarCoverage, SweepConfig};
 
 /// Writes the violation's flight-recorder dump pair and prints where it
 /// went; returns the paths for the `--json` report's `flight_dumps`
@@ -185,7 +182,6 @@ fn main() -> ExitCode {
         opts.workload = w;
     }
     let topology = args.flavour.topology();
-    let pool = topology != Topology::Pair;
     let mut coverage = GrammarCoverage::default();
 
     // Single-case mode: replay one seed (and optionally a pasted
@@ -203,12 +199,10 @@ fn main() -> ExitCode {
         let report = run_chaos_case(topology, seed, &schedule, &opts);
         println!("outcome: {}", report.outcome);
         println!("client: {:?}", report.client);
-        if pool {
-            println!(
-                "active at end: {:?}, final ranks: {:?}",
-                report.active_at_end, report.final_ranks
-            );
-        }
+        println!(
+            "active at end: {:?}, final ranks: {:?}",
+            report.active_at_end, report.final_ranks
+        );
         for (at, what) in &report.faults {
             println!("  fault @ {at}: {what}");
         }
@@ -221,22 +215,10 @@ fn main() -> ExitCode {
                 println!("  {label:<width$} {e}");
             }
         }
-        // Where the stall went: a pool attributes it per takeover, the
-        // pair to its one survivor.
-        let mut breakdowns = Vec::new();
-        if pool {
-            for (i, tl) in pool_takeover_timelines(&report) {
-                breakdowns.extend(tl.breakdown().map(|b| (format!("takeover by rank{i}"), b)));
-            }
-        } else if let (Some((ws, we)), Some(events)) =
-            (report.stall_window, survivor_events(&report))
-        {
-            let fault_at = latest_fault_before(&report, we);
-            let b = failover_timeline(ws, we, fault_at, events).breakdown();
-            breakdowns.extend(b.map(|b| ("phase breakdown".to_string(), b)));
-        }
-        for (title, b) in breakdowns {
-            println!("{title} (stall {}):", b.total);
+        // Where the stall went: per takeover that ended it.
+        for (i, b) in takeover_phases(&report) {
+            let taker = topology.member_label(i);
+            println!("takeover by {taker} (stall {}):", b.total);
             for (p, d) in obs::timeline::Phase::ALL.iter().zip(b.durations.iter()) {
                 println!("  {:<10} {d}", p.name());
             }
@@ -259,17 +241,12 @@ fn main() -> ExitCode {
     }
 
     // Sweep mode.
-    let kind = match args.flavour {
-        Flavour::Single => "multi-fault",
-        Flavour::Double => "double-fault",
-        Flavour::Reintegrate => "reintegrate-then-fail",
-        Flavour::Pool => "pool",
-    };
     println!(
-        "chaos hunt: {} seeds {}..{} ({kind}{}{})",
+        "chaos hunt: {} seeds {}..{} ({}{}{})",
         args.seeds,
         args.start,
         args.start + args.seeds,
+        args.flavour.name(),
         if args.quick { ", quick" } else { "" },
         if args.threads > 1 {
             format!(", {} threads", args.threads)
@@ -334,9 +311,7 @@ fn main() -> ExitCode {
     println!("detected-unrecoverable   {:>6}", summary.detected);
     println!("service-lost             {:>6}", summary.lost);
     println!("VIOLATIONS               {:>6}", summary.violated.len());
-    if pool {
-        println!("takeovers                {:>6}", summary.takeovers);
-    }
+    println!("takeovers                {:>6}", summary.takeovers);
 
     if args.grammar {
         println!(
@@ -348,22 +323,17 @@ fn main() -> ExitCode {
 
     if !summary.agg.is_empty() {
         println!(
-            "\n{} phase latencies across {} failovers:\n",
-            if pool { "takeover" } else { "failover" },
+            "\ntakeover phase latencies across {} takeovers:\n",
             summary.agg.failovers()
         );
         print!("{}", summary.agg.render_table());
     }
 
-    // Detection bounds are a pair measure: a pool verdict is a quorum
-    // round, not one detector's timeout.
-    if !pool {
-        println!(
-            "\ndetection bounds: {} failovers checked, {} exceeded",
-            summary.bound_checked,
-            summary.bound_violations.len()
-        );
-    }
+    println!(
+        "\ndetection bounds: {} verdicts checked, {} exceeded",
+        summary.bound_checked,
+        summary.bound_violations.len()
+    );
     for v in &summary.bound_violations {
         println!(
             "BOUND EXCEEDED: seed {} ({}) detected in {:.1} ms > bound {:.1} ms",
@@ -386,14 +356,7 @@ fn main() -> ExitCode {
 
     let bounds_failed = args.enforce_bounds && !summary.bound_violations.is_empty();
     if summary.violated.is_empty() && !bounds_failed {
-        println!(
-            "\nno invariant violations — every {}",
-            if pool {
-                "takeover quorum-fenced"
-            } else {
-                "run within its fault envelope"
-            }
-        );
+        println!("\nno invariant violations — every run within its fault envelope");
         ExitCode::SUCCESS
     } else {
         if !summary.violated.is_empty() {

@@ -13,8 +13,7 @@ use std::collections::BTreeMap;
 
 use obs::json::Json;
 use obs::report::MetricsReport;
-use obs::timeline::Timeline;
-use simnet::time::SimDuration;
+use obs::timeline::PhaseBreakdown;
 use simnet::time::SimTime;
 use sttcp::config::PING_INTERVAL;
 use sttcp::events::{FailureReason, StTcpEvent};
@@ -25,9 +24,7 @@ use sttcp_apps::chaos::{
 use sttcp_apps::scenario::Topology;
 
 use crate::parallel::parallel_seeds;
-use crate::phases::{
-    detection_bound, failover_timeline, first_verdict, takeover_timelines, PhaseAgg,
-};
+use crate::phases::{detection_bound, failover_timeline, PhaseAgg};
 
 /// Which schedule generator a sweep draws from — and, with it, which
 /// topology the cases run on. One value: the four are mutually
@@ -56,6 +53,16 @@ impl Flavour {
             Flavour::Double => "--double ",
             Flavour::Reintegrate => "--reintegrate ",
             Flavour::Pool => "--pool ",
+        }
+    }
+
+    /// The sweep banner's name for this flavour.
+    pub fn name(self) -> &'static str {
+        match self {
+            Flavour::Single => "multi-fault",
+            Flavour::Double => "double-fault",
+            Flavour::Reintegrate => "reintegrate-then-fail",
+            Flavour::Pool => "pool",
         }
     }
 
@@ -132,37 +139,59 @@ pub struct SweepSummary {
     pub violated: Vec<u64>,
     /// Total takeovers observed across all runs.
     pub takeovers: u64,
-    /// Cross-seed failover phase-latency aggregation (a pool run folds
-    /// once per takeover whose client stall was measurable).
+    /// Cross-seed phase-latency aggregation, one fold per takeover that
+    /// ended a run's longest client stall ([`takeover_phases`]).
     pub agg: PhaseAgg,
-    /// Failovers whose detection latency was checked against a bound
-    /// (pair flavours only: a pool verdict is a quorum round, not one
-    /// detector's timeout).
+    /// Verdicts, any member's, whose detection latency was checked
+    /// against the bound for the detector that fired.
     pub bound_checked: u64,
     /// Detection-bound violations, in seed order.
     pub bound_violations: Vec<BoundViolation>,
 }
 
-/// The pair's survivor's event log: whichever side completed a takeover
-/// (the backup first), or failing that, whichever declared a verdict.
-pub fn survivor_events(report: &ChaosReport) -> Option<&[StTcpEvent]> {
-    let took_over =
-        |evs: &[StTcpEvent]| evs.iter().any(|e| matches!(e, StTcpEvent::TookOver { .. }));
-    let sides = || report.member_events.iter().rev().map(Vec::as_slice);
-    sides()
-        .find(|evs| took_over(evs))
-        .or_else(|| sides().find(|evs| first_verdict(evs).is_some()))
-}
-
-/// One failover timeline per takeover in a pool run, each anchored to
-/// the client's longest stall when the takeover fell inside it (or
-/// within a second after it) and skipped otherwise.
-pub fn pool_takeover_timelines(report: &ChaosReport) -> Vec<(usize, Timeline)> {
-    takeover_timelines(&report.member_events, &report.faults, |at| {
-        report
-            .stall_window
-            .filter(|&(ws, we)| at >= ws && at <= we + SimDuration::from_secs(1))
-    })
+/// One phase breakdown per takeover that ended the client's longest
+/// stall — a takeover at `t` with `ws <= t <= we`, `[ws, we]` being
+/// [`ChaosReport::stall_window`] — as `(taker's index, breakdown)` in
+/// takeover order. A takeover outside the stall ended no stall the
+/// client saw, and is not folded; nor is a stall that no takeover ended
+/// (a gap between two paced writes, say).
+///
+/// Marks come from the taker's own log within `[fault, t]`, `fault`
+/// being the latest fault at or before the taker's last verdict — the
+/// fault the verdict answers, as [`detection_clock_start`] charges it.
+/// So neither an earlier failover in the same log, nor a fault landing
+/// inside the STONITH delay, nor the heartbeat links going down once the
+/// STONITH lands can take a mark.
+pub fn takeover_phases(report: &ChaosReport) -> Vec<(usize, PhaseBreakdown)> {
+    let Some((ws, we)) = report.stall_window else {
+        return Vec::new();
+    };
+    let logs = report.member_events.iter().enumerate();
+    let mut takeovers: Vec<(SimTime, usize)> = logs
+        .flat_map(|(i, evs)| {
+            evs.iter().filter_map(move |e| match e {
+                StTcpEvent::TookOver { at } if (ws..=we).contains(at) => Some((*at, i)),
+                _ => None,
+            })
+        })
+        .collect();
+    takeovers.sort();
+    let phased = |(t, i): (SimTime, usize)| {
+        let log = &report.member_events[i];
+        let verdict = log.iter().rev().find_map(|e| match e {
+            StTcpEvent::PeerDeclaredFailed { at, .. } if *at <= t => Some(*at),
+            _ => None,
+        });
+        let fault_at = latest_fault_before(report, verdict.unwrap_or(t));
+        let floor = fault_at.unwrap_or(ws);
+        let episode: Vec<StTcpEvent> = (log.iter())
+            .filter(|e| (floor..=t).contains(&e.at()))
+            .cloned()
+            .collect();
+        let b = failover_timeline(ws, we, fault_at, &episode).breakdown()?;
+        Some((i, b))
+    };
+    takeovers.into_iter().filter_map(phased).collect()
 }
 
 /// The latest injected fault at or before `cutoff` — the lenient
@@ -341,39 +370,34 @@ pub fn run_sweep(
         let report = &case.report;
         s.takeovers += report.takeovers();
 
-        // Fold any observed failover into the phase aggregation: a pool
-        // attributes the stall per takeover, from each taker's own log;
-        // the pair has one survivor, whose fault → verdict latency is
-        // also checked against the configured bound for whichever
-        // detector fired.
-        if topology != Topology::Pair {
-            for (_, tl) in pool_takeover_timelines(report) {
-                if let Some(b) = tl.breakdown() {
-                    s.agg.add(&b);
-                }
-            }
-        } else if let Some(events) = survivor_events(report) {
-            if let Some((ws, we)) = report.stall_window {
-                let fault_at = latest_fault_before(report, we);
-                if let Some(b) = failover_timeline(ws, we, fault_at, events).breakdown() {
-                    s.agg.add(&b);
-                }
-            }
-            if let Some((reason, at)) = first_verdict(events) {
-                if let (Some(clock_start), Some(bound)) = (
+        // Every flavour folds the same way: each takeover that ended
+        // the client's longest stall, phased from the taker's own log;
+        // and every verdict any member logged, checked against the
+        // configured bound for the detector that fired.
+        for (_, b) in takeover_phases(report) {
+            s.agg.add(&b);
+        }
+        for events in &report.member_events {
+            let verdicts = events.iter().filter_map(|e| match e {
+                StTcpEvent::PeerDeclaredFailed { reason, at } => Some((*reason, *at)),
+                _ => None,
+            });
+            for (reason, at) in verdicts {
+                let (Some(clock_start), Some(bound)) = (
                     detection_clock_start(report, &case.schedule, events, reason, at),
                     detection_bound(&detection_cfg, reason),
-                ) {
-                    s.bound_checked += 1;
-                    let measured = at.saturating_since(clock_start);
-                    if measured > bound {
-                        s.bound_violations.push(BoundViolation {
-                            seed: case.seed,
-                            reason: reason.key(),
-                            measured_us: measured.as_micros(),
-                            bound_us: bound.as_micros(),
-                        });
-                    }
+                ) else {
+                    continue;
+                };
+                s.bound_checked += 1;
+                let measured = at.saturating_since(clock_start);
+                if measured > bound {
+                    s.bound_violations.push(BoundViolation {
+                        seed: case.seed,
+                        reason: reason.key(),
+                        measured_us: measured.as_micros(),
+                        bound_us: bound.as_micros(),
+                    });
                 }
             }
         }
@@ -390,26 +414,19 @@ pub fn run_sweep(
 }
 
 impl SweepSummary {
-    /// Builds the `chaos_hunt` [`MetricsReport`] — key order and
-    /// content match what the CLI has always written, independent of
-    /// `cfg.threads`: a pool report carries `takeovers` and no
-    /// `detection_bounds`, the pair flavours the reverse.
+    /// Builds the `chaos_hunt` [`MetricsReport`], one shape for every
+    /// flavour and independent of `cfg.threads`.
     pub fn to_report(&self, cfg: &SweepConfig, enforce_bounds: bool) -> MetricsReport {
-        let pool = cfg.flavour == Flavour::Pool;
         let mut report = MetricsReport::new("chaos_hunt");
         let mut cfg_j = Json::obj();
         cfg_j.set("seeds", Json::U64(cfg.seeds));
         cfg_j.set("start", Json::U64(cfg.start));
         cfg_j.set("quick", Json::Bool(cfg.quick));
-        if pool {
-            cfg_j.set("pool", Json::Bool(true));
-        } else {
-            cfg_j.set("double", Json::Bool(cfg.flavour == Flavour::Double));
-            // The schedule flavour, not a server mode: every reboot
-            // rejoins.
-            let reintegrate = cfg.flavour == Flavour::Reintegrate;
-            cfg_j.set("reintegrate", Json::Bool(reintegrate));
-        }
+        cfg_j.set("double", Json::Bool(cfg.flavour == Flavour::Double));
+        // The schedule flavour, not a server mode: every reboot rejoins.
+        let reintegrate = cfg.flavour == Flavour::Reintegrate;
+        cfg_j.set("reintegrate", Json::Bool(reintegrate));
+        cfg_j.set("pool", Json::Bool(cfg.flavour == Flavour::Pool));
         report.set("config", cfg_j);
         let mut outcomes = Json::obj();
         outcomes.set("clean", Json::U64(self.clean));
@@ -418,13 +435,8 @@ impl SweepSummary {
         outcomes.set("service_lost", Json::U64(self.lost));
         outcomes.set("violations", Json::U64(self.violated.len() as u64));
         report.set("outcomes", outcomes);
-        if pool {
-            report.set("takeovers", Json::U64(self.takeovers));
-        }
+        report.set("takeovers", Json::U64(self.takeovers));
         report.set("phases", self.agg.to_json());
-        if pool {
-            return report;
-        }
         let mut bounds = Json::obj();
         bounds.set("checked", Json::U64(self.bound_checked));
         bounds.set("enforced", Json::Bool(enforce_bounds));

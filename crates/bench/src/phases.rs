@@ -60,58 +60,6 @@ pub fn failover_timeline(
     tl
 }
 
-/// Builds one failover timeline per takeover across a pool run.
-///
-/// `member_events` holds every member's event log (indexed by initial
-/// rank); `faults` is the world's injection log. For each `TookOver`
-/// (in time order across members) the caller maps the takeover time to
-/// the client stall window it served via `stall_of` — return `None` to
-/// skip takeovers with no measurable stall. Marks are drawn from the
-/// taker's own log, restricted to `[fault, window end]` so an earlier
-/// failover epoch in the same log cannot pollute the phase attribution.
-///
-/// Returns `(member index, timeline)` pairs in takeover order.
-pub fn takeover_timelines(
-    member_events: &[Vec<StTcpEvent>],
-    faults: &[(SimTime, String)],
-    mut stall_of: impl FnMut(SimTime) -> Option<(SimTime, SimTime)>,
-) -> Vec<(usize, Timeline)> {
-    let mut takeovers: Vec<(SimTime, usize)> = member_events
-        .iter()
-        .enumerate()
-        .flat_map(|(i, evs)| {
-            evs.iter().filter_map(move |e| match e {
-                StTcpEvent::TookOver { at } => Some((*at, i)),
-                _ => None,
-            })
-        })
-        .collect();
-    takeovers.sort();
-    let mut out = Vec::new();
-    for (at, i) in takeovers {
-        let Some((ws, we)) = stall_of(at) else {
-            continue;
-        };
-        let fault_at = faults.iter().map(|(t, _)| *t).filter(|t| *t <= at).max();
-        let floor = fault_at.unwrap_or(ws);
-        let in_window: Vec<StTcpEvent> = member_events[i]
-            .iter()
-            .filter(|e| e.at() <= we && e.at() >= floor)
-            .cloned()
-            .collect();
-        out.push((i, failover_timeline(ws, we, fault_at, &in_window)));
-    }
-    out
-}
-
-/// The first failure verdict in an event log, if any.
-pub fn first_verdict(events: &[StTcpEvent]) -> Option<(FailureReason, SimTime)> {
-    events.iter().find_map(|e| match e {
-        StTcpEvent::PeerDeclaredFailed { reason, at } => Some((*reason, *at)),
-        _ => None,
-    })
-}
-
 /// The configured worst-case fault → verdict latency for a detector, or
 /// `None` when the detector has no time bound ([`FailureReason::HoldOverflow`]
 /// is rate-dependent; a disabled watchdog never fires).

@@ -340,6 +340,17 @@ pub(crate) struct FenceRound {
     pub(crate) votes: BTreeSet<u8>,
 }
 
+impl FenceRound {
+    /// The one rule that ends a round: it stands while its target is
+    /// unfenced and [`MemberState::condemnable`]. A target that revived,
+    /// rejoined or was fenced by another member's round ends it; a
+    /// defunct restart still heartbeating does not — its freshness is
+    /// the new incarnation speaking, not the condemned one surviving.
+    pub(crate) fn stands(&self, members: &Members, now: SimTime) -> bool {
+        (members.get(&self.target)).is_some_and(|m| !m.fenced && m.condemnable(now))
+    }
+}
+
 /// The pool's round state carried by [`crate::server::StTcpServer`]
 /// (`None` in pair mode); the members themselves are the one table
 /// both topologies keep.

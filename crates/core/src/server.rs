@@ -1263,13 +1263,6 @@ impl StTcpServer {
                 pool.active_rank = m.rank;
                 refollow = true;
             }
-            // A fence target that speaks a fresh heartbeat is not dead —
-            // unless the speaker is a restarted incarnation standing in
-            // for the dead one (defunct): its liveness must not save the
-            // incarnation the round is condemning.
-            if pool.fence.as_ref().is_some_and(|f| f.target == src) && !m.hb.defunct {
-                pool.fence = None;
-            }
         }
         for c in &hb.conns {
             let s = self.ram.table.entry(c.key);
@@ -2089,9 +2082,10 @@ impl StTcpServer {
 
     // ----- internal: quorum fencing -------------------------------------------
 
-    /// Drives this server's fence round: abandon a round whose target
-    /// revived, open a round against a dead member when eligible, and
-    /// (re-)solicit votes every tick until quorum or abandonment.
+    /// Drives this server's fence round: drop a round that no longer
+    /// [stands](FenceRound::stands), open a round against a dead member
+    /// when eligible, and (re-)solicit votes every tick until quorum or
+    /// abandonment.
     fn fence_tick(&mut self, ctx: &mut NodeCtx<'_>) {
         let now = ctx.now();
         let mut open_event: Option<(u8, u32)> = None;
@@ -2100,14 +2094,8 @@ impl StTcpServer {
             let (Some(pool), members) = (&mut self.ram.pool, &self.ram.members) else {
                 return;
             };
-            if let Some(f) = &pool.fence {
-                // A revived target abandons the round — unless it is a
-                // defunct restart, whose freshness is the new incarnation
-                // speaking, not the condemned one surviving.
-                let target = members.get(&f.target);
-                if target.is_some_and(|m| m.alive(now) && !m.hb.defunct) {
-                    pool.fence = None;
-                }
+            if pool.fence.as_ref().is_some_and(|f| !f.stands(members, now)) {
+                pool.fence = None;
             }
             if pool.fence.is_none() {
                 if let Some((target, target_rank)) = pool.fence_target(members, now, self.ram.role)
@@ -2263,7 +2251,7 @@ impl StTcpServer {
             let (Some(pool), members) = (&mut self.ram.pool, &mut self.ram.members) else {
                 return;
             };
-            let Some(f) = &pool.fence else {
+            let Some(f) = pool.fence.as_ref().filter(|f| f.stands(members, now)) else {
                 return;
             };
             if f.votes.len() < quorum_needed(members, f.target_rank) {
@@ -2325,7 +2313,7 @@ impl StTcpServer {
     /// Another member completed a fence round: adopt its verdict.
     fn handle_fence_commit(&mut self, ctx: &mut NodeCtx<'_>, target_rank: u8) {
         let now = ctx.now();
-        let (Some(pool), members) = (&mut self.ram.pool, &mut self.ram.members) else {
+        let (Some(pool), members) = (&self.ram.pool, &mut self.ram.members) else {
             return;
         };
         if target_rank == pool.my_rank {
@@ -2339,13 +2327,6 @@ impl StTcpServer {
                 m.fenced = true;
                 fenced_any = true;
             }
-        }
-        if pool
-            .fence
-            .as_ref()
-            .is_some_and(|f| f.target_rank == target_rank)
-        {
-            pool.fence = None;
         }
         if fenced_any {
             self.events.push(StTcpEvent::PoolMemberFenced {
@@ -2453,8 +2434,8 @@ impl StTcpServer {
         }
         let now = ctx.now();
         // Pool mode: assign the joiner a fresh rank behind every original
-        // member (idempotent per join session), reset its member entry for
-        // the new incarnation, and abandon any fence round against it.
+        // member (idempotent per join session) and reset its member entry
+        // for the new incarnation — which no fence round stands against.
         let mut new_rank = 0u8;
         if let Some(pool) = &mut self.ram.pool {
             match pool.last_session_served {
@@ -2465,9 +2446,6 @@ impl StTcpServer {
                     pool.last_session_served = Some((src, session, new_rank));
                     if let Some(m) = self.ram.members.get_mut(&src) {
                         m.reset_for_rejoin(now);
-                    }
-                    if pool.fence.as_ref().is_some_and(|f| f.target == src) {
-                        pool.fence = None;
                     }
                 }
             }

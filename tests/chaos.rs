@@ -600,3 +600,75 @@ fn sweep_report_is_identical_across_thread_counts() {
     assert_thread_invariant(Flavour::Single, &quick());
     assert_thread_invariant(Flavour::Double, &quick());
 }
+
+/// Every flavour phases a takeover the same way: a full-profile sweep
+/// folds only takeovers that ended the client's longest stall, each
+/// phased from its taker's log, so every folded `takeover` phase is the
+/// STONITH delay. Folding the pair's longest stall whatever ended it
+/// reported a 9.8 ms gap between two paced writes as a failover, with
+/// a 0.1 ms takeover phase.
+#[test]
+fn every_folded_takeover_phase_is_the_stonith_delay() {
+    use obs::timeline::Phase;
+    use sttcp::config::STONITH_DELAY;
+    use sttcp_bench::hunt::takeover_phases;
+
+    for flavour in [
+        Flavour::Single,
+        Flavour::Double,
+        Flavour::Reintegrate,
+        Flavour::Pool,
+    ] {
+        let cfg = SweepConfig {
+            seeds: 100,
+            start: 0,
+            quick: false,
+            flavour,
+            threads: 2,
+        };
+        let mut phases = Vec::new();
+        let summary = run_sweep(&cfg, &ChaosOptions::default(), |case| {
+            phases.extend(takeover_phases(&case.report));
+        });
+        assert!(!phases.is_empty(), "{flavour:?}: no takeover folded");
+        assert_eq!(summary.agg.failovers(), phases.len() as u64, "{flavour:?}");
+        for (taker, b) in phases {
+            let takeover = b.get(Phase::Takeover);
+            assert_eq!(takeover, STONITH_DELAY, "{flavour:?}: taker {taker}");
+        }
+    }
+}
+
+/// `--enforce-bounds` holds every verdict to its bound: in the quick
+/// reintegrate and pool sweeps, every verdict with a bound that any
+/// member logged — a pair's second verdict and every pool verdict
+/// included — is checked.
+#[test]
+fn every_bounded_verdict_is_checked() {
+    use sttcp_apps::chaos::chaos_config;
+    use sttcp_bench::phases::detection_bound;
+
+    let cfg = chaos_config();
+    for flavour in [Flavour::Reintegrate, Flavour::Pool] {
+        let sweep = SweepConfig {
+            seeds: 64,
+            start: 0,
+            quick: true,
+            flavour,
+            threads: 2,
+        };
+        let mut bounded = 0;
+        let summary = run_sweep(&sweep, &quick(), |case| {
+            bounded += (case.report.member_events.iter().flatten())
+                .filter(|e| match e {
+                    StTcpEvent::PeerDeclaredFailed { reason, .. } => {
+                        detection_bound(&cfg, *reason).is_some()
+                    }
+                    _ => false,
+                })
+                .count() as u64;
+        });
+        assert!(bounded > 0, "{flavour:?}: no bounded verdict");
+        assert_eq!(summary.bound_checked, bounded, "{flavour:?}");
+    }
+}

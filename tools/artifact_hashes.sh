@@ -31,7 +31,7 @@ for t in 1 2; do
   run hunt-reint-t$t  "$bin/chaos_hunt" --quick --seeds 16 --reintegrate --threads $t --json hunt-reint-t$t.json
 done
 # CI's smoke steps.
-run pool300 "$bin/chaos_hunt" --quick --pool --seeds 300 --threads 2 --json pool300.json
+run pool300 "$bin/chaos_hunt" --quick --pool --seeds 300 --threads 2 --enforce-bounds --json pool300.json
 run smoke50-plain  "$bin/chaos_hunt" --quick --seeds 50 --threads 2 --enforce-bounds --json smoke50-plain.json
 run smoke50-double "$bin/chaos_hunt" --quick --seeds 50 --double --threads 2 --enforce-bounds --json smoke50-double.json
 run smoke50-reint  "$bin/chaos_hunt" --quick --seeds 50 --reintegrate --threads 2 --enforce-bounds --json smoke50-reint.json
