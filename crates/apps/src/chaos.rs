@@ -21,6 +21,7 @@ use std::fmt;
 use std::rc::Rc;
 use std::str::FromStr;
 
+use simnet::hash::{fnv1a, FNV_OFFSET};
 use simnet::link::{LinkDir, LinkId};
 use simnet::node::{NicId, NodeId};
 use simnet::rng::SimRng;
@@ -1074,13 +1075,8 @@ impl ChaosReport {
     /// sound). The per-member logs are digested as one nested list, so
     /// the same events under a different member order digest differently.
     pub fn fingerprint(&self) -> u64 {
-        let mut h: u64 = 0xcbf2_9ce4_8422_2325;
-        let mut eat = |bytes: &[u8]| {
-            for &b in bytes {
-                h ^= u64::from(b);
-                h = h.wrapping_mul(0x0000_0100_0000_01b3);
-            }
-        };
+        let mut h = FNV_OFFSET;
+        let mut eat = |bytes: &[u8]| h = fnv1a(h, bytes);
         eat(format!("{:?}", self.outcome).as_bytes());
         eat(format!("{:?}", self.violations).as_bytes());
         eat(format!("{:?}", self.client).as_bytes());

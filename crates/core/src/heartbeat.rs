@@ -16,6 +16,7 @@
 use bytes::{BufMut, Bytes, BytesMut};
 use core::fmt;
 
+use simnet::hash::{fnv1a, FNV_OFFSET};
 use simtcp::socket::FourTuple;
 
 use crate::config::Role;
@@ -26,23 +27,7 @@ use crate::config::Role;
 /// same SYN), so a keyed hash of it names the connection consistently on
 /// both sides without coordination.
 pub fn conn_key(tuple: FourTuple) -> u32 {
-    let mut h: u64 = 0xcbf2_9ce4_8422_2325;
-    let mut eat = |b: u8| {
-        h ^= b as u64;
-        h = h.wrapping_mul(0x0000_0100_0000_01b3);
-    };
-    for b in tuple.local.0.octets() {
-        eat(b);
-    }
-    for b in tuple.local.1.to_be_bytes() {
-        eat(b);
-    }
-    for b in tuple.remote.0.octets() {
-        eat(b);
-    }
-    for b in tuple.remote.1.to_be_bytes() {
-        eat(b);
-    }
+    let h = fnv1a(FNV_OFFSET, &tuple.packed().to_be_bytes()[4..]);
     (h ^ (h >> 32)) as u32
 }
 

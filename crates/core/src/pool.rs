@@ -35,7 +35,7 @@ use simnet::time::SimTime;
 
 use crate::config::{Role, StTcpConfig};
 use crate::conntable::Column;
-use crate::heartbeat::{unwrap_u32_near, ConnHb};
+use crate::heartbeat::{unwrap_u32_near, ConnHb, HbFrame, HbFrameKind, HbPayload, PingReport};
 use crate::linkmon::HbSource;
 
 /// Static description of one *other* member — the pair's one peer or
@@ -198,6 +198,52 @@ impl MemberState {
         self.links.fill(LinkState::default());
         self.ack_epoch = 0;
         self.rx_epoch = 0;
+    }
+
+    /// Splits one link's heartbeat round to this member into wire frames
+    /// that ack its stream. With `batch == 0` (or a round that fits), the
+    /// whole record list rides a single frame — bit-for-bit the
+    /// single-frame v2 encoding. Otherwise the records are chunked into
+    /// `⌈n/chunk⌉` parts sharing one seqno (the v3 batch envelope); the
+    /// ping report rides part 0 only, the ack vector repeats on every part
+    /// so loss of any one part cannot strand acks. Chunk size is clamped
+    /// so no part overflows the u16 `conn_count` field — a round beyond
+    /// 65 535 records splits even when batching is "off".
+    #[allow(clippy::too_many_arguments)]
+    pub(crate) fn link_frames(
+        &self,
+        kind: HbFrameKind,
+        epoch: u32,
+        link: u8,
+        seq: u32,
+        role: Role,
+        rank: u8,
+        ping: Option<PingReport>,
+        conns: &[ConnHb],
+        batch: usize,
+    ) -> Vec<HbFrame> {
+        let cap = u16::MAX as usize;
+        let mut chunk = if batch == 0 { cap } else { batch.min(cap) };
+        chunk = chunk.max(conns.len().div_ceil(cap)).max(1);
+        let parts = conns.len().div_ceil(chunk).max(1);
+        (0..parts)
+            .map(|part| HbFrame {
+                kind,
+                epoch,
+                link,
+                ack_epoch: self.rx_epoch,
+                acks: self.links.iter().map(|l| l.applied).collect(),
+                part: part as u16,
+                parts: parts as u16,
+                hb: HbPayload {
+                    seqno: seq,
+                    role,
+                    rank,
+                    conns: conns.chunks(chunk).nth(part).unwrap_or_default().to_vec(),
+                    ping: if part == 0 { ping } else { None },
+                },
+            })
+            .collect()
     }
 
     /// True while at least one heartbeat link from this member is fresh.

@@ -77,51 +77,6 @@ fn epoch_from(now: SimTime) -> u32 {
     ((n ^ (n >> 32)) as u32) | 1
 }
 
-/// Splits one link's heartbeat round into wire frames. With `batch == 0`
-/// (or a round that fits), the whole record list rides a single frame —
-/// bit-for-bit the single-frame v2 encoding. Otherwise the records are
-/// chunked into `⌈n/chunk⌉` parts sharing one seqno (the v3 batch
-/// envelope); the ping report rides part 0 only, the ack vector repeats
-/// on every part so loss of any one part cannot strand acks. Chunk size
-/// is clamped so no part overflows the u16 `conn_count` field — a round
-/// beyond 65 535 records splits even when batching is "off".
-#[allow(clippy::too_many_arguments)]
-fn build_link_frames(
-    kind: HbFrameKind,
-    epoch: u32,
-    link: u8,
-    to: &MemberState,
-    seq: u32,
-    role: Role,
-    rank: u8,
-    ping: Option<PingReport>,
-    conns: &[ConnHb],
-    batch: usize,
-) -> Vec<HbFrame> {
-    let cap = u16::MAX as usize;
-    let mut chunk = if batch == 0 { cap } else { batch.min(cap) };
-    chunk = chunk.max(conns.len().div_ceil(cap)).max(1);
-    let parts = conns.len().div_ceil(chunk).max(1);
-    (0..parts)
-        .map(|part| HbFrame {
-            kind,
-            epoch,
-            link,
-            ack_epoch: to.rx_epoch,
-            acks: to.links.iter().map(|l| l.applied).collect(),
-            part: part as u16,
-            parts: parts as u16,
-            hb: HbPayload {
-                seqno: seq,
-                role,
-                rank,
-                conns: conns.chunks(chunk).nth(part).unwrap_or_default().to_vec(),
-                ping: if part == 0 { ping } else { None },
-            },
-        })
-        .collect()
-}
-
 /// The stable numeric code a verdict's [`FailureReason`] gets in flight
 /// events (the index into [`FailureReason::ALL`]).
 pub fn reason_code(reason: FailureReason) -> u32 {
@@ -1232,9 +1187,7 @@ impl StTcpServer {
         // Fresh member positions: the lag detector must look again.
         self.ram.table.insert(Set::Check, s);
         if self.ram.role == Role::Primary {
-            if let Some(conn) = self.ram.tcp.conn_mut(sock) {
-                conn.release_hold_until(lbr);
-            }
+            self.ram.tcp.release_hold_until(sock, lbr);
         }
         self.note_lag(s);
     }
@@ -1268,7 +1221,9 @@ impl StTcpServer {
             let s = self.ram.table.entry(c.key);
             let m = self.ram.members.get_mut(&src).expect("vetted");
             let peer = m.mirror.entry(s);
-            if !Self::takes(peer, seq) {
+            // A record of the round its cell already took (0: none) repeats it.
+            let copy = peer.last_update_seq != 0 && seq == Some(peer.last_update_seq);
+            if copy || !Self::takes(peer, seq) {
                 continue;
             }
             peer.last_update_seq = seq.unwrap_or(peer.last_update_seq);
@@ -1393,9 +1348,8 @@ impl StTcpServer {
                 }
             }
         }
-        // Equal seqno is the same round's frame on another link and
-        // reapplies identical values; strictly older ones are skipped
-        // per record.
+        // Equal seqno is the same round's frame on another link: vetted,
+        // then skipped per record like a strictly older one.
         self.apply_records(now, hb, src, seq);
     }
 
@@ -1535,8 +1489,7 @@ impl StTcpServer {
             for (link, via) in self.links_to(ip).enumerate() {
                 let recs = if link == 0 { recs } else { &shards[link] };
                 let (link, batch) = (link as u8, self.setup.sttcp.hb_batch);
-                let frames =
-                    build_link_frames(kind, epoch, link, m, seq, role, rank, ping, recs, batch);
+                let frames = m.link_frames(kind, epoch, link, seq, role, rank, ping, recs, batch);
                 for f in frames {
                     let n = f.hb.conns.len() as u32;
                     self.emit_hb(ctx, &mut round, span, seq, link, via, &f.encode(), n);
@@ -3167,26 +3120,30 @@ mod tests {
         assert_eq!(hb2.ping.unwrap().consecutive_failures, 2);
     }
 
+    /// Backup `PEER`'s heartbeat round `seqno`: one record, confirming
+    /// `lbr` bytes of connection `key`.
+    fn round(seqno: u32, key: u32, lbr: u64) -> HbPayload {
+        let rec = ConnHb {
+            key,
+            last_byte_received: lbr,
+            ..Default::default()
+        };
+        let (role, rank, conns, ping) = (Role::Backup, 1, vec![rec], None);
+        HbPayload {
+            seqno,
+            role,
+            rank,
+            conns,
+            ping,
+        }
+    }
+
     #[test]
     fn handle_heartbeat_updates_monitors_and_peer_state() {
         let mut s = server(Role::Primary);
         let t = SimTime::from_millis(100);
-        let hb = HbPayload {
-            seqno: 1,
-            role: Role::Backup,
-            rank: 1,
-            conns: vec![ConnHb {
-                key: 0xabc,
-                last_byte_received: 1_000,
-                last_ack_received: 900,
-                last_app_byte_written: 800,
-                last_app_byte_read: 950,
-                fin_generated: false,
-                rst_generated: false,
-                app_suspected: false,
-            }],
-            ping: None,
-        };
+        let mut hb = round(1, 0xabc, 1_000);
+        hb.conns[0].last_app_byte_read = 950;
         s.handle_heartbeat(t, &hb, None, PEER, 1);
         assert_eq!(s.pair_peer().hb.serial_mon.last_rx(), Some(t));
         assert_eq!(s.pair_peer().hb.ip_mon.last_rx(), None);
@@ -3316,30 +3273,60 @@ mod tests {
         }
     }
 
+    /// A primary holding 10 bytes of one client connection, its
+    /// endpoint's touched feed and totals drained; and the key.
+    fn holding_primary() -> (StTcpServer, u32) {
+        let (mut s, now) = (server(Role::Primary), SimTime::ZERO);
+        let client = (Ipv4Addr::new(10, 0, 1, 10), 4000);
+        let syn = syn_from(client, (s.setup.service_ip, 80));
+        s.ram.tcp.on_packet(now, &syn);
+        s.drain_tcp_events(now, &mut Profiler::new());
+        let key = s.conn_keys()[0];
+        let data = Bytes::from(vec![7; 10]);
+        s.ram.tcp.inject_in_order(s.sock_of(key).unwrap(), 0, &data);
+        s.ram.tcp.totals();
+        s.ram.tcp.drain_touched();
+        (s, key)
+    }
+
+    #[test]
+    fn a_settle_that_releases_nothing_touches_nothing() {
+        let ((mut s, key), t) = (holding_primary(), SimTime::from_millis(1));
+        s.handle_heartbeat(t, &round(1, key, 0), None, PEER, 0);
+        assert_eq!(s.ram.tcp.totals_stale(), 0);
+        assert!(s.ram.tcp.drain_touched().is_empty());
+        s.handle_heartbeat(t, &round(2, key, 4), None, PEER, 0);
+        assert_eq!(s.ram.tcp.totals().hold, 6);
+    }
+
+    #[test]
+    fn a_same_round_copy_on_a_second_link_is_not_settled_again() {
+        let ((mut s, key), t) = (holding_primary(), SimTime::from_millis(1));
+        let frame = |seqno| HbFrame {
+            kind: HbFrameKind::Delta,
+            epoch: 5,
+            link: 0,
+            ack_epoch: 0,
+            part: 0,
+            parts: 1,
+            acks: Vec::new(),
+            hb: round(seqno, key, 4),
+        };
+        let (one, two) = (frame(1), frame(2));
+        s.handle_heartbeat(t, &one.hb, Some(&one), PEER, 0);
+        s.check_conns(t, None);
+        assert_eq!(s.ram.table.set_len(Set::Check), 0, "drained by the tick");
+        s.handle_heartbeat(t, &one.hb, Some(&one), PEER, 1);
+        assert_eq!(s.ram.table.set_len(Set::Check), 0);
+        s.handle_heartbeat(t, &two.hb, Some(&two), PEER, 0);
+        assert_eq!(s.ram.table.set_len(Set::Check), 1);
+    }
+
     #[test]
     fn peer_fin_flag_is_sticky() {
         let mut s = server(Role::Primary);
-        let hb_fin = HbPayload {
-            seqno: 1,
-            role: Role::Backup,
-            rank: 1,
-            conns: vec![ConnHb {
-                key: 1,
-                fin_generated: true,
-                ..Default::default()
-            }],
-            ping: None,
-        };
-        let hb_nofin = HbPayload {
-            seqno: 2,
-            role: Role::Backup,
-            rank: 1,
-            conns: vec![ConnHb {
-                key: 1,
-                ..Default::default()
-            }],
-            ping: None,
-        };
+        let (mut hb_fin, hb_nofin) = (round(1, 1, 0), round(2, 1, 0));
+        hb_fin.conns[0].fin_generated = true;
         s.handle_heartbeat(SimTime::from_millis(1), &hb_fin, None, PEER, 0);
         s.handle_heartbeat(SimTime::from_millis(2), &hb_nofin, None, PEER, 0);
         let p = s.followed_pos(s.ram.table.by_key(1).unwrap()).unwrap();

@@ -24,6 +24,7 @@
 
 use core::fmt;
 
+use crate::hash::{fnv1a_by, FNV_OFFSET};
 use crate::node::NodeId;
 use crate::ring::Ring;
 use crate::time::{SimDuration, SimTime};
@@ -42,18 +43,15 @@ impl SpanId {
     /// The null span: "no parent" / "not part of a span".
     pub const NONE: SpanId = SpanId(0);
 
-    /// FNV-1a over little-endian words, with a domain tag as the first
-    /// word so different span families never collide structurally. The
-    /// null value is remapped so a real span is never [`SpanId::NONE`].
+    /// FNV-1a's byte step over little-endian words, with a domain tag as
+    /// the first word so different span families never collide
+    /// structurally. The multiplier is 2^48 + 0x1b3, not FNV's 2^40 +
+    /// 0x1b3: every recorded flight dump's ids follow from it. The null
+    /// value is remapped so a real span is never [`SpanId::NONE`].
     #[inline]
     fn fnv(parts: &[u64]) -> SpanId {
-        let mut h: u64 = 0xcbf2_9ce4_8422_2325;
-        for &p in parts {
-            for b in p.to_le_bytes() {
-                h ^= u64::from(b);
-                h = h.wrapping_mul(0x1_0000_0000_01b3);
-            }
-        }
+        let word = |h, p: &u64| fnv1a_by(0x1_0000_0000_01b3, h, &p.to_le_bytes());
+        let mut h = parts.iter().fold(FNV_OFFSET, word);
         if h == 0 {
             h = 0x5eed;
         }

@@ -1,6 +1,7 @@
 //! A multiplicative hasher for the maps a frame or a heartbeat record is
-//! looked up in. Four users: the switch's MAC table, its multicast
-//! groups, a host's ARP table, and `sttcp`'s `conn_key` index.
+//! looked up in, and the one FNV-1a byte fold. The hasher's four users:
+//! the switch's MAC table, its multicast groups, a host's ARP table, and
+//! `sttcp`'s `conn_key` index.
 //!
 //! std's SipHash is keyed against adversarial collisions; hashing
 //! addresses twice per hop was ~3 % of a bulk transfer, and the ordered
@@ -13,6 +14,23 @@
 
 use std::collections::HashMap;
 use std::hash::{BuildHasherDefault, Hasher};
+
+/// FNV-1a's 64-bit offset basis: the state before any byte is folded.
+pub const FNV_OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
+
+/// Folds `bytes` into the 64-bit FNV-1a state `h` (start from
+/// [`FNV_OFFSET`]): `conn_key`s, ISNs, the chaos fingerprint.
+#[inline]
+pub fn fnv1a(h: u64, bytes: &[u8]) -> u64 {
+    fnv1a_by(0x0000_0100_0000_01b3, h, bytes)
+}
+
+/// FNV-1a's byte step (xor, then multiply) with multiplier `prime`:
+/// [`fnv1a`] passes FNV's, [`crate::flight::SpanId`] its own.
+#[inline]
+pub fn fnv1a_by(prime: u64, h: u64, bytes: &[u8]) -> u64 {
+    (bytes.iter()).fold(h, |h, &b| (h ^ u64::from(b)).wrapping_mul(prime))
+}
 
 /// A `HashMap` under [`AddrHasher`]. Like any `HashMap`, nothing may
 /// depend on its iteration order.
@@ -58,10 +76,7 @@ mod tests {
         // with FNV-1a to 32 bits; restated, since it sits above this crate.
         let key = |n: u32| {
             let [a, b, c, d] = [10, 0, 1 + (n / 240) as u8, 10 + (n % 240) as u8];
-            let fnv = |h: u64, &x: &u8| (h ^ u64::from(x)).wrapping_mul(0x0000_0100_0000_01b3);
-            let h = [10, 0, 0, 100, 0, 80, a, b, c, d, 0x9c, 0x40]
-                .iter()
-                .fold(0xcbf2_9ce4_8422_2325, fnv);
+            let h = fnv1a(FNV_OFFSET, &[10, 0, 0, 100, 0, 80, a, b, c, d, 0x9c, 0x40]);
             (h ^ (h >> 32)) as u32
         };
         let hashed = |h: &dyn Fn(u32) -> u64| (0..20_000).map(h).collect::<Vec<u64>>();

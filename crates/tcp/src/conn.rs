@@ -645,9 +645,9 @@ impl TcpConn {
     // ----- ST-TCP hooks ---------------------------------------------------
 
     /// Releases held receive bytes below stream offset `upto` (backup has
-    /// confirmed them).
-    pub fn release_hold_until(&mut self, upto: u64) {
-        self.recvbuf.release_until(upto);
+    /// confirmed them). True iff the release point moved.
+    pub fn release_hold_until(&mut self, upto: u64) -> bool {
+        self.recvbuf.release_until(upto)
     }
 
     /// Copies up to `max` held bytes from offset `off` to re-supply a

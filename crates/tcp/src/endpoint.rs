@@ -25,6 +25,7 @@ use std::collections::{BTreeMap, BinaryHeap, VecDeque};
 use std::net::Ipv4Addr;
 use std::rc::Rc;
 
+use simnet::hash::{fnv1a, FNV_OFFSET};
 use simnet::ip::{IpProto, Ipv4Packet};
 use simnet::rng::SimRng;
 use simnet::time::SimTime;
@@ -805,10 +806,20 @@ impl TcpEndpoint {
 
     /// Mutable access to a socket's connection (ST-TCP hold/injection
     /// control). Marks the socket touched: the caller may mutate state
-    /// that feeds heartbeats or produces segments.
+    /// that feeds heartbeats or produces segments (the hold's arming and
+    /// the takeover rewind; a hold release has its own call, below).
     pub fn conn_mut(&mut self, id: SocketId) -> Option<&mut TcpConn> {
         self.touch(id);
         self.socks.get_mut(id).map(|e| &mut e.conn)
+    }
+
+    /// [`TcpConn::release_hold_until`] on socket `id`, which is touched
+    /// only if its release point moved: an empty release changes nothing
+    /// a heartbeat, a segment, a timer or the totals read.
+    pub fn release_hold_until(&mut self, id: SocketId, upto: u64) {
+        if (self.socks.get_mut(id)).is_some_and(|e| e.conn.release_hold_until(upto)) {
+            self.touch(id);
+        }
     }
 
     /// Looks up the socket for a four-tuple.
@@ -928,26 +939,8 @@ fn make_rst_for(seg: &TcpSegment) -> TcpSegment {
 /// FNV-1a over the four-tuple and salt: a keyed, deterministic ISN that
 /// both ST-TCP servers derive identically.
 fn deterministic_isn(tuple: FourTuple, salt: u64) -> u32 {
-    let mut h: u64 = 0xcbf2_9ce4_8422_2325;
-    let mut eat = |b: u8| {
-        h ^= b as u64;
-        h = h.wrapping_mul(0x0000_0100_0000_01b3);
-    };
-    for b in salt.to_be_bytes() {
-        eat(b);
-    }
-    for b in tuple.local.0.octets() {
-        eat(b);
-    }
-    for b in tuple.local.1.to_be_bytes() {
-        eat(b);
-    }
-    for b in tuple.remote.0.octets() {
-        eat(b);
-    }
-    for b in tuple.remote.1.to_be_bytes() {
-        eat(b);
-    }
+    let h = fnv1a(FNV_OFFSET, &salt.to_be_bytes());
+    let h = fnv1a(h, &tuple.packed().to_be_bytes()[4..]);
     (h ^ (h >> 32)) as u32
 }
 
@@ -1430,10 +1423,8 @@ mod tests {
                     EpOp::HoldRelease(which, frac) => {
                         if !accepted.is_empty() {
                             let s = accepted[which as usize % accepted.len()];
-                            if let Some(c) = n.b.conn_mut(s) {
-                                let upto = c.bytes_received() * frac as u64 / 255;
-                                c.release_hold_until(upto);
-                            }
+                            let upto = n.b.conn(s).map_or(0, |c| c.bytes_received() * frac as u64 / 255);
+                            n.b.release_hold_until(s, upto);
                         }
                     }
                     EpOp::Close(which) => {

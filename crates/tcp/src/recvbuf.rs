@@ -255,13 +255,15 @@ impl RecvBuffer {
 
     /// Releases held bytes below `upto` (the backup has confirmed them).
     /// Clamped to `[release_pos, nxt]`. No-op when the hold is disabled.
-    pub fn release_until(&mut self, upto: u64) {
-        if self.hold_capacity.is_none() {
-            return;
-        }
+    /// True iff the release point moved.
+    pub fn release_until(&mut self, upto: u64) -> bool {
         let upto = upto.clamp(self.release_pos, self.nxt());
+        if self.hold_capacity.is_none() || upto == self.release_pos {
+            return false;
+        }
         self.release_pos = upto;
         self.compact();
+        true
     }
 
     /// Up to `max` held/stored bytes starting at offset `off` (shared or

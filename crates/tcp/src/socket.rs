@@ -1,11 +1,12 @@
 //! Socket-level types shared between connections and the endpoint.
 
+use core::cmp::Ordering;
 use core::fmt;
 use std::net::Ipv4Addr;
 
 /// The four-tuple identifying a TCP connection, from the local endpoint's
-/// point of view.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
+/// point of view. Ordered by [`FourTuple::packed`].
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub struct FourTuple {
     /// Local (address, port).
     pub local: (Ipv4Addr, u16),
@@ -20,6 +21,31 @@ impl FourTuple {
             local: self.remote,
             remote: self.local,
         }
+    }
+
+    /// The tuple as one integer, in field order from the top (its low 12
+    /// big-endian bytes are the wire's): ordering by it is ordering field
+    /// by field, at one integer compare per demux tree node.
+    #[inline]
+    pub fn packed(self) -> u128 {
+        u128::from(u32::from(self.local.0)) << 64
+            | u128::from(self.local.1) << 48
+            | u128::from(u32::from(self.remote.0)) << 16
+            | u128::from(self.remote.1)
+    }
+}
+
+impl Ord for FourTuple {
+    #[inline]
+    fn cmp(&self, other: &Self) -> Ordering {
+        self.packed().cmp(&other.packed())
+    }
+}
+
+impl PartialOrd for FourTuple {
+    #[inline]
+    fn partial_cmp(&self, other: &Self) -> Option<Ordering> {
+        Some(self.cmp(other))
     }
 }
 
@@ -64,6 +90,7 @@ pub enum SocketEvent {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
 
     #[test]
     fn flip_roundtrips() {
@@ -75,17 +102,34 @@ mod tests {
         assert_eq!(t.flipped().local, t.remote);
     }
 
-    #[test]
-    fn tuple_is_ordered_for_deterministic_maps() {
-        let a = FourTuple {
-            local: (Ipv4Addr::new(10, 0, 0, 1), 1),
-            remote: (Ipv4Addr::new(10, 0, 0, 2), 80),
-        };
-        let b = FourTuple {
-            local: (Ipv4Addr::new(10, 0, 0, 1), 2),
-            remote: (Ipv4Addr::new(10, 0, 0, 2), 80),
-        };
-        assert!(a < b);
+    /// An address or port drawn from its whole range, with both ends of
+    /// it as likely as any other value.
+    fn addr() -> impl Strategy<Value = Ipv4Addr> {
+        prop_oneof![Just(0), Just(u32::MAX), any::<u32>()].prop_map(Ipv4Addr::from)
+    }
+
+    fn port() -> impl Strategy<Value = u16> {
+        prop_oneof![Just(0), Just(u16::MAX), any::<u16>()]
+    }
+
+    fn tuple() -> impl Strategy<Value = FourTuple> {
+        (addr(), port(), addr(), port()).prop_map(|(la, lp, ra, rp)| FourTuple {
+            local: (la, lp),
+            remote: (ra, rp),
+        })
+    }
+
+    proptest! {
+        /// The packed order is the field-by-field order the derived
+        /// `Ord` had, and `Equal` holds exactly when `==` does.
+        #[test]
+        fn packed_order_is_the_field_order(a in tuple(), b in tuple()) {
+            let fields = |t: FourTuple| (t.local.0.octets(), t.local.1, t.remote.0.octets(), t.remote.1);
+            for (x, y) in [(a, b), (b, a), (a, a), (a, a.flipped())] {
+                prop_assert_eq!(x.cmp(&y), fields(x).cmp(&fields(y)));
+                prop_assert_eq!(x.cmp(&y) == Ordering::Equal, x == y);
+            }
+        }
     }
 
     #[test]

@@ -6,7 +6,11 @@
 Each address is rebased to `address - load base` of the file it was
 loaded from (the dump carries /proc/self/maps) and named by one
 `addr2line -f -C -i` run per file, so a function inlined into its caller
-is still named (build with line tables, README.md). `--under NAME` keeps
+is still named (build with line tables, README.md). A PC in a shared
+library without line tables (a stripped libc) is named by the exports
+around it, read with one `nm -D --defined-only` per library: the export
+it lies inside, else the two on either side
+(`__default_morecore‥__libc_malloc`). `--under NAME` keeps
 the samples with a frame whose name contains NAME, `--outside NAME` those
 without one: `conn_ramp`'s ramp read apart from its failover (README.md).
 A sample with no frames to test — a PC alone, taken inside libc — is under
@@ -14,6 +18,7 @@ nothing: a filtered report says how many there were. Several dumps (one
 per run) are summed.
 """
 import argparse
+import bisect
 import collections
 import signal
 import subprocess
@@ -35,6 +40,26 @@ def load(path):
     return maps, samples, dropped
 
 
+def exports(path):
+    """(start, end, name) of each code symbol a library exports, by start."""
+    out = subprocess.run(["nm", "-D", "--defined-only", "-S", path],
+                         capture_output=True, text=True).stdout
+    rows = (line.split() for line in out.splitlines() if line.count(" ") == 3)
+    return sorted((int(a, 16), int(a, 16) + int(n, 16), name.split("@")[0])
+                  for a, n, kind, name in rows if kind in "TtWwi")
+
+
+def between(syms, a):
+    """The export `a` lies inside, else `before‥after`: a stripped library's
+    internal code has no name of its own."""
+    i = bisect.bisect_right([start for start, _, _ in syms], a)
+    if i and a < syms[i - 1][1]:
+        return syms[i - 1][2]
+    before = syms[i - 1][2] if i else "[start]"
+    after = syms[i][2] if i < len(syms) else "[end]"
+    return f"{before}‥{after}"
+
+
 def symbolise(maps, addrs):
     """address -> names, innermost (inlined) first."""
     base = {}  # file -> load base: where file offset 0 sits in memory
@@ -51,8 +76,13 @@ def symbolise(maps, addrs):
         out = subprocess.run(["addr2line", "-a", "-f", "-C", "-i", "-e", f],
                              input=query, capture_output=True, text=True).stdout
         lib = "" if f == maps[0][3] else " [" + f.rsplit("/", 1)[-1] + "]"
+        syms = None
         for a, chunk in zip(group, out.split("\n0x")):
             lines = chunk.splitlines()[1:]  # drop the echoed address, leaving (name, file:line) pairs
+            if lib and lines[1:2] == ["??:?"]:  # no line table: name it by the exports around it
+                syms = exports(f) if syms is None else syms
+                names[a] = [between(syms, a - base[f]) + lib]
+                continue
             # An inlined frame has only its bare name (`push`): add the source file (`push (ip.rs)`).
             named = [n if "::" in n else f"{n} ({src.rsplit('/', 1)[-1].split(':')[0]})"
                      for n, src in zip(lines[0::2], lines[1::2]) if n != "??"]
