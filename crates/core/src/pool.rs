@@ -161,7 +161,7 @@ pub(crate) struct MemberState {
     /// the key's slot in the connection table.
     pub(crate) mirror: Column<PeerConn>,
     /// The delta stream with this member, one entry per link to it
-    /// ([`stream_links`]; empty under v1).
+    /// ([`stream_links`]; empty under v1, whose member never acks).
     pub(crate) links: Vec<LinkState>,
     /// My epoch the member's acks refer to; it is owed full-state frames
     /// until this matches my boot epoch.

@@ -238,13 +238,14 @@ pub struct StTcpServer {
 /// rebuilt at every boot. (A wiring call before the world starts only
 /// widens the per-link state in place.)
 struct Ram {
-    // ----- delta heartbeat (v2 wire format) state; hb_delta only -----
+    // ----- heartbeat sender state -----
     /// This boot incarnation; acks from a previous incarnation are void.
     hb_epoch: u32,
-    /// Sockets the endpoint reported touched that no delta round has
-    /// looked at yet (see [`StTcpServer::absorb_touched`]).
+    /// Sockets the endpoint reported touched that no heartbeat round has
+    /// looked at yet (see [`StTcpServer::absorb_touched`]); dropped at
+    /// each heartbeat tick that runs no round.
     hb_touched: Vec<SocketId>,
-    /// Delta-round scratch, kept for its capacity like `hb_scratch`:
+    /// Heartbeat-round scratch, kept for its capacity:
     /// the candidate `(key, slot)`s, the records owed to each member, and
     /// one member's records per link. (Each member's own stream state is
     /// on its [`MemberState`].)
@@ -293,10 +294,6 @@ struct Ram {
     byz_mode: Option<ByzantineHbMode>,
     /// The pool's round state (`None` in pair mode).
     pool: Option<PoolState>,
-    /// Reusable `ConnHb` buffer for heartbeat assembly: taken by
-    /// `build_heartbeat`, reclaimed (with its capacity) after encoding,
-    /// so the per-period heartbeat allocates no per-connection vector.
-    hb_scratch: Vec<ConnHb>,
     took_over: bool,
     /// Re-integration: `Some` while this (rebooted) server is joining the
     /// active peer's live connections.
@@ -375,7 +372,6 @@ impl Ram {
             // Boots with the static rank; a rejoin's `JoinDone` hands
             // over the fresh one.
             pool: setup.pool.then(|| PoolState::new(setup.rank, &setup.peers)),
-            hb_scratch: Vec::new(),
             took_over: false,
             join: None,
             serving_join: None,
@@ -595,7 +591,7 @@ impl StTcpServer {
     }
 
     /// Drains the endpoint's touched feed into its two consumers: the
-    /// next delta heartbeat round (records that may have changed) and,
+    /// next heartbeat round (records that may have changed) and,
     /// after a takeover, the receive-hole check. Both the heartbeat and
     /// the check timer call this, so neither starves the other.
     fn absorb_touched(&mut self) {
@@ -608,9 +604,7 @@ impl StTcpServer {
                 }
             }
         }
-        if self.setup.sttcp.hb_delta {
-            self.ram.hb_touched.extend(touched);
-        }
+        self.ram.hb_touched.extend(touched);
     }
 
     /// A snapshot of every socket with control state, in `SocketId`
@@ -1006,24 +1000,6 @@ impl StTcpServer {
 
     // ----- internal: heartbeats ---------------------------------------------
 
-    fn build_heartbeat(&mut self, now: SimTime) -> HbPayload {
-        let mut conns = std::mem::take(&mut self.ram.hb_scratch);
-        conns.clear();
-        for (_, s, sock) in self.ram.table.bound() {
-            if let Some(conn) = self.ram.tcp.conn(sock) {
-                conns.push(self.conn_record(now, s, conn));
-            }
-        }
-        self.metrics.on_timer_visits(conns.len());
-        HbPayload {
-            seqno: self.ram.hb_seq,
-            role: self.ram.role,
-            rank: self.pool_rank(),
-            conns,
-            ping: self.ram.ping.active.then(|| self.ram.ping.report()),
-        }
-    }
-
     /// Sends one heartbeat frame of `conns` records, counts it into
     /// `round` and records its `HbEmit` — none of the three for an
     /// unresolved IP destination or a packet over 65 535 B.
@@ -1066,42 +1042,6 @@ impl StTcpServer {
         let seqno = hb.seqno;
         ctx.flight(span, SpanId::NONE, FlightKind::HbRecv { seqno, link });
         self.last_hb_rx_span = span;
-    }
-
-    fn send_heartbeats(&mut self, ctx: &mut NodeCtx<'_>) {
-        // A frozen byzantine sender re-uses the last seqno forever;
-        // receivers treat the payload as stale and never re-apply it.
-        if self.ram.byz_mode != Some(ByzantineHbMode::Freeze) {
-            self.ram.hb_seq = self.ram.hb_seq.wrapping_add(1);
-        }
-        // Delta mode: the v2 wire format with dirty-set records.
-        if self.setup.sttcp.hb_delta {
-            self.send_heartbeats_v2(ctx);
-            return;
-        }
-        let mut hb = self.build_heartbeat(ctx.now());
-        if self.ram.byz_mode == Some(ByzantineHbMode::Regress) {
-            // Cumulative counters can never shrink; a regression is the
-            // canonical semantically-impossible lie.
-            for c in &mut hb.conns {
-                c.last_byte_received = c.last_byte_received.saturating_sub(100_000);
-                c.last_app_byte_read = c.last_app_byte_read.saturating_sub(100_000);
-            }
-        }
-        let wire = hb.encode();
-        // Both endpoints derive the same span from wire-observable
-        // fields, so emit and receive link up without any wire change.
-        let span = SpanId::heartbeat(role_byte(hb.role), hb.rank, hb.seqno);
-        let (seqno, conns) = (hb.seqno, hb.conns.len() as u32);
-        // Reclaim the conn buffer (and its capacity) for the next period.
-        self.ram.hb_scratch = hb.conns;
-        let mut round = HbBandwidth::default();
-        for &ip in self.ram.members.keys() {
-            for (link, via) in self.links_to(ip).enumerate() {
-                self.emit_hb(ctx, &mut round, span, seqno, link as u8, via, &wire, conns);
-            }
-        }
-        self.metrics.on_hb_round(round);
     }
 
     /// True when a frame numbered `seq` may update mirror `e`: always
@@ -1367,22 +1307,30 @@ impl StTcpServer {
             .map(|(s, e)| (s, e.rec.key))
     }
 
-    /// Delta-mode (v2) heartbeat emission, member by member: each gets
-    /// full-state frames until it has acknowledged this boot incarnation
-    /// (covering loss, takeover, reboot, and join without any extra
-    /// signalling), then the dirty-until-acked records its own acks do
-    /// not cover — every one on its address, and shard `key % n` on the
-    /// `n` cables to it.
-    fn send_heartbeats_v2(&mut self, ctx: &mut NodeCtx<'_>) {
+    /// One heartbeat round, member by member: each gets full state
+    /// until it has acknowledged this boot incarnation (covering loss,
+    /// takeover, reboot, and join without any extra signalling), then
+    /// the dirty-until-acked records its own acks do not cover. A member
+    /// with delta-stream links gets every record on its address and
+    /// shard `key % n` on the `n` cables to it; one without (v1) never
+    /// acknowledges, so it gets the whole cache: the round's one v1
+    /// frame, copied to every link.
+    fn send_heartbeats(&mut self, ctx: &mut NodeCtx<'_>) {
+        // A frozen byzantine sender re-uses the last seqno forever;
+        // receivers treat the payload as stale and never re-apply it.
+        if self.ram.byz_mode != Some(ByzantineHbMode::Freeze) {
+            self.ram.hb_seq = self.ram.hb_seq.wrapping_add(1);
+        }
         let now = ctx.now();
         let (seq, epoch) = (self.ram.hb_seq, self.ram.hb_epoch);
         let regress = self.ram.byz_mode == Some(ByzantineHbMode::Regress);
-        // Owed full state: an unfenced member with no valid acks for this
-        // incarnation yet (a fenced one is owed nothing until it rejoins,
-        // which voids its acks anyway) — or every member, from a
-        // byzantine sender, which must lie about every connection to
-        // match v1 detection semantics.
-        let full = |m: &MemberState| regress || (!m.fenced && m.ack_epoch != epoch);
+        // Owed full state: a v1 member, fenced or not; an unfenced member
+        // with no valid acks for this incarnation yet (a fenced one is
+        // owed nothing until it rejoins, which voids its acks anyway) —
+        // or every member, from a byzantine sender, which must lie about
+        // every connection.
+        let full =
+            |m: &MemberState| regress || m.links.is_empty() || (!m.fenced && m.ack_epoch != epoch);
         let any_full = self.ram.members.values().any(|m| full(m));
         // Refresh the record cache. The candidates are the endpoint's
         // touched feed plus every record that may still await an ack, so
@@ -1437,6 +1385,9 @@ impl StTcpServer {
             false => self.ram.table.members(Set::Unacked),
         };
         self.metrics.on_timer_visits(slots.len());
+        // Every v1 member is owed the whole cache: the first one's list
+        // stands for all of them, and its payload is encoded once.
+        let v1 = self.ram.members.values().position(|m| m.links.is_empty());
         let (members, table) = (&self.ram.members, &mut self.ram.table);
         for s in slots {
             let Some(e) = table[s].cache else {
@@ -1444,14 +1395,16 @@ impl StTcpServer {
                 continue;
             };
             let mut rec = e.rec;
+            // Cumulative counters never shrink: a regression is the
+            // canonical semantically-impossible lie.
             if regress {
                 rec.last_byte_received = rec.last_byte_received.saturating_sub(100_000);
                 rec.last_app_byte_read = rec.last_app_byte_read.saturating_sub(100_000);
             }
             let mut owed_any = false;
-            for (recs, m) in owed.iter_mut().zip(members.values()) {
+            for (i, (recs, m)) in owed.iter_mut().zip(members.values()).enumerate() {
                 let owes = full(m) || !m.covers(epoch, rec.key, e.changed_at);
-                if owes {
+                if owes && (!m.links.is_empty() || v1 == Some(i)) {
                     recs.push(rec);
                 }
                 owed_any |= owes && !m.fenced;
@@ -1471,18 +1424,42 @@ impl StTcpServer {
         }
         let (role, rank) = (self.ram.role, self.pool_rank());
         let ping = self.ram.ping.active.then(|| self.ram.ping.report());
+        // Both ends derive the span from wire-observable fields, so emit
+        // and receive link up without any wire change.
         let span = SpanId::heartbeat(role_byte(role), rank, seq);
         let mut round = HbBandwidth::default();
         // Every member's share, link by link — its address, then its
-        // cables — split into batch parts when it exceeds the batch knob.
+        // cables — split into batch parts when it exceeds the batch knob;
+        // a v1 member's is the one v1 payload of the round.
         let mut shards = std::mem::take(&mut self.ram.hb_link_recs);
-        for ((&ip, m), recs) in self.ram.members.iter().zip(&owed) {
+        let mut v1_wire = None;
+        for ((&ip, m), recs) in self.ram.members.iter().zip(&mut owed) {
+            if m.links.is_empty() {
+                let (wire, n) = v1_wire.get_or_insert_with(|| {
+                    let conns = std::mem::take(recs);
+                    let hb = HbPayload {
+                        seqno: seq,
+                        role,
+                        rank,
+                        conns,
+                        ping,
+                    };
+                    let wire = (hb.encode(), hb.conns.len() as u32);
+                    *recs = hb.conns;
+                    wire
+                });
+                for (link, via) in self.links_to(ip).enumerate() {
+                    self.emit_hb(ctx, &mut round, span, seq, link as u8, via, wire, *n);
+                }
+                continue;
+            }
             let kind = match full(m) {
                 true => HbFrameKind::Full,
                 false => HbFrameKind::Delta,
             };
             shards.resize_with(m.links.len(), Vec::new);
             shards.iter_mut().for_each(Vec::clear);
+            let recs = &*recs;
             for &rec in recs {
                 shards[m.shard_link(rec.key)].push(rec);
             }
@@ -2919,6 +2896,11 @@ impl Node for StTcpServer {
                     ctx.profile_enter(Component::HbEncode);
                     self.send_heartbeats(ctx);
                     ctx.profile_exit();
+                } else {
+                    // Nothing reads the touched feed until a join resumes
+                    // the rounds, whose first is full state: the join
+                    // voids the joiner's acks.
+                    self.ram.hb_touched.clear();
                 }
                 // A joiner re-requests until the full snapshot set arrives
                 // (any of the join messages may have been lost).
@@ -3077,7 +3059,7 @@ mod tests {
             peers: vec![PoolPeer {
                 rank: 0,
                 ip: PEER,
-                node: NodeId(9),
+                node: NodeId(1),
             }],
             pool: false,
         }
@@ -3105,19 +3087,6 @@ mod tests {
         assert_eq!(s.took_over_at(), None);
         assert!(s.conn_keys().is_empty());
         assert!(format!("{s:?}").contains("backup") || format!("{s:?}").contains("Backup"));
-    }
-
-    #[test]
-    fn heartbeat_payload_reflects_role_and_ping_state() {
-        let mut s = server(Role::Primary);
-        let hb = s.build_heartbeat(SimTime::ZERO);
-        assert_eq!(hb.role, Role::Primary);
-        assert!(hb.conns.is_empty());
-        assert_eq!(hb.ping, None);
-        s.ram.ping.active = true;
-        s.ram.ping.consecutive_failures = 2;
-        let hb2 = s.build_heartbeat(SimTime::ZERO);
-        assert_eq!(hb2.ping.unwrap().consecutive_failures, 2);
     }
 
     /// Backup `PEER`'s heartbeat round `seqno`: one record, confirming
@@ -3273,10 +3242,10 @@ mod tests {
         }
     }
 
-    /// A primary holding 10 bytes of one client connection, its
+    /// A server in `role` holding 10 bytes of one client connection, its
     /// endpoint's touched feed and totals drained; and the key.
-    fn holding_primary() -> (StTcpServer, u32) {
-        let (mut s, now) = (server(Role::Primary), SimTime::ZERO);
+    fn holding(role: Role) -> (StTcpServer, u32) {
+        let (mut s, now) = (server(role), SimTime::ZERO);
         let client = (Ipv4Addr::new(10, 0, 1, 10), 4000);
         let syn = syn_from(client, (s.setup.service_ip, 80));
         s.ram.tcp.on_packet(now, &syn);
@@ -3289,9 +3258,35 @@ mod tests {
         (s, key)
     }
 
+    /// A v1 backup whose primary falls silent takes over alone: no round
+    /// reads the touched feed until a join, so it must not pile up: one
+    /// socket touched per check tick leaves at most a heartbeat period's 4.
+    #[test]
+    fn a_lone_survivors_touched_feed_stays_bounded() {
+        struct Dead;
+        impl Node for Dead {
+            fn on_frame(&mut self, _: &mut NodeCtx<'_>, _: NicId, _: EthernetFrame) {}
+            fn on_timer(&mut self, _: &mut NodeCtx<'_>, _: TimerToken) {}
+        }
+        let (s, key) = holding(Role::Backup);
+        let (sock, x) = (s.sock_of(key).unwrap(), Bytes::from_static(b"x"));
+        let mut world = simnet::world::World::new(1);
+        let node = world.add_node("backup", Box::new(s));
+        world.add_node("primary", Box::new(Dead)); // `setup`'s peer node
+        world.start();
+        for tick in 0..100 {
+            world.run_until(SimTime::from_millis(1_000 + 50 * tick));
+            let s = world.node_mut::<StTcpServer>(node).expect("server type");
+            assert!(s.ram.took_over && !s.ram.ft_mode && s.ram.tcp.conn(sock).is_some());
+            s.ram.tcp.inject_in_order(sock, 10 + tick, &x);
+            let n = s.ram.hb_touched.len();
+            assert!(n <= 4, "{n} touched sockets held after {tick} ticks");
+        }
+    }
+
     #[test]
     fn a_settle_that_releases_nothing_touches_nothing() {
-        let ((mut s, key), t) = (holding_primary(), SimTime::from_millis(1));
+        let ((mut s, key), t) = (holding(Role::Primary), SimTime::from_millis(1));
         s.handle_heartbeat(t, &round(1, key, 0), None, PEER, 0);
         assert_eq!(s.ram.tcp.totals_stale(), 0);
         assert!(s.ram.tcp.drain_touched().is_empty());
@@ -3301,7 +3296,7 @@ mod tests {
 
     #[test]
     fn a_same_round_copy_on_a_second_link_is_not_settled_again() {
-        let ((mut s, key), t) = (holding_primary(), SimTime::from_millis(1));
+        let ((mut s, key), t) = (holding(Role::Primary), SimTime::from_millis(1));
         let frame = |seqno| HbFrame {
             kind: HbFrameKind::Delta,
             epoch: 5,

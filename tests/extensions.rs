@@ -374,6 +374,92 @@ fn delta_serial_shards_survive_ip_heartbeat_loss() {
 }
 
 // ---------------------------------------------------------------------
+// One heartbeat sender: what a v1 member gets
+// ---------------------------------------------------------------------
+
+/// What the one sender puts on the primary's wire before any connection
+/// opens: its role, no records, and a ping report exactly while its
+/// gateway-ping campaign runs — opened by the loss of the backup's IP
+/// heartbeats (serial alive: Table 1 row 4), closed by their return.
+/// Every ping is lost too, so each attempt after the first is a failure.
+#[test]
+fn heartbeat_payload_reflects_role_and_ping_state() {
+    use simnet::{frame::EthernetFrame, ip::IpProto, iplayer::IpInterface, link::LinkDir};
+    use sttcp::heartbeat::HbPayload;
+    let mut s = ScenarioBuilder::new(echo_app(), ClientWorkload::Idle)
+        .connect_at(SimDuration::from_secs(60))
+        .build();
+    let sent = Rc::new(std::cell::RefCell::new(Vec::new()));
+    let log = sent.clone();
+    let tap = move |f: &EthernetFrame| {
+        let pkt = IpInterface::decap(f);
+        let hb = pkt.as_ref().filter(|p| p.proto == IpProto::Heartbeat);
+        log.borrow_mut()
+            .extend(hb.map(|p| HbPayload::decode(&p.payload).unwrap()));
+        pkt.is_some_and(|p| p.proto == IpProto::Icmp)
+    };
+    s.world
+        .set_link_filter(s.link_primary, LinkDir::AtoB, Some(Box::new(tap)));
+    let link = s.link_backup;
+    s.world.schedule(t(1_000), move |w| {
+        w.drop_window(link, LinkDir::AtoB, t(2_900))
+    });
+    for (from, to, ping) in [
+        (0, 1_000, false),
+        (1_700, 2_900, true),
+        (3_100, 4_000, false),
+    ] {
+        s.world.run_until(t(from));
+        sent.take();
+        s.world.run_until(t(to));
+        let hbs = sent.take();
+        assert!(hbs.len() >= 4, "{} rounds in {from}..{to} ms", hbs.len());
+        for hb in &hbs {
+            let lost = hb.ping.map(|p| p.consecutive_failures + 1 == p.attempts);
+            let got = (hb.role, hb.conns.len(), lost);
+            let want = (Role::Primary, 0, ping.then_some(true));
+            assert_eq!(got, want, "in {from}..{to} ms");
+        }
+        let attempts = |hb: &HbPayload| hb.ping.map(|p| p.attempts);
+        assert!(!ping || attempts(&hbs[0]) < attempts(&hbs[hbs.len() - 1]));
+    }
+    assert!(s.server(s.primary).ft_mode());
+}
+
+/// v1 heartbeats on two cables: every round copies one frame of all nine
+/// records to the address and both cables — 3 frames, 27 records. A
+/// delta full-state round (the primary's at 200 ms: the clients connected
+/// from 100 ms, and no ack of its boot is back yet) sends the nine once
+/// on the address and shards them across the cables.
+#[test]
+fn v1_rounds_copy_every_record_to_every_cable() {
+    for (cfg, records) in [(StTcpConfig::default(), 27), (delta_cfg(), 9 + 9)] {
+        let mut s = ScenarioBuilder::new(echo_app(), ClientWorkload::Idle)
+            .extra_clients(vec![ClientWorkload::Idle; 8])
+            .sttcp(cfg.clone())
+            .serial_links(2)
+            .build();
+        // The primary's (rounds, frames, records) in `from..to` ms.
+        let mut window = |from, to| {
+            s.world.run_until(t(from));
+            let b = s.server(s.primary).metrics().hb_bandwidth();
+            s.world.run_until(t(to));
+            let a = s.server(s.primary).metrics().hb_bandwidth();
+            (
+                a.rounds - b.rounds,
+                a.frames - b.frames,
+                a.conn_entries - b.conn_entries,
+            )
+        };
+        assert_eq!(window(199, 201), (1, 3, records));
+        if !cfg.hb_delta {
+            assert_eq!(window(4_999, 9_001), (21, 21 * 3, 21 * 27));
+        }
+        assert_eq!(s.server(s.backup).conn_keys().len(), 9);
+    }
+}
+
+// ---------------------------------------------------------------------
 // O(active) periodic paths: the host-independent scale gate
 // ---------------------------------------------------------------------
 
