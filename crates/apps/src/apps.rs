@@ -72,6 +72,28 @@ impl StreamApp {
         self.sent
     }
 
+    /// [`Application::restore`], all or nothing: whether `state` was a
+    /// well-formed snapshot (and was taken).
+    fn load(&mut self, state: &[u8]) -> bool {
+        if state.len() < 29 {
+            return false;
+        }
+        let flags = state[0];
+        let requested = u64::from_le_bytes(state[1..9].try_into().unwrap());
+        let sent = u64::from_le_bytes(state[9..17].try_into().unwrap());
+        let consumed = u64::from_le_bytes(state[17..25].try_into().unwrap());
+        let line_len = u32::from_le_bytes(state[25..29].try_into().unwrap()) as usize;
+        if state.len() != 29 + line_len || flags & !3 != 0 {
+            return false;
+        }
+        self.requested = (flags & 1 != 0).then_some(requested);
+        self.finished = flags & 2 != 0;
+        self.sent = sent;
+        self.consumed = consumed;
+        self.line = state[29..].to_vec();
+        true
+    }
+
     fn emit(&mut self) -> Vec<AppAction> {
         let Some(total) = self.requested else {
             return Vec::new();
@@ -157,22 +179,7 @@ impl Application for StreamApp {
     }
 
     fn restore(&mut self, state: &[u8]) {
-        if state.len() < 29 {
-            return;
-        }
-        let flags = state[0];
-        let requested = u64::from_le_bytes(state[1..9].try_into().unwrap());
-        let sent = u64::from_le_bytes(state[9..17].try_into().unwrap());
-        let consumed = u64::from_le_bytes(state[17..25].try_into().unwrap());
-        let line_len = u32::from_le_bytes(state[25..29].try_into().unwrap()) as usize;
-        if state.len() != 29 + line_len || flags & !3 != 0 {
-            return;
-        }
-        self.requested = (flags & 1 != 0).then_some(requested);
-        self.finished = flags & 2 != 0;
-        self.sent = sent;
-        self.consumed = consumed;
-        self.line = state[29..].to_vec();
+        self.load(state);
     }
 }
 
@@ -279,19 +286,12 @@ impl Application for ReqRespApp {
 /// end-to-end unchanged.
 #[derive(Debug, Clone)]
 pub struct CommitStreamApp {
-    /// Bytes flushed per commit.
-    commit_bytes: usize,
+    /// The stream, written one `commit_bytes` chunk per commit.
+    stream: StreamApp,
     /// Application ticks between commits.
     period_ticks: u32,
-    /// Close the connection after finishing the response.
-    close_when_done: bool,
     /// Ticks observed since the request became active (pacing phase).
     ticks: u32,
-    requested: Option<u64>,
-    sent: u64,
-    line: Vec<u8>,
-    consumed: u64,
-    finished: bool,
 }
 
 impl CommitStreamApp {
@@ -299,70 +299,32 @@ impl CommitStreamApp {
     /// ticks.
     pub fn new(commit_bytes: usize, period_ticks: u32, close_when_done: bool) -> CommitStreamApp {
         CommitStreamApp {
-            commit_bytes,
+            stream: StreamApp::new(commit_bytes, close_when_done),
             period_ticks: period_ticks.max(1),
-            close_when_done,
             ticks: 0,
-            requested: None,
-            sent: 0,
-            line: Vec::new(),
-            consumed: 0,
-            finished: false,
         }
     }
 
     /// Bytes of response streamed so far.
     pub fn sent(&self) -> u64 {
-        self.sent
-    }
-
-    fn commit(&mut self) -> Vec<AppAction> {
-        let Some(total) = self.requested else {
-            return Vec::new();
-        };
-        if self.sent >= total {
-            if !self.finished {
-                self.finished = true;
-                if self.close_when_done {
-                    return vec![AppAction::Close];
-                }
-            }
-            return Vec::new();
-        }
-        let n = (total - self.sent).min(self.commit_bytes as u64) as usize;
-        let chunk = pattern_chunk(self.sent, n);
-        self.sent += n as u64;
-        let mut actions = vec![AppAction::Write(chunk)];
-        if self.sent >= total && self.close_when_done {
-            self.finished = true;
-            actions.push(AppAction::Close);
-        }
-        actions
+        self.stream.sent
     }
 }
 
 impl Application for CommitStreamApp {
+    // The first commit goes out with the request; the rest on the
+    // periodic cadence.
     fn on_data(&mut self, data: &Bytes) -> Vec<AppAction> {
-        self.consumed += data.len() as u64;
-        if self.requested.is_some() {
-            return Vec::new();
-        }
-        let Some(n) = take_get_request(&mut self.line, data) else {
-            return Vec::new();
-        };
-        self.requested = Some(n);
-        // The first commit goes out with the request; the rest on the
-        // periodic cadence.
-        self.commit()
+        self.stream.on_data(data)
     }
 
     fn on_tick(&mut self, _now: SimTime) -> Vec<AppAction> {
-        if self.requested.is_none() {
+        if self.stream.requested.is_none() {
             return Vec::new();
         }
         self.ticks = self.ticks.wrapping_add(1);
         if self.ticks.is_multiple_of(self.period_ticks) {
-            self.commit()
+            self.stream.emit()
         } else {
             Vec::new()
         }
@@ -372,8 +334,7 @@ impl Application for CommitStreamApp {
     // is pacing state, not output (see `state_digest`), so freezing it
     // when the stream is done is unobservable.
     fn wants_tick(&self) -> bool {
-        self.requested
-            .is_some_and(|total| self.sent < total || !self.finished)
+        self.stream.wants_tick()
     }
 
     fn on_peer_close(&mut self) -> Vec<AppAction> {
@@ -384,52 +345,22 @@ impl Application for CommitStreamApp {
     // are phase-shifted still produce the identical byte stream, so the
     // digest covers only stream state.
     fn state_digest(&self) -> u64 {
-        self.consumed
-            .wrapping_mul(0x9e37_79b9_7f4a_7c15)
-            .wrapping_add(self.sent)
-            .wrapping_add(self.requested.unwrap_or(u64::MAX))
+        self.stream.state_digest()
     }
 
-    // Layout: flags(1) ‖ requested(8) ‖ sent(8) ‖ consumed(8) ‖ ticks(4) ‖
+    // Layout: the stream's, with ticks(4) after consumed(8):
+    // flags(1) ‖ requested(8) ‖ sent(8) ‖ consumed(8) ‖ ticks(4) ‖
     // line_len(4) ‖ line. Commit size/period are factory configuration.
     fn snapshot(&self) -> Option<Vec<u8>> {
-        let mut out = Vec::with_capacity(33 + self.line.len());
-        let mut flags = 0u8;
-        if self.requested.is_some() {
-            flags |= 1;
-        }
-        if self.finished {
-            flags |= 2;
-        }
-        out.push(flags);
-        out.extend_from_slice(&self.requested.unwrap_or(0).to_le_bytes());
-        out.extend_from_slice(&self.sent.to_le_bytes());
-        out.extend_from_slice(&self.consumed.to_le_bytes());
-        out.extend_from_slice(&self.ticks.to_le_bytes());
-        out.extend_from_slice(&(self.line.len() as u32).to_le_bytes());
-        out.extend_from_slice(&self.line);
+        let mut out = self.stream.snapshot()?;
+        out.splice(25..25, self.ticks.to_le_bytes());
         Some(out)
     }
 
     fn restore(&mut self, state: &[u8]) {
-        if state.len() < 33 {
-            return;
+        if state.len() >= 29 && self.stream.load(&[&state[..25], &state[29..]].concat()) {
+            self.ticks = u32::from_le_bytes(state[25..29].try_into().unwrap());
         }
-        let flags = state[0];
-        let requested = u64::from_le_bytes(state[1..9].try_into().unwrap());
-        let sent = u64::from_le_bytes(state[9..17].try_into().unwrap());
-        let consumed = u64::from_le_bytes(state[17..25].try_into().unwrap());
-        let ticks = u32::from_le_bytes(state[25..29].try_into().unwrap());
-        let line_len = u32::from_le_bytes(state[29..33].try_into().unwrap()) as usize;
-        if state.len() != 33 + line_len || flags & !3 != 0 {
-            return;
-        }
-        self.requested = (flags & 1 != 0).then_some(requested);
-        self.finished = flags & 2 != 0;
-        self.sent = sent;
-        self.consumed = consumed;
-        self.ticks = ticks;
-        self.line = state[33..].to_vec();
     }
 }
 

@@ -63,7 +63,7 @@ pub mod prelude {
         build_lattice, explore_case, pair_offsets, probe_milestones, Anchor, AnchorKind,
         CaseResult, ExploreSummary, GrammarOp, Lattice, ViolationCase,
     };
-    pub use crate::pattern::{fill_pattern, pattern_byte, pattern_chunk, verify_pattern};
+    pub use crate::pattern::{pattern_byte, pattern_chunk, verify_pattern};
     pub use crate::plain::{PlainServer, PlainServerConfig};
     pub use crate::pool::pool_expectation;
     pub use crate::scenario::{

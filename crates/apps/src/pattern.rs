@@ -29,12 +29,14 @@ pub fn pattern_byte(p: u64) -> u8 {
 /// The pattern's period: [`pattern_byte`] repeats every 251 positions.
 const PERIOD: usize = 251;
 
-/// A few whole periods of the pattern, so bulk fill and verify move and
-/// compare runs of bytes instead of computing a 64-bit modulo per byte.
-/// The length is a multiple of [`PERIOD`]: a run that reaches the end of
-/// the table ends on a period boundary, so the next run starts at phase 0.
-static TABLE: [u8; PERIOD * 8] = {
-    let mut t = [0u8; PERIOD * 8];
+/// Whole periods of the pattern, enough for a server's 64 KiB write to
+/// start at any phase: [`pattern_chunk`] hands out views of it, and
+/// verify compares runs of bytes against it instead of computing a 64-bit
+/// modulo per byte. The length is a multiple of [`PERIOD`]: a run that
+/// reaches the end of the table ends on a period boundary, so the next
+/// run starts at phase 0.
+static TABLE: [u8; PERIOD * (64 * 1024 / PERIOD + 2)] = {
+    let mut t = [0u8; PERIOD * (64 * 1024 / PERIOD + 2)];
     let mut i = 0;
     while i < t.len() {
         t[i] = (i % PERIOD) as u8;
@@ -61,18 +63,16 @@ fn table_runs(start: u64, len: usize) -> impl Iterator<Item = (usize, &'static [
     })
 }
 
-/// Fills `buf` with the pattern for positions `start..start + buf.len()`.
-pub fn fill_pattern(start: u64, buf: &mut [u8]) {
-    for (at, run) in table_runs(start, buf.len()) {
-        buf[at..at + run.len()].copy_from_slice(run);
-    }
-}
-
-/// Produces a pattern chunk for positions `start..start + len`.
+/// The pattern for positions `start..start + len`: up to 64 KiB a view
+/// of [`TABLE`] (no allocation, no fill), longer copied from it.
 pub fn pattern_chunk(start: u64, len: usize) -> bytes::Bytes {
-    let mut v = vec![0u8; len];
-    fill_pattern(start, &mut v);
-    bytes::Bytes::from(v)
+    let phase = (start % PERIOD as u64) as usize;
+    match TABLE.get(phase..phase + len) {
+        Some(view) => bytes::Bytes::from_static(view),
+        None => bytes::Bytes::build(len, |v| {
+            table_runs(start, len).for_each(|(_, run)| v.extend_from_slice(run))
+        }),
+    }
 }
 
 /// Verifies that `data` matches the pattern starting at `start`.
@@ -122,9 +122,9 @@ mod tests {
 
     #[test]
     fn fill_matches_chunk() {
-        let mut buf = [0u8; 64];
-        fill_pattern(777, &mut buf);
-        assert_eq!(&buf[..], pattern_chunk(777, 64).as_ref());
+        // The copying path (longer than the table holds) and the view.
+        let filled = pattern_chunk(777, TABLE.len());
+        assert_eq!(&filled[..64], pattern_chunk(777, 64).as_ref());
     }
 
     /// The per-byte definition, as the oracle for the table-driven paths.
@@ -132,20 +132,25 @@ mod tests {
         (0..len as u64).map(|i| pattern_byte(start + i)).collect()
     }
 
+    /// Every length up to this is checked exhaustively; lengths that
+    /// reach past the end of the table are checked at its boundaries.
+    const SHORT: usize = 24 * PERIOD;
+    const CHUNK_MAX: usize = 64 * 1024;
+
     #[test]
     fn fill_and_verify_match_the_definition_at_every_phase_and_length() {
-        let max = 3 * TABLE.len();
+        let max = 2 * TABLE.len() + SHORT;
         // Far-from-zero starts too: the phase is all that may matter.
         for base in [0u64, 251 * 1_000_003, u64::MAX - 251 - max as u64] {
             for phase in 0..PERIOD as u64 {
                 let start = base - base % PERIOD as u64 + phase;
                 let want = oracle(start, max);
-                let mut buf = vec![0xEEu8; max + 1];
-                for len in 0..=max {
-                    buf[..len].fill(0xEE);
-                    fill_pattern(start, &mut buf[..len]);
-                    assert_eq!(&buf[..len], &want[..len], "start {start} len {len}");
-                    assert_eq!(buf[len], 0xEE, "wrote past the slice");
+                let first_run = TABLE.len() - phase as usize;
+                let wraps = [first_run - 1, first_run, first_run + 1];
+                let ends = [first_run + TABLE.len(), max];
+                for len in (0..=SHORT).chain(wraps).chain(ends) {
+                    let chunk = pattern_chunk(start, len);
+                    assert_eq!(&chunk[..], &want[..len], "start {start} len {len}");
                     assert_eq!(verify_pattern(start, &want[..len]), None);
                 }
             }
@@ -153,18 +158,46 @@ mod tests {
     }
 
     #[test]
+    fn a_chunk_up_to_64_kib_is_a_view_of_the_table_at_every_phase() {
+        let short = [0, 1, 2, PERIOD - 1, PERIOD, 1_460, 40_000];
+        for phase in 0..PERIOD {
+            let start = 1_000 * PERIOD as u64 + phase as u64;
+            let want = oracle(start, CHUNK_MAX);
+            let written = bytes::written();
+            let long = [CHUNK_MAX - 1, CHUNK_MAX, phase * 7_919 % (CHUNK_MAX + 1)];
+            for len in short.into_iter().chain(long) {
+                let chunk = pattern_chunk(start, len);
+                assert_eq!(chunk.as_ptr(), TABLE[phase..].as_ptr(), "len {len}");
+                assert_eq!(&chunk[..], &want[..len], "phase {phase} len {len}");
+            }
+            assert_eq!(bytes::written(), written, "a view writes no buffer");
+        }
+        // Longer than the table holds from the phase on: a buffer of its own.
+        let long = [
+            (0, TABLE.len() + 1),
+            (250, CHUNK_MAX + PERIOD),
+            (7, 3 * TABLE.len()),
+        ];
+        for (phase, len) in long {
+            let chunk = pattern_chunk(phase, len);
+            assert!(!TABLE.as_ptr_range().contains(&chunk.as_ptr()));
+            assert_eq!(&chunk[..], &oracle(phase, len)[..]);
+        }
+    }
+
+    #[test]
     fn a_single_flipped_byte_is_located_exactly_at_any_position() {
-        let len = 3 * TABLE.len();
         // Every position at a few phases, and every phase at the
         // positions where runs begin and end.
         for phase in [0u64, 1, 125, 250] {
-            let mut v = oracle(phase, len);
-            for pos in 0..len {
+            let mut v = oracle(phase, SHORT);
+            for pos in 0..SHORT {
                 v[pos] ^= 0x80;
                 assert_eq!(verify_pattern(phase, &v), Some(phase + pos as u64));
                 v[pos] ^= 0x80;
             }
         }
+        let len = 3 * TABLE.len();
         for phase in 0..PERIOD {
             let start = 7 * PERIOD as u64 + phase as u64;
             let mut v = oracle(start, len);

@@ -260,9 +260,9 @@ impl Ipv4Packet {
     /// front, the IP header is filled into that headroom, and the packet's
     /// `payload` is the view past it. [`Ipv4Packet::encode`] then finds
     /// its own header in front of the payload and returns the whole
-    /// buffer — one allocation and one payload copy from transport
-    /// segment to frame (lwIP's `pbuf_header` idiom). `payload_len` sizes
-    /// the allocation; the packet is correct whatever `write` appends.
+    /// buffer — one payload copy, into a recycled [`Bytes::build`] store
+    /// (lwIP's `pbuf_header` idiom). `payload_len` sizes the store; the
+    /// packet is correct whatever `write` appends.
     pub fn build(
         src: Ipv4Addr,
         dst: Ipv4Addr,
@@ -270,13 +270,14 @@ impl Ipv4Packet {
         payload_len: usize,
         write: impl FnOnce(&mut Vec<u8>),
     ) -> Ipv4Packet {
-        let mut buf = Vec::with_capacity(IPV4_HEADER_LEN + payload_len);
-        buf.resize(IPV4_HEADER_LEN, 0);
-        write(&mut buf);
         let mut pkt = Ipv4Packet::new(src, dst, proto, Bytes::new());
-        let header = pkt.header(buf.len());
-        buf[..IPV4_HEADER_LEN].copy_from_slice(&header);
-        pkt.payload = Bytes::from(buf).slice(IPV4_HEADER_LEN..);
+        let wire = Bytes::build(IPV4_HEADER_LEN + payload_len, |buf| {
+            buf.resize(IPV4_HEADER_LEN, 0);
+            write(buf);
+            let header = pkt.header(buf.len());
+            buf[..IPV4_HEADER_LEN].copy_from_slice(&header);
+        });
+        pkt.payload = wire.slice(IPV4_HEADER_LEN..);
         pkt
     }
 
@@ -313,10 +314,10 @@ impl Ipv4Packet {
                 return wire;
             }
         }
-        let mut buf = Vec::with_capacity(self.wire_len());
-        buf.extend_from_slice(&hdr);
-        buf.extend_from_slice(&self.payload);
-        Bytes::from(buf)
+        Bytes::build(self.wire_len(), |buf| {
+            buf.extend_from_slice(&hdr);
+            buf.extend_from_slice(&self.payload);
+        })
     }
 
     /// Parses a packet from wire bytes, verifying the header checksum.

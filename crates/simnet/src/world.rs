@@ -101,6 +101,16 @@ pub struct World {
     out_links_scratch: Vec<LinkId>,
 }
 
+impl Drop for World {
+    /// Frees the world's traffic, then the spare buffer stores it left on
+    /// this thread: the next world starts from none, as the first did.
+    fn drop(&mut self) {
+        self.queue = EventQueue::new();
+        (self.nodes, self.links, self.switches, self.serials) = Default::default();
+        bytes::release_spares();
+    }
+}
+
 impl std::fmt::Debug for World {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("World")

@@ -72,16 +72,16 @@ impl ChunkQueue {
         if skip + len <= chunk.len() {
             return chunk.slice(skip..skip + len);
         }
-        let mut v = Vec::with_capacity(len);
-        v.extend_from_slice(&chunk[skip..]);
-        for (_, chunk) in self.chunks.range(first + 1..) {
-            let take = chunk.len().min(len - v.len());
-            v.extend_from_slice(&chunk[..take]);
-            if v.len() == len {
-                break;
+        Bytes::build(len, |v| {
+            v.extend_from_slice(&chunk[skip..]);
+            for (_, chunk) in self.chunks.range(first + 1..) {
+                let take = chunk.len().min(len - v.len());
+                v.extend_from_slice(&chunk[..take]);
+                if v.len() == len {
+                    break;
+                }
             }
-        }
-        Bytes::from(v)
+        })
     }
 
     /// Discards everything below stream offset `upto` (clamped to the

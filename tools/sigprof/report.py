@@ -14,12 +14,15 @@ it lies inside, else the two on either side
 the samples with a frame whose name contains NAME, `--outside NAME` those
 without one: `conn_ramp`'s ramp read apart from its failover (README.md).
 A sample with no frames to test — a PC alone, taken inside libc — is under
-nothing: a filtered report says how many there were. Several dumps (one
-per run) are summed.
+nothing: a filtered report says how many there were. Every report groups
+the samples whose innermost frame is in libc into allocator, `mem*` and
+other, as shares of all samples, with the share that was a PC alone.
+Several dumps (one per run) are summed.
 """
 import argparse
 import bisect
 import collections
+import re
 import signal
 import subprocess
 
@@ -58,6 +61,24 @@ def between(syms, a):
     before = syms[i - 1][2] if i else "[start]"
     after = syms[i][2] if i < len(syms) else "[end]"
     return f"{before}‥{after}"
+
+
+# glibc's block of ifunc-selected mem*/str* variants, named by the exports
+# around it (README.md, "Names in a stripped library").
+MEM_BLOCK = "__nss_database_lookup‥__libc_freeres"
+ALLOCATOR = ("malloc", "calloc", "realloc", "free", "morecore", "memalign", "_int_")
+
+
+def libc_group(name):
+    """`allocator`, `mem*` or `other` for a libc PC's name, `None` outside libc."""
+    sym, _, lib = name.partition(" [")
+    if not lib.startswith("libc.so"):
+        return None
+    ends = sym.split("‥")
+    if sym == MEM_BLOCK or (len(ends) == 1 and re.match(r"_*(mem|str|wmem|bcopy|bzero)", sym)
+                            and "memalign" not in sym):
+        return "mem*"
+    return "allocator" if any(k in e for e in ends for k in ALLOCATOR) else "other"
 
 
 def symbolise(maps, addrs):
@@ -99,6 +120,7 @@ def main():
     ap.add_argument("--top", type=int, default=25)
     args = ap.parse_args()
     self_t, incl_t, alone = collections.Counter(), collections.Counter(), collections.Counter()
+    libc, libc_alone = collections.Counter(), collections.Counter()
     total = kept = dropped = 0
     for path in args.dumps:
         maps, samples, d = load(path)
@@ -109,6 +131,10 @@ def main():
         total += len(stacks)
         for s in stacks:
             frames = [n for a in s for n in names[a]]
+            group = libc_group(frames[0])
+            if group:
+                libc[group] += 1
+                libc_alone[group] += len(s) == 1
             if len(s) == 1:
                 alone[frames[0]] += 1
             if args.under and not any(args.under in n for n in frames):
@@ -119,6 +145,9 @@ def main():
             self_t[frames[0]] += 1
             incl_t.update(set(frames))
     print(f"{total} samples, {kept} kept, {dropped} dropped (buffer full)")
+    pct = lambda n: f"{100 * n / max(total, 1):.1f} %"
+    print("libc self, of all samples (of which a PC alone): "
+          + ", ".join(f"{g} {pct(libc[g])} ({pct(libc_alone[g])})" for g in ("allocator", "mem*", "other")))
     if args.under or args.outside:
         top = ", ".join(f"{name} {n}" for name, n in alone.most_common(3))
         print(f"{sum(alone.values())} samples are a PC alone (no stack: libc) — not counted under any frame"
