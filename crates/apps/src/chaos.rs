@@ -928,6 +928,9 @@ impl FaultSchedule {
 /// [`FaultSchedule::expectation`]).
 const QUIET_TAP: usize = 30;
 
+/// The tail of virtual time a captured flight snapshot keeps.
+const FLIGHT_WINDOW: SimDuration = SimDuration::from_millis(2_000);
+
 /// Which application/traffic pair a chaos or explore case drives — the
 /// first slice of the ROADMAP app zoo. Every workload keeps the client's
 /// end-to-end byte verification: `Download` and `CommitStream` check the
@@ -998,9 +1001,6 @@ pub struct ChaosOptions {
     /// invariant was violated (demos attach a dump unconditionally; the
     /// hunt only pays for snapshots on violations).
     pub flight_always: bool,
-    /// Tail window for captured flight snapshots, in milliseconds
-    /// (`None` keeps everything the per-host rings retained).
-    pub flight_window_ms: Option<u64>,
     /// Run the servers with [`StTcpConfig::hb_delta`] set: heartbeats
     /// carry only connections whose counters changed since the last
     /// acknowledged frame, with full-state resync on epoch mismatch.
@@ -1019,7 +1019,6 @@ impl Default for ChaosOptions {
             trace: false,
             workload: ChaosWorkload::Download,
             flight_always: false,
-            flight_window_ms: Some(2_000),
             hb_delta: false,
             hb_batch: 0,
         }
@@ -1231,10 +1230,8 @@ pub fn run_chaos_case(
     let report = invariant::check(&views, &client, &expectation);
     // The recorder is always on; the *snapshot* is taken only when a
     // violation makes the tail worth shipping (or when asked to).
-    let flight = (report.outcome == Outcome::Violation || opts.flight_always).then(|| {
-        s.world
-            .flight_snapshot(opts.flight_window_ms.map(SimDuration::from_millis))
-    });
+    let flight = (report.outcome == Outcome::Violation || opts.flight_always)
+        .then(|| s.world.flight_snapshot(Some(FLIGHT_WINDOW)));
     ChaosReport {
         outcome: report.outcome,
         violations: report.violations,

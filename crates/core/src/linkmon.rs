@@ -28,7 +28,7 @@ use simnet::time::{SimDuration, SimTime};
 
 use crate::config::{Role, StTcpConfig};
 use crate::events::{HbLink, StTcpEvent};
-use crate::heartbeat::HbPayload;
+use crate::heartbeat::{HbPayload, PingReport};
 use crate::metrics::ServerMetrics;
 
 /// The guard's floor: one tick of virtual time.
@@ -135,8 +135,9 @@ impl LinkMonitor {
 }
 
 /// Everything a receiver tracks about one heartbeat *source* — the pair's
-/// single peer, or one pool member: a monitor per link, the stream's
-/// sequence state that decides whether a frame may refresh them, and the
+/// single peer, or one pool member: a monitor per link and the check's
+/// last reading of each, the stream's sequence state that decides whether
+/// a frame may refresh them, the ping report it last carried, and the
 /// resurrection rule. No live incarnation ever demotes itself, so a
 /// source seen serving that heartbeats as a `Backup` restarted faster
 /// than the liveness timeout: it is `defunct`, condemnable although
@@ -147,14 +148,20 @@ pub(crate) struct HbSource {
     pub(crate) ip_mon: LinkMonitor,
     /// Serial heartbeat liveness.
     pub(crate) serial_mon: LinkMonitor,
-    /// Highest heartbeat seqno accepted from the source (staleness filter
-    /// against duplicated / reordered frames).
+    /// The links as the last check read them ([`HbSource::read_links`]).
+    pub(crate) ip_up: bool,
+    pub(crate) serial_up: bool,
+    /// Highest heartbeat seqno the source's stream advanced to, on any
+    /// link.
     pub(crate) last_seqno: Option<u32>,
-    /// When `last_seqno` last advanced. Stale frames prove liveness only
-    /// within one heartbeat timeout of this point — a seqno frozen for
-    /// longer is a replayed or insane stream and must starve the link
-    /// monitors instead of refreshing them.
+    /// When `last_seqno` last advanced. A frame that does not advance the
+    /// stream proves liveness only within one heartbeat timeout of this
+    /// point — a seqno frozen for longer is a replayed or insane stream
+    /// and must starve the link monitors instead of refreshing them.
     pub(crate) seqno_advanced_at: SimTime,
+    /// The gateway-ping report on the stream's newest frame (Table 1
+    /// row 4's evidence about the source's own network).
+    pub(crate) ping: Option<PingReport>,
     /// A byzantine heartbeat from this source was already logged (sticky,
     /// to keep the event log bounded).
     pub(crate) byzantine_reported: bool,
@@ -172,8 +179,11 @@ impl HbSource {
         HbSource {
             ip_mon: LinkMonitor::new(cfg, now),
             serial_mon: LinkMonitor::new(cfg, now),
+            ip_up: true,
+            serial_up: true,
             last_seqno: None,
             seqno_advanced_at: now,
+            ping: None,
             byzantine_reported: false,
             role: Role::Backup,
             defunct: false,
@@ -190,9 +200,14 @@ impl HbSource {
         demoted.then_some(StTcpEvent::DefunctActiveDetected { rank, at })
     }
 
-    /// A frame heard on `link` counts as liveness: credit that link's
-    /// monitor and the link's arrival metrics.
+    /// A frame heard on `link` credits that link's monitor and arrival
+    /// metrics — one that does not advance the stream (a round's second
+    /// copy, a straggler, a frozen sender) only within the timeout of
+    /// the stream's last advance.
     pub(crate) fn credit(&mut self, link: HbLink, now: SimTime, metrics: &mut ServerMetrics) {
+        if now.saturating_since(self.seqno_advanced_at) > self.ip_mon.timeout {
+            return;
+        }
         match link {
             HbLink::Ip => self.ip_mon.on_heartbeat(now),
             HbLink::Serial => self.serial_mon.on_heartbeat(now),
@@ -200,27 +215,18 @@ impl HbSource {
         metrics.on_heartbeat(link, now);
     }
 
-    /// True when `seqno` does not advance the full-state stream: the
-    /// second copy of a payload (it rides both links), a duplicate, or a
-    /// reordered straggler.
-    pub(crate) fn is_stale(&self, seqno: u32) -> bool {
-        self.last_seqno
-            .is_some_and(|last| seqno.wrapping_sub(last) as i32 <= 0)
-    }
-
-    /// [`HbSource::credit`] for a frame that does not advance the stream
-    /// (the second copy of a payload, a duplicate, a reordered straggler):
-    /// liveness only while the seqno last advanced within `hb_timeout`.
-    pub(crate) fn credit_stale(
-        &mut self,
-        link: HbLink,
-        now: SimTime,
-        hb_timeout: SimDuration,
-        metrics: &mut ServerMetrics,
-    ) {
-        if now.saturating_since(self.seqno_advanced_at) <= hb_timeout {
-            self.credit(link, now, metrics);
-        }
+    /// The check's reading of both links at `now`: each is up until its
+    /// silence is a verdict. The links whose reading changed since the
+    /// last, IP first, each with its new reading.
+    pub(crate) fn read_links(&mut self, now: SimTime) -> [Option<(HbLink, bool)>; 2] {
+        let (ip, serial) = (!self.ip_mon.is_silent(now), !self.serial_mon.is_silent(now));
+        let edge = |link, up, was| (up != was).then_some((link, up));
+        let edges = [
+            edge(HbLink::Ip, ip, self.ip_up),
+            edge(HbLink::Serial, serial, self.serial_up),
+        ];
+        (self.ip_up, self.serial_up) = (ip, serial);
+        edges
     }
 
     /// The latest arrival on either link, if anything was heard yet.
@@ -228,12 +234,14 @@ impl HbSource {
         self.ip_mon.last_rx().max(self.serial_mon.last_rx())
     }
 
-    /// The stream advanced to `hb` at `now`: the rule's second step
-    /// records its role, and a `Primary` (serving again, or a reordered
-    /// frame from its serving days) withdraws the defunct mark.
+    /// The stream advanced to `hb` at `now`: its ping report is the
+    /// latest; the rule's second step records its role, and a `Primary`
+    /// (serving again, or a reordered frame from its serving days)
+    /// withdraws the defunct mark.
     pub(crate) fn advance(&mut self, hb: &HbPayload, now: SimTime) {
         self.last_seqno = Some(hb.seqno);
         self.seqno_advanced_at = now;
+        self.ping = hb.ping;
         if hb.role == Role::Primary {
             self.defunct = false;
         }

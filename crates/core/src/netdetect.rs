@@ -43,8 +43,8 @@ pub struct NetObservation {
     pub peer_acks: u64,
     /// This server's own gateway-ping campaign state.
     pub my_ping: Option<PingReport>,
-    /// The peer's ping report from the serial heartbeat.
-    pub peer_ping: Option<PingReport>,
+    /// The peer's gateway-ping report, from its heartbeat stream.
+    pub peer_report: Option<PingReport>,
 }
 
 /// Local-network failure detector. One per server (aggregated across
@@ -90,7 +90,7 @@ impl NetFailureDetector {
         if lags(&mut self.ack_lag, obs.my_acks, obs.peer_acks) {
             return Some(FailureReason::NetAckLag);
         }
-        if let (Some(mine), Some(peers)) = (obs.my_ping, obs.peer_ping) {
+        if let (Some(mine), Some(peers)) = (obs.my_ping, obs.peer_report) {
             if peers.consecutive_failures >= PING_FAIL_THRESHOLD
                 && mine.consecutive_failures == 0
                 && mine.attempts > 0
@@ -214,7 +214,7 @@ mod tests {
                 consecutive_failures: 0,
                 attempts: 5,
             }),
-            peer_ping: Some(PingReport {
+            peer_report: Some(PingReport {
                 consecutive_failures: 3,
                 attempts: 5,
             }),
@@ -232,7 +232,7 @@ mod tests {
                 consecutive_failures: 3,
                 attempts: 5,
             }),
-            peer_ping: Some(PingReport {
+            peer_report: Some(PingReport {
                 consecutive_failures: 3,
                 attempts: 5,
             }),
@@ -245,7 +245,7 @@ mod tests {
                 consecutive_failures: 0,
                 attempts: 0,
             }),
-            peer_ping: Some(PingReport {
+            peer_report: Some(PingReport {
                 consecutive_failures: 5,
                 attempts: 5,
             }),

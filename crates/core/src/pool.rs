@@ -22,10 +22,11 @@
 //! and control channels. The member table is both topologies' model of
 //! the other servers — the pair keeps its one peer in it too — while
 //! [`PoolState`] is only the pool's round state.
-//! Each member also carries its own delta-heartbeat stream, so `hb_delta`
-//! and `hb_batch` mean the same in both topologies: the pair's stream is
-//! the one-member case; and each keeps its own mirror, [`followed`]
-//! naming the one this server reads: the pair's peer, the pool's active.
+//! A member is one record ([`MemberState`]) of everything this server
+//! holds about it: link readings, ping report, watchdog latch, mirror and
+//! a stream with per-link state in every wire format, judged by one
+//! receive rule — the pair's is the one-member case. [`followed`] names
+//! the member recovery and Table 1 read: the pair's peer, the pool's active.
 
 use std::collections::{BTreeMap, BTreeSet};
 use std::net::Ipv4Addr;
@@ -60,12 +61,10 @@ pub(crate) struct PeerConn {
     pub(crate) last_app_byte_written: u64,
     pub(crate) last_app_byte_read: u64,
     pub(crate) fin_or_rst: bool,
-    /// The peer's watchdog self-reported its application failed (sticky).
-    pub(crate) app_suspected: bool,
-    /// Delta (v2) heartbeats only: seqno of the frame that last updated
-    /// this record — per-connection ordering, since sharded multi-link
-    /// frames can legitimately arrive out of order across links. 0 means
-    /// never updated by a v2 frame; the v1 path ignores it.
+    /// Seqno of the frame that last updated this record — per-connection
+    /// ordering, since frames can legitimately arrive out of order across
+    /// links (a v1 round rides every link; delta rounds shard across
+    /// them). 0 means never updated.
     pub(crate) last_update_seq: u32,
 }
 
@@ -80,7 +79,7 @@ impl PeerConn {
     }
 
     /// Folds one heartbeat record into the mirror: counters unwrap to
-    /// the 64-bit value nearest the last one, the flags are sticky.
+    /// the 64-bit value nearest the last one, the FIN flag is sticky.
     pub(crate) fn apply(&mut self, c: &ConnHb) {
         self.last_byte_received =
             unwrap_u32_near(c.last_byte_received as u32, self.last_byte_received);
@@ -91,7 +90,6 @@ impl PeerConn {
         self.last_app_byte_read =
             unwrap_u32_near(c.last_app_byte_read as u32, self.last_app_byte_read);
         self.fin_or_rst |= c.fin_generated || c.rst_generated;
-        self.app_suspected |= c.app_suspected;
     }
 }
 
@@ -113,9 +111,9 @@ pub(crate) struct RxBatch {
     pub(crate) next: u16,
 }
 
-/// One heartbeat link's delta-protocol (v2) state with one member, both
-/// directions: link 0 is the member's address, link `1 + k` its `k`-th
-/// cable.
+/// One heartbeat link's stream state with one member, both directions:
+/// link 0 is the member's address, link `1 + k` its `k`-th cable. Kept
+/// in every wire format; only a delta (v2) member acks.
 #[derive(Debug, Clone, Copy, Default)]
 pub(crate) struct LinkState {
     /// The member's cumulative ack of *my* frames on this link.
@@ -125,17 +123,6 @@ pub(crate) struct LinkState {
     pub(crate) applied: u32,
     /// The batched (v3) round open on this link.
     pub(crate) batch: RxBatch,
-}
-
-/// How many [`LinkState`]s a member with `cables` cables to it keeps:
-/// none under v1 (`delta` off), else its address plus every cable —
-/// counting the usual one cable from the start, so that wiring it grows
-/// nothing.
-pub(crate) fn stream_links(delta: bool, cables: usize) -> usize {
-    match delta {
-        true => 1 + cables.max(1),
-        false => 0,
-    }
 }
 
 /// Everything this server tracks about one other member: the pair's
@@ -160,18 +147,27 @@ pub(crate) struct MemberState {
     /// The member's per-connection positions from its heartbeats, by
     /// the key's slot in the connection table.
     pub(crate) mirror: Column<PeerConn>,
-    /// The delta stream with this member, one entry per link to it
-    /// ([`stream_links`]; empty under v1, whose member never acks).
+    /// The stream with this member, one entry per link to it
+    /// ([`MemberState::wire`]) whatever the wire format.
     pub(crate) links: Vec<LinkState>,
     /// My epoch the member's acks refer to; it is owed full-state frames
     /// until this matches my boot epoch.
     pub(crate) ack_epoch: u32,
     /// The member's epoch its links' `applied` seqnos refer to (0 = none
-    /// seen yet).
+    /// seen yet, or v1).
     pub(crate) rx_epoch: u32,
+    /// An applied record reported the member's watchdog suspects its own
+    /// application (sticky: Table 1's self-report, with no mirror scan).
+    pub(crate) app_suspected: bool,
 }
 
 impl MemberState {
+    /// Sizes the stream for `cables` cables to the member: its address and
+    /// every cable, the usual one counted from the start.
+    pub(crate) fn wire(&mut self, cables: usize) {
+        self.links.resize(1 + cables.max(1), LinkState::default());
+    }
+
     /// The link (`1 + k`: its `k`-th cable) connection `key`'s records
     /// are sharded to toward this member: `key` modulo the cables to it.
     pub(crate) fn shard_link(&self, key: u32) -> usize {
@@ -265,15 +261,22 @@ impl MemberState {
         (self.hb.ip_mon.is_silent(now) && self.hb.serial_mon.is_silent(now)) || self.hb.defunct
     }
 
+    /// Forgets what the member's previous incarnation said — stream,
+    /// mirror, sticky flags; the link monitors are the caller's call.
+    pub(crate) fn forget_incarnation(&mut self, now: SimTime) {
+        self.hb.forget_incarnation(now);
+        self.forget_stream();
+        self.mirror.clear();
+        self.app_suspected = false;
+    }
+
     /// Resets the entry for a fresh incarnation of the member (fenced
     /// node rejoining, or a new join session).
     pub(crate) fn reset_for_rejoin(&mut self, now: SimTime) {
         self.hb.ip_mon = self.hb.ip_mon.restarted(now);
         self.hb.serial_mon = self.hb.serial_mon.restarted(now);
-        self.hb.forget_incarnation(now);
         self.fenced = false;
-        self.mirror.clear();
-        self.forget_stream();
+        self.forget_incarnation(now);
     }
 
     /// The pool's rank-incarnation rule, on a heartbeat announcing
@@ -301,8 +304,8 @@ impl MemberState {
 pub(crate) type Members = BTreeMap<Ipv4Addr, Box<MemberState>>;
 
 /// The member table at boot: every member presumed alive (grace period
-/// from fresh monitors anchored at `now`), each with the delta-stream
-/// links its `cables(ip)` cables call for.
+/// from fresh monitors anchored at `now`), each with the stream links
+/// its `cables(ip)` cables call for.
 pub(crate) fn member_table(
     peers: &[PoolPeer],
     cfg: &StTcpConfig,
@@ -311,16 +314,18 @@ pub(crate) fn member_table(
 ) -> Members {
     let mut members = Members::new();
     for p in peers {
-        let member = MemberState {
+        let mut member = MemberState {
             rank: p.rank,
             node: p.node,
             hb: HbSource::new(cfg, now),
             fenced: false,
             mirror: Column::default(),
-            links: vec![LinkState::default(); stream_links(cfg.hb_delta, cables(p.ip))],
+            links: Vec::new(),
             ack_epoch: 0,
             rx_epoch: 0,
+            app_suspected: false,
         };
+        member.wire(cables(p.ip));
         members.insert(p.ip, Box::new(member));
     }
     members
@@ -465,6 +470,28 @@ impl PoolState {
         };
         eligible.then_some((ip, rank))
     }
+
+    /// The vote rule: grant member `candidate`'s round against
+    /// `target_rank` only on my own evidence (the target condemnable, and
+    /// not me), to an unfenced, not defunct candidate, and for a takeover
+    /// never past a better-ranked live candidate, me included.
+    pub(crate) fn grants(
+        &self,
+        members: &Members,
+        now: SimTime,
+        candidate: Ipv4Addr,
+        target_rank: u8,
+        candidate_rank: u8,
+    ) -> bool {
+        let candidate_ok = (members.get(&candidate))
+            .is_some_and(|m| !m.fenced && !m.hb.defunct && m.rank == candidate_rank);
+        let target_dead =
+            (members.values()).any(|m| !m.fenced && m.rank == target_rank && m.condemnable(now));
+        let passed_over = target_rank == self.active_rank
+            && (self.my_rank < candidate_rank
+                || outranked(members, now, target_rank, candidate_rank));
+        candidate_ok && target_dead && target_rank != self.my_rank && !passed_over
+    }
 }
 
 #[cfg(test)]
@@ -569,5 +596,205 @@ mod tests {
         assert!(m.mirror.iter_mut().next().is_none());
         assert_eq!(m.node, NodeId(1));
         assert!(m.alive(t));
+    }
+
+    /// A pure model of the pool's membership rounds — no `World`, no
+    /// wire: three members heartbeat every period, crash on a schedule,
+    /// and run rounds through the server's own rules
+    /// ([`PoolState::fence_target`], [`PoolState::grants`],
+    /// [`quorum_needed`], [`FenceRound::stands`]), every request, vote
+    /// and commit delivered within its check tick. It enumerates every
+    /// order of every set of crashes on a grid of gaps, and checks safety
+    /// on every schedule and liveness — every round ends once the crashes
+    /// stop — against a pinned set of counterexamples (ROADMAP item 10,
+    /// whose fix updates the set).
+    mod rounds {
+        use super::*;
+
+        /// The first crash is at 1 s, each next one this many ms later.
+        const GAPS_MS: [u64; 9] = [0, 200, 400, 600, 800, 1_000, 1_200, 1_400, 1_600];
+
+        fn ip(rank: u8) -> Ipv4Addr {
+            Ipv4Addr::new(10, 0, 0, 2 + rank)
+        }
+
+        /// One member: rank, alive, serving, round state and its view.
+        type Member = (u8, bool, bool, PoolState, Members);
+
+        /// A commit: target rank, votes, electorate, and whether it was a
+        /// takeover.
+        type Commit = (u8, usize, usize, bool);
+
+        fn pool3() -> Vec<Member> {
+            let peer = |rank| PoolPeer {
+                rank,
+                ip: ip(rank),
+                node: NodeId(rank as usize),
+            };
+            let cfg = StTcpConfig::default();
+            (0..3)
+                .map(|me| {
+                    let others: Vec<PoolPeer> = (0..3).filter(|&r| r != me).map(peer).collect();
+                    let members = member_table(&others, &cfg, SimTime::ZERO, |_| 1);
+                    (me, true, me == 0, PoolState::new(me, &others), members)
+                })
+                .collect()
+        }
+
+        /// Member `i`'s check tick: drop a round that no longer stands,
+        /// open one if entitled, solicit every other unfenced member, and
+        /// on quorum fence the target at every live member and take over
+        /// a dead active.
+        fn fence_tick(pool: &mut [Member], i: usize, now: SimTime) -> Option<Commit> {
+            let (rank, _, serving, p, view) = &mut pool[i];
+            let role = if *serving {
+                Role::Primary
+            } else {
+                Role::Backup
+            };
+            if p.fence.as_ref().is_some_and(|f| !f.stands(view, now)) {
+                p.fence = None;
+            }
+            if p.fence.is_none() {
+                if let Some((target, target_rank)) = p.fence_target(view, now, role) {
+                    let votes = BTreeSet::from([*rank]);
+                    p.epoch += 1;
+                    let epoch = p.epoch;
+                    p.fence = Some(FenceRound {
+                        epoch,
+                        target,
+                        target_rank,
+                        votes,
+                    });
+                }
+            }
+            let (rank, _, _, p, view) = &pool[i];
+            let (rank, f) = (*rank, p.fence.as_ref()?);
+            let (target, target_rank) = (f.target, f.target_rank);
+            let solicited = |v: &&Member| v.1 && v.0 != rank && !view[&ip(v.0)].fenced;
+            let voters: Vec<u8> = (pool.iter().filter(solicited))
+                .filter(|v| ip(v.0) != target)
+                .filter(|v| v.3.grants(&v.4, now, ip(rank), target_rank, rank))
+                .map(|v| v.0)
+                .collect();
+            let (_, _, serving, p, view) = &mut pool[i];
+            let f = p.fence.as_mut()?;
+            f.votes.extend(voters);
+            let votes = f.votes.len();
+            if !f.stands(view, now) || votes < quorum_needed(view, target_rank) {
+                return None;
+            }
+            p.fence = None;
+            let others = view.values().filter(|m| !m.fenced && m.rank != target_rank);
+            let takeover = p.active_rank == target_rank;
+            if takeover {
+                (*serving, p.active_rank) = (true, rank);
+            }
+            let electorate = 1 + others.count();
+            for (_, alive, _, _, view) in pool.iter_mut().filter(|m| m.0 != target_rank) {
+                if let Some(m) = view.get_mut(&target).filter(|_| *alive) {
+                    m.fenced = true;
+                }
+            }
+            Some((target_rank, votes, electorate, takeover))
+        }
+
+        /// Runs the pool through `crashes` (rank, at) and 3 s beyond the
+        /// last: its commits, the most members serving at once, and
+        /// whether some live member's round still stands at the end.
+        fn run(crashes: &[(u8, SimTime)]) -> (Vec<Commit>, usize, bool) {
+            let cfg = StTcpConfig::default();
+            let mut pool = pool3();
+            let end = crashes.last().unwrap().1 + SimDuration::from_secs(3);
+            let (mut commits, mut max_serving) = (Vec::new(), 0);
+            let mut now = SimTime::ZERO;
+            while now <= end {
+                for &(rank, _) in crashes.iter().filter(|&&(_, at)| at == now) {
+                    pool[rank as usize].1 = false;
+                }
+                let round = now.as_micros().is_multiple_of(cfg.hb_period.as_micros());
+                let senders: Vec<(u8, bool)> = (pool.iter().filter(|m| m.1 && round))
+                    .map(|m| (m.0, m.2))
+                    .collect();
+                for (from, serving) in senders {
+                    for (_, _, _, p, view) in pool.iter_mut().filter(|m| m.1 && m.0 != from) {
+                        let hb = &mut view.get_mut(&ip(from)).expect("a member").hb;
+                        hb.ip_mon.on_heartbeat(now);
+                        hb.serial_mon.on_heartbeat(now);
+                        if serving {
+                            p.active_rank = from;
+                        }
+                    }
+                }
+                for i in 0..pool.len() {
+                    if pool[i].1 {
+                        commits.extend(fence_tick(&mut pool, i, now));
+                    }
+                }
+                max_serving = max_serving.max(pool.iter().filter(|m| m.1 && m.2).count());
+                now += cfg.check_period;
+            }
+            let stuck = pool.iter().any(|m| m.1 && m.3.fence.is_some());
+            (commits, max_serving, stuck)
+        }
+
+        /// Every order of every non-empty set of the three members, on
+        /// every grid of gaps: `(ranks in crash order, gaps in ms)`.
+        fn schedules() -> Vec<(Vec<u8>, Vec<u64>)> {
+            let mut out = Vec::new();
+            for a in 0..3 {
+                out.push((vec![a], vec![]));
+                for b in (0..3).filter(|&b| b != a) {
+                    for g in GAPS_MS {
+                        out.push((vec![a, b], vec![g]));
+                        let c = 3 - a - b;
+                        out.extend(GAPS_MS.map(|h| (vec![a, b, c], vec![g, h])));
+                    }
+                }
+            }
+            out
+        }
+
+        /// Safety holds everywhere. Liveness fails on exactly the
+        /// schedules where two members die 400 ms or less apart — the
+        /// active among them or not: the round against the first opens
+        /// on the 1 450 ms tick, once its last heartbeat (800 ms) is
+        /// `hb_timeout` old, and quorum still counts the second, whose
+        /// vote never comes. Both backups dying is the case
+        /// `tests/pool.rs` pins in the simulator; the active and one
+        /// backup strand the last backup the same way. A third death
+        /// leaves nobody whose round could end.
+        #[test]
+        fn liveness_counterexamples_are_two_deaths_before_a_commit() {
+            let mut counterexamples = Vec::new();
+            for (order, gaps) in schedules() {
+                let mut at = SimTime::from_millis(1_000);
+                let mut crashes = vec![(order[0], at)];
+                for (&rank, &gap) in order[1..].iter().zip(&gaps) {
+                    at += SimDuration::from_millis(gap);
+                    crashes.push((rank, at));
+                }
+                let (commits, max_serving, stuck) = run(&crashes);
+                if order == [0] {
+                    // Rank 1 takes over on its own vote and rank 2's.
+                    assert_eq!(commits, [(0, 2, 2, true)]);
+                }
+                // Safety: one member serves at a time, each dead active is
+                // taken over once, and every commit had a majority.
+                assert!(max_serving <= 1, "{order:?} {gaps:?}: two serving");
+                for &(target, votes, electorate, _) in &commits {
+                    assert!(2 * votes > electorate, "{order:?} {gaps:?}: no quorum");
+                    let takeovers = commits.iter().filter(|c| c.3 && c.0 == target);
+                    assert!(takeovers.count() <= 1, "{order:?} {gaps:?}: two takeovers");
+                }
+                if stuck {
+                    counterexamples.push((order, gaps));
+                }
+            }
+            let expected: Vec<_> = (schedules().into_iter())
+                .filter(|(order, gaps)| order.len() == 2 && gaps[0] <= 400)
+                .collect();
+            assert_eq!(counterexamples, expected);
+        }
     }
 }

@@ -52,8 +52,8 @@ use crate::linkmon::next_silence;
 use crate::metrics::{HbBandwidth, ServerMetrics};
 use crate::netdetect::{NetFailureDetector, NetObservation};
 use crate::pool::{
-    followed, live_non_fenced, member_table, outranked, quorum_needed, seq_newer, stream_links,
-    FenceRound, LinkState, MemberState, Members, PeerConn, PoolPeer, PoolState, RxBatch,
+    followed, live_non_fenced, member_table, quorum_needed, seq_newer, FenceRound, MemberState,
+    Members, PeerConn, PoolPeer, PoolState, RxBatch,
 };
 use crate::recover::{ConnSnapshotMsg, CtrlMsg, MAX_FETCH_DATA};
 
@@ -275,19 +275,13 @@ struct Ram {
     /// peer activity, kept while a FIN-arbitration deadline or lag
     /// tracker must keep aging.
     table: ConnTable,
-    /// Latched when any peer heartbeat record reported `app_suspected`
-    /// — replaces an every-check scan of the peer mirror.
-    peer_app_suspected: bool,
 
-    /// The other servers — the pair's one peer, or the pool — with each
-    /// one's link liveness and heartbeat-stream state.
+    /// The other servers — the pair's one peer, or the pool — each one
+    /// record of everything this server knows about it.
     members: Members,
-    ip_was_alive: bool,
-    serial_was_alive: bool,
 
     net_detect: NetFailureDetector,
     ping: PingCampaign,
-    peer_ping: Option<PingReport>,
 
     hb_seq: u32,
     /// Byzantine heartbeat fault injection, if armed (testing).
@@ -353,10 +347,7 @@ impl Ram {
             role,
             ft_mode: true,
             table: ConnTable::default(),
-            peer_app_suspected: false,
             members: member_table(&setup.peers, &setup.sttcp, now, cables),
-            ip_was_alive: true,
-            serial_was_alive: true,
             net_detect: NetFailureDetector::new(
                 NET_LAG_BYTES,
                 NET_LAG_TIME,
@@ -366,7 +357,6 @@ impl Ram {
                 id: (setup.seed & 0xffff) as u16,
                 ..Default::default()
             },
-            peer_ping: None,
             hb_seq: 0,
             byz_mode: None,
             // Boots with the static rank; a rejoin's `JoinDone` hands
@@ -441,8 +431,7 @@ impl StTcpServer {
         self.serial.push((port, to));
         let cables = self.serial.iter().filter(|&&(_, ip)| ip == to).count();
         if let Some(m) = self.ram.members.get_mut(&to) {
-            let n = stream_links(self.setup.sttcp.hb_delta, cables);
-            m.links.resize(n, LinkState::default());
+            m.wire(cables);
         }
     }
 
@@ -468,10 +457,9 @@ impl StTcpServer {
         self.ram.members.contains_key(&src).then_some((src, link))
     }
 
-    /// The pair's peer: its one member.
-    fn pair_peer(&self) -> &MemberState {
-        let peer = self.ram.members.values().next();
-        peer.expect("a pair is wired with its peer")
+    /// The [`followed`] member: the pair's peer, the pool's active.
+    fn followed_member(&self) -> Option<&MemberState> {
+        followed(self.ram.pool.as_ref(), &self.ram.members).map(|(_, m)| m)
     }
 
     /// Adds a static ARP entry (topology builders registering additional
@@ -1044,17 +1032,17 @@ impl StTcpServer {
         self.last_hb_rx_span = span;
     }
 
-    /// True when a frame numbered `seq` may update mirror `e`: always
-    /// for v1 (`None`); for v2 unless a newer frame already did —
-    /// cross-link reorder legitimately delivers older frames late.
-    fn takes(e: &PeerConn, seq: Option<u32>) -> bool {
-        seq.is_none_or(|seq| e.last_update_seq == 0 || !seq_newer(e.last_update_seq, seq))
+    /// True when a frame numbered `seq` may update mirror `e`: unless a
+    /// newer frame already did — cross-link reorder legitimately
+    /// delivers older frames late.
+    fn takes(e: &PeerConn, seq: u32) -> bool {
+        e.last_update_seq == 0 || !seq_newer(e.last_update_seq, seq)
     }
 
     /// What the [`followed`] member last reported for the key of `s` (a
     /// displaced socket reads its key's).
     fn followed_pos(&self, s: SlotId) -> Option<PeerConn> {
-        let (_, m) = followed(self.ram.pool.as_ref(), &self.ram.members)?;
+        let m = self.followed_member()?;
         m.mirror.get(self.ram.table.home(s)).copied()
     }
 
@@ -1066,19 +1054,15 @@ impl StTcpServer {
     /// condemns the liar instead of its lies driving hold-release or lag
     /// verdicts. Creates no slot: a dropped frame leaves nothing behind.
     /// Checked against the sender's mirror, where the records would land.
-    fn vet_records(
-        &mut self,
-        now: SimTime,
-        src: Ipv4Addr,
-        hb: &HbPayload,
-        seq: Option<u32>,
-    ) -> bool {
+    /// Only records the frame would actually update can regress:
+    /// records an older cross-link frame repeats are skipped.
+    fn vet_records(&mut self, now: SimTime, src: Ipv4Addr, hb: &HbPayload) -> bool {
         let Some(m) = self.ram.members.get(&src) else {
             return false;
         };
         let lie = hb.conns.iter().any(|c| {
             let peer = self.ram.table.by_key(c.key).and_then(|s| m.mirror.get(s));
-            peer.is_some_and(|e| Self::takes(e, seq) && e.regressed_by(c))
+            peer.is_some_and(|e| Self::takes(e, hb.seqno) && e.regressed_by(c))
         });
         if !lie {
             return true;
@@ -1145,10 +1129,11 @@ impl StTcpServer {
 
     /// Applies member `src`'s vetted records, in pair and pool alike:
     /// each lands in its mirror at the key's slot (made if missing: a key
-    /// a member names first gets its slot here), then its connection
-    /// settles. Only this frame's keys are visited: a newly followed
-    /// active seeds the lag set once, and a fence settles every key.
-    fn apply_records(&mut self, now: SimTime, hb: &HbPayload, src: Ipv4Addr, seq: Option<u32>) {
+    /// a member names first gets its slot here) unless the cell took this
+    /// round or a newer one, then its connection settles. Only this
+    /// frame's keys are visited: a newly followed active seeds the lag
+    /// set once, and a fence settles every key.
+    fn apply_records(&mut self, now: SimTime, hb: &HbPayload, src: Ipv4Addr) {
         let m = &self.ram.members[&src];
         let mut refollow = false;
         if let Some(pool) = &mut self.ram.pool {
@@ -1157,18 +1142,19 @@ impl StTcpServer {
                 refollow = true;
             }
         }
+        let seq = hb.seqno;
         for c in &hb.conns {
             let s = self.ram.table.entry(c.key);
             let m = self.ram.members.get_mut(&src).expect("vetted");
             let peer = m.mirror.entry(s);
             // A record of the round its cell already took (0: none) repeats it.
-            let copy = peer.last_update_seq != 0 && seq == Some(peer.last_update_seq);
+            let copy = peer.last_update_seq != 0 && seq == peer.last_update_seq;
             if copy || !Self::takes(peer, seq) {
                 continue;
             }
-            peer.last_update_seq = seq.unwrap_or(peer.last_update_seq);
+            peer.last_update_seq = seq;
             peer.apply(c);
-            self.ram.peer_app_suspected |= peer.app_suspected;
+            m.app_suspected |= c.app_suspected;
             self.settle(now, s);
         }
         if refollow {
@@ -1183,15 +1169,17 @@ impl StTcpServer {
 
     /// The one heartbeat intake — v1 full-state frames, and v2 ones whose
     /// envelope is `f` — in both topologies, from member `src` on its
-    /// link `link`: rank rule, demotion, v2 epoch, staleness, v3 part
-    /// order, byzantine vet, advance, credit, v2 acks, records. A stale
-    /// frame (the same payload rides every link, and faults replay older
-    /// ones; v2 judges it per link, and orders records per connection)
-    /// still proves the member alive but is not re-applied — and only
-    /// while the seqno advanced within the heartbeat timeout: a stream
-    /// frozen longer is a replay loop or a frozen byzantine sender, and
-    /// must starve the monitors so row 1 (or the pool's fence) condemns
-    /// the member instead of trusting it forever.
+    /// link `link`: rank rule, demotion, v2 epoch, then one receive rule
+    /// for every frame. A frame is stale or fresh on its link (the same
+    /// round rides every link, and faults replay older ones); a stale one
+    /// is not re-applied. A fresh one is vetted (v3 parts in order on
+    /// their link first) and updates a mirror cell only if it is newer
+    /// for that connection. Either proves the member alive — but a frame
+    /// that does not advance the member's stream does so only while the
+    /// stream advanced within the heartbeat timeout: a stream frozen
+    /// longer is a replay loop or a frozen byzantine sender, and must
+    /// starve the monitors so row 1 (or the pool's fence) condemns the
+    /// member instead of trusting it forever, on whichever link.
     fn handle_heartbeat(
         &mut self,
         now: SimTime,
@@ -1204,7 +1192,6 @@ impl StTcpServer {
             0 => HbLink::Ip,
             _ => HbLink::Serial,
         };
-        let hb_timeout = self.setup.sttcp.hb_timeout();
         let Some(m) = self.ram.members.get_mut(&src) else {
             return;
         };
@@ -1224,13 +1211,9 @@ impl StTcpServer {
             self.unack_cached();
         }
         let m = self.ram.members.get_mut(&src).expect("admitted above");
-        let stale = match f {
-            None => m.hb.is_stale(hb.seqno),
-            Some(_) => (m.links.get(link))
-                .is_some_and(|l| l.applied != 0 && !seq_newer(hb.seqno, l.applied)),
-        };
-        if stale {
-            m.hb.credit_stale(hblink, now, hb_timeout, &mut self.metrics);
+        let applied = m.links[link].applied;
+        if applied != 0 && !seq_newer(hb.seqno, applied) {
+            m.hb.credit(hblink, now, &mut self.metrics);
             return;
         }
         // Batched (v3) rounds: parts share a seqno and must arrive in
@@ -1245,15 +1228,11 @@ impl StTcpServer {
                 parts: f.parts,
                 next: f.part,
             };
-            if m.links.get(link).is_none_or(|l| l.batch != next) {
+            if m.links[link].batch != next {
                 return;
             }
         }
-        // Byzantine sanity check, under v2 against per-connection
-        // ordering: only records this frame would actually update can
-        // regress; records an older cross-link frame repeats are skipped.
-        let seq = f.map(|_| hb.seqno);
-        if !self.vet_records(now, src, hb, seq) {
+        if !self.vet_records(now, src, hb) {
             return;
         }
         let m = self.ram.members.get_mut(&src).expect("vetted above");
@@ -1261,21 +1240,20 @@ impl StTcpServer {
         // in hand: single-frame rounds immediately, batched rounds on
         // their final part. A poisoned or lost part never completes the
         // round, so the sender keeps resending the records.
-        if let Some((f, l)) = f.zip(m.links.get_mut(link)) {
-            if f.parts > 1 {
-                l.batch = RxBatch {
-                    seqno: hb.seqno,
-                    parts: f.parts,
-                    next: f.part + 1,
-                };
-            }
-            if f.parts <= 1 || f.part + 1 == f.parts {
-                l.applied = hb.seqno;
-            }
+        let (part, parts) = f.map_or((0, 1), |f| (f.part, f.parts));
+        let l = &mut m.links[link];
+        if parts > 1 {
+            l.batch = RxBatch {
+                seqno: hb.seqno,
+                parts,
+                next: part + 1,
+            };
+        }
+        if parts <= 1 || part + 1 == parts {
+            l.applied = hb.seqno;
         }
         if m.hb.last_seqno.is_none_or(|l| seq_newer(hb.seqno, l)) {
             m.hb.advance(hb, now);
-            self.ram.peer_ping = hb.ping;
         }
         m.hb.credit(hblink, now, &mut self.metrics);
         // The member's cumulative acks of our frames, valid only while
@@ -1290,7 +1268,7 @@ impl StTcpServer {
         }
         // Equal seqno is the same round's frame on another link: vetted,
         // then skipped per record like a strictly older one.
-        self.apply_records(now, hb, src, seq);
+        self.apply_records(now, hb, src);
     }
 
     /// The replaced whole-cache selection walk, kept as the differential
@@ -1310,9 +1288,9 @@ impl StTcpServer {
     /// One heartbeat round, member by member: each gets full state
     /// until it has acknowledged this boot incarnation (covering loss,
     /// takeover, reboot, and join without any extra signalling), then
-    /// the dirty-until-acked records its own acks do not cover. A member
-    /// with delta-stream links gets every record on its address and
-    /// shard `key % n` on the `n` cables to it; one without (v1) never
+    /// the dirty-until-acked records its own acks do not cover. Under
+    /// `hb_delta` a member gets every record on its address and shard
+    /// `key % n` on the `n` cables to it; otherwise (v1) it never
     /// acknowledges, so it gets the whole cache: the round's one v1
     /// frame, copied to every link.
     fn send_heartbeats(&mut self, ctx: &mut NodeCtx<'_>) {
@@ -1324,13 +1302,13 @@ impl StTcpServer {
         let now = ctx.now();
         let (seq, epoch) = (self.ram.hb_seq, self.ram.hb_epoch);
         let regress = self.ram.byz_mode == Some(ByzantineHbMode::Regress);
+        let v1 = !self.setup.sttcp.hb_delta;
         // Owed full state: a v1 member, fenced or not; an unfenced member
         // with no valid acks for this incarnation yet (a fenced one is
         // owed nothing until it rejoins, which voids its acks anyway) —
         // or every member, from a byzantine sender, which must lie about
         // every connection.
-        let full =
-            |m: &MemberState| regress || m.links.is_empty() || (!m.fenced && m.ack_epoch != epoch);
+        let full = |m: &MemberState| regress || v1 || (!m.fenced && m.ack_epoch != epoch);
         let any_full = self.ram.members.values().any(|m| full(m));
         // Refresh the record cache. The candidates are the endpoint's
         // touched feed plus every record that may still await an ack, so
@@ -1387,7 +1365,6 @@ impl StTcpServer {
         self.metrics.on_timer_visits(slots.len());
         // Every v1 member is owed the whole cache: the first one's list
         // stands for all of them, and its payload is encoded once.
-        let v1 = self.ram.members.values().position(|m| m.links.is_empty());
         let (members, table) = (&self.ram.members, &mut self.ram.table);
         for s in slots {
             let Some(e) = table[s].cache else {
@@ -1404,7 +1381,7 @@ impl StTcpServer {
             let mut owed_any = false;
             for (i, (recs, m)) in owed.iter_mut().zip(members.values()).enumerate() {
                 let owes = full(m) || !m.covers(epoch, rec.key, e.changed_at);
-                if owes && (!m.links.is_empty() || v1 == Some(i)) {
+                if owes && !(v1 && i > 0) {
                     recs.push(rec);
                 }
                 owed_any |= owes && !m.fenced;
@@ -1434,7 +1411,7 @@ impl StTcpServer {
         let mut shards = std::mem::take(&mut self.ram.hb_link_recs);
         let mut v1_wire = None;
         for ((&ip, m), recs) in self.ram.members.iter().zip(&mut owed) {
-            if m.links.is_empty() {
+            if v1 {
                 let (wire, n) = v1_wire.get_or_insert_with(|| {
                     let conns = std::mem::take(recs);
                     let hb = HbPayload {
@@ -1512,7 +1489,8 @@ impl StTcpServer {
         self.ram.ft_mode = false;
         // Parented to the last heartbeat this server accepted — the
         // final evidence before it condemned the peer.
-        self.condemn(ctx, self.pair_peer().node, reason, self.last_hb_rx_span);
+        let node = self.followed_member().expect("a pair's peer").node;
+        self.condemn(ctx, node, reason, self.last_hb_rx_span);
         // The pair's peer is the active exactly when this server is not.
         self.after_verdict(ctx, reason, self.ram.role == Role::Backup);
     }
@@ -1646,7 +1624,6 @@ impl StTcpServer {
             // The dead active's mirror served the gap check above; from
             // here the new active's own positions are authoritative.
             pool.active_rank = pool.my_rank;
-            self.ram.peer_app_suspected = false;
         }
         // An active server never fetches.
         self.ram.table.clear_set(Set::Lag);
@@ -1675,6 +1652,7 @@ impl StTcpServer {
     /// leaves the one timer on the next instant a monitor can fall silent.
     fn check_liveness(&mut self, ctx: &mut NodeCtx<'_>) {
         let now = ctx.now();
+        self.read_links(now);
         if self.ram.pool.is_none() {
             self.check_pair_liveness(ctx);
         } else if self.ram.join.is_none() {
@@ -1692,48 +1670,47 @@ impl StTcpServer {
         ctx.rearm_timer(&mut self.ram.liveness_timer, want, TOKEN_LIVENESS);
     }
 
-    /// The pair's share of [`StTcpServer::check_liveness`]: `ip_was_alive`
-    /// and `serial_was_alive` hold its reading for the tick's detectors.
-    fn check_pair_liveness(&mut self, ctx: &mut NodeCtx<'_>) {
-        let now = ctx.now();
-        let edge = |link, up| match up {
-            true => StTcpEvent::HbLinkUp { link, at: now },
-            false => StTcpEvent::HbLinkDown { link, at: now },
-        };
-        let peer = &self.pair_peer().hb;
-        let (ip_alive, serial_alive, defunct) = (
-            !peer.ip_mon.is_silent(now),
-            !peer.serial_mon.is_silent(now),
-            peer.defunct,
-        );
-        if ip_alive != self.ram.ip_was_alive {
-            self.events.push(edge(HbLink::Ip, ip_alive));
-            self.ram.ip_was_alive = ip_alive;
+    /// Takes every member's link reading, and logs the [`followed`]
+    /// member's edges (a change of who is followed logs nothing); an IP
+    /// edge also re-baselines the lag detectors.
+    fn read_links(&mut self, now: SimTime) {
+        let followed = followed(self.ram.pool.as_ref(), &self.ram.members).map(|(ip, _)| ip);
+        let mut edges = [None; 2];
+        for (&ip, m) in self.ram.members.iter_mut() {
+            let read = m.hb.read_links(now);
+            if Some(ip) == followed {
+                edges = read;
+            }
+        }
+        for (link, up) in edges.into_iter().flatten() {
+            self.events.push(match up {
+                true => StTcpEvent::HbLinkUp { link, at: now },
+                false => StTcpEvent::HbLinkDown { link, at: now },
+            });
+            if link == HbLink::Serial {
+                continue;
+            }
             let socks = self.all_socks();
             self.metrics.on_timer_visits(socks.len());
             for (_, s) in socks {
-                if ip_alive {
-                    // Link restored: lag that formed (or persisted,
-                    // frozen) while the IP heartbeat was down produced no
-                    // activity to mark connections with, so give every
-                    // connection one evaluation to re-establish detector
-                    // baselines.
+                if up {
+                    // Lag that formed while the IP heartbeat was down
+                    // marked nothing: every connection looks once.
                     self.ram.table.insert(Set::Check, s);
                 } else if let Some(ctl) = &mut self.ram.table[s].ctl {
-                    // With the IP heartbeat down, app lag is a symptom of
-                    // the network fault, not an app crash. The detector
-                    // loop only visits active connections, so quiesce
-                    // every lag tracker once at the edge — stale
-                    // watermarks must not produce a verdict when the link
-                    // returns.
+                    // App lag is now a symptom of the network fault: stale
+                    // watermarks must not be a verdict when it returns.
                     ctl.applag.reset();
                 }
             }
         }
-        if serial_alive != self.ram.serial_was_alive {
-            self.events.push(edge(HbLink::Serial, serial_alive));
-            self.ram.serial_was_alive = serial_alive;
-        }
+    }
+
+    /// The pair's share of [`StTcpServer::check_liveness`]: rows 1 and 4
+    /// on its peer's link reading.
+    fn check_pair_liveness(&mut self, ctx: &mut NodeCtx<'_>) {
+        let peer = &self.followed_member().expect("a pair's peer").hb;
+        let (ip_alive, serial_alive, defunct) = (peer.ip_up, peer.serial_up, peer.defunct);
         if !self.ram.ft_mode {
             return;
         }
@@ -1814,7 +1791,9 @@ impl StTcpServer {
             // Row 4: IP heartbeat dead, serial alive ⇒ local network
             // failure somewhere; figure out whose from what the pings and
             // the serial heartbeat's contents say.
-            let (ip_alive, serial_alive) = (self.ram.ip_was_alive, self.ram.serial_was_alive);
+            let peer = self.followed_member().expect("a pair's peer");
+            let (ip_alive, serial_alive) = (peer.hb.ip_up, peer.hb.serial_up);
+            let (app_suspected, last_rx) = (peer.app_suspected, peer.hb.last_rx());
             if !ip_alive && serial_alive {
                 let obs = self.net_observation();
                 if let Some(reason) = self.ram.net_detect.check(now, &obs) {
@@ -1827,11 +1806,7 @@ impl StTcpServer {
             // *fresh*: a dead host's last heartbeat frozen in time must be
             // handled by the liveness detector (row 1), not misread as an
             // application crash.
-            let hb_staleness = self
-                .pair_peer()
-                .hb
-                .last_rx()
-                .map(|t| now.saturating_since(t));
+            let hb_staleness = last_rx.map(|t| now.saturating_since(t));
             let hb_fresh = hb_staleness.is_some_and(|s| {
                 s <= self.setup.sttcp.hb_period + self.setup.sttcp.check_period * 2
             });
@@ -1843,7 +1818,7 @@ impl StTcpServer {
             // replica dead. A self-report is actionable even on an idle
             // connection — exactly the case the transport-layer detectors
             // cannot see.
-            if self.ram.peer_app_suspected {
+            if app_suspected {
                 self.declare_peer_failed(ctx, FailureReason::WatchdogReport);
                 return;
             }
@@ -2078,9 +2053,7 @@ impl StTcpServer {
     }
 
     /// A pool member asks this server to confirm `target_rank` dead so
-    /// that `candidate_rank` may fence it. Grant only when this server's
-    /// own evidence agrees — target silent on both links — and, for a
-    /// takeover fence, only to the best-ranked live candidate.
+    /// that `candidate_rank` may fence it; [`PoolState::grants`] answers.
     fn handle_fence_request(
         &mut self,
         ctx: &mut NodeCtx<'_>,
@@ -2101,21 +2074,11 @@ impl StTcpServer {
                 target_rank,
             },
         );
-        let (Some(pool), members) = (&self.ram.pool, &self.ram.members) else {
+        let Some(pool) = &self.ram.pool else {
             return;
         };
         let my_rank = pool.my_rank;
-        let candidate_ok = members
-            .get(&src)
-            .is_some_and(|m| !m.fenced && !m.hb.defunct && m.rank == candidate_rank);
-        let target_dead = members
-            .values()
-            .any(|m| !m.fenced && m.rank == target_rank && m.condemnable(now));
-        // A takeover fence never endorses a worse-ranked candidate while
-        // a better live one exists — including this voter itself.
-        let passed_over = target_rank == pool.active_rank
-            && (my_rank < candidate_rank || outranked(members, now, target_rank, candidate_rank));
-        let granted = candidate_ok && target_dead && target_rank != my_rank && !passed_over;
+        let granted = pool.grants(&self.ram.members, now, src, target_rank, candidate_rank);
         let reply = CtrlMsg::FenceAck {
             epoch,
             target_rank,
@@ -2270,7 +2233,7 @@ impl StTcpServer {
     fn net_observation(&mut self) -> NetObservation {
         let mut obs = NetObservation {
             my_ping: self.ram.ping.active.then(|| self.ram.ping.report()),
-            peer_ping: self.ram.peer_ping,
+            peer_report: self.followed_member().and_then(|m| m.hb.ping),
             ..Default::default()
         };
         // A fault-window walk: it runs only while the IP heartbeat is
@@ -2389,11 +2352,8 @@ impl StTcpServer {
             // void (it gets full-state frames until it acknowledges) — is
             // stale.
             self.ram.table.clear_set(Set::Lag);
-            self.ram.peer_app_suspected = false;
             if let Some(m) = self.ram.members.get_mut(&src) {
-                m.hb.forget_incarnation(now);
-                m.forget_stream();
-                m.mirror.clear();
+                m.forget_incarnation(now);
             }
             self.unack_cached();
             self.events
@@ -3114,8 +3074,9 @@ mod tests {
         let mut hb = round(1, 0xabc, 1_000);
         hb.conns[0].last_app_byte_read = 950;
         s.handle_heartbeat(t, &hb, None, PEER, 1);
-        assert_eq!(s.pair_peer().hb.serial_mon.last_rx(), Some(t));
-        assert_eq!(s.pair_peer().hb.ip_mon.last_rx(), None);
+        let peer = &s.ram.members[&PEER].hb;
+        assert_eq!(peer.serial_mon.last_rx(), Some(t));
+        assert_eq!(peer.ip_mon.last_rx(), None);
         let p = s.followed_pos(s.ram.table.by_key(0xabc).unwrap()).unwrap();
         assert_eq!(p.last_byte_received, 1_000);
         assert_eq!(p.last_app_byte_read, 950);

@@ -197,7 +197,6 @@ fn chaos_capture_is_off_on_clean_runs_and_forced_by_flight_always() {
         &schedule,
         &ChaosOptions {
             flight_always: true,
-            flight_window_ms: None,
             ..ChaosOptions::quick()
         },
     );

@@ -14,7 +14,7 @@ use simnet::node::NodeId;
 use simnet::time::{SimDuration, SimTime};
 
 use sttcp::config::StTcpConfig;
-use sttcp::events::{FailureReason, StTcpEvent};
+use sttcp::events::{FailureReason, HbLink, StTcpEvent};
 use sttcp_apps::chaos::{run_chaos_case, ChaosOptions, FaultSchedule};
 use sttcp_apps::client::ClientWorkload;
 use sttcp_apps::scenario::{Scenario, ScenarioBuilder, Topology::Pair};
@@ -198,4 +198,44 @@ fn a_warm_rebooted_joiner_re_arms_from_a_void_record() {
     let (reason, at) = verdict(&report.member_events[0]).expect("the rejoined primary's verdict");
     assert_eq!(reason, FailureReason::HbBothLinksDown);
     assert!(at > t(3_000) && at < t(3_010), "verdict at {at}");
+}
+
+/// One receive rule for both wire formats: a frozen stream revives no
+/// link. The serial cable fails at 950 ms, the primary's heartbeat seqno
+/// freezes at 1 010 ms, and the cable is back at 1 700 ms. The first
+/// frame over it is fresh *on that link*, but it does not advance the
+/// stream, which last advanced more than `hb_timeout` before — so it
+/// refreshes no monitor, and the backup's row-1 verdict lands where the
+/// IP link's starvation puts it, at the same instant under v1 and delta
+/// (to the microsecond the two encodings' frame lengths move arrivals
+/// by; seed 1: 2 200.115 ms, where delta's used to wait for 2 405 ms).
+#[test]
+fn a_frozen_stream_revives_no_link_in_either_format() {
+    let schedule: FaultSchedule =
+        "@950 serial-fail; @1010 byz-hb primary freeze; @1700 serial-restore"
+            .parse()
+            .unwrap();
+    let backup_log = |hb_delta| {
+        let opts = ChaosOptions {
+            hb_delta,
+            ..ChaosOptions::default()
+        };
+        run_chaos_case(Pair, 1, &schedule, &opts).member_events[1].clone()
+    };
+    let (v1, delta) = (backup_log(false), backup_log(true));
+    for log in [&v1, &delta] {
+        let revived = log.iter().find(
+            |e| matches!(e, StTcpEvent::HbLinkUp { link: HbLink::Serial, at } if *at > t(1_010)),
+        );
+        assert_eq!(revived, None, "the frozen stream revived the cable");
+    }
+    let (reason, at) = verdict(&v1).expect("the frozen primary is condemned");
+    assert_eq!(reason, FailureReason::HbBothLinksDown);
+    let (delta_reason, delta_at) = verdict(&delta).expect("and under delta");
+    assert_eq!(delta_reason, reason);
+    let apart = delta_at.max(at).saturating_since(delta_at.min(at));
+    assert!(
+        apart <= SimDuration::from_micros(2),
+        "v1 {at}, delta {delta_at}"
+    );
 }

@@ -443,15 +443,48 @@ fn bulk_control_stays_off_the_cables() {
     );
 }
 
+/// A pool takeover has a symptom, as the pair's does: a backup logs its
+/// active's heartbeat links going down, so a crash's silence is phased as
+/// `symptom` (fault → the IP link's verdict) and only the few
+/// milliseconds from there to the fence as `diagnosis`. Before the
+/// links' edges were logged for the followed member in both topologies,
+/// the pool read symptom 0 and diagnosis 403.9 ms (seed 1) where the pair
+/// reads 400.1 / 3.6 ms.
+#[test]
+fn a_pool_takeover_has_a_symptom_like_the_pairs() {
+    use obs::timeline::Phase;
+    use sttcp_bench::hunt::takeover_phases;
+
+    let schedule: FaultSchedule = "@1000 crash primary".parse().unwrap();
+    let opts = ChaosOptions {
+        total_bytes: 8 << 20,
+        ..ChaosOptions::default()
+    };
+    for topology in [Topology::Pair, POOL] {
+        let report = run_chaos_case(topology, 1, &schedule, &opts);
+        let phases = takeover_phases(&report);
+        let [(_, b)] = phases.as_slice() else {
+            panic!("{topology:?}: one folded takeover, got {phases:?}");
+        };
+        let (symptom, diagnosis) = (b.get(Phase::Symptom), b.get(Phase::Diagnosis));
+        assert!(
+            symptom > diagnosis && diagnosis > SimDuration::ZERO,
+            "{topology:?}: symptom {symptom}, diagnosis {diagnosis}"
+        );
+    }
+}
+
 /// Both backups of a three-member pool die 200 ms apart under a 1 KiB
 /// echo every 20 ms. The active opens a fence round against rank 1 that
 /// needs rank 2's vote, and rank 2 is dead too, so the round never
 /// completes: the active stays in `ft_mode`, holding every client byte
 /// for backups that are gone (1 495 040 B at 30 s, over its 1 MiB
-/// `hold_buf`). The pair escalates a hold overflow (Table 1 row 5); the
-/// pool has no such escalation yet (ROADMAP item 7).
+/// `hold_buf`). Quorum counts the dead rank 2 in the electorate, so the
+/// round is stuck for good (ROADMAP item 10; `pool.rs`'s
+/// `liveness_counterexamples_are_two_deaths_before_a_commit` enumerates
+/// every such schedule).
 #[test]
-#[ignore = "the pool has no Table 1 row-5 escalation (ROADMAP item 7)"]
+#[ignore = "a fence round whose electorate's majority is dead never ends (ROADMAP item 10)"]
 fn an_active_whose_backups_all_died_holds_within_hold_buf() {
     let chat = ClientWorkload::EchoChat {
         chunk: 1024,
