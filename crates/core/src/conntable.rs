@@ -73,7 +73,6 @@ use crate::heartbeat::ConnHb;
 pub(crate) struct ConnCtl {
     pub(crate) key: u32,
     pub(crate) app: Box<dyn Application>,
-    pub(crate) app_alive: bool,
     pub(crate) applag: AppLagDetector,
     pub(crate) finarb: FinArbiter,
     pub(crate) pending_out: VecDeque<Bytes>,
@@ -84,28 +83,22 @@ pub(crate) struct ConnCtl {
     pub(crate) hole_since: Option<SimTime>,
     /// A local close/abort has already gone through arbitration.
     pub(crate) close_issued: bool,
-    /// Last time the (live) application showed a sign of life — any
-    /// callback into it returning. Feeds the optional watchdog.
-    pub(crate) last_sign_of_life: SimTime,
     /// The first client data byte has been delivered to the application
     /// (milestone bookkeeping — emitted once per connection).
     pub(crate) saw_data: bool,
 }
 
 impl ConnCtl {
-    /// Control state for a connection that starts (or resumes) `now`.
+    /// Control state for a connection that starts (or resumes).
     pub(crate) fn new(
         key: u32,
         app: Box<dyn Application>,
-        app_alive: bool,
         cfg: &StTcpConfig,
         role: Role,
-        now: SimTime,
     ) -> ConnCtl {
         ConnCtl {
             key,
             app,
-            app_alive,
             applag: AppLagDetector::new(
                 cfg.app_max_lag_bytes,
                 cfg.app_max_lag_time,
@@ -118,7 +111,6 @@ impl ConnCtl {
             closed: false,
             hole_since: None,
             close_issued: false,
-            last_sign_of_life: now,
             saw_data: false,
         }
     }
@@ -548,7 +540,7 @@ mod tests {
     }
 
     /// The maps being deleted. `conns` holds each socket's key and the
-    /// bind time that tags its control state.
+    /// bind time that tags its control state (as its `last_fetch_at`).
     #[derive(Default)]
     struct Model {
         next_sock: u64,
@@ -561,7 +553,9 @@ mod tests {
 
     fn ctl(key: u32, tag: SimTime) -> ConnCtl {
         let app = Box::new(EchoApp::default());
-        ConnCtl::new(key, app, true, &StTcpConfig::default(), Role::Primary, tag)
+        let mut ctl = ConnCtl::new(key, app, &StTcpConfig::default(), Role::Primary);
+        ctl.last_fetch_at = Some(tag);
+        ctl
     }
 
     fn apply(t: &mut ConnTable, m: &mut Model, op: Op, step: u64) {
@@ -669,8 +663,9 @@ mod tests {
             t.socks().map(|(sock, _)| sock).eq(m.conns.keys().copied()),
         )?;
         for sock in (0..m.next_sock + 1).map(SocketId) {
-            let got = t.ctl(sock).map(|c| (c.key, c.last_sign_of_life));
-            check("ctl", got == m.conns.get(&sock).copied())?;
+            let got = t.ctl(sock).map(|c| (c.key, c.last_fetch_at));
+            let want = m.conns.get(&sock).map(|&(key, tag)| (key, Some(tag)));
+            check("ctl", got == want)?;
             if let (Some(s), Some((key, _))) = (t.by_sock(sock), m.conns.get(&sock)) {
                 check("slot key", t[s].key() == *key && t[t.home(s)].key() == *key)?;
                 check("home", (t.home(s) == s) == (m.by_key[key] == sock))?;

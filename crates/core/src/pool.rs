@@ -599,202 +599,308 @@ mod tests {
     }
 
     /// A pure model of the pool's membership rounds — no `World`, no
-    /// wire: three members heartbeat every period, crash on a schedule,
-    /// and run rounds through the server's own rules
+    /// wire: `n` members heartbeat every period, fail on a schedule, and
+    /// run rounds through the server's own rules
     /// ([`PoolState::fence_target`], [`PoolState::grants`],
     /// [`quorum_needed`], [`FenceRound::stands`]), every request, vote
-    /// and commit delivered within its check tick. It enumerates every
-    /// order of every set of crashes on a grid of gaps, and checks safety
-    /// on every schedule and liveness — every round ends once the crashes
-    /// stop — against a pinned set of counterexamples (ROADMAP item 10,
-    /// whose fix updates the set).
+    /// and commit delivered within its check tick; a commit STONITHs its
+    /// target. A fault is a crash, or the active's reboot: back within
+    /// the liveness timeout as a backup with a fresh view and a restarted
+    /// seqno, its frames judged by the receive rule's own steps
+    /// ([`MemberState::admit`], [`HbSource::note_demotion`],
+    /// [`HbSource::advance`] on a newer seqno, [`HbSource::credit`]), so
+    /// the others find it defunct. It enumerates every order of every
+    /// set of faults on a grid of gaps, and checks safety on every
+    /// schedule and liveness — every round ends once the faults stop —
+    /// against a pinned set of counterexamples (ROADMAP item 10, whose
+    /// fix updates the set).
     mod rounds {
         use super::*;
+        use crate::events::HbLink;
+        use crate::metrics::ServerMetrics;
 
-        /// The first crash is at 1 s, each next one this many ms later.
+        /// The first fault is at 1 s, each next one this many ms later.
         const GAPS_MS: [u64; 9] = [0, 200, 400, 600, 800, 1_000, 1_200, 1_400, 1_600];
+
+        /// A rebooted member is back this long after going down: inside
+        /// the 600 ms liveness timeout.
+        const RESTART: SimDuration = SimDuration::from_millis(300);
 
         fn ip(rank: u8) -> Ipv4Addr {
             Ipv4Addr::new(10, 0, 0, 2 + rank)
         }
 
-        /// One member: rank, alive, serving, round state and its view.
-        type Member = (u8, bool, bool, PoolState, Members);
+        fn role(serving: bool) -> Role {
+            [Role::Backup, Role::Primary][serving as usize]
+        }
+
+        /// One member of the model, at index `rank`.
+        struct Member {
+            rank: u8,
+            alive: bool,
+            serving: bool,
+            /// Its last heartbeat seqno; a reboot restarts it.
+            seq: u32,
+            p: PoolState,
+            view: Members,
+        }
+
+        impl Member {
+            /// Rank `me` of an `n`-member pool, booted at `now` as a backup.
+            fn boot(n: u8, me: u8, now: SimTime) -> Member {
+                let peer = |rank| PoolPeer {
+                    rank,
+                    ip: ip(rank),
+                    node: NodeId(rank as usize),
+                };
+                let others: Vec<PoolPeer> = (0..n).filter(|&r| r != me).map(peer).collect();
+                Member {
+                    rank: me,
+                    alive: true,
+                    serving: false,
+                    seq: 0,
+                    p: PoolState::new(me, &others),
+                    view: member_table(&others, &StTcpConfig::default(), now, |_| 1),
+                }
+            }
+        }
+
+        /// Members failing in `order`, the first at 1 s, each next one a
+        /// gap later; with `reboot`, the first (the active, rank 0)
+        /// restarts [`RESTART`] after going down.
+        #[derive(Debug, Clone, PartialEq, Eq)]
+        struct Schedule {
+            reboot: bool,
+            order: Vec<u8>,
+            gaps: Vec<u64>,
+        }
 
         /// A commit: target rank, votes, electorate, and whether it was a
         /// takeover.
         type Commit = (u8, usize, usize, bool);
 
-        fn pool3() -> Vec<Member> {
-            let peer = |rank| PoolPeer {
-                rank,
-                ip: ip(rank),
-                node: NodeId(rank as usize),
-            };
-            let cfg = StTcpConfig::default();
-            (0..3)
-                .map(|me| {
-                    let others: Vec<PoolPeer> = (0..3).filter(|&r| r != me).map(peer).collect();
-                    let members = member_table(&others, &cfg, SimTime::ZERO, |_| 1);
-                    (me, true, me == 0, PoolState::new(me, &others), members)
-                })
-                .collect()
-        }
-
         /// Member `i`'s check tick: drop a round that no longer stands,
         /// open one if entitled, solicit every other unfenced member, and
-        /// on quorum fence the target at every live member and take over
-        /// a dead active.
+        /// on quorum STONITH the target, fence it at every live member and
+        /// take over a dead active.
         fn fence_tick(pool: &mut [Member], i: usize, now: SimTime) -> Option<Commit> {
-            let (rank, _, serving, p, view) = &mut pool[i];
-            let role = if *serving {
-                Role::Primary
-            } else {
-                Role::Backup
-            };
+            let Member {
+                rank,
+                serving,
+                p,
+                view,
+                ..
+            } = &mut pool[i];
             if p.fence.as_ref().is_some_and(|f| !f.stands(view, now)) {
                 p.fence = None;
             }
             if p.fence.is_none() {
-                if let Some((target, target_rank)) = p.fence_target(view, now, role) {
-                    let votes = BTreeSet::from([*rank]);
+                if let Some((target, target_rank)) = p.fence_target(view, now, role(*serving)) {
                     p.epoch += 1;
-                    let epoch = p.epoch;
                     p.fence = Some(FenceRound {
-                        epoch,
+                        epoch: p.epoch,
                         target,
                         target_rank,
-                        votes,
+                        votes: BTreeSet::from([*rank]),
                     });
                 }
             }
-            let (rank, _, _, p, view) = &pool[i];
-            let (rank, f) = (*rank, p.fence.as_ref()?);
+            let me = &pool[i];
+            let (rank, f) = (me.rank, me.p.fence.as_ref()?);
             let (target, target_rank) = (f.target, f.target_rank);
-            let solicited = |v: &&Member| v.1 && v.0 != rank && !view[&ip(v.0)].fenced;
+            let solicited = |v: &&Member| v.alive && v.rank != rank && !me.view[&ip(v.rank)].fenced;
             let voters: Vec<u8> = (pool.iter().filter(solicited))
-                .filter(|v| ip(v.0) != target)
-                .filter(|v| v.3.grants(&v.4, now, ip(rank), target_rank, rank))
-                .map(|v| v.0)
+                .filter(|v| ip(v.rank) != target)
+                .filter(|v| v.p.grants(&v.view, now, ip(rank), target_rank, rank))
+                .map(|v| v.rank)
                 .collect();
-            let (_, _, serving, p, view) = &mut pool[i];
-            let f = p.fence.as_mut()?;
+            let me = &mut pool[i];
+            let f = me.p.fence.as_mut()?;
             f.votes.extend(voters);
             let votes = f.votes.len();
-            if !f.stands(view, now) || votes < quorum_needed(view, target_rank) {
+            if !f.stands(&me.view, now) || votes < quorum_needed(&me.view, target_rank) {
                 return None;
             }
-            p.fence = None;
-            let others = view.values().filter(|m| !m.fenced && m.rank != target_rank);
-            let takeover = p.active_rank == target_rank;
+            me.p.fence = None;
+            let others = me.view.values().filter(|m| !m.fenced);
+            let electorate = 1 + others.filter(|m| m.rank != target_rank).count();
+            let takeover = me.p.active_rank == target_rank;
             if takeover {
-                (*serving, p.active_rank) = (true, rank);
+                (me.serving, me.p.active_rank) = (true, rank);
             }
-            let electorate = 1 + others.count();
-            for (_, alive, _, _, view) in pool.iter_mut().filter(|m| m.0 != target_rank) {
-                if let Some(m) = view.get_mut(&target).filter(|_| *alive) {
-                    m.fenced = true;
-                }
+            pool[target_rank as usize].alive = false;
+            for m in pool.iter_mut().filter(|m| m.alive) {
+                m.view.get_mut(&target).expect("a member").fenced = true;
             }
             Some((target_rank, votes, electorate, takeover))
         }
 
-        /// Runs the pool through `crashes` (rank, at) and 3 s beyond the
-        /// last: its commits, the most members serving at once, and
+        /// Runs an `n`-member pool through `s` and 3 s beyond its last
+        /// fault: its commits, the most members serving at once, and
         /// whether some live member's round still stands at the end.
-        fn run(crashes: &[(u8, SimTime)]) -> (Vec<Commit>, usize, bool) {
+        fn run(n: u8, s: &Schedule) -> (Vec<Commit>, usize, bool) {
             let cfg = StTcpConfig::default();
-            let mut pool = pool3();
-            let end = crashes.last().unwrap().1 + SimDuration::from_secs(3);
+            let mut pool: Vec<Member> = (0..n)
+                .map(|me| Member::boot(n, me, SimTime::ZERO))
+                .collect();
+            pool[0].serving = true;
+            let mut at = SimTime::from_millis(1_000);
+            let mut faults = vec![(s.order[0], at)];
+            for (&rank, &gap) in s.order[1..].iter().zip(&s.gaps) {
+                at += SimDuration::from_millis(gap);
+                faults.push((rank, at));
+            }
+            let restart = s.reboot.then(|| faults[0].1 + RESTART);
+            let end = at + SimDuration::from_secs(3);
             let (mut commits, mut max_serving) = (Vec::new(), 0);
+            let mut metrics = ServerMetrics::new();
             let mut now = SimTime::ZERO;
             while now <= end {
-                for &(rank, _) in crashes.iter().filter(|&&(_, at)| at == now) {
-                    pool[rank as usize].1 = false;
+                for &(rank, _) in faults.iter().filter(|&&(_, at)| at == now) {
+                    pool[rank as usize].alive = false;
+                }
+                if restart == Some(now) {
+                    pool[s.order[0] as usize] = Member::boot(n, s.order[0], now);
                 }
                 let round = now.as_micros().is_multiple_of(cfg.hb_period.as_micros());
-                let senders: Vec<(u8, bool)> = (pool.iter().filter(|m| m.1 && round))
-                    .map(|m| (m.0, m.2))
+                let frames: Vec<HbPayload> = (pool.iter_mut().filter(|m| m.alive && round))
+                    .map(|m| {
+                        m.seq += 1;
+                        HbPayload {
+                            seqno: m.seq,
+                            role: role(m.serving),
+                            rank: m.rank,
+                            conns: Vec::new(),
+                            ping: None,
+                        }
+                    })
                     .collect();
-                for (from, serving) in senders {
-                    for (_, _, _, p, view) in pool.iter_mut().filter(|m| m.1 && m.0 != from) {
-                        let hb = &mut view.get_mut(&ip(from)).expect("a member").hb;
-                        hb.ip_mon.on_heartbeat(now);
-                        hb.serial_mon.on_heartbeat(now);
-                        if serving {
-                            p.active_rank = from;
+                for hb in &frames {
+                    for to in pool.iter_mut().filter(|m| m.alive && m.rank != hb.rank) {
+                        let m = to.view.get_mut(&ip(hb.rank)).expect("a member");
+                        if !m.admit(hb.rank, now) {
+                            continue;
+                        }
+                        m.hb.note_demotion(hb, now);
+                        if m.hb.last_seqno.is_none_or(|l| seq_newer(hb.seqno, l)) {
+                            m.hb.advance(hb, now);
+                        }
+                        for link in [HbLink::Ip, HbLink::Serial] {
+                            m.hb.credit(link, now, &mut metrics);
+                        }
+                        if hb.role == Role::Primary {
+                            to.p.active_rank = hb.rank;
                         }
                     }
                 }
                 for i in 0..pool.len() {
-                    if pool[i].1 {
+                    if pool[i].alive {
                         commits.extend(fence_tick(&mut pool, i, now));
                     }
                 }
-                max_serving = max_serving.max(pool.iter().filter(|m| m.1 && m.2).count());
+                max_serving = max_serving.max(pool.iter().filter(|m| m.alive && m.serving).count());
                 now += cfg.check_period;
             }
-            let stuck = pool.iter().any(|m| m.1 && m.3.fence.is_some());
+            let stuck = pool.iter().any(|m| m.alive && m.p.fence.is_some());
             (commits, max_serving, stuck)
         }
 
-        /// Every order of every non-empty set of the three members, on
-        /// every grid of gaps: `(ranks in crash order, gaps in ms)`.
-        fn schedules() -> Vec<(Vec<u8>, Vec<u64>)> {
-            let mut out = Vec::new();
-            for a in 0..3 {
-                out.push((vec![a], vec![]));
-                for b in (0..3).filter(|&b| b != a) {
-                    for g in GAPS_MS {
-                        out.push((vec![a, b], vec![g]));
-                        let c = 3 - a - b;
-                        out.extend(GAPS_MS.map(|h| (vec![a, b, c], vec![g, h])));
-                    }
+        /// Every order of every non-empty set of the `n` members, on every
+        /// grid of `grid` gaps, as crashes — and each that rank 0 opens
+        /// also with rank 0 rebooted.
+        fn schedules(n: u8, grid: &[u64]) -> Vec<Schedule> {
+            let (reboot, gaps) = (false, vec![]);
+            let first = |r| Schedule {
+                reboot,
+                order: vec![r],
+                gaps: gaps.clone(),
+            };
+            let mut out: Vec<Schedule> = (0..n).map(first).collect();
+            let mut i = 0;
+            while let Some(s) = out.get(i).cloned() {
+                for r in (0..n).filter(|r| !s.order.contains(r)) {
+                    out.extend(grid.iter().map(|&g| Schedule {
+                        reboot,
+                        order: [&s.order[..], &[r]].concat(),
+                        gaps: [&s.gaps[..], &[g]].concat(),
+                    }));
                 }
+                i += 1;
             }
+            let reboots = out.iter().filter(|s| s.order[0] == 0);
+            let reboots: Vec<_> = (reboots.cloned())
+                .map(|s| Schedule { reboot: true, ..s })
+                .collect();
+            out.extend(reboots);
             out
         }
 
-        /// Safety holds everywhere. Liveness fails on exactly the
-        /// schedules where two members die 400 ms or less apart — the
-        /// active among them or not: the round against the first opens
-        /// on the 1 450 ms tick, once its last heartbeat (800 ms) is
-        /// `hb_timeout` old, and quorum still counts the second, whose
-        /// vote never comes. Both backups dying is the case
-        /// `tests/pool.rs` pins in the simulator; the active and one
-        /// backup strand the last backup the same way. A third death
-        /// leaves nobody whose round could end.
-        #[test]
-        fn liveness_counterexamples_are_two_deaths_before_a_commit() {
-            let mut counterexamples = Vec::new();
-            for (order, gaps) in schedules() {
-                let mut at = SimTime::from_millis(1_000);
-                let mut crashes = vec![(order[0], at)];
-                for (&rank, &gap) in order[1..].iter().zip(&gaps) {
-                    at += SimDuration::from_millis(gap);
-                    crashes.push((rank, at));
+        /// The schedules of an `n`-member pool on which a live member's
+        /// round never ends, asserting safety on every one: one member
+        /// serves at a time, each dead active is taken over once, and
+        /// every commit had a majority. A lone fault of rank 0 is taken
+        /// over by rank 1 on every vote.
+        fn counterexamples(n: u8, grid: &[u64]) -> Vec<Schedule> {
+            let mut stuck_on = Vec::new();
+            for s in schedules(n, grid) {
+                let (commits, max_serving, stuck) = run(n, &s);
+                if s.order == [0] {
+                    let all = n as usize - 1;
+                    assert_eq!(commits, [(0, all, all, true)], "{s:?}");
                 }
-                let (commits, max_serving, stuck) = run(&crashes);
-                if order == [0] {
-                    // Rank 1 takes over on its own vote and rank 2's.
-                    assert_eq!(commits, [(0, 2, 2, true)]);
-                }
-                // Safety: one member serves at a time, each dead active is
-                // taken over once, and every commit had a majority.
-                assert!(max_serving <= 1, "{order:?} {gaps:?}: two serving");
+                assert!(max_serving <= 1, "{s:?}: two serving");
                 for &(target, votes, electorate, _) in &commits {
-                    assert!(2 * votes > electorate, "{order:?} {gaps:?}: no quorum");
+                    assert!(2 * votes > electorate, "{s:?}: no quorum");
                     let takeovers = commits.iter().filter(|c| c.3 && c.0 == target);
-                    assert!(takeovers.count() <= 1, "{order:?} {gaps:?}: two takeovers");
+                    assert!(takeovers.count() <= 1, "{s:?}: two takeovers");
                 }
                 if stuck {
-                    counterexamples.push((order, gaps));
+                    stuck_on.push(s);
                 }
             }
-            let expected: Vec<_> = (schedules().into_iter())
-                .filter(|(order, gaps)| order.len() == 2 && gaps[0] <= 400)
+            stuck_on
+        }
+
+        /// Liveness fails on exactly the schedules where two members fail
+        /// 400 ms or less apart — the active among them or not, crashed
+        /// or rebooted: the round against the first opens once its last
+        /// heartbeat (800 ms) is `hb_timeout` old (1 450 ms; a rebooted
+        /// active's first backup frame marks it defunct at 1 400 ms), and
+        /// quorum still counts the second, whose vote never comes. Both
+        /// backups dying is the case `tests/pool.rs` pins in the
+        /// simulator; the active and one backup strand the last backup
+        /// the same way. A third death leaves nobody whose round could
+        /// end, and a rebooted active alone never opens one.
+        #[test]
+        fn liveness_counterexamples_are_two_deaths_before_a_commit() {
+            let expected: Vec<_> = (schedules(3, &GAPS_MS).into_iter())
+                .filter(|s| s.order.len() == 2 && s.gaps[0] <= 400)
                 .collect();
-            assert_eq!(counterexamples, expected);
+            assert_eq!(counterexamples(3, &GAPS_MS), expected);
+        }
+
+        /// Four members: a majority of three outlives any two faults, so
+        /// liveness fails only with three — exactly when the third lands
+        /// 400 ms or less after the second, before the second commit, so
+        /// the survivor's round still needs a dead voter. The exception
+        /// is where rank 0 fails first and rank 1, having taken over,
+        /// dies 600 ms after it, before its first primary frame: the
+        /// survivor still follows the fenced rank 0 and never opens a
+        /// round (the pool serves nobody, which this model does not
+        /// judge). Gaps past 800 ms change nothing a commit cannot
+        /// outrun, so the grid stops there.
+        #[test]
+        fn four_members_stall_on_a_third_fault_before_the_second_commit() {
+            let grid = &GAPS_MS[..5];
+            let unannounced = |o: &[u8], g: &[u64]| {
+                o[0] == 0 && ((o[1] == 1 && g[0] == 600) || (o[2] == 1 && g[0] + g[1] == 600))
+            };
+            let expected: Vec<_> = (schedules(4, grid).into_iter())
+                .filter(|s| s.order.len() == 3 && s.gaps[1] <= 400)
+                .filter(|s| !unannounced(&s.order, &s.gaps))
+                .collect();
+            assert_eq!(expected.len(), 426);
+            assert_eq!(counterexamples(4, grid), expected);
         }
     }
 }

@@ -232,6 +232,18 @@ pub struct StTcpServer {
     ram: Ram,
 }
 
+/// The replica application's liveness, one server fact: in this
+/// simulator it is alive or crashed for every connection at once.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+enum AppLife {
+    Alive,
+    /// Crashed at this instant, not yet reported.
+    Crashed(SimTime),
+    /// Reported by the watchdog: every open record that is not
+    /// close-issued carries `app_suspected`.
+    Suspected,
+}
+
 /// Everything a power cycle erases: the protocol state of one boot
 /// incarnation. [`Ram::boot`] is the only place it is made — `new` and
 /// the warm `on_power_on` go through it — so a field added here is
@@ -254,7 +266,7 @@ struct Ram {
     hb_link_recs: Vec<Vec<ConnHb>>,
 
     tcp: TcpEndpoint,
-    app_crashed: bool,
+    app: AppLife,
 
     role: Role,
     ft_mode: bool,
@@ -343,7 +355,7 @@ impl Ram {
             hb_owed: Vec::new(),
             hb_link_recs: Vec::new(),
             tcp: endpoint,
-            app_crashed: false,
+            app: AppLife::Alive,
             role,
             ft_mode: true,
             table: ConnTable::default(),
@@ -468,20 +480,15 @@ impl StTcpServer {
         self.iface.add_arp(addr, mac);
     }
 
-    /// True when the optional watchdog suspects the local replica on this
-    /// connection: no sign of life for `watchdog_timeout`, with the
-    /// connection still nominally open.
-    fn watchdog_suspects(&self, now: SimTime, s: SlotId) -> bool {
-        let (Some(timeout), Some(ctl)) =
-            (self.setup.sttcp.watchdog_timeout, &self.ram.table[s].ctl)
-        else {
-            return false;
-        };
-        !ctl.closed && !ctl.close_issued && now.saturating_since(ctl.last_sign_of_life) >= timeout
+    /// True while the replica application runs ([`AppLife`]).
+    fn app_up(&self) -> bool {
+        self.ram.app == AppLife::Alive
     }
 
     /// The heartbeat record describing the slot's socket right now.
-    fn conn_record(&self, now: SimTime, s: SlotId, conn: &TcpConn) -> ConnHb {
+    fn conn_record(&self, s: SlotId, conn: &TcpConn) -> ConnHb {
+        let ctl = self.ram.table[s].ctl.as_ref();
+        let open = ctl.is_some_and(|c| !c.closed && !c.close_issued);
         ConnHb {
             key: self.ram.table[s].key(),
             last_byte_received: conn.bytes_received(),
@@ -490,7 +497,7 @@ impl StTcpServer {
             last_app_byte_read: conn.app_bytes_read(),
             fin_generated: conn.fin_generated(),
             rst_generated: conn.rst_generated(),
-            app_suspected: self.watchdog_suspects(now, s),
+            app_suspected: self.ram.app == AppLife::Suspected && open,
         }
     }
 
@@ -500,21 +507,8 @@ impl StTcpServer {
     /// drops out of heartbeats, recovery and totals; when it belongs to
     /// a *different* four-tuple that is a 32-bit `conn_key` collision,
     /// which is counted rather than silently absorbed.
-    fn bind_key(
-        &mut self,
-        now: SimTime,
-        key: u32,
-        sock: SocketId,
-        app: Box<dyn Application>,
-    ) -> SlotId {
-        let mut ctl = ConnCtl::new(
-            key,
-            app,
-            !self.ram.app_crashed,
-            &self.setup.sttcp,
-            self.ram.role,
-            now,
-        );
+    fn bind_key(&mut self, key: u32, sock: SocketId, app: Box<dyn Application>) -> SlotId {
+        let mut ctl = ConnCtl::new(key, app, &self.setup.sttcp, self.ram.role);
         // An active without a backup has nobody to arbitrate a FIN with;
         // a completed join hands out fresh arbiters.
         if self.ram.role == Role::Primary && !self.ram.ft_mode {
@@ -618,7 +612,7 @@ impl StTcpServer {
     /// since tick appetite changes with application state.
     fn refresh_tick(&mut self, s: SlotId) {
         let ctl = self.ram.table[s].ctl.as_ref();
-        let wants = ctl.is_some_and(|c| c.app_alive && !c.closed && c.app.wants_tick());
+        let wants = self.app_up() && ctl.is_some_and(|c| !c.closed && c.app.wants_tick());
         self.ram.table.set(Set::Tick, s, wants);
     }
 
@@ -731,7 +725,7 @@ impl StTcpServer {
             let open = !ctl.closed;
             let armed = ctl.finarb.needs_check() || ctl.applag.needs_check();
             let wanted = [
-                (Set::Tick, open && ctl.app_alive && ctl.app.wants_tick()),
+                (Set::Tick, open && self.app_up() && ctl.app.wants_tick()),
                 (Set::OutBlocked, !ctl.pending_out.is_empty()),
                 (Set::Check, open && armed),
             ];
@@ -774,15 +768,16 @@ impl StTcpServer {
     /// State changes are immediate; any resulting FIN/RST leaves with the
     /// next timer-driven flush (bounded by [`APP_TICK`]).
     pub fn inject_app_crash(&mut self, now: SimTime, mode: AppCrashMode) {
-        self.ram.app_crashed = true;
+        if self.app_up() {
+            self.ram.app = AppLife::Crashed(now);
+        }
+        if mode == AppCrashMode::SilentNoCleanup {
+            return;
+        }
         for (sock, s) in self.all_socks() {
             let Some(ctl) = self.ram.table[s].ctl.as_mut().filter(|c| !c.closed) else {
                 continue;
             };
-            ctl.app_alive = false;
-            if mode == AppCrashMode::SilentNoCleanup {
-                continue;
-            }
             ctl.close_issued = true;
             let (key, action) = (ctl.key, ctl.finarb.on_local_close(now));
             self.apply_gate_action(now, sock, key, action);
@@ -834,12 +829,12 @@ impl StTcpServer {
         let (key, holds) = (conn_key(conn.tuple()), conn.holds());
         prof.enter(Component::App);
         let mut app = self.app_factory.create();
-        let open_actions = match self.ram.app_crashed {
-            true => Vec::new(),
-            false => app.on_open(),
+        let open_actions = match self.app_up() {
+            true => app.on_open(),
+            false => Vec::new(),
         };
         prof.exit();
-        self.bind_key(now, key, sock, app);
+        self.bind_key(key, sock, app);
         self.events
             .push(StTcpEvent::ConnEstablished { conn: key, at: now });
         // The listener gives a connection the extended receive buffer
@@ -856,7 +851,8 @@ impl StTcpServer {
     fn on_readable(&mut self, now: SimTime, prof: &mut Profiler, sock: SocketId) {
         // A crashed application never reads: bytes pile up in the TCP
         // receive buffer exactly as in §4.2.1.
-        while let Some(ctl) = self.ram.table.ctl_mut(sock).filter(|c| c.app_alive) {
+        let alive = self.app_up();
+        while let Some(ctl) = self.ram.table.ctl_mut(sock).filter(|_| alive) {
             let data = self.ram.tcp.recv(sock, 64 * 1024);
             if data.is_empty() {
                 return;
@@ -871,7 +867,6 @@ impl StTcpServer {
             prof.enter(Component::App);
             let actions = ctl.app.on_data(&data);
             prof.exit();
-            ctl.last_sign_of_life = now;
             self.apply_app_actions(now, sock, actions);
         }
     }
@@ -881,12 +876,13 @@ impl StTcpServer {
             return;
         };
         self.ram.table.insert(Set::Check, s);
+        let alive = self.app_up();
         let Some(ctl) = self.ram.table[s].ctl.as_mut() else {
             return;
         };
         let key = ctl.key;
         let arb = ctl.finarb.note_client_fin(now);
-        let actions = ctl.app_alive.then(|| {
+        let actions = alive.then(|| {
             prof.enter(Component::App);
             let actions = ctl.app.on_peer_close();
             prof.exit();
@@ -1312,15 +1308,24 @@ impl StTcpServer {
         let any_full = self.ram.members.values().any(|m| full(m));
         // Refresh the record cache. The candidates are the endpoint's
         // touched feed plus every record that may still await an ack, so
-        // idle connections cost nothing per heartbeat period. The
-        // optional watchdog is the one signal that changes with *time*
-        // rather than socket activity, so enabling it falls back to the
-        // full scan. Key order, each key once: a touched socket stands
-        // for whatever its key resolves to now.
+        // idle connections cost nothing per heartbeat period; the one
+        // signal that changes with *time* is the watchdog's (§4.2.2
+        // extension) report of a crash, made once, on the first round
+        // `watchdog_timeout` or more after it: it changes every open
+        // record, so that round refreshes every bound one. Key order,
+        // each key once: a touched socket stands for whatever its key
+        // resolves to now.
         self.absorb_touched();
+        let report = match (self.ram.app, self.setup.sttcp.watchdog_timeout) {
+            (AppLife::Crashed(at), Some(t)) => now.saturating_since(at) >= t,
+            _ => false,
+        };
+        if report {
+            self.ram.app = AppLife::Suspected;
+        }
         let mut cands = std::mem::take(&mut self.ram.hb_cands);
         cands.clear();
-        if any_full || self.setup.sttcp.watchdog_timeout.is_some() {
+        if any_full || report {
             cands.extend(self.ram.table.bound().map(|(key, s, _)| (key, s)));
         } else {
             let unacked = self.ram.table.members(Set::Unacked);
@@ -1337,7 +1342,7 @@ impl StTcpServer {
             let conn = self.ram.table[s]
                 .sock()
                 .and_then(|sock| self.ram.tcp.conn(sock));
-            let Some(rec) = conn.map(|conn| self.conn_record(now, s, conn)) else {
+            let Some(rec) = conn.map(|conn| self.conn_record(s, conn)) else {
                 self.ram.table[s].cache = None;
                 continue;
             };
@@ -2469,7 +2474,7 @@ impl StTcpServer {
         );
         match self.ram.tcp.install_resumed(conn, EgressMode::Suppress) {
             Some(sock) => {
-                let slot = self.bind_key(now, s.conn, sock, app);
+                let slot = self.bind_key(s.conn, sock, app);
                 if let Some(ctl) = &mut self.ram.table[slot].ctl {
                     ctl.close_issued = s.local_fin;
                     // The connection resumed mid-stream: its first byte
@@ -2901,27 +2906,21 @@ impl Node for StTcpServer {
             }
             TOKEN_APP_TICK => {
                 let now = ctx.now();
-                // The watchdog is the one consumer that needs every live
-                // application's sign of life refreshed each tick; with it
-                // off, only applications that asked for ticks are visited,
-                // so idle connections cost nothing per round.
-                let slots: Vec<SlotId> = match self.setup.sttcp.watchdog_timeout {
-                    Some(_) => self.ram.table.socks().map(|(_, s)| s).collect(),
-                    None => self.ram.table.members(Set::Tick),
-                };
+                // Only applications that asked for ticks are visited, so
+                // idle connections cost nothing per round.
+                let slots = self.ram.table.members(Set::Tick);
                 self.metrics.on_timer_visits(slots.len());
+                let alive = self.app_up();
                 for s in slots {
                     let slot = &mut self.ram.table[s];
                     let (sock, ctl) = (slot.sock(), slot.ctl.as_mut());
-                    let (Some(sock), Some(ctl)) = (sock, ctl.filter(|c| c.app_alive && !c.closed))
-                    else {
+                    let (Some(sock), Some(ctl)) = (sock, ctl.filter(|c| alive && !c.closed)) else {
                         self.ram.table.remove(Set::Tick, s);
                         continue;
                     };
                     ctx.profile_enter(Component::App);
                     let actions = ctl.app.on_tick(now);
                     ctx.profile_exit();
-                    ctl.last_sign_of_life = now;
                     // Applying the actions is the endpoint's send / close /
                     // abort: TCP work, like the same calls under `flush`.
                     ctx.profile_enter(Component::Tcp);

@@ -280,7 +280,7 @@ impl TcpConn {
         let mut c = TcpConn::raw(cfg.into(), tuple, iss);
         c.state = TcpState::SynSent;
         let seg = c.make_segment(TcpFlags::SYN, iss, Bytes::new());
-        c.push_out(seg, 0);
+        c.push_out(seg);
         c.arm_rtx(now);
         c
     }
@@ -301,7 +301,7 @@ impl TcpConn {
         c.snd_wnd = syn.window as u32;
         let mut seg = c.make_segment(TcpFlags::SYN_ACK, iss, Bytes::new());
         seg.ack = c.rcv_ack_seq();
-        c.push_out(seg, 0);
+        c.push_out(seg);
         c.arm_rtx(now);
         c
     }
@@ -613,13 +613,7 @@ impl TcpConn {
             self.state = TcpState::Closed;
             return;
         }
-        let seq = self.snd_tracker.to_seq(self.snd_cursor);
-        let mut seg = self.make_segment(TcpFlags::RST, seq, Bytes::new());
-        if self.rcv_tracker.is_some() {
-            seg.flags.ack = true;
-            seg.ack = self.rcv_ack_seq();
-        }
-        self.push_out(seg, 0);
+        self.push_rst();
         self.rst_generated = true;
         self.enter_closed(false);
     }
@@ -630,16 +624,20 @@ impl TcpConn {
     /// was holding, releasing the gate must re-issue it or the peer is
     /// left retransmitting into silence forever.
     pub fn reissue_rst(&mut self, _now: SimTime) {
-        if !self.rst_generated {
-            return;
+        if self.rst_generated {
+            self.push_rst();
         }
+    }
+
+    /// Queues an RST at the send cursor, acking what was received.
+    fn push_rst(&mut self) {
         let seq = self.snd_tracker.to_seq(self.snd_cursor);
         let mut seg = self.make_segment(TcpFlags::RST, seq, Bytes::new());
         if self.rcv_tracker.is_some() {
             seg.flags.ack = true;
             seg.ack = self.rcv_ack_seq();
         }
-        self.push_out(seg, 0);
+        self.push_out(seg);
     }
 
     // ----- ST-TCP hooks ---------------------------------------------------
@@ -781,7 +779,7 @@ impl TcpConn {
             let seq = self.snd_tracker.to_seq(self.snd_cursor);
             let mut seg = self.make_segment(TcpFlags::ACK, seq, payload);
             seg.ack = self.rcv_ack_seq();
-            self.push_out(seg, 0);
+            self.push_out(seg);
         }
         self.persist_backoff = (self.persist_backoff + 1).min(10);
         let interval = self
@@ -876,7 +874,7 @@ impl TcpConn {
             let iss = self.isn();
             let mut s = self.make_segment(TcpFlags::SYN_ACK, iss, Bytes::new());
             s.ack = self.rcv_ack_seq();
-            self.push_out(s, 0);
+            self.push_out(s);
             return;
         }
 
@@ -981,7 +979,6 @@ impl TcpConn {
             return;
         };
         let off = tracker.to_offset(seg.seq, self.recvbuf.nxt());
-        let before_nxt = self.recvbuf.nxt();
         let outcome = self.recvbuf.receive(off, &seg.payload, seg.flags.fin);
         if outcome.newly_in_order > 0 {
             self.events.push(ConnEvent::DataReadable);
@@ -991,7 +988,6 @@ impl TcpConn {
         if !seg.payload.is_empty() || seg.flags.fin {
             self.ack_pending = true;
         }
-        let _ = before_nxt;
         self.maybe_consume_peer_fin();
     }
 
@@ -1016,11 +1012,8 @@ impl TcpConn {
         }
     }
 
-    // TIME-WAIT entry where `now` is unavailable: the deadline is armed on
-    // the next fill_output/on_timer interaction via `timewait_pending`.
-    // To keep things simple we instead record entry and let the endpoint's
-    // next `on_timer`/`poll` call arm it; practically we arm with the next
-    // fill_output call, which always happens in the same dispatch.
+    // TIME-WAIT entry where `now` is unavailable: `fill_output`, which
+    // always runs later in the same dispatch, arms the deadline.
     fn enter_time_wait_deferred(&mut self) {
         self.state = TcpState::TimeWait;
     }
@@ -1101,7 +1094,7 @@ impl TcpConn {
                 let mut seg = self.make_segment(flags, seq, payload);
                 seg.ack = self.rcv_ack_seq();
                 self.stats.bytes_sent += n;
-                self.push_out(seg, n);
+                self.push_out(seg);
                 self.snd_cursor += n;
                 if fin_here {
                     self.fin_sent = true;
@@ -1122,7 +1115,7 @@ impl TcpConn {
                 let seq = self.snd_tracker.to_seq(self.snd_cursor);
                 let mut seg = self.make_segment(TcpFlags::FIN_ACK, seq, Bytes::new());
                 seg.ack = self.rcv_ack_seq();
-                self.push_out(seg, 0);
+                self.push_out(seg);
                 self.fin_sent = true;
                 self.arm_rtx(now);
                 self.ack_pending = false;
@@ -1141,7 +1134,7 @@ impl TcpConn {
             .to_seq(self.snd_cursor.max(self.sendbuf.una()));
         let mut seg = self.make_segment(TcpFlags::ACK, seq, Bytes::new());
         seg.ack = self.rcv_ack_seq();
-        self.push_out(seg, 0);
+        self.push_out(seg);
         self.ack_pending = false;
     }
 
@@ -1152,14 +1145,14 @@ impl TcpConn {
             TcpState::SynSent => {
                 let iss = self.isn();
                 let seg = self.make_segment(TcpFlags::SYN, iss, Bytes::new());
-                self.push_out(seg, 0);
+                self.push_out(seg);
                 return;
             }
             TcpState::SynRcvd => {
                 let iss = self.isn();
                 let mut seg = self.make_segment(TcpFlags::SYN_ACK, iss, Bytes::new());
                 seg.ack = self.rcv_ack_seq();
-                self.push_out(seg, 0);
+                self.push_out(seg);
                 return;
             }
             _ => {}
@@ -1172,7 +1165,7 @@ impl TcpConn {
                 let seq = self.snd_tracker.to_seq(self.sendbuf.written());
                 let mut seg = self.make_segment(TcpFlags::FIN_ACK, seq, Bytes::new());
                 seg.ack = self.rcv_ack_seq();
-                self.push_out(seg, 0);
+                self.push_out(seg);
             }
             return;
         }
@@ -1189,7 +1182,7 @@ impl TcpConn {
             seg.flags.ack = false;
         }
         self.stats.bytes_retransmitted += n;
-        self.push_out(seg, 0);
+        self.push_out(seg);
     }
 
     // ----- helpers ---------------------------------------------------
@@ -1241,7 +1234,7 @@ impl TcpConn {
         }
     }
 
-    fn push_out(&mut self, seg: TcpSegment, _new_bytes: u64) {
+    fn push_out(&mut self, seg: TcpSegment) {
         self.stats.segs_out += 1;
         self.out.push_back(seg);
     }

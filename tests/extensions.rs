@@ -139,29 +139,35 @@ fn without_watchdog_idle_app_crash_stays_undetected() {
     assert!(s.server(s.primary).ft_mode());
 }
 
+/// A healthy application is never suspected, whatever the timeout —
+/// one shorter than the 10 ms application tick included (a per-connection
+/// sign-of-life clock refreshed by that tick once condemned both servers
+/// at 250 ms).
 #[test]
 fn watchdog_never_fires_on_healthy_idle_pair() {
-    let cfg = StTcpConfig {
-        watchdog_timeout: Some(SimDuration::from_millis(500)),
-        ..Default::default()
-    };
-    let mut s = ScenarioBuilder::new(echo_app(), ClientWorkload::Idle)
-        .seed(212)
-        .sttcp(cfg)
-        .build();
-    s.world.run_until(t(30_000));
-    for node in [s.primary, s.backup] {
-        assert!(
-            s.server(node)
-                .events()
-                .iter()
-                .all(|e| !matches!(e, StTcpEvent::PeerDeclaredFailed { .. })),
-            "false watchdog verdict on {node:?}: {:?}",
-            s.server(node).events()
-        );
+    for timeout_ms in [500, 10] {
+        let cfg = StTcpConfig {
+            watchdog_timeout: Some(SimDuration::from_millis(timeout_ms)),
+            ..Default::default()
+        };
+        let mut s = ScenarioBuilder::new(echo_app(), ClientWorkload::Idle)
+            .seed(212)
+            .sttcp(cfg)
+            .build();
+        s.world.run_until(t(30_000));
+        for node in [s.primary, s.backup] {
+            assert!(
+                s.server(node)
+                    .events()
+                    .iter()
+                    .all(|e| !matches!(e, StTcpEvent::PeerDeclaredFailed { .. })),
+                "{timeout_ms} ms: false watchdog verdict on {node:?}: {:?}",
+                s.server(node).events()
+            );
+        }
+        assert!(s.server(s.primary).ft_mode());
+        assert!(s.server(s.backup).ft_mode());
     }
-    assert!(s.server(s.primary).ft_mode());
-    assert!(s.server(s.backup).ft_mode());
 }
 
 #[test]
@@ -471,15 +477,26 @@ fn v1_rounds_copy_every_record_to_every_cable() {
 /// four, never the resident two thousand. Counted in sim time, so a
 /// noisy host cannot flake it. (Under v1 full-state rounds a `pool(3)`
 /// member sent 84 B per connection per round and visited 2 527–3 025
-/// connections per check tick.)
+/// connections per check tick.) The pair runs again with the watchdog
+/// on, which selects no extra visits: a per-connection sign-of-life
+/// clock once cost every application tick and heartbeat round a walk of
+/// the whole table, 12 517 visits per check tick.
 #[test]
 fn periodic_timer_visits_track_active_conns_not_resident_ones() {
-    for topology in [Topology::Pair, Topology::Pool(3)] {
-        periodic_work_tracks_active_conns(topology);
+    let watchdog = StTcpConfig {
+        watchdog_timeout: Some(SimDuration::from_millis(500)),
+        ..delta_cfg()
+    };
+    for (topology, cfg) in [
+        (Topology::Pair, delta_cfg()),
+        (Topology::Pool(3), delta_cfg()),
+        (Topology::Pair, watchdog),
+    ] {
+        periodic_work_tracks_active_conns(topology, cfg);
     }
 }
 
-fn periodic_work_tracks_active_conns(topology: Topology) {
+fn periodic_work_tracks_active_conns(topology: Topology, cfg: StTcpConfig) {
     const POPULATION: usize = 2_000;
     const ACTIVE: u64 = 4;
     // One member of the quiet population sends a single request as it
@@ -502,7 +519,7 @@ fn periodic_work_tracks_active_conns(topology: Topology) {
     )
     .extra_clients(workloads)
     .seed(240)
-    .sttcp(delta_cfg());
+    .sttcp(cfg);
     let mut s = match topology {
         Topology::Pair => builder.serial_links(4),
         Topology::Pool(n) => builder.pool(n),
