@@ -1001,14 +1001,9 @@ pub struct ChaosOptions {
     /// invariant was violated (demos attach a dump unconditionally; the
     /// hunt only pays for snapshots on violations).
     pub flight_always: bool,
-    /// Run the servers with [`StTcpConfig::hb_delta`] set: heartbeats
-    /// carry only connections whose counters changed since the last
-    /// acknowledged frame, with full-state resync on epoch mismatch.
-    pub hb_delta: bool,
-    /// Run the servers with [`StTcpConfig::hb_batch`] set: heartbeat
-    /// rounds larger than this many connection records are split into
-    /// multi-part v3 batch envelopes (`0` keeps single-frame rounds).
-    pub hb_batch: usize,
+    /// Every server's configuration ([`chaos_config`] by default); the
+    /// hunt's detection bounds and the explorer's offsets read it too.
+    pub sttcp: StTcpConfig,
 }
 
 impl Default for ChaosOptions {
@@ -1019,8 +1014,7 @@ impl Default for ChaosOptions {
             trace: false,
             workload: ChaosWorkload::Download,
             flight_always: false,
-            hb_delta: false,
-            hb_batch: 0,
+            sttcp: chaos_config(),
         }
     }
 }
@@ -1165,18 +1159,11 @@ pub fn run_chaos_case(
     opts: &ChaosOptions,
 ) -> ChaosReport {
     let (factory, client_workload) = workload_pair(opts.workload, opts.total_bytes);
-    let builder = ScenarioBuilder::new(factory, client_workload)
+    let mut s = ScenarioBuilder::new(factory, client_workload)
         .seed(seed)
-        .sttcp(StTcpConfig {
-            hb_delta: opts.hb_delta,
-            hb_batch: opts.hb_batch,
-            ..chaos_config()
-        });
-    let mut s = match topology {
-        Topology::Pair => builder,
-        Topology::Pool(n) => builder.pool(n),
-    }
-    .build();
+        .sttcp(opts.sttcp.clone())
+        .topology(topology)
+        .build();
 
     schedule.apply(&mut s);
     let end = SimTime::ZERO + opts.horizon;
@@ -1607,12 +1594,7 @@ mod tests {
                 let schedule: FaultSchedule = text.parse().unwrap();
                 assert_eq!(schedule.actions.last().unwrap().action.kind(), kind);
                 let (app, load) = workload_pair(ChaosWorkload::Download, 4096);
-                let builder = ScenarioBuilder::new(app, load);
-                let mut s = match topology {
-                    Topology::Pair => builder,
-                    Topology::Pool(n) => builder.pool(n),
-                }
-                .build();
+                let mut s = ScenarioBuilder::new(app, load).topology(topology).build();
                 schedule.apply(&mut s);
                 s.world.run_until(SimTime::from_millis(6));
                 let mut want = want.to_string();

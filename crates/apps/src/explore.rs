@@ -68,14 +68,15 @@
 
 use std::collections::{BTreeMap, BTreeSet};
 
+use sttcp::config::StTcpConfig;
 use sttcp::events::StTcpEvent;
 use sttcp::invariant::Outcome;
 use sttcp::milestone::{harvest, Milestone, MilestoneKind};
 use sttcp::server::{AppCrashMode, ByzantineHbMode};
 
 use crate::chaos::{
-    chaos_config, run_chaos_case, shrink_schedule, ChaosAction, ChaosOptions, ChaosReport,
-    FaultSchedule, LinkSel, ShrinkResult, Side,
+    run_chaos_case, shrink_schedule, ChaosAction, ChaosOptions, ChaosReport, FaultSchedule,
+    LinkSel, ShrinkResult, Side,
 };
 use crate::scenario::Topology;
 
@@ -178,10 +179,10 @@ pub fn grammar() -> Vec<GrammarOp> {
 /// fault relative to the first, in virtual milliseconds: ε, half and
 /// full heartbeat period, the detection timeout, and the flap dwell
 /// alone and stretched by heartbeat periods (the windows right after a
-/// flap's repair). Derived from [`chaos_config`], so the offsets track
-/// the protocol's actual timescales.
-pub fn pair_offsets() -> Vec<u64> {
-    let cfg = chaos_config();
+/// flap's repair). Derived from the run's configuration (the chaos
+/// harness's [`ChaosOptions::sttcp`]), so the offsets track the
+/// protocol's actual timescales.
+pub fn pair_offsets(cfg: &StTcpConfig) -> Vec<u64> {
     let hp = cfg.hb_period.as_millis();
     let ht = cfg.hb_timeout().as_millis();
     let mut offs = vec![
@@ -353,9 +354,9 @@ pub struct Lattice {
 /// quadratic in pairs it would outgrow a nightly budget without adding
 /// a new *ordering* of protocol phases) and the second fault at every
 /// later `At` time plus every [`pair_offsets`] delta after the first.
-pub fn build_lattice(milestones: &[Milestone]) -> Lattice {
+pub fn build_lattice(milestones: &[Milestone], cfg: &StTcpConfig) -> Lattice {
     let g = grammar();
-    let offsets = pair_offsets();
+    let offsets = pair_offsets(cfg);
     let anchor_list = anchors(milestones);
     let at_times: Vec<u64> = anchor_list
         .iter()
@@ -430,7 +431,7 @@ pub fn probe_milestones(seed: u64, opts: &ChaosOptions) -> (Vec<Milestone>, Chao
     let ms = harvest(
         &report.member_events[0],
         &report.member_events[1],
-        &chaos_config(),
+        &opts.sttcp,
     );
     (ms, report)
 }
@@ -588,6 +589,7 @@ pub fn budget_indices(total: usize, budget: usize) -> Vec<usize> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::chaos::chaos_config;
     use simnet::time::SimTime;
     use sttcp::milestone::MilestoneKind;
 
@@ -626,7 +628,7 @@ mod tests {
 
     #[test]
     fn pair_offsets_are_sorted_positive_and_cover_the_flap_dwell() {
-        let offs = pair_offsets();
+        let offs = pair_offsets(&chaos_config());
         assert!(offs.windows(2).all(|w| w[0] < w[1]));
         assert!(offs.iter().all(|&d| d > 0));
         assert!(offs.contains(&EPSILON_MS));
@@ -674,7 +676,7 @@ mod tests {
             ms(MilestoneKind::Established, 100),
             ms(MilestoneKind::HbRound(1), 200),
         ];
-        let lat = build_lattice(&m);
+        let lat = build_lattice(&m, &chaos_config());
         let g = grammar().len();
         assert_eq!(lat.single_points, lat.anchors.len() * g);
         assert!(lat.mirrored_pruned > 0);
@@ -683,7 +685,7 @@ mod tests {
         // grid (deduplicated): t1=100 collides with the 200 milestone
         // via the hb-period offset, t1=200 has only itself as a later
         // milestone.
-        let offs = pair_offsets();
+        let offs = pair_offsets(&chaos_config());
         assert_eq!(lat.pair_time_pairs, (2 + offs.len() - 1) + (1 + offs.len()));
         // Every pair schedule is time-sorted and holds 2–4 timed
         // actions (two singles up to two flaps).
@@ -712,7 +714,7 @@ mod tests {
             ms(MilestoneKind::Established, 30),
             ms(MilestoneKind::HbRound(1), 200),
         ];
-        let lat = build_lattice(&m);
+        let lat = build_lattice(&m, &chaos_config());
         let want = "@200 nic-down primary; @1000 nic-up primary; @1200 app-crash primary rst";
         assert!(
             lat.schedules.iter().any(|s| s.to_string() == want),

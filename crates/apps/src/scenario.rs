@@ -197,6 +197,14 @@ impl ScenarioBuilder {
         self
     }
 
+    /// Builds `topology`: the pair (the default), or [`Self::pool`].
+    pub fn topology(self, topology: Topology) -> Self {
+        match topology {
+            Topology::Pair => self,
+            Topology::Pool(n) => self.pool(n),
+        }
+    }
+
     /// Sets when (after start) the client connects.
     pub fn connect_at(mut self, at: SimDuration) -> Self {
         self.connect_at = at;

@@ -17,33 +17,23 @@
 //! a worker pool; every cell derives its seed from its grid coordinates
 //! alone, so the tables are identical to a single-threaded run.
 
-use std::rc::Rc;
-
 use simnet::link::LinkDir;
 use simnet::time::{SimDuration, SimTime};
 
-use sttcp::app::EchoApp;
 use sttcp::config::StTcpConfig;
 use sttcp::events::StTcpEvent;
 
-use sttcp_apps::client::ClientWorkload;
-use sttcp_apps::scenario::{AppMaker, ScenarioBuilder};
+use sttcp_bench::cli::parse_cli;
+use sttcp_bench::experiments::{chat, Trial};
 use sttcp_bench::parallel::parallel_map_indexed;
 use sttcp_bench::report::Table;
 
-fn t(ms: u64) -> SimTime {
-    SimTime::from_millis(ms)
-}
-
-fn echo_app() -> AppMaker {
-    Rc::new(|| Box::new(EchoApp::default()) as _)
-}
-
-fn chat() -> ClientWorkload {
-    ClientWorkload::EchoChat {
-        chunk: 1024,
-        period: SimDuration::from_millis(50),
-        count: 300,
+/// The ablations' pair: the echo application under a 300-slab chat,
+/// the failure at 2 s, the run ended at 60 s.
+fn trial(seed: u64, sttcp: StTcpConfig) -> Trial {
+    Trial {
+        horizon: SimTime::from_secs(60),
+        ..Trial::echo(seed, sttcp, chat(300))
     }
 }
 
@@ -64,37 +54,27 @@ fn dual_link_ablation(threads: usize) {
     ]);
     let cases = [false, true];
     let rows = parallel_map_indexed(threads, &cases, |_, &single_link| {
-        let mut s = ScenarioBuilder::new(echo_app(), chat())
-            .seed(301)
-            .sttcp(cfg())
-            .build();
-        if single_link {
-            // No serial cable: the IP heartbeat is the only one.
-            s.fail_serial_at(t(0));
-        }
-        let b = s.backup;
-        s.fail_nic_at(b, t(2_000));
-        s.world.run_until(t(60_000));
-
-        let condemned_by = |node| {
-            s.server(node)
-                .events()
-                .iter()
-                .any(|e| matches!(e, StTcpEvent::PeerDeclaredFailed { .. }))
-        };
+        let run = trial(301, cfg()).run(|s, at| {
+            if single_link {
+                // No serial cable: the IP heartbeat is the only one.
+                s.fail_serial_at(SimTime::ZERO);
+            }
+            s.fail_nic_at(s.backup, at);
+        });
+        let s = &run.s;
+        let condemned_by = |node| run.verdict(node).is_some();
         let who = match (condemned_by(s.primary), condemned_by(s.backup)) {
             (true, false) => "backup (correct)",
             (false, true) => "primary (WRONG)",
             (true, true) => "both (mutual shoot-out)",
             (false, false) => "nobody",
         };
-        let log = s.client_log();
-        let outcome = if s.client_finished() && log.resets == 0 {
+        let outcome = if run.client_intact() {
             "served".to_string()
         } else {
             format!(
                 "DISRUPTED (resets={}, finished={})",
-                log.resets,
+                s.client_log().resets,
                 s.client_finished()
             )
         };
@@ -140,44 +120,34 @@ fn hb_timeout_ablation(threads: usize) {
         }
     }
     let rows = parallel_map_indexed(threads, &cases, |_, &(periods, loss)| {
+        let sttcp = StTcpConfig {
+            hb_timeout_periods: periods,
+            ..cfg()
+        };
         // Phase 1: lossy but healthy — must not produce a verdict.
-        let mut s = ScenarioBuilder::new(echo_app(), chat())
-            .seed(310 + periods as u64)
-            .sttcp(StTcpConfig {
-                hb_timeout_periods: periods,
-                ..cfg()
-            })
-            .build();
-        if loss > 0.0 {
-            // Loss on both directions of both server links: heartbeats
-            // and data both suffer.
-            for link in [s.link_primary, s.link_backup] {
-                s.world.set_link_loss(link, LinkDir::AtoB, loss);
-                s.world.set_link_loss(link, LinkDir::BtoA, loss);
-            }
+        let healthy = Trial {
+            horizon: SimTime::from_secs(15),
+            ..trial(310 + periods as u64, sttcp.clone())
         }
-        s.world.run_until(t(15_000));
-        let false_verdict = [s.primary, s.backup].iter().find_map(|&n| {
-            s.server(n).events().iter().find_map(|e| match e {
-                StTcpEvent::PeerDeclaredFailed { reason, .. } => Some(reason.to_string()),
-                _ => None,
-            })
+        .run(|s, _| {
+            if loss > 0.0 {
+                // Loss on both directions of both server links:
+                // heartbeats and data both suffer.
+                for link in [s.link_primary, s.link_backup] {
+                    s.world.set_link_loss(link, LinkDir::AtoB, loss);
+                    s.world.set_link_loss(link, LinkDir::BtoA, loss);
+                }
+            }
         });
+        let false_verdict = healthy.any_verdict().map(|r| r.to_string());
 
         // Phase 2 (clean link): real crash detection latency.
-        let mut s2 = ScenarioBuilder::new(echo_app(), chat())
-            .seed(320 + periods as u64)
-            .sttcp(StTcpConfig {
-                hb_timeout_periods: periods,
-                ..cfg()
-            })
-            .build();
-        s2.crash_primary_at(t(2_000));
-        s2.world.run_until(t(30_000));
-        let det = s2.server(s2.backup).events().iter().find_map(|e| match e {
-            StTcpEvent::PeerDeclaredFailed { at, .. } => Some(at.saturating_since(t(2_000))),
-            _ => None,
-        });
+        let crashed = Trial {
+            horizon: SimTime::from_secs(30),
+            ..trial(320 + periods as u64, sttcp)
+        }
+        .run(|s, at| s.crash_primary_at(at));
+        let det = crashed.verdict(crashed.s.backup).map(|(_, d)| d);
         vec![
             periods.to_string(),
             format!("{:.0}%", loss * 100.0),
@@ -217,36 +187,28 @@ fn hold_buffer_ablation(threads: usize) {
         }
     }
     let rows = parallel_map_indexed(threads, &cases, |_, &(hold, burst)| {
-        let mut s = ScenarioBuilder::new(echo_app(), chat())
-            .seed(330 + burst)
-            .sttcp(StTcpConfig {
-                hold_buf: hold,
-                // Slow the fetch path so the hold buffer actually fills
-                // for large bursts.
-                recovery_interval: SimDuration::from_millis(400),
-                recovery_chunk: 2 * 1024,
-                ..cfg()
+        let sttcp = StTcpConfig {
+            hold_buf: hold,
+            // Slow the fetch path so the hold buffer actually fills
+            // for large bursts.
+            recovery_interval: SimDuration::from_millis(400),
+            recovery_chunk: 2 * 1024,
+            ..cfg()
+        };
+        let run = trial(330 + burst, sttcp).run(|s, at| s.drop_tap_at(s.link_backup, at, burst));
+        let s = &run.s;
+        let backup_condemned = run.verdict(s.primary).is_some();
+        let recovered = run
+            .logged(s.backup, |e| {
+                matches!(e, StTcpEvent::RecoveryCompleted { .. })
             })
-            .build();
-        s.drop_tap_at(s.link_backup, t(2_000), burst);
-        s.world.run_until(t(60_000));
-        let backup_condemned = s
-            .server(s.primary)
-            .events()
-            .iter()
-            .any(|e| matches!(e, StTcpEvent::PeerDeclaredFailed { .. }));
-        let recovered = s
-            .server(s.backup)
-            .events()
-            .iter()
-            .any(|e| matches!(e, StTcpEvent::RecoveryCompleted { .. }));
-        let log = s.client_log();
+            .is_some();
         vec![
             format!("{} KiB", hold / 1024),
             burst.to_string(),
             recovered.to_string(),
             backup_condemned.to_string(),
-            if s.client_finished() && log.resets == 0 {
+            if run.client_intact() {
                 "served"
             } else {
                 "DISRUPTED"
@@ -265,33 +227,8 @@ fn hold_buffer_ablation(threads: usize) {
     );
 }
 
-fn parse_threads() -> usize {
-    let mut threads = 1usize;
-    let mut args = std::env::args().skip(1);
-    while let Some(a) = args.next() {
-        match a.as_str() {
-            "--threads" => match args.next().and_then(|v| v.parse().ok()) {
-                Some(n) => threads = n,
-                None => {
-                    eprintln!("--threads requires a number");
-                    std::process::exit(2);
-                }
-            },
-            "--help" | "-h" => {
-                eprintln!("usage: ablations [--threads <n>]");
-                std::process::exit(0);
-            }
-            other => {
-                eprintln!("unknown argument: {other}");
-                std::process::exit(2);
-            }
-        }
-    }
-    threads
-}
-
 fn main() {
-    let threads = parse_threads();
+    let threads = parse_cli("usage: ablations [--threads <n>]").threads;
     println!("ST-TCP design ablations\n");
     dual_link_ablation(threads);
     hb_timeout_ablation(threads);

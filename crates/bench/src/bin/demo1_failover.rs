@@ -10,43 +10,18 @@
 //! `--json <path>` additionally writes the run's full `MetricsReport`
 //! (simnet/tcp/core/client/phases sections) to `path`.
 
-use std::path::PathBuf;
 use std::process::exit;
 
 use simnet::time::SimDuration;
+use sttcp_bench::cli::parse_cli;
 use sttcp_bench::experiments::{run_baseline_failover, run_failover};
 use sttcp_bench::flight::{dumps_to_json, flight_dir_for, write_flight_dump};
 use sttcp_bench::report::{render_series, Table};
 
-fn parse_args() -> Option<PathBuf> {
-    let mut json = None;
-    let mut args = std::env::args().skip(1);
-    while let Some(a) = args.next() {
-        match a.as_str() {
-            "--json" => match args.next() {
-                Some(p) => json = Some(PathBuf::from(p)),
-                None => {
-                    eprintln!("--json requires a path");
-                    exit(2);
-                }
-            },
-            "--help" | "-h" => {
-                eprintln!("usage: demo1_failover [--json <path>]");
-                exit(0);
-            }
-            other => {
-                eprintln!("unknown argument: {other}");
-                exit(2);
-            }
-        }
-    }
-    json
-}
-
 fn main() {
     const TOTAL: u64 = 4 * 1024 * 1024;
     const CRASH_MS: u64 = 4_000;
-    let json_path = parse_args();
+    let json_path = parse_cli("usage: demo1_failover [--json <path>]").json;
 
     println!("Demo 1 — client-transparent seamless failover\n");
     let mut r = run_failover(1, 200, TOTAL, CRASH_MS);

@@ -7,15 +7,11 @@
 //!
 //! Run with: `cargo run -p sttcp-bench --bin demo4_app_crash --release`
 
-use std::rc::Rc;
-
 use simnet::time::{SimDuration, SimTime};
-use sttcp::app::EchoApp;
 use sttcp::config::StTcpConfig;
 use sttcp::events::StTcpEvent;
 use sttcp::server::AppCrashMode;
-use sttcp_apps::client::ClientWorkload;
-use sttcp_apps::scenario::ScenarioBuilder;
+use sttcp_bench::experiments::{chat, victim_and_detector, Recovery, Trial};
 use sttcp_bench::report::Table;
 
 fn main() {
@@ -37,58 +33,30 @@ fn main() {
         "client",
     ]);
     for (i, (loc, mode)) in cases.iter().enumerate() {
-        let mut s = ScenarioBuilder::new(
-            Rc::new(|| Box::new(EchoApp::default()) as _),
-            ClientWorkload::EchoChat {
-                chunk: 1024,
-                period: SimDuration::from_millis(50),
-                count: 300,
-            },
-        )
-        .seed(40 + i as u64)
-        .sttcp(StTcpConfig {
+        let sttcp = StTcpConfig {
             app_max_lag_time: SimDuration::from_secs(1),
             max_delay_fin: SimDuration::from_secs(5),
             ..Default::default()
-        })
-        .build();
-        let inject = SimTime::from_secs(3);
-        let victim = if *loc == "primary" {
-            s.primary
-        } else {
-            s.backup
         };
-        let detector = if *loc == "primary" {
-            s.backup
-        } else {
-            s.primary
+        let primary_side = *loc == "primary";
+        let run = Trial {
+            at: SimTime::from_secs(3),
+            ..Trial::echo(40 + i as u64, sttcp, chat(300))
+        }
+        .run(|s, at| s.crash_app_at(victim_and_detector(s, primary_side).0, at, *mode));
+        let (victim, detector) = victim_and_detector(&run.s, primary_side);
+        let held = run
+            .logged(victim, |e| matches!(e, StTcpEvent::FinHeld { .. }))
+            .is_some();
+        let (symptom, det) = run
+            .verdict(detector)
+            .map_or(("none".into(), SimDuration::ZERO), |(r, d)| {
+                (r.to_string(), d)
+            });
+        let recovery = match run.recovery() {
+            Recovery::Takeover => "takeover",
+            _ => "primary non-FT",
         };
-        s.crash_app_at(victim, inject, *mode);
-        s.world.run_until(SimTime::from_secs(90));
-
-        let held = s
-            .server(victim)
-            .events()
-            .iter()
-            .any(|e| matches!(e, StTcpEvent::FinHeld { .. }));
-        let (symptom, det) = s
-            .server(detector)
-            .events()
-            .iter()
-            .find_map(|e| match e {
-                StTcpEvent::PeerDeclaredFailed { reason, at } => {
-                    Some((reason.to_string(), at.saturating_since(inject)))
-                }
-                _ => None,
-            })
-            .unwrap_or(("none".into(), SimDuration::ZERO));
-        let recovery = if s.server(s.backup).took_over_at().is_some() {
-            "takeover"
-        } else {
-            "primary non-FT"
-        };
-        let log = s.client_log();
-        let ok = s.client_finished() && log.integrity_violations == 0 && log.resets == 0;
         t.row(vec![
             loc.to_string(),
             format!("{mode:?}"),
@@ -100,7 +68,7 @@ fn main() {
             symptom,
             recovery.to_string(),
             det.to_string(),
-            if ok {
+            if run.client_intact() {
                 "intact".into()
             } else {
                 "DISRUPTED".to_string()

@@ -6,14 +6,10 @@
 //!
 //! Run with: `cargo run -p sttcp-bench --bin demo5_nic_failure --release`
 
-use std::rc::Rc;
-
 use simnet::time::{SimDuration, SimTime};
-use sttcp::app::EchoApp;
 use sttcp::config::StTcpConfig;
-use sttcp::events::StTcpEvent;
 use sttcp_apps::client::ClientWorkload;
-use sttcp_apps::scenario::ScenarioBuilder;
+use sttcp_bench::experiments::{chat, victim_and_detector, Recovery, Trial};
 use sttcp_bench::report::Table;
 
 fn main() {
@@ -33,48 +29,34 @@ fn main() {
         let workload = if *quiet {
             ClientWorkload::Idle
         } else {
-            ClientWorkload::EchoChat {
-                chunk: 1024,
-                period: SimDuration::from_millis(50),
-                count: 300,
-            }
+            chat(300)
         };
-        let mut s = ScenarioBuilder::new(Rc::new(|| Box::new(EchoApp::default()) as _), workload)
-            .seed(50 + i as u64)
-            .sttcp(StTcpConfig {
-                app_max_lag_time: SimDuration::from_secs(1),
-                ..Default::default()
-            })
-            .build();
-        let inject = SimTime::from_secs(3);
-        let victim = if *fail_primary { s.primary } else { s.backup };
-        let detector = if *fail_primary { s.backup } else { s.primary };
-        s.fail_nic_at(victim, inject);
-        s.world.run_until(SimTime::from_secs(60));
-
-        let (symptom, det) = s
-            .server(detector)
-            .events()
-            .iter()
-            .find_map(|e| match e {
-                StTcpEvent::PeerDeclaredFailed { reason, at } => {
-                    Some((reason.to_string(), at.saturating_since(inject)))
-                }
-                _ => None,
-            })
-            .unwrap_or(("none".into(), SimDuration::ZERO));
-        let recovery = if s.server(s.backup).took_over_at().is_some() {
-            "backup took over"
-        } else {
-            "primary non-FT"
+        let sttcp = StTcpConfig {
+            app_max_lag_time: SimDuration::from_secs(1),
+            ..Default::default()
         };
-        let log = s.client_log();
+        let run = Trial {
+            at: SimTime::from_secs(3),
+            horizon: SimTime::from_secs(60),
+            ..Trial::echo(50 + i as u64, sttcp, workload)
+        }
+        .run(|s, at| s.fail_nic_at(victim_and_detector(s, *fail_primary).0, at));
+        let detector = victim_and_detector(&run.s, *fail_primary).1;
+        let (symptom, det) = run
+            .verdict(detector)
+            .map_or(("none".into(), SimDuration::ZERO), |(r, d)| {
+                (r.to_string(), d)
+            });
+        let recovery = match run.recovery() {
+            Recovery::Takeover => "backup took over",
+            _ => "primary non-FT",
+        };
         let stream = if *quiet {
-            "idle".to_string()
-        } else if s.client_finished() && log.integrity_violations == 0 && log.resets == 0 {
-            "intact".to_string()
+            "idle"
+        } else if run.client_intact() {
+            "intact"
         } else {
-            "DISRUPTED".to_string()
+            "DISRUPTED"
         };
         t.row(vec![
             if *fail_primary { "primary" } else { "backup" }.to_string(),
@@ -87,7 +69,7 @@ fn main() {
             symptom,
             recovery.to_string(),
             det.to_string(),
-            stream,
+            stream.to_string(),
         ]);
     }
     println!("{t}");

@@ -15,7 +15,6 @@
 //! (simnet/tcp/core/client sections, milestones, and the phase timeline
 //! of both failovers, including the new `reintegration` phase) to `path`.
 
-use std::path::PathBuf;
 use std::process::exit;
 use std::rc::Rc;
 
@@ -25,54 +24,24 @@ use sttcp::events::StTcpEvent;
 use sttcp_apps::apps::StreamApp;
 use sttcp_apps::client::ClientWorkload;
 use sttcp_apps::scenario::ScenarioBuilder;
+use sttcp_bench::cli::parse_cli;
 use sttcp_bench::experiments::scenario_report;
 use sttcp_bench::phases::failover_timeline;
 use sttcp_bench::report::{render_series, Table};
 
-fn parse_args() -> Option<PathBuf> {
-    let mut json = None;
-    let mut args = std::env::args().skip(1);
-    while let Some(a) = args.next() {
-        match a.as_str() {
-            "--json" => match args.next() {
-                Some(p) => json = Some(PathBuf::from(p)),
-                None => {
-                    eprintln!("--json requires a path");
-                    exit(2);
-                }
-            },
-            "--help" | "-h" => {
-                eprintln!("usage: demo6_reintegration [--json <path>]");
-                exit(0);
-            }
-            other => {
-                eprintln!("unknown argument: {other}");
-                exit(2);
-            }
-        }
-    }
-    json
-}
-
-fn t(ms: u64) -> SimTime {
-    SimTime::from_millis(ms)
-}
-
-fn event_at(events: &[StTcpEvent], f: impl Fn(&StTcpEvent) -> Option<SimTime>) -> Option<SimTime> {
-    events.iter().find_map(f)
-}
-
 fn main() {
     const TOTAL: u64 = 4 * 1024 * 1024;
-    const CRASH1_MS: u64 = 1_000;
-    const REBOOT_MS: u64 = 2_500;
-    const CRASH2_MS: u64 = 5_000;
-    let json_path = parse_args();
+    const CRASH1: SimTime = SimTime::from_millis(1_000);
+    const REBOOT: SimTime = SimTime::from_millis(2_500);
+    const CRASH2: SimTime = SimTime::from_millis(5_000);
+    let json_path = parse_cli("usage: demo6_reintegration [--json <path>]").json;
 
     println!("Demo 6 — backup re-integration after failover\n");
     println!(
-        "schedule: crash primary @{CRASH1_MS}ms, warm-reboot it @{REBOOT_MS}ms, \
-         crash backup @{CRASH2_MS}ms"
+        "schedule: crash primary @{}ms, warm-reboot it @{}ms, crash backup @{}ms",
+        CRASH1.as_millis(),
+        REBOOT.as_millis(),
+        CRASH2.as_millis()
     );
 
     let mut s = ScenarioBuilder::new(
@@ -81,20 +50,19 @@ fn main() {
     )
     .seed(6)
     .build();
-    s.crash_primary_at(t(CRASH1_MS));
+    s.crash_primary_at(CRASH1);
     let rebooted = s.primary;
-    s.world.schedule(t(REBOOT_MS), move |w| {
+    s.world.schedule(REBOOT, move |w| {
         if !w.is_powered(rebooted) {
             w.restore_node(rebooted);
         }
     });
-    s.crash_backup_at(t(CRASH2_MS));
+    s.crash_backup_at(CRASH2);
 
     // Pause just before the second crash: at this point the pair must be
     // fault-tolerant again, with both replicas in digest lockstep on the
     // live connection — the property the snapshot protocol exists for.
-    s.world
-        .run_until(t(CRASH2_MS) - SimDuration::from_micros(1));
+    s.world.run_until(CRASH2 - SimDuration::from_micros(1));
     let rejoined_at = s
         .server(s.primary)
         .reintegrated_at()
@@ -107,12 +75,13 @@ fn main() {
         "replica digests diverged after re-integration: {digest_rejoined:?} vs {digest_active:?}"
     );
     println!(
-        "\nat t={CRASH2_MS}ms (before the second crash): redundancy restored at {rejoined_at}, \
+        "\nat t={}ms (before the second crash): redundancy restored at {rejoined_at}, \
          app digests in lockstep ({:#018x})",
+        CRASH2.as_millis(),
         digest_rejoined.unwrap()
     );
 
-    let horizon = t(60_000);
+    let horizon = SimTime::from_secs(60);
     let step = SimDuration::from_millis(500);
     while !s.client_finished() && s.world.now() < horizon {
         let next = s.world.now() + step;
@@ -132,23 +101,23 @@ fn main() {
     // primary's; re-integration milestones live on the joiner's log.
     let backup_events = s.server(s.backup).events().to_vec();
     let primary_events = s.server(s.primary).events().to_vec();
-    let verdict1 = event_at(&backup_events, |e| match e {
+    let verdict1 = backup_events.iter().find_map(|e| match e {
         StTcpEvent::PeerDeclaredFailed { at, .. } => Some(*at),
         _ => None,
     });
-    let takeover1 = event_at(&backup_events, |e| match e {
+    let takeover1 = backup_events.iter().find_map(|e| match e {
         StTcpEvent::TookOver { at } => Some(*at),
         _ => None,
     });
-    let join_started = event_at(&primary_events, |e| match e {
+    let join_started = primary_events.iter().find_map(|e| match e {
         StTcpEvent::ReintegrationStarted { at } => Some(*at),
         _ => None,
     });
-    let verdict2 = event_at(&primary_events, |e| match e {
+    let verdict2 = primary_events.iter().find_map(|e| match e {
         StTcpEvent::PeerDeclaredFailed { at, .. } => Some(*at),
         _ => None,
     });
-    let takeover2 = event_at(&primary_events, |e| match e {
+    let takeover2 = primary_events.iter().find_map(|e| match e {
         StTcpEvent::TookOver { at } => Some(*at),
         _ => None,
     });
@@ -172,13 +141,13 @@ fn main() {
 
     let fmt = |at: Option<SimTime>| at.map(|a| a.to_string()).unwrap_or_default();
     let mut mt = Table::new(vec!["milestone", "time"]);
-    mt.row(vec!["primary crashed".into(), t(CRASH1_MS).to_string()]);
+    mt.row(vec!["primary crashed".into(), CRASH1.to_string()]);
     mt.row(vec!["backup verdict".into(), fmt(verdict1)]);
     mt.row(vec!["backup takeover".into(), fmt(takeover1)]);
-    mt.row(vec!["primary warm reboot".into(), t(REBOOT_MS).to_string()]);
+    mt.row(vec!["primary warm reboot".into(), REBOOT.to_string()]);
     mt.row(vec!["re-integration started".into(), fmt(join_started)]);
     mt.row(vec!["redundancy restored".into(), rejoined_at.to_string()]);
-    mt.row(vec!["backup crashed".into(), t(CRASH2_MS).to_string()]);
+    mt.row(vec!["backup crashed".into(), CRASH2.to_string()]);
     mt.row(vec!["primary verdict".into(), fmt(verdict2)]);
     mt.row(vec!["primary takeover".into(), fmt(takeover2)]);
     mt.row(vec!["transfer complete".into(), end.to_string()]);
@@ -196,20 +165,16 @@ fn main() {
     // stall it caused. The second one is served by the re-integrated
     // node — proof the snapshot protocol rebuilt a working backup.
     let mut phase_json = Vec::new();
-    for (label, crash_ms, events) in [
-        (
-            "first failover (backup takes over)",
-            CRASH1_MS,
-            &backup_events,
-        ),
+    for (label, crash, events) in [
+        ("first failover (backup takes over)", CRASH1, &backup_events),
         (
             "second failover (re-integrated primary takes over)",
-            CRASH2_MS,
+            CRASH2,
             &primary_events,
         ),
     ] {
-        let from = t(crash_ms) - SimDuration::from_millis(100);
-        let to = t(crash_ms + 10_000).min(end);
+        let from = crash - SimDuration::from_millis(100);
+        let to = (crash + SimDuration::from_secs(10)).min(end);
         let Some((ws, we)) = log.longest_stall_window(from, to) else {
             continue;
         };
@@ -217,7 +182,7 @@ fn main() {
         // re-integration that follows the first takeover) would clamp to
         // the window end and misattribute the stall tail.
         let in_window: Vec<StTcpEvent> = events.iter().filter(|e| e.at() <= we).cloned().collect();
-        let Some(b) = failover_timeline(ws, we, Some(t(crash_ms)), &in_window).breakdown() else {
+        let Some(b) = failover_timeline(ws, we, Some(crash), &in_window).breakdown() else {
             continue;
         };
         println!("{label} — phase breakdown (stall {}):\n", b.total);
@@ -234,9 +199,9 @@ fn main() {
         let mut config = Json::obj();
         config.set("seed", Json::U64(6));
         config.set("total_bytes", Json::U64(TOTAL));
-        config.set("crash_primary_us", Json::U64(t(CRASH1_MS).as_micros()));
-        config.set("reboot_primary_us", Json::U64(t(REBOOT_MS).as_micros()));
-        config.set("crash_backup_us", Json::U64(t(CRASH2_MS).as_micros()));
+        config.set("crash_primary_us", Json::U64(CRASH1.as_micros()));
+        config.set("reboot_primary_us", Json::U64(REBOOT.as_micros()));
+        config.set("crash_backup_us", Json::U64(CRASH2.as_micros()));
         report.set("config", config);
 
         let mut ms = Json::obj();

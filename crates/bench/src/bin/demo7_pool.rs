@@ -17,7 +17,6 @@
 //! (config, milestones, pool-strength samples, client verdicts, and the
 //! per-takeover phase breakdowns) to `path`.
 
-use std::path::PathBuf;
 use std::process::exit;
 use std::rc::Rc;
 
@@ -28,55 +27,26 @@ use sttcp::events::StTcpEvent;
 use sttcp_apps::apps::StreamApp;
 use sttcp_apps::client::ClientWorkload;
 use sttcp_apps::scenario::ScenarioBuilder;
+use sttcp_bench::cli::parse_cli;
 use sttcp_bench::flight::{dumps_to_json, flight_dir_for, write_flight_dump};
 use sttcp_bench::phases::failover_timeline;
 use sttcp_bench::report::{render_series, Table};
 
-fn parse_args() -> Option<PathBuf> {
-    let mut json = None;
-    let mut args = std::env::args().skip(1);
-    while let Some(a) = args.next() {
-        match a.as_str() {
-            "--json" => match args.next() {
-                Some(p) => json = Some(PathBuf::from(p)),
-                None => {
-                    eprintln!("--json requires a path");
-                    exit(2);
-                }
-            },
-            "--help" | "-h" => {
-                eprintln!("usage: demo7_pool [--json <path>]");
-                exit(0);
-            }
-            other => {
-                eprintln!("unknown argument: {other}");
-                exit(2);
-            }
-        }
-    }
-    json
-}
-
-fn t(ms: u64) -> SimTime {
-    SimTime::from_millis(ms)
-}
-
-fn event_at(events: &[StTcpEvent], f: impl Fn(&StTcpEvent) -> Option<SimTime>) -> Option<SimTime> {
-    events.iter().find_map(f)
-}
-
 fn main() {
     const REPLICAS: usize = 3;
     const TOTAL: u64 = 4 * 1024 * 1024;
-    const CRASH1_MS: u64 = 1_000;
-    const REBOOT_MS: u64 = 2_500;
-    const CRASH2_MS: u64 = 5_000;
-    let json_path = parse_args();
+    const CRASH1: SimTime = SimTime::from_millis(1_000);
+    const REBOOT: SimTime = SimTime::from_millis(2_500);
+    const CRASH2: SimTime = SimTime::from_millis(5_000);
+    let json_path = parse_cli("usage: demo7_pool [--json <path>]").json;
 
     println!("Demo 7 — N-replica standby pool ({REPLICAS} members)\n");
     println!(
-        "schedule: crash rank-0 (active) @{CRASH1_MS}ms, warm-reboot it @{REBOOT_MS}ms, \
-         crash rank-1 (new active) @{CRASH2_MS}ms"
+        "schedule: crash rank-0 (active) @{}ms, warm-reboot it @{}ms, \
+         crash rank-1 (new active) @{}ms",
+        CRASH1.as_millis(),
+        REBOOT.as_millis(),
+        CRASH2.as_millis()
     );
 
     let mut s = ScenarioBuilder::new(
@@ -87,13 +57,13 @@ fn main() {
     .pool(REPLICAS)
     .build();
     let rank = s.servers.clone();
-    s.crash_at(rank[0], t(CRASH1_MS));
-    s.reboot_at(rank[0], t(REBOOT_MS));
-    s.crash_at(rank[1], t(CRASH2_MS));
+    s.crash_at(rank[0], CRASH1);
+    s.reboot_at(rank[0], REBOOT);
+    s.crash_at(rank[1], CRASH2);
 
     // Sample the pool-strength gauge (live, unfenced members as the
     // current active counts them) alongside the run.
-    let horizon = t(60_000);
+    let horizon = SimTime::from_secs(60);
     let step = SimDuration::from_millis(250);
     let mut strength: Vec<(SimTime, u64)> = Vec::new();
     loop {
@@ -128,11 +98,11 @@ fn main() {
     let member_events: Vec<Vec<StTcpEvent>> = (rank.iter())
         .map(|&n| s.server(n).events().to_vec())
         .collect();
-    let quorum1 = event_at(&member_events[1], |e| match e {
+    let quorum1 = member_events[1].iter().find_map(|e| match e {
         StTcpEvent::FenceQuorumReached { at, .. } => Some(*at),
         _ => None,
     });
-    let takeover1 = event_at(&member_events[1], |e| match e {
+    let takeover1 = member_events[1].iter().find_map(|e| match e {
         StTcpEvent::TookOver { at } => Some(*at),
         _ => None,
     });
@@ -145,11 +115,11 @@ fn main() {
         new_rank >= REPLICAS as u8,
         "rejoiner kept rank {new_rank} instead of moving to the back"
     );
-    let quorum2 = event_at(&member_events[2], |e| match e {
+    let quorum2 = member_events[2].iter().find_map(|e| match e {
         StTcpEvent::FenceQuorumReached { at, .. } => Some(*at),
         _ => None,
     });
-    let takeover2 = event_at(&member_events[2], |e| match e {
+    let takeover2 = member_events[2].iter().find_map(|e| match e {
         StTcpEvent::TookOver { at } => Some(*at),
         _ => None,
     });
@@ -178,21 +148,15 @@ fn main() {
 
     let fmt = |at: Option<SimTime>| at.map(|a| a.to_string()).unwrap_or_default();
     let mut mt = Table::new(vec!["milestone", "time"]);
-    mt.row(vec![
-        "rank-0 (active) crashed".into(),
-        t(CRASH1_MS).to_string(),
-    ]);
+    mt.row(vec!["rank-0 (active) crashed".into(), CRASH1.to_string()]);
     mt.row(vec!["rank-1 fence quorum (2 votes)".into(), fmt(quorum1)]);
     mt.row(vec!["rank-1 takeover".into(), fmt(takeover1)]);
-    mt.row(vec!["rank-0 warm reboot".into(), t(REBOOT_MS).to_string()]);
+    mt.row(vec!["rank-0 warm reboot".into(), REBOOT.to_string()]);
     mt.row(vec![
         format!("rank-0 rejoined as rank-{new_rank}"),
         rejoined_at.to_string(),
     ]);
-    mt.row(vec![
-        "rank-1 (active) crashed".into(),
-        t(CRASH2_MS).to_string(),
-    ]);
+    mt.row(vec!["rank-1 (active) crashed".into(), CRASH2.to_string()]);
     mt.row(vec!["rank-2 fence quorum".into(), fmt(quorum2)]);
     mt.row(vec!["rank-2 takeover".into(), fmt(takeover2)]);
     mt.row(vec!["transfer complete".into(), end.to_string()]);
@@ -208,29 +172,29 @@ fn main() {
     // Per-takeover phase breakdowns, each anchored to the client stall
     // it caused and restricted to its own failover epoch.
     let mut phase_json = Vec::new();
-    for (label, crash_ms, events) in [
+    for (label, crash, events) in [
         (
             "first takeover (rank-1, quorum-fenced)",
-            CRASH1_MS,
+            CRASH1,
             &member_events[1],
         ),
         (
             "second takeover (rank-2, rejoiner votes)",
-            CRASH2_MS,
+            CRASH2,
             &member_events[2],
         ),
     ] {
-        let from = t(crash_ms) - SimDuration::from_millis(100);
-        let to = t(crash_ms + 10_000).min(end);
+        let from = crash - SimDuration::from_millis(100);
+        let to = (crash + SimDuration::from_secs(10)).min(end);
         let Some((ws, we)) = log.longest_stall_window(from, to) else {
             continue;
         };
         let in_window: Vec<StTcpEvent> = events
             .iter()
-            .filter(|e| e.at() <= we && e.at() >= t(crash_ms))
+            .filter(|e| e.at() <= we && e.at() >= crash)
             .cloned()
             .collect();
-        let Some(b) = failover_timeline(ws, we, Some(t(crash_ms)), &in_window).breakdown() else {
+        let Some(b) = failover_timeline(ws, we, Some(crash), &in_window).breakdown() else {
             continue;
         };
         println!("{label} — phase breakdown (stall {}):\n", b.total);
@@ -248,9 +212,9 @@ fn main() {
         config.set("seed", Json::U64(7));
         config.set("replicas", Json::U64(REPLICAS as u64));
         config.set("total_bytes", Json::U64(TOTAL));
-        config.set("crash_rank0_us", Json::U64(t(CRASH1_MS).as_micros()));
-        config.set("reboot_rank0_us", Json::U64(t(REBOOT_MS).as_micros()));
-        config.set("crash_rank1_us", Json::U64(t(CRASH2_MS).as_micros()));
+        config.set("crash_rank0_us", Json::U64(CRASH1.as_micros()));
+        config.set("reboot_rank0_us", Json::U64(REBOOT.as_micros()));
+        config.set("crash_rank1_us", Json::U64(CRASH2.as_micros()));
         report.set("config", config);
 
         let mut ms = Json::obj();

@@ -13,51 +13,19 @@
 //! Exit status is 1 if any client stream was disrupted or any detection
 //! latency exceeded its configured bound.
 
-use std::path::PathBuf;
 use std::process::ExitCode;
 
 use obs::json::Json;
 use obs::report::MetricsReport;
-use sttcp_bench::experiments::run_table1_matrix_threaded;
+use sttcp_apps::scenario::Topology;
+use sttcp_bench::cli::parse_cli;
+use sttcp_bench::experiments::run_table1;
 use sttcp_bench::report::Table;
 
-fn parse_args() -> (Option<PathBuf>, usize) {
-    let mut json = None;
-    let mut threads = 1usize;
-    let mut args = std::env::args().skip(1);
-    while let Some(a) = args.next() {
-        match a.as_str() {
-            "--json" => match args.next() {
-                Some(p) => json = Some(PathBuf::from(p)),
-                None => {
-                    eprintln!("--json requires a path");
-                    std::process::exit(2);
-                }
-            },
-            "--threads" => match args.next().and_then(|v| v.parse().ok()) {
-                Some(n) => threads = n,
-                None => {
-                    eprintln!("--threads requires a number");
-                    std::process::exit(2);
-                }
-            },
-            "--help" | "-h" => {
-                eprintln!("usage: table1_matrix [--json <path>] [--threads <n>]");
-                std::process::exit(0);
-            }
-            other => {
-                eprintln!("unknown argument: {other}");
-                std::process::exit(2);
-            }
-        }
-    }
-    (json, threads)
-}
-
 fn main() -> ExitCode {
-    let (json_path, threads) = parse_args();
+    let cli = parse_cli("usage: table1_matrix [--json <path>] [--threads <n>]");
     println!("ST-TCP Table 1 — single failure scenarios (reproduced)\n");
-    let rows = run_table1_matrix_threaded(1_000, threads);
+    let rows = run_table1(Topology::Pair, 1_000, cli.threads);
     let mut table = Table::new(vec![
         "row",
         "location",
@@ -74,7 +42,7 @@ fn main() -> ExitCode {
             r.location.to_string(),
             r.failure.clone(),
             r.symptom.clone(),
-            r.recovery.clone(),
+            r.recovery.label().to_string(),
             r.detection
                 .map(|d| d.to_string())
                 .unwrap_or_else(|| "-".into()),
@@ -113,7 +81,7 @@ fn main() -> ExitCode {
         println!("all detection latencies within their configured bounds");
     }
 
-    if let Some(path) = json_path {
+    if let Some(path) = cli.json {
         let mut report = MetricsReport::new("table1_matrix");
         let json_rows: Vec<Json> = rows
             .iter()
@@ -123,7 +91,7 @@ fn main() -> ExitCode {
                 o.set("location", Json::from(r.location));
                 o.set("failure", Json::from(r.failure.as_str()));
                 o.set("symptom", Json::from(r.symptom.as_str()));
-                o.set("recovery", Json::from(r.recovery.as_str()));
+                o.set("recovery", Json::from(r.recovery.label()));
                 o.set(
                     "detect_us",
                     r.detection

@@ -1,9 +1,10 @@
 //! Experiment runners: one function per table/figure of the paper.
 //!
-//! Each runner builds the standard topology, injects the prescribed
-//! failure, runs to completion, and extracts the metrics the paper
-//! reports. The binaries in `src/bin/` are thin printers over these
-//! functions.
+//! Every single-failure table — Table 1, Demos 1, 2, 4 and 5, §4.3's
+//! tap-loss bursts and the ablations — is one [`Trial`]: a world, one
+//! injection at one instant, a run to a horizon, and the readers on
+//! [`TrialRun`]. The binaries in `src/bin/` are thin printers over
+//! these functions.
 
 use std::rc::Rc;
 
@@ -27,27 +28,21 @@ use sttcp::server::AppCrashMode;
 
 use sttcp_apps::apps::StreamApp;
 use sttcp_apps::client::{ClientWorkload, ReconnectPolicy};
-use sttcp_apps::scenario::{build_baseline, AppMaker, Scenario, ScenarioBuilder};
+use sttcp_apps::scenario::{build_baseline, AppMaker, Scenario, ScenarioBuilder, Topology};
 
 use crate::phases::{detection_bound, failover_timeline};
-
-fn t(ms: u64) -> SimTime {
-    SimTime::from_millis(ms)
-}
 
 fn stream_app(chunk: usize) -> AppMaker {
     Rc::new(move || Box::new(StreamApp::new(chunk, false)) as _)
 }
 
-fn echo_app() -> AppMaker {
-    Rc::new(|| Box::new(EchoApp::default()) as _)
-}
-
-fn chat_workload() -> ClientWorkload {
+/// The chatty client of the single-failure tables: `count` 1 KiB slabs
+/// echoed, one every 50 ms.
+pub fn chat(count: u32) -> ClientWorkload {
     ClientWorkload::EchoChat {
         chunk: 1024,
         period: SimDuration::from_millis(50),
-        count: 400,
+        count,
     }
 }
 
@@ -89,7 +84,7 @@ pub fn scale_scenario(total_conns: u64, seed: u64) -> Scenario {
 /// When the last client of a [`scale_scenario`] has connected and the
 /// tail has had 500 ms to settle.
 pub fn scale_ramp_end(total_conns: u64) -> SimTime {
-    t(100 + (total_conns - 1) + 500)
+    SimTime::from_millis(100 + (total_conns - 1) + 500)
 }
 
 fn fast_cfg(hb_ms: u64) -> StTcpConfig {
@@ -98,13 +93,6 @@ fn fast_cfg(hb_ms: u64) -> StTcpConfig {
         max_delay_fin: SimDuration::from_secs(5),
         ..StTcpConfig::with_hb_period(SimDuration::from_millis(hb_ms))
     }
-}
-
-fn detection_of(s: &Scenario, node: NodeId) -> Option<(FailureReason, SimTime)> {
-    s.server(node).events().iter().find_map(|e| match e {
-        StTcpEvent::PeerDeclaredFailed { reason, at } => Some((*reason, *at)),
-        _ => None,
-    })
 }
 
 // ---------------------------------------------------------------------
@@ -180,6 +168,165 @@ pub fn scenario_report(kind: &str, s: &Scenario) -> MetricsReport {
 }
 
 // ---------------------------------------------------------------------
+// The single-failure runner
+// ---------------------------------------------------------------------
+
+/// One single-failure run: a world built from a topology, a seed, a
+/// configuration, an application and a client workload; one injection
+/// at `at`; a run to `horizon`. Every single-failure table is a `Trial`
+/// read through [`TrialRun`].
+pub struct Trial {
+    /// The pair, or a pool.
+    pub topology: Topology,
+    /// The world seed.
+    pub seed: u64,
+    /// Every server's configuration.
+    pub sttcp: StTcpConfig,
+    /// The replicated application.
+    pub app: AppMaker,
+    /// The (first) client's workload.
+    pub workload: ClientWorkload,
+    /// The injection instant, which every latency is read from.
+    pub at: SimTime,
+    /// Where the run stops.
+    pub horizon: SimTime,
+}
+
+impl Trial {
+    /// The pair serving the echo application to `workload`, the failure
+    /// injected at 2 s and the run ended at 90 s.
+    pub fn echo(seed: u64, sttcp: StTcpConfig, workload: ClientWorkload) -> Trial {
+        Trial {
+            topology: Topology::Pair,
+            seed,
+            sttcp,
+            app: Rc::new(|| Box::new(EchoApp::default()) as _),
+            workload,
+            at: SimTime::from_secs(2),
+            horizon: SimTime::from_secs(90),
+        }
+    }
+
+    /// Builds the world, hands it to `inject` — which schedules its
+    /// failure at the instant it is given — and runs to the horizon.
+    pub fn run(self, inject: impl FnOnce(&mut Scenario, SimTime)) -> TrialRun {
+        let mut s = ScenarioBuilder::new(self.app, self.workload)
+            .seed(self.seed)
+            .sttcp(self.sttcp)
+            .topology(self.topology)
+            .build();
+        inject(&mut s, self.at);
+        s.world.run_until(self.horizon);
+        TrialRun { s, at: self.at }
+    }
+}
+
+/// The member a failure on the primary side (`true`: rank 0) or the
+/// backup side (rank 1) strikes, and the other of the two, which is the
+/// one expected to detect it.
+pub fn victim_and_detector(s: &Scenario, primary_side: bool) -> (NodeId, NodeId) {
+    match primary_side {
+        true => (s.primary, s.backup),
+        false => (s.backup, s.primary),
+    }
+}
+
+/// What the servers did about a single failure (Table 1's recovery
+/// column).
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum Recovery {
+    /// A standby took over; the active was shut down.
+    Takeover,
+    /// The active shut a standby down and serves on: without fault
+    /// tolerance in the pair, with its other standbys in a pool.
+    NonFt,
+    /// The backup fetched the client bytes it missed from the active.
+    Fetched,
+    /// None required: normal TCP behaviour.
+    None,
+}
+
+impl Recovery {
+    /// Table 1's wording.
+    pub fn label(self) -> &'static str {
+        match self {
+            Recovery::Takeover => "backup took over; primary shut down",
+            Recovery::NonFt => "primary non-fault-tolerant; backup shut down",
+            Recovery::Fetched => "backup fetched missed bytes from primary",
+            Recovery::None => "none required (normal TCP behaviour)",
+        }
+    }
+}
+
+/// A finished [`Trial`]: the world as the horizon left it, and the
+/// readers every single-failure table uses.
+pub struct TrialRun {
+    /// The world, run to the horizon.
+    pub s: Scenario,
+    /// The injection instant.
+    pub at: SimTime,
+}
+
+impl TrialRun {
+    /// How long after the injection `node` first logged an event `probe`
+    /// accepts, if it ever did.
+    pub fn logged(&self, node: NodeId, probe: impl Fn(&StTcpEvent) -> bool) -> Option<SimDuration> {
+        let events = self.s.server(node).events();
+        let first = events.iter().find(|e| probe(e))?;
+        Some(first.at().saturating_since(self.at))
+    }
+
+    /// `node`'s first verdict on a peer, and its latency from the
+    /// injection.
+    pub fn verdict(&self, node: NodeId) -> Option<(FailureReason, SimDuration)> {
+        let since = |at: SimTime| at.saturating_since(self.at);
+        self.s.server(node).events().iter().find_map(|e| match *e {
+            StTcpEvent::PeerDeclaredFailed { reason, at } => Some((reason, since(at))),
+            _ => None,
+        })
+    }
+
+    /// The first member's (by rank) first verdict, if any member
+    /// reached one.
+    pub fn any_verdict(&self) -> Option<FailureReason> {
+        let mut servers = self.s.servers.iter();
+        servers
+            .find_map(|&n| self.verdict(n))
+            .map(|(reason, _)| reason)
+    }
+
+    /// The recovery class: a standby's takeover, else rank 0's STONITH,
+    /// else the backup's completed fetch, else none.
+    pub fn recovery(&self) -> Recovery {
+        let s = &self.s;
+        let stonith = |e: &StTcpEvent| matches!(e, StTcpEvent::StonithIssued { .. });
+        let fetched = |e: &StTcpEvent| matches!(e, StTcpEvent::RecoveryCompleted { .. });
+        if s.servers[1..]
+            .iter()
+            .any(|&n| s.server(n).took_over_at().is_some())
+        {
+            Recovery::Takeover
+        } else if self.logged(s.primary, stonith).is_some() {
+            Recovery::NonFt
+        } else if self.logged(s.backup, fetched).is_some() {
+            Recovery::Fetched
+        } else {
+            Recovery::None
+        }
+    }
+
+    /// The client was served transparently: its workload finished on one
+    /// connection, never reset, every byte verified.
+    pub fn client_intact(&self) -> bool {
+        let log = self.s.client_log();
+        self.s.client_finished()
+            && log.integrity_violations == 0
+            && log.resets == 0
+            && log.connects.len() == 1
+    }
+}
+
+// ---------------------------------------------------------------------
 // Demo 1 / Demo 2: failover
 // ---------------------------------------------------------------------
 
@@ -218,16 +365,17 @@ pub struct FailoverRun {
 /// Runs one primary-crash failover with the given heartbeat period.
 pub fn run_failover(seed: u64, hb_ms: u64, total: u64, crash_ms: u64) -> FailoverRun {
     let cfg = StTcpConfig::with_hb_period(SimDuration::from_millis(hb_ms));
-    let mut s = ScenarioBuilder::new(stream_app(4096), ClientWorkload::Download { total })
-        .seed(seed)
-        .sttcp(cfg)
-        .build();
-    s.crash_primary_at(t(crash_ms));
-    s.world.run_until(t(crash_ms + 60_000 + total / 100));
+    let run = Trial {
+        app: stream_app(4096),
+        at: SimTime::from_millis(crash_ms),
+        horizon: SimTime::from_millis(crash_ms + 60_000 + total / 100),
+        ..Trial::echo(seed, cfg, ClientWorkload::Download { total })
+    }
+    .run(|s, at| s.crash_primary_at(at));
+    let (s, crash) = (&run.s, run.at);
     let log = s.client_log().clone();
-    let crash = t(crash_ms);
     let end = log.finished_at.unwrap_or(s.world.now());
-    let detection = detection_of(&s, s.backup).map(|(_, at)| at.saturating_since(crash));
+    let detection = run.verdict(s.backup).map(|(_, d)| d);
     let takeover = s
         .server(s.backup)
         .took_over_at()
@@ -242,7 +390,7 @@ pub fn run_failover(seed: u64, hb_ms: u64, total: u64, crash_ms: u64) -> Failove
             failover_timeline(ws, we, Some(crash), s.server(s.backup).events()).breakdown()
         });
 
-    let mut report = scenario_report("demo1_failover", &s);
+    let mut report = scenario_report("demo1_failover", s);
     let mut config = Json::obj();
     config.set("seed", Json::U64(seed));
     config.set(
@@ -311,12 +459,13 @@ pub fn run_baseline_failover(
         TcpConfig::default(),
         Some(policy),
     );
-    b.crash_primary_at(t(crash_ms));
-    b.world.run_until(t(crash_ms + 120_000));
+    let crash = SimTime::from_millis(crash_ms);
+    b.crash_primary_at(crash);
+    b.world.run_until(crash + SimDuration::from_secs(120));
     let log = b.client_log();
     let end = log.finished_at.unwrap_or(b.world.now());
     (
-        log.longest_stall(t(crash_ms - 100), end),
+        log.longest_stall(crash - SimDuration::from_millis(100), end),
         log.reconnects,
         b.client_finished(),
     )
@@ -332,30 +481,25 @@ pub fn run_failover_push(
     crash_ms: u64,
 ) -> (Option<SimDuration>, SimDuration, u32) {
     let cfg = StTcpConfig::with_hb_period(SimDuration::from_millis(hb_ms));
-    let mut s = ScenarioBuilder::new(
-        echo_app(),
-        ClientWorkload::EchoChat {
-            chunk: 1024,
-            period: SimDuration::from_millis(25),
-            count: 1_000,
-        },
-    )
-    .seed(seed)
-    .sttcp(cfg)
-    .build();
-    s.crash_primary_at(t(crash_ms));
-    s.world.run_until(t(crash_ms + 90_000));
+    let workload = ClientWorkload::EchoChat {
+        chunk: 1024,
+        period: SimDuration::from_millis(25),
+        count: 1_000,
+    };
+    let run = Trial {
+        at: SimTime::from_millis(crash_ms),
+        horizon: SimTime::from_millis(crash_ms + 90_000),
+        ..Trial::echo(seed, cfg, workload)
+    }
+    .run(|s, at| s.crash_primary_at(at));
+    let log = run.s.client_log();
     assert!(
-        s.client_finished() && s.client_log().integrity_violations == 0,
+        run.s.client_finished() && log.integrity_violations == 0,
         "push failover failed"
     );
-    let crash = t(crash_ms);
-    let detection = detection_of(&s, s.backup).map(|(_, at)| at.saturating_since(crash));
-    let log = s.client_log();
-    let stall = log.longest_stall(
-        crash - SimDuration::from_millis(100),
-        log.finished_at.unwrap(),
-    );
+    let detection = run.verdict(run.s.backup).map(|(_, d)| d);
+    let stall_from = run.at - SimDuration::from_millis(100);
+    let stall = log.longest_stall(stall_from, log.finished_at.unwrap());
     (detection, stall, log.echo_roundtrips)
 }
 
@@ -403,7 +547,7 @@ pub fn run_overhead(seed: u64, total: u64) -> OverheadRun {
     let mut s = ScenarioBuilder::new(stream_app(chunk), ClientWorkload::Download { total })
         .seed(seed)
         .build();
-    let deadline = t(600_000);
+    let deadline = SimTime::from_secs(600);
     s.world.run_until(deadline);
     assert!(s.client_finished(), "sttcp transfer incomplete");
     let connect = s.client_log().connects[0];
@@ -464,7 +608,7 @@ pub struct Table1Row {
     /// The symptom observed (which detector fired, if any).
     pub symptom: String,
     /// The recovery action taken.
-    pub recovery: String,
+    pub recovery: Recovery,
     /// Crash → detection latency, when a detector fired.
     pub detection: Option<SimDuration>,
     /// Which detector fired, when one did.
@@ -485,241 +629,110 @@ impl Table1Row {
     }
 }
 
-/// Runs all ten Table 1 scenarios and reports each row's observed
-/// symptom and recovery action.
-pub fn run_table1_matrix(seed: u64) -> Vec<Table1Row> {
-    run_table1_matrix_threaded(seed, 1)
+/// A Table 1 failure: scheduled on the world at the instant, against
+/// the victim (rows 1–4; row 5 names its own link).
+type Injection = fn(&mut Scenario, NodeId, SimTime);
+
+fn crash(s: &mut Scenario, victim: NodeId, at: SimTime) {
+    s.crash_at(victim, at);
 }
 
-/// [`run_table1_matrix`] with the ten independent scenarios fanned out
-/// over up to `threads` workers. Each scenario's seed derives from
-/// `seed` and its fixed case index alone, so the rows come back in the
-/// same order with the same content as a sequential run.
-pub fn run_table1_matrix_threaded(seed: u64, threads: usize) -> Vec<Table1Row> {
-    let cases: Vec<u32> = (0..10).collect();
-    crate::parallel::parallel_map_indexed(threads, &cases, |_, &case| table1_case(seed, case))
+fn app_silent(s: &mut Scenario, victim: NodeId, at: SimTime) {
+    s.crash_app_at(victim, at, AppCrashMode::SilentNoCleanup);
 }
 
-/// Runs one of the ten Table 1 scenarios (`case` in `0..10`). The case
-/// index doubles as the seed bump, matching the order the sequential
-/// matrix has always used.
-fn table1_case(seed: u64, case: u32) -> Table1Row {
-    let inject_at = 2_000u64;
+fn app_fin(s: &mut Scenario, victim: NodeId, at: SimTime) {
+    s.crash_app_at(victim, at, AppCrashMode::CleanupFin);
+}
 
-    let finish = |mut s: Scenario| -> Scenario {
-        s.world.run_until(t(90_000));
-        s
-    };
-    let client_ok = |s: &Scenario| {
-        s.client_finished()
-            && s.client_log().integrity_violations == 0
-            && s.client_log().resets == 0
-            && s.client_log().connects.len() == 1
-    };
-    let recovery_of = |s: &Scenario| -> String {
-        let b = s.server(s.backup);
-        let p = s.server(s.primary);
-        if b.took_over_at().is_some() {
-            "backup took over; primary shut down".into()
-        } else if p
-            .events()
-            .iter()
-            .any(|e| matches!(e, StTcpEvent::WentNonFt { .. }))
-        {
-            "primary non-fault-tolerant; backup shut down".into()
-        } else if b
-            .events()
-            .iter()
-            .any(|e| matches!(e, StTcpEvent::RecoveryCompleted { .. }))
-        {
-            "backup fetched missed bytes from primary".into()
-        } else {
-            "none required (normal TCP behaviour)".into()
-        }
-    };
-    let symptom_of = |s: &Scenario,
-                      detector_node: NodeId|
-     -> (String, Option<FailureReason>, Option<SimDuration>) {
-        match detection_of(s, detector_node) {
-            Some((reason, at)) => (
-                reason.to_string(),
-                Some(reason),
-                Some(at.saturating_since(t(inject_at))),
-            ),
-            None => ("no failure declared".into(), None, None),
-        }
-    };
-    let bound_of =
-        |reason: Option<FailureReason>| reason.and_then(|r| detection_bound(&fast_cfg(200), r));
+fn nic(s: &mut Scenario, victim: NodeId, at: SimTime) {
+    s.fail_nic_at(victim, at);
+}
 
-    let s_seed = seed + case as u64;
-    let on_primary = case.is_multiple_of(2);
-    let location = if on_primary { "primary" } else { "backup" };
-    match case {
-        // Row 1: HW/OS crash.
-        0 | 1 => {
-            let mut s = ScenarioBuilder::new(echo_app(), chat_workload())
-                .seed(s_seed)
-                .sttcp(fast_cfg(200))
-                .build();
-            if on_primary {
-                s.crash_primary_at(t(inject_at));
-            } else {
-                s.crash_backup_at(t(inject_at));
-            }
-            let s = finish(s);
-            let detector = if on_primary { s.backup } else { s.primary };
-            let (symptom, reason, det) = symptom_of(&s, detector);
-            Table1Row {
-                row: 1,
-                location,
-                failure: "HW/OS crash".into(),
-                symptom,
-                recovery: recovery_of(&s),
-                detection: det,
-                reason,
-                bound: bound_of(reason),
-                client_ok: client_ok(&s),
-            }
+fn tap_burst(s: &mut Scenario, _: NodeId, at: SimTime) {
+    s.drop_tap_at(s.link_backup, at, 20);
+}
+
+fn tap_outage(s: &mut Scenario, _: NodeId, at: SimTime) {
+    s.drop_primary_tap_for(at, SimDuration::from_millis(300));
+}
+
+/// Table 1's ten cases, in the order the matrix has always run them
+/// (the index is also the seed bump): row, location, failure, injection.
+const TABLE1: [(u32, &str, &str, Injection); 10] = [
+    (1, "primary", "HW/OS crash", crash),
+    (1, "backup", "HW/OS crash", crash),
+    (2, "primary", "app crash, no FIN/RST", app_silent),
+    (2, "backup", "app crash, no FIN/RST", app_silent),
+    (3, "primary", "app crash, FIN generated", app_fin),
+    (3, "backup", "app crash, FIN generated", app_fin),
+    (4, "primary", "NIC failure", nic),
+    (4, "backup", "NIC failure", nic),
+    (5, "backup", "20 client frames lost on the tap", tap_burst),
+    (
+        5,
+        "primary",
+        "300ms client-frame outage toward primary",
+        tap_outage,
+    ),
+];
+
+/// Runs Table 1's ten single failures on `topology` and reports each
+/// row's observed symptom and recovery action. The cases fan out over
+/// up to `threads` workers; each one's seed derives from `seed` and its
+/// fixed case index alone, so the rows come back in the same order with
+/// the same content at any thread count.
+pub fn run_table1(topology: Topology, seed: u64, threads: usize) -> Vec<Table1Row> {
+    let cases: Vec<usize> = (0..TABLE1.len()).collect();
+    crate::parallel::parallel_map_indexed(threads, &cases, |_, &case| {
+        table1_row(topology, seed, case)
+    })
+}
+
+/// Runs Table 1's case `case` (in `0..10`, the matrix's order) on
+/// `topology`, seeded `seed + case`.
+pub fn table1_row(topology: Topology, seed: u64, case: usize) -> Table1Row {
+    let (row, location, failure, inject) = TABLE1[case];
+    let primary_side = location == "primary";
+    // Row 5's outage runs the paper-default lag thresholds: TCP takes
+    // about a second of fast-retransmit hole-filling to repair a 300 ms
+    // outage, which must stay inside AppMaxLagTime (2 s) — a failure
+    // shorter than the thresholds never triggers ST-TCP.
+    let sttcp = match (row, primary_side) {
+        (5, true) => StTcpConfig::with_hb_period(SimDuration::from_millis(200)),
+        _ => fast_cfg(200),
+    };
+    let run = Trial {
+        topology,
+        ..Trial::echo(seed + case as u64, sttcp.clone(), chat(400))
+    }
+    .run(|s, at| inject(s, victim_and_detector(s, primary_side).0, at));
+    let s = &run.s;
+    let (victim, detector) = victim_and_detector(s, primary_side);
+    let fin_held = |e: &StTcpEvent| matches!(e, StTcpEvent::FinHeld { .. });
+    let fetched = |e: &StTcpEvent| matches!(e, StTcpEvent::RecoveryCompleted { .. });
+    let symptom = match (row, primary_side) {
+        (5, false) if run.logged(s.backup, fetched).is_some() => {
+            "HB up; backup missed client bytes"
         }
-        // Row 2: application crash without cleanup.
-        2 | 3 => {
-            let mut s = ScenarioBuilder::new(echo_app(), chat_workload())
-                .seed(s_seed)
-                .sttcp(fast_cfg(200))
-                .build();
-            let victim = if on_primary { s.primary } else { s.backup };
-            let detector = if on_primary { s.backup } else { s.primary };
-            s.crash_app_at(victim, t(inject_at), AppCrashMode::SilentNoCleanup);
-            let s = finish(s);
-            let (symptom, reason, det) = symptom_of(&s, detector);
-            Table1Row {
-                row: 2,
-                location,
-                failure: "app crash, no FIN/RST".into(),
-                symptom,
-                recovery: recovery_of(&s),
-                detection: det,
-                reason,
-                bound: bound_of(reason),
-                client_ok: client_ok(&s),
-            }
-        }
-        // Row 3: application crash with cleanup (FIN generated).
-        4 | 5 => {
-            let mut s = ScenarioBuilder::new(echo_app(), chat_workload())
-                .seed(s_seed)
-                .sttcp(fast_cfg(200))
-                .build();
-            let victim = if on_primary { s.primary } else { s.backup };
-            let detector = if on_primary { s.backup } else { s.primary };
-            s.crash_app_at(victim, t(inject_at), AppCrashMode::CleanupFin);
-            let s = finish(s);
-            let (symptom, reason, det) = symptom_of(&s, detector);
-            let held = s
-                .server(victim)
-                .events()
-                .iter()
-                .any(|e| matches!(e, StTcpEvent::FinHeld { .. }));
-            Table1Row {
-                row: 3,
-                location,
-                failure: format!(
-                    "app crash, FIN generated{}",
-                    if held { " (held)" } else { "" }
-                ),
-                symptom,
-                recovery: recovery_of(&s),
-                detection: det,
-                reason,
-                bound: bound_of(reason),
-                client_ok: client_ok(&s),
-            }
-        }
-        // Row 4: NIC failure.
-        6 | 7 => {
-            let mut s = ScenarioBuilder::new(echo_app(), chat_workload())
-                .seed(s_seed)
-                .sttcp(fast_cfg(200))
-                .build();
-            let victim = if on_primary { s.primary } else { s.backup };
-            let detector = if on_primary { s.backup } else { s.primary };
-            s.fail_nic_at(victim, t(inject_at));
-            let s = finish(s);
-            let (symptom, reason, det) = symptom_of(&s, detector);
-            Table1Row {
-                row: 4,
-                location,
-                failure: "NIC failure".into(),
-                symptom,
-                recovery: recovery_of(&s),
-                detection: det,
-                reason,
-                bound: bound_of(reason),
-                client_ok: client_ok(&s),
-            }
-        }
-        // Row 5: temporary network failure — client frames lost on the tap.
-        8 => {
-            let mut s = ScenarioBuilder::new(echo_app(), chat_workload())
-                .seed(s_seed)
-                .sttcp(fast_cfg(200))
-                .build();
-            s.drop_tap_at(s.link_backup, t(inject_at), 20);
-            let s = finish(s);
-            let recovered = s
-                .server(s.backup)
-                .events()
-                .iter()
-                .any(|e| matches!(e, StTcpEvent::RecoveryCompleted { .. }));
-            Table1Row {
-                row: 5,
-                location: "backup",
-                failure: "20 client frames lost on the tap".into(),
-                symptom: if recovered {
-                    "HB up; backup missed client bytes".into()
-                } else {
-                    "loss not observed".into()
-                },
-                recovery: recovery_of(&s),
-                detection: None,
-                reason: None,
-                bound: None,
-                client_ok: client_ok(&s),
-            }
-        }
-        // Row 5: temporary network failure — short outage toward the
-        // primary.
-        _ => {
-            // Paper-default lag thresholds here: a 300 ms outage takes TCP
-            // about a second of fast-retransmit hole-filling to repair, which
-            // must stay comfortably inside AppMaxLagTime (2 s default) — the
-            // whole point of the row is that *temporary* failures shorter
-            // than the thresholds never trigger ST-TCP.
-            let mut s = ScenarioBuilder::new(echo_app(), chat_workload())
-                .seed(s_seed)
-                .sttcp(StTcpConfig::with_hb_period(SimDuration::from_millis(200)))
-                .build();
-            s.drop_primary_tap_for(t(inject_at), SimDuration::from_millis(300));
-            let s = finish(s);
-            let no_verdicts =
-                detection_of(&s, s.primary).is_none() && detection_of(&s, s.backup).is_none();
-            Table1Row {
-                row: 5,
-                location: "primary",
-                failure: "300ms client-frame outage toward primary".into(),
-                symptom: if no_verdicts {
-                    "primary missed bytes; client retransmits".into()
-                } else {
-                    "unexpected failure verdict".into()
-                },
-                recovery: recovery_of(&s),
-                detection: None,
-                reason: None,
-                bound: None,
-                client_ok: client_ok(&s),
-            }
-        }
+        (5, false) => "loss not observed",
+        (5, true) if run.any_verdict().is_none() => "primary missed bytes; client retransmits",
+        (5, true) => "unexpected failure verdict",
+        _ => "no failure declared",
+    };
+    let held = row == 3 && run.logged(victim, fin_held).is_some();
+    let verdict = run.verdict(detector).filter(|_| row != 5);
+    let reason = verdict.map(|(r, _)| r);
+    Table1Row {
+        row,
+        location,
+        failure: format!("{failure}{}", if held { " (held)" } else { "" }),
+        symptom: reason.map_or(symptom.into(), |r| r.to_string()),
+        recovery: run.recovery(),
+        detection: verdict.map(|(_, d)| d),
+        reason,
+        bound: reason.and_then(|r| detection_bound(&sttcp, r)),
+        client_ok: run.client_intact(),
     }
 }
 
@@ -817,7 +830,6 @@ pub struct TempNetFailRun {
 /// a *sustained* outage — modelled by a long drop window instead of a
 /// burst when `tiny_hold` is set).
 pub fn run_temp_netfail(seed: u64, burst: u64, tiny_hold: bool) -> TempNetFailRun {
-    let inject = 2_000u64;
     let mut cfg = fast_cfg(200);
     if tiny_hold {
         cfg.hold_buf = 2 * 1024;
@@ -825,31 +837,19 @@ pub fn run_temp_netfail(seed: u64, burst: u64, tiny_hold: bool) -> TempNetFailRu
         // outage on the tap.
         cfg.recovery_interval = SimDuration::from_secs(600);
     }
-    let mut s = ScenarioBuilder::new(echo_app(), chat_workload())
-        .seed(seed)
-        .sttcp(cfg)
-        .build();
-    s.drop_tap_at(s.link_backup, t(inject), burst);
-    s.world.run_until(t(90_000));
-
-    let backup_events = s.server(s.backup).events().to_vec();
-    let requested = backup_events
-        .iter()
-        .any(|e| matches!(e, StTcpEvent::RecoveryRequested { .. }));
-    let recovered_at = backup_events.iter().find_map(|e| match e {
-        StTcpEvent::RecoveryCompleted { at, .. } => Some(*at),
-        _ => None,
-    });
-    let verdict = detection_of(&s, s.primary)
-        .or(detection_of(&s, s.backup))
-        .map(|(r, _)| r);
+    let run =
+        Trial::echo(seed, cfg, chat(400)).run(|s, at| s.drop_tap_at(s.link_backup, at, burst));
+    let backup = run.s.backup;
+    let requested = |e: &StTcpEvent| matches!(e, StTcpEvent::RecoveryRequested { .. });
+    let recovered = |e: &StTcpEvent| matches!(e, StTcpEvent::RecoveryCompleted { .. });
+    let recovery_time = run.logged(backup, recovered);
     TempNetFailRun {
         burst,
-        recovery_requested: requested,
-        recovered: recovered_at.is_some(),
-        recovery_time: recovered_at.map(|at| at.saturating_since(t(inject))),
-        verdict,
-        client_ok: s.client_finished() && s.client_log().integrity_violations == 0,
+        recovery_requested: run.logged(backup, requested).is_some(),
+        recovered: recovery_time.is_some(),
+        recovery_time,
+        verdict: run.any_verdict(),
+        client_ok: run.client_intact(),
     }
 }
 

@@ -57,7 +57,7 @@ pub fn run_explore(
     opts.workload = cfg.workload;
 
     let (milestones, _probe) = probe_milestones(cfg.seed, &opts);
-    let lattice = build_lattice(&milestones);
+    let lattice = build_lattice(&milestones, &opts.sttcp);
     let run_indices = match cfg.budget {
         Some(b) => budget_indices(lattice.schedules.len(), b),
         None => (0..lattice.schedules.len()).collect(),

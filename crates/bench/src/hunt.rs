@@ -19,7 +19,7 @@ use sttcp::config::PING_INTERVAL;
 use sttcp::events::{FailureReason, StTcpEvent};
 use sttcp::invariant::Outcome;
 use sttcp_apps::chaos::{
-    chaos_config, run_chaos_case, ChaosAction, ChaosOptions, ChaosReport, FaultSchedule, LinkSel,
+    run_chaos_case, ChaosAction, ChaosOptions, ChaosReport, FaultSchedule, LinkSel,
 };
 use sttcp_apps::scenario::Topology;
 
@@ -342,7 +342,6 @@ pub fn run_sweep(
     opts: &ChaosOptions,
     mut on_case: impl FnMut(&SweepCase),
 ) -> SweepSummary {
-    let detection_cfg = chaos_config();
     let topology = cfg.flavour.topology();
     let cases = parallel_seeds(cfg.threads, cfg.start, cfg.seeds, |seed| {
         let schedule = cfg.flavour.schedule(seed);
@@ -385,7 +384,7 @@ pub fn run_sweep(
             for (reason, at) in verdicts {
                 let (Some(clock_start), Some(bound)) = (
                     detection_clock_start(report, &case.schedule, events, reason, at),
-                    detection_bound(&detection_cfg, reason),
+                    detection_bound(&opts.sttcp, reason),
                 ) else {
                     continue;
                 };

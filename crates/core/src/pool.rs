@@ -604,16 +604,18 @@ mod tests {
     /// ([`PoolState::fence_target`], [`PoolState::grants`],
     /// [`quorum_needed`], [`FenceRound::stands`]), every request, vote
     /// and commit delivered within its check tick; a commit STONITHs its
-    /// target. A fault is a crash, or the active's reboot: back within
+    /// target. A fault is a crash; the active's reboot: back within
     /// the liveness timeout as a backup with a fresh view and a restarted
     /// seqno, its frames judged by the receive rule's own steps
     /// ([`MemberState::admit`], [`HbSource::note_demotion`],
     /// [`HbSource::advance`] on a newer seqno, [`HbSource::credit`]), so
-    /// the others find it defunct. It enumerates every order of every
-    /// set of faults on a grid of gaps, and checks safety on every
-    /// schedule and liveness — every round ends once the faults stop —
-    /// against a pinned set of counterexamples (ROADMAP item 10, whose
-    /// fix updates the set).
+    /// the others find it defunct; or a cut: the member runs on, cut off
+    /// from every other on IP and on every cable, so no frame, vote or
+    /// commit crosses (STONITH, on the power controller, does). It
+    /// enumerates every order of every set of faults on a grid of gaps,
+    /// and checks safety on every schedule and liveness — every round
+    /// ends once the faults stop — against a pinned set of
+    /// counterexamples (ROADMAP item 10, whose fix updates the set).
     mod rounds {
         use super::*;
         use crate::events::HbLink;
@@ -641,6 +643,8 @@ mod tests {
             serving: bool,
             /// Its last heartbeat seqno; a reboot restarts it.
             seq: u32,
+            /// Cut off from every other member.
+            cut: bool,
             p: PoolState,
             view: Members,
         }
@@ -659,18 +663,28 @@ mod tests {
                     alive: true,
                     serving: false,
                     seq: 0,
+                    cut: false,
                     p: PoolState::new(me, &others),
                     view: member_table(&others, &StTcpConfig::default(), now, |_| 1),
                 }
             }
         }
 
-        /// Members failing in `order`, the first at 1 s, each next one a
-        /// gap later; with `reboot`, the first (the active, rank 0)
-        /// restarts [`RESTART`] after going down.
+        /// What the first fault does; every later one is a crash.
+        #[derive(Debug, Clone, Copy, PartialEq, Eq)]
+        enum First {
+            Crash,
+            /// The active (rank 0) restarts [`RESTART`] after going down.
+            Reboot,
+            /// The member is cut off for good.
+            Cut,
+        }
+
+        /// Members failing in `order`, the first at 1 s as `first` says,
+        /// each next one a gap later.
         #[derive(Debug, Clone, PartialEq, Eq)]
         struct Schedule {
-            reboot: bool,
+            first: First,
             order: Vec<u8>,
             gaps: Vec<u64>,
         }
@@ -706,9 +720,12 @@ mod tests {
                 }
             }
             let me = &pool[i];
-            let (rank, f) = (me.rank, me.p.fence.as_ref()?);
+            let (rank, cut, f) = (me.rank, me.cut, me.p.fence.as_ref()?);
             let (target, target_rank) = (f.target, f.target_rank);
-            let solicited = |v: &&Member| v.alive && v.rank != rank && !me.view[&ip(v.rank)].fenced;
+            let reached = |v: &Member| v.rank == rank || !(v.cut || cut);
+            let solicited = |v: &&Member| {
+                v.alive && reached(v) && v.rank != rank && !me.view[&ip(v.rank)].fenced
+            };
             let voters: Vec<u8> = (pool.iter().filter(solicited))
                 .filter(|v| ip(v.rank) != target)
                 .filter(|v| v.p.grants(&v.view, now, ip(rank), target_rank, rank))
@@ -729,7 +746,7 @@ mod tests {
                 (me.serving, me.p.active_rank) = (true, rank);
             }
             pool[target_rank as usize].alive = false;
-            for m in pool.iter_mut().filter(|m| m.alive) {
+            for m in pool.iter_mut().filter(|m| m.alive && reached(m)) {
                 m.view.get_mut(&target).expect("a member").fenced = true;
             }
             Some((target_rank, votes, electorate, takeover))
@@ -750,20 +767,25 @@ mod tests {
                 at += SimDuration::from_millis(gap);
                 faults.push((rank, at));
             }
-            let restart = s.reboot.then(|| faults[0].1 + RESTART);
+            let restart = (s.first == First::Reboot).then(|| faults[0].1 + RESTART);
             let end = at + SimDuration::from_secs(3);
             let (mut commits, mut max_serving) = (Vec::new(), 0);
             let mut metrics = ServerMetrics::new();
             let mut now = SimTime::ZERO;
             while now <= end {
-                for &(rank, _) in faults.iter().filter(|&&(_, at)| at == now) {
-                    pool[rank as usize].alive = false;
+                for (k, &(rank, _)) in faults.iter().enumerate().filter(|(_, f)| f.1 == now) {
+                    let m = &mut pool[rank as usize];
+                    match (k, s.first) {
+                        (0, First::Cut) => m.cut = true,
+                        _ => m.alive = false,
+                    }
                 }
                 if restart == Some(now) {
                     pool[s.order[0] as usize] = Member::boot(n, s.order[0], now);
                 }
                 let round = now.as_micros().is_multiple_of(cfg.hb_period.as_micros());
-                let frames: Vec<HbPayload> = (pool.iter_mut().filter(|m| m.alive && round))
+                let heard = |m: &Member| m.alive && !m.cut;
+                let frames: Vec<HbPayload> = (pool.iter_mut().filter(|m| heard(m) && round))
                     .map(|m| {
                         m.seq += 1;
                         HbPayload {
@@ -776,7 +798,7 @@ mod tests {
                     })
                     .collect();
                 for hb in &frames {
-                    for to in pool.iter_mut().filter(|m| m.alive && m.rank != hb.rank) {
+                    for to in pool.iter_mut().filter(|m| heard(m) && m.rank != hb.rank) {
                         let m = to.view.get_mut(&ip(hb.rank)).expect("a member");
                         if !m.admit(hb.rank, now) {
                             continue;
@@ -806,47 +828,51 @@ mod tests {
         }
 
         /// Every order of every non-empty set of the `n` members, on every
-        /// grid of `grid` gaps, as crashes — and each that rank 0 opens
-        /// also with rank 0 rebooted.
+        /// grid of `grid` gaps, as crashes; each also with its first
+        /// member cut instead, and each that rank 0 opens also with rank 0
+        /// rebooted.
         fn schedules(n: u8, grid: &[u64]) -> Vec<Schedule> {
-            let (reboot, gaps) = (false, vec![]);
-            let first = |r| Schedule {
-                reboot,
+            let (first, gaps) = (First::Crash, vec![]);
+            let lone = |r| Schedule {
+                first,
                 order: vec![r],
                 gaps: gaps.clone(),
             };
-            let mut out: Vec<Schedule> = (0..n).map(first).collect();
+            let mut out: Vec<Schedule> = (0..n).map(lone).collect();
             let mut i = 0;
             while let Some(s) = out.get(i).cloned() {
                 for r in (0..n).filter(|r| !s.order.contains(r)) {
                     out.extend(grid.iter().map(|&g| Schedule {
-                        reboot,
+                        first,
                         order: [&s.order[..], &[r]].concat(),
                         gaps: [&s.gaps[..], &[g]].concat(),
                     }));
                 }
                 i += 1;
             }
+            let cuts = out.iter().map(|s| (First::Cut, s));
             let reboots = out.iter().filter(|s| s.order[0] == 0);
-            let reboots: Vec<_> = (reboots.cloned())
-                .map(|s| Schedule { reboot: true, ..s })
+            let variants: Vec<_> = (cuts.chain(reboots.map(|s| (First::Reboot, s))))
+                .map(|(first, s)| Schedule { first, ..s.clone() })
                 .collect();
-            out.extend(reboots);
+            out.extend(variants);
             out
         }
 
         /// The schedules of an `n`-member pool on which a live member's
         /// round never ends, asserting safety on every one: one member
-        /// serves at a time, each dead active is taken over once, and
-        /// every commit had a majority. A lone fault of rank 0 is taken
-        /// over by rank 1 on every vote.
+        /// serves at a time (a cut active still serves until the commit
+        /// that lets its successor take over STONITHs it), each dead
+        /// active is taken over once, and every commit had a majority. A
+        /// lone fault is fenced on every other vote, rank 0's by rank 1's
+        /// takeover.
         fn counterexamples(n: u8, grid: &[u64]) -> Vec<Schedule> {
             let mut stuck_on = Vec::new();
             for s in schedules(n, grid) {
                 let (commits, max_serving, stuck) = run(n, &s);
-                if s.order == [0] {
+                if let [r] = s.order[..] {
                     let all = n as usize - 1;
-                    assert_eq!(commits, [(0, all, all, true)], "{s:?}");
+                    assert_eq!(commits, [(r, all, all, r == 0)], "{s:?}");
                 }
                 assert!(max_serving <= 1, "{s:?}: two serving");
                 for &(target, votes, electorate, _) in &commits {
@@ -870,11 +896,15 @@ mod tests {
         /// backups dying is the case `tests/pool.rs` pins in the
         /// simulator; the active and one backup strand the last backup
         /// the same way. A third death leaves nobody whose round could
-        /// end, and a rebooted active alone never opens one.
+        /// end, and a rebooted active alone never opens one. A cut member
+        /// counts as the first death, but lives on: with a crash 400 ms or
+        /// less behind it nobody can fence it, and its own round stands
+        /// after the other two have died.
         #[test]
         fn liveness_counterexamples_are_two_deaths_before_a_commit() {
+            let cut_survives = |s: &Schedule| s.first == First::Cut && s.order.len() == 3;
             let expected: Vec<_> = (schedules(3, &GAPS_MS).into_iter())
-                .filter(|s| s.order.len() == 2 && s.gaps[0] <= 400)
+                .filter(|s| (s.order.len() == 2 || cut_survives(s)) && s.gaps[0] <= 400)
                 .collect();
             assert_eq!(counterexamples(3, &GAPS_MS), expected);
         }
@@ -887,19 +917,35 @@ mod tests {
         /// dies 600 ms after it, before its first primary frame: the
         /// survivor still follows the fenced rank 0 and never opens a
         /// round (the pool serves nobody, which this model does not
-        /// judge). Gaps past 800 ms change nothing a commit cannot
-        /// outrun, so the grid stops there.
+        /// judge). A cut first fault follows the same rule, and with four
+        /// faults the cut member outlives the other three unfenced — its
+        /// round standing — when the majority side loses its second voter
+        /// before committing against it: the first two crashes land
+        /// within 400 ms of the cut, or each within 400 ms of the last
+        /// and the first strikes the member that had to act first (rank
+        /// 0 against a cut backup, rank 1 against a cut rank 0), whose
+        /// silence the next in rank waits out. Gaps past 800 ms change
+        /// nothing a commit cannot outrun, so the grid stops there.
         #[test]
         fn four_members_stall_on_a_third_fault_before_the_second_commit() {
             let grid = &GAPS_MS[..5];
             let unannounced = |o: &[u8], g: &[u64]| {
                 o[0] == 0 && ((o[1] == 1 && g[0] == 600) || (o[2] == 1 && g[0] + g[1] == 600))
             };
+            let cut_survives = |s: &Schedule| match (s.first, &s.order[..], &s.gaps[..]) {
+                (First::Cut, [cut, first_crash, _, _], [g0, g1, _]) => {
+                    let acts_first = if *cut == 0 { 1 } else { 0 };
+                    g0 + g1 <= 400 || (*first_crash == acts_first && *g0 <= 400 && *g1 <= 400)
+                }
+                _ => false,
+            };
             let expected: Vec<_> = (schedules(4, grid).into_iter())
-                .filter(|s| s.order.len() == 3 && s.gaps[1] <= 400)
-                .filter(|s| !unannounced(&s.order, &s.gaps))
+                .filter(|s| {
+                    let third_early = s.order.len() == 3 && s.gaps[1] <= 400;
+                    third_early && !unannounced(&s.order, &s.gaps) || cut_survives(s)
+                })
                 .collect();
-            assert_eq!(expected.len(), 426);
+            assert_eq!(expected.len(), 426 + 348 + 840);
             assert_eq!(counterexamples(4, grid), expected);
         }
     }

@@ -1712,17 +1712,17 @@ impl StTcpServer {
     }
 
     /// The pair's share of [`StTcpServer::check_liveness`]: rows 1 and 4
-    /// on its peer's link reading.
+    /// on its peer's link reading. Row 1 is [`MemberState::overdue`], which
+    /// opens a pool's fence round; its two silences equal `!ip_up && !serial_up`
+    /// here, as `read_links(now)` has just set each to `!is_silent(now)`.
     fn check_pair_liveness(&mut self, ctx: &mut NodeCtx<'_>) {
-        let peer = &self.followed_member().expect("a pair's peer").hb;
-        let (ip_alive, serial_alive, defunct) = (peer.ip_up, peer.serial_up, peer.defunct);
+        let peer = self.followed_member().expect("a pair's peer");
+        let (overdue, ip_alive) = (peer.overdue(ctx.now()), peer.hb.ip_up);
         if !self.ram.ft_mode {
             return;
         }
-        if (!ip_alive && !serial_alive) || defunct {
-            // Row 1: both heartbeat links dead ⇒ the peer host is gone —
-            // or it is heard, but as a restarted incarnation behind the
-            // one that served (`HbSource`), which is gone all the same.
+        if overdue {
+            // Row 1: the peer host is gone, or heard only as a defunct restart.
             self.declare_peer_failed(ctx, FailureReason::HbBothLinksDown);
         } else if !ip_alive {
             // Row 4 opens: the gateway pings that will say whose network

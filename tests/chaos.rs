@@ -7,10 +7,11 @@
 //! shrinker converges to the same minimum every time, and that specific
 //! small schedules land in the outcome class they are supposed to.
 
+use sttcp::config::StTcpConfig;
 use sttcp::events::{FailureReason, StTcpEvent};
 use sttcp::invariant::Outcome;
 use sttcp_apps::chaos::{
-    run_chaos_case, shrink_schedule, ChaosOptions, ChaosReport, FaultSchedule,
+    chaos_config, run_chaos_case, shrink_schedule, ChaosOptions, ChaosReport, FaultSchedule,
 };
 use sttcp_apps::scenario::Topology::Pair;
 use sttcp_bench::hunt::{run_sweep, Flavour, SweepConfig};
@@ -213,10 +214,7 @@ fn rebooted_primary_never_takes_the_service_back() {
 /// at once, so no link starves: the demotion condemns it.
 #[test]
 fn primary_rebooted_before_detection_is_condemned_as_defunct() {
-    let delta = ChaosOptions {
-        hb_delta: true,
-        ..quick()
-    };
+    let delta = delta_opts();
     for (seed, schedule) in [
         (1222, "@82 crash primary; @200 reboot primary"),
         (47, "@436 crash primary; @966 reboot primary"),
@@ -224,7 +222,7 @@ fn primary_rebooted_before_detection_is_condemned_as_defunct() {
         for opts in [quick(), delta.clone()] {
             let schedule: FaultSchedule = schedule.parse().unwrap();
             let report = run_chaos_case(Pair, seed, &schedule, &opts);
-            let case = format!("seed {seed}, hb_delta {}", opts.hb_delta);
+            let case = format!("seed {seed}, hb_delta {}", opts.sttcp.hb_delta);
             let v = &report.violations;
             assert_eq!(report.outcome, Outcome::Recovered, "{case}: {v:?}");
             assert_eq!(report.active_at_end, Some(1), "{case}");
@@ -432,8 +430,16 @@ fn delta_heartbeat_sweep_matches_full_state_semantics() {
 const TOPOLOGIES: [Flavour; 2] = [Flavour::Single, Flavour::Pool];
 
 fn delta_opts() -> ChaosOptions {
-    ChaosOptions {
+    with_sttcp(StTcpConfig {
         hb_delta: true,
+        ..chaos_config()
+    })
+}
+
+/// The quick profile under `sttcp`.
+fn with_sttcp(sttcp: StTcpConfig) -> ChaosOptions {
+    ChaosOptions {
+        sttcp,
         ..ChaosOptions::quick()
     }
 }
@@ -578,10 +584,11 @@ fn a_reboot_before_detection_is_condemned_within_the_bound_1582() {
 ///    load) and batch-off runs of the same schedule.
 #[test]
 fn batch_heartbeat_sweep_matches_single_frame_semantics() {
-    let batch_opts = ChaosOptions {
+    let batch_opts = with_sttcp(StTcpConfig {
+        hb_delta: true,
         hb_batch: 2,
-        ..delta_opts()
-    };
+        ..chaos_config()
+    });
     // Contract 1: batch mode is deterministic and thread-invariant.
     for flavour in TOPOLOGIES {
         assert_thread_invariant(flavour, &batch_opts);
@@ -645,7 +652,6 @@ fn every_folded_takeover_phase_is_the_stonith_delay() {
 /// included — is checked.
 #[test]
 fn every_bounded_verdict_is_checked() {
-    use sttcp_apps::chaos::chaos_config;
     use sttcp_bench::phases::detection_bound;
 
     let cfg = chaos_config();

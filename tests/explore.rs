@@ -31,12 +31,13 @@ const CI_BUDGET: usize = 3000;
 
 #[test]
 fn full_lattice_clears_ten_thousand_points() {
-    let (milestones, probe) = probe_milestones(0, &ChaosOptions::quick());
+    let opts = ChaosOptions::quick();
+    let (milestones, probe) = probe_milestones(0, &opts);
     assert!(
         probe.violations.is_empty(),
         "fault-free probe must be clean"
     );
-    let lat = build_lattice(&milestones);
+    let lat = build_lattice(&milestones, &opts.sttcp);
     assert!(
         lat.schedules.len() >= 10_000,
         "lattice too small: {} points",

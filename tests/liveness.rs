@@ -15,7 +15,7 @@ use simnet::time::{SimDuration, SimTime};
 
 use sttcp::config::StTcpConfig;
 use sttcp::events::{FailureReason, HbLink, StTcpEvent};
-use sttcp_apps::chaos::{run_chaos_case, ChaosOptions, FaultSchedule};
+use sttcp_apps::chaos::{chaos_config, run_chaos_case, ChaosOptions, FaultSchedule};
 use sttcp_apps::client::ClientWorkload;
 use sttcp_apps::scenario::{Scenario, ScenarioBuilder, Topology::Pair};
 
@@ -217,7 +217,10 @@ fn a_frozen_stream_revives_no_link_in_either_format() {
             .unwrap();
     let backup_log = |hb_delta| {
         let opts = ChaosOptions {
-            hb_delta,
+            sttcp: StTcpConfig {
+                hb_delta,
+                ..chaos_config()
+            },
             ..ChaosOptions::default()
         };
         run_chaos_case(Pair, 1, &schedule, &opts).member_events[1].clone()

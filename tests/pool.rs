@@ -23,7 +23,7 @@ use sttcp_apps::apps::StreamApp;
 use sttcp_apps::chaos::{chaos_config, run_chaos_case, ChaosOptions, FaultSchedule};
 use sttcp_apps::client::ClientWorkload;
 use sttcp_apps::scenario::{Scenario, ScenarioBuilder, Topology};
-use sttcp_bench::experiments::SCALE_HB_BATCH;
+use sttcp_bench::experiments::{table1_row, Recovery, SCALE_HB_BATCH};
 use sttcp_bench::hunt::{run_sweep, Flavour, SweepConfig};
 use sttcp_bench::parallel::default_threads;
 
@@ -514,7 +514,10 @@ fn an_active_whose_backups_all_died_holds_within_hold_buf() {
 fn byzantine_heartbeat_sweep_is_violation_free() {
     for hb_delta in [false, true] {
         let opts = ChaosOptions {
-            hb_delta,
+            sttcp: StTcpConfig {
+                hb_delta,
+                ..chaos_config()
+            },
             ..quick()
         };
         for seed in 0..60 {
@@ -537,7 +540,10 @@ fn byzantine_heartbeat_sweep_is_violation_free() {
 fn pool_absorbs_byzantine_heartbeats() {
     for hb_delta in [false, true] {
         let opts = ChaosOptions {
-            hb_delta,
+            sttcp: StTcpConfig {
+                hb_delta,
+                ..chaos_config()
+            },
             ..quick()
         };
         for seed in 0..24 {
@@ -551,4 +557,79 @@ fn pool_absorbs_byzantine_heartbeats() {
             );
         }
     }
+}
+
+/// Table 1's outcome for one case: the symptom (the detector's verdict,
+/// or row 5's rule), the recovery class, and whether the client was
+/// served transparently.
+fn table1_outcome(topology: Topology, case: usize) -> (String, Recovery, bool) {
+    let r = table1_row(topology, 1_000, case);
+    assert!(!r.bound_violated(), "{topology:?} case {case}: {r:?}");
+    (r.symptom, r.recovery, r.client_ok)
+}
+
+fn assert_pool_masks_as_the_pair(case: usize) {
+    let (pool, pair) = (
+        table1_outcome(POOL, case),
+        table1_outcome(Topology::Pair, case),
+    );
+    assert_eq!(pool, pair, "Table 1 case {case}: pool(3) vs the pair");
+}
+
+/// ROADMAP item 7(a): the pool runs Table 1's ten single failures (rank
+/// 0 the primary-side victim, rank 1 the backup-side one, the other of
+/// the two the detector). A crash on either side is fenced by quorum and
+/// masked as the pair masks it, and row 5 needs no detector; rows 2–4
+/// differ, pinned one by one below.
+#[test]
+fn the_pool_masks_crashes_and_tap_losses_as_the_pair_does() {
+    for case in [0, 1, 8, 9] {
+        assert_pool_masks_as_the_pair(case);
+    }
+}
+
+/// The active's application hangs: the pool has no lag detector, the
+/// client stalls after 37 echoes with nobody condemned.
+#[test]
+#[ignore = "ROADMAP item 7(b)"]
+fn table1_row2_silent_app_crash_at_the_active() {
+    assert_pool_masks_as_the_pair(2);
+}
+
+/// A standby's application hangs: the client is served, but the pool
+/// keeps the zombie standby instead of shutting it down.
+#[test]
+#[ignore = "ROADMAP item 7(b)"]
+fn table1_row2_silent_app_crash_at_a_standby() {
+    assert_pool_masks_as_the_pair(3);
+}
+
+/// The active's application exits with a FIN: the FIN is held, no
+/// verdict comes, and the client stalls after 37 echoes.
+#[test]
+#[ignore = "ROADMAP item 7(b)"]
+fn table1_row3_app_fin_at_the_active() {
+    assert_pool_masks_as_the_pair(4);
+}
+
+/// A standby's application exits with a FIN: served, standby kept.
+#[test]
+#[ignore = "ROADMAP item 7(b)"]
+fn table1_row3_app_fin_at_a_standby() {
+    assert_pool_masks_as_the_pair(5);
+}
+
+/// The active's NIC fails: the serial mesh keeps it heard, no gateway
+/// ping assigns blame, and the client stalls after 37 echoes.
+#[test]
+#[ignore = "ROADMAP item 7(b)"]
+fn table1_row4_nic_failure_at_the_active() {
+    assert_pool_masks_as_the_pair(6);
+}
+
+/// A standby's NIC fails: served, the deaf standby kept.
+#[test]
+#[ignore = "ROADMAP item 7(b)"]
+fn table1_row4_nic_failure_at_a_standby() {
+    assert_pool_masks_as_the_pair(7);
 }
