@@ -32,6 +32,7 @@ use simnet::time::{SimDuration, SimTime};
 use sttcp::config::{StTcpConfig, STONITH_DELAY};
 use sttcp::metrics::ServerMetrics;
 use sttcp_apps::scenario::Scenario;
+use sttcp_bench::cli::ArgReader;
 use sttcp_bench::experiments::{
     scale_ramp_end, scale_scenario, SCALE_HB_BATCH, SCALE_SERIAL_LINKS,
 };
@@ -43,12 +44,6 @@ struct Args {
     scale_smoke: Option<u64>,
 }
 
-fn die(msg: &str) -> ! {
-    eprintln!("{msg}");
-    eprintln!("usage: bench_suite (--scale [--scale-conns LIST] [--out PATH] | --scale-smoke N)");
-    std::process::exit(2);
-}
-
 fn parse_args() -> Args {
     let mut args = Args {
         out: PathBuf::from("BENCH_simperf.json"),
@@ -56,32 +51,26 @@ fn parse_args() -> Args {
         scale_conns: vec![100, 1000, 10_000, 100_000],
         scale_smoke: None,
     };
-    let mut it = std::env::args().skip(1);
-    while let Some(a) = it.next() {
-        let mut val = |name: &str| {
-            it.next()
-                .unwrap_or_else(|| die(&format!("{name} needs a value")))
-        };
-        let num = |name: &str, v: &str| -> u64 {
-            v.trim()
-                .parse()
-                .unwrap_or_else(|_| die(&format!("{name}: {v:?} is not a number")))
-        };
+    let mut it = ArgReader::new(
+        "usage: bench_suite (--scale [--scale-conns LIST] [--out PATH] | --scale-smoke N)",
+    );
+    while let Some(a) = it.flag() {
         match a.as_str() {
-            "--out" => args.out = PathBuf::from(val("--out")),
+            "--out" => args.out = PathBuf::from(it.value("--out")),
             "--scale" => args.scale = true,
             "--scale-conns" => {
-                let list = val("--scale-conns");
-                args.scale_conns = list.split(',').map(|s| num("--scale-conns", s)).collect();
+                let list = it.value("--scale-conns");
+                args.scale_conns = list
+                    .split(',')
+                    .map(|s| it.parse("--scale-conns", s))
+                    .collect();
             }
-            "--scale-smoke" => {
-                args.scale_smoke = Some(num("--scale-smoke", &val("--scale-smoke")));
-            }
-            other => die(&format!("unknown option {other:?}")),
+            "--scale-smoke" => args.scale_smoke = Some(it.num("--scale-smoke")),
+            other => it.die(&format!("unknown option {other:?}")),
         }
     }
     if !args.scale && args.scale_smoke.is_none() {
-        die("nothing to do: pass --scale or --scale-smoke N");
+        it.die("nothing to do: pass --scale or --scale-smoke N");
     }
     args
 }

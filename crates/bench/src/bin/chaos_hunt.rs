@@ -48,6 +48,7 @@ use sttcp::invariant::Outcome;
 use sttcp_apps::chaos::{
     run_chaos_case, shrink_schedule, ChaosOptions, ChaosWorkload, FaultSchedule,
 };
+use sttcp_bench::cli::ArgReader;
 use sttcp_bench::flight::{dumps_to_json, flight_dir_for, write_flight_dump, FlightDumpPaths};
 use sttcp_bench::hunt::{run_sweep, takeover_phases, Flavour, GrammarCoverage, SweepConfig};
 
@@ -110,29 +111,16 @@ fn parse_args() -> Args {
         json: None,
         enforce_bounds: false,
     };
-    fn die(msg: &str) -> ! {
-        eprintln!("{msg}");
-        eprintln!(
-            "usage: chaos_hunt [--seeds N] [--start N] [--threads N] [--quick] \
-             [--double | --reintegrate | --pool] [--seed N [--schedule \"...\"]] \
-             [--workload download|reqresp|commit-stream] [--grammar] [--verbose] [--trace] \
-             [--flight-always] [--json PATH] [--enforce-bounds]"
-        );
-        std::process::exit(2);
-    }
-    let mut it = std::env::args().skip(1);
-    while let Some(a) = it.next() {
-        let mut val = |name: &str| {
-            it.next()
-                .unwrap_or_else(|| die(&format!("{name} needs a value")))
-        };
-        let num = |name: &str, v: String| {
-            v.parse()
-                .unwrap_or_else(|_| die(&format!("{name}: {v:?} is not a number")))
-        };
+    let mut it = ArgReader::new(
+        "usage: chaos_hunt [--seeds N] [--start N] [--threads N] [--quick] \
+         [--double | --reintegrate | --pool] [--seed N [--schedule \"...\"]] \
+         [--workload download|reqresp|commit-stream] [--grammar] [--verbose] [--trace] \
+         [--flight-always] [--json PATH] [--enforce-bounds]",
+    );
+    while let Some(a) = it.flag() {
         let mut pick = |f: Flavour| {
             if args.flavour != Flavour::Single && args.flavour != f {
-                die(&format!(
+                it.die(&format!(
                     "{}and {}are different schedule flavours: pick one",
                     args.flavour.flag(),
                     f.flag()
@@ -141,29 +129,29 @@ fn parse_args() -> Args {
             args.flavour = f;
         };
         match a.as_str() {
-            "--seeds" => args.seeds = num("--seeds", val("--seeds")),
-            "--start" => args.start = num("--start", val("--start")),
-            "--threads" => args.threads = num("--threads", val("--threads")) as usize,
+            "--seeds" => args.seeds = it.num("--seeds"),
+            "--start" => args.start = it.num("--start"),
+            "--threads" => args.threads = it.num("--threads"),
             "--quick" => args.quick = true,
             "--double" => pick(Flavour::Double),
             "--reintegrate" => pick(Flavour::Reintegrate),
             "--pool" => pick(Flavour::Pool),
-            "--seed" => args.one_seed = Some(num("--seed", val("--seed"))),
-            "--schedule" => args.schedule = Some(val("--schedule")),
+            "--seed" => args.one_seed = Some(it.num("--seed")),
+            "--schedule" => args.schedule = Some(it.value("--schedule")),
             "--workload" => {
-                let v = val("--workload");
+                let v = it.value("--workload");
                 args.workload = Some(
                     v.parse()
-                        .unwrap_or_else(|e| die(&format!("--workload: {e}"))),
+                        .unwrap_or_else(|e| it.die(&format!("--workload: {e}"))),
                 );
             }
             "--grammar" => args.grammar = true,
             "--verbose" => args.verbose = true,
             "--trace" => args.trace = true,
             "--flight-always" => args.flight_always = true,
-            "--json" => args.json = Some(PathBuf::from(val("--json"))),
+            "--json" => args.json = Some(PathBuf::from(it.value("--json"))),
             "--enforce-bounds" => args.enforce_bounds = true,
-            other => die(&format!("unknown option {other:?}")),
+            other => it.die(&format!("unknown option {other:?}")),
         }
     }
     args

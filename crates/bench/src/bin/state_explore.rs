@@ -25,6 +25,7 @@ use std::path::PathBuf;
 use std::process::ExitCode;
 
 use sttcp_apps::chaos::{ChaosOptions, ChaosWorkload};
+use sttcp_bench::cli::ArgReader;
 use sttcp_bench::explore::{run_explore, ExploreConfig};
 use sttcp_bench::flight::{dumps_to_json, flight_dir_for, write_flight_dump, FlightDumpPaths};
 
@@ -48,38 +49,25 @@ fn parse_args() -> Args {
         json: None,
         verbose: false,
     };
-    fn die(msg: &str) -> ! {
-        eprintln!("{msg}");
-        eprintln!(
-            "usage: state_explore [--workload download|reqresp|commit-stream] [--threads N] \
-             [--budget N] [--seed N] [--full] [--json PATH] [--verbose]"
-        );
-        std::process::exit(2);
-    }
-    let mut it = std::env::args().skip(1);
-    while let Some(a) = it.next() {
-        let mut val = |name: &str| {
-            it.next()
-                .unwrap_or_else(|| die(&format!("{name} needs a value")))
-        };
-        fn num<T: std::str::FromStr>(name: &str, v: String) -> T {
-            v.parse()
-                .unwrap_or_else(|_| die(&format!("{name}: {v:?} is not a number")))
-        }
+    let mut it = ArgReader::new(
+        "usage: state_explore [--workload download|reqresp|commit-stream] [--threads N] \
+         [--budget N] [--seed N] [--full] [--json PATH] [--verbose]",
+    );
+    while let Some(a) = it.flag() {
         match a.as_str() {
             "--workload" => {
-                let v = val("--workload");
+                let v = it.value("--workload");
                 args.workload = v
                     .parse()
-                    .unwrap_or_else(|e| die(&format!("--workload: {e}")));
+                    .unwrap_or_else(|e| it.die(&format!("--workload: {e}")));
             }
-            "--threads" => args.threads = num("--threads", val("--threads")),
-            "--budget" => args.budget = Some(num("--budget", val("--budget"))),
-            "--seed" => args.seed = num("--seed", val("--seed")),
+            "--threads" => args.threads = it.num("--threads"),
+            "--budget" => args.budget = Some(it.num("--budget")),
+            "--seed" => args.seed = it.num("--seed"),
             "--full" => args.full = true,
-            "--json" => args.json = Some(PathBuf::from(val("--json"))),
+            "--json" => args.json = Some(PathBuf::from(it.value("--json"))),
             "--verbose" => args.verbose = true,
-            other => die(&format!("unknown option {other:?}")),
+            other => it.die(&format!("unknown option {other:?}")),
         }
     }
     args

@@ -25,7 +25,7 @@ use simnet::ip::{IpProto, Ipv4Packet};
 use simnet::iplayer::IpInterface;
 use simnet::node::{NicId, Node, NodeCtx, NodeId, SerialPortId, TimerToken};
 use simnet::profile::{Component, Profiler};
-use simnet::time::{SimDuration, SimTime};
+use simnet::time::SimTime;
 
 use simtcp::conn::{ConnStats, TcpConfig, TcpConn, TcpSnapshot, TcpState};
 #[cfg(debug_assertions)]
@@ -39,15 +39,12 @@ use simtcp::socket::{FourTuple, SocketEvent, SocketId};
 
 use crate::app::{AppAction, AppFactory, Application};
 use crate::config::{
-    Role, StTcpConfig, APP_TICK, GAP_GIVEUP, NET_LAG_BYTES, NET_LAG_TIME, PING_INTERVAL,
-    STONITH_DELAY,
+    Role, StTcpConfig, APP_TICK, GAP_GIVEUP, NET_LAG_BYTES, NET_LAG_TIME, STONITH_DELAY,
 };
 use crate::conntable::{ConnCtl, ConnTable, HbCacheEntry, Set, SlotId};
 use crate::events::{FailureReason, HbLink, StTcpEvent};
 use crate::finarb::{ArbAction, FinArbiter};
-use crate::heartbeat::{
-    conn_key, decode_any, AnyHb, ConnHb, HbFrame, HbFrameKind, HbPayload, PingReport,
-};
+use crate::heartbeat::{conn_key, decode_any, AnyHb, ConnHb, HbFrame, HbFrameKind, HbPayload};
 use crate::linkmon::next_silence;
 use crate::metrics::{HbBandwidth, ServerMetrics};
 use crate::netdetect::{NetFailureDetector, NetObservation};
@@ -177,26 +174,6 @@ struct JoinState {
     installed: BTreeSet<u32>,
 }
 
-/// Gateway-ping campaign state.
-#[derive(Debug, Clone, Copy, Default)]
-struct PingCampaign {
-    active: bool,
-    id: u16,
-    seq: u16,
-    awaiting: Option<u16>,
-    consecutive_failures: u32,
-    attempts: u32,
-}
-
-impl PingCampaign {
-    fn report(&self) -> PingReport {
-        PingReport {
-            consecutive_failures: self.consecutive_failures,
-            attempts: self.attempts,
-        }
-    }
-}
-
 /// One of a member's links, as seen from this host: its address over
 /// the switch, or a local serial port cabled to it.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -292,8 +269,10 @@ struct Ram {
     /// record of everything this server knows about it.
     members: Members,
 
+    /// Table 1 row 4, its gateway-ping campaign included.
     net_detect: NetFailureDetector,
-    ping: PingCampaign,
+    /// When the ping timer fires (see [`NetFailureDetector::probe_due`]).
+    ping_timer: Option<SimTime>,
 
     hb_seq: u32,
     /// Byzantine heartbeat fault injection, if armed (testing).
@@ -364,11 +343,9 @@ impl Ram {
                 NET_LAG_BYTES,
                 NET_LAG_TIME,
                 setup.sttcp.effective_lag_confirm(),
+                (setup.seed & 0xffff) as u16,
             ),
-            ping: PingCampaign {
-                id: (setup.seed & 0xffff) as u16,
-                ..Default::default()
-            },
+            ping_timer: None,
             hb_seq: 0,
             byz_mode: None,
             // Boots with the static rank; a rejoin's `JoinDone` hands
@@ -1405,7 +1382,7 @@ impl StTcpServer {
             );
         }
         let (role, rank) = (self.ram.role, self.pool_rank());
-        let ping = self.ram.ping.active.then(|| self.ram.ping.report());
+        let ping = self.ram.net_detect.report();
         // Both ends derive the span from wire-observable fields, so emit
         // and receive link up without any wire change.
         let span = SpanId::heartbeat(role_byte(role), rank, seq);
@@ -1649,8 +1626,8 @@ impl StTcpServer {
     }
 
     /// What heartbeat *silence* decides, as opposed to heartbeat contents:
-    /// link up/down edges, Table 1 row 1 (both links silent), the start
-    /// and end of row 4's ping campaign, and in pool mode a fence round.
+    /// link up/down edges, Table 1 row 1 (both links silent), whether
+    /// row 4 holds, and in pool mode a fence round.
     /// Runs when the liveness timer fires — the instant a link's timeout
     /// and jitter guard are both spent ([`crate::linkmon`]) — and on every
     /// check tick, which is what notices a link coming back; either way it
@@ -1716,28 +1693,22 @@ impl StTcpServer {
     /// opens a pool's fence round; its two silences equal `!ip_up && !serial_up`
     /// here, as `read_links(now)` has just set each to `!is_silent(now)`.
     fn check_pair_liveness(&mut self, ctx: &mut NodeCtx<'_>) {
+        let now = ctx.now();
         let peer = self.followed_member().expect("a pair's peer");
-        let (overdue, ip_alive) = (peer.overdue(ctx.now()), peer.hb.ip_up);
-        if !self.ram.ft_mode {
-            return;
-        }
+        let (overdue, ip_alive) = (peer.overdue(now), peer.hb.ip_up);
         if overdue {
             // Row 1: the peer host is gone, or heard only as a defunct restart.
             self.declare_peer_failed(ctx, FailureReason::HbBothLinksDown);
-        } else if !ip_alive {
-            // Row 4 opens: the gateway pings that will say whose network
-            // failed. The verdict waits for evidence, on the check tick.
-            if !self.ram.ping.active {
-                self.ram.ping.active = true;
-                self.ram.ping.awaiting = None;
-                self.ram.ping.consecutive_failures = 0;
-                self.ram.ping.attempts = 0;
-                ctx.set_timer(SimDuration::ZERO, TOKEN_PING);
-            }
-        } else {
-            self.ram.ping.active = false;
-            self.ram.net_detect.reset();
         }
+        // Row 4 holds while the IP heartbeat is dead and, row 1 having had
+        // its say, the serial one is not: the gateway pings that will say
+        // whose network failed run exactly then. The verdict waits for
+        // evidence, on the check tick.
+        self.ram
+            .net_detect
+            .engage(now, self.ram.ft_mode && !ip_alive);
+        let due = self.ram.net_detect.probe_due();
+        ctx.rearm_timer(&mut self.ram.ping_timer, due, TOKEN_PING);
     }
 
     fn run_checks(&mut self, ctx: &mut NodeCtx<'_>) {
@@ -1797,9 +1768,9 @@ impl StTcpServer {
             // failure somewhere; figure out whose from what the pings and
             // the serial heartbeat's contents say.
             let peer = self.followed_member().expect("a pair's peer");
-            let (ip_alive, serial_alive) = (peer.hb.ip_up, peer.hb.serial_up);
-            let (app_suspected, last_rx) = (peer.app_suspected, peer.hb.last_rx());
-            if !ip_alive && serial_alive {
+            let (ip_alive, app_suspected, last_rx) =
+                (peer.hb.ip_up, peer.app_suspected, peer.hb.last_rx());
+            if self.ram.net_detect.engaged() {
                 let obs = self.net_observation();
                 if let Some(reason) = self.ram.net_detect.check(now, &obs) {
                     self.declare_peer_failed(ctx, reason);
@@ -2237,7 +2208,6 @@ impl StTcpServer {
 
     fn net_observation(&mut self) -> NetObservation {
         let mut obs = NetObservation {
-            my_ping: self.ram.ping.active.then(|| self.ram.ping.report()),
             peer_report: self.followed_member().and_then(|m| m.hb.ping),
             ..Default::default()
         };
@@ -2785,13 +2755,7 @@ impl StTcpServer {
         match pkt.proto {
             IpProto::Icmp => {
                 if let Some((id, seq)) = self.iface.handle_icmp(ctx, pkt) {
-                    if self.ram.ping.active
-                        && id == self.ram.ping.id
-                        && Some(seq) == self.ram.ping.awaiting
-                    {
-                        self.ram.ping.awaiting = None;
-                        self.ram.ping.consecutive_failures = 0;
-                    }
+                    self.ram.net_detect.on_reply(id, seq);
                 }
             }
             IpProto::Heartbeat if pkt.dst == self.setup.private_ip => {
@@ -2929,20 +2893,15 @@ impl Node for StTcpServer {
                 }
                 ctx.set_timer(APP_TICK, TOKEN_APP_TICK);
             }
-            TOKEN_PING if self.ram.ping.active => {
-                if self.ram.ping.awaiting.is_some() {
-                    self.ram.ping.consecutive_failures += 1;
+            TOKEN_PING => {
+                let due = self.ram.net_detect.probe_due();
+                if ctx.timer_due(&mut self.ram.ping_timer, due, TOKEN_PING) {
+                    if let Some((id, seq)) = self.ram.net_detect.probe(ctx.now()) {
+                        let _ = self.iface.send_ping(ctx, self.setup.gateway_ip, id, seq);
+                    }
+                    let due = self.ram.net_detect.probe_due();
+                    ctx.rearm_timer(&mut self.ram.ping_timer, due, TOKEN_PING);
                 }
-                self.ram.ping.seq = self.ram.ping.seq.wrapping_add(1);
-                self.ram.ping.attempts += 1;
-                self.ram.ping.awaiting = Some(self.ram.ping.seq);
-                let _ = self.iface.send_ping(
-                    ctx,
-                    self.setup.gateway_ip,
-                    self.ram.ping.id,
-                    self.ram.ping.seq,
-                );
-                ctx.set_timer(PING_INTERVAL, TOKEN_PING);
             }
             TOKEN_TAKEOVER => {
                 self.complete_takeover(ctx);

@@ -411,6 +411,66 @@ fn row4_primary_nic_failure_quiet_client_uses_ping_path() {
     assert!(!s.world.is_powered(s.primary));
 }
 
+/// Row 4's gateway pings end with the row. A crash silences the peer's
+/// IP heartbeat ~3 ms before its serial one, so the survivor engages row
+/// 4 (and pings) just before row 1 fires; a dead NIC under a quiet
+/// client is row 4 up to its own verdict. Either way, from one ping
+/// interval after the verdict on, the survivor sends no echo request.
+#[test]
+fn the_survivor_stops_pinging_with_its_verdict() {
+    use simnet::ip::{IcmpMessage, IpProto};
+    use simnet::{frame::EthernetFrame, iplayer::IpInterface, link::LinkDir};
+    use sttcp::config::PING_INTERVAL;
+    let crash: fn(&mut Scenario) = |s| s.crash_primary_at(t(2_000));
+    let nic: fn(&mut Scenario) = |s| s.fail_nic_at(s.primary, t(2_000));
+    let cases = [
+        (crash, FailureReason::HbBothLinksDown),
+        (nic, FailureReason::NetPingFail),
+    ];
+    for (fault, want) in cases {
+        let mut s = ScenarioBuilder::new(echo_app(), ClientWorkload::Idle)
+            .seed(53)
+            .sttcp(fast_cfg())
+            .build();
+        let requests = Rc::new(std::cell::Cell::new(0));
+        let count = requests.clone();
+        let tap = move |f: &EthernetFrame| {
+            let icmp = IpInterface::decap(f).filter(|p| p.proto == IpProto::Icmp);
+            let msg = icmp.and_then(|p| IcmpMessage::decode(&p.payload).ok());
+            if let Some(IcmpMessage::EchoRequest { .. }) = msg {
+                count.set(count.get() + 1);
+            }
+            false
+        };
+        let link = s.link_backup;
+        s.world
+            .set_link_filter(link, LinkDir::AtoB, Some(Box::new(tap)));
+        fault(&mut s);
+        let mut now = t(2_000);
+        let (reason, at) = loop {
+            s.world.run_until(now);
+            let verdict = s.server(s.backup).events().iter().find_map(|e| match e {
+                StTcpEvent::PeerDeclaredFailed { reason, at } => Some((*reason, *at)),
+                _ => None,
+            });
+            if let Some(v) = verdict {
+                break v;
+            }
+            now += SimDuration::from_millis(50);
+        };
+        assert_eq!(reason, want);
+        s.world.run_until(at + PING_INTERVAL);
+        let sent = requests.get();
+        assert!(sent > 0, "{want:?}: row 4 never pinged");
+        s.world.run_until(t(30_000));
+        let late = requests.get() - sent;
+        assert_eq!(
+            late, 0,
+            "{want:?}: {late} echo requests a ping interval after {at}"
+        );
+    }
+}
+
 // ---------------------------------------------------------------------
 // Table 1 row 5: temporary network failure (backup misses bytes)
 // ---------------------------------------------------------------------

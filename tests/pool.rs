@@ -22,6 +22,7 @@ use sttcp::invariant::Outcome;
 use sttcp_apps::apps::StreamApp;
 use sttcp_apps::chaos::{chaos_config, run_chaos_case, ChaosOptions, FaultSchedule};
 use sttcp_apps::client::ClientWorkload;
+use sttcp_apps::explore::{grammar, outcome_key, GrammarOp};
 use sttcp_apps::scenario::{Scenario, ScenarioBuilder, Topology};
 use sttcp_bench::experiments::{table1_row, Recovery, SCALE_HB_BATCH};
 use sttcp_bench::hunt::{run_sweep, Flavour, SweepConfig};
@@ -632,4 +633,64 @@ fn table1_row4_nic_failure_at_the_active() {
 #[ignore = "ROADMAP item 7(b)"]
 fn table1_row4_nic_failure_at_a_standby() {
     assert_pool_masks_as_the_pair(7);
+}
+
+/// Where the grammar half of ROADMAP item 7(a) injects each op: mid
+/// download, between the quick probe's first data byte (100.3 ms at seed
+/// 1) and its first heartbeat round (200 ms).
+const GRAMMAR_ANCHOR_MS: u64 = 150;
+
+/// The outcome class of one explorer grammar op, alone at
+/// [`GRAMMAR_ANCHOR_MS`] (seed 1, quick options).
+fn grammar_outcome(topology: Topology, op: GrammarOp) -> &'static str {
+    let mut s = FaultSchedule::default();
+    op.push_onto(&mut s, GRAMMAR_ANCHOR_MS);
+    outcome_key(run_chaos_case(topology, 1, &s, &quick()).outcome)
+}
+
+/// The grammar ops whose pool(3) outcome differs from the pair's: the
+/// active's dead NIC, cut cable or crashed application has no pool
+/// detector and the client is left unserved (an exiting application's
+/// RST is detected but unrecoverable), and a standby's dead NIC or cut
+/// cable goes unnoticed, the deaf standby kept.
+fn grammar_gap() -> [GrammarOp; 7] {
+    use sttcp::server::AppCrashMode::*;
+    use sttcp_apps::chaos::ChaosAction::*;
+    use sttcp_apps::chaos::Side::*;
+    [
+        NicDown(Primary),
+        LinkCut(Primary.link()),
+        AppCrash(Primary, SilentNoCleanup),
+        AppCrash(Primary, CleanupFin),
+        AppCrash(Primary, CleanupRst),
+        NicDown(Backup),
+        LinkCut(Backup.link()),
+    ]
+    .map(GrammarOp::Single)
+}
+
+fn assert_pool_outcome_is_the_pairs(op: GrammarOp) {
+    let (pool, pair) = (
+        grammar_outcome(POOL, op),
+        grammar_outcome(Topology::Pair, op),
+    );
+    assert_eq!(pool, pair, "{op:?}: pool(3) vs the pair");
+}
+
+/// ROADMAP item 7(a), the grammar half: every other op of the explorer's
+/// grammar ends in the same outcome class on pool(3) as on the pair.
+#[test]
+fn the_pool_matches_the_pair_on_the_rest_of_the_grammar() {
+    let gap = grammar_gap();
+    for op in grammar().into_iter().filter(|op| !gap.contains(op)) {
+        assert_pool_outcome_is_the_pairs(op);
+    }
+}
+
+#[test]
+#[ignore = "ROADMAP item 7(b)"]
+fn the_pool_matches_the_pair_on_the_grammar_gap() {
+    for op in grammar_gap() {
+        assert_pool_outcome_is_the_pairs(op);
+    }
 }
