@@ -64,7 +64,7 @@ use simnet::time::SimTime;
 use simtcp::socket::SocketId;
 
 use crate::app::Application;
-use crate::applag::AppLagDetector;
+use crate::applag::AppLag;
 use crate::config::{Role, StTcpConfig};
 use crate::finarb::FinArbiter;
 use crate::heartbeat::ConnHb;
@@ -73,7 +73,7 @@ use crate::heartbeat::ConnHb;
 pub(crate) struct ConnCtl {
     pub(crate) key: u32,
     pub(crate) app: Box<dyn Application>,
-    pub(crate) applag: AppLagDetector,
+    pub(crate) applag: AppLag,
     pub(crate) finarb: FinArbiter,
     pub(crate) pending_out: VecDeque<Bytes>,
     pub(crate) last_fetch_at: Option<SimTime>,
@@ -99,11 +99,7 @@ impl ConnCtl {
         ConnCtl {
             key,
             app,
-            applag: AppLagDetector::new(
-                cfg.app_max_lag_bytes,
-                cfg.app_max_lag_time,
-                cfg.effective_lag_confirm(),
-            ),
+            applag: AppLag::default(),
             finarb: FinArbiter::new(role, cfg.max_delay_fin),
             pending_out: VecDeque::new(),
             last_fetch_at: None,

@@ -27,12 +27,13 @@
 //! the same staleness rules apply — the byte criterion needs the peer
 //! stalled for a confirmation window *while behind* (an idle stretch
 //! spent level with it does not count), the time criterion ages the
-//! oldest position the peer has not matched.
+//! oldest position the peer has not matched. Fed every check tick while
+//! engaged, it never needs the tracker's sparse-visit rule.
 
-use simnet::time::{SimDuration, SimTime};
+use simnet::time::SimTime;
 
-use crate::applag::LagTrack;
-use crate::config::{PING_FAIL_THRESHOLD, PING_INTERVAL};
+use crate::applag::{LagLimits, LagTrack};
+use crate::config::{StTcpConfig, NET_LAG_BYTES, NET_LAG_TIME, PING_FAIL_THRESHOLD, PING_INTERVAL};
 use crate::events::FailureReason;
 use crate::heartbeat::PingReport;
 
@@ -68,9 +69,7 @@ struct Episode {
 /// connections).
 #[derive(Debug, Clone)]
 pub struct NetFailureDetector {
-    lag_bytes: u64,
-    lag_time: SimDuration,
-    confirm: SimDuration,
+    limits: LagLimits,
     /// The ICMP identifier of this server's probes.
     probe_id: u16,
     /// The seq of the last probe sent; it keeps counting across episodes.
@@ -80,14 +79,11 @@ pub struct NetFailureDetector {
 }
 
 impl NetFailureDetector {
-    /// Creates a detector with the byte/time lag thresholds, the
-    /// staleness-confirmation window (must exceed the heartbeat period)
-    /// and the ICMP identifier its probes carry.
-    pub fn new(lag_bytes: u64, lag_time: SimDuration, confirm: SimDuration, probe_id: u16) -> Self {
+    /// Creates the detector of a server configured by `cfg`, its probes
+    /// carrying ICMP identifier `probe_id`.
+    pub fn new(cfg: &StTcpConfig, probe_id: u16) -> Self {
         NetFailureDetector {
-            lag_bytes,
-            lag_time,
-            confirm,
+            limits: LagLimits::new(NET_LAG_BYTES, NET_LAG_TIME, cfg),
             probe_id,
             probe_seq: 0,
             episode: None,
@@ -155,12 +151,9 @@ impl NetFailureDetector {
         let e = self.episode.as_mut()?;
         // Either lag criterion of a track condemns the peer under that
         // track's row-4 reason.
-        let (bytes, time, confirm) = (self.lag_bytes, self.lag_time, self.confirm);
-        let lags = |track: &mut LagTrack, mine, peers| {
-            track
-                .update(now, mine, peers, bytes, time, confirm)
-                .is_some()
-        };
+        let limits = &self.limits;
+        let lags =
+            |track: &mut LagTrack, mine, peers| track.update(now, mine, peers, limits).is_some();
         let peers_fail = obs
             .peer_report
             .is_some_and(|p| p.consecutive_failures >= PING_FAIL_THRESHOLD);
@@ -181,6 +174,7 @@ impl NetFailureDetector {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use simnet::time::SimDuration;
 
     fn t(ms: u64) -> SimTime {
         SimTime::from_millis(ms)
@@ -190,12 +184,14 @@ mod tests {
 
     /// An engaged detector: row 4 holds from t = 0.
     fn det() -> NetFailureDetector {
-        let mut d = NetFailureDetector::new(
-            1_000,
-            SimDuration::from_millis(500),
-            SimDuration::from_millis(200),
-            ID,
-        );
+        let limits = LagLimits {
+            bytes: 1_000,
+            time: SimDuration::from_millis(500),
+            confirm: SimDuration::from_millis(200),
+            check_period: SimDuration::from_millis(50),
+        };
+        let mut d = NetFailureDetector::new(&StTcpConfig::default(), ID);
+        d.limits = limits;
         d.engage(t(0), true);
         d
     }

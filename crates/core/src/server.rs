@@ -38,9 +38,8 @@ use simtcp::seq::SeqNum;
 use simtcp::socket::{FourTuple, SocketEvent, SocketId};
 
 use crate::app::{AppAction, AppFactory, Application};
-use crate::config::{
-    Role, StTcpConfig, APP_TICK, GAP_GIVEUP, NET_LAG_BYTES, NET_LAG_TIME, STONITH_DELAY,
-};
+use crate::applag::{AppLag, AppLagDetector, Engagement};
+use crate::config::{Role, StTcpConfig, APP_TICK, GAP_GIVEUP, STONITH_DELAY};
 use crate::conntable::{ConnCtl, ConnTable, HbCacheEntry, Set, SlotId};
 use crate::events::{FailureReason, HbLink, StTcpEvent};
 use crate::finarb::{ArbAction, FinArbiter};
@@ -269,6 +268,8 @@ struct Ram {
     /// record of everything this server knows about it.
     members: Members,
 
+    /// Table 1 row 2; each connection keeps only its history.
+    app_detect: AppLagDetector,
     /// Table 1 row 4, its gateway-ping campaign included.
     net_detect: NetFailureDetector,
     /// When the ping timer fires (see [`NetFailureDetector::probe_due`]).
@@ -339,12 +340,8 @@ impl Ram {
             ft_mode: true,
             table: ConnTable::default(),
             members: member_table(&setup.peers, &setup.sttcp, now, cables),
-            net_detect: NetFailureDetector::new(
-                NET_LAG_BYTES,
-                NET_LAG_TIME,
-                setup.sttcp.effective_lag_confirm(),
-                (setup.seed & 0xffff) as u16,
-            ),
+            app_detect: AppLagDetector::new(&setup.sttcp, !setup.pool),
+            net_detect: NetFailureDetector::new(&setup.sttcp, (setup.seed & 0xffff) as u16),
             ping_timer: None,
             hb_seq: 0,
             byz_mode: None,
@@ -1570,21 +1567,10 @@ impl StTcpServer {
             // cannot be continued correctly; reset it rather than hang the
             // client forever ("ST-TCP treats this failure as
             // unrecoverable", §4.3).
-            let gap = self.followed_pos(s).and_then(|peer| {
-                let mine = self.ram.tcp.conn(sock)?.bytes_received();
-                (peer.last_byte_received > mine).then_some(mine)
-            });
-            if let Some(missing_from) = gap {
-                self.events.push(StTcpEvent::UnrecoverableGap {
-                    conn: key,
-                    missing_from,
-                    at: now,
-                });
-                self.ram.tcp.set_fin_gate(sock, FinGate::Open);
-                self.ram.tcp.abort(now, sock);
-                if let Some(ctl) = &mut self.ram.table[s].ctl {
-                    ctl.closed = true;
-                }
+            let mine = self.ram.tcp.conn(sock).map(TcpConn::bytes_received);
+            let peer = self.followed_pos(s).map(|p| p.last_byte_received);
+            if peer.zip(mine).is_some_and(|(peer, mine)| peer > mine) {
+                self.give_up(now, sock, s);
                 continue;
             }
             if let Some(a) = action {
@@ -1653,8 +1639,7 @@ impl StTcpServer {
     }
 
     /// Takes every member's link reading, and logs the [`followed`]
-    /// member's edges (a change of who is followed logs nothing); an IP
-    /// edge also re-baselines the lag detectors.
+    /// member's edges (a change of who is followed logs nothing).
     fn read_links(&mut self, now: SimTime) {
         let followed = followed(self.ram.pool.as_ref(), &self.ram.members).map(|(ip, _)| ip);
         let mut edges = [None; 2];
@@ -1669,33 +1654,29 @@ impl StTcpServer {
                 true => StTcpEvent::HbLinkUp { link, at: now },
                 false => StTcpEvent::HbLinkDown { link, at: now },
             });
-            if link == HbLink::Serial {
-                continue;
-            }
-            let socks = self.all_socks();
-            self.metrics.on_timer_visits(socks.len());
-            for (_, s) in socks {
-                if up {
-                    // Lag that formed while the IP heartbeat was down
-                    // marked nothing: every connection looks once.
-                    self.ram.table.insert(Set::Check, s);
-                } else if let Some(ctl) = &mut self.ram.table[s].ctl {
-                    // App lag is now a symptom of the network fault: stale
-                    // watermarks must not be a verdict when it returns.
-                    ctl.applag.reset();
-                }
-            }
         }
     }
 
-    /// The pair's share of [`StTcpServer::check_liveness`]: rows 1 and 4
-    /// on its peer's link reading. Row 1 is [`MemberState::overdue`], which
-    /// opens a pool's fence round; its two silences equal `!ip_up && !serial_up`
+    /// The pair's share of [`StTcpServer::check_liveness`]: rows 1, 2
+    /// and 4 on its peer's link reading. Row 1 is [`MemberState::overdue`],
+    /// which opens a pool's fence round; its two silences equal `!ip_up && !serial_up`
     /// here, as `read_links(now)` has just set each to `!is_silent(now)`.
     fn check_pair_liveness(&mut self, ctx: &mut NodeCtx<'_>) {
         let now = ctx.now();
         let peer = self.followed_member().expect("a pair's peer");
-        let (overdue, ip_alive) = (peer.overdue(now), peer.hb.ip_up);
+        let (overdue, ip_alive, last_rx) = (peer.overdue(now), peer.hb.ip_up, peer.hb.last_rx());
+        // Row 2's reading; its edges are walks over every connection.
+        if let Some(on) = self.ram.app_detect.engage(now, ip_alive, last_rx) {
+            let socks = self.all_socks();
+            self.metrics.on_timer_visits(socks.len());
+            for (_, s) in socks {
+                if on {
+                    self.ram.table.insert(Set::Check, s);
+                } else if let Some(ctl) = &mut self.ram.table[s].ctl {
+                    ctl.applag = AppLag::default();
+                }
+            }
+        }
         if overdue {
             // Row 1: the peer host is gone, or heard only as a defunct restart.
             self.declare_peer_failed(ctx, FailureReason::HbBothLinksDown);
@@ -1760,52 +1741,35 @@ impl StTcpServer {
             return;
         }
 
-        // Table 1's rows 2–5 judge the pair's one peer. A pool's one
-        // verdict is the quorum fence (ROADMAP item 7(b)): its walk only
-        // ages FIN deadlines, and an arbiter that runs out resolves itself.
-        if self.ram.pool.is_none() {
-            // Row 4: IP heartbeat dead, serial alive ⇒ local network
-            // failure somewhere; figure out whose from what the pings and
-            // the serial heartbeat's contents say.
-            let peer = self.followed_member().expect("a pair's peer");
-            let (ip_alive, app_suspected, last_rx) =
-                (peer.hb.ip_up, peer.app_suspected, peer.hb.last_rx());
-            if self.ram.net_detect.engaged() {
-                let obs = self.net_observation();
-                if let Some(reason) = self.ram.net_detect.check(now, &obs) {
-                    self.declare_peer_failed(ctx, reason);
-                    return;
-                }
-            }
-            // Rows 2/3 compare application positions against the peer's
-            // heartbeat, which is only meaningful while heartbeats are
-            // *fresh*: a dead host's last heartbeat frozen in time must be
-            // handled by the liveness detector (row 1), not misread as an
-            // application crash.
-            let hb_staleness = last_rx.map(|t| now.saturating_since(t));
-            let hb_fresh = hb_staleness.is_some_and(|s| {
-                s <= self.setup.sttcp.hb_period + self.setup.sttcp.check_period * 2
-            });
-            if let Some(reason) = self.check_conns(now, Some((ip_alive, hb_fresh))) {
+        // Table 1's rows 2–5 judge the pair's one peer; a pool's one
+        // verdict is the quorum fence (ROADMAP item 7(b)): its rows 2 and
+        // 4 never engage, its walk only ages FIN deadlines, and an arbiter
+        // that runs out resolves itself. Row 4 (IP heartbeat dead, serial
+        // alive) finds whose network failed from the pings and the serial
+        // heartbeat's contents.
+        if self.ram.net_detect.engaged() {
+            let obs = self.net_observation();
+            if let Some(reason) = self.ram.net_detect.check(now, &obs) {
                 self.declare_peer_failed(ctx, reason);
                 return;
             }
+        }
+        let lag = self.check_conns(now);
+        if self.ram.pool.is_none() {
             // §4.2.2 extension: the peer's own watchdog reported its
             // replica dead. A self-report is actionable even on an idle
             // connection — exactly the case the transport-layer detectors
             // cannot see.
-            if app_suspected {
-                self.declare_peer_failed(ctx, FailureReason::WatchdogReport);
-                return;
-            }
+            let peer = self.followed_member().expect("a pair's peer");
+            let watchdog = peer.app_suspected.then_some(FailureReason::WatchdogReport);
             // Row 5 escalation: the primary's hold buffer overflowed — the
             // backup cannot catch up. (Sampled with the totals above.)
-            if self.ram.role == Role::Primary && totals.hold_overflows > 0 {
-                self.declare_peer_failed(ctx, FailureReason::HoldOverflow);
+            let overflow = (self.ram.role == Role::Primary && totals.hold_overflows > 0)
+                .then_some(FailureReason::HoldOverflow);
+            if let Some(reason) = lag.or(watchdog).or(overflow) {
+                self.declare_peer_failed(ctx, reason);
                 return;
             }
-        } else {
-            let _ = self.check_conns(now, None);
         }
 
         // Row 5: the backup fetches bytes it missed.
@@ -1815,18 +1779,18 @@ impl StTcpServer {
     }
 
     /// The check tick's connection walk, in pair and pool alike: FIN
-    /// deadlines and, given `rows` (IP heartbeat up, peer evidence fresh),
-    /// the pair's Table 1 rows 2/3. Only connections with recent activity
-    /// or an armed detector are visited: one leaves the set once both its
-    /// arbiters are provably inert and re-enters on any movement. The
-    /// walk's verdict, if any.
-    fn check_conns(&mut self, now: SimTime, rows: Option<(bool, bool)>) -> Option<FailureReason> {
+    /// deadlines and, while row 2's detector judges, Table 1 rows 2/3. Only
+    /// connections with recent activity or an armed detector are
+    /// visited: one leaves the set once both its arbiters are provably
+    /// inert and re-enters on any movement. The walk's verdict, if any.
+    fn check_conns(&mut self, now: SimTime) -> Option<FailureReason> {
         let mut verdict: Option<FailureReason> = None;
         let mut arb_actions: Vec<(SocketId, u32, ArbAction)> = Vec::new();
+        let judging = self.ram.app_detect.state() == Engagement::Judging;
         let slots = self.ram.table.members(Set::Check);
         self.metrics.on_timer_visits(slots.len());
         for s in slots {
-            let peer = rows.and_then(|_| self.followed_pos(s));
+            let peer = judging.then(|| self.followed_pos(s)).flatten();
             let slot = &mut self.ram.table[s];
             let (Some(sock), Some(ctl)) = (slot.sock(), slot.ctl.as_mut()) else {
                 continue;
@@ -1840,28 +1804,16 @@ impl StTcpServer {
                     Some(a) => arb_actions.push((sock, ctl.key, a)),
                     None => {}
                 }
-                // Application-lag detection (rows 2/3) presumes the
-                // network is healthy — with the IP heartbeat down, any app
-                // lag is a symptom of the network failure and blame is
-                // assigned by the row-4 detectors instead. It also needs
-                // fresh evidence (stale: the liveness detector rules) and
-                // this connection in the peer's heartbeat.
-                match rows {
-                    None => {}
-                    Some((false, _)) => ctl.applag.reset(),
-                    Some((true, false)) => continue,
-                    Some((true, true)) => {
-                        if let (Some(peer), Some(c)) = (peer, self.ram.tcp.conn(sock)) {
-                            let (read, written) = (c.app_bytes_read(), c.app_bytes_written());
-                            let (p_read, p_written) =
-                                (peer.last_app_byte_read, peer.last_app_byte_written);
-                            let lag = ctl.applag.check(now, read, written, p_read, p_written);
-                            verdict = verdict.or(lag);
-                        }
-                    }
+                // Application-lag detection (rows 2/3), on this
+                // connection's record in the peer's heartbeat.
+                if let (Some(peer), Some(c)) = (peer, self.ram.tcp.conn(sock)) {
+                    let mine = (c.app_bytes_read(), c.app_bytes_written());
+                    let peers = (peer.last_app_byte_read, peer.last_app_byte_written);
+                    let lag = self.ram.app_detect.check(&mut ctl.applag, now, mine, peers);
+                    verdict = verdict.or(lag);
                 }
             }
-            if ctl.closed || !(ctl.finarb.needs_check() || ctl.applag.needs_check()) {
+            if ctl.closed || !(ctl.finarb.needs_check() || self.ram.app_detect.keeps(&ctl.applag)) {
                 self.ram.table.remove(Set::Check, s);
             }
         }
@@ -1914,23 +1866,28 @@ impl StTcpServer {
             }
             let since = *ctl.hole_since.get_or_insert(now);
             if now.saturating_since(since) >= GAP_GIVEUP {
-                let key = ctl.key;
-                ctl.closed = true;
-                let missing_from = self
-                    .ram
-                    .tcp
-                    .conn(sock)
-                    .map(|c| c.bytes_received())
-                    .unwrap_or(0);
-                self.events.push(StTcpEvent::UnrecoverableGap {
-                    conn: key,
-                    missing_from,
-                    at: now,
-                });
-                self.ram.tcp.set_fin_gate(sock, FinGate::Open);
-                self.ram.tcp.abort(now, sock);
+                self.give_up(now, sock, s);
             }
         }
+    }
+
+    /// Gives up on a connection that cannot be continued correctly:
+    /// logs the gap from the first byte this server lacks, then opens
+    /// the FIN gate and resets the client rather than hang it.
+    fn give_up(&mut self, now: SimTime, sock: SocketId, s: SlotId) {
+        let Some(ctl) = &mut self.ram.table[s].ctl else {
+            return;
+        };
+        ctl.closed = true;
+        let conn = ctl.key;
+        let missing_from = self.ram.tcp.conn(sock).map_or(0, TcpConn::bytes_received);
+        self.events.push(StTcpEvent::UnrecoverableGap {
+            conn,
+            missing_from,
+            at: now,
+        });
+        self.ram.tcp.set_fin_gate(sock, FinGate::Open);
+        self.ram.tcp.abort(now, sock);
     }
 
     /// True when `sock` has client data parked behind a receive hole on
@@ -3228,7 +3185,9 @@ mod tests {
         };
         let (one, two) = (frame(1), frame(2));
         s.handle_heartbeat(t, &one.hb, Some(&one), PEER, 0);
-        s.check_conns(t, None);
+        // The IP heartbeat reads down: the tick only ages FIN deadlines.
+        s.ram.app_detect.engage(t, false, None);
+        s.check_conns(t);
         assert_eq!(s.ram.table.set_len(Set::Check), 0, "drained by the tick");
         s.handle_heartbeat(t, &one.hb, Some(&one), PEER, 1);
         assert_eq!(s.ram.table.set_len(Set::Check), 0);

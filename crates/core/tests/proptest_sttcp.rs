@@ -26,7 +26,7 @@ use simtcp::endpoint::{EndpointConfig, IsnPolicy, ListenConfig, TcpEndpoint};
 use simtcp::socket::{SocketEvent, SocketId};
 
 use sttcp::app::{Application, EchoApp};
-use sttcp::applag::AppLagDetector;
+use sttcp::applag::{AppLag, AppLagDetector};
 use sttcp::config::{Role, StTcpConfig};
 use sttcp::events::{FailureReason, HbLink, StTcpEvent};
 use sttcp::finarb::{ArbAction, FinArbiter};
@@ -620,6 +620,31 @@ fn arb_conn_hb() -> impl Strategy<Value = ConnHb> {
         })
 }
 
+/// A pair's row-2 detector for `cfg`, judging from t = 0 on.
+fn judging(cfg: &StTcpConfig) -> AppLagDetector {
+    let mut det = AppLagDetector::new(cfg, true);
+    det.engage(t(0), true, Some(t(0)));
+    det
+}
+
+/// The config of a pair with the given heartbeat and check periods.
+fn periods(hb_ms: u64, check_ms: u64) -> StTcpConfig {
+    StTcpConfig {
+        hb_period: SimDuration::from_millis(hb_ms),
+        check_period: SimDuration::from_millis(check_ms),
+        ..StTcpConfig::default()
+    }
+}
+
+/// One stretch of a connection's life, in check ticks: `hold` ticks in
+/// which nothing moves, then one in which this side's read and write
+/// positions jump and the peer's heartbeat reports `news` — nothing new
+/// (0), its positions as of before the jump (1), or level (2).
+fn lag_stretch() -> impl Strategy<Value = (u64, u64, u64, u8)> {
+    let jump = || prop_oneof![Just(0u64), 1u64..4_096, 64 * 1024..256 * 1024u64];
+    (0u64..40, jump(), jump(), 0u8..3)
+}
+
 proptest! {
     // ------------------------------------------------------------------
     // Heartbeat wire format
@@ -999,10 +1024,7 @@ proptest! {
         check_ms in 10u64..100,
         run_ms in 2_000u64..8_000,
     ) {
-        // Mirror the server's effective confirmation window.
-        let confirm = SimDuration::from_millis(500)
-            .max(SimDuration::from_millis(hb_ms * 2 + check_ms));
-        let mut det = AppLagDetector::new(64 * 1024, SimDuration::from_secs(2), confirm);
+        let (det, mut lag) = (judging(&periods(hb_ms, check_ms)), AppLag::default());
         let mut peer_reported = 0u64;
         let mut next_hb = 0u64;
         let mut ms = 0u64;
@@ -1013,7 +1035,7 @@ proptest! {
                 peer_reported = my_pos;
                 next_hb += hb_ms;
             }
-            let verdict = det.check(t(ms), my_pos, my_pos, peer_reported, peer_reported);
+            let verdict = det.check(&mut lag, t(ms), (my_pos, my_pos), (peer_reported, peer_reported));
             prop_assert_eq!(verdict, None, "false positive at {}ms", ms);
             ms += check_ms;
         }
@@ -1029,10 +1051,9 @@ proptest! {
         freeze_at_ms in 500u64..2_000,
     ) {
         let check_ms = 50u64;
-        let confirm = SimDuration::from_millis(500)
-            .max(SimDuration::from_millis(hb_ms * 2 + check_ms));
-        let max_time = SimDuration::from_secs(2);
-        let mut det = AppLagDetector::new(64 * 1024, max_time, confirm);
+        let cfg = periods(hb_ms, check_ms);
+        let (confirm, max_time) = (cfg.effective_lag_confirm(), cfg.app_max_lag_time);
+        let (det, mut lag) = (judging(&cfg), AppLag::default());
         let mut peer_reported = 0u64;
         let mut next_hb = 0u64;
         let freeze_pos = freeze_at_ms * rate_per_ms;
@@ -1045,7 +1066,7 @@ proptest! {
                 next_hb += hb_ms;
             }
             if det
-                .check(t(ms), my_pos, my_pos, peer_reported, peer_reported)
+                .check(&mut lag, t(ms), (my_pos, my_pos), (peer_reported, peer_reported))
                 .is_some()
             {
                 fired_at = Some(ms);
@@ -1074,17 +1095,51 @@ proptest! {
     fn detector_reasons_are_in_range(
         observations in vec((0u64..1_000_000, 0u64..1_000_000), 1..50),
     ) {
-        let mut det = AppLagDetector::new(
-            10_000,
-            SimDuration::from_millis(700),
-            SimDuration::from_millis(300),
-        );
+        let det = judging(&StTcpConfig {
+            app_max_lag_bytes: 10_000,
+            app_max_lag_time: SimDuration::from_millis(700),
+            ..StTcpConfig::default()
+        });
+        let mut lag = AppLag::default();
         for (i, (mine, peers)) in observations.into_iter().enumerate() {
-            if let Some(r) = det.check(t(i as u64 * 100), mine, mine, peers, peers) {
+            if let Some(r) = det.check(&mut lag, t(i as u64 * 100), (mine, mine), (peers, peers)) {
                 prop_assert!(matches!(
                     r,
                     FailureReason::AppLagBytes | FailureReason::AppLagTime
                 ));
+            }
+        }
+    }
+
+    /// The check set's sparse visits judge as the walk of every
+    /// connection at every check tick did. Dense visits each tick; sparse
+    /// visits the first, then only a tick where a position moved since
+    /// its last visit or that visit left a watermark aging. Both give the
+    /// same verdict at the same tick — a level stretch longer than the
+    /// confirmation window, then a jump past `AppMaxLagBytes`, included.
+    #[test]
+    fn sparse_visits_judge_as_every_tick_does(stretches in vec(lag_stretch(), 1..24)) {
+        let cfg = StTcpConfig::default();
+        let det = judging(&cfg);
+        let (mut dense, mut sparse) = (AppLag::default(), AppLag::default());
+        let (mut mine, mut peers) = ((0, 0), (0, 0));
+        let (mut seen, mut now) = (None, t(0));
+        for (hold, d_read, d_write, news) in stretches {
+            for step in 0..=hold {
+                if step == hold {
+                    let before = mine;
+                    mine = (mine.0 + d_read, mine.1 + d_write);
+                    peers = [peers, before, mine][news as usize];
+                }
+                let every = det.check(&mut dense, now, mine, peers);
+                let visit = seen != Some((mine, peers)) || sparse.needs_check();
+                seen = Some((mine, peers));
+                let sparsely = visit.then(|| det.check(&mut sparse, now, mine, peers));
+                prop_assert_eq!(every, sparsely.flatten(), "at {}", now);
+                if every.is_some() {
+                    return Ok(());
+                }
+                now += cfg.check_period;
             }
         }
     }

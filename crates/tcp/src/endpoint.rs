@@ -47,8 +47,6 @@ pub enum IsnPolicy {
         /// Shared key; both servers must agree on it.
         salt: u64,
     },
-    /// A fixed ISN (tests only).
-    Fixed(SeqNum),
 }
 
 /// What to do with segments addressed to no known connection.
@@ -489,7 +487,6 @@ impl TcpEndpoint {
     fn pick_isn(&mut self, tuple: FourTuple) -> SeqNum {
         match self.cfg.isn {
             IsnPolicy::Random => SeqNum(self.rng.next_u32()),
-            IsnPolicy::Fixed(isn) => isn,
             IsnPolicy::Deterministic { salt } => SeqNum(deterministic_isn(tuple, salt)),
         }
     }

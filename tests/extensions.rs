@@ -15,6 +15,7 @@ use sttcp::server::AppCrashMode;
 use sttcp_apps::apps::StreamApp;
 use sttcp_apps::client::ClientWorkload;
 use sttcp_apps::scenario::{AppMaker, Scenario, ScenarioBuilder, Topology};
+use sttcp_bench::experiments::SCALE_HB_BATCH;
 
 fn t(ms: u64) -> SimTime {
     SimTime::from_millis(ms)
@@ -376,6 +377,45 @@ fn delta_serial_shards_survive_ip_heartbeat_loss() {
         assert!(s.finished(c), "client {c:?} unfinished: {log:?}");
         assert_eq!(log.integrity_violations, 0);
         assert_eq!(log.connects.len(), 1);
+    }
+}
+
+/// Regression: a connection that idles for a second, then moves 80 KiB
+/// each way. Idle, its record rides no delta frame, so no check visits
+/// it; the first visit after the burst counted the idle second as the
+/// byte criterion's confirmation window already served, and both
+/// servers condemned each other (`AppLagBytes` at 1.150 s) while v1 —
+/// every record re-applied every round — stayed verdict-free. Every
+/// heartbeat format judges the run alike.
+#[test]
+fn an_idle_second_then_a_burst_is_not_app_lag_in_any_heartbeat_format() {
+    let batched = StTcpConfig {
+        hb_batch: SCALE_HB_BATCH,
+        ..delta_cfg()
+    };
+    for (cfg, cables) in [(StTcpConfig::default(), 1), (delta_cfg(), 1), (batched, 4)] {
+        let chat = ClientWorkload::EchoChat {
+            chunk: 80 * 1024,
+            period: SimDuration::from_secs(1),
+            count: 6,
+        };
+        let mode = (cfg.hb_delta, cfg.hb_batch);
+        let mut s = ScenarioBuilder::new(echo_app(), chat)
+            .seed(1)
+            .sttcp(cfg)
+            .serial_links(cables)
+            .build();
+        s.world.run_until(t(10_000));
+        for node in [s.primary, s.backup] {
+            let verdicts: Vec<_> = s
+                .server(node)
+                .events()
+                .iter()
+                .filter(|e| matches!(e, StTcpEvent::PeerDeclaredFailed { .. }))
+                .collect();
+            assert!(verdicts.is_empty(), "(delta, batch) {mode:?}: {verdicts:?}");
+        }
+        assert!(s.finished(s.client), "(delta, batch) {mode:?}: unfinished");
     }
 }
 
