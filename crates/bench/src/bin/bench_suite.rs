@@ -5,9 +5,9 @@
 //! connection) at each connection count, and enforces the sim-time
 //! budgets that only these tiers exercise: exits 1 if HB bytes/conn
 //! exceeds the budget, the failover stall exceeds what the configured
-//! timeouts allow (680 ms), the 10 000-connection
-//! ramp falls below its conns/s floor, or a point of 10 000+ connections
-//! is resident above the per-connection bound.
+//! timeouts allow (680 ms), the 10 000-connection ramp falls below its
+//! conns/s floor, check ticks visit more than the active connections, or
+//! a point of 10 000+ connections is resident above the per-connection bound.
 //!
 //! Everything else about simulator speed — steady-state throughput, the
 //! per-component profile, heartbeat bandwidth, chaos seeds/s — is read
@@ -102,6 +102,10 @@ fn scale_max_stall_us() -> u64 {
 /// budget gates notice. The host-independent form of this gate is the
 /// visit-counter test in `tests/extensions.rs`.
 const SCALE_MIN_CONNS_PER_SEC_10K: f64 = 35_000.0;
+/// Connection visits per check tick (both servers) allowed in the steady
+/// window: its few active connections, at any ramp size. Sim-time, so
+/// exact: 10.0 at every tier; 107.3 while each handshake left a no-op RTO.
+const SCALE_MAX_VISITS_PER_CHECK: f64 = 16.0;
 /// Resident memory per connection (each with its client host) allowed
 /// from 10 000 connections up; below that the process's fixed footprint
 /// dominates the quotient. Measured 6.5 KiB at 10k and 6.2 at 100k; it
@@ -266,6 +270,14 @@ fn run_scale(counts: &[u64]) -> (Json, bool) {
             );
             ok = false;
         }
+        if p.visits_per_check > SCALE_MAX_VISITS_PER_CHECK {
+            eprintln!(
+                "SCALE VISITS EXCEEDED: {:.1} connection visits per check tick at {} conns \
+                 (bound {SCALE_MAX_VISITS_PER_CHECK})",
+                p.visits_per_check, p.conns
+            );
+            ok = false;
+        }
         let over = |per_conn: &f64| p.conns >= 10_000 && *per_conn > SCALE_MAX_RSS_KIB_PER_CONN;
         if let Some(per_conn) = p.rss_kib_per_conn().filter(over) {
             eprintln!(
@@ -278,21 +290,17 @@ fn run_scale(counts: &[u64]) -> (Json, bool) {
         points.push(p);
     }
     let mut section = Json::obj();
-    section.set(
-        "budget_bytes_per_conn",
-        Json::F64(SCALE_BUDGET_BYTES_PER_CONN),
-    );
+    for (gate, bound) in [
+        ("budget_bytes_per_conn", SCALE_BUDGET_BYTES_PER_CONN),
+        ("min_conns_per_sec_10k", SCALE_MIN_CONNS_PER_SEC_10K),
+        ("max_visits_per_check", SCALE_MAX_VISITS_PER_CHECK),
+        ("max_rss_kib_per_conn", SCALE_MAX_RSS_KIB_PER_CONN),
+    ] {
+        section.set(gate, Json::F64(bound));
+    }
     section.set("max_stall_us", Json::U64(max_stall_us));
     section.set("serial_links", Json::U64(SCALE_SERIAL_LINKS as u64));
     section.set("hb_batch", Json::U64(SCALE_HB_BATCH as u64));
-    section.set(
-        "min_conns_per_sec_10k",
-        Json::F64(SCALE_MIN_CONNS_PER_SEC_10K),
-    );
-    section.set(
-        "max_rss_kib_per_conn",
-        Json::F64(SCALE_MAX_RSS_KIB_PER_CONN),
-    );
     section.set(
         "points",
         Json::Arr(

@@ -279,8 +279,7 @@ impl TcpConn {
     ) -> TcpConn {
         let mut c = TcpConn::raw(cfg.into(), tuple, iss);
         c.state = TcpState::SynSent;
-        let seg = c.make_segment(TcpFlags::SYN, iss, Bytes::new());
-        c.push_out(seg);
+        c.push_syn();
         c.arm_rtx(now);
         c
     }
@@ -299,9 +298,7 @@ impl TcpConn {
         c.state = TcpState::SynRcvd;
         c.rcv_tracker = Some(SeqTracker::new(syn.seq));
         c.snd_wnd = syn.window as u32;
-        let mut seg = c.make_segment(TcpFlags::SYN_ACK, iss, Bytes::new());
-        seg.ack = c.rcv_ack_seq();
-        c.push_out(seg);
+        c.push_syn();
         c.arm_rtx(now);
         c
     }
@@ -746,6 +743,7 @@ impl TcpConn {
                 self.on_persist_timeout(now);
             }
         }
+        debug_assert!(self.rtx_rule_holds());
     }
 
     fn on_rtx_timeout(&mut self, now: SimTime) {
@@ -799,7 +797,7 @@ impl TcpConn {
         }
 
         if seg.flags.rst {
-            self.on_rst(seg);
+            self.on_rst(seg); // arms nothing
             return;
         }
 
@@ -814,6 +812,7 @@ impl TcpConn {
             }
             _ => self.on_segment_active(now, seg),
         }
+        debug_assert!(self.rtx_rule_holds());
     }
 
     fn on_rst(&mut self, seg: &TcpSegment) {
@@ -857,8 +856,8 @@ impl TcpConn {
         self.snd_wnd = seg.window as u32;
         self.retries = 0;
         self.rto.reset_backoff();
-        self.disarm_rtx_if_idle();
         self.state = TcpState::Established;
+        self.rtx_deadline = None; // nothing was sent before the SYN was acked
         self.events.push(ConnEvent::Connected);
         self.ack_pending = true;
         // Handshake payload (rare) plus our ACK.
@@ -871,10 +870,7 @@ impl TcpConn {
     fn on_segment_active(&mut self, now: SimTime, seg: &TcpSegment) {
         // A retransmitted SYN in SYN-RCVD: re-send the SYN-ACK.
         if self.state == TcpState::SynRcvd && seg.flags.syn && !seg.flags.ack {
-            let iss = self.isn();
-            let mut s = self.make_segment(TcpFlags::SYN_ACK, iss, Bytes::new());
-            s.ack = self.rcv_ack_seq();
-            self.push_out(s);
+            self.push_syn();
             return;
         }
 
@@ -910,12 +906,14 @@ impl TcpConn {
             self.syn_acked = true;
             self.retries = 0;
             self.state = TcpState::Established;
+            self.rtx_deadline = None; // nothing is sent before the SYN is acked
             self.events.push(ConnEvent::Connected);
         }
 
         let fin_newly_acked = self.fin_sent
             && !self.fin_acked
             && self.sendbuf.fin_offset().is_some_and(|f| ack_off == f + 1);
+        self.fin_acked |= fin_newly_acked; // before the timer decision below
 
         let data_ack_to = ack_off.min(self.sendbuf.written());
         let newly_acked = self.sendbuf.ack_to(data_ack_to);
@@ -958,10 +956,9 @@ impl TcpConn {
         }
 
         if fin_newly_acked {
-            self.fin_acked = true;
             match self.state {
                 TcpState::FinWait1 => self.state = TcpState::FinWait2,
-                TcpState::Closing => self.enter_time_wait(now),
+                TcpState::Closing => self.enter_time_wait(),
                 TcpState::LastAck => self.enter_closed(true),
                 _ => {}
             }
@@ -1002,27 +999,20 @@ impl TcpConn {
             TcpState::SynRcvd | TcpState::Established => self.state = TcpState::CloseWait,
             TcpState::FinWait1 => {
                 if self.fin_acked {
-                    self.enter_time_wait_deferred();
+                    self.enter_time_wait();
                 } else {
                     self.state = TcpState::Closing;
                 }
             }
-            TcpState::FinWait2 => self.enter_time_wait_deferred(),
+            TcpState::FinWait2 => self.enter_time_wait(),
             _ => {}
         }
     }
 
-    // TIME-WAIT entry where `now` is unavailable: `fill_output`, which
-    // always runs later in the same dispatch, arms the deadline.
-    fn enter_time_wait_deferred(&mut self) {
+    // `fill_output`, which always runs later in the same dispatch, arms
+    // the TIME-WAIT deadline and stops the other timers.
+    fn enter_time_wait(&mut self) {
         self.state = TcpState::TimeWait;
-    }
-
-    fn enter_time_wait(&mut self, now: SimTime) {
-        self.state = TcpState::TimeWait;
-        self.timewait_deadline = Some(now + self.cfg.time_wait);
-        self.rtx_deadline = None;
-        self.persist_deadline = None;
     }
 
     fn enter_closed(&mut self, graceful: bool) {
@@ -1052,7 +1042,7 @@ impl TcpConn {
     /// Generates whatever output current state and windows permit: new
     /// data segments, a FIN, and/or a pure ACK. Arms timers as needed.
     pub fn fill_output(&mut self, now: SimTime) {
-        // Arm a deferred TIME-WAIT deadline if needed.
+        // Arm the TIME-WAIT deadline of a state change just made.
         if self.state == TcpState::TimeWait && self.timewait_deadline.is_none() {
             self.timewait_deadline = Some(now + self.cfg.time_wait);
             self.rtx_deadline = None;
@@ -1126,6 +1116,7 @@ impl TcpConn {
         if self.ack_pending && !emitted && self.rcv_tracker.is_some() {
             self.emit_pure_ack();
         }
+        debug_assert!(self.rtx_rule_holds());
     }
 
     fn emit_pure_ack(&mut self) {
@@ -1141,21 +1132,9 @@ impl TcpConn {
     /// Retransmits the head of the unacked region (or the SYN/SYN-ACK/FIN
     /// as the state demands).
     fn retransmit_head(&mut self) {
-        match self.state {
-            TcpState::SynSent => {
-                let iss = self.isn();
-                let seg = self.make_segment(TcpFlags::SYN, iss, Bytes::new());
-                self.push_out(seg);
-                return;
-            }
-            TcpState::SynRcvd => {
-                let iss = self.isn();
-                let mut seg = self.make_segment(TcpFlags::SYN_ACK, iss, Bytes::new());
-                seg.ack = self.rcv_ack_seq();
-                self.push_out(seg);
-                return;
-            }
-            _ => {}
+        if matches!(self.state, TcpState::SynSent | TcpState::SynRcvd) {
+            self.push_syn();
+            return;
         }
         let una = self.sendbuf.una();
         let payload = self.sendbuf.slice(una, self.cfg.mss as usize);
@@ -1204,10 +1183,11 @@ impl TcpConn {
         self.rtx_deadline = Some(now + self.current_rto());
     }
 
-    fn disarm_rtx_if_idle(&mut self) {
-        if !self.has_unacked() {
-            self.rtx_deadline = None;
-        }
+    /// RFC 6298 §5.2, checked after every segment, timer and output pass in
+    /// debug builds: the retransmit timer runs only while something is
+    /// outstanding (the SYN until it is acked, whatever `close` did).
+    pub(crate) fn rtx_rule_holds(&self) -> bool {
+        self.rtx_deadline.is_none() || !self.syn_acked || self.has_unacked()
     }
 
     /// The ACK value reflecting everything consumed in order, including
@@ -1232,6 +1212,16 @@ impl TcpConn {
             window: self.recvbuf.window().min(u16::MAX as usize) as u16,
             payload,
         }
+    }
+
+    /// Queues our SYN, or the SYN-ACK once the peer's SYN is anchored.
+    fn push_syn(&mut self) {
+        let mut seg = self.make_segment(TcpFlags::SYN, self.isn(), Bytes::new());
+        if self.rcv_tracker.is_some() {
+            seg.flags.ack = true;
+            seg.ack = self.rcv_ack_seq();
+        }
+        self.push_out(seg);
     }
 
     fn push_out(&mut self, seg: TcpSegment) {
@@ -1346,6 +1336,27 @@ mod tests {
         // ISNs visible on both ends.
         assert_eq!(s.peer_isn(), Some(CLIENT_ISS));
         assert_eq!(s.isn(), SERVER_ISS);
+    }
+
+    #[test]
+    fn a_completed_handshake_arms_no_timer_on_either_side() {
+        // RFC 6298 §5.2: with the SYN and the SYN-ACK acked and nothing
+        // written, neither end has a retransmit timeout left to fire.
+        let mut p = Pair::established();
+        assert_eq!(p.client.next_deadline(), None);
+        assert_eq!(p.server().next_deadline(), None);
+    }
+
+    #[test]
+    fn an_acked_fin_leaves_no_retransmit_timer() {
+        let mut p = Pair::established();
+        p.client.close(p.now);
+        assert!(p.client.next_deadline().is_some(), "the FIN is outstanding");
+        p.pump();
+        assert_eq!(p.client.state(), TcpState::FinWait2);
+        assert_eq!(p.client.next_deadline(), None);
+        assert_eq!(p.server().state(), TcpState::CloseWait);
+        assert_eq!(p.server().next_deadline(), None);
     }
 
     #[test]

@@ -1384,7 +1384,9 @@ mod tests {
         /// sampling walk, under arbitrary interleavings of connection
         /// activity. `on_time` additionally asserts the due-set (in
         /// firing order) against the scan oracle internally, so every
-        /// `advance` here also diffs the firing path.
+        /// `advance` here also diffs the firing path. Every socket also
+        /// keeps RFC 6298 §5.2: no retransmit timer without something
+        /// outstanding.
         #[test]
         fn deadline_queue_matches_scan_oracle(
             ops in proptest::collection::vec(ep_op_strategy(), 0..80),
@@ -1474,6 +1476,7 @@ mod tests {
                 // ids handed out — closed and aborted ones included.
                 prop_assert_eq!(&n.a.sockets(), &socks);
                 for e in [&n.a, &n.b] {
+                    prop_assert!(e.socks.iter().all(|(_, s)| s.conn.rtx_rule_holds()));
                     let ids = e.sockets();
                     prop_assert!(ids.windows(2).all(|w| w[0] < w[1]));
                     let count = ids.len() as u64;

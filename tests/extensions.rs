@@ -600,20 +600,14 @@ fn periodic_work_tracks_active_conns(topology: Topology, cfg: StTcpConfig) {
     s.world.run_until(t(5_000));
     let after = counters(&s);
     let check_ticks = 2_000 / 50;
-    // The pool's one 115.2 kbps cable per member pair is still draining
-    // the ramp in the window: every record rides it twice (sent again
-    // before the first copy's ack is back), and each late copy settles
-    // its connection again. (Measured: the pair 38, the pool's members
-    // 53–98 — the pair's own reading on one cable.)
-    let bound = match topology {
-        Topology::Pair => 16 * ACTIVE,
-        Topology::Pool(_) => 32 * ACTIVE,
-    };
+    // Measured: 31 on every member of both topologies. It read 38 while
+    // each finished handshake left a retransmit timeout armed, whose
+    // no-op fire touched its socket onto every dirty list.
     for (i, (b, a)) in before.iter().zip(&after).enumerate() {
         let node = topology.member_label(i);
         let per_tick = (a[0] - b[0]) / check_ticks;
         assert!(
-            per_tick <= bound,
+            per_tick <= 8 * ACTIVE,
             "{node}: {per_tick} connection visits per check tick with {ACTIVE} active of {} resident",
             POPULATION + 1
         );
@@ -836,6 +830,29 @@ fn a_4_mib_download_finishes_within_the_event_budget() {
 }
 
 #[test]
+fn a_ramp_of_idle_connections_finishes_within_the_event_budget() {
+    // The published scale mix (`conn_ramp`'s world), through its ramp and
+    // past the last handshake's initial 1 s RTO. Fixed work, so the count
+    // is exact: 25 137 events, 12.57 per connection. It read 29 121
+    // while a finished handshake left each server's retransmit timer
+    // armed, and each fired once with nothing outstanding: two no-op
+    // events per connection. A change that lowers the count lowers the
+    // constant.
+    use sttcp_bench::experiments::{scale_ramp_end, scale_scenario};
+    const CONNS: u64 = 2_000;
+    let mut s = scale_scenario(CONNS, 1);
+    s.world
+        .run_until(scale_ramp_end(CONNS) + SimDuration::from_secs(1));
+    assert_eq!(s.server(s.backup).conn_keys().len() as u64, CONNS);
+    let events = s.world.events_processed();
+    assert!(
+        events <= 25_137,
+        "{events} events, {:.2} per connection",
+        events as f64 / CONNS as f64
+    );
+}
+
+#[test]
 fn payload_is_shared_not_copied_from_wire_build_to_application_read() {
     // Pointer identity at both ends of the wire, through the public
     // endpoint API the nodes use: the sender's packet encodes in place
@@ -959,17 +976,19 @@ fn an_accepted_idle_connection_owns_its_entry_and_one_output_slot() {
 }
 
 #[test]
-fn a_mostly_idle_connection_costs_at_most_6400_bytes_of_heap() {
+fn a_mostly_idle_connection_costs_at_most_6144_bytes_of_heap() {
     // The published scale mix (`scale_scenario`: what `bench_suite
     // --scale` and the benchmark's conn_ramp run), through its ramp.
     // Each connection brings a client host with it, so the slope
     // of live heap over connections is what one more (host, connection)
-    // costs across all three machines: 6 205 B (DESIGN, "What a host
+    // costs across all three machines: 6 068 B (DESIGN, "What a host
     // and a connection cost"; `heap_census` names the call sites), the
-    // bound is that rounded up to the next 256. It was 7 181 B while
-    // every connection carried its own copy of the TCP config, a
-    // four-slot output queue and a heap-allocated event queue. A slope,
-    // so what the world costs before its first client cancels out.
+    // bound is that rounded up to the next 256. It was 6 118 B while a
+    // no-op retransmit timeout made each client's endpoint allocate its
+    // due list, and 7 181 B while every connection carried its own copy
+    // of the TCP config, a four-slot output queue and a heap-allocated
+    // event queue. A slope, so what the world costs before its first
+    // client cancels out.
     use sttcp_bench::experiments::{scale_ramp_end, scale_scenario};
     fn live_after_ramp(conns: u64) -> i64 {
         let before = alloc_count::live();
@@ -981,7 +1000,7 @@ fn a_mostly_idle_connection_costs_at_most_6400_bytes_of_heap() {
     }
     let per_conn = (live_after_ramp(3_000) - live_after_ramp(1_000)) / 2_000;
     assert!(
-        per_conn <= 6_400,
+        per_conn <= 6_144,
         "{per_conn} live heap bytes per (client host, connection)"
     );
 }
