@@ -158,7 +158,7 @@ impl AppLag {
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum Engagement {
     /// The IP heartbeat is down (lag is then the network fault's
-    /// symptom, row 4's to blame), or the server is a pool member.
+    /// symptom, row 4's to blame), or there is no member to judge.
     Off,
     /// IP up, but the last heartbeat is stale: a dead host's frozen
     /// positions are row 1's. Connections wait unjudged.
@@ -178,17 +178,13 @@ pub struct AppLagDetector {
 }
 
 impl AppLagDetector {
-    /// The detector of a server configured by `cfg`: a pair's waits (IP
-    /// presumed up, nothing heard), a pool's is off for good.
-    pub fn new(cfg: &StTcpConfig, pair: bool) -> AppLagDetector {
+    /// The detector of a server configured by `cfg`: off until handed a
+    /// reading.
+    pub fn new(cfg: &StTcpConfig) -> AppLagDetector {
         AppLagDetector {
             limits: LagLimits::new(cfg.app_max_lag_bytes, cfg.app_max_lag_time, cfg),
             fresh_for: cfg.hb_period + cfg.check_period * 2,
-            state: if pair {
-                Engagement::Waiting
-            } else {
-                Engagement::Off
-            },
+            state: Engagement::Off,
         }
     }
 
@@ -244,10 +240,12 @@ mod tests {
         SimTime::from_millis(ms)
     }
 
-    /// The default config's detector: a heartbeat older than 300 ms is
-    /// stale.
+    /// The default config's detector (a heartbeat older than 300 ms is
+    /// stale) on a member just booted: IP presumed up, nothing heard.
     fn detector() -> AppLagDetector {
-        AppLagDetector::new(&StTcpConfig::default(), true)
+        let mut d = AppLagDetector::new(&StTcpConfig::default());
+        d.engage(t(0), true, None);
+        d
     }
 
     /// A judging detector with small thresholds, and one connection's
@@ -288,10 +286,16 @@ mod tests {
 
     #[test]
     fn the_reading_decides_the_engagement() {
-        let mut d = detector();
-        assert_eq!(d.state(), Engagement::Waiting, "a pair boots waiting");
-        let pool = AppLagDetector::new(&StTcpConfig::default(), false);
-        assert_eq!(pool.state(), Engagement::Off);
+        let mut d = AppLagDetector::new(&StTcpConfig::default());
+        assert_eq!(d.state(), Engagement::Off, "no reading, nobody judged");
+        assert_eq!(d.engage(t(0), false, None), None, "none reads as IP down");
+        assert_eq!(d.state(), Engagement::Off);
+        assert_eq!(d.engage(t(0), true, None), Some(true));
+        assert_eq!(
+            d.state(),
+            Engagement::Waiting,
+            "a fresh member boots waiting"
+        );
         let now = t(1_000);
         assert_eq!(d.engage(now, true, None), None);
         assert_eq!(d.state(), Engagement::Waiting, "nothing heard");

@@ -26,7 +26,7 @@
 //! holds about it: link readings, ping report, watchdog latch, mirror and
 //! a stream with per-link state in every wire format, judged by one
 //! receive rule — the pair's is the one-member case. [`followed`] names
-//! the member recovery and Table 1 read: the pair's peer, the pool's active.
+//! the member recovery reads: the pair's peer, the pool's active.
 
 use std::collections::{BTreeMap, BTreeSet};
 use std::net::Ipv4Addr;
@@ -332,10 +332,10 @@ pub(crate) fn member_table(
 }
 
 /// The member whose positions this server follows — where recovery,
-/// join convergence, the takeover gap check and Table 1's rows read: the
-/// pair's one peer, or the pool member at `active_rank`, fenced or not
-/// (the gap check reads a dead active's last word). None once this
-/// server is the active.
+/// join convergence, the takeover gap check, the link-edge log and the
+/// control route read: the pair's one peer, or the pool member at
+/// `active_rank`, fenced or not (the gap check reads a dead active's last
+/// word). None once this server is the active; to a backup, the active.
 pub(crate) fn followed<'a>(
     pool: Option<&PoolState>,
     members: &'a Members,

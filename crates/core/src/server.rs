@@ -82,6 +82,37 @@ pub fn reason_code(reason: FailureReason) -> u32 {
         .unwrap() as u32
 }
 
+/// Records fence message `msg` under its round's span, which every member
+/// derives from (epoch, target): request, votes and commit read as one.
+fn fence_flight(ctx: &mut NodeCtx<'_>, parent: SpanId, msg: &CtrlMsg) {
+    use CtrlMsg::{FenceAck, FenceCommit, FenceRequest};
+    let (epoch, target_rank) = match *msg {
+        FenceRequest {
+            epoch, target_rank, ..
+        }
+        | FenceAck {
+            epoch, target_rank, ..
+        }
+        | FenceCommit { epoch, target_rank } => (u64::from(epoch), target_rank),
+        _ => return,
+    };
+    let kind = match *msg {
+        FenceAck {
+            voter_rank,
+            granted,
+            ..
+        } => FlightKind::FenceAck {
+            epoch,
+            target_rank,
+            voter_rank,
+            granted,
+        },
+        FenceCommit { .. } => FlightKind::FenceCommit { epoch, target_rank },
+        _ => FlightKind::FenceRequest { epoch, target_rank },
+    };
+    ctx.flight(SpanId::fence(epoch, target_rank), parent, kind);
+}
+
 const TOKEN_HB: TimerToken = TimerToken(1);
 const TOKEN_CHECK: TimerToken = TimerToken(2);
 const TOKEN_TCP: TimerToken = TimerToken(3);
@@ -328,7 +359,7 @@ impl Ram {
         });
         endpoint.listen(setup.service_port, ListenConfig { tcp, egress });
         let cables = |ip| serial.iter().filter(|&&(_, to)| to == ip).count();
-        Ram {
+        let mut ram = Ram {
             hb_epoch: epoch_from(now),
             hb_touched: Vec::new(),
             hb_cands: Vec::new(),
@@ -340,7 +371,7 @@ impl Ram {
             ft_mode: true,
             table: ConnTable::default(),
             members: member_table(&setup.peers, &setup.sttcp, now, cables),
-            app_detect: AppLagDetector::new(&setup.sttcp, !setup.pool),
+            app_detect: AppLagDetector::new(&setup.sttcp),
             net_detect: NetFailureDetector::new(&setup.sttcp, (setup.seed & 0xffff) as u16),
             ping_timer: None,
             hb_seq: 0,
@@ -355,7 +386,23 @@ impl Ram {
             liveness_timer: None,
             pkts: Vec::new(),
             powered_off: false,
-        }
+        };
+        ram.engage_app_lag(now); // row 2 reads from boot on: no edge to walk yet
+        ram
+    }
+
+    /// The member Table 1's detectors judge: the pair's peer, nobody in a
+    /// pool (ROADMAP item 7(b)). The one place rows 2–5 tell pair from pool.
+    fn judged(&self) -> Option<(Ipv4Addr, &MemberState)> {
+        followed(None, &self.members).filter(|_| self.pool.is_none())
+    }
+
+    /// Hands row 2 the judged member's reading at `now` — none reads as
+    /// no IP heartbeat, i.e. off — and returns the detector's edge.
+    fn engage_app_lag(&mut self, now: SimTime) -> Option<bool> {
+        let judged = self.judged().map(|(_, m)| (m.hb.ip_up, m.hb.last_rx()));
+        let (ip_up, last_rx) = judged.unwrap_or((false, None));
+        self.app_detect.engage(now, ip_up, last_rx)
     }
 }
 
@@ -441,11 +488,6 @@ impl StTcpServer {
         };
         let link = self.links_to(src).position(|v| v == via)?;
         self.ram.members.contains_key(&src).then_some((src, link))
-    }
-
-    /// The [`followed`] member: the pair's peer, the pool's active.
-    fn followed_member(&self) -> Option<&MemberState> {
-        followed(self.ram.pool.as_ref(), &self.ram.members).map(|(_, m)| m)
     }
 
     /// Adds a static ARP entry (topology builders registering additional
@@ -1012,7 +1054,13 @@ impl StTcpServer {
     /// What the [`followed`] member last reported for the key of `s` (a
     /// displaced socket reads its key's).
     fn followed_pos(&self, s: SlotId) -> Option<PeerConn> {
-        let m = self.followed_member()?;
+        let (_, m) = followed(self.ram.pool.as_ref(), &self.ram.members)?;
+        m.mirror.get(self.ram.table.home(s)).copied()
+    }
+
+    /// What the [`Ram::judged`] member last reported for the key of `s`.
+    fn judged_pos(&self, s: SlotId) -> Option<PeerConn> {
+        let (_, m) = self.ram.judged()?;
         m.mirror.get(self.ram.table.home(s)).copied()
     }
 
@@ -1461,27 +1509,31 @@ impl StTcpServer {
         ctx.flight(vspan, parent, FlightKind::Stonith { target });
     }
 
-    fn declare_peer_failed(&mut self, ctx: &mut NodeCtx<'_>, reason: FailureReason) {
-        if !self.ram.ft_mode {
-            return;
-        }
-        self.ram.ft_mode = false;
-        // Parented to the last heartbeat this server accepted — the
-        // final evidence before it condemned the peer.
-        let node = self.followed_member().expect("a pair's peer").node;
-        self.condemn(ctx, node, reason, self.last_hb_rx_span);
-        // The pair's peer is the active exactly when this server is not.
-        self.after_verdict(ctx, reason, self.ram.role == Role::Backup);
-    }
-
-    /// What follows a verdict in pair and pool alike, once `condemn` has
-    /// STONITHed the member: a condemned active is taken over only after
-    /// it is provably silent (power controller latency); an active left
-    /// without a backup (`ft_mode` false) continues non-fault-tolerant —
-    /// every FIN arbiter resolves as peer-failed, and with nobody to
-    /// feed it stops holding client bytes.
-    fn after_verdict(&mut self, ctx: &mut NodeCtx<'_>, reason: FailureReason, was_active: bool) {
+    /// Every verdict's one sink: `target` is condemned for `reason`, the
+    /// span parented to `parent` (the evidence); a fenced target leaves
+    /// every key's view. A condemned active is taken over once provably
+    /// silent (power controller latency); an active left with no live
+    /// unfenced member to feed goes non-fault-tolerant — every FIN arbiter
+    /// resolves as peer-failed, and it stops holding client bytes.
+    fn accuse(
+        &mut self,
+        ctx: &mut NodeCtx<'_>,
+        target: Ipv4Addr,
+        reason: FailureReason,
+        parent: SpanId,
+    ) {
         let now = ctx.now();
+        let m = &self.ram.members[&target];
+        let (node, fenced) = (m.node, m.fenced);
+        // The active is the member a backup follows.
+        let followed = followed(self.ram.pool.as_ref(), &self.ram.members).map(|(ip, _)| ip);
+        let was_active = self.ram.role == Role::Backup && followed == Some(target);
+        self.condemn(ctx, node, reason, parent);
+        let mut rest = self.ram.members.iter().filter(|&(&ip, _)| ip != target);
+        self.ram.ft_mode = rest.any(|(_, m)| !m.fenced && m.alive(now));
+        if fenced {
+            self.settle_all(now);
+        }
         if was_active {
             ctx.set_timer(STONITH_DELAY, TOKEN_TAKEOVER);
             return;
@@ -1534,13 +1586,8 @@ impl StTcpServer {
         self.events.push(StTcpEvent::TookOver { at: now });
         // The takeover joins the verdict's span: the dump reads as one
         // chain, heartbeat evidence → verdict → STONITH → takeover.
-        let tspan = if self.verdict_span.is_none() {
-            SpanId::verdict(ctx.node_id().0 as u64, now.as_micros())
-        } else {
-            self.verdict_span
-        };
         ctx.flight(
-            tspan,
+            self.verdict_span,
             self.last_hb_rx_span,
             FlightKind::Takeover {
                 conns: self.ram.table.socks().count() as u32,
@@ -1612,8 +1659,9 @@ impl StTcpServer {
     }
 
     /// What heartbeat *silence* decides, as opposed to heartbeat contents:
-    /// link up/down edges, Table 1 row 1 (both links silent), whether
-    /// row 4 holds, and in pool mode a fence round.
+    /// link edges; on the [judged](Ram::judged) member's reading, Table 1
+    /// row 1 (both links silent) and whether rows 2 and 4 engage; a pool's
+    /// fence round.
     /// Runs when the liveness timer fires — the instant a link's timeout
     /// and jitter guard are both spent ([`crate::linkmon`]) — and on every
     /// check tick, which is what notices a link coming back; either way it
@@ -1621,14 +1669,37 @@ impl StTcpServer {
     fn check_liveness(&mut self, ctx: &mut NodeCtx<'_>) {
         let now = ctx.now();
         self.read_links(now);
-        if self.ram.pool.is_none() {
-            self.check_pair_liveness(ctx);
-        } else if self.ram.join.is_none() {
-            // (A joiner has no say over anyone's life.)
-            ctx.profile_enter(Component::Pool);
-            self.fence_tick(ctx);
-            ctx.profile_exit();
+        // Row 1 is [`MemberState::overdue`], whose two silences equal
+        // `!ip_up && !serial_up` here: `read_links` just set each.
+        let judged = self.ram.judged();
+        let judged = judged.map(|(ip, m)| (ip, m.overdue(now), m.hb.ip_up));
+        // Row 2's reading; its edges are walks over every connection.
+        if let Some(on) = self.ram.engage_app_lag(now) {
+            let socks = self.all_socks();
+            self.metrics.on_timer_visits(socks.len());
+            for (_, s) in socks {
+                if on {
+                    self.ram.table.insert(Set::Check, s);
+                } else if let Some(ctl) = &mut self.ram.table[s].ctl {
+                    ctl.applag = AppLag::default();
+                }
+            }
         }
+        if let Some((target, true, _)) = judged.filter(|_| self.ram.ft_mode) {
+            // Row 1: the host is gone, or heard only as a defunct restart.
+            // The evidence is the last heartbeat this server accepted.
+            let evidence = self.last_hb_rx_span;
+            self.accuse(ctx, target, FailureReason::HbBothLinksDown, evidence);
+        }
+        // Row 4 holds while the IP heartbeat is dead and, row 1 having had
+        // its say, the serial one is not: the gateway pings that will say
+        // whose network failed run exactly then. The verdict waits for
+        // evidence, on the check tick.
+        let ip_dead = judged.is_some_and(|(_, _, ip_up)| !ip_up);
+        self.ram.net_detect.engage(now, self.ram.ft_mode && ip_dead);
+        let due = self.ram.net_detect.probe_due();
+        ctx.rearm_timer(&mut self.ram.ping_timer, due, TOKEN_PING);
+        self.fence_tick(ctx);
         // A silence further out than the next tick is the next tick's to
         // see coming: a pair whose heartbeats flow never arms the timer.
         // Whose silence counts: every member not yet fenced.
@@ -1655,41 +1726,6 @@ impl StTcpServer {
                 false => StTcpEvent::HbLinkDown { link, at: now },
             });
         }
-    }
-
-    /// The pair's share of [`StTcpServer::check_liveness`]: rows 1, 2
-    /// and 4 on its peer's link reading. Row 1 is [`MemberState::overdue`],
-    /// which opens a pool's fence round; its two silences equal `!ip_up && !serial_up`
-    /// here, as `read_links(now)` has just set each to `!is_silent(now)`.
-    fn check_pair_liveness(&mut self, ctx: &mut NodeCtx<'_>) {
-        let now = ctx.now();
-        let peer = self.followed_member().expect("a pair's peer");
-        let (overdue, ip_alive, last_rx) = (peer.overdue(now), peer.hb.ip_up, peer.hb.last_rx());
-        // Row 2's reading; its edges are walks over every connection.
-        if let Some(on) = self.ram.app_detect.engage(now, ip_alive, last_rx) {
-            let socks = self.all_socks();
-            self.metrics.on_timer_visits(socks.len());
-            for (_, s) in socks {
-                if on {
-                    self.ram.table.insert(Set::Check, s);
-                } else if let Some(ctl) = &mut self.ram.table[s].ctl {
-                    ctl.applag = AppLag::default();
-                }
-            }
-        }
-        if overdue {
-            // Row 1: the peer host is gone, or heard only as a defunct restart.
-            self.declare_peer_failed(ctx, FailureReason::HbBothLinksDown);
-        }
-        // Row 4 holds while the IP heartbeat is dead and, row 1 having had
-        // its say, the serial one is not: the gateway pings that will say
-        // whose network failed run exactly then. The verdict waits for
-        // evidence, on the check tick.
-        self.ram
-            .net_detect
-            .engage(now, self.ram.ft_mode && !ip_alive);
-        let due = self.ram.net_detect.probe_due();
-        ctx.rearm_timer(&mut self.ram.ping_timer, due, TOKEN_PING);
     }
 
     fn run_checks(&mut self, ctx: &mut NodeCtx<'_>) {
@@ -1735,41 +1771,40 @@ impl StTcpServer {
             self.try_finish_join(ctx);
         }
 
-        // Not fault-tolerant — a lone server, a joiner, or row 1 a
+        // Not fault-tolerant — a lone server, a joiner, or a verdict a
         // moment ago in `check_liveness` — means nothing left to judge.
         if !self.ram.ft_mode {
             return;
         }
 
-        // Table 1's rows 2–5 judge the pair's one peer; a pool's one
-        // verdict is the quorum fence (ROADMAP item 7(b)): its rows 2 and
-        // 4 never engage, its walk only ages FIN deadlines, and an arbiter
-        // that runs out resolves itself. Row 4 (IP heartbeat dead, serial
-        // alive) finds whose network failed from the pings and the serial
-        // heartbeat's contents.
+        // Table 1's rows 2–5 judge the [judged](Ram::judged) member. With
+        // none (a pool), rows 2 and 4 never engage, the walk only ages FIN
+        // deadlines, and an arbiter that runs out resolves itself. Row 4
+        // (IP heartbeat dead, serial alive) finds whose network failed
+        // from the pings and the serial heartbeat's contents.
+        let judged = self.ram.judged().map(|(ip, m)| (ip, m.app_suspected));
+        let mut verdict = None;
         if self.ram.net_detect.engaged() {
             let obs = self.net_observation();
-            if let Some(reason) = self.ram.net_detect.check(now, &obs) {
-                self.declare_peer_failed(ctx, reason);
-                return;
-            }
+            verdict = self.ram.net_detect.check(now, &obs);
         }
-        let lag = self.check_conns(now);
-        if self.ram.pool.is_none() {
-            // §4.2.2 extension: the peer's own watchdog reported its
+        if verdict.is_none() {
+            let lag = self.check_conns(now);
+            // §4.2.2 extension: the member's own watchdog reported its
             // replica dead. A self-report is actionable even on an idle
             // connection — exactly the case the transport-layer detectors
             // cannot see.
-            let peer = self.followed_member().expect("a pair's peer");
-            let watchdog = peer.app_suspected.then_some(FailureReason::WatchdogReport);
+            let watchdog = judged.is_some_and(|(_, suspected)| suspected);
             // Row 5 escalation: the primary's hold buffer overflowed — the
             // backup cannot catch up. (Sampled with the totals above.)
-            let overflow = (self.ram.role == Role::Primary && totals.hold_overflows > 0)
-                .then_some(FailureReason::HoldOverflow);
-            if let Some(reason) = lag.or(watchdog).or(overflow) {
-                self.declare_peer_failed(ctx, reason);
-                return;
-            }
+            let overflow = self.ram.role == Role::Primary && totals.hold_overflows > 0;
+            verdict = lag
+                .or(watchdog.then_some(FailureReason::WatchdogReport))
+                .or(overflow.then_some(FailureReason::HoldOverflow));
+        }
+        if let (Some(reason), Some((target, _))) = (verdict, judged) {
+            self.accuse(ctx, target, reason, self.last_hb_rx_span);
+            return;
         }
 
         // Row 5: the backup fetches bytes it missed.
@@ -1790,7 +1825,7 @@ impl StTcpServer {
         let slots = self.ram.table.members(Set::Check);
         self.metrics.on_timer_visits(slots.len());
         for s in slots {
-            let peer = judging.then(|| self.followed_pos(s)).flatten();
+            let peer = judging.then(|| self.judged_pos(s)).flatten();
             let slot = &mut self.ram.table[s];
             let (Some(sock), Some(ctl)) = (slot.sock(), slot.ctl.as_mut()) else {
                 continue;
@@ -1923,15 +1958,17 @@ impl StTcpServer {
     /// Drives this server's fence round: drop a round that no longer
     /// [stands](FenceRound::stands), open a round against a dead member
     /// when eligible, and (re-)solicit votes every tick until quorum or
-    /// abandonment.
+    /// abandonment. Profiled as pool work; a pair or a joiner has none.
     fn fence_tick(&mut self, ctx: &mut NodeCtx<'_>) {
         let now = ctx.now();
         let mut open_event: Option<(u8, u32)> = None;
         let mut round: Option<(CtrlMsg, Ipv4Addr)> = None;
         {
-            let (Some(pool), members) = (&mut self.ram.pool, &self.ram.members) else {
-                return;
+            let (Some(pool), None) = (&mut self.ram.pool, &self.ram.join) else {
+                return; // (a joiner has no say over anyone's life)
             };
+            let members = &self.ram.members;
+            ctx.profile_enter(Component::Pool);
             if pool.fence.as_ref().is_some_and(|f| !f.stands(members, now)) {
                 pool.fence = None;
             }
@@ -1957,24 +1994,15 @@ impl StTcpServer {
                 round = Some((msg, f.target));
             }
         }
-        if let Some((target_rank, epoch)) = open_event {
-            self.events.push(StTcpEvent::FenceRequested {
-                target_rank,
-                epoch,
-                at: now,
-            });
-            // The round's span is shared by every member: request,
-            // votes, and commit all derive it from (epoch, target).
-            ctx.flight(
-                SpanId::fence(u64::from(epoch), target_rank),
-                self.last_hb_rx_span,
-                FlightKind::FenceRequest {
-                    epoch: u64::from(epoch),
-                    target_rank,
-                },
-            );
-        }
         if let Some((msg, target)) = round {
+            if let Some((target_rank, epoch)) = open_event {
+                self.events.push(StTcpEvent::FenceRequested {
+                    target_rank,
+                    epoch,
+                    at: now,
+                });
+                fence_flight(ctx, self.last_hb_rx_span, &msg);
+            }
             for (&ip, m) in &self.ram.members {
                 if !m.fenced && ip != target {
                     self.send_ctrl_to(ctx, ip, &msg);
@@ -1983,86 +2011,58 @@ impl StTcpServer {
         }
         // In a degenerate pool the initiator's own vote is the quorum.
         self.try_complete_fence(ctx);
+        ctx.profile_exit();
     }
 
     /// A pool member asks this server to confirm `target_rank` dead so
     /// that `candidate_rank` may fence it; [`PoolState::grants`] answers.
-    fn handle_fence_request(
-        &mut self,
-        ctx: &mut NodeCtx<'_>,
-        src: Ipv4Addr,
-        epoch: u32,
-        target_rank: u8,
-        candidate_rank: u8,
-    ) {
+    fn handle_fence_request(&mut self, ctx: &mut NodeCtx<'_>, src: Ipv4Addr, msg: &CtrlMsg) {
+        let CtrlMsg::FenceRequest {
+            epoch,
+            target_rank,
+            candidate_rank,
+        } = *msg
+        else {
+            return;
+        };
         if self.ram.join.is_some() {
             return; // a joiner has no vote yet
         }
         let now = ctx.now();
-        ctx.flight(
-            SpanId::fence(u64::from(epoch), target_rank),
-            SpanId::NONE,
-            FlightKind::FenceRequest {
-                epoch: u64::from(epoch),
-                target_rank,
-            },
-        );
+        fence_flight(ctx, SpanId::NONE, msg);
         let Some(pool) = &self.ram.pool else {
             return;
         };
-        let my_rank = pool.my_rank;
         let granted = pool.grants(&self.ram.members, now, src, target_rank, candidate_rank);
         let reply = CtrlMsg::FenceAck {
             epoch,
             target_rank,
-            voter_rank: my_rank,
+            voter_rank: pool.my_rank,
             granted,
         };
-        ctx.flight(
-            SpanId::fence(u64::from(epoch), target_rank),
-            SpanId::NONE,
-            FlightKind::FenceAck {
-                epoch: u64::from(epoch),
-                target_rank,
-                voter_rank: my_rank,
-                granted,
-            },
-        );
+        fence_flight(ctx, SpanId::NONE, &reply);
         self.send_ctrl_to(ctx, src, &reply);
     }
 
     /// A vote arrived for this server's fence round (from a member: the
     /// source rule ran at intake).
-    fn handle_fence_ack(
-        &mut self,
-        ctx: &mut NodeCtx<'_>,
-        epoch: u32,
-        target_rank: u8,
-        voter_rank: u8,
-        granted: bool,
-    ) {
-        ctx.flight(
-            SpanId::fence(u64::from(epoch), target_rank),
-            SpanId::NONE,
-            FlightKind::FenceAck {
-                epoch: u64::from(epoch),
-                target_rank,
-                voter_rank,
-                granted,
-            },
-        );
-        {
-            let Some(pool) = &mut self.ram.pool else {
-                return;
-            };
-            let Some(f) = &mut pool.fence else {
-                return;
-            };
-            if f.epoch != epoch || f.target_rank != target_rank || !granted {
-                return;
-            }
-            f.votes.insert(voter_rank);
-        }
+    fn handle_fence_ack(&mut self, ctx: &mut NodeCtx<'_>, msg: &CtrlMsg) {
+        let CtrlMsg::FenceAck {
+            epoch,
+            target_rank,
+            voter_rank,
+            granted,
+        } = *msg
+        else {
+            return;
+        };
+        fence_flight(ctx, SpanId::NONE, msg);
+        let round = self.ram.pool.as_mut().and_then(|p| p.fence.as_mut());
+        let same = |f: &&mut FenceRound| f.epoch == epoch && f.target_rank == target_rank;
+        let Some(f) = round.filter(same).filter(|_| granted) else {
+            return;
+        };
+        f.votes.insert(voter_rank);
         self.try_complete_fence(ctx);
     }
 
@@ -2072,29 +2072,21 @@ impl StTcpServer {
     /// on with the remaining pool.
     fn try_complete_fence(&mut self, ctx: &mut NodeCtx<'_>) {
         let now = ctx.now();
-        let fenced;
-        {
+        let (target, target_rank, epoch, votes) = {
             let (Some(pool), members) = (&mut self.ram.pool, &mut self.ram.members) else {
                 return;
             };
-            let Some(f) = pool.fence.as_ref().filter(|f| f.stands(members, now)) else {
+            let Some(f) = pool.fence.take_if(|f| {
+                f.stands(members, now) && f.votes.len() >= quorum_needed(members, f.target_rank)
+            }) else {
                 return;
             };
-            if f.votes.len() < quorum_needed(members, f.target_rank) {
-                return;
-            }
-            let target = f.target;
-            let target_rank = f.target_rank;
-            let votes = f.votes.len() as u32;
-            let epoch = f.epoch;
-            pool.fence = None;
-            let Some(m) = members.get_mut(&target) else {
+            let Some(m) = members.get_mut(&f.target) else {
                 return;
             };
             m.fenced = true;
-            fenced = (target_rank, m.node, epoch, votes);
-        }
-        let (target_rank, target_node, epoch, votes) = fenced;
+            (f.target, f.target_rank, f.epoch, f.votes.len() as u32)
+        };
         self.events.push(StTcpEvent::FenceQuorumReached {
             target_rank,
             votes,
@@ -2104,36 +2096,19 @@ impl StTcpServer {
             rank: target_rank,
             at: now,
         });
-        // Quorum: the commit closes the fence span, and the pool-mode
-        // verdict is parented to the round that produced it.
-        let fspan = SpanId::fence(u64::from(epoch), target_rank);
-        ctx.flight(
-            fspan,
-            SpanId::NONE,
-            FlightKind::FenceCommit {
-                epoch: u64::from(epoch),
-                target_rank,
-            },
-        );
-        self.condemn(ctx, target_node, FailureReason::HbBothLinksDown, fspan);
-        let was_active = self
-            .ram
-            .pool
-            .as_ref()
-            .is_some_and(|p| p.active_rank == target_rank);
-        // Fault-tolerant while some live member is left to feed.
-        self.ram.ft_mode = live_non_fenced(&self.ram.members, now) > 0;
-        self.settle_all(now);
-        // Tell the survivors: they mark the member fenced without needing
-        // their own quorum, and a losing simultaneous candidate abandons
-        // its round.
+        // Quorum: the commit closes the fence span, and the verdict is
+        // parented to the round that produced it. Tell the survivors: they
+        // mark the member fenced without needing their own quorum, and a
+        // losing simultaneous candidate abandons its round.
         let commit = CtrlMsg::FenceCommit { epoch, target_rank };
+        fence_flight(ctx, SpanId::NONE, &commit);
         for (&ip, m) in &self.ram.members {
             if !m.fenced {
                 self.send_ctrl_to(ctx, ip, &commit);
             }
         }
-        self.after_verdict(ctx, FailureReason::HbBothLinksDown, was_active);
+        let fspan = SpanId::fence(u64::from(epoch), target_rank);
+        self.accuse(ctx, target, FailureReason::HbBothLinksDown, fspan);
     }
 
     /// Another member completed a fence round: adopt its verdict.
@@ -2165,7 +2140,7 @@ impl StTcpServer {
 
     fn net_observation(&mut self) -> NetObservation {
         let mut obs = NetObservation {
-            peer_report: self.followed_member().and_then(|m| m.hb.ping),
+            peer_report: self.ram.judged().and_then(|(_, m)| m.hb.ping),
             ..Default::default()
         };
         // A fault-window walk: it runs only while the IP heartbeat is
@@ -2173,7 +2148,7 @@ impl StTcpServer {
         let mut visits = 0;
         for (_, s, sock) in self.ram.table.bound() {
             visits += 1;
-            let (Some(conn), Some(peer)) = (self.ram.tcp.conn(sock), self.followed_pos(s)) else {
+            let (Some(conn), Some(peer)) = (self.ram.tcp.conn(sock), self.judged_pos(s)) else {
                 continue;
             };
             obs.my_bytes += conn.bytes_received();
@@ -2589,34 +2564,18 @@ impl StTcpServer {
                 }
                 self.try_finish_join(ctx);
             }
-            CtrlMsg::FenceRequest {
-                epoch,
-                target_rank,
-                candidate_rank,
-            } => {
+            CtrlMsg::FenceRequest { .. } => {
                 ctx.profile_enter(Component::Pool);
-                self.handle_fence_request(ctx, src, *epoch, *target_rank, *candidate_rank);
+                self.handle_fence_request(ctx, src, msg);
                 ctx.profile_exit();
             }
-            CtrlMsg::FenceAck {
-                epoch,
-                target_rank,
-                voter_rank,
-                granted,
-            } => {
+            CtrlMsg::FenceAck { .. } => {
                 ctx.profile_enter(Component::Pool);
-                self.handle_fence_ack(ctx, *epoch, *target_rank, *voter_rank, *granted);
+                self.handle_fence_ack(ctx, msg);
                 ctx.profile_exit();
             }
-            CtrlMsg::FenceCommit { epoch, target_rank } => {
-                ctx.flight(
-                    SpanId::fence(u64::from(*epoch), *target_rank),
-                    SpanId::NONE,
-                    FlightKind::FenceCommit {
-                        epoch: u64::from(*epoch),
-                        target_rank: *target_rank,
-                    },
-                );
+            CtrlMsg::FenceCommit { target_rank, .. } => {
+                fence_flight(ctx, SpanId::NONE, msg);
                 ctx.profile_enter(Component::Pool);
                 self.handle_fence_commit(ctx, *target_rank);
                 ctx.profile_exit();
@@ -3134,16 +3093,19 @@ mod tests {
         (s, key)
     }
 
+    /// A peer host that never speaks.
+    struct Dead;
+
+    impl Node for Dead {
+        fn on_frame(&mut self, _: &mut NodeCtx<'_>, _: NicId, _: EthernetFrame) {}
+        fn on_timer(&mut self, _: &mut NodeCtx<'_>, _: TimerToken) {}
+    }
+
     /// A v1 backup whose primary falls silent takes over alone: no round
     /// reads the touched feed until a join, so it must not pile up: one
     /// socket touched per check tick leaves at most a heartbeat period's 4.
     #[test]
     fn a_lone_survivors_touched_feed_stays_bounded() {
-        struct Dead;
-        impl Node for Dead {
-            fn on_frame(&mut self, _: &mut NodeCtx<'_>, _: NicId, _: EthernetFrame) {}
-            fn on_timer(&mut self, _: &mut NodeCtx<'_>, _: TimerToken) {}
-        }
         let (s, key) = holding(Role::Backup);
         let (sock, x) = (s.sock_of(key).unwrap(), Bytes::from_static(b"x"));
         let mut world = simnet::world::World::new(1);
@@ -3157,6 +3119,43 @@ mod tests {
             s.ram.tcp.inject_in_order(sock, 10 + tick, &x);
             let n = s.ram.hb_touched.len();
             assert!(n <= 4, "{n} touched sockets held after {tick} ticks");
+        }
+    }
+
+    /// Every pair verdict is one accusation of the judged member: row 1,
+    /// the watchdog's report and the hold overflow each log the verdict,
+    /// then a STONITH that powers the judged node off — once, though the
+    /// silent peer's row 1 follows every other verdict.
+    #[test]
+    fn every_pair_verdict_is_one_accusation_of_the_judged_member() {
+        use FailureReason::{HbBothLinksDown, HoldOverflow, WatchdogReport};
+        let backup = [HbBothLinksDown, WatchdogReport].map(|why| (Role::Backup, why));
+        for (role, why) in backup.into_iter().chain([(Role::Primary, HoldOverflow)]) {
+            let (mut s, key) = holding(role);
+            let judged = s.ram.judged().map(|(ip, m)| (ip, m.node));
+            assert_eq!(judged, Some((PEER, NodeId(1))));
+            let conn = s.ram.tcp.conn_mut(s.sock_of(key).unwrap()).unwrap();
+            match why {
+                WatchdogReport => s.ram.members.get_mut(&PEER).unwrap().app_suspected = true,
+                HoldOverflow => {
+                    conn.enable_hold(4);
+                    conn.inject_in_order(10, &Bytes::from(vec![7; 5]));
+                }
+                _ => {}
+            }
+            let mut world = simnet::world::World::new(1);
+            let node = world.add_node("server", Box::new(s));
+            let peer = world.add_node("peer", Box::new(Dead));
+            world.start();
+            world.run_until(SimTime::from_millis(2_000));
+            let s = world.node::<StTcpServer>(node).expect("server type");
+            let log = s.events().iter().filter_map(|e| match *e {
+                StTcpEvent::PeerDeclaredFailed { reason, .. } => Some(Some(reason)),
+                StTcpEvent::StonithIssued { .. } => Some(None),
+                _ => None,
+            });
+            assert_eq!(log.collect::<Vec<_>>(), [Some(why), None], "{role:?}");
+            assert!(!world.is_powered(peer), "{why:?}: the judged node is off");
         }
     }
 

@@ -620,9 +620,9 @@ fn arb_conn_hb() -> impl Strategy<Value = ConnHb> {
         })
 }
 
-/// A pair's row-2 detector for `cfg`, judging from t = 0 on.
+/// A row-2 detector for `cfg`, judging from t = 0 on.
 fn judging(cfg: &StTcpConfig) -> AppLagDetector {
-    let mut det = AppLagDetector::new(cfg, true);
+    let mut det = AppLagDetector::new(cfg);
     det.engage(t(0), true, Some(t(0)));
     det
 }

@@ -590,17 +590,14 @@ impl TcpConn {
 
     /// Closes the sending side (queues a FIN after all written data).
     pub fn close(&mut self, now: SimTime) {
-        match self.state {
-            TcpState::Established | TcpState::SynRcvd | TcpState::SynSent => {
-                self.sendbuf.queue_fin();
-                self.state = TcpState::FinWait1;
-            }
-            TcpState::CloseWait => {
-                self.sendbuf.queue_fin();
-                self.state = TcpState::LastAck;
-            }
+        self.state = match self.state {
+            // The FIN waits for the handshake, whose end enters FIN-WAIT-1.
+            s @ (TcpState::SynRcvd | TcpState::SynSent) => s,
+            TcpState::Established => TcpState::FinWait1,
+            TcpState::CloseWait => TcpState::LastAck,
             _ => return,
-        }
+        };
+        self.sendbuf.queue_fin();
         self.fill_output(now);
     }
 
@@ -856,7 +853,7 @@ impl TcpConn {
         self.snd_wnd = seg.window as u32;
         self.retries = 0;
         self.rto.reset_backoff();
-        self.state = TcpState::Established;
+        self.state = self.handshake_done();
         self.rtx_deadline = None; // nothing was sent before the SYN was acked
         self.events.push(ConnEvent::Connected);
         self.ack_pending = true;
@@ -865,6 +862,15 @@ impl TcpConn {
             self.process_payload(seg);
         }
         self.fill_output(now);
+    }
+
+    /// The state a completed handshake enters: FIN-WAIT-1 if the
+    /// application closed during it.
+    fn handshake_done(&self) -> TcpState {
+        match self.sendbuf.fin_queued() {
+            true => TcpState::FinWait1,
+            false => TcpState::Established,
+        }
     }
 
     fn on_segment_active(&mut self, now: SimTime, seg: &TcpSegment) {
@@ -905,7 +911,7 @@ impl TcpConn {
         if self.state == TcpState::SynRcvd {
             self.syn_acked = true;
             self.retries = 0;
-            self.state = TcpState::Established;
+            self.state = self.handshake_done();
             self.rtx_deadline = None; // nothing is sent before the SYN is acked
             self.events.push(ConnEvent::Connected);
         }
@@ -1357,6 +1363,46 @@ mod tests {
         assert_eq!(p.client.next_deadline(), None);
         assert_eq!(p.server().state(), TcpState::CloseWait);
         assert_eq!(p.server().next_deadline(), None);
+    }
+
+    /// Every written byte and the FIN reach `to`, which then closes too:
+    /// both ends end in CLOSED or TIME-WAIT.
+    fn delivered_then_closed(p: &mut Pair, client_wrote: bool, data: &[u8]) {
+        let (to, from) = match client_wrote {
+            true => (p.server.as_mut().unwrap(), &mut p.client),
+            false => (&mut p.client, p.server.as_mut().unwrap()),
+        };
+        assert_eq!(to.recv(100).as_ref(), data);
+        assert!(to.peer_fin_received());
+        assert_eq!(from.state(), TcpState::FinWait2);
+        to.close(p.now);
+        p.pump();
+        for end in [&p.client, p.server.as_ref().unwrap()] {
+            assert!(matches!(end.state(), TcpState::Closed | TcpState::TimeWait));
+        }
+    }
+
+    #[test]
+    fn a_client_closing_in_syn_sent_sends_its_data_and_fin() {
+        let mut p = Pair::new();
+        assert_eq!(p.client.send(p.now, b"hello"), 5);
+        p.client.close(p.now);
+        p.pump();
+        delivered_then_closed(&mut p, true, b"hello");
+    }
+
+    #[test]
+    fn a_server_closing_in_syn_rcvd_sends_its_data_and_fin() {
+        let mut p = Pair::new();
+        let syn = p.client.poll_segment().unwrap();
+        let cfg = TcpConfig::default();
+        let tuple = tuple_client().flipped();
+        let mut s = TcpConn::server_from_syn(cfg, tuple, SERVER_ISS, &syn, p.now);
+        assert_eq!(s.send(p.now, b"world"), 5);
+        s.close(p.now);
+        p.server = Some(s);
+        p.pump();
+        delivered_then_closed(&mut p, false, b"world");
     }
 
     #[test]
