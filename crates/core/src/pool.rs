@@ -16,12 +16,11 @@
 //! assemble a majority that includes members who still hear the active,
 //! so it can never fence, never STONITH, and never take over.
 //!
-//! The state here is bookkeeping only — the protocol driving it (fence
-//! rounds, votes, commits, takeover, re-integration with rank
-//! reassignment) lives in [`crate::server`], wired into the heartbeat
-//! and control channels. The member table is both topologies' model of
-//! the other servers — the pair keeps its one peer in it too — while
-//! [`PoolState`] is only the pool's round state.
+//! [`PoolState`] is the pool's membership machine — ranks, rejoin rank
+//! hand-out, and the fence round's open, vote, commit and adopt steps —
+//! doing no I/O; [`crate::server`] carries its messages over the control
+//! channel. The member table is both topologies' model of the other
+//! servers — the pair keeps its one peer in it too.
 //! A member is one record ([`MemberState`]) of everything this server
 //! holds about it: link readings, ping report, watchdog latch, mirror and
 //! a stream with per-link state in every wire format, judged by one
@@ -38,6 +37,7 @@ use crate::config::{Role, StTcpConfig};
 use crate::conntable::Column;
 use crate::heartbeat::{unwrap_u32_near, ConnHb, HbFrame, HbFrameKind, HbPayload, PingReport};
 use crate::linkmon::HbSource;
+use crate::recover::CtrlMsg;
 
 /// Static description of one *other* member — the pair's one peer or
 /// a pool member — as wired by the topology builder into
@@ -360,7 +360,7 @@ pub(crate) fn live_non_fenced(members: &Members, now: SimTime) -> usize {
 /// membership (me plus every non-fenced member other than the target).
 /// In the degenerate two-member pool this is 1 — the initiator's own
 /// vote, i.e. classic single-shot STONITH.
-pub(crate) fn quorum_needed(members: &Members, target_rank: u8) -> usize {
+fn quorum_needed(members: &Members, target_rank: u8) -> usize {
     let electorate = 1 + members
         .values()
         .filter(|m| !m.fenced && m.rank != target_rank)
@@ -372,23 +372,22 @@ pub(crate) fn quorum_needed(members: &Members, target_rank: u8) -> usize {
 /// alike: true when a better-ranked live member than `rank` — unfenced,
 /// not defunct, not the dead active `active_rank` itself — could take
 /// over instead.
-pub(crate) fn outranked(members: &Members, now: SimTime, active_rank: u8, rank: u8) -> bool {
+fn outranked(members: &Members, now: SimTime, active_rank: u8, rank: u8) -> bool {
     members.values().any(|m| {
         !m.fenced && !m.hb.defunct && m.rank != active_rank && m.alive(now) && m.rank < rank
     })
 }
 
-/// One in-flight fence round this server is initiating.
+/// One in-flight fence round this server is initiating; its number is
+/// [`PoolState`]'s epoch, which only opening a round advances.
 #[derive(Debug)]
-pub(crate) struct FenceRound {
-    /// Round number, monotone per initiator.
-    pub(crate) epoch: u32,
+struct FenceRound {
     /// The member being fenced.
-    pub(crate) target: Ipv4Addr,
+    target: Ipv4Addr,
     /// Its rank at round start.
-    pub(crate) target_rank: u8,
+    target_rank: u8,
     /// Ranks that granted the fence (always includes the initiator's).
-    pub(crate) votes: BTreeSet<u8>,
+    votes: BTreeSet<u8>,
 }
 
 impl FenceRound {
@@ -397,33 +396,36 @@ impl FenceRound {
     /// rejoined or was fenced by another member's round ends it; a
     /// defunct restart still heartbeating does not — its freshness is
     /// the new incarnation speaking, not the condemned one surviving.
-    pub(crate) fn stands(&self, members: &Members, now: SimTime) -> bool {
+    fn stands(&self, members: &Members, now: SimTime) -> bool {
         (members.get(&self.target)).is_some_and(|m| !m.fenced && m.condemnable(now))
     }
 }
 
-/// The pool's round state carried by [`crate::server::StTcpServer`]
-/// (`None` in pair mode); the members themselves are the one table
-/// both topologies keep.
+/// The pool's membership machine carried by
+/// [`crate::server::StTcpServer`] (`None` in pair mode): ranks and the
+/// fence round, as steps that do no I/O over the one member table both
+/// topologies keep. The server sends, logs and accuses around them; the
+/// membership model (`mod rounds` below) exchanges the same messages
+/// through the same steps. Only this module writes its fields.
 #[derive(Debug)]
 pub(crate) struct PoolState {
     /// This server's current rank (reassigned on rejoin via `JoinDone`).
-    pub(crate) my_rank: u8,
+    my_rank: u8,
     /// The rank of the member currently believed active (0 at start;
     /// updated from `Primary`-role heartbeats and at own takeover).
-    pub(crate) active_rank: u8,
+    active_rank: u8,
     /// The fence round this server is currently initiating, if any.
-    pub(crate) fence: Option<FenceRound>,
+    fence: Option<FenceRound>,
     /// Fence-round counter (monotone per boot).
-    pub(crate) epoch: u32,
+    epoch: u32,
     /// The next rank the active hands to a rejoining member. Rejoiners
     /// always rank behind every original member, so a rebooted ex-active
     /// can never be the preferred takeover candidate.
-    pub(crate) next_rank: u8,
+    next_rank: u8,
     /// The most recent join session this (active) server served:
     /// `(joiner ip, session nonce, rank assigned)`. Makes the rank
     /// assignment idempotent across re-sent `JoinRequest`s.
-    pub(crate) last_session_served: Option<(Ipv4Addr, u32, u8)>,
+    last_session_served: Option<(Ipv4Addr, u32, u8)>,
 }
 
 impl PoolState {
@@ -440,15 +442,62 @@ impl PoolState {
         }
     }
 
+    /// This server's current rank.
+    pub(crate) fn my_rank(&self) -> u8 {
+        self.my_rank
+    }
+
+    /// A heartbeat from the member of `rank` in `role`: a primary is the
+    /// active. True when that changes whom this server follows.
+    pub(crate) fn follow(&mut self, role: Role, rank: u8) -> bool {
+        let changed = role == Role::Primary && self.active_rank != rank;
+        if changed {
+            self.active_rank = rank;
+        }
+        changed
+    }
+
+    /// This server took over: from here its own positions are the
+    /// authoritative ones (the dead active's mirror served the gap check).
+    pub(crate) fn took_over(&mut self) {
+        self.active_rank = self.my_rank;
+    }
+
+    /// The join completed under `rank`, the fresh one the active assigned
+    /// behind every original member. Announcing it in heartbeats is what
+    /// un-fences this server everywhere.
+    pub(crate) fn rejoined_as(&mut self, rank: u8) {
+        self.my_rank = rank;
+    }
+
+    /// Active side: the rank joiner `ip` gets in join session `session` —
+    /// the one it got for a re-sent request, else the next one, its member
+    /// entry reset for the new incarnation (which no round stands against).
+    pub(crate) fn rank_joiner(
+        &mut self,
+        members: &mut Members,
+        ip: Ipv4Addr,
+        session: u32,
+        now: SimTime,
+    ) -> u8 {
+        match self.last_session_served {
+            Some((i, s, rank)) if i == ip && s == session => rank,
+            _ => {
+                let rank = self.next_rank;
+                self.next_rank = rank.wrapping_add(1);
+                self.last_session_served = Some((ip, session, rank));
+                if let Some(m) = members.get_mut(&ip) {
+                    m.reset_for_rejoin(now);
+                }
+                rank
+            }
+        }
+    }
+
     /// The member a server in `role` should open a fence round against
     /// at `now`, if any: an unfenced member whose silence is overdue —
     /// and this server the one entitled to condemn it.
-    pub(crate) fn fence_target(
-        &self,
-        members: &Members,
-        now: SimTime,
-        role: Role,
-    ) -> Option<(Ipv4Addr, u8)> {
+    fn fence_target(&self, members: &Members, now: SimTime, role: Role) -> Option<(Ipv4Addr, u8)> {
         let overdue = members
             .iter()
             .filter(|(_, m)| !m.fenced && m.overdue(now))
@@ -471,26 +520,129 @@ impl PoolState {
         eligible.then_some((ip, rank))
     }
 
-    /// The vote rule: grant member `candidate`'s round against
-    /// `target_rank` only on my own evidence (the target condemnable, and
-    /// not me), to an unfenced, not defunct candidate, and for a takeover
-    /// never past a better-ranked live candidate, me included.
-    pub(crate) fn grants(
+    /// The check tick's step of this server's round: drop a round that no
+    /// longer [stands](FenceRound::stands), open one when entitled, and
+    /// return the request the open round (re-)solicits every other
+    /// unfenced member with, its target, and whether it opened now.
+    pub(crate) fn fence_tick(
+        &mut self,
+        members: &Members,
+        now: SimTime,
+        role: Role,
+    ) -> Option<(CtrlMsg, Ipv4Addr, bool)> {
+        if self.fence.as_ref().is_some_and(|f| !f.stands(members, now)) {
+            self.fence = None;
+        }
+        let opened = self.fence.is_none();
+        if opened {
+            let (target, target_rank) = self.fence_target(members, now, role)?;
+            self.epoch = self.epoch.wrapping_add(1);
+            self.fence = Some(FenceRound {
+                target,
+                target_rank,
+                votes: BTreeSet::from([self.my_rank]),
+            });
+        }
+        let f = self.fence.as_ref()?;
+        let request = CtrlMsg::FenceRequest {
+            epoch: self.epoch,
+            target_rank: f.target_rank,
+            candidate_rank: self.my_rank,
+        };
+        Some((request, f.target, opened))
+    }
+
+    /// The vote rule, answering member `src`'s fence `request` (`None` for
+    /// any other message): grant a round against `target_rank` only on my
+    /// own evidence (the target condemnable, and not me), to an unfenced,
+    /// not defunct candidate, and for a takeover never past a better-ranked
+    /// live candidate, me included.
+    pub(crate) fn answer(
         &self,
         members: &Members,
         now: SimTime,
-        candidate: Ipv4Addr,
-        target_rank: u8,
-        candidate_rank: u8,
-    ) -> bool {
-        let candidate_ok = (members.get(&candidate))
+        src: Ipv4Addr,
+        request: &CtrlMsg,
+    ) -> Option<CtrlMsg> {
+        let CtrlMsg::FenceRequest {
+            epoch,
+            target_rank,
+            candidate_rank,
+        } = *request
+        else {
+            return None;
+        };
+        let candidate_ok = (members.get(&src))
             .is_some_and(|m| !m.fenced && !m.hb.defunct && m.rank == candidate_rank);
         let target_dead =
             (members.values()).any(|m| !m.fenced && m.rank == target_rank && m.condemnable(now));
         let passed_over = target_rank == self.active_rank
             && (self.my_rank < candidate_rank
                 || outranked(members, now, target_rank, candidate_rank));
-        candidate_ok && target_dead && target_rank != self.my_rank && !passed_over
+        Some(CtrlMsg::FenceAck {
+            epoch,
+            target_rank,
+            voter_rank: self.my_rank,
+            granted: candidate_ok && target_dead && target_rank != self.my_rank && !passed_over,
+        })
+    }
+
+    /// Counts `ack` toward the open round: true when it is a granted vote
+    /// for that round's epoch and target. A rank's vote counts once,
+    /// however often it comes.
+    pub(crate) fn count_vote(&mut self, ack: &CtrlMsg) -> bool {
+        let CtrlMsg::FenceAck {
+            epoch,
+            target_rank,
+            voter_rank,
+            granted: true,
+        } = *ack
+        else {
+            return false;
+        };
+        let same = |f: &&mut FenceRound| (self.epoch, f.target_rank) == (epoch, target_rank);
+        let Some(f) = self.fence.as_mut().filter(same) else {
+            return false;
+        };
+        f.votes.insert(voter_rank);
+        true
+    }
+
+    /// Commits the open round while it stands with a quorum of votes: its
+    /// target is fenced here, and the commit the survivors adopt comes
+    /// back with the target and the round's vote count.
+    pub(crate) fn commit(
+        &mut self,
+        members: &mut Members,
+        now: SimTime,
+    ) -> Option<(CtrlMsg, Ipv4Addr, u32)> {
+        let f = self.fence.take_if(|f| {
+            f.stands(members, now) && f.votes.len() >= quorum_needed(members, f.target_rank)
+        })?;
+        members.get_mut(&f.target)?.fenced = true;
+        let commit = CtrlMsg::FenceCommit {
+            epoch: self.epoch,
+            target_rank: f.target_rank,
+        };
+        Some((commit, f.target, f.votes.len() as u32))
+    }
+
+    /// Adopts another member's fence `commit`: every unfenced member of its
+    /// target rank is fenced, never this server's own (the STONITH in
+    /// flight resolves this incarnation). False when nothing changed.
+    pub(crate) fn adopt(&self, members: &mut Members, commit: &CtrlMsg) -> bool {
+        let CtrlMsg::FenceCommit { target_rank, .. } = *commit else {
+            return false;
+        };
+        if target_rank == self.my_rank {
+            return false;
+        }
+        let mut fenced_any = false;
+        for m in members.values_mut().filter(|m| m.rank == target_rank) {
+            fenced_any |= !m.fenced;
+            m.fenced = true;
+        }
+        fenced_any
     }
 }
 
@@ -558,10 +710,10 @@ mod tests {
         // A fenced active is still followed: the gap check reads it.
         members.get_mut(&Ipv4Addr::new(10, 0, 0, 2)).unwrap().fenced = true;
         assert_eq!(ip(&p, &members), Some(Ipv4Addr::new(10, 0, 0, 2)));
-        p.active_rank = 2;
+        assert!(p.follow(Role::Primary, 2) && !p.follow(Role::Primary, 2));
         assert_eq!(ip(&p, &members), Some(Ipv4Addr::new(10, 0, 0, 4)));
         // This server took over: nobody is followed.
-        p.active_rank = p.my_rank;
+        p.took_over();
         assert_eq!(ip(&p, &members), None);
         // The pair follows its one peer, whatever its role or rank.
         let pair = member_table(
@@ -598,12 +750,149 @@ mod tests {
         assert!(m.alive(t));
     }
 
+    /// Rank 1's view at 2 s, both other members long silent, with its
+    /// takeover round against the active (epoch 1) just opened.
+    fn round_open() -> (PoolState, Members, SimTime) {
+        let now = SimTime::from_millis(2_000);
+        let (mut p, members) = pool3(SimTime::ZERO);
+        let (request, target, opened) = p.fence_tick(&members, now, Role::Backup).unwrap();
+        assert_eq!(request.fence_round(), Some((1, 0)));
+        assert_eq!((target, opened), (Ipv4Addr::new(10, 0, 0, 2), true));
+        (p, members, now)
+    }
+
+    fn ack(epoch: u32, target_rank: u8, voter_rank: u8, granted: bool) -> CtrlMsg {
+        CtrlMsg::FenceAck {
+            epoch,
+            target_rank,
+            voter_rank,
+            granted,
+        }
+    }
+
+    fn votes(p: &PoolState) -> usize {
+        p.fence.as_ref().map_or(0, |f| f.votes.len())
+    }
+
+    #[test]
+    fn an_ack_for_another_epoch_counts_nothing() {
+        let (mut p, _, _) = round_open();
+        assert!(!p.count_vote(&ack(2, 0, 2, true)));
+        assert_eq!(votes(&p), 1);
+    }
+
+    #[test]
+    fn an_ack_for_another_target_counts_nothing() {
+        let (mut p, _, _) = round_open();
+        assert!(!p.count_vote(&ack(1, 2, 2, true)));
+        assert_eq!(votes(&p), 1);
+    }
+
+    #[test]
+    fn a_refused_ack_counts_nothing() {
+        let (mut p, _, _) = round_open();
+        assert!(!p.count_vote(&ack(1, 0, 2, false)));
+        assert_eq!(votes(&p), 1);
+    }
+
+    #[test]
+    fn a_repeated_vote_counts_once() {
+        let (mut p, _, _) = round_open();
+        assert!(p.count_vote(&ack(1, 0, 2, true)));
+        assert!(p.count_vote(&ack(1, 0, 2, true)));
+        assert_eq!(votes(&p), 2);
+    }
+
+    #[test]
+    fn a_round_commits_only_standing_with_a_quorum_and_fences_once() {
+        let active = Ipv4Addr::new(10, 0, 0, 2);
+        // A target that revived ends the round, votes or not.
+        let (mut p, mut members, now) = round_open();
+        members.get_mut(&active).unwrap().reset_for_rejoin(now);
+        assert!(p.count_vote(&ack(1, 0, 2, true)));
+        assert!(p.commit(&mut members, now).is_none());
+        assert!(!members[&active].fenced);
+        // Standing, it waits for the quorum of two, then fences once.
+        let (mut p, mut members, now) = round_open();
+        assert!(p.commit(&mut members, now).is_none());
+        assert!(p.count_vote(&ack(1, 0, 2, true)));
+        let (commit, target, votes) = p.commit(&mut members, now).unwrap();
+        assert_eq!(
+            (commit.fence_round(), target, votes),
+            (Some((1, 0)), active, 2)
+        );
+        assert!(members[&active].fenced);
+        assert!(p.commit(&mut members, now).is_none());
+        assert!(p.fence_tick(&members, now, Role::Backup).is_none());
+    }
+
+    #[test]
+    fn adopting_a_commit_fences_its_rank_but_never_mine() {
+        let (mut p, mut members) = pool3(SimTime::ZERO);
+        let (rank0, rank2) = (Ipv4Addr::new(10, 0, 0, 2), Ipv4Addr::new(10, 0, 0, 4));
+        members.get_mut(&rank0).unwrap().rank = 2;
+        let commit = |target_rank| CtrlMsg::FenceCommit {
+            epoch: 9,
+            target_rank,
+        };
+        assert!(p.adopt(&mut members, &commit(2)));
+        assert!(members[&rank0].fenced && members[&rank2].fenced);
+        // Rejoined as rank 3, a commit against rank 3 fences no entry of it.
+        let (_, mut members) = pool3(SimTime::ZERO);
+        members.get_mut(&rank2).unwrap().rank = 3;
+        p.rejoined_as(3);
+        assert!(!p.adopt(&mut members, &commit(3)));
+        assert!(!members[&rank2].fenced);
+    }
+
+    #[test]
+    fn adopting_a_commit_that_changes_nothing_reports_false() {
+        let (p, mut members) = pool3(SimTime::ZERO);
+        let commit = CtrlMsg::FenceCommit {
+            epoch: 9,
+            target_rank: 2,
+        };
+        assert!(p.adopt(&mut members, &commit));
+        assert!(!p.adopt(&mut members, &commit));
+        // No member of the rank, or not a commit at all.
+        let none = CtrlMsg::FenceCommit {
+            epoch: 9,
+            target_rank: 7,
+        };
+        assert!(!p.adopt(&mut members, &none) && !p.adopt(&mut members, &ack(9, 0, 0, true)));
+    }
+
+    #[test]
+    fn a_joiners_rank_is_handed_out_once_per_session() {
+        let (mut p, mut members) = pool3(SimTime::ZERO);
+        let (joiner, now) = (Ipv4Addr::new(10, 0, 0, 2), SimTime::from_millis(5_000));
+        assert_eq!(p.rank_joiner(&mut members, joiner, 7, now), 3);
+        // A re-sent request: the same rank, and no second reset.
+        members.get_mut(&joiner).unwrap().fenced = true;
+        assert_eq!(p.rank_joiner(&mut members, joiner, 7, now), 3);
+        assert!(members[&joiner].fenced);
+        assert_eq!(p.next_rank, 4);
+    }
+
+    #[test]
+    fn a_new_join_session_gets_the_next_rank() {
+        let (mut p, mut members) = pool3(SimTime::ZERO);
+        let (joiner, now) = (Ipv4Addr::new(10, 0, 0, 2), SimTime::from_millis(5_000));
+        assert_eq!(p.rank_joiner(&mut members, joiner, 7, now), 3);
+        members.get_mut(&joiner).unwrap().fenced = true;
+        assert_eq!(p.rank_joiner(&mut members, joiner, 8, now), 4);
+        assert!(!members[&joiner].fenced);
+        let other = Ipv4Addr::new(10, 0, 0, 4);
+        assert_eq!(p.rank_joiner(&mut members, other, 8, now), 5);
+    }
+
     /// A pure model of the pool's membership rounds — no `World`, no
     /// wire: `n` members heartbeat every period, fail on a schedule, and
-    /// run rounds through the server's own rules
-    /// ([`PoolState::fence_target`], [`PoolState::grants`],
-    /// [`quorum_needed`], [`FenceRound::stands`]), every request, vote
-    /// and commit delivered within its check tick; a commit STONITHs its
+    /// run rounds through the server's own steps
+    /// ([`PoolState::fence_tick`], [`PoolState::answer`],
+    /// [`PoolState::count_vote`], [`PoolState::commit`],
+    /// [`PoolState::adopt`]), every request, vote and commit a real
+    /// [`CtrlMsg`] delivered within its check tick; a commit STONITHs its
     /// target. A fault is a crash; the active's reboot: back within
     /// the liveness timeout as a backup with a fresh view and a restarted
     /// seqno, its frames judged by the receive rule's own steps
@@ -693,63 +982,46 @@ mod tests {
         /// takeover.
         type Commit = (u8, usize, usize, bool);
 
-        /// Member `i`'s check tick: drop a round that no longer stands,
-        /// open one if entitled, solicit every other unfenced member, and
-        /// on quorum STONITH the target, fence it at every live member and
-        /// take over a dead active.
+        /// Member `i`'s check tick, through the server's own steps: its
+        /// round's request reaches every other live unfenced member it is
+        /// not cut off from, and each vote comes back; a commit STONITHs
+        /// the target, every live member it reaches adopts it, and a
+        /// committer that fenced the active takes over.
         fn fence_tick(pool: &mut [Member], i: usize, now: SimTime) -> Option<Commit> {
-            let Member {
-                rank,
-                serving,
-                p,
-                view,
-                ..
-            } = &mut pool[i];
-            if p.fence.as_ref().is_some_and(|f| !f.stands(view, now)) {
-                p.fence = None;
-            }
-            if p.fence.is_none() {
-                if let Some((target, target_rank)) = p.fence_target(view, now, role(*serving)) {
-                    p.epoch += 1;
-                    p.fence = Some(FenceRound {
-                        epoch: p.epoch,
-                        target,
-                        target_rank,
-                        votes: BTreeSet::from([*rank]),
-                    });
-                }
-            }
-            let me = &pool[i];
-            let (rank, cut, f) = (me.rank, me.cut, me.p.fence.as_ref()?);
-            let (target, target_rank) = (f.target, f.target_rank);
-            let reached = |v: &Member| v.rank == rank || !(v.cut || cut);
-            let solicited = |v: &&Member| {
-                v.alive && reached(v) && v.rank != rank && !me.view[&ip(v.rank)].fenced
-            };
-            let voters: Vec<u8> = (pool.iter().filter(solicited))
-                .filter(|v| ip(v.rank) != target)
-                .filter(|v| v.p.grants(&v.view, now, ip(rank), target_rank, rank))
-                .map(|v| v.rank)
-                .collect();
             let me = &mut pool[i];
-            let f = me.p.fence.as_mut()?;
-            f.votes.extend(voters);
-            let votes = f.votes.len();
-            if !f.stands(&me.view, now) || votes < quorum_needed(&me.view, target_rank) {
-                return None;
+            let (rank, cut) = (me.rank, me.cut);
+            let solicit = me.p.fence_tick(&me.view, now, role(me.serving));
+            let reached = |v: &Member| v.rank == rank || !(v.cut || cut);
+            let mut acks = Vec::new();
+            if let Some((request, target, _)) = solicit {
+                let view = &pool[i].view;
+                let solicited = |v: &&Member| {
+                    v.alive && reached(v) && v.rank != rank && !view[&ip(v.rank)].fenced
+                };
+                let voters = pool
+                    .iter()
+                    .filter(solicited)
+                    .filter(|v| ip(v.rank) != target);
+                acks.extend(voters.filter_map(|v| v.p.answer(&v.view, now, ip(rank), &request)));
             }
-            me.p.fence = None;
+            let me = &mut pool[i];
+            for ack in &acks {
+                me.p.count_vote(ack);
+            }
+            let (commit, _, votes) = me.p.commit(&mut me.view, now)?;
+            let (_, target_rank) = commit.fence_round()?;
             let others = me.view.values().filter(|m| !m.fenced);
             let electorate = 1 + others.filter(|m| m.rank != target_rank).count();
             let takeover = me.p.active_rank == target_rank;
             if takeover {
-                (me.serving, me.p.active_rank) = (true, rank);
+                me.serving = true;
+                me.p.took_over();
             }
             pool[target_rank as usize].alive = false;
             for m in pool.iter_mut().filter(|m| m.alive && reached(m)) {
-                m.view.get_mut(&target).expect("a member").fenced = true;
+                m.p.adopt(&mut m.view, &commit);
             }
-            Some((target_rank, votes, electorate, takeover))
+            Some((target_rank, votes as usize, electorate, takeover))
         }
 
         /// Runs an `n`-member pool through `s` and 3 s beyond its last
@@ -810,9 +1082,7 @@ mod tests {
                         for link in [HbLink::Ip, HbLink::Serial] {
                             m.hb.credit(link, now, &mut metrics);
                         }
-                        if hb.role == Role::Primary {
-                            to.p.active_rank = hb.rank;
-                        }
+                        to.p.follow(hb.role, hb.rank);
                     }
                 }
                 for i in 0..pool.len() {

@@ -14,6 +14,11 @@
 
 use bytes::{BufMut, Bytes, BytesMut};
 use core::fmt;
+use std::net::Ipv4Addr;
+
+use simtcp::conn::TcpSnapshot;
+use simtcp::seq::SeqNum;
+use simtcp::socket::FourTuple;
 
 /// A control message on the server-to-server channel.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -106,44 +111,20 @@ pub enum CtrlMsg {
 
 /// Body of [`CtrlMsg::ConnSnapshot`]: everything a joiner needs to
 /// resume one live connection as a tapping-but-suppressed replica.
-///
-/// The server-side address of the tuple is *not* carried — both servers
-/// are configured with the same service address, so only the client end
-/// varies per connection.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct ConnSnapshotMsg {
     /// Join-session nonce this snapshot answers.
     pub session: u32,
     /// Connection key ([`crate::heartbeat::conn_key`]).
     pub conn: u32,
-    /// Client IPv4 address (big-endian u32, as in the IP header).
-    pub client_ip: u32,
-    /// Client TCP port.
-    pub client_port: u16,
-    /// The server-side initial send sequence number.
-    pub iss: u32,
-    /// The client's initial sequence number.
-    pub peer_isn: u32,
-    /// Lowest unacknowledged server→client stream offset; `unacked`
-    /// starts here.
-    pub snd_una: u64,
-    /// Client→server stream offset the joiner's receive side starts at;
-    /// `pending` starts here.
-    pub rcv_start: u64,
-    /// Stream offset of the client's FIN, if it has arrived in order.
-    pub fin_offset: Option<u64>,
-    /// True if the local application has closed its sending side.
-    pub local_fin: bool,
-    /// True if the client's FIN was already consumed by the application.
-    pub peer_fin_consumed: bool,
+    /// The connection's transport state. Only the client end of its tuple
+    /// rides the wire — both servers are configured with the same service
+    /// address — so a decoded one's local end is unspecified until the
+    /// joiner writes its service end in.
+    pub snap: TcpSnapshot,
     /// The active side's application state digest at snapshot time; the
     /// joiner verifies its restored replica digests identically.
     pub app_digest: u64,
-    /// Un-acknowledged server→client bytes `[snd_una, ..)`.
-    pub unacked: Bytes,
-    /// In-order client bytes received but not yet read by the
-    /// application, `[rcv_start, ..)`.
-    pub pending: Bytes,
     /// Opaque serialized application state
     /// ([`crate::app::Application::snapshot`]).
     pub app_state: Bytes,
@@ -206,10 +187,23 @@ impl CtrlMsg {
     /// rides IP only — an 8 KiB fetch reply would hold a 115.2 kbps cable
     /// longer than the heartbeat timeout.
     pub fn rides_cables(&self) -> bool {
-        matches!(
-            self,
-            CtrlMsg::FenceRequest { .. } | CtrlMsg::FenceAck { .. } | CtrlMsg::FenceCommit { .. }
-        )
+        self.fence_round().is_some()
+    }
+
+    /// The fence round a fence message belongs to, `(epoch, target_rank)`:
+    /// what every member derives the round's flight span from. `None` for
+    /// every other message.
+    pub fn fence_round(&self) -> Option<(u32, u8)> {
+        match *self {
+            CtrlMsg::FenceRequest {
+                epoch, target_rank, ..
+            }
+            | CtrlMsg::FenceAck {
+                epoch, target_rank, ..
+            }
+            | CtrlMsg::FenceCommit { epoch, target_rank } => Some((epoch, target_rank)),
+            _ => None,
+        }
     }
 
     /// Serializes the message. Every message carries a trailing CRC-32
@@ -253,9 +247,10 @@ impl CtrlMsg {
                 b
             }
             CtrlMsg::ConnSnapshot(s) => {
+                let t = &s.snap;
                 for (field, len) in [
-                    ("unacked", s.unacked.len()),
-                    ("pending", s.pending.len()),
+                    ("unacked", t.unacked.len()),
+                    ("pending", t.pending.len()),
                     ("app_state", s.app_state.len()),
                 ] {
                     assert!(
@@ -263,35 +258,35 @@ impl CtrlMsg {
                         "ConnSnapshot {field} {len} exceeds MAX_FETCH_DATA"
                     );
                 }
-                let data_len = s.unacked.len() + s.pending.len() + s.app_state.len();
+                let data_len = t.unacked.len() + t.pending.len() + s.app_state.len();
                 let mut b = BytesMut::with_capacity(SNAPSHOT_HEADER_LEN + data_len + CTRL_CRC_LEN);
                 b.put_u8(4);
                 b.put_u32(s.session);
                 b.put_u32(s.conn);
-                b.put_u32(s.client_ip);
-                b.put_u16(s.client_port);
-                b.put_u32(s.iss);
-                b.put_u32(s.peer_isn);
-                b.put_u64(s.snd_una);
-                b.put_u64(s.rcv_start);
-                b.put_u64(s.fin_offset.unwrap_or(0));
+                b.put_u32(u32::from(t.tuple.remote.0));
+                b.put_u16(t.tuple.remote.1);
+                b.put_u32(t.iss.0);
+                b.put_u32(t.peer_isn.0);
+                b.put_u64(t.snd_una);
+                b.put_u64(t.rcv_start);
+                b.put_u64(t.fin_offset.unwrap_or(0));
                 b.put_u64(s.app_digest);
                 let mut flags = 0u8;
-                if s.local_fin {
+                if t.local_fin {
                     flags |= SNAP_FLAG_LOCAL_FIN;
                 }
-                if s.peer_fin_consumed {
+                if t.peer_fin_consumed {
                     flags |= SNAP_FLAG_PEER_FIN_CONSUMED;
                 }
-                if s.fin_offset.is_some() {
+                if t.fin_offset.is_some() {
                     flags |= SNAP_FLAG_HAS_FIN;
                 }
                 b.put_u8(flags);
-                b.put_u32(s.unacked.len() as u32);
-                b.put_u32(s.pending.len() as u32);
+                b.put_u32(t.unacked.len() as u32);
+                b.put_u32(t.pending.len() as u32);
                 b.put_u32(s.app_state.len() as u32);
-                b.put_slice(&s.unacked);
-                b.put_slice(&s.pending);
+                b.put_slice(&t.unacked);
+                b.put_slice(&t.pending);
                 b.put_slice(&s.app_state);
                 b
             }
@@ -427,21 +422,30 @@ impl CtrlMsg {
                 let u0 = SNAPSHOT_HEADER_LEN;
                 let p0 = u0 + unacked_len;
                 let a0 = p0 + pending_len;
+                let client = (
+                    Ipv4Addr::from(rd32(9)?),
+                    u16::from_be_bytes([rd8(13)?, rd8(14)?]),
+                );
+                let snap = TcpSnapshot {
+                    tuple: FourTuple {
+                        local: (Ipv4Addr::UNSPECIFIED, 0),
+                        remote: client,
+                    },
+                    iss: SeqNum(rd32(15)?),
+                    peer_isn: SeqNum(rd32(19)?),
+                    snd_una: rd64(23)?,
+                    unacked: Bytes::copy_from_slice(body.get(u0..p0).ok_or(CtrlDecodeError)?),
+                    local_fin: flags & SNAP_FLAG_LOCAL_FIN != 0,
+                    rcv_start: rd64(31)?,
+                    pending: Bytes::copy_from_slice(body.get(p0..a0).ok_or(CtrlDecodeError)?),
+                    fin_offset: has_fin.then_some(fin_field),
+                    peer_fin_consumed: flags & SNAP_FLAG_PEER_FIN_CONSUMED != 0,
+                };
                 Ok(CtrlMsg::ConnSnapshot(ConnSnapshotMsg {
                     session: rd32(1)?,
                     conn: rd32(5)?,
-                    client_ip: rd32(9)?,
-                    client_port: u16::from_be_bytes([rd8(13)?, rd8(14)?]),
-                    iss: rd32(15)?,
-                    peer_isn: rd32(19)?,
-                    snd_una: rd64(23)?,
-                    rcv_start: rd64(31)?,
-                    fin_offset: has_fin.then_some(fin_field),
-                    local_fin: flags & SNAP_FLAG_LOCAL_FIN != 0,
-                    peer_fin_consumed: flags & SNAP_FLAG_PEER_FIN_CONSUMED != 0,
+                    snap,
                     app_digest: rd64(47)?,
-                    unacked: Bytes::copy_from_slice(body.get(u0..p0).ok_or(CtrlDecodeError)?),
-                    pending: Bytes::copy_from_slice(body.get(p0..a0).ok_or(CtrlDecodeError)?),
                     app_state: Bytes::copy_from_slice(body.get(a0..).ok_or(CtrlDecodeError)?),
                 }))
             }
@@ -575,18 +579,22 @@ mod tests {
         CtrlMsg::ConnSnapshot(ConnSnapshotMsg {
             session: 0x1234_5678,
             conn: 0xfeed_f00d,
-            client_ip: u32::from(std::net::Ipv4Addr::new(10, 0, 0, 3)),
-            client_port: 40_001,
-            iss: 0x8000_0001,
-            peer_isn: 7,
-            snd_una: 123_456,
-            rcv_start: 654_321,
-            fin_offset: Some(654_400),
-            local_fin: true,
-            peer_fin_consumed: false,
+            snap: TcpSnapshot {
+                tuple: FourTuple {
+                    local: (Ipv4Addr::UNSPECIFIED, 0),
+                    remote: (Ipv4Addr::new(10, 0, 0, 3), 40_001),
+                },
+                iss: SeqNum(0x8000_0001),
+                peer_isn: SeqNum(7),
+                snd_una: 123_456,
+                unacked: Bytes::from_static(b"server bytes in flight"),
+                local_fin: true,
+                rcv_start: 654_321,
+                pending: Bytes::from_static(b"client bytes unread"),
+                fin_offset: Some(654_400),
+                peer_fin_consumed: false,
+            },
             app_digest: 0xdead_beef_cafe_f00d,
-            unacked: Bytes::from_static(b"server bytes in flight"),
-            pending: Bytes::from_static(b"client bytes unread"),
             app_state: Bytes::from_static(b"\x01\x02\x03"),
         })
     }
@@ -678,18 +686,22 @@ mod tests {
         let m = CtrlMsg::ConnSnapshot(ConnSnapshotMsg {
             session: 1,
             conn: 2,
-            client_ip: 0,
-            client_port: 0,
-            iss: 0,
-            peer_isn: 0,
-            snd_una: 0,
-            rcv_start: 0,
-            fin_offset: None,
-            local_fin: false,
-            peer_fin_consumed: true,
+            snap: TcpSnapshot {
+                tuple: FourTuple {
+                    local: (Ipv4Addr::UNSPECIFIED, 0),
+                    remote: (Ipv4Addr::UNSPECIFIED, 0),
+                },
+                iss: SeqNum(0),
+                peer_isn: SeqNum(0),
+                snd_una: 0,
+                unacked: Bytes::new(),
+                local_fin: false,
+                rcv_start: 0,
+                pending: Bytes::new(),
+                fin_offset: None,
+                peer_fin_consumed: true,
+            },
             app_digest: 0,
-            unacked: Bytes::new(),
-            pending: Bytes::new(),
             app_state: Bytes::new(),
         });
         assert_eq!(CtrlMsg::decode(&m.encode()).unwrap(), m);
@@ -736,7 +748,7 @@ mod tests {
         let CtrlMsg::ConnSnapshot(mut s) = sample_snapshot() else {
             unreachable!()
         };
-        s.fin_offset = None;
+        s.snap.fin_offset = None;
         let wire = CtrlMsg::ConnSnapshot(s).encode();
         let mut body = wire[..wire.len() - CTRL_CRC_LEN].to_vec();
         body[39..47].copy_from_slice(&77u64.to_be_bytes()); // fin field set, flag clear

@@ -27,15 +27,14 @@ use simnet::node::{NicId, Node, NodeCtx, NodeId, SerialPortId, TimerToken};
 use simnet::profile::{Component, Profiler};
 use simnet::time::SimTime;
 
-use simtcp::conn::{ConnStats, TcpConfig, TcpConn, TcpSnapshot, TcpState};
+use simtcp::conn::{ConnStats, TcpConfig, TcpConn, TcpState};
 #[cfg(debug_assertions)]
 use simtcp::endpoint::EndpointTotals;
 use simtcp::endpoint::{
     EgressMode, EndpointConfig, FinGate, IsnPolicy, ListenConfig, RstPolicy, TcpEndpoint,
 };
 use simtcp::segment::peek_segment;
-use simtcp::seq::SeqNum;
-use simtcp::socket::{FourTuple, SocketEvent, SocketId};
+use simtcp::socket::{SocketEvent, SocketId};
 
 use crate::app::{AppAction, AppFactory, Application};
 use crate::applag::{AppLag, AppLagDetector, Engagement};
@@ -48,8 +47,8 @@ use crate::linkmon::next_silence;
 use crate::metrics::{HbBandwidth, ServerMetrics};
 use crate::netdetect::{NetFailureDetector, NetObservation};
 use crate::pool::{
-    followed, live_non_fenced, member_table, quorum_needed, seq_newer, FenceRound, MemberState,
-    Members, PeerConn, PoolPeer, PoolState, RxBatch,
+    followed, live_non_fenced, member_table, seq_newer, MemberState, Members, PeerConn, PoolPeer,
+    PoolState, RxBatch,
 };
 use crate::recover::{ConnSnapshotMsg, CtrlMsg, MAX_FETCH_DATA};
 
@@ -85,19 +84,12 @@ pub fn reason_code(reason: FailureReason) -> u32 {
 /// Records fence message `msg` under its round's span, which every member
 /// derives from (epoch, target): request, votes and commit read as one.
 fn fence_flight(ctx: &mut NodeCtx<'_>, parent: SpanId, msg: &CtrlMsg) {
-    use CtrlMsg::{FenceAck, FenceCommit, FenceRequest};
-    let (epoch, target_rank) = match *msg {
-        FenceRequest {
-            epoch, target_rank, ..
-        }
-        | FenceAck {
-            epoch, target_rank, ..
-        }
-        | FenceCommit { epoch, target_rank } => (u64::from(epoch), target_rank),
-        _ => return,
+    let Some((epoch, target_rank)) = msg.fence_round() else {
+        return;
     };
+    let epoch = u64::from(epoch);
     let kind = match *msg {
-        FenceAck {
+        CtrlMsg::FenceAck {
             voter_rank,
             granted,
             ..
@@ -107,7 +99,7 @@ fn fence_flight(ctx: &mut NodeCtx<'_>, parent: SpanId, msg: &CtrlMsg) {
             voter_rank,
             granted,
         },
-        FenceCommit { .. } => FlightKind::FenceCommit { epoch, target_rank },
+        CtrlMsg::FenceCommit { .. } => FlightKind::FenceCommit { epoch, target_rank },
         _ => FlightKind::FenceRequest { epoch, target_rank },
     };
     ctx.flight(SpanId::fence(epoch, target_rank), parent, kind);
@@ -767,7 +759,7 @@ impl StTcpServer {
         self.ram
             .pool
             .as_ref()
-            .map_or(self.setup.rank, |p| p.my_rank)
+            .map_or(self.setup.rank, PoolState::my_rank)
     }
 
     /// Most recent pool-strength sample: this server plus every live
@@ -1152,14 +1144,8 @@ impl StTcpServer {
     /// frame's keys are visited: a newly followed active seeds the lag
     /// set once, and a fence settles every key.
     fn apply_records(&mut self, now: SimTime, hb: &HbPayload, src: Ipv4Addr) {
-        let m = &self.ram.members[&src];
-        let mut refollow = false;
-        if let Some(pool) = &mut self.ram.pool {
-            if hb.role == Role::Primary && pool.active_rank != m.rank {
-                pool.active_rank = m.rank;
-                refollow = true;
-            }
-        }
+        let rank = self.ram.members[&src].rank;
+        let refollow = (self.ram.pool.as_mut()).is_some_and(|p| p.follow(hb.role, rank));
         let seq = hb.seqno;
         for c in &hb.conns {
             let s = self.ram.table.entry(c.key);
@@ -1636,9 +1622,7 @@ impl StTcpServer {
             }
         }
         if let Some(pool) = &mut self.ram.pool {
-            // The dead active's mirror served the gap check above; from
-            // here the new active's own positions are authoritative.
-            pool.active_rank = pool.my_rank;
+            pool.took_over();
         }
         // An active server never fetches.
         self.ram.table.clear_set(Set::Lag);
@@ -1955,137 +1939,77 @@ impl StTcpServer {
 
     // ----- internal: quorum fencing -------------------------------------------
 
-    /// Drives this server's fence round: drop a round that no longer
-    /// [stands](FenceRound::stands), open a round against a dead member
-    /// when eligible, and (re-)solicit votes every tick until quorum or
-    /// abandonment. Profiled as pool work; a pair or a joiner has none.
+    /// Drives this server's fence round ([`PoolState::fence_tick`]) and
+    /// (re-)solicits every other unfenced member's vote each tick until
+    /// the round commits or ends. Profiled as pool work; a pair or a
+    /// joiner has none.
     fn fence_tick(&mut self, ctx: &mut NodeCtx<'_>) {
         let now = ctx.now();
-        let mut open_event: Option<(u8, u32)> = None;
-        let mut round: Option<(CtrlMsg, Ipv4Addr)> = None;
-        {
-            let (Some(pool), None) = (&mut self.ram.pool, &self.ram.join) else {
-                return; // (a joiner has no say over anyone's life)
-            };
-            let members = &self.ram.members;
-            ctx.profile_enter(Component::Pool);
-            if pool.fence.as_ref().is_some_and(|f| !f.stands(members, now)) {
-                pool.fence = None;
-            }
-            if pool.fence.is_none() {
-                if let Some((target, target_rank)) = pool.fence_target(members, now, self.ram.role)
-                {
-                    pool.epoch = pool.epoch.wrapping_add(1);
-                    pool.fence = Some(FenceRound {
-                        epoch: pool.epoch,
-                        target,
-                        target_rank,
-                        votes: BTreeSet::from([pool.my_rank]),
-                    });
-                    open_event = Some((target_rank, pool.epoch));
-                }
-            }
-            if let Some(f) = &pool.fence {
-                let msg = CtrlMsg::FenceRequest {
-                    epoch: f.epoch,
-                    target_rank: f.target_rank,
-                    candidate_rank: pool.my_rank,
-                };
-                round = Some((msg, f.target));
-            }
-        }
-        if let Some((msg, target)) = round {
-            if let Some((target_rank, epoch)) = open_event {
+        let (Some(pool), None) = (&mut self.ram.pool, &self.ram.join) else {
+            return; // (a joiner has no say over anyone's life)
+        };
+        ctx.profile_enter(Component::Pool);
+        let solicit = pool.fence_tick(&self.ram.members, now, self.ram.role);
+        if let Some((request, target, opened)) = solicit {
+            if let Some((epoch, target_rank)) = request.fence_round().filter(|_| opened) {
                 self.events.push(StTcpEvent::FenceRequested {
                     target_rank,
                     epoch,
                     at: now,
                 });
-                fence_flight(ctx, self.last_hb_rx_span, &msg);
+                fence_flight(ctx, self.last_hb_rx_span, &request);
             }
             for (&ip, m) in &self.ram.members {
                 if !m.fenced && ip != target {
-                    self.send_ctrl_to(ctx, ip, &msg);
+                    self.send_ctrl_to(ctx, ip, &request);
                 }
             }
         }
         // In a degenerate pool the initiator's own vote is the quorum.
-        self.try_complete_fence(ctx);
+        self.commit_fence(ctx);
         ctx.profile_exit();
     }
 
-    /// A pool member asks this server to confirm `target_rank` dead so
-    /// that `candidate_rank` may fence it; [`PoolState::grants`] answers.
-    fn handle_fence_request(&mut self, ctx: &mut NodeCtx<'_>, src: Ipv4Addr, msg: &CtrlMsg) {
-        let CtrlMsg::FenceRequest {
-            epoch,
-            target_rank,
-            candidate_rank,
-        } = *msg
-        else {
+    /// One fence message from member `src` (the source rule ran at
+    /// intake), through the pool's machine: a request is answered, a vote
+    /// counts toward this server's round, and another member's commit is
+    /// adopted. A joiner has no vote yet, but adopts commits.
+    fn handle_fence(&mut self, ctx: &mut NodeCtx<'_>, src: Ipv4Addr, msg: &CtrlMsg) {
+        let now = ctx.now();
+        if self.ram.join.is_some() && matches!(msg, CtrlMsg::FenceRequest { .. }) {
             return;
-        };
-        if self.ram.join.is_some() {
-            return; // a joiner has no vote yet
         }
-        let now = ctx.now();
         fence_flight(ctx, SpanId::NONE, msg);
-        let Some(pool) = &self.ram.pool else {
+        let (Some(pool), members) = (&mut self.ram.pool, &mut self.ram.members) else {
             return;
         };
-        let granted = pool.grants(&self.ram.members, now, src, target_rank, candidate_rank);
-        let reply = CtrlMsg::FenceAck {
-            epoch,
-            target_rank,
-            voter_rank: pool.my_rank,
-            granted,
-        };
-        fence_flight(ctx, SpanId::NONE, &reply);
-        self.send_ctrl_to(ctx, src, &reply);
+        if let Some(reply) = pool.answer(members, now, src, msg) {
+            fence_flight(ctx, SpanId::NONE, &reply);
+            self.send_ctrl_to(ctx, src, &reply);
+        } else if pool.count_vote(msg) {
+            self.commit_fence(ctx);
+        } else if let Some((_, rank)) = msg.fence_round().filter(|_| pool.adopt(members, msg)) {
+            self.events
+                .push(StTcpEvent::PoolMemberFenced { rank, at: now });
+            self.settle_all(now);
+        }
     }
 
-    /// A vote arrived for this server's fence round (from a member: the
-    /// source rule ran at intake).
-    fn handle_fence_ack(&mut self, ctx: &mut NodeCtx<'_>, msg: &CtrlMsg) {
-        let CtrlMsg::FenceAck {
-            epoch,
-            target_rank,
-            voter_rank,
-            granted,
-        } = *msg
-        else {
-            return;
-        };
-        fence_flight(ctx, SpanId::NONE, msg);
-        let round = self.ram.pool.as_mut().and_then(|p| p.fence.as_mut());
-        let same = |f: &&mut FenceRound| f.epoch == epoch && f.target_rank == target_rank;
-        let Some(f) = round.filter(same).filter(|_| granted) else {
-            return;
-        };
-        f.votes.insert(voter_rank);
-        self.try_complete_fence(ctx);
-    }
-
-    /// Completes this server's fence round once a majority of the
-    /// surviving membership confirmed the target dead: fence, STONITH,
-    /// broadcast the commit, and either take over (dead active) or carry
-    /// on with the remaining pool.
-    fn try_complete_fence(&mut self, ctx: &mut NodeCtx<'_>) {
+    /// Commits this server's round once it stands with a quorum
+    /// ([`PoolState::commit`]): the commit closes the round's span and
+    /// tells the survivors, who mark the target fenced without a quorum
+    /// of their own (a losing simultaneous candidate abandons its round),
+    /// and the target is accused under the round's span — STONITH, and a
+    /// takeover if it was the active.
+    fn commit_fence(&mut self, ctx: &mut NodeCtx<'_>) {
         let now = ctx.now();
-        let (target, target_rank, epoch, votes) = {
-            let (Some(pool), members) = (&mut self.ram.pool, &mut self.ram.members) else {
-                return;
-            };
-            let Some(f) = pool.fence.take_if(|f| {
-                f.stands(members, now) && f.votes.len() >= quorum_needed(members, f.target_rank)
-            }) else {
-                return;
-            };
-            let Some(m) = members.get_mut(&f.target) else {
-                return;
-            };
-            m.fenced = true;
-            (f.target, f.target_rank, f.epoch, f.votes.len() as u32)
+        let members = &mut self.ram.members;
+        let committed = (self.ram.pool.as_mut()).and_then(|p| p.commit(members, now));
+        let Some((commit, target, votes)) = committed else {
+            return;
+        };
+        let Some((epoch, target_rank)) = commit.fence_round() else {
+            return;
         };
         self.events.push(StTcpEvent::FenceQuorumReached {
             target_rank,
@@ -2096,11 +2020,6 @@ impl StTcpServer {
             rank: target_rank,
             at: now,
         });
-        // Quorum: the commit closes the fence span, and the verdict is
-        // parented to the round that produced it. Tell the survivors: they
-        // mark the member fenced without needing their own quorum, and a
-        // losing simultaneous candidate abandons its round.
-        let commit = CtrlMsg::FenceCommit { epoch, target_rank };
         fence_flight(ctx, SpanId::NONE, &commit);
         for (&ip, m) in &self.ram.members {
             if !m.fenced {
@@ -2109,33 +2028,6 @@ impl StTcpServer {
         }
         let fspan = SpanId::fence(u64::from(epoch), target_rank);
         self.accuse(ctx, target, FailureReason::HbBothLinksDown, fspan);
-    }
-
-    /// Another member completed a fence round: adopt its verdict.
-    fn handle_fence_commit(&mut self, ctx: &mut NodeCtx<'_>, target_rank: u8) {
-        let now = ctx.now();
-        let (Some(pool), members) = (&self.ram.pool, &mut self.ram.members) else {
-            return;
-        };
-        if target_rank == pool.my_rank {
-            // Someone fenced *me*; the STONITH is already in flight
-            // and resolves this incarnation. Nothing to do.
-            return;
-        }
-        let mut fenced_any = false;
-        for m in members.values_mut() {
-            if m.rank == target_rank && !m.fenced {
-                m.fenced = true;
-                fenced_any = true;
-            }
-        }
-        if fenced_any {
-            self.events.push(StTcpEvent::PoolMemberFenced {
-                rank: target_rank,
-                at: now,
-            });
-            self.settle_all(now);
-        }
     }
 
     fn net_observation(&mut self) -> NetObservation {
@@ -2233,23 +2125,10 @@ impl StTcpServer {
             return;
         }
         let now = ctx.now();
-        // Pool mode: assign the joiner a fresh rank behind every original
-        // member (idempotent per join session) and reset its member entry
-        // for the new incarnation — which no fence round stands against.
-        let mut new_rank = 0u8;
-        if let Some(pool) = &mut self.ram.pool {
-            match pool.last_session_served {
-                Some((ip, s, r)) if ip == src && s == session => new_rank = r,
-                _ => {
-                    new_rank = pool.next_rank;
-                    pool.next_rank = pool.next_rank.wrapping_add(1);
-                    pool.last_session_served = Some((src, session, new_rank));
-                    if let Some(m) = self.ram.members.get_mut(&src) {
-                        m.reset_for_rejoin(now);
-                    }
-                }
-            }
-        }
+        // Pool mode: the joiner's fresh rank (0 in a pair).
+        let members = &mut self.ram.members;
+        let new_rank =
+            (self.ram.pool.as_mut()).map_or(0, |p| p.rank_joiner(members, src, session, now));
         if self.ram.serving_join != Some(session) {
             self.ram.serving_join = Some(session);
             // A new join session means the joiner rebooted: everything
@@ -2312,18 +2191,8 @@ impl StTcpServer {
         Some(ConnSnapshotMsg {
             session,
             conn: key,
-            client_ip: u32::from(snap.tuple.remote.0),
-            client_port: snap.tuple.remote.1,
-            iss: snap.iss.0,
-            peer_isn: snap.peer_isn.0,
-            snd_una: snap.snd_una,
-            rcv_start: snap.rcv_start,
-            fin_offset: snap.fin_offset,
-            local_fin: snap.local_fin,
-            peer_fin_consumed: snap.peer_fin_consumed,
+            snap,
             app_digest: ctl.app.state_digest(),
-            unacked: snap.unacked,
-            pending: snap.pending,
             app_state,
         })
     }
@@ -2338,11 +2207,9 @@ impl StTcpServer {
         if s.session != join.session || join.installed.contains(&s.conn) {
             return;
         }
-        let tuple = FourTuple {
-            local: (self.setup.service_ip, self.setup.service_port),
-            remote: (Ipv4Addr::from(s.client_ip), s.client_port),
-        };
-        if conn_key(tuple) != s.conn {
+        let mut snap = s.snap.clone();
+        snap.tuple.local = (self.setup.service_ip, self.setup.service_port);
+        if conn_key(snap.tuple) != s.conn {
             // CRC passed but the key does not match the tuple: semantic
             // corruption; never install it.
             return;
@@ -2359,26 +2226,12 @@ impl StTcpServer {
         if app.state_digest() != s.app_digest {
             return;
         }
-        let conn = TcpConn::resume(
-            self.setup.tcp.clone(),
-            &TcpSnapshot {
-                tuple,
-                iss: SeqNum(s.iss),
-                peer_isn: SeqNum(s.peer_isn),
-                snd_una: s.snd_una,
-                unacked: s.unacked.clone(),
-                local_fin: s.local_fin,
-                rcv_start: s.rcv_start,
-                pending: s.pending.clone(),
-                fin_offset: s.fin_offset,
-                peer_fin_consumed: s.peer_fin_consumed,
-            },
-        );
+        let conn = TcpConn::resume(self.setup.tcp.clone(), &snap);
         match self.ram.tcp.install_resumed(conn, EgressMode::Suppress) {
             Some(sock) => {
                 let slot = self.bind_key(s.conn, sock, app);
                 if let Some(ctl) = &mut self.ram.table[slot].ctl {
-                    ctl.close_issued = s.local_fin;
+                    ctl.close_issued = snap.local_fin;
                     // The connection resumed mid-stream: its first byte
                     // was delivered on the active side long ago.
                     ctl.saw_data = true;
@@ -2554,30 +2407,18 @@ impl StTcpServer {
                 if let Some(join) = &mut self.ram.join {
                     if join.session == *session {
                         join.expected = Some(*conns);
-                        // Pool: the active assigned this joiner a fresh
-                        // rank behind every original member. Announcing it
-                        // in our heartbeats is what un-fences us everywhere.
                         if let Some(pool) = &mut self.ram.pool {
-                            pool.my_rank = *new_rank;
+                            pool.rejoined_as(*new_rank);
                         }
                     }
                 }
                 self.try_finish_join(ctx);
             }
-            CtrlMsg::FenceRequest { .. } => {
+            CtrlMsg::FenceRequest { .. }
+            | CtrlMsg::FenceAck { .. }
+            | CtrlMsg::FenceCommit { .. } => {
                 ctx.profile_enter(Component::Pool);
-                self.handle_fence_request(ctx, src, msg);
-                ctx.profile_exit();
-            }
-            CtrlMsg::FenceAck { .. } => {
-                ctx.profile_enter(Component::Pool);
-                self.handle_fence_ack(ctx, msg);
-                ctx.profile_exit();
-            }
-            CtrlMsg::FenceCommit { target_rank, .. } => {
-                fence_flight(ctx, SpanId::NONE, msg);
-                ctx.profile_enter(Component::Pool);
-                self.handle_fence_commit(ctx, *target_rank);
+                self.handle_fence(ctx, src, msg);
                 ctx.profile_exit();
             }
             CtrlMsg::JoinComplete { session } => {
@@ -2875,6 +2716,7 @@ mod tests {
     use super::*;
     use crate::app::EchoApp;
     use simnet::mac::MacAddr;
+    use simtcp::socket::FourTuple;
 
     const PEER: Ipv4Addr = Ipv4Addr::new(10, 0, 0, 3);
 

@@ -21,9 +21,10 @@ use simnet::serial::SerialParams;
 use simnet::time::{SimDuration, SimTime};
 use simnet::world::World;
 
-use simtcp::conn::TcpConfig;
+use simtcp::conn::{TcpConfig, TcpSnapshot};
 use simtcp::endpoint::{EndpointConfig, IsnPolicy, ListenConfig, TcpEndpoint};
-use simtcp::socket::{SocketEvent, SocketId};
+use simtcp::seq::SeqNum;
+use simtcp::socket::{FourTuple, SocketEvent, SocketId};
 
 use sttcp::app::{Application, EchoApp};
 use sttcp::applag::{AppLag, AppLagDetector};
@@ -580,18 +581,22 @@ fn arb_snapshot_msg() -> impl Strategy<Value = ConnSnapshotMsg> {
             )| ConnSnapshotMsg {
                 session,
                 conn,
-                client_ip,
-                client_port,
-                iss,
-                peer_isn,
-                snd_una,
-                rcv_start,
-                fin_offset,
-                local_fin,
-                peer_fin_consumed,
+                snap: TcpSnapshot {
+                    tuple: FourTuple {
+                        local: (Ipv4Addr::UNSPECIFIED, 0),
+                        remote: (Ipv4Addr::from(client_ip), client_port),
+                    },
+                    iss: SeqNum(iss),
+                    peer_isn: SeqNum(peer_isn),
+                    snd_una,
+                    unacked: Bytes::from(unacked),
+                    local_fin,
+                    rcv_start,
+                    pending: Bytes::from(pending),
+                    fin_offset,
+                    peer_fin_consumed,
+                },
                 app_digest,
-                unacked: Bytes::from(unacked),
-                pending: Bytes::from(pending),
                 app_state: Bytes::from(app_state),
             },
         )

@@ -191,7 +191,7 @@ pub struct ConnStats {
 /// Bytes below `snd_una` were acknowledged by the client and bytes below
 /// `rcv_start` were consumed by the application before the capture — both
 /// are summarized by the transferred application state, not carried here.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct TcpSnapshot {
     /// The connection four-tuple (server side local).
     pub tuple: FourTuple,
