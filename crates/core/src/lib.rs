@@ -54,6 +54,7 @@ pub mod events;
 pub mod finarb;
 pub mod heartbeat;
 pub mod invariant;
+mod join;
 pub mod linkmon;
 pub mod metrics;
 pub mod milestone;

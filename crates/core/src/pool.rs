@@ -261,22 +261,17 @@ impl MemberState {
         (self.hb.ip_mon.is_silent(now) && self.hb.serial_mon.is_silent(now)) || self.hb.defunct
     }
 
-    /// Forgets what the member's previous incarnation said — stream,
-    /// mirror, sticky flags; the link monitors are the caller's call.
-    pub(crate) fn forget_incarnation(&mut self, now: SimTime) {
-        self.hb.forget_incarnation(now);
-        self.forget_stream();
-        self.mirror.clear();
-        self.app_suspected = false;
-    }
-
     /// Resets the entry for a fresh incarnation of the member (fenced
-    /// node rejoining, or a new join session).
+    /// node rejoining, or a new join session): fresh link monitors, and
+    /// nothing its predecessor said — stream, mirror, sticky flags.
     pub(crate) fn reset_for_rejoin(&mut self, now: SimTime) {
         self.hb.ip_mon = self.hb.ip_mon.restarted(now);
         self.hb.serial_mon = self.hb.serial_mon.restarted(now);
         self.fenced = false;
-        self.forget_incarnation(now);
+        self.hb.forget_incarnation(now);
+        self.forget_stream();
+        self.mirror.clear();
+        self.app_suspected = false;
     }
 
     /// The pool's rank-incarnation rule, on a heartbeat announcing
@@ -422,10 +417,6 @@ pub(crate) struct PoolState {
     /// always rank behind every original member, so a rebooted ex-active
     /// can never be the preferred takeover candidate.
     next_rank: u8,
-    /// The most recent join session this (active) server served:
-    /// `(joiner ip, session nonce, rank assigned)`. Makes the rank
-    /// assignment idempotent across re-sent `JoinRequest`s.
-    last_session_served: Option<(Ipv4Addr, u32, u8)>,
 }
 
 impl PoolState {
@@ -438,7 +429,6 @@ impl PoolState {
             fence: None,
             epoch: 0,
             next_rank: top.wrapping_add(1),
-            last_session_served: None,
         }
     }
 
@@ -470,28 +460,12 @@ impl PoolState {
         self.my_rank = rank;
     }
 
-    /// Active side: the rank joiner `ip` gets in join session `session` —
-    /// the one it got for a re-sent request, else the next one, its member
-    /// entry reset for the new incarnation (which no round stands against).
-    pub(crate) fn rank_joiner(
-        &mut self,
-        members: &mut Members,
-        ip: Ipv4Addr,
-        session: u32,
-        now: SimTime,
-    ) -> u8 {
-        match self.last_session_served {
-            Some((i, s, rank)) if i == ip && s == session => rank,
-            _ => {
-                let rank = self.next_rank;
-                self.next_rank = rank.wrapping_add(1);
-                self.last_session_served = Some((ip, session, rank));
-                if let Some(m) = members.get_mut(&ip) {
-                    m.reset_for_rejoin(now);
-                }
-                rank
-            }
-        }
+    /// Active side: the rank a new join session gets ([`crate::join`]
+    /// asks once per session).
+    pub(crate) fn hand_out_rank(&mut self) -> u8 {
+        let rank = self.next_rank;
+        self.next_rank = rank.wrapping_add(1);
+        rank
     }
 
     /// The member a server in `role` should open a fence round against
@@ -860,30 +834,6 @@ mod tests {
             target_rank: 7,
         };
         assert!(!p.adopt(&mut members, &none) && !p.adopt(&mut members, &ack(9, 0, 0, true)));
-    }
-
-    #[test]
-    fn a_joiners_rank_is_handed_out_once_per_session() {
-        let (mut p, mut members) = pool3(SimTime::ZERO);
-        let (joiner, now) = (Ipv4Addr::new(10, 0, 0, 2), SimTime::from_millis(5_000));
-        assert_eq!(p.rank_joiner(&mut members, joiner, 7, now), 3);
-        // A re-sent request: the same rank, and no second reset.
-        members.get_mut(&joiner).unwrap().fenced = true;
-        assert_eq!(p.rank_joiner(&mut members, joiner, 7, now), 3);
-        assert!(members[&joiner].fenced);
-        assert_eq!(p.next_rank, 4);
-    }
-
-    #[test]
-    fn a_new_join_session_gets_the_next_rank() {
-        let (mut p, mut members) = pool3(SimTime::ZERO);
-        let (joiner, now) = (Ipv4Addr::new(10, 0, 0, 2), SimTime::from_millis(5_000));
-        assert_eq!(p.rank_joiner(&mut members, joiner, 7, now), 3);
-        members.get_mut(&joiner).unwrap().fenced = true;
-        assert_eq!(p.rank_joiner(&mut members, joiner, 8, now), 4);
-        assert!(!members[&joiner].fenced);
-        let other = Ipv4Addr::new(10, 0, 0, 4);
-        assert_eq!(p.rank_joiner(&mut members, other, 8, now), 5);
     }
 
     /// A pure model of the pool's membership rounds — no `World`, no

@@ -130,6 +130,16 @@ pub struct ConnSnapshotMsg {
     pub app_state: Bytes,
 }
 
+impl ConnSnapshotMsg {
+    /// True when each byte section fits the control channel's cap: only
+    /// such a snapshot is sent (its connection stays unreplicated).
+    pub(crate) fn fits(&self) -> bool {
+        let t = &self.snap;
+        let lens = [t.unacked.len(), t.pending.len(), self.app_state.len()];
+        lens.iter().all(|&n| n <= MAX_FETCH_DATA)
+    }
+}
+
 /// Upper bound on `FetchReply.data` accepted on the wire.
 ///
 /// A fetch reply answers one request for missed bytes, bounded by the
@@ -248,16 +258,7 @@ impl CtrlMsg {
             }
             CtrlMsg::ConnSnapshot(s) => {
                 let t = &s.snap;
-                for (field, len) in [
-                    ("unacked", t.unacked.len()),
-                    ("pending", t.pending.len()),
-                    ("app_state", s.app_state.len()),
-                ] {
-                    assert!(
-                        len <= MAX_FETCH_DATA,
-                        "ConnSnapshot {field} {len} exceeds MAX_FETCH_DATA"
-                    );
-                }
+                assert!(s.fits(), "ConnSnapshot exceeds MAX_FETCH_DATA");
                 let data_len = t.unacked.len() + t.pending.len() + s.app_state.len();
                 let mut b = BytesMut::with_capacity(SNAPSHOT_HEADER_LEN + data_len + CTRL_CRC_LEN);
                 b.put_u8(4);
@@ -388,11 +389,15 @@ impl CtrlMsg {
                     data: Bytes::copy_from_slice(&body[FETCH_REPLY_HEADER_LEN..]),
                 })
             }
-            3 => {
+            tag @ (3 | 6) => {
                 if body.len() != JOIN_SHORT_LEN - CTRL_CRC_LEN {
                     return Err(CtrlDecodeError);
                 }
-                Ok(CtrlMsg::JoinRequest { session: rd32(1)? })
+                let session = rd32(1)?;
+                Ok(match tag {
+                    3 => CtrlMsg::JoinRequest { session },
+                    _ => CtrlMsg::JoinComplete { session },
+                })
             }
             4 => {
                 if body.len() < SNAPSHOT_HEADER_LEN {
@@ -458,12 +463,6 @@ impl CtrlMsg {
                     conns: rd32(5)?,
                     new_rank: rd8(9)?,
                 })
-            }
-            6 => {
-                if body.len() != JOIN_SHORT_LEN - CTRL_CRC_LEN {
-                    return Err(CtrlDecodeError);
-                }
-                Ok(CtrlMsg::JoinComplete { session: rd32(1)? })
             }
             7 => {
                 if body.len() != FENCE_REQUEST_LEN - CTRL_CRC_LEN {

@@ -1,8 +1,8 @@
 //! The ST-TCP server node: ties the TCP stack, the replica application,
 //! the heartbeat engine, every failure detector, and recovery together.
 //!
-//! One [`StTcpServer`] instance runs on each of the two server hosts; the
-//! [`crate::config::Role`] decides its behaviour:
+//! One [`StTcpServer`] instance runs on each server host — the pair's two,
+//! or every pool member; the [`crate::config::Role`] decides its behaviour:
 //!
 //! * The **primary** serves clients normally, holds received client bytes
 //!   in the extended receive buffer until the backup confirms them, sends
@@ -16,7 +16,6 @@
 //!   the client connections in place.
 
 use bytes::Bytes;
-use std::collections::BTreeSet;
 use std::net::Ipv4Addr;
 
 use simnet::flight::{FlightKind, SpanId};
@@ -43,6 +42,7 @@ use crate::conntable::{ConnCtl, ConnTable, HbCacheEntry, Set, SlotId};
 use crate::events::{FailureReason, HbLink, StTcpEvent};
 use crate::finarb::{ArbAction, FinArbiter};
 use crate::heartbeat::{conn_key, decode_any, AnyHb, ConnHb, HbFrame, HbFrameKind, HbPayload};
+use crate::join::Join;
 use crate::linkmon::next_silence;
 use crate::metrics::{HbBandwidth, ServerMetrics};
 use crate::netdetect::{NetFailureDetector, NetObservation};
@@ -50,7 +50,7 @@ use crate::pool::{
     followed, live_non_fenced, member_table, seq_newer, MemberState, Members, PeerConn, PoolPeer,
     PoolState, RxBatch,
 };
-use crate::recover::{ConnSnapshotMsg, CtrlMsg, MAX_FETCH_DATA};
+use crate::recover::{ConnSnapshotMsg, CtrlMsg};
 
 /// The IP protocol number carrying the server-to-server recovery channel.
 pub const CTRL_PROTO: IpProto = IpProto::Other(254);
@@ -178,24 +178,6 @@ pub enum AppCrashMode {
     CleanupRst,
 }
 
-/// Re-integration join progress on a rebooted server (the *joiner* side).
-///
-/// The session nonce scopes every snapshot to one boot of the joiner, so
-/// stale snapshots from an earlier join attempt are ignored. The join is
-/// complete once all `expected` connections announced by `JoinDone` are
-/// installed *and* the local tap has converged with the active peer's
-/// heartbeat positions.
-#[derive(Debug)]
-struct JoinState {
-    session: u32,
-    /// Connection count from the active peer's `JoinDone`; `None` until it
-    /// arrives.
-    expected: Option<u32>,
-    /// Connection keys whose snapshots were installed (or found already
-    /// live via the tap).
-    installed: BTreeSet<u32>,
-}
-
 /// One of a member's links, as seen from this host: its address over
 /// the switch, or a local serial port cabled to it.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -304,12 +286,8 @@ struct Ram {
     /// The pool's round state (`None` in pair mode).
     pool: Option<PoolState>,
     took_over: bool,
-    /// Re-integration: `Some` while this (rebooted) server is joining the
-    /// active peer's live connections.
-    join: Option<JoinState>,
-    /// Re-integration: `Some(session)` while this (active) server is
-    /// feeding snapshots to a joining peer.
-    serving_join: Option<u32>,
+    /// Re-integration: this rebooted server joining, or the active serving.
+    join: Join,
     tcp_timer: Option<SimTime>,
     /// When the liveness timer fires (see [`StTcpServer::check_liveness`]).
     liveness_timer: Option<SimTime>,
@@ -372,8 +350,7 @@ impl Ram {
             // over the fresh one.
             pool: setup.pool.then(|| PoolState::new(setup.rank, &setup.peers)),
             took_over: false,
-            join: None,
-            serving_join: None,
+            join: Join::default(),
             tcp_timer: None,
             liveness_timer: None,
             pkts: Vec::new(),
@@ -608,13 +585,6 @@ impl StTcpServer {
         self.ram.table[self.ram.table.by_key(key)?].sock()
     }
 
-    /// Gives every connection one detector evaluation.
-    fn check_every_conn(&mut self) {
-        for (_, s) in self.all_socks() {
-            self.ram.table.insert(Set::Check, s);
-        }
-    }
-
     /// Re-evaluates whether the slot's application needs periodic
     /// `on_tick` callbacks. Called after every callback into the app,
     /// since tick appetite changes with application state.
@@ -747,8 +717,8 @@ impl StTcpServer {
 
     /// True when this server could currently emit client-visible traffic:
     /// powered on and acting as primary (the original primary, or a
-    /// backup after takeover). At most one server in a pair may ever be
-    /// active at once — the chaos invariant checker enforces this.
+    /// backup after takeover). At most one server may ever be active at
+    /// once — the chaos invariant checker enforces this.
     pub fn is_active(&self) -> bool {
         !self.ram.powered_off && self.ram.role == Role::Primary
     }
@@ -1515,6 +1485,7 @@ impl StTcpServer {
         let followed = followed(self.ram.pool.as_ref(), &self.ram.members).map(|(ip, _)| ip);
         let was_active = self.ram.role == Role::Backup && followed == Some(target);
         self.condemn(ctx, node, reason, parent);
+        self.ram.join.condemned(target);
         let mut rest = self.ram.members.iter().filter(|&(&ip, _)| ip != target);
         self.ram.ft_mode = rest.any(|(_, m)| !m.fenced && m.alive(now));
         if fenced {
@@ -1669,7 +1640,9 @@ impl StTcpServer {
                 }
             }
         }
-        if let Some((target, true, _)) = judged.filter(|_| self.ram.ft_mode) {
+        // Row 1 judges a backup, or the joiner this server serves.
+        let judging = self.ram.ft_mode || self.ram.join.serving();
+        if let Some((target, true, _)) = judged.filter(|_| judging) {
             // Row 1: the host is gone, or heard only as a defunct restart.
             // The evidence is the last heartbeat this server accepted.
             let evidence = self.last_hb_rx_span;
@@ -1750,7 +1723,7 @@ impl StTcpServer {
         // missed while it was down) and completes once converged. This runs
         // *before* the ft_mode gate below — a joiner is deliberately not
         // fault-tolerant yet, but must still make progress.
-        if self.ram.join.is_some() {
+        if self.ram.join.joining() {
             self.run_recovery(ctx);
             self.try_finish_join(ctx);
         }
@@ -1945,7 +1918,7 @@ impl StTcpServer {
     /// joiner has none.
     fn fence_tick(&mut self, ctx: &mut NodeCtx<'_>) {
         let now = ctx.now();
-        let (Some(pool), None) = (&mut self.ram.pool, &self.ram.join) else {
+        let (Some(pool), false) = (&mut self.ram.pool, self.ram.join.joining()) else {
             return; // (a joiner has no say over anyone's life)
         };
         ctx.profile_enter(Component::Pool);
@@ -1976,7 +1949,7 @@ impl StTcpServer {
     /// adopted. A joiner has no vote yet, but adopts commits.
     fn handle_fence(&mut self, ctx: &mut NodeCtx<'_>, src: Ipv4Addr, msg: &CtrlMsg) {
         let now = ctx.now();
-        if self.ram.join.is_some() && matches!(msg, CtrlMsg::FenceRequest { .. }) {
+        if self.ram.join.joining() && matches!(msg, CtrlMsg::FenceRequest { .. }) {
             return;
         }
         fence_flight(ctx, SpanId::NONE, msg);
@@ -2125,22 +2098,12 @@ impl StTcpServer {
             return;
         }
         let now = ctx.now();
-        // Pool mode: the joiner's fresh rank (0 in a pair).
-        let members = &mut self.ram.members;
-        let new_rank =
-            (self.ram.pool.as_mut()).map_or(0, |p| p.rank_joiner(members, src, session, now));
-        if self.ram.serving_join != Some(session) {
-            self.ram.serving_join = Some(session);
-            // A new join session means the joiner rebooted: everything
-            // known about its old incarnation — its mirror, with sticky
-            // FIN/watchdog flags that would otherwise poison verdicts
-            // against the new one, and its delta stream, whose acks are
-            // void (it gets full-state frames until it acknowledges) — is
-            // stale.
+        let (members, pool) = (&mut self.ram.members, self.ram.pool.as_mut());
+        let (new_rank, new) = self.ram.join.serve(src, session, members, pool, now);
+        if new {
+            // The rebooted joiner's acks of this server's frames are void:
+            // full-state frames until it acknowledges.
             self.ram.table.clear_set(Set::Lag);
-            if let Some(m) = self.ram.members.get_mut(&src) {
-                m.forget_incarnation(now);
-            }
             self.unack_cached();
             self.events
                 .push(StTcpEvent::ReintegrationStarted { at: now });
@@ -2151,23 +2114,20 @@ impl StTcpServer {
         // joiner sees the stream with no hole — `[read cursor, edge)`
         // rides in the snapshot, `[edge, ∞)` arrives by tap or fetch.
         self.hold_client_bytes(now, true);
-        let mut announced = 0u32;
-        for (sock, _) in self.all_socks() {
-            let Some(msg) = self.snapshot_conn(session, sock) else {
-                continue;
-            };
-            announced += 1;
+        let socks = self.all_socks().into_iter();
+        let snaps: Vec<_> = socks
+            .filter_map(|(sock, _)| self.snapshot_conn(session, sock))
+            .collect();
+        let conns = snaps.len() as u32;
+        for msg in snaps {
             self.send_ctrl_to(ctx, src, &CtrlMsg::ConnSnapshot(msg));
         }
-        self.send_ctrl_to(
-            ctx,
-            src,
-            &CtrlMsg::JoinDone {
-                session,
-                conns: announced,
-                new_rank,
-            },
-        );
+        let done = CtrlMsg::JoinDone {
+            session,
+            conns,
+            new_rank,
+        };
+        self.send_ctrl_to(ctx, src, &done);
     }
 
     /// Captures one connection as a [`ConnSnapshotMsg`], or `None` when it
@@ -2175,36 +2135,23 @@ impl StTcpServer {
     /// control-channel cap — such a connection simply stays unreplicated).
     fn snapshot_conn(&self, session: u32, sock: SocketId) -> Option<ConnSnapshotMsg> {
         let ctl = self.ram.table.ctl(sock).filter(|c| !c.closed)?;
-        let key = ctl.key;
         let snap = self.ram.tcp.conn(sock)?.snapshot()?;
-        if snap.unacked.len() > MAX_FETCH_DATA || snap.pending.len() > MAX_FETCH_DATA {
-            return None;
-        }
-        let app_state = ctl
-            .app
-            .snapshot()
-            .map(Bytes::from)
-            .unwrap_or_else(Bytes::new);
-        if app_state.len() > MAX_FETCH_DATA {
-            return None;
-        }
-        Some(ConnSnapshotMsg {
+        let app_state = ctl.app.snapshot().map(Bytes::from).unwrap_or_default();
+        let msg = ConnSnapshotMsg {
             session,
-            conn: key,
+            conn: ctl.key,
             snap,
             app_digest: ctl.app.state_digest(),
             app_state,
-        })
+        };
+        msg.fits().then_some(msg)
     }
 
     /// Joiner side: install one connection snapshot into the suppressed
     /// TCP state machine and spin up its replica application.
     fn install_snapshot(&mut self, ctx: &mut NodeCtx<'_>, s: &ConnSnapshotMsg) {
         let now = ctx.now();
-        let Some(join) = &self.ram.join else {
-            return;
-        };
-        if s.session != join.session || join.installed.contains(&s.conn) {
+        if !self.ram.join.wants(s.session, s.conn) {
             return;
         }
         let mut snap = s.snap.clone();
@@ -2226,54 +2173,37 @@ impl StTcpServer {
         if app.state_digest() != s.app_digest {
             return;
         }
+        // A tuple already live locally counts as installed: the tapped SYN
+        // beat the snapshot here, so the connection is replicated from its
+        // very beginning and the snapshot is redundant.
+        self.ram.join.installed(s.conn);
         let conn = TcpConn::resume(self.setup.tcp.clone(), &snap);
-        match self.ram.tcp.install_resumed(conn, EgressMode::Suppress) {
-            Some(sock) => {
-                let slot = self.bind_key(s.conn, sock, app);
-                if let Some(ctl) = &mut self.ram.table[slot].ctl {
-                    ctl.close_issued = snap.local_fin;
-                    // The connection resumed mid-stream: its first byte
-                    // was delivered on the active side long ago.
-                    ctl.saw_data = true;
-                }
-                self.refresh_tick(slot);
-                self.ram.table.insert(Set::Check, slot);
-                self.events.push(StTcpEvent::SnapshotInstalled {
-                    conn: s.conn,
-                    at: now,
-                });
-            }
-            None => {
-                // The tuple is already live locally: the tapped SYN beat the
-                // snapshot here, so the connection is replicated from its
-                // very beginning and the snapshot is redundant.
-            }
+        let Some(sock) = self.ram.tcp.install_resumed(conn, EgressMode::Suppress) else {
+            return;
+        };
+        let slot = self.bind_key(s.conn, sock, app);
+        if let Some(ctl) = &mut self.ram.table[slot].ctl {
+            ctl.close_issued = snap.local_fin;
+            // The connection resumed mid-stream: its first byte was
+            // delivered on the active side long ago.
+            ctl.saw_data = true;
         }
-        if let Some(join) = &mut self.ram.join {
-            join.installed.insert(s.conn);
-        }
+        self.refresh_tick(slot);
+        self.ram.table.insert(Set::Check, slot);
+        let conn = s.conn;
+        self.events
+            .push(StTcpEvent::SnapshotInstalled { conn, at: now });
     }
 
     /// Joiner side: complete the join once all announced snapshots are in
-    /// and the local tap has converged with the active peer's heartbeat
-    /// positions. Until then `ft_mode` stays false — the joiner can neither
-    /// fire verdicts nor take over, so a half-joined backup can never
-    /// become a second active server.
+    /// and the tap has converged with the active's heartbeat positions.
+    /// Until then `ft_mode` stays off: a half-joined backup can neither
+    /// fire verdicts nor take over, so it never becomes a second active.
     fn try_finish_join(&mut self, ctx: &mut NodeCtx<'_>) {
-        let Some(join) = &self.ram.join else {
-            return;
-        };
-        let Some(expected) = join.expected else {
-            return;
-        };
-        if (join.installed.len() as u32) < expected {
-            return;
-        }
-        // Require at least one post-reboot heartbeat: convergence is judged
-        // against the peer's positions, which are meaningless before any
-        // have been heard.
+        // Convergence is judged against the peer's positions: none count
+        // before a post-reboot heartbeat is heard.
         let heard = self.ram.members.values().any(|m| m.hb.last_rx().is_some());
-        if !heard {
+        if !self.ram.join.joining() || self.ram.join.awaiting().is_some() || !heard {
             return;
         }
         // Converged when every connection the followed member reports
@@ -2281,15 +2211,12 @@ impl StTcpServer {
         // caught up (a closed local connection has nothing left to
         // converge). A join-window walk, in key order: it stops the tick
         // the join completes.
-        let keyed = self.ram.table.keyed();
-        let visits = keyed
-            .filter(|&(_, s)| self.followed_pos(s).is_some())
-            .count();
-        self.metrics.on_timer_visits(visits);
+        let (mut visits, mut converged) = (0, true);
         for (key, s) in self.ram.table.keyed() {
             let Some(peer) = self.followed_pos(s) else {
                 continue;
             };
+            visits += 1;
             let slot = &self.ram.table[s];
             let Some(sock) = slot.sock() else {
                 // Heartbeats announce every conn still in the peer's socket
@@ -2298,33 +2225,43 @@ impl StTcpServer {
                 // installed may gate convergence (it can lag the key index
                 // by one poll when the tuple arrived via tap); a brand-new
                 // conn is tapped from its SYN and needs no catch-up.
-                if join.installed.contains(&key) {
-                    return;
-                }
+                converged &= !self.ram.join.has_installed(key);
                 continue;
             };
-            if slot.ctl.as_ref().is_none_or(|c| c.closed) {
-                continue;
-            }
-            let Some(conn) = self.ram.tcp.conn(sock) else {
-                continue;
-            };
-            if conn.bytes_received() < peer.last_byte_received
-                || conn.app_bytes_read() < peer.last_app_byte_read
-            {
-                return;
+            let open = slot.ctl.as_ref().is_some_and(|c| !c.closed);
+            if let Some(conn) = self.ram.tcp.conn(sock).filter(|_| open) {
+                converged &= conn.bytes_received() >= peer.last_byte_received
+                    && conn.app_bytes_read() >= peer.last_app_byte_read;
             }
         }
-        let now = ctx.now();
-        let session = join.session;
-        self.ram.join = None;
+        self.metrics.on_timer_visits(visits);
+        if converged {
+            self.complete_join(ctx, None);
+        }
+    }
+
+    /// The one completion step ([`Join::complete`]): the joiner's once
+    /// converged (`by` is `None`), which tells the active, and the active's
+    /// on that `JoinComplete`. Detectors resume against a fresh member from
+    /// one evaluation per connection; the active's unclosed connections
+    /// get fresh FIN arbiters (the old ones open-gated on the dead one).
+    fn complete_join(&mut self, ctx: &mut NodeCtx<'_>, by: Option<u32>) {
+        let Some(session) = self.ram.join.complete(by) else {
+            return;
+        };
         self.ram.ft_mode = true;
-        // Detectors resume against a fresh peer: give every connection one
-        // evaluation so first-observation baselines are established.
-        self.check_every_conn();
+        for (_, s) in self.all_socks() {
+            self.ram.table.insert(Set::Check, s);
+            let ctl = self.ram.table[s].ctl.as_mut();
+            if let Some(ctl) = ctl.filter(|c| by.is_some() && !c.close_issued && !c.closed) {
+                ctl.finarb = FinArbiter::new(self.ram.role, self.setup.sttcp.max_delay_fin);
+            }
+        }
         self.events
-            .push(StTcpEvent::ReintegrationCompleted { at: now });
-        self.send_ctrl(ctx, &CtrlMsg::JoinComplete { session });
+            .push(StTcpEvent::ReintegrationCompleted { at: ctx.now() });
+        if by.is_none() {
+            self.send_ctrl(ctx, &CtrlMsg::JoinComplete { session });
+        }
     }
 
     /// Sends a control message to member `ip`: over IP, and a fence vote
@@ -2353,7 +2290,7 @@ impl StTcpServer {
         // active, so it broadcasts until the join completes; only the
         // active side answers a JoinRequest anyway.
         let active = followed(self.ram.pool.as_ref(), &self.ram.members)
-            .filter(|(_, m)| !m.fenced && self.ram.join.is_none())
+            .filter(|(_, m)| !m.fenced && !self.ram.join.joining())
             .map(|(ip, _)| ip);
         for (&ip, m) in &self.ram.members {
             if active.map_or(!m.fenced, |a| a == ip) {
@@ -2363,7 +2300,6 @@ impl StTcpServer {
     }
 
     fn handle_ctrl(&mut self, ctx: &mut NodeCtx<'_>, src: Ipv4Addr, msg: &CtrlMsg) {
-        let now = ctx.now();
         match msg {
             CtrlMsg::FetchRequest { conn, from, max } => {
                 let Some(sock) = self.sock_of(*conn) else {
@@ -2404,13 +2340,9 @@ impl StTcpServer {
                 conns,
                 new_rank,
             } => {
-                if let Some(join) = &mut self.ram.join {
-                    if join.session == *session {
-                        join.expected = Some(*conns);
-                        if let Some(pool) = &mut self.ram.pool {
-                            pool.rejoined_as(*new_rank);
-                        }
-                    }
+                let ours = self.ram.join.announced(*session, *conns);
+                if let Some(pool) = self.ram.pool.as_mut().filter(|_| ours) {
+                    pool.rejoined_as(*new_rank);
                 }
                 self.try_finish_join(ctx);
             }
@@ -2421,25 +2353,7 @@ impl StTcpServer {
                 self.handle_fence(ctx, src, msg);
                 ctx.profile_exit();
             }
-            CtrlMsg::JoinComplete { session } => {
-                if self.ram.serving_join == Some(*session) {
-                    self.ram.serving_join = None;
-                    self.ram.ft_mode = true;
-                    self.check_every_conn();
-                    self.events
-                        .push(StTcpEvent::ReintegrationCompleted { at: now });
-                    // Fresh FIN arbitration against the new backup: the old
-                    // arbiters are in their peer-failed (open-gate) state
-                    // from the takeover.
-                    for (_, s) in self.all_socks() {
-                        let ctl = self.ram.table[s].ctl.as_mut();
-                        if let Some(ctl) = ctl.filter(|c| !c.close_issued && !c.closed) {
-                            ctl.finarb =
-                                FinArbiter::new(self.ram.role, self.setup.sttcp.max_delay_fin);
-                        }
-                    }
-                }
-            }
+            CtrlMsg::JoinComplete { session } => self.complete_join(ctx, Some(*session)),
         }
     }
 
@@ -2574,11 +2488,10 @@ impl Node for StTcpServer {
         match token {
             TOKEN_HB => {
                 // A member heartbeats while it has a member to keep in
-                // step: fault-tolerant, or in a re-integration join — the
-                // joiner's positions drive the active side's hold-buffer
-                // release, and the active side's positions define the
-                // joiner's convergence target.
-                if self.ram.ft_mode || self.ram.join.is_some() || self.ram.serving_join.is_some() {
+                // step: fault-tolerant, or joining or serving a join (each
+                // side's positions are what the other converges or
+                // releases held bytes against).
+                if self.ram.ft_mode || self.ram.join.joining() || self.ram.join.serving() {
                     ctx.profile_enter(Component::HbEncode);
                     self.send_heartbeats(ctx);
                     ctx.profile_exit();
@@ -2590,14 +2503,8 @@ impl Node for StTcpServer {
                 }
                 // A joiner re-requests until the full snapshot set arrives
                 // (any of the join messages may have been lost).
-                if let Some(join) = &self.ram.join {
-                    let complete = join
-                        .expected
-                        .is_some_and(|e| join.installed.len() as u32 >= e);
-                    if !complete {
-                        let session = join.session;
-                        self.send_ctrl(ctx, &CtrlMsg::JoinRequest { session });
-                    }
+                if let Some(session) = self.ram.join.awaiting() {
+                    self.send_ctrl(ctx, &CtrlMsg::JoinRequest { session });
                 }
                 ctx.set_timer(self.setup.sttcp.hb_period, TOKEN_HB);
             }
@@ -2678,33 +2585,21 @@ impl Node for StTcpServer {
     }
 
     fn on_power_on(&mut self, ctx: &mut NodeCtx<'_>) {
-        // Every reboot rejoins. All pre-crash state is gone; boot as a
-        // fresh backup — whatever role this host held before — and ask
-        // the active peer for per-connection snapshots. Until the join
-        // converges, `ft_mode` stays false: this node fires no verdicts
-        // and can never take over, so the dual-active invariant holds
-        // even if the join never completes. An active that reboots faster
-        // than its peer's liveness timeout finds no active to join: its
-        // backup announcement marks it defunct at the peer (`HbSource`),
-        // which condemns and STONITHs it — it stays off, exactly like
-        // the crash it followed.
+        // Every reboot rejoins (DESIGN §9), whatever role this host held:
+        // a fresh backup tapping suppressed with the shared ISN, so
+        // connections opened from now replicate from their SYN and older
+        // ones arrive as snapshots; not fault-tolerant until the join
+        // completes. (An active rebooted faster than its peer's liveness
+        // timeout is condemned as defunct, `HbSource`, and stays off.)
         let now = ctx.now();
-        // A fresh TCP stack tapping in suppressed mode with the shared
-        // deterministic ISN, exactly like an original backup: connections
-        // opened after the reboot replicate from their SYN; pre-existing
-        // ones arrive as snapshots.
         self.boot(Role::Backup, now);
         self.ram.ft_mode = false;
-        // Session nonce: unique per boot (virtual boot time), never zero.
-        let session = (now.as_micros() as u32) | 1;
-        self.ram.join = Some(JoinState {
-            session,
-            expected: None,
-            installed: BTreeSet::new(),
-        });
+        self.ram.join = Join::boot(now);
         self.events
             .push(StTcpEvent::ReintegrationStarted { at: now });
-        self.send_ctrl(ctx, &CtrlMsg::JoinRequest { session });
+        if let Some(session) = self.ram.join.awaiting() {
+            self.send_ctrl(ctx, &CtrlMsg::JoinRequest { session });
+        }
         // The power-off invalidated every pending timer (epoch bump); arm
         // a fresh set.
         self.start_rounds(ctx);
@@ -2909,10 +2804,7 @@ mod tests {
         world.crash_node(node);
         world.restore_node(node);
         let s = world.node::<StTcpServer>(node).expect("server type");
-        assert!(
-            s.ram.join.is_some(),
-            "rebooted into a join, nothing installed yet"
-        );
+        assert!(s.ram.join.joining(), "rebooted into a join");
         assert_eq!(s.ram.table.socks().count(), 0);
         for set in Set::ALL {
             assert_eq!(s.ram.table.set_len(set), 0, "{set:?} survived the reboot");

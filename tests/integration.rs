@@ -675,6 +675,34 @@ fn a_connection_accepted_without_a_backup_closes_unheld() {
     }
 }
 
+/// A joiner that dies mid-join is condemned like any backup: the primary
+/// crashes at 1 s, reboots into a join at 2.5 s and crashes again 5 ms
+/// later. The active serving the join judges it by row 1, goes
+/// non-fault-tolerant and releases its hold; a join that never completes
+/// used to leave every later client byte held (902 144 B at 25 s).
+#[test]
+fn a_joiner_that_dies_mid_join_is_condemned_and_releases_the_hold() {
+    let chat = ClientWorkload::EchoChat {
+        chunk: 1024,
+        period: SimDuration::from_millis(20),
+        count: 1_000,
+    };
+    let mut s = ScenarioBuilder::new(echo_app(), chat).seed(5).build();
+    s.crash_primary_at(t(1_000));
+    s.reboot_at(s.primary, t(2_500));
+    s.crash_primary_at(t(2_505));
+    s.world.run_until(t(25_000));
+    assert_clean_client(&s);
+    let after_rejoin = s.server(s.backup).events().iter().filter_map(|e| match *e {
+        StTcpEvent::PeerDeclaredFailed { reason, at } if at > t(2_505) => Some(Ok(reason)),
+        StTcpEvent::WentNonFt { reason, at } if at > t(2_505) => Some(Err(reason)),
+        _ => None,
+    });
+    let reason = FailureReason::HbBothLinksDown;
+    assert_eq!(after_rejoin.collect::<Vec<_>>(), [Ok(reason), Err(reason)]);
+    assert_holds_nothing(&s, s.backup);
+}
+
 #[test]
 fn reqresp_workload_survives_primary_crash() {
     // A second application type through the same machinery.

@@ -14,6 +14,7 @@
 use std::rc::Rc;
 
 use simnet::flight::{FlightKind, SpanId};
+use simnet::node::NodeId;
 use simnet::serial::SerialDir;
 use simnet::time::{SimDuration, SimTime};
 use sttcp::config::StTcpConfig;
@@ -72,6 +73,27 @@ fn chatting_pool3() -> Scenario {
         .seed(61)
         .pool(3)
         .build()
+}
+
+/// A `pool(3)` at seed 5 serving `count` 1 KiB echoes every 20 ms.
+fn echoing_pool3(count: u32) -> Scenario {
+    let chat = ClientWorkload::EchoChat {
+        chunk: 1024,
+        period: SimDuration::from_millis(20),
+        count,
+    };
+    let app = || Box::new(sttcp::app::EchoApp::default()) as _;
+    ScenarioBuilder::new(Rc::new(app), chat)
+        .seed(5)
+        .pool(3)
+        .build()
+}
+
+/// Client bytes `node` holds in extended receive buffers.
+fn held_bytes(s: &Scenario, node: NodeId) -> usize {
+    let tcp = s.server(node).endpoint();
+    let conns = tcp.sockets().into_iter().filter_map(|id| tcp.conn(id));
+    conns.map(|c| c.hold_used()).sum()
 }
 
 fn took_over_at(events: &[StTcpEvent]) -> Option<SimTime> {
@@ -487,23 +509,35 @@ fn a_pool_takeover_has_a_symptom_like_the_pairs() {
 #[test]
 #[ignore = "a fence round whose electorate's majority is dead never ends (ROADMAP item 10)"]
 fn an_active_whose_backups_all_died_holds_within_hold_buf() {
-    let chat = ClientWorkload::EchoChat {
-        chunk: 1024,
-        period: SimDuration::from_millis(20),
-        count: 2_000,
-    };
-    let app = || Box::new(sttcp::app::EchoApp::default()) as _;
-    let mut s = ScenarioBuilder::new(Rc::new(app), chat)
-        .seed(5)
-        .pool(3)
-        .build();
+    let mut s = echoing_pool3(2_000);
     s.crash_at(s.servers[1], SimTime::from_millis(1_000));
     s.crash_at(s.servers[2], SimTime::from_millis(1_200));
     s.world.run_until(SimTime::from_secs(30));
-    let tcp = s.server(s.primary).endpoint();
-    let conns = tcp.sockets().into_iter().filter_map(|id| tcp.conn(id));
-    let held: usize = conns.map(|c| c.hold_used()).sum();
+    let held = held_bytes(&s, s.primary);
     assert!(held <= StTcpConfig::default().hold_buf, "holds {held} B");
+}
+
+/// A joiner that dies mid-join: `servers[0]` crashes at 1 s, reboots into
+/// a join at 2.5 s and crashes again 5 ms later. The active's round
+/// against it opens at 3.101 s under its pre-join rank 0 and never
+/// reaches a quorum, so the dead joiner stays unfenced and pins 902 144 B
+/// of client bytes at 25 s (the pair condemns it by row 1).
+#[test]
+#[ignore = "ROADMAP item 10"]
+fn a_joiner_that_dies_mid_join_is_fenced() {
+    let mut s = echoing_pool3(1_000);
+    s.crash_at(s.servers[0], SimTime::from_millis(1_000));
+    s.reboot_at(s.servers[0], SimTime::from_millis(2_500));
+    s.crash_at(s.servers[0], SimTime::from_millis(2_505));
+    s.world.run_until(SimTime::from_secs(25));
+    let fenced = s.server(s.servers[1]).events().iter().any(|e| {
+        matches!(e, StTcpEvent::FenceQuorumReached { at, .. } if *at > SimTime::from_millis(2_505))
+    });
+    let held = held_bytes(&s, s.servers[1]);
+    assert!(
+        fenced && held < 64 * 1024,
+        "fenced {fenced}, holds {held} B"
+    );
 }
 
 /// Byzantine heartbeats (CRC-valid, semantically impossible) across a
