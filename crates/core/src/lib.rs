@@ -52,6 +52,7 @@ pub mod config;
 mod conntable;
 pub mod events;
 pub mod finarb;
+mod hbsend;
 pub mod heartbeat;
 pub mod invariant;
 mod join;

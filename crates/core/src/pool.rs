@@ -35,7 +35,7 @@ use simnet::time::SimTime;
 
 use crate::config::{Role, StTcpConfig};
 use crate::conntable::Column;
-use crate::heartbeat::{unwrap_u32_near, ConnHb, HbFrame, HbFrameKind, HbPayload, PingReport};
+use crate::heartbeat::{unwrap_u32_near, ConnHb};
 use crate::linkmon::HbSource;
 use crate::recover::CtrlMsg;
 
@@ -111,13 +111,12 @@ pub(crate) struct RxBatch {
     pub(crate) next: u16,
 }
 
-/// One heartbeat link's stream state with one member, both directions:
-/// link 0 is the member's address, link `1 + k` its `k`-th cable. Kept
-/// in every wire format; only a delta (v2) member acks.
+/// One heartbeat link's receive state with one member: link 0 is the
+/// member's address, link `1 + k` its `k`-th cable. Kept in every wire
+/// format. (What the member acknowledged of *my* frames is the sender's,
+/// [`crate::hbsend`].)
 #[derive(Debug, Clone, Copy, Default)]
 pub(crate) struct LinkState {
-    /// The member's cumulative ack of *my* frames on this link.
-    pub(crate) acked: u32,
     /// Highest seqno applied from the member on this link — echoed back
     /// as its ack, and the link's staleness filter.
     pub(crate) applied: u32,
@@ -147,12 +146,9 @@ pub(crate) struct MemberState {
     /// The member's per-connection positions from its heartbeats, by
     /// the key's slot in the connection table.
     pub(crate) mirror: Column<PeerConn>,
-    /// The stream with this member, one entry per link to it
+    /// The stream from this member, one entry per link to it
     /// ([`MemberState::wire`]) whatever the wire format.
     pub(crate) links: Vec<LinkState>,
-    /// My epoch the member's acks refer to; it is owed full-state frames
-    /// until this matches my boot epoch.
-    pub(crate) ack_epoch: u32,
     /// The member's epoch its links' `applied` seqnos refer to (0 = none
     /// seen yet, or v1).
     pub(crate) rx_epoch: u32,
@@ -168,78 +164,12 @@ impl MemberState {
         self.links.resize(1 + cables.max(1), LinkState::default());
     }
 
-    /// The link (`1 + k`: its `k`-th cable) connection `key`'s records
-    /// are sharded to toward this member: `key` modulo the cables to it.
-    pub(crate) fn shard_link(&self, key: u32) -> usize {
-        1 + key as usize % self.links.len().saturating_sub(1).max(1)
-    }
-
-    /// True when the member's acknowledged state covers a record for
-    /// `key` changed at `changed_at`, in its view of my incarnation
-    /// `epoch`: its IP link's cumulative ack (IP frames carry every
-    /// in-flight record) or its shard cable's has reached it.
-    pub(crate) fn covers(&self, epoch: u32, key: u32, changed_at: u32) -> bool {
-        if self.ack_epoch != epoch {
-            return false;
-        }
-        let acked = |link: usize| self.links.get(link).map_or(0, |l| l.acked);
-        let (ip_ack, shard_ack) = (acked(0), acked(self.shard_link(key)));
-        !seq_newer(changed_at, ip_ack) || !seq_newer(changed_at, shard_ack)
-    }
-
-    /// Forgets the delta stream both ways (a new incarnation of the
-    /// member, or a new join session): its acks are void, and its next
-    /// frame opens the receive side afresh.
+    /// Forgets the stream from the member (a new incarnation of it, or a
+    /// new join session): its next frame opens the receive side afresh.
+    /// (Its acks of mine are voided by [`crate::hbsend::Sender::void`].)
     pub(crate) fn forget_stream(&mut self) {
         self.links.fill(LinkState::default());
-        self.ack_epoch = 0;
         self.rx_epoch = 0;
-    }
-
-    /// Splits one link's heartbeat round to this member into wire frames
-    /// that ack its stream. With `batch == 0` (or a round that fits), the
-    /// whole record list rides a single frame — bit-for-bit the
-    /// single-frame v2 encoding. Otherwise the records are chunked into
-    /// `⌈n/chunk⌉` parts sharing one seqno (the v3 batch envelope); the
-    /// ping report rides part 0 only, the ack vector repeats on every part
-    /// so loss of any one part cannot strand acks. Chunk size is clamped
-    /// so no part overflows the u16 `conn_count` field — a round beyond
-    /// 65 535 records splits even when batching is "off".
-    #[allow(clippy::too_many_arguments)]
-    pub(crate) fn link_frames(
-        &self,
-        kind: HbFrameKind,
-        epoch: u32,
-        link: u8,
-        seq: u32,
-        role: Role,
-        rank: u8,
-        ping: Option<PingReport>,
-        conns: &[ConnHb],
-        batch: usize,
-    ) -> Vec<HbFrame> {
-        let cap = u16::MAX as usize;
-        let mut chunk = if batch == 0 { cap } else { batch.min(cap) };
-        chunk = chunk.max(conns.len().div_ceil(cap)).max(1);
-        let parts = conns.len().div_ceil(chunk).max(1);
-        (0..parts)
-            .map(|part| HbFrame {
-                kind,
-                epoch,
-                link,
-                ack_epoch: self.rx_epoch,
-                acks: self.links.iter().map(|l| l.applied).collect(),
-                part: part as u16,
-                parts: parts as u16,
-                hb: HbPayload {
-                    seqno: seq,
-                    role,
-                    rank,
-                    conns: conns.chunks(chunk).nth(part).unwrap_or_default().to_vec(),
-                    ping: if part == 0 { ping } else { None },
-                },
-            })
-            .collect()
     }
 
     /// True while at least one heartbeat link from this member is fresh.
@@ -316,7 +246,6 @@ pub(crate) fn member_table(
             fenced: false,
             mirror: Column::default(),
             links: Vec::new(),
-            ack_epoch: 0,
             rx_epoch: 0,
             app_suspected: false,
         };
@@ -623,6 +552,7 @@ impl PoolState {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::heartbeat::HbPayload;
     use simnet::time::SimDuration;
 
     fn peers3() -> Vec<PoolPeer> {

@@ -38,10 +38,12 @@ use simtcp::socket::{SocketEvent, SocketId};
 use crate::app::{AppAction, AppFactory, Application};
 use crate::applag::{AppLag, AppLagDetector, Engagement};
 use crate::config::{Role, StTcpConfig, APP_TICK, GAP_GIVEUP, STONITH_DELAY};
-use crate::conntable::{ConnCtl, ConnTable, HbCacheEntry, Set, SlotId};
+use crate::conntable::{ConnCtl, ConnTable, Set, SlotId};
 use crate::events::{FailureReason, HbLink, StTcpEvent};
 use crate::finarb::{ArbAction, FinArbiter};
-use crate::heartbeat::{conn_key, decode_any, AnyHb, ConnHb, HbFrame, HbFrameKind, HbPayload};
+pub use crate::hbsend::ByzantineHbMode;
+use crate::hbsend::{Sender, View};
+use crate::heartbeat::{conn_key, decode_any, AnyHb, ConnHb, HbFrame, HbPayload};
 use crate::join::Join;
 use crate::linkmon::next_silence;
 use crate::metrics::{HbBandwidth, ServerMetrics};
@@ -61,15 +63,6 @@ fn role_byte(role: Role) -> u8 {
         Role::Primary => 0,
         Role::Backup => 1,
     }
-}
-
-/// Derives a boot-incarnation epoch for the delta-heartbeat protocol from
-/// the boot instant: deterministic (replay-stable), distinct across
-/// reboots within one run, and never 0 — a zero epoch always means "none
-/// seen yet".
-fn epoch_from(now: SimTime) -> u32 {
-    let n = now.as_micros();
-    ((n ^ (n >> 32)) as u32) | 1
 }
 
 /// The stable numeric code a verdict's [`FailureReason`] gets in flight
@@ -149,21 +142,6 @@ pub struct ServerSetup {
     pub pool: bool,
 }
 
-/// How an injected byzantine heartbeat lies (testing): the sender's
-/// payloads remain CRC-valid on the wire but are semantically corrupt,
-/// so only the receiver's sanity check can stop them.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
-pub enum ByzantineHbMode {
-    /// Re-send the same seqno forever. Receivers must treat the frozen
-    /// payload as stale — counting it as liveness is fine, re-applying
-    /// its counters is not.
-    Freeze,
-    /// Advance the seqno but regress the per-connection cumulative
-    /// counters to impossible values. Receivers must reject the whole
-    /// payload (quarantine) rather than mis-verdict a healthy peer.
-    Regress,
-}
-
 /// How an application crash is injected (Demo 4's two scenarios, plus the
 /// RST variant of OS cleanup).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
@@ -231,20 +209,9 @@ enum AppLife {
 /// rebuilt at every boot. (A wiring call before the world starts only
 /// widens the per-link state in place.)
 struct Ram {
-    // ----- heartbeat sender state -----
-    /// This boot incarnation; acks from a previous incarnation are void.
-    hb_epoch: u32,
-    /// Sockets the endpoint reported touched that no heartbeat round has
-    /// looked at yet (see [`StTcpServer::absorb_touched`]); dropped at
-    /// each heartbeat tick that runs no round.
-    hb_touched: Vec<SocketId>,
-    /// Heartbeat-round scratch, kept for its capacity:
-    /// the candidate `(key, slot)`s, the records owed to each member, and
-    /// one member's records per link. (Each member's own stream state is
-    /// on its [`MemberState`].)
-    hb_cands: Vec<(u32, SlotId)>,
-    hb_owed: Vec<Vec<ConnHb>>,
-    hb_link_recs: Vec<Vec<ConnHb>>,
+    /// The heartbeat sender: epoch, seqno, touched feed and what every
+    /// member acknowledged.
+    hb: Sender,
 
     tcp: TcpEndpoint,
     app: AppLife,
@@ -280,9 +247,6 @@ struct Ram {
     /// When the ping timer fires (see [`NetFailureDetector::probe_due`]).
     ping_timer: Option<SimTime>,
 
-    hb_seq: u32,
-    /// Byzantine heartbeat fault injection, if armed (testing).
-    byz_mode: Option<ByzantineHbMode>,
     /// The pool's round state (`None` in pair mode).
     pool: Option<PoolState>,
     took_over: bool,
@@ -329,23 +293,18 @@ impl Ram {
         });
         endpoint.listen(setup.service_port, ListenConfig { tcp, egress });
         let cables = |ip| serial.iter().filter(|&&(_, to)| to == ip).count();
+        let members = member_table(&setup.peers, &setup.sttcp, now, cables);
         let mut ram = Ram {
-            hb_epoch: epoch_from(now),
-            hb_touched: Vec::new(),
-            hb_cands: Vec::new(),
-            hb_owed: Vec::new(),
-            hb_link_recs: Vec::new(),
+            hb: Sender::new(&setup.sttcp, now, &members),
             tcp: endpoint,
             app: AppLife::Alive,
             role,
             ft_mode: true,
             table: ConnTable::default(),
-            members: member_table(&setup.peers, &setup.sttcp, now, cables),
+            members,
             app_detect: AppLagDetector::new(&setup.sttcp),
             net_detect: NetFailureDetector::new(&setup.sttcp, (setup.seed & 0xffff) as u16),
             ping_timer: None,
-            hb_seq: 0,
-            byz_mode: None,
             // Boots with the static rank; a rejoin's `JoinDone` hands
             // over the fresh one.
             pool: setup.pool.then(|| PoolState::new(setup.rank, &setup.peers)),
@@ -470,22 +429,6 @@ impl StTcpServer {
         self.ram.app == AppLife::Alive
     }
 
-    /// The heartbeat record describing the slot's socket right now.
-    fn conn_record(&self, s: SlotId, conn: &TcpConn) -> ConnHb {
-        let ctl = self.ram.table[s].ctl.as_ref();
-        let open = ctl.is_some_and(|c| !c.closed && !c.close_issued);
-        ConnHb {
-            key: self.ram.table[s].key(),
-            last_byte_received: conn.bytes_received(),
-            last_ack_received: conn.last_ack_received(),
-            last_app_byte_written: conn.app_bytes_written(),
-            last_app_byte_read: conn.app_bytes_read(),
-            fin_generated: conn.fin_generated(),
-            rst_generated: conn.rst_generated(),
-            app_suspected: self.ram.app == AppLife::Suspected && open,
-        }
-    }
-
     /// Binds `key` to `sock` with fresh control state, keeping the
     /// endpoint's tracked set (what [`TcpEndpoint::totals`] sums) equal
     /// to the sockets the key index resolves to. A displaced socket
@@ -547,16 +490,6 @@ impl StTcpServer {
             || slot.ctl.as_ref().is_some_and(|c| c.recovering)
     }
 
-    /// The table's share of voiding a member's acks of this server's
-    /// heartbeat frames (its new incarnation, a takeover, a join): every
-    /// cached record counts as unacknowledged again.
-    fn unack_cached(&mut self) {
-        let cached: Vec<SlotId> = self.ram.table.cached().map(|(s, _)| s).collect();
-        for s in cached {
-            self.ram.table.insert(Set::Unacked, s);
-        }
-    }
-
     /// Drains the endpoint's touched feed into its two consumers: the
     /// next heartbeat round (records that may have changed) and,
     /// after a takeover, the receive-hole check. Both the heartbeat and
@@ -571,7 +504,7 @@ impl StTcpServer {
                 }
             }
         }
-        self.ram.hb_touched.extend(touched);
+        self.ram.hb.touch(touched);
     }
 
     /// A snapshot of every socket with control state, in `SocketId`
@@ -690,9 +623,9 @@ impl StTcpServer {
                 return Err(format!("conn {key:08x} lags outside the lag set"));
             }
         }
-        if let Some((_, key)) = self
-            .scan_unacked()
-            .find(|&(s, _)| !self.ram.table.contains(Set::Unacked, s))
+        let (table, members) = (&self.ram.table, &self.ram.members);
+        if let Some((_, key)) = (self.ram.hb.scan_unacked(table, members))
+            .find(|&(s, _)| !table.contains(Set::Unacked, s))
         {
             return Err(format!("conn {key:08x} unacked outside the unacked set"));
         }
@@ -772,7 +705,7 @@ impl StTcpServer {
     /// heartbeat it sends lies per `mode` while remaining CRC-valid.
     /// Receivers must quarantine the stream, not mis-verdict.
     pub fn inject_byzantine_hb(&mut self, mode: ByzantineHbMode) {
-        self.ram.byz_mode = Some(mode);
+        self.ram.hb.lie(mode);
     }
 
     // ----- internal: TCP event handling ------------------------------------
@@ -962,41 +895,6 @@ impl StTcpServer {
 
     // ----- internal: heartbeats ---------------------------------------------
 
-    /// Sends one heartbeat frame of `conns` records, counts it into
-    /// `round` and records its `HbEmit` — none of the three for an
-    /// unresolved IP destination or a packet over 65 535 B.
-    #[allow(clippy::too_many_arguments)]
-    fn emit_hb(
-        &self,
-        ctx: &mut NodeCtx<'_>,
-        round: &mut HbBandwidth,
-        span: SpanId,
-        seqno: u32,
-        link: u8,
-        via: Via,
-        wire: &Bytes,
-        conns: u32,
-    ) {
-        let bytes = wire.len() as u32;
-        match via {
-            Via::Ip(to) => {
-                let Some(frame) = self.iface.frame_to(to, IpProto::Heartbeat, wire.clone()) else {
-                    return;
-                };
-                ctx.send_frame(self.iface.nic, frame);
-            }
-            Via::Serial(port) => ctx.send_serial(port, wire.clone()),
-        }
-        round.add_frame(u64::from(conns), u64::from(bytes));
-        let kind = FlightKind::HbEmit {
-            seqno,
-            link,
-            bytes,
-            conns,
-        };
-        ctx.flight(span, SpanId::NONE, kind);
-    }
-
     /// Records a heartbeat's arrival on flight link `link` and makes it
     /// the evidence a later verdict is parented to.
     fn note_hb_rx(&mut self, ctx: &mut NodeCtx<'_>, hb: &HbPayload, link: u8) {
@@ -1182,7 +1080,7 @@ impl StTcpServer {
             m.forget_stream();
             m.rx_epoch = f.epoch;
             m.mirror.iter_mut().for_each(|(_, p)| p.last_update_seq = 0);
-            self.unack_cached();
+            self.ram.hb.void(&mut self.ram.table, Some(src));
         }
         let m = self.ram.members.get_mut(&src).expect("admitted above");
         let applied = m.links[link].applied;
@@ -1230,69 +1128,20 @@ impl StTcpServer {
             m.hb.advance(hb, now);
         }
         m.hb.credit(hblink, now, &mut self.metrics);
-        // The member's cumulative acks of our frames, valid only while
-        // they refer to this boot incarnation.
-        if let Some(f) = f.filter(|f| f.ack_epoch == self.ram.hb_epoch) {
-            m.ack_epoch = f.ack_epoch;
-            for (l, &a) in m.links.iter_mut().zip(&f.acks) {
-                if a != 0 && (l.acked == 0 || seq_newer(a, l.acked)) {
-                    l.acked = a;
-                }
-            }
+        if let Some(f) = f {
+            self.ram.hb.ack(src, f.ack_epoch, &f.acks);
         }
         // Equal seqno is the same round's frame on another link: vetted,
         // then skipped per record like a strictly older one.
         self.apply_records(now, hb, src);
     }
 
-    /// The replaced whole-cache selection walk, kept as the differential
-    /// oracle for the unacked set: every cached record some unfenced
-    /// member's acks do not cover, in key order.
-    fn scan_unacked(&self) -> impl Iterator<Item = (SlotId, u32)> + '_ {
-        let (epoch, members) = (self.ram.hb_epoch, &self.ram.members);
-        let owed = move |key, changed_at| {
-            (members.values()).any(|m| !m.fenced && !m.covers(epoch, key, changed_at))
-        };
-        let cached = self.ram.table.cached();
-        cached
-            .filter(move |(_, e)| owed(e.rec.key, e.changed_at))
-            .map(|(s, e)| (s, e.rec.key))
-    }
-
-    /// One heartbeat round, member by member: each gets full state
-    /// until it has acknowledged this boot incarnation (covering loss,
-    /// takeover, reboot, and join without any extra signalling), then
-    /// the dirty-until-acked records its own acks do not cover. Under
-    /// `hb_delta` a member gets every record on its address and shard
-    /// `key % n` on the `n` cables to it; otherwise (v1) it never
-    /// acknowledges, so it gets the whole cache: the round's one v1
-    /// frame, copied to every link.
+    /// One heartbeat round ([`crate::hbsend`]), sent, counted and recorded
+    /// frame by frame. The watchdog reports on the first round
+    /// `watchdog_timeout` or more after a crash (the §4.2.2 extension),
+    /// which changes every open record.
     fn send_heartbeats(&mut self, ctx: &mut NodeCtx<'_>) {
-        // A frozen byzantine sender re-uses the last seqno forever;
-        // receivers treat the payload as stale and never re-apply it.
-        if self.ram.byz_mode != Some(ByzantineHbMode::Freeze) {
-            self.ram.hb_seq = self.ram.hb_seq.wrapping_add(1);
-        }
         let now = ctx.now();
-        let (seq, epoch) = (self.ram.hb_seq, self.ram.hb_epoch);
-        let regress = self.ram.byz_mode == Some(ByzantineHbMode::Regress);
-        let v1 = !self.setup.sttcp.hb_delta;
-        // Owed full state: a v1 member, fenced or not; an unfenced member
-        // with no valid acks for this incarnation yet (a fenced one is
-        // owed nothing until it rejoins, which voids its acks anyway) —
-        // or every member, from a byzantine sender, which must lie about
-        // every connection.
-        let full = |m: &MemberState| regress || v1 || (!m.fenced && m.ack_epoch != epoch);
-        let any_full = self.ram.members.values().any(|m| full(m));
-        // Refresh the record cache. The candidates are the endpoint's
-        // touched feed plus every record that may still await an ack, so
-        // idle connections cost nothing per heartbeat period; the one
-        // signal that changes with *time* is the watchdog's (§4.2.2
-        // extension) report of a crash, made once, on the first round
-        // `watchdog_timeout` or more after it: it changes every open
-        // record, so that round refreshes every bound one. Key order,
-        // each key once: a touched socket stands for whatever its key
-        // resolves to now.
         self.absorb_touched();
         let report = match (self.ram.app, self.setup.sttcp.watchdog_timeout) {
             (AppLife::Crashed(at), Some(t)) => now.saturating_since(at) >= t,
@@ -1301,140 +1150,58 @@ impl StTcpServer {
         if report {
             self.ram.app = AppLife::Suspected;
         }
-        let mut cands = std::mem::take(&mut self.ram.hb_cands);
-        cands.clear();
-        if any_full || report {
-            cands.extend(self.ram.table.bound().map(|(key, s, _)| (key, s)));
-        } else {
-            let unacked = self.ram.table.members(Set::Unacked);
-            let touched = self.ram.hb_touched.iter();
-            let touched = touched.filter_map(|&sock| self.ram.table.by_sock(sock));
-            let slots = touched.map(|s| self.ram.table.home(s)).chain(unacked);
-            cands.extend(slots.map(|s| (self.ram.table[s].key(), s)));
-            cands.sort_unstable();
-            cands.dedup();
-        }
-        self.ram.hb_touched.clear();
-        self.metrics.on_timer_visits(cands.len());
-        for &(_, s) in &cands {
-            let conn = self.ram.table[s]
-                .sock()
-                .and_then(|sock| self.ram.tcp.conn(sock));
-            let Some(rec) = conn.map(|conn| self.conn_record(s, conn)) else {
-                self.ram.table[s].cache = None;
-                continue;
-            };
-            if self.ram.table[s].cache.is_some_and(|e| e.rec == rec) {
-                continue;
-            }
-            self.ram.table[s].cache = Some(HbCacheEntry {
-                rec,
-                changed_at: seq,
-            });
-            self.ram.table.insert(Set::Unacked, s);
-        }
-        self.ram.hb_cands = cands;
-        // What each member is owed, in key order: the whole cache, or the
-        // records its acks do not cover — all in the unacked set, which
-        // sheds a record once every unfenced member's acks cover it (acks
-        // only advance between resets: it never needs another look).
-        let mut owed = std::mem::take(&mut self.ram.hb_owed);
-        owed.resize_with(self.ram.members.len(), Vec::new);
-        owed.iter_mut().for_each(Vec::clear);
-        let slots: Vec<SlotId> = match any_full {
-            true => self.ram.table.cached().map(|(s, _)| s).collect(),
-            false => self.ram.table.members(Set::Unacked),
+        let (tcp, suspected) = (&self.ram.tcp, self.ram.app == AppLife::Suspected);
+        let view = View {
+            role: self.ram.role,
+            rank: self.pool_rank(),
+            ping: self.ram.net_detect.report(),
+            report,
+            record: |table: &ConnTable, s| {
+                let conn = tcp.conn(table[s].sock()?)?;
+                let open = (table[s].ctl.as_ref()).is_some_and(|c| !c.closed && !c.close_issued);
+                Some(ConnHb {
+                    key: table[s].key(),
+                    last_byte_received: conn.bytes_received(),
+                    last_ack_received: conn.last_ack_received(),
+                    last_app_byte_written: conn.app_bytes_written(),
+                    last_app_byte_read: conn.app_bytes_read(),
+                    fin_generated: conn.fin_generated(),
+                    rst_generated: conn.rst_generated(),
+                    app_suspected: suspected && open,
+                })
+            },
         };
-        self.metrics.on_timer_visits(slots.len());
-        // Every v1 member is owed the whole cache: the first one's list
-        // stands for all of them, and its payload is encoded once.
-        let (members, table) = (&self.ram.members, &mut self.ram.table);
-        for s in slots {
-            let Some(e) = table[s].cache else {
-                table.remove(Set::Unacked, s);
-                continue;
-            };
-            let mut rec = e.rec;
-            // Cumulative counters never shrink: a regression is the
-            // canonical semantically-impossible lie.
-            if regress {
-                rec.last_byte_received = rec.last_byte_received.saturating_sub(100_000);
-                rec.last_app_byte_read = rec.last_app_byte_read.saturating_sub(100_000);
-            }
-            let mut owed_any = false;
-            for (i, (recs, m)) in owed.iter_mut().zip(members.values()).enumerate() {
-                let owes = full(m) || !m.covers(epoch, rec.key, e.changed_at);
-                if owes && !(v1 && i > 0) {
-                    recs.push(rec);
-                }
-                owed_any |= owes && !m.fenced;
-            }
-            if !any_full && !owed_any {
-                table.remove(Set::Unacked, s);
-            }
-        }
-        #[cfg(debug_assertions)]
-        if !any_full {
-            let kept = self.ram.table.members(Set::Unacked);
-            let kept = kept.iter().map(|&s| self.ram.table[s].key());
-            debug_assert!(
-                kept.eq(self.scan_unacked().map(|(_, key)| key)),
-                "unacked set diverged from the whole-cache walk"
-            );
-        }
-        let (role, rank) = (self.ram.role, self.pool_rank());
-        let ping = self.ram.net_detect.report();
+        let out = (self.ram.hb).round(&mut self.ram.table, &view, &self.ram.members);
+        self.metrics.on_timer_visits(out.visits);
         // Both ends derive the span from wire-observable fields, so emit
         // and receive link up without any wire change.
-        let span = SpanId::heartbeat(role_byte(role), rank, seq);
-        let mut round = HbBandwidth::default();
-        // Every member's share, link by link — its address, then its
-        // cables — split into batch parts when it exceeds the batch knob;
-        // a v1 member's is the one v1 payload of the round.
-        let mut shards = std::mem::take(&mut self.ram.hb_link_recs);
-        let mut v1_wire = None;
-        for ((&ip, m), recs) in self.ram.members.iter().zip(&mut owed) {
-            if v1 {
-                let (wire, n) = v1_wire.get_or_insert_with(|| {
-                    let conns = std::mem::take(recs);
-                    let hb = HbPayload {
-                        seqno: seq,
-                        role,
-                        rank,
-                        conns,
-                        ping,
-                    };
-                    let wire = (hb.encode(), hb.conns.len() as u32);
-                    *recs = hb.conns;
-                    wire
-                });
-                for (link, via) in self.links_to(ip).enumerate() {
-                    self.emit_hb(ctx, &mut round, span, seq, link as u8, via, wire, *n);
-                }
-                continue;
+        let (hdr, mut round) = (out.hdr, HbBandwidth::default());
+        let span = SpanId::heartbeat(role_byte(hdr.role), hdr.rank, hdr.seq);
+        for f in out.frames {
+            // Nothing sent, counted or recorded on a link the member has
+            // no cable for, to an unresolved address or over 65 535 B.
+            let bytes = f.wire.len() as u32;
+            match self.links_to(f.to).nth(usize::from(f.link)) {
+                Some(Via::Ip(to)) => match self.iface.frame_to(to, IpProto::Heartbeat, f.wire) {
+                    Some(frame) => ctx.send_frame(self.iface.nic, frame),
+                    None => continue,
+                },
+                Some(Via::Serial(port)) => ctx.send_serial(port, f.wire),
+                None => continue,
             }
-            let kind = match full(m) {
-                true => HbFrameKind::Full,
-                false => HbFrameKind::Delta,
-            };
-            shards.resize_with(m.links.len(), Vec::new);
-            shards.iter_mut().for_each(Vec::clear);
-            let recs = &*recs;
-            for &rec in recs {
-                shards[m.shard_link(rec.key)].push(rec);
-            }
-            for (link, via) in self.links_to(ip).enumerate() {
-                let recs = if link == 0 { recs } else { &shards[link] };
-                let (link, batch) = (link as u8, self.setup.sttcp.hb_batch);
-                let frames = m.link_frames(kind, epoch, link, seq, role, rank, ping, recs, batch);
-                for f in frames {
-                    let n = f.hb.conns.len() as u32;
-                    self.emit_hb(ctx, &mut round, span, seq, link, via, &f.encode(), n);
-                }
-            }
+            round.add_frame(u64::from(f.conns), u64::from(bytes));
+            let (seqno, link, conns) = (hdr.seq, f.link, f.conns);
+            ctx.flight(
+                span,
+                SpanId::NONE,
+                FlightKind::HbEmit {
+                    seqno,
+                    link,
+                    bytes,
+                    conns,
+                },
+            );
         }
-        self.ram.hb_owed = owed;
-        self.ram.hb_link_recs = shards;
         self.metrics.on_hb_round(round);
     }
 
@@ -1605,11 +1372,7 @@ impl StTcpServer {
         // Delta mode: every member's acks are void; a surviving backup or
         // a future joiner is served full-state frames until it
         // acknowledges this epoch.
-        for m in self.ram.members.values_mut() {
-            m.links.iter_mut().for_each(|l| l.acked = 0);
-            m.ack_epoch = 0;
-        }
-        self.unack_cached();
+        self.ram.hb.void(&mut self.ram.table, None);
         self.flush(ctx);
     }
 
@@ -2104,7 +1867,7 @@ impl StTcpServer {
             // The rebooted joiner's acks of this server's frames are void:
             // full-state frames until it acknowledges.
             self.ram.table.clear_set(Set::Lag);
-            self.unack_cached();
+            self.ram.hb.void(&mut self.ram.table, Some(src));
             self.events
                 .push(StTcpEvent::ReintegrationStarted { at: now });
         }
@@ -2496,10 +2259,7 @@ impl Node for StTcpServer {
                     self.send_heartbeats(ctx);
                     ctx.profile_exit();
                 } else {
-                    // Nothing reads the touched feed until a join resumes
-                    // the rounds, whose first is full state: the join
-                    // voids the joiner's acks.
-                    self.ram.hb_touched.clear();
+                    self.ram.hb.skip();
                 }
                 // A joiner re-requests until the full snapshot set arrives
                 // (any of the join messages may have been lost).
@@ -2610,6 +2370,7 @@ impl Node for StTcpServer {
 mod tests {
     use super::*;
     use crate::app::EchoApp;
+    use crate::heartbeat::HbFrameKind;
     use simnet::mac::MacAddr;
     use simtcp::socket::FourTuple;
 
@@ -2851,7 +2612,7 @@ mod tests {
             let s = world.node_mut::<StTcpServer>(node).expect("server type");
             assert!(s.ram.took_over && !s.ram.ft_mode && s.ram.tcp.conn(sock).is_some());
             s.ram.tcp.inject_in_order(sock, 10 + tick, &x);
-            let n = s.ram.hb_touched.len();
+            let n = s.ram.hb.touched();
             assert!(n <= 4, "{n} touched sockets held after {tick} ticks");
         }
     }

@@ -325,32 +325,6 @@ fn delta_heartbeats_survive_primary_crash() {
 }
 
 #[test]
-fn delta_idle_steady_state_sends_empty_frames() {
-    // Once every connection's counters are acknowledged, delta frames
-    // carry zero records — the O(active) promise on an idle pair.
-    let mut s = ScenarioBuilder::new(echo_app(), ClientWorkload::Idle)
-        .extra_clients(vec![ClientWorkload::Idle; 8])
-        .seed(232)
-        .sttcp(delta_cfg())
-        .serial_links(2)
-        .build();
-    s.world.run_until(t(5_000));
-    let before = s.server(s.primary).metrics().hb_bandwidth();
-    s.world.run_until(t(25_000));
-    let after = s.server(s.primary).metrics().hb_bandwidth();
-    let rounds = after.rounds - before.rounds;
-    let entries = after.conn_entries - before.conn_entries;
-    assert!(rounds >= 90, "expected ~100 idle rounds, got {rounds}");
-    assert_eq!(
-        entries, 0,
-        "idle delta rounds must carry no connection records"
-    );
-    // And the pair still converged on all 9 connections.
-    assert_eq!(s.server(s.primary).conn_keys().len(), 9);
-    assert_eq!(s.server(s.backup).conn_keys().len(), 9);
-}
-
-#[test]
 fn delta_serial_shards_survive_ip_heartbeat_loss() {
     // Kill the primary's NIC: only the sharded serial links remain, and
     // the net-lag detector must still fire through them (the IP frame
@@ -476,7 +450,8 @@ fn heartbeat_payload_reflects_role_and_ping_state() {
 /// records to the address and both cables — 3 frames, 27 records. A
 /// delta full-state round (the primary's at 200 ms: the clients connected
 /// from 100 ms, and no ack of its boot is back yet) sends the nine once
-/// on the address and shards them across the cables.
+/// on the address and shards them across the cables; idle and acked, its
+/// rounds go on with three empty frames each.
 #[test]
 fn v1_rounds_copy_every_record_to_every_cable() {
     for (cfg, records) in [(StTcpConfig::default(), 27), (delta_cfg(), 9 + 9)] {
@@ -498,10 +473,11 @@ fn v1_rounds_copy_every_record_to_every_cable() {
             )
         };
         assert_eq!(window(199, 201), (1, 3, records));
-        if !cfg.hb_delta {
-            assert_eq!(window(4_999, 9_001), (21, 21 * 3, 21 * 27));
+        let idle = if cfg.hb_delta { 0 } else { 21 * 27 };
+        assert_eq!(window(4_999, 9_001), (21, 21 * 3, idle));
+        for server in [s.primary, s.backup] {
+            assert_eq!(s.server(server).conn_keys().len(), 9);
         }
-        assert_eq!(s.server(s.backup).conn_keys().len(), 9);
     }
 }
 
