@@ -475,7 +475,7 @@ impl TcpClient {
             let sent = self.tcp.poll_packets_with(now, |pkt| {
                 if pkt.proto == IpProto::Tcp {
                     if let Some(h) = peek_segment(&pkt.payload) {
-                        h.record(ctx, true);
+                        ctx.flight_segment(h, true);
                     }
                 }
                 if let Some(frame) = iface.encap(&pkt) {
@@ -509,7 +509,7 @@ impl Node for TcpClient {
                 }
                 IpProto::Tcp if self.iface.accepts(pkt.dst) => {
                     if let Some(h) = peek_segment(&pkt.payload) {
-                        h.record(ctx, false);
+                        ctx.flight_segment(h, false);
                     }
                     ctx.profile_enter(Component::Tcp);
                     self.tcp.on_packet(ctx.now(), &pkt);

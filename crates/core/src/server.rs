@@ -2142,7 +2142,7 @@ impl StTcpServer {
             for pkt in pkts.drain(..) {
                 if pkt.proto == IpProto::Tcp {
                     if let Some(h) = peek_segment(&pkt.payload) {
-                        h.record(ctx, true);
+                        ctx.flight_segment(h, true);
                     }
                 }
                 if let Some(frame) = self.iface.encap(&pkt) {
@@ -2208,7 +2208,7 @@ impl StTcpServer {
                 if pkt.dst == self.setup.service_ip || pkt.dst == self.setup.private_ip =>
             {
                 if let Some(h) = peek_segment(&pkt.payload) {
-                    h.record(ctx, false);
+                    ctx.flight_segment(h, false);
                 }
                 ctx.profile_enter(Component::Tcp);
                 self.ram.tcp.on_packet(now, pkt);

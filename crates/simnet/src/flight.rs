@@ -1,11 +1,14 @@
 //! The always-on flight recorder: causally-linked spans over the
 //! datapath.
 //!
-//! Every host owns a bounded [`Ring`](crate::ring::Ring) of
-//! [`FlightEvent`]s, recorded from inside node dispatch (events are
-//! `Copy`; a ring starts empty, grows by doubling to its bound and
-//! allocates nothing once it holds it — a host that records twenty
-//! events in its life pays for twenty, not for the bound).
+//! Every host owns a bounded ring of 32-byte entries, recorded from
+//! inside node dispatch (a ring starts empty, grows by doubling to its
+//! bound and allocates nothing once it holds it — a host that records
+//! twenty events in its life pays for twenty, not for the bound). A
+//! segment, the record nearly every send and delivery makes, is stored
+//! as the header its host saw; its [`FlightEvent`] — kind, connection
+//! tag and [`SpanId::segment`] — is derived only when a snapshot is
+//! taken. Any other event is kept whole in the host's side FIFO.
 //! When a run ends in an invariant violation, the harness snapshots the
 //! rings — the last N ms of segment, heartbeat, fence, fault, and
 //! verdict activity, causally linked by span id — and the `obs` crate
@@ -23,10 +26,10 @@
 //! single-threaded per world; workers only fan out across seeds).
 
 use core::fmt;
+use std::collections::VecDeque;
 
 use crate::hash::{fnv1a_by, FNV_OFFSET};
 use crate::node::NodeId;
-use crate::ring::Ring;
 use crate::time::{SimDuration, SimTime};
 
 /// Default per-host ring capacity, in events. At chaos traffic rates
@@ -122,7 +125,8 @@ impl fmt::Display for SpanId {
 pub enum FlightKind {
     /// A TCP segment left a node.
     SegSend {
-        /// Connection key: `src_port << 16 | dst_port` as seen by the sender.
+        /// Connection tag: [`SegmentHeader::conn_tag`], the two ports
+        /// sorted, the same for both directions.
         conn: u32,
         /// Sequence number from the header.
         seq: u32,
@@ -133,7 +137,7 @@ pub enum FlightKind {
     },
     /// A TCP segment reached node logic.
     SegDeliver {
-        /// Connection key: `src_port << 16 | dst_port` as on the wire.
+        /// Connection tag: [`SegmentHeader::conn_tag`].
         conn: u32,
         /// Sequence number from the header.
         seq: u32,
@@ -142,9 +146,10 @@ pub enum FlightKind {
         /// Header flag bits.
         flags: u8,
     },
-    /// An acknowledgement was processed for a span's segment.
+    /// A bare acknowledgement (no payload, no SYN/FIN/RST) was sent or
+    /// delivered.
     SegAck {
-        /// Connection key of the acked direction.
+        /// Connection tag: [`SegmentHeader::conn_tag`].
         conn: u32,
         /// Cumulative ack number.
         ack: u32,
@@ -385,8 +390,9 @@ impl FlightKind {
     }
 }
 
-/// One recorded event. `Copy`, so recording is a struct store into
-/// the host's ring — no allocation once the ring holds its bound.
+/// One event, as a snapshot renders it. `Copy`; a segment's is rebuilt
+/// from its ring entry, any other is stored whole in its host's side
+/// FIFO.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct FlightEvent {
     /// Global record sequence number: the total order across all hosts.
@@ -403,10 +409,225 @@ pub struct FlightEvent {
     pub kind: FlightKind,
 }
 
-// A full ring is `capacity × size_of::<FlightEvent>()` per busy host
-// (64 KiB at the default 1024): a new `FlightKind` field that pushes the
-// event past 64 bytes would double that silently.
+// A side-FIFO slot is a push index plus an event: a new `FlightKind`
+// field that pushes the event past 64 bytes would grow every host that
+// records heartbeats, fences or verdicts silently.
 const _: () = assert!(std::mem::size_of::<FlightEvent>() <= 64);
+
+/// The header fields of one TCP segment as a host saw it: what a
+/// segment record stores. The event it stands for — kind, connection
+/// tag and span — is derived from them when a snapshot is taken.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct SegmentHeader {
+    /// Source port.
+    pub src_port: u16,
+    /// Destination port.
+    pub dst_port: u16,
+    /// Raw sequence number.
+    pub seq: u32,
+    /// Raw acknowledgment number.
+    pub ack: u32,
+    /// The raw flag byte (the TCP flag-byte encoding).
+    pub flags: u8,
+    /// Payload bytes after the header.
+    pub len: u32,
+}
+
+impl SegmentHeader {
+    /// A direction-independent connection tag (the two ports, sorted),
+    /// identical for both flows of one connection on every host.
+    pub fn conn_tag(&self) -> u32 {
+        let lo = self.src_port.min(self.dst_port) as u32;
+        let hi = self.src_port.max(self.dst_port) as u32;
+        lo | (hi << 16)
+    }
+
+    /// True for a bare acknowledgment: no payload and no SYN/FIN/RST.
+    pub fn is_pure_ack(&self) -> bool {
+        self.len == 0 && self.flags & 0x07 == 0 && self.flags & 0x10 != 0
+    }
+
+    /// The span and kind of this segment's record, sent (`outbound`) or
+    /// delivered. Both ends of the wire derive the same span from the
+    /// header fields, so one host's sends pair with the other's
+    /// delivers in a dump.
+    fn event(&self, outbound: bool) -> (SpanId, FlightKind) {
+        let (conn, seq, len, flags) = (self.conn_tag(), self.seq, self.len, self.flags);
+        let kind = if self.is_pure_ack() {
+            FlightKind::SegAck {
+                conn,
+                ack: self.ack,
+            }
+        } else if outbound {
+            FlightKind::SegSend {
+                conn,
+                seq,
+                len,
+                flags,
+            }
+        } else {
+            FlightKind::SegDeliver {
+                conn,
+                seq,
+                len,
+                flags,
+            }
+        };
+        let span = SpanId::segment(self.src_port, self.dst_port, seq, flags);
+        (span, kind)
+    }
+}
+
+/// What a ring entry holds.
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+enum Tag {
+    /// An event kept whole in the host's side FIFO.
+    #[default]
+    Other,
+    /// A segment the host sent.
+    Send,
+    /// A segment the host delivered.
+    Deliver,
+}
+
+/// One ring slot: a segment's header fields (its payload length
+/// narrowed to `u16`), record number and time, or a stand-in for an
+/// event of another kind.
+#[derive(Debug, Clone, Copy, Default)]
+struct Entry {
+    seq: u64,
+    time: SimTime,
+    src_port: u16,
+    dst_port: u16,
+    seg_seq: u32,
+    ack: u32,
+    len: u16,
+    flags: u8,
+    tag: Tag,
+}
+
+// A full ring is `capacity × 32` bytes per busy host (32 KiB at the
+// default 1024).
+const _: () = assert!(std::mem::size_of::<Entry>() == 32);
+
+impl Entry {
+    /// The segment event this entry stands for, recorded on `node`.
+    fn segment_event(&self, node: Option<NodeId>) -> FlightEvent {
+        let header = SegmentHeader {
+            src_port: self.src_port,
+            dst_port: self.dst_port,
+            seq: self.seg_seq,
+            ack: self.ack,
+            flags: self.flags,
+            len: u32::from(self.len),
+        };
+        let (span, kind) = header.event(self.tag == Tag::Send);
+        FlightEvent {
+            seq: self.seq,
+            time: self.time,
+            node,
+            span,
+            parent: SpanId::NONE,
+            kind,
+        }
+    }
+}
+
+/// One host's ring: its newest records up to the recorder's bound,
+/// oldest first, and a count of those evicted. Push `k` lives in slot
+/// `k & (slots.len() - 1)`. `slots` starts empty and doubles as the
+/// ring fills, up to the bound rounded up to a power of two; a push at
+/// the bound evicts the oldest record first, so a full ring neither
+/// allocates nor grows again.
+#[derive(Debug, Clone, Default)]
+struct HostRing {
+    slots: Vec<Entry>,
+    /// The next record's push index.
+    pushed: u64,
+    /// The oldest retained record's push index. Every record below it
+    /// was evicted, so it is also the eviction count.
+    oldest: u64,
+    /// Each retained *other* record's push index and whole event,
+    /// oldest first.
+    others: VecDeque<(u64, FlightEvent)>,
+}
+
+impl HostRing {
+    /// Records retained.
+    fn len(&self) -> usize {
+        (self.pushed - self.oldest) as usize
+    }
+
+    /// Stores `entry` as the newest record, evicting the oldest when the
+    /// ring holds `bound`. Returns its push index, or `None` if the
+    /// bound is 0 (the record is counted as evicted).
+    #[inline]
+    fn push(&mut self, bound: usize, entry: Entry) -> Option<u64> {
+        let k = self.pushed;
+        if bound == 0 {
+            self.pushed += 1;
+            self.oldest = self.pushed;
+            return None;
+        }
+        if self.len() == bound {
+            self.evict_oldest();
+        } else if self.len() == self.slots.len() {
+            self.resize((2 * self.len()).max(4).min(bound.next_power_of_two()));
+        }
+        let mask = self.slots.len() - 1;
+        self.slots[k as usize & mask] = entry;
+        self.pushed = k + 1;
+        Some(k)
+    }
+
+    /// Drops the oldest record. Reads nothing from the slots: the side
+    /// FIFO's front push index says whether it was an *other*.
+    #[inline]
+    fn evict_oldest(&mut self) {
+        if self.others.front().is_some_and(|&(k, _)| k == self.oldest) {
+            self.others.pop_front();
+        }
+        self.oldest += 1;
+    }
+
+    /// Moves the retained records into `n` slots (a power of two no
+    /// smaller than `len`, or 0 for an empty ring).
+    #[cold]
+    fn resize(&mut self, n: usize) {
+        let mut slots = vec![Entry::default(); n];
+        for k in self.oldest..self.pushed {
+            slots[k as usize & (n - 1)] = self.slots[k as usize & (self.slots.len() - 1)];
+        }
+        self.slots = slots;
+    }
+
+    /// Applies a new bound: evicts the oldest records beyond it and
+    /// releases storage beyond it (rounded up to a power of two).
+    fn set_bound(&mut self, bound: usize) {
+        while self.len() > bound {
+            self.evict_oldest();
+        }
+        let keep = if bound == 0 {
+            0
+        } else {
+            bound.next_power_of_two()
+        };
+        if self.slots.len() > keep {
+            self.resize(keep);
+        }
+        self.others.shrink_to(bound);
+    }
+
+    /// The retained records as events, oldest first; `node` owns the
+    /// ring.
+    fn events(&self, node: Option<NodeId>) -> impl Iterator<Item = FlightEvent> + '_ {
+        let mut others = self.others.iter().peekable();
+        (self.oldest..self.pushed).map(move |k| match others.next_if(|&&(i, _)| i == k) {
+            Some(&(_, event)) => event,
+            None => self.slots[k as usize & (self.slots.len() - 1)].segment_event(node),
+        })
+    }
+}
 
 /// A captured flight-recorder snapshot, ready for a renderer: the
 /// causally-linked events plus the host names their `node` ids index
@@ -433,7 +654,7 @@ pub struct FlightSnapshot {
 /// what each host actually recorded below that).
 #[derive(Debug, Clone)]
 pub struct FlightRecorder {
-    rings: Vec<Ring<FlightEvent>>,
+    rings: Vec<HostRing>,
     capacity: usize,
     next_seq: u64,
 }
@@ -449,7 +670,7 @@ impl FlightRecorder {
     /// world ring only; host rings are added as nodes are created.
     pub fn new() -> FlightRecorder {
         FlightRecorder {
-            rings: vec![Ring::bounded(DEFAULT_FLIGHT_CAPACITY)],
+            rings: vec![HostRing::default()],
             capacity: DEFAULT_FLIGHT_CAPACITY,
             next_seq: 0,
         }
@@ -457,7 +678,7 @@ impl FlightRecorder {
 
     /// Registers one more host ring (called by the world per node).
     pub(crate) fn add_host(&mut self) {
-        self.rings.push(Ring::bounded(self.capacity));
+        self.rings.push(HostRing::default());
     }
 
     /// Sets the per-host ring capacity, applied to every existing ring
@@ -465,7 +686,7 @@ impl FlightRecorder {
     pub fn set_capacity(&mut self, capacity: usize) {
         self.capacity = capacity;
         for r in &mut self.rings {
-            r.set_capacity(capacity);
+            r.set_bound(capacity);
         }
     }
 
@@ -474,9 +695,16 @@ impl FlightRecorder {
         self.capacity
     }
 
-    /// Records one event: a sequence-number bump and a `Copy` store
-    /// into the owner's ring (which allocates only while still growing
-    /// toward its bound).
+    /// The next record's sequence number, taken.
+    #[inline]
+    fn take_seq(&mut self) -> u64 {
+        self.next_seq += 1;
+        self.next_seq - 1
+    }
+
+    /// Records one event: a sequence-number bump, a ring entry and the
+    /// event itself in the owner's side FIFO (each allocates only while
+    /// still growing toward its bound).
     #[inline]
     pub fn record(
         &mut self,
@@ -491,16 +719,69 @@ impl FlightRecorder {
             Some(_) => 0, // defensive: unknown node falls into the world ring
             None => 0,
         };
-        let seq = self.next_seq;
-        self.next_seq += 1;
-        self.rings[idx].push(FlightEvent {
+        let seq = self.take_seq();
+        let ring = &mut self.rings[idx];
+        let entry = Entry {
             seq,
             time,
-            node,
-            span,
-            parent,
-            kind,
-        });
+            ..Entry::default()
+        };
+        if let Some(k) = ring.push(self.capacity, entry) {
+            let event = FlightEvent {
+                seq,
+                time,
+                node,
+                span,
+                parent,
+                kind,
+            };
+            ring.others.push_back((k, event));
+        }
+    }
+
+    /// Records one TCP segment `node` sent (`outbound`) or delivered: a
+    /// sequence-number bump and a 32-byte store of its header, with no
+    /// span hashed. An unregistered node, or a payload longer than
+    /// `u16::MAX`, is recorded through [`FlightRecorder::record`].
+    #[inline]
+    pub fn record_segment(
+        &mut self,
+        node: NodeId,
+        time: SimTime,
+        header: SegmentHeader,
+        outbound: bool,
+    ) {
+        let idx = node.0 + 1;
+        let (Ok(len), true) = (u16::try_from(header.len), idx < self.rings.len()) else {
+            return self.record_whole_segment(node, time, header, outbound);
+        };
+        let entry = Entry {
+            seq: self.take_seq(),
+            time,
+            src_port: header.src_port,
+            dst_port: header.dst_port,
+            seg_seq: header.seq,
+            ack: header.ack,
+            len,
+            flags: header.flags,
+            tag: if outbound { Tag::Send } else { Tag::Deliver },
+        };
+        self.rings[idx].push(self.capacity, entry);
+    }
+
+    /// The segment [`FlightRecorder::record_segment`] cannot store as an
+    /// entry, recorded as its whole event.
+    #[cold]
+    #[inline(never)]
+    fn record_whole_segment(
+        &mut self,
+        node: NodeId,
+        time: SimTime,
+        header: SegmentHeader,
+        outbound: bool,
+    ) {
+        let (span, kind) = header.event(outbound);
+        self.record(Some(node), time, span, SpanId::NONE, kind);
     }
 
     /// Total events recorded (including evicted ones).
@@ -510,38 +791,119 @@ impl FlightRecorder {
 
     /// Total events evicted across all rings.
     pub fn dropped(&self) -> u64 {
-        self.rings.iter().map(Ring::dropped).sum()
+        self.rings.iter().map(|r| r.oldest).sum()
     }
 
     /// Total events currently retained across all rings.
     pub fn len(&self) -> usize {
-        self.rings.iter().map(Ring::len).sum()
+        self.rings.iter().map(HostRing::len).sum()
     }
 
     /// True if no events are retained.
     pub fn is_empty(&self) -> bool {
-        self.rings.iter().all(Ring::is_empty)
+        self.rings.iter().all(|r| r.len() == 0)
     }
 
     /// Merges every ring into one record-order sequence, keeping only
     /// events within `window` of the newest event (pass `None` for
     /// everything retained). This is the dump the harness writes when a
-    /// run violates an invariant.
+    /// run violates an invariant; segment events are rebuilt here.
     pub fn snapshot(&self, window: Option<SimDuration>) -> Vec<FlightEvent> {
-        let mut out: Vec<FlightEvent> = self.rings.iter().flat_map(|r| r.iter().copied()).collect();
-        out.sort_by_key(|e| e.seq);
-        if let Some(w) = window {
-            if let Some(&last) = out.last() {
-                out.retain(|e| last.time.saturating_since(e.time) <= w);
+        let events = self.rings.iter().enumerate();
+        let events = events.flat_map(|(i, r)| r.events(i.checked_sub(1).map(NodeId)));
+        merge(events.collect(), window)
+    }
+}
+
+/// Sorts `events` into record order and keeps those within `window` of
+/// the newest.
+fn merge(mut events: Vec<FlightEvent>, window: Option<SimDuration>) -> Vec<FlightEvent> {
+    events.sort_by_key(|e| e.seq);
+    if let Some(w) = window {
+        if let Some(&last) = events.last() {
+            events.retain(|e| last.time.saturating_since(e.time) <= w);
+        }
+    }
+    events
+}
+
+/// The recorder the 32-byte rings replaced — every host's events whole,
+/// in a `VecDeque` — kept as the differential test's oracle.
+#[cfg(test)]
+struct FullRecorder {
+    /// Per ring: the retained events and the evicted count.
+    rings: Vec<(VecDeque<FlightEvent>, u64)>,
+    capacity: usize,
+    next_seq: u64,
+}
+
+#[cfg(test)]
+impl FullRecorder {
+    fn new(hosts: usize) -> FullRecorder {
+        FullRecorder {
+            rings: vec![(VecDeque::new(), 0); hosts + 1],
+            capacity: DEFAULT_FLIGHT_CAPACITY,
+            next_seq: 0,
+        }
+    }
+
+    fn set_capacity(&mut self, capacity: usize) {
+        self.capacity = capacity;
+        for (events, dropped) in &mut self.rings {
+            while events.len() > capacity {
+                events.pop_front();
+                *dropped += 1;
             }
         }
-        out
+    }
+
+    fn record(
+        &mut self,
+        node: Option<NodeId>,
+        time: SimTime,
+        span: SpanId,
+        parent: SpanId,
+        kind: FlightKind,
+    ) {
+        let idx = match node {
+            Some(n) if n.0 + 1 < self.rings.len() => n.0 + 1,
+            _ => 0,
+        };
+        let seq = self.next_seq;
+        self.next_seq += 1;
+        let (events, dropped) = &mut self.rings[idx];
+        events.push_back(FlightEvent {
+            seq,
+            time,
+            node,
+            span,
+            parent,
+            kind,
+        });
+        if events.len() > self.capacity {
+            events.pop_front();
+            *dropped += 1;
+        }
+    }
+
+    fn record_segment(&mut self, node: NodeId, time: SimTime, h: SegmentHeader, outbound: bool) {
+        let (span, kind) = h.event(outbound);
+        self.record(Some(node), time, span, SpanId::NONE, kind);
+    }
+
+    fn snapshot(&self, window: Option<SimDuration>) -> Vec<FlightEvent> {
+        let events = self
+            .rings
+            .iter()
+            .flat_map(|(events, _)| events.iter().copied());
+        merge(events.collect(), window)
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
 
     #[test]
     fn span_ids_are_deterministic_and_domain_separated() {
@@ -697,5 +1059,180 @@ mod tests {
         assert_eq!(fr.dropped(), 16);
         let snap = fr.snapshot(None);
         assert_eq!(snap.first().unwrap().seq, 16, "oldest retained is #16");
+    }
+
+    #[test]
+    fn a_full_segment_ring_holds_32_kib_and_no_side_storage() {
+        let mut fr = FlightRecorder::new();
+        fr.add_host();
+        let header = SegmentHeader {
+            src_port: 80,
+            dst_port: 4000,
+            seq: 1,
+            ack: 2,
+            flags: 0x18,
+            len: 64,
+        };
+        for i in 0..3 * DEFAULT_FLIGHT_CAPACITY as u64 {
+            fr.record_segment(NodeId(0), SimTime::from_micros(i), header, i % 2 == 0);
+        }
+        let ring = &fr.rings[1];
+        assert_eq!(ring.len(), DEFAULT_FLIGHT_CAPACITY);
+        assert_eq!(
+            ring.slots.capacity() * std::mem::size_of::<Entry>(),
+            32 << 10
+        );
+        assert_eq!(ring.others.capacity(), 0, "side storage for segments");
+    }
+
+    #[test]
+    fn empty_bounded_ring_holds_no_storage() {
+        let mut fr = FlightRecorder::new();
+        fr.add_host();
+        fr.set_capacity(4);
+        fr.set_capacity(1024);
+        assert_eq!(fr.rings[1].slots.capacity(), 0, "set_capacity reserved");
+    }
+
+    #[test]
+    fn bounded_ring_never_grows_its_buffer() {
+        // Past its bound, that is: storage follows the contents up to the
+        // bound rounded up to a power of two, and stops there.
+        for bound in [8usize, 100, 1024] {
+            let mut r = HostRing::default();
+            for i in 0..10 * bound {
+                r.push(bound, Entry::default());
+                let slots = r.slots.capacity();
+                assert!(
+                    slots <= bound.next_power_of_two(),
+                    "bound {bound}: storage for {slots} entries after {i} pushes"
+                );
+            }
+            let full = r.slots.capacity();
+            r.push(bound, Entry::default());
+            assert_eq!(r.slots.capacity(), full, "push reallocated at capacity");
+            assert_eq!(r.len(), bound);
+            assert_eq!(r.oldest, 9 * bound as u64 + 1);
+        }
+    }
+
+    #[test]
+    fn lowering_the_bound_releases_the_old_buffer() {
+        let mut fr = FlightRecorder::new();
+        for i in 0..1024u32 {
+            let kind = FlightKind::Fault { index: i };
+            fr.record(None, SimTime::ZERO, SpanId::fault(0), SpanId::NONE, kind);
+        }
+        fr.set_capacity(64);
+        let ring = &fr.rings[0];
+        assert!(
+            ring.slots.capacity() <= 64,
+            "kept {}",
+            ring.slots.capacity()
+        );
+        assert!(
+            ring.others.capacity() <= 64,
+            "kept {}",
+            ring.others.capacity()
+        );
+        assert_eq!(fr.dropped(), 960);
+        assert_eq!(fr.len(), 64);
+        assert_eq!(fr.snapshot(None)[0].seq, 960);
+    }
+
+    /// The bounds the differential test moves between.
+    const BOUNDS: [usize; 5] = [0, 1, 3, 64, 1024];
+
+    /// SplitMix64's output step: the differential test's record source.
+    fn mix(x: u64) -> u64 {
+        let x = x.wrapping_add(0x9e37_79b9_7f4a_7c15);
+        let x = (x ^ (x >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
+        let x = (x ^ (x >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
+        x ^ (x >> 31)
+    }
+
+    /// Applies step `(op, count, seed)` to both recorders: op 0 moves the
+    /// bound to one of [`BOUNDS`]; any other records `count` events
+    /// (most on one host, the rest on hosts 0–2, an unregistered node or
+    /// the world), segments and other kinds interleaved, at times
+    /// advancing from `now`.
+    fn step(
+        fr: &mut FlightRecorder,
+        oracle: &mut FullRecorder,
+        now: &mut u64,
+        (op, count, seed): (u8, u16, u64),
+    ) {
+        if op == 0 {
+            let bound = BOUNDS[(seed % 5) as usize];
+            fr.set_capacity(bound);
+            oracle.set_capacity(bound);
+            return;
+        }
+        let count = if op <= 2 { count } else { count % 4 };
+        for i in 0..u64::from(count) {
+            let x = mix(seed ^ i);
+            let host = if x.is_multiple_of(4) {
+                (x >> 2) % 5
+            } else {
+                seed % 5
+            };
+            let node = [Some(0), Some(1), Some(2), Some(7), None][host as usize].map(NodeId);
+            *now += (x >> 60) % 3;
+            let time = SimTime::from_millis(*now);
+            match node {
+                Some(node) if !(x >> 8).is_multiple_of(3) => {
+                    let ports = [80, 4000, 4001];
+                    let h = SegmentHeader {
+                        src_port: ports[((x >> 10) % 3) as usize],
+                        dst_port: ports[((x >> 12) % 3) as usize],
+                        seq: (x >> 16) as u32,
+                        ack: (x >> 24) as u32,
+                        flags: (x >> 48) as u8 & 0x1f,
+                        len: [0, 0, 1, 1460, 65535, 65536, 70000][((x >> 56) % 7) as usize],
+                    };
+                    fr.record_segment(node, time, h, x & 2 != 0);
+                    oracle.record_segment(node, time, h, x & 2 != 0);
+                }
+                _ => {
+                    let kind = FlightKind::HbRecv {
+                        seqno: x as u32,
+                        link: (x >> 32) as u8,
+                    };
+                    let (span, parent) = (SpanId(x | 1), SpanId(x >> 40));
+                    fr.record(node, time, span, parent, kind);
+                    oracle.record(node, time, span, parent, kind);
+                }
+            }
+        }
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(64))]
+
+        /// Differential test: the 32-byte rings and the full-event
+        /// oracle agree on every snapshot (whole and windowed) and every
+        /// count after each step of random interleavings of segment and
+        /// other records, across several hosts, an unregistered node,
+        /// payloads past `u16::MAX`, and bounds moved up and down.
+        #[test]
+        fn rings_match_the_full_event_oracle(
+            steps in proptest::collection::vec((0u8..8, 0u16..1500, any::<u64>()), 0..40),
+            window_ms in 0u64..40,
+        ) {
+            let mut fr = FlightRecorder::new();
+            (0..3).for_each(|_| fr.add_host());
+            let mut oracle = FullRecorder::new(3);
+            let mut now = 0;
+            let window = Some(SimDuration::from_millis(window_ms));
+            for s in steps {
+                step(&mut fr, &mut oracle, &mut now, s);
+                prop_assert_eq!(fr.snapshot(None), oracle.snapshot(None));
+                prop_assert_eq!(fr.snapshot(window), oracle.snapshot(window));
+                prop_assert_eq!(fr.recorded(), oracle.next_seq);
+                prop_assert_eq!(fr.dropped(), oracle.rings.iter().map(|r| r.1).sum::<u64>());
+                prop_assert_eq!(fr.len(), oracle.rings.iter().map(|r| r.0.len()).sum::<usize>());
+                prop_assert_eq!(fr.is_empty(), oracle.rings.iter().all(|r| r.0.is_empty()));
+            }
+        }
     }
 }

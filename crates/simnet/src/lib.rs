@@ -20,8 +20,8 @@
 //! * [`ip`] / [`iplayer`] — layer 3 (IPv4-lite, static ARP, ICMP echo).
 //! * [`node`] / [`host`] / [`world`] — hosts and the event loop.
 //! * [`fault`] / [`flight`] / [`profile`] — fault injection and
-//!   observability: the fault log, the causal flight recorder (on the
-//!   bounded [`ring`]), and the per-component wall-clock profiler.
+//!   observability: the fault log, the causal flight recorder (per-host
+//!   bounded rings), and the per-component wall-clock profiler.
 //!
 //! ## Example
 //!
@@ -70,7 +70,6 @@ pub mod link;
 pub mod mac;
 pub mod node;
 pub mod profile;
-pub mod ring;
 pub mod rng;
 pub mod serial;
 pub mod switch;

@@ -11,7 +11,7 @@
 use bytes::Bytes;
 use core::fmt;
 
-use crate::flight::{FlightKind, FlightRecorder, SpanId};
+use crate::flight::{FlightKind, FlightRecorder, SegmentHeader, SpanId};
 use crate::frame::EthernetFrame;
 use crate::profile::{Component, Profiler};
 use crate::rng::SimRng;
@@ -183,6 +183,15 @@ impl NodeCtx<'_> {
     pub fn flight(&mut self, span: SpanId, parent: SpanId, kind: FlightKind) {
         self.flight
             .record(Some(self.node), self.now, span, parent, kind);
+    }
+
+    /// Records a TCP segment this node sent (`outbound`) or delivered in
+    /// its flight-recorder ring: a 32-byte store of the header, whose
+    /// span and kind are derived only when a snapshot is taken.
+    #[inline]
+    pub fn flight_segment(&mut self, header: SegmentHeader, outbound: bool) {
+        self.flight
+            .record_segment(self.node, self.now, header, outbound);
     }
 
     /// Opens a profiler sub-scope attributed to `comp` (for refining a

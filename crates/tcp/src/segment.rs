@@ -8,9 +8,8 @@ use bytes::Bytes;
 use core::fmt;
 use std::net::Ipv4Addr;
 
-use simnet::flight::{FlightKind, SpanId};
+use simnet::flight::SegmentHeader;
 use simnet::ip::ChecksumAccumulator;
-use simnet::node::NodeCtx;
 
 use crate::seq::SeqNum;
 
@@ -124,80 +123,14 @@ impl fmt::Display for TcpFlags {
     }
 }
 
-/// A zero-allocation fixed-offset view of an encoded segment's header.
-///
-/// The flight recorder derives causal span ids from wire-observable
-/// header fields on the hottest datapath; a full [`TcpSegment::decode`]
-/// would verify the checksum over the whole payload, wasted work for
-/// observability. `peek_segment` reads only the fixed header offsets.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct SegmentPeek {
-    /// Source port.
-    pub src_port: u16,
-    /// Destination port.
-    pub dst_port: u16,
-    /// Raw sequence number.
-    pub seq: u32,
-    /// Raw acknowledgment number.
-    pub ack: u32,
-    /// The raw flag byte ([`TcpFlags::to_bits`] encoding).
-    pub flags: u8,
-    /// Payload bytes after the header.
-    pub data_len: u32,
-}
-
-impl SegmentPeek {
-    /// A direction-independent connection tag (the two ports, sorted),
-    /// identical for both flows of one connection on every host.
-    pub fn conn_tag(&self) -> u32 {
-        let lo = self.src_port.min(self.dst_port) as u32;
-        let hi = self.src_port.max(self.dst_port) as u32;
-        lo | (hi << 16)
-    }
-
-    /// True for a bare acknowledgment: no payload and no SYN/FIN/RST.
-    pub fn is_pure_ack(&self) -> bool {
-        self.data_len == 0 && self.flags & 0x07 == 0 && self.flags & 0x10 != 0
-    }
-
-    /// Records the segment in the node's flight ring as sent
-    /// (`outbound`) or delivered. Both ends of the wire derive the same
-    /// span from the header fields, so one host's sends pair with the
-    /// other's delivers in a dump.
-    #[inline]
-    pub fn record(&self, ctx: &mut NodeCtx<'_>, outbound: bool) {
-        let (conn, seq, len, flags) = (self.conn_tag(), self.seq, self.data_len, self.flags);
-        let kind = if self.is_pure_ack() {
-            FlightKind::SegAck {
-                conn,
-                ack: self.ack,
-            }
-        } else if outbound {
-            FlightKind::SegSend {
-                conn,
-                seq,
-                len,
-                flags,
-            }
-        } else {
-            FlightKind::SegDeliver {
-                conn,
-                seq,
-                len,
-                flags,
-            }
-        };
-        let span = SpanId::segment(self.src_port, self.dst_port, seq, flags);
-        ctx.flight(span, SpanId::NONE, kind);
-    }
-}
-
-/// Peeks an encoded segment's header without touching the payload or
-/// verifying the checksum. Returns `None` on truncation or a bad data
-/// offset; corrupt-but-well-formed input is the checksum's job at the
-/// real decode site, not the observer's.
+/// Peeks an encoded segment's header — the fields the flight recorder
+/// keeps for every send and delivery — without touching the payload or
+/// verifying the checksum: a full [`TcpSegment::decode`] would sum the
+/// whole payload, wasted work for observability. Returns `None` on
+/// truncation or a bad data offset; corrupt-but-well-formed input is
+/// the checksum's job at the real decode site, not the observer's.
 #[inline]
-pub fn peek_segment(wire: &[u8]) -> Option<SegmentPeek> {
+pub fn peek_segment(wire: &[u8]) -> Option<SegmentHeader> {
     if wire.len() < TCP_HEADER_LEN {
         return None;
     }
@@ -205,13 +138,13 @@ pub fn peek_segment(wire: &[u8]) -> Option<SegmentPeek> {
     if doff < TCP_HEADER_LEN || wire.len() < doff {
         return None;
     }
-    Some(SegmentPeek {
+    Some(SegmentHeader {
         src_port: u16::from_be_bytes([wire[0], wire[1]]),
         dst_port: u16::from_be_bytes([wire[2], wire[3]]),
         seq: u32::from_be_bytes([wire[4], wire[5], wire[6], wire[7]]),
         ack: u32::from_be_bytes([wire[8], wire[9], wire[10], wire[11]]),
         flags: wire[13],
-        data_len: (wire.len() - doff) as u32,
+        len: (wire.len() - doff) as u32,
     })
 }
 
@@ -498,7 +431,7 @@ mod tests {
         assert_eq!(h.seq, s.seq.0);
         assert_eq!(h.ack, s.ack.0);
         assert_eq!(h.flags, s.flags.to_bits());
-        assert_eq!(h.data_len as usize, s.payload.len());
+        assert_eq!(h.len as usize, s.payload.len());
         assert!(!h.is_pure_ack(), "carries payload");
         assert!(peek_segment(&wire[..10]).is_none());
     }

@@ -551,8 +551,7 @@ fn periodic_work_tracks_active_conns(topology: Topology, cfg: StTcpConfig) {
             let lose = !dropped
                 && simnet::iplayer::IpInterface::decap(frame).is_some_and(|pkt| {
                     pkt.src == victim_ip
-                        && simtcp::segment::peek_segment(&pkt.payload)
-                            .is_some_and(|h| h.data_len > 0)
+                        && simtcp::segment::peek_segment(&pkt.payload).is_some_and(|h| h.len > 0)
                 });
             dropped |= lose;
             lose
@@ -957,9 +956,11 @@ fn a_mostly_idle_connection_costs_at_most_6144_bytes_of_heap() {
     // --scale` and the benchmark's conn_ramp run), through its ramp.
     // Each connection brings a client host with it, so the slope
     // of live heap over connections is what one more (host, connection)
-    // costs across all three machines: 6 068 B (DESIGN, "What a host
+    // costs across all three machines: 5 969 B (DESIGN, "What a host
     // and a connection cost"; `heap_census` names the call sites), the
-    // bound is that rounded up to the next 256. It was 6 118 B while a
+    // bound is that rounded up to the next 256. It was 6 068 B while a
+    // client host's flight ring held its four records as 64-byte events
+    // (now 32-byte entries, behind a 72-byte ring header), 6 118 B while a
     // no-op retransmit timeout made each client's endpoint allocate its
     // due list, and 7 181 B while every connection carried its own copy
     // of the TCP config, a four-slot output queue and a heap-allocated
