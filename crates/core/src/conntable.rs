@@ -3,7 +3,7 @@
 //!
 //! A slot belongs to a 32-bit [`crate::heartbeat::conn_key`]. It holds
 //! the local control state ([`ConnCtl`], once a socket is bound), the
-//! last record sent ([`HbCacheEntry`]) and a membership byte for the six
+//! last record sent ([`HbCacheEntry`]) and a membership byte for the five
 //! active sets. What another server reported is not here: each member
 //! keeps its own heartbeat mirror in a [`Column`] indexed by the same
 //! slots ([`crate::pool::MemberState`]).
@@ -79,8 +79,6 @@ pub(crate) struct ConnCtl {
     pub(crate) last_fetch_at: Option<SimTime>,
     pub(crate) recovering: bool,
     pub(crate) closed: bool,
-    /// Post-takeover: when a persistent receive hole was first seen.
-    pub(crate) hole_since: Option<SimTime>,
     /// A local close/abort has already gone through arbitration.
     pub(crate) close_issued: bool,
     /// The first client data byte has been delivered to the application
@@ -105,7 +103,6 @@ impl ConnCtl {
             last_fetch_at: None,
             recovering: false,
             closed: false,
-            hole_since: None,
             close_issued: false,
             saw_data: false,
         }
@@ -126,7 +123,7 @@ pub(crate) struct HbCacheEntry {
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]
 pub(crate) struct SlotId(u32);
 
-/// The six active sets (what each means is stated where the server
+/// The five active sets (what each means is stated where the server
 /// feeds it). `Lag` and `Unacked` hold keyed slots and are visited in
 /// key order; the rest hold socket-bearing slots and are visited in
 /// `SocketId` order.
@@ -137,8 +134,6 @@ pub(crate) enum Set {
     Lag,
     /// The cached heartbeat record may not be acknowledged yet.
     Unacked,
-    /// Post-takeover: may hold a receive hole.
-    Hole,
     /// Application output is blocked on a full send buffer.
     OutBlocked,
     /// The application wants `on_tick` callbacks.
@@ -148,10 +143,9 @@ pub(crate) enum Set {
 }
 
 impl Set {
-    pub(crate) const ALL: [Set; 6] = [
+    pub(crate) const ALL: [Set; 5] = [
         Set::Lag,
         Set::Unacked,
-        Set::Hole,
         Set::OutBlocked,
         Set::Tick,
         Set::Check,
@@ -209,9 +203,9 @@ pub(crate) struct ConnTable {
     /// the list out of order (keys never leave within a boot).
     keys: RefCell<Vec<(u32, SlotId)>>,
     /// Per set: `order << 32 | slot`, a superset of the members.
-    lists: [Vec<u64>; 6],
+    lists: [Vec<u64>; Set::ALL.len()],
     /// Per set: how many slots carry its bit.
-    counts: [usize; 6],
+    counts: [usize; Set::ALL.len()],
 }
 
 impl Index<SlotId> for ConnTable {
@@ -512,6 +506,9 @@ mod tests {
 
     fn op() -> impl Strategy<Value = Op> {
         let key = || 0..NKEYS;
+        // `Set::ALL` lists the key-ordered sets first.
+        let sets = Set::ALL.len() as u8;
+        let socket_sets = || Set::ALL.iter().position(|s| !s.by_key()).unwrap() as u8..sets;
         prop_oneof![
             key().prop_map(Op::Bind),
             key().prop_map(Op::Bind),
@@ -520,12 +517,12 @@ mod tests {
             (key(), 1u32..50).prop_map(|(k, seq)| Op::Cache(k, seq)),
             (1u32..50).prop_map(Op::AckPrune),
             // A third of all operations, mostly on the socket-ordered sets.
-            member(0..6),
-            member(0..6),
-            member(2..6),
-            member(2..6),
-            member(2..6),
-            (0u8..6).prop_map(Op::ClearSet),
+            member(0..sets),
+            member(0..sets),
+            member(socket_sets()),
+            member(socket_sets()),
+            member(socket_sets()),
+            (0..sets).prop_map(Op::ClearSet),
         ]
     }
 
@@ -544,7 +541,7 @@ mod tests {
         by_key: BTreeMap<u32, SocketId>,
         keys: BTreeSet<u32>,
         hb_cache: BTreeMap<u32, u32>,
-        sets: [BTreeSet<u64>; 6],
+        sets: [BTreeSet<u64>; Set::ALL.len()],
     }
 
     fn ctl(key: u32, tag: SimTime) -> ConnCtl {

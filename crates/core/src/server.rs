@@ -16,6 +16,7 @@
 //!   the client connections in place.
 
 use bytes::Bytes;
+use std::collections::BTreeMap;
 use std::net::Ipv4Addr;
 
 use simnet::flight::{FlightKind, SpanId};
@@ -228,12 +229,10 @@ struct Ram {
     /// wherever a member record is applied or a key is (re)bound
     /// (`bytes_received` only grows, so nothing else can open a gap);
     /// `Unacked` — a cached record changing, and every cached record
-    /// whenever the peer's acks are voided; `Hole` — the endpoint's
-    /// touched feed after a takeover (out-of-order bytes only appear on
-    /// packet receipt); `OutBlocked`, `Tick` — re-evaluated after every
-    /// write attempt / application callback; `Check` — any local or
-    /// peer activity, kept while a FIN-arbitration deadline or lag
-    /// tracker must keep aging.
+    /// whenever the peer's acks are voided; `OutBlocked`, `Tick` —
+    /// re-evaluated after every write attempt / application callback;
+    /// `Check` — any local or peer activity, kept while a FIN-arbitration
+    /// deadline or lag tracker must keep aging.
     table: ConnTable,
 
     /// The other servers — the pair's one peer, or the pool — each one
@@ -249,7 +248,11 @@ struct Ram {
 
     /// The pool's round state (`None` in pair mode).
     pool: Option<PoolState>,
-    took_over: bool,
+    /// From the takeover on: the sockets that may hold a receive hole
+    /// (§4.3), each with the tick its hole was first seen. The takeover
+    /// seeds every socket; then the endpoint's touched feed (out-of-order
+    /// bytes only appear on packet receipt).
+    holes: Option<BTreeMap<SocketId, Option<SimTime>>>,
     /// Re-integration: this rebooted server joining, or the active serving.
     join: Join,
     tcp_timer: Option<SimTime>,
@@ -308,7 +311,7 @@ impl Ram {
             // Boots with the static rank; a rejoin's `JoinDone` hands
             // over the fresh one.
             pool: setup.pool.then(|| PoolState::new(setup.rank, &setup.peers)),
-            took_over: false,
+            holes: None,
             join: Join::default(),
             tcp_timer: None,
             liveness_timer: None,
@@ -497,10 +500,10 @@ impl StTcpServer {
     fn absorb_touched(&mut self) {
         let touched = self.ram.tcp.drain_touched();
         self.metrics.on_timer_visits(touched.len());
-        if self.ram.took_over {
+        if let Some(holes) = &mut self.ram.holes {
             for &sock in &touched {
-                if let Some(s) = self.ram.table.by_sock(sock) {
-                    self.ram.table.insert(Set::Hole, s);
+                if self.ram.table.by_sock(sock).is_some() {
+                    holes.entry(sock).or_default();
                 }
             }
         }
@@ -1306,7 +1309,6 @@ impl StTcpServer {
     fn complete_takeover(&mut self, ctx: &mut NodeCtx<'_>) {
         let now = ctx.now();
         self.ram.role = Role::Primary;
-        self.ram.took_over = true;
         self.events.push(StTcpEvent::TookOver { at: now });
         // The takeover joins the verdict's span: the dump reads as one
         // chain, heartbeat evidence → verdict → STONITH → takeover.
@@ -1341,7 +1343,7 @@ impl StTcpServer {
             let mine = self.ram.tcp.conn(sock).map(TcpConn::bytes_received);
             let peer = self.followed_pos(s).map(|p| p.last_byte_received);
             if peer.zip(mine).is_some_and(|(peer, mine)| peer > mine) {
-                self.give_up(now, sock, s);
+                self.give_up(now, sock);
                 continue;
             }
             if let Some(a) = action {
@@ -1366,9 +1368,8 @@ impl StTcpServer {
         self.ram.table.clear_set(Set::Lag);
         // Connections may carry receive holes from their time as tapped
         // shadows: the first hole check looks at every one.
-        for (_, s) in self.all_socks() {
-            self.ram.table.insert(Set::Hole, s);
-        }
+        let socks = self.ram.table.socks().map(|(sock, _)| (sock, None));
+        self.ram.holes = Some(socks.collect());
         // Delta mode: every member's acks are void; a surviving backup or
         // a future joiner is served full-state frames until it
         // acknowledges this epoch.
@@ -1585,52 +1586,50 @@ impl StTcpServer {
     /// repairable hole is refilled by a client retransmission well
     /// within [`GAP_GIVEUP`].
     fn check_post_takeover_holes(&mut self, ctx: &mut NodeCtx<'_>) {
-        if !self.ram.took_over {
+        if self.ram.holes.is_none() {
             return;
         }
         let now = ctx.now();
         // Only a socket touched since the last check can have grown a
         // hole, and only one already aging a hole can hit the deadline.
         self.absorb_touched();
+        let (table, tcp) = (&self.ram.table, &self.ram.tcp);
+        let Some(holes) = &mut self.ram.holes else {
+            return;
+        };
+        // Client data parked behind a receive hole on an open connection.
+        let stranded = |sock| match (table.ctl(sock), tcp.conn(sock)) {
+            (Some(ctl), Some(c)) => {
+                !ctl.closed && c.ooo_bytes() > 0 && c.state() != TcpState::Closed
+            }
+            _ => false,
+        };
         #[cfg(debug_assertions)]
-        for (sock, s) in self.ram.table.socks() {
-            let ctl = self.ram.table[s]
-                .ctl
-                .as_ref()
-                .expect("indexed sockets have control state");
+        for (sock, _) in table.socks() {
             debug_assert!(
-                self.ram.table.contains(Set::Hole, s)
-                    || (ctl.hole_since.is_none() && (ctl.closed || !self.stranded(sock))),
-                "socket {sock:?} holds a receive hole outside the hole set"
+                holes.contains_key(&sock) || !stranded(sock),
+                "socket {sock:?} holds a receive hole outside the hole watch"
             );
         }
-        let slots = self.ram.table.members(Set::Hole);
-        self.metrics.on_timer_visits(slots.len());
-        for s in slots {
-            let Some(sock) = self.ram.table[s].sock() else {
-                continue;
-            };
-            let stranded = self.stranded(sock);
-            let Some(ctl) = &mut self.ram.table[s].ctl else {
-                continue;
-            };
-            if ctl.closed || !stranded {
-                ctl.hole_since = None;
-                self.ram.table.remove(Set::Hole, s);
-                continue;
+        self.metrics.on_timer_visits(holes.len());
+        let mut expired = Vec::new();
+        holes.retain(|&sock, since| {
+            let aging = stranded(sock);
+            if aging && now.saturating_since(*since.get_or_insert(now)) >= GAP_GIVEUP {
+                expired.push(sock);
             }
-            let since = *ctl.hole_since.get_or_insert(now);
-            if now.saturating_since(since) >= GAP_GIVEUP {
-                self.give_up(now, sock, s);
-            }
+            aging
+        });
+        for sock in expired {
+            self.give_up(now, sock);
         }
     }
 
     /// Gives up on a connection that cannot be continued correctly:
     /// logs the gap from the first byte this server lacks, then opens
     /// the FIN gate and resets the client rather than hang it.
-    fn give_up(&mut self, now: SimTime, sock: SocketId, s: SlotId) {
-        let Some(ctl) = &mut self.ram.table[s].ctl else {
+    fn give_up(&mut self, now: SimTime, sock: SocketId) {
+        let Some(ctl) = self.ram.table.ctl_mut(sock) else {
             return;
         };
         ctl.closed = true;
@@ -1643,15 +1642,6 @@ impl StTcpServer {
         });
         self.ram.tcp.set_fin_gate(sock, FinGate::Open);
         self.ram.tcp.abort(now, sock);
-    }
-
-    /// True when `sock` has client data parked behind a receive hole on
-    /// a connection that is still open.
-    fn stranded(&self, sock: SocketId) -> bool {
-        self.ram
-            .tcp
-            .conn(sock)
-            .is_some_and(|c| c.ooo_bytes() > 0 && !matches!(c.state(), TcpState::Closed))
     }
 
     /// The replaced every-connection sampling walk, kept as the
@@ -2610,7 +2600,7 @@ mod tests {
         for tick in 0..100 {
             world.run_until(SimTime::from_millis(1_000 + 50 * tick));
             let s = world.node_mut::<StTcpServer>(node).expect("server type");
-            assert!(s.ram.took_over && !s.ram.ft_mode && s.ram.tcp.conn(sock).is_some());
+            assert!(s.ram.holes.is_some() && !s.ram.ft_mode && s.ram.tcp.conn(sock).is_some());
             s.ram.tcp.inject_in_order(sock, 10 + tick, &x);
             let n = s.ram.hb.touched();
             assert!(n <= 4, "{n} touched sockets held after {tick} ticks");

@@ -7,7 +7,7 @@ use std::rc::Rc;
 use simnet::time::{SimDuration, SimTime};
 
 use sttcp::app::EchoApp;
-use sttcp::config::{Role, StTcpConfig};
+use sttcp::config::{Role, StTcpConfig, GAP_GIVEUP};
 use sttcp::events::{FailureReason, StTcpEvent};
 use sttcp::metrics::ServerMetrics;
 use sttcp::server::AppCrashMode;
@@ -211,47 +211,55 @@ fn watchdog_accelerates_detection_under_traffic_too() {
 // Output-commit caveat (§4.3): unrecoverable gap at takeover
 // ---------------------------------------------------------------------
 
+/// Both §4.3 give-up rules, one row each. The backup misses bytes the
+/// primary acks at 2 000 ms, and the primary dies before any recovery
+/// round. Crashing at 2 150 ms, the backup never heard of those bytes: it
+/// takes over with a hole the client never refills, and the hole watch
+/// gives up. Crashing at 2 210 ms, the 2 200 ms heartbeat reported them,
+/// so the takeover itself gives up.
 #[test]
 fn primary_crash_during_recovery_resets_connection_not_hangs() {
-    let cfg = StTcpConfig {
-        // Keep the backup from (re-)fetching before the crash lands.
-        recovery_interval: SimDuration::from_secs(600),
-        ..Default::default()
-    };
-    let mut s = ScenarioBuilder::new(
-        echo_app(),
-        ClientWorkload::EchoChat {
-            chunk: 1024,
-            period: SimDuration::from_millis(50),
-            count: 300,
-        },
-    )
-    .seed(220)
-    .sttcp(cfg)
-    .build();
-    // The backup misses bytes the primary acks…
-    s.drop_tap_at(s.link_backup, t(2_000), 10);
-    // …and the primary dies moments later — before any recovery round.
-    s.crash_primary_at(t(2_150));
-    s.world.run_until(t(30_000));
+    for (crash_ms, by_hole_watch) in [(2_150, true), (2_210, false)] {
+        let cfg = StTcpConfig {
+            // Keep the backup from (re-)fetching before the crash lands.
+            recovery_interval: SimDuration::from_secs(600),
+            ..Default::default()
+        };
+        let mut s = ScenarioBuilder::new(
+            echo_app(),
+            ClientWorkload::EchoChat {
+                chunk: 1024,
+                period: SimDuration::from_millis(50),
+                count: 300,
+            },
+        )
+        .seed(220)
+        .sttcp(cfg)
+        .build();
+        s.drop_tap_at(s.link_backup, t(2_000), 10);
+        s.crash_primary_at(t(crash_ms));
+        s.world.run_until(t(30_000));
 
-    let backup = s.server(s.backup);
-    assert!(backup.took_over_at().is_some());
-    let unrecoverable = backup
-        .events()
-        .iter()
-        .any(|e| matches!(e, StTcpEvent::UnrecoverableGap { .. }));
-    assert!(unrecoverable, "gap not flagged: {:?}", backup.events());
-    // The client is *reset* (the honest unrecoverable outcome the paper
-    // describes), not stranded on a silent, permanently stalled
-    // connection.
-    let log = s.client_log();
-    assert_eq!(
-        log.resets, 1,
-        "client should see exactly one reset: {log:?}"
-    );
-    assert_eq!(log.integrity_violations, 0);
-    assert_eq!(s.server(s.backup).role(), Role::Primary);
+        let backup = s.server(s.backup);
+        let took = backup.took_over_at().expect("takeover");
+        let gaps: Vec<_> = (backup.events().iter())
+            .filter_map(|e| match e {
+                StTcpEvent::UnrecoverableGap { at, .. } => Some(at.saturating_since(took)),
+                _ => None,
+            })
+            .collect();
+        let rule = |d| match by_hole_watch {
+            true => d >= GAP_GIVEUP,
+            false => d == SimDuration::ZERO,
+        };
+        let msg = format!("crash at {crash_ms} ms: gaps {gaps:?} after the takeover");
+        assert!(matches!(gaps[..], [d] if rule(d)), "{msg}");
+        // The client is *reset* (the honest unrecoverable outcome the
+        // paper describes), not stranded on a silent, stalled connection.
+        let log = s.client_log();
+        assert_eq!((log.resets, log.integrity_violations), (1, 0), "{log:?}");
+        assert_eq!(backup.role(), Role::Primary);
+    }
 }
 
 // ---------------------------------------------------------------------
@@ -954,14 +962,14 @@ fn an_accepted_idle_connection_owns_its_entry_and_one_output_slot() {
 fn a_mostly_idle_connection_costs_at_most_6144_bytes_of_heap() {
     // The published scale mix (`scale_scenario`: what `bench_suite
     // --scale` and the benchmark's conn_ramp run), through its ramp.
-    // Each connection brings a client host with it, so the slope
-    // of live heap over connections is what one more (host, connection)
-    // costs across all three machines: 5 969 B (DESIGN, "What a host
-    // and a connection cost"; `heap_census` names the call sites), the
-    // bound is that rounded up to the next 256. It was 6 068 B while a
-    // client host's flight ring held its four records as 64-byte events
-    // (now 32-byte entries, behind a 72-byte ring header), 6 118 B while a
-    // no-op retransmit timeout made each client's endpoint allocate its
+    // Each connection brings a client host with it, so the slope of live
+    // heap over connections is what one more (host, connection) costs
+    // across all three machines: 5 936 B (DESIGN, "What a host and a
+    // connection cost"; `heap_census` names the call sites), the bound is
+    // that rounded up to the next 256. It was 5 969 B while each
+    // connection's control state kept a post-takeover hole clock, 6 068 B
+    // while a client host's flight ring held 64-byte events, 6 118 B while
+    // a no-op retransmit timeout made each client's endpoint allocate its
     // due list, and 7 181 B while every connection carried its own copy
     // of the TCP config, a four-slot output queue and a heap-allocated
     // event queue. A slope, so what the world costs before its first
