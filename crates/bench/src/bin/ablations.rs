@@ -17,6 +17,8 @@
 //! a worker pool; every cell derives its seed from its grid coordinates
 //! alone, so the tables are identical to a single-threaded run.
 
+use std::collections::BTreeMap;
+
 use simnet::link::LinkDir;
 use simnet::time::{SimDuration, SimTime};
 
@@ -105,12 +107,15 @@ fn dual_link_ablation(threads: usize) {
     );
 }
 
+/// Seeds each lossy healthy-pair cell of ablation 2 is judged over.
+const HEALTHY_SEEDS: u64 = 40;
+
 fn hb_timeout_ablation(threads: usize) {
     println!("--- ablation 2: heartbeat timeout multiplier on a lossy IP link ---\n");
     let mut table = Table::new(vec![
         "timeout (periods)",
         "IP HB loss",
-        "verdict under loss (healthy pair)",
+        "false verdicts (healthy pair, seeds)",
         "crash detection",
     ]);
     let mut cases: Vec<(u32, f64)> = Vec::new();
@@ -124,22 +129,28 @@ fn hb_timeout_ablation(threads: usize) {
             hb_timeout_periods: periods,
             ..cfg()
         };
-        // Phase 1: lossy but healthy — must not produce a verdict.
-        let healthy = Trial {
-            horizon: SimTime::from_secs(15),
-            ..trial(310 + periods as u64, sttcp.clone())
-        }
-        .run(|s, _| {
-            if loss > 0.0 {
-                // Loss on both directions of both server links:
-                // heartbeats and data both suffer.
+        // Phase 1: lossy but healthy, judged as a rate over seeds: which
+        // runs end in a verdict depends on each frame's loss draw.
+        let mut reasons: BTreeMap<String, usize> = BTreeMap::new();
+        for i in 0..HEALTHY_SEEDS {
+            let healthy = Trial {
+                horizon: SimTime::from_secs(15),
+                ..trial(310 + periods as u64 + 100 * i, sttcp.clone())
+            };
+            // Loss on both directions of both server links: heartbeats
+            // and data both suffer.
+            let run = healthy.run(|s, _| {
                 for link in [s.link_primary, s.link_backup] {
                     s.world.set_link_loss(link, LinkDir::AtoB, loss);
                     s.world.set_link_loss(link, LinkDir::BtoA, loss);
                 }
+            });
+            if let Some(reason) = run.any_verdict() {
+                *reasons.entry(reason.to_string()).or_default() += 1;
             }
-        });
-        let false_verdict = healthy.any_verdict().map(|r| r.to_string());
+        }
+        let verdicts: usize = reasons.values().sum();
+        let reasons: Vec<String> = reasons.iter().map(|(r, n)| format!("{n} {r}")).collect();
 
         // Phase 2 (clean link): real crash detection latency.
         let crashed = Trial {
@@ -148,26 +159,33 @@ fn hb_timeout_ablation(threads: usize) {
         }
         .run(|s, at| s.crash_primary_at(at));
         let det = crashed.verdict(crashed.s.backup).map(|(_, d)| d);
-        vec![
+        let row = vec![
             periods.to_string(),
             format!("{:.0}%", loss * 100.0),
-            false_verdict.unwrap_or_else(|| "no".into()),
+            format!("{verdicts}/{HEALTHY_SEEDS}"),
             det.map(|d| d.to_string()).unwrap_or_else(|| "-".into()),
-        ]
+        ];
+        (row, reasons.join(", "))
     });
-    for row in rows {
+    let mut by_reason = String::new();
+    for (row, reasons) in rows {
+        if !reasons.is_empty() {
+            by_reason += &format!("  {} periods, {} loss: {reasons}\n", row[0], row[1]);
+        }
         table.row(row);
     }
     println!("{table}");
+    println!("false verdicts by reason:\n{by_reason}");
     println!(
-        "crash-detection latency is linear in the timeout multiplier, while\n\
-         the loss-free serial link shields heartbeat liveness from even 30%\n\
-         IP loss at every multiplier. The one verdict that does appear under\n\
-         loss is an application-lag call (the recovery path itself runs over\n\
-         the lossy link and falls behind the aggressive 1 s threshold) —\n\
-         which the paper explicitly sanctions: degradation severe enough to\n\
-         meet the criteria \"is considered severe enough to warrant a\n\
-         failover\" (§4.2.1).\n"
+        "crash-detection latency is linear in the timeout multiplier, and no\n\
+         multiplier spares a healthy pair under 30% IP loss: about two runs\n\
+         in three end in a verdict at each. The loss-free serial link keeps\n\
+         heartbeat liveness, so none is a silence verdict. Nearly all are\n\
+         application-lag calls (the recovery path itself runs over the lossy\n\
+         link and falls behind the aggressive 1 s threshold), the rest Table 1\n\
+         row-4 calls once the lossy IP heartbeat reads down. The paper\n\
+         sanctions such calls: degradation severe enough to meet the criteria\n\
+         \"is considered severe enough to warrant a failover\" (§4.2.1).\n"
     );
 }
 

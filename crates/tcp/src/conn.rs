@@ -13,7 +13,10 @@
 //!
 //! Omissions relative to a kernel TCP, none of which the ST-TCP
 //! experiments depend on: urgent data, TCP options beyond a fixed MSS,
-//! window scaling, SACK, PAWS/timestamps, delayed ACK, Nagle.
+//! window scaling, SACK, PAWS/timestamps, Nagle. There is no delayed-ACK
+//! timer: every data segment is acknowledged at input, and that pure ACK
+//! is withdrawn only if a FIN-less data segment is queued before anything
+//! polls, so a reply written at once carries its request's ACK.
 
 use bytes::Bytes;
 use std::collections::VecDeque;
@@ -170,7 +173,7 @@ impl EventQueue {
 /// Per-connection transfer counters (for overhead measurements and tests).
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct ConnStats {
-    /// Segments emitted (including retransmissions and pure ACKs).
+    /// Segments emitted (retransmissions and pure ACKs, not withdrawn ones).
     pub segs_out: u64,
     /// Segments processed.
     pub segs_in: u64,
@@ -1090,6 +1093,9 @@ impl TcpConn {
                 let mut seg = self.make_segment(flags, seq, payload);
                 seg.ack = self.rcv_ack_seq();
                 self.stats.bytes_sent += n;
+                if !fin_here {
+                    self.withdraw_pure_ack();
+                }
                 self.push_out(seg);
                 self.snd_cursor += n;
                 if fin_here {
@@ -1133,6 +1139,19 @@ impl TcpConn {
         seg.ack = self.rcv_ack_seq();
         self.push_out(seg);
         self.ack_pending = false;
+    }
+
+    /// Drops a pure ACK still waiting at the back of `out` (nothing polled
+    /// since its input): the FIN-less data segment queued next carries an
+    /// ack at least as new and a right window edge at least as far. Never
+    /// called for a FIN, which [`crate::endpoint::FinGate::Hold`] may
+    /// swallow at poll, nor for a retransmission or a persist probe.
+    fn withdraw_pure_ack(&mut self) {
+        let queued = self.out.back();
+        if queued.is_some_and(|s| s.flags == TcpFlags::ACK && s.payload.is_empty()) {
+            self.out.pop_back();
+            self.stats.segs_out -= 1;
+        }
     }
 
     /// Retransmits the head of the unacked region (or the SYN/SYN-ACK/FIN
@@ -1574,8 +1593,77 @@ mod tests {
         let s = p.server();
         s.on_segment(t(0), &second);
         assert_eq!(s.readable(), 0);
+        // Nothing written: a pure duplicate ACK answers the early arrival,
+        // so fast retransmit sees the same input.
+        let dup = s.poll_segment().unwrap();
+        assert_eq!((dup.flags, dup.payload.len()), (TcpFlags::ACK, 0));
+        assert_eq!(dup.ack, CLIENT_ISS + 1);
         s.on_segment(t(0), &first);
         assert_eq!(s.recv(100).as_ref(), b"aaaabbbb");
+    }
+
+    /// Delivers `req` from the client to the server and leaves the
+    /// server's answer unpolled, as an endpoint does while its
+    /// application runs.
+    fn request_in(p: &mut Pair, req: &[u8]) {
+        assert_eq!(p.client.send(p.now, req), req.len());
+        let seg = p.client.poll_segment().unwrap();
+        p.server().on_segment(t(0), &seg);
+    }
+
+    #[test]
+    fn a_reply_written_before_the_poll_leaves_as_one_segment_with_the_ack() {
+        let mut p = Pair::established();
+        let sent = p.server().stats().segs_out;
+        request_in(&mut p, b"ping");
+        let s = p.server();
+        assert_eq!(s.recv(100).as_ref(), b"ping");
+        assert_eq!(s.send(t(0), b"pong"), 4);
+        let reply = s.poll_segment().unwrap();
+        assert!(s.poll_segment().is_none(), "the pure ACK was withdrawn");
+        assert_eq!(
+            (reply.payload.as_ref(), reply.ack),
+            (&b"pong"[..], CLIENT_ISS + 5)
+        );
+        assert_eq!(reply.window, u16::MAX);
+        // The withdrawn ACK never left, so it never counted.
+        assert_eq!(s.stats().segs_out, sent + 1);
+    }
+
+    #[test]
+    fn with_no_reply_the_pure_ack_is_the_one_built_at_input() {
+        let mut p = Pair::established();
+        request_in(&mut p, b"ping");
+        let s = p.server();
+        // Reading opens the window, but the queued ACK keeps the window
+        // of its input: a receiver that never writes back sends the same
+        // bytes as before ACKs could be withdrawn.
+        assert_eq!(s.recv(100).as_ref(), b"ping");
+        let ack = s.poll_segment().unwrap();
+        let mut expect = s.make_segment(TcpFlags::ACK, SERVER_ISS + 1, Bytes::new());
+        let window = (TcpConfig::default().recv_buf - 4) as u16;
+        (expect.ack, expect.window) = (CLIENT_ISS + 5, window);
+        assert_eq!(ack, expect);
+        assert!(s.poll_segment().is_none());
+    }
+
+    #[test]
+    fn a_segment_carrying_fin_never_withdraws_the_pure_ack() {
+        // A takeover's rewind re-offers "pong" and the FIN in one segment
+        // after a request's ACK was queued: a held FIN gate swallows that
+        // segment, so the ACK must still leave on its own.
+        let mut p = Pair::established();
+        let s = p.server();
+        let _ = s.send(t(0), b"pong");
+        s.close(t(0));
+        while s.poll_segment().is_some() {} // suppressed, never delivered
+        request_in(&mut p, b"ping");
+        let s = p.server();
+        s.rewind_unacked(t(0));
+        let ack = s.poll_segment().unwrap();
+        assert_eq!((ack.flags, ack.ack), (TcpFlags::ACK, CLIENT_ISS + 5));
+        let last = s.poll_segment().unwrap();
+        assert!(last.flags.fin && last.payload.as_ref() == b"pong");
     }
 
     #[test]

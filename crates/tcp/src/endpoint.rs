@@ -1172,6 +1172,23 @@ mod tests {
     }
 
     #[test]
+    fn a_held_fin_lets_the_pure_ack_queued_before_it_leave() {
+        // A crashed application's FIN, generated before the poll that
+        // carries the request's ACK: the gate holds the FIN and the ACK
+        // still reaches the client.
+        let (mut n, ca, sb) = connected_pair();
+        n.b.set_fin_gate(sb, FinGate::Hold);
+        let _ = n.a.send(n.now, ca, b"ping");
+        for pkt in n.a.poll_packets(n.now) {
+            n.b.on_packet(n.now, &pkt);
+        }
+        n.b.close(n.now, sb);
+        n.pump();
+        assert_eq!(n.b.shim_stats(sb).unwrap().fins_held, 1);
+        assert_eq!(n.a.conn(ca).unwrap().last_ack_received(), 4);
+    }
+
+    #[test]
     fn timers_drive_retransmission_through_endpoint() {
         let (mut n, ca, sb) = connected_pair();
         let _ = n.a.send(n.now, ca, b"will be lost");

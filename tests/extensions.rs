@@ -836,6 +836,45 @@ fn a_ramp_of_idle_connections_finishes_within_the_event_budget() {
 }
 
 #[test]
+fn an_echo_round_trip_costs_eight_frames_and_nine_events() {
+    // `fanin_echo`'s exchange, one 64-byte slab every 5 ms, read one
+    // round trip at a time between the servers' ticks: the request
+    // (client link, then the switch to both servers: 3 frames), the
+    // reply carrying the request's ACK (2), the client's ACK of the reply
+    // (3) and the client's send timer. Exact: 8 frames and 9 events. It
+    // read 10 and 11 while the primary answered each request with a pure
+    // ACK before the reply. A change that lowers the count lowers these.
+    use simnet::link::LinkDir;
+    let chat = ClientWorkload::EchoChat {
+        chunk: 64,
+        period: SimDuration::from_millis(5),
+        count: 1_000,
+    };
+    let mut s = ScenarioBuilder::new(echo_app(), chat).seed(1).build();
+    let counts = |s: &Scenario| {
+        let links = [s.link_client, s.link_primary, s.link_backup];
+        let dirs = [LinkDir::AtoB, LinkDir::BtoA];
+        let frames = links
+            .iter()
+            .flat_map(|&l| dirs.map(|d| s.world.link(l).stats(d)));
+        let frames: u64 = frames.map(|st| st.delivered).sum();
+        (
+            frames,
+            s.world.events_processed(),
+            s.client_log().total_received,
+        )
+    };
+    for k in 1..20 {
+        let at = t(1_000 + 5 * k);
+        s.world.run_until(at);
+        let (f0, e0, r0) = counts(&s);
+        s.world.run_until(at + SimDuration::from_millis(1));
+        let (f, e, r) = counts(&s);
+        assert_eq!((f - f0, e - e0, r - r0), (8, 9, 64), "round trip {k}");
+    }
+}
+
+#[test]
 fn payload_is_shared_not_copied_from_wire_build_to_application_read() {
     // Pointer identity at both ends of the wire, through the public
     // endpoint API the nodes use: the sender's packet encodes in place
