@@ -13,13 +13,25 @@
 //!
 //! Omissions relative to a kernel TCP, none of which the ST-TCP
 //! experiments depend on: urgent data, TCP options beyond a fixed MSS,
-//! window scaling, SACK, PAWS/timestamps, Nagle. There is no delayed-ACK
-//! timer: every data segment is acknowledged at input, and that pure ACK
-//! is withdrawn only if a FIN-less data segment is queued before anything
-//! polls, so a reply written at once carries its request's ACK.
+//! window scaling, SACK, PAWS/timestamps, Nagle.
+//!
+//! ACKs are delayed as Linux delays them (RFC 1122 §4.2.3.2, RFC 9293
+//! §3.8.6.3). An in-order data segment without FIN is acknowledged at
+//! once only if it is the second since our last ACK, or while quick-ACK
+//! lasts: the first [`QUICKACKS`] in-order segments of a connection, and
+//! again after its receive side was idle longer than [`QUICKACK_IDLE`].
+//! Otherwise the ACK is owed: any segment we send carries it, and if none
+//! does it leaves alone [`DELACK`] later. Out-of-order, duplicate and FIN
+//! segments are acknowledged at once. A pure ACK is withdrawn if a
+//! FIN-less data segment is queued before anything polls, so a reply
+//! written at once carries its request's ACK. A read owes a window update
+//! only when it at least doubles a window of at most half the buffer
+//! (RFC 1122 §4.2.3.3), and a SYN in a synchronized state is answered
+//! with an ACK (RFC 9293 §3.10.7.4).
 
 use bytes::Bytes;
 use std::collections::VecDeque;
+use std::num::NonZeroU32;
 use std::rc::Rc;
 
 use simnet::time::{SimDuration, SimTime};
@@ -31,6 +43,18 @@ use crate::segment::{TcpFlags, TcpSegment};
 use crate::sendbuf::SendBuffer;
 use crate::seq::{SeqNum, SeqTracker};
 use crate::socket::FourTuple;
+
+/// How long an owed ACK waits for a segment to ride (Linux
+/// `TCP_DELACK_MIN`).
+pub const DELACK: SimDuration = SimDuration::from_millis(40);
+
+/// In-order segments acknowledged at once after the handshake and after
+/// an idle receive side (Linux `TCP_MAX_QUICKACKS`).
+pub const QUICKACKS: u8 = 16;
+
+/// A receive side idle longer than this re-enters quick-ACK: the RTO
+/// floor (Linux `TCP_RTO_MIN`).
+pub const QUICKACK_IDLE: SimDuration = SimDuration::from_millis(200);
 
 /// Connection-level configuration. Read-only once a connection exists:
 /// every holder ([`TcpConn`], the endpoint and listener configs) shares
@@ -54,7 +78,7 @@ pub struct TcpConfig {
     pub time_wait: SimDuration,
     /// Consecutive retransmissions of the same data before the connection
     /// is declared dead.
-    pub max_retries: u32,
+    pub max_retries: u8,
 }
 
 impl Default for TcpConfig {
@@ -252,13 +276,22 @@ pub struct TcpConn {
     rto: RtoEstimator,
     rtx_deadline: Option<SimTime>,
     persist_deadline: Option<SimTime>,
-    persist_backoff: u32,
+    persist_backoff: u8,
     timewait_deadline: Option<SimTime>,
     /// RTT probe: (stream offset whose ack completes the sample, send time).
     rtt_probe: Option<(u64, SimTime)>,
-    dup_acks: u32,
-    retries: u32,
+    dup_acks: u8,
+    retries: u8,
+    /// A pure ACK is owed now: the next output pass sends one unless a
+    /// data segment or FIN goes.
     ack_pending: bool,
+    /// The delayed-ACK deadline, in whole milliseconds of virtual time:
+    /// armed while one in-order segment is unacknowledged.
+    delack_at: Option<NonZeroU32>,
+    /// When in-order data last arrived, in whole milliseconds.
+    last_rcv_ms: u32,
+    /// In-order segments still to be acknowledged at once.
+    quickacks: u8,
     /// We emitted an RST (app abort) — ST-TCP's FIN/RST arbitration reads
     /// this.
     rst_generated: bool,
@@ -335,6 +368,9 @@ impl TcpConn {
             dup_acks: 0,
             retries: 0,
             ack_pending: false,
+            delack_at: None,
+            last_rcv_ms: 0,
+            quickacks: QUICKACKS,
             rst_generated: false,
             // One slot, not `VecDeque`'s first-push four (192 B): an idle
             // connection only ever queues its SYN or SYN-ACK here, and a
@@ -582,10 +618,13 @@ impl TcpConn {
 
     /// Reads up to `max` bytes of in-order data.
     pub fn recv(&mut self, max: usize) -> Bytes {
-        let had = self.recvbuf.readable();
+        let before = self.recvbuf.window();
         let data = self.recvbuf.read(max);
-        // Reading frees window space; let the peer know if we'd been tight.
-        if had > 0 && self.recvbuf.window() > 0 {
+        // A window update is owed only if the window was tight — at most
+        // half the buffer — and this read at least doubled it (RFC 1122
+        // §4.2.3.3; Linux `tcp_cleanup_rbuf`).
+        let after = self.recvbuf.window();
+        if !data.is_empty() && 2 * before <= self.cfg.recv_buf && after >= 2 * before {
             self.ack_pending = true;
         }
         data
@@ -684,8 +723,15 @@ impl TcpConn {
         self.rto.reset_backoff();
         self.retries = 0;
         self.rtt_probe = None;
-        self.ack_pending = true;
-        self.fill_output(now);
+        if self.syn_acked {
+            self.ack_pending = true;
+            self.fill_output(now);
+        } else {
+            // Still in SYN-RCVD: the SYN-ACK was suppressed too. The
+            // client answers it with the ACK this side missed, as a
+            // challenge ACK if the old primary's copy established it.
+            self.push_syn();
+        }
         if self.has_unacked() {
             self.arm_rtx(now);
         }
@@ -715,6 +761,7 @@ impl TcpConn {
             self.rtx_deadline,
             self.persist_deadline,
             self.timewait_deadline,
+            self.delack_deadline(),
         ]
         .into_iter()
         .flatten()
@@ -743,14 +790,23 @@ impl TcpConn {
                 self.on_persist_timeout(now);
             }
         }
+        // Last: a retransmission or probe just sent carried the owed ACK.
+        if self.delack_deadline().is_some_and(|t| now >= t) {
+            self.emit_pure_ack();
+        }
         debug_assert!(self.rtx_rule_holds());
+    }
+
+    fn delack_deadline(&self) -> Option<SimTime> {
+        self.delack_at
+            .map(|ms| SimTime::from_millis(u64::from(ms.get())))
     }
 
     fn on_rtx_timeout(&mut self, now: SimTime) {
         if !self.has_unacked() {
             return; // everything got acked in the meantime
         }
-        self.retries += 1;
+        self.retries = self.retries.saturating_add(1);
         self.stats.rto_fires += 1;
         if self.retries > self.cfg.max_retries {
             self.events.push(ConnEvent::Reset);
@@ -862,7 +918,7 @@ impl TcpConn {
         self.ack_pending = true;
         // Handshake payload (rare) plus our ACK.
         if !seg.payload.is_empty() || seg.flags.fin {
-            self.process_payload(seg);
+            self.process_payload(now, seg);
         }
         self.fill_output(now);
     }
@@ -882,12 +938,20 @@ impl TcpConn {
             self.push_syn();
             return;
         }
+        // Any other SYN in a synchronized state — say a retransmitted
+        // SYN-ACK whose first copy got through — is answered with an ACK
+        // and dropped (RFC 9293 §3.10.7.4, RFC 5961 §4).
+        if seg.flags.syn && self.state != TcpState::SynRcvd {
+            self.ack_pending = true;
+            self.fill_output(now);
+            return;
+        }
 
         if seg.flags.ack {
             self.process_ack(now, seg);
         }
         if !seg.payload.is_empty() || seg.flags.fin {
-            self.process_payload(seg);
+            self.process_payload(now, seg);
         }
         self.fill_output(now);
     }
@@ -954,7 +1018,7 @@ impl TcpConn {
             && ack_off == una
             && self.flight() > 0
         {
-            self.dup_acks += 1;
+            self.dup_acks = self.dup_acks.saturating_add(1);
             if self.dup_acks == 3 {
                 self.stats.fast_retransmits += 1;
                 self.cc.on_fast_retransmit(self.flight());
@@ -980,21 +1044,46 @@ impl TcpConn {
         }
     }
 
-    fn process_payload(&mut self, seg: &TcpSegment) {
+    fn process_payload(&mut self, now: SimTime, seg: &TcpSegment) {
         let Some(tracker) = self.rcv_tracker else {
             return;
         };
-        let off = tracker.to_offset(seg.seq, self.recvbuf.nxt());
+        let nxt = self.recvbuf.nxt();
+        let off = tracker.to_offset(seg.seq, nxt);
         let outcome = self.recvbuf.receive(off, &seg.payload, seg.flags.fin);
         if outcome.newly_in_order > 0 {
             self.events.push(ConnEvent::DataReadable);
         }
-        // Any data-bearing or FIN segment deserves an ACK — including
-        // duplicates (the peer is clearly missing our previous ACK).
-        if !seg.payload.is_empty() || seg.flags.fin {
+        // In-order data, all of it taken, with nothing behind a hole: its
+        // ACK may wait. Anything else — out of order, duplicate (the peer
+        // is clearly missing our previous ACK), filling a hole, FIN — is
+        // acknowledged at once.
+        let in_order = off == nxt as i64
+            && !seg.flags.fin
+            && outcome.newly_in_order == seg.payload.len() as u64
+            && self.recvbuf.ooo_bytes() == 0;
+        if in_order {
+            self.delay_ack(now);
+        } else {
             self.ack_pending = true;
         }
         self.maybe_consume_peer_fin();
+    }
+
+    /// Owes the ACK of an in-order data segment, or sends it at once if
+    /// it is the second one owed or quick-ACK lasts.
+    fn delay_ack(&mut self, now: SimTime) {
+        let ms = whole_ms(now);
+        if ms.saturating_sub(self.last_rcv_ms) > QUICKACK_IDLE.as_millis() as u32 {
+            self.quickacks = QUICKACKS;
+        }
+        self.last_rcv_ms = ms;
+        if self.quickacks > 0 || self.delack_at.is_some() {
+            self.quickacks = self.quickacks.saturating_sub(1);
+            self.ack_pending = true;
+        } else {
+            self.delack_at = NonZeroU32::new(whole_ms(now + DELACK));
+        }
     }
 
     fn maybe_consume_peer_fin(&mut self) {
@@ -1029,6 +1118,7 @@ impl TcpConn {
         self.rtx_deadline = None;
         self.persist_deadline = None;
         self.timewait_deadline = None;
+        self.delack_at = None;
         if graceful {
             self.events.push(ConnEvent::Closed);
         }
@@ -1249,10 +1339,21 @@ impl TcpConn {
         self.push_out(seg);
     }
 
+    /// Queues a segment. One that carries our ACK pays what is owed,
+    /// unless it is a FIN or RST, which a held FIN gate swallows at poll.
     fn push_out(&mut self, seg: TcpSegment) {
+        if seg.flags.ack && !seg.flags.fin && !seg.flags.rst {
+            self.delack_at = None;
+        }
         self.stats.segs_out += 1;
         self.out.push_back(seg);
     }
+}
+
+/// `t` in whole milliseconds, rounded up so a deadline never fires early
+/// (`u32`: 49 days of virtual time).
+fn whole_ms(t: SimTime) -> u32 {
+    u32::try_from(t.as_micros().div_ceil(1_000)).unwrap_or(u32::MAX)
 }
 
 #[cfg(test)]
@@ -1608,7 +1709,8 @@ mod tests {
     fn request_in(p: &mut Pair, req: &[u8]) {
         assert_eq!(p.client.send(p.now, req), req.len());
         let seg = p.client.poll_segment().unwrap();
-        p.server().on_segment(t(0), &seg);
+        let now = p.now;
+        p.server().on_segment(now, &seg);
     }
 
     #[test]
@@ -1664,6 +1766,176 @@ mod tests {
         assert_eq!((ack.flags, ack.ack), (TcpFlags::ACK, CLIENT_ISS + 5));
         let last = s.poll_segment().unwrap();
         assert!(last.flags.fin && last.payload.as_ref() == b"pong");
+    }
+
+    /// `request_in`, and what the server sent at once (its ACK, if any).
+    fn acked_at_once(p: &mut Pair, req: &[u8]) -> Option<TcpSegment> {
+        request_in(p, req);
+        let ack = p.server().poll_segment();
+        assert!(p.server().poll_segment().is_none());
+        ack
+    }
+
+    /// An established pair whose server has spent its quick-ACKs on
+    /// one-byte requests, each acknowledged at once.
+    fn past_quickack() -> Pair {
+        let mut p = Pair::established();
+        for k in 1..=QUICKACKS as u32 {
+            let ack = acked_at_once(&mut p, b"q").expect("quick-ACK");
+            assert_eq!(ack.ack, CLIENT_ISS + 1 + k);
+        }
+        p
+    }
+
+    #[test]
+    fn past_quick_ack_the_second_in_order_segment_is_acked_at_once() {
+        let mut p = past_quickack();
+        let acked = CLIENT_ISS + 1 + QUICKACKS as u32;
+        assert!(acked_at_once(&mut p, b"a").is_none(), "the first is owed");
+        let ack = acked_at_once(&mut p, b"b").expect("the second is not");
+        assert_eq!((ack.flags, ack.ack), (TcpFlags::ACK, acked + 2));
+        assert_eq!(p.server().next_deadline(), None, "nothing owed");
+    }
+
+    #[test]
+    fn a_lone_segments_ack_rides_the_next_write_or_leaves_after_40_ms() {
+        let mut p = past_quickack();
+        let acked = CLIENT_ISS + 1 + QUICKACKS as u32;
+        assert!(acked_at_once(&mut p, b"a").is_none());
+        assert_eq!(p.server().next_deadline(), Some(t(40)));
+        let s = p.server();
+        assert_eq!(s.send(t(1), b"reply"), 5);
+        let reply = s.poll_segment().unwrap();
+        assert_eq!(
+            (reply.payload.as_ref(), reply.ack),
+            (&b"reply"[..], acked + 1)
+        );
+        assert_eq!(s.delack_at, None, "the reply paid it");
+
+        p.now = t(2);
+        assert!(acked_at_once(&mut p, b"b").is_none());
+        assert_eq!(p.server().delack_deadline(), Some(t(42)));
+        p.server().on_timer(t(41));
+        assert!(p.server().poll_segment().is_none());
+        p.server().on_timer(t(42));
+        let ack = p.server().poll_segment().expect("the deadline's ACK");
+        assert_eq!((ack.flags, ack.ack), (TcpFlags::ACK, acked + 2));
+        assert_eq!(p.server().delack_deadline(), None);
+    }
+
+    #[test]
+    fn out_of_order_duplicate_and_fin_segments_are_acked_at_once() {
+        let mut p = past_quickack();
+        let acked = CLIENT_ISS + 1 + QUICKACKS as u32;
+        let _ = p.client.send(p.now, b"a");
+        let first = p.client.poll_segment().unwrap();
+        let _ = p.client.send(p.now, b"b");
+        let second = p.client.poll_segment().unwrap();
+        p.client.close(p.now);
+        let fin = p.client.poll_segment().unwrap();
+        let s = p.server();
+        for (seg, ack) in [
+            (&second, acked),    // out of order: a duplicate ACK
+            (&first, acked + 2), // fills the hole
+            (&first, acked + 2), // a duplicate
+            (&fin, acked + 3),
+        ] {
+            s.on_segment(t(0), seg);
+            let out = s.poll_segment().expect("acked at once");
+            assert_eq!((out.flags, out.ack), (TcpFlags::ACK, ack));
+            assert_eq!(s.delack_at, None);
+        }
+    }
+
+    #[test]
+    fn quick_ack_covers_16_segments_after_the_handshake_and_after_idling() {
+        // `past_quickack` checks the first 16; the 17th is owed.
+        let mut p = past_quickack();
+        assert!(acked_at_once(&mut p, b"x").is_none());
+        p.advance(t(40));
+        assert!(p.server().poll_segment().is_some(), "the owed ACK");
+        // 200 ms since the last arrival is not idle; 201 ms is.
+        p.now = t(200);
+        assert!(acked_at_once(&mut p, b"x").is_none());
+        p.advance(t(401));
+        assert!(p.server().poll_segment().is_some(), "the owed ACK");
+        for k in 1..=QUICKACKS {
+            assert!(acked_at_once(&mut p, b"q").is_some(), "quick-ACK {k}");
+        }
+        assert!(acked_at_once(&mut p, b"x").is_none());
+    }
+
+    #[test]
+    fn a_read_owes_a_window_update_only_if_the_window_was_tight() {
+        let mut p = Pair::established();
+        // Reading a request leaves nothing owed: the pure ACK the client
+        // sends next is answered with nothing.
+        assert!(acked_at_once(&mut p, b"ping").is_some());
+        assert_eq!(p.server().recv(100).as_ref(), b"ping");
+        let sent = p.server().stats().segs_out;
+        p.client.ack_pending = true;
+        p.client.fill_output(p.now);
+        p.pump();
+        assert_eq!(p.server().stats().segs_out, sent);
+        // A read that reopens a closed window owes the update, which the
+        // next segment in draws out.
+        let _ = p.client.send(p.now, &[3u8; 70_000]);
+        p.pump();
+        assert_eq!(p.server().recvbuf.window(), 0);
+        let _ = p.server().recv(1 << 20);
+        let sent = p.server().stats().segs_out;
+        p.client.ack_pending = true;
+        p.client.fill_output(p.now);
+        p.pump();
+        assert!(p.server().stats().segs_out > sent, "no window update");
+        assert!(p.server().bytes_received() > 65_536);
+    }
+
+    #[test]
+    fn an_established_connection_answers_a_duplicate_syn_ack_with_an_ack() {
+        let mut p = Pair::new();
+        let syn = p.client.poll_segment().unwrap();
+        let mut s = TcpConn::server_from_syn(
+            TcpConfig::default(),
+            tuple_client().flipped(),
+            SERVER_ISS,
+            &syn,
+            p.now,
+        );
+        let syn_ack = s.poll_segment().unwrap();
+        p.server = Some(s);
+        p.client.on_segment(t(0), &syn_ack);
+        p.pump();
+        assert_eq!(p.server().state(), TcpState::Established);
+        // The SYN-ACK's retransmission reaches the established client.
+        p.client.on_segment(t(1), &syn_ack);
+        let ack = p.client.poll_segment().expect("an ACK answers it");
+        assert_eq!(ack.flags, TcpFlags::ACK);
+        assert_eq!((ack.seq, ack.ack), (CLIENT_ISS + 1, SERVER_ISS + 1));
+        assert_eq!(p.client.state(), TcpState::Established);
+    }
+
+    #[test]
+    fn a_rewind_in_syn_rcvd_re_offers_the_syn_ack_and_the_peer_completes_it() {
+        // A replica that missed the handshake ACK takes over. A pure ACK
+        // would draw nothing from a client the primary's copy of the
+        // SYN-ACK established; the SYN-ACK draws the ACK it missed.
+        let mut p = Pair::new();
+        let syn = p.client.poll_segment().unwrap();
+        let (cfg, tuple) = (TcpConfig::default(), tuple_client().flipped());
+        let mut replica = TcpConn::server_from_syn(cfg, tuple, SERVER_ISS, &syn, p.now);
+        while replica.poll_segment().is_some() {} // suppressed
+        let primary =
+            TcpConn::server_from_syn(TcpConfig::default(), tuple, SERVER_ISS, &syn, p.now);
+        p.server = Some(primary);
+        p.pump();
+        assert_eq!(p.client.state(), TcpState::Established);
+        replica.rewind_unacked(t(1));
+        let syn_ack = replica.poll_segment().unwrap();
+        assert_eq!(syn_ack.flags, TcpFlags::SYN_ACK);
+        p.client.on_segment(t(1), &syn_ack);
+        replica.on_segment(t(1), &p.client.poll_segment().unwrap());
+        assert_eq!(replica.state(), TcpState::Established);
     }
 
     #[test]
