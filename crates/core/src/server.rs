@@ -1356,9 +1356,7 @@ impl StTcpServer {
             // (ack-clocked), rather than dribbling it out one
             // retransmission per RTO.
             if let Some(conn) = self.ram.tcp.conn_mut(sock) {
-                if !matches!(conn.state(), TcpState::Closed) {
-                    conn.rewind_unacked(now);
-                }
+                conn.rewind_unacked(now);
             }
         }
         if let Some(pool) = &mut self.ram.pool {

@@ -5,7 +5,9 @@
 //! (no SACK, no NewReno partial-ack logic): the paper predates all of
 //! that, and what the experiments need is the qualitative behaviour —
 //! ramp-up on a clean LAN and window collapse after the retransmission
-//! timeouts that surround a failover.
+//! timeouts that surround a failover. After a timeout the connection goes
+//! back to `snd.una` and resends everything unacknowledged from the
+//! one-MSS window up (see [`crate::conn`]).
 
 use core::fmt;
 

@@ -28,10 +28,18 @@
 //! only when it at least doubles a window of at most half the buffer
 //! (RFC 1122 §4.2.3.3), and a SYN in a synchronized state is answered
 //! with an ACK (RFC 9293 §3.10.7.4).
+//!
+//! A timeout, a released FIN gate and an ST-TCP takeover all rewind: the
+//! cursor returns to `snd.una` and the output path resends, FIN included,
+//! as the windows allow (after a timeout in slow start, as Linux
+//! `tcp_enter_loss`; RFC 6298 §5.4). Only fast retransmit resends the head
+//! alone. The high mark `snd_max` (a sent FIN counts as one byte) bounds
+//! the ACKs taken, tells resends from first sends, and times no resend
+//! (Karn).
 
 use bytes::Bytes;
 use std::collections::VecDeque;
-use std::num::NonZeroU32;
+use std::num::{NonZeroU32, NonZeroU64};
 use std::rc::Rc;
 
 use simnet::time::{SimDuration, SimTime};
@@ -255,12 +263,14 @@ pub struct TcpConn {
     // Send side.
     snd_tracker: SeqTracker,
     sendbuf: SendBuffer,
-    /// Next stream offset to transmit for the first time.
+    /// Next stream offset to transmit (below `snd_max` after a rewind).
     snd_cursor: u64,
+    /// One past the highest offset ever sent, a sent FIN counting as one.
+    snd_max: u64,
     /// Peer-advertised receive window.
     snd_wnd: u32,
     syn_acked: bool,
-    /// Our FIN has been handed to the output at least once.
+    /// Our FIN has been handed to the output since the last rewind.
     fin_sent: bool,
     /// Our FIN has been acknowledged.
     fin_acked: bool,
@@ -279,7 +289,7 @@ pub struct TcpConn {
     persist_backoff: u8,
     timewait_deadline: Option<SimTime>,
     /// RTT probe: (stream offset whose ack completes the sample, send time).
-    rtt_probe: Option<(u64, SimTime)>,
+    rtt_probe: Option<(NonZeroU64, SimTime)>,
     dup_acks: u8,
     retries: u8,
     /// A pure ACK is owed now: the next output pass sends one unless a
@@ -351,6 +361,7 @@ impl TcpConn {
             snd_tracker: SeqTracker::new(iss),
             sendbuf,
             snd_cursor: 0,
+            snd_max: 0,
             snd_wnd: 0,
             syn_acked: false,
             fin_sent: false,
@@ -700,57 +711,20 @@ impl TcpConn {
         }
     }
 
-    /// Rewinds the transmission cursor to the lowest unacknowledged
-    /// offset and (re)streams from there, resetting backoff.
-    ///
-    /// This is the ST-TCP takeover primitive for a formerly *suppressed*
-    /// connection: every segment between `snd.una` and the cursor was
-    /// generated but dropped at the egress shim, so it was never on the
-    /// wire and must be offered again — as ordinary ack-clocked
-    /// transmissions, not one-MSS-per-RTO retransmissions. Bytes the old
-    /// primary did deliver are acked away by the client's cumulative ACKs
-    /// as they arrive.
+    /// Rewinds to the lowest unacknowledged offset and (re)streams from
+    /// there, resetting backoff and owing an ACK: the ST-TCP takeover of a
+    /// formerly *suppressed* connection, whose segments never reached the
+    /// wire, and the release of a held FIN gate, whose FIN leaves now
+    /// rather than at the next backed-off RTO. Bytes the old primary did
+    /// deliver are acked away by the client's cumulative ACKs.
     pub fn rewind_unacked(&mut self, now: SimTime) {
         if matches!(self.state, TcpState::Closed | TcpState::TimeWait) {
             return;
         }
-        self.snd_cursor = self.sendbuf.una();
-        if self.fin_sent && !self.fin_acked {
-            // The FIN is re-offered by the regular output path when the
-            // cursor reaches the end of the stream again.
-            self.fin_sent = false;
-        }
         self.rto.reset_backoff();
         self.retries = 0;
-        self.rtt_probe = None;
-        if self.syn_acked {
-            self.ack_pending = true;
-            self.fill_output(now);
-        } else {
-            // Still in SYN-RCVD: the SYN-ACK was suppressed too. The
-            // client answers it with the ACK this side missed, as a
-            // challenge ACK if the old primary's copy established it.
-            self.push_syn();
-        }
-        if self.has_unacked() {
-            self.arm_rtx(now);
-        }
-    }
-
-    /// Forces an immediate retransmission from the lowest unacked offset
-    /// and resets backoff — used at ST-TCP takeover so the new primary
-    /// re-offers data/FIN to the client without waiting out the current
-    /// (possibly heavily backed-off) RTO.
-    pub fn force_retransmit(&mut self, now: SimTime) {
-        if matches!(self.state, TcpState::Closed | TcpState::TimeWait) {
-            return;
-        }
-        self.rto.reset_backoff();
-        self.retransmit_head();
-        // Also re-assert our ACK state toward the peer.
-        self.ack_pending = true;
-        self.fill_output(now);
-        self.arm_rtx(now);
+        self.ack_pending |= self.syn_acked;
+        self.rewind(now);
     }
 
     // ----- timer handling ---------------------------------------------------
@@ -816,9 +790,7 @@ impl TcpConn {
         let flight = self.flight();
         self.cc.on_timeout(flight);
         self.rto.on_timeout();
-        self.rtt_probe = None; // Karn: no samples across retransmission
-        self.retransmit_head();
-        self.arm_rtx(now);
+        self.rewind(now);
     }
 
     fn on_persist_timeout(&mut self, now: SimTime) {
@@ -966,12 +938,8 @@ impl TcpConn {
         }
         let ack_off = ack_off as u64;
 
-        // Upper bound: nothing beyond our FIN (+1) can be acked.
-        let limit = match self.sendbuf.fin_offset() {
-            Some(f) if self.fin_sent => f + 1,
-            _ => self.sendbuf.written(),
-        };
-        if ack_off > limit {
+        // Upper bound: nothing beyond a sent FIN (+1) can be acked.
+        if ack_off > self.sendbuf.written().max(self.snd_max) {
             return; // acking data we never sent
         }
 
@@ -983,9 +951,8 @@ impl TcpConn {
             self.events.push(ConnEvent::Connected);
         }
 
-        let fin_newly_acked = self.fin_sent
-            && !self.fin_acked
-            && self.sendbuf.fin_offset().is_some_and(|f| ack_off == f + 1);
+        // Past the data only a FIN once sent can be acked (the limit above).
+        let fin_newly_acked = !self.fin_acked && ack_off > self.sendbuf.written();
         self.fin_acked |= fin_newly_acked; // before the timer decision below
 
         let data_ack_to = ack_off.min(self.sendbuf.written());
@@ -997,16 +964,14 @@ impl TcpConn {
             self.cc.on_ack(newly_acked);
             // RTT sample (Karn-safe: probe cleared on retransmission).
             if let Some((probe_off, sent_at)) = self.rtt_probe {
-                if self.sendbuf.una() >= probe_off {
+                if self.sendbuf.una() >= probe_off.get() {
                     self.rto.on_sample(now.saturating_since(sent_at));
                     self.rtt_probe = None;
                 }
             }
             self.rto.reset_backoff();
             // Cursor can never trail una (window probes may be acked).
-            if self.snd_cursor < self.sendbuf.una() {
-                self.snd_cursor = self.sendbuf.una();
-            }
+            self.snd_cursor = self.snd_cursor.max(self.sendbuf.una());
             if self.has_unacked() {
                 self.arm_rtx(now);
             } else {
@@ -1182,18 +1147,21 @@ impl TcpConn {
                 flags.fin = fin_here;
                 let mut seg = self.make_segment(flags, seq, payload);
                 seg.ack = self.rcv_ack_seq();
-                self.stats.bytes_sent += n;
+                let end = self.snd_cursor + n;
+                let resent = self.snd_max.clamp(self.snd_cursor, end) - self.snd_cursor;
+                self.stats.bytes_retransmitted += resent;
+                self.stats.bytes_sent += n - resent;
                 if !fin_here {
                     self.withdraw_pure_ack();
                 }
                 self.push_out(seg);
-                self.snd_cursor += n;
-                if fin_here {
-                    self.fin_sent = true;
+                // Karn: only a segment ending past the high mark is timed.
+                if self.rtt_probe.is_none() && end > self.snd_max {
+                    self.rtt_probe = NonZeroU64::new(end).map(|off| (off, now));
                 }
-                if self.rtt_probe.is_none() {
-                    self.rtt_probe = Some((self.snd_cursor, now));
-                }
+                self.snd_cursor = end;
+                self.snd_max = self.snd_max.max(end + u64::from(fin_here));
+                self.fin_sent |= fin_here;
                 self.arm_rtx(now);
                 self.ack_pending = false;
                 emitted = true;
@@ -1201,13 +1169,14 @@ impl TcpConn {
 
             // A data-less FIN (everything already transmitted).
             if self.sendbuf.fin_queued()
-                && !self.fin_sent
+                && !(self.fin_sent || self.fin_acked)
                 && self.snd_cursor == self.sendbuf.written()
             {
                 let seq = self.snd_tracker.to_seq(self.snd_cursor);
                 let mut seg = self.make_segment(TcpFlags::FIN_ACK, seq, Bytes::new());
                 seg.ack = self.rcv_ack_seq();
                 self.push_out(seg);
+                self.snd_max = self.snd_cursor + 1;
                 self.fin_sent = true;
                 self.arm_rtx(now);
                 self.ack_pending = false;
@@ -1235,7 +1204,7 @@ impl TcpConn {
     /// since its input): the FIN-less data segment queued next carries an
     /// ack at least as new and a right window edge at least as far. Never
     /// called for a FIN, which [`crate::endpoint::FinGate::Hold`] may
-    /// swallow at poll, nor for a retransmission or a persist probe.
+    /// swallow at poll, nor for a fast retransmission or a persist probe.
     fn withdraw_pure_ack(&mut self) {
         let queued = self.out.back();
         if queued.is_some_and(|s| s.flags == TcpFlags::ACK && s.payload.is_empty()) {
@@ -1244,44 +1213,38 @@ impl TcpConn {
         }
     }
 
-    /// Retransmits the head of the unacked region (or the SYN/SYN-ACK/FIN
-    /// as the state demands).
-    fn retransmit_head(&mut self) {
-        if matches!(self.state, TcpState::SynSent | TcpState::SynRcvd) {
+    /// Goes back to `snd.una`, or to the SYN or SYN-ACK before the
+    /// handshake completes: see the [module docs](self).
+    fn rewind(&mut self, now: SimTime) {
+        self.rtt_probe = None;
+        if !self.syn_acked {
+            // A peer the SYN-ACK already established answers with the ACK
+            // this side missed (a challenge ACK).
             self.push_syn();
+            self.arm_rtx(now);
             return;
         }
+        self.snd_cursor = self.sendbuf.una();
+        self.fin_sent = self.fin_acked;
+        self.fill_output(now);
+    }
+
+    /// Resends the head of the unacked region alone (fast retransmit).
+    fn retransmit_head(&mut self) {
         let una = self.sendbuf.una();
         let payload = self.sendbuf.slice(una, self.cfg.mss as usize);
-        if payload.is_empty() {
-            if self.fin_sent && !self.fin_acked {
-                // Re-send the FIN.
-                let seq = self.snd_tracker.to_seq(self.sendbuf.written());
-                let mut seg = self.make_segment(TcpFlags::FIN_ACK, seq, Bytes::new());
-                seg.ack = self.rcv_ack_seq();
-                self.push_out(seg);
-            }
-            return;
-        }
-        let end = una + payload.len() as u64;
-        let fin_here = self.fin_sent && self.sendbuf.fin_queued() && end == self.sendbuf.written();
-        let seq = self.snd_tracker.to_seq(una);
-        let mut flags = TcpFlags::ACK;
-        flags.fin = fin_here;
         let n = payload.len() as u64;
-        let mut seg = self.make_segment(flags, seq, payload);
-        if self.rcv_tracker.is_some() {
-            seg.ack = self.rcv_ack_seq();
-        } else {
-            seg.flags.ack = false;
-        }
+        let mut flags = TcpFlags::ACK;
+        flags.fin = self.fin_sent && una + n == self.sendbuf.written();
+        let mut seg = self.make_segment(flags, self.snd_tracker.to_seq(una), payload);
+        seg.ack = self.rcv_ack_seq();
         self.stats.bytes_retransmitted += n;
         self.push_out(seg);
     }
 
     // ----- helpers ---------------------------------------------------
 
-    /// Unacked payload bytes in flight (first transmissions only).
+    /// Unacked payload bytes sent since the cursor last went back.
     fn flight(&self) -> u64 {
         self.snd_cursor - self.sendbuf.una()
     }
@@ -1290,7 +1253,7 @@ impl TcpConn {
     fn has_unacked(&self) -> bool {
         match self.state {
             TcpState::SynSent | TcpState::SynRcvd => true,
-            _ => self.flight() > 0 || (self.fin_sent && !self.fin_acked),
+            _ => self.flight() > 0 || (self.snd_max > self.sendbuf.written() && !self.fin_acked),
         }
     }
 
@@ -1625,23 +1588,6 @@ mod tests {
             evs.push(e);
         }
         assert!(evs.contains(&ConnEvent::Reset));
-    }
-
-    #[test]
-    fn lost_segment_is_retransmitted_on_timeout() {
-        let mut p = Pair::established();
-        let _ = p.client.send(p.now, b"important");
-        // Drop the data segment.
-        let seg = p.client.poll_segment().unwrap();
-        assert_eq!(seg.payload.as_ref(), b"important");
-        assert!(p.client.poll_segment().is_none());
-        // Fire the retransmission timer.
-        let deadline = p.client.next_deadline().unwrap();
-        p.advance(deadline);
-        p.pump();
-        assert_eq!(p.server().recv(100).as_ref(), b"important");
-        assert_eq!(p.client.stats().rto_fires, 1);
-        assert!(p.client.stats().bytes_retransmitted >= 9);
     }
 
     #[test]
@@ -2092,6 +2038,19 @@ mod tests {
     }
 
     #[test]
+    fn force_retransmit_resends_head_immediately() {
+        // A lost head leaves at once on a rewind (takeover, FIN-gate
+        // release), not at the next backed-off RTO.
+        let mut p = Pair::established();
+        let _ = p.client.send(p.now, b"data!");
+        let _ = p.client.poll_segment(); // lost
+        assert!(p.client.poll_segment().is_none());
+        p.client.rewind_unacked(t(1));
+        let seg = p.client.poll_segment().unwrap();
+        assert_eq!(seg.payload.as_ref(), b"data!");
+    }
+
+    #[test]
     fn rewind_unacked_reoffers_unacked_fin() {
         let mut p = Pair::established();
         let _ = p.client.send(p.now, b"tail");
@@ -2104,15 +2063,99 @@ mod tests {
         assert!(s.peer_fin_received(), "FIN was not re-offered");
     }
 
-    #[test]
-    fn force_retransmit_resends_head_immediately() {
+    /// Writes `segs` full segments on an established pair, loses them
+    /// all, and returns the pair, the lost segments and the RTO deadline.
+    fn window_lost(segs: usize) -> (Pair, Vec<TcpSegment>, SimTime) {
         let mut p = Pair::established();
-        let _ = p.client.send(p.now, b"data!");
-        let _ = p.client.poll_segment(); // lost
-        assert!(p.client.poll_segment().is_none());
-        p.client.force_retransmit(t(1));
-        let seg = p.client.poll_segment().unwrap();
-        assert_eq!(seg.payload.as_ref(), b"data!");
+        let _ = p.client.send(p.now, &vec![5u8; segs * 1460]);
+        let lost: Vec<_> = std::iter::from_fn(|| p.client.poll_segment()).collect();
+        assert_eq!(lost.len(), segs);
+        let rto = p.client.next_deadline().unwrap();
+        (p, lost, rto)
+    }
+
+    #[test]
+    fn after_an_rto_a_lost_window_leaves_on_acks_not_timeouts() {
+        let (mut p, lost, rto) = window_lost(4);
+        p.advance(rto);
+        let head = p.client.poll_segment().unwrap();
+        assert_eq!(head.seq, lost[0].seq);
+        assert!(p.client.poll_segment().is_none(), "slow start: one MSS");
+        p.server().on_segment(rto, &head);
+        let ack = p.server().poll_segment().unwrap();
+        p.client.on_segment(rto, &ack);
+        let next = p.client.poll_segment().expect("the head's ACK sends on");
+        assert_eq!(next.seq, lost[1].seq);
+        p.server().on_segment(rto, &next);
+        p.pump();
+        assert_eq!(p.server().bytes_received(), 4 * 1460);
+        assert_eq!(p.client.stats().rto_fires, 1);
+    }
+
+    #[test]
+    fn after_a_rewind_first_sends_and_resends_split_the_stream() {
+        let (mut p, lost, _) = window_lost(4);
+        let _ = p.client.send(p.now, &[5u8; 4 * 1460]);
+        p.client.rewind_unacked(t(1));
+        p.pump();
+        assert_eq!(p.server().bytes_received(), 8 * 1460);
+        let stats = p.client.stats();
+        assert_eq!(stats.bytes_sent, 8 * 1460, "every byte is sent once");
+        assert_eq!(stats.bytes_retransmitted, lost.len() as u64 * 1460);
+    }
+
+    #[test]
+    fn no_rtt_sample_comes_from_a_resent_segment() {
+        let (mut p, _, rto) = window_lost(4);
+        p.advance(rto);
+        assert_eq!(p.client.rtt_probe, None, "Karn: a resend is not timed");
+        p.now = rto + SimDuration::from_millis(30);
+        p.pump();
+        assert_eq!(p.server().bytes_received(), 4 * 1460);
+        assert_eq!(p.client.rto.srtt(), None);
+        let _ = p.client.send(p.now, b"past the high mark");
+        p.pump();
+        assert!(p.client.rto.srtt().is_some());
+    }
+
+    #[test]
+    fn an_rto_takes_the_ack_of_a_fin_that_arrived_ahead_of_a_hole() {
+        let (mut p, lost, rto) = window_lost(2);
+        p.client.close(p.now);
+        let fin = p.client.poll_segment().unwrap();
+        for seg in [&lost[1], &fin] {
+            p.server().on_segment(t(0), seg);
+        }
+        while p.server().poll_segment().is_some() {} // duplicate ACKs, lost
+        p.advance(rto);
+        let head = p.client.poll_segment().unwrap();
+        assert_eq!(head.seq, lost[0].seq);
+        p.server().on_segment(rto, &head);
+        let ack = p.server().poll_segment().unwrap();
+        assert_eq!(ack.ack, fin.seq + 1, "the hole filled, the FIN is acked");
+        p.client.on_segment(rto, &ack);
+        assert_eq!(p.client.state(), TcpState::FinWait2);
+        assert!(p.client.poll_segment().is_none(), "nothing past the head");
+        assert_eq!(p.client.next_deadline(), None);
+    }
+
+    #[test]
+    fn an_rto_into_a_zero_window_hands_over_to_the_persist_probe() {
+        let (mut p, lost, rto) = window_lost(2);
+        p.server().on_segment(t(0), &lost[0]);
+        let mut ack = p.server().poll_segment().unwrap();
+        ack.window = 0;
+        p.client.on_segment(p.now, &ack);
+        p.advance(rto);
+        assert!(
+            p.client.poll_segment().is_none(),
+            "nothing fits a zero window"
+        );
+        assert_eq!(p.client.rtx_deadline, None);
+        let probe_at = p.client.persist_deadline.unwrap();
+        p.advance(probe_at);
+        p.pump();
+        assert_eq!(p.server().bytes_received(), 2 * 1460);
     }
 
     #[test]

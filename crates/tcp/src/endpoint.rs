@@ -850,8 +850,8 @@ impl TcpEndpoint {
         }
     }
 
-    /// Opens a held FIN gate and forces an immediate retransmission so the
-    /// FIN actually goes out now rather than at the next backed-off RTO.
+    /// Opens a held FIN gate and rewinds the connection so the FIN
+    /// actually goes out now rather than at the next backed-off RTO.
     /// A held RST is re-issued explicitly: the original was a one-shot
     /// segment the gate swallowed, and nothing retransmits it.
     pub fn release_fin(&mut self, now: SimTime, id: SocketId) {
@@ -869,7 +869,7 @@ impl TcpEndpoint {
                 #[cfg(feature = "inject_held_rst")]
                 let _ = now;
             } else if e.conn.fin_generated() {
-                e.conn.force_retransmit(now);
+                e.conn.rewind_unacked(now);
             }
         }
         self.collect_events(id);

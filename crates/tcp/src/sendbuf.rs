@@ -84,12 +84,6 @@ impl SendBuffer {
         self.fin_queued
     }
 
-    /// The stream offset the FIN occupies (one past the last data byte),
-    /// if the sending side has been closed.
-    pub fn fin_offset(&self) -> Option<u64> {
-        self.fin_queued.then_some(self.written())
-    }
-
     /// Appends application data, limited by free space: the accepted
     /// prefix is copied once into a chunk of its own. Returns the number
     /// of bytes accepted (0 after the sending side is closed).
@@ -233,14 +227,12 @@ mod tests {
         let mut b = SendBuffer::new(100);
         let _ = b.write(b"done");
         assert!(!b.fin_queued());
-        assert_eq!(b.fin_offset(), None);
         b.queue_fin();
         assert!(b.fin_queued());
-        assert_eq!(b.fin_offset(), Some(4));
         assert_eq!(b.write(b"more"), 0);
         assert_eq!(b.written(), 4);
         b.queue_fin(); // idempotent
-        assert_eq!(b.fin_offset(), Some(4));
+        assert!(b.fin_queued());
     }
 
     #[test]
@@ -266,7 +258,7 @@ mod tests {
     fn resume_with_fin_and_acks() {
         let mut b = SendBuffer::resume(100, 50, b"xyz", true);
         assert!(b.fin_queued());
-        assert_eq!(b.fin_offset(), Some(53));
+        assert_eq!(b.written(), 53);
         assert_eq!(b.write(b"more"), 0, "closed side refuses writes");
         assert_eq!(b.ack_to(52), 2);
         assert_eq!(b.slice(52, 10).as_ref(), b"z");
@@ -512,7 +504,6 @@ mod tests {
                 prop_assert_eq!(new.buffered(), old.buffered());
                 prop_assert_eq!(new.free_space(), old.free_space());
                 prop_assert_eq!(new.fin_queued(), old.fin_queued);
-                prop_assert_eq!(new.fin_offset(), old.fin_queued.then_some(old.written));
                 prop_assert_eq!(new.all_acked(), old.una == old.written);
                 let (got, want) = (new.slice(new.una(), usize::MAX), old.slice(old.una, usize::MAX));
                 prop_assert_eq!(got.as_ref(), &want[..]);

@@ -7,13 +7,18 @@
 //! shrinker converges to the same minimum every time, and that specific
 //! small schedules land in the outcome class they are supposed to.
 
+use std::rc::Rc;
+
+use simnet::time::SimTime;
 use sttcp::config::StTcpConfig;
 use sttcp::events::{FailureReason, StTcpEvent};
 use sttcp::invariant::Outcome;
+use sttcp_apps::apps::StreamApp;
 use sttcp_apps::chaos::{
     chaos_config, run_chaos_case, shrink_schedule, ChaosOptions, ChaosReport, FaultSchedule,
 };
-use sttcp_apps::scenario::Topology::Pair;
+use sttcp_apps::client::ClientWorkload;
+use sttcp_apps::scenario::{AppMaker, ScenarioBuilder, Topology::Pair};
 use sttcp_bench::hunt::{run_sweep, Flavour, SweepConfig};
 
 fn quick() -> ChaosOptions {
@@ -264,6 +269,48 @@ fn held_rst_is_reissued_when_gate_opens() {
          (client: {:?})",
         report.client
     );
+}
+
+/// Asserts the download client finished by 2 s, on the pair
+/// `run_chaos_case` builds for `opts` (whose checker reads only the
+/// longest stall, so a crawl that progresses every RTO reads clean).
+fn assert_finished_by_2s(seed: u64, schedule: &FaultSchedule, opts: &ChaosOptions) {
+    let app: AppMaker = Rc::new(|| Box::new(StreamApp::new(4096, false)) as _);
+    let workload = ClientWorkload::Download {
+        total: opts.total_bytes,
+    };
+    let mut s = ScenarioBuilder::new(app, workload)
+        .seed(seed)
+        .sttcp(opts.sttcp.clone())
+        .build();
+    schedule.apply(&mut s);
+    s.world.run_until(SimTime::ZERO + opts.horizon);
+    let at = s.client_log().finished_at;
+    assert!(
+        at.is_some_and(|t| t <= SimTime::from_millis(2_000)),
+        "seed {seed} ({schedule}) finished at {at:?}"
+    );
+}
+
+/// Regression (the crawl): a fault the pair rides out without a takeover
+/// loses the primary's whole window, and a timeout that resent only the
+/// head drained it at one MSS per RTO. Seed 1877's 800 ms NIC flap
+/// finished its 192 KiB at 6.91 s. A timeout now rewinds to `snd.una`
+/// and resends in slow start.
+#[test]
+fn a_healed_nic_flap_does_not_leave_the_download_crawling_1877() {
+    let flap = "@200 nic-down primary; @1000 nic-up primary"
+        .parse()
+        .unwrap();
+    assert_finished_by_2s(1877, &flap, &ChaosOptions::default());
+}
+
+/// The same crawl in the quick hunt: seed 1444's 835 ms cut of the
+/// primary's link finished the 48 KiB at 8.60 s, and the checker called
+/// it clean.
+#[test]
+fn a_healed_cut_does_not_leave_the_download_crawling_1444() {
+    assert_finished_by_2s(1444, &FaultSchedule::generate(1444), &quick());
 }
 
 /// Asserts a verdict-free schedule ran `Clean`: download complete, no
