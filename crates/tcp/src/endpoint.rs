@@ -466,11 +466,6 @@ impl TcpEndpoint {
         self.listeners.insert(port, config);
     }
 
-    /// Stops listening on `port` (existing connections unaffected).
-    pub fn unlisten(&mut self, port: u16) {
-        self.listeners.remove(&port);
-    }
-
     /// Actively opens a connection. Returns the new socket id.
     pub fn connect(
         &mut self,
@@ -817,11 +812,6 @@ impl TcpEndpoint {
         if (self.socks.get_mut(id)).is_some_and(|e| e.conn.release_hold_until(upto)) {
             self.touch(id);
         }
-    }
-
-    /// Looks up the socket for a four-tuple.
-    pub fn socket_by_tuple(&self, tuple: FourTuple) -> Option<SocketId> {
-        self.by_tuple.get(&tuple).copied()
     }
 
     /// The id of every socket ever created (closed ones included: a
@@ -1205,13 +1195,15 @@ mod tests {
         let (mut n, ca, _sb) = connected_pair();
         n.a.abort(n.now, ca);
         n.pump();
-        assert_eq!(
-            n.a.socket_by_tuple(FourTuple {
-                local: (ip(1), 40_000),
-                remote: (ip(2), 80),
-            }),
-            None
-        );
+        let again = n.a.connect(n.now, (ip(1), 40_000), (ip(2), 80));
+        assert_ne!(again, ca);
+        n.pump();
+        assert_eq!(n.a.conn(again).unwrap().state(), TcpState::Established);
+        let _ = n.a.send(n.now, again, b"reused");
+        n.pump();
+        let sb = *n.b.sockets().last().unwrap();
+        assert_eq!(n.b.conn(sb).unwrap().state(), TcpState::Established);
+        assert_eq!(n.b.recv(sb, 100).as_ref(), b"reused");
     }
 
     #[test]
@@ -1241,20 +1233,6 @@ mod tests {
         let mut expected: Vec<String> = (0..8).map(|i| format!("hello-{i}")).collect();
         expected.sort();
         assert_eq!(seen, expected);
-    }
-
-    #[test]
-    fn unlisten_stops_new_accepts_keeps_existing() {
-        let (mut n, ca, sb) = connected_pair();
-        n.b.unlisten(80);
-        // Existing connection still works.
-        let _ = n.a.send(n.now, ca, b"still alive");
-        n.pump();
-        assert_eq!(n.b.recv(sb, 100).as_ref(), b"still alive");
-        // New connection attempts are refused.
-        let c2 = n.a.connect(n.now, (ip(1), 40_001), (ip(2), 80));
-        n.pump();
-        assert_eq!(n.a.conn(c2).unwrap().state(), TcpState::Closed);
     }
 
     #[test]

@@ -44,11 +44,6 @@ impl SeqNum {
         self.diff(other) <= 0
     }
 
-    /// Circular `self > other`.
-    pub fn gt(self, other: SeqNum) -> bool {
-        self.diff(other) > 0
-    }
-
     /// Circular `self >= other`.
     pub fn ge(self, other: SeqNum) -> bool {
         self.diff(other) >= 0
@@ -58,15 +53,6 @@ impl SeqNum {
     pub fn in_window(self, start: SeqNum, len: u32) -> bool {
         let off = self.0.wrapping_sub(start.0);
         off < len
-    }
-
-    /// The larger of two sequence numbers under circular comparison.
-    pub fn max_seq(self, other: SeqNum) -> SeqNum {
-        if self.ge(other) {
-            self
-        } else {
-            other
-        }
     }
 }
 
@@ -159,7 +145,7 @@ mod tests {
         let b = SeqNum(200);
         assert!(a.lt(b));
         assert!(a.le(b));
-        assert!(b.gt(a));
+        assert!(!b.le(a));
         assert!(b.ge(a));
         assert!(a.le(a));
         assert!(a.ge(a));
@@ -171,7 +157,7 @@ mod tests {
         let a = SeqNum(0xffff_ff00);
         let b = SeqNum(0x0000_0100);
         assert!(a.lt(b), "b is 512 ahead of a across the wrap");
-        assert!(b.gt(a));
+        assert!(!b.le(a));
         assert_eq!(b - a, 512);
         assert_eq!(a + 512, b);
         assert_eq!(b - 512, a);
@@ -192,15 +178,6 @@ mod tests {
         assert!(!(start + 10).in_window(start, 10), "end exclusive");
         assert!(!(start - 1).in_window(start, 10), "before start");
         assert!(!start.in_window(start, 0), "empty window");
-    }
-
-    #[test]
-    fn max_seq_circular() {
-        let a = SeqNum(0xffff_fff0);
-        let b = SeqNum(0x10);
-        assert_eq!(a.max_seq(b), b);
-        assert_eq!(b.max_seq(a), b);
-        assert_eq!(a.max_seq(a), a);
     }
 
     #[test]
