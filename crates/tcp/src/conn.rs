@@ -39,9 +39,8 @@ use std::rc::Rc;
 
 use simnet::time::{SimDuration, SimTime};
 
-use crate::cc::CongestionControl;
+use crate::recovery::Recovery;
 use crate::recvbuf::RecvBuffer;
-use crate::rto::{RtoConfig, RtoEstimator};
 use crate::segment::{TcpFlags, TcpSegment};
 use crate::sendbuf::{Fin, SendBuffer};
 use crate::seq::{SeqNum, SeqTracker};
@@ -59,6 +58,12 @@ pub const QUICKACKS: u8 = 16;
 /// floor (Linux `TCP_RTO_MIN`).
 pub const QUICKACK_IDLE: SimDuration = SimDuration::from_millis(200);
 
+/// Maximum segment size: payload bytes per segment.
+pub const MSS: u32 = 1460;
+
+/// How long TIME-WAIT lingers.
+pub const TIME_WAIT: SimDuration = SimDuration::from_secs(1);
+
 /// Connection-level configuration. Read-only once a connection exists:
 /// every holder ([`TcpConn`], the endpoint and listener configs) shares
 /// one allocation through an `Rc`, and a limit a connection can change
@@ -66,8 +71,6 @@ pub const QUICKACK_IDLE: SimDuration = SimDuration::from_millis(200);
 /// capacity) is copied out into that connection's own state.
 #[derive(Debug, Clone)]
 pub struct TcpConfig {
-    /// Maximum segment size (payload bytes per segment).
-    pub mss: u32,
     /// Send buffer capacity in bytes.
     pub send_buf: usize,
     /// Application receive buffer capacity (bounds the advertised window).
@@ -75,25 +78,14 @@ pub struct TcpConfig {
     /// ST-TCP extended receive buffer ("hold") capacity; `None` for plain
     /// TCP.
     pub hold_buf: Option<usize>,
-    /// Retransmission-timeout tuning.
-    pub rto: RtoConfig,
-    /// TIME-WAIT linger duration.
-    pub time_wait: SimDuration,
-    /// Consecutive retransmissions of the same data before the connection
-    /// is declared dead.
-    pub max_retries: u8,
 }
 
 impl Default for TcpConfig {
     fn default() -> Self {
         TcpConfig {
-            mss: 1460,
             send_buf: 256 * 1024,
             recv_buf: 64 * 1024,
             hold_buf: None,
-            rto: RtoConfig::default(),
-            time_wait: SimDuration::from_secs(1),
-            max_retries: 15,
         }
     }
 }
@@ -269,14 +261,10 @@ pub struct TcpConn {
     peer_fin_consumed: bool,
 
     // Control.
-    cc: CongestionControl,
-    rto: RtoEstimator,
-    rtx_deadline: Option<SimTime>,
+    recovery: Recovery,
     persist_deadline: Option<SimTime>,
     persist_backoff: u8,
     timewait_deadline: Option<SimTime>,
-    dup_acks: u8,
-    retries: u8,
     /// A pure ACK is owed now: the next output pass sends one unless a
     /// data segment or FIN goes.
     ack_pending: bool,
@@ -298,7 +286,7 @@ pub struct TcpConn {
 
 // The scale tiers hold three of these per connection (client, primary,
 // backup): the next field added is a decision, not an accident.
-const _: () = assert!(std::mem::size_of::<TcpConn>() <= 488);
+const _: () = assert!(std::mem::size_of::<TcpConn>() <= 480);
 
 impl TcpConn {
     /// Creates an actively opening connection and queues the SYN.
@@ -311,7 +299,7 @@ impl TcpConn {
         let mut c = TcpConn::raw(cfg.into(), tuple, iss);
         c.state = TcpState::SynSent;
         c.push_syn();
-        c.arm_rtx(now);
+        c.recovery.arm(now);
         c
     }
 
@@ -330,15 +318,13 @@ impl TcpConn {
         c.rcv_tracker = Some(SeqTracker::new(syn.seq));
         c.snd_wnd = syn.window as u32;
         c.push_syn();
-        c.arm_rtx(now);
+        c.recovery.arm(now);
         c
     }
 
     fn raw(cfg: Rc<TcpConfig>, tuple: FourTuple, iss: SeqNum) -> TcpConn {
         let sendbuf = SendBuffer::new(cfg.send_buf);
         let recvbuf = RecvBuffer::new(cfg.recv_buf, cfg.hold_buf);
-        let cc = CongestionControl::new(cfg.mss);
-        let rto = RtoEstimator::new(&cfg.rto);
         TcpConn {
             cfg,
             tuple,
@@ -350,14 +336,10 @@ impl TcpConn {
             rcv_tracker: None,
             recvbuf,
             peer_fin_consumed: false,
-            cc,
-            rto,
-            rtx_deadline: None,
+            recovery: Recovery::new(),
             persist_deadline: None,
             persist_backoff: 0,
             timewait_deadline: None,
-            dup_acks: 0,
-            retries: 0,
             ack_pending: false,
             delack_at: None,
             last_rcv_ms: 0,
@@ -541,11 +523,6 @@ impl TcpConn {
         self.stats
     }
 
-    /// The current retransmission timeout (after backoff).
-    pub fn current_rto(&self) -> SimDuration {
-        self.rto.current_rto(&self.cfg.rto)
-    }
-
     /// Bytes held for the backup (ST-TCP extended receive buffer usage).
     pub fn hold_used(&self) -> usize {
         self.recvbuf.hold_used()
@@ -563,7 +540,7 @@ impl TcpConn {
 
     /// The current congestion window, in bytes (metrics sampling).
     pub fn cwnd(&self) -> u64 {
-        self.cc.cwnd()
+        self.recovery.cwnd()
     }
 
     /// Unacknowledged bytes occupying the send buffer.
@@ -694,8 +671,7 @@ impl TcpConn {
         if matches!(self.state, TcpState::Closed | TcpState::TimeWait) {
             return;
         }
-        self.rto.reset_backoff();
-        self.retries = 0;
+        self.recovery.restart();
         self.ack_pending |= self.syn_acked;
         self.rewind(now);
     }
@@ -705,7 +681,7 @@ impl TcpConn {
     /// The earliest pending timer deadline, if any.
     pub fn next_deadline(&self) -> Option<SimTime> {
         [
-            self.rtx_deadline,
+            self.recovery.deadline(),
             self.persist_deadline,
             self.timewait_deadline,
             self.delack_deadline(),
@@ -725,10 +701,14 @@ impl TcpConn {
                 }
             }
         }
-        if let Some(t) = self.rtx_deadline {
-            if now >= t {
-                self.rtx_deadline = None;
-                self.on_rtx_timeout(now);
+        // A timer left running while everything got acked fires idle.
+        if self.recovery.due(now) && self.has_unacked() {
+            self.stats.rto_fires += 1;
+            if self.recovery.on_timeout(self.sendbuf.flight()) {
+                self.rewind(now);
+            } else {
+                self.events.push(ConnEvent::Reset);
+                self.enter_closed(false);
             }
         }
         if let Some(t) = self.persist_deadline {
@@ -749,22 +729,6 @@ impl TcpConn {
             .map(|ms| SimTime::from_millis(u64::from(ms.get())))
     }
 
-    fn on_rtx_timeout(&mut self, now: SimTime) {
-        if !self.has_unacked() {
-            return; // everything got acked in the meantime
-        }
-        self.retries = self.retries.saturating_add(1);
-        self.stats.rto_fires += 1;
-        if self.retries > self.cfg.max_retries {
-            self.events.push(ConnEvent::Reset);
-            self.enter_closed(false);
-            return;
-        }
-        self.cc.on_timeout(self.sendbuf.flight());
-        self.rto.on_timeout();
-        self.rewind(now);
-    }
-
     fn on_persist_timeout(&mut self, now: SimTime) {
         if self.snd_wnd > 0 || self.sendbuf.unsent() == 0 {
             self.persist_backoff = 0;
@@ -776,7 +740,8 @@ impl TcpConn {
         self.push(TcpFlags::ACK, at, self.sendbuf.slice(at, 1));
         self.persist_backoff = (self.persist_backoff + 1).min(10);
         let interval = self
-            .current_rto()
+            .recovery
+            .rto()
             .saturating_mul(1u64 << self.persist_backoff.min(10))
             .min(SimDuration::from_secs(60));
         self.persist_deadline = Some(now + interval);
@@ -849,10 +814,9 @@ impl TcpConn {
         self.rcv_tracker = Some(SeqTracker::new(seg.seq));
         self.syn_acked = true;
         self.snd_wnd = seg.window as u32;
-        self.retries = 0;
-        self.rto.reset_backoff();
+        self.recovery.restart();
         self.state = self.handshake_done();
-        self.rtx_deadline = None; // nothing was sent before the SYN was acked
+        self.recovery.disarm(); // nothing was sent before the SYN was acked
         self.events.push(ConnEvent::Connected);
         self.ack_pending = true;
         // Handshake payload (rare) plus our ACK.
@@ -906,43 +870,30 @@ impl TcpConn {
 
         if self.state == TcpState::SynRcvd {
             self.syn_acked = true;
-            self.retries = 0;
+            // The timeout count carries over: see `crate::recovery`.
             self.state = self.handshake_done();
-            self.rtx_deadline = None; // nothing is sent before the SYN is acked
+            self.recovery.disarm(); // nothing is sent before the SYN is acked
             self.events.push(ConnEvent::Connected);
         }
 
         if acked.bytes > 0 || acked.fin {
-            self.retries = 0;
-            self.dup_acks = 0;
-            self.cc.on_ack(acked.bytes);
-            if let Some(rtt) = acked.rtt {
-                self.rto.on_sample(rtt);
-            }
-            self.rto.reset_backoff();
-            if self.has_unacked() {
-                self.arm_rtx(now);
-            } else {
-                self.rtx_deadline = None;
-            }
+            let outstanding = self.has_unacked();
+            self.recovery
+                .on_progress(acked.bytes, acked.rtt, outstanding, now);
         } else if seg.payload.is_empty()
             && !seg.flags.syn
             && !seg.flags.fin
             && ack_off == self.sendbuf.una() as i64
             && self.sendbuf.flight() > 0
+            && self.recovery.on_dup_ack(self.sendbuf.flight(), now)
         {
-            self.dup_acks = self.dup_acks.saturating_add(1);
-            if self.dup_acks == 3 {
-                // Fast retransmit: the head alone, neither PSH nor timed.
-                self.stats.fast_retransmits += 1;
-                self.cc.on_fast_retransmit(self.sendbuf.flight());
-                let head = self.sendbuf.head(self.cfg.mss);
-                self.stats.bytes_retransmitted += head.resent;
-                let mut flags = TcpFlags::ACK;
-                flags.fin = head.fin;
-                self.push(flags, head.off, self.sendbuf.slice(head.off, head.len));
-                self.arm_rtx(now);
-            }
+            // Fast retransmit: the head alone, neither PSH nor timed.
+            self.stats.fast_retransmits += 1;
+            let head = self.sendbuf.head(MSS);
+            self.stats.bytes_retransmitted += head.resent;
+            let mut flags = TcpFlags::ACK;
+            flags.fin = head.fin;
+            self.push(flags, head.off, self.sendbuf.slice(head.off, head.len));
         }
 
         if acked.fin {
@@ -1032,7 +983,7 @@ impl TcpConn {
 
     fn enter_closed(&mut self, graceful: bool) {
         self.state = TcpState::Closed;
-        self.rtx_deadline = None;
+        self.recovery.disarm();
         self.persist_deadline = None;
         self.timewait_deadline = None;
         self.delack_at = None;
@@ -1060,8 +1011,8 @@ impl TcpConn {
     pub fn fill_output(&mut self, now: SimTime) {
         // Arm the TIME-WAIT deadline of a state change just made.
         if self.state == TcpState::TimeWait && self.timewait_deadline.is_none() {
-            self.timewait_deadline = Some(now + self.cfg.time_wait);
-            self.rtx_deadline = None;
+            self.timewait_deadline = Some(now + TIME_WAIT);
+            self.recovery.disarm();
             self.persist_deadline = None;
         }
 
@@ -1078,11 +1029,11 @@ impl TcpConn {
         while can_send_data && self.syn_acked {
             let flight = self.sendbuf.flight();
             let wnd_room = u64::from(self.snd_wnd).saturating_sub(flight);
-            let room = self.cc.send_allowance(flight).min(wnd_room);
-            let Some(span) = self.sendbuf.next(room, self.cfg.mss) else {
+            let room = self.recovery.allowance(flight).min(wnd_room);
+            let Some(span) = self.sendbuf.next(room, MSS) else {
                 // Zero window with data pending: arm persist probing.
                 if self.sendbuf.unsent() > 0 && wnd_room == 0 && self.persist_deadline.is_none() {
-                    self.persist_deadline = Some(now + self.current_rto());
+                    self.persist_deadline = Some(now + self.recovery.rto());
                 }
                 break;
             };
@@ -1098,7 +1049,7 @@ impl TcpConn {
             flags.psh = n > 0 && span.off + n == self.sendbuf.written();
             flags.fin = span.fin;
             self.push(flags, span.off, self.sendbuf.slice(span.off, span.len));
-            self.arm_rtx(now);
+            self.recovery.arm(now);
             self.ack_pending = false;
             emitted = true;
         }
@@ -1135,7 +1086,7 @@ impl TcpConn {
             // A peer the SYN-ACK already established answers with the ACK
             // this side missed (a challenge ACK).
             self.push_syn();
-            self.arm_rtx(now);
+            self.recovery.arm(now);
             return;
         }
         self.fill_output(now);
@@ -1148,15 +1099,11 @@ impl TcpConn {
         matches!(self.state, TcpState::SynSent | TcpState::SynRcvd) || self.sendbuf.outstanding()
     }
 
-    fn arm_rtx(&mut self, now: SimTime) {
-        self.rtx_deadline = Some(now + self.current_rto());
-    }
-
     /// RFC 6298 §5.2, checked after every segment, timer and output pass in
     /// debug builds: the retransmit timer runs only while something is
     /// outstanding (the SYN until it is acked, whatever `close` did).
     pub(crate) fn rtx_rule_holds(&self) -> bool {
-        self.rtx_deadline.is_none() || !self.syn_acked || self.has_unacked()
+        self.recovery.deadline().is_none() || !self.syn_acked || self.has_unacked()
     }
 
     /// Queues our SYN, or the SYN-ACK once the peer's SYN is anchored.
@@ -1200,6 +1147,7 @@ fn whole_ms(t: SimTime) -> u32 {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::recovery::{INITIAL_RTO, MAX_RETRIES, MIN_RTO};
     use std::net::Ipv4Addr;
 
     const CLIENT_ISS: SeqNum = SeqNum(1_000);
@@ -1487,24 +1435,18 @@ mod tests {
 
     #[test]
     fn retry_exhaustion_resets_connection() {
-        let cfg = TcpConfig {
-            max_retries: 3,
-            ..Default::default()
-        };
-        let mut c = TcpConn::client(cfg, tuple_client(), CLIENT_ISS, SimTime::ZERO);
+        let mut c = TcpConn::client(TcpConfig::default(), tuple_client(), CLIENT_ISS, t(0));
         let _ = c.poll_segment(); // SYN never answered
-        for _ in 0..10 {
-            if let Some(d) = c.next_deadline() {
-                c.on_timer(d);
-                let _ = c.poll_segment();
-            }
+        for _ in 0..MAX_RETRIES {
+            c.on_timer(c.next_deadline().unwrap());
+            assert!(c.poll_segment().unwrap().flags.syn, "a timeout resends");
         }
+        assert_eq!(c.state(), TcpState::SynSent);
+        c.on_timer(c.next_deadline().unwrap());
+        assert!(c.poll_segment().is_none());
         assert_eq!(c.state(), TcpState::Closed);
-        let mut evs = Vec::new();
-        while let Some(e) = c.poll_event() {
-            evs.push(e);
-        }
-        assert!(evs.contains(&ConnEvent::Reset));
+        assert_eq!(c.stats().rto_fires, u64::from(MAX_RETRIES) + 1);
+        assert_eq!(c.poll_event(), Some(ConnEvent::Reset));
     }
 
     #[test]
@@ -1996,10 +1938,10 @@ mod tests {
         p.now = rto + SimDuration::from_millis(30);
         p.pump();
         assert_eq!(p.server().bytes_received(), 4 * 1460);
-        assert_eq!(p.client.rto.srtt(), None);
+        assert_eq!(p.client.recovery.rto(), INITIAL_RTO, "no sample yet");
         let _ = p.client.send(p.now, b"past the high mark");
         p.pump();
-        assert!(p.client.rto.srtt().is_some());
+        assert_eq!(p.client.recovery.rto(), MIN_RTO, "sampled");
     }
 
     #[test]
@@ -2055,7 +1997,7 @@ mod tests {
             p.client.poll_segment().is_none(),
             "nothing fits a zero window"
         );
-        assert_eq!(p.client.rtx_deadline, None);
+        assert_eq!(p.client.recovery.deadline(), None);
         let probe_at = p.client.persist_deadline.unwrap();
         p.advance(probe_at);
         p.pump();
@@ -2422,7 +2364,6 @@ mod tests {
             send_buf: 5_000,
             recv_buf: 3_000,
             hold_buf: Some(700),
-            ..Default::default()
         });
         let mut p = Pair::established();
         let _ = p.server().send(t(0), b"unacked");

@@ -935,7 +935,7 @@ fn deterministic_isn(tuple: FourTuple, salt: u64) -> u32 {
 mod tests {
     use super::*;
     use crate::conn::TcpState;
-    use crate::rto::RtoConfig;
+    use crate::recovery::INITIAL_RTO;
     use simnet::time::SimDuration;
 
     fn ip(last: u8) -> Ipv4Addr {
@@ -1501,7 +1501,7 @@ mod tests {
     /// `gap` after it); either can be queued first.
     #[test]
     fn sockets_due_together_fire_in_socket_id_order() {
-        let rto = RtoConfig::default().initial_rto;
+        let rto = INITIAL_RTO;
         let at = |n: u64| SimTime::from_micros(n * rto.as_micros());
         for (low_registers_first, gap) in [(true, 0), (false, 0), (true, 3), (false, 3)] {
             let gap = SimDuration::from_millis(gap);
